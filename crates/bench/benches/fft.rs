@@ -46,30 +46,18 @@ fn bench_fft_2d(c: &mut Criterion) {
     group
         .measurement_time(Duration::from_secs(2))
         .sample_size(20);
-    // These keys measure the *hot-path* call the solvers actually make since
-    // ISSUE 4: in-place transforms over a pre-allocated Fft2Scratch (a fresh
+    // The *hot-path* call the solvers make: the in-place transform (a fresh
     // copy of the input per iteration, like a propagation step working on a
     // wave buffer). The by-value wrappers are pinned separately in
-    // benches/fft_workspace.rs. 256 sits at the measured scalar parallel
-    // crossover (see PARALLEL_MIN_ELEMS), so multi-core scalar builds show
-    // the fan-out win there while smaller sizes auto-select the serial path
-    // (under `--features simd` the crossover moves to 512, so every size
-    // here auto-serialises and the serial/parallel pair should read equal).
+    // benches/fft_workspace.rs.
     for &n in &[64usize, 128, 256] {
         let plan = Fft2Plan::new(n, n);
         let data = field(n);
         let mut buf = data.clone();
-        let mut scratch = plan.make_scratch();
         group.bench_with_input(BenchmarkId::new("serial", n), &n, |b, _| {
             b.iter(|| {
                 buf.copy_from(&data);
-                plan.forward_in_place(&mut buf, &mut scratch);
-            })
-        });
-        group.bench_with_input(BenchmarkId::new("rayon_parallel", n), &n, |b, _| {
-            b.iter(|| {
-                buf.copy_from(&data);
-                plan.forward_par_in_place(&mut buf, &mut scratch);
+                plan.forward_mut(&mut buf);
             })
         });
     }

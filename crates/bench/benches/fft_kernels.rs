@@ -53,11 +53,10 @@ fn bench_fft_simd(c: &mut Criterion) {
         for level in SimdLevel::available_levels() {
             let plan = Fft2Plan::with_simd_level(n, n, level);
             let mut buf = data.clone();
-            let mut scratch = plan.make_scratch();
             group.bench_function(format!("{}_{n}", level.label()), |b| {
                 b.iter(|| {
                     buf.copy_from(&data);
-                    plan.forward_in_place(&mut buf, &mut scratch);
+                    plan.forward_mut(&mut buf);
                 })
             });
         }
@@ -76,18 +75,18 @@ fn bench_fft_partial(c: &mut Criterion) {
         let data = supported_field(n, &support);
 
         let dense = Fft2Plan::new(n, n);
-        let mut scratch = dense.make_scratch();
         let mut buf = data.clone();
         group.bench_function(format!("dense_{n}"), |b| {
             b.iter(|| {
                 buf.copy_from(&data);
-                dense.forward_in_place(&mut buf, &mut scratch);
+                dense.forward_mut(&mut buf);
             })
         });
 
         let pruned = PartialFft2Plan::new(n, n)
             .with_input_support(support)
             .with_output_roi(roi);
+        let mut scratch = pruned.make_scratch();
         group.bench_function(format!("pruned_vs_dense_{n}"), |b| {
             b.iter(|| {
                 buf.copy_from(&data);

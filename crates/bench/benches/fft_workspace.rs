@@ -1,7 +1,7 @@
-//! Workspace-API benchmark: the in-place 2D transforms (reusable
-//! [`Fft2Scratch`], zero allocations) against the by-value wrappers (clone +
-//! throwaway scratch per call) — the ISSUE 4 win, pinned per size so a
-//! regression back to allocating transforms trips the bench gate.
+//! In-place-API benchmark: the in-place 2D transforms (zero allocations)
+//! against the by-value wrappers (one clone per call) — the ISSUE 4 win,
+//! pinned per size so a regression back to allocating transforms trips the
+//! bench gate.
 //!
 //! Both variants time a forward/inverse *round trip* so the in-place buffer
 //! stays numerically bounded across iterations and the comparison is
@@ -33,11 +33,10 @@ fn bench_workspace(c: &mut Criterion) {
         });
 
         let mut buf = data.clone();
-        let mut scratch = plan.make_scratch();
         group.bench_with_input(BenchmarkId::new("roundtrip_in_place", n), &n, |b, _| {
             b.iter(|| {
-                plan.forward_in_place(&mut buf, &mut scratch);
-                plan.inverse_in_place(&mut buf, &mut scratch);
+                plan.forward_mut(&mut buf);
+                plan.inverse_mut(&mut buf);
             })
         });
     }

@@ -298,7 +298,7 @@ mod tests {
 
     const LINES: &str = r#"
 {"label": "fft_2d/serial/128", "mean_ns": 1200000, "min_ns": 1100000, "max_ns": 1300000, "samples": 20}
-{"label": "fft_2d/rayon_parallel/128", "mean_ns": 700000, "min_ns": 650000, "max_ns": 800000, "samples": 20}
+{"label": "fft_2d/serial/256", "mean_ns": 700000, "min_ns": 650000, "max_ns": 800000, "samples": 20}
 {"label": "tiny/bench", "mean_ns": 900, "min_ns": 800, "max_ns": 1000, "samples": 10}
 "#;
 
@@ -373,7 +373,7 @@ mod tests {
         let report = evaluate(&baseline, &current, &config);
         assert_eq!(report.regressions.len(), 1, "2x breaks a 1.5x budget");
         // Other labels keep the global factor.
-        assert_eq!(config.factor_for("fft_2d/rayon_parallel/128"), 4.0);
+        assert_eq!(config.factor_for("fft_2d/serial/256"), 4.0);
     }
 
     #[test]

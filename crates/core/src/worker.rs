@@ -22,7 +22,7 @@ pub(crate) struct TileWorker<'a> {
     step: f64,
     slices: usize,
     /// Reusable forward/adjoint model buffers (incident stack, far field,
-    /// back-propagation wave, FFT scratch).
+    /// back-propagation wave, and a transpose scratch if the model prunes).
     workspace: SimWorkspace,
     /// Reusable probe-window object patch, refilled per probe location.
     patch: CArray3,
@@ -88,16 +88,14 @@ impl<'a> TileWorker<'a> {
             window * window * slices * BYTES_PER_COMPLEX,
         );
         // The pooled buffers this worker holds resident for its whole life:
-        // the SimWorkspace — incident stack (slices + 1), far field, back
-        // wave and FFT scratch, all window² complex fields — plus the
-        // probe-window object patch (slices planes).
+        // the SimWorkspace of the model it evaluates and the probe-window
+        // object patch, charged at the bytes they actually hold.
+        let workspace = SimWorkspace::for_model(pruned_model.as_ref().unwrap_or(dataset.model()));
+        let patch = Array3::full(slices, window, window, Complex64::ONE);
         memory.allocate(
             MemoryCategory::ModelWorkspace,
-            ((slices + 4) + slices) * window * window * BYTES_PER_COMPLEX,
+            workspace.bytes() + patch.len() * BYTES_PER_COMPLEX,
         );
-
-        let workspace = SimWorkspace::for_model(dataset.model());
-        let patch = Array3::full(slices, window, window, Complex64::ONE);
 
         Self {
             dataset,
@@ -424,6 +422,34 @@ mod tests {
             assert_eq!(a.re.to_bits(), b.re.to_bits());
             assert_eq!(a.im.to_bits(), b.im.to_bits());
         }
+    }
+
+    #[test]
+    fn model_workspace_charge_equals_the_bytes_held() {
+        use crate::tiling::TileGrid;
+        use ptycho_sim::dataset::SyntheticConfig;
+
+        let dataset = Dataset::synthesize(SyntheticConfig::tiny());
+        let (_, rows, cols) = dataset.object_shape();
+        let grid = TileGrid::new(rows, cols, 1, 1, 8, dataset.scan());
+        let initial = dataset.initial_guess();
+        let pruned = SolverConfig {
+            probe_support_threshold: Some(1e-6),
+            ..SolverConfig::default()
+        };
+        let mut charges = Vec::new();
+        for config in [SolverConfig::default(), pruned] {
+            let mut memory = MemoryTracker::new();
+            let worker = TileWorker::new(&dataset, grid.tile(0), &initial, &config, 0, &mut memory);
+            let held =
+                worker.workspace.bytes() + worker.patch.len() * std::mem::size_of::<Complex64>();
+            assert_eq!(memory.current_of(MemoryCategory::ModelWorkspace), held);
+            charges.push(held);
+        }
+        // Only a pruning model carries a transpose scratch: one more
+        // window² field.
+        let window = dataset.model().window_px();
+        assert_eq!(charges[1] - charges[0], window * window * BYTES_PER_COMPLEX);
     }
 
     #[test]

@@ -109,7 +109,7 @@ impl FftPlan {
     /// # Panics
     /// Panics if `data.len()` differs from the plan length.
     pub fn forward(&self, data: &mut [Complex64]) {
-        self.transform(data, Direction::Forward);
+        self.transform(data, true);
     }
 
     /// In-place inverse transform (normalised by `1/N`).
@@ -117,7 +117,7 @@ impl FftPlan {
     /// # Panics
     /// Panics if `data.len()` differs from the plan length.
     pub fn inverse(&self, data: &mut [Complex64]) {
-        self.transform(data, Direction::Inverse);
+        self.transform(data, false);
         let scale = 1.0 / self.len as f64;
         for v in data.iter_mut() {
             *v = v.scale(scale);
@@ -129,10 +129,10 @@ impl FftPlan {
     /// Useful when a forward/inverse pair brackets an elementwise operation and
     /// the caller wants to fold the normalisation into that operation.
     pub fn inverse_unnormalized(&self, data: &mut [Complex64]) {
-        self.transform(data, Direction::Inverse);
+        self.transform(data, false);
     }
 
-    fn transform(&self, data: &mut [Complex64], direction: Direction) {
+    fn transform(&self, data: &mut [Complex64], forward: bool) {
         assert_eq!(
             data.len(),
             self.len,
@@ -140,24 +140,49 @@ impl FftPlan {
             self.len,
             data.len()
         );
-        if self.len == 1 {
-            return;
-        }
-
         self.permute(data);
 
-        // Iterative Cooley-Tukey butterflies. Each stage walks its
-        // precomputed twiddle table sequentially; the kernel is dispatched
-        // once per stage at the tier fixed at plan construction (see the
-        // `simd` module for the per-tier numerics contract).
-        let stages = match direction {
-            Direction::Forward => &self.forward_stages,
-            Direction::Inverse => &self.inverse_stages,
-        };
-        let mut size = 2usize;
-        for stage in stages {
-            simd::butterfly_pass(self.level, data, size, stage);
-            size *= 2;
+        // Iterative Cooley-Tukey butterflies, two stages per sweep (see the
+        // `simd` module for the sweeps and the per-tier numerics contract).
+        let mut pairs = self.stages(forward).chunks_exact(2);
+        for pair in &mut pairs {
+            let (wa, wb) = (&pair[0], &pair[1]);
+            simd::butterfly_pass2(self.level, data, wa, wb);
+        }
+        if let [last] = pairs.remainder() {
+            let (lo, hi) = data.split_at_mut(self.len / 2);
+            simd::butterfly_range(self.level, lo, hi, last);
+        }
+    }
+
+    /// Transforms every column of the row-major `len × cols` field `data` in
+    /// place (unnormalised in both directions): the same permutation and the
+    /// same butterflies as [`Self::forward`] / [`Self::inverse_unnormalized`]
+    /// on each column, but whole rows are swapped and paired, so memory is
+    /// walked along the contiguous rows.
+    pub(crate) fn transform_columns(&self, data: &mut [Complex64], cols: usize, forward: bool) {
+        assert_eq!(
+            data.len(),
+            self.len * cols,
+            "FFT plan length {} does not match a {}-column field of {} values",
+            self.len,
+            cols,
+            data.len()
+        );
+        for i in 0..self.len {
+            let j = self.bit_rev[i] as usize;
+            if i < j {
+                let (head, tail) = data.split_at_mut(j * cols);
+                head[i * cols..(i + 1) * cols].swap_with_slice(&mut tail[..cols]);
+            }
+        }
+        let mut pairs = self.stages(forward).chunks_exact(2);
+        for pair in &mut pairs {
+            let (wa, wb) = (&pair[0], &pair[1]);
+            simd::column_pass2(self.level, data, cols, wa, wb);
+        }
+        if let [stage] = pairs.remainder() {
+            simd::column_pass(self.level, data, cols, stage);
         }
     }
 
@@ -181,12 +206,6 @@ impl FftPlan {
             &self.inverse_stages
         }
     }
-}
-
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Direction {
-    Forward,
-    Inverse,
 }
 
 /// Convenience one-shot forward FFT (builds a throwaway plan).

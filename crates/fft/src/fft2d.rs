@@ -1,50 +1,31 @@
 //! 2D fast Fourier transforms over [`Array2<Complex64>`](ptycho_array::Array2).
 //!
-//! The 2D transform is computed as a row pass followed by a column pass
-//! (implemented as transpose → row pass → transpose so that both passes stream
-//! through contiguous memory). A Rayon-parallel driver is provided for the
-//! large fields of the forward model; the paper's CUDA kernels parallelise the
-//! same way across GPU threads.
+//! The 2D transform is a row pass followed by a column pass, both in the
+//! field's own storage. The row pass runs the 1-D plan over each contiguous
+//! row. The column pass does not transpose: it swaps and pairs whole *rows*
+//! (row `k` with row `k + h` under one broadcast twiddle), so its inner loop
+//! also runs along contiguous memory — see `FftPlan::transform_columns` and
+//! the column sweeps of the [`crate::simd`] module. Each column goes through
+//! exactly the butterflies the 1-D plan would apply to it.
 //!
-//! # In-place transforms and workspaces
+//! # In-place transforms
 //!
 //! The hot path of the reconstruction (one FFT pair per slice per probe
-//! location) must not allocate. [`Fft2Plan::forward_in_place`] /
-//! [`Fft2Plan::inverse_in_place`] transform a field in its own storage,
-//! ping-ponging the column pass through a caller-owned [`Fft2Scratch`]
-//! transpose buffer, so a warmed-up transform performs zero heap allocations.
-//! The by-value methods ([`Fft2Plan::forward`] and friends) are thin wrappers
-//! that clone the input and build a throwaway scratch — convenient for cold
-//! paths, tests and examples.
+//! location) must not allocate. [`Fft2Plan::forward_mut`] /
+//! [`Fft2Plan::inverse_mut`] / [`Fft2Plan::inverse_unnormalized_mut`]
+//! transform a field in place with no workspace at all. The by-value methods
+//! ([`Fft2Plan::forward`] and friends) clone the input first — convenient
+//! for cold paths, tests and examples.
+//!
+//! [`Fft2Scratch`] is the transpose buffer of the pruned
+//! [`crate::partial::PartialFft2Plan`], which still walks its (few) columns
+//! through a transpose. The dense plan's `*_in_place(field, scratch)` methods
+//! remain for callers that drive a dense and a pruned plan from one shared
+//! workspace; the dense plan leaves the scratch untouched.
 
-use crate::simd::{self, SimdLevel};
+use crate::simd::SimdLevel;
 use crate::{CArray2, Complex64, FftPlan};
 use ptycho_array::Array2;
-use rayon::prelude::*;
-
-/// Minimum number of elements (`rows × cols`) before the `*_par` drivers
-/// actually fan out across Rayon workers.
-///
-/// Tuning methodology (re-measured for ISSUE 8; keys in
-/// `BENCH_baseline.json` / `benches/fft.rs`): the crossover is where the
-/// per-row task grows large enough to amortise the fixed worker hand-off
-/// cost, so it is found by comparing `fft_2d/serial/{n}` against
-/// `fft_2d/rayon_parallel/{n}` on a multi-core host. The committed
-/// multi-core scalar measurements put parity at 256 px (2.415 ms parallel vs
-/// 2.392 ms serial; at 128 px parallel *loses*, 491 µs vs 468 µs). The SIMD
-/// build roughly halves the arithmetic per row (fresh 1-CPU-runner
-/// measurements: `fft_simd/avx2_256` 945 µs vs `fft_simd/scalar_256`
-/// 1.90 ms) while the hand-off cost is unchanged, which pushes the parity
-/// point up by about one power-of-two size — hence the higher threshold
-/// under `--features simd`. Single-core runners cannot observe the
-/// crossover at all (the vendored Rayon runs inline when
-/// `available_parallelism() == 1`), so the nightly runner-native baseline
-/// refresh is the place to revisit both values.
-#[cfg(not(feature = "simd"))]
-pub const PARALLEL_MIN_ELEMS: usize = 256 * 256;
-/// SIMD builds: see the methodology note on the scalar definition above.
-#[cfg(feature = "simd")]
-pub const PARALLEL_MIN_ELEMS: usize = 512 * 512;
 
 /// A reusable plan for 2D FFTs of a fixed `(rows, cols)` shape (both powers of
 /// two).
@@ -54,37 +35,27 @@ pub struct Fft2Plan {
     cols: usize,
     row_plan: FftPlan,
     col_plan: FftPlan,
-    /// SIMD tier shared by the row/column plans and the blocked transpose.
-    level: SimdLevel,
 }
 
-/// Caller-owned workspace for the in-place 2D transforms: one `rows × cols`
-/// transpose (ping-pong) buffer, allocated once and reused for every
-/// transform of the matching plan.
+/// Caller-owned workspace of the pruned 2D plans: one `rows × cols` transpose
+/// (ping-pong) buffer, allocated once and reused for every transform of the
+/// matching plan.
 #[derive(Clone, Debug)]
 pub struct Fft2Scratch {
     rows: usize,
     cols: usize,
-    /// The ping-pong buffer — shared with the pruned partial plans.
+    /// The ping-pong buffer.
     pub(crate) buf: Vec<Complex64>,
 }
 
 impl Fft2Scratch {
-    /// Allocates a scratch buffer for `rows × cols` transforms (the
-    /// [`crate::partial::PartialFft2Plan`] entry point; dense-plan users
-    /// normally go through [`Fft2Scratch::for_plan`]).
+    /// Allocates a scratch buffer for `rows × cols` transforms.
     pub fn new(rows: usize, cols: usize) -> Self {
         Self {
             rows,
             cols,
             buf: vec![Complex64::ZERO; rows * cols],
         }
-    }
-
-    /// Allocates a scratch buffer sized for `plan`.
-    pub fn for_plan(plan: &Fft2Plan) -> Self {
-        let (rows, cols) = plan.shape();
-        Self::new(rows, cols)
     }
 
     /// The `(rows, cols)` plan shape this scratch was sized for.
@@ -94,8 +65,8 @@ impl Fft2Scratch {
 }
 
 impl Fft2Plan {
-    /// Creates a plan for `rows x cols` transforms, dispatching butterflies
-    /// and transposes at the best SIMD tier this machine supports.
+    /// Creates a plan for `rows x cols` transforms at the best SIMD tier this
+    /// machine supports.
     ///
     /// # Panics
     /// Panics if either dimension is zero or not a power of two.
@@ -114,7 +85,6 @@ impl Fft2Plan {
             cols,
             row_plan: FftPlan::with_simd_level(cols, level),
             col_plan: FftPlan::with_simd_level(rows, level),
-            level,
         }
     }
 
@@ -125,85 +95,75 @@ impl Fft2Plan {
 
     /// The SIMD tier this plan's kernels run at.
     pub fn simd_level(&self) -> SimdLevel {
-        self.level
+        self.row_plan.simd_level()
     }
 
-    /// Forward 2D transform (unnormalised), serial driver. Thin by-value
-    /// wrapper over [`Self::forward_in_place`] (clones the input and builds a
-    /// throwaway scratch; hot paths should hold a [`Fft2Scratch`] instead).
+    /// Forward 2D transform (unnormalised). By-value wrapper over
+    /// [`Self::forward_mut`] (clones the input).
     pub fn forward(&self, field: &CArray2) -> CArray2 {
-        self.transform(field, true, false)
-    }
-
-    /// Inverse 2D transform (normalised by `1/(rows·cols)`), serial driver.
-    /// Thin by-value wrapper over [`Self::inverse_in_place`].
-    pub fn inverse(&self, field: &CArray2) -> CArray2 {
-        self.transform(field, false, false)
-    }
-
-    /// Forward 2D transform using Rayon to parallelise across rows/columns
-    /// (serial below [`PARALLEL_MIN_ELEMS`]).
-    pub fn forward_par(&self, field: &CArray2) -> CArray2 {
-        self.transform(field, true, true)
-    }
-
-    /// Inverse 2D transform using Rayon to parallelise across rows/columns
-    /// (serial below [`PARALLEL_MIN_ELEMS`]).
-    pub fn inverse_par(&self, field: &CArray2) -> CArray2 {
-        self.transform(field, false, true)
-    }
-
-    /// In-place forward 2D transform (unnormalised): zero heap allocations,
-    /// the column pass ping-pongs through `scratch`.
-    pub fn forward_in_place(&self, field: &mut CArray2, scratch: &mut Fft2Scratch) {
-        self.transform_in_place(field, scratch, true, false);
-    }
-
-    /// In-place inverse 2D transform (normalised by `1/(rows·cols)`): zero
-    /// heap allocations.
-    pub fn inverse_in_place(&self, field: &mut CArray2, scratch: &mut Fft2Scratch) {
-        self.transform_in_place(field, scratch, false, false);
-    }
-
-    /// In-place forward transform with the Rayon row driver (serial below
-    /// [`PARALLEL_MIN_ELEMS`]).
-    pub fn forward_par_in_place(&self, field: &mut CArray2, scratch: &mut Fft2Scratch) {
-        self.transform_in_place(field, scratch, true, true);
-    }
-
-    /// In-place inverse transform with the Rayon row driver (serial below
-    /// [`PARALLEL_MIN_ELEMS`]).
-    pub fn inverse_par_in_place(&self, field: &mut CArray2, scratch: &mut Fft2Scratch) {
-        self.transform_in_place(field, scratch, false, true);
-    }
-
-    /// Allocates a scratch workspace sized for this plan (alias for
-    /// [`Fft2Scratch::for_plan`]).
-    pub fn make_scratch(&self) -> Fft2Scratch {
-        Fft2Scratch::for_plan(self)
-    }
-
-    fn transform(&self, field: &CArray2, forward: bool, parallel: bool) -> CArray2 {
         let mut out = field.clone();
-        let mut scratch = Fft2Scratch::for_plan(self);
-        self.transform_in_place(&mut out, &mut scratch, forward, parallel);
+        self.forward_mut(&mut out);
         out
     }
 
-    fn transform_in_place(
-        &self,
-        field: &mut CArray2,
-        scratch: &mut Fft2Scratch,
-        forward: bool,
-        parallel: bool,
-    ) {
-        assert_eq!(
-            field.shape(),
-            (self.rows, self.cols),
-            "Fft2Plan shape {:?} does not match field shape {:?}",
-            (self.rows, self.cols),
-            field.shape()
-        );
+    /// Inverse 2D transform (normalised by `1/(rows·cols)`). By-value wrapper
+    /// over [`Self::inverse_mut`].
+    pub fn inverse(&self, field: &CArray2) -> CArray2 {
+        let mut out = field.clone();
+        self.inverse_mut(&mut out);
+        out
+    }
+
+    /// In-place forward 2D transform (unnormalised): zero heap allocations,
+    /// no workspace.
+    ///
+    /// # Panics
+    /// Panics if the field shape differs from the plan shape.
+    pub fn forward_mut(&self, field: &mut CArray2) {
+        self.transform(field, true, 1.0);
+    }
+
+    /// In-place inverse 2D transform (normalised by `1/(rows·cols)`): zero
+    /// heap allocations, no workspace.
+    ///
+    /// # Panics
+    /// Panics if the field shape differs from the plan shape.
+    pub fn inverse_mut(&self, field: &mut CArray2) {
+        self.transform(field, false, 1.0 / (self.rows * self.cols) as f64);
+    }
+
+    /// In-place inverse 2D transform *without* the `1/(rows·cols)`
+    /// normalisation, for callers that fold it into an elementwise factor
+    /// they apply anyway (the multi-slice model pre-scales its transfer
+    /// function).
+    ///
+    /// # Panics
+    /// Panics if the field shape differs from the plan shape.
+    pub fn inverse_unnormalized_mut(&self, field: &mut CArray2) {
+        self.transform(field, false, 1.0);
+    }
+
+    /// [`Self::forward_mut`] for callers holding a workspace shared with a
+    /// pruned plan; `scratch` is only shape-checked.
+    pub fn forward_in_place(&self, field: &mut CArray2, scratch: &mut Fft2Scratch) {
+        self.check_scratch(scratch);
+        self.forward_mut(field);
+    }
+
+    /// [`Self::inverse_mut`] for callers holding a workspace shared with a
+    /// pruned plan; `scratch` is only shape-checked.
+    pub fn inverse_in_place(&self, field: &mut CArray2, scratch: &mut Fft2Scratch) {
+        self.check_scratch(scratch);
+        self.inverse_mut(field);
+    }
+
+    /// Allocates a scratch workspace of this plan's shape, for a pruned plan
+    /// of the same shape.
+    pub fn make_scratch(&self) -> Fft2Scratch {
+        Fft2Scratch::new(self.rows, self.cols)
+    }
+
+    fn check_scratch(&self, scratch: &Fft2Scratch) {
         assert_eq!(
             scratch.shape(),
             (self.rows, self.cols),
@@ -211,61 +171,32 @@ impl Fft2Plan {
             scratch.shape(),
             (self.rows, self.cols)
         );
-        // Below the measured crossover the parallel driver only pays
-        // hand-off overhead; fall back to the serial path (see
-        // [`PARALLEL_MIN_ELEMS`]).
-        let parallel = parallel && self.rows * self.cols >= PARALLEL_MIN_ELEMS;
-
-        // Row pass, in the field's own storage.
-        Self::row_pass(
-            field.as_mut_slice(),
-            self.cols,
-            &self.row_plan,
-            forward,
-            parallel,
-        );
-
-        // Column pass via transpose so both passes stream contiguous rows,
-        // ping-ponging through the scratch buffer instead of allocating two
-        // transposed copies. The inverse row/column passes each apply 1/len
-        // along their own axis, so the combined inverse normalisation of
-        // 1/(rows*cols) needs no extra step.
-        simd::transpose_into(
-            self.level,
-            field.as_slice(),
-            self.rows,
-            self.cols,
-            &mut scratch.buf,
-        );
-        Self::row_pass(
-            &mut scratch.buf,
-            self.rows,
-            &self.col_plan,
-            forward,
-            parallel,
-        );
-        simd::transpose_into(
-            self.level,
-            &scratch.buf,
-            self.cols,
-            self.rows,
-            field.as_mut_slice(),
-        );
     }
 
-    fn row_pass(buf: &mut [Complex64], cols: usize, plan: &FftPlan, forward: bool, parallel: bool) {
-        let apply = |row: &mut [Complex64]| {
+    /// Row pass then column pass, unnormalised, with every value multiplied
+    /// by `scale` (a power of two, so exact) while its row is still hot.
+    fn transform(&self, field: &mut CArray2, forward: bool, scale: f64) {
+        assert_eq!(
+            field.shape(),
+            (self.rows, self.cols),
+            "Fft2Plan shape {:?} does not match field shape {:?}",
+            (self.rows, self.cols),
+            field.shape()
+        );
+        let data = field.as_mut_slice();
+        for row in data.chunks_exact_mut(self.cols) {
             if forward {
-                plan.forward(row);
+                self.row_plan.forward(row);
             } else {
-                plan.inverse(row);
+                self.row_plan.inverse_unnormalized(row);
             }
-        };
-        if parallel {
-            buf.par_chunks_mut(cols).for_each(apply);
-        } else {
-            buf.chunks_mut(cols).for_each(apply);
+            if scale != 1.0 {
+                for v in row.iter_mut() {
+                    *v = v.scale(scale);
+                }
+            }
         }
+        self.col_plan.transform_columns(data, self.cols, forward);
     }
 }
 
@@ -279,16 +210,14 @@ pub fn ifft2(field: &CArray2) -> CArray2 {
     Fft2Plan::new(field.rows(), field.cols()).inverse(field)
 }
 
-/// One-shot in-place forward 2D FFT (builds a throwaway plan and scratch).
+/// One-shot in-place forward 2D FFT (builds a throwaway plan).
 pub fn fft2_in_place(field: &mut CArray2) {
-    let plan = Fft2Plan::new(field.rows(), field.cols());
-    plan.forward_in_place(field, &mut plan.make_scratch());
+    Fft2Plan::new(field.rows(), field.cols()).forward_mut(field);
 }
 
-/// One-shot in-place inverse 2D FFT (builds a throwaway plan and scratch).
+/// One-shot in-place inverse 2D FFT (builds a throwaway plan).
 pub fn ifft2_in_place(field: &mut CArray2) {
-    let plan = Fft2Plan::new(field.rows(), field.cols());
-    plan.inverse_in_place(field, &mut plan.make_scratch());
+    Fft2Plan::new(field.rows(), field.cols()).inverse_mut(field);
 }
 
 /// Circularly shifts the zero-frequency component to the centre of the array.
@@ -392,14 +321,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_matches_serial() {
-        let field = test_field(32, 32);
-        let plan = Fft2Plan::new(32, 32);
-        assert_fields_close(&plan.forward_par(&field), &plan.forward(&field), 1e-12);
-        assert_fields_close(&plan.inverse_par(&field), &plan.inverse(&field), 1e-12);
-    }
-
-    #[test]
     fn impulse_gives_flat_spectrum() {
         let mut field = Array2::full(8, 8, Complex64::ZERO);
         field[(0, 0)] = Complex64::ONE;
@@ -473,22 +394,93 @@ mod tests {
         for &(rows, cols) in &[(8usize, 8usize), (8, 16), (16, 8)] {
             let field = test_field(rows, cols);
             let plan = Fft2Plan::new(rows, cols);
-            let mut scratch = plan.make_scratch();
 
             let by_value = plan.forward(&field);
             let mut in_place = field.clone();
-            plan.forward_in_place(&mut in_place, &mut scratch);
+            plan.forward_mut(&mut in_place);
             for (a, b) in by_value.as_slice().iter().zip(in_place.as_slice()) {
                 assert_eq!(a.re.to_bits(), b.re.to_bits());
                 assert_eq!(a.im.to_bits(), b.im.to_bits());
             }
 
-            plan.inverse_in_place(&mut in_place, &mut scratch);
+            plan.inverse_mut(&mut in_place);
             let back = plan.inverse(&by_value);
             for (a, b) in back.as_slice().iter().zip(in_place.as_slice()) {
                 assert_eq!(a.re.to_bits(), b.re.to_bits());
                 assert_eq!(a.im.to_bits(), b.im.to_bits());
             }
+        }
+    }
+
+    #[test]
+    fn column_pass_is_bit_identical_to_the_1d_plan_on_every_column() {
+        // The in-place column pass must run, on each column, exactly the
+        // butterflies the 1-D plan runs on a contiguous copy of it — at every
+        // tier, the fused AVX2 one and single-column fields included.
+        for level in SimdLevel::available_levels() {
+            for &(rows, cols) in &[
+                (2usize, 2usize),
+                (4, 4),
+                (8, 16),
+                (16, 8),
+                (1, 64),
+                (64, 1),
+                (32, 2),
+                (128, 4),
+            ] {
+                let field = test_field(rows, cols);
+                let plan = Fft2Plan::with_simd_level(rows, cols, level);
+                let row_plan = FftPlan::with_simd_level(cols, level);
+                let col_plan = FftPlan::with_simd_level(rows, level);
+                for forward in [true, false] {
+                    let mut reference = field.clone();
+                    for row in reference.as_mut_slice().chunks_exact_mut(cols) {
+                        if forward {
+                            row_plan.forward(row);
+                        } else {
+                            row_plan.inverse_unnormalized(row);
+                        }
+                    }
+                    for c in 0..cols {
+                        let mut column: Vec<Complex64> =
+                            (0..rows).map(|r| reference[(r, c)]).collect();
+                        if forward {
+                            col_plan.forward(&mut column);
+                        } else {
+                            col_plan.inverse_unnormalized(&mut column);
+                        }
+                        for (r, v) in column.into_iter().enumerate() {
+                            reference[(r, c)] = v;
+                        }
+                    }
+                    let mut fast = field.clone();
+                    if forward {
+                        plan.forward_mut(&mut fast);
+                    } else {
+                        plan.inverse_unnormalized_mut(&mut fast);
+                    }
+                    for (a, b) in reference.as_slice().iter().zip(fast.as_slice()) {
+                        assert_eq!(
+                            (a.re.to_bits(), a.im.to_bits()),
+                            (b.re.to_bits(), b.im.to_bits()),
+                            "{rows}x{cols} at {level:?}, forward={forward}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn unnormalized_inverse_is_the_inverse_times_the_element_count() {
+        let plan = Fft2Plan::new(16, 8);
+        let field = test_field(16, 8);
+        let mut unnormalized = field.clone();
+        plan.inverse_unnormalized_mut(&mut unnormalized);
+        let normalized = plan.inverse(&field);
+        for (a, b) in unnormalized.as_slice().iter().zip(normalized.as_slice()) {
+            // Scaling by a power of two is exact.
+            assert_eq!(*a, b.scale(128.0));
         }
     }
 
@@ -506,53 +498,6 @@ mod tests {
     }
 
     #[test]
-    fn par_in_place_matches_serial_in_place() {
-        let plan = Fft2Plan::new(32, 32);
-        let field = test_field(32, 32);
-        let mut scratch = plan.make_scratch();
-        let mut serial = field.clone();
-        plan.forward_in_place(&mut serial, &mut scratch);
-        let mut parallel = field.clone();
-        plan.forward_par_in_place(&mut parallel, &mut scratch);
-        assert_fields_close(&serial, &parallel, 1e-12);
-    }
-
-    #[test]
-    fn parallel_branch_above_threshold_is_bit_identical_to_serial() {
-        // N×N == PARALLEL_MIN_ELEMS: the smallest size at which the
-        // `*_par` drivers genuinely take the Rayon branch instead of the
-        // serial fallback — without this test the parallel row pass would
-        // have no coverage at all (every smaller test is auto-serialised).
-        // The threshold is feature-dependent (see its methodology comment),
-        // so the test size tracks it.
-        #[cfg(not(feature = "simd"))]
-        const N: usize = 256;
-        #[cfg(feature = "simd")]
-        const N: usize = 512;
-        const _: () = assert!(N * N >= PARALLEL_MIN_ELEMS);
-        let plan = Fft2Plan::new(N, N);
-        let field = test_field(N, N);
-        let mut scratch = plan.make_scratch();
-
-        let mut serial = field.clone();
-        plan.forward_in_place(&mut serial, &mut scratch);
-        let mut parallel = field.clone();
-        plan.forward_par_in_place(&mut parallel, &mut scratch);
-        for (a, b) in serial.as_slice().iter().zip(parallel.as_slice()) {
-            assert_eq!(a.re.to_bits(), b.re.to_bits());
-            assert_eq!(a.im.to_bits(), b.im.to_bits());
-        }
-
-        plan.inverse_par_in_place(&mut parallel, &mut scratch);
-        plan.inverse_in_place(&mut serial, &mut scratch);
-        for (a, b) in serial.as_slice().iter().zip(parallel.as_slice()) {
-            assert_eq!(a.re.to_bits(), b.re.to_bits());
-            assert_eq!(a.im.to_bits(), b.im.to_bits());
-        }
-        assert_fields_close(&parallel, &field, 1e-9);
-    }
-
-    #[test]
     fn sse2_2d_plan_bit_identical_to_scalar_2d_plan() {
         if !SimdLevel::Sse2.is_available() {
             return;
@@ -563,8 +508,8 @@ mod tests {
             let sse2_plan = Fft2Plan::with_simd_level(rows, cols, SimdLevel::Sse2);
             let mut a = field.clone();
             let mut b = field.clone();
-            scalar_plan.forward_in_place(&mut a, &mut scalar_plan.make_scratch());
-            sse2_plan.forward_in_place(&mut b, &mut sse2_plan.make_scratch());
+            scalar_plan.forward_mut(&mut a);
+            sse2_plan.forward_mut(&mut b);
             for (x, y) in a.as_slice().iter().zip(b.as_slice()) {
                 assert_eq!(x.re.to_bits(), y.re.to_bits());
                 assert_eq!(x.im.to_bits(), y.im.to_bits());
@@ -581,10 +526,9 @@ mod tests {
         let field = test_field(rows, cols);
         let avx2_plan = Fft2Plan::with_simd_level(rows, cols, SimdLevel::Avx2);
         assert_eq!(avx2_plan.simd_level(), SimdLevel::Avx2);
-        let mut scratch = avx2_plan.make_scratch();
         let mut data = field.clone();
-        avx2_plan.forward_in_place(&mut data, &mut scratch);
-        avx2_plan.inverse_in_place(&mut data, &mut scratch);
+        avx2_plan.forward_mut(&mut data);
+        avx2_plan.inverse_mut(&mut data);
         assert_fields_close(&data, &field, 1e-10);
     }
 

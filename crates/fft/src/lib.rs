@@ -4,8 +4,8 @@
 //! (Eqn. 1 of the paper) evaluates a Fourier transform and an inverse Fourier
 //! transform per object slice per probe location; the paper's implementation
 //! uses cuFFT on V100 GPUs. This crate is the CPU substitute: a from-scratch,
-//! dependency-free (apart from Rayon for intra-rank parallelism) complex FFT
-//! library sized for the 2D fields that ptychography manipulates.
+//! dependency-free complex FFT library sized for the 2D fields that
+//! ptychography manipulates.
 //!
 //! # Contents
 //!
@@ -13,11 +13,10 @@
 //! * [`FftPlan`] — a cached-twiddle radix-2 plan for power-of-two 1D
 //!   transforms. Its `forward`/`inverse` methods are *in-place* over
 //!   `&mut [Complex64]` — they are the zero-allocation entry points.
-//! * [`fft2d`] — forward/inverse 2D transforms over [`ptycho_array::Array2`],
-//!   with serial and Rayon row-parallel drivers, in-place variants over a
-//!   reusable [`fft2d::Fft2Scratch`] workspace (the hot-path API), plus
-//!   `fftshift`/`ifftshift`.
-//! * [`simd`] — the butterfly/transpose kernel tiers ([`SimdLevel`]): scalar
+//! * [`fft2d`] — forward/inverse 2D transforms over [`ptycho_array::Array2`]:
+//!   a row pass and a transpose-free column pass, both in place (the
+//!   hot-path API needs no workspace), plus `fftshift`/`ifftshift`.
+//! * [`simd`] — the butterfly-sweep/transpose kernel tiers ([`SimdLevel`]): scalar
 //!   everywhere, plus SSE2 and AVX2+FMA `core::arch` kernels behind the
 //!   **`simd`** cargo feature, selected at plan construction by runtime CPU
 //!   detection. The per-tier numerics contract (bit-identity for SSE2,

@@ -43,6 +43,9 @@
 //! rows inside the input support (pruning each row by the support columns and
 //! the ROI columns), and after the transpose the column pass only visits the
 //! ROI columns. The inverse direction treats the ROI as the input support.
+//! (The dense plan transforms its columns in place; here a column pass that
+//! visits only a few columns is cheaper on the transposed copy, where each
+//! visited column is one contiguous, individually pruned 1-D transform.)
 //! All skipped work relies on the caller honouring the contract that the
 //! field is exactly zero outside the declared support — `Probe::support_padded`
 //! in `ptycho-sim` establishes it.
@@ -187,6 +190,20 @@ impl PartialFftPlan {
     /// # Panics
     /// Panics if `data.len()` differs from the plan length.
     pub fn inverse(&self, data: &mut [Complex64]) {
+        self.inverse_unnormalized(data);
+        // Same scaling pass as the dense inverse; scaling the untouched
+        // zeros is exact, so skipped blocks stay bit-identical.
+        let scale = 1.0 / self.plan.len() as f64;
+        for v in data.iter_mut() {
+            *v = v.scale(scale);
+        }
+    }
+
+    /// [`Self::inverse`] without the `1/N` normalisation.
+    ///
+    /// # Panics
+    /// Panics if `data.len()` differs from the plan length.
+    pub(crate) fn inverse_unnormalized(&self, data: &mut [Complex64]) {
         assert_eq!(
             data.len(),
             self.plan.len(),
@@ -197,12 +214,6 @@ impl PartialFftPlan {
         if self.plan.len() > 1 {
             self.plan.permute(data);
             self.run_stages(data, false);
-        }
-        // Same scaling pass as the dense inverse; scaling the untouched
-        // zeros is exact, so skipped blocks stay bit-identical.
-        let scale = 1.0 / self.plan.len() as f64;
-        for v in data.iter_mut() {
-            *v = v.scale(scale);
         }
     }
 
@@ -224,7 +235,7 @@ impl PartialFftPlan {
                 None => {
                     if range.is_none() {
                         // Fully dense stage — same whole-pass kernel as FftPlan.
-                        simd::butterfly_pass(level, data, size, stage);
+                        simd::butterfly_pass(level, data, stage);
                     } else {
                         for chunk in data.chunks_exact_mut(size) {
                             apply_block(level, chunk, stage, range);
@@ -365,8 +376,8 @@ fn stage_output_ranges(n: usize, run: Run) -> Vec<Option<(u32, u32)>> {
 ///   The inverse transform treats the ROI as its input support (the shape
 ///   the pruned forward produces) and writes a dense result.
 ///
-/// Shares [`Fft2Scratch`] with the dense plan, so a worker can drive both
-/// from one workspace. All paths stay zero-allocation after construction.
+/// Transposes through a caller-owned [`Fft2Scratch`]; all paths stay
+/// zero-allocation after construction.
 #[derive(Clone, Debug)]
 pub struct PartialFft2Plan {
     rows: usize,
@@ -492,14 +503,13 @@ impl PartialFft2Plan {
         self.level
     }
 
-    /// Allocates a scratch workspace compatible with this plan (and with the
-    /// dense plan of the same shape).
+    /// Allocates a scratch workspace for this plan.
     pub fn make_scratch(&self) -> Fft2Scratch {
         Fft2Scratch::new(self.rows, self.cols)
     }
 
     /// Pruned in-place forward transform (unnormalised): zero allocations,
-    /// ping-pongs through `scratch` like the dense plan.
+    /// the column pass ping-pongs through `scratch`.
     ///
     /// The field must be exactly zero outside the declared input support;
     /// with an ROI declared, outputs outside it are zeroed.
@@ -544,8 +554,29 @@ impl PartialFft2Plan {
     /// # Panics
     /// Panics if `field` or `scratch` shapes mismatch the plan.
     pub fn inverse_in_place(&self, field: &mut CArray2, scratch: &mut Fft2Scratch) {
+        self.inverse_passes(field, scratch, true);
+    }
+
+    /// [`Self::inverse_in_place`] without the `1/(rows·cols)` normalisation —
+    /// bit-identical to the dense plan's unnormalised inverse on spectra that
+    /// are exactly zero outside the ROI.
+    ///
+    /// # Panics
+    /// Panics if `field` or `scratch` shapes mismatch the plan.
+    pub fn inverse_unnormalized_in_place(&self, field: &mut CArray2, scratch: &mut Fft2Scratch) {
+        self.inverse_passes(field, scratch, false);
+    }
+
+    fn inverse_passes(&self, field: &mut CArray2, scratch: &mut Fft2Scratch, normalize: bool) {
         self.check_shapes(field, scratch);
         let (rows, cols) = (self.rows, self.cols);
+        let inverse = |plan: &PartialFftPlan, line: &mut [Complex64]| {
+            if normalize {
+                plan.inverse(line);
+            } else {
+                plan.inverse_unnormalized(line);
+            }
+        };
         // Row pass over the ROI rows only: the other rows are all-zero, and
         // the dense inverse would map them to zero (scaling included), so
         // skipping them is exact. Executed rows are input-pruned by the ROI
@@ -554,16 +585,17 @@ impl PartialFft2Plan {
             let buf = field.as_mut_slice();
             let (r0, rl) = self.roi_rows.unwrap_or((0, rows));
             for row in buf[r0 * cols..(r0 + rl) * cols].chunks_mut(cols) {
-                self.row_plan.inverse(row);
+                inverse(&self.row_plan, row);
             }
         }
         simd::transpose_into(self.level, field.as_slice(), rows, cols, &mut scratch.buf);
         // Column pass over every column (the inverse output is dense), each
-        // input-pruned by the ROI rows. Row and column inverses apply 1/cols
-        // and 1/rows respectively — the same split normalisation as the
-        // dense plan.
+        // input-pruned by the ROI rows. When normalising, the row and column
+        // inverses apply 1/cols and 1/rows respectively; a power-of-two
+        // scaling is exact wherever it is applied, so this matches the dense
+        // plan's single 1/(rows·cols) sweep bit for bit.
         for col in scratch.buf.chunks_mut(rows) {
-            self.col_plan.inverse(col);
+            inverse(&self.col_plan, col);
         }
         simd::transpose_into(self.level, &scratch.buf, cols, rows, field.as_mut_slice());
     }
@@ -815,6 +847,15 @@ mod tests {
         let dense_back = dense.inverse(&reference);
         let pruned_back = pruned.inverse(&pruned_fwd);
         assert_bits_eq(dense_back.as_slice(), pruned_back.as_slice());
+
+        let mut dense_unnormalized = reference.clone();
+        dense.inverse_unnormalized_mut(&mut dense_unnormalized);
+        let mut pruned_unnormalized = pruned_fwd.clone();
+        pruned.inverse_unnormalized_in_place(&mut pruned_unnormalized, &mut pruned.make_scratch());
+        assert_bits_eq(
+            dense_unnormalized.as_slice(),
+            pruned_unnormalized.as_slice(),
+        );
     }
 
     #[test]

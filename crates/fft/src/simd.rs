@@ -1,11 +1,29 @@
-//! Explicit SIMD kernels for the radix-2 butterfly loop and the blocked
-//! transpose, with runtime dispatch.
+//! The radix-2 butterfly sweeps and the blocked transpose, at every dispatch
+//! tier.
+//!
+//! # Sweeps
+//!
+//! A plan drives its data through sweeps, dispatched once per sweep at the
+//! tier fixed at plan construction. The dense plans run **two radix-2
+//! stages per sweep** (`butterfly_pass2` along a contiguous line,
+//! `column_pass2` down the columns of a row-major field): the four values
+//! `x[j], x[j+h], x[j+2h], x[j+3h]` of a `4h` block go through the stage of
+//! half-size `h` and then the stage of half-size `2h` while they sit in
+//! registers. Every butterfly is still `t = b·w; a' = a + t; b' = a − t` with
+//! the same operands and the same twiddle-table entries as two separate
+//! one-stage sweeps, so the result is bit-identical to them; only half the
+//! loads and stores happen. An odd stage count leaves the last stage to a
+//! one-stage sweep (`butterfly_range` / `column_pass`).
+//!
+//! The column sweeps pair whole *rows*: all butterflies between two rows share
+//! one twiddle, which is broadcast, and the inner loop runs along the
+//! contiguous columns. That is what lets the 2-D plan transform its columns
+//! in place, without transposing.
 //!
 //! # Dispatch tiers
 //!
-//! * [`SimdLevel::Scalar`] — the portable loop, identical to the pre-SIMD
-//!   code. The only tier on non-x86_64 targets or when the `simd` feature is
-//!   disabled.
+//! * [`SimdLevel::Scalar`] — the portable loops. The only tier on non-x86_64
+//!   targets or when the `simd` feature is disabled.
 //! * [`SimdLevel::Sse2`] — one `Complex64` per `__m128d`. SSE2 is part of the
 //!   x86_64 baseline, so this tier needs no runtime check. The complex
 //!   multiply is expressed as the *same* IEEE operations in the same order as
@@ -20,7 +38,11 @@
 //!   butterfly still computes `t = b·w; a' = a + t; b' = a − t` — but the
 //!   fused product drops one rounding per component, so results differ from
 //!   scalar by bounded rounding noise and are pinned with ULP-bounded tests
-//!   instead (see [`ULP-bound`](#ulp-bound) below).
+//!   instead (see [`ULP-bound`](#ulp-bound) below). A lone trailing value
+//!   (odd run length, single-column field) goes through the 128-bit form of
+//!   the same fused instruction, so within this tier a butterfly's result
+//!   does not depend on which sweep or which lane computed it — pruned and
+//!   dense plans, and the 1-D and column passes, agree bit for bit.
 //!
 //! # ULP bound
 //!
@@ -102,58 +124,102 @@ impl SimdLevel {
     }
 }
 
-/// One full butterfly stage: splits `data` into `size`-length blocks and
-/// applies the butterflies of `stage` (a `size/2`-entry twiddle table) to
-/// each, at the given tier.
-pub(crate) fn butterfly_pass(
-    level: SimdLevel,
-    data: &mut [Complex64],
-    size: usize,
-    stage: &[Complex64],
-) {
-    debug_assert_eq!(stage.len(), size / 2);
-    match level {
-        SimdLevel::Scalar => {
-            for chunk in data.chunks_exact_mut(size) {
-                let (lo, hi) = chunk.split_at_mut(size / 2);
-                scalar_range(lo, hi, stage);
-            }
+/// Calls the kernel of the given tier with the given arguments.
+macro_rules! dispatch {
+    ($level:expr, $scalar:ident, $sse2:ident, $avx2:ident, ($($arg:expr),*)) => {
+        match $level {
+            // SAFETY: the caller established the kernel's length relations;
+            // SSE2 is part of the x86_64 baseline.
+            #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+            SimdLevel::Sse2 => unsafe { x86::$sse2($($arg),*) },
+            // SAFETY: as above; a plan only holds `Avx2` after `is_available`
+            // confirmed `avx2` and `fma` at runtime.
+            #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+            SimdLevel::Avx2 => unsafe { x86::$avx2($($arg),*) },
+            _ => $scalar($($arg),*),
         }
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-        SimdLevel::Sse2 => unsafe { x86::sse2_pass(data, size, stage) },
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-        SimdLevel::Avx2 => unsafe { x86::avx2_pass(data, size, stage) },
-        #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
-        _ => {
-            for chunk in data.chunks_exact_mut(size) {
-                let (lo, hi) = chunk.split_at_mut(size / 2);
-                scalar_range(lo, hi, stage);
-            }
-        }
-    }
+    };
 }
 
-/// Butterflies over an arbitrary aligned sub-range of one block: used by the
-/// pruned partial plans, where only a slice of a block's butterflies is
-/// needed. `lo`, `hi` and `tw` must have equal lengths and correspond to the
-/// same butterfly indices.
+// The sweeps. Twiddle tables are a plan's per-stage tables: the stage of
+// half-size `h` (blocks of `2h`) has `h` entries. Every kernel walks
+// `chunks_exact_mut` blocks, which are whole by construction — a ragged tail,
+// which no plan produces, would be left untouched, and an empty table panics
+// there — so the one relation checked up front is the one the kernels index
+// by without a slice's own bounds behind it: a two-stage sweep reads `2h`
+// entries of the second table for the `h` of the first.
+
+/// One stage over paired runs — `lo[k]`, `hi[k]` under twiddle `tw[k]`, for
+/// every `k` all three runs have: the dense 1-D plan's odd last stage, and the
+/// unit the pruned plans build their partial blocks from.
 pub(crate) fn butterfly_range(
     level: SimdLevel,
     lo: &mut [Complex64],
     hi: &mut [Complex64],
     tw: &[Complex64],
 ) {
-    debug_assert_eq!(lo.len(), hi.len());
-    debug_assert_eq!(lo.len(), tw.len());
-    match level {
-        SimdLevel::Scalar => scalar_range(lo, hi, tw),
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-        SimdLevel::Sse2 => unsafe { x86::sse2_range(lo, hi, tw) },
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-        SimdLevel::Avx2 => unsafe { x86::avx2_range(lo, hi, tw) },
-        #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
-        _ => scalar_range(lo, hi, tw),
-    }
+    debug_assert!(lo.len() == hi.len() && lo.len() == tw.len());
+    dispatch!(level, scalar_range, sse2_range, avx2_range, (lo, hi, tw))
+}
+
+/// One stage over every `2h`-block of a contiguous line (`h = stage.len()`)
+/// — the pruned plans' fully dense stages.
+pub(crate) fn butterfly_pass(level: SimdLevel, data: &mut [Complex64], stage: &[Complex64]) {
+    dispatch!(level, scalar_pass, sse2_pass, avx2_pass, (data, stage))
+}
+
+/// Two stages over every `4h`-block of a contiguous line: the stage `wa` (`h`
+/// entries), then the stage `wb` (`2h` entries).
+///
+/// # Panics
+/// Panics if `wb` is not twice as long as `wa`.
+pub(crate) fn butterfly_pass2(
+    level: SimdLevel,
+    data: &mut [Complex64],
+    wa: &[Complex64],
+    wb: &[Complex64],
+) {
+    assert_eq!(wb.len(), 2 * wa.len(), "second-stage twiddle table");
+    dispatch!(level, scalar_pass2, sse2_pass2, avx2_pass2, (data, wa, wb))
+}
+
+/// One stage down the columns of a row-major field of row length `cols`: every
+/// `2h`-block of rows pairs row `k` with row `k + h` under the broadcast
+/// twiddle `stage[k]`.
+pub(crate) fn column_pass(
+    level: SimdLevel,
+    data: &mut [Complex64],
+    cols: usize,
+    stage: &[Complex64],
+) {
+    dispatch!(
+        level,
+        scalar_column,
+        sse2_column,
+        avx2_column,
+        (data, cols, stage)
+    )
+}
+
+/// Two stages down the columns, over every `4h`-block of rows.
+///
+/// # Panics
+/// Panics if `wb` is not twice as long as `wa`.
+pub(crate) fn column_pass2(
+    level: SimdLevel,
+    data: &mut [Complex64],
+    cols: usize,
+    wa: &[Complex64],
+    wb: &[Complex64],
+) {
+    assert_eq!(wb.len(), 2 * wa.len(), "second-stage twiddle table");
+    dispatch!(
+        level,
+        scalar_column2,
+        sse2_column2,
+        avx2_column2,
+        (data, cols, wa, wb)
+    )
 }
 
 /// Cache-blocked transpose of the `rows × cols` row-major `src` into `dst`
@@ -198,16 +264,102 @@ fn transpose_blocked(src: &[Complex64], rows: usize, cols: usize, dst: &mut [Com
     }
 }
 
-/// The portable butterfly loop — the exact operation sequence of the pre-SIMD
-/// code (`t = b·w; a' = a + t; b' = a − t`), kept as the bit-identity
-/// reference for every other tier.
+// The portable sweeps. The butterfly is the exact operation sequence
+// `t = b·w; a' = a + t; b' = a − t` — the bit-identity reference for every
+// other tier.
+
 fn scalar_range(lo: &mut [Complex64], hi: &mut [Complex64], tw: &[Complex64]) {
     for ((a, b), w) in lo.iter_mut().zip(hi.iter_mut()).zip(tw) {
-        let t = *b * *w;
-        let u = *a;
-        *a = u + t;
-        *b = u - t;
+        butterfly(a, b, *w);
     }
+}
+
+fn scalar_pass(data: &mut [Complex64], stage: &[Complex64]) {
+    let h = stage.len();
+    for block in data.chunks_exact_mut(2 * h) {
+        let (lo, hi) = block.split_at_mut(h);
+        scalar_range(lo, hi, stage);
+    }
+}
+
+fn scalar_pass2(data: &mut [Complex64], wa: &[Complex64], wb: &[Complex64]) {
+    let h = wa.len();
+    let (wb0, wb1) = wb.split_at(h);
+    for block in data.chunks_exact_mut(4 * h) {
+        let [x0, x1, x2, x3] = quarters(block, h);
+        for j in 0..h {
+            butterfly2(
+                &mut x0[j], &mut x1[j], &mut x2[j], &mut x3[j], wa[j], wb0[j], wb1[j],
+            );
+        }
+    }
+}
+
+fn scalar_column(data: &mut [Complex64], cols: usize, stage: &[Complex64]) {
+    let h = stage.len();
+    for block in data.chunks_exact_mut(2 * h * cols) {
+        let (lo, hi) = block.split_at_mut(h * cols);
+        for ((lo, hi), w) in lo
+            .chunks_exact_mut(cols)
+            .zip(hi.chunks_exact_mut(cols))
+            .zip(stage)
+        {
+            for (a, b) in lo.iter_mut().zip(hi) {
+                butterfly(a, b, *w);
+            }
+        }
+    }
+}
+
+fn scalar_column2(data: &mut [Complex64], cols: usize, wa: &[Complex64], wb: &[Complex64]) {
+    let h = wa.len();
+    let (wb0, wb1) = wb.split_at(h);
+    for block in data.chunks_exact_mut(4 * h * cols) {
+        let [q0, q1, q2, q3] = quarters(block, h * cols);
+        for j in 0..h {
+            let row = j * cols..(j + 1) * cols;
+            let (x0, x1) = (&mut q0[row.clone()], &mut q1[row.clone()]);
+            let (x2, x3) = (&mut q2[row.clone()], &mut q3[row]);
+            let (wa, wb0, wb1) = (wa[j], wb0[j], wb1[j]);
+            for c in 0..cols {
+                butterfly2(&mut x0[c], &mut x1[c], &mut x2[c], &mut x3[c], wa, wb0, wb1);
+            }
+        }
+    }
+}
+
+/// Splits a `4·len` block into its four `len`-long quarters.
+fn quarters(block: &mut [Complex64], len: usize) -> [&mut [Complex64]; 4] {
+    let (lo, hi) = block.split_at_mut(2 * len);
+    let (x0, x1) = lo.split_at_mut(len);
+    let (x2, x3) = hi.split_at_mut(len);
+    [x0, x1, x2, x3]
+}
+
+#[inline(always)]
+fn butterfly(a: &mut Complex64, b: &mut Complex64, w: Complex64) {
+    let t = *b * w;
+    let u = *a;
+    *a = u + t;
+    *b = u - t;
+}
+
+/// The stage-`h` butterflies `(x0, x1)`, `(x2, x3)` under `wa`, then the
+/// stage-`2h` butterflies `(x0, x2)` under `wb0` and `(x1, x3)` under `wb1`.
+#[inline(always)]
+fn butterfly2(
+    x0: &mut Complex64,
+    x1: &mut Complex64,
+    x2: &mut Complex64,
+    x3: &mut Complex64,
+    wa: Complex64,
+    wb0: Complex64,
+    wb1: Complex64,
+) {
+    butterfly(x0, x1, wa);
+    butterfly(x2, x3, wa);
+    butterfly(x0, x2, wb0);
+    butterfly(x1, x3, wb1);
 }
 
 #[cfg(all(feature = "simd", target_arch = "x86_64"))]
@@ -215,132 +367,335 @@ mod x86 {
     use super::Complex64;
     use core::arch::x86_64::*;
 
-    /// `[-0.0, 0.0]`: XORing flips the sign of lane 0 only, turning a
-    /// two-lane add into `[x0 − y0, x1 + y1]` (IEEE subtraction *is* addition
-    /// of the negation, so this is bit-identical to the scalar subtract).
-    #[inline(always)]
-    unsafe fn addsub_mask() -> __m128d {
-        _mm_set_pd(0.0, -0.0)
-    }
-
-    /// One complex butterfly in SSE2 registers. Replicates the scalar complex
-    /// multiply `(b.re·w.re − b.im·w.im, b.re·w.im + b.im·w.re)` with the
-    /// same two multiplies and one add/subtract per lane — bit-identical.
+    /// A vector of `N` complex values and the butterfly arithmetic on it.
+    /// The sweeps below are written once over this trait and instantiated per
+    /// tier inside a `#[target_feature]` function, so the intrinsics inline.
     ///
     /// # Safety
-    /// `lp`, `hp`, `wp` must point at least `2·(k+1)` f64s into valid
-    /// storage. SSE2 is statically available on x86_64.
+    /// Every method requires the CPU features of the implementing tier, and
+    /// `load` / `store` require `N` valid complex values behind the pointer.
+    trait Lanes {
+        /// Complex values per vector: 1 or 2, so a run leaves at most one
+        /// value to the tail.
+        const N: usize;
+        type V: Copy;
+        /// The one-value tier that finishes a run whose length `N` does not
+        /// divide.
+        type Tail: Lanes;
+        unsafe fn load(p: *const Complex64) -> Self::V;
+        unsafe fn store(p: *mut Complex64, v: Self::V);
+        unsafe fn splat(w: Complex64) -> Self::V;
+        /// The complex products `b·w`, lane by lane.
+        unsafe fn mul(b: Self::V, w: Self::V) -> Self::V;
+        unsafe fn add(a: Self::V, b: Self::V) -> Self::V;
+        unsafe fn sub(a: Self::V, b: Self::V) -> Self::V;
+    }
+
+    /// One `Complex64` per `__m128d`, the scalar operation sequence.
+    struct Sse2;
+    /// Two `Complex64` per `__m256d`, fused multiply.
+    struct Avx2;
+    /// One `Complex64` per `__m128d`, fused multiply: `Avx2`'s tail.
+    struct Fma128;
+
+    impl Lanes for Sse2 {
+        const N: usize = 1;
+        type V = __m128d;
+        type Tail = Sse2;
+        #[inline(always)]
+        unsafe fn load(p: *const Complex64) -> __m128d {
+            _mm_loadu_pd(p as *const f64)
+        }
+        #[inline(always)]
+        unsafe fn store(p: *mut Complex64, v: __m128d) {
+            _mm_storeu_pd(p as *mut f64, v)
+        }
+        #[inline(always)]
+        unsafe fn splat(w: Complex64) -> __m128d {
+            _mm_set_pd(w.im, w.re)
+        }
+        /// Replicates the scalar complex multiply
+        /// `(b.re·w.re − b.im·w.im, b.re·w.im + b.im·w.re)` with the same two
+        /// multiplies and one add/subtract per lane — bit-identical.
+        #[inline(always)]
+        unsafe fn mul(b: __m128d, w: __m128d) -> __m128d {
+            let bre = _mm_unpacklo_pd(b, b); // [b.re, b.re]
+            let bim = _mm_unpackhi_pd(b, b); // [b.im, b.im]
+            let wsw = _mm_shuffle_pd(w, w, 0b01); // [w.im, w.re]
+
+            // `[-0.0, 0.0]`: XORing flips the sign of lane 0 only, turning
+            // the add into `[x0 − y0, x1 + y1]` (IEEE subtraction *is*
+            // addition of the negation, so this matches the scalar subtract).
+            let prod_im = _mm_xor_pd(_mm_mul_pd(bim, wsw), _mm_set_pd(0.0, -0.0));
+            _mm_add_pd(_mm_mul_pd(bre, w), prod_im)
+        }
+        #[inline(always)]
+        unsafe fn add(a: __m128d, b: __m128d) -> __m128d {
+            _mm_add_pd(a, b)
+        }
+        #[inline(always)]
+        unsafe fn sub(a: __m128d, b: __m128d) -> __m128d {
+            _mm_sub_pd(a, b)
+        }
+    }
+
+    impl Lanes for Avx2 {
+        const N: usize = 2;
+        type V = __m256d;
+        type Tail = Fma128;
+        #[inline(always)]
+        unsafe fn load(p: *const Complex64) -> __m256d {
+            _mm256_loadu_pd(p as *const f64)
+        }
+        #[inline(always)]
+        unsafe fn store(p: *mut Complex64, v: __m256d) {
+            _mm256_storeu_pd(p as *mut f64, v)
+        }
+        #[inline(always)]
+        unsafe fn splat(w: Complex64) -> __m256d {
+            _mm256_set_pd(w.im, w.re, w.im, w.re)
+        }
+        /// The multiply and the add/subtract fused by `vfmaddsub` (one fewer
+        /// rounding than scalar — the ULP-bounded tier).
+        #[inline(always)]
+        unsafe fn mul(b: __m256d, w: __m256d) -> __m256d {
+            let bre = _mm256_movedup_pd(b); // [b0.re, b0.re, b1.re, b1.re]
+            let bim = _mm256_permute_pd(b, 0b1111); // [b0.im, b0.im, b1.im, b1.im]
+            let wsw = _mm256_permute_pd(w, 0b0101); // [w0.im, w0.re, w1.im, w1.re]
+
+            // even lanes: b.re·w.re − b.im·w.im, odd lanes: b.re·w.im + b.im·w.re
+            _mm256_fmaddsub_pd(bre, w, _mm256_mul_pd(bim, wsw))
+        }
+        #[inline(always)]
+        unsafe fn add(a: __m256d, b: __m256d) -> __m256d {
+            _mm256_add_pd(a, b)
+        }
+        #[inline(always)]
+        unsafe fn sub(a: __m256d, b: __m256d) -> __m256d {
+            _mm256_sub_pd(a, b)
+        }
+    }
+
+    impl Lanes for Fma128 {
+        const N: usize = 1;
+        type V = __m128d;
+        type Tail = Fma128;
+        #[inline(always)]
+        unsafe fn load(p: *const Complex64) -> __m128d {
+            Sse2::load(p)
+        }
+        #[inline(always)]
+        unsafe fn store(p: *mut Complex64, v: __m128d) {
+            Sse2::store(p, v)
+        }
+        #[inline(always)]
+        unsafe fn splat(w: Complex64) -> __m128d {
+            Sse2::splat(w)
+        }
+        /// One lane pair of [`Avx2::mul`]: the same fused operation, so the
+        /// same bits.
+        #[inline(always)]
+        unsafe fn mul(b: __m128d, w: __m128d) -> __m128d {
+            let bre = _mm_unpacklo_pd(b, b);
+            let bim = _mm_unpackhi_pd(b, b);
+            let wsw = _mm_shuffle_pd(w, w, 0b01);
+            _mm_fmaddsub_pd(bre, w, _mm_mul_pd(bim, wsw))
+        }
+        #[inline(always)]
+        unsafe fn add(a: __m128d, b: __m128d) -> __m128d {
+            _mm_add_pd(a, b)
+        }
+        #[inline(always)]
+        unsafe fn sub(a: __m128d, b: __m128d) -> __m128d {
+            _mm_sub_pd(a, b)
+        }
+    }
+
+    /// Where a run's twiddles come from: one table entry per butterfly
+    /// (contiguous line) or one value for the whole run (column sweeps).
+    trait Twiddle: Copy {
+        unsafe fn get<L: Lanes>(self, k: usize) -> L::V;
+    }
+
+    impl Twiddle for *const Complex64 {
+        #[inline(always)]
+        unsafe fn get<L: Lanes>(self, k: usize) -> L::V {
+            L::load(self.add(k))
+        }
+    }
+
+    impl Twiddle for Complex64 {
+        #[inline(always)]
+        unsafe fn get<L: Lanes>(self, _k: usize) -> L::V {
+            L::splat(self)
+        }
+    }
+
+    /// # Safety
+    /// `a + k` and `b + k` must address `L::N` valid values.
     #[inline(always)]
-    unsafe fn sse2_butterfly(lp: *mut f64, hp: *mut f64, wp: *const f64, k: usize) {
-        let a = _mm_loadu_pd(lp.add(2 * k));
-        let b = _mm_loadu_pd(hp.add(2 * k));
-        let w = _mm_loadu_pd(wp.add(2 * k));
-        let bre = _mm_unpacklo_pd(b, b); // [b.re, b.re]
-        let bim = _mm_unpackhi_pd(b, b); // [b.im, b.im]
-        let wsw = _mm_shuffle_pd(w, w, 0b01); // [w.im, w.re]
-                                              // [b.re·w.re, b.re·w.im] -+ [b.im·w.im, b.im·w.re]
-        let prod_im = _mm_xor_pd(_mm_mul_pd(bim, wsw), addsub_mask());
-        let t = _mm_add_pd(_mm_mul_pd(bre, w), prod_im);
-        _mm_storeu_pd(lp.add(2 * k), _mm_add_pd(a, t));
-        _mm_storeu_pd(hp.add(2 * k), _mm_sub_pd(a, t));
+    unsafe fn butterfly<L: Lanes>(a: *mut Complex64, b: *mut Complex64, k: usize, w: L::V) {
+        let t = L::mul(L::load(b.add(k)), w);
+        let u = L::load(a.add(k));
+        L::store(a.add(k), L::add(u, t));
+        L::store(b.add(k), L::sub(u, t));
     }
 
-    /// # Safety
-    /// `lo`, `hi`, `tw` must have equal lengths (checked by the dispatcher).
-    #[target_feature(enable = "sse2")]
-    pub(super) unsafe fn sse2_range(lo: &mut [Complex64], hi: &mut [Complex64], tw: &[Complex64]) {
-        let lp = lo.as_mut_ptr() as *mut f64;
-        let hp = hi.as_mut_ptr() as *mut f64;
-        let wp = tw.as_ptr() as *const f64;
-        for k in 0..lo.len() {
-            sse2_butterfly(lp, hp, wp, k);
-        }
-    }
-
-    /// # Safety
-    /// `stage.len() == size / 2` and `size` divides `data.len()` block layout
-    /// (checked by the dispatcher).
-    #[target_feature(enable = "sse2")]
-    pub(super) unsafe fn sse2_pass(data: &mut [Complex64], size: usize, stage: &[Complex64]) {
-        let half = size / 2;
-        let wp = stage.as_ptr() as *const f64;
-        for chunk in data.chunks_exact_mut(size) {
-            let lp = chunk.as_mut_ptr() as *mut f64;
-            let hp = lp.add(2 * half);
-            for k in 0..half {
-                sse2_butterfly(lp, hp, wp, k);
-            }
-        }
-    }
-
-    /// Two complex butterflies per iteration in AVX2 registers, with the
-    /// multiply + add/subtract fused by `vfmaddsub` (one fewer rounding than
-    /// scalar — the ULP-bounded tier).
+    /// The two-stage butterfly of `super::butterfly2`, the four values held
+    /// in registers between the stages.
     ///
     /// # Safety
-    /// `lp`, `hp`, `wp` must point at least `4·(k+1)` f64s into valid
-    /// storage, and the caller must have confirmed `avx2` + `fma`.
+    /// Each `x[i] + k` must address `L::N` valid values.
     #[inline(always)]
-    unsafe fn avx2_butterfly_pair(lp: *mut f64, hp: *mut f64, wp: *const f64, k: usize) {
-        let a = _mm256_loadu_pd(lp.add(4 * k));
-        let b = _mm256_loadu_pd(hp.add(4 * k));
-        let w = _mm256_loadu_pd(wp.add(4 * k));
-        let bre = _mm256_movedup_pd(b); // [b0.re, b0.re, b1.re, b1.re]
-        let bim = _mm256_permute_pd(b, 0b1111); // [b0.im, b0.im, b1.im, b1.im]
-        let wsw = _mm256_permute_pd(w, 0b0101); // [w0.im, w0.re, w1.im, w1.re]
-                                                // even lanes: b.re·w.re − b.im·w.im, odd lanes: b.re·w.im + b.im·w.re
-        let t = _mm256_fmaddsub_pd(bre, w, _mm256_mul_pd(bim, wsw));
-        _mm256_storeu_pd(lp.add(4 * k), _mm256_add_pd(a, t));
-        _mm256_storeu_pd(hp.add(4 * k), _mm256_sub_pd(a, t));
+    unsafe fn butterfly2<L: Lanes>(
+        x: [*mut Complex64; 4],
+        k: usize,
+        wa: L::V,
+        wb0: L::V,
+        wb1: L::V,
+    ) {
+        let [x0, x1, x2, x3] = x.map(|p| p.add(k));
+        let t = L::mul(L::load(x1), wa);
+        let u = L::load(x0);
+        let (y0, y1) = (L::add(u, t), L::sub(u, t));
+        let t = L::mul(L::load(x3), wa);
+        let u = L::load(x2);
+        let (y2, y3) = (L::add(u, t), L::sub(u, t));
+        let t = L::mul(y2, wb0);
+        L::store(x0, L::add(y0, t));
+        L::store(x2, L::sub(y0, t));
+        let t = L::mul(y3, wb1);
+        L::store(x1, L::add(y1, t));
+        L::store(x3, L::sub(y1, t));
     }
 
+    /// `n` one-stage butterflies between the runs at `lo` and `hi`.
+    ///
     /// # Safety
-    /// `lo`, `hi`, `tw` must have equal lengths, and the caller must have
-    /// confirmed `avx2` + `fma` at runtime.
-    #[target_feature(enable = "avx2,fma")]
-    pub(super) unsafe fn avx2_range(lo: &mut [Complex64], hi: &mut [Complex64], tw: &[Complex64]) {
-        let n = lo.len();
-        let lp = lo.as_mut_ptr() as *mut f64;
-        let hp = hi.as_mut_ptr() as *mut f64;
-        let wp = tw.as_ptr() as *const f64;
-        let pairs = n / 2;
-        for k in 0..pairs {
-            avx2_butterfly_pair(lp, hp, wp, k);
+    /// `lo` and `hi` must address `n` valid values each, and a table twiddle
+    /// `n` entries.
+    #[inline(always)]
+    unsafe fn run1<L: Lanes, W: Twiddle>(lo: *mut Complex64, hi: *mut Complex64, w: W, n: usize) {
+        let mut k = 0;
+        while k + L::N <= n {
+            butterfly::<L>(lo, hi, k, w.get::<L>(k));
+            k += L::N;
         }
-        if n % 2 == 1 {
-            // Odd tail: one SSE2-width butterfly. Note this makes the AVX2
-            // tier's *tail* element bit-identical to scalar — the ULP bound
-            // only ever applies to the fused pairs.
-            sse2_butterfly(lp, hp, wp, n - 1);
+        if k < n {
+            butterfly::<L::Tail>(lo, hi, k, w.get::<L::Tail>(k));
         }
     }
 
+    /// `n` two-stage butterflies between the four runs at `x`.
+    ///
     /// # Safety
-    /// `stage.len() == size / 2`; caller confirmed `avx2` + `fma`.
-    #[target_feature(enable = "avx2,fma")]
-    pub(super) unsafe fn avx2_pass(data: &mut [Complex64], size: usize, stage: &[Complex64]) {
-        let half = size / 2;
-        let wp = stage.as_ptr() as *const f64;
-        if half < 2 {
-            // Stage 0 (size 2): one butterfly per block, below vector width.
-            for chunk in data.chunks_exact_mut(size) {
-                let lp = chunk.as_mut_ptr() as *mut f64;
-                sse2_butterfly(lp, lp.add(2 * half), wp, 0);
-            }
-            return;
+    /// Every `x[i]` must address `n` valid values, and every table twiddle
+    /// `n` entries.
+    #[inline(always)]
+    unsafe fn run2<L: Lanes, W: Twiddle>(x: [*mut Complex64; 4], wa: W, wb0: W, wb1: W, n: usize) {
+        let mut k = 0;
+        while k + L::N <= n {
+            butterfly2::<L>(x, k, wa.get::<L>(k), wb0.get::<L>(k), wb1.get::<L>(k));
+            k += L::N;
         }
-        let pairs = half / 2;
-        for chunk in data.chunks_exact_mut(size) {
-            let lp = chunk.as_mut_ptr() as *mut f64;
-            let hp = lp.add(2 * half);
-            for k in 0..pairs {
-                avx2_butterfly_pair(lp, hp, wp, k);
-            }
-            if half % 2 == 1 {
-                sse2_butterfly(lp, hp, wp, half - 1);
+        if k < n {
+            butterfly2::<L::Tail>(
+                x,
+                k,
+                wa.get::<L::Tail>(k),
+                wb0.get::<L::Tail>(k),
+                wb1.get::<L::Tail>(k),
+            );
+        }
+    }
+
+    // The sweeps of the parent module, once over `Lanes`. Each relies on what
+    // its dispatcher established: the CPU supports `L`, and for the two-stage
+    // sweeps `wb.len() == 2 * wa.len()`. All other indexing stays inside a
+    // `chunks_exact_mut` block or a slice's own length.
+
+    #[inline(always)]
+    unsafe fn range<L: Lanes>(lo: &mut [Complex64], hi: &mut [Complex64], tw: &[Complex64]) {
+        // Like the scalar zip: as many butterflies as all three runs have.
+        let n = lo.len().min(hi.len()).min(tw.len());
+        run1::<L, _>(lo.as_mut_ptr(), hi.as_mut_ptr(), tw.as_ptr(), n);
+    }
+
+    #[inline(always)]
+    unsafe fn pass<L: Lanes>(data: &mut [Complex64], stage: &[Complex64]) {
+        let h = stage.len();
+        for block in data.chunks_exact_mut(2 * h) {
+            let lo = block.as_mut_ptr();
+            run1::<L, _>(lo, lo.add(h), stage.as_ptr(), h);
+        }
+    }
+
+    #[inline(always)]
+    unsafe fn pass2<L: Lanes>(data: &mut [Complex64], wa: &[Complex64], wb: &[Complex64]) {
+        let h = wa.len();
+        let (wa, wb) = (wa.as_ptr(), wb.as_ptr());
+        for block in data.chunks_exact_mut(4 * h) {
+            let x0 = block.as_mut_ptr();
+            let x = [x0, x0.add(h), x0.add(2 * h), x0.add(3 * h)];
+            run2::<L, _>(x, wa, wb, wb.add(h), h);
+        }
+    }
+
+    #[inline(always)]
+    unsafe fn column<L: Lanes>(data: &mut [Complex64], cols: usize, stage: &[Complex64]) {
+        let h = stage.len();
+        for block in data.chunks_exact_mut(2 * h * cols) {
+            let lo = block.as_mut_ptr();
+            let hi = lo.add(h * cols);
+            for (k, w) in stage.iter().enumerate() {
+                run1::<L, _>(lo.add(k * cols), hi.add(k * cols), *w, cols);
             }
         }
     }
+
+    #[inline(always)]
+    unsafe fn column2<L: Lanes>(
+        data: &mut [Complex64],
+        cols: usize,
+        wa: &[Complex64],
+        wb: &[Complex64],
+    ) {
+        let h = wa.len();
+        for block in data.chunks_exact_mut(4 * h * cols) {
+            let x0 = block.as_mut_ptr();
+            for j in 0..h {
+                let x = [0, 1, 2, 3].map(|q| x0.add((q * h + j) * cols));
+                run2::<L, _>(x, wa[j], wb[j], wb[j + h], cols);
+            }
+        }
+    }
+
+    /// Instantiates a sweep for both tiers inside `#[target_feature]`
+    /// functions, so the intrinsics inline.
+    macro_rules! per_tier {
+        ($sse2:ident, $avx2:ident, $sweep:ident($($arg:ident: $ty:ty),*)) => {
+            /// # Safety
+            /// See the note above the generic sweeps.
+            #[target_feature(enable = "sse2")]
+            pub(super) unsafe fn $sse2($($arg: $ty),*) {
+                $sweep::<Sse2>($($arg),*)
+            }
+
+            /// # Safety
+            /// See the note above the generic sweeps; the caller must have
+            /// confirmed `avx2` + `fma` at runtime.
+            #[target_feature(enable = "avx2,fma")]
+            pub(super) unsafe fn $avx2($($arg: $ty),*) {
+                $sweep::<Avx2>($($arg),*)
+            }
+        };
+    }
+
+    per_tier!(sse2_range, avx2_range, range(lo: &mut [Complex64], hi: &mut [Complex64], tw: &[Complex64]));
+    per_tier!(sse2_pass, avx2_pass, pass(data: &mut [Complex64], stage: &[Complex64]));
+    per_tier!(sse2_pass2, avx2_pass2, pass2(data: &mut [Complex64], wa: &[Complex64], wb: &[Complex64]));
+    per_tier!(sse2_column, avx2_column, column(data: &mut [Complex64], cols: usize, stage: &[Complex64]));
+    per_tier!(sse2_column2, avx2_column2, column2(data: &mut [Complex64], cols: usize, wa: &[Complex64], wb: &[Complex64]));
 
     /// Blocked transpose with a 2×2 complex (4×4 f64) AVX2 micro-kernel: two
     /// 256-bit loads, two cross-lane shuffles, two stores move a 2×2 tile.
@@ -431,8 +786,8 @@ mod tests {
             let stage = test_data(size / 2);
             let mut scalar = test_data(size * blocks);
             let mut simd = scalar.clone();
-            butterfly_pass(SimdLevel::Scalar, &mut scalar, size, &stage);
-            butterfly_pass(SimdLevel::Sse2, &mut simd, size, &stage);
+            butterfly_pass(SimdLevel::Scalar, &mut scalar, &stage);
+            butterfly_pass(SimdLevel::Sse2, &mut simd, &stage);
             for (a, b) in scalar.iter().zip(&simd) {
                 assert_eq!(a.re.to_bits(), b.re.to_bits());
                 assert_eq!(a.im.to_bits(), b.im.to_bits());
@@ -449,8 +804,8 @@ mod tests {
             let stage = test_data(size / 2);
             let mut scalar = test_data(size * blocks);
             let mut simd = scalar.clone();
-            butterfly_pass(SimdLevel::Scalar, &mut scalar, size, &stage);
-            butterfly_pass(SimdLevel::Avx2, &mut simd, size, &stage);
+            butterfly_pass(SimdLevel::Scalar, &mut scalar, &stage);
+            butterfly_pass(SimdLevel::Avx2, &mut simd, &stage);
             let max_mag = scalar.iter().map(|v| v.abs()).fold(0.0f64, f64::max);
             // A single stage: one fused rounding of budget.
             let tol = 8.0 * f64::EPSILON * max_mag.max(1.0);
@@ -466,7 +821,7 @@ mod tests {
             let size = 32;
             let stage = test_data(size / 2);
             let mut via_pass = test_data(size);
-            butterfly_pass(level, &mut via_pass, size, &stage);
+            butterfly_pass(level, &mut via_pass, &stage);
             let mut via_range = test_data(size);
             {
                 let (lo, hi) = via_range.split_at_mut(size / 2);

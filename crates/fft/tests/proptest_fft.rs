@@ -96,21 +96,6 @@ proptest! {
     }
 
     #[test]
-    fn fft2_parallel_equals_serial(rexp in 1u32..5, cexp in 1u32..5) {
-        let rows = 1usize << rexp;
-        let cols = 1usize << cexp;
-        let field = Array2::from_fn(rows, cols, |r, c| {
-            Complex64::new((r * cols + c) as f64, ((r + c) % 7) as f64)
-        });
-        let plan = Fft2Plan::new(rows, cols);
-        let serial = plan.forward(&field);
-        let parallel = plan.forward_par(&field);
-        for (a, b) in serial.as_slice().iter().zip(parallel.as_slice()) {
-            prop_assert!((*a - *b).abs() < 1e-12);
-        }
-    }
-
-    #[test]
     fn shift_roundtrip_any_shape(rows in 1usize..12, cols in 1usize..12) {
         let field: Array2<f64> = Array2::from_fn(rows, cols, |r, c| (r * cols + c) as f64);
         prop_assert_eq!(ifftshift(&fftshift(&field)), field.clone());

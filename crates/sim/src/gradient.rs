@@ -118,57 +118,68 @@ pub fn probe_gradient_into(
         far_field.shape()
     );
 
-    // Loss and ∂L/∂conj(D) for the amplitude-matching loss:
-    // (|D| − y) · D / |D|, written straight into the back-propagation buffer.
+    // Loss and ∂L/∂conj(D) for the amplitude-matching loss,
+    // (|D| − y) · D / |D|, written straight into the back-propagation buffer
+    // already multiplied by conj(H): the far field is D = H ⊙ FFT(a) of the
+    // last slice's transmitted wave a, so the adjoint begins with that
+    // multiply (and the `H · F⁻¹ F` pair the forward pass dropped has no
+    // adjoint to run either).
     let mut loss = 0.0;
-    for ((b, d), y) in back
+    for (((b, d), y), h) in back
         .as_mut_slice()
         .iter_mut()
         .zip(far_field.as_slice())
         .zip(measured_amplitude.as_slice())
+        .zip(model.plan().transfer().as_slice())
     {
         let a = d.abs();
         loss += (a - y) * (a - y);
         *b = if a == 0.0 {
             Complex64::ZERO
         } else {
-            d.scale((a - y) / a)
+            d.scale((a - y) / a) * h.conj()
         };
     }
 
-    // Back through the far-field FFT: the adjoint of the unnormalised forward
-    // transform is the unnormalised inverse transform. F^H = N · F^{-1}; the
-    // plan's inverse applies 1/N per axis, so multiply back by the element
-    // count. With a detector ROI the residual is exactly zero outside it
-    // (the pruned far field is zero there, and the loss formula maps zero
+    // Back through the last slice's FFT: the adjoint of the unnormalised
+    // forward transform is the unnormalised inverse transform, F^H = N · F⁻¹.
+    // With a detector ROI the residual is exactly zero outside it (the
+    // pruned far field is zero there, and the loss formula maps zero
     // amplitude to a zero residual), so the pruned inverse — which treats the
     // ROI as its input support — is bit-identical to the dense one.
-    match model.far_partial() {
-        Some(partial) => partial.inverse_in_place(back, fft_scratch),
-        None => model.plan().fft().inverse_in_place(back, fft_scratch),
+    match model.roi_partial() {
+        Some(partial) => partial.inverse_unnormalized_in_place(
+            back,
+            fft_scratch
+                .as_mut()
+                .expect("forward_with checked the workspace has a scratch"),
+        ),
+        None => model.plan().fft().inverse_unnormalized_mut(back),
     }
-    let scale = (n * n) as f64;
-    back.map_inplace(|v| *v = v.scale(scale));
 
-    // Back through the slices in reverse order.
+    // Back through the slices in reverse order. `back` holds ∂L/∂conj(a_s)
+    // where a_s = t_s ⊙ psi_s.
     for s in (0..model.slices()).rev() {
-        // `back` currently holds ∂L/∂conj(psi_{s+1}); pull it through the
-        // propagator to get ∂L/∂conj(a_s) where a_s = t_s ⊙ psi_s.
-        model.plan().propagate_adjoint_in_place(back, fft_scratch);
         let psi_s = incident[s].as_slice();
         let t_s = object_patch.slice_data(s);
-        // ∂L/∂conj(t_s) = ∂L/∂conj(a_s) ⊙ conj(psi_s)
-        for ((g, d_a), p) in gradient
+        // ∂L/∂conj(t_s) = ∂L/∂conj(a_s) ⊙ conj(psi_s), and in the same sweep
+        // ∂L/∂conj(psi_s) = ∂L/∂conj(a_s) ⊙ conj(t_s) — which nothing reads
+        // at the entry slice.
+        for (((g, d_a), p), t) in gradient
             .slice_data_mut(s)
             .iter_mut()
-            .zip(back.as_slice())
+            .zip(back.as_mut_slice())
             .zip(psi_s)
+            .zip(t_s)
         {
             *g = *d_a * p.conj();
+            if s > 0 {
+                *d_a *= t.conj();
+            }
         }
-        // ∂L/∂conj(psi_s) = ∂L/∂conj(a_s) ⊙ conj(t_s)
-        for (d_a, t) in back.as_mut_slice().iter_mut().zip(t_s) {
-            *d_a *= t.conj();
+        if s > 0 {
+            // Pull it through the propagator between slices s − 1 and s.
+            model.plan().propagate_adjoint_in_place(back);
         }
     }
     loss
@@ -260,26 +271,29 @@ mod tests {
         );
     }
 
-    #[test]
-    fn gradient_matches_finite_differences() {
-        let model = small_model(2);
-        let truth = phase_object(2, 16, 0.3);
+    /// Checks the gradient at a handful of voxels against forward
+    /// differences of the loss, in the real and the imaginary direction.
+    fn assert_gradient_matches_finite_differences(
+        model: &MultisliceModel,
+        voxels: &[(usize, usize, usize)],
+    ) {
+        let slices = model.slices();
+        let truth = phase_object(slices, 16, 0.3);
         let measured = model.simulate_amplitude(&truth);
-        let guess = phase_object(2, 16, 0.1);
-        let result = probe_gradient(&model, &guess, &measured);
+        let guess = phase_object(slices, 16, 0.1);
+        let result = probe_gradient(model, &guess, &measured);
 
         let eps = 1e-6;
-        // Probe a handful of voxels in both the real and imaginary directions.
-        for &(s, r, c) in &[(0usize, 8usize, 8usize), (1, 4, 11), (0, 12, 5)] {
+        for &(s, r, c) in voxels {
             let g = result.gradient[(s, r, c)];
 
             let mut perturbed = guess.clone();
             perturbed[(s, r, c)] += Complex64::new(eps, 0.0);
-            let d_re = (probe_loss(&model, &perturbed, &measured) - result.loss) / eps;
+            let d_re = (probe_loss(model, &perturbed, &measured) - result.loss) / eps;
 
             let mut perturbed = guess.clone();
             perturbed[(s, r, c)] += Complex64::new(0.0, eps);
-            let d_im = (probe_loss(&model, &perturbed, &measured) - result.loss) / eps;
+            let d_im = (probe_loss(model, &perturbed, &measured) - result.loss) / eps;
 
             // dL = 2·Re(g·conj(dt)): real perturbation → 2·Re(g), imaginary → 2·Im(g).
             assert!(
@@ -291,6 +305,78 @@ mod tests {
                 (d_im - 2.0 * g.im).abs() < 1e-3 * (1.0 + d_im.abs()),
                 "im mismatch at ({s},{r},{c}): fd={d_im}, grad={}",
                 2.0 * g.im
+            );
+        }
+    }
+
+    #[test]
+    fn gradient_matches_finite_differences() {
+        assert_gradient_matches_finite_differences(
+            &small_model(2),
+            &[(0, 8, 8), (1, 4, 11), (0, 12, 5)],
+        );
+    }
+
+    #[test]
+    fn single_slice_gradient_matches_finite_differences() {
+        // One slice is both the entry slice and the last: its only transform
+        // forms the far field directly, dense or pruned by the probe support.
+        let voxels = [(0, 8, 8), (0, 4, 11), (0, 12, 5)];
+        assert_gradient_matches_finite_differences(&small_model(1), &voxels);
+        assert_gradient_matches_finite_differences(
+            &small_model(1).with_probe_support_threshold(1e-6),
+            &voxels,
+        );
+    }
+
+    #[test]
+    fn adjoint_passes_the_dot_product_test() {
+        // ⟨J v, r⟩ = ⟨v, Jᴴ r⟩ with J the derivative of the far field with
+        // respect to the object and ⟨a, b⟩ = Σ conj(a)·b. The far field is
+        // linear in every slice separately, so J v is exact: the sum over s
+        // of the far field with slice s replaced by v_s. Jᴴ r is what
+        // `probe_gradient` returns for the residual r, and any r = c ⊙ D with
+        // real c is reachable by choosing the "measurement" |D|·(1 − c).
+        for slices in [1usize, 2, 5] {
+            let model = small_model(slices);
+            let object = phase_object(slices, 16, 0.25);
+            let v = Array3::from_fn(slices, 16, 16, |s, r, c| {
+                Complex64::new(
+                    ((s * 7 + r * 3 + c) as f64 * 0.41).sin(),
+                    ((s + r + c * 5) as f64 * 0.23).cos(),
+                )
+            });
+            let far_field = model.forward(&object).far_field;
+            let weights = Array2::from_fn(16, 16, |r, c| ((r * 5 + c * 11) as f64 * 0.19).sin());
+            let measured = Array2::from_fn(16, 16, |r, c| {
+                far_field[(r, c)].abs() * (1.0 - weights[(r, c)])
+            });
+            let jh_r = probe_gradient(&model, &object, &measured).gradient;
+
+            let mut j_v = Array2::full(16, 16, Complex64::ZERO);
+            for s in 0..slices {
+                let mut replaced = object.clone();
+                replaced.slice_data_mut(s).copy_from_slice(v.slice_data(s));
+                let term = model.forward(&replaced).far_field;
+                j_v.zip_apply(&term, |sum, t| *sum += *t);
+            }
+
+            let mut lhs = Complex64::ZERO;
+            for ((jv, d), w) in j_v
+                .as_slice()
+                .iter()
+                .zip(far_field.as_slice())
+                .zip(weights.as_slice())
+            {
+                lhs += d.scale(*w).conj() * *jv;
+            }
+            let mut rhs = Complex64::ZERO;
+            for (g, v) in jh_r.iter().zip(v.iter()) {
+                rhs += g.conj() * *v;
+            }
+            assert!(
+                (lhs - rhs).abs() < 1e-11 * lhs.abs().max(1.0),
+                "{slices} slices: <Jv, r> = {lhs:?} but <v, J^H r> = {rhs:?}"
             );
         }
     }
@@ -396,35 +482,10 @@ mod tests {
         // With a detector ROI the loss only responds to the spectrum inside
         // the ROI (the rest contributes a constant), and the pruned adjoint
         // must still be the exact gradient of that loss.
-        let model = small_model(2).with_detector_roi(Rect::new(4, 4, 8, 8));
-        let truth = phase_object(2, 16, 0.3);
-        let measured = model.simulate_amplitude(&truth);
-        let guess = phase_object(2, 16, 0.1);
-        let result = probe_gradient(&model, &guess, &measured);
-
-        let eps = 1e-6;
-        for &(s, r, c) in &[(0usize, 8usize, 8usize), (1, 4, 11)] {
-            let g = result.gradient[(s, r, c)];
-
-            let mut perturbed = guess.clone();
-            perturbed[(s, r, c)] += Complex64::new(eps, 0.0);
-            let d_re = (probe_loss(&model, &perturbed, &measured) - result.loss) / eps;
-
-            let mut perturbed = guess.clone();
-            perturbed[(s, r, c)] += Complex64::new(0.0, eps);
-            let d_im = (probe_loss(&model, &perturbed, &measured) - result.loss) / eps;
-
-            assert!(
-                (d_re - 2.0 * g.re).abs() < 1e-3 * (1.0 + d_re.abs()),
-                "re mismatch at ({s},{r},{c}): fd={d_re}, grad={}",
-                2.0 * g.re
-            );
-            assert!(
-                (d_im - 2.0 * g.im).abs() < 1e-3 * (1.0 + d_im.abs()),
-                "im mismatch at ({s},{r},{c}): fd={d_im}, grad={}",
-                2.0 * g.im
-            );
-        }
+        assert_gradient_matches_finite_differences(
+            &small_model(2).with_detector_roi(Rect::new(4, 4, 8, 8)),
+            &[(0, 8, 8), (1, 4, 11)],
+        );
     }
 
     #[test]

@@ -24,8 +24,10 @@ pub struct PropagationPlan {
     fft: Fft2Plan,
     /// Fresnel transfer function `H(k) = exp(-iπλΔz|k|²)` in unshifted layout.
     transfer: CArray2,
-    /// `conj(H)`, precomputed so the adjoint propagation allocates nothing.
-    conj_transfer: CArray2,
+    /// `H / window²`: the transfer function with the inverse transform's
+    /// normalisation folded in (exact — `window²` is a power of two), so a
+    /// propagation is forward FFT, one multiply sweep, unnormalised inverse.
+    transfer_scaled: CArray2,
 }
 
 impl PropagationPlan {
@@ -49,12 +51,13 @@ impl PropagationPlan {
             let k2 = (fr * dk) * (fr * dk) + (fc * dk) * (fc * dk);
             Complex64::cis(-PI * wavelength_pm * slice_dz_pm * k2)
         });
-        let conj_transfer = transfer.map(|v| v.conj());
+        let normalisation = 1.0 / (n * n) as f64;
+        let transfer_scaled = transfer.map(|v| v.scale(normalisation));
         Self {
             window_px,
             fft: Fft2Plan::new(n, n),
             transfer,
-            conj_transfer,
+            transfer_scaled,
         }
     }
 
@@ -68,12 +71,18 @@ impl PropagationPlan {
         &self.fft
     }
 
+    /// The Fresnel transfer function `H`, unshifted layout. The far field of
+    /// the last slice is `H ⊙ FFT(a)`, and the adjoint enters through
+    /// `conj(H)`.
+    pub(crate) fn transfer(&self) -> &CArray2 {
+        &self.transfer
+    }
+
     /// Propagates a wave by one slice spacing (by-value wrapper over
     /// [`Self::propagate_in_place`]).
     pub fn propagate(&self, wave: &CArray2) -> CArray2 {
         let mut out = wave.clone();
-        let mut scratch = self.fft.make_scratch();
-        self.propagate_in_place(&mut out, &mut scratch);
+        self.propagate_in_place(&mut out);
         out
     }
 
@@ -81,47 +90,39 @@ impl PropagationPlan {
     /// (by-value wrapper over [`Self::propagate_adjoint_in_place`]).
     pub fn propagate_adjoint(&self, wave: &CArray2) -> CArray2 {
         let mut out = wave.clone();
-        let mut scratch = self.fft.make_scratch();
-        self.propagate_adjoint_in_place(&mut out, &mut scratch);
+        self.propagate_adjoint_in_place(&mut out);
         out
     }
 
     /// Propagates a wave by one slice spacing in place: forward FFT,
     /// elementwise transfer multiply, inverse FFT, all in `wave`'s storage.
     /// Zero heap allocations.
-    pub fn propagate_in_place(&self, wave: &mut CArray2, scratch: &mut Fft2Scratch) {
-        self.fft.forward_in_place(wave, scratch);
-        wave.zip_apply(&self.transfer, |w, h| *w *= *h);
-        self.fft.inverse_in_place(wave, scratch);
+    pub fn propagate_in_place(&self, wave: &mut CArray2) {
+        self.fft.forward_mut(wave);
+        self.finish_propagation(wave);
     }
 
-    /// In-place adjoint propagation (uses the precomputed `conj(H)`). Zero
-    /// heap allocations.
-    pub fn propagate_adjoint_in_place(&self, wave: &mut CArray2, scratch: &mut Fft2Scratch) {
-        self.fft.forward_in_place(wave, scratch);
-        wave.zip_apply(&self.conj_transfer, |w, h| *w *= *h);
-        self.fft.inverse_in_place(wave, scratch);
+    /// The second half of a propagation, for a wave whose forward FFT the
+    /// caller already took (possibly with a pruned plan): transfer multiply
+    /// and inverse FFT.
+    fn finish_propagation(&self, spectrum: &mut CArray2) {
+        spectrum.zip_apply(&self.transfer_scaled, |w, h| *w *= *h);
+        self.fft.inverse_unnormalized_mut(spectrum);
     }
 
-    /// In-place propagation whose forward FFT is the pruned `partial` plan —
-    /// used for the entry slice, where the wave still has the probe's compact
-    /// support. The inverse stays dense (propagation spreads the wave).
-    /// Zero heap allocations.
-    pub fn propagate_pruned_in_place(
-        &self,
-        wave: &mut CArray2,
-        scratch: &mut Fft2Scratch,
-        partial: &PartialFft2Plan,
-    ) {
-        partial.forward_in_place(wave, scratch);
-        wave.zip_apply(&self.transfer, |w, h| *w *= *h);
-        self.fft.inverse_in_place(wave, scratch);
+    /// In-place adjoint propagation (multiplies by `conj(H)`). Zero heap
+    /// allocations.
+    pub fn propagate_adjoint_in_place(&self, wave: &mut CArray2) {
+        self.fft.forward_mut(wave);
+        wave.zip_apply(&self.transfer_scaled, |w, h| *w *= h.conj());
+        self.fft.inverse_unnormalized_mut(wave);
     }
 }
 
 /// Reusable per-worker buffers for the forward model and its adjoint: the
-/// incident-wave stack (`slices + 1` probe-window fields), the far-field
-/// spectrum, the back-propagation wave and the FFT transpose scratch.
+/// incident-wave stack (one probe-window field per slice), the far-field
+/// spectrum, the back-propagation wave and — only for a model with pruned
+/// transforms — their transpose scratch.
 ///
 /// Allocate one per worker ([`SimWorkspace::for_model`]) and thread it
 /// through [`MultisliceModel::forward_with`] /
@@ -133,7 +134,9 @@ pub struct SimWorkspace {
     pub(crate) incident: Vec<CArray2>,
     pub(crate) far_field: CArray2,
     pub(crate) back: CArray2,
-    pub(crate) fft_scratch: Fft2Scratch,
+    /// Present exactly when the model the workspace was built for has a
+    /// pruned plan; the dense transforms need no workspace.
+    pub(crate) fft_scratch: Option<Fft2Scratch>,
 }
 
 impl SimWorkspace {
@@ -142,33 +145,43 @@ impl SimWorkspace {
         let n = model.window_px();
         let zero = Array2::full(n, n, Complex64::ZERO);
         Self {
-            incident: vec![zero.clone(); model.slices() + 1],
+            incident: vec![zero.clone(); model.slices()],
             far_field: zero.clone(),
             back: zero,
-            fft_scratch: model.plan().fft().make_scratch(),
+            fft_scratch: model.is_pruned().then(|| Fft2Scratch::new(n, n)),
         }
     }
 
-    /// The far-field diffraction wave `D = FFT(exit)` of the latest
+    /// The far-field diffraction wave `D` of the latest
     /// [`MultisliceModel::forward_with`] call.
     pub fn far_field(&self) -> &CArray2 {
         &self.far_field
     }
 
-    /// The incident wave at the entrance of slice `s` (the last entry,
-    /// `s == slices`, is the exit wave) of the latest forward pass.
+    /// The incident wave at the entrance of slice `s` (`s < slices`) of the
+    /// latest forward pass.
     pub fn incident(&self, s: usize) -> &CArray2 {
         &self.incident[s]
     }
 
     /// Number of slices this workspace was sized for.
     pub fn slices(&self) -> usize {
-        self.incident.len() - 1
+        self.incident.len()
     }
 
     /// Probe-window side length this workspace was sized for.
     pub fn window_px(&self) -> usize {
         self.far_field.rows()
+    }
+
+    /// Bytes of field storage the workspace holds resident.
+    pub fn bytes(&self) -> usize {
+        let (scratch_rows, scratch_cols) = self.fft_scratch.as_ref().map_or((0, 0), |s| s.shape());
+        let values = self.incident.iter().map(|f| f.len()).sum::<usize>()
+            + self.far_field.len()
+            + self.back.len()
+            + scratch_rows * scratch_cols;
+        values * std::mem::size_of::<Complex64>()
     }
 }
 
@@ -176,7 +189,8 @@ impl SimWorkspace {
 #[derive(Clone, Debug)]
 pub struct ForwardPass {
     /// The incident wave at the entrance of every slice (`psi_s` before
-    /// transmission), length `slices + 1`; the last entry is the exit wave.
+    /// transmission), length `slices`. The exit wave is never formed: the
+    /// far field comes straight from the last slice's spectrum.
     pub incident: Vec<CArray2>,
     /// The far-field diffraction wave `D = FFT(exit)`.
     pub far_field: CArray2,
@@ -196,6 +210,13 @@ impl ForwardPass {
 
 /// The multi-slice model bound to a probe and a propagation plan.
 ///
+/// Slice `s` transmits (`a_s = psi_s ⊙ t_s`) and propagates
+/// (`psi_{s+1} = IFFT(H ⊙ FFT(a_s))`), and the far field is the transform of
+/// the exit wave. The last slice's inverse transform would be undone at once
+/// by that far-field transform, `FFT(IFFT(H ⊙ FFT(a))) = H ⊙ FFT(a)`, so
+/// neither is evaluated: a forward pass runs `2·slices − 1` transforms, and
+/// the adjoint in [`crate::gradient`] drops the mirror-image pair.
+///
 /// By default every transform is dense. Two opt-in builders swap hot
 /// transforms for pruned [`PartialFft2Plan`]s (see the `ptycho_fft::partial`
 /// docs for the exactness argument):
@@ -203,9 +224,10 @@ impl ForwardPass {
 /// * [`with_probe_support_threshold`](Self::with_probe_support_threshold) —
 ///   zero-pads the probe outside its compact-support window and prunes the
 ///   entry slice's forward FFT by that window (bit-identical output).
-/// * [`with_detector_roi`](Self::with_detector_roi) — prunes the far-field
-///   transform to the detector's region of interest (bit-identical inside
-///   the ROI, exact zeros outside — the pixels the detector never reads).
+/// * [`with_detector_roi`](Self::with_detector_roi) — prunes the last
+///   slice's forward FFT to the detector's region of interest (the far field
+///   is bit-identical inside the ROI and exactly zero outside — the pixels
+///   the detector never reads).
 #[derive(Clone, Debug)]
 pub struct MultisliceModel {
     probe: Probe,
@@ -215,11 +237,13 @@ pub struct MultisliceModel {
     probe_support: Option<Rect>,
     /// Detector region of interest, when ROI pruning is enabled (clamped).
     detector_roi: Option<Rect>,
-    /// Pruned forward-FFT plan for the entry slice's propagation (the wave
-    /// still has the probe's support there).
+    /// Pruned forward-FFT plan for the entry slice of a multi-slice model
+    /// (the wave still has the probe's support there).
     entry_partial: Option<PartialFft2Plan>,
-    /// Pruned plan for the far-field transform (output pruned to the ROI)
-    /// and its adjoint in the gradient's backpropagation.
+    /// Pruned plan for the last slice's forward FFT: output pruned to the
+    /// ROI, and — when the last slice is also the entry slice — input pruned
+    /// to the probe support. The gradient's backpropagation shares it for
+    /// the adjoint of that transform.
     far_partial: Option<PartialFft2Plan>,
 }
 
@@ -256,30 +280,46 @@ impl MultisliceModel {
     pub fn with_probe_support_threshold(mut self, rel_threshold: f64) -> Self {
         let support = self.probe.support_window(rel_threshold);
         self.probe = self.probe.support_padded(&support);
-        let n = self.probe.window_px();
-        self.entry_partial = Some(
-            PartialFft2Plan::with_simd_level(n, n, self.plan.fft.simd_level())
-                .with_input_support(support),
-        );
         self.probe_support = Some(support);
+        self.rebuild_partial_plans();
         self
     }
 
-    /// Enables detector-ROI pruning: the far-field transform only produces
-    /// the `roi` window of the spectrum (bit-identical to dense there) and
-    /// writes exact zeros elsewhere — the simulated detector reads nothing
-    /// outside its region of interest, and the gradient backpropagation
-    /// prunes its inverse transform the same way.
+    /// Enables detector-ROI pruning: the last slice's forward FFT only
+    /// produces the `roi` window of the spectrum, so the far field is
+    /// bit-identical to dense there and exactly zero elsewhere — the
+    /// simulated detector reads nothing outside its region of interest, and
+    /// the gradient backpropagation prunes its inverse transform the same
+    /// way.
     ///
     /// # Panics
     /// Panics if `roi` (clamped to the window) is empty.
     pub fn with_detector_roi(mut self, roi: Rect) -> Self {
-        let n = self.probe.window_px();
-        let partial =
-            PartialFft2Plan::with_simd_level(n, n, self.plan.fft.simd_level()).with_output_roi(roi);
-        self.detector_roi = partial.output_roi();
-        self.far_partial = Some(partial);
+        let n = self.window_px();
+        self.detector_roi = Some(roi.clamp_to(&Rect::of_shape(n, n)));
+        self.rebuild_partial_plans();
         self
+    }
+
+    /// Derives the pruned plans from the declared support and ROI.
+    fn rebuild_partial_plans(&mut self) {
+        let n = self.window_px();
+        let level = self.plan.fft.simd_level();
+        let single_slice = self.slices == 1;
+        self.entry_partial = self.probe_support.filter(|_| !single_slice).map(|support| {
+            PartialFft2Plan::with_simd_level(n, n, level).with_input_support(support)
+        });
+        let far_support = self.probe_support.filter(|_| single_slice);
+        self.far_partial = (far_support.is_some() || self.detector_roi.is_some()).then(|| {
+            let mut partial = PartialFft2Plan::with_simd_level(n, n, level);
+            if let Some(support) = far_support {
+                partial = partial.with_input_support(support);
+            }
+            if let Some(roi) = self.detector_roi {
+                partial = partial.with_output_roi(roi);
+            }
+            partial
+        });
     }
 
     /// The probe this model simulates.
@@ -297,10 +337,19 @@ impl MultisliceModel {
         self.detector_roi
     }
 
-    /// The pruned far-field plan, when ROI pruning is enabled — the gradient
-    /// backpropagation shares it for the adjoint (inverse) transform.
-    pub(crate) fn far_partial(&self) -> Option<&PartialFft2Plan> {
-        self.far_partial.as_ref()
+    /// The ROI-pruned plan of the last slice's transform, when ROI pruning
+    /// is enabled — the gradient backpropagation runs its adjoint (inverse)
+    /// through it.
+    pub(crate) fn roi_partial(&self) -> Option<&PartialFft2Plan> {
+        self.far_partial
+            .as_ref()
+            .filter(|_| self.detector_roi.is_some())
+    }
+
+    /// True when any transform of this model goes through a pruned plan (and
+    /// its workspace therefore carries a transpose scratch).
+    pub(crate) fn is_pruned(&self) -> bool {
+        self.entry_partial.is_some() || self.far_partial.is_some()
     }
 
     /// The propagation plan (FFT + Fresnel transfer function).
@@ -341,7 +390,7 @@ impl MultisliceModel {
     /// perform zero heap allocations.
     ///
     /// # Panics
-    /// Panics if the patch or workspace shape does not match the model.
+    /// Panics if the patch or workspace does not match the model.
     pub fn forward_with(&self, object_patch: &CArray3, ws: &mut SimWorkspace) {
         let n = self.window_px();
         assert_eq!(
@@ -369,32 +418,61 @@ impl MultisliceModel {
             ..
         } = ws;
         incident[0].copy_from(self.probe.field());
+        let last = self.slices - 1;
         for s in 0..self.slices {
-            // Transmission: incident[s+1] = incident[s] ⊙ t_s, then
-            // propagation in place — no temporaries.
+            // Transmission, written where the slice's spectrum is wanted:
+            // the next incident wave, or the far field for the last slice.
             let (before, after) = incident.split_at_mut(s + 1);
-            let psi = before[s].as_slice();
-            let next = after[0].as_mut_slice();
+            let wave = if s == last {
+                &mut *far_field
+            } else {
+                &mut after[0]
+            };
             let t_s = object_patch.slice_data(s);
-            for ((dst, src), t) in next.iter_mut().zip(psi).zip(t_s) {
+            for ((dst, src), t) in wave
+                .as_mut_slice()
+                .iter_mut()
+                .zip(before[s].as_slice())
+                .zip(t_s)
+            {
                 *dst = *src * *t;
             }
             // The entry slice's wave is probe ⊙ t_0, which inherits the
-            // probe's compact support — prune its forward FFT when a support
-            // window is declared. Propagation spreads the wave, so every
-            // later slice is dense.
-            match (s, &self.entry_partial) {
-                (0, Some(partial)) => {
-                    self.plan
-                        .propagate_pruned_in_place(&mut after[0], fft_scratch, partial)
-                }
-                _ => self.plan.propagate_in_place(&mut after[0], fft_scratch),
+            // probe's compact support, and of the last slice's spectrum only
+            // the detector ROI is read — those two forward FFTs prune when
+            // declared. Propagation spreads the wave, so the rest are dense.
+            let partial = if s == last {
+                self.far_partial.as_ref()
+            } else if s == 0 {
+                self.entry_partial.as_ref()
+            } else {
+                None
+            };
+            match partial {
+                Some(partial) => partial.forward_in_place(
+                    wave,
+                    fft_scratch
+                        .as_mut()
+                        .expect("workspace was built for a model without pruned transforms"),
+                ),
+                None => self.plan.fft.forward_mut(wave),
+            }
+            if s < last {
+                self.plan.finish_propagation(wave);
             }
         }
-        far_field.copy_from(&incident[self.slices]);
-        match &self.far_partial {
-            Some(partial) => partial.forward_in_place(far_field, fft_scratch),
-            None => self.plan.fft.forward_in_place(far_field, fft_scratch),
+        // D = H ⊙ FFT(a_last). Outside a detector ROI the pruned spectrum is
+        // exactly (positive) zero and stays untouched, which is what the
+        // pruned adjoint relies on.
+        let roi = self.detector_roi.unwrap_or(Rect::of_shape(n, n));
+        let (c0, c1) = (roi.col0 as usize, roi.col1 as usize);
+        for r in roi.row0 as usize..roi.row1 as usize {
+            for (d, h) in far_field.row_mut(r)[c0..c1]
+                .iter_mut()
+                .zip(&self.plan.transfer.row(r)[c0..c1])
+            {
+                *d *= *h;
+            }
         }
     }
 
@@ -403,11 +481,11 @@ impl MultisliceModel {
         self.forward(object_patch).amplitude()
     }
 
-    /// Number of complex FFTs evaluated per forward pass (used by the
-    /// performance model): one propagation FFT pair per slice plus the final
-    /// far-field transform.
+    /// Number of 2-D FFTs a forward pass executes: one propagation pair per
+    /// slice but the last, whose single forward transform already is the far
+    /// field. The adjoint pass of the gradient executes the same count.
     pub fn ffts_per_forward(&self) -> usize {
-        2 * self.slices + 1
+        2 * self.slices - 1
     }
 }
 
@@ -495,7 +573,7 @@ mod tests {
         let probe = test_probe(16);
         let model = MultisliceModel::new(probe, 3);
         let pass = model.forward(&vacuum(3, 16));
-        assert_eq!(pass.incident.len(), 4);
+        assert_eq!(pass.incident.len(), 3);
         assert_eq!(pass.far_field.shape(), (16, 16));
         assert_eq!(pass.amplitude().shape(), (16, 16));
     }
@@ -521,7 +599,7 @@ mod tests {
             assert_eq!(a.re.to_bits(), b.re.to_bits());
             assert_eq!(a.im.to_bits(), b.im.to_bits());
         }
-        for s in 0..=3 {
+        for s in 0..3 {
             for (a, b) in pass.incident[s]
                 .as_slice()
                 .iter()
@@ -540,16 +618,13 @@ mod tests {
         let wave = model.probe().field().clone();
         let by_value = model.plan().propagate(&wave);
         let mut in_place = wave.clone();
-        let mut scratch = model.plan().fft().make_scratch();
-        model.plan().propagate_in_place(&mut in_place, &mut scratch);
+        model.plan().propagate_in_place(&mut in_place);
         for (a, b) in by_value.as_slice().iter().zip(in_place.as_slice()) {
             assert_eq!(a.re.to_bits(), b.re.to_bits());
             assert_eq!(a.im.to_bits(), b.im.to_bits());
         }
         let adj_by_value = model.plan().propagate_adjoint(&by_value);
-        model
-            .plan()
-            .propagate_adjoint_in_place(&mut in_place, &mut scratch);
+        model.plan().propagate_adjoint_in_place(&mut in_place);
         for (a, b) in adj_by_value.as_slice().iter().zip(in_place.as_slice()) {
             assert_eq!(a.re.to_bits(), b.re.to_bits());
             assert_eq!(a.im.to_bits(), b.im.to_bits());
@@ -568,9 +643,13 @@ mod tests {
 
     #[test]
     fn fft_count_model() {
-        let probe = test_probe(16);
-        let model = MultisliceModel::new(probe, 5);
-        assert_eq!(model.ffts_per_forward(), 11);
+        let model = MultisliceModel::new(test_probe(16), 5);
+        assert_eq!(model.ffts_per_forward(), 9);
+        // A single slice is one transform: its spectrum is the far field.
+        assert_eq!(
+            MultisliceModel::new(test_probe(16), 1).ffts_per_forward(),
+            1
+        );
     }
 
     #[test]
@@ -593,7 +672,7 @@ mod tests {
         });
         let a = dense_model.forward(&object);
         let b = pruned_model.forward(&object);
-        for s in 0..=2 {
+        for s in 0..2 {
             for (x, y) in a.incident[s]
                 .as_slice()
                 .iter()
@@ -639,24 +718,33 @@ mod tests {
 
     #[test]
     fn detector_roi_far_field_matches_dense_inside_and_is_zero_outside() {
-        let probe = test_probe(32);
-        let dense_model = MultisliceModel::new(probe.clone(), 2);
         let roi = Rect::new(8, 8, 16, 16);
-        let roi_model = MultisliceModel::new(probe, 2).with_detector_roi(roi);
-        assert_eq!(roi_model.detector_roi(), Some(roi));
-        let object = Array3::from_fn(2, 32, 32, |s, r, c| {
-            Complex64::cis(0.15 * ((2 * s + r + c) as f64).sin())
-        });
-        let a = dense_model.forward(&object);
-        let b = roi_model.forward(&object);
-        for r in 0..32 {
-            for c in 0..32 {
-                let (x, y) = (a.far_field[(r, c)], b.far_field[(r, c)]);
-                if roi.contains(r as i64, c as i64) {
-                    assert_eq!(x.re.to_bits(), y.re.to_bits());
-                    assert_eq!(x.im.to_bits(), y.im.to_bits());
-                } else {
-                    assert_eq!(y, Complex64::ZERO, "({r},{c}) should be zeroed");
+        // Two slices: the ROI prunes the last slice's transform. One slice
+        // with a support window: the same transform is also the entry
+        // slice's, pruned from both ends (the dense reference runs on the
+        // same padded probe).
+        let two_slice = MultisliceModel::new(test_probe(32), 2).with_detector_roi(roi);
+        let one_slice = MultisliceModel::new(test_probe(32), 1)
+            .with_probe_support_threshold(1e-6)
+            .with_detector_roi(roi);
+        for roi_model in [two_slice, one_slice] {
+            assert_eq!(roi_model.detector_roi(), Some(roi));
+            let slices = roi_model.slices();
+            let dense_model = MultisliceModel::new(roi_model.probe().clone(), slices);
+            let object = Array3::from_fn(slices, 32, 32, |s, r, c| {
+                Complex64::cis(0.15 * ((2 * s + r + c) as f64).sin())
+            });
+            let a = dense_model.forward(&object);
+            let b = roi_model.forward(&object);
+            for r in 0..32 {
+                for c in 0..32 {
+                    let (x, y) = (a.far_field[(r, c)], b.far_field[(r, c)]);
+                    if roi.contains(r as i64, c as i64) {
+                        assert_eq!(x.re.to_bits(), y.re.to_bits());
+                        assert_eq!(x.im.to_bits(), y.im.to_bits());
+                    } else {
+                        assert_eq!(y, Complex64::ZERO, "({r},{c}) should be zeroed");
+                    }
                 }
             }
         }

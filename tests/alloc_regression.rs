@@ -1,8 +1,9 @@
 //! Zero-allocation regression gate for the reconstruction hot path.
 //!
 //! ISSUE 4's tentpole makes the steady-state Gradient Decomposition
-//! iteration allocation-free: FFTs run in place through pooled
-//! [`Fft2Scratch`](ptycho_fft::fft2d::Fft2Scratch) workspaces, the
+//! iteration allocation-free: FFTs run in place (the dense plan in the
+//! field's own storage, a pruned plan through the workspace's pooled
+//! [`Fft2Scratch`](ptycho_fft::fft2d::Fft2Scratch)), the
 //! multislice forward/adjoint evaluation reuses a `SimWorkspace`, the
 //! per-rank gradient and accumulation buffers are pooled at `init`, and the
 //! buffer resets happen in place. This binary installs a counting global
