@@ -16,20 +16,6 @@ pub enum PassFrequency {
     PerIteration(usize),
 }
 
-impl PassFrequency {
-    /// The accumulation period `T` in probe locations, for a tile owning
-    /// `probes_owned` locations.
-    pub fn period(&self, probes_owned: usize) -> usize {
-        match *self {
-            PassFrequency::EveryProbe => 1,
-            PassFrequency::PerIteration(times) => {
-                let times = times.max(1);
-                (probes_owned / times).max(1)
-            }
-        }
-    }
-}
-
 /// Configuration for the parallel reconstruction solvers.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct SolverConfig {
@@ -112,22 +98,6 @@ impl SolverConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn pass_period_every_probe() {
-        assert_eq!(PassFrequency::EveryProbe.period(100), 1);
-        assert_eq!(PassFrequency::EveryProbe.period(0), 1);
-    }
-
-    #[test]
-    fn pass_period_per_iteration() {
-        assert_eq!(PassFrequency::PerIteration(1).period(100), 100);
-        assert_eq!(PassFrequency::PerIteration(2).period(100), 50);
-        assert_eq!(PassFrequency::PerIteration(0).period(100), 100);
-        // A tile owning fewer probes than the requested frequency still passes
-        // at least once per probe.
-        assert_eq!(PassFrequency::PerIteration(8).period(3), 1);
-    }
 
     #[test]
     fn paper_defaults_halo_width() {

@@ -15,20 +15,32 @@
 //! contributes the [`SolverKernel`] describing what one Gradient
 //! Decomposition iteration does on one rank.
 //!
-//! The only deliberate deviation from the paper's pseudo-code: when local
-//! per-probe updates are enabled, step 15 applies the accumulated buffer
-//! *minus the gradients this tile already applied locally*, so that no probe's
-//! gradient is applied to the same voxels twice. With local updates disabled
-//! (`SolverConfig::local_updates = false`) the method reduces exactly to
-//! synchronous data-parallel gradient descent, which the integration tests
-//! exploit to verify equivalence with a serial reference.
+//! Deliberate deviations from the paper's pseudo-code:
+//!
+//! * When local per-probe updates are enabled, step 15 applies the
+//!   accumulated buffer *minus the gradients this tile already applied
+//!   locally*, so that no probe's gradient is applied to the same voxels
+//!   twice. With local updates disabled (`SolverConfig::local_updates =
+//!   false`) the method reduces exactly to synchronous data-parallel gradient
+//!   descent, which the integration tests exploit to verify equivalence with
+//!   a serial reference.
+//! * Steps 10–16 visit only the cells a round can have touched. The scan is
+//!   known up front, so [`GradientDecompositionSolver::run_job`] computes a
+//!   [`PassPlan`] once: per round and rank, seeded with the bounding box of
+//!   the probe windows the rank accumulates in that round, the sub-rectangle
+//!   of each overlap strip that travels in each sweep (none at all when it
+//!   would carry only zeros) and the rectangle the tile update (steps 14–15)
+//!   and the buffer reset (step 16) cover. Everything skipped is an exact
+//!   zero, so the reconstruction is bit-identical to shipping whole strips
+//!   and sweeping whole tiles (`tests/golden_solver.rs`); what changes is the
+//!   message count and volume — at `T = 1` by an order of magnitude.
 
 use crate::config::SolverConfig;
 use crate::engine::{IterationEngine, RecoveryPolicy, SolverKernel};
-use crate::gradient_decomp::passes::run_accumulation_passes;
+use crate::gradient_decomp::passes::{run_planned_passes, PassPlan};
 use crate::tiling::TileGrid;
-use crate::worker::TileWorker;
-use ptycho_array::Array3;
+use crate::worker::{zero_region, TileWorker};
+use ptycho_array::{Array3, Rect};
 use ptycho_cluster::{
     CommBackend, CommError, HardwareModel, MemoryCategory, RankComm, RankFailure, SharedTile,
     TilePayloadPool,
@@ -97,6 +109,23 @@ impl<'a> GradientDecompositionSolver<'a> {
         }
     }
 
+    /// The static pass plan of a job, one round per synchronisation point of
+    /// an iteration: every rank's seed in a round is the bounding box of the
+    /// probe windows of its [`round_share`].
+    fn pass_plan(&self) -> PassPlan {
+        let rounds = self.rounds_per_iteration();
+        let seeds: Vec<Rect> = (0..rounds)
+            .flat_map(|round| {
+                self.grid.tiles().iter().map(move |tile| {
+                    round_share(&tile.owned_locations, round, rounds)
+                        .iter()
+                        .fold(Rect::empty(), |seed, loc| seed.bounding_union(&loc.window))
+                })
+            })
+            .collect();
+        PassPlan::new(&self.grid, &seeds)
+    }
+
     /// Runs the reconstruction on the given communication backend, one rank
     /// per tile. Panics on communication failure; use
     /// [`Self::try_run`] when faults are expected (fault-injection tests).
@@ -139,15 +168,25 @@ impl<'a> GradientDecompositionSolver<'a> {
         job: &crate::engine::JobContext<'_>,
     ) -> Result<ReconstructionResult, RankFailure> {
         let initial = self.dataset.initial_guess();
+        // Per run, not in `new`: the plan depends on the round split,
+        // construction on the geometry only.
+        let plan = self.pass_plan();
         let kernel = GdKernel {
             dataset: self.dataset,
             grid: &self.grid,
             config: self.config,
-            rounds: self.rounds_per_iteration(),
+            plan: &plan,
             initial: &initial,
         };
         IterationEngine::with_policy(&kernel, policy).run_with_context(backend, job)
     }
+}
+
+/// The probe locations a rank visits in `round` of `rounds`: its share of
+/// the locations it owns — the one definition of the round split, shared by
+/// the pass plan and the iteration that follows it.
+fn round_share(owned: &[ProbeLocation], round: usize, rounds: usize) -> &[ProbeLocation] {
+    &owned[round * owned.len() / rounds..(round + 1) * owned.len() / rounds]
 }
 
 /// The Gradient Decomposition [`SolverKernel`]: Algorithm 1's per-rank,
@@ -156,7 +195,8 @@ struct GdKernel<'a> {
     dataset: &'a Dataset,
     grid: &'a TileGrid,
     config: SolverConfig,
-    rounds: usize,
+    /// One round per synchronisation point of an iteration.
+    plan: &'a PassPlan,
     initial: &'a CArray3,
 }
 
@@ -167,7 +207,8 @@ struct GdState<'a> {
     worker: TileWorker<'a>,
     owned: Vec<ProbeLocation>,
     acc_buf: CArray3,
-    own_acc: CArray3,
+    /// With local updates: what this tile has already applied itself.
+    own_acc: Option<CArray3>,
     /// Probe-window-shaped gradient scratch, refilled per probe location.
     gradient: CArray3,
     /// Recycles the pass-message payload buffers, so steady-state sends
@@ -209,13 +250,12 @@ impl SolverKernel for GdKernel<'_> {
         let buffer_bytes = tile.extended.area() * slices * BYTES_PER_COMPLEX;
         ctx.memory_mut()
             .allocate(MemoryCategory::AccumulationBuffer, buffer_bytes);
-        if self.config.local_updates {
+        let acc_buf = worker.zero_buffer();
+        let own_acc = self.config.local_updates.then(|| {
             ctx.memory_mut()
                 .allocate(MemoryCategory::AccumulationBuffer, buffer_bytes);
-        }
-
-        let acc_buf = worker.zero_buffer();
-        let own_acc = worker.zero_buffer();
+            worker.zero_buffer()
+        });
         let gradient = Array3::full(slices, window, window, Complex64::ZERO);
         GdState {
             worker,
@@ -242,18 +282,16 @@ impl SolverKernel for GdKernel<'_> {
             pool,
         } = state;
         let mut iteration_cost = 0.0;
-        for round in 0..self.rounds {
-            // This round's share of the owned probe locations.
-            let start = round * owned.len() / self.rounds;
-            let end = (round + 1) * owned.len() / self.rounds;
-            for loc in &owned[start..end] {
+        let rounds = self.plan.rounds();
+        for round in 0..rounds {
+            for loc in round_share(owned, round, rounds) {
                 let loss = ctx
                     .clock_mut()
                     .compute(|| worker.compute_gradient_into(loc, gradient));
                 iteration_cost += loss;
                 ctx.clock_mut().compute(|| {
                     worker.accumulate_patch(acc_buf, loc, gradient);
-                    if self.config.local_updates {
+                    if let Some(own_acc) = own_acc {
                         worker.accumulate_patch(own_acc, loc, gradient);
                         worker.apply_patch(loc, gradient);
                     }
@@ -261,21 +299,21 @@ impl SolverKernel for GdKernel<'_> {
             }
 
             // Steps 10-13: accumulate gradients across tiles.
-            run_accumulation_passes(ctx, self.grid, acc_buf, pool)?;
+            let passes = self.plan.passes(round, ctx.rank());
+            run_planned_passes(ctx, passes, acc_buf, pool)?;
 
-            // Steps 14-15: update the tile from the accumulated gradients.
-            ctx.clock_mut().compute(|| {
-                if self.config.local_updates {
-                    // Apply only what this tile has not already applied.
-                    worker.apply_buffer_remote(acc_buf, own_acc);
-                } else {
-                    worker.apply_buffer(acc_buf);
-                }
+            // Steps 14-16: update the tile from the accumulated gradients
+            // and reset the buffers in place — over the cells this round can
+            // have written; everywhere else both buffers are still zero.
+            ctx.clock_mut().compute(|| match own_acc {
+                // Apply only what this tile has not already applied.
+                Some(own_acc) => worker.apply_buffer_remote(acc_buf, own_acc, passes.dirty),
+                None => worker.apply_buffer(acc_buf, passes.dirty),
             });
-
-            // Step 16: reset the buffers (in place, reusing their storage).
-            acc_buf.fill(Complex64::ZERO);
-            own_acc.fill(Complex64::ZERO);
+            zero_region(acc_buf, passes.dirty);
+            if let Some(own_acc) = own_acc {
+                zero_region(own_acc, passes.dirty);
+            }
         }
         Ok(iteration_cost)
     }
@@ -287,9 +325,12 @@ impl SolverKernel for GdKernel<'_> {
     fn restore(&self, state: &mut GdState<'_>, checkpoint: &CArray3) {
         *state.worker.volume_mut() = checkpoint.clone();
         // The buffers are zero at every iteration boundary; discard whatever
-        // the failed attempt left in them.
+        // the failed attempt left in them (it may have stopped in any round,
+        // so no single dirty rectangle covers it).
         state.acc_buf.fill(Complex64::ZERO);
-        state.own_acc.fill(Complex64::ZERO);
+        if let Some(own_acc) = &mut state.own_acc {
+            own_acc.fill(Complex64::ZERO);
+        }
     }
 
     fn core_volume(&self, state: &GdState<'_>) -> CArray3 {
@@ -357,6 +398,41 @@ mod tests {
             let voxel_bytes = m.peak_of(ptycho_cluster::MemoryCategory::TileVoxels)
                 + m.peak_of(ptycho_cluster::MemoryCategory::HaloVoxels);
             assert!(voxel_bytes < full_volume_bytes);
+        }
+    }
+
+    #[test]
+    fn accumulation_buffer_charge_equals_the_bytes_held() {
+        // `own_acc` exists — and is charged — only when local updates use it.
+        let dataset = tiny_dataset();
+        let initial = dataset.initial_guess();
+        for local_updates in [true, false] {
+            let config = SolverConfig {
+                local_updates,
+                ..quick_config(1)
+            };
+            let solver = GradientDecompositionSolver::new(&dataset, config, (1, 2));
+            let plan = solver.pass_plan();
+            let kernel = GdKernel {
+                dataset: &dataset,
+                grid: solver.grid(),
+                config,
+                plan: &plan,
+                initial: &initial,
+            };
+            ptycho_cluster::LockstepBackend::new(ClusterTopology::summit())
+                .run::<SharedTile, (), _>(2, |ctx| {
+                    let state = kernel.init(ctx);
+                    assert_eq!(state.own_acc.is_some(), local_updates);
+                    let held = state.acc_buf.len() + state.own_acc.map_or(0, |b| b.len());
+                    assert_eq!(
+                        ctx.memory_mut()
+                            .current_of(MemoryCategory::AccumulationBuffer),
+                        held * BYTES_PER_COMPLEX
+                    );
+                    Ok(())
+                })
+                .expect("no faults injected");
         }
     }
 

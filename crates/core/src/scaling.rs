@@ -182,6 +182,13 @@ impl ScalingScenario {
         // Communication.
         let communication = match method {
             Method::GradientDecomposition => {
+                // The paper's whole overlap strip per message: this model is
+                // calibrated against Table III / Fig. 7b, which measured
+                // whole-strip passes. The solver's simulated clock charges
+                // the bytes its pass plan actually sends (the planned
+                // sub-rectangles of `gradient_decomp::passes`), which at a
+                // high pass frequency is far less — the two clocks differ
+                // there by design.
                 let bytes_per_message = (2.0
                     * geometry.halo_px
                     * geometry.extended_px.1.max(geometry.extended_px.0)

@@ -156,24 +156,36 @@ impl<'a> TileWorker<'a> {
         add_region_scaled(&mut self.volume, local_window, gradient, -self.step);
     }
 
-    /// Applies a full extended-tile-shaped gradient buffer (step 15 of
-    /// Algorithm 1): `V_k ← V_k − α·buffer`.
-    pub fn apply_buffer(&mut self, buffer: &CArray3) {
+    /// Applies `region` of an extended-tile-shaped gradient buffer (step 15
+    /// of Algorithm 1): `V_k ← V_k − α·buffer` there. Where the buffer is
+    /// zero the update is a bitwise identity, so `region` only has to cover
+    /// the buffer's nonzeros.
+    pub fn apply_buffer(&mut self, buffer: &CArray3, region: Rect) {
         assert_eq!(buffer.shape(), self.volume.shape(), "buffer shape mismatch");
-        for (v, g) in self.volume.iter_mut().zip(buffer.iter()) {
-            *v -= g.scale(self.step);
+        let rows = region_rows(self.volume.shape(), region);
+        let (volume, buffer) = (self.volume.as_mut_slice(), buffer.as_slice());
+        for row in rows {
+            for (v, g) in volume[row.clone()].iter_mut().zip(&buffer[row]) {
+                *v -= g.scale(self.step);
+            }
         }
     }
 
     /// Step-15 variant for locally-updating tiles: applies
-    /// `V_k ← V_k − α·(total − own)` — the accumulated gradients minus what
-    /// this tile already applied locally — without materialising the
-    /// difference buffer.
-    pub fn apply_buffer_remote(&mut self, total: &CArray3, own: &CArray3) {
+    /// `V_k ← V_k − α·(total − own)` over `region` — the accumulated
+    /// gradients minus what this tile already applied locally — without
+    /// materialising the difference buffer.
+    pub fn apply_buffer_remote(&mut self, total: &CArray3, own: &CArray3, region: Rect) {
         assert_eq!(total.shape(), self.volume.shape(), "buffer shape mismatch");
         assert_eq!(own.shape(), self.volume.shape(), "buffer shape mismatch");
-        for ((v, t), o) in self.volume.iter_mut().zip(total.iter()).zip(own.iter()) {
-            *v -= (*t - *o).scale(self.step);
+        let rows = region_rows(self.volume.shape(), region);
+        let (total, own) = (total.as_slice(), own.as_slice());
+        let volume = self.volume.as_mut_slice();
+        for row in rows {
+            let remote = total[row.clone()].iter().zip(&own[row.clone()]);
+            for (v, (t, o)) in volume[row].iter_mut().zip(remote) {
+                *v -= (*t - *o).scale(self.step);
+            }
         }
     }
 
@@ -201,6 +213,29 @@ impl<'a> TileWorker<'a> {
         let core_local = self.tile.core.to_local(&self.tile.extended);
         self.volume
             .extract_region_with_fill(core_local, Complex64::ONE)
+    }
+}
+
+/// The flat index range of every row of `region` (tile-local, clipped to the
+/// plane) in every slice of a volume of `shape`.
+fn region_rows(
+    (depth, rows, cols): (usize, usize, usize),
+    region: Rect,
+) -> impl Iterator<Item = std::ops::Range<usize>> {
+    let clipped = region.intersect(&Rect::of_shape(rows, cols));
+    (0..depth).flat_map(move |s| {
+        (clipped.row0..clipped.row1).map(move |r| {
+            let start = (s * rows + r as usize) * cols;
+            start + clipped.col0 as usize..start + clipped.col1 as usize
+        })
+    })
+}
+
+/// Zeroes `region` of an accumulation buffer (step 16 of Algorithm 1, over
+/// the cells the round can have written).
+pub(crate) fn zero_region(buffer: &mut CArray3, region: Rect) {
+    for row in region_rows(buffer.shape(), region) {
+        buffer.as_mut_slice()[row].fill(Complex64::ZERO);
     }
 }
 
@@ -275,7 +310,8 @@ pub(crate) fn send_pooled_region<C: ptycho_cluster::RankComm<ptycho_cluster::Sha
 /// `slices * rows * cols * 2` values (a pooled
 /// [`ptycho_cluster::SharedTile`] payload), so the steady-state multi-rank
 /// send path performs no allocation. The buffer's previous contents are
-/// fully overwritten (out-of-volume cells with zero).
+/// fully overwritten (out-of-volume cells with zero; a region inside the
+/// volume — every pass region — needs no zero pre-fill).
 pub(crate) fn extract_region_flat_into(volume: &CArray3, region: Rect, out: &mut [f64]) {
     let slices = volume.depth();
     let (rows, cols) = region.shape();
@@ -284,9 +320,11 @@ pub(crate) fn extract_region_flat_into(volume: &CArray3, region: Rect, out: &mut
         slices * rows * cols * 2,
         "payload buffer must match the region's flat size"
     );
-    out.fill(0.0);
     let bounds = volume.plane_bounds();
     let clipped = region.intersect(&bounds);
+    if clipped != region {
+        out.fill(0.0);
+    }
     let vol_cols = volume.cols();
     for s in 0..slices {
         let plane = volume.slice_data(s);
@@ -450,6 +488,92 @@ mod tests {
         // window² field.
         let window = dataset.model().window_px();
         assert_eq!(charges[1] - charges[0], window * window * BYTES_PER_COMPLEX);
+    }
+
+    /// The `±0.0` decision the pass plan rests on: skipping the cells where a
+    /// message, or an accumulation buffer, holds `+0.0` changes no bit.
+    #[test]
+    fn skipping_zeros_changes_no_bit_and_buffers_never_hold_negative_zero() {
+        let specials = [0.0, -0.0, 1.5, -2.25, f64::MIN_POSITIVE, -f64::MAX];
+        let n = specials.len();
+        let bits = |v: &CArray3| -> Vec<(u64, u64)> {
+            v.iter().map(|c| (c.re.to_bits(), c.im.to_bits())).collect()
+        };
+        let row = Rect::of_shape(1, n);
+        let values = Array3::from_fn(1, 1, n, |_, _, c| {
+            Complex64::new(specials[c], specials[n - 1 - c])
+        });
+        let zeros = vec![0.0; 2 * n];
+
+        // Forward receive: `x + 0.0` is `x` — except for `x = −0.0`, which
+        // becomes `+0.0`. That is the one value a skipped addition would
+        // leave different, so accumulation buffers must never hold it …
+        let mut added = values.clone();
+        add_region_flat(&mut added, row, &zeros);
+        let unsigned_zero = |x: f64| if x == 0.0 { 0.0 } else { x };
+        let expected = values.map(|c| Complex64::new(unsigned_zero(c.re), unsigned_zero(c.im)));
+        assert_eq!(bits(&added), bits(&expected));
+        // … and they cannot: a buffer starts at `+0.0` and only ever adds,
+        // and neither `+0.0 + −0.0` nor `x + −x` is `−0.0`.
+        let mut acc_buf = Array3::full(1, 1, n, Complex64::ZERO);
+        acc_buf.add_region(row, &values);
+        let accumulated_once = acc_buf.clone();
+        acc_buf.add_region(row, &values.map(|c| -*c));
+        for c in accumulated_once.iter().chain(acc_buf.iter()) {
+            assert!(c.re != 0.0 || c.re.is_sign_positive());
+            assert!(c.im != 0.0 || c.im.is_sign_positive());
+        }
+
+        // Backward receive: a zero replacing a zero.
+        let mut replaced = Array3::full(1, 1, n, Complex64::ZERO);
+        set_region_flat(&mut replaced, row, &zeros);
+        assert_eq!(
+            bits(&replaced),
+            bits(&Array3::full(1, 1, n, Complex64::ZERO))
+        );
+
+        // Tile update: `v − α·0` and `v − α·(0 − 0)` are `v`, `−0.0` included.
+        use crate::tiling::TileGrid;
+        use ptycho_sim::dataset::SyntheticConfig;
+        let dataset = Dataset::synthesize(SyntheticConfig::tiny());
+        let (_, rows, cols) = dataset.object_shape();
+        let grid = TileGrid::new(rows, cols, 1, 1, 8, dataset.scan());
+        let mut worker = TileWorker::new(
+            &dataset,
+            grid.tile(0),
+            &dataset.initial_guess(),
+            &SolverConfig::default(),
+            0,
+            &mut MemoryTracker::new(),
+        );
+        worker.volume_mut().as_mut_slice()[..n].clone_from_slice(values.as_slice());
+        let before = bits(worker.volume());
+        let zero = worker.zero_buffer();
+        let whole = worker.volume().plane_bounds();
+        worker.apply_buffer(&zero, whole);
+        worker.apply_buffer_remote(&zero, &zero, whole);
+        assert_eq!(bits(worker.volume()), before);
+    }
+
+    #[test]
+    fn region_updates_touch_exactly_the_clipped_region() {
+        let region = Rect::new(4, -2, 5, 6);
+        let mut buffer = Array3::full(2, 6, 6, Complex64::ONE);
+        zero_region(&mut buffer, region);
+        for s in 0..2 {
+            for r in 0..6 {
+                for c in 0..6 {
+                    let inside = region.contains(r as i64, c as i64);
+                    let want = if inside {
+                        Complex64::ZERO
+                    } else {
+                        Complex64::ONE
+                    };
+                    assert_eq!(buffer[(s, r, c)], want);
+                }
+            }
+        }
+        assert_eq!(region_rows((2, 6, 6), Rect::empty()).count(), 0);
     }
 
     #[test]
