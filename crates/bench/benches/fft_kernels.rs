@@ -3,10 +3,11 @@
 //!
 //! * `fft_simd/{scalar,sse2,avx2}_{256,1024}` — the same 2D in-place forward
 //!   transform pinned by `fft_2d/serial/*`, once per SIMD tier available on
-//!   the machine. Absent tiers (e.g. `avx2` on an SSE2-only host, or both on
-//!   a build without `--features simd`) simply emit no key; the gate treats
-//!   missing labels as removed benches and new labels as allowed, so the
-//!   matrix degrades gracefully across runners.
+//!   the machine (all three are bit-identical; only the time differs, and
+//!   `fft_2d/serial/*` itself runs at the widest one). Absent tiers (`avx2`
+//!   on an SSE2-only host, both vector tiers off x86_64) simply emit no key;
+//!   the gate treats missing labels as removed benches and new labels as
+//!   allowed, so the matrix degrades gracefully across runners.
 //! * `fft_partial/{dense,pruned_vs_dense}_{64,128,256}` — a dense
 //!   `Fft2Plan` against a `PartialFft2Plan` with a centred `n/4`-square
 //!   input support and a centred `n/2`-square output ROI, on a

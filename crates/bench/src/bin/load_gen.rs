@@ -45,6 +45,11 @@
 //!   rings lose records, which `trace_dump --validate` then reports as
 //!   sequence gaps.
 //!
+//! The summary names the FFT dispatch tier the host resolved to
+//! (`simd tier: avx2`) — on stdout only: every tier computes the same bits,
+//! so traces, manifests and volume hashes are host-independent and carry
+//! no tier.
+//!
 //! The workload mirrors the scheduler-soak suite: tiny-dataset Gradient
 //! Decomposition jobs over three grid shapes and five priority levels, with
 //! every 25th job losing a rank to a seeded kill so the run exercises the
@@ -53,6 +58,7 @@
 use ptycho_cluster::{CommError, CrashPhase, FaultPolicy};
 use ptycho_core::durability::{fnv1a64, ByteWriter, CheckpointPayload};
 use ptycho_core::{JobEngine, JobError, JobSpec, JobState, ReconstructionResult, SolverConfig};
+use ptycho_fft::SimdLevel;
 use ptycho_sim::dataset::{Dataset, SyntheticConfig};
 use ptycho_telemetry::{Telemetry, TelemetryConfig};
 use std::fs::File;
@@ -252,6 +258,7 @@ fn main() -> ExitCode {
         return match (report.state, report.result) {
             (JobState::Completed, Some(result)) => {
                 println!("load_gen: resume OK");
+                println!("  simd tier:    {}", SimdLevel::detect().label());
                 println!("  volume fnv=0x{:016x}", volume_hash(&result));
                 ExitCode::SUCCESS
             }
@@ -402,6 +409,7 @@ fn main() -> ExitCode {
         "load_gen: {} job(s) on a {}-node fleet (seed {})",
         args.jobs, args.fleet, args.seed
     );
+    println!("  simd tier:    {}", SimdLevel::detect().label());
     println!(
         "  completed:    {completed}/{} ({} healed by substitution)",
         args.jobs, substitutions

@@ -34,7 +34,12 @@
 //!   `--job`'s value).
 //! * `--straggler-z Z` — z-score threshold for the straggler report
 //!   (default 2.0).
+//!
+//! The first stdout line names the FFT dispatch tier of *this* host
+//! (`simd tier: avx2`). It is a fact about the machine, never about the
+//! trace: every tier computes the same bits, so records carry no tier.
 
+use ptycho_fft::SimdLevel;
 use ptycho_telemetry::{analysis, SchemaValidator, TraceSummary};
 use std::process::ExitCode;
 
@@ -254,6 +259,7 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
+    println!("trace_dump: simd tier: {}", SimdLevel::detect().label());
 
     if args.validate {
         return match validate(&text) {

@@ -16,11 +16,12 @@
 //! * [`fft2d`] — forward/inverse 2D transforms over [`ptycho_array::Array2`]:
 //!   a row pass and a transpose-free column pass, both in place (the
 //!   hot-path API needs no workspace), plus `fftshift`/`ifftshift`.
-//! * [`simd`] — the butterfly-sweep/transpose kernel tiers ([`SimdLevel`]): scalar
-//!   everywhere, plus SSE2 and AVX2+FMA `core::arch` kernels behind the
-//!   **`simd`** cargo feature, selected at plan construction by runtime CPU
-//!   detection. The per-tier numerics contract (bit-identity for SSE2,
-//!   documented ULP bound for AVX2) lives in that module's docs.
+//! * [`simd`] — the butterfly-sweep/transpose kernel tiers ([`SimdLevel`]):
+//!   scalar everywhere, plus SSE2 and AVX2 `core::arch` kernels on x86_64,
+//!   the widest one the CPU offers selected at plan construction by runtime
+//!   detection. Every tier computes the same IEEE operation sequence, so all
+//!   are bit-identical and the tier is not part of a result's identity; that
+//!   module's docs state the contract and why FMA is not used.
 //! * [`partial`] — pruned partial transforms ([`PartialFftPlan`],
 //!   [`PartialFft2Plan`]) that skip butterflies for inputs known to be zero
 //!   (probe compact support) or outputs nobody reads (detector ROI), exactly —
@@ -51,11 +52,11 @@
 //! ```
 
 #![warn(missing_docs)]
-// The crate is `forbid(unsafe_code)` except when the `simd` feature is on:
-// the `core::arch` intrinsics in the `simd` module are the only unsafe code,
-// and that module alone carries the allowance — everything else stays denied.
+// The crate is `forbid(unsafe_code)` on every target but x86_64: there the
+// `core::arch` intrinsics of `simd::x86` are the only unsafe code, and the
+// `simd` module alone carries the allowance — everything else stays denied.
 #![deny(unsafe_code)]
-#![cfg_attr(not(feature = "simd"), forbid(unsafe_code))]
+#![cfg_attr(not(target_arch = "x86_64"), forbid(unsafe_code))]
 
 mod complex;
 pub mod dft;

@@ -332,27 +332,16 @@ fn stage_blocks(n: usize, run: Run) -> Vec<Option<Vec<u32>>> {
 /// requires exactly the butterflies whose twiddle index lies in the wrapped
 /// interval starting at `start mod half` of length `min(len, half)`; when
 /// that covers everything the entry is `None`.
-///
-/// The stored run is widened to an even start and even length (at most two
-/// extra butterflies per block, which compute dense-correct values at
-/// positions nobody reads). This keeps the AVX2 two-butterfly pairing
-/// identical to the dense whole-pass kernel — the fused-multiply pairs fall
-/// on the same absolute indices — so pruned output stays bit-identical to
-/// dense at every SIMD tier, not just the partition-invariant scalar/SSE2
-/// ones.
 fn stage_output_ranges(n: usize, run: Run) -> Vec<Option<(u32, u32)>> {
     let (start, len) = run;
     let mut ranges = Vec::with_capacity(n.trailing_zeros() as usize);
     let mut size = 2usize;
     while size <= n {
         let half = size / 2;
-        let a = start % half.max(1);
-        let k0 = a & !1;
-        let klen = (len + (a & 1) + 1) & !1;
-        if klen >= half {
+        if len >= half {
             ranges.push(None);
         } else {
-            ranges.push(Some((k0 as u32, klen as u32)));
+            ranges.push(Some(((start % half) as u32, len as u32)));
         }
         size *= 2;
     }
@@ -902,13 +891,7 @@ mod tests {
             let out = PartialFft2Plan::with_simd_level(rows, cols, level)
                 .with_input_support(support)
                 .forward(&field);
-            if level <= SimdLevel::Sse2 {
-                assert_bits_eq(reference.as_slice(), out.as_slice());
-            } else {
-                for (x, y) in reference.as_slice().iter().zip(out.as_slice()) {
-                    assert!((*x - *y).abs() < 1e-10, "{x:?} vs {y:?} at {level:?}");
-                }
-            }
+            assert_bits_eq(reference.as_slice(), out.as_slice());
         }
     }
 

@@ -22,49 +22,62 @@
 //!
 //! # Dispatch tiers
 //!
-//! * [`SimdLevel::Scalar`] — the portable loops. The only tier on non-x86_64
-//!   targets or when the `simd` feature is disabled.
+//! A plan resolves its tier once, at construction, to the widest one the CPU
+//! offers ([`SimdLevel::detect`]); there is no cargo feature and no switch.
+//!
+//! * [`SimdLevel::Scalar`] — the portable loops: the only tier on non-x86_64
+//!   targets, and on x86_64 the oracle the other two are pinned against
+//!   (`with_simd_level(Scalar)`).
 //! * [`SimdLevel::Sse2`] — one `Complex64` per `__m128d`. SSE2 is part of the
-//!   x86_64 baseline, so this tier needs no runtime check. The complex
-//!   multiply is expressed as the *same* IEEE operations in the same order as
-//!   the scalar `Mul` impl (two multiplies and an add/subtract per component;
-//!   the subtract is an add of the negation, which IEEE 754 defines as exact),
-//!   so this tier is **bit-identical** to scalar and is pinned with `to_bits`
-//!   identity tests.
-//! * [`SimdLevel::Avx2`] — two `Complex64` per `__m256d`, selected at plan
-//!   construction via `is_x86_feature_detected!("avx2")` + `("fma")`. The
-//!   complex multiply uses `vfmaddsub231pd`, which fuses the multiply and the
-//!   add/subtract into one rounding. No accumulation is *reordered* — each
-//!   butterfly still computes `t = b·w; a' = a + t; b' = a − t` — but the
-//!   fused product drops one rounding per component, so results differ from
-//!   scalar by bounded rounding noise and are pinned with ULP-bounded tests
-//!   instead (see [`ULP-bound`](#ulp-bound) below). A lone trailing value
-//!   (odd run length, single-column field) goes through the 128-bit form of
-//!   the same fused instruction, so within this tier a butterfly's result
-//!   does not depend on which sweep or which lane computed it — pruned and
-//!   dense plans, and the 1-D and column passes, agree bit for bit.
+//!   x86_64 baseline, so this tier needs no runtime check.
+//! * [`SimdLevel::Avx2`] — two `Complex64` per `__m256d`, selected when
+//!   `is_x86_feature_detected!("avx2")` holds. A lone trailing value (odd run
+//!   length, single-column field) goes through the SSE2 lane.
 //!
-//! # ULP bound
+//! # One arithmetic
 //!
-//! For the AVX2/FMA tier, each butterfly output component differs from its
-//! scalar counterpart by at most one rounding of the fused product, i.e. a
-//! relative perturbation of at most `2ε` per stage survived. An FFT of length
-//! `n` runs `log2(n)` stages, so the accumulated difference is bounded by
-//! `|simd − scalar| ≤ 4·log2(n)·ε·M` where `M = max|scalar output|` over the
-//! transform and `ε = f64::EPSILON`. Tests assert the doubled budget
-//! `8·log2(n)·ε·M` to stay robust to the (pessimistic) worst-case analysis
-//! while still catching any real kernel bug, which shows up orders of
-//! magnitude above that line.
+//! Every tier computes every butterfly as the *same* IEEE 754 operations in
+//! the same order as the scalar `Mul` / `Add` / `Sub` impls: the product
+//! `b·w` is two multiplies and one add/subtract per component
+//! (`_mm256_mul_pd` ×2 + `_mm256_addsub_pd` on AVX2; SSE2 has no `addsub`
+//! and adds the sign-flipped product, which IEEE defines as the same
+//! operation), then `a' = a + t`, `b' = a − t`. No accumulation is
+//! reordered and nothing is fused, so which tier, which lane and which
+//! partition of a run computed a value cannot be seen in its bits: all tiers
+//! are **bit-identical**, pinned by `to_bits` tests at every level of the
+//! stack (sweeps, 1-D / 2-D / pruned plans, the multi-slice gradient, whole
+//! solves). The dispatch tier is therefore not part of a result's identity —
+//! goldens, traces and checkpoints are the same on every host.
+//!
+//! FMA is deliberately not used. `vfmaddsub231pd` would fuse the second
+//! multiply with the add/subtract and drop one rounding per component, which
+//! makes results ULP-close to scalar instead of equal — every golden then
+//! needs a column per tier and a checkpoint cannot resume bit-identically on
+//! a host of another tier. Measured on one AVX2 box (pinned CPU, best of
+//! 2000, one dense 128² forward transform / `iter_s_p50` of `perf_bench`'s
+//! `gd-compute-1r` in calibrated seconds, alternating runs):
+//!
+//! | tier               | 128² forward | `gd-compute-1r` iteration |
+//! |--------------------|-------------:|--------------------------:|
+//! | scalar             |       190 µs |                   0.300 s |
+//! | SSE2               |       155 µs |                           |
+//! | AVX2, FMA          |        92 µs |                   0.183 s |
+//! | AVX2, mul + addsub |        99 µs |                   0.184 s |
+//!
+//! — 7 % on the bare transform and 0–3 % end to end (a second sizing an hour
+//! later read 0.185 vs 0.194 s, on a box whose own run-to-run spread is
+//! 2 %), against a second arithmetic to specify, test and carry through
+//! every format.
 
 // The intrinsics in the x86 module below are the one sanctioned use of
-// `unsafe` in this crate (the crate root carries `deny(unsafe_code)`, and
-// `forbid(unsafe_code)` whenever the `simd` feature is off). Safety rests on
+// `unsafe` in this crate (the crate root carries `deny(unsafe_code)` on
+// x86_64 and `forbid(unsafe_code)` on every other target). Safety rests on
 // two invariants, both enforced here: every kernel is only dispatched after
-// its CPU feature is statically (SSE2) or dynamically (AVX2+FMA) confirmed,
-// and every pointer stays inside the bounds of the slices passed in
+// its CPU feature is statically (SSE2) or dynamically (AVX2) confirmed, and
+// every pointer stays inside the bounds of the slices passed in
 // (`Complex64` is `#[repr(C)]`, so a `&[Complex64]` is exactly a dense
 // `re, im` f64 sequence).
-#![cfg_attr(feature = "simd", allow(unsafe_code))]
+#![cfg_attr(target_arch = "x86_64", allow(unsafe_code))]
 
 use crate::Complex64;
 
@@ -73,39 +86,36 @@ use crate::Complex64;
 pub enum SimdLevel {
     /// Portable scalar loop (always available; bit-identity reference).
     Scalar,
-    /// SSE2 `f64x2` kernels, one complex value per vector — bit-identical to
-    /// scalar (x86_64 with the `simd` feature only).
+    /// SSE2 `f64x2` kernels, one complex value per vector (every x86_64).
     Sse2,
-    /// AVX2+FMA `f64x4` kernels, two complex values per vector — ULP-bounded
-    /// against scalar (x86_64 with the `simd` feature, runtime-detected).
+    /// AVX2 `f64x4` kernels, two complex values per vector (x86_64,
+    /// runtime-detected).
     Avx2,
 }
 
 impl SimdLevel {
-    /// The best tier available on this machine. `Scalar` unless the `simd`
-    /// feature is enabled and the target is x86_64; `Avx2` only when the CPU
-    /// reports both `avx2` and `fma` at runtime.
+    /// The best tier available on this machine: `Scalar` off x86_64, else
+    /// `Avx2` when the CPU reports `avx2` at runtime, else `Sse2`.
     pub fn detect() -> Self {
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+        #[cfg(target_arch = "x86_64")]
         {
-            if std::arch::is_x86_feature_detected!("avx2")
-                && std::arch::is_x86_feature_detected!("fma")
-            {
+            if std::arch::is_x86_feature_detected!("avx2") {
                 SimdLevel::Avx2
             } else {
                 SimdLevel::Sse2
             }
         }
-        #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
+        #[cfg(not(target_arch = "x86_64"))]
         SimdLevel::Scalar
     }
 
-    /// Whether this tier can run on this machine/build.
+    /// Whether this tier can run on this machine.
     pub fn is_available(self) -> bool {
         self <= Self::detect()
     }
 
-    /// Stable lowercase name, used for bench keys (`fft_simd/{label}_{n}`).
+    /// Stable lowercase name, used for bench keys (`fft_simd/{label}_{n}`)
+    /// and the `simd tier:` line of the bench binaries.
     pub fn label(self) -> &'static str {
         match self {
             SimdLevel::Scalar => "scalar",
@@ -130,11 +140,11 @@ macro_rules! dispatch {
         match $level {
             // SAFETY: the caller established the kernel's length relations;
             // SSE2 is part of the x86_64 baseline.
-            #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+            #[cfg(target_arch = "x86_64")]
             SimdLevel::Sse2 => unsafe { x86::$sse2($($arg),*) },
             // SAFETY: as above; a plan only holds `Avx2` after `is_available`
-            // confirmed `avx2` and `fma` at runtime.
-            #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+            // confirmed `avx2` at runtime.
+            #[cfg(target_arch = "x86_64")]
             SimdLevel::Avx2 => unsafe { x86::$avx2($($arg),*) },
             _ => $scalar($($arg),*),
         }
@@ -235,7 +245,7 @@ pub(crate) fn transpose_into(
     debug_assert_eq!(src.len(), rows * cols);
     debug_assert_eq!(dst.len(), rows * cols);
     match level {
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+        #[cfg(target_arch = "x86_64")]
         SimdLevel::Avx2 => unsafe { x86::avx2_transpose(src, rows, cols, dst) },
         // The SSE2 tier shares the scalar blocked loop: a Complex64 copy is
         // already one 16-byte move, so there is nothing to vectorise below
@@ -362,7 +372,7 @@ fn butterfly2(
     butterfly(x1, x3, wb1);
 }
 
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 mod x86 {
     use super::Complex64;
     use core::arch::x86_64::*;
@@ -391,12 +401,10 @@ mod x86 {
         unsafe fn sub(a: Self::V, b: Self::V) -> Self::V;
     }
 
-    /// One `Complex64` per `__m128d`, the scalar operation sequence.
+    /// One `Complex64` per `__m128d`.
     struct Sse2;
-    /// Two `Complex64` per `__m256d`, fused multiply.
+    /// Two `Complex64` per `__m256d`.
     struct Avx2;
-    /// One `Complex64` per `__m128d`, fused multiply: `Avx2`'s tail.
-    struct Fma128;
 
     impl Lanes for Sse2 {
         const N: usize = 1;
@@ -442,7 +450,7 @@ mod x86 {
     impl Lanes for Avx2 {
         const N: usize = 2;
         type V = __m256d;
-        type Tail = Fma128;
+        type Tail = Sse2;
         #[inline(always)]
         unsafe fn load(p: *const Complex64) -> __m256d {
             _mm256_loadu_pd(p as *const f64)
@@ -455,8 +463,9 @@ mod x86 {
         unsafe fn splat(w: Complex64) -> __m256d {
             _mm256_set_pd(w.im, w.re, w.im, w.re)
         }
-        /// The multiply and the add/subtract fused by `vfmaddsub` (one fewer
-        /// rounding than scalar — the ULP-bounded tier).
+        /// [`Sse2::mul`] on two values: both products rounded, then
+        /// `addsub` — deliberately not `vfmaddsub`, which would drop a
+        /// rounding (see the module docs).
         #[inline(always)]
         unsafe fn mul(b: __m256d, w: __m256d) -> __m256d {
             let bre = _mm256_movedup_pd(b); // [b0.re, b0.re, b1.re, b1.re]
@@ -464,7 +473,7 @@ mod x86 {
             let wsw = _mm256_permute_pd(w, 0b0101); // [w0.im, w0.re, w1.im, w1.re]
 
             // even lanes: b.re·w.re − b.im·w.im, odd lanes: b.re·w.im + b.im·w.re
-            _mm256_fmaddsub_pd(bre, w, _mm256_mul_pd(bim, wsw))
+            _mm256_addsub_pd(_mm256_mul_pd(bre, w), _mm256_mul_pd(bim, wsw))
         }
         #[inline(always)]
         unsafe fn add(a: __m256d, b: __m256d) -> __m256d {
@@ -473,41 +482,6 @@ mod x86 {
         #[inline(always)]
         unsafe fn sub(a: __m256d, b: __m256d) -> __m256d {
             _mm256_sub_pd(a, b)
-        }
-    }
-
-    impl Lanes for Fma128 {
-        const N: usize = 1;
-        type V = __m128d;
-        type Tail = Fma128;
-        #[inline(always)]
-        unsafe fn load(p: *const Complex64) -> __m128d {
-            Sse2::load(p)
-        }
-        #[inline(always)]
-        unsafe fn store(p: *mut Complex64, v: __m128d) {
-            Sse2::store(p, v)
-        }
-        #[inline(always)]
-        unsafe fn splat(w: Complex64) -> __m128d {
-            Sse2::splat(w)
-        }
-        /// One lane pair of [`Avx2::mul`]: the same fused operation, so the
-        /// same bits.
-        #[inline(always)]
-        unsafe fn mul(b: __m128d, w: __m128d) -> __m128d {
-            let bre = _mm_unpacklo_pd(b, b);
-            let bim = _mm_unpackhi_pd(b, b);
-            let wsw = _mm_shuffle_pd(w, w, 0b01);
-            _mm_fmaddsub_pd(bre, w, _mm_mul_pd(bim, wsw))
-        }
-        #[inline(always)]
-        unsafe fn add(a: __m128d, b: __m128d) -> __m128d {
-            _mm_add_pd(a, b)
-        }
-        #[inline(always)]
-        unsafe fn sub(a: __m128d, b: __m128d) -> __m128d {
-            _mm_sub_pd(a, b)
         }
     }
 
@@ -683,8 +657,8 @@ mod x86 {
 
             /// # Safety
             /// See the note above the generic sweeps; the caller must have
-            /// confirmed `avx2` + `fma` at runtime.
-            #[target_feature(enable = "avx2,fma")]
+            /// confirmed `avx2` at runtime.
+            #[target_feature(enable = "avx2")]
             pub(super) unsafe fn $avx2($($arg: $ty),*) {
                 $sweep::<Avx2>($($arg),*)
             }
@@ -795,22 +769,57 @@ mod tests {
         }
     }
 
+    /// Tier-1 must never silently run the scalar loops on the platform the
+    /// vector tiers exist for.
+    #[cfg(target_arch = "x86_64")]
     #[test]
-    fn avx2_butterflies_within_ulp_budget() {
-        if !SimdLevel::Avx2.is_available() {
-            return;
-        }
-        for &(size, blocks) in &[(2usize, 8usize), (4, 4), (8, 4), (16, 2), (64, 1), (6, 2)] {
-            let stage = test_data(size / 2);
-            let mut scalar = test_data(size * blocks);
-            let mut simd = scalar.clone();
-            butterfly_pass(SimdLevel::Scalar, &mut scalar, &stage);
-            butterfly_pass(SimdLevel::Avx2, &mut simd, &stage);
-            let max_mag = scalar.iter().map(|v| v.abs()).fold(0.0f64, f64::max);
-            // A single stage: one fused rounding of budget.
-            let tol = 8.0 * f64::EPSILON * max_mag.max(1.0);
-            for (a, b) in scalar.iter().zip(&simd) {
-                assert!((*a - *b).abs() <= tol, "{a:?} vs {b:?} (tol {tol:e})");
+    fn x86_64_detects_at_least_sse2() {
+        assert!(SimdLevel::detect() >= SimdLevel::Sse2);
+    }
+
+    #[test]
+    fn every_tier_sweeps_bit_identical_to_scalar() {
+        // All five sweeps at every tier against the scalar loops. Half-sizes
+        // 1 and 3 and the odd column counts leave AVX2 a one-value tail on
+        // every run; `cols == 1` is all tail.
+        type Sweep = fn(SimdLevel, &mut [Complex64], &[Complex64], &[Complex64], usize);
+        let sweeps: [(&str, Sweep); 5] = [
+            ("pass", |level, data, wa, _, _| {
+                butterfly_pass(level, data, wa)
+            }),
+            ("pass2", |level, data, wa, wb, _| {
+                butterfly_pass2(level, data, wa, wb)
+            }),
+            ("range", |level, data, wa, _, _| {
+                let (lo, hi) = data.split_at_mut(wa.len());
+                butterfly_range(level, lo, &mut hi[..wa.len()], wa)
+            }),
+            ("column", |level, data, wa, _, cols| {
+                column_pass(level, data, cols, wa)
+            }),
+            ("column2", |level, data, wa, wb, cols| {
+                column_pass2(level, data, cols, wa, wb)
+            }),
+        ];
+        for level in SimdLevel::available_levels() {
+            for h in [1usize, 2, 3, 4, 8, 32] {
+                for cols in [1usize, 2, 3, 5, 8] {
+                    let wa = test_data(h);
+                    let wb: Vec<Complex64> = test_data(3 * h).split_off(h);
+                    for (name, sweep) in &sweeps {
+                        let mut scalar = test_data(2 * 4 * h * cols);
+                        let mut tier = scalar.clone();
+                        sweep(SimdLevel::Scalar, &mut scalar, &wa, &wb, cols);
+                        sweep(level, &mut tier, &wa, &wb, cols);
+                        for (i, (a, b)) in scalar.iter().zip(&tier).enumerate() {
+                            assert_eq!(
+                                (a.re.to_bits(), a.im.to_bits()),
+                                (b.re.to_bits(), b.im.to_bits()),
+                                "{name} at {level:?}, h={h}, cols={cols}, index {i}"
+                            );
+                        }
+                    }
+                }
             }
         }
     }

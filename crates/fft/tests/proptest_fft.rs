@@ -13,6 +13,14 @@ fn complex_vec(len: usize) -> impl Strategy<Value = Vec<Complex64>> {
     })
 }
 
+/// The exact bit patterns of a complex run, for bitwise comparison.
+fn bits(values: &[Complex64]) -> Vec<(u64, u64)> {
+    values
+        .iter()
+        .map(|v| (v.re.to_bits(), v.im.to_bits()))
+        .collect()
+}
+
 fn pow2_len() -> impl Strategy<Value = usize> {
     (0u32..8).prop_map(|e| 1usize << e)
 }
@@ -170,35 +178,71 @@ proptest! {
     }
 
     #[test]
-    fn simd_roundtrip_matches_scalar_roundtrip_within_ulp_bound(exp in 1u32..11) {
+    fn every_tier_roundtrip_equals_scalar_bitwise(exp in 0u32..11, values in complex_vec(64)) {
         let len = 1usize << exp;
-        let data: Vec<Complex64> = (0..len)
-            .map(|i| Complex64::new((i as f64 * 0.61).sin(), (i as f64 * 0.23).cos()))
-            .collect();
+        let data: Vec<Complex64> = values.into_iter().cycle().take(len).collect();
         let scalar_plan = FftPlan::with_simd_level(len, SimdLevel::Scalar);
-        let mut reference = data.clone();
-        scalar_plan.forward(&mut reference);
-        scalar_plan.inverse(&mut reference);
-        let max_mag = reference.iter().map(|v| v.abs()).fold(0.0f64, f64::max);
-        // The documented per-transform bound from the `simd` module docs is
-        // 4·log2(n)·ε·M; a roundtrip chains two transforms, so double it,
-        // then double again for test headroom (the same budget the unit
-        // tests use).
-        let tol = 16.0 * (len as f64).log2().max(1.0) * f64::EPSILON * max_mag.max(1.0);
+        let mut spectrum = data.clone();
+        scalar_plan.forward(&mut spectrum);
+        let mut back = spectrum.clone();
+        scalar_plan.inverse(&mut back);
         for level in SimdLevel::available_levels() {
             let plan = FftPlan::with_simd_level(len, level);
             let mut work = data.clone();
             plan.forward(&mut work);
+            prop_assert_eq!(bits(&work), bits(&spectrum), "forward at {:?}", level);
             plan.inverse(&mut work);
-            for (a, b) in work.iter().zip(&reference) {
-                if level <= SimdLevel::Sse2 {
-                    // Scalar and SSE2 are bit-identical by contract.
-                    prop_assert_eq!(a.re.to_bits(), b.re.to_bits());
-                    prop_assert_eq!(a.im.to_bits(), b.im.to_bits());
-                } else {
-                    prop_assert!((*a - *b).abs() <= tol, "{a:?} vs {b:?} at {level:?} (tol {tol:e})");
+            prop_assert_eq!(bits(&work), bits(&back), "inverse at {:?}", level);
+        }
+    }
+
+    #[test]
+    fn every_tier_pruned_fft2_equals_scalar_dense_bitwise(
+        rexp in 0u32..6, cexp in 0u32..6,
+        support_seeds in (0usize..1024, 0usize..1024, 0usize..1024, 0usize..1024),
+        roi_seeds in (0usize..1024, 0usize..1024, 0usize..1024, 0usize..1024),
+    ) {
+        let rows = 1usize << rexp;
+        let cols = 1usize << cexp;
+        // Arbitrary non-empty windows (odd starts, odd lengths, one-column
+        // fields), derived by modular clamping so every seed is valid.
+        let window = |(r0, rl, c0, cl): (usize, usize, usize, usize)| {
+            let (r0, c0) = (r0 % rows, c0 % cols);
+            Rect::new(r0 as i64, c0 as i64, (1 + rl % (rows - r0)) as i64, (1 + cl % (cols - c0)) as i64)
+        };
+        let (support, roi) = (window(support_seeds), window(roi_seeds));
+        let field = Array2::from_fn(rows, cols, |r, c| {
+            if support.contains(r as i64, c as i64) {
+                Complex64::new(((r * 3 + c) as f64 * 0.17).cos(), ((r + c * 5) as f64 * 0.41).sin())
+            } else {
+                Complex64::ZERO
+            }
+        });
+        // The oracle: the scalar dense transform, masked to the ROI, and its
+        // dense inverse.
+        let dense = Fft2Plan::with_simd_level(rows, cols, SimdLevel::Scalar);
+        let mut spectrum = dense.forward(&field);
+        for r in 0..rows {
+            for c in 0..cols {
+                if !roi.contains(r as i64, c as i64) {
+                    spectrum[(r, c)] = Complex64::ZERO;
                 }
             }
+        }
+        let back = dense.inverse(&spectrum);
+        for level in SimdLevel::available_levels() {
+            let pruned = PartialFft2Plan::with_simd_level(rows, cols, level)
+                .with_input_support(support)
+                .with_output_roi(roi);
+            let pruned_spectrum = pruned.forward(&field);
+            prop_assert_eq!(
+                bits(pruned_spectrum.as_slice()), bits(spectrum.as_slice()),
+                "forward at {:?}, support {:?}, roi {:?}", level, support, roi
+            );
+            prop_assert_eq!(
+                bits(pruned.inverse(&pruned_spectrum).as_slice()), bits(back.as_slice()),
+                "inverse at {:?}, support {:?}, roi {:?}", level, support, roi
+            );
         }
     }
 

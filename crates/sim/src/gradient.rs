@@ -477,6 +477,51 @@ mod tests {
     }
 
     #[test]
+    fn gradient_is_bit_identical_at_every_simd_tier() {
+        use ptycho_array::Rect;
+        use ptycho_fft::SimdLevel;
+        // The whole chain — dense transforms, support- and ROI-pruned ones,
+        // their adjoints — against the scalar tier: the dispatch tier must
+        // not reach a single bit of the loss or the gradient.
+        let models: [fn(usize) -> MultisliceModel; 2] = [small_model, |slices| {
+            small_model(slices)
+                .with_probe_support_threshold(1e-3)
+                .with_detector_roi(Rect::new(3, 5, 9, 7))
+        }];
+        for (m, model) in models.into_iter().enumerate() {
+            for slices in [1usize, 3] {
+                let scalar = model(slices).with_simd_level(SimdLevel::Scalar);
+                let truth = phase_object(slices, 16, 0.3);
+                let measured = scalar.simulate_amplitude(&truth);
+                let guess = phase_object(slices, 16, 0.1);
+                let mut ws = SimWorkspace::for_model(&scalar);
+                let mut reference = Array3::full(slices, 16, 16, Complex64::ZERO);
+                let reference_loss =
+                    probe_gradient_into(&scalar, &guess, &measured, &mut ws, &mut reference);
+                for level in SimdLevel::available_levels() {
+                    let pinned = model(slices).with_simd_level(level);
+                    assert_eq!(pinned.plan().fft().simd_level(), level);
+                    let mut gradient = Array3::full(slices, 16, 16, Complex64::ONE);
+                    let loss =
+                        probe_gradient_into(&pinned, &guess, &measured, &mut ws, &mut gradient);
+                    assert_eq!(
+                        loss.to_bits(),
+                        reference_loss.to_bits(),
+                        "loss of model {m}, {slices} slices at {level:?}"
+                    );
+                    for (a, b) in reference.iter().zip(gradient.iter()) {
+                        assert_eq!(
+                            (a.re.to_bits(), a.im.to_bits()),
+                            (b.re.to_bits(), b.im.to_bits()),
+                            "gradient of model {m}, {slices} slices at {level:?}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
     fn roi_model_gradient_matches_finite_differences() {
         use ptycho_array::Rect;
         // With a detector ROI the loss only responds to the spectrum inside

@@ -301,6 +301,16 @@ impl MultisliceModel {
         self
     }
 
+    /// Pins every transform of the model (dense and pruned) to `level`
+    /// instead of the detected tier, for the cross-tier identity tests.
+    #[cfg(test)]
+    pub(crate) fn with_simd_level(mut self, level: ptycho_fft::SimdLevel) -> Self {
+        let n = self.window_px();
+        self.plan.fft = Fft2Plan::with_simd_level(n, n, level);
+        self.rebuild_partial_plans();
+        self
+    }
+
     /// Derives the pruned plans from the declared support and ROI.
     fn rebuild_partial_plans(&mut self) {
         let n = self.window_px();

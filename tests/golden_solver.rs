@@ -13,8 +13,9 @@
 //! its lockstep row.
 //!
 //! The hashes depend on the platform's `libm` (probe synthesis, twiddles)
-//! and, under `--features simd` on an AVX2+FMA machine, on the fused
-//! butterflies: each row carries one column per arithmetic tier.
+//! and on nothing else: every FFT dispatch tier computes the same bits, so
+//! the constants, recorded on the scalar tier, hold at whichever tier the
+//! host resolves to.
 
 mod common;
 
@@ -71,14 +72,8 @@ fn config(pass_frequency: PassFrequency, local_updates: bool) -> SolverConfig {
 
 type Fingerprint = (u64, u64);
 
-/// `(frequency, local updates, grid, scalar/SSE2 fingerprint, AVX2 fingerprint)`.
-type Row = (
-    PassFrequency,
-    bool,
-    (usize, usize),
-    Fingerprint,
-    Fingerprint,
-);
+/// `(frequency, local updates, grid, fingerprint)`.
+type Row = (PassFrequency, bool, (usize, usize), Fingerprint);
 
 const GOLDEN: [Row; 24] = [
     (
@@ -86,191 +81,159 @@ const GOLDEN: [Row; 24] = [
         true,
         (3, 3),
         (0x2e1b_21ec_33f8_0748, 0x992f_112f_32e5_d060),
-        (0x40ce_d383_dda6_5030, 0x709a_76c3_a352_467d),
     ),
     (
         EveryProbe,
         false,
         (3, 3),
         (0xb30a_7992_54ae_b5ad, 0xc874_d430_f592_4629),
-        (0x37d5_c1fc_cbcf_3a92, 0xa4cb_9ea5_d8e2_8822),
     ),
     (
         PerIteration(2),
         true,
         (3, 3),
         (0xbd26_c162_80a6_9a86, 0xbf07_46f6_b2d5_151a),
-        (0x4815_a7d3_f5fb_5125, 0x5093_366a_d42e_e96c),
     ),
     (
         PerIteration(2),
         false,
         (3, 3),
         (0xbf2d_7bb1_0899_49a1, 0x3127_c1de_c5f9_f5fd),
-        (0xf5ca_2834_b1d1_1794, 0x8faf_7f6f_f6a5_958f),
     ),
     (
         PerIteration(1),
         true,
         (3, 3),
         (0x20d5_a477_4fd2_bd29, 0xa9b4_2334_3255_5870),
-        (0x6200_902b_a9b8_4183, 0xfcce_ee0d_67de_639a),
     ),
     (
         PerIteration(1),
         false,
         (3, 3),
         (0x05e7_0da2_658b_67f4, 0x7083_e503_8d59_cafb),
-        (0x1626_30a4_f1a7_c173, 0x0b4a_604f_c36b_40f3),
     ),
     (
         EveryProbe,
         true,
         (1, 4),
         (0x8e9e_e68f_1c1b_fcf0, 0x8a00_5276_0600_a81a),
-        (0x5310_47b9_2b7b_8029, 0x27b3_910d_3147_023c),
     ),
     (
         EveryProbe,
         false,
         (1, 4),
         (0xa99f_e923_ce40_b678, 0xd4b0_ec70_0999_65a3),
-        (0x9ede_b34a_aa6b_a42e, 0x27b3_910d_3147_023c),
     ),
     (
         PerIteration(2),
         true,
         (1, 4),
         (0x7483_a5c4_8eaf_c70e, 0xca88_47ed_bf33_b1cb),
-        (0xcd21_83c3_ff07_bbe2, 0xe356_1b7f_c508_1063),
     ),
     (
         PerIteration(2),
         false,
         (1, 4),
         (0xbd6d_3778_637a_b876, 0x70fe_f8f0_b4ea_cf92),
-        (0xca09_3761_a454_e28d, 0x66be_36a0_0037_f9d6),
     ),
     (
         PerIteration(1),
         true,
         (1, 4),
         (0x40bd_3e6e_ae04_ab32, 0xb456_97f4_cf5f_64ef),
-        (0x6991_75f8_e52e_9cb7, 0xa8cf_9e27_cc3a_5223),
     ),
     (
         PerIteration(1),
         false,
         (1, 4),
         (0x57f8_eb38_c7bb_6bf3, 0xbc85_f2a5_d7b9_3d21),
-        (0x0b99_2ef6_c92d_112b, 0x9ead_8a99_57ba_6ffe),
     ),
     (
         EveryProbe,
         true,
         (4, 1),
         (0xfbec_7b4c_f826_b8db, 0x8c9b_d8aa_2a2f_ee99),
-        (0xbfbb_73a6_097e_0242, 0xd883_0187_bb62_21a4),
     ),
     (
         EveryProbe,
         false,
         (4, 1),
         (0x34e8_8a61_c858_41ef, 0x3823_954d_a0e4_e840),
-        (0x569a_3473_60e0_38ba, 0xd2a9_9972_c1ac_17a0),
     ),
     (
         PerIteration(2),
         true,
         (4, 1),
         (0x6abb_887e_f1ce_799b, 0xae67_9d14_1144_7044),
-        (0xecb1_26e1_67dd_394e, 0xba02_da29_a642_aca0),
     ),
     (
         PerIteration(2),
         false,
         (4, 1),
         (0xe92c_18c3_7187_68a7, 0x15b5_c6aa_36ab_b8f7),
-        (0x596d_2119_fcf6_52e5, 0x37f8_5b5f_2574_6053),
     ),
     (
         PerIteration(1),
         true,
         (4, 1),
         (0xf212_7373_9a5e_0bf7, 0x1456_ae24_1de6_dca3),
-        (0x498e_292b_cd68_1fd6, 0x1c2c_45ec_1d5b_2ec4),
     ),
     (
         PerIteration(1),
         false,
         (4, 1),
         (0x70ca_1d85_d308_4a46, 0x3727_dee0_2c73_1cd1),
-        (0x52b1_63e9_8583_e579, 0x9ead_8a99_57ba_6ffe),
     ),
     (
         EveryProbe,
         true,
         (2, 2),
         (0x3d6a_fd2c_835d_d082, 0xf5aa_bfd9_0b7f_476e),
-        (0x36eb_b1f0_d773_d741, 0x8b4f_e4ed_1308_a95b),
     ),
     (
         EveryProbe,
         false,
         (2, 2),
         (0x3d6a_fd2c_835d_d082, 0xf5aa_bfd9_0b7f_476e),
-        (0x36eb_b1f0_d773_d741, 0x8b4f_e4ed_1308_a95b),
     ),
     (
         PerIteration(2),
         true,
         (2, 2),
         (0xfaae_1130_036e_31f5, 0x19df_b0fe_4bed_dc81),
-        (0x7532_bcbb_d2e1_a9ef, 0x2d7d_9937_82a5_9140),
     ),
     (
         PerIteration(2),
         false,
         (2, 2),
         (0xb727_d056_be0d_ae40, 0x6164_5098_344b_991c),
-        (0xf8d6_944b_1516_0329, 0x94b9_5af3_5777_7d33),
     ),
     (
         PerIteration(1),
         true,
         (2, 2),
         (0x3529_a2bb_5298_df7a, 0x029e_a58f_1a79_10a1),
-        (0x190c_c14d_a985_38b2, 0x03df_5f3b_6f32_30a4),
     ),
     (
         PerIteration(1),
         false,
         (2, 2),
         (0x4afc_1611_ef40_ace7, 0xbc85_f2a5_d7b9_3d21),
-        (0xcce8_f625_e553_c600, 0x5979_419b_0ba6_a789),
     ),
 ];
-
-fn expected(row: &Row) -> Fingerprint {
-    if SimdLevel::detect() <= SimdLevel::Sse2 {
-        row.3
-    } else {
-        row.4
-    }
-}
 
 #[test]
 fn lockstep_solves_match_recorded_goldens() {
     let dataset = dataset();
     let backend = lockstep();
     for row in &GOLDEN {
-        let &(frequency, local_updates, grid, ..) = row;
+        let &(frequency, local_updates, grid, expected) = row;
         let solver =
             GradientDecompositionSolver::new(&dataset, config(frequency, local_updates), grid);
         let got = fingerprint(&solver.run(&backend));
         assert_eq!(
             got,
-            expected(row),
+            expected,
             "{frequency:?}, local_updates {local_updates}, grid {grid:?} at {:?}: \
              got ({:#018x}, {:#018x})",
             SimdLevel::detect(),
@@ -288,5 +251,5 @@ fn threaded_solve_lands_on_its_lockstep_golden() {
         .find(|row| (row.0, row.1, row.2) == (EveryProbe, true, (3, 3)))
         .expect("the table covers EveryProbe on 3x3");
     let solver = GradientDecompositionSolver::new(&dataset, config(row.0, row.1), row.2);
-    assert_eq!(fingerprint(&solver.run(&threaded(5_000))), expected(row));
+    assert_eq!(fingerprint(&solver.run(&threaded(5_000))), row.3);
 }
