@@ -5,15 +5,13 @@
 //!   transform pinned by `fft_2d/serial/*`, once per SIMD tier available on
 //!   the machine (all three are bit-identical; only the time differs, and
 //!   `fft_2d/serial/*` itself runs at the widest one). Absent tiers (`avx2`
-//!   on an SSE2-only host, both vector tiers off x86_64) simply emit no key;
-//!   the gate treats missing labels as removed benches and new labels as
-//!   allowed, so the matrix degrades gracefully across runners.
+//!   on an SSE2-only host, both vector tiers off x86_64) simply emit no key.
 //! * `fft_partial/{dense,pruned_vs_dense}_{64,128,256}` — a dense
 //!   `Fft2Plan` against a `PartialFft2Plan` with a centred `n/4`-square
 //!   input support and a centred `n/2`-square output ROI, on a
 //!   support-padded input (the workload the multislice entry/far-field
 //!   pruning seams produce). The pair of keys makes the asymptotic win
-//!   directly readable from BENCH_baseline.json.
+//!   directly readable from the bench output.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use ptycho_array::{Array2, Rect};

@@ -1,7 +1,6 @@
 //! In-place-API benchmark: the in-place 2D transforms (zero allocations)
 //! against the by-value wrappers (one clone per call) — the ISSUE 4 win,
-//! pinned per size so a regression back to allocating transforms trips the
-//! bench gate.
+//! measured per size so a regression back to allocating transforms shows.
 //!
 //! Both variants time a forward/inverse *round trip* so the in-place buffer
 //! stays numerically bounded across iterations and the comparison is

@@ -10,10 +10,10 @@
 //! * `spare_pool` (membership mode) additionally records heartbeats,
 //!   barrier waits and checkpoints, and exercises the per-barrier
 //!   `flush_consistent` watermark walk (a no-op write without a durable
-//!   sink, which is the steady-state configuration the gate pins).
+//!   sink, which is the steady-state configuration).
 //!
 //! `record_one_event` prices the primitive itself — one mutex lock plus one
-//! ring write — and sits below the gate's noise floor by design.
+//! ring write.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use ptycho_cluster::{ClusterTopology, LockstepBackend};
@@ -95,9 +95,8 @@ fn bench_telemetry_overhead(c: &mut Criterion) {
 
 /// Builds a deterministic ~48k-record multi-rank trace: 8 ranks, 1000
 /// iterations, each iteration bracketing one ring send/receive pair. Big
-/// enough that the analysis means sit far above the gate's 50 µs noise
-/// floor, synthesized (not recorded) so the bench prices the analysis pass
-/// alone.
+/// enough that the analysis means sit far above timer noise, synthesized
+/// (not recorded) so the bench prices the analysis pass alone.
 fn synthetic_trace() -> Vec<TelemetryRecord> {
     const RANKS: u64 = 8;
     const ITERATIONS: u64 = 1_000;

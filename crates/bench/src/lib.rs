@@ -31,5 +31,4 @@
 #![forbid(unsafe_code)]
 
 pub mod experiments;
-pub mod gate;
 pub mod report;

@@ -15,6 +15,7 @@
 //! decisions verbatim instead of consulting the policy — the foundation of
 //! reproduce-from-trace debugging.
 
+use super::context::{Envelope, Instruments};
 use super::{CommBackend, CommError, Payload, RankComm, RankFailure, RankOutcome};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -300,11 +301,10 @@ pub struct FaultCursor {
     pub streams: Vec<(usize, u64, u64)>,
 }
 
-/// The per-rank fault filter a backend routes its sends through.
+/// The per-rank fault filter every send is routed through.
 ///
-/// Created by [`FaultInjectionBackend`] and installed into each rank's comm
-/// via [`RankComm::install_fault_harness`]; backends without a harness skip
-/// the filter entirely.
+/// Created by [`FaultInjectionBackend`] and installed into each rank's
+/// [`Instruments`]; a rank without a harness skips the filter entirely.
 pub struct FaultHarness {
     rank: usize,
     /// The physical node occupying this rank's slot — equal to `rank` until
@@ -320,10 +320,11 @@ pub struct FaultHarness {
 }
 
 impl FaultHarness {
-    /// Re-keys the harness to the physical node occupying this rank's slot
-    /// (see [`RankComm::set_fault_node`]). Message faults stay keyed by the
-    /// rank slot (the wire identity); only the rank-death fault follows the
-    /// node.
+    /// Re-keys the harness to the physical node occupying this rank's slot,
+    /// so node-keyed faults (rank death) follow the node, not the slot: after
+    /// a spare adopts a dead node's tile, the same slot is run by a different
+    /// node and must not inherit its predecessor's death. Message faults
+    /// stay keyed by the rank slot (the wire identity).
     pub fn set_node(&mut self, node: usize) {
         self.node = node;
     }
@@ -387,51 +388,44 @@ impl FaultHarness {
     }
 }
 
-/// The one fault-dispatch protocol shared by every backend's `isend`: consult
-/// the harness (if any), then deliver / drop / duplicate via `deliver`, or
-/// park the payload in `delayed` (released by the backend when the sender
-/// next blocks or finishes), or kill the sending rank outright (`dead` is
-/// set, this payload and every delayed one is lost, and all later sends are
-/// suppressed). Keeping this in one place guarantees the backends cannot
-/// drift apart in fault semantics.
-// Each argument is one piece of the sending rank's comm state, borrowed
-// separately so the caller can keep using the rest of `self` inside
-// `deliver`; bundling them into a struct would just move the argument list.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn route_send<M: super::Payload>(
-    harness: &mut Option<FaultHarness>,
-    delayed: &mut Vec<(usize, u64, u64, M)>,
+/// The one fault-dispatch protocol behind `isend`: consult the harness (if
+/// any), then deliver / drop / duplicate via `deliver`, or park the envelope
+/// in `delayed` (released when the sender next blocks or finishes), or kill
+/// the sending rank outright (`dead` is set, this envelope and every delayed
+/// one is lost, and all later sends are suppressed).
+pub(super) fn route_send<M: Payload>(
+    instruments: &mut Instruments,
+    delayed: &mut Vec<(usize, Envelope<M>)>,
     dead: &mut bool,
-    telemetry: &Option<ptycho_telemetry::RankSink>,
     to: usize,
-    tag: u64,
-    corr: u64,
-    payload: M,
-    mut deliver: impl FnMut(usize, u64, u64, M),
+    envelope: Envelope<M>,
+    mut deliver: impl FnMut(usize, Envelope<M>),
 ) {
     if *dead {
         return;
     }
+    let Instruments { harness, telemetry } = instruments;
+    let bytes = envelope.payload.payload_bytes();
     let action = match harness {
-        Some(harness) => harness.decide(to, tag, payload.payload_bytes()),
+        Some(harness) => harness.decide(to, envelope.tag, bytes),
         None => FaultAction::Deliver,
     };
     match action {
-        FaultAction::Deliver => deliver(to, tag, corr, payload),
+        FaultAction::Deliver => deliver(to, envelope),
         FaultAction::Drop => {
             if let Some(sink) = telemetry {
                 sink.record(ptycho_telemetry::TelemetryEvent::CommDrop {
                     to: to as u64,
-                    tag,
-                    bytes: payload.payload_bytes() as u64,
+                    tag: envelope.tag,
+                    bytes: bytes as u64,
                 });
             }
         }
         FaultAction::Duplicate => {
-            deliver(to, tag, corr, payload.clone());
-            deliver(to, tag, corr, payload);
+            deliver(to, envelope.clone());
+            deliver(to, envelope);
         }
-        FaultAction::Delay => delayed.push((to, tag, corr, payload)),
+        FaultAction::Delay => delayed.push((to, envelope)),
         FaultAction::Kill => {
             *dead = true;
             // A dying node takes its held-back messages with it.
@@ -544,7 +538,7 @@ impl<B: CommBackend + Sync> CommBackend for FaultInjectionBackend<B> {
             self.trace.lock().expect("fault trace poisoned").clear();
         }
         self.inner.run(num_ranks, |ctx: &mut B::Comm<M>| {
-            ctx.install_fault_harness(self.harness_for(ctx.rank()));
+            ctx.instruments().harness = Some(self.harness_for(ctx.rank()));
             body(ctx)
         })
     }
@@ -631,7 +625,8 @@ mod tests {
         let outcomes = backend
             .run::<Vec<f64>, f64, _>(2, |ctx| {
                 if ctx.rank() == 0 {
-                    ctx.set_fault_node(7); // a spare adopted this slot
+                    // A spare adopted this slot.
+                    ctx.instruments().harness.as_mut().unwrap().set_node(7);
                     ctx.isend(1, 0x1, vec![4.5]);
                     Ok(0.0)
                 } else {

@@ -23,14 +23,10 @@
 //! closures), but the baton guarantees the single-runnable invariant, so the
 //! execution is sequential and deterministic regardless of core count.
 
-use super::fault::{self, FaultHarness};
-use super::{
-    collect_outcomes, CommBackend, CommError, Envelope, Payload, RankComm, RankFailure, RankOutcome,
-};
-use crate::clock::RankClock;
-use crate::memory::MemoryTracker;
+use super::context::{launch, take_match, Envelope, RankCtx, Transport};
+use super::{CommBackend, CommError, Payload, RankFailure, RankOutcome};
 use crate::topology::ClusterTopology;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 #[derive(Clone, Debug, PartialEq, Eq)]
 enum RankStatus {
@@ -136,234 +132,83 @@ impl<M> Shared<M> {
     }
 }
 
-/// Releases the baton if a rank body unwinds: without this, a panicking
-/// rank would keep the scheduler's single runnable slot forever and turn
-/// the panic into a process-wide hang.
-struct BatonGuard<M> {
-    shared: Arc<Shared<M>>,
-    rank: usize,
-    armed: bool,
-}
-
-impl<M> Drop for BatonGuard<M> {
-    fn drop(&mut self) {
-        if !self.armed {
-            return;
-        }
-        // Never panic inside this Drop (it may run during an unwind): accept
-        // a poisoned mutex rather than double-panicking.
-        let mut state = match self.shared.state.lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        state.status[self.rank] = RankStatus::Finished;
-        self.shared.yield_baton(&mut state, self.rank);
-    }
-}
-
-/// The per-rank handle of the lockstep backend.
-pub struct LockstepComm<M> {
-    rank: usize,
-    size: usize,
-    topology: ClusterTopology,
-    shared: Arc<Shared<M>>,
-    harness: Option<FaultHarness>,
-    /// Messages held back by a `Delay` fault, as `(to, tag, corr, payload)`.
-    delayed: Vec<(usize, u64, u64, M)>,
-    /// Counter feeding the low half of each outgoing correlation id.
-    send_corr: u64,
-    /// Set by a `Kill` fault: the node is permanently dead — sends are
-    /// suppressed and blocking operations report [`CommError::RankDead`].
-    dead: bool,
-    /// The rank's time accounting.
-    pub clock: RankClock,
-    /// The rank's memory accounting.
-    pub memory: MemoryTracker,
-    /// Per-rank telemetry sink, if a recorder has been attached.
-    telemetry: Option<ptycho_telemetry::RankSink>,
-}
-
-impl<M: Payload> LockstepComm<M> {
-    /// The topology the ranks are mapped onto.
-    pub fn topology(&self) -> &ClusterTopology {
-        &self.topology
-    }
-
-    /// Records a receive at the API-return point (program order on the
-    /// receiver), which is what keeps the event stream deterministic.
-    fn note_recv(&self, from: usize, tag: u64, bytes: usize, corr: u64) {
-        if let Some(sink) = &self.telemetry {
-            sink.record_at_comm_ns(
-                self.clock.comm_ns(),
-                ptycho_telemetry::TelemetryEvent::CommRecv {
-                    from: from as u64,
-                    tag,
-                    bytes: bytes as u64,
-                    corr,
-                },
-            );
-        }
-    }
-
-    /// Takes the first matching mailbox entry as `(payload, corr)`.
-    fn take_matching(
-        state: &mut SchedState<M>,
-        rank: usize,
-        from: usize,
-        tag: u64,
-    ) -> Option<(M, u64)> {
-        let pos = state.mailboxes[rank]
-            .iter()
-            .position(|e| e.from == from && e.tag == tag)?;
+impl<M> SchedState<M> {
+    /// Takes the first matching entry of `rank`'s mailbox.
+    fn take_matching(&mut self, rank: usize, from: usize, tag: u64) -> Option<Envelope<M>> {
+        let envelope = take_match(&mut self.mailboxes[rank], from, tag)?;
         // A successful receive is progress: any earlier deadlock proof is
         // stale (a recovery layer retransmitted its way out of it).
-        state.deadlock = None;
-        let envelope = state.mailboxes[rank].remove(pos);
-        Some((envelope.payload, envelope.corr))
+        self.deadlock = None;
+        Some(envelope)
     }
 
-    /// Enqueues a message, waking the destination if it was blocked on a
-    /// matching receive. Charges analytic wire time to the sender. A free
-    /// associated function over disjoint fields so the fault-routing closure
-    /// and the delayed-flush path share one implementation.
-    #[allow(clippy::too_many_arguments)]
-    fn deliver_parts(
-        state: &mut SchedState<M>,
-        clock: &mut RankClock,
-        topology: &ClusterTopology,
-        from: usize,
-        to: usize,
-        tag: u64,
-        corr: u64,
-        payload: M,
-    ) {
-        let bytes = payload.payload_bytes();
-        clock.charge_communication(topology.transfer_time(from, to, bytes));
-        state.mailboxes[to].push(Envelope {
-            from,
-            tag,
-            corr,
-            payload,
-        });
-        if state.status[to] == (RankStatus::BlockedRecv { from, tag }) {
-            state.status[to] = RankStatus::Runnable;
+    /// Releases every rank if all of them are now waiting at the barrier.
+    /// Finished ranks can never arrive, so with one present the barrier
+    /// stays shut — and once every live rank is waiting at it, the next
+    /// yield proves the deadlock.
+    fn try_release_barrier(&mut self) -> bool {
+        if !self.status.iter().all(|s| *s == RankStatus::BlockedBarrier) {
+            return false;
         }
-    }
-
-    fn flush_delayed(&mut self, state: &mut SchedState<M>) {
-        if self.dead {
-            // A dead node's held-back messages die with it.
-            self.delayed.clear();
-            return;
-        }
-        let from = self.rank;
-        let topology = self.topology;
-        let LockstepComm { delayed, clock, .. } = self;
-        for (to, tag, corr, payload) in std::mem::take(delayed) {
-            Self::deliver_parts(state, clock, &topology, from, to, tag, corr, payload);
-        }
-    }
-
-    /// Marks this rank finished and schedules a successor (called by the
-    /// backend after the body returns).
-    fn finish(&mut self) {
-        let shared = Arc::clone(&self.shared);
-        let mut state = shared.state.lock().expect("lockstep state poisoned");
-        self.flush_delayed(&mut state);
-        state.status[self.rank] = RankStatus::Finished;
-        shared.yield_baton(&mut state, self.rank);
+        self.status.fill(RankStatus::Runnable);
+        self.barrier_epoch += 1;
+        // Completing a barrier is progress; drop any stale proof.
+        self.deadlock = None;
+        true
     }
 }
 
-impl<M: Payload> RankComm<M> for LockstepComm<M> {
-    fn rank(&self) -> usize {
-        self.rank
+/// One rank's seat at the scheduler.
+pub struct LockstepTransport<M> {
+    rank: usize,
+    shared: Arc<Shared<M>>,
+}
+
+impl<M> LockstepTransport<M> {
+    fn lock(&self) -> MutexGuard<'_, SchedState<M>> {
+        self.shared.state.lock().expect("lockstep state poisoned")
     }
 
-    fn size(&self) -> usize {
-        self.size
-    }
-
-    fn isend(&mut self, to: usize, tag: u64, payload: M) {
-        assert!(
-            to < self.size,
-            "rank {to} out of range ({} ranks)",
-            self.size
-        );
-        let from = self.rank;
-        let topology = self.topology;
-        let bytes = payload.payload_bytes();
-        // One correlation id per logical send, stamped before fault routing
-        // so duplicates and delayed deliveries all carry it.
-        let corr = ((from as u64) << 32) | self.send_corr;
-        self.send_corr += 1;
-        let shared = Arc::clone(&self.shared);
-        let mut state = shared.state.lock().expect("lockstep state poisoned");
-        let LockstepComm {
-            harness,
-            delayed,
-            dead,
-            clock,
-            telemetry,
-            ..
-        } = self;
-        fault::route_send(
-            harness,
-            delayed,
-            dead,
-            telemetry,
-            to,
-            tag,
-            corr,
-            payload,
-            |to, tag, corr, payload| {
-                Self::deliver_parts(&mut state, clock, &topology, from, to, tag, corr, payload);
-            },
-        );
-        // A killed node's sends are suppressed, not transmitted — only a
-        // live sender records the event.
-        if !self.dead {
-            if let Some(sink) = &self.telemetry {
-                sink.record_at_comm_ns(
-                    self.clock.comm_ns(),
-                    ptycho_telemetry::TelemetryEvent::CommSend {
-                        to: to as u64,
-                        tag,
-                        bytes: bytes as u64,
-                        corr,
-                    },
-                );
-            }
-        }
-        // Sends are non-blocking: the baton is kept.
-    }
-
-    fn recv(&mut self, from: usize, tag: u64) -> Result<M, CommError> {
-        if self.dead {
-            return Err(CommError::RankDead { rank: self.rank });
-        }
-        let shared = Arc::clone(&self.shared);
-        let mut state = shared.state.lock().expect("lockstep state poisoned");
-        if let Some((payload, corr)) = Self::take_matching(&mut state, self.rank, from, tag) {
-            self.note_recv(from, tag, payload.payload_bytes(), corr);
-            return Ok(payload);
-        }
-        // About to block: release delayed messages (they may be the very
-        // ones the grid is waiting on), then re-check.
-        self.flush_delayed(&mut state);
-        if let Some((payload, corr)) = Self::take_matching(&mut state, self.rank, from, tag) {
-            self.note_recv(from, tag, payload.payload_bytes(), corr);
-            return Ok(payload);
-        }
-        state.status[self.rank] = RankStatus::BlockedRecv { from, tag };
-        shared.yield_baton(&mut state, self.rank);
+    /// Parks the calling rank under `status`, hands the baton on, and
+    /// returns once the baton comes back.
+    fn park<'a>(
+        &'a self,
+        mut state: MutexGuard<'a, SchedState<M>>,
+        status: RankStatus,
+    ) -> MutexGuard<'a, SchedState<M>> {
+        state.status[self.rank] = status;
+        self.shared.yield_baton(&mut state, self.rank);
         drop(state);
+        self.shared.wait_for_turn(self.rank)
+    }
+}
 
+impl<M: Payload> Transport for LockstepTransport<M> {
+    type Msg = M;
+
+    /// Sends are non-blocking: the baton is kept.
+    fn enqueue(&mut self, to: usize, envelope: Envelope<M>) {
+        let mut state = self.lock();
+        let waited_for = RankStatus::BlockedRecv {
+            from: envelope.from,
+            tag: envelope.tag,
+        };
+        if state.status[to] == waited_for {
+            state.status[to] = RankStatus::Runnable;
+        }
+        state.mailboxes[to].push(envelope);
+    }
+
+    fn take(&mut self, from: usize, tag: u64) -> Result<Envelope<M>, CommError> {
         let rank = self.rank;
-        let result = self.clock.wait(|| loop {
-            let mut state = shared.wait_for_turn(rank);
-            if let Some(found) = Self::take_matching(&mut state, rank, from, tag) {
-                return Ok(found);
+        let mut state = self.lock();
+        if let Some(envelope) = state.take_matching(rank, from, tag) {
+            return Ok(envelope);
+        }
+        loop {
+            state = self.park(state, RankStatus::BlockedRecv { from, tag });
+            if let Some(envelope) = state.take_matching(rank, from, tag) {
+                return Ok(envelope);
             }
             if let Some(detail) = state.deadlock.clone() {
                 return Err(CommError::Deadlock { rank, detail });
@@ -371,15 +216,6 @@ impl<M: Payload> RankComm<M> for LockstepComm<M> {
             // Spurious wake-up: this rank was released by a deadlock proof
             // that another rank has since resolved (a recovery layer made
             // progress and cleared it). Re-arm the wait and yield again.
-            state.status[rank] = RankStatus::BlockedRecv { from, tag };
-            shared.yield_baton(&mut state, rank);
-        });
-        match result {
-            Ok((payload, corr)) => {
-                self.note_recv(from, tag, payload.payload_bytes(), corr);
-                Ok(payload)
-            }
-            Err(error) => Err(error),
         }
     }
 
@@ -387,77 +223,37 @@ impl<M: Payload> RankComm<M> for LockstepComm<M> {
     /// poll can observe new messages. Like `MPI_Iprobe` (and like the
     /// threaded backend), a `while try_recv(..).is_none() {}` loop whose
     /// awaited sender never sends is the *caller's* livelock — prefer the
-    /// blocking [`RankComm::recv`], whose deadlocks this backend proves.
-    fn try_recv(&mut self, from: usize, tag: u64) -> Option<M> {
-        if self.dead {
+    /// blocking `recv`, whose deadlocks this backend proves.
+    fn try_take(&mut self, from: usize, tag: u64) -> Option<Envelope<M>> {
+        let rank = self.rank;
+        let mut state = self.lock();
+        if let Some(envelope) = state.take_matching(rank, from, tag) {
+            return Some(envelope);
+        }
+        let others_can_run = state
+            .status
+            .iter()
+            .enumerate()
+            .any(|(r, s)| r != rank && *s == RankStatus::Runnable);
+        if !others_can_run {
             return None;
         }
-        let shared = Arc::clone(&self.shared);
-        {
-            let mut state = shared.state.lock().expect("lockstep state poisoned");
-            if let Some((payload, corr)) = Self::take_matching(&mut state, self.rank, from, tag) {
-                self.note_recv(from, tag, payload.payload_bytes(), corr);
-                return Some(payload);
-            }
-            // Cooperative polling: give every other runnable rank one turn,
-            // otherwise a try_recv loop could never observe new messages.
-            if state
-                .status
-                .iter()
-                .enumerate()
-                .any(|(r, s)| r != self.rank && *s == RankStatus::Runnable)
-            {
-                shared.yield_baton(&mut state, self.rank);
-            } else {
-                return None;
-            }
-        }
-        let mut state = shared.wait_for_turn(self.rank);
-        let (payload, corr) = Self::take_matching(&mut state, self.rank, from, tag)?;
-        drop(state);
-        self.note_recv(from, tag, payload.payload_bytes(), corr);
-        Some(payload)
+        // Stay runnable: the baton comes back after one round.
+        self.park(state, RankStatus::Runnable)
+            .take_matching(rank, from, tag)
     }
 
     fn barrier(&mut self) -> Result<(), CommError> {
-        if self.dead {
-            return Err(CommError::RankDead { rank: self.rank });
-        }
-        let shared = Arc::clone(&self.shared);
-        let mut state = shared.state.lock().expect("lockstep state poisoned");
-        self.flush_delayed(&mut state);
+        let rank = self.rank;
+        let mut state = self.lock();
         let entered_epoch = state.barrier_epoch;
-        state.status[self.rank] = RankStatus::BlockedBarrier;
-        let all_arrived = state
-            .status
-            .iter()
-            .all(|s| matches!(s, RankStatus::BlockedBarrier | RankStatus::Finished));
-        if all_arrived {
-            // Finished ranks can never arrive: if any exist the barrier is
-            // incomplete by definition, but every live rank being here means
-            // nobody else can release it either — that is a deadlock, which
-            // the yield below will prove. With every rank live, release all.
-            if state
-                .status
-                .iter()
-                .all(|s| *s == RankStatus::BlockedBarrier)
-            {
-                for status in state.status.iter_mut() {
-                    *status = RankStatus::Runnable;
-                }
-                state.barrier_epoch += 1;
-                // Completing a barrier is progress; drop any stale proof.
-                state.deadlock = None;
-                shared.baton.notify_all();
+        loop {
+            state.status[rank] = RankStatus::BlockedBarrier;
+            if state.try_release_barrier() {
+                self.shared.baton.notify_all();
                 return Ok(());
             }
-        }
-        shared.yield_baton(&mut state, self.rank);
-        drop(state);
-
-        let rank = self.rank;
-        self.clock.wait(|| loop {
-            let mut state = shared.wait_for_turn(rank);
+            state = self.park(state, RankStatus::BlockedBarrier);
             // A bumped epoch means the barrier genuinely completed; only an
             // un-bumped epoch with a standing deadlock proof is a failure.
             if state.barrier_epoch != entered_epoch {
@@ -469,54 +265,19 @@ impl<M: Payload> RankComm<M> for LockstepComm<M> {
             // Spurious wake-up (a proven deadlock was resolved by another
             // rank's recovery): re-arm, releasing the barrier ourselves if
             // every live rank is now waiting at it.
-            state.status[rank] = RankStatus::BlockedBarrier;
-            if state
-                .status
-                .iter()
-                .all(|s| *s == RankStatus::BlockedBarrier)
-            {
-                for status in state.status.iter_mut() {
-                    *status = RankStatus::Runnable;
-                }
-                state.barrier_epoch += 1;
-                state.deadlock = None;
-                shared.baton.notify_all();
-                return Ok(());
-            }
-            shared.yield_baton(&mut state, rank);
-        })
-    }
-
-    fn clock_mut(&mut self) -> &mut RankClock {
-        &mut self.clock
-    }
-
-    fn memory_mut(&mut self) -> &mut MemoryTracker {
-        &mut self.memory
-    }
-
-    fn install_fault_harness(&mut self, harness: FaultHarness) {
-        self.harness = Some(harness);
-    }
-
-    fn set_fault_node(&mut self, node: usize) {
-        if let Some(harness) = self.harness.as_mut() {
-            harness.set_node(node);
         }
     }
 
-    fn set_telemetry(&mut self, sink: ptycho_telemetry::RankSink) {
-        self.telemetry = Some(sink);
-    }
-
-    fn fault_cursor(&self) -> Option<super::fault::FaultCursor> {
-        self.harness.as_ref().map(|h| h.cursor())
-    }
-
-    fn set_fault_cursor(&mut self, cursor: &super::fault::FaultCursor) {
-        if let Some(harness) = self.harness.as_mut() {
-            harness.set_cursor(cursor);
-        }
+    /// Marks the rank finished and schedules a successor. A body that
+    /// panics unwinds while *holding* the baton; releasing it here lets the
+    /// other ranks error out via deadlock detection and the panic propagate
+    /// through `join` instead of hanging the scope forever.
+    fn finish(&mut self) {
+        // May run during an unwind: accept a poisoned mutex rather than
+        // double-panicking.
+        let mut state = self.shared.state.lock().unwrap_or_else(|e| e.into_inner());
+        state.status[self.rank] = RankStatus::Finished;
+        self.shared.yield_baton(&mut state, self.rank);
     }
 }
 
@@ -536,20 +297,17 @@ impl LockstepBackend {
     pub fn topology(&self) -> &ClusterTopology {
         &self.topology
     }
+}
 
-    /// Runs `body` on `num_ranks` cooperatively scheduled ranks and collects
-    /// every rank's outcome, ordered by rank (see [`CommBackend::run`]).
-    pub fn run<M, R, F>(
-        &self,
-        num_ranks: usize,
-        body: F,
-    ) -> Result<Vec<RankOutcome<R>>, RankFailure>
+impl CommBackend for LockstepBackend {
+    type Comm<M: Payload + 'static> = RankCtx<LockstepTransport<M>>;
+
+    fn run<M, R, F>(&self, num_ranks: usize, body: F) -> Result<Vec<RankOutcome<R>>, RankFailure>
     where
         M: Payload + 'static,
         R: Send,
-        F: Fn(&mut LockstepComm<M>) -> Result<R, CommError> + Sync,
+        F: Fn(&mut Self::Comm<M>) -> Result<R, CommError> + Sync,
     {
-        assert!(num_ranks > 0, "need at least one rank");
         let shared = Arc::new(Shared {
             state: Mutex::new(SchedState {
                 current: 0,
@@ -560,149 +318,29 @@ impl LockstepBackend {
             }),
             baton: Condvar::new(),
         });
-        let body = &body;
-
-        let mut outcomes: Vec<Option<RankOutcome<Result<R, CommError>>>> =
-            (0..num_ranks).map(|_| None).collect();
-
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(num_ranks);
-            for rank in 0..num_ranks {
-                let shared = Arc::clone(&shared);
-                let topology = self.topology;
-                handles.push(scope.spawn(move || {
-                    // Wait for the baton before executing a single statement
-                    // of the body: rank 0 starts, everyone else queues.
-                    drop(shared.wait_for_turn(rank));
-                    // If the body panics it unwinds while *holding* the
-                    // baton; the guard releases it (marking the rank
-                    // finished) so the other ranks error out via deadlock
-                    // detection and the panic propagates through `join`
-                    // instead of hanging the scope forever.
-                    let mut guard = BatonGuard {
-                        shared: Arc::clone(&shared),
-                        rank,
-                        armed: true,
-                    };
-                    let mut comm = LockstepComm {
-                        rank,
-                        size: num_ranks,
-                        topology,
-                        shared,
-                        harness: None,
-                        delayed: Vec::new(),
-                        send_corr: 0,
-                        dead: false,
-                        clock: RankClock::new(),
-                        memory: MemoryTracker::new(),
-                        telemetry: None,
-                    };
-                    let result = body(&mut comm);
-                    guard.armed = false;
-                    comm.finish();
-                    RankOutcome {
-                        rank,
-                        result,
-                        time: comm.clock.breakdown(),
-                        memory: comm.memory,
-                    }
-                }));
-            }
-            for (rank, handle) in handles.into_iter().enumerate() {
-                outcomes[rank] = Some(handle.join().expect("rank thread panicked"));
-            }
-        });
-
-        collect_outcomes(
-            outcomes
-                .into_iter()
-                .map(|o| o.expect("missing rank"))
-                .collect(),
-        )
-    }
-}
-
-impl CommBackend for LockstepBackend {
-    type Comm<M: Payload + 'static> = LockstepComm<M>;
-
-    fn run<M, R, F>(&self, num_ranks: usize, body: F) -> Result<Vec<RankOutcome<R>>, RankFailure>
-    where
-        M: Payload + 'static,
-        R: Send,
-        F: Fn(&mut LockstepComm<M>) -> Result<R, CommError> + Sync,
-    {
-        LockstepBackend::run(self, num_ranks, body)
+        let transports = (0..num_ranks)
+            .map(|rank| LockstepTransport {
+                rank,
+                shared: Arc::clone(&shared),
+            })
+            .collect();
+        launch(transports, self.topology, |ctx: &mut Self::Comm<M>| {
+            // Wait for the baton before executing a single statement of the
+            // body: rank 0 starts, everyone else queues.
+            let seat = &ctx.transport;
+            drop(seat.shared.wait_for_turn(seat.rank));
+            body(ctx)
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::super::context::conformance::transport_conformance_tests;
+    use super::super::RankComm;
     use super::*;
 
-    #[test]
-    fn ring_pass_accumulates() {
-        let backend = LockstepBackend::new(ClusterTopology::summit());
-        let n = 6;
-        let outcomes = backend
-            .run::<Vec<f64>, f64, _>(n, |ctx| {
-                let next = (ctx.rank() + 1) % ctx.size();
-                let prev = (ctx.rank() + ctx.size() - 1) % ctx.size();
-                let mut total = ctx.rank() as f64;
-                let mut token = vec![ctx.rank() as f64];
-                for _ in 0..ctx.size() - 1 {
-                    ctx.isend(next, 7, token);
-                    token = ctx.recv(prev, 7)?;
-                    total += token[0];
-                    token = vec![token[0]];
-                }
-                Ok(total)
-            })
-            .unwrap();
-        let expected: f64 = (0..n).map(|x| x as f64).sum();
-        for o in &outcomes {
-            assert_eq!(o.result, expected, "rank {} total mismatch", o.rank);
-        }
-    }
-
-    #[test]
-    fn tag_matching_is_respected() {
-        let backend = LockstepBackend::default();
-        let outcomes = backend
-            .run::<Vec<f64>, (f64, f64), _>(2, |ctx| {
-                if ctx.rank() == 0 {
-                    ctx.isend(1, 2, vec![20.0]);
-                    ctx.isend(1, 1, vec![10.0]);
-                    Ok((0.0, 0.0))
-                } else {
-                    let first = ctx.recv(0, 1)?[0];
-                    let second = ctx.recv(0, 2)?[0];
-                    Ok((first, second))
-                }
-            })
-            .unwrap();
-        assert_eq!(outcomes[1].result, (10.0, 20.0));
-    }
-
-    #[test]
-    fn barrier_synchronises_all_ranks() {
-        // No shared-memory counter here (ranks are serialized anyway): check
-        // instead that every rank passes the barrier and that messages sent
-        // before the barrier are all deliverable after it.
-        let backend = LockstepBackend::default();
-        let outcomes = backend
-            .run::<Vec<f64>, f64, _>(4, |ctx| {
-                let peer = (ctx.rank() + 1) % ctx.size();
-                ctx.isend(peer, 3, vec![ctx.rank() as f64]);
-                ctx.barrier()?;
-                let prev = (ctx.rank() + ctx.size() - 1) % ctx.size();
-                Ok(ctx.recv(prev, 3)?[0])
-            })
-            .unwrap();
-        for (rank, o) in outcomes.iter().enumerate() {
-            let prev = (rank + 3) % 4;
-            assert_eq!(o.result, prev as f64);
-        }
-    }
+    transport_conformance_tests!(LockstepBackend::default());
 
     #[test]
     fn try_recv_yields_then_sees_message() {
@@ -720,21 +358,6 @@ mod tests {
             })
             .unwrap();
         assert!(outcomes[0].result, "yielding try_recv must see the message");
-    }
-
-    #[test]
-    fn try_recv_returns_none_when_nothing_is_sent() {
-        let backend = LockstepBackend::default();
-        let outcomes = backend
-            .run::<Vec<f64>, bool, _>(2, |ctx| {
-                if ctx.rank() == 0 {
-                    Ok(ctx.try_recv(1, 4).is_none())
-                } else {
-                    Ok(true)
-                }
-            })
-            .unwrap();
-        assert!(outcomes[0].result);
     }
 
     #[test]
@@ -780,24 +403,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "rank thread panicked")]
-    fn panicking_rank_propagates_instead_of_hanging() {
-        // Rank 0 panics (out-of-range send) while holding the baton and
-        // while rank 1 is waiting for a message from it. The baton guard
-        // must release the scheduler so the run terminates: rank 1 errors
-        // out via deadlock detection and the panic surfaces through `join`.
-        let backend = LockstepBackend::default();
-        let _ = backend.run::<Vec<f64>, (), _>(2, |ctx| {
-            if ctx.rank() == 0 {
-                ctx.isend(5, 0, vec![1.0]);
-            } else {
-                ctx.recv(0, 0)?;
-            }
-            Ok(())
-        });
-    }
-
-    #[test]
     fn execution_is_deterministic_across_runs() {
         // All-to-all chatter whose per-rank receive order is recorded; two
         // runs must observe byte-identical orders.
@@ -826,24 +431,5 @@ mod tests {
                 .collect::<Vec<_>>()
         };
         assert_eq!(observe(), observe());
-    }
-
-    #[test]
-    fn communication_time_is_charged_to_sender() {
-        let backend = LockstepBackend::new(ClusterTopology::summit());
-        let payload_len = 10_000usize;
-        let outcomes = backend
-            .run::<Vec<f64>, (), _>(7, |ctx| {
-                if ctx.rank() == 0 {
-                    ctx.isend(6, 1, vec![0.0; payload_len]);
-                } else if ctx.rank() == 6 {
-                    let _ = ctx.recv(0, 1)?;
-                }
-                Ok(())
-            })
-            .unwrap();
-        let expected = ClusterTopology::summit().transfer_time(0, 6, payload_len * 8);
-        assert!((outcomes[0].time.communication - expected).abs() < 1e-12);
-        assert_eq!(outcomes[6].time.communication, 0.0);
     }
 }

@@ -9,7 +9,13 @@
 //! * [`CommBackend`] is the launcher — it runs a rank body on `n` ranks and
 //!   collects one [`RankOutcome`] per rank.
 //!
-//! Three backends implement the pair:
+//! Everything a rank observes above the wire — range checks, correlation
+//! ids, fault routing, `Delay` flushing, wire-time and wait-time charging,
+//! rank death, transport-level telemetry — is written once, in the generic
+//! per-rank context [`RankCtx`]. Beneath it a *transport* is five calls
+//! (enqueue an envelope, blocking matched take, non-blocking matched take,
+//! barrier, rank finished), and the two built-in backends are one transport
+//! each; the third wraps either:
 //!
 //! | Backend | Execution | Use it for |
 //! |---|---|---|
@@ -17,11 +23,16 @@
 //! | [`LockstepBackend`] | cooperative scheduler, one rank runs at a time in a fixed order | deterministic replayable runs, deadlock *detection* instead of hangs |
 //! | [`FaultInjectionBackend`] | wraps either of the above | dropping / duplicating / delaying messages under a seeded policy, and record/replay of communication traces |
 //!
+//! [`ReliableComm`] decorates one rank's communicator with acknowledge /
+//! retransmit; it and the fault layer reach the context's fault harness and
+//! telemetry sink through the one accessor [`RankComm::instruments`].
+//!
 //! Communication failures are values, not hangs: [`RankComm::recv`] returns
 //! [`CommError`] when a message cannot arrive (receive timeout on the
 //! threaded backend, global deadlock detected by the lockstep scheduler), and
 //! [`CommBackend::run`] surfaces the first failing rank as a [`RankFailure`].
 
+mod context;
 pub mod fault;
 pub mod lockstep;
 pub mod pool;
@@ -31,13 +42,14 @@ pub mod threaded;
 use crate::clock::RankClock;
 use crate::memory::MemoryTracker;
 
+pub use context::{Instruments, RankCtx};
 pub use fault::{
     CommTrace, CrashPhase, FaultAction, FaultCursor, FaultInjectionBackend, FaultPolicy, TraceEvent,
 };
-pub use lockstep::{LockstepBackend, LockstepComm};
+pub use lockstep::LockstepBackend;
 pub use pool::TilePayloadPool;
 pub use reliable::{ReliableComm, ReliableConfig, ReliableStats};
-pub use threaded::{Cluster, RankContext, ThreadedBackend};
+pub use threaded::{Cluster, ThreadedBackend};
 
 /// Payloads carried between ranks must report an approximate wire size so the
 /// analytic communication model can charge for them, and must be cloneable so
@@ -342,20 +354,6 @@ impl std::fmt::Display for RankFailure {
 
 impl std::error::Error for RankFailure {}
 
-/// A message in flight between two ranks (shared by every backend).
-#[derive(Clone, Debug)]
-pub(crate) struct Envelope<M> {
-    pub(crate) from: usize,
-    pub(crate) tag: u64,
-    /// Span correlation id: the sender's slot in the high 32 bits, its
-    /// per-context transport-send counter in the low 32. Stamped once per
-    /// logical `isend`, before fault routing, so every copy of a duplicated
-    /// or delayed message carries the same id and telemetry receives can be
-    /// paired with their originating send unambiguously.
-    pub(crate) corr: u64,
-    pub(crate) payload: M,
-}
-
 /// The outcome of one rank's execution.
 #[derive(Clone, Debug)]
 pub struct RankOutcome<R> {
@@ -412,44 +410,9 @@ pub trait RankComm<M: Payload> {
     /// The rank's memory accounting.
     fn memory_mut(&mut self) -> &mut MemoryTracker;
 
-    /// Installs a fault-injection harness that filters every subsequent send.
-    /// Used by [`FaultInjectionBackend`]; backends must route `isend` through
-    /// the harness once one is installed.
-    fn install_fault_harness(&mut self, harness: fault::FaultHarness);
-
-    /// Tells the fault layer which *physical node* occupies this rank's
-    /// slot, so node-keyed faults (rank death) follow the node, not the
-    /// slot: after a spare adopts a dead node's tile, the same slot is run
-    /// by a different node and must not inherit its predecessor's death.
-    /// Defaults to a no-op; backends that support fault harnesses re-key
-    /// the installed harness.
-    fn set_fault_node(&mut self, node: usize) {
-        let _ = node;
-    }
-
-    /// Installs a telemetry sink for this rank's stream. Backends that
-    /// support recording report transport-level events (sends, receives,
-    /// fault drops, rank deaths) through it; [`ReliableComm`] additionally
-    /// records its semantic events (retransmits, acks) and forwards the sink
-    /// inward. Defaults to a no-op so trivial test doubles stay trivial.
-    fn set_telemetry(&mut self, sink: ptycho_telemetry::RankSink) {
-        let _ = sink;
-    }
-
-    /// Snapshots the installed fault harness's decision counters, if a
-    /// harness is installed (see [`fault::FaultCursor`]). The durability
-    /// layer persists the cursor with each checkpoint so a resumed process
-    /// continues the fault-decision stream instead of replaying it from
-    /// zero. Defaults to `None` for backends without fault support.
-    fn fault_cursor(&self) -> Option<fault::FaultCursor> {
-        None
-    }
-
-    /// Restores the installed fault harness's decision counters from a
-    /// persisted snapshot. A no-op when no harness is installed.
-    fn set_fault_cursor(&mut self, cursor: &fault::FaultCursor) {
-        let _ = cursor;
-    }
+    /// The rank's fault harness and telemetry sink (see [`Instruments`]).
+    /// Decorators forward this to the communicator they wrap.
+    fn instruments(&mut self) -> &mut Instruments;
 }
 
 /// A launcher that executes one body per rank and collects the outcomes.
@@ -496,7 +459,7 @@ pub trait CommBackend {
 }
 
 /// Splits per-rank `Result` outcomes into a success vector or the first
-/// failure — shared by every backend's `run`.
+/// failure.
 pub(crate) fn collect_outcomes<R>(
     outcomes: Vec<RankOutcome<Result<R, CommError>>>,
 ) -> Result<Vec<RankOutcome<R>>, RankFailure> {

@@ -31,9 +31,10 @@
 //!
 //! [`FaultInjectionBackend`]: super::FaultInjectionBackend
 
-use super::{CommError, Payload, RankComm};
+use super::{CommError, Instruments, Payload, RankComm};
 use crate::clock::RankClock;
 use crate::memory::MemoryTracker;
+use ptycho_telemetry::TelemetryEvent;
 use std::collections::HashMap;
 
 /// Bits available for the base (caller-visible) tag.
@@ -136,9 +137,6 @@ pub struct ReliableComm<'c, C, M> {
     /// Sends not yet acknowledged, in send order.
     outbox: Vec<OutboxEntry<M>>,
     stats: ReliableStats,
-    /// Semantic-event telemetry (retransmits, acks). The wrapped
-    /// communicator keeps its own sink for transport-level events.
-    telemetry: Option<ptycho_telemetry::RankSink>,
 }
 
 impl<'c, C, M> ReliableComm<'c, C, M>
@@ -160,7 +158,6 @@ where
             recv_seq: HashMap::new(),
             outbox: Vec::new(),
             stats: ReliableStats::default(),
-            telemetry: None,
         }
     }
 
@@ -214,6 +211,30 @@ where
         self.inner.try_recv(from, tag)
     }
 
+    /// Records a semantic event (retransmit, ack) on the wrapped
+    /// communicator's telemetry stream, which also carries its
+    /// transport-level sends and receives.
+    fn note(inner: &mut C, event: TelemetryEvent) {
+        let at = inner.clock_mut().comm_ns();
+        if let Some(sink) = &inner.instruments().telemetry {
+            sink.record_at_comm_ns(at, event);
+        }
+    }
+
+    /// Acknowledges delivery of frame `seq` of the `(from, base_tag)` stream.
+    fn ack(&mut self, from: usize, base_tag: u64, seq: u64) {
+        let tag = wire_ack_tag(base_tag, seq, self.config.epoch);
+        self.inner.isend(from, tag, M::default());
+        self.stats.acks_sent += 1;
+        Self::note(
+            self.inner,
+            TelemetryEvent::CommAck {
+                peer: from as u64,
+                tag: base_tag,
+            },
+        );
+    }
+
     /// Consumes any acknowledgements that have arrived and prunes the
     /// outbox. Acks are cumulative per stream: seeing the ack for seq `s`
     /// implies every earlier seq of that stream was delivered (the receiver
@@ -251,16 +272,14 @@ where
                 entry.payload.clone(),
             );
             self.stats.retransmits += 1;
-            if let Some(sink) = &self.telemetry {
-                sink.record_at_comm_ns(
-                    self.inner.clock_mut().comm_ns(),
-                    ptycho_telemetry::TelemetryEvent::CommRetransmit {
-                        to: entry.to as u64,
-                        tag: entry.base_tag,
-                        bytes: bytes as u64,
-                    },
-                );
-            }
+            Self::note(
+                self.inner,
+                TelemetryEvent::CommRetransmit {
+                    to: entry.to as u64,
+                    tag: entry.base_tag,
+                    bytes: bytes as u64,
+                },
+            );
         }
     }
 
@@ -287,19 +306,8 @@ where
                     .try_recv(from, wire_data_tag(base_tag, seq, epoch))
                     .is_some()
                 {
-                    self.inner
-                        .isend(from, wire_ack_tag(base_tag, seq, epoch), M::default());
                     self.stats.duplicates_reacked += 1;
-                    self.stats.acks_sent += 1;
-                    if let Some(sink) = &self.telemetry {
-                        sink.record_at_comm_ns(
-                            self.inner.clock_mut().comm_ns(),
-                            ptycho_telemetry::TelemetryEvent::CommAck {
-                                peer: from as u64,
-                                tag: base_tag,
-                            },
-                        );
-                    }
+                    self.ack(from, base_tag, seq);
                 }
             }
         }
@@ -359,18 +367,7 @@ where
             match self.inner.recv(from, wire) {
                 Ok(payload) => {
                     *self.recv_seq.get_mut(&(from, tag)).expect("cursor exists") += 1;
-                    self.inner
-                        .isend(from, wire_ack_tag(tag, expected, epoch), M::default());
-                    self.stats.acks_sent += 1;
-                    if let Some(sink) = &self.telemetry {
-                        sink.record_at_comm_ns(
-                            self.inner.clock_mut().comm_ns(),
-                            ptycho_telemetry::TelemetryEvent::CommAck {
-                                peer: from as u64,
-                                tag,
-                            },
-                        );
-                    }
+                    self.ack(from, tag, expected);
                     return Ok(payload);
                 }
                 Err(error) => {
@@ -397,18 +394,7 @@ where
             .inner
             .try_recv(from, wire_data_tag(tag, expected, epoch))?;
         *self.recv_seq.get_mut(&(from, tag)).expect("cursor exists") += 1;
-        self.inner
-            .isend(from, wire_ack_tag(tag, expected, epoch), M::default());
-        self.stats.acks_sent += 1;
-        if let Some(sink) = &self.telemetry {
-            sink.record_at_comm_ns(
-                self.inner.clock_mut().comm_ns(),
-                ptycho_telemetry::TelemetryEvent::CommAck {
-                    peer: from as u64,
-                    tag,
-                },
-            );
-        }
+        self.ack(from, tag, expected);
         Some(payload)
     }
 
@@ -448,27 +434,8 @@ where
         self.inner.memory_mut()
     }
 
-    fn install_fault_harness(&mut self, harness: super::fault::FaultHarness) {
-        self.inner.install_fault_harness(harness);
-    }
-
-    fn set_fault_node(&mut self, node: usize) {
-        self.inner.set_fault_node(node);
-    }
-
-    fn set_telemetry(&mut self, sink: ptycho_telemetry::RankSink) {
-        // The inner communicator records transport-level sends/receives;
-        // this layer adds the semantic retransmit/ack events on top.
-        self.inner.set_telemetry(sink.clone());
-        self.telemetry = Some(sink);
-    }
-
-    fn fault_cursor(&self) -> Option<super::fault::FaultCursor> {
-        self.inner.fault_cursor()
-    }
-
-    fn set_fault_cursor(&mut self, cursor: &super::fault::FaultCursor) {
-        self.inner.set_fault_cursor(cursor);
+    fn instruments(&mut self) -> &mut Instruments {
+        self.inner.instruments()
     }
 }
 

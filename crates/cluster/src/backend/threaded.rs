@@ -10,31 +10,33 @@
 //! charged to *wait* time; the analytic wire time of each message (from the
 //! [`ClusterTopology`]) is charged to *communication* time, because a channel
 //! between threads is orders of magnitude faster than InfiniBand and measuring
-//! it directly would tell us nothing about the modelled machine.
+//! it directly would tell us nothing about the modelled machine. Both charges
+//! are made by the shared [`RankCtx`]; this file is only the channels and the
+//! barrier.
 
-use super::fault::{self, FaultHarness};
-use super::{
-    collect_outcomes, CommBackend, CommError, Envelope, Payload, RankComm, RankFailure, RankOutcome,
-};
-use crate::clock::RankClock;
-use crate::memory::MemoryTracker;
+use super::context::{launch, take_match, Envelope, RankCtx, Transport};
+use super::{CommBackend, CommError, Payload, RankFailure, RankOutcome};
 use crate::topology::ClusterTopology;
 use crossbeam_channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-/// A reusable counting barrier with an optional per-wait deadline, so that a
-/// rank whose peers died before arriving reports [`CommError::BarrierTimeout`]
-/// instead of waiting forever (`std::sync::Barrier` cannot time out).
+/// A reusable counting barrier that fails instead of hanging: a wait returns
+/// `Err(())` once its optional deadline passes, or at once when a rank has
+/// departed (finished or unwound) and so can never arrive
+/// (`std::sync::Barrier` can do neither).
 struct TimedBarrier {
     size: usize,
     state: Mutex<BarrierState>,
-    all_arrived: Condvar,
+    changed: Condvar,
 }
 
 struct BarrierState {
     arrived: usize,
     generation: u64,
+    /// Ranks whose body has exited. Any departure makes every later
+    /// generation impossible to complete.
+    departed: usize,
 }
 
 impl TimedBarrier {
@@ -44,13 +46,14 @@ impl TimedBarrier {
             state: Mutex::new(BarrierState {
                 arrived: 0,
                 generation: 0,
+                departed: 0,
             }),
-            all_arrived: Condvar::new(),
+            changed: Condvar::new(),
         }
     }
 
-    /// Waits for all ranks; `Err(())` on deadline expiry (the arrival is
-    /// rolled back so a retry or a later generation is not corrupted).
+    /// Waits for all ranks; on `Err(())` the arrival is rolled back so a
+    /// retry or a later generation is not corrupted.
     fn wait(&self, timeout: Option<Duration>) -> Result<(), ()> {
         let deadline = timeout.map(|limit| Instant::now() + limit);
         let mut state = self.state.lock().expect("barrier poisoned");
@@ -59,348 +62,114 @@ impl TimedBarrier {
         if state.arrived == self.size {
             state.arrived = 0;
             state.generation += 1;
-            self.all_arrived.notify_all();
+            self.changed.notify_all();
             return Ok(());
         }
         while state.generation == generation {
-            match deadline {
-                None => {
-                    state = self.all_arrived.wait(state).expect("barrier poisoned");
-                }
-                Some(deadline) => {
-                    let remaining = deadline.saturating_duration_since(Instant::now());
-                    if remaining.is_zero() {
-                        state.arrived -= 1;
-                        return Err(());
-                    }
-                    let (guard, _) = self
-                        .all_arrived
-                        .wait_timeout(state, remaining)
-                        .expect("barrier poisoned");
-                    state = guard;
-                }
+            let remaining = deadline.map(|d| d.saturating_duration_since(Instant::now()));
+            if state.departed > 0 || remaining.is_some_and(|r| r.is_zero()) {
+                state.arrived -= 1;
+                return Err(());
             }
+            state = match remaining {
+                None => self.changed.wait(state).expect("barrier poisoned"),
+                Some(remaining) => {
+                    self.changed
+                        .wait_timeout(state, remaining)
+                        .expect("barrier poisoned")
+                        .0
+                }
+            };
         }
         Ok(())
     }
+
+    /// Records that a rank exited and wakes every waiter. May run during an
+    /// unwind, so a poisoned mutex is accepted rather than panicked on (the
+    /// counters are valid at every step).
+    fn depart(&self) {
+        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
+        state.departed += 1;
+        self.changed.notify_all();
+    }
 }
 
-/// The per-rank handle of the threaded backend: identity, channels to every
-/// peer, clocks and memory.
-pub struct RankContext<M> {
+/// One rank's end of the channel mesh.
+pub struct ThreadedTransport<M> {
     rank: usize,
-    size: usize,
-    topology: ClusterTopology,
     /// One sender per peer; `None` at this rank's own index, so that a rank
-    /// blocked in `recv` can observe every peer terminating (channel
+    /// blocked in `take` can observe every peer terminating (channel
     /// disconnection) instead of waiting forever on a channel its own
     /// handle keeps alive. Self-sends go straight to the stash.
     senders: Vec<Option<Sender<Envelope<M>>>>,
     receiver: Receiver<Envelope<M>>,
-    /// Out-of-order messages waiting for a matching `recv`.
+    /// Out-of-order messages waiting for a matching take.
     stash: Vec<Envelope<M>>,
     barrier: Arc<TimedBarrier>,
     recv_timeout: Option<Duration>,
-    harness: Option<FaultHarness>,
-    /// Messages held back by a `Delay` fault (as `(to, tag, corr, payload)`),
-    /// flushed when this rank next blocks or finishes.
-    delayed: Vec<(usize, u64, u64, M)>,
-    /// Counter feeding the low half of each outgoing correlation id.
-    send_corr: u64,
-    /// Set by a `Kill` fault: the node is permanently dead — sends are
-    /// suppressed and blocking operations report [`CommError::RankDead`].
-    dead: bool,
-    /// Telemetry sink for this rank's stream, when recording is enabled.
-    telemetry: Option<ptycho_telemetry::RankSink>,
-    /// The rank's time accounting.
-    pub clock: RankClock,
-    /// The rank's memory accounting.
-    pub memory: MemoryTracker,
 }
 
-impl<M: Payload> RankContext<M> {
-    /// The topology the ranks are mapped onto.
-    pub fn topology(&self) -> &ClusterTopology {
-        &self.topology
-    }
+impl<M: Payload> Transport for ThreadedTransport<M> {
+    type Msg = M;
 
-    /// Enqueues the message for real, charging analytic wire time. A free
-    /// associated function over disjoint fields so the fault-routing closure
-    /// and the delayed-flush path share one implementation.
-    #[allow(clippy::too_many_arguments)]
-    fn deliver_parts(
-        senders: &[Option<Sender<Envelope<M>>>],
-        stash: &mut Vec<Envelope<M>>,
-        topology: &ClusterTopology,
-        clock: &mut RankClock,
-        from: usize,
-        to: usize,
-        tag: u64,
-        corr: u64,
-        payload: M,
-    ) {
-        let bytes = payload.payload_bytes();
-        clock.charge_communication(topology.transfer_time(from, to, bytes));
-        let envelope = Envelope {
-            from,
-            tag,
-            corr,
-            payload,
-        };
-        if to == from {
-            // Self-sends bypass the channel (see the `senders` field doc).
-            stash.push(envelope);
-            return;
-        }
-        // Unbounded channel: never blocks, mirroring a buffered Isend. A
-        // send to a rank that has already terminated (normally or with an
-        // error) is buffered into the void: the peer can never receive it,
-        // and panicking here would mask the original failure that made the
-        // peer exit early.
-        let _ = senders[to]
-            .as_ref()
-            .expect("only the self-sender slot is empty")
-            .send(envelope);
-    }
-
-    /// Records a successful receive on the telemetry stream (at the current
-    /// deterministic communication clock).
-    fn note_recv(&self, from: usize, tag: u64, bytes: usize, corr: u64) {
-        if let Some(sink) = &self.telemetry {
-            sink.record_at_comm_ns(
-                self.clock.comm_ns(),
-                ptycho_telemetry::TelemetryEvent::CommRecv {
-                    from: from as u64,
-                    tag,
-                    bytes: bytes as u64,
-                    corr,
-                },
-            );
+    fn enqueue(&mut self, to: usize, envelope: Envelope<M>) {
+        match &self.senders[to] {
+            None => self.stash.push(envelope),
+            // Unbounded channel: never blocks, mirroring a buffered Isend. A
+            // send to a rank that has already terminated (normally or with
+            // an error) is buffered into the void: the peer can never
+            // receive it, and panicking here would mask the original
+            // failure that made the peer exit early.
+            Some(sender) => drop(sender.send(envelope)),
         }
     }
 
-    /// Releases every `Delay`-held message (called before blocking and at
-    /// rank completion). A dead node's held-back messages are lost instead.
-    fn flush_delayed(&mut self) {
-        if self.dead {
-            self.delayed.clear();
-            return;
+    fn take(&mut self, from: usize, tag: u64) -> Result<Envelope<M>, CommError> {
+        if let Some(envelope) = take_match(&mut self.stash, from, tag) {
+            return Ok(envelope);
         }
-        let from = self.rank;
-        let RankContext {
-            senders,
-            stash,
-            topology,
-            clock,
-            delayed,
-            ..
-        } = self;
-        for (to, tag, corr, payload) in std::mem::take(delayed) {
-            Self::deliver_parts(
-                senders, stash, topology, clock, from, to, tag, corr, payload,
-            );
-        }
-    }
-}
-
-impl<M: Payload> RankComm<M> for RankContext<M> {
-    fn rank(&self) -> usize {
-        self.rank
-    }
-
-    fn size(&self) -> usize {
-        self.size
-    }
-
-    fn isend(&mut self, to: usize, tag: u64, payload: M) {
-        assert!(
-            to < self.size,
-            "rank {to} out of range ({} ranks)",
-            self.size
-        );
-        let from = self.rank;
-        let bytes = payload.payload_bytes();
-        // One correlation id per logical send, stamped before fault routing
-        // so duplicates and delayed deliveries all carry it.
-        let corr = ((from as u64) << 32) | self.send_corr;
-        self.send_corr += 1;
-        let RankContext {
-            harness,
-            delayed,
-            dead,
-            senders,
-            stash,
-            topology,
-            clock,
-            telemetry,
-            ..
-        } = self;
-        fault::route_send(
-            harness,
-            delayed,
-            dead,
-            telemetry,
-            to,
-            tag,
-            corr,
-            payload,
-            |to, tag, corr, payload| {
-                Self::deliver_parts(
-                    senders, stash, topology, clock, from, to, tag, corr, payload,
-                );
-            },
-        );
-        // A node killed by the fault layer (possibly by this very send) no
-        // longer reaches the transport, so its sends are not recorded.
-        if !self.dead {
-            if let Some(sink) = &self.telemetry {
-                sink.record_at_comm_ns(
-                    self.clock.comm_ns(),
-                    ptycho_telemetry::TelemetryEvent::CommSend {
-                        to: to as u64,
-                        tag,
-                        bytes: bytes as u64,
-                        corr,
-                    },
-                );
-            }
-        }
-    }
-
-    fn recv(&mut self, from: usize, tag: u64) -> Result<M, CommError> {
-        if self.dead {
-            return Err(CommError::RankDead { rank: self.rank });
-        }
-        // Entering a (potentially) blocking receive: release anything the
-        // fault layer was delaying, so a delayed message can never deadlock
-        // its own sender's round-trip. This must happen unconditionally —
-        // before consulting the stash — because the flush charges this
-        // rank's analytic clock: gating it on whether the wanted message
-        // already arrived would let real thread timing decide *when* the
-        // charge lands, breaking trace determinism. (The flush can also
-        // land a delayed self-send in the stash checked next.)
-        self.flush_delayed();
-        // Check the stash (messages that arrived out of order).
-        if let Some(pos) = self
-            .stash
-            .iter()
-            .position(|e| e.from == from && e.tag == tag)
-        {
-            let envelope = self.stash.remove(pos);
-            self.note_recv(from, tag, envelope.payload.payload_bytes(), envelope.corr);
-            return Ok(envelope.payload);
-        }
-        let receiver = self.receiver.clone();
         let rank = self.rank;
         // One deadline for the whole receive: stashing a non-matching
         // envelope must not restart the clock, or steady background traffic
         // could postpone the timeout indefinitely.
         let deadline = self.recv_timeout.map(|limit| Instant::now() + limit);
-        let mut found: Option<Result<(M, u64), CommError>> = None;
-        let stash = &mut self.stash;
-        self.clock.wait(|| loop {
-            let received = match deadline {
-                None => receiver
+        loop {
+            let envelope = match deadline {
+                None => self
+                    .receiver
                     .recv()
                     .map_err(|_| CommError::PeersGone { rank, from, tag }),
-                Some(deadline) => {
-                    let remaining = deadline.saturating_duration_since(Instant::now());
-                    if remaining.is_zero() {
-                        Err(CommError::RecvTimeout { rank, from, tag })
-                    } else {
-                        receiver.recv_timeout(remaining).map_err(|e| match e {
-                            RecvTimeoutError::Timeout => CommError::RecvTimeout { rank, from, tag },
-                            RecvTimeoutError::Disconnected => {
-                                CommError::PeersGone { rank, from, tag }
-                            }
-                        })
-                    }
-                }
-            };
-            match received {
-                Ok(envelope) if envelope.from == from && envelope.tag == tag => {
-                    found = Some(Ok((envelope.payload, envelope.corr)));
-                    break;
-                }
-                Ok(envelope) => stash.push(envelope),
-                Err(error) => {
-                    found = Some(Err(error));
-                    break;
-                }
+                Some(deadline) => self
+                    .receiver
+                    .recv_timeout(deadline.saturating_duration_since(Instant::now()))
+                    .map_err(|e| match e {
+                        RecvTimeoutError::Timeout => CommError::RecvTimeout { rank, from, tag },
+                        RecvTimeoutError::Disconnected => CommError::PeersGone { rank, from, tag },
+                    }),
+            }?;
+            if envelope.from == from && envelope.tag == tag {
+                return Ok(envelope);
             }
-        });
-        let result = found.expect("recv loop exited without a message");
-        match result {
-            Ok((payload, corr)) => {
-                self.note_recv(from, tag, payload.payload_bytes(), corr);
-                Ok(payload)
-            }
-            Err(error) => Err(error),
+            self.stash.push(envelope);
         }
     }
 
-    fn try_recv(&mut self, from: usize, tag: u64) -> Option<M> {
-        if self.dead {
-            return None;
-        }
+    fn try_take(&mut self, from: usize, tag: u64) -> Option<Envelope<M>> {
         // Drain anything pending into the stash, then search it.
         while let Ok(envelope) = self.receiver.try_recv() {
             self.stash.push(envelope);
         }
-        let envelope = self
-            .stash
-            .iter()
-            .position(|e| e.from == from && e.tag == tag)
-            .map(|pos| self.stash.remove(pos))?;
-        self.note_recv(from, tag, envelope.payload.payload_bytes(), envelope.corr);
-        Some(envelope.payload)
+        take_match(&mut self.stash, from, tag)
     }
 
     fn barrier(&mut self) -> Result<(), CommError> {
-        if self.dead {
-            return Err(CommError::RankDead { rank: self.rank });
-        }
-        self.flush_delayed();
-        let barrier = Arc::clone(&self.barrier);
-        let timeout = self.recv_timeout;
-        let rank = self.rank;
-        self.clock.wait(move || {
-            barrier
-                .wait(timeout)
-                .map_err(|()| CommError::BarrierTimeout { rank })
-        })
+        self.barrier
+            .wait(self.recv_timeout)
+            .map_err(|()| CommError::BarrierTimeout { rank: self.rank })
     }
 
-    fn clock_mut(&mut self) -> &mut RankClock {
-        &mut self.clock
-    }
-
-    fn memory_mut(&mut self) -> &mut MemoryTracker {
-        &mut self.memory
-    }
-
-    fn install_fault_harness(&mut self, harness: FaultHarness) {
-        self.harness = Some(harness);
-    }
-
-    fn set_fault_node(&mut self, node: usize) {
-        if let Some(harness) = self.harness.as_mut() {
-            harness.set_node(node);
-        }
-    }
-
-    fn set_telemetry(&mut self, sink: ptycho_telemetry::RankSink) {
-        self.telemetry = Some(sink);
-    }
-
-    fn fault_cursor(&self) -> Option<super::fault::FaultCursor> {
-        self.harness.as_ref().map(|h| h.cursor())
-    }
-
-    fn set_fault_cursor(&mut self, cursor: &super::fault::FaultCursor) {
-        if let Some(harness) = self.harness.as_mut() {
-            harness.set_cursor(cursor);
-        }
+    fn finish(&mut self) {
+        self.barrier.depart();
     }
 }
 
@@ -447,105 +216,42 @@ impl ThreadedBackend {
     pub fn recv_timeout(&self) -> Option<Duration> {
         self.recv_timeout
     }
-
-    /// Runs `body` on `num_ranks` ranks in parallel and collects every rank's
-    /// outcome, ordered by rank (see [`CommBackend::run`]).
-    pub fn run<M, R, F>(
-        &self,
-        num_ranks: usize,
-        body: F,
-    ) -> Result<Vec<RankOutcome<R>>, RankFailure>
-    where
-        M: Payload + 'static,
-        R: Send,
-        F: Fn(&mut RankContext<M>) -> Result<R, CommError> + Sync,
-    {
-        assert!(num_ranks > 0, "need at least one rank");
-        let mut senders = Vec::with_capacity(num_ranks);
-        let mut receivers = Vec::with_capacity(num_ranks);
-        for _ in 0..num_ranks {
-            let (tx, rx) = unbounded::<Envelope<M>>();
-            senders.push(tx);
-            receivers.push(rx);
-        }
-        let barrier = Arc::new(TimedBarrier::new(num_ranks));
-        let body = &body;
-
-        let mut outcomes: Vec<Option<RankOutcome<Result<R, CommError>>>> =
-            (0..num_ranks).map(|_| None).collect();
-
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(num_ranks);
-            for (rank, receiver) in receivers.into_iter().enumerate() {
-                // Every peer's sender except this rank's own: a rank must
-                // never keep its own receive channel alive while blocked, so
-                // that "all peers terminated" is observable.
-                let senders: Vec<Option<Sender<Envelope<M>>>> = senders
-                    .iter()
-                    .enumerate()
-                    .map(|(peer, tx)| (peer != rank).then(|| tx.clone()))
-                    .collect();
-                let barrier = Arc::clone(&barrier);
-                let topology = self.topology;
-                let recv_timeout = self.recv_timeout;
-                handles.push(scope.spawn(move || {
-                    let mut ctx = RankContext {
-                        rank,
-                        size: num_ranks,
-                        topology,
-                        senders,
-                        receiver,
-                        stash: Vec::new(),
-                        barrier,
-                        recv_timeout,
-                        harness: None,
-                        delayed: Vec::new(),
-                        send_corr: 0,
-                        dead: false,
-                        telemetry: None,
-                        clock: RankClock::new(),
-                        memory: MemoryTracker::new(),
-                    };
-                    let result = body(&mut ctx);
-                    // A delayed message must not be lost just because its
-                    // sender finished first.
-                    ctx.flush_delayed();
-                    RankOutcome {
-                        rank,
-                        result,
-                        time: ctx.clock.breakdown(),
-                        memory: ctx.memory,
-                    }
-                }));
-            }
-            // Drop the construction-time senders: from here on only live
-            // rank contexts keep channels connected, so a rank blocked in
-            // `recv` errors with `PeersGone` once every peer has finished.
-            drop(senders);
-            for (rank, handle) in handles.into_iter().enumerate() {
-                outcomes[rank] = Some(handle.join().expect("rank thread panicked"));
-            }
-        });
-
-        collect_outcomes(
-            outcomes
-                .into_iter()
-                .map(|o| o.expect("missing rank"))
-                .collect(),
-        )
-    }
 }
 
 impl CommBackend for ThreadedBackend {
-    type Comm<M: Payload + 'static> = RankContext<M>;
+    type Comm<M: Payload + 'static> = RankCtx<ThreadedTransport<M>>;
 
     fn run<M, R, F>(&self, num_ranks: usize, body: F) -> Result<Vec<RankOutcome<R>>, RankFailure>
     where
         M: Payload + 'static,
         R: Send,
-        F: Fn(&mut RankContext<M>) -> Result<R, CommError> + Sync,
+        F: Fn(&mut Self::Comm<M>) -> Result<R, CommError> + Sync,
     {
-        ThreadedBackend::run(self, num_ranks, body)
+        let (senders, receivers): (Vec<_>, Vec<_>) =
+            (0..num_ranks).map(|_| unbounded::<Envelope<M>>()).unzip();
+        let barrier = Arc::new(TimedBarrier::new(num_ranks));
+        // Each transport clones every peer's sender except its own, then the
+        // construction-time senders are dropped: only live ranks keep
+        // channels connected, so a rank blocked in `take` errors with
+        // `PeersGone` once every peer has finished.
+        let transports = receivers
+            .into_iter()
+            .enumerate()
+            .map(|(rank, receiver)| ThreadedTransport {
+                rank,
+                senders: senders
+                    .iter()
+                    .enumerate()
+                    .map(|(peer, tx)| (peer != rank).then(|| tx.clone()))
+                    .collect(),
+                receiver,
+                stash: Vec::new(),
+                barrier: Arc::clone(&barrier),
+                recv_timeout: self.recv_timeout,
+            })
+            .collect();
+        drop(senders);
+        launch(transports, self.topology, body)
     }
 
     fn with_loss_detection(mut self) -> Self {
@@ -565,135 +271,11 @@ impl CommBackend for ThreadedBackend {
 
 #[cfg(test)]
 mod tests {
+    use super::super::context::conformance::transport_conformance_tests;
+    use super::super::RankComm;
     use super::*;
 
-    #[test]
-    fn ring_pass_accumulates() {
-        // Each rank sends its rank number around a ring; the total arriving
-        // back equals the sum of all ranks.
-        let cluster = Cluster::new(ClusterTopology::summit());
-        let n = 6;
-        let outcomes = cluster
-            .run::<Vec<f64>, f64, _>(n, |ctx| {
-                let next = (ctx.rank() + 1) % ctx.size();
-                let prev = (ctx.rank() + ctx.size() - 1) % ctx.size();
-                let mut total = ctx.rank() as f64;
-                let mut token = vec![ctx.rank() as f64];
-                for _ in 0..ctx.size() - 1 {
-                    ctx.isend(next, 7, token);
-                    token = ctx.recv(prev, 7)?;
-                    total += token[0];
-                    token = vec![token[0]];
-                }
-                Ok(total)
-            })
-            .unwrap();
-        let expected: f64 = (0..n).map(|x| x as f64).sum();
-        for o in &outcomes {
-            assert_eq!(o.result, expected, "rank {} total mismatch", o.rank);
-        }
-    }
-
-    #[test]
-    fn tag_matching_is_respected() {
-        let cluster = Cluster::default();
-        let outcomes = cluster
-            .run::<Vec<f64>, (f64, f64), _>(2, |ctx| {
-                if ctx.rank() == 0 {
-                    // Send tag 2 first, then tag 1; receiver asks for tag 1 first.
-                    ctx.isend(1, 2, vec![20.0]);
-                    ctx.isend(1, 1, vec![10.0]);
-                    Ok((0.0, 0.0))
-                } else {
-                    let first = ctx.recv(0, 1)?[0];
-                    let second = ctx.recv(0, 2)?[0];
-                    Ok((first, second))
-                }
-            })
-            .unwrap();
-        assert_eq!(outcomes[1].result, (10.0, 20.0));
-    }
-
-    #[test]
-    fn try_recv_returns_none_when_empty() {
-        let cluster = Cluster::default();
-        let outcomes = cluster
-            .run::<Vec<f64>, bool, _>(2, |ctx| {
-                if ctx.rank() == 0 {
-                    // Never sends anything.
-                    Ok(true)
-                } else {
-                    Ok(ctx.try_recv(0, 1).is_none())
-                }
-            })
-            .unwrap();
-        assert!(outcomes[1].result);
-    }
-
-    #[test]
-    fn barrier_synchronises_all_ranks() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let counter = AtomicUsize::new(0);
-        let cluster = Cluster::default();
-        let outcomes = cluster
-            .run::<(), usize, _>(4, |ctx| {
-                counter.fetch_add(1, Ordering::SeqCst);
-                ctx.barrier()?;
-                // After the barrier every rank must observe all increments.
-                Ok(counter.load(Ordering::SeqCst))
-            })
-            .unwrap();
-        for o in outcomes {
-            assert_eq!(o.result, 4);
-        }
-    }
-
-    #[test]
-    fn communication_time_is_charged_to_sender() {
-        let cluster = Cluster::new(ClusterTopology::summit());
-        let payload_len = 1_000_000usize;
-        let outcomes = cluster
-            .run::<Vec<f64>, (), _>(7, |ctx| {
-                // Rank 0 sends a large buffer to rank 6 (different node).
-                if ctx.rank() == 0 {
-                    ctx.isend(6, 1, vec![0.0; payload_len]);
-                } else if ctx.rank() == 6 {
-                    let _ = ctx.recv(0, 1)?;
-                }
-                Ok(())
-            })
-            .unwrap();
-        let bytes = payload_len * 8;
-        let expected = ClusterTopology::summit().transfer_time(0, 6, bytes);
-        assert!((outcomes[0].time.communication - expected).abs() < 1e-12);
-        assert_eq!(outcomes[6].time.communication, 0.0);
-        // The receiver's blocking time shows up as wait.
-        assert!(outcomes[6].time.wait >= 0.0);
-    }
-
-    #[test]
-    fn outcomes_are_ordered_by_rank() {
-        let cluster = Cluster::default();
-        let outcomes = cluster
-            .run::<(), usize, _>(5, |ctx| Ok(ctx.rank() * 10))
-            .unwrap();
-        for (i, o) in outcomes.iter().enumerate() {
-            assert_eq!(o.rank, i);
-            assert_eq!(o.result, i * 10);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "rank thread panicked")]
-    fn send_to_invalid_rank_panics() {
-        let cluster = Cluster::default();
-        let _ = cluster.run::<(), (), _>(2, |ctx| {
-            if ctx.rank() == 0 {
-                ctx.isend(5, 0, ());
-            }
-            Ok(())
-        });
-    }
+    transport_conformance_tests!(Cluster::default());
 
     #[test]
     fn loss_detection_installs_a_bounded_timeout() {
@@ -719,10 +301,20 @@ mod tests {
         let cluster = Cluster::default().with_recv_timeout(Duration::from_millis(50));
         let failure = cluster
             .run::<(), (), _>(3, |ctx| {
-                if ctx.rank() == 0 {
-                    Ok(()) // exits without reaching the barrier
+                if ctx.rank() == 2 {
+                    // Stays alive, away from the barrier, until both peers
+                    // have given up on it: the deadline must end their
+                    // waits, not this rank's departure.
+                    for peer in 0..2 {
+                        while ctx.try_recv(peer, 9).is_none() {
+                            std::thread::yield_now();
+                        }
+                    }
+                    Ok(())
                 } else {
-                    ctx.barrier()
+                    let result = ctx.barrier();
+                    ctx.isend(2, 9, ());
+                    result
                 }
             })
             .unwrap_err();
@@ -741,20 +333,6 @@ mod tests {
             })
             .unwrap();
         assert_eq!(outcomes.len(), 4);
-    }
-
-    #[test]
-    fn self_send_is_received_locally() {
-        let cluster = Cluster::default();
-        let outcomes = cluster
-            .run::<Vec<f64>, f64, _>(2, |ctx| {
-                let me = ctx.rank();
-                ctx.isend(me, 5, vec![me as f64 + 0.5]);
-                Ok(ctx.recv(me, 5)?[0])
-            })
-            .unwrap();
-        assert_eq!(outcomes[0].result, 0.5);
-        assert_eq!(outcomes[1].result, 1.5);
     }
 
     #[test]

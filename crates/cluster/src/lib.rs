@@ -36,7 +36,7 @@
 //! backend) for [`LockstepBackend`] reruns the same body deterministically:
 //!
 //! ```
-//! use ptycho_cluster::{Cluster, ClusterTopology, RankComm};
+//! use ptycho_cluster::{Cluster, ClusterTopology, CommBackend, RankComm};
 //!
 //! let cluster = Cluster::new(ClusterTopology::summit());
 //! let outcomes = cluster
@@ -94,8 +94,8 @@ pub mod topology;
 
 pub use backend::{
     Cluster, CommBackend, CommError, CommTrace, CrashPhase, FaultAction, FaultCursor,
-    FaultInjectionBackend, FaultPolicy, LockstepBackend, LockstepComm, Payload, RankComm,
-    RankContext, RankFailure, RankOutcome, ReliableComm, ReliableConfig, ReliableStats, SharedTile,
+    FaultInjectionBackend, FaultPolicy, Instruments, LockstepBackend, Payload, RankComm, RankCtx,
+    RankFailure, RankOutcome, ReliableComm, ReliableConfig, ReliableStats, SharedTile,
     ThreadedBackend, TilePayloadPool, TraceEvent,
 };
 pub use clock::{RankClock, TimeBreakdown};

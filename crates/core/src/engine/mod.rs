@@ -446,7 +446,7 @@ impl<'k, K: SolverKernel> IterationEngine<'k, K> {
             let rank = ctx.rank();
             let sink = job.telemetry.map(|t| t.sink(rank));
             if let Some(sink) = &sink {
-                ctx.set_telemetry(sink.clone());
+                ctx.instruments().telemetry = Some(sink.clone());
             }
             let mut state = kernel.init(ctx);
             let mut costs = Vec::with_capacity(iterations);
@@ -649,7 +649,9 @@ impl<'k, K: SolverKernel> IterationEngine<'k, K> {
                     // Node-keyed faults (rank death) must follow the node:
                     // a spare adopting this slot must not inherit a death
                     // aimed at its predecessor.
-                    ctx.set_fault_node(node);
+                    if let Some(harness) = &mut ctx.instruments().harness {
+                        harness.set_node(node);
+                    }
                 }
                 let mut comm = ReliableComm::with_config(ctx, config);
                 // Telemetry streams are keyed by *node*: a promoted spare
@@ -657,7 +659,7 @@ impl<'k, K: SolverKernel> IterationEngine<'k, K> {
                 // its final attempt intact for post-mortems.
                 let sink = job.telemetry.map(|t| t.sink(node));
                 if let Some(sink) = &sink {
-                    comm.set_telemetry(sink.clone());
+                    comm.instruments().telemetry = Some(sink.clone());
                 }
                 let mut state = kernel.init(&mut comm);
                 let (mut costs, start) = {
@@ -682,7 +684,9 @@ impl<'k, K: SolverKernel> IterationEngine<'k, K> {
                         .expect("resume cursor poisoned")
                         .take()
                     {
-                        comm.set_fault_cursor(&cursor);
+                        if let Some(harness) = &mut comm.instruments().harness {
+                            harness.set_cursor(&cursor);
+                        }
                     }
                     if attempt_number == start_attempt {
                         if let Some(sink) = &sink {
@@ -835,7 +839,7 @@ impl<'k, K: SolverKernel> IterationEngine<'k, K> {
                             let record = SlotRecord {
                                 iteration: iteration + 1,
                                 costs: costs.clone(),
-                                cursor: comm.fault_cursor(),
+                                cursor: comm.instruments().harness.as_ref().map(|h| h.cursor()),
                                 state: encoded.into_bytes(),
                             };
                             let bytes = hook

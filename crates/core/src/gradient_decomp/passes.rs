@@ -288,7 +288,7 @@ fn local_overlap(grid: &TileGrid, rank: usize, peer: usize) -> Rect {
 mod tests {
     use super::*;
     use ptycho_array::{Array3, Rect};
-    use ptycho_cluster::{Cluster, ClusterTopology};
+    use ptycho_cluster::{Cluster, ClusterTopology, CommBackend};
     use ptycho_fft::Complex64;
     use ptycho_sim::scan::{ScanConfig, ScanPattern};
 

@@ -3,7 +3,9 @@
 
 use proptest::prelude::*;
 use ptycho_array::{Array3, Rect};
-use ptycho_cluster::{ClusterTopology, LockstepBackend, RankComm, SharedTile, TilePayloadPool};
+use ptycho_cluster::{
+    ClusterTopology, CommBackend, LockstepBackend, RankComm, SharedTile, TilePayloadPool,
+};
 use ptycho_core::gradient_decomp::passes::{run_accumulation_passes, run_planned_passes, PassPlan};
 use ptycho_core::memory_model::{decomposition_geometry, gd_memory_per_gpu};
 use ptycho_core::stitch::{border_mask, stitch_tiles};

@@ -2,7 +2,9 @@
 //! reconstruction workloads: message-passing patterns, time accounting,
 //! topology-aware costs and the analytic scaling model they feed.
 
-use ptycho_cluster::{Cluster, ClusterTopology, HardwareModel, RankComm, TimeBreakdown};
+use ptycho_cluster::{
+    Cluster, ClusterTopology, CommBackend, HardwareModel, RankComm, TimeBreakdown,
+};
 use ptycho_core::memory_model::{decomposition_geometry, gd_memory_per_gpu, hve_memory_per_gpu};
 use ptycho_core::scaling::{Method, ScalingScenario, GD_HALO_PM, HVE_HALO_PM};
 use ptycho_sim::dataset::DatasetSpec;

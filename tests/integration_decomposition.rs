@@ -3,7 +3,7 @@
 
 use ptycho_array::Array3;
 use ptycho_cluster::{
-    Cluster, ClusterTopology, MemoryCategory, RankComm, SharedTile, TilePayloadPool,
+    Cluster, ClusterTopology, CommBackend, MemoryCategory, RankComm, SharedTile, TilePayloadPool,
 };
 use ptycho_core::gradient_decomp::passes::run_accumulation_passes;
 use ptycho_core::tiling::TileGrid;
