@@ -27,7 +27,7 @@
 //! is needed.
 //!
 //! [`ReliableComm`]: super::ReliableComm
-//! [`ReliableComm::barrier`]: super::ReliableComm::barrier
+//! [`ReliableComm::barrier`]: super::RankComm::barrier
 
 use super::SharedTile;
 use std::collections::HashMap;

@@ -1,7 +1,5 @@
 //! Solver configuration shared by both decomposition methods.
 
-use ptycho_array::Rect;
-
 /// How often the accumulated-gradient buffers are synchronised between tiles
 /// (the parameter `T` of Algorithm 1, expressed in the units the paper uses in
 /// Fig. 9).
@@ -44,21 +42,6 @@ pub struct SolverConfig {
     /// describes independent tile reconstruction followed by exchange,
     /// repeated). `1` exchanges after every iteration.
     pub hve_exchange_period: usize,
-    /// When set, every worker prunes the entry-slice forward FFT to the
-    /// probe's compact-support window: pixels with intensity below
-    /// `threshold × peak` are zeroed out of the probe and the pruned
-    /// [`ptycho_fft::PartialFft2Plan`] skips their butterflies. `Some(0.0)`
-    /// selects the full window (bit-identical to `None` — the degenerate
-    /// pin the equivalence tests use); `None` (the default) keeps the dense
-    /// transforms.
-    pub probe_support_threshold: Option<f64>,
-    /// When set, every worker restricts the far-field diffraction pattern to
-    /// this detector region of interest (window-local coordinates): the
-    /// inverse entry FFT only reconstructs the pruned output rows, matching
-    /// [`ptycho_sim::MultisliceModel::with_detector_roi`]. The full-window
-    /// ROI is bit-identical to `None` — the degenerate pin the equivalence
-    /// tests use. `None` (the default) keeps the dense detector.
-    pub detector_roi: Option<Rect>,
 }
 
 impl Default for SolverConfig {
@@ -71,8 +54,6 @@ impl Default for SolverConfig {
             local_updates: true,
             hve_extra_probe_rows: 2,
             hve_exchange_period: 1,
-            probe_support_threshold: None,
-            detector_roi: None,
         }
     }
 }
@@ -89,8 +70,6 @@ impl SolverConfig {
             local_updates: true,
             hve_extra_probe_rows: 2,
             hve_exchange_period: 1,
-            probe_support_threshold: None,
-            detector_roi: None,
         }
     }
 }

@@ -240,6 +240,19 @@ impl<'a> ByteReader<'a> {
         Ok(f64::from_bits(self.get_u64()?))
     }
 
+    /// Reads an optional value: tag `0` is absent, tag `1` is followed by the
+    /// value `read` decodes, any other tag is corrupt.
+    pub(crate) fn get_opt<T>(
+        &mut self,
+        read: impl FnOnce(&mut Self) -> Result<T, DurabilityError>,
+    ) -> Result<Option<T>, DurabilityError> {
+        match self.get_u8()? {
+            0 => Ok(None),
+            1 => read(self).map(Some),
+            tag => Err(self.corrupt(&format!("unknown option tag {tag}"))),
+        }
+    }
+
     /// Reads a `u64` and checks it fits a `usize` sanity bound.
     pub fn get_len(&mut self, max: usize) -> Result<usize, DurabilityError> {
         let len = self.get_u64()?;

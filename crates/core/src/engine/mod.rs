@@ -191,8 +191,8 @@ pub struct IterationProgress {
 }
 
 /// Hooks tying one engine run to the job engine above it. All fields are
-/// optional; [`JobContext::default`] is a plain standalone run and is what
-/// [`IterationEngine::run`] uses — the hooks add no overhead when absent.
+/// optional; [`JobContext::default`] is a plain standalone run — the hooks
+/// add no overhead when absent.
 ///
 /// * `cancel` — cooperative cancellation: the engine polls the flag at each
 ///   iteration boundary and unwinds with [`CommError::Cancelled`] when it is
@@ -380,49 +380,30 @@ struct CheckpointSlot<T> {
 /// backend under a [`RecoveryPolicy`].
 pub struct IterationEngine<'k, K> {
     kernel: &'k K,
-    policy: RecoveryPolicy,
 }
 
 impl<'k, K: SolverKernel> IterationEngine<'k, K> {
-    /// An engine with the default [`RecoveryPolicy::FailFast`] policy.
-    pub fn new(kernel: &'k K) -> Self {
-        Self::with_policy(kernel, RecoveryPolicy::FailFast)
-    }
-
-    /// An engine with an explicit recovery policy.
-    pub fn with_policy(kernel: &'k K, policy: RecoveryPolicy) -> Self {
-        Self { kernel, policy }
-    }
-
-    /// The active recovery policy.
-    pub fn policy(&self) -> RecoveryPolicy {
-        self.policy
-    }
-
-    /// Runs the reconstruction, one rank per tile, surfacing unrecovered
-    /// communication failures as a [`RankFailure`].
-    pub fn run<B: CommBackend>(&self, backend: &B) -> Result<ReconstructionResult, RankFailure> {
-        self.run_with_context(backend, &JobContext::default())
-    }
-
-    /// Runs the reconstruction under job-engine hooks: cooperative
-    /// cancellation, per-iteration progress streaming, and an externally
-    /// owned spare pool (see [`JobContext`]). [`IterationEngine::run`] is
-    /// this with the default (empty) context.
-    pub fn run_with_context<B: CommBackend>(
-        &self,
+    /// Runs `kernel`'s reconstruction on `backend`, one rank per tile, under
+    /// `policy` and the job-engine hooks of `job` (cooperative cancellation,
+    /// per-iteration progress streaming, an externally owned spare pool — see
+    /// [`JobContext`]; the default context has none). Unrecovered
+    /// communication failures surface as a [`RankFailure`].
+    pub fn run<B: CommBackend>(
+        kernel: &'k K,
+        policy: RecoveryPolicy,
         backend: &B,
         job: &JobContext<'_>,
     ) -> Result<ReconstructionResult, RankFailure> {
-        match self.policy {
-            RecoveryPolicy::FailFast => self.run_fail_fast(backend, job),
+        let engine = Self { kernel };
+        match policy {
+            RecoveryPolicy::FailFast => engine.run_fail_fast(backend, job),
             RecoveryPolicy::RetransmitThenRestart {
                 max_iteration_restarts,
-            } => self.run_recovering(backend, job, max_iteration_restarts, None),
+            } => engine.run_recovering(backend, job, max_iteration_restarts, None),
             RecoveryPolicy::SubstituteSpare {
                 spares,
                 max_iteration_restarts,
-            } => self.run_recovering(backend, job, max_iteration_restarts, Some(spares)),
+            } => engine.run_recovering(backend, job, max_iteration_restarts, Some(spares)),
         }
     }
 

@@ -1,7 +1,7 @@
 //! The Halo Voxel Exchange parallel solver.
 //!
 //! The iteration driving (and the recovery machinery) lives in the shared
-//! [`IterationEngine`](crate::engine::IterationEngine); this module
+//! [`IterationEngine`]; this module
 //! contributes the [`SolverKernel`] describing what one baseline iteration
 //! does on one rank: embarrassingly parallel tile reconstruction with
 //! redundant probe locations, followed every `hve_exchange_period`
@@ -195,7 +195,7 @@ impl<'a> HaloVoxelExchangeSolver<'a> {
             assigned: &self.assigned,
             initial: &initial,
         };
-        IterationEngine::with_policy(&kernel, policy).run_with_context(backend, job)
+        IterationEngine::run(&kernel, policy, backend, job)
     }
 }
 

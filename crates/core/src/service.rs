@@ -44,7 +44,6 @@ use crate::engine::{
 };
 use crate::gradient_decomp::solver::GradientDecompositionSolver;
 use crate::halo_exchange::solver::HaloVoxelExchangeSolver;
-use ptycho_array::Rect;
 use ptycho_cluster::{
     Cluster, ClusterTopology, CommBackend, CommError, CrashPhase, FaultInjectionBackend,
     FaultPolicy, FleetView, JobId, JobQueue, LockstepBackend, NodeId, RankFailure,
@@ -1294,13 +1293,6 @@ fn put_opt_f64(w: &mut ByteWriter, value: Option<f64>) {
     }
 }
 
-fn get_opt_f64(r: &mut ByteReader<'_>) -> Result<Option<f64>, DurabilityError> {
-    Ok(match r.get_u8()? {
-        0 => None,
-        _ => Some(r.get_f64()?),
-    })
-}
-
 /// Encodes everything [`JobEngine::resume`] needs to rebuild the job from
 /// the checkpoint directory alone. The dataset is stored as its synthesis
 /// recipe plus the current scan length — the synthesized acquisition is
@@ -1336,19 +1328,11 @@ fn encode_spec(spec: &JobSpec) -> Vec<u8> {
     w.put_u8(c.local_updates as u8);
     w.put_u64(c.hve_extra_probe_rows as u64);
     w.put_u64(c.hve_exchange_period as u64);
-    put_opt_f64(&mut w, c.probe_support_threshold);
-    match c.detector_roi {
-        None => w.put_u8(0),
-        Some(roi) => {
-            w.put_u8(1);
-            // i64 coordinates round-trip through their two's-complement
-            // bit patterns.
-            w.put_u64(roi.row0 as u64);
-            w.put_u64(roi.row1 as u64);
-            w.put_u64(roi.col0 as u64);
-            w.put_u64(roi.col1 as u64);
-        }
-    }
+    // The absent tags of two retired settings (probe-support pruning, then
+    // the detector ROI): the version-1 layout keeps their positions, so
+    // stores written before their removal still decode.
+    w.put_u8(0);
+    w.put_u8(0);
     w.put_u64(spec.grid.0 as u64);
     w.put_u64(spec.grid.1 as u64);
     w.put_u8(match spec.method {
@@ -1458,7 +1442,7 @@ fn decode_spec(bytes: &[u8], path: &std::path::Path) -> Result<JobSpec, Durabili
         slices: r.get_u64()? as usize,
         scan_grid: (r.get_u64()? as usize, r.get_u64()? as usize),
         window_px: r.get_u64()? as usize,
-        dose: get_opt_f64(&mut r)?,
+        dose: r.get_opt(ByteReader::get_f64)?,
         defocus_pm: r.get_f64()?,
         seed: r.get_u64()?,
     };
@@ -1475,17 +1459,14 @@ fn decode_spec(bytes: &[u8], path: &std::path::Path) -> Result<JobSpec, Durabili
         local_updates: r.get_u8()? != 0,
         hve_extra_probe_rows: r.get_u64()? as usize,
         hve_exchange_period: r.get_u64()? as usize,
-        probe_support_threshold: get_opt_f64(&mut r)?,
-        detector_roi: match r.get_u8()? {
-            0 => None,
-            _ => Some(Rect {
-                row0: r.get_u64()? as i64,
-                row1: r.get_u64()? as i64,
-                col0: r.get_u64()? as i64,
-                col1: r.get_u64()? as i64,
-            }),
-        },
     };
+    for retired in ["probe-support pruning", "a detector ROI"] {
+        if r.get_opt(|_| Ok(()))?.is_some() {
+            return Err(corrupt(format!(
+                "the spec sets {retired}, which is no longer supported"
+            )));
+        }
+    }
     let grid = (r.get_u64()? as usize, r.get_u64()? as usize);
     let method = match r.get_u8()? {
         0 => SolverMethod::GradientDecomposition,
@@ -1504,44 +1485,34 @@ fn decode_spec(bytes: &[u8], path: &std::path::Path) -> Result<JobSpec, Durabili
         },
         (tag, _, _) => return Err(corrupt(format!("unknown recovery-policy tag {tag}"))),
     };
-    let fault_policy = match r.get_u8()? {
-        0 => None,
-        _ => Some(FaultPolicy {
+    let fault_policy = r.get_opt(|r| {
+        Ok(FaultPolicy {
             seed: r.get_u64()?,
             drop_probability: r.get_f64()?,
             duplicate_probability: r.get_f64()?,
             delay_probability: r.get_f64()?,
-            only_tag: match r.get_u8()? {
-                0 => None,
-                _ => Some(r.get_u64()?),
-            },
-            drop_exact: match r.get_u8()? {
-                0 => None,
-                _ => Some((
+            only_tag: r.get_opt(ByteReader::get_u64)?,
+            drop_exact: r.get_opt(|r| {
+                Ok((
                     r.get_u64()? as usize,
                     r.get_u64()? as usize,
                     r.get_u64()?,
                     r.get_u64()?,
-                )),
-            },
-            kill: match r.get_u8()? {
-                0 => None,
-                _ => Some((r.get_u64()? as usize, r.get_u64()?)),
-            },
-            process_kill: match r.get_u8()? {
-                0 => None,
-                _ => Some((
-                    r.get_u64()?,
-                    match r.get_u8()? {
-                        0 => CrashPhase::BeforeRename,
-                        1 => CrashPhase::DuringRename,
-                        2 => CrashPhase::AfterRename,
-                        tag => return Err(corrupt(format!("unknown crash-phase tag {tag}"))),
-                    },
-                )),
-            },
-        }),
-    };
+                ))
+            })?,
+            kill: r.get_opt(|r| Ok((r.get_u64()? as usize, r.get_u64()?)))?,
+            process_kill: r.get_opt(|r| {
+                let seq = r.get_u64()?;
+                let phase = match r.get_u8()? {
+                    0 => CrashPhase::BeforeRename,
+                    1 => CrashPhase::DuringRename,
+                    2 => CrashPhase::AfterRename,
+                    tag => return Err(corrupt(format!("unknown crash-phase tag {tag}"))),
+                };
+                Ok((seq, phase))
+            })?,
+        })
+    })?;
     let backend = match (r.get_u8()?, r.get_u64()?) {
         (0, _) => ServiceBackend::Lockstep,
         (1, nanos) => ServiceBackend::Threaded {
@@ -1597,6 +1568,189 @@ fn run_method<B: CommBackend>(
             HaloVoxelExchangeSolver::new(&spec.dataset, spec.config, spec.grid)
                 .expect("validated at submission")
                 .run_job(backend, spec.recovery, job)
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::path::Path;
+
+    /// Byte offsets in the version-1 layout of a spec whose every optional
+    /// field is present ([`full_spec`]).
+    const OPTION_TAGS: [(usize, &str); 6] = [
+        (41, "dose"),
+        (168, "fault_policy"),
+        (201, "only_tag"),
+        (210, "drop_exact"),
+        (243, "kill"),
+        (260, "process_kill"),
+    ];
+    /// Where the retired probe-support and detector-ROI settings sat.
+    const RETIRED_TAGS: [(usize, &str); 2] =
+        [(124, "probe-support pruning"), (125, "detector ROI")];
+    const FULL_SPEC_LEN: usize = 279;
+
+    fn spec(dose: Option<f64>) -> JobSpec {
+        let dataset = Dataset::synthesize(SyntheticConfig {
+            dose,
+            ..SyntheticConfig::tiny()
+        });
+        let config = SolverConfig {
+            iterations: 3,
+            halo_px: 20,
+            ..SolverConfig::default()
+        };
+        JobSpec::new(dataset, config, (1, 2))
+    }
+
+    fn full_fault_policy(phase: CrashPhase) -> FaultPolicy {
+        FaultPolicy {
+            only_tag: Some(7),
+            drop_exact: Some((0, 1, 7, 3)),
+            kill: Some((1, 5)),
+            process_kill: Some((2, phase)),
+            ..FaultPolicy::reliable(11)
+                .drop(0.125)
+                .duplicate(0.25)
+                .delay(0.0625)
+        }
+    }
+
+    fn full_spec() -> JobSpec {
+        spec(Some(1e4))
+            .with_priority(-3)
+            .with_fault_policy(full_fault_policy(CrashPhase::DuringRename))
+    }
+
+    fn decode(bytes: &[u8]) -> Result<JobSpec, DurabilityError> {
+        decode_spec(bytes, Path::new("spec-under-test"))
+    }
+
+    /// The `Corrupt` detail of a rejected buffer; any other outcome fails.
+    fn corrupt_detail(bytes: &[u8]) -> String {
+        match decode(bytes) {
+            Err(DurabilityError::Corrupt { detail, .. }) => detail,
+            Err(other) => panic!("expected Corrupt, got {other}"),
+            Ok(_) => panic!("a damaged spec decoded"),
+        }
+    }
+
+    fn assert_round_trips(spec: &JobSpec) {
+        let bytes = encode_spec(spec);
+        let decoded = decode(&bytes).expect("an encoded spec decodes");
+        // The dataset recipe has no `PartialEq`; the re-encoding below pins it.
+        assert_eq!(decoded.dataset.scan().len(), spec.dataset.scan().len());
+        assert_eq!(decoded.config, spec.config);
+        assert_eq!(decoded.grid, spec.grid);
+        assert_eq!(decoded.method, spec.method);
+        assert_eq!(decoded.priority, spec.priority);
+        assert_eq!(decoded.recovery, spec.recovery);
+        assert_eq!(decoded.fault_policy, spec.fault_policy);
+        assert_eq!(decoded.backend, spec.backend);
+        assert_eq!(encode_spec(&decoded), bytes);
+    }
+
+    #[test]
+    fn spec_round_trips_through_every_enum_arm() {
+        let base = spec(None);
+        assert_round_trips(&base);
+        assert_round_trips(&full_spec());
+        for pass_frequency in [PassFrequency::EveryProbe, PassFrequency::PerIteration(2)] {
+            let mut spec = base.clone();
+            spec.config.pass_frequency = pass_frequency;
+            spec.config.local_updates = false;
+            assert_round_trips(&spec);
+        }
+        for method in [
+            SolverMethod::GradientDecomposition,
+            SolverMethod::HaloVoxelExchange,
+        ] {
+            assert_round_trips(&base.clone().with_method(method));
+        }
+        for recovery in [
+            RecoveryPolicy::FailFast,
+            RecoveryPolicy::RetransmitThenRestart {
+                max_iteration_restarts: 4,
+            },
+            RecoveryPolicy::SubstituteSpare {
+                spares: 2,
+                max_iteration_restarts: 1,
+            },
+        ] {
+            assert_round_trips(&base.clone().with_recovery(recovery));
+        }
+        for backend in [
+            ServiceBackend::Lockstep,
+            ServiceBackend::Threaded {
+                recv_timeout: Duration::from_millis(250),
+            },
+        ] {
+            assert_round_trips(&base.clone().with_backend(backend));
+        }
+        assert_round_trips(&base.clone().with_fault_policy(FaultPolicy::reliable(3)));
+        for phase in [
+            CrashPhase::BeforeRename,
+            CrashPhase::DuringRename,
+            CrashPhase::AfterRename,
+        ] {
+            assert_round_trips(&base.clone().with_fault_policy(full_fault_policy(phase)));
+        }
+    }
+
+    #[test]
+    fn the_version_1_layout_keeps_the_retired_positions() {
+        let bytes = encode_spec(&full_spec());
+        assert_eq!(bytes.len(), FULL_SPEC_LEN);
+        assert_eq!(bytes[0], SPEC_VERSION);
+        for (offset, name) in OPTION_TAGS {
+            assert_eq!(bytes[offset], 1, "{name} tag at {offset}");
+        }
+        for (offset, name) in RETIRED_TAGS {
+            assert_eq!(bytes[offset], 0, "retired {name} tag at {offset}");
+        }
+    }
+
+    #[test]
+    fn only_tag_1_means_present() {
+        let bytes = encode_spec(&full_spec());
+        for (offset, name) in OPTION_TAGS.into_iter().chain(RETIRED_TAGS) {
+            for tag in [2u8, 255] {
+                let mut damaged = bytes.clone();
+                damaged[offset] = tag;
+                assert_eq!(
+                    corrupt_detail(&damaged),
+                    format!("unknown option tag {tag}"),
+                    "{name} tag at {offset}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_retired_setting_is_refused_by_name() {
+        let bytes = encode_spec(&full_spec());
+        for (offset, name) in RETIRED_TAGS {
+            let mut damaged = bytes.clone();
+            damaged[offset] = 1;
+            let detail = corrupt_detail(&damaged);
+            assert!(detail.contains(name), "{detail:?} should name {name}");
+        }
+    }
+
+    #[test]
+    fn trailing_bytes_and_every_truncation_are_corrupt() {
+        let bytes = encode_spec(&full_spec());
+        let mut longer = bytes.clone();
+        longer.push(0);
+        assert_eq!(corrupt_detail(&longer), "trailing bytes after the job spec");
+        for len in 0..bytes.len() {
+            assert_eq!(
+                corrupt_detail(&bytes[..len]),
+                "payload truncated",
+                "at {len}"
+            );
         }
     }
 }

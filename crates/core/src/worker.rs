@@ -8,7 +8,7 @@ use ptycho_fft::{CArray3, Complex64};
 use ptycho_sim::dataset::{Dataset, BYTES_PER_COMPLEX, BYTES_PER_MEASUREMENT};
 use ptycho_sim::gradient::{probe_gradient_into, suggested_step};
 use ptycho_sim::scan::ProbeLocation;
-use ptycho_sim::{MultisliceModel, SimWorkspace};
+use ptycho_sim::SimWorkspace;
 
 /// The state one worker (simulated GPU) keeps for its tile: the halo-extended
 /// sub-volume it reconstructs, the bound forward model, the gradient step,
@@ -22,15 +22,10 @@ pub(crate) struct TileWorker<'a> {
     step: f64,
     slices: usize,
     /// Reusable forward/adjoint model buffers (incident stack, far field,
-    /// back-propagation wave, and a transpose scratch if the model prunes).
+    /// back-propagation wave).
     workspace: SimWorkspace,
     /// Reusable probe-window object patch, refilled per probe location.
     patch: CArray3,
-    /// A pruned copy of the dataset's model, built when
-    /// [`SolverConfig::probe_support_threshold`] and/or
-    /// [`SolverConfig::detector_roi`] is set; gradient evaluation uses it in
-    /// place of the dense model.
-    pruned_model: Option<MultisliceModel>,
 }
 
 impl<'a> TileWorker<'a> {
@@ -48,26 +43,6 @@ impl<'a> TileWorker<'a> {
         let slices = dataset.object_shape().0;
         let volume = initial.extract_region_with_fill(tile.extended, Complex64::ONE);
         let step = config.step_relaxation * suggested_step(dataset.model());
-        // Support pruning: pad the probe to its compact-support window and
-        // let the entry-slice FFT skip the butterflies outside it. The
-        // padded interior is bit-identical, so with a zero threshold (full
-        // window) the pruned model reproduces the dense one exactly. The
-        // detector ROI composes on the same pruned copy: the far-field
-        // transform only materialises the ROI rows (full-window ROI is the
-        // dense transform again).
-        let pruned_model =
-            if config.probe_support_threshold.is_some() || config.detector_roi.is_some() {
-                let mut model = dataset.model().clone();
-                if let Some(threshold) = config.probe_support_threshold {
-                    model = model.with_probe_support_threshold(threshold);
-                }
-                if let Some(roi) = config.detector_roi {
-                    model = model.with_detector_roi(roi);
-                }
-                Some(model)
-            } else {
-                None
-            };
 
         // Register what this worker would hold in GPU memory.
         let window = dataset.model().window_px();
@@ -90,7 +65,7 @@ impl<'a> TileWorker<'a> {
         // The pooled buffers this worker holds resident for its whole life:
         // the SimWorkspace of the model it evaluates and the probe-window
         // object patch, charged at the bytes they actually hold.
-        let workspace = SimWorkspace::for_model(pruned_model.as_ref().unwrap_or(dataset.model()));
+        let workspace = SimWorkspace::for_model(dataset.model());
         let patch = Array3::full(slices, window, window, Complex64::ONE);
         memory.allocate(
             MemoryCategory::ModelWorkspace,
@@ -105,7 +80,6 @@ impl<'a> TileWorker<'a> {
             slices,
             workspace,
             patch,
-            pruned_model,
         }
     }
 
@@ -134,14 +108,8 @@ impl<'a> TileWorker<'a> {
         let local_window = self.local_window(loc);
         self.volume
             .extract_region_into(local_window, Complex64::ONE, &mut self.patch);
-        // Direct field borrows keep the model reference disjoint from the
-        // mutable workspace borrow.
-        let model = match &self.pruned_model {
-            Some(pruned) => pruned,
-            None => self.dataset.model(),
-        };
         probe_gradient_into(
-            model,
+            self.dataset.model(),
             &self.patch,
             self.dataset.measurement(loc),
             &mut self.workspace,
@@ -471,23 +439,11 @@ mod tests {
         let (_, rows, cols) = dataset.object_shape();
         let grid = TileGrid::new(rows, cols, 1, 1, 8, dataset.scan());
         let initial = dataset.initial_guess();
-        let pruned = SolverConfig {
-            probe_support_threshold: Some(1e-6),
-            ..SolverConfig::default()
-        };
-        let mut charges = Vec::new();
-        for config in [SolverConfig::default(), pruned] {
-            let mut memory = MemoryTracker::new();
-            let worker = TileWorker::new(&dataset, grid.tile(0), &initial, &config, 0, &mut memory);
-            let held =
-                worker.workspace.bytes() + worker.patch.len() * std::mem::size_of::<Complex64>();
-            assert_eq!(memory.current_of(MemoryCategory::ModelWorkspace), held);
-            charges.push(held);
-        }
-        // Only a pruning model carries a transpose scratch: one more
-        // window² field.
-        let window = dataset.model().window_px();
-        assert_eq!(charges[1] - charges[0], window * window * BYTES_PER_COMPLEX);
+        let mut memory = MemoryTracker::new();
+        let config = SolverConfig::default();
+        let worker = TileWorker::new(&dataset, grid.tile(0), &initial, &config, 0, &mut memory);
+        let held = worker.workspace.bytes() + worker.patch.len() * std::mem::size_of::<Complex64>();
+        assert_eq!(memory.current_of(MemoryCategory::ModelWorkspace), held);
     }
 
     /// The `±0.0` decision the pass plan rests on: skipping the cells where a

@@ -187,9 +187,8 @@ impl FftPlan {
         }
     }
 
-    /// Applies the bit-reversal permutation — shared with the pruned partial
-    /// plans, which interleave their own stage loop.
-    pub(crate) fn permute(&self, data: &mut [Complex64]) {
+    /// Applies the bit-reversal permutation.
+    fn permute(&self, data: &mut [Complex64]) {
         for i in 0..self.len {
             let j = self.bit_rev[i] as usize;
             if i < j {
@@ -199,8 +198,8 @@ impl FftPlan {
     }
 
     /// Per-stage twiddle tables for the given direction (stage `s` holds
-    /// `2^s` entries) — shared with the pruned partial plans.
-    pub(crate) fn stages(&self, forward: bool) -> &[Vec<Complex64>] {
+    /// `2^s` entries).
+    fn stages(&self, forward: bool) -> &[Vec<Complex64>] {
         if forward {
             &self.forward_stages
         } else {
@@ -388,34 +387,6 @@ mod tests {
         let plan = FftPlan::new(8);
         let mut data = vec![Complex64::ZERO; 4];
         plan.forward(&mut data);
-    }
-
-    #[test]
-    fn sse2_plan_bit_identical_to_scalar_plan() {
-        if !SimdLevel::Sse2.is_available() {
-            return;
-        }
-        for &n in &[2usize, 8, 64, 256, 1024] {
-            let scalar_plan = FftPlan::with_simd_level(n, SimdLevel::Scalar);
-            let sse2_plan = FftPlan::with_simd_level(n, SimdLevel::Sse2);
-            let input: Vec<Complex64> = (0..n)
-                .map(|i| Complex64::new((i as f64 * 0.83).sin(), (i as f64 * 0.19).cos()))
-                .collect();
-            let mut a = input.clone();
-            let mut b = input.clone();
-            scalar_plan.forward(&mut a);
-            sse2_plan.forward(&mut b);
-            for (x, y) in a.iter().zip(&b) {
-                assert_eq!(x.re.to_bits(), y.re.to_bits());
-                assert_eq!(x.im.to_bits(), y.im.to_bits());
-            }
-            scalar_plan.inverse(&mut a);
-            sse2_plan.inverse(&mut b);
-            for (x, y) in a.iter().zip(&b) {
-                assert_eq!(x.re.to_bits(), y.re.to_bits());
-                assert_eq!(x.im.to_bits(), y.im.to_bits());
-            }
-        }
     }
 
     #[test]

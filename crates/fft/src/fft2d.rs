@@ -17,14 +17,13 @@
 //! ([`Fft2Plan::forward`] and friends) clone the input first — convenient
 //! for cold paths, tests and examples.
 //!
-//! [`Fft2Scratch`] is the transpose buffer of the pruned
-//! [`crate::partial::PartialFft2Plan`], which still walks its (few) columns
-//! through a transpose. The dense plan's `*_in_place(field, scratch)` methods
-//! remain for callers that drive a dense and a pruned plan from one shared
-//! workspace; the dense plan leaves the scratch untouched.
+//! [`Fft2Scratch`] and the `*_in_place(field, scratch)` methods are shims
+//! from before the column pass ran in place: the scratch holds no buffer and
+//! is only shape-checked. They stay for the one external caller that still
+//! names them.
 
 use crate::simd::SimdLevel;
-use crate::{CArray2, Complex64, FftPlan};
+use crate::{CArray2, FftPlan};
 use ptycho_array::Array2;
 
 /// A reusable plan for 2D FFTs of a fixed `(rows, cols)` shape (both powers of
@@ -37,27 +36,15 @@ pub struct Fft2Plan {
     col_plan: FftPlan,
 }
 
-/// Caller-owned workspace of the pruned 2D plans: one `rows × cols` transpose
-/// (ping-pong) buffer, allocated once and reused for every transform of the
-/// matching plan.
+/// The workspace argument of the `*_in_place` shims: a plan shape and nothing
+/// else (the transforms need no buffer).
 #[derive(Clone, Debug)]
 pub struct Fft2Scratch {
     rows: usize,
     cols: usize,
-    /// The ping-pong buffer.
-    pub(crate) buf: Vec<Complex64>,
 }
 
 impl Fft2Scratch {
-    /// Allocates a scratch buffer for `rows × cols` transforms.
-    pub fn new(rows: usize, cols: usize) -> Self {
-        Self {
-            rows,
-            cols,
-            buf: vec![Complex64::ZERO; rows * cols],
-        }
-    }
-
     /// The `(rows, cols)` plan shape this scratch was sized for.
     pub fn shape(&self) -> (usize, usize) {
         (self.rows, self.cols)
@@ -143,24 +130,24 @@ impl Fft2Plan {
         self.transform(field, false, 1.0);
     }
 
-    /// [`Self::forward_mut`] for callers holding a workspace shared with a
-    /// pruned plan; `scratch` is only shape-checked.
+    /// [`Self::forward_mut`]; `scratch` is only shape-checked.
     pub fn forward_in_place(&self, field: &mut CArray2, scratch: &mut Fft2Scratch) {
         self.check_scratch(scratch);
         self.forward_mut(field);
     }
 
-    /// [`Self::inverse_mut`] for callers holding a workspace shared with a
-    /// pruned plan; `scratch` is only shape-checked.
+    /// [`Self::inverse_mut`]; `scratch` is only shape-checked.
     pub fn inverse_in_place(&self, field: &mut CArray2, scratch: &mut Fft2Scratch) {
         self.check_scratch(scratch);
         self.inverse_mut(field);
     }
 
-    /// Allocates a scratch workspace of this plan's shape, for a pruned plan
-    /// of the same shape.
+    /// A scratch of this plan's shape.
     pub fn make_scratch(&self) -> Fft2Scratch {
-        Fft2Scratch::new(self.rows, self.cols)
+        Fft2Scratch {
+            rows: self.rows,
+            cols: self.cols,
+        }
     }
 
     fn check_scratch(&self, scratch: &Fft2Scratch) {
@@ -210,16 +197,6 @@ pub fn ifft2(field: &CArray2) -> CArray2 {
     Fft2Plan::new(field.rows(), field.cols()).inverse(field)
 }
 
-/// One-shot in-place forward 2D FFT (builds a throwaway plan).
-pub fn fft2_in_place(field: &mut CArray2) {
-    Fft2Plan::new(field.rows(), field.cols()).forward_mut(field);
-}
-
-/// One-shot in-place inverse 2D FFT (builds a throwaway plan).
-pub fn ifft2_in_place(field: &mut CArray2) {
-    Fft2Plan::new(field.rows(), field.cols()).inverse_mut(field);
-}
-
 /// Circularly shifts the zero-frequency component to the centre of the array.
 ///
 /// For even dimensions `fftshift` and [`ifftshift`] coincide; both are provided
@@ -264,7 +241,7 @@ pub fn amplitude(field: &CArray2) -> Array2<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dft;
+    use crate::{dft, Complex64};
 
     fn test_field(rows: usize, cols: usize) -> CArray2 {
         Array2::from_fn(rows, cols, |r, c| {
@@ -498,26 +475,6 @@ mod tests {
     }
 
     #[test]
-    fn sse2_2d_plan_bit_identical_to_scalar_2d_plan() {
-        if !SimdLevel::Sse2.is_available() {
-            return;
-        }
-        for &(rows, cols) in &[(8usize, 8usize), (16, 32), (64, 64)] {
-            let field = test_field(rows, cols);
-            let scalar_plan = Fft2Plan::with_simd_level(rows, cols, SimdLevel::Scalar);
-            let sse2_plan = Fft2Plan::with_simd_level(rows, cols, SimdLevel::Sse2);
-            let mut a = field.clone();
-            let mut b = field.clone();
-            scalar_plan.forward_mut(&mut a);
-            sse2_plan.forward_mut(&mut b);
-            for (x, y) in a.as_slice().iter().zip(b.as_slice()) {
-                assert_eq!(x.re.to_bits(), y.re.to_bits());
-                assert_eq!(x.im.to_bits(), y.im.to_bits());
-            }
-        }
-    }
-
-    #[test]
     fn every_tier_2d_plan_bit_identical_to_scalar_2d_plan() {
         // Row pass, column pass (one- and two-stage sweeps, odd stage counts)
         // and the scaling, at every tier; the 1×N / N×1 / N×2 shapes leave
@@ -558,15 +515,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn one_shot_in_place_helpers_roundtrip() {
-        let field = test_field(8, 8);
-        let mut data = field.clone();
-        fft2_in_place(&mut data);
-        ifft2_in_place(&mut data);
-        assert_fields_close(&data, &field, 1e-10);
     }
 
     #[test]

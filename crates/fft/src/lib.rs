@@ -16,17 +16,12 @@
 //! * [`fft2d`] — forward/inverse 2D transforms over [`ptycho_array::Array2`]:
 //!   a row pass and a transpose-free column pass, both in place (the
 //!   hot-path API needs no workspace), plus `fftshift`/`ifftshift`.
-//! * [`simd`] — the butterfly-sweep/transpose kernel tiers ([`SimdLevel`]):
+//! * [`simd`] — the butterfly-sweep kernel tiers ([`SimdLevel`]):
 //!   scalar everywhere, plus SSE2 and AVX2 `core::arch` kernels on x86_64,
 //!   the widest one the CPU offers selected at plan construction by runtime
 //!   detection. Every tier computes the same IEEE operation sequence, so all
 //!   are bit-identical and the tier is not part of a result's identity; that
 //!   module's docs state the contract and why FMA is not used.
-//! * [`partial`] — pruned partial transforms ([`PartialFftPlan`],
-//!   [`PartialFft2Plan`]) that skip butterflies for inputs known to be zero
-//!   (probe compact support) or outputs nobody reads (detector ROI), exactly —
-//!   every butterfly they do execute is the same arithmetic the dense plan
-//!   would have performed.
 //! * [`dft`] — a naive O(N²) reference DFT used only by tests and benches.
 //!
 //! # Conventions
@@ -62,12 +57,10 @@ mod complex;
 pub mod dft;
 mod fft1d;
 pub mod fft2d;
-pub mod partial;
 pub mod simd;
 
 pub use complex::Complex64;
 pub use fft1d::{fft, ifft, FftPlan};
-pub use partial::{PartialFft2Plan, PartialFftPlan};
 pub use simd::SimdLevel;
 
 /// Alias used throughout the workspace for complex-valued images.

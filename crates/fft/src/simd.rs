@@ -1,5 +1,4 @@
-//! The radix-2 butterfly sweeps and the blocked transpose, at every dispatch
-//! tier.
+//! The radix-2 butterfly sweeps, at every dispatch tier.
 //!
 //! # Sweeps
 //!
@@ -45,7 +44,7 @@
 //! reordered and nothing is fused, so which tier, which lane and which
 //! partition of a run computed a value cannot be seen in its bits: all tiers
 //! are **bit-identical**, pinned by `to_bits` tests at every level of the
-//! stack (sweeps, 1-D / 2-D / pruned plans, the multi-slice gradient, whole
+//! stack (sweeps, 1-D / 2-D plans, the multi-slice gradient, whole
 //! solves). The dispatch tier is therefore not part of a result's identity —
 //! goldens, traces and checkpoints are the same on every host.
 //!
@@ -81,7 +80,7 @@
 
 use crate::Complex64;
 
-/// The instruction-set tier a plan's butterfly and transpose kernels run at.
+/// The instruction-set tier a plan's butterfly kernels run at.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum SimdLevel {
     /// Portable scalar loop (always available; bit-identity reference).
@@ -160,8 +159,7 @@ macro_rules! dispatch {
 // entries of the second table for the `h` of the first.
 
 /// One stage over paired runs — `lo[k]`, `hi[k]` under twiddle `tw[k]`, for
-/// every `k` all three runs have: the dense 1-D plan's odd last stage, and the
-/// unit the pruned plans build their partial blocks from.
+/// every `k` all three runs have: the 1-D plan's odd last stage.
 pub(crate) fn butterfly_range(
     level: SimdLevel,
     lo: &mut [Complex64],
@@ -170,12 +168,6 @@ pub(crate) fn butterfly_range(
 ) {
     debug_assert!(lo.len() == hi.len() && lo.len() == tw.len());
     dispatch!(level, scalar_range, sse2_range, avx2_range, (lo, hi, tw))
-}
-
-/// One stage over every `2h`-block of a contiguous line (`h = stage.len()`)
-/// — the pruned plans' fully dense stages.
-pub(crate) fn butterfly_pass(level: SimdLevel, data: &mut [Complex64], stage: &[Complex64]) {
-    dispatch!(level, scalar_pass, sse2_pass, avx2_pass, (data, stage))
 }
 
 /// Two stages over every `4h`-block of a contiguous line: the stage `wa` (`h`
@@ -232,48 +224,6 @@ pub(crate) fn column_pass2(
     )
 }
 
-/// Cache-blocked transpose of the `rows × cols` row-major `src` into `dst`
-/// (`cols × rows`), at the given tier. Pure data movement — every tier is
-/// bit-identical.
-pub(crate) fn transpose_into(
-    level: SimdLevel,
-    src: &[Complex64],
-    rows: usize,
-    cols: usize,
-    dst: &mut [Complex64],
-) {
-    debug_assert_eq!(src.len(), rows * cols);
-    debug_assert_eq!(dst.len(), rows * cols);
-    match level {
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Avx2 => unsafe { x86::avx2_transpose(src, rows, cols, dst) },
-        // The SSE2 tier shares the scalar blocked loop: a Complex64 copy is
-        // already one 16-byte move, so there is nothing to vectorise below
-        // the 2×2 AVX2 micro-kernel.
-        _ => transpose_blocked(src, rows, cols, dst),
-    }
-}
-
-/// Square tile side for the blocked transpose: 16×16 complex values are 4 KiB
-/// of source plus 4 KiB of destination, comfortably inside L1 on every
-/// current x86 part, while keeping the row stride short enough that the
-/// destination writes stay in a handful of cache lines.
-const TRANSPOSE_BLOCK: usize = 16;
-
-fn transpose_blocked(src: &[Complex64], rows: usize, cols: usize, dst: &mut [Complex64]) {
-    for rb in (0..rows).step_by(TRANSPOSE_BLOCK) {
-        let r_end = (rb + TRANSPOSE_BLOCK).min(rows);
-        for cb in (0..cols).step_by(TRANSPOSE_BLOCK) {
-            let c_end = (cb + TRANSPOSE_BLOCK).min(cols);
-            for r in rb..r_end {
-                for c in cb..c_end {
-                    dst[c * rows + r] = src[r * cols + c];
-                }
-            }
-        }
-    }
-}
-
 // The portable sweeps. The butterfly is the exact operation sequence
 // `t = b·w; a' = a + t; b' = a − t` — the bit-identity reference for every
 // other tier.
@@ -281,14 +231,6 @@ fn transpose_blocked(src: &[Complex64], rows: usize, cols: usize, dst: &mut [Com
 fn scalar_range(lo: &mut [Complex64], hi: &mut [Complex64], tw: &[Complex64]) {
     for ((a, b), w) in lo.iter_mut().zip(hi.iter_mut()).zip(tw) {
         butterfly(a, b, *w);
-    }
-}
-
-fn scalar_pass(data: &mut [Complex64], stage: &[Complex64]) {
-    let h = stage.len();
-    for block in data.chunks_exact_mut(2 * h) {
-        let (lo, hi) = block.split_at_mut(h);
-        scalar_range(lo, hi, stage);
     }
 }
 
@@ -596,15 +538,6 @@ mod x86 {
     }
 
     #[inline(always)]
-    unsafe fn pass<L: Lanes>(data: &mut [Complex64], stage: &[Complex64]) {
-        let h = stage.len();
-        for block in data.chunks_exact_mut(2 * h) {
-            let lo = block.as_mut_ptr();
-            run1::<L, _>(lo, lo.add(h), stage.as_ptr(), h);
-        }
-    }
-
-    #[inline(always)]
     unsafe fn pass2<L: Lanes>(data: &mut [Complex64], wa: &[Complex64], wb: &[Complex64]) {
         let h = wa.len();
         let (wa, wb) = (wa.as_ptr(), wb.as_ptr());
@@ -666,65 +599,9 @@ mod x86 {
     }
 
     per_tier!(sse2_range, avx2_range, range(lo: &mut [Complex64], hi: &mut [Complex64], tw: &[Complex64]));
-    per_tier!(sse2_pass, avx2_pass, pass(data: &mut [Complex64], stage: &[Complex64]));
     per_tier!(sse2_pass2, avx2_pass2, pass2(data: &mut [Complex64], wa: &[Complex64], wb: &[Complex64]));
     per_tier!(sse2_column, avx2_column, column(data: &mut [Complex64], cols: usize, stage: &[Complex64]));
     per_tier!(sse2_column2, avx2_column2, column2(data: &mut [Complex64], cols: usize, wa: &[Complex64], wb: &[Complex64]));
-
-    /// Blocked transpose with a 2×2 complex (4×4 f64) AVX2 micro-kernel: two
-    /// 256-bit loads, two cross-lane shuffles, two stores move a 2×2 tile.
-    /// Pure data movement — bit-identical to the scalar transpose.
-    ///
-    /// # Safety
-    /// `src.len() == dst.len() == rows·cols` (checked by the dispatcher);
-    /// caller confirmed `avx2`.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn avx2_transpose(
-        src: &[Complex64],
-        rows: usize,
-        cols: usize,
-        dst: &mut [Complex64],
-    ) {
-        let sp = src.as_ptr() as *const f64;
-        let dp = dst.as_mut_ptr() as *mut f64;
-        let r2 = rows & !1;
-        let c2 = cols & !1;
-        for rb in (0..rows).step_by(super::TRANSPOSE_BLOCK) {
-            let r_end = (rb + super::TRANSPOSE_BLOCK).min(rows);
-            for cb in (0..cols).step_by(super::TRANSPOSE_BLOCK) {
-                let c_end = (cb + super::TRANSPOSE_BLOCK).min(cols);
-                let mut r = rb;
-                while r < r_end.min(r2) {
-                    let mut c = cb;
-                    while c < c_end.min(c2) {
-                        // rows r, r+1 × cols c, c+1 of src.
-                        let a = _mm256_loadu_pd(sp.add(2 * (r * cols + c)));
-                        let b = _mm256_loadu_pd(sp.add(2 * ((r + 1) * cols + c)));
-                        // dst row c gets [src[r][c], src[r+1][c]] …
-                        let lo = _mm256_permute2f128_pd(a, b, 0x20);
-                        // … and dst row c+1 gets [src[r][c+1], src[r+1][c+1]].
-                        let hi = _mm256_permute2f128_pd(a, b, 0x31);
-                        _mm256_storeu_pd(dp.add(2 * (c * rows + r)), lo);
-                        _mm256_storeu_pd(dp.add(2 * ((c + 1) * rows + r)), hi);
-                        c += 2;
-                    }
-                    // Odd trailing column of this block row.
-                    for c in c.max(cb)..c_end {
-                        *dst.get_unchecked_mut(c * rows + r) = *src.get_unchecked(r * cols + c);
-                        *dst.get_unchecked_mut(c * rows + r + 1) =
-                            *src.get_unchecked((r + 1) * cols + c);
-                    }
-                    r += 2;
-                }
-                // Odd trailing row of this block.
-                for r in r.max(rb)..r_end {
-                    for c in cb..c_end {
-                        *dst.get_unchecked_mut(c * rows + r) = *src.get_unchecked(r * cols + c);
-                    }
-                }
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -751,24 +628,6 @@ mod tests {
         assert_eq!(SimdLevel::Avx2.label(), "avx2");
     }
 
-    #[test]
-    fn sse2_butterflies_bit_identical_to_scalar() {
-        if !SimdLevel::Sse2.is_available() {
-            return;
-        }
-        for &(size, blocks) in &[(2usize, 8usize), (8, 4), (16, 2), (64, 1)] {
-            let stage = test_data(size / 2);
-            let mut scalar = test_data(size * blocks);
-            let mut simd = scalar.clone();
-            butterfly_pass(SimdLevel::Scalar, &mut scalar, &stage);
-            butterfly_pass(SimdLevel::Sse2, &mut simd, &stage);
-            for (a, b) in scalar.iter().zip(&simd) {
-                assert_eq!(a.re.to_bits(), b.re.to_bits());
-                assert_eq!(a.im.to_bits(), b.im.to_bits());
-            }
-        }
-    }
-
     /// Tier-1 must never silently run the scalar loops on the platform the
     /// vector tiers exist for.
     #[cfg(target_arch = "x86_64")]
@@ -779,14 +638,11 @@ mod tests {
 
     #[test]
     fn every_tier_sweeps_bit_identical_to_scalar() {
-        // All five sweeps at every tier against the scalar loops. Half-sizes
+        // All four sweeps at every tier against the scalar loops. Half-sizes
         // 1 and 3 and the odd column counts leave AVX2 a one-value tail on
         // every run; `cols == 1` is all tail.
         type Sweep = fn(SimdLevel, &mut [Complex64], &[Complex64], &[Complex64], usize);
-        let sweeps: [(&str, Sweep); 5] = [
-            ("pass", |level, data, wa, _, _| {
-                butterfly_pass(level, data, wa)
-            }),
+        let sweeps: [(&str, Sweep); 4] = [
             ("pass2", |level, data, wa, wb, _| {
                 butterfly_pass2(level, data, wa, wb)
             }),
@@ -819,60 +675,6 @@ mod tests {
                             );
                         }
                     }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn butterfly_range_matches_pass_on_full_range() {
-        for level in SimdLevel::available_levels() {
-            let size = 32;
-            let stage = test_data(size / 2);
-            let mut via_pass = test_data(size);
-            butterfly_pass(level, &mut via_pass, &stage);
-            let mut via_range = test_data(size);
-            {
-                let (lo, hi) = via_range.split_at_mut(size / 2);
-                butterfly_range(level, lo, hi, &stage);
-            }
-            for (a, b) in via_pass.iter().zip(&via_range) {
-                assert_eq!(a.re.to_bits(), b.re.to_bits());
-                assert_eq!(a.im.to_bits(), b.im.to_bits());
-            }
-        }
-    }
-
-    #[test]
-    fn transpose_all_levels_bit_identical() {
-        // Exercise square, rectangular, odd, and sub-block shapes: the AVX2
-        // 2×2 micro-kernel has row/column tails on every odd dimension.
-        for &(rows, cols) in &[
-            (1usize, 1usize),
-            (2, 2),
-            (3, 5),
-            (16, 16),
-            (17, 33),
-            (32, 8),
-            (8, 32),
-            (31, 2),
-        ] {
-            let src = test_data(rows * cols);
-            let mut reference = vec![Complex64::ZERO; rows * cols];
-            for r in 0..rows {
-                for c in 0..cols {
-                    reference[c * rows + r] = src[r * cols + c];
-                }
-            }
-            for level in SimdLevel::available_levels() {
-                let mut dst = vec![Complex64::ZERO; rows * cols];
-                transpose_into(level, &src, rows, cols, &mut dst);
-                for (i, (a, b)) in reference.iter().zip(&dst).enumerate() {
-                    assert_eq!(
-                        (a.re.to_bits(), a.im.to_bits()),
-                        (b.re.to_bits(), b.im.to_bits()),
-                        "{level:?} transpose {rows}x{cols} mismatch at {i}"
-                    );
                 }
             }
         }

@@ -1,9 +1,9 @@
 //! Property-based tests for the FFT kernels.
 
 use proptest::prelude::*;
-use ptycho_array::{Array2, Rect};
-use ptycho_fft::fft2d::{fft2, fftshift, ifft2, ifftshift, Fft2Plan};
-use ptycho_fft::{dft, Complex64, FftPlan, PartialFft2Plan, SimdLevel};
+use ptycho_array::Array2;
+use ptycho_fft::fft2d::{fft2, fftshift, ifft2, ifftshift};
+use ptycho_fft::{dft, Complex64, FftPlan, SimdLevel};
 
 fn complex_vec(len: usize) -> impl Strategy<Value = Vec<Complex64>> {
     prop::collection::vec((-100.0f64..100.0, -100.0f64..100.0), len).prop_map(|v| {
@@ -111,73 +111,6 @@ proptest! {
     }
 
     #[test]
-    fn partial_fft2_equals_dense_bitwise_on_supported_input(
-        rexp in 2u32..7, cexp in 2u32..7,
-        r0_seed in 0usize..1024, rl_seed in 0usize..1024,
-        c0_seed in 0usize..1024, cl_seed in 0usize..1024,
-    ) {
-        let rows = 1usize << rexp;
-        let cols = 1usize << cexp;
-        // Arbitrary non-empty support window, derived from the seeds by
-        // modular clamping so every seed combination is valid.
-        let r0 = r0_seed % rows;
-        let rl = 1 + rl_seed % (rows - r0);
-        let c0 = c0_seed % cols;
-        let cl = 1 + cl_seed % (cols - c0);
-        let support = Rect::new(r0 as i64, c0 as i64, rl as i64, cl as i64);
-
-        let field = Array2::from_fn(rows, cols, |r, c| {
-            if support.contains(r as i64, c as i64) {
-                Complex64::new((r as f64 * 0.9 + c as f64 * 0.3).sin(), (r as f64 - c as f64) * 0.01)
-            } else {
-                Complex64::ZERO
-            }
-        });
-        let dense = Fft2Plan::new(rows, cols).forward(&field);
-        let pruned = PartialFft2Plan::new(rows, cols)
-            .with_input_support(support)
-            .forward(&field);
-        for (a, b) in dense.as_slice().iter().zip(pruned.as_slice()) {
-            prop_assert_eq!(a.re.to_bits(), b.re.to_bits());
-            prop_assert_eq!(a.im.to_bits(), b.im.to_bits());
-        }
-    }
-
-    #[test]
-    fn partial_fft2_roi_matches_dense_inside_and_zero_outside(
-        rexp in 2u32..6, cexp in 2u32..6,
-        r0_seed in 0usize..1024, rl_seed in 0usize..1024,
-        c0_seed in 0usize..1024, cl_seed in 0usize..1024,
-    ) {
-        let rows = 1usize << rexp;
-        let cols = 1usize << cexp;
-        let r0 = r0_seed % rows;
-        let rl = 1 + rl_seed % (rows - r0);
-        let c0 = c0_seed % cols;
-        let cl = 1 + cl_seed % (cols - c0);
-        let roi = Rect::new(r0 as i64, c0 as i64, rl as i64, cl as i64);
-
-        let field = Array2::from_fn(rows, cols, |r, c| {
-            Complex64::new(((r * 3 + c) as f64 * 0.17).cos(), ((r + c * 5) as f64 * 0.41).sin())
-        });
-        let dense = Fft2Plan::new(rows, cols).forward(&field);
-        let pruned = PartialFft2Plan::new(rows, cols)
-            .with_output_roi(roi)
-            .forward(&field);
-        for r in 0..rows {
-            for c in 0..cols {
-                let (a, b) = (dense[(r, c)], pruned[(r, c)]);
-                if roi.contains(r as i64, c as i64) {
-                    prop_assert_eq!(a.re.to_bits(), b.re.to_bits());
-                    prop_assert_eq!(a.im.to_bits(), b.im.to_bits());
-                } else {
-                    prop_assert_eq!(b, Complex64::ZERO);
-                }
-            }
-        }
-    }
-
-    #[test]
     fn every_tier_roundtrip_equals_scalar_bitwise(exp in 0u32..11, values in complex_vec(64)) {
         let len = 1usize << exp;
         let data: Vec<Complex64> = values.into_iter().cycle().take(len).collect();
@@ -193,56 +126,6 @@ proptest! {
             prop_assert_eq!(bits(&work), bits(&spectrum), "forward at {:?}", level);
             plan.inverse(&mut work);
             prop_assert_eq!(bits(&work), bits(&back), "inverse at {:?}", level);
-        }
-    }
-
-    #[test]
-    fn every_tier_pruned_fft2_equals_scalar_dense_bitwise(
-        rexp in 0u32..6, cexp in 0u32..6,
-        support_seeds in (0usize..1024, 0usize..1024, 0usize..1024, 0usize..1024),
-        roi_seeds in (0usize..1024, 0usize..1024, 0usize..1024, 0usize..1024),
-    ) {
-        let rows = 1usize << rexp;
-        let cols = 1usize << cexp;
-        // Arbitrary non-empty windows (odd starts, odd lengths, one-column
-        // fields), derived by modular clamping so every seed is valid.
-        let window = |(r0, rl, c0, cl): (usize, usize, usize, usize)| {
-            let (r0, c0) = (r0 % rows, c0 % cols);
-            Rect::new(r0 as i64, c0 as i64, (1 + rl % (rows - r0)) as i64, (1 + cl % (cols - c0)) as i64)
-        };
-        let (support, roi) = (window(support_seeds), window(roi_seeds));
-        let field = Array2::from_fn(rows, cols, |r, c| {
-            if support.contains(r as i64, c as i64) {
-                Complex64::new(((r * 3 + c) as f64 * 0.17).cos(), ((r + c * 5) as f64 * 0.41).sin())
-            } else {
-                Complex64::ZERO
-            }
-        });
-        // The oracle: the scalar dense transform, masked to the ROI, and its
-        // dense inverse.
-        let dense = Fft2Plan::with_simd_level(rows, cols, SimdLevel::Scalar);
-        let mut spectrum = dense.forward(&field);
-        for r in 0..rows {
-            for c in 0..cols {
-                if !roi.contains(r as i64, c as i64) {
-                    spectrum[(r, c)] = Complex64::ZERO;
-                }
-            }
-        }
-        let back = dense.inverse(&spectrum);
-        for level in SimdLevel::available_levels() {
-            let pruned = PartialFft2Plan::with_simd_level(rows, cols, level)
-                .with_input_support(support)
-                .with_output_roi(roi);
-            let pruned_spectrum = pruned.forward(&field);
-            prop_assert_eq!(
-                bits(pruned_spectrum.as_slice()), bits(spectrum.as_slice()),
-                "forward at {:?}, support {:?}, roi {:?}", level, support, roi
-            );
-            prop_assert_eq!(
-                bits(pruned.inverse(&pruned_spectrum).as_slice()), bits(back.as_slice()),
-                "inverse at {:?}, support {:?}, roi {:?}", level, support, roi
-            );
         }
     }
 

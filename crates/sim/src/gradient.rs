@@ -108,7 +108,6 @@ pub fn probe_gradient_into(
         incident,
         far_field,
         back,
-        fft_scratch,
     } = ws;
     assert_eq!(
         far_field.shape(),
@@ -143,19 +142,7 @@ pub fn probe_gradient_into(
 
     // Back through the last slice's FFT: the adjoint of the unnormalised
     // forward transform is the unnormalised inverse transform, F^H = N · F⁻¹.
-    // With a detector ROI the residual is exactly zero outside it (the
-    // pruned far field is zero there, and the loss formula maps zero
-    // amplitude to a zero residual), so the pruned inverse — which treats the
-    // ROI as its input support — is bit-identical to the dense one.
-    match model.roi_partial() {
-        Some(partial) => partial.inverse_unnormalized_in_place(
-            back,
-            fft_scratch
-                .as_mut()
-                .expect("forward_with checked the workspace has a scratch"),
-        ),
-        None => model.plan().fft().inverse_unnormalized_mut(back),
-    }
+    model.plan().fft().inverse_unnormalized_mut(back);
 
     // Back through the slices in reverse order. `back` holds ∂L/∂conj(a_s)
     // where a_s = t_s ⊙ psi_s.
@@ -320,13 +307,9 @@ mod tests {
     #[test]
     fn single_slice_gradient_matches_finite_differences() {
         // One slice is both the entry slice and the last: its only transform
-        // forms the far field directly, dense or pruned by the probe support.
+        // forms the far field directly.
         let voxels = [(0, 8, 8), (0, 4, 11), (0, 12, 5)];
         assert_gradient_matches_finite_differences(&small_model(1), &voxels);
-        assert_gradient_matches_finite_differences(
-            &small_model(1).with_probe_support_threshold(1e-6),
-            &voxels,
-        );
     }
 
     #[test]
@@ -460,77 +443,39 @@ mod tests {
     }
 
     #[test]
-    fn pruned_model_gradient_is_bit_identical_to_dense_on_padded_probe() {
-        let pruned = small_model(2).with_probe_support_threshold(1e-6);
-        // Dense reference over the same padded probe.
-        let dense = crate::multislice::MultisliceModel::new(pruned.probe().clone(), 2);
-        let truth = phase_object(2, 16, 0.3);
-        let measured = dense.simulate_amplitude(&truth);
-        let guess = phase_object(2, 16, 0.1);
-        let a = probe_gradient(&dense, &guess, &measured);
-        let b = probe_gradient(&pruned, &guess, &measured);
-        assert_eq!(a.loss.to_bits(), b.loss.to_bits());
-        for (x, y) in a.gradient.iter().zip(b.gradient.iter()) {
-            assert_eq!(x.re.to_bits(), y.re.to_bits());
-            assert_eq!(x.im.to_bits(), y.im.to_bits());
-        }
-    }
-
-    #[test]
     fn gradient_is_bit_identical_at_every_simd_tier() {
-        use ptycho_array::Rect;
         use ptycho_fft::SimdLevel;
-        // The whole chain — dense transforms, support- and ROI-pruned ones,
-        // their adjoints — against the scalar tier: the dispatch tier must
-        // not reach a single bit of the loss or the gradient.
-        let models: [fn(usize) -> MultisliceModel; 2] = [small_model, |slices| {
-            small_model(slices)
-                .with_probe_support_threshold(1e-3)
-                .with_detector_roi(Rect::new(3, 5, 9, 7))
-        }];
-        for (m, model) in models.into_iter().enumerate() {
-            for slices in [1usize, 3] {
-                let scalar = model(slices).with_simd_level(SimdLevel::Scalar);
-                let truth = phase_object(slices, 16, 0.3);
-                let measured = scalar.simulate_amplitude(&truth);
-                let guess = phase_object(slices, 16, 0.1);
-                let mut ws = SimWorkspace::for_model(&scalar);
-                let mut reference = Array3::full(slices, 16, 16, Complex64::ZERO);
-                let reference_loss =
-                    probe_gradient_into(&scalar, &guess, &measured, &mut ws, &mut reference);
-                for level in SimdLevel::available_levels() {
-                    let pinned = model(slices).with_simd_level(level);
-                    assert_eq!(pinned.plan().fft().simd_level(), level);
-                    let mut gradient = Array3::full(slices, 16, 16, Complex64::ONE);
-                    let loss =
-                        probe_gradient_into(&pinned, &guess, &measured, &mut ws, &mut gradient);
+        // The whole chain — every transform and its adjoint — against the
+        // scalar tier: the dispatch tier must not reach a single bit of the
+        // loss or the gradient.
+        for slices in [1usize, 3] {
+            let scalar = small_model(slices).with_simd_level(SimdLevel::Scalar);
+            let truth = phase_object(slices, 16, 0.3);
+            let measured = scalar.simulate_amplitude(&truth);
+            let guess = phase_object(slices, 16, 0.1);
+            let mut ws = SimWorkspace::for_model(&scalar);
+            let mut reference = Array3::full(slices, 16, 16, Complex64::ZERO);
+            let reference_loss =
+                probe_gradient_into(&scalar, &guess, &measured, &mut ws, &mut reference);
+            for level in SimdLevel::available_levels() {
+                let pinned = small_model(slices).with_simd_level(level);
+                assert_eq!(pinned.plan().fft().simd_level(), level);
+                let mut gradient = Array3::full(slices, 16, 16, Complex64::ONE);
+                let loss = probe_gradient_into(&pinned, &guess, &measured, &mut ws, &mut gradient);
+                assert_eq!(
+                    loss.to_bits(),
+                    reference_loss.to_bits(),
+                    "loss, {slices} slices at {level:?}"
+                );
+                for (a, b) in reference.iter().zip(gradient.iter()) {
                     assert_eq!(
-                        loss.to_bits(),
-                        reference_loss.to_bits(),
-                        "loss of model {m}, {slices} slices at {level:?}"
+                        (a.re.to_bits(), a.im.to_bits()),
+                        (b.re.to_bits(), b.im.to_bits()),
+                        "gradient, {slices} slices at {level:?}"
                     );
-                    for (a, b) in reference.iter().zip(gradient.iter()) {
-                        assert_eq!(
-                            (a.re.to_bits(), a.im.to_bits()),
-                            (b.re.to_bits(), b.im.to_bits()),
-                            "gradient of model {m}, {slices} slices at {level:?}"
-                        );
-                    }
                 }
             }
         }
-    }
-
-    #[test]
-    fn roi_model_gradient_matches_finite_differences() {
-        use ptycho_array::Rect;
-        // With a detector ROI the loss only responds to the spectrum inside
-        // the ROI (the rest contributes a constant), and the pruned adjoint
-        // must still be the exact gradient of that loss.
-        assert_gradient_matches_finite_differences(
-            &small_model(2).with_detector_roi(Rect::new(4, 4, 8, 8)),
-            &[(0, 8, 8), (1, 4, 11)],
-        );
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! * [`probe`] — probe formation (aperture, defocus) in Fourier space.
 //! * [`scan`] — raster scan patterns and probe-location bookkeeping (Fig. 1b).
 //! * [`specimen`] — synthetic perovskite-lattice multi-slice specimens (Fig. 6).
-//! * [`multislice`] — the multi-slice forward model `G` (Sec. II-B, ref. [14]).
+//! * [`multislice`] — the multi-slice forward model `G` (Sec. II-B, ref. \[14\]).
 //! * [`gradient`] — the likelihood cost `f_i(V)` and its adjoint-derived
 //!   image gradient, the quantity the paper decomposes.
 //! * [`noise`] — Poisson counting noise for simulated acquisition.

@@ -1,4 +1,4 @@
-//! The multi-slice forward model `G` (Eqn. 1, ref. [14]).
+//! The multi-slice forward model `G` (Eqn. 1, ref. \[14\]).
 //!
 //! For one probe location the model takes the probe wavefunction and the
 //! object patch covered by the probe window and alternates two operations per
@@ -12,9 +12,9 @@
 //! identifies as the source of super-linear strong scaling (Sec. VI-C).
 
 use crate::probe::Probe;
-use ptycho_array::{Array2, Rect};
-use ptycho_fft::fft2d::{Fft2Plan, Fft2Scratch};
-use ptycho_fft::{CArray2, CArray3, Complex64, PartialFft2Plan};
+use ptycho_array::Array2;
+use ptycho_fft::fft2d::Fft2Plan;
+use ptycho_fft::{CArray2, CArray3, Complex64};
 use std::f64::consts::PI;
 
 /// Precomputed Fresnel propagator and FFT plan for a probe window.
@@ -78,36 +78,13 @@ impl PropagationPlan {
         &self.transfer
     }
 
-    /// Propagates a wave by one slice spacing (by-value wrapper over
-    /// [`Self::propagate_in_place`]).
-    pub fn propagate(&self, wave: &CArray2) -> CArray2 {
-        let mut out = wave.clone();
-        self.propagate_in_place(&mut out);
-        out
-    }
-
-    /// Adjoint (= inverse, since `|H| = 1`) propagation by one slice spacing
-    /// (by-value wrapper over [`Self::propagate_adjoint_in_place`]).
-    pub fn propagate_adjoint(&self, wave: &CArray2) -> CArray2 {
-        let mut out = wave.clone();
-        self.propagate_adjoint_in_place(&mut out);
-        out
-    }
-
     /// Propagates a wave by one slice spacing in place: forward FFT,
     /// elementwise transfer multiply, inverse FFT, all in `wave`'s storage.
     /// Zero heap allocations.
     pub fn propagate_in_place(&self, wave: &mut CArray2) {
         self.fft.forward_mut(wave);
-        self.finish_propagation(wave);
-    }
-
-    /// The second half of a propagation, for a wave whose forward FFT the
-    /// caller already took (possibly with a pruned plan): transfer multiply
-    /// and inverse FFT.
-    fn finish_propagation(&self, spectrum: &mut CArray2) {
-        spectrum.zip_apply(&self.transfer_scaled, |w, h| *w *= *h);
-        self.fft.inverse_unnormalized_mut(spectrum);
+        wave.zip_apply(&self.transfer_scaled, |w, h| *w *= *h);
+        self.fft.inverse_unnormalized_mut(wave);
     }
 
     /// In-place adjoint propagation (multiplies by `conj(H)`). Zero heap
@@ -121,8 +98,7 @@ impl PropagationPlan {
 
 /// Reusable per-worker buffers for the forward model and its adjoint: the
 /// incident-wave stack (one probe-window field per slice), the far-field
-/// spectrum, the back-propagation wave and — only for a model with pruned
-/// transforms — their transpose scratch.
+/// spectrum and the back-propagation wave.
 ///
 /// Allocate one per worker ([`SimWorkspace::for_model`]) and thread it
 /// through [`MultisliceModel::forward_with`] /
@@ -134,9 +110,6 @@ pub struct SimWorkspace {
     pub(crate) incident: Vec<CArray2>,
     pub(crate) far_field: CArray2,
     pub(crate) back: CArray2,
-    /// Present exactly when the model the workspace was built for has a
-    /// pruned plan; the dense transforms need no workspace.
-    pub(crate) fft_scratch: Option<Fft2Scratch>,
 }
 
 impl SimWorkspace {
@@ -148,7 +121,6 @@ impl SimWorkspace {
             incident: vec![zero.clone(); model.slices()],
             far_field: zero.clone(),
             back: zero,
-            fft_scratch: model.is_pruned().then(|| Fft2Scratch::new(n, n)),
         }
     }
 
@@ -176,11 +148,9 @@ impl SimWorkspace {
 
     /// Bytes of field storage the workspace holds resident.
     pub fn bytes(&self) -> usize {
-        let (scratch_rows, scratch_cols) = self.fft_scratch.as_ref().map_or((0, 0), |s| s.shape());
         let values = self.incident.iter().map(|f| f.len()).sum::<usize>()
             + self.far_field.len()
-            + self.back.len()
-            + scratch_rows * scratch_cols;
+            + self.back.len();
         values * std::mem::size_of::<Complex64>()
     }
 }
@@ -216,35 +186,11 @@ impl ForwardPass {
 /// by that far-field transform, `FFT(IFFT(H ⊙ FFT(a))) = H ⊙ FFT(a)`, so
 /// neither is evaluated: a forward pass runs `2·slices − 1` transforms, and
 /// the adjoint in [`crate::gradient`] drops the mirror-image pair.
-///
-/// By default every transform is dense. Two opt-in builders swap hot
-/// transforms for pruned [`PartialFft2Plan`]s (see the `ptycho_fft::partial`
-/// docs for the exactness argument):
-///
-/// * [`with_probe_support_threshold`](Self::with_probe_support_threshold) —
-///   zero-pads the probe outside its compact-support window and prunes the
-///   entry slice's forward FFT by that window (bit-identical output).
-/// * [`with_detector_roi`](Self::with_detector_roi) — prunes the last
-///   slice's forward FFT to the detector's region of interest (the far field
-///   is bit-identical inside the ROI and exactly zero outside — the pixels
-///   the detector never reads).
 #[derive(Clone, Debug)]
 pub struct MultisliceModel {
     probe: Probe,
     plan: PropagationPlan,
     slices: usize,
-    /// Probe compact-support window, when support pruning is enabled.
-    probe_support: Option<Rect>,
-    /// Detector region of interest, when ROI pruning is enabled (clamped).
-    detector_roi: Option<Rect>,
-    /// Pruned forward-FFT plan for the entry slice of a multi-slice model
-    /// (the wave still has the probe's support there).
-    entry_partial: Option<PartialFft2Plan>,
-    /// Pruned plan for the last slice's forward FFT: output pruned to the
-    /// ROI, and — when the last slice is also the entry slice — input pruned
-    /// to the probe support. The gradient's backpropagation shares it for
-    /// the adjoint of that transform.
-    far_partial: Option<PartialFft2Plan>,
 }
 
 impl MultisliceModel {
@@ -263,103 +209,21 @@ impl MultisliceModel {
             probe,
             plan,
             slices,
-            probe_support: None,
-            detector_roi: None,
-            entry_partial: None,
-            far_partial: None,
         }
     }
 
-    /// Enables probe-support pruning: the probe field is zeroed outside the
-    /// bounding box of pixels with intensity ≥ `rel_threshold` × peak (kept
-    /// bit-identical inside), and the entry slice's forward FFT skips the
-    /// butterflies that provably touch only those zeros.
-    ///
-    /// `rel_threshold <= 0` selects the full window — the padded probe and
-    /// the pruned transform are then bit-identical to the defaults.
-    pub fn with_probe_support_threshold(mut self, rel_threshold: f64) -> Self {
-        let support = self.probe.support_window(rel_threshold);
-        self.probe = self.probe.support_padded(&support);
-        self.probe_support = Some(support);
-        self.rebuild_partial_plans();
-        self
-    }
-
-    /// Enables detector-ROI pruning: the last slice's forward FFT only
-    /// produces the `roi` window of the spectrum, so the far field is
-    /// bit-identical to dense there and exactly zero elsewhere — the
-    /// simulated detector reads nothing outside its region of interest, and
-    /// the gradient backpropagation prunes its inverse transform the same
-    /// way.
-    ///
-    /// # Panics
-    /// Panics if `roi` (clamped to the window) is empty.
-    pub fn with_detector_roi(mut self, roi: Rect) -> Self {
-        let n = self.window_px();
-        self.detector_roi = Some(roi.clamp_to(&Rect::of_shape(n, n)));
-        self.rebuild_partial_plans();
-        self
-    }
-
-    /// Pins every transform of the model (dense and pruned) to `level`
-    /// instead of the detected tier, for the cross-tier identity tests.
+    /// Pins every transform of the model to `level` instead of the detected
+    /// tier, for the cross-tier identity tests.
     #[cfg(test)]
     pub(crate) fn with_simd_level(mut self, level: ptycho_fft::SimdLevel) -> Self {
         let n = self.window_px();
         self.plan.fft = Fft2Plan::with_simd_level(n, n, level);
-        self.rebuild_partial_plans();
         self
-    }
-
-    /// Derives the pruned plans from the declared support and ROI.
-    fn rebuild_partial_plans(&mut self) {
-        let n = self.window_px();
-        let level = self.plan.fft.simd_level();
-        let single_slice = self.slices == 1;
-        self.entry_partial = self.probe_support.filter(|_| !single_slice).map(|support| {
-            PartialFft2Plan::with_simd_level(n, n, level).with_input_support(support)
-        });
-        let far_support = self.probe_support.filter(|_| single_slice);
-        self.far_partial = (far_support.is_some() || self.detector_roi.is_some()).then(|| {
-            let mut partial = PartialFft2Plan::with_simd_level(n, n, level);
-            if let Some(support) = far_support {
-                partial = partial.with_input_support(support);
-            }
-            if let Some(roi) = self.detector_roi {
-                partial = partial.with_output_roi(roi);
-            }
-            partial
-        });
     }
 
     /// The probe this model simulates.
     pub fn probe(&self) -> &Probe {
         &self.probe
-    }
-
-    /// The probe compact-support window, when support pruning is enabled.
-    pub fn probe_support(&self) -> Option<Rect> {
-        self.probe_support
-    }
-
-    /// The detector region of interest, when ROI pruning is enabled.
-    pub fn detector_roi(&self) -> Option<Rect> {
-        self.detector_roi
-    }
-
-    /// The ROI-pruned plan of the last slice's transform, when ROI pruning
-    /// is enabled — the gradient backpropagation runs its adjoint (inverse)
-    /// through it.
-    pub(crate) fn roi_partial(&self) -> Option<&PartialFft2Plan> {
-        self.far_partial
-            .as_ref()
-            .filter(|_| self.detector_roi.is_some())
-    }
-
-    /// True when any transform of this model goes through a pruned plan (and
-    /// its workspace therefore carries a transpose scratch).
-    pub(crate) fn is_pruned(&self) -> bool {
-        self.entry_partial.is_some() || self.far_partial.is_some()
     }
 
     /// The propagation plan (FFT + Fresnel transfer function).
@@ -424,7 +288,6 @@ impl MultisliceModel {
         let SimWorkspace {
             incident,
             far_field,
-            fft_scratch,
             ..
         } = ws;
         incident[0].copy_from(self.probe.field());
@@ -447,41 +310,12 @@ impl MultisliceModel {
             {
                 *dst = *src * *t;
             }
-            // The entry slice's wave is probe ⊙ t_0, which inherits the
-            // probe's compact support, and of the last slice's spectrum only
-            // the detector ROI is read — those two forward FFTs prune when
-            // declared. Propagation spreads the wave, so the rest are dense.
-            let partial = if s == last {
-                self.far_partial.as_ref()
-            } else if s == 0 {
-                self.entry_partial.as_ref()
-            } else {
-                None
-            };
-            match partial {
-                Some(partial) => partial.forward_in_place(
-                    wave,
-                    fft_scratch
-                        .as_mut()
-                        .expect("workspace was built for a model without pruned transforms"),
-                ),
-                None => self.plan.fft.forward_mut(wave),
-            }
             if s < last {
-                self.plan.finish_propagation(wave);
-            }
-        }
-        // D = H ⊙ FFT(a_last). Outside a detector ROI the pruned spectrum is
-        // exactly (positive) zero and stays untouched, which is what the
-        // pruned adjoint relies on.
-        let roi = self.detector_roi.unwrap_or(Rect::of_shape(n, n));
-        let (c0, c1) = (roi.col0 as usize, roi.col1 as usize);
-        for r in roi.row0 as usize..roi.row1 as usize {
-            for (d, h) in far_field.row_mut(r)[c0..c1]
-                .iter_mut()
-                .zip(&self.plan.transfer.row(r)[c0..c1])
-            {
-                *d *= *h;
+                self.plan.propagate_in_place(wave);
+            } else {
+                // D = H ⊙ FFT(a_last).
+                self.plan.fft.forward_mut(wave);
+                wave.zip_apply(&self.plan.transfer, |d, h| *d *= *h);
             }
         }
     }
@@ -527,7 +361,8 @@ mod tests {
         let probe = test_probe(32);
         let model = MultisliceModel::new(probe, 3);
         let wave = model.probe().field().clone();
-        let propagated = model.plan().propagate(&wave);
+        let mut propagated = wave.clone();
+        model.plan().propagate_in_place(&mut propagated);
         let e0: f64 = wave.as_slice().iter().map(|v| v.norm_sqr()).sum();
         let e1: f64 = propagated.as_slice().iter().map(|v| v.norm_sqr()).sum();
         assert!((e0 - e1).abs() < 1e-9 * e0);
@@ -538,9 +373,9 @@ mod tests {
         let probe = test_probe(32);
         let model = MultisliceModel::new(probe, 1);
         let wave = model.probe().field().clone();
-        let roundtrip = model
-            .plan()
-            .propagate_adjoint(&model.plan().propagate(&wave));
+        let mut roundtrip = wave.clone();
+        model.plan().propagate_in_place(&mut roundtrip);
+        model.plan().propagate_adjoint_in_place(&mut roundtrip);
         for (a, b) in roundtrip.as_slice().iter().zip(wave.as_slice()) {
             assert!((*a - *b).abs() < 1e-10);
         }
@@ -622,26 +457,6 @@ mod tests {
     }
 
     #[test]
-    fn in_place_propagation_matches_by_value() {
-        let probe = test_probe(32);
-        let model = MultisliceModel::new(probe, 1);
-        let wave = model.probe().field().clone();
-        let by_value = model.plan().propagate(&wave);
-        let mut in_place = wave.clone();
-        model.plan().propagate_in_place(&mut in_place);
-        for (a, b) in by_value.as_slice().iter().zip(in_place.as_slice()) {
-            assert_eq!(a.re.to_bits(), b.re.to_bits());
-            assert_eq!(a.im.to_bits(), b.im.to_bits());
-        }
-        let adj_by_value = model.plan().propagate_adjoint(&by_value);
-        model.plan().propagate_adjoint_in_place(&mut in_place);
-        for (a, b) in adj_by_value.as_slice().iter().zip(in_place.as_slice()) {
-            assert_eq!(a.re.to_bits(), b.re.to_bits());
-            assert_eq!(a.im.to_bits(), b.im.to_bits());
-        }
-    }
-
-    #[test]
     #[should_panic(expected = "workspace shape")]
     fn mismatched_workspace_panics() {
         let probe = test_probe(16);
@@ -668,96 +483,6 @@ mod tests {
         let probe = test_probe(16);
         let model = MultisliceModel::new(probe, 2);
         let _ = model.forward(&vacuum(3, 16));
-    }
-
-    #[test]
-    fn support_pruned_forward_is_bit_identical_to_dense_on_padded_probe() {
-        let probe = test_probe(32);
-        let pruned_model = MultisliceModel::new(probe, 2).with_probe_support_threshold(1e-6);
-        // The reference: a plain dense model built from the *same padded*
-        // probe, so both runs see identical inputs.
-        let dense_model = MultisliceModel::new(pruned_model.probe().clone(), 2);
-        let object = Array3::from_fn(2, 32, 32, |s, r, c| {
-            Complex64::cis(0.2 * ((s + r * 3 + c) as f64).sin())
-        });
-        let a = dense_model.forward(&object);
-        let b = pruned_model.forward(&object);
-        for s in 0..2 {
-            for (x, y) in a.incident[s]
-                .as_slice()
-                .iter()
-                .zip(b.incident[s].as_slice())
-            {
-                assert_eq!(x.re.to_bits(), y.re.to_bits());
-                assert_eq!(x.im.to_bits(), y.im.to_bits());
-            }
-        }
-        for (x, y) in a.far_field.as_slice().iter().zip(b.far_field.as_slice()) {
-            assert_eq!(x.re.to_bits(), y.re.to_bits());
-            assert_eq!(x.im.to_bits(), y.im.to_bits());
-        }
-    }
-
-    #[test]
-    fn zero_support_threshold_degenerates_to_the_dense_model() {
-        let probe = test_probe(16);
-        let plain = MultisliceModel::new(probe.clone(), 2);
-        let pruned = MultisliceModel::new(probe, 2).with_probe_support_threshold(0.0);
-        assert_eq!(pruned.probe_support(), Some(Rect::of_shape(16, 16)));
-        // The padded probe is the original probe, bit for bit.
-        for (x, y) in plain
-            .probe()
-            .field()
-            .as_slice()
-            .iter()
-            .zip(pruned.probe().field().as_slice())
-        {
-            assert_eq!(x.re.to_bits(), y.re.to_bits());
-            assert_eq!(x.im.to_bits(), y.im.to_bits());
-        }
-        let object = Array3::from_fn(2, 16, 16, |s, r, c| {
-            Complex64::cis(0.1 * ((s + r + 2 * c) as f64).cos())
-        });
-        let a = plain.forward(&object);
-        let b = pruned.forward(&object);
-        for (x, y) in a.far_field.as_slice().iter().zip(b.far_field.as_slice()) {
-            assert_eq!(x.re.to_bits(), y.re.to_bits());
-            assert_eq!(x.im.to_bits(), y.im.to_bits());
-        }
-    }
-
-    #[test]
-    fn detector_roi_far_field_matches_dense_inside_and_is_zero_outside() {
-        let roi = Rect::new(8, 8, 16, 16);
-        // Two slices: the ROI prunes the last slice's transform. One slice
-        // with a support window: the same transform is also the entry
-        // slice's, pruned from both ends (the dense reference runs on the
-        // same padded probe).
-        let two_slice = MultisliceModel::new(test_probe(32), 2).with_detector_roi(roi);
-        let one_slice = MultisliceModel::new(test_probe(32), 1)
-            .with_probe_support_threshold(1e-6)
-            .with_detector_roi(roi);
-        for roi_model in [two_slice, one_slice] {
-            assert_eq!(roi_model.detector_roi(), Some(roi));
-            let slices = roi_model.slices();
-            let dense_model = MultisliceModel::new(roi_model.probe().clone(), slices);
-            let object = Array3::from_fn(slices, 32, 32, |s, r, c| {
-                Complex64::cis(0.15 * ((2 * s + r + c) as f64).sin())
-            });
-            let a = dense_model.forward(&object);
-            let b = roi_model.forward(&object);
-            for r in 0..32 {
-                for c in 0..32 {
-                    let (x, y) = (a.far_field[(r, c)], b.far_field[(r, c)]);
-                    if roi.contains(r as i64, c as i64) {
-                        assert_eq!(x.re.to_bits(), y.re.to_bits());
-                        assert_eq!(x.im.to_bits(), y.im.to_bits());
-                    } else {
-                        assert_eq!(y, Complex64::ZERO, "({r},{c}) should be zeroed");
-                    }
-                }
-            }
-        }
     }
 
     #[test]

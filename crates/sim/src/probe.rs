@@ -8,7 +8,7 @@
 //! circle radius is what determines the tile halo width in `ptycho-core`.
 
 use crate::physics::ImagingGeometry;
-use ptycho_array::{Array2, Rect};
+use ptycho_array::Array2;
 use ptycho_fft::fft2d::{fftshift, Fft2Plan};
 use ptycho_fft::{CArray2, Complex64};
 use std::f64::consts::PI;
@@ -178,62 +178,6 @@ impl Probe {
     /// Total probe intensity (should equal the configured dose).
     pub fn total_intensity(&self) -> f64 {
         self.field.as_slice().iter().map(|v| v.norm_sqr()).sum()
-    }
-
-    /// The bounding box of pixels whose intensity is at least
-    /// `rel_threshold` times the peak intensity — the probe's compact-support
-    /// window, which the pruned partial FFT skips butterflies outside of.
-    ///
-    /// `rel_threshold <= 0` (or an all-zero probe) yields the full window, so
-    /// a zero threshold degenerates to the dense transform exactly.
-    pub fn support_window(&self, rel_threshold: f64) -> Rect {
-        let n = self.window_px();
-        let full = Rect::of_shape(n, n);
-        let peak = self
-            .field
-            .as_slice()
-            .iter()
-            .map(|v| v.norm_sqr())
-            .fold(0.0f64, f64::max);
-        if rel_threshold <= 0.0 || peak == 0.0 {
-            return full;
-        }
-        let cut = rel_threshold * peak;
-        let mut bounds = Rect::empty();
-        for (r, c, v) in self.field.indexed_iter() {
-            if v.norm_sqr() >= cut {
-                bounds = bounds.bounding_union(&Rect::new(r as i64, c as i64, 1, 1));
-            }
-        }
-        if bounds.is_empty() {
-            full
-        } else {
-            bounds
-        }
-    }
-
-    /// A copy of this probe with the field zeroed outside `support` and kept
-    /// bit-identical inside (no renormalisation — the pruned-vs-dense
-    /// equality pins rely on the interior values not moving). The effective
-    /// radius is re-measured on the padded field.
-    ///
-    /// This establishes the contract [`ptycho_fft::PartialFft2Plan`] needs:
-    /// the field is *exactly* zero (positive zeros) outside its declared
-    /// input support.
-    pub fn support_padded(&self, support: &Rect) -> Probe {
-        let field = Array2::from_fn(self.field.rows(), self.field.cols(), |r, c| {
-            if support.contains(r as i64, c as i64) {
-                self.field[(r, c)]
-            } else {
-                Complex64::ZERO
-            }
-        });
-        let radius_px = Self::effective_radius(&field);
-        Probe {
-            field,
-            config: self.config,
-            radius_px,
-        }
     }
 }
 

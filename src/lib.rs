@@ -7,7 +7,7 @@
 //! tests and examples it hosts) can depend on a single package, and its
 //! module list doubles as the workspace map:
 //!
-//! * [`array`] — dense 2D/3D containers and rectangle algebra.
+//! * [`mod@array`] — dense 2D/3D containers and rectangle algebra.
 //! * [`fft`] — complex arithmetic and radix-2 FFT kernels.
 //! * [`sim`] — electron-optics physics: probes, scans, multi-slice model,
 //!   likelihood gradients, synthetic specimens.
@@ -16,7 +16,7 @@
 //! * [`cluster`] — the simulated multi-rank cluster the solvers run on.
 //! * [`core`] — the paper's contribution: gradient-decomposition
 //!   reconstruction and the halo-voxel-exchange baseline.
-//! * [`bench`] — experiment harnesses regenerating the paper's figures and
+//! * [`mod@bench`] — experiment harnesses regenerating the paper's figures and
 //!   tables.
 //!
 //! See `README.md` for the reproduction guide and `ARCHITECTURE.md` for how

@@ -1,15 +1,14 @@
 //! Zero-allocation regression gate for the reconstruction hot path.
 //!
 //! ISSUE 4's tentpole makes the steady-state Gradient Decomposition
-//! iteration allocation-free: FFTs run in place (the dense plan in the
-//! field's own storage, a pruned plan through the workspace's pooled
-//! [`Fft2Scratch`](ptycho_fft::fft2d::Fft2Scratch)), the
-//! multislice forward/adjoint evaluation reuses a `SimWorkspace`, the
-//! per-rank gradient and accumulation buffers are pooled at `init`, and the
-//! buffer resets happen in place. This binary installs a counting global
-//! allocator and pins the property: a single-rank GD run with extra
-//! iterations must perform **exactly** the same number of allocations as a
-//! shorter run — i.e. a steady-state iteration allocates nothing.
+//! iteration allocation-free: FFTs run in place, in the field's own
+//! storage, the multislice forward/adjoint evaluation reuses a
+//! `SimWorkspace`, the per-rank gradient and accumulation buffers are pooled
+//! at `init`, and the buffer resets happen in place. This binary installs a
+//! counting global allocator and pins the property: a single-rank GD run
+//! with extra iterations must perform **exactly** the same number of
+//! allocations as a shorter run — i.e. a steady-state iteration allocates
+//! nothing.
 //!
 //! ISSUE 5 extends the pin to **multi-rank** sends and to the **HVE**
 //! kernel: every wire payload now comes out of a rank-local
