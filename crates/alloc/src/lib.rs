@@ -9,8 +9,8 @@
 //! steady-state iterations add **zero** to the count
 //! (`tests/alloc_regression.rs` at the workspace root).
 //!
-//! Everything is gated behind the `alloc-counter` feature so the
-//! instrumentation is never compiled into non-test consumers.
+//! Only test binaries depend on this crate (the root package lists it under
+//! `[dev-dependencies]`), so no library or benchmark build compiles it.
 //!
 //! # Example
 //!
@@ -24,28 +24,25 @@
 //! ```
 
 #![warn(missing_docs)]
-#![cfg(feature = "alloc-counter")]
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A global allocator that forwards to [`System`] while counting every
-/// allocation event and the bytes requested.
+/// allocation event.
 ///
-/// Counters use relaxed atomics: the tests that read them bracket
+/// The counter uses relaxed atomics: the tests that read it bracket
 /// single-threaded (or deterministically scheduled) regions, so no ordering
 /// stronger than the bracketing reads themselves is needed.
 pub struct CountingAllocator {
     allocations: AtomicU64,
-    bytes: AtomicU64,
 }
 
 impl CountingAllocator {
-    /// Creates an allocator with zeroed counters (usable in `static` position).
+    /// Creates an allocator with a zeroed counter (usable in `static` position).
     pub const fn new() -> Self {
         Self {
             allocations: AtomicU64::new(0),
-            bytes: AtomicU64::new(0),
         }
     }
 
@@ -55,14 +52,8 @@ impl CountingAllocator {
         self.allocations.load(Ordering::Relaxed)
     }
 
-    /// Total bytes requested across all allocation events.
-    pub fn bytes_requested(&self) -> u64 {
-        self.bytes.load(Ordering::Relaxed)
-    }
-
-    fn record(&self, size: usize) {
+    fn record(&self) {
         self.allocations.fetch_add(1, Ordering::Relaxed);
-        self.bytes.fetch_add(size as u64, Ordering::Relaxed);
     }
 }
 
@@ -73,15 +64,15 @@ impl Default for CountingAllocator {
 }
 
 // SAFETY: every method forwards verbatim to the `System` allocator; the
-// counter updates have no effect on the returned memory.
+// counter update has no effect on the returned memory.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        self.record(layout.size());
+        self.record();
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        self.record(layout.size());
+        self.record();
         System.alloc_zeroed(layout)
     }
 
@@ -90,7 +81,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        self.record(new_size);
+        self.record();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -114,6 +105,5 @@ mod tests {
             counter.dealloc(p, Layout::from_size_align(128, 8).unwrap());
         }
         assert_eq!(counter.allocations(), 2);
-        assert_eq!(counter.bytes_requested(), 64 + 128);
     }
 }

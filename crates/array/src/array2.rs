@@ -2,7 +2,7 @@
 
 use crate::{Rect, Shape2};
 use std::fmt;
-use std::ops::{Add, AddAssign, Index, IndexMut, Mul, Neg, Sub};
+use std::ops::{Add, AddAssign, Index, IndexMut, Mul, Sub};
 
 /// A dense, row-major 2D array.
 ///
@@ -237,17 +237,6 @@ impl<T> Array2<T> {
         &self.data[r * self.cols..(r + 1) * self.cols]
     }
 
-    /// A single row as a mutable slice.
-    pub fn row_mut(&mut self, r: usize) -> &mut [T] {
-        assert!(
-            r < self.rows,
-            "row {} out of bounds ({} rows)",
-            r,
-            self.rows
-        );
-        &mut self.data[r * self.cols..(r + 1) * self.cols]
-    }
-
     /// Iterates over `(row, col, &value)` in row-major order.
     pub fn indexed_iter(&self) -> impl Iterator<Item = (usize, usize, &T)> + '_ {
         let cols = self.cols;
@@ -422,31 +411,6 @@ where
             *v = *v * factor;
         }
     }
-
-    /// Elementwise (Hadamard) product.
-    pub fn hadamard(&self, other: &Array2<T>) -> Array2<T> {
-        self.zip_map(other, |a, b| *a * *b)
-    }
-}
-
-impl<T> Array2<T>
-where
-    T: Copy + Sub<Output = T>,
-{
-    /// Elementwise difference `self - other`.
-    pub fn sub_elementwise(&self, other: &Array2<T>) -> Array2<T> {
-        self.zip_map(other, |a, b| *a - *b)
-    }
-}
-
-impl<T> Array2<T>
-where
-    T: Copy + Neg<Output = T>,
-{
-    /// Elementwise negation.
-    pub fn negated(&self) -> Array2<T> {
-        self.map(|v| -*v)
-    }
 }
 
 impl<'a, T> Add<&'a Array2<T>> for &'a Array2<T>
@@ -561,8 +525,6 @@ mod tests {
         let sum = &a + &b;
         let diff = &sum - &b;
         assert_eq!(diff, a);
-        let prod = a.hadamard(&b);
-        assert_eq!(prod.as_slice(), &[0.0, 2.0, 2.0, 4.0]);
     }
 
     #[test]
@@ -570,8 +532,6 @@ mod tests {
         let mut a = Array2::full(2, 2, 3.0);
         a.scale(2.0);
         assert_eq!(a.sum(), 24.0);
-        let n = a.negated();
-        assert_eq!(n.sum(), -24.0);
     }
 
     #[test]

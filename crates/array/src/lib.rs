@@ -52,12 +52,6 @@ pub use array2::Array2;
 pub use array3::Array3;
 pub use rect::Rect;
 
-/// A `(row, col)` index pair into a 2D array.
-pub type Index2 = (usize, usize);
-
-/// A `(slice, row, col)` index triple into a 3D array.
-pub type Index3 = (usize, usize, usize);
-
 /// Shape of a 2D array as `(rows, cols)`.
 pub type Shape2 = (usize, usize);
 

@@ -184,22 +184,6 @@ impl Rect {
         }
     }
 
-    /// Grows the rectangle by independent margins on each side
-    /// `(top, bottom, left, right)`.
-    pub fn dilate_sides(&self, top: i64, bottom: i64, left: i64, right: i64) -> Rect {
-        let r = Rect {
-            row0: self.row0 - top,
-            row1: self.row1 + bottom,
-            col0: self.col0 - left,
-            col1: self.col1 + right,
-        };
-        if r.is_empty() {
-            Rect::empty()
-        } else {
-            r
-        }
-    }
-
     /// Clamps the rectangle to lie inside `bounds` (equivalent to intersecting).
     pub fn clamp_to(&self, bounds: &Rect) -> Rect {
         self.intersect(bounds)
@@ -339,13 +323,6 @@ mod tests {
     fn dilate_negative_can_empty() {
         let r = Rect::new(0, 0, 3, 3);
         assert!(r.dilate(-2).is_empty());
-    }
-
-    #[test]
-    fn dilate_sides_asymmetric() {
-        let r = Rect::new(10, 10, 4, 4);
-        let d = r.dilate_sides(1, 2, 3, 4);
-        assert_eq!(d, Rect::from_corners(9, 16, 7, 18));
     }
 
     #[test]

@@ -30,11 +30,6 @@ pub fn variance(values: &[f64]) -> f64 {
     values.iter().map(|v| (v - m) * (v - m)).sum::<f64>() / values.len() as f64
 }
 
-/// Population standard deviation.
-pub fn std_dev(values: &[f64]) -> f64 {
-    variance(values).sqrt()
-}
-
 /// Maximum value; `f64::NEG_INFINITY` for an empty slice.
 pub fn max(values: &[f64]) -> f64 {
     values.iter().copied().fold(f64::NEG_INFINITY, f64::max)
@@ -61,21 +56,6 @@ pub fn rmse(a: &Array2<f64>, b: &Array2<f64>) -> f64 {
         .map(|(x, y)| (x - y) * (x - y))
         .sum();
     (se / a.len() as f64).sqrt()
-}
-
-/// Peak signal-to-noise ratio in decibels, using the dynamic range of `reference`.
-///
-/// Returns `f64::INFINITY` when the two images are identical.
-pub fn psnr(reference: &Array2<f64>, test: &Array2<f64>) -> f64 {
-    let err = rmse(reference, test);
-    if err == 0.0 {
-        return f64::INFINITY;
-    }
-    let peak = max(reference.as_slice()) - min(reference.as_slice());
-    if peak <= 0.0 {
-        return f64::NEG_INFINITY;
-    }
-    20.0 * (peak / err).log10()
 }
 
 /// Normalised cross-correlation between two equally-shaped images, in `[-1, 1]`.
@@ -145,7 +125,6 @@ mod tests {
         assert_eq!(sum(&v), 10.0);
         assert_eq!(mean(&v), 2.5);
         assert!((variance(&v) - 1.25).abs() < 1e-12);
-        assert!((std_dev(&v) - 1.25f64.sqrt()).abs() < 1e-12);
         assert_eq!(max(&v), 4.0);
         assert_eq!(min(&v), 1.0);
     }
@@ -162,7 +141,6 @@ mod tests {
     fn rmse_identical_is_zero() {
         let a = Array2::from_fn(4, 4, |r, c| (r + c) as f64);
         assert_eq!(rmse(&a, &a), 0.0);
-        assert_eq!(psnr(&a, &a), f64::INFINITY);
     }
 
     #[test]
@@ -170,14 +148,6 @@ mod tests {
         let a = Array2::full(2, 2, 1.0);
         let b = Array2::full(2, 2, 3.0);
         assert!((rmse(&a, &b) - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn psnr_decreases_with_noise() {
-        let a = Array2::from_fn(8, 8, |r, c| (r * 8 + c) as f64);
-        let slightly = a.map(|v| v + 0.1);
-        let very = a.map(|v| v + 5.0);
-        assert!(psnr(&a, &slightly) > psnr(&a, &very));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Regenerates Fig. 7a: strong-scaling runtime curves for both datasets
 //! against the ideal O(1/P) line.
 
-use ptycho_bench::experiments::{backend_validation_line, fig7a, PaperDataset};
+use ptycho_bench::experiments::{fig7a, PaperDataset};
 use ptycho_bench::report::{fmt, Table};
 
 fn main() {
@@ -31,5 +31,4 @@ fn main() {
         "Paper reference: 2519x speedup from 6 to 4158 GPUs on the large dataset \
          (super-linear, 364% efficiency)."
     );
-    println!("{}", backend_validation_line());
 }

@@ -41,7 +41,7 @@
 //!   drains and print live per-job phase shares, straggler flags, and
 //!   queue pressure.
 //! * `--telemetry-capacity N` — size every job's per-rank flight-recorder
-//!   rings to `N` records (`JobSpec::with_telemetry_capacity`). Undersized
+//!   rings to `N` records (`TelemetryConfig::ring_capacity`). Undersized
 //!   rings lose records, which `trace_dump --validate` then reports as
 //!   sequence gaps.
 //!
@@ -96,7 +96,7 @@ struct Args {
     kill_at_barrier: Option<u64>,
     resume: Option<String>,
     health: bool,
-    telemetry_capacity: Option<usize>,
+    telemetry_capacity: usize,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -111,7 +111,7 @@ fn parse_args() -> Result<Args, String> {
         kill_at_barrier: None,
         resume: None,
         health: false,
-        telemetry_capacity: None,
+        telemetry_capacity: TelemetryConfig::default().ring_capacity,
     };
     let mut iter = std::env::args().skip(1);
     while let Some(flag) = iter.next() {
@@ -130,7 +130,7 @@ fn parse_args() -> Result<Args, String> {
             "--health" => args.health = true,
             "--kill-at-barrier" => args.kill_at_barrier = Some(take("--kill-at-barrier")?),
             "--telemetry-capacity" => {
-                args.telemetry_capacity = Some(take("--telemetry-capacity")? as usize);
+                args.telemetry_capacity = take("--telemetry-capacity")? as usize;
             }
             "--telemetry" => {
                 args.telemetry = Some(iter.next().ok_or("--telemetry needs a path")?);
@@ -235,8 +235,8 @@ fn main() -> ExitCode {
                 match File::create(path) {
                     Ok(file) => Some(Arc::new(Telemetry::with_writer(
                         TelemetryConfig {
+                            ring_capacity: args.telemetry_capacity,
                             job_id,
-                            ..TelemetryConfig::default()
                         },
                         Box::new(SharedWriter(Arc::new(Mutex::new(file)))),
                     ))),
@@ -320,16 +320,13 @@ fn main() -> ExitCode {
             // One recorder per job, stamped with the submission index, all
             // draining into the shared JSONL file.
             let config = TelemetryConfig {
+                ring_capacity: args.telemetry_capacity,
                 job_id: i as u64,
-                ..TelemetryConfig::default()
             };
             spec = spec.with_telemetry(Arc::new(Telemetry::with_writer(
                 config,
                 Box::new(writer.clone()),
             )));
-            if let Some(capacity) = args.telemetry_capacity {
-                spec = spec.with_telemetry_capacity(capacity);
-            }
         }
         if spec.fault_policy.as_ref().is_some_and(|p| p.kill.is_some()) {
             expected_kills += 1;

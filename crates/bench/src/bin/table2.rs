@@ -2,7 +2,7 @@
 //! small Lead Titanate dataset (memory per GPU, runtime for 100 iterations,
 //! strong-scaling efficiency).
 
-use ptycho_bench::experiments::{backend_validation_line, scaling_tables, PaperDataset};
+use ptycho_bench::experiments::{scaling_tables, PaperDataset};
 use ptycho_bench::report::Table;
 
 fn main() {
@@ -48,5 +48,4 @@ fn main() {
         ]);
     }
     println!("{}", reference.render());
-    println!("{}", backend_validation_line());
 }

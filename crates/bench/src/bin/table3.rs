@@ -1,9 +1,7 @@
 //! Regenerates Table III: Gradient Decomposition vs. Halo Voxel Exchange on
 //! the large Lead Titanate dataset, plus the abstract's headline claims.
 
-use ptycho_bench::experiments::{
-    backend_validation_line, headline_claims, scaling_tables, PaperDataset,
-};
+use ptycho_bench::experiments::{headline_claims, scaling_tables, PaperDataset};
 use ptycho_bench::report::Table;
 
 fn main() {
@@ -60,5 +58,4 @@ fn main() {
         claims.scalability_advantage,
         claims.speed_advantage
     );
-    println!("{}", backend_validation_line());
 }

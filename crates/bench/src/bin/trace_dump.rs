@@ -1,6 +1,7 @@
-//! Reassembles a JSONL telemetry log into per-rank timelines, the
-//! paper-style compute/wait/communication breakdown (Fig. 7b), and the
-//! causal analyses built on top of it.
+//! Reassembles a JSONL telemetry log into per-rank stream digests with each
+//! job's exact critical-path attribution (compute / comm / barrier-wait /
+//! retransmit / heal per rank, summing exactly to the job's end-to-end
+//! simulated time), and the causal analyses built on top of it.
 //!
 //! ```text
 //! cargo run --release -p ptycho-bench --bin trace_dump -- trace.jsonl
@@ -16,13 +17,11 @@
 //!   flight-recorder ring evicted before they became durable — are warned
 //!   about loudly; `--strict` turns the warning into a non-zero exit. This
 //!   is what CI runs on the load generator's trace.
-//! * `--critical-path` — per job: exact critical-path attribution (compute
-//!   / comm / barrier-wait / retransmit / heal per rank, summing exactly to
-//!   the job's end-to-end simulated time), the straggler report, and the
-//!   anomaly scan. `--strict` exits non-zero on *integrity* violations
-//!   only — lost ring records or an attribution row that fails the exact
-//!   sum — never on anomalies (a fault-drill trace legitimately has
-//!   retransmit bursts and kills).
+//! * `--critical-path` — per job: the attribution rows without the stream
+//!   digests, plus the straggler report and the anomaly scan. `--strict`
+//!   exits non-zero on *integrity* violations only — lost ring records or
+//!   an attribution row that fails the exact sum — never on anomalies (a
+//!   fault-drill trace legitimately has retransmit bursts and kills).
 //! * `--diff OTHER` — compare this trace's spans against `OTHER`'s,
 //!   structurally (clocks excluded): exit 0 and print `identical` when the
 //!   span sets match, exit 2 and print `DIVERGED …` localising the first
@@ -40,7 +39,7 @@
 //! trace: every tier computes the same bits, so records carry no tier.
 
 use ptycho_fft::SimdLevel;
-use ptycho_telemetry::{analysis, SchemaValidator, TraceSummary};
+use ptycho_telemetry::{analysis, CriticalPath, SchemaValidator, TraceSummary};
 use std::process::ExitCode;
 
 struct Args {
@@ -138,6 +137,34 @@ fn read_trace(path: &str) -> Result<TraceSummary, String> {
     TraceSummary::from_lines(text.lines()).map_err(|error| format!("malformed {path}: {error}"))
 }
 
+/// Prints one job's attribution rows. Returns false when a row's segments
+/// do not sum exactly to the job's end-to-end time.
+fn print_attribution(path: &CriticalPath) -> bool {
+    let mut intact = true;
+    println!("  attribution (compute / comm / wait / retransmit / heal):");
+    for row in &path.ranks {
+        println!(
+            "    rank {}: {} / {} / {} / {} / {}",
+            row.rank,
+            format_ns(row.compute_ns),
+            format_ns(row.comm_ns),
+            format_ns(row.barrier_wait_ns),
+            format_ns(row.retransmit_ns),
+            format_ns(row.heal_ns),
+        );
+        if row.total_ns() != path.end_to_end_ns {
+            intact = false;
+            println!(
+                "    INTEGRITY: rank {} segments sum to {} ns, not the end-to-end {} ns",
+                row.rank,
+                row.total_ns(),
+                path.end_to_end_ns
+            );
+        }
+    }
+    intact
+}
+
 /// The `--critical-path` report. Returns false when `--strict` must fail:
 /// lost ring records or an attribution row whose segments do not sum
 /// exactly to the job's end-to-end time.
@@ -150,27 +177,7 @@ fn report_critical_path(summary: &TraceSummary, jobs: &[u64], straggler_z: f64) 
             format_ns(path.end_to_end_ns),
             path.critical_rank
         );
-        println!("  attribution (compute / comm / wait / retransmit / heal):");
-        for row in &path.ranks {
-            println!(
-                "    rank {}: {} / {} / {} / {} / {}",
-                row.rank,
-                format_ns(row.compute_ns),
-                format_ns(row.comm_ns),
-                format_ns(row.barrier_wait_ns),
-                format_ns(row.retransmit_ns),
-                format_ns(row.heal_ns),
-            );
-            if row.total_ns() != path.end_to_end_ns {
-                intact = false;
-                println!(
-                    "    INTEGRITY: rank {} segments sum to {} ns, not the end-to-end {} ns",
-                    row.rank,
-                    row.total_ns(),
-                    path.end_to_end_ns
-                );
-            }
-        }
+        intact &= print_attribution(&path);
         let report = analysis::straggler_report(&path, straggler_z);
         if report.stragglers.is_empty() {
             println!(
@@ -354,18 +361,7 @@ fn main() -> ExitCode {
                 .collect();
             println!("    top events: {}", top.join("  "));
         }
-        // The Fig. 7b-style stacked view: per-rank compute / communication,
-        // plus the wait implied by the slowest rank's critical path.
-        println!("  breakdown (compute / comm / wait):");
-        for row in summary.breakdown(job) {
-            println!(
-                "    rank {}: {} / {} / {}",
-                row.rank,
-                format_ns(row.compute_ns),
-                format_ns(row.comm_ns),
-                format_ns(row.wait_ns),
-            );
-        }
+        print_attribution(&analysis::critical_path(&summary.records, job));
     }
     ExitCode::SUCCESS
 }

@@ -17,112 +17,14 @@
 
 use crate::report::{fmt, fmt_or_na, Table};
 use ptycho_array::stats;
-use ptycho_cluster::{Cluster, ClusterTopology, CommBackend, LockstepBackend, TimeBreakdown};
+use ptycho_cluster::{Cluster, ClusterTopology, CommBackend, TimeBreakdown};
 use ptycho_core::config::PassFrequency;
 use ptycho_core::scaling::{Method, ScalingPoint, ScalingScenario};
 use ptycho_core::stitch::phase_image;
 use ptycho_core::{
-    seam_artifact_metric, GradientDecompositionSolver, HaloVoxelExchangeSolver, RecoveryPolicy,
-    SolverConfig,
+    seam_artifact_metric, GradientDecompositionSolver, HaloVoxelExchangeSolver, SolverConfig,
 };
 use ptycho_sim::dataset::{Dataset, DatasetSpec, SyntheticConfig};
-
-/// Which communication backend the real-solver portions of the reproduction
-/// binaries execute on — the image-quality experiments (Figs. 8 and 9) and
-/// the validation runs the analytic bins (`fig7a`, `table1`–`table3`)
-/// append. Selected by the `PTYCHO_BACKEND` environment variable:
-/// `threaded` (default, one OS thread per rank) or `lockstep`
-/// (deterministic cooperative scheduling — identical results on every run).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum BackendChoice {
-    /// One OS thread per rank ([`Cluster`]).
-    #[default]
-    Threaded,
-    /// Deterministic cooperative scheduling ([`LockstepBackend`]).
-    Lockstep,
-}
-
-impl BackendChoice {
-    /// Reads `PTYCHO_BACKEND` (`threaded` | `lockstep`, case-insensitive) —
-    /// the one parsing helper shared by every reproduction binary.
-    ///
-    /// # Panics
-    /// Panics on an unrecognised value, so typos fail loudly instead of
-    /// silently benchmarking the wrong backend.
-    pub fn from_env() -> Self {
-        match std::env::var("PTYCHO_BACKEND") {
-            Err(_) => Self::default(),
-            Ok(value) => match value.to_ascii_lowercase().as_str() {
-                "" | "threaded" => BackendChoice::Threaded,
-                "lockstep" => BackendChoice::Lockstep,
-                other => panic!("PTYCHO_BACKEND must be 'threaded' or 'lockstep', got '{other}'"),
-            },
-        }
-    }
-
-    /// The name the choice was selected by.
-    pub fn label(self) -> &'static str {
-        match self {
-            BackendChoice::Threaded => "threaded",
-            BackendChoice::Lockstep => "lockstep",
-        }
-    }
-}
-
-/// Runs `$body` with `$backend` bound to the concrete backend `$choice`
-/// selects (the two backends are distinct types, so the dispatch cannot be a
-/// plain function). The single expansion point keeps the experiment
-/// functions free of per-function `match` duplication.
-macro_rules! with_selected_backend {
-    ($choice:expr, |$backend:ident| $body:expr) => {
-        match $choice {
-            BackendChoice::Threaded => {
-                // Loss detection (a generous 30 s receive bound) so that a
-                // stalled experiment errors out instead of hanging, and so
-                // the engine's recovery policies are usable on this arm.
-                let $backend = Cluster::new(ClusterTopology::summit()).with_loss_detection();
-                $body
-            }
-            BackendChoice::Lockstep => {
-                let $backend = LockstepBackend::new(ClusterTopology::summit());
-                $body
-            }
-        }
-    };
-}
-
-/// A one-line real-solver validation run on the backend selected by
-/// `PTYCHO_BACKEND`, appended by the analytic reproduction binaries
-/// (`fig7a`, `table1`–`table3`) so that *every* bin honours the selection
-/// and exercises the fault-tolerant iteration engine for real — the
-/// analytic tables themselves replay the performance model and never touch
-/// a backend.
-pub fn backend_validation_line() -> String {
-    let choice = BackendChoice::from_env();
-    let dataset = Dataset::synthesize(SyntheticConfig::tiny());
-    let config = SolverConfig {
-        iterations: 2,
-        halo_px: 20,
-        ..SolverConfig::default()
-    };
-    let solver = GradientDecompositionSolver::new(&dataset, config, (2, 2));
-    let result = with_selected_backend!(choice, |backend| solver
-        .run_with_recovery(
-            &backend,
-            RecoveryPolicy::RetransmitThenRestart {
-                max_iteration_restarts: 1,
-            },
-        )
-        .expect("fault-free validation run cannot fail"));
-    format!(
-        "validation [{} backend, engine with retransmit+restart]: \
-         GD 2x2 cost {:.1} -> {:.1}, {} restart(s)",
-        choice.label(),
-        result.cost_history.initial_cost(),
-        result.cost_history.final_cost(),
-        result.recovery.iteration_restarts,
-    )
-}
 
 /// The paper's measured single-node (6 GPU) runtimes in minutes, used to
 /// calibrate the performance model (Tables II(a) and III(a)).
@@ -376,19 +278,17 @@ pub fn quality_dataset(seed: u64) -> Dataset {
     })
 }
 
-/// Runs both methods on the backend selected by `PTYCHO_BACKEND` (see
-/// [`BackendChoice`]) and measures seam artifacts at the tile borders
-/// (Fig. 8) plus reconstruction error.
-pub fn fig8(iterations: usize) -> Fig8Result {
-    with_selected_backend!(BackendChoice::from_env(), |backend| fig8_on(
-        iterations, &backend
-    ))
+/// The backend the image-quality experiments run on: one OS thread per rank,
+/// with loss detection (a generous 30 s receive bound) so that a stalled
+/// experiment errors out instead of hanging.
+fn quality_cluster() -> Cluster {
+    Cluster::new(ClusterTopology::summit()).with_loss_detection()
 }
 
 /// Runs both methods on the same dataset and tile grid and measures seam
-/// artifacts at the tile borders (Fig. 8) plus reconstruction error, on an
-/// explicit communication backend.
-pub fn fig8_on<B: CommBackend>(iterations: usize, cluster: &B) -> Fig8Result {
+/// artifacts at the tile borders (Fig. 8) plus reconstruction error.
+pub fn fig8(iterations: usize) -> Fig8Result {
+    let cluster = &quality_cluster();
     let dataset = quality_dataset(17);
     let grid_dims = (3, 3);
 
@@ -448,19 +348,11 @@ pub struct ConvergenceCurve {
     pub costs: Vec<f64>,
 }
 
-/// Runs the Fig. 9 protocol on the backend selected by `PTYCHO_BACKEND`
-/// (see [`BackendChoice`]).
-pub fn fig9(iterations: usize) -> Vec<ConvergenceCurve> {
-    with_selected_backend!(BackendChoice::from_env(), |backend| fig9_on(
-        iterations, &backend
-    ))
-}
-
 /// Runs the Gradient Decomposition solver with the three communication
 /// frequencies of Fig. 9 (once per probe location, twice per iteration, once
-/// per iteration) and returns the three convergence curves, on an explicit
-/// communication backend.
-pub fn fig9_on<B: CommBackend>(iterations: usize, cluster: &B) -> Vec<ConvergenceCurve> {
+/// per iteration) and returns the three convergence curves.
+pub fn fig9(iterations: usize) -> Vec<ConvergenceCurve> {
+    let cluster = &quality_cluster();
     let dataset = quality_dataset(23);
     let variants = [
         ("T = every probe location", PassFrequency::EveryProbe),
@@ -553,23 +445,6 @@ mod tests {
         assert!(claims.memory_advantage > 1.5);
         assert!(claims.speed_advantage > 10.0);
         assert!(claims.scalability_advantage >= 9.0);
-    }
-
-    #[test]
-    fn backend_choice_defaults_to_threaded() {
-        if std::env::var_os("PTYCHO_BACKEND").is_none() {
-            assert_eq!(BackendChoice::from_env(), BackendChoice::Threaded);
-        }
-    }
-
-    #[test]
-    fn backend_validation_line_reports_the_selected_backend() {
-        if std::env::var_os("PTYCHO_BACKEND").is_some() {
-            return; // the environment pins a backend; don't fight it
-        }
-        let line = backend_validation_line();
-        assert!(line.contains("threaded backend"), "{line}");
-        assert!(line.contains("0 restart(s)"), "{line}");
     }
 
     #[test]

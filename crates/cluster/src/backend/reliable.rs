@@ -166,15 +166,6 @@ where
         self.stats
     }
 
-    /// Number of sends still awaiting acknowledgement (each holds a payload
-    /// clone for retransmission). Bounded by the traffic between barriers:
-    /// a successful [`RankComm::barrier`] drains the acknowledgements that
-    /// arrived, and the iteration engine barriers once per iteration in
-    /// recovery mode.
-    pub fn outstanding(&self) -> usize {
-        self.outbox.len()
-    }
-
     /// The configured tuning.
     pub fn config(&self) -> ReliableConfig {
         self.config
@@ -519,9 +510,9 @@ mod tests {
                 let peer = 1 - rc.rank();
                 rc.isend(peer, 0x7, vec![1.0; 64]);
                 rc.recv(peer, 0x7)?;
-                let before = rc.outstanding();
+                let before = rc.outbox.len();
                 rc.barrier()?;
-                Ok((before, rc.outstanding()))
+                Ok((before, rc.outbox.len()))
             })
             .unwrap();
         for o in &outcomes {

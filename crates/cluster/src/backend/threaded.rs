@@ -17,7 +17,7 @@
 use super::context::{launch, take_match, Envelope, RankCtx, Transport};
 use super::{CommBackend, CommError, Payload, RankFailure, RankOutcome};
 use crate::topology::ClusterTopology;
-use crossbeam_channel::{unbounded, Receiver, RecvTimeoutError, Sender};
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -228,7 +228,7 @@ impl CommBackend for ThreadedBackend {
         F: Fn(&mut Self::Comm<M>) -> Result<R, CommError> + Sync,
     {
         let (senders, receivers): (Vec<_>, Vec<_>) =
-            (0..num_ranks).map(|_| unbounded::<Envelope<M>>()).unzip();
+            (0..num_ranks).map(|_| channel::<Envelope<M>>()).unzip();
         let barrier = Arc::new(TimedBarrier::new(num_ranks));
         // Each transport clones every peer's sender except its own, then the
         // construction-time senders are dropped: only live ranks keep

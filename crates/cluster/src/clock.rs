@@ -99,17 +99,6 @@ impl RankClock {
         self.comm_ns
     }
 
-    /// Charges `seconds` of analytic compute time (used by the performance
-    /// model, where nothing is actually executed).
-    pub fn charge_compute(&mut self, seconds: f64) {
-        self.breakdown.compute += seconds;
-    }
-
-    /// Charges `seconds` of analytic wait time.
-    pub fn charge_wait(&mut self, seconds: f64) {
-        self.breakdown.wait += seconds;
-    }
-
     /// The accumulated breakdown.
     pub fn breakdown(&self) -> TimeBreakdown {
         self.breakdown
@@ -146,19 +135,15 @@ mod tests {
         let mut clock = RankClock::new();
         clock.charge_communication(1.5);
         clock.charge_communication(0.5);
-        clock.charge_compute(2.0);
-        clock.charge_wait(0.25);
         let b = clock.breakdown();
         assert_eq!(b.communication, 2.0);
-        assert_eq!(b.compute, 2.0);
-        assert_eq!(b.wait, 0.25);
-        assert_eq!(b.total(), 4.25);
+        assert_eq!(b.total(), 2.0);
     }
 
     #[test]
     fn reset_clears() {
         let mut clock = RankClock::new();
-        clock.charge_compute(1.0);
+        clock.charge_communication(1.0);
         clock.reset();
         assert_eq!(clock.breakdown(), TimeBreakdown::default());
     }

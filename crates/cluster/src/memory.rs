@@ -29,19 +29,6 @@ pub enum MemoryCategory {
     Other,
 }
 
-impl MemoryCategory {
-    /// All categories, for reporting.
-    pub const ALL: [MemoryCategory; 7] = [
-        MemoryCategory::TileVoxels,
-        MemoryCategory::HaloVoxels,
-        MemoryCategory::Measurements,
-        MemoryCategory::GradientBuffer,
-        MemoryCategory::AccumulationBuffer,
-        MemoryCategory::ModelWorkspace,
-        MemoryCategory::Other,
-    ];
-}
-
 /// Tracks current and peak memory usage by category for one rank.
 #[derive(Clone, Debug, Default)]
 pub struct MemoryTracker {
@@ -92,21 +79,6 @@ impl MemoryTracker {
     pub fn current_of(&self, category: MemoryCategory) -> usize {
         self.current.get(&category).copied().unwrap_or(0)
     }
-
-    /// Peak total in gigabytes (the unit of Tables II/III).
-    pub fn peak_gigabytes(&self) -> f64 {
-        self.peak_total as f64 / 1e9
-    }
-
-    /// Merges another tracker's peaks into this one by taking maxima — used to
-    /// report the worst-case rank.
-    pub fn max_merge(&mut self, other: &MemoryTracker) {
-        self.peak_total = self.peak_total.max(other.peak_total);
-        for (cat, &peak) in &other.peak_by_category {
-            let entry = self.peak_by_category.entry(*cat).or_insert(0);
-            *entry = (*entry).max(peak);
-        }
-    }
 }
 
 /// Averages the peak memory across a set of per-rank trackers, in bytes —
@@ -153,24 +125,12 @@ mod tests {
     }
 
     #[test]
-    fn gigabyte_conversion() {
-        let mut t = MemoryTracker::new();
-        t.allocate(MemoryCategory::TileVoxels, 2_500_000_000);
-        assert!((t.peak_gigabytes() - 2.5).abs() < 1e-9);
-    }
-
-    #[test]
     fn average_and_max_merge() {
         let mut a = MemoryTracker::new();
         a.allocate(MemoryCategory::TileVoxels, 100);
         let mut b = MemoryTracker::new();
         b.allocate(MemoryCategory::HaloVoxels, 300);
-        assert_eq!(average_peak_bytes(&[a.clone(), b.clone()]), 200.0);
-
-        a.max_merge(&b);
-        assert_eq!(a.peak_total(), 300);
-        assert_eq!(a.peak_of(MemoryCategory::HaloVoxels), 300);
-        assert_eq!(a.peak_of(MemoryCategory::TileVoxels), 100);
+        assert_eq!(average_peak_bytes(&[a, b]), 200.0);
     }
 
     #[test]

@@ -58,34 +58,9 @@ impl Default for SolverConfig {
     }
 }
 
-impl SolverConfig {
-    /// A configuration matching the paper's reconstruction parameters section
-    /// (Sec. VI-A), with the halo expressed in pixels of the given voxel size.
-    pub fn paper_defaults(voxel_size_pm: f64) -> Self {
-        Self {
-            iterations: 100,
-            step_relaxation: 0.5,
-            halo_px: (600.0 / voxel_size_pm).round() as usize,
-            pass_frequency: PassFrequency::PerIteration(1),
-            local_updates: true,
-            hve_extra_probe_rows: 2,
-            hve_exchange_period: 1,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn paper_defaults_halo_width() {
-        let config = SolverConfig::paper_defaults(10.0);
-        assert_eq!(config.halo_px, 60);
-        assert_eq!(config.iterations, 100);
-        let coarse = SolverConfig::paper_defaults(50.0);
-        assert_eq!(coarse.halo_px, 12);
-    }
 
     #[test]
     fn default_is_reasonable() {

@@ -59,14 +59,6 @@ impl CostHistory {
             .windows(2)
             .all(|w| w[1] <= w[0] * (1.0 + 1e-9) + 1e-12)
     }
-
-    /// The first iteration index at which the cost dropped below
-    /// `fraction × initial_cost`, if any — a simple time-to-quality measure
-    /// used to compare communication frequencies (Fig. 9).
-    pub fn iterations_to_reach(&self, fraction: f64) -> Option<usize> {
-        let target = self.initial_cost() * fraction;
-        self.costs.iter().position(|&c| c <= target)
-    }
 }
 
 #[cfg(test)]
@@ -81,7 +73,6 @@ mod tests {
         assert_eq!(h.final_cost(), 0.0);
         assert_eq!(h.relative_reduction(), 0.0);
         assert!(h.is_monotonically_decreasing());
-        assert_eq!(h.iterations_to_reach(0.5), None);
     }
 
     #[test]
@@ -98,13 +89,5 @@ mod tests {
     fn detects_non_monotone_series() {
         let h = CostHistory::from_costs(vec![10.0, 12.0, 8.0]);
         assert!(!h.is_monotonically_decreasing());
-    }
-
-    #[test]
-    fn iterations_to_reach_threshold() {
-        let h = CostHistory::from_costs(vec![100.0, 60.0, 30.0, 10.0]);
-        assert_eq!(h.iterations_to_reach(0.5), Some(2));
-        assert_eq!(h.iterations_to_reach(0.05), None);
-        assert_eq!(h.iterations_to_reach(1.0), Some(0));
     }
 }

@@ -82,7 +82,7 @@ pub use engine::{
 pub use gradient_decomp::solver::GradientDecompositionSolver;
 pub use halo_exchange::solver::HaloVoxelExchangeSolver;
 pub use memory_model::{gd_memory_per_gpu, hve_memory_per_gpu, MemoryBreakdown};
-pub use metrics::{strong_scaling_efficiency, RuntimeReport};
+pub use metrics::strong_scaling_efficiency;
 pub use scaling::{ScalingPoint, ScalingScenario};
 pub use service::{
     JobEngine, JobError, JobHandle, JobProgress, JobReport, JobSpec, JobState, ServiceBackend,

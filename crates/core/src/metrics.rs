@@ -1,11 +1,8 @@
 //! Runtime and scaling metrics.
 //!
 //! These are the quantities the paper's tables and figures report: runtimes in
-//! minutes for a fixed iteration count, strong-scaling efficiency relative to
-//! the single-node run, and the compute / wait / communication breakdown of
-//! Fig. 7b.
-
-use ptycho_cluster::TimeBreakdown;
+//! minutes for a fixed iteration count and strong-scaling efficiency relative
+//! to the single-node run.
 
 /// Strong-scaling efficiency in percent, as defined in the paper (Tables
 /// II/III): the speedup relative to the baseline configuration divided by the
@@ -25,50 +22,6 @@ pub fn strong_scaling_efficiency(baseline: (usize, f64), scaled: (usize, f64)) -
 /// Converts seconds to the minutes used in the paper's tables.
 pub fn seconds_to_minutes(seconds: f64) -> f64 {
     seconds / 60.0
-}
-
-/// A per-configuration runtime report: the critical-path breakdown across
-/// ranks plus derived totals.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct RuntimeReport {
-    /// Number of GPUs (ranks) in the configuration.
-    pub gpus: usize,
-    /// Critical-path time breakdown (max over ranks per component).
-    pub breakdown: TimeBreakdown,
-}
-
-impl RuntimeReport {
-    /// Builds a report from per-rank breakdowns by taking the per-component
-    /// maximum (the critical-path view used in Fig. 7b).
-    pub fn from_ranks(breakdowns: &[TimeBreakdown]) -> Self {
-        let breakdown = breakdowns
-            .iter()
-            .fold(TimeBreakdown::default(), |acc, b| acc.max_per_component(b));
-        Self {
-            gpus: breakdowns.len(),
-            breakdown,
-        }
-    }
-
-    /// Total runtime in seconds.
-    pub fn total_seconds(&self) -> f64 {
-        self.breakdown.total()
-    }
-
-    /// Total runtime in minutes.
-    pub fn total_minutes(&self) -> f64 {
-        seconds_to_minutes(self.total_seconds())
-    }
-
-    /// The fraction of the runtime spent communicating.
-    pub fn communication_fraction(&self) -> f64 {
-        let total = self.total_seconds();
-        if total == 0.0 {
-            0.0
-        } else {
-            self.breakdown.communication / total
-        }
-    }
 }
 
 #[cfg(test)]
@@ -100,30 +53,6 @@ mod tests {
     #[should_panic(expected = "positive")]
     fn zero_runtime_panics() {
         let _ = strong_scaling_efficiency((6, 0.0), (12, 1.0));
-    }
-
-    #[test]
-    fn runtime_report_critical_path() {
-        let ranks = vec![
-            TimeBreakdown {
-                compute: 10.0,
-                wait: 1.0,
-                communication: 0.5,
-            },
-            TimeBreakdown {
-                compute: 8.0,
-                wait: 3.0,
-                communication: 0.2,
-            },
-        ];
-        let report = RuntimeReport::from_ranks(&ranks);
-        assert_eq!(report.gpus, 2);
-        assert_eq!(report.breakdown.compute, 10.0);
-        assert_eq!(report.breakdown.wait, 3.0);
-        assert_eq!(report.breakdown.communication, 0.5);
-        assert!((report.total_seconds() - 13.5).abs() < 1e-12);
-        assert!((report.total_minutes() - 0.225).abs() < 1e-12);
-        assert!((report.communication_fraction() - 0.5 / 13.5).abs() < 1e-12);
     }
 
     #[test]

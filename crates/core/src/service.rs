@@ -106,11 +106,6 @@ pub struct JobSpec {
     /// Optional flight recorder: comm, iteration, recovery, and job
     /// lifecycle events stream into it (and its durable sink, if any).
     pub telemetry: Option<Arc<Telemetry>>,
-    /// Per-rank flight-recorder ring capacity override, applied to the
-    /// job's recorder before any of its streams exist. Undersized rings
-    /// lose records (surfaced per rank in [`JobEngine::metrics_snapshot`]
-    /// and as sequence gaps by `trace_dump --validate`).
-    pub telemetry_capacity: Option<usize>,
     /// When set, every consistency barrier durably checkpoints the job into
     /// a [`CheckpointStore`] rooted at this directory, and
     /// [`JobEngine::resume`] can rebuild the job from the directory alone
@@ -142,7 +137,6 @@ impl JobSpec {
             fault_policy: None,
             backend: ServiceBackend::Lockstep,
             telemetry: None,
-            telemetry_capacity: None,
             checkpoint_dir: None,
             resume_from: None,
         }
@@ -181,17 +175,6 @@ impl JobSpec {
     /// Attaches a flight recorder to the job.
     pub fn with_telemetry(mut self, telemetry: Arc<Telemetry>) -> Self {
         self.telemetry = Some(telemetry);
-        self
-    }
-
-    /// Sizes the job's per-rank flight-recorder rings (records per rank).
-    /// Applied at submission, before the recorder's first stream exists, so
-    /// every rank of the job gets the requested capacity. Undersized rings
-    /// overflow and lose records rather than blocking the hot path; losses
-    /// surface per rank in [`JobEngine::metrics_snapshot`] and as sequence
-    /// gaps in the durable trace.
-    pub fn with_telemetry_capacity(mut self, records: usize) -> Self {
-        self.telemetry_capacity = Some(records);
         self
     }
 
@@ -588,11 +571,6 @@ impl JobEngine {
         let depth = state.queue.len() as u64;
         state.metrics.queue_depth.observe(depth);
         if let Some(telemetry) = &spec.telemetry {
-            if let Some(capacity) = spec.telemetry_capacity {
-                // Must land before the recorder's first stream: the sink(0)
-                // call below creates stream 0, freezing its ring size.
-                telemetry.set_ring_capacity(capacity);
-            }
             // Lifecycle events live on stream 0 of the job's recorder; they
             // all fall outside the job's run window, so they never race the
             // ranks' own recording.
@@ -853,6 +831,8 @@ impl JobHandle {
                         telemetry.flush_all();
                     }
                 }
+                // The removed entry may have been the head-of-line blocker.
+                try_admit(&mut state, &self.shared);
                 self.shared.changed.notify_all();
             }
             JobState::Running => {
@@ -967,7 +947,7 @@ fn fail_unservable_queued(state: &mut ServiceState, shared: &Arc<Shared>) {
 
 /// Admits queued jobs while the head of the queue fits the free pool,
 /// spawning one runner thread per admission. Called with the state lock
-/// held, everywhere the free pool or the queue grows.
+/// held, everywhere the free pool grows or the head of the queue changes.
 fn try_admit(state: &mut ServiceState, shared: &Arc<Shared>) {
     if state.paused {
         return;
@@ -1546,7 +1526,6 @@ fn decode_spec(bytes: &[u8], path: &std::path::Path) -> Result<JobSpec, Durabili
         fault_policy,
         backend,
         telemetry: None,
-        telemetry_capacity: None,
         checkpoint_dir: None,
         resume_from: None,
     })

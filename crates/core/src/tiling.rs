@@ -147,15 +147,6 @@ impl TileGrid {
         &self.tiles[rank]
     }
 
-    /// The tile at grid position `(grid_row, grid_col)`, if it exists.
-    pub fn tile_at(&self, grid_row: usize, grid_col: usize) -> Option<&TileInfo> {
-        if grid_row < self.grid_rows && grid_col < self.grid_cols {
-            Some(&self.tiles[grid_row * self.grid_cols + grid_col])
-        } else {
-            None
-        }
-    }
-
     /// Rank of the tile at `(grid_row, grid_col)`.
     pub fn rank_at(&self, grid_row: usize, grid_col: usize) -> usize {
         assert!(grid_row < self.grid_rows && grid_col < self.grid_cols);
@@ -377,11 +368,10 @@ mod tests {
         for gr in 0..3 {
             for gc in 0..3 {
                 let rank = grid.rank_at(gr, gc);
-                let tile = grid.tile_at(gr, gc).unwrap();
+                let tile = grid.tile(rank);
                 assert_eq!(tile.index, rank);
                 assert_eq!(tile.grid_pos, (gr, gc));
             }
         }
-        assert!(grid.tile_at(3, 0).is_none());
     }
 }

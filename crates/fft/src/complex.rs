@@ -131,18 +131,6 @@ impl Complex64 {
     pub fn is_finite(self) -> bool {
         self.re.is_finite() && self.im.is_finite()
     }
-
-    /// The complex number with the same phase but unit magnitude; zero maps to
-    /// zero. Used by the amplitude-projection gradient of the likelihood term.
-    #[inline]
-    pub fn unit_phase(self) -> Self {
-        let a = self.abs();
-        if a == 0.0 {
-            Complex64::ZERO
-        } else {
-            self.scale(1.0 / a)
-        }
-    }
 }
 
 impl From<f64> for Complex64 {
@@ -340,15 +328,6 @@ mod tests {
             Complex64::new(0.0, theta).exp(),
             Complex64::cis(theta)
         ));
-    }
-
-    #[test]
-    fn unit_phase_zero_and_nonzero() {
-        assert_eq!(Complex64::ZERO.unit_phase(), Complex64::ZERO);
-        let z = Complex64::new(-3.0, 4.0);
-        let u = z.unit_phase();
-        assert!((u.abs() - 1.0).abs() < EPS);
-        assert!((u.arg() - z.arg()).abs() < EPS);
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! Datasets: simulated acquisition at laptop scale, plus the paper-scale
 //! geometry presets of Table I that drive the memory and performance models.
 
-use crate::gradient::probe_loss;
 use crate::multislice::MultisliceModel;
 use crate::noise::{apply_poisson_noise, intensity_to_amplitude};
 use crate::physics::ImagingGeometry;
@@ -71,20 +70,10 @@ impl DatasetSpec {
         self.detector_px * self.detector_px * self.probe_locations
     }
 
-    /// Total measurement storage in bytes.
-    pub fn measurement_bytes(&self) -> usize {
-        self.measurement_values() * BYTES_PER_MEASUREMENT
-    }
-
     /// Total number of voxels in the reconstruction.
     pub fn voxel_count(&self) -> usize {
         let (d, r, c) = self.reconstruction;
         d * r * c
-    }
-
-    /// Total reconstruction storage in bytes (complex voxels).
-    pub fn reconstruction_bytes(&self) -> usize {
-        self.voxel_count() * BYTES_PER_COMPLEX
     }
 
     /// Lateral size of the reconstruction in pixels (rows == cols for both
@@ -123,13 +112,6 @@ impl DatasetSpec {
     /// Both paper datasets sit far above the 70% threshold quoted in Sec. II-A.
     pub fn overlap_ratio(&self) -> f64 {
         (1.0 - self.scan_step_px() / (2.0 * self.probe_radius_px())).clamp(0.0, 1.0)
-    }
-
-    /// Probe locations whose circle centre falls inside each tile of a
-    /// `grid × grid` decomposition — the average count per tile, used by the
-    /// memory model.
-    pub fn avg_locations_per_tile(&self, grid: usize) -> f64 {
-        self.probe_locations as f64 / (grid * grid) as f64
     }
 }
 
@@ -373,19 +355,6 @@ impl Dataset {
     pub fn initial_guess(&self) -> CArray3 {
         self.specimen.flat_like()
     }
-
-    /// The total Maximum-Likelihood cost `F(V)` of Eqn. (1) for a candidate
-    /// reconstruction, summed over every probe location.
-    pub fn total_cost(&self, object: &CArray3) -> f64 {
-        self.scan
-            .locations()
-            .iter()
-            .map(|loc| {
-                let patch = extract_patch(object, &loc.window);
-                probe_loss(&self.model, &patch, self.measurement(loc))
-            })
-            .sum()
-    }
 }
 
 /// Extracts the (slices, window, window) object patch covered by a probe
@@ -403,6 +372,20 @@ pub fn scatter_patch(accumulator: &mut CArray3, window: &Rect, patch: &CArray3) 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gradient::probe_loss;
+
+    /// The total Maximum-Likelihood cost `F(V)` of Eqn. (1) for a candidate
+    /// reconstruction, summed over every probe location.
+    fn total_cost(ds: &Dataset, object: &CArray3) -> f64 {
+        ds.scan()
+            .locations()
+            .iter()
+            .map(|loc| {
+                let patch = extract_patch(object, &loc.window);
+                probe_loss(ds.model(), &patch, ds.measurement(loc))
+            })
+            .sum()
+    }
 
     #[test]
     fn table1_small_sizes() {
@@ -483,7 +466,7 @@ mod tests {
     fn ground_truth_has_zero_cost_noiseless() {
         let ds = Dataset::synthesize(SyntheticConfig::tiny());
         let truth = ds.specimen().transmission().clone();
-        let cost = ds.total_cost(&truth);
+        let cost = total_cost(&ds, &truth);
         assert!(cost < 1e-14, "got {cost}");
     }
 
@@ -491,7 +474,7 @@ mod tests {
     fn initial_guess_has_positive_cost() {
         let ds = Dataset::synthesize(SyntheticConfig::tiny());
         let flat = ds.initial_guess();
-        assert!(ds.total_cost(&flat) > 1e-6);
+        assert!(total_cost(&ds, &flat) > 1e-6);
     }
 
     #[test]
@@ -500,7 +483,7 @@ mod tests {
         config.dose = Some(1000.0);
         let noisy = Dataset::synthesize(config);
         let truth = noisy.specimen().transmission().clone();
-        let cost = noisy.total_cost(&truth);
+        let cost = total_cost(&noisy, &truth);
         assert!(
             cost > 1e-10,
             "noisy data should not fit exactly, got {cost}"

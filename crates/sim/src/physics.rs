@@ -82,14 +82,6 @@ impl ImagingGeometry {
         (self.aperture_mrad * 1e-3) / self.wavelength_pm()
     }
 
-    /// The aperture cutoff as a fraction of the Nyquist frequency of the
-    /// reconstruction grid (0.5 cycles per pixel). Values above 1 mean the
-    /// aperture is not resolvable at this pixel size.
-    pub fn aperture_cutoff_fraction_of_nyquist(&self) -> f64 {
-        let k_max_per_pixel = self.aperture_cutoff_per_pm() * self.pixel_size_pm;
-        k_max_per_pixel / 0.5
-    }
-
     /// Physical radius of the geometric probe-location circle in picometres:
     /// the defocused probe spreads to roughly `defocus · α`.
     pub fn probe_radius_pm(&self) -> f64 {
@@ -144,7 +136,8 @@ mod tests {
     #[test]
     fn aperture_cutoff_resolvable_at_paper_sampling() {
         let g = ImagingGeometry::paper();
-        let fraction = g.aperture_cutoff_fraction_of_nyquist();
+        // Cutoff in cycles per pixel over the grid's Nyquist frequency (0.5).
+        let fraction = g.aperture_cutoff_per_pm() * g.pixel_size_pm / 0.5;
         assert!(fraction > 0.0 && fraction < 1.0, "got {fraction}");
     }
 }

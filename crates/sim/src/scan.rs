@@ -102,19 +102,6 @@ pub struct ProbeLocation {
 }
 
 impl ProbeLocation {
-    /// Bounding box of the probe-location *circle* (tighter than the window
-    /// when the probe does not fill its window).
-    pub fn circle_bbox(&self) -> Rect {
-        let r = self.radius_px.ceil() as i64;
-        let (cr, cc) = self.center_px;
-        Rect::from_corners(
-            cr.floor() as i64 - r,
-            cr.ceil() as i64 + r + 1,
-            cc.floor() as i64 - r,
-            cc.ceil() as i64 + r + 1,
-        )
-    }
-
     /// True when the probe circles of `self` and `other` overlap.
     pub fn overlaps(&self, other: &ProbeLocation) -> bool {
         let dr = self.center_px.0 - other.center_px.0;
@@ -213,16 +200,6 @@ impl ScanPattern {
         self.locations.is_empty()
     }
 
-    /// The probe locations whose *windows* intersect `region` — the assignment
-    /// rule used when distributing measurements to tiles.
-    pub fn locations_in_region(&self, region: &Rect) -> Vec<ProbeLocation> {
-        self.locations
-            .iter()
-            .filter(|loc| loc.window.intersects(region))
-            .copied()
-            .collect()
-    }
-
     /// The probe locations whose *centres* fall inside `region` — the
     /// "owning tile" assignment used by both decomposition methods (each probe
     /// location is owned by exactly one tile).
@@ -245,21 +222,6 @@ impl ScanPattern {
         self.locations
             .iter()
             .fold(Rect::empty(), |acc, loc| acc.bounding_union(&loc.window))
-    }
-
-    /// For every probe location, how many *other* probe locations overlap it.
-    /// In the high-overlap regime this exceeds the 8 direct neighbours, which
-    /// is what necessitates the forward/backward accumulation passes.
-    pub fn overlap_counts(&self) -> Vec<usize> {
-        self.locations
-            .iter()
-            .map(|a| {
-                self.locations
-                    .iter()
-                    .filter(|b| b.index != a.index && a.overlaps(b))
-                    .count()
-            })
-            .collect()
     }
 }
 
@@ -323,9 +285,14 @@ mod tests {
             window_px: 32,
             probe_radius_px: 10.0,
         });
-        let counts = p.overlap_counts();
-        // The centre probe overlaps more than its 8 direct neighbours.
-        let centre = counts[12];
+        // The centre probe overlaps more than its 8 direct neighbours, which
+        // is what necessitates the forward/backward accumulation passes.
+        let middle = &p.locations()[12];
+        let centre = p
+            .locations()
+            .iter()
+            .filter(|b| b.index != middle.index && middle.overlaps(b))
+            .count();
         assert!(centre > 8, "expected >8 overlaps, got {centre}");
     }
 
@@ -353,30 +320,11 @@ mod tests {
     }
 
     #[test]
-    fn locations_in_region_superset_of_owned() {
-        let p = pattern_3x3();
-        let tile = Rect::new(0, 0, 48, 48);
-        let owned = p.locations_owned_by(&tile).len();
-        let touching = p.locations_in_region(&tile).len();
-        assert!(touching >= owned);
-        assert!(touching > 0);
-    }
-
-    #[test]
     fn overlap_ratio_clamps() {
         let mut config = pattern_3x3().config;
         config.step_px = 100.0;
         assert_eq!(config.overlap_ratio(), 0.0);
         config.step_px = 0.0;
         assert_eq!(config.overlap_ratio(), 1.0);
-    }
-
-    #[test]
-    fn circle_bbox_contains_center() {
-        let p = pattern_3x3();
-        for loc in p.locations() {
-            let bbox = loc.circle_bbox();
-            assert!(bbox.contains(loc.center_px.0 as i64, loc.center_px.1 as i64));
-        }
     }
 }

@@ -25,8 +25,7 @@
 //!    demand from producer-side counters.
 //! 4. [`json`]/[`trace`]: the JSONL codec (fixed field order, hand-rolled
 //!    offline-friendly parser, streaming schema validation) and post-hoc
-//!    analysis (per-rank timelines, Fig. 7b-style compute/wait/communication
-//!    breakdowns) behind the `trace_dump` binary.
+//!    ingestion (per-rank stream digests) behind the `trace_dump` binary.
 //! 5. [`analysis`]: causal trace analysis — span graphs paired from
 //!    send/recv correlation ids, exact critical-path attribution
 //!    (compute / comm / barrier-wait / retransmit / heal per rank),
@@ -65,4 +64,4 @@ pub use event::{TelemetryEvent, TelemetryRecord};
 pub use json::{ParseError, SchemaValidator};
 pub use metrics::{Histogram, MetricsRegistry};
 pub use recorder::{RankSink, Telemetry, TelemetryConfig};
-pub use trace::{RankBreakdown, StreamSummary, TraceSummary};
+pub use trace::{StreamSummary, TraceSummary};

@@ -32,7 +32,7 @@
 use crate::event::{TelemetryEvent, TelemetryRecord};
 use crate::json;
 use std::io::Write;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
 /// Tuning for one [`Telemetry`] instance.
@@ -156,10 +156,6 @@ struct DurableState {
 
 struct Inner {
     config: TelemetryConfig,
-    /// Live ring-capacity knob: seeded from `config.ring_capacity`, but
-    /// adjustable (see [`Telemetry::set_ring_capacity`]) up until a stream
-    /// is created — existing rings are never resized.
-    ring_capacity: AtomicUsize,
     recorders: RwLock<Vec<Arc<Mutex<RankRecorder>>>>,
     durable: Option<Mutex<DurableState>>,
     lost: AtomicU64,
@@ -179,10 +175,7 @@ impl std::fmt::Debug for Telemetry {
         f.debug_struct("Telemetry")
             .field("ranks", &self.ranks())
             .field("job_id", &self.inner.config.job_id)
-            .field(
-                "ring_capacity",
-                &self.inner.ring_capacity.load(Ordering::Relaxed),
-            )
+            .field("ring_capacity", &self.inner.config.ring_capacity)
             .field("durable", &self.inner.durable.is_some())
             .finish()
     }
@@ -215,7 +208,6 @@ impl Telemetry {
         Self {
             inner: Arc::new(Inner {
                 config,
-                ring_capacity: AtomicUsize::new(config.ring_capacity),
                 recorders: RwLock::new(Vec::new()),
                 durable: writer.map(|writer| {
                     Mutex::new(DurableState {
@@ -242,7 +234,7 @@ impl Telemetry {
             recorders.push(Arc::new(Mutex::new(RankRecorder::new(
                 next_rank,
                 self.inner.config.job_id,
-                self.inner.ring_capacity.load(Ordering::Relaxed),
+                self.inner.config.ring_capacity,
             ))));
         }
         RankSink {
@@ -279,18 +271,6 @@ impl Telemetry {
             .iter()
             .map(|r| r.lock().expect("telemetry recorder poisoned").lost)
             .collect()
-    }
-
-    /// Resizes the per-rank ring capacity for streams created *after* this
-    /// call (existing rings are never resized — recording must stay
-    /// allocation-free). Values below 1 clamp to 1. This is the hook behind
-    /// `JobSpec::with_telemetry_capacity`: the service applies the knob
-    /// before the job's first stream exists, so every rank of the job gets
-    /// the requested capacity.
-    pub fn set_ring_capacity(&self, capacity: usize) {
-        self.inner
-            .ring_capacity
-            .store(capacity.max(1), Ordering::Relaxed);
     }
 
     /// In-memory snapshot of `rank`'s stream: whatever the ring still holds,
@@ -536,30 +516,5 @@ mod tests {
         );
         let text = String::from_utf8(buf.0.lock().unwrap().clone()).unwrap();
         assert_eq!(text.lines().count(), 2, "the two surviving ring entries");
-    }
-
-    #[test]
-    fn ring_capacity_knob_applies_to_streams_created_afterwards() {
-        let buf = SharedBuf::default();
-        let telemetry = Telemetry::with_writer(
-            TelemetryConfig {
-                ring_capacity: 2,
-                job_id: 0,
-            },
-            Box::new(buf.clone()),
-        );
-        let small = telemetry.sink(0);
-        telemetry.set_ring_capacity(64);
-        let big = telemetry.sink(1);
-        for i in 0..5 {
-            small.record(TelemetryEvent::Checkpoint { iteration: i });
-            big.record(TelemetryEvent::Checkpoint { iteration: i });
-        }
-        telemetry.flush_all();
-        assert_eq!(
-            telemetry.lost_records_by_rank(),
-            vec![3, 0],
-            "only the pre-resize stream may lose records"
-        );
     }
 }

@@ -1,5 +1,6 @@
-//! Post-hoc trace analysis: reassembling per-rank timelines and the
-//! Fig. 7b-style compute/wait/communication breakdown from a JSONL log.
+//! Post-hoc trace ingestion: reassembling per-rank stream digests from a
+//! JSONL log (the causal analyses over the records live in
+//! [`analysis`](crate::analysis)).
 //!
 //! Used by the `trace_dump` binary and the test suite; lives here so the
 //! logic is unit-testable without spawning a process.
@@ -17,32 +18,10 @@ pub struct StreamSummary {
     pub kinds: BTreeMap<&'static str, u64>,
     /// Highest simulated time stamped in the stream, in nanoseconds.
     pub last_sim_ns: u64,
-    /// Cumulative modeled compute nanoseconds from the last
-    /// [`TelemetryEvent::IterationEnd`] seen.
-    pub compute_ns: u64,
-    /// Cumulative analytic communication nanoseconds from the last
-    /// [`TelemetryEvent::IterationEnd`] seen.
-    pub comm_ns: u64,
     /// Iterations finished (count of `IterationEnd` events).
     pub iterations: u64,
     /// The rank's share of the final iteration cost.
     pub last_cost: f64,
-}
-
-/// One rank's row of the Fig. 7b-style breakdown.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct RankBreakdown {
-    /// Job the rank belongs to.
-    pub job: u64,
-    /// The rank.
-    pub rank: u64,
-    /// Modeled compute nanoseconds.
-    pub compute_ns: u64,
-    /// Analytic communication nanoseconds.
-    pub comm_ns: u64,
-    /// Critical-path residual: how long this rank idles waiting for the
-    /// busiest rank of the job, in nanoseconds.
-    pub wait_ns: u64,
 }
 
 /// A fully ingested trace file.
@@ -88,16 +67,8 @@ impl TraceSummary {
         stream.events += 1;
         *stream.kinds.entry(record.event.kind()).or_insert(0) += 1;
         stream.last_sim_ns = stream.last_sim_ns.max(record.sim_ns);
-        if let TelemetryEvent::IterationEnd {
-            cost,
-            compute_ns,
-            comm_ns,
-            ..
-        } = record.event
-        {
+        if let TelemetryEvent::IterationEnd { cost, .. } = record.event {
             stream.iterations += 1;
-            stream.compute_ns = compute_ns;
-            stream.comm_ns = comm_ns;
             stream.last_cost = cost;
         }
         self.records.push(record);
@@ -114,38 +85,6 @@ impl TraceSummary {
             .values()
             .filter_map(|s| s.kinds.get(kind))
             .sum()
-    }
-
-    /// The Fig. 7b-style per-rank breakdown for `job`: each rank's modeled
-    /// compute and analytic communication time, plus the critical-path
-    /// residual (`wait = busiest rank's compute+comm − own compute+comm`) —
-    /// the idle time a barrier-synchronised rank spends waiting for the
-    /// job's straggler.
-    pub fn breakdown(&self, job: u64) -> Vec<RankBreakdown> {
-        let ranks: Vec<(u64, &StreamSummary)> = self
-            .streams
-            .iter()
-            .filter(|((j, _), s)| *j == job && s.iterations > 0)
-            .map(|((_, rank), s)| (*rank, s))
-            .collect();
-        let critical_path = ranks
-            .iter()
-            .map(|(_, s)| s.compute_ns + s.comm_ns)
-            .max()
-            .unwrap_or(0);
-        ranks
-            .into_iter()
-            .map(|(rank, s)| {
-                let busy = s.compute_ns + s.comm_ns;
-                RankBreakdown {
-                    job,
-                    rank,
-                    compute_ns: s.compute_ns,
-                    comm_ns: s.comm_ns,
-                    wait_ns: critical_path - busy,
-                }
-            })
-            .collect()
     }
 
     /// Job ids present in the trace, ascending.
@@ -175,17 +114,6 @@ mod tests {
                 comm_ns,
             },
         })
-    }
-
-    #[test]
-    fn breakdown_is_critical_path_residual() {
-        let text = format!("{}{}", end(0, 0, 100, 20), end(1, 0, 60, 10));
-        let summary = TraceSummary::from_lines(text.lines()).unwrap();
-        let rows = summary.breakdown(0);
-        assert_eq!(rows.len(), 2);
-        assert_eq!(rows[0].wait_ns, 0, "busiest rank never waits");
-        assert_eq!(rows[1].wait_ns, 50, "120 - 70");
-        assert_eq!(summary.kind_count("iteration_end"), 2);
     }
 
     #[test]

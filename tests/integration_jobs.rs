@@ -354,6 +354,51 @@ fn cancelling_a_queued_job_removes_it_before_admission() {
 }
 
 #[test]
+fn cancelling_the_queued_head_admits_the_job_behind_it() {
+    let dataset = tiny();
+    let engine = JobEngine::new(4);
+    // A holds two of the four nodes for far longer than the test runs, B
+    // needs all four and blocks the head of the queue, C would fit beside A.
+    let a = engine
+        .submit(JobSpec::new(
+            dataset.clone(),
+            tiny_gd_config(100_000),
+            (2, 1),
+        ))
+        .expect("fits the fleet");
+    let b = engine
+        .submit(JobSpec::new(dataset.clone(), tiny_gd_config(1), (2, 2)))
+        .expect("fits the fleet");
+    let c = engine
+        .submit(JobSpec::new(dataset, tiny_gd_config(1), (2, 1)))
+        .expect("fits the fleet");
+    assert_eq!(a.state(), JobState::Running);
+    assert_eq!(b.state(), JobState::Queued);
+    assert_eq!(c.state(), JobState::Queued, "strictly head-of-line");
+
+    b.cancel();
+    // The cancel itself must admit C: nothing else will touch the queue
+    // until A finishes.
+    let mut waited = Duration::ZERO;
+    while c.state() != JobState::Completed {
+        assert!(
+            waited < Duration::from_secs(10),
+            "C was stranded behind the cancelled head (state {:?})",
+            c.state()
+        );
+        std::thread::sleep(Duration::from_millis(2));
+        waited += Duration::from_millis(2);
+    }
+    assert_eq!(a.state(), JobState::Running, "C ran beside A, not after it");
+    assert_eq!(engine.admission_log(), vec![a.id(), c.id()]);
+
+    a.cancel();
+    assert_eq!(a.wait().state, JobState::Cancelled);
+    assert_eq!(engine.free_nodes(), 4, "no lease leaked");
+    assert!(engine.fleet_is_conserved());
+}
+
+#[test]
 fn cancelling_a_running_job_stops_it_at_an_iteration_boundary() {
     let dataset = tiny();
     let engine = JobEngine::new(4);
