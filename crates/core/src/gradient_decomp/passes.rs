@@ -23,24 +23,23 @@
 //! The paper ships each whole overlap strip. Between two synchronisation
 //! rounds a tile only accumulates the probe windows of that round, so most
 //! of a strip is zeros; and the scan is known up front, so *which* cells can
-//! be nonzero is plain [`Rect`] arithmetic. [`PassPlan::new`] takes one seed
-//! rectangle per round and rank — the bounding box of what the rank itself
-//! accumulates, clipped to its extended tile — as that rank's *dirty*
-//! rectangle, and walks the four sweeps symbolically in the order they run:
-//! a transfer from `a` to `b` carries `overlap(a, b) ∩ dirty[a]`, and
-//! `dirty[b]` grows to the bounding box of itself and what arrived. A rank
-//! therefore has one receive and one send rectangle per sweep (an empty one
-//! means *no message at all*) and a final dirty rectangle, outside which its
-//! buffer is still all zeros when the round ends — the only part the tile
-//! update and the buffer reset have to visit.
+//! be nonzero is plain [`Rect`] arithmetic. [`PassPlan::new`] starts each
+//! rank's *cover* with one seed per round — the bounding box of what the rank
+//! itself accumulates, clipped to its extended tile — and walks the four
+//! sweeps symbolically in the order they run: a transfer from `a` to `b`
+//! carries the bounding box of `overlap(a, b) ∩ cover[a]`, and `cover[b]`
+//! gains what arrived. A rank therefore has one receive and one send
+//! rectangle per sweep (an empty one means *no message at all*) and a final
+//! cover of disjoint rectangles outside which its buffer is still all zeros
+//! when the round ends — the only cells the tile update and reset visit.
 //!
 //! **Why the backward sweep covers the whole chain.** The forward sweep has
-//! already folded every upstream tile's dirty rectangle into the last tile's
-//! (`dirty[b] ⊇ overlap(a, b) ∩ dirty[a]` at every link), and `dirty[a]` does
-//! not change between `a`'s forward send and its backward receive. So any
-//! cell of `overlap(a, b)` outside `dirty[b]` is outside `dirty[a]` too:
-//! both buffers hold zero there, and the "replace" the plan skips would have
-//! written a zero over a zero.
+//! already folded every upstream tile's cover into the last tile's (`cover[b]
+//! ⊇ overlap(a, b) ∩ cover[a]` at every link), and `cover[a]` does not change
+//! between `a`'s forward send and its backward receive. So any cell of
+//! `overlap(a, b)` outside the backward message is outside `cover[b]`, hence
+//! outside `cover[a]`: both buffers hold zero there, and the "replace" the
+//! plan skips would have written a zero over a zero.
 //!
 //! **Deadlock freedom.** Every rank derives the plan from the same grid and
 //! the same seeds, and the builder records the two ends of a transfer
@@ -48,14 +47,14 @@
 //! already lets every rank agree on the number of rounds. The property suite
 //! pins it (`send(a→b) == recv(b←a)` in image coordinates).
 //!
-//! **`±0.0`.** Restricting a sweep is exact, not approximate: `x + 0.0`,
-//! `0.0` replacing `0.0` and `v − α·(0.0 − 0.0)` leave every bit of `x` and
-//! `v` (a `−0.0` in `v` included) unchanged. The one value a skipped
-//! addition *would* have changed is a `−0.0` in the receiving buffer, and an
-//! accumulation buffer never holds one: it starts at `+0.0` and only ever
-//! adds, and `+0.0 + −0.0`, like `x + −x`, is `+0.0`. [`run_accumulation_passes`]
-//! takes arbitrary buffers but declares every tile fully dirty, which skips
-//! nothing.
+//! **`±0.0`.** Restricting a sweep or the update to the cover is exact:
+//! `x + 0.0`, `0.0` replacing `0.0` and `v − α·(0.0 − 0.0)` leave every bit
+//! of `x` and `v` (a `−0.0` in `v` included) unchanged. The one value a
+//! skipped addition *would* have changed is a `−0.0` in the receiving
+//! buffer, and an accumulation buffer never holds one: it starts and is
+//! reset at `+0.0`, only ever adds, and `+0.0 + −0.0`, like `x + −x`, is
+//! `+0.0`. [`run_accumulation_passes`] takes arbitrary buffers but covers
+//! every tile whole, which skips nothing.
 
 use crate::tiling::TileGrid;
 use crate::worker::{add_region_flat, send_pooled_region, set_region_flat};
@@ -76,19 +75,13 @@ pub mod tags {
     pub const HORIZONTAL_BACKWARD: u64 = 0x13;
 }
 
-/// The direction of one sweep.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Axis {
-    Vertical,
-    Horizontal,
-}
-
-/// The four sweeps in the order they run: `(axis, forward, tag)`.
-const SWEEPS: [(Axis, bool, u64); 4] = [
-    (Axis::Vertical, true, tags::VERTICAL_FORWARD),
-    (Axis::Vertical, false, tags::VERTICAL_BACKWARD),
-    (Axis::Horizontal, true, tags::HORIZONTAL_FORWARD),
-    (Axis::Horizontal, false, tags::HORIZONTAL_BACKWARD),
+/// The four sweeps in the order they run: `(step, forward, tag)`, `step`
+/// being the tile-grid offset from a sender to its receiver.
+const SWEEPS: [((isize, isize), bool, u64); 4] = [
+    ((1, 0), true, tags::VERTICAL_FORWARD),
+    ((-1, 0), false, tags::VERTICAL_BACKWARD),
+    ((0, 1), true, tags::HORIZONTAL_FORWARD),
+    ((0, -1), false, tags::HORIZONTAL_BACKWARD),
 ];
 
 /// One planned message: the peer rank and the region it covers, in the
@@ -112,15 +105,15 @@ pub struct SweepStep {
 }
 
 /// One rank's part in one synchronisation round.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RankPasses {
     /// The four sweeps, in running order (vertical forward, vertical
     /// backward, horizontal forward, horizontal backward).
     pub sweeps: [SweepStep; 4],
-    /// The tile-local bounding box of every cell the rank's buffer can hold
-    /// a nonzero in once the round's passes are done (its seed and all it
-    /// received); possibly empty.
-    pub dirty: Rect,
+    /// Disjoint, non-empty tile-local rectangles holding every cell the
+    /// rank's buffer can hold a nonzero in once the round's passes are done
+    /// (its seed and all it received); empty if it takes no part.
+    pub cover: Vec<Rect>,
 }
 
 /// The static pass plan of a job: for every synchronisation round and rank,
@@ -145,30 +138,29 @@ impl PassPlan {
         assert_eq!(seeds.len() % ranks, 0, "one seed per round and rank");
         let mut steps = Vec::with_capacity(seeds.len());
         for round in seeds.chunks(ranks) {
+            // A cover overlaps itself until it is cut into disjoint rects below.
             let mut passes: Vec<RankPasses> = (0..ranks)
                 .map(|rank| {
                     let extended = grid.tile(rank).extended;
                     RankPasses {
                         sweeps: [SweepStep::default(); 4],
-                        dirty: round[rank]
-                            .to_local(&extended)
-                            .intersect(&Rect::of_shape(extended.rows(), extended.cols())),
+                        cover: vec![round[rank].intersect(&extended).to_local(&extended)],
                     }
                 })
                 .collect();
-            for (sweep, &(axis, forward, _)) in SWEEPS.iter().enumerate() {
+            for (sweep, &(step, forward, _)) in SWEEPS.iter().enumerate() {
                 // Rank order is row-major, so ascending order visits every
                 // chain upstream-first on a forward sweep, descending order
                 // on a backward one.
                 for i in 0..ranks {
                     let from = if forward { i } else { ranks - 1 - i };
-                    let to = if forward {
-                        successor(grid, from, axis)
-                    } else {
-                        predecessor(grid, from, axis)
+                    let Some(to) = neighbour(grid, from, step) else {
+                        continue;
                     };
-                    let Some(to) = to else { continue };
-                    let sent = local_overlap(grid, from, to).intersect(&passes[from].dirty);
+                    let overlap = local_overlap(grid, from, to);
+                    let sent = passes[from].cover.iter().fold(Rect::empty(), |sent, rect| {
+                        sent.bounding_union(&overlap.intersect(rect))
+                    });
                     if sent.is_empty() {
                         continue;
                     }
@@ -183,8 +175,11 @@ impl PassPlan {
                         peer: from,
                         region: arrives,
                     });
-                    passes[to].dirty = passes[to].dirty.bounding_union(&arrives);
+                    passes[to].cover.push(arrives);
                 }
+            }
+            for rank_passes in &mut passes {
+                rank_passes.cover = disjoint_union(&rank_passes.cover);
             }
             steps.append(&mut passes);
         }
@@ -207,7 +202,7 @@ impl PassPlan {
 /// buffer. Provided the buffer was zero outside the rank's seed, it ends up
 /// equal (over its extended tile) to the sum of the accumulation buffers of
 /// every tile whose extended region overlaps it, and zero outside
-/// [`RankPasses::dirty`].
+/// [`RankPasses::cover`].
 ///
 /// Every rank of the grid must run the same round of the same plan, otherwise
 /// the blocking receives deadlock (on the lockstep backend the deadlock is
@@ -243,9 +238,8 @@ pub fn run_planned_passes<C: RankComm<SharedTile>>(
 
 /// Runs all four directional passes on this rank's whole accumulation
 /// buffer, whatever it holds: one [`run_planned_passes`] round of a plan
-/// that declares every extended tile fully dirty, so every whole overlap
-/// strip travels. Every rank in the grid must call this the same number of
-/// times.
+/// whose covers are whole extended tiles, so every whole overlap strip
+/// travels. Every rank in the grid must call this the same number of times.
 pub fn run_accumulation_passes<C: RankComm<SharedTile>>(
     ctx: &mut C,
     grid: &TileGrid,
@@ -257,31 +251,43 @@ pub fn run_accumulation_passes<C: RankComm<SharedTile>>(
     run_planned_passes(ctx, plan.passes(0, ctx.rank()), buffer, pool)
 }
 
-/// The neighbour "before" this rank along an axis (above / to the left).
-fn predecessor(grid: &TileGrid, rank: usize, axis: Axis) -> Option<usize> {
+/// The rank `(drow, dcol)` tiles away from this one, if the grid has it.
+fn neighbour(grid: &TileGrid, rank: usize, (drow, dcol): (isize, isize)) -> Option<usize> {
     let (gr, gc) = grid.tile(rank).grid_pos;
-    match axis {
-        Axis::Vertical if gr > 0 => Some(grid.rank_at(gr - 1, gc)),
-        Axis::Horizontal if gc > 0 => Some(grid.rank_at(gr, gc - 1)),
-        _ => None,
-    }
-}
-
-/// The neighbour "after" this rank along an axis (below / to the right).
-fn successor(grid: &TileGrid, rank: usize, axis: Axis) -> Option<usize> {
-    let (gr, gc) = grid.tile(rank).grid_pos;
+    let (gr, gc) = (gr.checked_add_signed(drow)?, gc.checked_add_signed(dcol)?);
     let (grid_rows, grid_cols) = grid.grid_shape();
-    match axis {
-        Axis::Vertical if gr + 1 < grid_rows => Some(grid.rank_at(gr + 1, gc)),
-        Axis::Horizontal if gc + 1 < grid_cols => Some(grid.rank_at(gr, gc + 1)),
-        _ => None,
-    }
+    (gr < grid_rows && gc < grid_cols).then(|| grid.rank_at(gr, gc))
 }
 
 /// The overlap between this rank and a peer, in this rank's tile-local
 /// coordinates (empty when the extended tiles do not touch).
 fn local_overlap(grid: &TileGrid, rank: usize, peer: usize) -> Rect {
     grid.overlap(rank, peer).to_local(&grid.tile(rank).extended)
+}
+
+/// The union of `rects` as disjoint non-empty rectangles: bands cut at every
+/// top and bottom edge, each band's touching column spans merged.
+fn disjoint_union(rects: &[Rect]) -> Vec<Rect> {
+    let rects: Vec<&Rect> = rects.iter().filter(|rect| !rect.is_empty()).collect();
+    let mut edges: Vec<i64> = rects.iter().flat_map(|r| [r.row0, r.row1]).collect();
+    edges.sort_unstable();
+    edges.dedup();
+    let mut union: Vec<Rect> = Vec::new();
+    for (&top, &bottom) in edges.iter().zip(edges.iter().skip(1)) {
+        let mut spans: Vec<(i64, i64)> = rects
+            .iter()
+            .filter(|rect| rect.row0 <= top && bottom <= rect.row1)
+            .map(|rect| (rect.col0, rect.col1))
+            .collect();
+        spans.sort_unstable();
+        for (col0, col1) in spans {
+            match union.last_mut() {
+                Some(r) if r.row0 == top && col0 <= r.col1 => r.col1 = r.col1.max(col1),
+                _ => union.push(Rect::from_corners(top, bottom, col0, col1)),
+            }
+        }
+    }
+    union
 }
 
 #[cfg(test)]
@@ -397,24 +403,70 @@ mod tests {
         let scan = scan_for(image);
         let grid = TileGrid::new(image, image, 3, 3, 4, &scan);
         let center = grid.rank_at(1, 1);
-        assert_eq!(
-            predecessor(&grid, center, Axis::Vertical),
-            Some(grid.rank_at(0, 1))
-        );
-        assert_eq!(
-            successor(&grid, center, Axis::Vertical),
-            Some(grid.rank_at(2, 1))
-        );
-        assert_eq!(
-            predecessor(&grid, center, Axis::Horizontal),
-            Some(grid.rank_at(1, 0))
-        );
-        assert_eq!(
-            successor(&grid, center, Axis::Horizontal),
-            Some(grid.rank_at(1, 2))
-        );
-        assert_eq!(predecessor(&grid, 0, Axis::Vertical), None);
-        assert_eq!(successor(&grid, grid.rank_at(2, 2), Axis::Horizontal), None);
+        assert_eq!(neighbour(&grid, center, (-1, 0)), Some(grid.rank_at(0, 1)));
+        assert_eq!(neighbour(&grid, center, (1, 0)), Some(grid.rank_at(2, 1)));
+        assert_eq!(neighbour(&grid, center, (0, -1)), Some(grid.rank_at(1, 0)));
+        assert_eq!(neighbour(&grid, center, (0, 1)), Some(grid.rank_at(1, 2)));
+        assert_eq!(neighbour(&grid, 0, (-1, 0)), None);
+        assert_eq!(neighbour(&grid, grid.rank_at(2, 2), (0, 1)), None);
+    }
+
+    #[test]
+    fn disjoint_union_rasterises_to_the_union() {
+        let cases: [&[Rect]; 6] = [
+            // Overlapping.
+            &[
+                Rect::new(0, 0, 4, 4),
+                Rect::new(2, 2, 4, 4),
+                Rect::new(-1, 3, 2, 5),
+            ],
+            // Nested, and a repeat.
+            &[
+                Rect::new(0, 0, 6, 6),
+                Rect::new(1, 1, 2, 3),
+                Rect::new(0, 0, 6, 6),
+            ],
+            // Edge-adjacent: side by side, stacked, and touching at a corner.
+            &[
+                Rect::new(0, 0, 3, 2),
+                Rect::new(0, 2, 3, 2),
+                Rect::new(3, 0, 2, 4),
+            ],
+            &[
+                Rect::new(0, 0, 2, 2),
+                Rect::new(2, 2, 2, 2),
+                Rect::new(5, 0, 1, 1),
+            ],
+            // Empty inputs, alone and among others.
+            &[Rect::empty(), Rect::new(3, 3, 0, 5)],
+            &[
+                Rect::new(1, 1, 0, 0),
+                Rect::new(1, 1, 2, 2),
+                Rect::from_corners(4, 2, 0, 9),
+            ],
+        ];
+        for rects in cases {
+            let union = disjoint_union(rects);
+            for (i, a) in union.iter().enumerate() {
+                assert!(!a.is_empty(), "{rects:?} → {union:?}");
+                for b in &union[i + 1..] {
+                    assert!(!a.intersects(b), "{rects:?} → {union:?}");
+                }
+            }
+            for row in -2..8 {
+                for col in -2..10 {
+                    assert_eq!(
+                        union.iter().any(|r| r.contains(row, col)),
+                        rects.iter().any(|r| r.contains(row, col)),
+                        "{rects:?} → {union:?} at ({row}, {col})"
+                    );
+                }
+            }
+        }
+        // Touching spans of one band make one rectangle.
+        let side_by_side = [Rect::new(0, 2, 2, 3), Rect::new(0, 0, 2, 2)];
+        assert_eq!(disjoint_union(&side_by_side), vec![Rect::new(0, 0, 2, 5)]);
+        assert!(disjoint_union(&[]).is_empty());
     }
 
     #[test]

@@ -29,17 +29,18 @@
 //!   [`PassPlan`] once: per round and rank, seeded with the bounding box of
 //!   the probe windows the rank accumulates in that round, the sub-rectangle
 //!   of each overlap strip that travels in each sweep (none at all when it
-//!   would carry only zeros) and the rectangle the tile update (steps 14–15)
-//!   and the buffer reset (step 16) cover. Everything skipped is an exact
-//!   zero, so the reconstruction is bit-identical to shipping whole strips
-//!   and sweeping whole tiles (`tests/golden_solver.rs`); what changes is the
-//!   message count and volume — at `T = 1` by an order of magnitude.
+//!   would carry only zeros) and the disjoint rectangles one fused sweep
+//!   updates the tile (steps 14–15) and resets the buffers (step 16) over.
+//!   Everything skipped is an exact zero, so the reconstruction is
+//!   bit-identical to shipping whole strips and sweeping whole tiles
+//!   (`tests/golden_solver.rs`); what changes is the work and message
+//!   volume — at `T = 1` by an order of magnitude.
 
 use crate::config::SolverConfig;
 use crate::engine::{IterationEngine, RecoveryPolicy, SolverKernel};
 use crate::gradient_decomp::passes::{run_planned_passes, PassPlan};
 use crate::tiling::TileGrid;
-use crate::worker::{zero_region, TileWorker};
+use crate::worker::TileWorker;
 use ptycho_array::{Array3, Rect};
 use ptycho_cluster::{
     CommBackend, CommError, HardwareModel, MemoryCategory, RankComm, RankFailure, SharedTile,
@@ -302,18 +303,11 @@ impl SolverKernel for GdKernel<'_> {
             let passes = self.plan.passes(round, ctx.rank());
             run_planned_passes(ctx, passes, acc_buf, pool)?;
 
-            // Steps 14-16: update the tile from the accumulated gradients
-            // and reset the buffers in place — over the cells this round can
-            // have written; everywhere else both buffers are still zero.
-            ctx.clock_mut().compute(|| match own_acc {
-                // Apply only what this tile has not already applied.
-                Some(own_acc) => worker.apply_buffer_remote(acc_buf, own_acc, passes.dirty),
-                None => worker.apply_buffer(acc_buf, passes.dirty),
-            });
-            zero_region(acc_buf, passes.dirty);
-            if let Some(own_acc) = own_acc {
-                zero_region(own_acc, passes.dirty);
-            }
+            // Steps 14-16: update the tile from the accumulated gradients and
+            // reset the buffers in place, in one sweep over the round's cover;
+            // everywhere else both buffers are still zero.
+            ctx.clock_mut()
+                .compute(|| worker.update_and_reset(acc_buf, own_acc.as_mut(), &passes.cover));
         }
         Ok(iteration_cost)
     }
@@ -326,7 +320,7 @@ impl SolverKernel for GdKernel<'_> {
         *state.worker.volume_mut() = checkpoint.clone();
         // The buffers are zero at every iteration boundary; discard whatever
         // the failed attempt left in them (it may have stopped in any round,
-        // so no single dirty rectangle covers it).
+        // so no single round's cover holds it).
         state.acc_buf.fill(Complex64::ZERO);
         if let Some(own_acc) = &mut state.own_acc {
             own_acc.fill(Complex64::ZERO);

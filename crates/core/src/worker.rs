@@ -124,35 +124,40 @@ impl<'a> TileWorker<'a> {
         add_region_scaled(&mut self.volume, local_window, gradient, -self.step);
     }
 
-    /// Applies `region` of an extended-tile-shaped gradient buffer (step 15
-    /// of Algorithm 1): `V_k ← V_k − α·buffer` there. Where the buffer is
-    /// zero the update is a bitwise identity, so `region` only has to cover
-    /// the buffer's nonzeros.
-    pub fn apply_buffer(&mut self, buffer: &CArray3, region: Rect) {
-        assert_eq!(buffer.shape(), self.volume.shape(), "buffer shape mismatch");
-        let rows = region_rows(self.volume.shape(), region);
-        let (volume, buffer) = (self.volume.as_mut_slice(), buffer.as_slice());
-        for row in rows {
-            for (v, g) in volume[row.clone()].iter_mut().zip(&buffer[row]) {
-                *v -= g.scale(self.step);
-            }
-        }
-    }
-
-    /// Step-15 variant for locally-updating tiles: applies
-    /// `V_k ← V_k − α·(total − own)` over `region` — the accumulated
-    /// gradients minus what this tile already applied locally — without
-    /// materialising the difference buffer.
-    pub fn apply_buffer_remote(&mut self, total: &CArray3, own: &CArray3, region: Rect) {
-        assert_eq!(total.shape(), self.volume.shape(), "buffer shape mismatch");
-        assert_eq!(own.shape(), self.volume.shape(), "buffer shape mismatch");
-        let rows = region_rows(self.volume.shape(), region);
-        let (total, own) = (total.as_slice(), own.as_slice());
-        let volume = self.volume.as_mut_slice();
-        for row in rows {
-            let remote = total[row.clone()].iter().zip(&own[row.clone()]);
-            for (v, (t, o)) in volume[row].iter_mut().zip(remote) {
-                *v -= (*t - *o).scale(self.step);
+    /// Steps 14–16 of Algorithm 1 in one sweep over the disjoint `cover`:
+    /// `V_k ← V_k − α·(total − own)`, `own` being what this tile already
+    /// applied locally (`α·total` without it), then `+0.0` into each visited
+    /// buffer cell. Where the buffers are zero the update is a bitwise
+    /// identity, so `cover` only has to hold their nonzeros.
+    pub fn update_and_reset(
+        &mut self,
+        total: &mut CArray3,
+        own: Option<&mut CArray3>,
+        cover: &[Rect],
+    ) {
+        let shape = self.volume.shape();
+        assert_eq!(total.shape(), shape, "buffer shape mismatch");
+        let mut own = own.map(|own| {
+            assert_eq!(own.shape(), shape, "buffer shape mismatch");
+            own.as_mut_slice()
+        });
+        let (volume, total) = (self.volume.as_mut_slice(), total.as_mut_slice());
+        for row in cover.iter().flat_map(|&rect| region_rows(shape, rect)) {
+            let cells = volume[row.clone()].iter_mut().zip(&mut total[row.clone()]);
+            match own.as_deref_mut() {
+                Some(own) => {
+                    for ((v, t), o) in cells.zip(&mut own[row]) {
+                        *v -= (*t - *o).scale(self.step);
+                        *t = Complex64::ZERO;
+                        *o = Complex64::ZERO;
+                    }
+                }
+                None => {
+                    for (v, t) in cells {
+                        *v -= t.scale(self.step);
+                        *t = Complex64::ZERO;
+                    }
+                }
             }
         }
     }
@@ -197,14 +202,6 @@ fn region_rows(
             start + clipped.col0 as usize..start + clipped.col1 as usize
         })
     })
-}
-
-/// Zeroes `region` of an accumulation buffer (step 16 of Algorithm 1, over
-/// the cells the round can have written).
-pub(crate) fn zero_region(buffer: &mut CArray3, region: Rect) {
-    for row in region_rows(buffer.shape(), region) {
-        buffer.as_mut_slice()[row].fill(Complex64::ZERO);
-    }
 }
 
 /// Adds `factor · block` into `region` of a complex volume, clipping against
@@ -357,7 +354,23 @@ fn apply_region_flat(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tiling::TileGrid;
     use ptycho_array::Array3;
+    use ptycho_sim::dataset::SyntheticConfig;
+
+    /// A single-rank worker over the whole of `dataset`'s object.
+    fn tiny_worker(dataset: &Dataset) -> TileWorker<'_> {
+        let (_, rows, cols) = dataset.object_shape();
+        let grid = TileGrid::new(rows, cols, 1, 1, 8, dataset.scan());
+        TileWorker::new(
+            dataset,
+            grid.tile(0),
+            &dataset.initial_guess(),
+            &SolverConfig::default(),
+            0,
+            &mut MemoryTracker::new(),
+        )
+    }
 
     fn volume_with_pattern() -> CArray3 {
         Array3::from_fn(2, 6, 6, |s, r, c| {
@@ -432,9 +445,6 @@ mod tests {
 
     #[test]
     fn model_workspace_charge_equals_the_bytes_held() {
-        use crate::tiling::TileGrid;
-        use ptycho_sim::dataset::SyntheticConfig;
-
         let dataset = Dataset::synthesize(SyntheticConfig::tiny());
         let (_, rows, cols) = dataset.object_shape();
         let grid = TileGrid::new(rows, cols, 1, 1, 8, dataset.scan());
@@ -488,44 +498,52 @@ mod tests {
             bits(&Array3::full(1, 1, n, Complex64::ZERO))
         );
 
-        // Tile update: `v − α·0` and `v − α·(0 − 0)` are `v`, `−0.0` included.
-        use crate::tiling::TileGrid;
-        use ptycho_sim::dataset::SyntheticConfig;
+        // Tile update and reset: `v − α·0` and `v − α·(0 − 0)` are `v`,
+        // `−0.0` included, and the reset leaves `+0.0` behind.
         let dataset = Dataset::synthesize(SyntheticConfig::tiny());
-        let (_, rows, cols) = dataset.object_shape();
-        let grid = TileGrid::new(rows, cols, 1, 1, 8, dataset.scan());
-        let mut worker = TileWorker::new(
-            &dataset,
-            grid.tile(0),
-            &dataset.initial_guess(),
-            &SolverConfig::default(),
-            0,
-            &mut MemoryTracker::new(),
-        );
+        let mut worker = tiny_worker(&dataset);
         worker.volume_mut().as_mut_slice()[..n].clone_from_slice(values.as_slice());
         let before = bits(worker.volume());
-        let zero = worker.zero_buffer();
-        let whole = worker.volume().plane_bounds();
-        worker.apply_buffer(&zero, whole);
-        worker.apply_buffer_remote(&zero, &zero, whole);
+        let (mut total, mut own) = (worker.zero_buffer(), worker.zero_buffer());
+        let whole = [worker.volume().plane_bounds()];
+        worker.update_and_reset(&mut total, None, &whole);
+        worker.update_and_reset(&mut total, Some(&mut own), &whole);
         assert_eq!(bits(worker.volume()), before);
+        assert_eq!(bits(&total), bits(&worker.zero_buffer()));
+        assert_eq!(bits(&own), bits(&worker.zero_buffer()));
     }
 
     #[test]
     fn region_updates_touch_exactly_the_clipped_region() {
-        let region = Rect::new(4, -2, 5, 6);
-        let mut buffer = Array3::full(2, 6, 6, Complex64::ONE);
-        zero_region(&mut buffer, region);
-        for s in 0..2 {
-            for r in 0..6 {
-                for c in 0..6 {
-                    let inside = region.contains(r as i64, c as i64);
-                    let want = if inside {
-                        Complex64::ZERO
-                    } else {
-                        Complex64::ONE
-                    };
-                    assert_eq!(buffer[(s, r, c)], want);
+        let dataset = Dataset::synthesize(SyntheticConfig::tiny());
+        let mut worker = tiny_worker(&dataset);
+        let (_, rows, cols) = worker.volume().shape();
+        let (rows, cols) = (rows as i64, cols as i64);
+        // Hangs over the bottom-left corner; the second rect is disjoint.
+        let cover = [Rect::new(rows - 2, -2, 5, 6), Rect::new(0, cols - 3, 2, 3)];
+        let (t0, o0) = (Complex64::new(1.0, -2.0), Complex64::new(0.25, 0.5));
+        for local_updates in [false, true] {
+            let before = worker.volume().clone();
+            let mut total = worker.zero_buffer().map(|_| t0);
+            let mut own = worker.zero_buffer().map(|_| o0);
+            let remote = if local_updates { t0 - o0 } else { t0 };
+            let step = worker.step;
+            worker.update_and_reset(&mut total, local_updates.then_some(&mut own), &cover);
+            for s in 0..before.depth() {
+                for r in 0..before.rows() {
+                    for c in 0..before.cols() {
+                        let i = (s, r, c);
+                        let hit = cover.iter().any(|x| x.contains(r as i64, c as i64));
+                        let want = if hit {
+                            before[i] - remote.scale(step)
+                        } else {
+                            before[i]
+                        };
+                        assert_eq!(worker.volume()[i], want);
+                        assert_eq!(total[i], if hit { Complex64::ZERO } else { t0 });
+                        let reset = hit && local_updates;
+                        assert_eq!(own[i], if reset { Complex64::ZERO } else { o0 });
+                    }
                 }
             }
         }

@@ -48,6 +48,34 @@ fn run_passes(grid: &TileGrid, initial: &[CArray3], plan: Option<&PassPlan>) -> 
         .collect()
 }
 
+/// Per rank, the single bounding box a plan would track instead of a cover:
+/// the clipped seed, grown by every transfer `overlap(a, b) ∩ box[a]` of
+/// the four sweeps in running order (image coordinates).
+fn bounding_boxes(grid: &TileGrid, seeds: &[Rect]) -> Vec<Rect> {
+    let ranks = grid.num_tiles();
+    let (grid_rows, grid_cols) = grid.grid_shape();
+    let neighbour = |rank: usize, (dr, dc): (i64, i64)| {
+        let (r, c) = grid.tile(rank).grid_pos;
+        let (r, c) = (r as i64 + dr, c as i64 + dc);
+        ((0..grid_rows as i64).contains(&r) && (0..grid_cols as i64).contains(&c))
+            .then(|| grid.rank_at(r as usize, c as usize))
+    };
+    let mut boxes: Vec<Rect> = (0..ranks)
+        .map(|rank| seeds[rank].intersect(&grid.tile(rank).extended))
+        .collect();
+    for step in [(1, 0), (-1, 0), (0, 1), (0, -1)] {
+        let forward = step.0 + step.1 > 0;
+        for i in 0..ranks {
+            let from = if forward { i } else { ranks - 1 - i };
+            if let Some(to) = neighbour(from, step) {
+                let sent = grid.overlap(from, to).intersect(&boxes[from]);
+                boxes[to] = boxes[to].bounding_union(&sent);
+            }
+        }
+    }
+    boxes
+}
+
 fn bits_of(v: &Complex64) -> (u64, u64) {
     (v.re.to_bits(), v.im.to_bits())
 }
@@ -86,7 +114,7 @@ proptest! {
                 }
             })
             .collect();
-        // Round 0 is the sparse one; round 1 declares every tile dirty.
+        // Round 0 is the sparse one; round 1 seeds every tile whole.
         let whole_tiles: Vec<Rect> = (0..ranks).map(extended).collect();
         let plan = PassPlan::new(&grid, &[seeds.clone(), whole_tiles.clone()].concat());
         prop_assert_eq!(plan.rounds(), 2);
@@ -110,28 +138,39 @@ proptest! {
             .collect();
 
         // The planned sweep is the whole-buffer sweep, bit for bit, and
-        // leaves nothing outside the dirty rectangle the tile update trusts.
+        // leaves nothing outside the cover the tile update trusts.
         let planned = run_passes(&grid, &initial, Some(&plan));
         let whole = run_passes(&grid, &initial, None);
         for rank in 0..ranks {
             prop_assert_eq!(bits(&planned[rank]), bits(&whole[rank]), "rank {}", rank);
-            let dirty = plan.passes(0, rank).dirty;
+            let cover = &plan.passes(0, rank).cover;
             let cols = extended(rank).cols();
             for (i, v) in planned[rank].iter().enumerate() {
                 let (r, c) = ((i / cols) % extended(rank).rows(), i % cols);
                 prop_assert!(
-                    dirty.contains(r as i64, c as i64) || bits_of(v) == bits_of(&Complex64::ZERO),
-                    "rank {} holds {:?} at ({}, {}) outside {:?}", rank, v, r, c, dirty
+                    cover.iter().any(|rect| rect.contains(r as i64, c as i64))
+                        || bits_of(v) == bits_of(&Complex64::ZERO),
+                    "rank {} holds {:?} at ({}, {}) outside {:?}", rank, v, r, c, cover
                 );
             }
         }
 
+        // A cover is disjoint rects inside the extended tile, within the
+        // bounding box a single-rectangle plan would have tracked.
         // Deadlock freedom: every planned send is its peer's planned
         // receive — same sweep, same cells of the image — and vice versa.
-        for round in 0..2 {
+        for (round, round_seeds) in [&seeds, &whole_tiles].into_iter().enumerate() {
             let (mut sends, mut recvs) = (0, 0);
-            for rank in 0..ranks {
+            for (rank, bounding_box) in bounding_boxes(&grid, round_seeds).into_iter().enumerate() {
                 let passes = plan.passes(round, rank);
+                let cover = &passes.cover;
+                let local_tile = extended(rank).to_local(&extended(rank));
+                let local_box = bounding_box.to_local(&extended(rank));
+                for (i, a) in cover.iter().enumerate() {
+                    prop_assert!(!a.is_empty() && local_tile.contains_rect(a), "{:?}", cover);
+                    prop_assert!(local_box.contains_rect(a), "{:?} outside {:?}", cover, local_box);
+                    prop_assert!(cover[i + 1..].iter().all(|b| !a.intersects(b)), "{:?}", cover);
+                }
                 for (sweep, step) in passes.sweeps.iter().enumerate() {
                     recvs += usize::from(step.recv.is_some());
                     let Some(send) = step.send else { continue };
@@ -144,22 +183,24 @@ proptest! {
                         Some(send.region.to_global(&extended(rank)))
                     );
                 }
-                // A rank with nothing dirty took no part in the round.
-                if passes.dirty.is_empty() {
+                // A rank with an empty cover took no part in the round.
+                if passes.cover.is_empty() {
                     prop_assert!(passes.sweeps.iter().all(|s| s.recv.is_none() && s.send.is_none()));
                 }
             }
             prop_assert_eq!(sends, recvs);
         }
 
-        // Fully dirty tiles plan the whole-buffer entry's round, and with
-        // nothing dirty anywhere nobody sends anything.
+        // Whole-tile seeds plan the whole-buffer entry's round and cover each
+        // tile whole (disjoint rects inside it, checked above, of its area);
+        // with every seed empty nobody sends anything.
         let dense = PassPlan::new(&grid, &whole_tiles);
         let idle = PassPlan::new(&grid, &vec![Rect::empty(); ranks]);
         for rank in 0..ranks {
             prop_assert_eq!(plan.passes(1, rank), dense.passes(0, rank));
-            prop_assert_eq!(dense.passes(0, rank).dirty, extended(rank).to_local(&extended(rank)));
-            prop_assert!(idle.passes(0, rank).dirty.is_empty());
+            let covered: usize = dense.passes(0, rank).cover.iter().map(Rect::area).sum();
+            prop_assert_eq!(covered, extended(rank).area());
+            prop_assert!(idle.passes(0, rank).cover.is_empty());
             prop_assert!(idle.passes(0, rank).sweeps.iter().all(|s| s.send.is_none()));
         }
     }

@@ -615,7 +615,10 @@ fn one_tenants_rank_death_does_not_perturb_its_neighbours() {
 #[test]
 fn fleet_shrinkage_fails_queued_jobs_it_can_never_serve() {
     let dataset = tiny();
-    let engine = JobEngine::new(2);
+    // Paused, so both jobs are submitted against the whole fleet: on a live
+    // engine the dying job could retire its node before the follower
+    // arrives, and the follower would be refused at submission instead.
+    let engine = JobEngine::paused(2);
     // The dying job takes the whole 2-node fleet; the full-width follower
     // queues behind it. When the dead rank retires a node, one live node
     // remains: neither the heal nor the follower can ever be served.
@@ -628,6 +631,7 @@ fn fleet_shrinkage_fails_queued_jobs_it_can_never_serve() {
     let b = engine
         .submit(JobSpec::new(dataset.clone(), tiny_gd_config(2), (2, 1)))
         .expect("feasible against the live fleet at submission");
+    engine.start_admitting();
     engine.wait_idle();
 
     let a = a.wait();
