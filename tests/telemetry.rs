@@ -20,6 +20,7 @@
 //!    agrees with the trace.
 
 use ptycho_cluster::{FaultInjectionBackend, FaultPolicy, HardwareModel};
+use ptycho_core::durability::fnv1a64;
 use ptycho_core::gradient_decomp::passes::tags;
 use ptycho_core::{
     JobContext, JobEngine, JobSpec, JobState, ReconstructionResult, RecoveryPolicy, SolverConfig,
@@ -214,6 +215,33 @@ fn threaded_trace_is_deterministic_under_duplicate_and_delay_faults() {
     );
     assert_bit_identical(&result_a, &result_b);
     validate_jsonl(&trace_a);
+}
+
+// ---------------------------------------------------------------------------
+// Cross-build pins: the determinism tests above compare two runs of one
+// build; these FNV-1a goldens pin the durable JSONL bytes themselves, so a
+// refactor of the rank loop cannot reorder or restamp an event unnoticed.
+// ---------------------------------------------------------------------------
+
+fn assert_trace_hash(trace: &[u8], expected: u64, label: &str) {
+    let actual = fnv1a64(trace);
+    assert_eq!(
+        actual, expected,
+        "{label}: the durable trace moved (new hash {actual:#018x})"
+    );
+}
+
+#[test]
+fn fail_fast_trace_matches_golden_hash() {
+    let (trace, _) = traced_gd_run(&lockstep(), RecoveryPolicy::FailFast);
+    assert_trace_hash(&trace, 0x9976_df81_cc9f_4a42, "fail-fast");
+}
+
+#[test]
+fn restart_trace_under_drop_matches_golden_hash() {
+    let backend = FaultInjectionBackend::new(lockstep(), gd_drop_policy());
+    let (trace, _) = traced_gd_run(&backend, restart_policy());
+    assert_trace_hash(&trace, 0x8b9f_cd4d_80a5_c32a, "restart under drop");
 }
 
 // ---------------------------------------------------------------------------
