@@ -22,7 +22,8 @@ use ptycho_core::config::PassFrequency;
 use ptycho_core::scaling::{Method, ScalingPoint, ScalingScenario};
 use ptycho_core::stitch::phase_image;
 use ptycho_core::{
-    seam_artifact_metric, GradientDecompositionSolver, HaloVoxelExchangeSolver, SolverConfig,
+    seam_artifact_metric, GradientDecompositionSolver, HaloVoxelExchangeSolver, JobContext,
+    RecoveryPolicy, SolverConfig,
 };
 use ptycho_sim::dataset::{Dataset, DatasetSpec, SyntheticConfig};
 
@@ -301,7 +302,9 @@ pub fn fig8(iterations: usize) -> Fig8Result {
         step_relaxation: 0.1,
         ..SolverConfig::default()
     };
-    let gd = GradientDecompositionSolver::new(&dataset, gd_config, grid_dims).run(cluster);
+    let gd = GradientDecompositionSolver::new(&dataset, gd_config, grid_dims)
+        .run_job(cluster, RecoveryPolicy::FailFast, &JobContext::default())
+        .expect("fault-free run completes");
 
     // The baseline uses the paper's two extra probe-location rows; in the
     // high-overlap regime that is not enough for tiles to agree at their
@@ -315,7 +318,8 @@ pub fn fig8(iterations: usize) -> Fig8Result {
     };
     let hve = HaloVoxelExchangeSolver::new(&dataset, hve_config, grid_dims)
         .expect("3x3 grid is feasible for the baseline on this dataset")
-        .run(cluster);
+        .run_job(cluster, RecoveryPolicy::FailFast, &JobContext::default())
+        .expect("fault-free run completes");
 
     let truth_phase = dataset.specimen().phase_slice(0);
     let gd_phase = phase_image(&gd.volume, 0);
@@ -369,7 +373,9 @@ pub fn fig9(iterations: usize) -> Vec<ConvergenceCurve> {
                 pass_frequency: *frequency,
                 ..SolverConfig::default()
             };
-            let result = GradientDecompositionSolver::new(&dataset, config, (2, 3)).run(cluster);
+            let result = GradientDecompositionSolver::new(&dataset, config, (2, 3))
+                .run_job(cluster, RecoveryPolicy::FailFast, &JobContext::default())
+                .expect("fault-free run completes");
             ConvergenceCurve {
                 label: label.to_string(),
                 costs: result.cost_history.costs().to_vec(),

@@ -3,12 +3,13 @@
 //! Both reconstruction methods — Gradient Decomposition and the Halo Voxel
 //! Exchange baseline — drive the same per-rank loop: initialise tile state,
 //! run the per-iteration passes/exchanges, collect per-iteration costs, and
-//! stitch the core tiles into the full volume. Before this module existed
-//! that loop was duplicated in both solvers; now each method implements only
-//! the [`SolverKernel`] trait (what *one iteration* does on *one rank*) and
-//! [`IterationEngine`] owns everything around it:
+//! stitch the core tiles into the full volume. Each method implements only
+//! the crate-private `SolverKernel` trait (what *one iteration* does on *one
+//! rank*) and calls the crate-private `engine::run`, which owns everything
+//! around it:
 //!
-//! * the per-rank iteration loop and cost bookkeeping,
+//! * the per-rank iteration loop (one loop for every policy) and cost
+//!   bookkeeping,
 //! * gathering [`RankOutcome`]s and stitching the [`ReconstructionResult`],
 //! * **recovery**, governed by [`RecoveryPolicy`]:
 //!   - [`RecoveryPolicy::FailFast`] reproduces the historical behaviour —
@@ -67,7 +68,7 @@ use ptycho_cluster::{
     TimeBreakdown,
 };
 use ptycho_fft::CArray3;
-use ptycho_telemetry::{Telemetry, TelemetryEvent};
+use ptycho_telemetry::{RankSink, Telemetry, TelemetryEvent};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
@@ -303,8 +304,8 @@ impl std::fmt::Debug for JobContext<'_> {
 /// What one reconstruction method contributes to the shared engine loop: the
 /// per-rank tile state and the body of one iteration. Everything else —
 /// iteration driving, cost collection, checkpointing, recovery, stitching —
-/// lives in [`IterationEngine`].
-pub trait SolverKernel: Sync {
+/// lives in [`run`].
+pub(crate) trait SolverKernel: Sync {
     /// Rank-local state (tile worker, accumulation buffers, …). The lifetime
     /// ties the state to the kernel that created it.
     type State<'k>
@@ -350,12 +351,8 @@ pub trait SolverKernel: Sync {
     /// The modeled compute time of one iteration on `rank`, in integer
     /// nanoseconds, used to advance the telemetry stream's simulated clock.
     /// Must be a pure function of the decomposition (deterministic across
-    /// runs); the default of zero leaves the stream on communication time
-    /// alone.
-    fn modeled_compute_ns(&self, rank: usize) -> u64 {
-        let _ = rank;
-        0
-    }
+    /// runs).
+    fn modeled_compute_ns(&self, rank: usize) -> u64;
 }
 
 /// What one rank hands back to the engine.
@@ -376,693 +373,669 @@ struct CheckpointSlot<T> {
     state: T,
 }
 
-/// The shared driver executing a [`SolverKernel`] on a communication
-/// backend under a [`RecoveryPolicy`].
-pub struct IterationEngine<'k, K> {
-    kernel: &'k K,
+/// Runs `kernel`'s reconstruction on `backend`, one rank per tile, under
+/// `policy` and the job-engine hooks of `job` (cooperative cancellation,
+/// per-iteration progress streaming, an externally owned spare pool — see
+/// [`JobContext`]; the default context has none). Unrecovered communication
+/// failures surface as a [`RankFailure`].
+pub(crate) fn run<K: SolverKernel, B: CommBackend>(
+    kernel: &K,
+    policy: RecoveryPolicy,
+    backend: &B,
+    job: &JobContext<'_>,
+) -> Result<ReconstructionResult, RankFailure> {
+    match policy {
+        RecoveryPolicy::FailFast => run_fail_fast(kernel, backend, job),
+        RecoveryPolicy::RetransmitThenRestart {
+            max_iteration_restarts,
+        } => run_recovering(kernel, backend, job, max_iteration_restarts, None),
+        RecoveryPolicy::SubstituteSpare {
+            spares,
+            max_iteration_restarts,
+        } => run_recovering(kernel, backend, job, max_iteration_restarts, Some(spares)),
+    }
 }
 
-impl<'k, K: SolverKernel> IterationEngine<'k, K> {
-    /// Runs `kernel`'s reconstruction on `backend`, one rank per tile, under
-    /// `policy` and the job-engine hooks of `job` (cooperative cancellation,
-    /// per-iteration progress streaming, an externally owned spare pool — see
-    /// [`JobContext`]; the default context has none). Unrecovered
-    /// communication failures surface as a [`RankFailure`].
-    pub fn run<B: CommBackend>(
-        kernel: &'k K,
-        policy: RecoveryPolicy,
-        backend: &B,
-        job: &JobContext<'_>,
-    ) -> Result<ReconstructionResult, RankFailure> {
-        let engine = Self { kernel };
-        match policy {
-            RecoveryPolicy::FailFast => engine.run_fail_fast(backend, job),
-            RecoveryPolicy::RetransmitThenRestart {
-                max_iteration_restarts,
-            } => engine.run_recovering(backend, job, max_iteration_restarts, None),
-            RecoveryPolicy::SubstituteSpare {
-                spares,
-                max_iteration_restarts,
-            } => engine.run_recovering(backend, job, max_iteration_restarts, Some(spares)),
+/// One rank's iterations `start..`: the per-rank loop of Algorithm 1, written
+/// once for every policy. Each iteration polls cancellation and preemption,
+/// stamps `IterationBegin`, runs the kernel's body, charges its modeled
+/// compute and stamps `IterationEnd`, runs the policy's `boundary` step, and
+/// emits the progress event. `boundary` sees the state and costs after the
+/// iteration; an error from it ends the rank like a failed iteration.
+#[allow(clippy::too_many_arguments)]
+fn run_rank<'k, K, C, F>(
+    kernel: &'k K,
+    comm: &mut C,
+    state: &mut K::State<'k>,
+    costs: &mut Vec<f64>,
+    start: usize,
+    attempt: usize,
+    sink: Option<&RankSink>,
+    job: &JobContext<'_>,
+    mut boundary: F,
+) -> Result<(), CommError>
+where
+    K: SolverKernel,
+    C: RankComm<SharedTile>,
+    F: FnMut(&mut C, &K::State<'k>, &[f64], usize) -> Result<(), CommError>,
+{
+    let slot = comm.rank();
+    for iteration in start..kernel.iterations() {
+        // The cancellation poll point: before starting new work. Every rank
+        // polls the same flag, so either all ranks unwind here together or
+        // the stragglers' next receive or barrier fails — the recovering
+        // driver maps both to a cancelled (not faulted) run.
+        if job.cancelled() {
+            return Err(CommError::Cancelled { rank: slot });
         }
-    }
-
-    fn run_fail_fast<B: CommBackend>(
-        &self,
-        backend: &B,
-        job: &JobContext<'_>,
-    ) -> Result<ReconstructionResult, RankFailure> {
-        // Durable checkpoints piggyback on the recovering path's consistency
-        // barrier; the fail-fast path has no barrier to hang them on, so a
-        // silent no-op here would look like durability while providing none.
-        assert!(
-            job.durability.is_none(),
-            "durable checkpoints require a recovering policy \
-             (RetransmitThenRestart or SubstituteSpare): the fail-fast path \
-             has no consistency barrier to persist at"
-        );
-        let kernel = self.kernel;
-        let iterations = kernel.iterations();
-        let outcomes = backend.run::<SharedTile, RankRun, _>(kernel.grid().num_tiles(), |ctx| {
-            let rank = ctx.rank();
-            let sink = job.telemetry.map(|t| t.sink(rank));
-            if let Some(sink) = &sink {
-                ctx.instruments().telemetry = Some(sink.clone());
-            }
-            let mut state = kernel.init(ctx);
-            let mut costs = Vec::with_capacity(iterations);
-            for iteration in 0..iterations {
-                if job.cancelled() {
-                    return Err(CommError::Cancelled { rank: ctx.rank() });
-                }
-                if job.preempted() {
-                    return Err(CommError::Preempted { rank: ctx.rank() });
-                }
-                if let Some(sink) = &sink {
-                    sink.record_at_comm_ns(
-                        ctx.clock_mut().comm_ns(),
-                        TelemetryEvent::IterationBegin {
-                            iteration: iteration as u64,
-                            attempt: 0,
-                        },
-                    );
-                }
-                costs.push(kernel.run_iteration(ctx, &mut state, iteration)?);
-                if let Some(sink) = &sink {
-                    sink.add_compute_ns(kernel.modeled_compute_ns(rank));
-                    sink.set_comm_ns(ctx.clock_mut().comm_ns());
-                    let (comm_ns, compute_ns) = sink.sim_parts();
-                    sink.record(TelemetryEvent::IterationEnd {
-                        iteration: iteration as u64,
-                        attempt: 0,
-                        cost: costs[iteration],
-                        compute_ns,
-                        comm_ns,
-                    });
-                }
-                job.emit(IterationProgress {
-                    rank: ctx.rank(),
-                    iteration,
-                    attempt: 0,
-                    cost: costs[iteration],
-                    time: ctx.clock_mut().breakdown(),
-                    peak_bytes: ctx.memory_mut().peak_total(),
-                });
-            }
-            Ok(RankRun {
-                core: kernel.core_volume(&state),
-                costs,
-                stats: ReliableStats::default(),
-                heartbeats_sent: 0,
-                heartbeats_observed: 0,
-            })
-        });
-        // The rank threads are joined: flushing here cannot race recording.
-        if let Some(telemetry) = job.telemetry {
-            telemetry.flush_all();
+        // The ingestion preemption point: like cancellation, but the owner
+        // intends to splice new scan positions and re-run rather than tear
+        // the job down.
+        if job.preempted() {
+            return Err(CommError::Preempted { rank: slot });
         }
-        Ok(assemble(
-            outcomes?,
-            kernel.grid().clone(),
-            iterations,
-            RecoveryReport::default(),
-        ))
+        if let Some(sink) = sink {
+            sink.record_at_comm_ns(
+                comm.clock_mut().comm_ns(),
+                TelemetryEvent::IterationBegin {
+                    iteration: iteration as u64,
+                    attempt: attempt as u64,
+                },
+            );
+        }
+        costs.push(kernel.run_iteration(comm, state, iteration)?);
+        if let Some(sink) = sink {
+            sink.add_compute_ns(kernel.modeled_compute_ns(slot));
+            sink.set_comm_ns(comm.clock_mut().comm_ns());
+            let (comm_ns, compute_ns) = sink.sim_parts();
+            sink.record(TelemetryEvent::IterationEnd {
+                iteration: iteration as u64,
+                attempt: attempt as u64,
+                cost: costs[iteration],
+                compute_ns,
+                comm_ns,
+            });
+        }
+        boundary(comm, state, costs, iteration)?;
+        job.emit(IterationProgress {
+            rank: slot,
+            iteration,
+            attempt,
+            cost: costs[iteration],
+            time: comm.clock_mut().breakdown(),
+            peak_bytes: comm.memory_mut().peak_total(),
+        });
     }
+    Ok(())
+}
 
-    /// The shared recovery driver behind both recovering policies.
-    ///
-    /// With `spares: None` this is plain retransmit + checkpoint restart.
-    /// With `spares: Some(n)` the engine additionally keeps a
-    /// [`MembershipView`] mapping each tile *slot* to the physical *node*
-    /// running it, sends a per-iteration ring heartbeat on control frames,
-    /// and — when an attempt fails because a node died — promotes a spare
-    /// into the dead node's slot before re-running. The **checkpoint store
-    /// is keyed by slot**, so the adopting spare restores exactly the state
-    /// the dead node saved at the last consistency barrier.
-    fn run_recovering<B: CommBackend>(
-        &self,
-        backend: &B,
-        job: &JobContext<'_>,
-        max_iteration_restarts: usize,
-        spares: Option<usize>,
-    ) -> Result<ReconstructionResult, RankFailure> {
-        // Recovery acts on communication *errors*; a backend that hangs on a
-        // lost message (threaded without a receive timeout) never produces
-        // one, so the policy would silently be inert. Refuse loudly instead.
-        assert!(
-            backend.loss_detection_enabled(),
-            "recovering policies require a backend that turns lost messages into errors; \
-             enable it with `with_recv_timeout(..)` or `with_loss_detection()`"
+fn run_fail_fast<K: SolverKernel, B: CommBackend>(
+    kernel: &K,
+    backend: &B,
+    job: &JobContext<'_>,
+) -> Result<ReconstructionResult, RankFailure> {
+    // Durable checkpoints piggyback on the recovering path's consistency
+    // barrier; the fail-fast path has no barrier to hang them on, so a
+    // silent no-op here would look like durability while providing none.
+    assert!(
+        job.durability.is_none(),
+        "durable checkpoints require a recovering policy \
+         (RetransmitThenRestart or SubstituteSpare): the fail-fast path \
+         has no consistency barrier to persist at"
+    );
+    let iterations = kernel.iterations();
+    let outcomes = backend.run::<SharedTile, RankRun, _>(kernel.grid().num_tiles(), |ctx| {
+        let sink = job.telemetry.map(|t| t.sink(ctx.rank()));
+        ctx.instruments().telemetry = sink.clone();
+        let mut state = kernel.init(ctx);
+        let mut costs = Vec::with_capacity(iterations);
+        run_rank(
+            kernel,
+            ctx,
+            &mut state,
+            &mut costs,
+            0,
+            0,
+            sink.as_ref(),
+            job,
+            |_, _, _, _| Ok(()),
+        )?;
+        Ok(RankRun {
+            core: kernel.core_volume(&state),
+            costs,
+            stats: ReliableStats::default(),
+            heartbeats_sent: 0,
+            heartbeats_observed: 0,
+        })
+    });
+    // The rank threads are joined: flushing here cannot race recording.
+    if let Some(telemetry) = job.telemetry {
+        telemetry.flush_all();
+    }
+    Ok(assemble(
+        outcomes?,
+        kernel.grid().clone(),
+        iterations,
+        RecoveryReport::default(),
+    ))
+}
+
+/// The shared recovery driver behind both recovering policies.
+///
+/// With `spares: None` this is plain retransmit + checkpoint restart. With
+/// `spares: Some(n)` the engine additionally keeps a [`MembershipView`]
+/// mapping each tile *slot* to the physical *node* running it, sends a
+/// per-iteration ring heartbeat on control frames, and — when an attempt
+/// fails because a node died — promotes a spare into the dead node's slot
+/// before re-running. The **checkpoint store is keyed by slot**, so the
+/// adopting spare restores exactly the state the dead node saved at the last
+/// consistency barrier.
+fn run_recovering<K: SolverKernel, B: CommBackend>(
+    kernel: &K,
+    backend: &B,
+    job: &JobContext<'_>,
+    max_iteration_restarts: usize,
+    spares: Option<usize>,
+) -> Result<ReconstructionResult, RankFailure> {
+    // Recovery acts on communication *errors*; a backend that hangs on a
+    // lost message (threaded without a receive timeout) never produces
+    // one, so the policy would silently be inert. Refuse loudly instead.
+    assert!(
+        backend.loss_detection_enabled(),
+        "recovering policies require a backend that turns lost messages into errors; \
+         enable it with `with_recv_timeout(..)` or `with_loss_detection()`"
+    );
+    let iterations = kernel.iterations();
+    let ranks = kernel.grid().num_tiles();
+    // With an external spare arbiter, the pool bound lives outside the
+    // engine: size the local view at the attempt-epoch ceiling (the hard
+    // upper bound on promotions anyway) so the arbiter alone decides
+    // exhaustion. Promotion numbering is unaffected — the k-th promotion
+    // is always local node `ranks + k` whatever the pool size — which is
+    // what keeps service-healed runs bit-identical to standalone ones.
+    let spares = spares.map(|pool| {
+        if job.spare_grant.is_some() {
+            frames::MAX_ATTEMPT_EPOCH as usize + 1
+        } else {
+            pool
+        }
+    });
+    let mut membership = spares.map(|pool| MembershipView::new(ranks, pool));
+    let slots: Vec<Mutex<Option<CheckpointSlot<K::Checkpoint>>>> =
+        (0..ranks).map(|_| Mutex::new(None)).collect();
+    let mut restarts = 0usize;
+    let mut substitutions = 0usize;
+    let mut attempt_index = 0usize;
+    // Resuming from disk: prefill every rank's checkpoint slot, the
+    // membership table, and the recovery counters from the recovered
+    // epoch, so the existing restore-from-slot path picks the run up
+    // exactly where the killed process committed it. Fault cursors are
+    // handed to each rank once (first post-resume attempt) so seeded
+    // fault decisions that already fired before the kill do not re-fire.
+    let resume_seq = job.durability.as_ref().and_then(|hook| {
+        let epoch = hook.resume?;
+        assert_eq!(
+            epoch.slots.len(),
+            ranks,
+            "recovered epoch has {} slots but the decomposition has {} ranks",
+            epoch.slots.len(),
+            ranks
         );
-        let kernel = self.kernel;
-        let iterations = kernel.iterations();
-        let ranks = kernel.grid().num_tiles();
-        // With an external spare arbiter, the pool bound lives outside the
-        // engine: size the local view at the attempt-epoch ceiling (the hard
-        // upper bound on promotions anyway) so the arbiter alone decides
-        // exhaustion. Promotion numbering is unaffected — the k-th promotion
-        // is always local node `ranks + k` whatever the pool size — which is
-        // what keeps service-healed runs bit-identical to standalone ones.
-        let spares = spares.map(|pool| {
-            if job.spare_grant.is_some() {
-                frames::MAX_ATTEMPT_EPOCH as usize + 1
-            } else {
-                pool
+        for (slot, record) in epoch.slots.iter().enumerate() {
+            let mut reader = ByteReader::new(&record.state, Path::new("recovered slot state"));
+            let state = K::Checkpoint::decode(&mut reader)
+                .expect("recovered checkpoint state does not decode for this kernel");
+            *slots[slot].lock().expect("checkpoint slot poisoned") = Some(CheckpointSlot {
+                iteration: record.iteration,
+                costs: record.costs.clone(),
+                state,
+            });
+        }
+        if membership.is_some() {
+            membership = Some(epoch.manifest.membership.clone());
+        }
+        restarts = epoch.manifest.restarts;
+        substitutions = epoch.manifest.substitutions;
+        attempt_index = epoch.manifest.attempt_index as usize;
+        Some(epoch.manifest.seq)
+    });
+    let resume_cursors: Vec<Mutex<Option<ptycho_cluster::FaultCursor>>> = (0..ranks)
+        .map(|slot| {
+            Mutex::new(
+                job.durability
+                    .as_ref()
+                    .and_then(|hook| hook.resume)
+                    .and_then(|epoch| epoch.slots[slot].cursor.clone()),
+            )
+        })
+        .collect();
+    let start_attempt = attempt_index;
+    loop {
+        // The wire epoch (and the heartbeat tags' attempt field) is 8
+        // bits wide; make the ceiling explicit instead of letting the
+        // cast wrap tags back onto attempt 0's and silently re-drawing
+        // its fault decisions. 256 attempts means a restart budget or a
+        // spare pool far beyond what the u8 wire-epoch scheme supports.
+        assert!(
+            attempt_index as u64 <= frames::MAX_ATTEMPT_EPOCH,
+            "recovery exceeded {} attempts: the 8-bit wire-epoch space is exhausted \
+             (restart budget and spare pool must stay below that combined)",
+            frames::MAX_ATTEMPT_EPOCH + 1
+        );
+        let config = ReliableConfig {
+            epoch: attempt_index as u8,
+            ..ReliableConfig::default()
+        };
+        // The attempt's frozen membership: slot -> node. `None` outside
+        // membership mode, where slot == node throughout.
+        let assignment: Option<Vec<usize>> =
+            membership.as_ref().map(|view| view.assignment().to_vec());
+        let membership_epoch = membership.as_ref().map_or(0, MembershipView::epoch);
+        // Nodes whose death was observed this attempt — the failure
+        // detector's verdict registry, filled by the dying rank itself
+        // (the backend is the runtime: it knows the node's communicator
+        // went dead, like an MPI runtime revoking a communicator).
+        let dead_nodes: Mutex<Vec<usize>> = Mutex::new(Vec::new());
+        // Set by rank 0 when a simulated process kill strikes its commit;
+        // every rank observes it after the commit barrier and unwinds
+        // together, so the "process" dies as a unit.
+        let killed = AtomicBool::new(false);
+        let attempt = backend.run::<SharedTile, RankRun, _>(ranks, |ctx| {
+            let slot = ctx.rank();
+            let node = assignment.as_ref().map_or(slot, |a| a[slot]);
+            if assignment.is_some() {
+                // Node-keyed faults (rank death) must follow the node:
+                // a spare adopting this slot must not inherit a death
+                // aimed at its predecessor.
+                if let Some(harness) = &mut ctx.instruments().harness {
+                    harness.set_node(node);
+                }
             }
-        });
-        let mut membership = spares.map(|pool| MembershipView::new(ranks, pool));
-        let slots: Vec<Mutex<Option<CheckpointSlot<K::Checkpoint>>>> =
-            (0..ranks).map(|_| Mutex::new(None)).collect();
-        let mut restarts = 0usize;
-        let mut substitutions = 0usize;
-        let mut attempt_index = 0usize;
-        // Resuming from disk: prefill every rank's checkpoint slot, the
-        // membership table, and the recovery counters from the recovered
-        // epoch, so the existing restore-from-slot path picks the run up
-        // exactly where the killed process committed it. Fault cursors are
-        // handed to each rank once (first post-resume attempt) so seeded
-        // fault decisions that already fired before the kill do not re-fire.
-        let resume_seq = job.durability.as_ref().and_then(|hook| {
-            let epoch = hook.resume?;
-            assert_eq!(
-                epoch.slots.len(),
-                ranks,
-                "recovered epoch has {} slots but the decomposition has {} ranks",
-                epoch.slots.len(),
-                ranks
-            );
-            for (slot, record) in epoch.slots.iter().enumerate() {
-                let mut reader = ByteReader::new(&record.state, Path::new("recovered slot state"));
-                let state = K::Checkpoint::decode(&mut reader)
-                    .expect("recovered checkpoint state does not decode for this kernel");
-                *slots[slot].lock().expect("checkpoint slot poisoned") = Some(CheckpointSlot {
-                    iteration: record.iteration,
-                    costs: record.costs.clone(),
-                    state,
-                });
-            }
-            if membership.is_some() {
-                membership = Some(epoch.manifest.membership.clone());
-            }
-            restarts = epoch.manifest.restarts;
-            substitutions = epoch.manifest.substitutions;
-            attempt_index = epoch.manifest.attempt_index as usize;
-            Some(epoch.manifest.seq)
-        });
-        let resume_cursors: Vec<Mutex<Option<ptycho_cluster::FaultCursor>>> = (0..ranks)
-            .map(|slot| {
-                Mutex::new(
-                    job.durability
-                        .as_ref()
-                        .and_then(|hook| hook.resume)
-                        .and_then(|epoch| epoch.slots[slot].cursor.clone()),
-                )
-            })
-            .collect();
-        let start_attempt = attempt_index;
-        loop {
-            // The wire epoch (and the heartbeat tags' attempt field) is 8
-            // bits wide; make the ceiling explicit instead of letting the
-            // cast wrap tags back onto attempt 0's and silently re-drawing
-            // its fault decisions. 256 attempts means a restart budget or a
-            // spare pool far beyond what the u8 wire-epoch scheme supports.
-            assert!(
-                attempt_index as u64 <= frames::MAX_ATTEMPT_EPOCH,
-                "recovery exceeded {} attempts: the 8-bit wire-epoch space is exhausted \
-                 (restart budget and spare pool must stay below that combined)",
-                frames::MAX_ATTEMPT_EPOCH + 1
-            );
-            let config = ReliableConfig {
-                epoch: attempt_index as u8,
-                ..ReliableConfig::default()
+            let mut comm = ReliableComm::with_config(ctx, config);
+            // Telemetry streams are keyed by *node*: a promoted spare
+            // writes its own stream, leaving the dead node's record of
+            // its final attempt intact for post-mortems.
+            let sink = job.telemetry.map(|t| t.sink(node));
+            comm.instruments().telemetry = sink.clone();
+            let mut state = kernel.init(&mut comm);
+            let (mut costs, start) = {
+                let slot = slots[slot].lock().expect("checkpoint slot poisoned");
+                match slot.as_ref() {
+                    Some(saved) => {
+                        kernel.restore(&mut state, &saved.state);
+                        (saved.costs.clone(), saved.iteration)
+                    }
+                    None => (Vec::with_capacity(iterations), 0),
+                }
             };
-            // The attempt's frozen membership: slot -> node. `None` outside
-            // membership mode, where slot == node throughout.
-            let assignment: Option<Vec<usize>> =
-                membership.as_ref().map(|view| view.assignment().to_vec());
-            let membership_epoch = membership.as_ref().map_or(0, MembershipView::epoch);
-            // Nodes whose death was observed this attempt — the failure
-            // detector's verdict registry, filled by the dying rank itself
-            // (the backend is the runtime: it knows the node's communicator
-            // went dead, like an MPI runtime revoking a communicator).
-            let dead_nodes: Mutex<Vec<usize>> = Mutex::new(Vec::new());
-            let slots_ref = &slots;
-            let assignment_ref = &assignment;
-            let dead_ref = &dead_nodes;
-            let attempt_number = attempt_index;
-            // Counters and membership as the manifest must record them: the
-            // state a resumed process needs to continue this attempt.
-            let restarts_now = restarts;
-            let substitutions_now = substitutions;
-            let view_snapshot = membership.clone();
-            let view_ref = &view_snapshot;
-            // Set by rank 0 when a simulated process kill strikes its commit;
-            // every rank observes it after the commit barrier and unwinds
-            // together, so the "process" dies as a unit.
-            let killed = AtomicBool::new(false);
-            let killed_ref = &killed;
-            let durability = job.durability;
-            let resume_cursors_ref = &resume_cursors;
-            let attempt = backend.run::<SharedTile, RankRun, _>(ranks, |ctx| {
-                let slot = ctx.rank();
-                let node = assignment_ref.as_ref().map_or(slot, |a| a[slot]);
-                if assignment_ref.is_some() {
-                    // Node-keyed faults (rank death) must follow the node:
-                    // a spare adopting this slot must not inherit a death
-                    // aimed at its predecessor.
-                    if let Some(harness) = &mut ctx.instruments().harness {
-                        harness.set_node(node);
+            // First attempt of a resumed process: hand the rank its
+            // persisted fault cursor (so seeded fault decisions continue
+            // where the killed process stopped, instead of re-firing)
+            // and record the restore. The cell is taken once — later
+            // attempts start fresh harnesses exactly as they would in an
+            // uninterrupted run.
+            if let Some(seq) = resume_seq {
+                if let Some(cursor) = resume_cursors[slot]
+                    .lock()
+                    .expect("resume cursor poisoned")
+                    .take()
+                {
+                    if let Some(harness) = &mut comm.instruments().harness {
+                        harness.set_cursor(&cursor);
                     }
                 }
-                let mut comm = ReliableComm::with_config(ctx, config);
-                // Telemetry streams are keyed by *node*: a promoted spare
-                // writes its own stream, leaving the dead node's record of
-                // its final attempt intact for post-mortems.
-                let sink = job.telemetry.map(|t| t.sink(node));
-                if let Some(sink) = &sink {
-                    comm.instruments().telemetry = Some(sink.clone());
-                }
-                let mut state = kernel.init(&mut comm);
-                let (mut costs, start) = {
-                    let slot = slots_ref[slot].lock().expect("checkpoint slot poisoned");
-                    match slot.as_ref() {
-                        Some(saved) => {
-                            kernel.restore(&mut state, &saved.state);
-                            (saved.costs.clone(), saved.iteration)
-                        }
-                        None => (Vec::with_capacity(iterations), 0),
-                    }
-                };
-                // First attempt of a resumed process: hand the rank its
-                // persisted fault cursor (so seeded fault decisions continue
-                // where the killed process stopped, instead of re-firing)
-                // and record the restore. The cell is taken once — later
-                // attempts start fresh harnesses exactly as they would in an
-                // uninterrupted run.
-                if let Some(seq) = resume_seq {
-                    if let Some(cursor) = resume_cursors_ref[slot]
-                        .lock()
-                        .expect("resume cursor poisoned")
-                        .take()
-                    {
-                        if let Some(harness) = &mut comm.instruments().harness {
-                            harness.set_cursor(&cursor);
-                        }
-                    }
-                    if attempt_number == start_attempt {
-                        if let Some(sink) = &sink {
-                            sink.record(TelemetryEvent::CheckpointRestored {
-                                iteration: start as u64,
-                                seq,
-                            });
-                        }
+                if attempt_index == start_attempt {
+                    if let Some(sink) = &sink {
+                        sink.record(TelemetryEvent::CheckpointRestored {
+                            iteration: start as u64,
+                            seq,
+                        });
                     }
                 }
-                let heartbeats = assignment_ref.is_some() && ranks > 1;
-                let mut heartbeats_sent = 0u64;
-                let mut heartbeats_observed = 0u64;
-                let result = (|| {
-                    for iteration in start..iterations {
-                        // The cancellation poll point: before starting new
-                        // work, and again at the iteration boundary below.
-                        // Every rank polls the same flag, so either all
-                        // ranks unwind here together or the stragglers'
-                        // barrier fails — both cases are mapped to a
-                        // cancelled (not faulted) run by the failure branch.
-                        if job.cancelled() {
-                            return Err(CommError::Cancelled { rank: slot });
-                        }
-                        // The ingestion preemption point: like cancellation,
-                        // but the owner intends to splice new scan positions
-                        // and re-run rather than tear the job down.
-                        if job.preempted() {
-                            return Err(CommError::Preempted { rank: slot });
-                        }
+            }
+            let heartbeats = assignment.is_some() && ranks > 1;
+            let mut heartbeats_sent = 0u64;
+            let mut heartbeats_observed = 0u64;
+            let result = run_rank(
+                kernel,
+                &mut comm,
+                &mut state,
+                &mut costs,
+                start,
+                attempt_index,
+                sink.as_ref(),
+                job,
+                |comm, state, costs, iteration| {
+                    if heartbeats {
+                        // Ring liveness beat, sent *before* the barrier
+                        // so a death here cannot leave this slot's
+                        // checkpoint ahead of its peers'. Control
+                        // frames bypass the reliable layer's sequence
+                        // accounting entirely.
+                        let tag =
+                            frames::heartbeat_tag(config.epoch, membership_epoch, iteration as u64);
+                        comm.isend_control((slot + 1) % ranks, tag, SharedTile::default());
+                        heartbeats_sent += 1;
                         if let Some(sink) = &sink {
                             sink.record_at_comm_ns(
                                 comm.clock_mut().comm_ns(),
-                                TelemetryEvent::IterationBegin {
+                                TelemetryEvent::HeartbeatSent {
+                                    to: ((slot + 1) % ranks) as u64,
                                     iteration: iteration as u64,
-                                    attempt: attempt_number as u64,
                                 },
                             );
                         }
-                        costs.push(kernel.run_iteration(&mut comm, &mut state, iteration)?);
-                        if let Some(sink) = &sink {
-                            sink.add_compute_ns(kernel.modeled_compute_ns(slot));
-                            sink.set_comm_ns(comm.clock_mut().comm_ns());
-                            let (comm_ns, compute_ns) = sink.sim_parts();
-                            sink.record(TelemetryEvent::IterationEnd {
+                    }
+                    if let Some(sink) = &sink {
+                        sink.record_at_comm_ns(
+                            comm.clock_mut().comm_ns(),
+                            TelemetryEvent::BarrierWait {
                                 iteration: iteration as u64,
-                                attempt: attempt_number as u64,
-                                cost: costs[iteration],
-                                compute_ns,
-                                comm_ns,
-                            });
+                            },
+                        );
+                        // Publish the durability watermark *before* the
+                        // barrier: everything recorded so far is covered
+                        // by this generation's post-barrier flush.
+                        sink.publish_watermark(iteration as u64);
+                    }
+                    // The consistency barrier: no rank can proceed past
+                    // this iteration until every rank has completed it,
+                    // so every stored checkpoint always refers to the
+                    // same iteration. It doubles as the quiesce point
+                    // after which any of this rank's sends a peer still
+                    // needs have been delivered.
+                    comm.barrier()?;
+                    if slot == 0 {
+                        if let Some(telemetry) = job.telemetry {
+                            // Every rank published its watermark before
+                            // entering the barrier this rank just left,
+                            // so the flushed prefix is consistent (and
+                            // the generation parity keeps a racing next
+                            // iteration from moving it underneath us).
+                            telemetry.flush_consistent(iteration as u64);
                         }
-                        if heartbeats {
-                            // Ring liveness beat, sent *before* the barrier
-                            // so a death here cannot leave this slot's
-                            // checkpoint ahead of its peers'. Control
-                            // frames bypass the reliable layer's sequence
-                            // accounting entirely.
-                            let tag = frames::heartbeat_tag(
-                                config.epoch,
-                                membership_epoch,
-                                iteration as u64,
-                            );
-                            comm.isend_control((slot + 1) % ranks, tag, SharedTile::default());
-                            heartbeats_sent += 1;
+                    }
+                    if heartbeats {
+                        // A completed barrier implies the predecessor's
+                        // beat was sent; its absence after the barrier
+                        // would mark the predecessor suspect.
+                        let tag =
+                            frames::heartbeat_tag(config.epoch, membership_epoch, iteration as u64);
+                        let prev = (slot + ranks - 1) % ranks;
+                        if comm.try_recv_control(prev, tag).is_some() {
+                            heartbeats_observed += 1;
                             if let Some(sink) = &sink {
                                 sink.record_at_comm_ns(
                                     comm.clock_mut().comm_ns(),
-                                    TelemetryEvent::HeartbeatSent {
-                                        to: ((slot + 1) % ranks) as u64,
+                                    TelemetryEvent::HeartbeatObserved {
+                                        from: prev as u64,
                                         iteration: iteration as u64,
                                     },
                                 );
                             }
+                        } else if let Some(sink) = &sink {
+                            let prev_node = assignment.as_ref().map_or(prev, |a| a[prev]);
+                            sink.record_at_comm_ns(
+                                comm.clock_mut().comm_ns(),
+                                TelemetryEvent::RankSuspected {
+                                    node: prev_node as u64,
+                                    iteration: iteration as u64,
+                                },
+                            );
+                        }
+                    }
+                    let snapshot = kernel.checkpoint(state);
+                    // Durable persistence rides the barrier just crossed:
+                    // every rank's in-flight state for iteration
+                    // `iteration` is final, so the slot files written now
+                    // form a globally consistent cut. Two more barriers
+                    // order (a) all slot files before the manifest commit
+                    // and (b) the commit before anyone proceeds — they
+                    // carry no payloads, so the reconstruction stays
+                    // bit-identical to an undurable run.
+                    if let Some(hook) = &job.durability {
+                        let seq = hook.store.next_seq();
+                        let mut encoded = ByteWriter::new();
+                        snapshot.encode(&mut encoded);
+                        let record = SlotRecord {
+                            iteration: iteration + 1,
+                            costs: costs.to_vec(),
+                            cursor: comm.instruments().harness.as_ref().map(|h| h.cursor()),
+                            state: encoded.into_bytes(),
+                        };
+                        let bytes = hook
+                            .store
+                            .write_slot(seq, slot, &record)
+                            .unwrap_or_else(|e| panic!("checkpoint slot write failed: {e}"));
+                        comm.barrier()?;
+                        if slot == 0 {
+                            let manifest = EpochManifest {
+                                seq,
+                                iteration: iteration + 1,
+                                attempt_index: attempt_index as u8,
+                                restarts,
+                                substitutions,
+                                membership: membership
+                                    .clone()
+                                    .unwrap_or_else(|| MembershipView::new(ranks, 0)),
+                                spec: hook.spec.to_vec(),
+                            };
+                            let crash = hook
+                                .kill
+                                .filter(|&(kill_seq, _)| kill_seq == seq)
+                                .map(|(_, phase)| phase);
+                            match hook.store.commit(&manifest, crash) {
+                                Ok(()) => {}
+                                Err(DurabilityError::SimulatedCrash { .. }) => {
+                                    killed.store(true, Ordering::SeqCst);
+                                }
+                                Err(e) => panic!("checkpoint commit failed: {e}"),
+                            }
+                        }
+                        comm.barrier()?;
+                        if killed.load(Ordering::SeqCst) {
+                            return Err(CommError::ProcessKilled { rank: slot, seq });
                         }
                         if let Some(sink) = &sink {
                             sink.record_at_comm_ns(
                                 comm.clock_mut().comm_ns(),
-                                TelemetryEvent::BarrierWait {
-                                    iteration: iteration as u64,
+                                TelemetryEvent::CheckpointPersisted {
+                                    iteration: (iteration + 1) as u64,
+                                    seq,
+                                    bytes,
                                 },
                             );
-                            // Publish the durability watermark *before* the
-                            // barrier: everything recorded so far is covered
-                            // by this generation's post-barrier flush.
-                            sink.publish_watermark(iteration as u64);
                         }
-                        // The consistency barrier: no rank can proceed past
-                        // this iteration until every rank has completed it,
-                        // so every stored checkpoint always refers to the
-                        // same iteration. It doubles as the quiesce point
-                        // after which any of this rank's sends a peer still
-                        // needs have been delivered.
-                        comm.barrier()?;
-                        if slot == 0 {
-                            if let Some(telemetry) = job.telemetry {
-                                // Every rank published its watermark before
-                                // entering the barrier this rank just left,
-                                // so the flushed prefix is consistent (and
-                                // the generation parity keeps a racing next
-                                // iteration from moving it underneath us).
-                                telemetry.flush_consistent(iteration as u64);
+                    }
+                    *slots[slot].lock().expect("checkpoint slot poisoned") = Some(CheckpointSlot {
+                        iteration: iteration + 1,
+                        costs: costs.to_vec(),
+                        state: snapshot,
+                    });
+                    if let Some(sink) = &sink {
+                        sink.record_at_comm_ns(
+                            comm.clock_mut().comm_ns(),
+                            TelemetryEvent::Checkpoint {
+                                iteration: iteration as u64,
+                            },
+                        );
+                    }
+                    Ok(())
+                },
+            );
+            match result {
+                Ok(()) => Ok(RankRun {
+                    core: kernel.core_volume(&state),
+                    costs,
+                    stats: comm.stats(),
+                    heartbeats_sent,
+                    heartbeats_observed,
+                }),
+                Err(error) => {
+                    if assignment.is_some() {
+                        if let CommError::RankDead { .. } = error {
+                            // The dying rank registers the verdict for
+                            // the engine's substitution step.
+                            dead_nodes
+                                .lock()
+                                .expect("death registry poisoned")
+                                .push(node);
+                        }
+                    }
+                    Err(error)
+                }
+            }
+        });
+        // Rank threads are joined at this point: a driver-side flush (or
+        // stream write) cannot race rank-side recording.
+        let flush_telemetry = || {
+            if let Some(telemetry) = job.telemetry {
+                telemetry.flush_all();
+            }
+        };
+        match attempt {
+            Ok(outcomes) => {
+                let reliable = outcomes.iter().fold(ReliableStats::default(), |acc, o| {
+                    acc.merge(&o.result.stats)
+                });
+                let heartbeats_sent = outcomes.iter().map(|o| o.result.heartbeats_sent).sum();
+                let heartbeats_observed =
+                    outcomes.iter().map(|o| o.result.heartbeats_observed).sum();
+                flush_telemetry();
+                return Ok(assemble(
+                    outcomes,
+                    kernel.grid().clone(),
+                    iterations,
+                    RecoveryReport {
+                        iteration_restarts: restarts,
+                        substitutions,
+                        membership_epoch,
+                        heartbeats_sent,
+                        heartbeats_observed,
+                        reliable,
+                    },
+                ));
+            }
+            Err(failure) => {
+                // Cancellation is not a fault. Some ranks observe the
+                // flag and unwind with `Cancelled`; ranks already parked
+                // in a receive or barrier fail with a timeout/deadlock
+                // instead. Either way, once the flag is up the run is
+                // over — no restart budget, no substitutions.
+                if job.cancelled() || matches!(failure.error, CommError::Cancelled { .. }) {
+                    flush_telemetry();
+                    return Err(RankFailure {
+                        rank: failure.rank,
+                        error: CommError::Cancelled { rank: failure.rank },
+                        failed_ranks: failure.failed_ranks,
+                    });
+                }
+                // A simulated process kill is terminal by definition:
+                // the "process" is dead, and resuming it is the caller's
+                // job (`JobEngine::resume(dir)`), not this loop's.
+                if let CommError::ProcessKilled { .. } = failure.error {
+                    flush_telemetry();
+                    return Err(failure);
+                }
+                // Preemption mirrors cancellation: the owner raised the
+                // flag to splice ingested scan positions, so the run is
+                // over here and the owner re-runs it. Ranks that were
+                // already parked in a receive or barrier when the flag
+                // went up fail with a timeout instead — map those back
+                // to the preemption that caused them.
+                if job.preempted() || matches!(failure.error, CommError::Preempted { .. }) {
+                    flush_telemetry();
+                    return Err(RankFailure {
+                        rank: failure.rank,
+                        error: CommError::Preempted { rank: failure.rank },
+                        failed_ranks: failure.failed_ranks,
+                    });
+                }
+                // Restart only from a provably consistent boundary: every
+                // rank's latest checkpoint must agree on the iteration
+                // (None counts as iteration 0).
+                let boundary = |slot: &Mutex<Option<CheckpointSlot<K::Checkpoint>>>| {
+                    slot.lock()
+                        .expect("checkpoint slot poisoned")
+                        .as_ref()
+                        .map_or(0, |saved| saved.iteration)
+                };
+                let first = boundary(&slots[0]);
+                if slots.iter().any(|slot| boundary(slot) != first) {
+                    flush_telemetry();
+                    return Err(failure);
+                }
+                let mut deaths =
+                    std::mem::take(&mut *dead_nodes.lock().expect("death registry poisoned"));
+                deaths.sort_unstable();
+                deaths.dedup();
+                if deaths.is_empty() {
+                    // A message-loss failure: plain checkpoint restart,
+                    // bounded by the restart budget.
+                    if restarts >= max_iteration_restarts {
+                        flush_telemetry();
+                        return Err(failure);
+                    }
+                    restarts += 1;
+                } else {
+                    // The failure-detector verdict names dead nodes:
+                    // promote one spare per death. The restart budget is
+                    // untouched — substitutions are bounded by the pool.
+                    let view = membership
+                        .as_mut()
+                        .expect("deaths are only registered in membership mode");
+                    for node in deaths {
+                        // Under an external arbiter, every promotion
+                        // must first be granted a node from the shared
+                        // pool; a refusal is pool exhaustion.
+                        if let Some(grant) = job.spare_grant {
+                            if !grant(node) {
+                                flush_telemetry();
+                                return Err(RankFailure {
+                                    rank: failure.rank,
+                                    error: CommError::SparesExhausted {
+                                        rank: failure.rank,
+                                        dead_node: node,
+                                    },
+                                    failed_ranks: failure.failed_ranks,
+                                });
                             }
                         }
-                        if heartbeats {
-                            // A completed barrier implies the predecessor's
-                            // beat was sent; its absence after the barrier
-                            // would mark the predecessor suspect.
-                            let tag = frames::heartbeat_tag(
-                                config.epoch,
-                                membership_epoch,
-                                iteration as u64,
-                            );
-                            let prev = (slot + ranks - 1) % ranks;
-                            if comm.try_recv_control(prev, tag).is_some() {
-                                heartbeats_observed += 1;
-                                if let Some(sink) = &sink {
-                                    sink.record_at_comm_ns(
-                                        comm.clock_mut().comm_ns(),
-                                        TelemetryEvent::HeartbeatObserved {
-                                            from: prev as u64,
-                                            iteration: iteration as u64,
+                        match view.substitute(node) {
+                            Ok((slot, replacement)) => {
+                                substitutions += 1;
+                                if let Some(telemetry) = job.telemetry {
+                                    // Recorded on the *new* node's stream
+                                    // (the dead node's stream keeps its
+                                    // final attempt for post-mortems).
+                                    telemetry.sink(replacement).record(
+                                        TelemetryEvent::SparePromoted {
+                                            slot: slot as u64,
+                                            node: replacement as u64,
                                         },
                                     );
                                 }
-                            } else if let Some(sink) = &sink {
-                                let prev_node = assignment_ref.as_ref().map_or(prev, |a| a[prev]);
-                                sink.record_at_comm_ns(
-                                    comm.clock_mut().comm_ns(),
-                                    TelemetryEvent::RankSuspected {
-                                        node: prev_node as u64,
-                                        iteration: iteration as u64,
-                                    },
-                                );
                             }
-                        }
-                        let snapshot = kernel.checkpoint(&state);
-                        // Durable persistence rides the barrier just crossed:
-                        // every rank's in-flight state for iteration
-                        // `iteration` is final, so the slot files written now
-                        // form a globally consistent cut. Two more barriers
-                        // order (a) all slot files before the manifest commit
-                        // and (b) the commit before anyone proceeds — they
-                        // carry no payloads, so the reconstruction stays
-                        // bit-identical to an undurable run.
-                        if let Some(hook) = &durability {
-                            let seq = hook.store.next_seq();
-                            let mut encoded = ByteWriter::new();
-                            snapshot.encode(&mut encoded);
-                            let record = SlotRecord {
-                                iteration: iteration + 1,
-                                costs: costs.clone(),
-                                cursor: comm.instruments().harness.as_ref().map(|h| h.cursor()),
-                                state: encoded.into_bytes(),
-                            };
-                            let bytes = hook
-                                .store
-                                .write_slot(seq, slot, &record)
-                                .unwrap_or_else(|e| panic!("checkpoint slot write failed: {e}"));
-                            comm.barrier()?;
-                            if slot == 0 {
-                                let manifest = EpochManifest {
-                                    seq,
-                                    iteration: iteration + 1,
-                                    attempt_index: attempt_number as u8,
-                                    restarts: restarts_now,
-                                    substitutions: substitutions_now,
-                                    membership: view_ref
-                                        .clone()
-                                        .unwrap_or_else(|| MembershipView::new(ranks, 0)),
-                                    spec: hook.spec.to_vec(),
-                                };
-                                let crash = hook
-                                    .kill
-                                    .filter(|&(kill_seq, _)| kill_seq == seq)
-                                    .map(|(_, phase)| phase);
-                                match hook.store.commit(&manifest, crash) {
-                                    Ok(()) => {}
-                                    Err(DurabilityError::SimulatedCrash { .. }) => {
-                                        killed_ref.store(true, Ordering::SeqCst);
-                                    }
-                                    Err(e) => panic!("checkpoint commit failed: {e}"),
-                                }
-                            }
-                            comm.barrier()?;
-                            if killed_ref.load(Ordering::SeqCst) {
-                                return Err(CommError::ProcessKilled { rank: slot, seq });
-                            }
-                            if let Some(sink) = &sink {
-                                sink.record_at_comm_ns(
-                                    comm.clock_mut().comm_ns(),
-                                    TelemetryEvent::CheckpointPersisted {
-                                        iteration: (iteration + 1) as u64,
-                                        seq,
-                                        bytes,
-                                    },
-                                );
-                            }
-                        }
-                        *slots_ref[slot].lock().expect("checkpoint slot poisoned") =
-                            Some(CheckpointSlot {
-                                iteration: iteration + 1,
-                                costs: costs.clone(),
-                                state: snapshot,
-                            });
-                        if let Some(sink) = &sink {
-                            sink.record_at_comm_ns(
-                                comm.clock_mut().comm_ns(),
-                                TelemetryEvent::Checkpoint {
-                                    iteration: iteration as u64,
-                                },
-                            );
-                        }
-                        job.emit(IterationProgress {
-                            rank: slot,
-                            iteration,
-                            attempt: attempt_number,
-                            cost: costs[iteration],
-                            time: comm.clock_mut().breakdown(),
-                            peak_bytes: comm.memory_mut().peak_total(),
-                        });
-                    }
-                    Ok(())
-                })();
-                match result {
-                    Ok(()) => Ok(RankRun {
-                        core: kernel.core_volume(&state),
-                        costs,
-                        stats: comm.stats(),
-                        heartbeats_sent,
-                        heartbeats_observed,
-                    }),
-                    Err(error) => {
-                        if assignment_ref.is_some() {
-                            if let CommError::RankDead { .. } = error {
-                                // The dying rank registers the verdict for
-                                // the engine's substitution step.
-                                dead_ref.lock().expect("death registry poisoned").push(node);
-                            }
-                        }
-                        Err(error)
-                    }
-                }
-            });
-            // Rank threads are joined at this point: a driver-side flush (or
-            // stream write) cannot race rank-side recording.
-            let flush_telemetry = || {
-                if let Some(telemetry) = job.telemetry {
-                    telemetry.flush_all();
-                }
-            };
-            match attempt {
-                Ok(outcomes) => {
-                    let reliable = outcomes.iter().fold(ReliableStats::default(), |acc, o| {
-                        acc.merge(&o.result.stats)
-                    });
-                    let heartbeats_sent = outcomes.iter().map(|o| o.result.heartbeats_sent).sum();
-                    let heartbeats_observed =
-                        outcomes.iter().map(|o| o.result.heartbeats_observed).sum();
-                    flush_telemetry();
-                    return Ok(assemble(
-                        outcomes,
-                        kernel.grid().clone(),
-                        iterations,
-                        RecoveryReport {
-                            iteration_restarts: restarts,
-                            substitutions,
-                            membership_epoch,
-                            heartbeats_sent,
-                            heartbeats_observed,
-                            reliable,
-                        },
-                    ));
-                }
-                Err(failure) => {
-                    // Cancellation is not a fault. Some ranks observe the
-                    // flag and unwind with `Cancelled`; ranks already parked
-                    // in a receive or barrier fail with a timeout/deadlock
-                    // instead. Either way, once the flag is up the run is
-                    // over — no restart budget, no substitutions.
-                    if job.cancelled() || matches!(failure.error, CommError::Cancelled { .. }) {
-                        flush_telemetry();
-                        return Err(RankFailure {
-                            rank: failure.rank,
-                            error: CommError::Cancelled { rank: failure.rank },
-                            failed_ranks: failure.failed_ranks,
-                        });
-                    }
-                    // A simulated process kill is terminal by definition:
-                    // the "process" is dead, and resuming it is the caller's
-                    // job (`JobEngine::resume(dir)`), not this loop's.
-                    if let CommError::ProcessKilled { .. } = failure.error {
-                        flush_telemetry();
-                        return Err(failure);
-                    }
-                    // Preemption mirrors cancellation: the owner raised the
-                    // flag to splice ingested scan positions, so the run is
-                    // over here and the owner re-runs it. Ranks that were
-                    // already parked in a receive or barrier when the flag
-                    // went up fail with a timeout instead — map those back
-                    // to the preemption that caused them.
-                    if job.preempted() || matches!(failure.error, CommError::Preempted { .. }) {
-                        flush_telemetry();
-                        return Err(RankFailure {
-                            rank: failure.rank,
-                            error: CommError::Preempted { rank: failure.rank },
-                            failed_ranks: failure.failed_ranks,
-                        });
-                    }
-                    // Restart only from a provably consistent boundary: every
-                    // rank's latest checkpoint must agree on the iteration
-                    // (None counts as iteration 0).
-                    let boundary = |slot: &Mutex<Option<CheckpointSlot<K::Checkpoint>>>| {
-                        slot.lock()
-                            .expect("checkpoint slot poisoned")
-                            .as_ref()
-                            .map_or(0, |saved| saved.iteration)
-                    };
-                    let first = boundary(&slots[0]);
-                    if slots.iter().any(|slot| boundary(slot) != first) {
-                        flush_telemetry();
-                        return Err(failure);
-                    }
-                    let mut deaths =
-                        std::mem::take(&mut *dead_nodes.lock().expect("death registry poisoned"));
-                    deaths.sort_unstable();
-                    deaths.dedup();
-                    if deaths.is_empty() {
-                        // A message-loss failure: plain checkpoint restart,
-                        // bounded by the restart budget.
-                        if restarts >= max_iteration_restarts {
-                            flush_telemetry();
-                            return Err(failure);
-                        }
-                        restarts += 1;
-                    } else {
-                        // The failure-detector verdict names dead nodes:
-                        // promote one spare per death. The restart budget is
-                        // untouched — substitutions are bounded by the pool.
-                        let view = membership
-                            .as_mut()
-                            .expect("deaths are only registered in membership mode");
-                        for node in deaths {
-                            // Under an external arbiter, every promotion
-                            // must first be granted a node from the shared
-                            // pool; a refusal is pool exhaustion.
-                            if let Some(grant) = job.spare_grant {
-                                if !grant(node) {
-                                    flush_telemetry();
-                                    return Err(RankFailure {
+                            Err(MembershipError::SparesExhausted { dead_node }) => {
+                                flush_telemetry();
+                                return Err(RankFailure {
+                                    rank: failure.rank,
+                                    error: CommError::SparesExhausted {
                                         rank: failure.rank,
-                                        error: CommError::SparesExhausted {
-                                            rank: failure.rank,
-                                            dead_node: node,
-                                        },
-                                        failed_ranks: failure.failed_ranks,
-                                    });
-                                }
+                                        dead_node,
+                                    },
+                                    failed_ranks: failure.failed_ranks,
+                                });
                             }
-                            match view.substitute(node) {
-                                Ok((slot, replacement)) => {
-                                    substitutions += 1;
-                                    if let Some(telemetry) = job.telemetry {
-                                        // Recorded on the *new* node's stream
-                                        // (the dead node's stream keeps its
-                                        // final attempt for post-mortems).
-                                        telemetry.sink(replacement).record(
-                                            TelemetryEvent::SparePromoted {
-                                                slot: slot as u64,
-                                                node: replacement as u64,
-                                            },
-                                        );
-                                    }
-                                }
-                                Err(MembershipError::SparesExhausted { dead_node }) => {
-                                    flush_telemetry();
-                                    return Err(RankFailure {
-                                        rank: failure.rank,
-                                        error: CommError::SparesExhausted {
-                                            rank: failure.rank,
-                                            dead_node,
-                                        },
-                                        failed_ranks: failure.failed_ranks,
-                                    });
-                                }
-                                Err(MembershipError::NotAssigned { .. }) => {
-                                    // A node can only die while assigned;
-                                    // anything else is a driver bug.
-                                    unreachable!("dead node was not assigned a slot")
-                                }
+                            Err(MembershipError::NotAssigned { .. }) => {
+                                // A node can only die while assigned;
+                                // anything else is a driver bug.
+                                unreachable!("dead node was not assigned a slot")
                             }
                         }
                     }
-                    attempt_index += 1;
                 }
+                attempt_index += 1;
             }
         }
     }

@@ -11,9 +11,8 @@
 //! the Asynchronous Pipelining for Parallel Passes technique of Sec. V.
 //!
 //! The iteration driving (and the recovery machinery) lives in the shared
-//! [`IterationEngine`]; this module
-//! contributes the [`SolverKernel`] describing what one Gradient
-//! Decomposition iteration does on one rank.
+//! [`engine`](crate::engine); this module contributes the kernel describing
+//! what one Gradient Decomposition iteration does on one rank.
 //!
 //! Deliberate deviations from the paper's pseudo-code:
 //!
@@ -37,7 +36,7 @@
 //!   volume — at `T = 1` by an order of magnitude.
 
 use crate::config::SolverConfig;
-use crate::engine::{IterationEngine, RecoveryPolicy, SolverKernel};
+use crate::engine::{JobContext, ReconstructionResult, RecoveryPolicy, SolverKernel};
 use crate::gradient_decomp::passes::{run_planned_passes, PassPlan};
 use crate::tiling::TileGrid;
 use crate::worker::TileWorker;
@@ -49,8 +48,6 @@ use ptycho_cluster::{
 use ptycho_fft::{CArray3, Complex64};
 use ptycho_sim::dataset::{Dataset, BYTES_PER_COMPLEX};
 use ptycho_sim::scan::ProbeLocation;
-
-pub use crate::engine::ReconstructionResult;
 
 /// The Gradient Decomposition parallel solver (the paper's contribution).
 pub struct GradientDecompositionSolver<'a> {
@@ -77,11 +74,6 @@ impl<'a> GradientDecompositionSolver<'a> {
             config,
             grid,
         }
-    }
-
-    /// Creates a solver for `workers` ranks using a near-square tile grid.
-    pub fn for_workers(dataset: &'a Dataset, config: SolverConfig, workers: usize) -> Self {
-        Self::new(dataset, config, TileGrid::grid_dims_for(workers))
     }
 
     /// The tile decomposition.
@@ -127,46 +119,19 @@ impl<'a> GradientDecompositionSolver<'a> {
         PassPlan::new(&self.grid, &seeds)
     }
 
-    /// Runs the reconstruction on the given communication backend, one rank
-    /// per tile. Panics on communication failure; use
-    /// [`Self::try_run`] when faults are expected (fault-injection tests).
-    pub fn run<B: CommBackend>(&self, backend: &B) -> ReconstructionResult {
-        self.try_run(backend)
-            .expect("communication failed during reconstruction")
-    }
-
-    /// Runs the reconstruction, surfacing communication failures (lost
-    /// messages, deadlocks) as an error instead of panicking.
-    pub fn try_run<B: CommBackend>(
-        &self,
-        backend: &B,
-    ) -> Result<ReconstructionResult, RankFailure> {
-        self.run_with_recovery(backend, RecoveryPolicy::FailFast)
-    }
-
-    /// Runs the reconstruction under an explicit [`RecoveryPolicy`]: with
-    /// [`RecoveryPolicy::RetransmitThenRestart`], lost messages are healed
-    /// by acknowledge/retransmit and surviving failures roll back to the
-    /// last completed iteration instead of aborting.
-    pub fn run_with_recovery<B: CommBackend>(
-        &self,
-        backend: &B,
-        policy: RecoveryPolicy,
-    ) -> Result<ReconstructionResult, RankFailure> {
-        self.run_job(backend, policy, &crate::engine::JobContext::default())
-    }
-
-    /// Runs the reconstruction as one job of a multi-tenant service: the
-    /// [`JobContext`] adds cooperative cancellation, per-iteration progress
-    /// streaming, and an externally owned spare pool to
-    /// [`Self::run_with_recovery`] (which is this with an empty context).
-    ///
-    /// [`JobContext`]: crate::engine::JobContext
+    /// Runs the reconstruction on `backend`, one rank per tile, under
+    /// `policy`: [`RecoveryPolicy::FailFast`] surfaces the first
+    /// communication failure, the recovering policies heal lost messages by
+    /// acknowledge/retransmit and roll surviving failures back to the last
+    /// completed iteration. The [`JobContext`] adds cooperative
+    /// cancellation, per-iteration progress streaming, telemetry, durable
+    /// checkpoints and an externally owned spare pool;
+    /// `JobContext::default()` adds none.
     pub fn run_job<B: CommBackend>(
         &self,
         backend: &B,
         policy: RecoveryPolicy,
-        job: &crate::engine::JobContext<'_>,
+        job: &JobContext<'_>,
     ) -> Result<ReconstructionResult, RankFailure> {
         let initial = self.dataset.initial_guess();
         // Per run, not in `new`: the plan depends on the round split,
@@ -179,7 +144,7 @@ impl<'a> GradientDecompositionSolver<'a> {
             plan: &plan,
             initial: &initial,
         };
-        IterationEngine::run(&kernel, policy, backend, job)
+        crate::engine::run(&kernel, policy, backend, job)
     }
 }
 
@@ -190,7 +155,7 @@ fn round_share(owned: &[ProbeLocation], round: usize, rounds: usize) -> &[ProbeL
     &owned[round * owned.len() / rounds..(round + 1) * owned.len() / rounds]
 }
 
-/// The Gradient Decomposition [`SolverKernel`]: Algorithm 1's per-rank,
+/// The Gradient Decomposition `SolverKernel`: Algorithm 1's per-rank,
 /// per-iteration body, plugged into the shared iteration engine.
 struct GdKernel<'a> {
     dataset: &'a Dataset,
@@ -368,7 +333,13 @@ mod tests {
     fn single_rank_reduces_cost() {
         let dataset = tiny_dataset();
         let solver = GradientDecompositionSolver::new(&dataset, quick_config(3), (1, 1));
-        let result = solver.run(&Cluster::new(ClusterTopology::summit()));
+        let result = solver
+            .run_job(
+                &Cluster::new(ClusterTopology::summit()),
+                RecoveryPolicy::FailFast,
+                &JobContext::default(),
+            )
+            .expect("fault-free run completes");
         assert_eq!(result.volume.shape(), dataset.object_shape());
         assert!(result.cost_history.is_monotonically_decreasing());
         assert!(result.cost_history.final_cost() < result.cost_history.initial_cost());
@@ -379,7 +350,13 @@ mod tests {
     fn four_ranks_reduce_cost_and_report_memory() {
         let dataset = tiny_dataset();
         let solver = GradientDecompositionSolver::new(&dataset, quick_config(3), (2, 2));
-        let result = solver.run(&Cluster::new(ClusterTopology::summit()));
+        let result = solver
+            .run_job(
+                &Cluster::new(ClusterTopology::summit()),
+                RecoveryPolicy::FailFast,
+                &JobContext::default(),
+            )
+            .expect("fault-free run completes");
         assert_eq!(result.time.len(), 4);
         assert_eq!(result.memory.len(), 4);
         assert!(result.cost_history.final_cost() < result.cost_history.initial_cost());
@@ -445,8 +422,12 @@ mod tests {
         };
         let cluster = Cluster::new(ClusterTopology::summit());
 
-        let serial = GradientDecompositionSolver::new(&dataset, config, (1, 1)).run(&cluster);
-        let parallel = GradientDecompositionSolver::new(&dataset, config, (2, 2)).run(&cluster);
+        let serial = GradientDecompositionSolver::new(&dataset, config, (1, 1))
+            .run_job(&cluster, RecoveryPolicy::FailFast, &JobContext::default())
+            .expect("fault-free run completes");
+        let parallel = GradientDecompositionSolver::new(&dataset, config, (2, 2))
+            .run_job(&cluster, RecoveryPolicy::FailFast, &JobContext::default())
+            .expect("fault-free run completes");
 
         let max_diff = serial
             .volume
@@ -483,19 +464,14 @@ mod tests {
                 halo_px: 20,
                 ..SolverConfig::default()
             };
-            let result = GradientDecompositionSolver::new(&dataset, config, (2, 2)).run(&cluster);
+            let result = GradientDecompositionSolver::new(&dataset, config, (2, 2))
+                .run_job(&cluster, RecoveryPolicy::FailFast, &JobContext::default())
+                .expect("fault-free run completes");
             assert!(
                 result.cost_history.final_cost() < result.cost_history.initial_cost(),
                 "{freq:?} failed to reduce the cost"
             );
         }
-    }
-
-    #[test]
-    fn for_workers_uses_near_square_grid() {
-        let dataset = tiny_dataset();
-        let solver = GradientDecompositionSolver::for_workers(&dataset, quick_config(1), 6);
-        assert_eq!(solver.grid().grid_shape(), (2, 3));
     }
 
     #[test]
@@ -506,13 +482,16 @@ mod tests {
         let dataset = tiny_dataset();
         let solver = GradientDecompositionSolver::new(&dataset, quick_config(2), (2, 2));
         let backend = ptycho_cluster::LockstepBackend::new(ClusterTopology::summit());
-        let plain = solver.run(&backend);
+        let plain = solver
+            .run_job(&backend, RecoveryPolicy::FailFast, &JobContext::default())
+            .expect("fault-free run cannot fail");
         let recovered = solver
-            .run_with_recovery(
+            .run_job(
                 &backend,
                 RecoveryPolicy::RetransmitThenRestart {
                     max_iteration_restarts: 2,
                 },
+                &JobContext::default(),
             )
             .expect("fault-free run cannot fail");
         assert_eq!(recovered.recovery.iteration_restarts, 0);

@@ -1,15 +1,13 @@
 //! The Halo Voxel Exchange parallel solver.
 //!
 //! The iteration driving (and the recovery machinery) lives in the shared
-//! [`IterationEngine`]; this module
-//! contributes the [`SolverKernel`] describing what one baseline iteration
-//! does on one rank: embarrassingly parallel tile reconstruction with
+//! [`engine`](crate::engine); this module contributes the kernel describing
+//! what one baseline iteration does on one rank: embarrassingly parallel tile reconstruction with
 //! redundant probe locations, followed every `hve_exchange_period`
 //! iterations by the synchronous voxel copy-paste exchange of Fig. 2(g).
 
 use crate::config::SolverConfig;
-use crate::engine::{IterationEngine, RecoveryPolicy, SolverKernel};
-use crate::gradient_decomp::solver::ReconstructionResult;
+use crate::engine::{JobContext, ReconstructionResult, RecoveryPolicy, SolverKernel};
 use crate::tiling::{TileGrid, TileInfo};
 use crate::worker::{send_pooled_region, set_region_flat, TileWorker};
 use ptycho_array::Array3;
@@ -117,15 +115,6 @@ impl<'a> HaloVoxelExchangeSolver<'a> {
         })
     }
 
-    /// Creates the baseline for `workers` ranks on a near-square grid.
-    pub fn for_workers(
-        dataset: &'a Dataset,
-        config: SolverConfig,
-        workers: usize,
-    ) -> Result<Self, HaloExchangeError> {
-        Self::new(dataset, config, TileGrid::grid_dims_for(workers))
-    }
-
     /// The tile decomposition (with the HVE halo width).
     pub fn grid(&self) -> &TileGrid {
         &self.grid
@@ -147,36 +136,7 @@ impl<'a> HaloVoxelExchangeSolver<'a> {
         self.assigned.iter().map(Vec::len).sum()
     }
 
-    /// Runs the baseline reconstruction on the given communication backend.
-    /// Panics on communication failure; use [`Self::try_run`] when faults
-    /// are expected.
-    pub fn run<B: CommBackend>(&self, backend: &B) -> ReconstructionResult {
-        self.try_run(backend)
-            .expect("communication failed during reconstruction")
-    }
-
-    /// Runs the baseline, surfacing communication failures as an error.
-    pub fn try_run<B: CommBackend>(
-        &self,
-        backend: &B,
-    ) -> Result<ReconstructionResult, RankFailure> {
-        self.run_with_recovery(backend, RecoveryPolicy::FailFast)
-    }
-
-    /// Runs the baseline under an explicit [`RecoveryPolicy`] (see
-    /// [`GradientDecompositionSolver::run_with_recovery`]).
-    ///
-    /// [`GradientDecompositionSolver::run_with_recovery`]:
-    ///     crate::GradientDecompositionSolver::run_with_recovery
-    pub fn run_with_recovery<B: CommBackend>(
-        &self,
-        backend: &B,
-        policy: RecoveryPolicy,
-    ) -> Result<ReconstructionResult, RankFailure> {
-        self.run_job(backend, policy, &crate::engine::JobContext::default())
-    }
-
-    /// Runs the baseline as one job of a multi-tenant service (see
+    /// Runs the baseline under `policy` and the hooks of `job` (see
     /// [`GradientDecompositionSolver::run_job`]).
     ///
     /// [`GradientDecompositionSolver::run_job`]:
@@ -185,7 +145,7 @@ impl<'a> HaloVoxelExchangeSolver<'a> {
         &self,
         backend: &B,
         policy: RecoveryPolicy,
-        job: &crate::engine::JobContext<'_>,
+        job: &JobContext<'_>,
     ) -> Result<ReconstructionResult, RankFailure> {
         let initial = self.dataset.initial_guess();
         let kernel = HveKernel {
@@ -195,11 +155,11 @@ impl<'a> HaloVoxelExchangeSolver<'a> {
             assigned: &self.assigned,
             initial: &initial,
         };
-        IterationEngine::run(&kernel, policy, backend, job)
+        crate::engine::run(&kernel, policy, backend, job)
     }
 }
 
-/// The Halo Voxel Exchange [`SolverKernel`], plugged into the shared
+/// The Halo Voxel Exchange `SolverKernel`, plugged into the shared
 /// iteration engine.
 struct HveKernel<'a> {
     dataset: &'a Dataset,
@@ -401,7 +361,13 @@ mod tests {
     fn reduces_cost_on_2x2_grid() {
         let ds = dataset();
         let solver = HaloVoxelExchangeSolver::new(&ds, config(2), (2, 2)).unwrap();
-        let result = solver.run(&Cluster::new(ClusterTopology::summit()));
+        let result = solver
+            .run_job(
+                &Cluster::new(ClusterTopology::summit()),
+                RecoveryPolicy::FailFast,
+                &JobContext::default(),
+            )
+            .expect("fault-free run completes");
         assert_eq!(result.volume.shape(), ds.object_shape());
         assert!(result.cost_history.final_cost() < result.cost_history.initial_cost());
     }
@@ -445,13 +411,16 @@ mod tests {
 
         let hve = HaloVoxelExchangeSolver::new(&ds, config(1), (2, 2))
             .unwrap()
-            .run(&cluster);
+            .run_job(&cluster, RecoveryPolicy::FailFast, &JobContext::default())
+            .expect("fault-free run completes");
         let gd_config = SolverConfig {
             iterations: 1,
             halo_px: 20,
             ..SolverConfig::default()
         };
-        let gd = GradientDecompositionSolver::new(&ds, gd_config, (2, 2)).run(&cluster);
+        let gd = GradientDecompositionSolver::new(&ds, gd_config, (2, 2))
+            .run_job(&cluster, RecoveryPolicy::FailFast, &JobContext::default())
+            .expect("fault-free run completes");
 
         let category_total = |result: &ReconstructionResult, cat: MemoryCategory| -> usize {
             result.memory.iter().map(|m| m.peak_of(cat)).sum()

@@ -21,7 +21,6 @@
 //! | Halo Voxel Exchange baseline (Sec. II-C) | [`halo_exchange`] |
 //! | Stitching and seam-artifact measurement (Fig. 8) | [`stitch`] |
 //! | Convergence tracking (Fig. 9) | [`convergence`] |
-//! | Runtime breakdowns, strong-scaling efficiency (Fig. 7) | [`metrics`] |
 //! | Per-GPU memory footprint model (Tables II/III) | [`memory_model`] |
 //! | Full scaling model regenerating Tables II/III and Fig. 7 | [`scaling`] |
 //!
@@ -37,7 +36,7 @@
 //! [`LockstepBackend`]: ptycho_cluster::LockstepBackend
 //!
 //! ```
-//! use ptycho_core::{GradientDecompositionSolver, SolverConfig, TileGrid};
+//! use ptycho_core::{GradientDecompositionSolver, JobContext, RecoveryPolicy, SolverConfig};
 //! use ptycho_sim::dataset::{Dataset, SyntheticConfig};
 //! use ptycho_cluster::{ClusterTopology, LockstepBackend};
 //!
@@ -47,7 +46,9 @@
 //! let config = SolverConfig { iterations: 2, ..SolverConfig::default() };
 //! let solver = GradientDecompositionSolver::new(&dataset, config, (2, 2));
 //! let backend = LockstepBackend::new(ClusterTopology::summit());
-//! let result = solver.run(&backend);
+//! let result = solver
+//!     .run_job(&backend, RecoveryPolicy::FailFast, &JobContext::default())
+//!     .expect("fault-free run completes");
 //! assert_eq!(result.volume.shape(), dataset.object_shape());
 //! assert!(result.cost_history.final_cost() < result.cost_history.initial_cost());
 //! ```
@@ -62,7 +63,6 @@ pub mod engine;
 pub mod gradient_decomp;
 pub mod halo_exchange;
 pub mod memory_model;
-pub mod metrics;
 pub mod scaling;
 pub mod service;
 pub mod stitch;
@@ -76,14 +76,13 @@ pub use durability::{
     SlotRecord,
 };
 pub use engine::{
-    DurabilityHook, IterationEngine, IterationProgress, JobContext, ReconstructionResult,
-    RecoveryPolicy, RecoveryReport, SolverKernel,
+    DurabilityHook, IterationProgress, JobContext, ReconstructionResult, RecoveryPolicy,
+    RecoveryReport,
 };
 pub use gradient_decomp::solver::GradientDecompositionSolver;
 pub use halo_exchange::solver::HaloVoxelExchangeSolver;
 pub use memory_model::{gd_memory_per_gpu, hve_memory_per_gpu, MemoryBreakdown};
-pub use metrics::strong_scaling_efficiency;
-pub use scaling::{ScalingPoint, ScalingScenario};
+pub use scaling::{strong_scaling_efficiency, ScalingPoint, ScalingScenario};
 pub use service::{
     JobEngine, JobError, JobHandle, JobProgress, JobReport, JobSpec, JobState, ServiceBackend,
     SolverMethod,

@@ -494,6 +494,20 @@ impl JobEngine {
             });
         };
         let mut spec = decode_spec(&epoch.manifest.spec, &dir).map_err(reject)?;
+        // `CheckpointStore::commit` takes any manifest, so the slot count and
+        // the embedded spec can disagree; refuse before admission.
+        if epoch.slots.len() != spec.slots() {
+            return Err(JobError::Rejected {
+                reason: format!(
+                    "checkpoint epoch {} under {} holds {} slot(s) but its job spec \
+                     decomposes into {} rank(s)",
+                    epoch.manifest.seq,
+                    dir.display(),
+                    epoch.slots.len(),
+                    spec.slots()
+                ),
+            });
+        }
         spec.checkpoint_dir = Some(dir);
         spec.resume_from = Some(Arc::new(epoch));
         spec.telemetry = telemetry;
@@ -1554,6 +1568,7 @@ fn run_method<B: CommBackend>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::durability::{EpochManifest, SlotRecord};
     use std::path::Path;
 
     /// Byte offsets in the version-1 layout of a spec whose every optional
@@ -1730,6 +1745,68 @@ mod tests {
                 "payload truncated",
                 "at {len}"
             );
+        }
+    }
+
+    #[test]
+    fn resume_rejects_an_epoch_whose_slot_count_disagrees_with_its_spec() {
+        // Two slot files committed under a spec for a 2×2 grid (four ranks).
+        let dir = std::env::temp_dir().join(format!(
+            "ptycho-service-slot-mismatch-{}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let spec = JobSpec::new(
+            Dataset::synthesize(SyntheticConfig::tiny()),
+            SolverConfig {
+                iterations: 2,
+                halo_px: 20,
+                ..SolverConfig::default()
+            },
+            (2, 2),
+        );
+        let store = CheckpointStore::open(&dir).expect("store opens");
+        let seq = store.next_seq();
+        for slot in 0..2 {
+            let record = SlotRecord {
+                iteration: 1,
+                costs: vec![1.0],
+                cursor: None,
+                state: Vec::new(),
+            };
+            store.write_slot(seq, slot, &record).expect("slot written");
+        }
+        let manifest = EpochManifest {
+            seq,
+            iteration: 1,
+            attempt_index: 0,
+            restarts: 0,
+            substitutions: 0,
+            membership: ptycho_cluster::MembershipView::new(2, 0),
+            spec: encode_spec(&spec),
+        };
+        store.commit(&manifest, None).expect("epoch committed");
+        drop(store);
+
+        // A resume that wrongly admits the job never finishes: bound the wait.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let resume_dir = dir.clone();
+        let worker = std::thread::spawn(move || {
+            let engine = JobEngine::new(4);
+            let outcome = engine.resume(resume_dir).map(|handle| handle.wait().state);
+            tx.send(outcome).expect("the test is listening");
+        });
+        let outcome = rx
+            .recv_timeout(Duration::from_secs(60))
+            .expect("resume must answer instead of hanging");
+        worker.join().expect("resume thread panicked");
+        let _ = std::fs::remove_dir_all(&dir);
+        match outcome {
+            Err(JobError::Rejected { reason }) => assert!(
+                reason.contains("2 slot(s)") && reason.contains("4 rank(s)"),
+                "the reason must name both counts: {reason}"
+            ),
+            other => panic!("expected a rejection, got {other:?}"),
         }
     }
 }

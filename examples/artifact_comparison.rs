@@ -12,7 +12,7 @@ use ptycho_array::{stats, Array2};
 use ptycho_bench::experiments::{fig8, quality_dataset};
 use ptycho_cluster::{Cluster, ClusterTopology};
 use ptycho_core::stitch::{border_mask, phase_image};
-use ptycho_core::{GradientDecompositionSolver, SolverConfig};
+use ptycho_core::{GradientDecompositionSolver, JobContext, RecoveryPolicy, SolverConfig};
 
 /// Renders an image as coarse ASCII (for a quick visual check in a terminal).
 fn ascii_view(image: &Array2<f64>, step: usize) -> String {
@@ -50,7 +50,12 @@ fn main() {
         ..SolverConfig::default()
     };
     let gd = GradientDecompositionSolver::new(&dataset, config, (2, 2))
-        .run(&Cluster::new(ClusterTopology::summit()));
+        .run_job(
+            &Cluster::new(ClusterTopology::summit()),
+            RecoveryPolicy::FailFast,
+            &JobContext::default(),
+        )
+        .expect("fault-free run completes");
     let phase = phase_image(&gd.volume, 0);
     println!("\nGradient Decomposition reconstruction (phase, slice 0):");
     println!("{}", ascii_view(&phase, 3));

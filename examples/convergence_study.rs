@@ -9,7 +9,7 @@
 use ptycho_bench::experiments::{fig9, quality_dataset};
 use ptycho_cluster::{Cluster, ClusterTopology};
 use ptycho_core::config::PassFrequency;
-use ptycho_core::{GradientDecompositionSolver, SolverConfig};
+use ptycho_core::{GradientDecompositionSolver, JobContext, RecoveryPolicy, SolverConfig};
 
 fn main() {
     let iterations = 8;
@@ -41,7 +41,9 @@ fn main() {
             local_updates,
             ..SolverConfig::default()
         };
-        let result = GradientDecompositionSolver::new(&dataset, config, (2, 3)).run(&cluster);
+        let result = GradientDecompositionSolver::new(&dataset, config, (2, 3))
+            .run_job(&cluster, RecoveryPolicy::FailFast, &JobContext::default())
+            .expect("fault-free run completes");
         println!(
             "  local_updates = {:<5}  final cost {:.5}  ({:.1}% reduction)",
             local_updates,

@@ -10,7 +10,9 @@
 use ptycho_array::stats;
 use ptycho_cluster::{Cluster, ClusterTopology};
 use ptycho_core::stitch::phase_image;
-use ptycho_core::{GradientDecompositionSolver, SolverConfig};
+use ptycho_core::{
+    GradientDecompositionSolver, JobContext, RecoveryPolicy, SolverConfig, TileGrid,
+};
 use ptycho_sim::dataset::{Dataset, SyntheticConfig};
 
 fn main() {
@@ -37,7 +39,7 @@ fn main() {
         step_relaxation: 0.1,
         ..SolverConfig::default()
     };
-    let solver = GradientDecompositionSolver::for_workers(&dataset, config, 6);
+    let solver = GradientDecompositionSolver::new(&dataset, config, TileGrid::grid_dims_for(6));
     println!(
         "tile grid: {:?}, halo: {} px",
         solver.grid().grid_shape(),
@@ -45,7 +47,9 @@ fn main() {
     );
 
     let cluster = Cluster::new(ClusterTopology::summit());
-    let result = solver.run(&cluster);
+    let result = solver
+        .run_job(&cluster, RecoveryPolicy::FailFast, &JobContext::default())
+        .expect("fault-free run completes");
 
     // 3. Report convergence, runtime accounting and reconstruction quality.
     println!("\niteration   cost F(V)");

@@ -13,7 +13,9 @@
 
 use ptycho_bench::experiments::{fig7a, PaperDataset};
 use ptycho_cluster::{Cluster, ClusterTopology};
-use ptycho_core::{GradientDecompositionSolver, SolverConfig};
+use ptycho_core::{
+    GradientDecompositionSolver, JobContext, RecoveryPolicy, SolverConfig, TileGrid,
+};
 use ptycho_sim::dataset::{Dataset, SyntheticConfig};
 use std::time::Instant;
 
@@ -45,9 +47,12 @@ fn main() {
     );
     let mut baseline_wall = None;
     for ranks in [1usize, 2, 4, 6] {
-        let solver = GradientDecompositionSolver::for_workers(&dataset, config, ranks);
+        let solver =
+            GradientDecompositionSolver::new(&dataset, config, TileGrid::grid_dims_for(ranks));
         let start = Instant::now();
-        let result = solver.run(&cluster);
+        let result = solver
+            .run_job(&cluster, RecoveryPolicy::FailFast, &JobContext::default())
+            .expect("fault-free run completes");
         let wall = start.elapsed().as_secs_f64();
         let max_compute = result.time.iter().map(|t| t.compute).fold(0.0f64, f64::max);
         baseline_wall.get_or_insert(wall);

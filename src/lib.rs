@@ -26,13 +26,16 @@
 //!
 //! ```
 //! use ptycho::cluster::{Cluster, ClusterTopology};
-//! use ptycho::core::{GradientDecompositionSolver, SolverConfig};
+//! use ptycho::core::{GradientDecompositionSolver, JobContext, RecoveryPolicy, SolverConfig};
 //! use ptycho::sim::dataset::{Dataset, SyntheticConfig};
 //!
 //! let dataset = Dataset::synthesize(SyntheticConfig::tiny());
 //! let config = SolverConfig { iterations: 1, ..SolverConfig::default() };
 //! let solver = GradientDecompositionSolver::new(&dataset, config, (2, 2));
-//! let result = solver.run(&Cluster::new(ClusterTopology::summit()));
+//! let backend = Cluster::new(ClusterTopology::summit());
+//! let result = solver
+//!     .run_job(&backend, RecoveryPolicy::FailFast, &JobContext::default())
+//!     .expect("fault-free run completes");
 //! assert_eq!(result.volume.shape(), dataset.object_shape());
 //! ```
 

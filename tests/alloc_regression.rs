@@ -51,7 +51,9 @@ fn gd_run_allocations(dataset: &Dataset, iterations: usize, grid: (usize, usize)
     let backend = LockstepBackend::new(ClusterTopology::summit());
     let solver = GradientDecompositionSolver::new(dataset, config, grid);
     let before = ALLOC.allocations();
-    let result = solver.run(&backend);
+    let result = solver
+        .run_job(&backend, RecoveryPolicy::FailFast, &JobContext::default())
+        .expect("fault-free run completes");
     let after = ALLOC.allocations();
     assert!(result.cost_history.final_cost().is_finite());
     after - before
@@ -98,7 +100,9 @@ fn hve_run_allocations(dataset: &Dataset, iterations: usize, grid: (usize, usize
     let backend = LockstepBackend::new(ClusterTopology::summit());
     let solver = HaloVoxelExchangeSolver::new(dataset, config, grid).expect("feasible");
     let before = ALLOC.allocations();
-    let result = solver.run(&backend);
+    let result = solver
+        .run_job(&backend, RecoveryPolicy::FailFast, &JobContext::default())
+        .expect("fault-free run completes");
     let after = ALLOC.allocations();
     assert!(result.cost_history.final_cost().is_finite());
     after - before

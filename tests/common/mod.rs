@@ -121,8 +121,7 @@ pub fn assert_bit_identical(a: &ReconstructionResult, b: &ReconstructionResult) 
 /// [`GradientDecompositionSolver`] and then a [`HaloVoxelExchangeSolver`]
 /// (both on [`small_problem`]'s standard 2×2 fixtures), `$label` names the
 /// method for assertion messages. The body is expanded twice, so it only
-/// needs the API surface the two solvers share (`run`, `try_run`,
-/// `run_with_recovery`, `run_job`, `grid`).
+/// needs the API surface the two solvers share (`run_job`, `grid`).
 #[allow(unused_macros)]
 macro_rules! run_both_solvers {
     ($dataset:expr, |$solver:ident, $label:ident| $body:block) => {{

@@ -22,7 +22,9 @@ mod common;
 use common::{lockstep, threaded};
 use ptycho_core::config::PassFrequency::{self, EveryProbe, PerIteration};
 use ptycho_core::durability::fnv1a64;
-use ptycho_core::{GradientDecompositionSolver, ReconstructionResult, SolverConfig};
+use ptycho_core::{
+    GradientDecompositionSolver, JobContext, ReconstructionResult, RecoveryPolicy, SolverConfig,
+};
 use ptycho_fft::SimdLevel;
 use ptycho_sim::dataset::{Dataset, SyntheticConfig};
 
@@ -230,7 +232,11 @@ fn lockstep_solves_match_recorded_goldens() {
         let &(frequency, local_updates, grid, expected) = row;
         let solver =
             GradientDecompositionSolver::new(&dataset, config(frequency, local_updates), grid);
-        let got = fingerprint(&solver.run(&backend));
+        let got = fingerprint(
+            &solver
+                .run_job(&backend, RecoveryPolicy::FailFast, &JobContext::default())
+                .expect("fault-free run completes"),
+        );
         assert_eq!(
             got,
             expected,
@@ -251,5 +257,16 @@ fn threaded_solve_lands_on_its_lockstep_golden() {
         .find(|row| (row.0, row.1, row.2) == (EveryProbe, true, (3, 3)))
         .expect("the table covers EveryProbe on 3x3");
     let solver = GradientDecompositionSolver::new(&dataset, config(row.0, row.1), row.2);
-    assert_eq!(fingerprint(&solver.run(&threaded(5_000))), row.3);
+    assert_eq!(
+        fingerprint(
+            &solver
+                .run_job(
+                    &threaded(5_000),
+                    RecoveryPolicy::FailFast,
+                    &JobContext::default()
+                )
+                .expect("fault-free run completes")
+        ),
+        row.3
+    );
 }

@@ -8,7 +8,7 @@
 
 use ptycho_cluster::{Cluster, ClusterTopology, CommError, FaultInjectionBackend, FaultPolicy};
 use ptycho_core::gradient_decomp::passes::tags;
-use ptycho_core::{GradientDecompositionSolver, SolverConfig};
+use ptycho_core::{GradientDecompositionSolver, JobContext, RecoveryPolicy, SolverConfig};
 use std::time::Duration;
 
 mod common;
@@ -17,8 +17,20 @@ use common::{assert_bit_identical, gd_solver, hve_solver, lockstep, small_proble
 #[test]
 fn gd_solver_is_bit_identical_across_backends() {
     let ds = small_problem();
-    let threaded = gd_solver(&ds).run(&Cluster::new(ClusterTopology::summit()));
-    let lockstep = gd_solver(&ds).run(&lockstep());
+    let threaded = gd_solver(&ds)
+        .run_job(
+            &Cluster::new(ClusterTopology::summit()),
+            RecoveryPolicy::FailFast,
+            &JobContext::default(),
+        )
+        .expect("fault-free run completes");
+    let lockstep = gd_solver(&ds)
+        .run_job(
+            &lockstep(),
+            RecoveryPolicy::FailFast,
+            &JobContext::default(),
+        )
+        .expect("fault-free run completes");
     assert_bit_identical(&threaded, &lockstep);
     // The analytic communication charges agree too (wire time does not
     // depend on the execution schedule).
@@ -31,8 +43,20 @@ fn gd_solver_is_bit_identical_across_backends() {
 fn hve_solver_is_bit_identical_across_backends() {
     let ds = small_problem();
     let solver = hve_solver(&ds);
-    let threaded = solver.run(&Cluster::new(ClusterTopology::summit()));
-    let lockstep = solver.run(&lockstep());
+    let threaded = solver
+        .run_job(
+            &Cluster::new(ClusterTopology::summit()),
+            RecoveryPolicy::FailFast,
+            &JobContext::default(),
+        )
+        .expect("fault-free run completes");
+    let lockstep = solver
+        .run_job(
+            &lockstep(),
+            RecoveryPolicy::FailFast,
+            &JobContext::default(),
+        )
+        .expect("fault-free run completes");
     assert_bit_identical(&threaded, &lockstep);
 }
 
@@ -40,8 +64,12 @@ fn hve_solver_is_bit_identical_across_backends() {
 fn lockstep_reruns_are_bit_identical() {
     let ds = small_problem();
     let backend = lockstep();
-    let a = gd_solver(&ds).run(&backend);
-    let b = gd_solver(&ds).run(&backend);
+    let a = gd_solver(&ds)
+        .run_job(&backend, RecoveryPolicy::FailFast, &JobContext::default())
+        .expect("fault-free run completes");
+    let b = gd_solver(&ds)
+        .run_job(&backend, RecoveryPolicy::FailFast, &JobContext::default())
+        .expect("fault-free run completes");
     assert_bit_identical(&a, &b);
 }
 
@@ -56,7 +84,7 @@ fn dropped_pass_message_is_a_detectable_error_on_lockstep() {
     let faulty = FaultInjectionBackend::new(lockstep(), policy);
 
     let failure = gd_solver(&ds)
-        .try_run(&faulty)
+        .run_job(&faulty, RecoveryPolicy::FailFast, &JobContext::default())
         .expect_err("a dropped pass message must fail the run");
     assert!(
         matches!(failure.error, CommError::Deadlock { .. }),
@@ -86,7 +114,7 @@ fn dropped_pass_message_times_out_on_threaded() {
     let faulty = FaultInjectionBackend::new(threaded, policy);
 
     let failure = gd_solver(&ds)
-        .try_run(&faulty)
+        .run_job(&faulty, RecoveryPolicy::FailFast, &JobContext::default())
         .expect_err("a dropped pass message must fail the run");
     assert!(
         matches!(
@@ -117,7 +145,7 @@ fn sends_to_an_already_failed_rank_do_not_panic_the_run() {
     let faulty = FaultInjectionBackend::new(threaded, policy);
 
     let failure = GradientDecompositionSolver::new(&ds, config, (2, 2))
-        .try_run(&faulty)
+        .run_job(&faulty, RecoveryPolicy::FailFast, &JobContext::default())
         .expect_err("the dropped message must fail the run");
     assert!(
         matches!(
@@ -136,12 +164,18 @@ fn delayed_messages_do_not_corrupt_the_solve() {
     // same (from, to, tag) stream — so per-stream order survives and the
     // reconstruction must equal the fault-free one.
     let ds = small_problem();
-    let clean = gd_solver(&ds).run(&lockstep());
+    let clean = gd_solver(&ds)
+        .run_job(
+            &lockstep(),
+            RecoveryPolicy::FailFast,
+            &JobContext::default(),
+        )
+        .expect("fault-free run completes");
 
     let policy = FaultPolicy::reliable(77).delay(0.5);
     let faulty = FaultInjectionBackend::new(lockstep(), policy);
     let noisy = gd_solver(&ds)
-        .try_run(&faulty)
+        .run_job(&faulty, RecoveryPolicy::FailFast, &JobContext::default())
         .expect("delays must not break the solve");
     assert!(
         faulty.trace().fault_count() > 0,
@@ -163,12 +197,18 @@ fn duplicated_messages_are_ignored_by_single_round_traffic() {
         halo_px: 20,
         ..SolverConfig::default()
     };
-    let clean = GradientDecompositionSolver::new(&ds, config, (2, 2)).run(&lockstep());
+    let clean = GradientDecompositionSolver::new(&ds, config, (2, 2))
+        .run_job(
+            &lockstep(),
+            RecoveryPolicy::FailFast,
+            &JobContext::default(),
+        )
+        .expect("fault-free run completes");
 
     let policy = FaultPolicy::reliable(77).duplicate(0.5);
     let faulty = FaultInjectionBackend::new(lockstep(), policy);
     let noisy = GradientDecompositionSolver::new(&ds, config, (2, 2))
-        .try_run(&faulty)
+        .run_job(&faulty, RecoveryPolicy::FailFast, &JobContext::default())
         .expect("spare duplicates must not break a single-round solve");
     assert!(
         faulty.trace().fault_count() > 0,
@@ -184,7 +224,7 @@ fn recorded_trace_replays_to_an_identical_run() {
 
     let recording = FaultInjectionBackend::new(lockstep(), policy);
     let original = gd_solver(&ds)
-        .try_run(&recording)
+        .run_job(&recording, RecoveryPolicy::FailFast, &JobContext::default())
         .expect("faults are non-fatal");
     let trace = recording.trace();
     assert!(trace.fault_count() > 0, "the recording must contain faults");
@@ -192,7 +232,7 @@ fn recorded_trace_replays_to_an_identical_run() {
     // Replay the recorded envelope decisions verbatim on a fresh backend.
     let replaying = FaultInjectionBackend::replay(lockstep(), &trace);
     let replayed = gd_solver(&ds)
-        .try_run(&replaying)
+        .run_job(&replaying, RecoveryPolicy::FailFast, &JobContext::default())
         .expect("replay reproduces the recorded run");
 
     assert_eq!(

@@ -7,7 +7,9 @@ use ptycho_cluster::{
 };
 use ptycho_core::gradient_decomp::passes::run_accumulation_passes;
 use ptycho_core::tiling::TileGrid;
-use ptycho_core::{GradientDecompositionSolver, HaloVoxelExchangeSolver, SolverConfig};
+use ptycho_core::{
+    GradientDecompositionSolver, HaloVoxelExchangeSolver, JobContext, RecoveryPolicy, SolverConfig,
+};
 use ptycho_fft::{CArray3, Complex64};
 use ptycho_sim::dataset::{extract_patch, scatter_patch, Dataset, SyntheticConfig};
 use ptycho_sim::probe_gradient;
@@ -122,7 +124,13 @@ fn gd_memory_is_dominated_by_tile_not_full_volume() {
         halo_px: 16,
         ..SolverConfig::default()
     };
-    let result = GradientDecompositionSolver::new(&ds, config, (3, 3)).run(&Cluster::default());
+    let result = GradientDecompositionSolver::new(&ds, config, (3, 3))
+        .run_job(
+            &Cluster::default(),
+            RecoveryPolicy::FailFast,
+            &JobContext::default(),
+        )
+        .expect("fault-free run completes");
     let (d, r, c) = ds.object_shape();
     let full_volume_bytes = d * r * c * 16;
     for memory in &result.memory {
@@ -174,7 +182,13 @@ fn gd_halo_width_trades_memory_for_gradient_coverage() {
             halo_px: halo,
             ..SolverConfig::default()
         };
-        let result = GradientDecompositionSolver::new(&ds, config, (2, 2)).run(&Cluster::default());
+        let result = GradientDecompositionSolver::new(&ds, config, (2, 2))
+            .run_job(
+                &Cluster::default(),
+                RecoveryPolicy::FailFast,
+                &JobContext::default(),
+            )
+            .expect("fault-free run completes");
         peaks.push(result.average_peak_memory_bytes());
     }
     assert!(

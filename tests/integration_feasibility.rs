@@ -70,7 +70,8 @@ fn solver_feasibility_agrees_with_the_memory_model() {
     let mut stricter_band_seen = false;
 
     for workers in 1..=36usize {
-        let solver_ok = HaloVoxelExchangeSolver::for_workers(&ds, config, workers).is_ok();
+        let solver_ok =
+            HaloVoxelExchangeSolver::new(&ds, config, TileGrid::grid_dims_for(workers)).is_ok();
         let analytic_hard = hve_hard_feasible(&spec, workers, halo_pm);
         let analytic_table = hve_feasible(&spec, workers, halo_pm);
 
@@ -128,7 +129,7 @@ fn infeasible_cells_match_the_solver_error_detail() {
         ..SolverConfig::default()
     };
     let halo_px = TileGrid::hve_required_halo_px(ds.scan(), config.hve_extra_probe_rows);
-    let err = match HaloVoxelExchangeSolver::for_workers(&ds, config, 25) {
+    let err = match HaloVoxelExchangeSolver::new(&ds, config, TileGrid::grid_dims_for(25)) {
         Err(err) => err,
         Ok(_) => panic!("5x5 tiles of ~25 px cannot fill ~31 px halos"),
     };

@@ -12,8 +12,8 @@
 use ptycho_cluster::{CommBackend, FaultInjectionBackend, FaultPolicy};
 use ptycho_core::gradient_decomp::passes::tags;
 use ptycho_core::{
-    GradientDecompositionSolver, HaloVoxelExchangeSolver, JobEngine, JobError, JobSpec, JobState,
-    ReconstructionResult, RecoveryPolicy, ServiceBackend, SolverConfig, SolverMethod,
+    GradientDecompositionSolver, HaloVoxelExchangeSolver, JobContext, JobEngine, JobError, JobSpec,
+    JobState, ReconstructionResult, RecoveryPolicy, ServiceBackend, SolverConfig, SolverMethod,
 };
 use ptycho_sim::dataset::{Dataset, SyntheticConfig};
 use std::time::Duration;
@@ -86,13 +86,13 @@ fn solo_method<B: CommBackend>(spec: &JobSpec, backend: &B) -> ReconstructionRes
     match spec.method {
         SolverMethod::GradientDecomposition => {
             GradientDecompositionSolver::new(&spec.dataset, spec.config, spec.grid)
-                .run_with_recovery(backend, policy)
+                .run_job(backend, policy, &JobContext::default())
                 .expect("the solo baseline must heal")
         }
         SolverMethod::HaloVoxelExchange => {
             HaloVoxelExchangeSolver::new(&spec.dataset, spec.config, spec.grid)
                 .expect("feasible decomposition")
-                .run_with_recovery(backend, policy)
+                .run_job(backend, policy, &JobContext::default())
                 .expect("the solo baseline must heal")
         }
     }
@@ -552,7 +552,13 @@ fn threaded_backend_jobs_match_the_lockstep_service_run() {
 fn service_results_match_direct_solver_runs_for_both_methods() {
     let ds = small_problem();
     common::run_both_solvers!(&ds, |solver, label| {
-        let direct = solver.run(&lockstep());
+        let direct = solver
+            .run_job(
+                &lockstep(),
+                RecoveryPolicy::FailFast,
+                &JobContext::default(),
+            )
+            .expect("fault-free run completes");
         let (method, config) = if label == "gradient-decomposition" {
             (SolverMethod::GradientDecomposition, gd_config())
         } else {

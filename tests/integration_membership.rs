@@ -15,7 +15,7 @@ use ptycho_cluster::{
     CommBackend, CommError, FaultAction, FaultInjectionBackend, FaultPolicy, LockstepBackend,
     RankComm, ReliableComm, ReliableStats, SharedTile,
 };
-use ptycho_core::RecoveryPolicy;
+use ptycho_core::{JobContext, RecoveryPolicy};
 
 mod common;
 use common::{
@@ -45,18 +45,26 @@ fn late_death() -> FaultPolicy {
 fn gd_spare_substitution_heals_a_dead_rank_on_both_backends() {
     let ds = small_problem();
     let solver = gd_solver(&ds);
-    let clean = solver.run(&lockstep());
+    let clean = solver
+        .run_job(
+            &lockstep(),
+            RecoveryPolicy::FailFast,
+            &JobContext::default(),
+        )
+        .expect("fault-free run completes");
 
     for (label, backend_kind) in [("lockstep", 0), ("threaded", 1)] {
         let healed = if backend_kind == 0 {
-            solver.run_with_recovery(
+            solver.run_job(
                 &FaultInjectionBackend::new(lockstep(), early_death()),
                 substitute_policy(1),
+                &JobContext::default(),
             )
         } else {
-            solver.run_with_recovery(
+            solver.run_job(
                 &FaultInjectionBackend::new(threaded(), early_death()),
                 substitute_policy(1),
+                &JobContext::default(),
             )
         };
         let healed = healed
@@ -85,11 +93,17 @@ fn gd_substitution_resumes_from_the_adopted_checkpoint() {
     // come out bit-identical to the fault-free run.
     let ds = small_problem();
     let solver = gd_solver(&ds);
-    let clean = solver.run(&lockstep());
+    let clean = solver
+        .run_job(
+            &lockstep(),
+            RecoveryPolicy::FailFast,
+            &JobContext::default(),
+        )
+        .expect("fault-free run completes");
 
     let faulty = FaultInjectionBackend::new(lockstep(), late_death());
     let healed = solver
-        .run_with_recovery(&faulty, substitute_policy(1))
+        .run_job(&faulty, substitute_policy(1), &JobContext::default())
         .expect("substitution must heal a late death");
     assert_bit_identical(&clean, &healed);
     assert_eq!(healed.recovery.substitutions, 1);
@@ -99,18 +113,26 @@ fn gd_substitution_resumes_from_the_adopted_checkpoint() {
 fn hve_spare_substitution_heals_a_dead_rank_on_both_backends() {
     let ds = small_problem();
     let solver = hve_solver(&ds);
-    let clean = solver.run(&lockstep());
+    let clean = solver
+        .run_job(
+            &lockstep(),
+            RecoveryPolicy::FailFast,
+            &JobContext::default(),
+        )
+        .expect("fault-free run completes");
 
     for (label, backend_kind) in [("lockstep", 0), ("threaded", 1)] {
         let healed = if backend_kind == 0 {
-            solver.run_with_recovery(
+            solver.run_job(
                 &FaultInjectionBackend::new(lockstep(), early_death()),
                 substitute_policy(1),
+                &JobContext::default(),
             )
         } else {
-            solver.run_with_recovery(
+            solver.run_job(
                 &FaultInjectionBackend::new(threaded(), early_death()),
                 substitute_policy(1),
+                &JobContext::default(),
             )
         };
         let healed = healed
@@ -128,13 +150,19 @@ fn fault_free_spare_mode_is_bit_identical_and_counts_heartbeats() {
     // was observed by its ring successor).
     let ds = small_problem();
     let solver = gd_solver(&ds);
-    let clean = solver.run(&lockstep());
+    let clean = solver
+        .run_job(
+            &lockstep(),
+            RecoveryPolicy::FailFast,
+            &JobContext::default(),
+        )
+        .expect("fault-free run completes");
 
     let on_lockstep = solver
-        .run_with_recovery(&lockstep(), substitute_policy(2))
+        .run_job(&lockstep(), substitute_policy(2), &JobContext::default())
         .expect("fault-free");
     let on_threaded = solver
-        .run_with_recovery(&threaded(), substitute_policy(2))
+        .run_job(&threaded(), substitute_policy(2), &JobContext::default())
         .expect("fault-free");
     for (label, run) in [("lockstep", &on_lockstep), ("threaded", &on_threaded)] {
         assert_bit_identical(&clean, run);
@@ -156,7 +184,11 @@ fn rank_death_without_spares_keeps_the_legacy_policies_intact() {
 
     // FailFast: the first attempt surfaces the failure.
     let failure = solver
-        .try_run(&FaultInjectionBackend::new(lockstep(), early_death()))
+        .run_job(
+            &FaultInjectionBackend::new(lockstep(), early_death()),
+            RecoveryPolicy::FailFast,
+            &JobContext::default(),
+        )
         .expect_err("FailFast must not heal a dead rank");
     assert!(
         matches!(
@@ -171,11 +203,12 @@ fn rank_death_without_spares_keeps_the_legacy_policies_intact() {
     // node, same slot, same send count), so the restart budget runs out and
     // the run fails — exactly the pre-membership behaviour.
     let failure = solver
-        .run_with_recovery(
+        .run_job(
             &FaultInjectionBackend::new(lockstep(), early_death()),
             RecoveryPolicy::RetransmitThenRestart {
                 max_iteration_restarts: 2,
             },
+            &JobContext::default(),
         )
         .expect_err("restarts cannot heal a permanently dead rank");
     assert!(
@@ -195,9 +228,10 @@ fn exhausted_spare_pool_surfaces_a_typed_error() {
     let ds = small_problem();
     let solver = gd_solver(&ds);
     let failure = solver
-        .run_with_recovery(
+        .run_job(
             &FaultInjectionBackend::new(lockstep(), early_death()),
             substitute_policy(0),
+            &JobContext::default(),
         )
         .expect_err("no spares: the death cannot be healed");
     match failure.error {
@@ -217,7 +251,7 @@ fn rank_death_trace_replays_to_the_identical_reconstruction() {
 
     let recording = FaultInjectionBackend::new(lockstep(), early_death()).accumulate_traces();
     let first = solver
-        .run_with_recovery(&recording, substitute_policy(1))
+        .run_job(&recording, substitute_policy(1), &JobContext::default())
         .expect("substitution must heal");
     assert_eq!(first.recovery.substitutions, 1);
     let trace = recording.trace();
@@ -228,7 +262,7 @@ fn rank_death_trace_replays_to_the_identical_reconstruction() {
 
     let replaying = FaultInjectionBackend::replay(lockstep(), &trace).accumulate_traces();
     let second = solver
-        .run_with_recovery(&replaying, substitute_policy(1))
+        .run_job(&replaying, substitute_policy(1), &JobContext::default())
         .expect("the replay must heal identically");
     assert_eq!(second.recovery.substitutions, 1);
     assert_bit_identical(&first, &second);

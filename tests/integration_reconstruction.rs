@@ -6,7 +6,9 @@ use ptycho_array::stats;
 use ptycho_cluster::{Cluster, ClusterTopology};
 use ptycho_core::config::PassFrequency;
 use ptycho_core::stitch::phase_image;
-use ptycho_core::{GradientDecompositionSolver, HaloVoxelExchangeSolver, SolverConfig};
+use ptycho_core::{
+    GradientDecompositionSolver, HaloVoxelExchangeSolver, JobContext, RecoveryPolicy, SolverConfig,
+};
 use ptycho_sim::dataset::{Dataset, SyntheticConfig};
 
 fn dataset() -> Dataset {
@@ -34,7 +36,9 @@ fn gradient_decomposition_reconstructs_the_specimen() {
         step_relaxation: 0.25,
         ..SolverConfig::default()
     };
-    let result = GradientDecompositionSolver::new(&ds, config, (2, 2)).run(&cluster());
+    let result = GradientDecompositionSolver::new(&ds, config, (2, 2))
+        .run_job(&cluster(), RecoveryPolicy::FailFast, &JobContext::default())
+        .expect("fault-free run completes");
 
     // The cost must fall substantially from the flat initial guess.
     assert!(result.cost_history.relative_reduction() > 0.5);
@@ -63,7 +67,9 @@ fn halo_voxel_exchange_also_converges_but_needs_more_probe_evaluations() {
     };
     let solver = HaloVoxelExchangeSolver::new(&ds, config, (2, 2)).expect("feasible");
     assert!(solver.total_assigned() > ds.scan().len());
-    let result = solver.run(&cluster());
+    let result = solver
+        .run_job(&cluster(), RecoveryPolicy::FailFast, &JobContext::default())
+        .expect("fault-free run completes");
     assert!(result.cost_history.relative_reduction() > 0.3);
 }
 
@@ -79,9 +85,13 @@ fn parallel_synchronous_gd_matches_serial_reference_across_grids() {
         pass_frequency: PassFrequency::PerIteration(1),
         ..SolverConfig::default()
     };
-    let serial = GradientDecompositionSolver::new(&ds, config, (1, 1)).run(&cluster());
+    let serial = GradientDecompositionSolver::new(&ds, config, (1, 1))
+        .run_job(&cluster(), RecoveryPolicy::FailFast, &JobContext::default())
+        .expect("fault-free run completes");
     for dims in [(2, 2), (2, 3)] {
-        let parallel = GradientDecompositionSolver::new(&ds, config, dims).run(&cluster());
+        let parallel = GradientDecompositionSolver::new(&ds, config, dims)
+            .run_job(&cluster(), RecoveryPolicy::FailFast, &JobContext::default())
+            .expect("fault-free run completes");
         let max_diff = serial
             .volume
             .iter()
@@ -107,7 +117,8 @@ fn both_methods_produce_similar_quality_on_well_posed_data() {
         },
         (2, 2),
     )
-    .run(&cluster());
+    .run_job(&cluster(), RecoveryPolicy::FailFast, &JobContext::default())
+    .expect("fault-free run completes");
     let hve = HaloVoxelExchangeSolver::new(
         &ds,
         SolverConfig {
@@ -118,7 +129,8 @@ fn both_methods_produce_similar_quality_on_well_posed_data() {
         (2, 2),
     )
     .expect("feasible")
-    .run(&cluster());
+    .run_job(&cluster(), RecoveryPolicy::FailFast, &JobContext::default())
+    .expect("fault-free run completes");
 
     let truth = ds.specimen().phase_slice(0);
     let gd_err = stats::rmse(&phase_image(&gd.volume, 0), &truth);
@@ -140,7 +152,9 @@ fn noisy_data_still_reconstructs() {
         halo_px: 20,
         ..SolverConfig::default()
     };
-    let result = GradientDecompositionSolver::new(&noisy, config, (2, 2)).run(&cluster());
+    let result = GradientDecompositionSolver::new(&noisy, config, (2, 2))
+        .run_job(&cluster(), RecoveryPolicy::FailFast, &JobContext::default())
+        .expect("fault-free run completes");
     assert!(result.cost_history.relative_reduction() > 0.2);
     assert!(result.cost_history.final_cost().is_finite());
 }
@@ -159,7 +173,9 @@ fn pass_frequency_does_not_break_convergence() {
             pass_frequency: frequency,
             ..SolverConfig::default()
         };
-        let result = GradientDecompositionSolver::new(&ds, config, (2, 3)).run(&cluster());
+        let result = GradientDecompositionSolver::new(&ds, config, (2, 3))
+            .run_job(&cluster(), RecoveryPolicy::FailFast, &JobContext::default())
+            .expect("fault-free run completes");
         assert!(
             result.cost_history.relative_reduction() > 0.3,
             "{frequency:?} should still converge"

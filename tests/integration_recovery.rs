@@ -10,7 +10,7 @@
 use ptycho_cluster::backend::reliable::wire_data_tag;
 use ptycho_cluster::{CommError, FaultInjectionBackend, FaultPolicy, RankFailure};
 use ptycho_core::gradient_decomp::passes::tags;
-use ptycho_core::RecoveryPolicy;
+use ptycho_core::{JobContext, RecoveryPolicy};
 
 mod common;
 use common::{
@@ -47,7 +47,7 @@ fn gd_fail_fast_still_surfaces_rank_failure() {
     let solver = gd_solver(&ds);
     let faulty = FaultInjectionBackend::new(lockstep(), gd_drop_policy());
     let failure = solver
-        .try_run(&faulty)
+        .run_job(&faulty, RecoveryPolicy::FailFast, &JobContext::default())
         .expect_err("FailFast must not heal a dropped pass message");
     assert!(matches!(failure.error, CommError::Deadlock { .. }));
 }
@@ -58,7 +58,7 @@ fn hve_fail_fast_still_surfaces_rank_failure() {
     let solver = hve_solver(&ds);
     let faulty = FaultInjectionBackend::new(lockstep(), hve_drop_policy());
     let failure = solver
-        .try_run(&faulty)
+        .run_job(&faulty, RecoveryPolicy::FailFast, &JobContext::default())
         .expect_err("FailFast must not heal a dropped voxel paste");
     assert!(matches!(failure.error, CommError::Deadlock { .. }));
 }
@@ -67,21 +67,29 @@ fn hve_fail_fast_still_surfaces_rank_failure() {
 fn gd_retransmit_heals_dropped_pass_message_on_both_backends() {
     let ds = small_problem();
     let solver = gd_solver(&ds);
-    let clean = solver.run(&lockstep());
+    let clean = solver
+        .run_job(
+            &lockstep(),
+            RecoveryPolicy::FailFast,
+            &JobContext::default(),
+        )
+        .expect("fault-free run completes");
 
     for (label, recovered) in [
         (
             "lockstep",
-            solver.run_with_recovery(
+            solver.run_job(
                 &FaultInjectionBackend::new(lockstep(), gd_drop_policy()),
                 restart_policy(),
+                &JobContext::default(),
             ),
         ),
         (
             "threaded",
-            solver.run_with_recovery(
+            solver.run_job(
                 &FaultInjectionBackend::new(threaded(), gd_drop_policy()),
                 restart_policy(),
+                &JobContext::default(),
             ),
         ),
     ] {
@@ -103,21 +111,29 @@ fn gd_retransmit_heals_dropped_pass_message_on_both_backends() {
 fn hve_retransmit_heals_dropped_voxel_paste_on_both_backends() {
     let ds = small_problem();
     let solver = hve_solver(&ds);
-    let clean = solver.run(&lockstep());
+    let clean = solver
+        .run_job(
+            &lockstep(),
+            RecoveryPolicy::FailFast,
+            &JobContext::default(),
+        )
+        .expect("fault-free run completes");
 
     for (label, recovered) in [
         (
             "lockstep",
-            solver.run_with_recovery(
+            solver.run_job(
                 &FaultInjectionBackend::new(lockstep(), hve_drop_policy()),
                 restart_policy(),
+                &JobContext::default(),
             ),
         ),
         (
             "threaded",
-            solver.run_with_recovery(
+            solver.run_job(
                 &FaultInjectionBackend::new(threaded(), hve_drop_policy()),
                 restart_policy(),
+                &JobContext::default(),
             ),
         ),
     ] {
@@ -136,11 +152,17 @@ fn gd_random_drops_on_pass_traffic_are_healed() {
     // the result must stay exact.
     let ds = small_problem();
     let solver = gd_solver(&ds);
-    let clean = solver.run(&lockstep());
+    let clean = solver
+        .run_job(
+            &lockstep(),
+            RecoveryPolicy::FailFast,
+            &JobContext::default(),
+        )
+        .expect("fault-free run completes");
 
     let faulty = FaultInjectionBackend::new(lockstep(), FaultPolicy::reliable(99).drop(0.05));
     let recovered = solver
-        .run_with_recovery(&faulty, restart_policy())
+        .run_job(&faulty, restart_policy(), &JobContext::default())
         .expect("a 5% drop rate must be recoverable");
     assert!(
         faulty.trace().fault_count() > 0,
@@ -159,7 +181,13 @@ fn gd_restart_recovers_when_retransmission_is_defeated() {
     // wire tags escape the policy.
     let ds = small_problem();
     let solver = gd_solver(&ds);
-    let clean = solver.run(&lockstep());
+    let clean = solver
+        .run_job(
+            &lockstep(),
+            RecoveryPolicy::FailFast,
+            &JobContext::default(),
+        )
+        .expect("fault-free run completes");
 
     let policy =
         FaultPolicy::reliable(0)
@@ -167,7 +195,7 @@ fn gd_restart_recovers_when_retransmission_is_defeated() {
             .on_tag(wire_data_tag(tags::VERTICAL_FORWARD, 0, 0));
     let faulty = FaultInjectionBackend::new(lockstep(), policy);
     let recovered = solver
-        .run_with_recovery(&faulty, restart_policy())
+        .run_job(&faulty, restart_policy(), &JobContext::default())
         .expect("the epoch-1 attempt must succeed");
     assert_eq!(
         recovered.recovery.iteration_restarts, 1,
@@ -185,7 +213,13 @@ fn gd_restart_resumes_from_the_iteration_boundary_checkpoint() {
     // reproduce the fault-free volume bit for bit.
     let ds = small_problem();
     let solver = gd_solver(&ds);
-    let clean = solver.run(&lockstep());
+    let clean = solver
+        .run_job(
+            &lockstep(),
+            RecoveryPolicy::FailFast,
+            &JobContext::default(),
+        )
+        .expect("fault-free run completes");
 
     let policy =
         FaultPolicy::reliable(0)
@@ -193,7 +227,7 @@ fn gd_restart_resumes_from_the_iteration_boundary_checkpoint() {
             .on_tag(wire_data_tag(tags::VERTICAL_FORWARD, 1, 0));
     let faulty = FaultInjectionBackend::new(lockstep(), policy);
     let recovered = solver
-        .run_with_recovery(&faulty, restart_policy())
+        .run_job(&faulty, restart_policy(), &JobContext::default())
         .expect("the epoch-1 attempt must succeed");
     assert_eq!(recovered.recovery.iteration_restarts, 1);
     assert_bit_identical(&clean, &recovered);
@@ -212,11 +246,12 @@ fn restart_budget_zero_surfaces_the_escalated_failure() {
             .on_tag(wire_data_tag(tags::VERTICAL_FORWARD, 0, 0));
     let faulty = FaultInjectionBackend::new(lockstep(), policy);
     let failure: RankFailure = solver
-        .run_with_recovery(
+        .run_job(
             &faulty,
             RecoveryPolicy::RetransmitThenRestart {
                 max_iteration_restarts: 0,
             },
+            &JobContext::default(),
         )
         .expect_err("no restart budget and a persistent drop must fail");
     assert!(
@@ -232,12 +267,18 @@ fn hve_recovery_mode_is_bit_identical_across_backends_fault_free() {
     // checkpoints) must not perturb the numerics on either backend.
     let ds = small_problem();
     let solver = hve_solver(&ds);
-    let clean = solver.run(&lockstep());
+    let clean = solver
+        .run_job(
+            &lockstep(),
+            RecoveryPolicy::FailFast,
+            &JobContext::default(),
+        )
+        .expect("fault-free run completes");
     let on_lockstep = solver
-        .run_with_recovery(&lockstep(), restart_policy())
+        .run_job(&lockstep(), restart_policy(), &JobContext::default())
         .expect("fault-free");
     let on_threaded = solver
-        .run_with_recovery(&threaded(), restart_policy())
+        .run_job(&threaded(), restart_policy(), &JobContext::default())
         .expect("fault-free");
     assert_bit_identical(&clean, &on_lockstep);
     assert_bit_identical(&clean, &on_threaded);

@@ -9,7 +9,9 @@
 use ptycho_array::stats;
 use ptycho_cluster::{Cluster, ClusterTopology};
 use ptycho_core::stitch::phase_image;
-use ptycho_core::{GradientDecompositionSolver, SolverConfig};
+use ptycho_core::{
+    GradientDecompositionSolver, JobContext, RecoveryPolicy, SolverConfig, TileGrid,
+};
 use ptycho_sim::dataset::{Dataset, SyntheticConfig};
 
 #[test]
@@ -45,12 +47,14 @@ fn quickstart_path_end_to_end_on_tiny_dataset() {
         halo_px: 16,
         ..SolverConfig::default()
     };
-    let solver = GradientDecompositionSolver::for_workers(&dataset, config, 4);
+    let solver = GradientDecompositionSolver::new(&dataset, config, TileGrid::grid_dims_for(4));
     let (grid_rows, grid_cols) = solver.grid().grid_shape();
     assert_eq!(grid_rows * grid_cols, 4, "4 workers -> 4 tiles");
 
     let cluster = Cluster::new(ClusterTopology::summit());
-    let result = solver.run(&cluster);
+    let result = solver
+        .run_job(&cluster, RecoveryPolicy::FailFast, &JobContext::default())
+        .expect("fault-free run completes");
 
     // 3. The stitched volume has the full object shape.
     assert_eq!(result.volume.shape(), dataset.object_shape());

@@ -105,7 +105,11 @@ fn telemetry_leaves_reconstruction_bit_identical() {
     let ds = small_problem();
     common::run_both_solvers!(&ds, |solver, label| {
         let bare = solver
-            .run_with_recovery(&lockstep(), RecoveryPolicy::FailFast)
+            .run_job(
+                &lockstep(),
+                RecoveryPolicy::FailFast,
+                &JobContext::default(),
+            )
             .expect("fault-free run completes");
         let telemetry = Telemetry::new();
         let job = JobContext {
@@ -175,7 +179,11 @@ fn lockstep_trace_is_deterministic_under_kill_and_substitution() {
     // The healed run matches the fault-free one (the recovery contract), and
     // the trace shows the death and the promotion that healed it.
     let fault_free = gd_solver(&small_problem())
-        .run_with_recovery(&lockstep(), RecoveryPolicy::FailFast)
+        .run_job(
+            &lockstep(),
+            RecoveryPolicy::FailFast,
+            &JobContext::default(),
+        )
         .expect("fault-free run completes");
     assert_bit_identical(&result_a, &fault_free);
 
