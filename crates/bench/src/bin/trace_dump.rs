@@ -9,14 +9,15 @@
 //!
 //! Flags:
 //!
-//! * `--validate` — schema-validate every line instead of summarising:
-//!   unknown kinds, missing fields, out-of-order sequence numbers, or a
-//!   non-monotonic simulated clock exit non-zero. A truncated *final* line
-//!   (a run killed mid-flush) is tolerated, matching the durable sink's
-//!   prefix-consistency guarantee. Per-stream sequence gaps — records a
-//!   flight-recorder ring evicted before they became durable — are warned
-//!   about loudly; `--strict` turns the warning into a non-zero exit. This
-//!   is what CI runs on the load generator's trace.
+//! * `--validate` — print the valid-record count instead of summarising.
+//!   Every mode reads the trace through `TraceSummary::from_lines`, so a bad
+//!   line (unknown kind, missing field or malformed number, out-of-order
+//!   sequence number, non-monotonic simulated clock) exits non-zero; a
+//!   truncated *final* line (a run killed mid-flush) is tolerated, matching
+//!   the durable sink's prefix-consistency guarantee. Records a
+//!   flight-recorder ring evicted before they became durable
+//!   (`StreamSummary::lost`) are warned about per stream; `--strict` turns
+//!   the warning into a non-zero exit.
 //! * `--critical-path` — per job: the attribution rows without the stream
 //!   digests, plus the straggler report and the anomaly scan. `--strict`
 //!   exits non-zero on *integrity* violations only — lost ring records or
@@ -39,7 +40,7 @@
 //! trace: every tier computes the same bits, so records carry no tier.
 
 use ptycho_fft::SimdLevel;
-use ptycho_telemetry::{analysis, CriticalPath, SchemaValidator, TraceSummary};
+use ptycho_telemetry::{analysis, CriticalPath, TraceSummary};
 use std::process::ExitCode;
 
 struct Args {
@@ -103,28 +104,6 @@ fn parse_args() -> Result<Args, String> {
         job_b,
         straggler_z,
     })
-}
-
-/// Validation mode: every line must parse and every per-stream invariant
-/// must hold. Only the final line may be truncated (a kill mid-write).
-/// Returns `(accepted, validator)` so callers can inspect gap counters.
-fn validate(text: &str) -> Result<(u64, SchemaValidator), String> {
-    let mut validator = SchemaValidator::new();
-    let mut pending: Option<String> = None;
-    for (number, line) in text.lines().enumerate() {
-        if let Some(error) = pending.take() {
-            return Err(error);
-        }
-        if line.trim().is_empty() {
-            continue;
-        }
-        if let Err(error) = validator.check_line(line) {
-            // Tolerated only if this turns out to be the last line.
-            pending = Some(format!("line {}: {error}", number + 1));
-        }
-    }
-    // A bad *final* line is a truncated flush, not a schema violation.
-    Ok((validator.accepted(), validator))
 }
 
 fn format_ns(ns: u64) -> String {
@@ -200,9 +179,16 @@ fn report_critical_path(summary: &TraceSummary, jobs: &[u64], straggler_z: f64) 
         for (node, count) in &scan.suspicion_clusters {
             println!("  anomaly: node {node} suspicion cluster ({count} suspicions)");
         }
-        for (rank, missing) in &scan.lost_ring_records {
+        for ((_, rank), stream) in summary
+            .streams
+            .range((job, 0)..=(job, u64::MAX))
+            .filter(|(_, s)| s.lost > 0)
+        {
             intact = false;
-            println!("  INTEGRITY: rank {rank} lost {missing} record(s) to ring overflow");
+            println!(
+                "  INTEGRITY: rank {rank} lost {} record(s) to ring overflow",
+                stream.lost
+            );
         }
     }
     intact
@@ -268,39 +254,39 @@ fn main() -> ExitCode {
     };
     println!("trace_dump: simd tier: {}", SimdLevel::detect().label());
 
-    if args.validate {
-        return match validate(&text) {
-            Ok((accepted, validator)) => {
-                println!("trace_dump: {} valid record(s) in {}", accepted, args.path);
-                let lost = validator.lost_records();
-                if lost > 0 {
-                    for ((job, rank), missing) in validator.lost_records_by_stream() {
-                        eprintln!(
-                            "trace_dump: WARNING — job {job} rank {rank} lost {missing} \
-                             record(s) to flight-recorder ring overflow"
-                        );
-                    }
-                    if args.strict {
-                        eprintln!("trace_dump: {lost} lost record(s) and --strict: failing");
-                        return ExitCode::FAILURE;
-                    }
-                }
-                ExitCode::SUCCESS
-            }
-            Err(message) => {
-                eprintln!("trace_dump: INVALID — {message}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-
     let summary = match TraceSummary::from_lines(text.lines()) {
         Ok(summary) => summary,
+        Err(error) if args.validate => {
+            eprintln!("trace_dump: INVALID — {error}");
+            return ExitCode::FAILURE;
+        }
         Err(error) => {
             eprintln!("trace_dump: malformed trace: {error}");
             return ExitCode::FAILURE;
         }
     };
+
+    if args.validate {
+        println!(
+            "trace_dump: {} valid record(s) in {}",
+            summary.total_events(),
+            args.path
+        );
+        let mut lost = 0u64;
+        for ((job, rank), stream) in summary.streams.iter().filter(|(_, s)| s.lost > 0) {
+            lost = lost.saturating_add(stream.lost);
+            eprintln!(
+                "trace_dump: WARNING — job {job} rank {rank} lost {} \
+                 record(s) to flight-recorder ring overflow",
+                stream.lost
+            );
+        }
+        if lost > 0 && args.strict {
+            eprintln!("trace_dump: {lost} lost record(s) and --strict: failing");
+            return ExitCode::FAILURE;
+        }
+        return ExitCode::SUCCESS;
+    }
     if summary.truncated_lines > 0 {
         println!(
             "trace_dump: note — final line truncated (run killed mid-flush); \

@@ -652,8 +652,7 @@ impl JobEngine {
     /// gauges, queue-depth histogram, and the recovery work (restarts,
     /// substitutions, heartbeats, reliable-layer counters) accumulated from
     /// every finished job's [`RecoveryReport`](crate::engine::RecoveryReport).
-    /// Render with [`MetricsRegistry::prometheus_text`] or
-    /// [`MetricsRegistry::json_snapshot`].
+    /// Render with [`MetricsRegistry::prometheus_text`].
     pub fn metrics_snapshot(&self) -> MetricsRegistry {
         let state = self.lock();
         let m = &state.metrics;

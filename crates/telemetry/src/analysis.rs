@@ -461,27 +461,14 @@ pub struct AnomalyScan {
     /// `(node, suspicion_count)` for nodes at or above the cluster
     /// threshold, in node order.
     pub suspicion_clusters: Vec<(u64, u64)>,
-    /// `(rank, missing_records)` for streams with sequence gaps — records
-    /// evicted from the flight recorder's ring before they became durable.
-    pub lost_ring_records: Vec<(u64, u64)>,
 }
 
-impl AnomalyScan {
-    /// True when nothing crossed a threshold.
-    pub fn is_clean(&self) -> bool {
-        self.retransmit_bursts.is_empty()
-            && self.suspicion_clusters.is_empty()
-            && self.lost_ring_records.is_empty()
-    }
-}
-
-/// Scans `job` for retransmit bursts, heartbeat-suspicion clusters, and
-/// lost-ring-record gaps.
+/// Scans `job` for retransmit bursts and heartbeat-suspicion clusters.
+/// (Records lost to ring overflow are counted by the trace reader, in
+/// [`StreamSummary::lost`](crate::StreamSummary::lost).)
 pub fn anomaly_scan(records: &[TelemetryRecord], job: u64, config: &AnomalyConfig) -> AnomalyScan {
     let mut retransmits: BTreeMap<u64, u64> = BTreeMap::new();
     let mut suspicions: BTreeMap<u64, u64> = BTreeMap::new();
-    // Per stream: (records seen, max seq).
-    let mut streams: BTreeMap<u64, (u64, u64)> = BTreeMap::new();
     for record in records.iter().filter(|r| r.job == job) {
         match record.event {
             TelemetryEvent::CommRetransmit { .. } => {
@@ -492,9 +479,6 @@ pub fn anomaly_scan(records: &[TelemetryRecord], job: u64, config: &AnomalyConfi
             }
             _ => {}
         }
-        let stream = streams.entry(record.rank).or_insert((0, 0));
-        stream.0 += 1;
-        stream.1 = stream.1.max(record.seq);
     }
     AnomalyScan {
         job,
@@ -505,13 +489,6 @@ pub fn anomaly_scan(records: &[TelemetryRecord], job: u64, config: &AnomalyConfi
         suspicion_clusters: suspicions
             .into_iter()
             .filter(|&(_, n)| n >= config.suspicion_cluster_threshold)
-            .collect(),
-        lost_ring_records: streams
-            .into_iter()
-            .filter_map(|(rank, (seen, max_seq))| {
-                let expected = max_seq + 1;
-                (expected > seen).then(|| (rank, expected - seen))
-            })
             .collect(),
     }
 }
@@ -857,25 +834,13 @@ mod tests {
                 TelemetryEvent::RankSuspected { node: 3, iteration },
             ));
         }
-        // Rank 2's stream has seqs {0, 5}: four records lost to the ring.
-        records.push(record(
-            2,
-            0,
-            1,
-            TelemetryEvent::BarrierWait { iteration: 0 },
-        ));
-        records.push(record(
-            2,
-            5,
-            9,
-            TelemetryEvent::BarrierWait { iteration: 1 },
-        ));
         let scan = anomaly_scan(&records, 0, &AnomalyConfig::default());
         assert_eq!(scan.retransmit_bursts, vec![(0, 3)]);
         assert_eq!(scan.suspicion_clusters, vec![(3, 2)]);
-        assert_eq!(scan.lost_ring_records, vec![(2, 4)]);
-        assert!(!scan.is_clean());
-        assert!(anomaly_scan(&[], 0, &AnomalyConfig::default()).is_clean());
+        assert_eq!(
+            anomaly_scan(&[], 0, &AnomalyConfig::default()),
+            AnomalyScan::default()
+        );
     }
 
     #[test]

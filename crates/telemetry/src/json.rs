@@ -1,4 +1,4 @@
-//! JSONL encoding, decoding, and schema validation for telemetry records.
+//! JSONL encoding and decoding of telemetry records.
 //!
 //! The build environment is offline, so this is a deliberately small
 //! hand-rolled codec for the one shape we emit: a flat JSON object per line,
@@ -6,6 +6,13 @@
 //! emitter writes fields in a fixed order (`rank`, `seq`, `sim_ns`, `job`,
 //! `kind`, then the event's own fields in declaration order), which is what
 //! makes two identical seeded runs produce byte-identical trace files.
+//!
+//! Integer fields use their full range — wire tags carry bits 62 and 63 — so
+//! the parser reads each integer from its token text as a `u64` (`i64` for
+//! `priority`), never through `f64`, and every emitted line parses back to
+//! the record that wrote it. Stream-level checks (per-rank order, lost
+//! records, the truncated tail) live in [`TraceSummary`](crate::TraceSummary),
+//! the one trace reader.
 
 use crate::event::{TelemetryEvent, TelemetryRecord};
 use std::fmt::Write as _;
@@ -156,6 +163,15 @@ pub enum ParseError {
         /// The record kind that requires it (empty for envelope fields).
         kind: String,
     },
+    /// A numeric field's text is not a value of the field's type: integer
+    /// fields take only in-range decimal integers (no `-` on unsigned
+    /// fields, no fraction, exponent, `NaN` or `inf`).
+    InvalidNumber {
+        /// The offending field.
+        field: &'static str,
+        /// The field's text as it appears on the line.
+        token: String,
+    },
     /// The `kind` field names no known event.
     UnknownKind {
         /// The offending kind string.
@@ -169,6 +185,13 @@ pub enum ParseError {
         /// Human-readable description of the violation.
         detail: String,
     },
+    /// A line before a trace's last failed: `error` on 1-based line `line`.
+    AtLine {
+        /// The failing line's 1-based number.
+        line: usize,
+        /// Why it failed.
+        error: Box<ParseError>,
+    },
 }
 
 impl std::fmt::Display for ParseError {
@@ -181,24 +204,31 @@ impl std::fmt::Display for ParseError {
             ParseError::MissingField { field, kind } => {
                 write!(f, "missing field `{field}` for kind `{kind}`")
             }
+            ParseError::InvalidNumber { field, token } => {
+                write!(
+                    f,
+                    "field `{field}` holds `{token}`, not a value of its type"
+                )
+            }
             ParseError::UnknownKind { kind } => write!(f, "unknown event kind `{kind}`"),
             ParseError::StreamOrder { rank, detail } => {
                 write!(f, "rank {rank} stream order violated: {detail}")
             }
+            ParseError::AtLine { line, error } => write!(f, "line {line}: {error}"),
         }
     }
 }
 
 impl std::error::Error for ParseError {}
 
-/// A decoded scalar JSON value.
-#[derive(Clone, Debug, PartialEq)]
-enum JsonValue {
-    /// Any JSON number. Integers up to 2^53 round-trip exactly through f64;
-    /// our emitters stay far below that for every integer field.
-    Num(f64),
+/// A scalar JSON value, borrowed from the line.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum JsonValue<'a> {
+    /// A number's token text, kept as written: each field parses it with
+    /// its own type, so a `u64` tag above 2^53 is read exactly.
+    Num(&'a str),
     /// A string without escapes.
-    Str(String),
+    Str(&'a str),
 }
 
 fn malformed(detail: impl Into<String>) -> ParseError {
@@ -208,7 +238,7 @@ fn malformed(detail: impl Into<String>) -> ParseError {
 }
 
 /// Parses one flat JSON object line into `(key, value)` pairs.
-fn parse_object(line: &str) -> Result<Vec<(String, JsonValue)>, ParseError> {
+fn parse_object(line: &str) -> Result<Vec<(&str, JsonValue<'_>)>, ParseError> {
     let line = line.trim();
     let inner = line
         .strip_prefix('{')
@@ -224,7 +254,7 @@ fn parse_object(line: &str) -> Result<Vec<(String, JsonValue)>, ParseError> {
         let end = rest
             .find('"')
             .ok_or_else(|| malformed("unterminated key"))?;
-        let key = rest[..end].to_string();
+        let key = &rest[..end];
         rest = rest[end + 1..]
             .trim_start()
             .strip_prefix(':')
@@ -238,17 +268,17 @@ fn parse_object(line: &str) -> Result<Vec<(String, JsonValue)>, ParseError> {
             if after[..end].contains('\\') {
                 return Err(malformed("escape sequences are not supported"));
             }
-            let value = JsonValue::Str(after[..end].to_string());
+            let value = JsonValue::Str(&after[..end]);
             rest = after[end + 1..].trim_start();
             value
         } else {
-            let end = rest.find([',', '}']).unwrap_or(rest.len()).min(rest.len());
+            let end = rest.find([',', '}']).unwrap_or(rest.len());
             let token = rest[..end].trim();
-            let number: f64 = token
-                .parse()
-                .map_err(|_| malformed(format!("invalid number `{token}`")))?;
+            if token.parse::<f64>().is_err() {
+                return Err(malformed(format!("invalid number `{token}`")));
+            }
             rest = rest[end..].trim_start();
-            JsonValue::Num(number)
+            JsonValue::Num(token)
         };
         fields.push((key, value));
         if let Some(after) = rest.strip_prefix(',') {
@@ -263,150 +293,141 @@ fn parse_object(line: &str) -> Result<Vec<(String, JsonValue)>, ParseError> {
     Ok(fields)
 }
 
-fn get_num(
-    fields: &[(String, JsonValue)],
+/// Reads numeric `field` as a `T` (`u64`, `i64` or `f64`) from its token
+/// text; only `f64` accepts a fraction, an exponent, `NaN` or `inf`.
+fn get_num<T: std::str::FromStr>(
+    fields: &[(&str, JsonValue<'_>)],
     field: &'static str,
     kind: &str,
-) -> Result<f64, ParseError> {
-    fields
+) -> Result<T, ParseError> {
+    let token = fields
         .iter()
-        .find(|(k, _)| k == field)
+        .find(|(k, _)| *k == field)
         .and_then(|(_, v)| match v {
-            JsonValue::Num(n) => Some(*n),
+            JsonValue::Num(token) => Some(*token),
             JsonValue::Str(_) => None,
         })
         .ok_or(ParseError::MissingField {
             field,
             kind: kind.to_string(),
-        })
+        })?;
+    token.parse().map_err(|_| ParseError::InvalidNumber {
+        field,
+        token: token.to_string(),
+    })
 }
 
-fn get_u64(
-    fields: &[(String, JsonValue)],
-    field: &'static str,
-    kind: &str,
-) -> Result<u64, ParseError> {
-    Ok(get_num(fields, field, kind)? as u64)
-}
-
-fn get_i64(
-    fields: &[(String, JsonValue)],
-    field: &'static str,
-    kind: &str,
-) -> Result<i64, ParseError> {
-    Ok(get_num(fields, field, kind)? as i64)
-}
-
-/// Parses one JSONL line back into a [`TelemetryRecord`].
-pub fn parse_record(line: &str) -> Result<TelemetryRecord, ParseError> {
+/// Parses one JSONL line back into a [`TelemetryRecord`]; traces are read
+/// through [`TraceSummary::from_lines`](crate::TraceSummary::from_lines).
+pub(crate) fn parse_record(line: &str) -> Result<TelemetryRecord, ParseError> {
     let fields = parse_object(line)?;
-    let rank = get_u64(&fields, "rank", "")?;
-    let seq = get_u64(&fields, "seq", "")?;
-    let sim_ns = get_u64(&fields, "sim_ns", "")?;
-    let job = get_u64(&fields, "job", "")?;
+    let rank = get_num(&fields, "rank", "")?;
+    let seq = get_num(&fields, "seq", "")?;
+    let sim_ns = get_num(&fields, "sim_ns", "")?;
+    let job = get_num(&fields, "job", "")?;
     let kind = fields
         .iter()
-        .find(|(k, _)| k == "kind")
+        .find(|(k, _)| *k == "kind")
         .and_then(|(_, v)| match v {
-            JsonValue::Str(s) => Some(s.clone()),
+            JsonValue::Str(s) => Some(*s),
             JsonValue::Num(_) => None,
         })
         .ok_or(ParseError::MissingField {
             field: "kind",
             kind: String::new(),
         })?;
-    let event = match kind.as_str() {
+    let event = match kind {
         "comm_send" => TelemetryEvent::CommSend {
-            to: get_u64(&fields, "to", &kind)?,
-            tag: get_u64(&fields, "tag", &kind)?,
-            bytes: get_u64(&fields, "bytes", &kind)?,
-            corr: get_u64(&fields, "corr", &kind)?,
+            to: get_num(&fields, "to", kind)?,
+            tag: get_num(&fields, "tag", kind)?,
+            bytes: get_num(&fields, "bytes", kind)?,
+            corr: get_num(&fields, "corr", kind)?,
         },
         "comm_recv" => TelemetryEvent::CommRecv {
-            from: get_u64(&fields, "from", &kind)?,
-            tag: get_u64(&fields, "tag", &kind)?,
-            bytes: get_u64(&fields, "bytes", &kind)?,
-            corr: get_u64(&fields, "corr", &kind)?,
+            from: get_num(&fields, "from", kind)?,
+            tag: get_num(&fields, "tag", kind)?,
+            bytes: get_num(&fields, "bytes", kind)?,
+            corr: get_num(&fields, "corr", kind)?,
         },
         "comm_retransmit" => TelemetryEvent::CommRetransmit {
-            to: get_u64(&fields, "to", &kind)?,
-            tag: get_u64(&fields, "tag", &kind)?,
-            bytes: get_u64(&fields, "bytes", &kind)?,
+            to: get_num(&fields, "to", kind)?,
+            tag: get_num(&fields, "tag", kind)?,
+            bytes: get_num(&fields, "bytes", kind)?,
         },
         "comm_ack" => TelemetryEvent::CommAck {
-            peer: get_u64(&fields, "peer", &kind)?,
-            tag: get_u64(&fields, "tag", &kind)?,
+            peer: get_num(&fields, "peer", kind)?,
+            tag: get_num(&fields, "tag", kind)?,
         },
         "comm_drop" => TelemetryEvent::CommDrop {
-            to: get_u64(&fields, "to", &kind)?,
-            tag: get_u64(&fields, "tag", &kind)?,
-            bytes: get_u64(&fields, "bytes", &kind)?,
+            to: get_num(&fields, "to", kind)?,
+            tag: get_num(&fields, "tag", kind)?,
+            bytes: get_num(&fields, "bytes", kind)?,
         },
         "heartbeat_sent" => TelemetryEvent::HeartbeatSent {
-            to: get_u64(&fields, "to", &kind)?,
-            iteration: get_u64(&fields, "iteration", &kind)?,
+            to: get_num(&fields, "to", kind)?,
+            iteration: get_num(&fields, "iteration", kind)?,
         },
         "heartbeat_observed" => TelemetryEvent::HeartbeatObserved {
-            from: get_u64(&fields, "from", &kind)?,
-            iteration: get_u64(&fields, "iteration", &kind)?,
+            from: get_num(&fields, "from", kind)?,
+            iteration: get_num(&fields, "iteration", kind)?,
         },
         "barrier_wait" => TelemetryEvent::BarrierWait {
-            iteration: get_u64(&fields, "iteration", &kind)?,
+            iteration: get_num(&fields, "iteration", kind)?,
         },
         "iteration_begin" => TelemetryEvent::IterationBegin {
-            iteration: get_u64(&fields, "iteration", &kind)?,
-            attempt: get_u64(&fields, "attempt", &kind)?,
+            iteration: get_num(&fields, "iteration", kind)?,
+            attempt: get_num(&fields, "attempt", kind)?,
         },
         "iteration_end" => TelemetryEvent::IterationEnd {
-            iteration: get_u64(&fields, "iteration", &kind)?,
-            attempt: get_u64(&fields, "attempt", &kind)?,
-            cost: get_num(&fields, "cost", &kind)?,
-            compute_ns: get_u64(&fields, "compute_ns", &kind)?,
-            comm_ns: get_u64(&fields, "comm_ns", &kind)?,
+            iteration: get_num(&fields, "iteration", kind)?,
+            attempt: get_num(&fields, "attempt", kind)?,
+            cost: get_num(&fields, "cost", kind)?,
+            compute_ns: get_num(&fields, "compute_ns", kind)?,
+            comm_ns: get_num(&fields, "comm_ns", kind)?,
         },
         "checkpoint" => TelemetryEvent::Checkpoint {
-            iteration: get_u64(&fields, "iteration", &kind)?,
+            iteration: get_num(&fields, "iteration", kind)?,
         },
         "rank_dead" => TelemetryEvent::RankDead {
-            node: get_u64(&fields, "node", &kind)?,
+            node: get_num(&fields, "node", kind)?,
         },
         "rank_suspected" => TelemetryEvent::RankSuspected {
-            node: get_u64(&fields, "node", &kind)?,
-            iteration: get_u64(&fields, "iteration", &kind)?,
+            node: get_num(&fields, "node", kind)?,
+            iteration: get_num(&fields, "iteration", kind)?,
         },
         "spare_promoted" => TelemetryEvent::SparePromoted {
-            slot: get_u64(&fields, "slot", &kind)?,
-            node: get_u64(&fields, "node", &kind)?,
+            slot: get_num(&fields, "slot", kind)?,
+            node: get_num(&fields, "node", kind)?,
         },
         "job_submitted" => TelemetryEvent::JobSubmitted {
-            job: get_u64(&fields, "job_id", &kind)?,
-            priority: get_i64(&fields, "priority", &kind)?,
-            slots: get_u64(&fields, "slots", &kind)?,
+            job: get_num(&fields, "job_id", kind)?,
+            priority: get_num(&fields, "priority", kind)?,
+            slots: get_num(&fields, "slots", kind)?,
         },
         "job_admitted" => TelemetryEvent::JobAdmitted {
-            job: get_u64(&fields, "job_id", &kind)?,
-            queue_depth: get_u64(&fields, "queue_depth", &kind)?,
+            job: get_num(&fields, "job_id", kind)?,
+            queue_depth: get_num(&fields, "queue_depth", kind)?,
         },
         "job_cancelled" => TelemetryEvent::JobCancelled {
-            job: get_u64(&fields, "job_id", &kind)?,
+            job: get_num(&fields, "job_id", kind)?,
         },
         "job_completed" => TelemetryEvent::JobCompleted {
-            job: get_u64(&fields, "job_id", &kind)?,
-            iterations: get_u64(&fields, "iterations", &kind)?,
+            job: get_num(&fields, "job_id", kind)?,
+            iterations: get_num(&fields, "iterations", kind)?,
         },
         "checkpoint_persisted" => TelemetryEvent::CheckpointPersisted {
-            iteration: get_u64(&fields, "iteration", &kind)?,
-            seq: get_u64(&fields, "epoch_seq", &kind)?,
-            bytes: get_u64(&fields, "bytes", &kind)?,
+            iteration: get_num(&fields, "iteration", kind)?,
+            seq: get_num(&fields, "epoch_seq", kind)?,
+            bytes: get_num(&fields, "bytes", kind)?,
         },
         "checkpoint_restored" => TelemetryEvent::CheckpointRestored {
-            iteration: get_u64(&fields, "iteration", &kind)?,
-            seq: get_u64(&fields, "epoch_seq", &kind)?,
+            iteration: get_num(&fields, "iteration", kind)?,
+            seq: get_num(&fields, "epoch_seq", kind)?,
         },
         "scan_ingested" => TelemetryEvent::ScanIngested {
-            job: get_u64(&fields, "job_id", &kind)?,
-            positions: get_u64(&fields, "positions", &kind)?,
-            total: get_u64(&fields, "total", &kind)?,
+            job: get_num(&fields, "job_id", kind)?,
+            positions: get_num(&fields, "positions", kind)?,
+            total: get_num(&fields, "total", kind)?,
         },
         other => {
             return Err(ParseError::UnknownKind {
@@ -421,78 +442,6 @@ pub fn parse_record(line: &str) -> Result<TelemetryRecord, ParseError> {
         job,
         event,
     })
-}
-
-/// Streaming schema validator: checks every line parses into a known event
-/// and that each `(job, rank)` stream has strictly increasing sequence
-/// numbers and non-decreasing simulated time.
-///
-/// Sequence *gaps* are tolerated — they are how a flight-recorder ring
-/// overflow shows up in a durable log — but they are counted per stream so
-/// callers can surface them loudly (see [`SchemaValidator::lost_records`]).
-#[derive(Debug, Default)]
-pub struct SchemaValidator {
-    /// Per-`(job, rank)` last-seen `(seq, sim_ns)`.
-    streams: std::collections::BTreeMap<(u64, u64), (u64, u64)>,
-    /// Per-`(job, rank)` count of skipped sequence numbers.
-    gaps: std::collections::BTreeMap<(u64, u64), u64>,
-    /// Lines accepted so far.
-    accepted: u64,
-}
-
-impl SchemaValidator {
-    /// A fresh validator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Lines accepted so far.
-    pub fn accepted(&self) -> u64 {
-        self.accepted
-    }
-
-    /// Total sequence numbers skipped across all streams: records the
-    /// flight recorder evicted before they became durable. Zero for a
-    /// healthy trace.
-    pub fn lost_records(&self) -> u64 {
-        self.gaps.values().sum()
-    }
-
-    /// Per-stream `((job, rank), missing)` gap counts, for streams with at
-    /// least one skipped sequence number, in key order.
-    pub fn lost_records_by_stream(&self) -> Vec<((u64, u64), u64)> {
-        self.gaps.iter().map(|(&k, &v)| (k, v)).collect()
-    }
-
-    /// Validates one line, updating per-stream state.
-    pub fn check_line(&mut self, line: &str) -> Result<TelemetryRecord, ParseError> {
-        let record = parse_record(line)?;
-        let key = (record.job, record.rank);
-        let expected = match self.streams.get(&key) {
-            Some(&(last_seq, last_sim)) => {
-                if record.seq <= last_seq {
-                    return Err(ParseError::StreamOrder {
-                        rank: record.rank,
-                        detail: format!("seq {} after seq {last_seq}", record.seq),
-                    });
-                }
-                if record.sim_ns < last_sim {
-                    return Err(ParseError::StreamOrder {
-                        rank: record.rank,
-                        detail: format!("sim_ns {} after sim_ns {last_sim}", record.sim_ns),
-                    });
-                }
-                last_seq + 1
-            }
-            None => 0,
-        };
-        if record.seq > expected {
-            *self.gaps.entry(key).or_insert(0) += record.seq - expected;
-        }
-        self.streams.insert(key, (record.seq, record.sim_ns));
-        self.accepted += 1;
-        Ok(record)
-    }
 }
 
 #[cfg(test)]
@@ -602,51 +551,94 @@ mod tests {
     }
 
     #[test]
-    fn validator_rejects_unknown_kinds_and_bad_order() {
-        let mut validator = SchemaValidator::new();
-        let good = "{\"rank\":0,\"seq\":0,\"sim_ns\":5,\"job\":0,\"kind\":\"barrier_wait\",\"iteration\":0}";
-        validator.check_line(good).expect("valid line");
-        let unknown =
-            "{\"rank\":0,\"seq\":1,\"sim_ns\":6,\"job\":0,\"kind\":\"mystery\",\"iteration\":0}";
-        assert!(matches!(
-            validator.check_line(unknown),
-            Err(ParseError::UnknownKind { .. })
-        ));
-        let stale = "{\"rank\":0,\"seq\":0,\"sim_ns\":7,\"job\":0,\"kind\":\"barrier_wait\",\"iteration\":1}";
-        assert!(matches!(
-            validator.check_line(stale),
-            Err(ParseError::StreamOrder { .. })
-        ));
-        let backwards_time =
-            "{\"rank\":0,\"seq\":2,\"sim_ns\":1,\"job\":0,\"kind\":\"barrier_wait\",\"iteration\":2}";
-        assert!(matches!(
-            validator.check_line(backwards_time),
-            Err(ParseError::StreamOrder { .. })
-        ));
-        assert_eq!(validator.accepted(), 1);
+    fn full_range_integers_round_trip_exactly() {
+        // Heartbeat tags set bit 62 (`ptycho_cluster`'s `CONTROL_BIT`), ack
+        // tags bit 63: both lie far above f64's 2^53 exact-integer range.
+        const CONTROL_BIT: u64 = 1 << 62;
+        for event in [
+            TelemetryEvent::CommAck {
+                peer: 1,
+                tag: (1 << 63) | 17,
+            },
+            TelemetryEvent::CommSend {
+                to: 2,
+                tag: CONTROL_BIT | 5,
+                bytes: 64,
+                corr: u64::MAX,
+            },
+            TelemetryEvent::JobSubmitted {
+                job: u64::MAX,
+                priority: i64::MIN,
+                slots: u64::MAX,
+            },
+        ] {
+            let record = TelemetryRecord {
+                rank: u64::MAX,
+                seq: u64::MAX,
+                sim_ns: u64::MAX,
+                job: u64::MAX,
+                event,
+            };
+            let line = record_to_line(&record);
+            assert_eq!(parse_record(&line), Ok(record), "{line}");
+        }
     }
 
     #[test]
-    fn validator_counts_sequence_gaps_as_lost_records() {
-        let mut validator = SchemaValidator::new();
-        let line = |seq: u64, sim: u64| {
+    fn malformed_integers_are_rejected_naming_the_field() {
+        // A `comm_ack` line whose field `bad` holds `token`.
+        let line = |bad: &str, token: &str| {
+            let num = |field: &str, value: &str| {
+                format!("\"{field}\":{}", if field == bad { token } else { value })
+            };
             format!(
-                "{{\"rank\":0,\"seq\":{seq},\"sim_ns\":{sim},\"job\":0,\
-                 \"kind\":\"barrier_wait\",\"iteration\":0}}"
+                "{{{},{},{},{},\"kind\":\"comm_ack\",{},{}}}",
+                num("rank", "0"),
+                num("seq", "1"),
+                num("sim_ns", "2"),
+                num("job", "3"),
+                num("peer", "4"),
+                num("tag", "5")
             )
         };
-        // Seqs 0, 3, 4, 9: gaps of 2 (1-2) and 4 (5-8).
-        for (seq, sim) in [(0, 1), (3, 2), (4, 3), (9, 4)] {
-            validator.check_line(&line(seq, sim)).expect("valid line");
+        assert!(parse_record(&line("", "")).is_ok());
+        for token in ["-3", "2.9", "NaN", "inf", "1e3", "18446744073709551616"] {
+            for field in ["rank", "seq", "sim_ns", "job", "peer", "tag"] {
+                assert_eq!(
+                    parse_record(&line(field, token)),
+                    Err(ParseError::InvalidNumber {
+                        field,
+                        token: token.into()
+                    })
+                );
+            }
         }
-        // A second stream starting at seq 5: its whole head was evicted.
-        let other = "{\"rank\":1,\"seq\":5,\"sim_ns\":0,\"job\":0,\"kind\":\"barrier_wait\",\"iteration\":0}";
-        validator.check_line(other).expect("valid line");
-        assert_eq!(validator.lost_records(), 6 + 5);
-        assert_eq!(
-            validator.lost_records_by_stream(),
-            vec![((0, 0), 6), ((0, 1), 5)]
-        );
+        // `priority` is the one signed field; `cost` the one float.
+        let submitted = |priority: &str| {
+            format!(
+                "{{\"rank\":0,\"seq\":0,\"sim_ns\":0,\"job\":0,\"kind\":\"job_submitted\",\
+                 \"job_id\":1,\"priority\":{priority},\"slots\":2}}"
+            )
+        };
+        assert!(parse_record(&submitted("-3")).is_ok());
+        for token in ["2.9", "NaN", "inf", "1e3", "9223372036854775808"] {
+            assert_eq!(
+                parse_record(&submitted(token)),
+                Err(ParseError::InvalidNumber {
+                    field: "priority",
+                    token: token.into()
+                })
+            );
+        }
+        let end = "{\"rank\":0,\"seq\":0,\"sim_ns\":0,\"job\":0,\"kind\":\"iteration_end\",\
+                   \"iteration\":0,\"attempt\":0,\"cost\":NaN,\"compute_ns\":0,\"comm_ns\":0}";
+        assert!(matches!(
+            parse_record(end),
+            Ok(TelemetryRecord {
+                event: TelemetryEvent::IterationEnd { cost, .. },
+                ..
+            }) if cost.is_nan()
+        ));
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! plus the modeled compute time of the solver kernel — and a dense per-rank
 //! sequence number, so a trace is a pure function of the run's inputs.
 //!
-//! The crate provides four pieces, layered bottom-up:
+//! The crate provides five pieces, layered bottom-up:
 //!
 //! 1. [`TelemetryEvent`]/[`TelemetryRecord`] ([`event`]): the structured
 //!    event model, a fixed-size `Copy` enum covering comms (send, recv,
@@ -21,11 +21,11 @@
 //!    consistency barriers, so a killed process leaves a prefix-consistent
 //!    log.
 //! 3. [`MetricsRegistry`] ([`metrics`]): counters, gauges, and log2
-//!    histograms with Prometheus-style text and JSON snapshots, assembled on
-//!    demand from producer-side counters.
-//! 4. [`json`]/[`trace`]: the JSONL codec (fixed field order, hand-rolled
-//!    offline-friendly parser, streaming schema validation) and post-hoc
-//!    ingestion (per-rank stream digests) behind the `trace_dump` binary.
+//!    histograms rendered as Prometheus-style text, assembled on demand
+//!    from producer-side counters.
+//! 4. [`json`]/[`trace`]: the JSONL codec (fixed field order, exact integer
+//!    parsing) and [`TraceSummary`], the one trace reader (stream order,
+//!    lost records, per-rank digests) behind the `trace_dump` binary.
 //! 5. [`analysis`]: causal trace analysis — span graphs paired from
 //!    send/recv correlation ids, exact critical-path attribution
 //!    (compute / comm / barrier-wait / retransmit / heal per rank),
@@ -61,7 +61,7 @@ pub use analysis::{
     AnomalyScan, CriticalPath, RankAttribution, SpanGraph, StragglerReport, TraceDiff,
 };
 pub use event::{TelemetryEvent, TelemetryRecord};
-pub use json::{ParseError, SchemaValidator};
+pub use json::ParseError;
 pub use metrics::{Histogram, MetricsRegistry};
 pub use recorder::{RankSink, Telemetry, TelemetryConfig};
 pub use trace::{StreamSummary, TraceSummary};

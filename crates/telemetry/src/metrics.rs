@@ -1,5 +1,5 @@
 //! A small metrics registry: counters, gauges, and log2-bucketed
-//! histograms, with Prometheus-style text and JSON snapshots.
+//! histograms, rendered as Prometheus-style text.
 //!
 //! The registry is deliberately not on any steady-state path: producers keep
 //! their own plain counters (e.g. `ReliableStats`, the job service's
@@ -32,11 +32,6 @@ impl Default for Histogram {
 }
 
 impl Histogram {
-    /// An empty histogram.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Records one observation.
     pub fn observe(&mut self, value: u64) {
         let idx = (64 - value.leading_zeros() as usize).min(63);
@@ -53,15 +48,6 @@ impl Histogram {
     /// Sum of all observations.
     pub fn sum(&self) -> u64 {
         self.sum
-    }
-
-    /// Mean observation (0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
     }
 
     /// Upper bound of the bucket containing the `q`-quantile (`q` in 0..=1).
@@ -127,14 +113,6 @@ impl MetricsRegistry {
         self.gauges.insert(name.to_string(), value);
     }
 
-    /// Records one observation into the named histogram (creating it empty).
-    pub fn observe(&mut self, name: &str, value: u64) {
-        self.histograms
-            .entry(name.to_string())
-            .or_default()
-            .observe(value);
-    }
-
     /// Installs a pre-populated histogram under `name` (used when a producer
     /// maintained the histogram itself).
     pub fn set_histogram(&mut self, name: &str, histogram: Histogram) {
@@ -144,11 +122,6 @@ impl MetricsRegistry {
     /// The named counter's value, if present.
     pub fn counter(&self, name: &str) -> Option<u64> {
         self.counters.get(name).copied()
-    }
-
-    /// The named gauge's value, if present.
-    pub fn gauge(&self, name: &str) -> Option<f64> {
-        self.gauges.get(name).copied()
     }
 
     /// The named histogram, if present.
@@ -182,43 +155,6 @@ impl MetricsRegistry {
         }
         out
     }
-
-    /// One-line JSON snapshot:
-    /// `{"counters":{…},"gauges":{…},"histograms":{"name":{"count":…,"sum":…,"mean":…,"p50":…,"p99":…}}}`.
-    pub fn json_snapshot(&self) -> String {
-        let mut out = String::with_capacity(1024);
-        out.push_str("{\"counters\":{");
-        for (i, (name, value)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\"{name}\":{value}");
-        }
-        out.push_str("},\"gauges\":{");
-        for (i, (name, value)) in self.gauges.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\"{name}\":{value}");
-        }
-        out.push_str("},\"histograms\":{");
-        for (i, (name, h)) in self.histograms.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "\"{name}\":{{\"count\":{},\"sum\":{},\"mean\":{},\"p50\":{},\"p99\":{}}}",
-                h.count(),
-                h.sum(),
-                h.mean(),
-                h.quantile(0.50),
-                h.quantile(0.99),
-            );
-        }
-        out.push_str("}}");
-        out
-    }
 }
 
 #[cfg(test)]
@@ -227,7 +163,7 @@ mod tests {
 
     #[test]
     fn histogram_buckets_and_quantiles() {
-        let mut h = Histogram::new();
+        let mut h = Histogram::default();
         for v in [0, 1, 1, 2, 3, 5, 9, 100] {
             h.observe(v);
         }
@@ -246,8 +182,10 @@ mod tests {
         reg.inc_counter("b_total", 2);
         reg.inc_counter("a_total", 1);
         reg.set_gauge("depth", 3.5);
-        reg.observe("queue", 1);
-        reg.observe("queue", 7);
+        let mut queue = Histogram::default();
+        queue.observe(1);
+        queue.observe(7);
+        reg.set_histogram("queue", queue);
         let text = reg.prometheus_text();
         assert!(text.contains("# TYPE a_total counter"));
         assert!(
@@ -256,10 +194,7 @@ mod tests {
         );
         assert!(text.contains("queue_bucket{le=\"+Inf\"} 2"));
         assert!(text.contains("queue_sum 8"));
-        let json = reg.json_snapshot();
-        assert!(json.contains("\"a_total\":1"));
-        assert!(json.contains("\"depth\":3.5"));
-        assert!(json.contains("\"count\":2"));
+        assert!(text.contains("depth 3.5"));
         assert_eq!(reg.counter("b_total"), Some(2));
         assert_eq!(reg.histogram("queue").unwrap().count(), 2);
     }

@@ -1,5 +1,6 @@
-//! Post-hoc trace ingestion: reassembling per-rank stream digests from a
-//! JSONL log (the causal analyses over the records live in
+//! Post-hoc trace ingestion: the one JSONL trace reader, which validates
+//! per-rank stream order, counts lost records and reassembles per-rank
+//! stream digests (the causal analyses over the records live in
 //! [`analysis`](crate::analysis)).
 //!
 //! Used by the `trace_dump` binary and the test suite; lives here so the
@@ -16,7 +17,12 @@ pub struct StreamSummary {
     pub events: u64,
     /// Event counts by kind.
     pub kinds: BTreeMap<&'static str, u64>,
-    /// Highest simulated time stamped in the stream, in nanoseconds.
+    /// Sequence numbers missing from the stream — records the flight
+    /// recorder's ring evicted before they became durable: last `seq` + 1 −
+    /// `events`. Zero for a healthy trace.
+    pub lost: u64,
+    /// Simulated time of the stream's last (and, order being checked,
+    /// latest) event, in nanoseconds.
     pub last_sim_ns: u64,
     /// Iterations finished (count of `IterationEnd` events).
     pub iterations: u64,
@@ -37,41 +43,65 @@ pub struct TraceSummary {
 }
 
 impl TraceSummary {
-    /// Ingests a JSONL trace. A parse failure on any line but the last is an
-    /// error; a failure on the last line is counted as a truncated tail (the
-    /// expected shape of a log cut off by a process kill).
+    /// Reads a JSONL trace — the one reader of the format. Every non-blank
+    /// line must parse, and each `(job, rank)` stream must have strictly
+    /// increasing `seq` and non-decreasing `sim_ns`; a gap in `seq` is
+    /// counted in [`StreamSummary::lost`], not rejected. A failure on the
+    /// last non-blank line is counted as a truncated tail (the expected
+    /// shape of a log cut off by a process kill); a failure on any earlier
+    /// line is returned as [`ParseError::AtLine`].
     pub fn from_lines<'a>(lines: impl Iterator<Item = &'a str>) -> Result<Self, ParseError> {
         let mut summary = TraceSummary::default();
         let mut pending_error: Option<ParseError> = None;
-        for line in lines {
+        for (index, line) in lines.enumerate() {
             if line.trim().is_empty() {
                 continue;
             }
-            // An earlier line failed to parse and was not the last: real error.
+            // An earlier line failed and was not the last: real error.
             if let Some(error) = pending_error.take() {
                 return Err(error);
             }
-            match json::parse_record(line) {
-                Ok(record) => summary.ingest(record),
-                Err(error) => pending_error = Some(error),
+            if let Err(error) = json::parse_record(line).and_then(|record| summary.ingest(record)) {
+                pending_error = Some(ParseError::AtLine {
+                    line: index + 1,
+                    error: Box::new(error),
+                });
             }
         }
-        if pending_error.is_some() {
-            summary.truncated_lines = 1;
-        }
+        summary.truncated_lines = u64::from(pending_error.is_some());
         Ok(summary)
     }
 
-    fn ingest(&mut self, record: TelemetryRecord) {
+    fn ingest(&mut self, record: TelemetryRecord) -> Result<(), ParseError> {
         let stream = self.streams.entry((record.job, record.rank)).or_default();
+        if stream.events > 0 {
+            let disorder = |detail| {
+                Err(ParseError::StreamOrder {
+                    rank: record.rank,
+                    detail,
+                })
+            };
+            let last_seq = stream.events - 1 + stream.lost;
+            if record.seq <= last_seq {
+                return disorder(format!("seq {} after seq {last_seq}", record.seq));
+            }
+            if record.sim_ns < stream.last_sim_ns {
+                let last_sim = stream.last_sim_ns;
+                return disorder(format!("sim_ns {} after sim_ns {last_sim}", record.sim_ns));
+            }
+        }
         stream.events += 1;
+        // `seq` >= `events` - 1 holds for every strictly increasing stream,
+        // so this neither underflows nor, unlike `seq + 1`, overflows.
+        stream.lost = record.seq - (stream.events - 1);
         *stream.kinds.entry(record.event.kind()).or_insert(0) += 1;
-        stream.last_sim_ns = stream.last_sim_ns.max(record.sim_ns);
+        stream.last_sim_ns = record.sim_ns;
         if let TelemetryEvent::IterationEnd { cost, .. } = record.event {
             stream.iterations += 1;
             stream.last_cost = cost;
         }
         self.records.push(record);
+        Ok(())
     }
 
     /// Total records ingested.
@@ -126,5 +156,73 @@ mod tests {
 
         let garbage_mid = format!("{{\"rank\":0,\"seq\":1,\"sim\n{good}");
         assert!(TraceSummary::from_lines(garbage_mid.lines()).is_err());
+    }
+
+    /// Reads `lines` as one trace.
+    fn read(lines: &[&str]) -> Result<TraceSummary, ParseError> {
+        TraceSummary::from_lines(lines.iter().copied())
+    }
+
+    #[test]
+    fn validator_rejects_unknown_kinds_and_bad_order() {
+        let good = "{\"rank\":0,\"seq\":0,\"sim_ns\":5,\"job\":0,\"kind\":\"barrier_wait\",\"iteration\":0}";
+        let unknown =
+            "{\"rank\":0,\"seq\":1,\"sim_ns\":6,\"job\":0,\"kind\":\"mystery\",\"iteration\":0}";
+        let stale = "{\"rank\":0,\"seq\":0,\"sim_ns\":7,\"job\":0,\"kind\":\"barrier_wait\",\"iteration\":1}";
+        let backwards_time =
+            "{\"rank\":0,\"seq\":2,\"sim_ns\":1,\"job\":0,\"kind\":\"barrier_wait\",\"iteration\":2}";
+        // Mid-trace, each bad line is an error naming its 1-based line
+        // (blank lines count).
+        let unknown_mid = read(&[good, "", unknown, good]).unwrap_err();
+        assert!(matches!(
+            unknown_mid,
+            ParseError::AtLine { line: 3, ref error } if matches!(**error, ParseError::UnknownKind { .. })
+        ));
+        for bad in [stale, backwards_time] {
+            assert!(matches!(
+                read(&[good, bad, good]),
+                Err(ParseError::AtLine { line: 2, ref error })
+                    if matches!(**error, ParseError::StreamOrder { rank: 0, .. })
+            ));
+        }
+        // As the last line, any of them is a truncated tail.
+        for bad in [unknown, stale, backwards_time] {
+            let summary = read(&[good, bad, ""]).expect("a bad final line is tolerated");
+            assert_eq!(summary.truncated_lines, 1);
+            assert_eq!(summary.total_events(), 1);
+        }
+    }
+
+    #[test]
+    fn validator_counts_sequence_gaps_as_lost_records() {
+        let line = |rank: u64, seq: u64, sim: u64| {
+            format!(
+                "{{\"rank\":{rank},\"seq\":{seq},\"sim_ns\":{sim},\"job\":0,\
+                 \"kind\":\"barrier_wait\",\"iteration\":0}}"
+            )
+        };
+        // Rank 0: seqs 0, 3, 4, 9: gaps of 2 (1-2) and 4 (5-8). Rank 1
+        // starts at seq 5: its whole head was evicted. Rank 2 has seqs
+        // {0, 5}: four records lost to the ring.
+        let lines: Vec<String> = [
+            (0, 0, 1),
+            (0, 3, 2),
+            (0, 4, 3),
+            (0, 9, 4),
+            (1, 5, 0),
+            (2, 0, 1),
+            (2, 5, 9),
+        ]
+        .map(|(rank, seq, sim)| line(rank, seq, sim))
+        .into();
+        let summary = TraceSummary::from_lines(lines.iter().map(String::as_str)).unwrap();
+        assert_eq!(summary.truncated_lines, 0);
+        let lost: Vec<_> = summary
+            .streams
+            .iter()
+            .map(|(&key, s)| (key, s.lost))
+            .collect();
+        assert_eq!(lost, vec![((0, 0), 6), ((0, 1), 5), ((0, 2), 4)]);
+        assert_eq!(summary.streams[&(0, 0)].events, 4);
     }
 }

@@ -26,7 +26,8 @@ use ptycho_core::{
     JobContext, JobEngine, JobSpec, JobState, ReconstructionResult, RecoveryPolicy, SolverConfig,
 };
 use ptycho_sim::dataset::{Dataset, SyntheticConfig, BYTES_PER_COMPLEX};
-use ptycho_telemetry::{SchemaValidator, Telemetry, TelemetryConfig, TelemetryEvent, TraceSummary};
+use ptycho_telemetry::json::record_to_line;
+use ptycho_telemetry::{Telemetry, TelemetryConfig, TelemetryEvent, TraceSummary};
 use std::io::Write;
 use std::sync::{Arc, Mutex};
 
@@ -80,19 +81,22 @@ fn traced_gd_run<B: ptycho_cluster::CommBackend>(
     (buf.contents(), result)
 }
 
-/// Every line of `bytes` must pass streaming schema validation; returns the
-/// per-kind counts for content assertions.
+/// Every line of `bytes` must be a valid, in-order record that re-emits to
+/// exactly its own bytes; returns the summary for content assertions.
 fn validate_jsonl(bytes: &[u8]) -> TraceSummary {
     let text = std::str::from_utf8(bytes).expect("trace is UTF-8");
-    let mut validator = SchemaValidator::new();
-    for (number, line) in text.lines().enumerate() {
-        validator
-            .check_line(line)
-            .unwrap_or_else(|e| panic!("line {}: {e}", number + 1));
-    }
-    assert!(validator.accepted() > 0, "trace must not be empty");
-    let summary = TraceSummary::from_lines(text.lines()).expect("trace parses");
+    let summary = TraceSummary::from_lines(text.lines()).unwrap_or_else(|e| panic!("{e}"));
     assert_eq!(summary.truncated_lines, 0);
+    assert!(summary.total_events() > 0, "trace must not be empty");
+    assert_eq!(text.lines().count(), summary.total_events());
+    for (line, record) in text.lines().zip(&summary.records) {
+        let emitted = record_to_line(record);
+        assert_eq!(
+            line,
+            emitted.trim_end_matches('\n'),
+            "line must re-emit exactly"
+        );
+    }
     summary
 }
 
