@@ -1137,6 +1137,30 @@ mod tests {
         }
     }
 
+    /// FNV-1a goldens of whole framed files, so a codec refactor that moves
+    /// any on-disk byte — a presence flag, a field order, the framing — is
+    /// caught even where it still round-trips.
+    #[test]
+    fn framed_files_match_their_recorded_bytes() {
+        let slot = frame_file(SLOT_MAGIC, &sample_record(3, 7).encode());
+        let membership = MembershipView::from_parts(5, vec![0, 4, 2], vec![6, 7], vec![1, 3]);
+        let manifest = EpochManifest {
+            membership,
+            ..sample_manifest(9, 7, 3, b"opaque spec")
+        };
+        let manifest = frame_file(MANIFEST_MAGIC, &manifest.encode());
+        assert_eq!(
+            (slot.len(), fnv1a64(&slot)),
+            (537, 0xf3c3_a3ac_0c49_f30e),
+            "slot file with a fault cursor"
+        );
+        assert_eq!(
+            (manifest.len(), fnv1a64(&manifest)),
+            (156, 0x5c70_6854_0577_e5ec),
+            "manifest with spares and dead nodes"
+        );
+    }
+
     #[test]
     fn fnv_checksum_is_stable() {
         // The FNV-1a 64 reference value for "hello".

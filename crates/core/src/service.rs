@@ -1705,6 +1705,14 @@ mod tests {
         }
     }
 
+    /// The FNV-1a golden of the whole version-1 encoding of [`full_spec`]:
+    /// every value, not only the layout's length and tag offsets.
+    #[test]
+    fn the_full_spec_encodes_to_its_recorded_bytes() {
+        let bytes = encode_spec(&full_spec());
+        assert_eq!(crate::durability::fnv1a64(&bytes), 0x9d3f_74bd_887e_b6fa);
+    }
+
     #[test]
     fn only_tag_1_means_present() {
         let bytes = encode_spec(&full_spec());
