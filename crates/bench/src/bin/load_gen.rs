@@ -14,8 +14,9 @@
 //!   sites deterministically (default 0)
 //! * `--smoke`   — verify the run instead of just timing it: every job must
 //!   complete, the rank-death jobs must heal by shared-pool substitution,
-//!   the admission log must equal the priority-sorted submission order and
-//!   the fleet must stay conserved. Any violation exits non-zero, which is
+//!   the admission log must equal the priority-sorted submission order, the
+//!   fleet must stay conserved, and the engine's metrics snapshot must
+//!   agree with the job reports. Any violation exits non-zero, which is
 //!   what CI runs.
 //! * `--telemetry <path.jsonl>` — attach a flight recorder to every job and
 //!   write the combined event log (all jobs, one file) to `path`. Inspect
@@ -469,8 +470,8 @@ fn main() -> ExitCode {
         }
     }
 
+    let registry = engine.metrics_snapshot();
     if args.metrics {
-        let registry = engine.metrics_snapshot();
         let retransmits = registry.counter("comm_retransmits_total").unwrap_or(0);
         let heals = registry.counter("engine_substitutions_total").unwrap_or(0);
         let (depth_p50, depth_p99) = registry
@@ -520,6 +521,25 @@ fn main() -> ExitCode {
             "expected {expected_kills} retired node(s), saw {}",
             engine.dead_nodes()
         ));
+    }
+    // The snapshot is derived from the engine's job records; its rendered
+    // text must tell the story the reports above tell.
+    let text = registry.prometheus_text();
+    for (name, reported) in [
+        ("jobs_submitted_total", args.jobs),
+        ("jobs_admitted_total", args.jobs),
+        ("jobs_completed_total", completed),
+        ("engine_substitutions_total", substitutions),
+        ("fleet_nodes_dead", engine.dead_nodes()),
+    ] {
+        let rendered = text
+            .lines()
+            .find_map(|line| line.strip_prefix(name)?.strip_prefix(' '));
+        if rendered != Some(reported.to_string().as_str()) {
+            failures.push(format!(
+                "metrics snapshot {name} is {rendered:?}, the run saw {reported}"
+            ));
+        }
     }
 
     if failures.is_empty() {

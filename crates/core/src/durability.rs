@@ -187,6 +187,18 @@ impl ByteWriter {
         self.put_u64(value.to_bits());
     }
 
+    /// Appends an optional value as [`ByteReader::get_opt`] reads it: tag
+    /// `0` when absent, tag `1` followed by what `write` appends.
+    pub(crate) fn put_opt<T>(&mut self, value: Option<T>, write: impl FnOnce(&mut Self, T)) {
+        match value {
+            None => self.put_u8(0),
+            Some(value) => {
+                self.put_u8(1);
+                write(self, value);
+            }
+        }
+    }
+
     /// Appends a length-prefixed byte string.
     pub fn put_bytes(&mut self, bytes: &[u8]) {
         self.put_u64(bytes.len() as u64);
@@ -345,19 +357,15 @@ impl SlotRecord {
         for &cost in &self.costs {
             w.put_f64(cost);
         }
-        match &self.cursor {
-            None => w.put_u8(0),
-            Some(cursor) => {
-                w.put_u8(1);
-                w.put_u64(cursor.total_sends);
-                w.put_u64(cursor.streams.len() as u64);
-                for &(to, tag, next) in &cursor.streams {
-                    w.put_u64(to as u64);
-                    w.put_u64(tag);
-                    w.put_u64(next);
-                }
+        w.put_opt(self.cursor.as_ref(), |w, cursor| {
+            w.put_u64(cursor.total_sends);
+            w.put_u64(cursor.streams.len() as u64);
+            for &(to, tag, next) in &cursor.streams {
+                w.put_u64(to as u64);
+                w.put_u64(tag);
+                w.put_u64(next);
             }
-        }
+        });
         w.put_bytes(&self.state);
         w.into_bytes()
     }
@@ -370,30 +378,21 @@ impl SlotRecord {
         for _ in 0..cost_count {
             costs.push(r.get_f64()?);
         }
-        let cursor = match r.get_u8()? {
-            0 => None,
-            1 => {
-                let total_sends = r.get_u64()?;
-                let stream_count = r.get_len(1 << 24)?;
-                let mut streams = Vec::with_capacity(stream_count);
-                for _ in 0..stream_count {
-                    let to = r.get_len(u32::MAX as usize)?;
-                    let tag = r.get_u64()?;
-                    let next = r.get_u64()?;
-                    streams.push((to, tag, next));
-                }
-                Some(FaultCursor {
-                    total_sends,
-                    streams,
-                })
+        let cursor = r.get_opt(|r| {
+            let total_sends = r.get_u64()?;
+            let stream_count = r.get_len(1 << 24)?;
+            let mut streams = Vec::with_capacity(stream_count);
+            for _ in 0..stream_count {
+                let to = r.get_len(u32::MAX as usize)?;
+                let tag = r.get_u64()?;
+                let next = r.get_u64()?;
+                streams.push((to, tag, next));
             }
-            _ => {
-                return Err(DurabilityError::Corrupt {
-                    path: path.to_path_buf(),
-                    detail: "bad cursor presence flag".to_string(),
-                })
-            }
-        };
+            Ok(FaultCursor {
+                total_sends,
+                streams,
+            })
+        })?;
         let state = r.get_bytes()?.to_vec();
         if !r.is_exhausted() {
             return Err(DurabilityError::Corrupt {

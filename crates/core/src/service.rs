@@ -28,19 +28,21 @@
 //!   the pool is transiently empty (every node leased out), the healing job
 //!   blocks until a neighbour releases nodes; it only fails for good when
 //!   no other tenant could ever free one.
-//! * **Observability**: per-iteration [`JobProgress`] events (iteration,
-//!   cost, per-rank simulated clock and peak memory) stream into a per-job
-//!   buffer a client can tail; the final [`JobReport`] carries the full
-//!   [`ReconstructionResult`] and [`RecoveryReport`] plus queue/run timing.
+//! * **Observability**: per-iteration [`IterationProgress`] events (rank,
+//!   iteration, cost, simulated clock, peak memory) stream into the job's
+//!   record, which a client can tail; the final [`JobReport`] carries the
+//!   full [`ReconstructionResult`] and [`RecoveryReport`] plus queue/run
+//!   timing. Engine metrics are counted from the records, not kept beside
+//!   them.
 //!
 //! [`FleetView`]: ptycho_cluster::FleetView
 //! [`JobQueue`]: ptycho_cluster::JobQueue
-//! [`RecoveryReport`]: crate::engine::RecoveryReport
 
 use crate::config::{PassFrequency, SolverConfig};
 use crate::durability::{ByteReader, ByteWriter, CheckpointStore, DurabilityError, RecoveredEpoch};
 use crate::engine::{
     DurabilityHook, IterationProgress, JobContext, ReconstructionResult, RecoveryPolicy,
+    RecoveryReport,
 };
 use crate::gradient_decomp::solver::GradientDecompositionSolver;
 use crate::halo_exchange::solver::HaloVoxelExchangeSolver;
@@ -51,9 +53,10 @@ use ptycho_cluster::{
 use ptycho_sim::dataset::{Dataset, ScanFrame, SyntheticConfig};
 use ptycho_telemetry::{Histogram, MetricsRegistry, Telemetry, TelemetryEvent};
 use std::collections::BTreeMap;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// Which reconstruction method a job runs.
@@ -232,6 +235,12 @@ pub enum JobError {
     Cancelled,
     /// The run failed and recovery could not heal it.
     Failed(RankFailure),
+    /// The job's runner panicked; the job was failed and its nodes
+    /// released instead of leaving it running forever.
+    Panicked {
+        /// The panic message.
+        message: String,
+    },
 }
 
 impl std::fmt::Display for JobError {
@@ -240,22 +249,12 @@ impl std::fmt::Display for JobError {
             JobError::Rejected { reason } => write!(f, "job rejected: {reason}"),
             JobError::Cancelled => write!(f, "job cancelled"),
             JobError::Failed(failure) => write!(f, "job failed: {failure}"),
+            JobError::Panicked { message } => write!(f, "job panicked: {message}"),
         }
     }
 }
 
 impl std::error::Error for JobError {}
-
-/// One per-iteration progress event of one job (the engine's
-/// [`IterationProgress`] stamped with the job id).
-#[derive(Clone, Copy, Debug)]
-pub struct JobProgress {
-    /// The reporting job.
-    pub job: JobId,
-    /// The engine-level event (rank, iteration, attempt, cost, clock,
-    /// memory).
-    pub event: IterationProgress,
-}
 
 /// The final record of one job: terminal state, result or error, and
 /// queue/run wall-clock timing (host time, not the simulated rank clocks —
@@ -278,9 +277,13 @@ pub struct JobReport {
     pub progress_events: usize,
 }
 
-/// Everything the service tracks about one job.
+/// Everything the service tracks about one job — the only per-job state;
+/// [`JobEngine::metrics_snapshot`] counts these records.
 struct JobRecord {
     state: JobState,
+    /// The spec whenever no runner holds it: from submission to admission,
+    /// and again once the runner hands it back to [`finish`].
+    spec: Option<JobSpec>,
     cancel: Arc<AtomicBool>,
     /// Raised by [`JobHandle::ingest`]: asks the running job to stop at the
     /// next iteration boundary so newly arrived scan positions can be
@@ -293,9 +296,12 @@ struct JobRecord {
     /// lease; each drawn spare is appended in promotion order, mirroring the
     /// engine's `slots + k` numbering for the k-th promotion.
     node_map: Vec<NodeId>,
-    progress: Vec<JobProgress>,
+    progress: Vec<IterationProgress>,
     result: Option<ReconstructionResult>,
     error: Option<JobError>,
+    /// Flight-recorder records lost to ring overflow, per rank, settled by
+    /// the final flush in [`finish`].
+    telemetry_lost: Vec<u64>,
     submitted: Instant,
     started: Option<Instant>,
     finished: Option<Instant>,
@@ -319,40 +325,9 @@ impl JobRecord {
     }
 }
 
-/// Aggregate service counters feeding [`JobEngine::metrics_snapshot`].
-/// Recovery totals accumulate at job completion from each job's
-/// [`RecoveryReport`](crate::engine::RecoveryReport) — the counters that
-/// previously vanished silently when a healed job reported success.
-#[derive(Debug, Default)]
-struct EngineMetrics {
-    submitted: u64,
-    admitted: u64,
-    completed: u64,
-    cancelled: u64,
-    failed: u64,
-    rejected: u64,
-    /// Queue depth sampled at every submission and admission.
-    queue_depth: Histogram,
-    iteration_restarts: u64,
-    substitutions: u64,
-    heartbeats_sent: u64,
-    heartbeats_observed: u64,
-    retransmits: u64,
-    recoveries: u64,
-    acks_sent: u64,
-    duplicates_reacked: u64,
-    /// Flight-recorder records lost to ring overflow, folded in from each
-    /// job's recorder at completion. Per-rank so an undersized ring names
-    /// the exact stream whose durable trace has sequence gaps.
-    telemetry_lost: u64,
-    telemetry_lost_by_rank: BTreeMap<u64, u64>,
-}
-
 struct ServiceState {
     fleet: FleetView,
     queue: JobQueue,
-    /// Specs of queued jobs, consumed at admission.
-    pending: BTreeMap<JobId, JobSpec>,
     jobs: BTreeMap<JobId, JobRecord>,
     /// Jobs in admission order — the scheduler's fairness witness.
     admissions: Vec<JobId>,
@@ -363,13 +338,26 @@ struct ServiceState {
     waiting_for_spare: usize,
     /// While true, nothing is admitted (burst-submission mode).
     paused: bool,
-    /// Aggregate counters across every job the engine has seen.
-    metrics: EngineMetrics,
+    /// Submissions refused before they got a record.
+    rejected: u64,
+    /// Queue depth sampled at every submission and admission.
+    queue_depth: Histogram,
 }
 
 struct Shared {
     state: Mutex<ServiceState>,
     changed: Condvar,
+}
+
+impl Shared {
+    fn lock(&self) -> MutexGuard<'_, ServiceState> {
+        self.state.lock().expect("service state poisoned")
+    }
+
+    /// Releases `guard` until the state next changes.
+    fn wait<'a>(&self, guard: MutexGuard<'a, ServiceState>) -> MutexGuard<'a, ServiceState> {
+        self.changed.wait(guard).expect("service state poisoned")
+    }
 }
 
 /// The multi-tenant job engine: a shared node fleet serving an admission
@@ -413,14 +401,14 @@ impl JobEngine {
                 state: Mutex::new(ServiceState {
                     fleet: FleetView::new(fleet_nodes),
                     queue: JobQueue::new(),
-                    pending: BTreeMap::new(),
                     jobs: BTreeMap::new(),
                     admissions: Vec::new(),
                     next_id: 0,
                     active: 0,
                     waiting_for_spare: 0,
                     paused,
-                    metrics: EngineMetrics::default(),
+                    rejected: 0,
+                    queue_depth: Histogram::default(),
                 }),
                 changed: Condvar::new(),
             }),
@@ -430,7 +418,7 @@ impl JobEngine {
     /// Starts admitting queued jobs (no-op unless built with
     /// [`JobEngine::paused`]).
     pub fn start_admitting(&self) {
-        let mut state = self.lock();
+        let mut state = self.shared.lock();
         state.paused = false;
         try_admit(&mut state, &self.shared);
         self.shared.changed.notify_all();
@@ -519,71 +507,28 @@ impl JobEngine {
     /// here rather than left to rot in the queue.
     pub fn submit(&self, spec: JobSpec) -> Result<JobHandle, JobError> {
         let slots = spec.slots();
-        if slots == 0 {
-            self.lock().metrics.rejected += 1;
-            return Err(JobError::Rejected {
-                reason: "the tile grid is empty (zero slots)".into(),
-            });
-        }
-        if spec.checkpoint_dir.is_some() && spec.recovery == RecoveryPolicy::FailFast {
-            // Persistence rides the consistency barrier, which the fail-fast
-            // path never reaches; refuse the combination instead of letting
-            // the engine assert on it mid-run.
-            self.lock().metrics.rejected += 1;
-            return Err(JobError::Rejected {
-                reason: "durable checkpointing requires a recovering policy \
-                         (the fail-fast path has no consistency barrier to persist at)"
-                    .into(),
-            });
-        }
-        if spec.method == SolverMethod::HaloVoxelExchange {
-            // The baseline's decomposition constraint is knowable now;
-            // refuse a spec that would only fail after admission.
-            if let Err(error) = HaloVoxelExchangeSolver::new(&spec.dataset, spec.config, spec.grid)
-            {
-                self.lock().metrics.rejected += 1;
-                return Err(JobError::Rejected {
-                    reason: error.to_string(),
-                });
-            }
-        }
-        let mut state = self.lock();
+        let refusal = refusal_reason(&spec);
+        let mut state = self.shared.lock();
         // Feasibility is judged against the *live* fleet (total minus
         // retired nodes): a dead node never returns to the free pool, so a
         // job bigger than the live fleet could never be admitted and —
         // under strict head-of-line scheduling — would pin the whole queue
         // forever.
         let live = state.fleet.total_nodes() - state.fleet.dead_count();
-        if slots > live {
-            state.metrics.rejected += 1;
-            return Err(JobError::Rejected {
-                reason: format!(
-                    "job needs {slots} node(s) but the fleet only has {live} live node(s)"
-                ),
-            });
+        let refusal = refusal.or_else(|| {
+            (slots > live).then(|| {
+                format!("job needs {slots} node(s) but the fleet only has {live} live node(s)")
+            })
+        });
+        if let Some(reason) = refusal {
+            state.rejected += 1;
+            return Err(JobError::Rejected { reason });
         }
         let id = state.next_id;
         state.next_id += 1;
-        state.jobs.insert(
-            id,
-            JobRecord {
-                state: JobState::Queued,
-                cancel: Arc::new(AtomicBool::new(false)),
-                preempt: Arc::new(AtomicBool::new(false)),
-                ingest: Arc::new(Mutex::new(Vec::new())),
-                node_map: Vec::new(),
-                progress: Vec::new(),
-                result: None,
-                error: None,
-                submitted: Instant::now(),
-                started: None,
-                finished: None,
-            },
-        );
         state.queue.push(id, spec.priority, slots);
-        state.metrics.submitted += 1;
         let depth = state.queue.len() as u64;
-        state.metrics.queue_depth.observe(depth);
+        state.queue_depth.observe(depth);
         if let Some(telemetry) = &spec.telemetry {
             // Lifecycle events live on stream 0 of the job's recorder; they
             // all fall outside the job's run window, so they never race the
@@ -594,7 +539,24 @@ impl JobEngine {
                 slots: slots as u64,
             });
         }
-        state.pending.insert(id, spec);
+        state.jobs.insert(
+            id,
+            JobRecord {
+                state: JobState::Queued,
+                spec: Some(spec),
+                cancel: Arc::new(AtomicBool::new(false)),
+                preempt: Arc::new(AtomicBool::new(false)),
+                ingest: Arc::new(Mutex::new(Vec::new())),
+                node_map: Vec::new(),
+                progress: Vec::new(),
+                result: None,
+                error: None,
+                telemetry_lost: Vec::new(),
+                submitted: Instant::now(),
+                started: None,
+                finished: None,
+            },
+        );
         try_admit(&mut state, &self.shared);
         self.shared.changed.notify_all();
         Ok(JobHandle {
@@ -605,13 +567,9 @@ impl JobEngine {
 
     /// Blocks until no job is running or waiting.
     pub fn wait_idle(&self) {
-        let mut state = self.lock();
+        let mut state = self.shared.lock();
         while state.active > 0 || !state.queue.is_empty() {
-            state = self
-                .shared
-                .changed
-                .wait(state)
-                .expect("service state poisoned");
+            state = self.shared.wait(state);
         }
     }
 
@@ -619,63 +577,85 @@ impl JobEngine {
     /// head-of-line scheduling this is always the priority-sorted
     /// submission order — the fairness witness the tests pin.
     pub fn admission_log(&self) -> Vec<JobId> {
-        self.lock().admissions.clone()
+        self.shared.lock().admissions.clone()
     }
 
     /// The fleet epoch (bumped once per lease, release, or retirement).
     pub fn fleet_epoch(&self) -> u64 {
-        self.lock().fleet.epoch()
+        self.shared.lock().fleet.epoch()
     }
 
     /// Nodes currently free (the shared spare pool).
     pub fn free_nodes(&self) -> usize {
-        self.lock().fleet.free_count()
+        self.shared.lock().fleet.free_count()
     }
 
     /// Nodes retired by failure-detector verdicts.
     pub fn dead_nodes(&self) -> usize {
-        self.lock().fleet.dead_count()
+        self.shared.lock().fleet.dead_count()
     }
 
     /// Total nodes the fleet was created with.
     pub fn total_nodes(&self) -> usize {
-        self.lock().fleet.total_nodes()
+        self.shared.lock().fleet.total_nodes()
     }
 
     /// The conservation invariant: free + leased + dead covers the whole
     /// fleet.
     pub fn fleet_is_conserved(&self) -> bool {
-        self.lock().fleet.is_conserved()
+        self.shared.lock().fleet.is_conserved()
     }
 
-    /// A point-in-time metrics registry: job lifecycle counters, fleet
-    /// gauges, queue-depth histogram, and the recovery work (restarts,
-    /// substitutions, heartbeats, reliable-layer counters) accumulated from
-    /// every finished job's [`RecoveryReport`](crate::engine::RecoveryReport).
-    /// Render with [`MetricsRegistry::prometheus_text`].
+    /// A point-in-time metrics registry, counted from the job records: job
+    /// lifecycle counters, the recovery work (restarts, substitutions,
+    /// heartbeats, reliable-layer counters) of every completed job's
+    /// [`RecoveryReport`] and flight-recorder losses, plus the rejection
+    /// count, the queue-depth histogram and the fleet gauges. Render with
+    /// [`MetricsRegistry::prometheus_text`].
     pub fn metrics_snapshot(&self) -> MetricsRegistry {
-        let state = self.lock();
-        let m = &state.metrics;
+        let state = self.shared.lock();
         let mut registry = MetricsRegistry::new();
-        registry.inc_counter("jobs_submitted_total", m.submitted);
-        registry.inc_counter("jobs_admitted_total", m.admitted);
-        registry.inc_counter("jobs_completed_total", m.completed);
-        registry.inc_counter("jobs_cancelled_total", m.cancelled);
-        registry.inc_counter("jobs_failed_total", m.failed);
-        registry.inc_counter("jobs_rejected_total", m.rejected);
-        registry.inc_counter("engine_iteration_restarts_total", m.iteration_restarts);
-        registry.inc_counter("engine_substitutions_total", m.substitutions);
-        registry.inc_counter("engine_heartbeats_sent_total", m.heartbeats_sent);
-        registry.inc_counter("engine_heartbeats_observed_total", m.heartbeats_observed);
-        registry.inc_counter("comm_retransmits_total", m.retransmits);
-        registry.inc_counter("comm_recoveries_total", m.recoveries);
-        registry.inc_counter("comm_acks_sent_total", m.acks_sent);
-        registry.inc_counter("comm_duplicates_reacked_total", m.duplicates_reacked);
-        registry.inc_counter("telemetry_lost_records_total", m.telemetry_lost);
-        for (&rank, &lost) in &m.telemetry_lost_by_rank {
-            registry.inc_counter(&format!("telemetry_lost_records_rank_{rank}"), lost);
+        let in_state = |s| state.jobs.values().filter(|r| r.state == s).count() as u64;
+        for (name, value) in [
+            ("jobs_submitted_total", state.jobs.len() as u64),
+            ("jobs_admitted_total", state.admissions.len() as u64),
+            ("jobs_completed_total", in_state(JobState::Completed)),
+            ("jobs_cancelled_total", in_state(JobState::Cancelled)),
+            ("jobs_failed_total", in_state(JobState::Failed)),
+            ("jobs_rejected_total", state.rejected),
+            ("telemetry_lost_records_total", 0),
+        ] {
+            registry.inc_counter(name, value);
         }
-        registry.set_histogram("queue_depth", m.queue_depth.clone());
+        // Only completed records hold a result; the default report seeds
+        // every recovery counter at zero.
+        let completed = state.jobs.values().filter_map(|r| r.result.as_ref());
+        for r in std::iter::once(RecoveryReport::default()).chain(completed.map(|r| r.recovery)) {
+            let (restarts, comm) = (r.iteration_restarts as u64, r.reliable);
+            for (name, value) in [
+                ("engine_iteration_restarts_total", restarts),
+                ("engine_substitutions_total", r.substitutions as u64),
+                ("engine_heartbeats_sent_total", r.heartbeats_sent),
+                ("engine_heartbeats_observed_total", r.heartbeats_observed),
+                ("comm_retransmits_total", comm.retransmits),
+                ("comm_recoveries_total", comm.recoveries),
+                ("comm_acks_sent_total", comm.acks_sent),
+                ("comm_duplicates_reacked_total", comm.duplicates_reacked),
+            ] {
+                registry.inc_counter(name, value);
+            }
+        }
+        // Per rank, so an undersized ring names the exact stream whose
+        // durable trace has sequence gaps; only non-zero ranks get a counter.
+        for record in state.jobs.values() {
+            for (rank, &lost) in record.telemetry_lost.iter().enumerate() {
+                if lost > 0 {
+                    registry.inc_counter("telemetry_lost_records_total", lost);
+                    registry.inc_counter(&format!("telemetry_lost_records_rank_{rank}"), lost);
+                }
+            }
+        }
+        registry.set_histogram("queue_depth", state.queue_depth.clone());
         registry.set_gauge("fleet_epoch", state.fleet.epoch() as f64);
         registry.set_gauge("fleet_nodes_total", state.fleet.total_nodes() as f64);
         registry.set_gauge("fleet_nodes_free", state.fleet.free_count() as f64);
@@ -693,7 +673,7 @@ impl JobEngine {
     /// (see [`ptycho_telemetry::analysis::straggler_report`] for the
     /// post-hoc twin of this check; both use the same scoring helper).
     pub fn health_snapshot(&self, straggler_z: f64) -> HealthSnapshot {
-        let state = self.lock();
+        let state = self.shared.lock();
         let mut jobs = Vec::new();
         for (&id, record) in &state.jobs {
             if record.state != JobState::Running {
@@ -702,9 +682,9 @@ impl JobEngine {
             // Latest progress event per rank: the rank's cumulative clocks.
             let mut latest: BTreeMap<usize, &IterationProgress> = BTreeMap::new();
             let mut latest_iteration = 0u64;
-            for progress in &record.progress {
-                latest.insert(progress.event.rank, &progress.event);
-                latest_iteration = latest_iteration.max(progress.event.iteration as u64);
+            for event in &record.progress {
+                latest.insert(event.rank, event);
+                latest_iteration = latest_iteration.max(event.iteration as u64);
             }
             let mut compute = 0.0;
             let mut wait = 0.0;
@@ -749,10 +729,6 @@ impl JobEngine {
             leased_nodes: state.fleet.leased_count(),
             dead_nodes: state.fleet.dead_count(),
         }
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, ServiceState> {
-        self.shared.state.lock().expect("service state poisoned")
     }
 }
 
@@ -827,27 +803,12 @@ impl JobHandle {
     /// running one is asked to stop cooperatively (its ranks observe the
     /// flag at the next iteration boundary). Terminal jobs are unaffected.
     pub fn cancel(&self) {
-        let mut state = self.shared.state.lock().expect("service state poisoned");
-        let record = state.jobs.get_mut(&self.id).expect("job record missing");
+        let mut state = self.shared.lock();
+        let record = state.jobs.get(&self.id).expect("job record missing");
         match record.state {
-            JobState::Queued => {
-                record.state = JobState::Cancelled;
-                record.error = Some(JobError::Cancelled);
-                record.finished = Some(Instant::now());
-                state.queue.remove(self.id);
-                state.metrics.cancelled += 1;
-                if let Some(spec) = state.pending.remove(&self.id) {
-                    if let Some(telemetry) = &spec.telemetry {
-                        telemetry
-                            .sink(0)
-                            .record(TelemetryEvent::JobCancelled { job: self.id });
-                        telemetry.flush_all();
-                    }
-                }
-                // The removed entry may have been the head-of-line blocker.
-                try_admit(&mut state, &self.shared);
-                self.shared.changed.notify_all();
-            }
+            // The removed entry may have been the head-of-line blocker;
+            // `finish` re-runs admission.
+            JobState::Queued => finish(&mut state, &self.shared, self.id, Err(JobError::Cancelled)),
             JobState::Running => {
                 record.cancel.store(true, Ordering::Relaxed);
                 // A running job may be parked in the spare_grant condvar
@@ -863,17 +824,13 @@ impl JobHandle {
     /// Blocks until the job reaches a terminal state, then returns its
     /// report.
     pub fn wait(&self) -> JobReport {
-        let mut state = self.shared.state.lock().expect("service state poisoned");
+        let mut state = self.shared.lock();
         loop {
             let record = state.jobs.get(&self.id).expect("job record missing");
             if record.state.is_terminal() {
                 return record.report(self.id);
             }
-            state = self
-                .shared
-                .changed
-                .wait(state)
-                .expect("service state poisoned");
+            state = self.shared.wait(state);
         }
     }
 
@@ -889,7 +846,7 @@ impl JobHandle {
     /// [`Dataset::frames_after`]). Frames ingested after the job reached a
     /// terminal state are dropped; returns `false` in that case.
     pub fn ingest(&self, frames: Vec<ScanFrame>) -> bool {
-        let state = self.shared.state.lock().expect("service state poisoned");
+        let state = self.shared.lock();
         let record = state.jobs.get(&self.id).expect("job record missing");
         if record.state.is_terminal() {
             return false;
@@ -907,18 +864,18 @@ impl JobHandle {
     }
 
     /// The progress events emitted so far.
-    pub fn progress(&self) -> Vec<JobProgress> {
+    pub fn progress(&self) -> Vec<IterationProgress> {
         self.record(|record| record.progress.clone())
     }
 
     /// The progress events after the first `seen` — the tailing API: keep a
     /// cursor, poll with it, advance by what comes back.
-    pub fn progress_since(&self, seen: usize) -> Vec<JobProgress> {
+    pub fn progress_since(&self, seen: usize) -> Vec<IterationProgress> {
         self.record(|record| record.progress.get(seen..).unwrap_or_default().to_vec())
     }
 
     fn record<T>(&self, f: impl FnOnce(&JobRecord) -> T) -> T {
-        let state = self.shared.state.lock().expect("service state poisoned");
+        let state = self.shared.lock();
         f(state.jobs.get(&self.id).expect("job record missing"))
     }
 }
@@ -938,23 +895,91 @@ fn fail_unservable_queued(state: &mut ServiceState, shared: &Arc<Shared>) {
         .filter(|e| e.slots > live)
         .map(|e| (e.job, e.slots))
         .collect();
-    if doomed.is_empty() {
-        return;
-    }
     for (id, slots) in doomed {
-        state.queue.remove(id);
-        state.pending.remove(&id);
-        let record = state.jobs.get_mut(&id).expect("queued job has a record");
-        record.state = JobState::Failed;
-        record.error = Some(JobError::Rejected {
-            reason: format!(
-                "retirements shrank the fleet below the job's size: needs \
-                 {slots} node(s) but only {live} live node(s) remain"
-            ),
-        });
-        record.finished = Some(Instant::now());
-        state.metrics.failed += 1;
+        let reason = format!(
+            "retirements shrank the fleet below the job's size: needs \
+             {slots} node(s) but only {live} live node(s) remain"
+        );
+        finish(state, shared, id, Err(JobError::Rejected { reason }));
     }
+}
+
+/// Why `spec` can never run, judged from the spec alone; `None` when it
+/// can. The live-fleet check needs the service lock and stays in
+/// [`JobEngine::submit`].
+fn refusal_reason(spec: &JobSpec) -> Option<String> {
+    if spec.slots() == 0 {
+        return Some("the tile grid is empty (zero slots)".into());
+    }
+    if spec.checkpoint_dir.is_some() && spec.recovery == RecoveryPolicy::FailFast {
+        // Persistence rides the consistency barrier, which the fail-fast
+        // path never reaches; refuse the combination instead of letting the
+        // engine assert on it mid-run.
+        return Some(
+            "durable checkpointing requires a recovering policy \
+             (the fail-fast path has no consistency barrier to persist at)"
+                .into(),
+        );
+    }
+    // The baseline's decomposition constraint is knowable now; refuse a spec
+    // that would only fail after admission.
+    match spec.method {
+        SolverMethod::GradientDecomposition => None,
+        SolverMethod::HaloVoxelExchange => {
+            HaloVoxelExchangeSolver::new(&spec.dataset, spec.config, spec.grid)
+                .err()
+                .map(|error| error.to_string())
+        }
+    }
+}
+
+/// Ends job `id`: the one place a record enters a terminal state. Stamps
+/// the lifecycle event, flushes the job's recorder and keeps its loss
+/// counts, gives back what the job held (its queue entry, or its lease),
+/// and re-runs admission. Called with the state lock held, on a queued
+/// record or on a running one whose runner has handed its spec back.
+fn finish(
+    state: &mut ServiceState,
+    shared: &Arc<Shared>,
+    id: JobId,
+    outcome: Result<ReconstructionResult, JobError>,
+) {
+    let record = state.jobs.get_mut(&id).expect("job record missing");
+    let was_running = record.state == JobState::Running;
+    record.state = match &outcome {
+        Ok(_) => JobState::Completed,
+        Err(JobError::Cancelled) => JobState::Cancelled,
+        Err(_) => JobState::Failed,
+    };
+    match outcome {
+        Ok(result) => record.result = Some(result),
+        Err(error) => record.error = Some(error),
+    }
+    record.finished = Some(Instant::now());
+    let spec = record.spec.take().expect("a job ends holding its spec");
+    if let Some(telemetry) = &spec.telemetry {
+        // The job's rank threads, if it ever had any, are joined: stamping
+        // stream 0 and flushing cannot race them.
+        let sink = telemetry.sink(0);
+        match record.state {
+            JobState::Completed => sink.record(TelemetryEvent::JobCompleted {
+                job: id,
+                iterations: spec.config.iterations as u64,
+            }),
+            JobState::Cancelled => sink.record(TelemetryEvent::JobCancelled { job: id }),
+            _ => {}
+        }
+        telemetry.flush_all();
+        // After the final flush the loss counters are settled.
+        record.telemetry_lost = telemetry.lost_records_by_rank();
+    }
+    if was_running {
+        state.active -= 1;
+        state.fleet.release(id);
+    } else {
+        state.queue.remove(id);
+    }
+    try_admit(state, shared);
     shared.changed.notify_all();
 }
 
@@ -978,19 +1003,15 @@ fn try_admit(state: &mut ServiceState, shared: &Arc<Shared>) {
             .fleet
             .lease(entry.job, entry.slots)
             .expect("pop_admissible checked the free pool");
-        let spec = state
-            .pending
-            .remove(&entry.job)
-            .expect("queued job has a pending spec");
         let record = state.jobs.get_mut(&entry.job).expect("job record missing");
+        let spec = record.spec.take().expect("a queued job holds its spec");
         record.state = JobState::Running;
         record.started = Some(Instant::now());
         record.node_map = leased;
         state.admissions.push(entry.job);
         state.active += 1;
-        state.metrics.admitted += 1;
         let depth = state.queue.len() as u64;
-        state.metrics.queue_depth.observe(depth);
+        state.queue_depth.observe(depth);
         if let Some(telemetry) = &spec.telemetry {
             telemetry.sink(0).record(TelemetryEvent::JobAdmitted {
                 job: entry.job,
@@ -1007,7 +1028,7 @@ fn try_admit(state: &mut ServiceState, shared: &Arc<Shared>) {
 /// scan-ingestion splice), and completes the job.
 fn run_job_thread(shared: Arc<Shared>, id: JobId, mut spec: JobSpec) {
     let (cancel, preempt, ingest) = {
-        let state = shared.state.lock().expect("service state poisoned");
+        let state = shared.lock();
         let record = state.jobs.get(&id).expect("job record missing");
         (
             Arc::clone(&record.cancel),
@@ -1017,31 +1038,26 @@ fn run_job_thread(shared: Arc<Shared>, id: JobId, mut spec: JobSpec) {
     };
     let progress_shared = Arc::clone(&shared);
     let progress = move |event: IterationProgress| {
-        let mut state = progress_shared
-            .state
-            .lock()
-            .expect("service state poisoned");
+        let mut state = progress_shared.lock();
         if let Some(record) = state.jobs.get_mut(&id) {
-            record.progress.push(JobProgress { job: id, event });
+            record.progress.push(event);
         }
     };
     let grant_shared = Arc::clone(&shared);
     let grant_cancel = Arc::clone(&cancel);
     let spare_grant = move |dead_local: usize| -> bool {
-        let mut guard = grant_shared.state.lock().expect("service state poisoned");
-        let dead_global = {
-            let state = &mut *guard;
-            let Some(record) = state.jobs.get_mut(&id) else {
-                return false;
-            };
-            let Some(&dead_global) = record.node_map.get(dead_local) else {
-                return false;
-            };
-            dead_global
-        };
-        if guard.fleet.retire(dead_global).is_err() {
+        let mut guard = grant_shared.lock();
+        let dead_global = guard
+            .jobs
+            .get(&id)
+            .and_then(|r| r.node_map.get(dead_local).copied());
+        if dead_global.is_none_or(|node| guard.fleet.retire(node).is_err()) {
             return false;
         }
+        // Counted as waiting from here on, the grant outranks new
+        // admissions (see `try_admit`), including those that failing doomed
+        // queue entries below would otherwise run first.
+        guard.waiting_for_spare += 1;
         // The retirement just shrank the live fleet: queued jobs bigger
         // than what remains can never be admitted, and head-of-line
         // scheduling would let one pin the queue (and `wait_idle`) forever.
@@ -1051,7 +1067,7 @@ fn run_job_thread(shared: Arc<Shared>, id: JobId, mut spec: JobSpec) {
         // grant can only fail for good when no other active tenant exists —
         // or every one of them is itself blocked here — so nobody will ever
         // free a node (and when the job was cancelled while waiting).
-        loop {
+        let granted = loop {
             if let Some(replacement) = guard.fleet.draw_spare(id) {
                 if let Some(record) = guard.jobs.get_mut(&id) {
                     // Appended in promotion order: the engine numbers the
@@ -1059,22 +1075,18 @@ fn run_job_thread(shared: Arc<Shared>, id: JobId, mut spec: JobSpec) {
                     // entry.
                     record.node_map.push(replacement);
                 }
-                // Grant served: run the admission that `try_admit` deferred
-                // while this job was waiting, so leftover free nodes still
-                // reach the queue.
-                try_admit(&mut guard, &grant_shared);
-                return true;
+                break true;
             }
-            if grant_cancel.load(Ordering::Relaxed) || guard.waiting_for_spare + 1 >= guard.active {
-                return false;
+            if grant_cancel.load(Ordering::Relaxed) || guard.waiting_for_spare >= guard.active {
+                break false;
             }
-            guard.waiting_for_spare += 1;
-            guard = grant_shared
-                .changed
-                .wait(guard)
-                .expect("service state poisoned");
-            guard.waiting_for_spare -= 1;
-        }
+            guard = grant_shared.wait(guard);
+        };
+        guard.waiting_for_spare -= 1;
+        // Run the admission that `try_admit` deferred while this job was
+        // waiting, so leftover free nodes still reach the queue.
+        try_admit(&mut guard, &grant_shared);
+        granted
     };
     // The store opens once per job: every splice round and the kill/resume
     // cycle continue the same monotonic epoch sequence.
@@ -1087,7 +1099,9 @@ fn run_job_thread(shared: Arc<Shared>, id: JobId, mut spec: JobSpec) {
             }),
     };
     let mut resume_epoch: Option<Arc<RecoveredEpoch>> = spec.resume_from.take();
-    let outcome: Result<ReconstructionResult, JobError> = match store {
+    // A panicking run fails the job instead of leaving it `Running` with its
+    // nodes leased and every waiter blocked.
+    let outcome = catch_unwind(AssertUnwindSafe(|| match store {
         Err(error) => Err(error),
         Ok(store) => loop {
             // Splice point. Lower the preempt flag *before* draining the
@@ -1096,11 +1110,11 @@ fn run_job_thread(shared: Arc<Shared>, id: JobId, mut spec: JobSpec) {
             // flag raised for the engine's next boundary poll — no frame is
             // ever silently stranded.
             preempt.store(false, Ordering::Release);
-            let pending: Vec<ScanFrame> =
+            let frames: Vec<ScanFrame> =
                 std::mem::take(&mut *ingest.lock().expect("ingest queue poisoned"));
-            if !pending.is_empty() {
-                let added = pending.len() as u64;
-                spec.dataset.ingest(pending);
+            if !frames.is_empty() {
+                let added = frames.len() as u64;
+                spec.dataset.ingest(frames);
                 if let Some(telemetry) = &spec.telemetry {
                     telemetry.sink(0).record(TelemetryEvent::ScanIngested {
                         job: id,
@@ -1108,17 +1122,13 @@ fn run_job_thread(shared: Arc<Shared>, id: JobId, mut spec: JobSpec) {
                         total: spec.dataset.scan().len() as u64,
                     });
                 }
-                // The baseline's decomposition constraint was checked at
-                // submission against the pre-splice scan; re-check it
-                // against the enlarged one instead of panicking mid-run.
-                if spec.method == SolverMethod::HaloVoxelExchange {
-                    if let Err(error) =
-                        HaloVoxelExchangeSolver::new(&spec.dataset, spec.config, spec.grid)
-                    {
-                        break Err(JobError::Rejected {
-                            reason: format!("ingested scan broke the decomposition: {error}"),
-                        });
-                    }
+                // The spec was checked at submission against the pre-splice
+                // scan; re-check it against the enlarged one instead of
+                // panicking mid-run.
+                if let Some(reason) = refusal_reason(&spec) {
+                    break Err(JobError::Rejected {
+                        reason: format!("ingested scan broke the decomposition: {reason}"),
+                    });
                 }
             }
             let spec_bytes = encode_spec(&spec);
@@ -1167,82 +1177,19 @@ fn run_job_thread(shared: Arc<Shared>, id: JobId, mut spec: JobSpec) {
                 Err(failure) => break Err(JobError::Failed(failure)),
             }
         },
-    };
-    let mut state = shared.state.lock().expect("service state poisoned");
-    let record = state.jobs.get_mut(&id).expect("job record missing");
-    let mut recovery = None;
-    match outcome {
-        Ok(result) => {
-            record.state = JobState::Completed;
-            recovery = Some(result.recovery);
-            record.result = Some(result);
-        }
-        Err(JobError::Cancelled) => {
-            record.state = JobState::Cancelled;
-            record.error = Some(JobError::Cancelled);
-        }
-        Err(error) => {
-            record.state = JobState::Failed;
-            record.error = Some(error);
-        }
-    }
-    record.finished = Some(Instant::now());
-    let terminal = record.state;
-    let metrics = &mut state.metrics;
-    match terminal {
-        JobState::Completed => metrics.completed += 1,
-        JobState::Cancelled => metrics.cancelled += 1,
-        _ => metrics.failed += 1,
-    }
-    // Fold the job's recovery work into the service totals — healed faults
-    // used to vanish silently once the job reported success.
-    if let Some(recovery) = recovery {
-        metrics.iteration_restarts += recovery.iteration_restarts as u64;
-        metrics.substitutions += recovery.substitutions as u64;
-        metrics.heartbeats_sent += recovery.heartbeats_sent;
-        metrics.heartbeats_observed += recovery.heartbeats_observed;
-        metrics.retransmits += recovery.reliable.retransmits;
-        metrics.recoveries += recovery.reliable.recoveries;
-        metrics.acks_sent += recovery.reliable.acks_sent;
-        metrics.duplicates_reacked += recovery.reliable.duplicates_reacked;
-    }
-    if let Some(telemetry) = &spec.telemetry {
-        // The engine's rank threads are joined; stamping the lifecycle
-        // event on stream 0 and re-flushing cannot race anything.
-        match terminal {
-            JobState::Completed => {
-                telemetry.sink(0).record(TelemetryEvent::JobCompleted {
-                    job: id,
-                    iterations: spec.config.iterations as u64,
-                });
-            }
-            JobState::Cancelled => {
-                telemetry
-                    .sink(0)
-                    .record(TelemetryEvent::JobCancelled { job: id });
-            }
-            _ => {}
-        }
-        telemetry.flush_all();
-        // After the final flush the loss counters are settled: fold them
-        // into the service totals so an undersized ring is loud in every
-        // metrics snapshot, not just in the trace's sequence gaps.
-        for (rank, lost) in telemetry.lost_records_by_rank().into_iter().enumerate() {
-            if lost > 0 {
-                state.metrics.telemetry_lost += lost;
-                *state
-                    .metrics
-                    .telemetry_lost_by_rank
-                    .entry(rank as u64)
-                    .or_insert(0) += lost;
-            }
-        }
-    }
-    state.active -= 1;
-    state.fleet.release(id);
-    try_admit(&mut state, &shared);
-    drop(state);
-    shared.changed.notify_all();
+    }))
+    .unwrap_or_else(|panic| {
+        // `panic!` with arguments carries a `String`, a bare literal a `&str`.
+        let message = panic
+            .downcast_ref::<String>()
+            .cloned()
+            .or_else(|| panic.downcast_ref::<&str>().map(|s| s.to_string()))
+            .unwrap_or_else(|| "a panic without a message".into());
+        Err(JobError::Panicked { message })
+    });
+    let mut state = shared.lock();
+    state.jobs.get_mut(&id).expect("job record missing").spec = Some(spec);
+    finish(&mut state, &shared, id, outcome);
 }
 
 /// Builds the job's backend and runs its solver. Each arm hands a concrete
@@ -1276,16 +1223,6 @@ fn run_spec(spec: &JobSpec, job: &JobContext<'_>) -> Result<ReconstructionResult
 /// Current encoding version of the manifest-embedded job spec.
 const SPEC_VERSION: u8 = 1;
 
-fn put_opt_f64(w: &mut ByteWriter, value: Option<f64>) {
-    match value {
-        None => w.put_u8(0),
-        Some(v) => {
-            w.put_u8(1);
-            w.put_f64(v);
-        }
-    }
-}
-
 /// Encodes everything [`JobEngine::resume`] needs to rebuild the job from
 /// the checkpoint directory alone. The dataset is stored as its synthesis
 /// recipe plus the current scan length — the synthesized acquisition is
@@ -1300,7 +1237,7 @@ fn encode_spec(spec: &JobSpec) -> Vec<u8> {
     w.put_u64(synth.scan_grid.0 as u64);
     w.put_u64(synth.scan_grid.1 as u64);
     w.put_u64(synth.window_px as u64);
-    put_opt_f64(&mut w, synth.dose);
+    w.put_opt(synth.dose, ByteWriter::put_f64);
     w.put_f64(synth.defocus_pm);
     w.put_u64(synth.seed);
     w.put_u64(spec.dataset.scan().len() as u64);
@@ -1308,16 +1245,12 @@ fn encode_spec(spec: &JobSpec) -> Vec<u8> {
     w.put_u64(c.iterations as u64);
     w.put_f64(c.step_relaxation);
     w.put_u64(c.halo_px as u64);
-    match c.pass_frequency {
-        PassFrequency::EveryProbe => {
-            w.put_u8(0);
-            w.put_u64(0);
-        }
-        PassFrequency::PerIteration(times) => {
-            w.put_u8(1);
-            w.put_u64(times as u64);
-        }
-    }
+    let (tag, times) = match c.pass_frequency {
+        PassFrequency::EveryProbe => (0, 0),
+        PassFrequency::PerIteration(times) => (1, times),
+    };
+    w.put_u8(tag);
+    w.put_u64(times as u64);
     w.put_u8(c.local_updates as u8);
     w.put_u64(c.hve_extra_probe_rows as u64);
     w.put_u64(c.hve_exchange_period as u64);
@@ -1333,85 +1266,50 @@ fn encode_spec(spec: &JobSpec) -> Vec<u8> {
         SolverMethod::HaloVoxelExchange => 1,
     });
     w.put_u64(spec.priority as i64 as u64);
-    match spec.recovery {
-        RecoveryPolicy::FailFast => {
-            w.put_u8(0);
-            w.put_u64(0);
-            w.put_u64(0);
-        }
+    let (tag, restarts, spares) = match spec.recovery {
+        RecoveryPolicy::FailFast => (0, 0, 0),
         RecoveryPolicy::RetransmitThenRestart {
             max_iteration_restarts,
-        } => {
-            w.put_u8(1);
-            w.put_u64(max_iteration_restarts as u64);
-            w.put_u64(0);
-        }
+        } => (1, max_iteration_restarts, 0),
         RecoveryPolicy::SubstituteSpare {
             spares,
             max_iteration_restarts,
-        } => {
-            w.put_u8(2);
-            w.put_u64(max_iteration_restarts as u64);
-            w.put_u64(spares as u64);
-        }
-    }
-    match &spec.fault_policy {
-        None => w.put_u8(0),
-        Some(policy) => {
-            w.put_u8(1);
-            w.put_u64(policy.seed);
-            w.put_f64(policy.drop_probability);
-            w.put_f64(policy.duplicate_probability);
-            w.put_f64(policy.delay_probability);
-            match policy.only_tag {
-                None => w.put_u8(0),
-                Some(tag) => {
-                    w.put_u8(1);
-                    w.put_u64(tag);
-                }
-            }
-            match policy.drop_exact {
-                None => w.put_u8(0),
-                Some((from, to, tag, seq)) => {
-                    w.put_u8(1);
-                    w.put_u64(from as u64);
-                    w.put_u64(to as u64);
-                    w.put_u64(tag);
-                    w.put_u64(seq);
-                }
-            }
-            match policy.kill {
-                None => w.put_u8(0),
-                Some((node, after_sends)) => {
-                    w.put_u8(1);
-                    w.put_u64(node as u64);
-                    w.put_u64(after_sends);
-                }
-            }
-            match policy.process_kill {
-                None => w.put_u8(0),
-                Some((seq, phase)) => {
-                    w.put_u8(1);
-                    w.put_u64(seq);
-                    w.put_u8(match phase {
-                        CrashPhase::BeforeRename => 0,
-                        CrashPhase::DuringRename => 1,
-                        CrashPhase::AfterRename => 2,
-                    });
-                }
-            }
-        }
-    }
-    match spec.backend {
-        ServiceBackend::Lockstep => {
-            w.put_u8(0);
-            w.put_u64(0);
-        }
-        ServiceBackend::Threaded { recv_timeout } => {
-            w.put_u8(1);
-            w.put_u64(recv_timeout.as_nanos() as u64);
-        }
-    }
+        } => (2, max_iteration_restarts, spares),
+    };
+    w.put_u8(tag);
+    w.put_u64(restarts as u64);
+    w.put_u64(spares as u64);
+    w.put_opt(spec.fault_policy.as_ref(), |w, policy| {
+        w.put_u64(policy.seed);
+        w.put_f64(policy.drop_probability);
+        w.put_f64(policy.duplicate_probability);
+        w.put_f64(policy.delay_probability);
+        w.put_opt(policy.only_tag, ByteWriter::put_u64);
+        w.put_opt(policy.drop_exact, |w, (from, to, tag, seq)| {
+            w.put_u64(from as u64);
+            w.put_u64(to as u64);
+            w.put_u64(tag);
+            w.put_u64(seq);
+        });
+        w.put_opt(policy.kill, |w, (node, after_sends)| {
+            w.put_u64(node as u64);
+            w.put_u64(after_sends);
+        });
+        w.put_opt(policy.process_kill, |w, (seq, phase)| {
+            w.put_u64(seq);
+            w.put_u8(match phase {
+                CrashPhase::BeforeRename => 0,
+                CrashPhase::DuringRename => 1,
+                CrashPhase::AfterRename => 2,
+            });
+        });
+    });
+    let (tag, nanos) = match spec.backend {
+        ServiceBackend::Lockstep => (0, 0),
+        ServiceBackend::Threaded { recv_timeout } => (1, recv_timeout.as_nanos() as u64),
+    };
+    w.put_u8(tag);
+    w.put_u64(nanos);
     w.into_bytes()
 }
 
@@ -1755,26 +1653,28 @@ mod tests {
         }
     }
 
-    #[test]
-    fn resume_rejects_an_epoch_whose_slot_count_disagrees_with_its_spec() {
-        // Two slot files committed under a spec for a 2×2 grid (four ranks).
-        let dir = std::env::temp_dir().join(format!(
-            "ptycho-service-slot-mismatch-{}",
-            std::process::id()
-        ));
+    /// A two-iteration GD job on a 2×2 grid (four ranks).
+    fn tiny_2x2() -> JobSpec {
+        let config = SolverConfig {
+            iterations: 2,
+            halo_px: 20,
+            ..SolverConfig::default()
+        };
+        JobSpec::new(Dataset::synthesize(SyntheticConfig::tiny()), config, (2, 2))
+    }
+
+    /// Commits one epoch of `slots` slot files, each with an empty kernel
+    /// state, under [`tiny_2x2`]'s spec, then resumes it on a 4-node engine.
+    /// Returns the engine and the resumed job's report or refusal.
+    fn resume_hand_built_epoch(
+        tag: &str,
+        slots: usize,
+    ) -> (JobEngine, Result<JobReport, JobError>) {
+        let dir = std::env::temp_dir().join(format!("ptycho-service-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let spec = JobSpec::new(
-            Dataset::synthesize(SyntheticConfig::tiny()),
-            SolverConfig {
-                iterations: 2,
-                halo_px: 20,
-                ..SolverConfig::default()
-            },
-            (2, 2),
-        );
         let store = CheckpointStore::open(&dir).expect("store opens");
         let seq = store.next_seq();
-        for slot in 0..2 {
+        for slot in 0..slots {
             let record = SlotRecord {
                 iteration: 1,
                 costs: vec![1.0],
@@ -1789,31 +1689,63 @@ mod tests {
             attempt_index: 0,
             restarts: 0,
             substitutions: 0,
-            membership: ptycho_cluster::MembershipView::new(2, 0),
-            spec: encode_spec(&spec),
+            membership: ptycho_cluster::MembershipView::new(slots, 0),
+            spec: encode_spec(&tiny_2x2()),
         };
         store.commit(&manifest, None).expect("epoch committed");
         drop(store);
 
-        // A resume that wrongly admits the job never finishes: bound the wait.
+        // A resume that wrongly admits the job, or whose runner never ends
+        // it, never answers: bound the wait.
         let (tx, rx) = std::sync::mpsc::channel();
         let resume_dir = dir.clone();
         let worker = std::thread::spawn(move || {
             let engine = JobEngine::new(4);
-            let outcome = engine.resume(resume_dir).map(|handle| handle.wait().state);
-            tx.send(outcome).expect("the test is listening");
+            let outcome = engine.resume(resume_dir).map(|handle| handle.wait());
+            tx.send((engine, outcome)).expect("the test is listening");
         });
-        let outcome = rx
+        let answer = rx
             .recv_timeout(Duration::from_secs(60))
             .expect("resume must answer instead of hanging");
         worker.join().expect("resume thread panicked");
         let _ = std::fs::remove_dir_all(&dir);
-        match outcome {
+        answer
+    }
+
+    #[test]
+    fn resume_rejects_an_epoch_whose_slot_count_disagrees_with_its_spec() {
+        // Two slot files committed under a spec for a 2×2 grid (four ranks).
+        match resume_hand_built_epoch("slot-mismatch", 2).1 {
             Err(JobError::Rejected { reason }) => assert!(
                 reason.contains("2 slot(s)") && reason.contains("4 rank(s)"),
                 "the reason must name both counts: {reason}"
             ),
             other => panic!("expected a rejection, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn a_panicking_runner_fails_its_job_and_releases_its_nodes() {
+        // The slot count matches the spec, but no slot's kernel state
+        // decodes: the runner panics while restoring the epoch.
+        let (engine, outcome) = resume_hand_built_epoch("undecodable-state", 4);
+        let report = outcome.expect("the epoch passes the resume checks");
+        assert_eq!(report.state, JobState::Failed);
+        match report.error {
+            Some(JobError::Panicked { message }) => {
+                assert!(message.contains("does not decode"), "{message}")
+            }
+            other => panic!("expected a panic failure, got {other:?}"),
+        }
+        assert_eq!(engine.free_nodes(), engine.total_nodes());
+        assert!(engine.fleet_is_conserved());
+        assert_eq!(
+            engine.metrics_snapshot().counter("jobs_failed_total"),
+            Some(1)
+        );
+
+        // The engine stays live for the next tenant.
+        let next = engine.submit(tiny_2x2()).expect("fits the fleet").wait();
+        assert_eq!(next.state, JobState::Completed);
     }
 }

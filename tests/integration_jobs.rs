@@ -492,26 +492,25 @@ fn progress_streams_one_event_per_rank_per_iteration() {
     let mut events = job.progress();
     assert_eq!(events.len(), 4 * 3, "4 ranks x 3 iterations");
     for progress in &events {
-        assert_eq!(progress.job, job.id());
-        assert_eq!(progress.event.attempt, 0, "fault-free: single attempt");
-        assert!(progress.event.peak_bytes > 0, "memory telemetry present");
+        assert_eq!(progress.attempt, 0, "fault-free: single attempt");
+        assert!(progress.peak_bytes > 0, "memory telemetry present");
     }
 
     // Per-rank event streams are ordered by iteration.
     for rank in 0..4 {
         let iterations: Vec<usize> = events
             .iter()
-            .filter(|p| p.event.rank == rank)
-            .map(|p| p.event.iteration)
+            .filter(|p| p.rank == rank)
+            .map(|p| p.iteration)
             .collect();
         assert_eq!(iterations, vec![0, 1, 2], "rank {rank} event order");
     }
 
     // The streamed per-rank costs reassemble the final cost history bit for
     // bit (summed in rank order, exactly as the result assembly does).
-    events.sort_by_key(|p| (p.event.iteration, p.event.rank));
+    events.sort_by_key(|p| (p.iteration, p.rank));
     for (iteration, chunk) in events.chunks(4).enumerate() {
-        let streamed: f64 = chunk.iter().map(|p| p.event.cost).sum();
+        let streamed: f64 = chunk.iter().map(|p| p.cost).sum();
         assert_eq!(
             streamed.to_bits(),
             result.cost_history.costs()[iteration].to_bits(),

@@ -440,6 +440,41 @@ fn job_engine_trace_and_metrics_agree() {
     assert!(text.contains("fleet_nodes_total"));
 }
 
+/// A queued job that fleet shrinkage fails still reaches its durable trace:
+/// it ends through the same terminal transition as a job that ran, and that
+/// transition flushes the recorder.
+#[test]
+fn a_queued_job_failed_by_fleet_shrinkage_keeps_its_trace() {
+    let dataset = Dataset::synthesize(SyntheticConfig::tiny());
+    let config = SolverConfig {
+        iterations: 2,
+        halo_px: 20,
+        ..SolverConfig::default()
+    };
+    // The dying job takes the whole 2-node fleet and retires one node; the
+    // traced full-width follower can then never be served.
+    let engine = JobEngine::paused(2);
+    let dying = engine
+        .submit(
+            JobSpec::new(dataset.clone(), config, (2, 1))
+                .with_fault_policy(FaultPolicy::reliable(9).kill_rank(1, 1)),
+        )
+        .expect("fits the fleet");
+    let buf = SharedBuf::default();
+    let telemetry = Telemetry::with_writer(TelemetryConfig::default(), Box::new(buf.clone()));
+    let doomed = engine
+        .submit(JobSpec::new(dataset, config, (2, 1)).with_telemetry(Arc::new(telemetry)))
+        .expect("feasible against the live fleet at submission");
+    engine.start_admitting();
+    engine.wait_idle();
+    assert_eq!(dying.wait().state, JobState::Failed);
+    assert_eq!(doomed.wait().state, JobState::Failed);
+
+    let summary = validate_jsonl(&buf.contents());
+    assert_eq!(summary.kind_count("job_submitted"), 1);
+    assert_eq!(summary.total_events(), 1, "the job never ran");
+}
+
 #[test]
 fn truncated_final_line_is_tolerated_as_prefix_consistency() {
     let backend = FaultInjectionBackend::new(lockstep(), gd_drop_policy());
