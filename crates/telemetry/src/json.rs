@@ -448,106 +448,145 @@ pub(crate) fn parse_record(line: &str) -> Result<TelemetryRecord, ParseError> {
 mod tests {
     use super::*;
 
-    fn roundtrip(event: TelemetryEvent) {
-        let record = TelemetryRecord {
-            rank: 3,
-            seq: 17,
-            sim_ns: 123_456,
-            job: 9,
-            event,
-        };
-        let line = record_to_line(&record);
-        let parsed = parse_record(&line).expect("emitted line must parse");
-        assert_eq!(parsed, record, "round-trip mismatch for {line}");
+    /// One event of every kind (`iteration_end` twice), each stamped with
+    /// the same envelope.
+    fn one_of_each_kind() -> Vec<TelemetryRecord> {
+        use TelemetryEvent::*;
+        let events = [
+            CommSend {
+                to: 1,
+                tag: 0x20,
+                bytes: 4096,
+                corr: (3 << 32) | 17,
+            },
+            CommRecv {
+                from: 2,
+                tag: 7,
+                bytes: 8,
+                corr: (2 << 32) | 5,
+            },
+            CommRetransmit {
+                to: 0,
+                tag: 7,
+                bytes: 64,
+            },
+            CommAck { peer: 1, tag: 7 },
+            CommDrop {
+                to: 1,
+                tag: 7,
+                bytes: 64,
+            },
+            HeartbeatSent {
+                to: 1,
+                iteration: 4,
+            },
+            HeartbeatObserved {
+                from: 0,
+                iteration: 4,
+            },
+            BarrierWait { iteration: 4 },
+            IterationBegin {
+                iteration: 4,
+                attempt: 1,
+            },
+            IterationEnd {
+                iteration: 4,
+                attempt: 1,
+                cost: 0.125,
+                compute_ns: 10,
+                comm_ns: 20,
+            },
+            IterationEnd {
+                iteration: 5,
+                attempt: 0,
+                cost: 1.0 / 3.0, // exercises shortest-round-trip float formatting
+                compute_ns: 0,
+                comm_ns: 0,
+            },
+            Checkpoint { iteration: 4 },
+            RankDead { node: 5 },
+            RankSuspected {
+                node: 5,
+                iteration: 2,
+            },
+            SparePromoted { slot: 1, node: 6 },
+            JobSubmitted {
+                job: 42,
+                priority: -2,
+                slots: 4,
+            },
+            JobAdmitted {
+                job: 42,
+                queue_depth: 3,
+            },
+            JobCancelled { job: 42 },
+            JobCompleted {
+                job: 42,
+                iterations: 8,
+            },
+            CheckpointPersisted {
+                iteration: 4,
+                seq: 9,
+                bytes: 4096,
+            },
+            CheckpointRestored {
+                iteration: 4,
+                seq: 9,
+            },
+            ScanIngested {
+                job: 42,
+                positions: 8,
+                total: 16,
+            },
+        ];
+        let kinds: std::collections::BTreeSet<_> = events.iter().map(|e| e.kind()).collect();
+        assert_eq!(kinds.len(), 21, "one event of every kind");
+        events
+            .into_iter()
+            .map(|event| TelemetryRecord {
+                rank: 3,
+                seq: 17,
+                sim_ns: 123_456,
+                job: 9,
+                event,
+            })
+            .collect()
     }
 
     #[test]
     fn every_event_kind_round_trips() {
-        roundtrip(TelemetryEvent::CommSend {
-            to: 1,
-            tag: 0x20,
-            bytes: 4096,
-            corr: (3 << 32) | 17,
-        });
-        roundtrip(TelemetryEvent::CommRecv {
-            from: 2,
-            tag: 7,
-            bytes: 8,
-            corr: (2 << 32) | 5,
-        });
-        roundtrip(TelemetryEvent::CommRetransmit {
-            to: 0,
-            tag: 7,
-            bytes: 64,
-        });
-        roundtrip(TelemetryEvent::CommAck { peer: 1, tag: 7 });
-        roundtrip(TelemetryEvent::CommDrop {
-            to: 1,
-            tag: 7,
-            bytes: 64,
-        });
-        roundtrip(TelemetryEvent::HeartbeatSent {
-            to: 1,
-            iteration: 4,
-        });
-        roundtrip(TelemetryEvent::HeartbeatObserved {
-            from: 0,
-            iteration: 4,
-        });
-        roundtrip(TelemetryEvent::BarrierWait { iteration: 4 });
-        roundtrip(TelemetryEvent::IterationBegin {
-            iteration: 4,
-            attempt: 1,
-        });
-        roundtrip(TelemetryEvent::IterationEnd {
-            iteration: 4,
-            attempt: 1,
-            cost: 0.125,
-            compute_ns: 10,
-            comm_ns: 20,
-        });
-        roundtrip(TelemetryEvent::IterationEnd {
-            iteration: 5,
-            attempt: 0,
-            cost: 1.0 / 3.0, // exercises shortest-round-trip float formatting
-            compute_ns: 0,
-            comm_ns: 0,
-        });
-        roundtrip(TelemetryEvent::Checkpoint { iteration: 4 });
-        roundtrip(TelemetryEvent::RankDead { node: 5 });
-        roundtrip(TelemetryEvent::RankSuspected {
-            node: 5,
-            iteration: 2,
-        });
-        roundtrip(TelemetryEvent::SparePromoted { slot: 1, node: 6 });
-        roundtrip(TelemetryEvent::JobSubmitted {
-            job: 42,
-            priority: -2,
-            slots: 4,
-        });
-        roundtrip(TelemetryEvent::JobAdmitted {
-            job: 42,
-            queue_depth: 3,
-        });
-        roundtrip(TelemetryEvent::JobCancelled { job: 42 });
-        roundtrip(TelemetryEvent::JobCompleted {
-            job: 42,
-            iterations: 8,
-        });
-        roundtrip(TelemetryEvent::CheckpointPersisted {
-            iteration: 4,
-            seq: 9,
-            bytes: 4096,
-        });
-        roundtrip(TelemetryEvent::CheckpointRestored {
-            iteration: 4,
-            seq: 9,
-        });
-        roundtrip(TelemetryEvent::ScanIngested {
-            job: 42,
-            positions: 8,
-            total: 16,
-        });
+        for record in one_of_each_kind() {
+            let line = record_to_line(&record);
+            let parsed = parse_record(&line).expect("emitted line must parse");
+            assert_eq!(parsed, record, "round-trip mismatch for {line}");
+        }
+    }
+
+    #[test]
+    fn every_dropped_field_is_reported_with_its_key_and_kind() {
+        let mut dropped = 0;
+        for record in one_of_each_kind() {
+            let line = record_to_line(&record);
+            let kind = record.event.kind();
+            let fields = parse_object(&line).expect("emitted line parses");
+            // The envelope (`rank`, `seq`, `sim_ns`, `job`, `kind`) comes
+            // first; every later key is one of the event's own fields.
+            assert!(fields.len() > 5, "{line}");
+            for (key, _) in &fields[5..] {
+                let start = line.find(&format!(",\"{key}\":")).expect("key present");
+                let end = start + 1 + line[start + 1..].find([',', '}']).expect("value ends");
+                let without = format!("{}{}", &line[..start], &line[end..]);
+                match parse_record(&without) {
+                    Err(ParseError::MissingField { field, kind: named }) => {
+                        assert_eq!((field, named.as_str()), (*key, kind), "{without}")
+                    }
+                    other => panic!("dropping `{key}` from {line} gave {other:?}"),
+                }
+                dropped += 1;
+            }
+        }
+        // Every field of the 22 events (two `iteration_end`s) was dropped.
+        assert_eq!(dropped, 55);
     }
 
     #[test]

@@ -256,6 +256,121 @@ fn restart_trace_under_drop_matches_golden_hash() {
     assert_trace_hash(&trace, 0x8b9f_cd4d_80a5_c32a, "restart under drop");
 }
 
+/// The two runs above emit only some kinds. This pins the line of every
+/// kind, with full-range values: tags carrying bit 62 (heartbeats) and bit
+/// 63 (acks), `u64::MAX`, a negative priority, and a non-integral and a NaN
+/// cost.
+#[test]
+fn every_kind_matches_golden_hash() {
+    use TelemetryEvent::*;
+    const BIT_62: u64 = 1 << 62;
+    const BIT_63: u64 = 1 << 63;
+    const MAX: u64 = u64::MAX;
+    let events = [
+        CommSend {
+            to: 1,
+            tag: BIT_62 | 5,
+            bytes: 4096,
+            corr: (3 << 32) | 17,
+        },
+        CommRecv {
+            from: 2,
+            tag: BIT_63 | 7,
+            bytes: MAX,
+            corr: MAX,
+        },
+        CommRetransmit {
+            to: 0,
+            tag: BIT_63 | BIT_62,
+            bytes: 64,
+        },
+        CommAck {
+            peer: 1,
+            tag: BIT_63 | 17,
+        },
+        CommDrop {
+            to: 3,
+            tag: BIT_62 | 9,
+            bytes: 8,
+        },
+        HeartbeatSent {
+            to: 1,
+            iteration: MAX,
+        },
+        HeartbeatObserved {
+            from: 0,
+            iteration: 4,
+        },
+        BarrierWait { iteration: 4 },
+        IterationBegin {
+            iteration: 4,
+            attempt: 255,
+        },
+        IterationEnd {
+            iteration: 4,
+            attempt: 1,
+            cost: 1.0 / 3.0,
+            compute_ns: MAX,
+            comm_ns: 20,
+        },
+        IterationEnd {
+            iteration: 5,
+            attempt: 0,
+            cost: f64::NAN,
+            compute_ns: 0,
+            comm_ns: MAX,
+        },
+        Checkpoint { iteration: 4 },
+        RankDead { node: MAX },
+        RankSuspected {
+            node: 5,
+            iteration: 2,
+        },
+        SparePromoted { slot: 1, node: 6 },
+        JobSubmitted {
+            job: 42,
+            priority: -7,
+            slots: 4,
+        },
+        JobAdmitted {
+            job: 42,
+            queue_depth: 3,
+        },
+        JobCancelled { job: MAX },
+        JobCompleted {
+            job: 42,
+            iterations: 8,
+        },
+        CheckpointPersisted {
+            iteration: 4,
+            seq: MAX,
+            bytes: 4096,
+        },
+        CheckpointRestored {
+            iteration: 4,
+            seq: 9,
+        },
+        ScanIngested {
+            job: 42,
+            positions: 8,
+            total: 16,
+        },
+    ];
+    let kinds: std::collections::BTreeSet<&str> = events.iter().map(|e| e.kind()).collect();
+    assert_eq!(kinds.len(), 21, "one record of every kind");
+    let mut trace = String::new();
+    for (i, event) in (0u64..).zip(events) {
+        trace.push_str(&record_to_line(&ptycho_telemetry::TelemetryRecord {
+            rank: if i == 0 { MAX } else { i % 3 },
+            seq: i,
+            sim_ns: 1_000 * i,
+            job: if i == 1 { MAX } else { 7 },
+            event,
+        }));
+    }
+    assert_trace_hash(trace.as_bytes(), 0xe8b4_d6de_ab72_17b7, "every kind");
+}
+
 // ---------------------------------------------------------------------------
 // Content: the stream tells the run's story.
 // ---------------------------------------------------------------------------
