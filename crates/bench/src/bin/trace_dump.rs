@@ -171,8 +171,7 @@ fn report_critical_path(summary: &TraceSummary, jobs: &[u64], straggler_z: f64) 
                 );
             }
         }
-        let scan =
-            analysis::anomaly_scan(&summary.records, job, &analysis::AnomalyConfig::default());
+        let scan = analysis::anomaly_scan(&summary.records, job);
         for (rank, count) in &scan.retransmit_bursts {
             println!("  anomaly: rank {rank} retransmit burst ({count} retransmits)");
         }

@@ -43,7 +43,7 @@
 //! recovery without unbounded disk growth.
 
 use ptycho_cluster::{CrashPhase, FaultCursor, MembershipView};
-use ptycho_fft::{CArray3, Complex64};
+use ptycho_fft::CArray3;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -320,14 +320,15 @@ impl CheckpointPayload for CArray3 {
                 path: reader.path.to_path_buf(),
                 detail: "implausible volume shape".to_string(),
             })?;
-        let mut values = Vec::with_capacity(len);
-        for _ in 0..len {
-            let re = reader.get_f64()?;
-            let im = reader.get_f64()?;
-            values.push(Complex64 { re, im });
-        }
+        // Take the payload before allocating, so a shape the bytes cannot
+        // fill is refused without reserving memory for it.
+        let bytes = reader.take(len * 16)?;
         let mut volume = CArray3::zeros(depth, rows, cols);
-        volume.as_mut_slice().copy_from_slice(&values);
+        for (value, pair) in volume.as_mut_slice().iter_mut().zip(bytes.chunks_exact(16)) {
+            let (re, im) = pair.split_at(8);
+            value.re = f64::from_le_bytes(re.try_into().expect("8 bytes"));
+            value.im = f64::from_le_bytes(im.try_into().expect("8 bytes"));
+        }
         Ok(volume)
     }
 }
@@ -936,7 +937,7 @@ mod tests {
     }
 
     fn sample_volume(seed: u64) -> CArray3 {
-        CArray3::from_fn(2, 3, 4, |d, r, c| Complex64 {
+        CArray3::from_fn(2, 3, 4, |d, r, c| ptycho_fft::Complex64 {
             re: (seed as f64) + (d * 100 + r * 10 + c) as f64 * 0.5,
             im: -((d + r + c) as f64) / 3.0,
         })
@@ -1003,6 +1004,32 @@ mod tests {
             assert_eq!(volume.as_slice(), sample_volume(slot as u64).as_slice());
         }
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_volume_its_bytes_cannot_fill_is_truncated() {
+        let decode = |bytes: &[u8]| CArray3::decode(&mut ByteReader::new(bytes, Path::new("v")));
+        let mut out = ByteWriter::new();
+        sample_volume(1).encode(&mut out);
+        let bytes = out.into_bytes();
+        assert!(decode(&bytes).is_ok());
+        for len in 0..bytes.len() {
+            assert!(
+                matches!(decode(&bytes[..len]), Err(DurabilityError::Corrupt { detail, .. })
+                    if detail == "payload truncated"),
+                "at {len}"
+            );
+        }
+        // A header claiming 2^30 voxels and no payload: refused, not
+        // allocated for.
+        let mut out = ByteWriter::new();
+        for dim in [1 << 10, 1 << 10, 1 << 10] {
+            out.put_u64(dim);
+        }
+        assert!(matches!(
+            decode(&out.into_bytes()),
+            Err(DurabilityError::Corrupt { detail, .. }) if detail == "payload truncated"
+        ));
     }
 
     #[test]

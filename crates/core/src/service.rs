@@ -39,7 +39,9 @@
 //! [`JobQueue`]: ptycho_cluster::JobQueue
 
 use crate::config::{PassFrequency, SolverConfig};
-use crate::durability::{ByteReader, ByteWriter, CheckpointStore, DurabilityError, RecoveredEpoch};
+use crate::durability::{
+    ByteReader, ByteWriter, CheckpointPayload, CheckpointStore, DurabilityError, RecoveredEpoch,
+};
 use crate::engine::{
     DurabilityHook, IterationProgress, JobContext, ReconstructionResult, RecoveryPolicy,
     RecoveryReport,
@@ -50,6 +52,7 @@ use ptycho_cluster::{
     Cluster, ClusterTopology, CommBackend, CommError, CrashPhase, FaultInjectionBackend,
     FaultPolicy, FleetView, JobId, JobQueue, LockstepBackend, NodeId, RankFailure,
 };
+use ptycho_fft::CArray3;
 use ptycho_sim::dataset::{Dataset, ScanFrame, SyntheticConfig};
 use ptycho_telemetry::{Histogram, MetricsRegistry, Telemetry, TelemetryEvent};
 use std::collections::BTreeMap;
@@ -495,6 +498,12 @@ impl JobEngine {
                     spec.slots()
                 ),
             });
+        }
+        // Both kernels checkpoint a `CArray3`: a state that does not decode
+        // is refused here, not admitted to panic its runner.
+        for (slot, record) in epoch.slots.iter().enumerate() {
+            let label = PathBuf::from(format!("slot {slot} of epoch {}", epoch.manifest.seq));
+            CArray3::decode(&mut ByteReader::new(&record.state, &label)).map_err(reject)?;
         }
         spec.checkpoint_dir = Some(dir);
         spec.resume_from = Some(Arc::new(epoch));
@@ -1663,23 +1672,40 @@ mod tests {
         JobSpec::new(Dataset::synthesize(SyntheticConfig::tiny()), config, (2, 2))
     }
 
-    /// Commits one epoch of `slots` slot files, each with an empty kernel
-    /// state, under [`tiny_2x2`]'s spec, then resumes it on a 4-node engine.
-    /// Returns the engine and the resumed job's report or refusal.
+    /// Each of [`tiny_2x2`]'s four slots' kernel state: its extended tile,
+    /// zero-filled, `depth` slices deep (the spec's own depth is 2).
+    fn tile_states(depth: usize) -> Vec<Vec<u8>> {
+        let spec = tiny_2x2();
+        let solver = GradientDecompositionSolver::new(&spec.dataset, spec.config, spec.grid);
+        (0..spec.slots())
+            .map(|slot| {
+                let tile = solver.grid().tile(slot).extended;
+                let mut out = ByteWriter::new();
+                CArray3::zeros(depth, tile.rows(), tile.cols()).encode(&mut out);
+                out.into_bytes()
+            })
+            .collect()
+    }
+
+    /// Commits one epoch with one slot file per entry of `states` (that
+    /// slot's kernel state) under [`tiny_2x2`]'s spec, then resumes it on a
+    /// 4-node engine. Returns the engine and the resumed job's report or
+    /// refusal.
     fn resume_hand_built_epoch(
         tag: &str,
-        slots: usize,
+        states: Vec<Vec<u8>>,
     ) -> (JobEngine, Result<JobReport, JobError>) {
+        let slots = states.len();
         let dir = std::env::temp_dir().join(format!("ptycho-service-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let store = CheckpointStore::open(&dir).expect("store opens");
         let seq = store.next_seq();
-        for slot in 0..slots {
+        for (slot, state) in states.into_iter().enumerate() {
             let record = SlotRecord {
                 iteration: 1,
                 costs: vec![1.0],
                 cursor: None,
-                state: Vec::new(),
+                state,
             };
             store.write_slot(seq, slot, &record).expect("slot written");
         }
@@ -1715,7 +1741,7 @@ mod tests {
     #[test]
     fn resume_rejects_an_epoch_whose_slot_count_disagrees_with_its_spec() {
         // Two slot files committed under a spec for a 2×2 grid (four ranks).
-        match resume_hand_built_epoch("slot-mismatch", 2).1 {
+        match resume_hand_built_epoch("slot-mismatch", tile_states(2)[..2].to_vec()).1 {
             Err(JobError::Rejected { reason }) => assert!(
                 reason.contains("2 slot(s)") && reason.contains("4 rank(s)"),
                 "the reason must name both counts: {reason}"
@@ -1725,15 +1751,30 @@ mod tests {
     }
 
     #[test]
+    fn resume_rejects_an_epoch_whose_slot_state_does_not_decode() {
+        let mut states = tile_states(2);
+        states[2].clear();
+        let (engine, outcome) = resume_hand_built_epoch("undecodable-state", states);
+        match outcome {
+            Err(JobError::Rejected { reason }) => assert!(
+                reason.contains("slot 2 of epoch") && reason.contains("payload truncated"),
+                "the reason must name the slot and the decode error: {reason}"
+            ),
+            other => panic!("expected a rejection, got {other:?}"),
+        }
+        assert_eq!(engine.free_nodes(), engine.total_nodes());
+    }
+
+    #[test]
     fn a_panicking_runner_fails_its_job_and_releases_its_nodes() {
-        // The slot count matches the spec, but no slot's kernel state
-        // decodes: the runner panics while restoring the epoch.
-        let (engine, outcome) = resume_hand_built_epoch("undecodable-state", 4);
+        // Every slot's state decodes, one slice short of the spec's depth:
+        // the job is admitted and its runner panics restoring the epoch.
+        let (engine, outcome) = resume_hand_built_epoch("shallow-state", tile_states(1));
         let report = outcome.expect("the epoch passes the resume checks");
         assert_eq!(report.state, JobState::Failed);
         match report.error {
             Some(JobError::Panicked { message }) => {
-                assert!(message.contains("does not decode"), "{message}")
+                assert!(message.contains("rank thread panicked"), "{message}")
             }
             other => panic!("expected a panic failure, got {other:?}"),
         }

@@ -386,17 +386,19 @@ pub struct StragglerReport {
 /// when the spread is zero (no value can be anomalous then). Shared by the
 /// post-hoc report and the live health snapshot.
 pub fn z_scores(values: &[f64]) -> Vec<f64> {
-    let n = values.len() as f64;
-    if values.is_empty() {
-        return Vec::new();
-    }
-    let mean = values.iter().sum::<f64>() / n;
-    let var = values.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / n;
-    let std = var.sqrt();
+    let (mean, std) = mean_and_std(values);
     if std == 0.0 {
         return vec![0.0; values.len()];
     }
     values.iter().map(|v| (v - mean) / std).collect()
+}
+
+/// Mean and population standard deviation of `values` (both 0 when empty).
+fn mean_and_std(values: &[f64]) -> (f64, f64) {
+    let n = values.len().max(1) as f64;
+    let mean = values.iter().sum::<f64>() / n;
+    let var = values.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / n;
+    (mean, var.sqrt())
 }
 
 /// Builds the straggler report from a critical-path attribution: flags
@@ -410,14 +412,12 @@ pub fn straggler_report(path: &CriticalPath, z_threshold: f64) -> StragglerRepor
         .map(|r| r.barrier_wait_ns as f64 / total)
         .collect();
     let scores = z_scores(&shares);
-    let n = shares.len().max(1) as f64;
-    let mean = shares.iter().sum::<f64>() / n;
-    let var = shares.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / n;
+    let (mean_wait_share, std_wait_share) = mean_and_std(&shares);
     StragglerReport {
         job: path.job,
         z_threshold,
-        mean_wait_share: mean,
-        std_wait_share: var.sqrt(),
+        mean_wait_share,
+        std_wait_share,
         stragglers: path
             .ranks
             .iter()
@@ -432,23 +432,11 @@ pub fn straggler_report(path: &CriticalPath, z_threshold: f64) -> StragglerRepor
     }
 }
 
-/// Tuning for [`anomaly_scan`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct AnomalyConfig {
-    /// Minimum retransmit count on one rank to call it a burst.
-    pub retransmit_burst_threshold: u64,
-    /// Minimum suspicion count against one node to call it a cluster.
-    pub suspicion_cluster_threshold: u64,
-}
-
-impl Default for AnomalyConfig {
-    fn default() -> Self {
-        Self {
-            retransmit_burst_threshold: 3,
-            suspicion_cluster_threshold: 2,
-        }
-    }
-}
+/// Minimum retransmit count on one rank that [`anomaly_scan`] calls a burst.
+const RETRANSMIT_BURST: u64 = 3;
+/// Minimum suspicion count against one node that [`anomaly_scan`] calls a
+/// cluster.
+const SUSPICION_CLUSTER: u64 = 2;
 
 /// What the anomaly scan found for one job.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -466,7 +454,7 @@ pub struct AnomalyScan {
 /// Scans `job` for retransmit bursts and heartbeat-suspicion clusters.
 /// (Records lost to ring overflow are counted by the trace reader, in
 /// [`StreamSummary::lost`](crate::StreamSummary::lost).)
-pub fn anomaly_scan(records: &[TelemetryRecord], job: u64, config: &AnomalyConfig) -> AnomalyScan {
+pub fn anomaly_scan(records: &[TelemetryRecord], job: u64) -> AnomalyScan {
     let mut retransmits: BTreeMap<u64, u64> = BTreeMap::new();
     let mut suspicions: BTreeMap<u64, u64> = BTreeMap::new();
     for record in records.iter().filter(|r| r.job == job) {
@@ -484,11 +472,11 @@ pub fn anomaly_scan(records: &[TelemetryRecord], job: u64, config: &AnomalyConfi
         job,
         retransmit_bursts: retransmits
             .into_iter()
-            .filter(|&(_, n)| n >= config.retransmit_burst_threshold)
+            .filter(|&(_, n)| n >= RETRANSMIT_BURST)
             .collect(),
         suspicion_clusters: suspicions
             .into_iter()
-            .filter(|&(_, n)| n >= config.suspicion_cluster_threshold)
+            .filter(|&(_, n)| n >= SUSPICION_CLUSTER)
             .collect(),
     }
 }
@@ -834,13 +822,10 @@ mod tests {
                 TelemetryEvent::RankSuspected { node: 3, iteration },
             ));
         }
-        let scan = anomaly_scan(&records, 0, &AnomalyConfig::default());
+        let scan = anomaly_scan(&records, 0);
         assert_eq!(scan.retransmit_bursts, vec![(0, 3)]);
         assert_eq!(scan.suspicion_clusters, vec![(3, 2)]);
-        assert_eq!(
-            anomaly_scan(&[], 0, &AnomalyConfig::default()),
-            AnomalyScan::default()
-        );
+        assert_eq!(anomaly_scan(&[], 0), AnomalyScan::default());
     }
 
     #[test]

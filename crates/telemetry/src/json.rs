@@ -2,17 +2,19 @@
 //!
 //! The build environment is offline, so this is a deliberately small
 //! hand-rolled codec for the one shape we emit: a flat JSON object per line,
-//! string values without escapes, integer and floating-point numbers. The
-//! emitter writes fields in a fixed order (`rank`, `seq`, `sim_ns`, `job`,
-//! `kind`, then the event's own fields in declaration order), which is what
-//! makes two identical seeded runs produce byte-identical trace files.
+//! string values without escapes, integer and floating-point numbers. This
+//! module owns the record envelope (`rank`, `seq`, `sim_ns`, `job`, `kind`,
+//! written first in that order); the event's own fields, their keys and
+//! their order come from the schema table in [`event`](crate::event), which
+//! generates both the field writer and the field reader. The fixed order is
+//! what makes two identical seeded runs produce byte-identical trace files.
 //!
 //! Integer fields use their full range — wire tags carry bits 62 and 63 — so
-//! the parser reads each integer from its token text as a `u64` (`i64` for
-//! `priority`), never through `f64`, and every emitted line parses back to
-//! the record that wrote it. Stream-level checks (per-rank order, lost
-//! records, the truncated tail) live in [`TraceSummary`](crate::TraceSummary),
-//! the one trace reader.
+//! the parser reads each number from its token text as the field's own type
+//! (`u64`, `i64` or `f64`), never an integer through `f64`, and every emitted
+//! line parses back to the record that wrote it. Stream-level checks
+//! (per-rank order, lost records, the truncated tail) live in
+//! [`TraceSummary`](crate::TraceSummary), the one trace reader.
 
 use crate::event::{TelemetryEvent, TelemetryRecord};
 use std::fmt::Write as _;
@@ -30,113 +32,7 @@ pub fn emit_record(record: &TelemetryRecord, out: &mut String) {
         record.job,
         record.event.kind()
     );
-    match record.event {
-        TelemetryEvent::CommSend {
-            to,
-            tag,
-            bytes,
-            corr,
-        } => {
-            let _ = write!(
-                out,
-                ",\"to\":{to},\"tag\":{tag},\"bytes\":{bytes},\"corr\":{corr}"
-            );
-        }
-        TelemetryEvent::CommDrop { to, tag, bytes }
-        | TelemetryEvent::CommRetransmit { to, tag, bytes } => {
-            let _ = write!(out, ",\"to\":{to},\"tag\":{tag},\"bytes\":{bytes}");
-        }
-        TelemetryEvent::CommRecv {
-            from,
-            tag,
-            bytes,
-            corr,
-        } => {
-            let _ = write!(
-                out,
-                ",\"from\":{from},\"tag\":{tag},\"bytes\":{bytes},\"corr\":{corr}"
-            );
-        }
-        TelemetryEvent::CommAck { peer, tag } => {
-            let _ = write!(out, ",\"peer\":{peer},\"tag\":{tag}");
-        }
-        TelemetryEvent::HeartbeatSent { to, iteration } => {
-            let _ = write!(out, ",\"to\":{to},\"iteration\":{iteration}");
-        }
-        TelemetryEvent::HeartbeatObserved { from, iteration } => {
-            let _ = write!(out, ",\"from\":{from},\"iteration\":{iteration}");
-        }
-        TelemetryEvent::BarrierWait { iteration } | TelemetryEvent::Checkpoint { iteration } => {
-            let _ = write!(out, ",\"iteration\":{iteration}");
-        }
-        TelemetryEvent::IterationBegin { iteration, attempt } => {
-            let _ = write!(out, ",\"iteration\":{iteration},\"attempt\":{attempt}");
-        }
-        TelemetryEvent::IterationEnd {
-            iteration,
-            attempt,
-            cost,
-            compute_ns,
-            comm_ns,
-        } => {
-            let _ = write!(
-                out,
-                ",\"iteration\":{iteration},\"attempt\":{attempt},\"cost\":{cost},\
-                 \"compute_ns\":{compute_ns},\"comm_ns\":{comm_ns}"
-            );
-        }
-        TelemetryEvent::RankDead { node } => {
-            let _ = write!(out, ",\"node\":{node}");
-        }
-        TelemetryEvent::RankSuspected { node, iteration } => {
-            let _ = write!(out, ",\"node\":{node},\"iteration\":{iteration}");
-        }
-        TelemetryEvent::SparePromoted { slot, node } => {
-            let _ = write!(out, ",\"slot\":{slot},\"node\":{node}");
-        }
-        TelemetryEvent::JobSubmitted {
-            job,
-            priority,
-            slots,
-        } => {
-            let _ = write!(
-                out,
-                ",\"job_id\":{job},\"priority\":{priority},\"slots\":{slots}"
-            );
-        }
-        TelemetryEvent::JobAdmitted { job, queue_depth } => {
-            let _ = write!(out, ",\"job_id\":{job},\"queue_depth\":{queue_depth}");
-        }
-        TelemetryEvent::JobCancelled { job } => {
-            let _ = write!(out, ",\"job_id\":{job}");
-        }
-        TelemetryEvent::JobCompleted { job, iterations } => {
-            let _ = write!(out, ",\"job_id\":{job},\"iterations\":{iterations}");
-        }
-        TelemetryEvent::CheckpointPersisted {
-            iteration,
-            seq,
-            bytes,
-        } => {
-            let _ = write!(
-                out,
-                ",\"iteration\":{iteration},\"epoch_seq\":{seq},\"bytes\":{bytes}"
-            );
-        }
-        TelemetryEvent::CheckpointRestored { iteration, seq } => {
-            let _ = write!(out, ",\"iteration\":{iteration},\"epoch_seq\":{seq}");
-        }
-        TelemetryEvent::ScanIngested {
-            job,
-            positions,
-            total,
-        } => {
-            let _ = write!(
-                out,
-                ",\"job_id\":{job},\"positions\":{positions},\"total\":{total}"
-            );
-        }
-    }
+    record.event.write_fields(out);
     out.push_str("}\n");
 }
 
@@ -223,7 +119,7 @@ impl std::error::Error for ParseError {}
 
 /// A scalar JSON value, borrowed from the line.
 #[derive(Clone, Copy, Debug, PartialEq)]
-enum JsonValue<'a> {
+pub(crate) enum JsonValue<'a> {
     /// A number's token text, kept as written: each field parses it with
     /// its own type, so a `u64` tag above 2^53 is read exactly.
     Num(&'a str),
@@ -295,7 +191,7 @@ fn parse_object(line: &str) -> Result<Vec<(&str, JsonValue<'_>)>, ParseError> {
 
 /// Reads numeric `field` as a `T` (`u64`, `i64` or `f64`) from its token
 /// text; only `f64` accepts a fraction, an exponent, `NaN` or `inf`.
-fn get_num<T: std::str::FromStr>(
+pub(crate) fn get_num<T: std::str::FromStr>(
     fields: &[(&str, JsonValue<'_>)],
     field: &'static str,
     kind: &str,
@@ -336,105 +232,7 @@ pub(crate) fn parse_record(line: &str) -> Result<TelemetryRecord, ParseError> {
             field: "kind",
             kind: String::new(),
         })?;
-    let event = match kind {
-        "comm_send" => TelemetryEvent::CommSend {
-            to: get_num(&fields, "to", kind)?,
-            tag: get_num(&fields, "tag", kind)?,
-            bytes: get_num(&fields, "bytes", kind)?,
-            corr: get_num(&fields, "corr", kind)?,
-        },
-        "comm_recv" => TelemetryEvent::CommRecv {
-            from: get_num(&fields, "from", kind)?,
-            tag: get_num(&fields, "tag", kind)?,
-            bytes: get_num(&fields, "bytes", kind)?,
-            corr: get_num(&fields, "corr", kind)?,
-        },
-        "comm_retransmit" => TelemetryEvent::CommRetransmit {
-            to: get_num(&fields, "to", kind)?,
-            tag: get_num(&fields, "tag", kind)?,
-            bytes: get_num(&fields, "bytes", kind)?,
-        },
-        "comm_ack" => TelemetryEvent::CommAck {
-            peer: get_num(&fields, "peer", kind)?,
-            tag: get_num(&fields, "tag", kind)?,
-        },
-        "comm_drop" => TelemetryEvent::CommDrop {
-            to: get_num(&fields, "to", kind)?,
-            tag: get_num(&fields, "tag", kind)?,
-            bytes: get_num(&fields, "bytes", kind)?,
-        },
-        "heartbeat_sent" => TelemetryEvent::HeartbeatSent {
-            to: get_num(&fields, "to", kind)?,
-            iteration: get_num(&fields, "iteration", kind)?,
-        },
-        "heartbeat_observed" => TelemetryEvent::HeartbeatObserved {
-            from: get_num(&fields, "from", kind)?,
-            iteration: get_num(&fields, "iteration", kind)?,
-        },
-        "barrier_wait" => TelemetryEvent::BarrierWait {
-            iteration: get_num(&fields, "iteration", kind)?,
-        },
-        "iteration_begin" => TelemetryEvent::IterationBegin {
-            iteration: get_num(&fields, "iteration", kind)?,
-            attempt: get_num(&fields, "attempt", kind)?,
-        },
-        "iteration_end" => TelemetryEvent::IterationEnd {
-            iteration: get_num(&fields, "iteration", kind)?,
-            attempt: get_num(&fields, "attempt", kind)?,
-            cost: get_num(&fields, "cost", kind)?,
-            compute_ns: get_num(&fields, "compute_ns", kind)?,
-            comm_ns: get_num(&fields, "comm_ns", kind)?,
-        },
-        "checkpoint" => TelemetryEvent::Checkpoint {
-            iteration: get_num(&fields, "iteration", kind)?,
-        },
-        "rank_dead" => TelemetryEvent::RankDead {
-            node: get_num(&fields, "node", kind)?,
-        },
-        "rank_suspected" => TelemetryEvent::RankSuspected {
-            node: get_num(&fields, "node", kind)?,
-            iteration: get_num(&fields, "iteration", kind)?,
-        },
-        "spare_promoted" => TelemetryEvent::SparePromoted {
-            slot: get_num(&fields, "slot", kind)?,
-            node: get_num(&fields, "node", kind)?,
-        },
-        "job_submitted" => TelemetryEvent::JobSubmitted {
-            job: get_num(&fields, "job_id", kind)?,
-            priority: get_num(&fields, "priority", kind)?,
-            slots: get_num(&fields, "slots", kind)?,
-        },
-        "job_admitted" => TelemetryEvent::JobAdmitted {
-            job: get_num(&fields, "job_id", kind)?,
-            queue_depth: get_num(&fields, "queue_depth", kind)?,
-        },
-        "job_cancelled" => TelemetryEvent::JobCancelled {
-            job: get_num(&fields, "job_id", kind)?,
-        },
-        "job_completed" => TelemetryEvent::JobCompleted {
-            job: get_num(&fields, "job_id", kind)?,
-            iterations: get_num(&fields, "iterations", kind)?,
-        },
-        "checkpoint_persisted" => TelemetryEvent::CheckpointPersisted {
-            iteration: get_num(&fields, "iteration", kind)?,
-            seq: get_num(&fields, "epoch_seq", kind)?,
-            bytes: get_num(&fields, "bytes", kind)?,
-        },
-        "checkpoint_restored" => TelemetryEvent::CheckpointRestored {
-            iteration: get_num(&fields, "iteration", kind)?,
-            seq: get_num(&fields, "epoch_seq", kind)?,
-        },
-        "scan_ingested" => TelemetryEvent::ScanIngested {
-            job: get_num(&fields, "job_id", kind)?,
-            positions: get_num(&fields, "positions", kind)?,
-            total: get_num(&fields, "total", kind)?,
-        },
-        other => {
-            return Err(ParseError::UnknownKind {
-                kind: other.to_string(),
-            })
-        }
-    };
+    let event = TelemetryEvent::read_fields(kind, &fields)?;
     Ok(TelemetryRecord {
         rank,
         seq,

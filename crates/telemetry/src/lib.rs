@@ -13,7 +13,9 @@
 //! 1. [`TelemetryEvent`]/[`TelemetryRecord`] ([`event`]): the structured
 //!    event model, a fixed-size `Copy` enum covering comms (send, recv,
 //!    retransmit, ack, drop), heartbeats, barriers, iterations, checkpoints,
-//!    membership (death, suspicion, spare promotion) and job lifecycle.
+//!    membership (death, suspicion, spare promotion) and job lifecycle. One
+//!    table in [`event`] declares every kind; the enum, its JSONL field
+//!    writer and its field reader are all generated from it.
 //! 2. [`Telemetry`]/[`RankSink`] ([`recorder`]): the flight recorder —
 //!    preallocated per-rank ring buffers with allocation-free recording
 //!    (the workspace's zero-allocation steady-state gate stays green with
@@ -23,7 +25,8 @@
 //! 3. [`MetricsRegistry`] ([`metrics`]): counters, gauges, and log2
 //!    histograms rendered as Prometheus-style text, assembled on demand
 //!    from producer-side counters.
-//! 4. [`json`]/[`trace`]: the JSONL codec (fixed field order, exact integer
+//! 4. [`json`]/[`trace`]: the JSONL codec (the record envelope around the
+//!    generated field writer and reader; fixed field order, exact integer
 //!    parsing) and [`TraceSummary`], the one trace reader (stream order,
 //!    lost records, per-rank digests) behind the `trace_dump` binary.
 //! 5. [`analysis`]: causal trace analysis — span graphs paired from
@@ -57,8 +60,8 @@ pub mod recorder;
 pub mod trace;
 
 pub use analysis::{
-    anomaly_scan, critical_path, diff_jobs, span_graph, straggler_report, AnomalyConfig,
-    AnomalyScan, CriticalPath, RankAttribution, SpanGraph, StragglerReport, TraceDiff,
+    anomaly_scan, critical_path, diff_jobs, span_graph, straggler_report, AnomalyScan,
+    CriticalPath, RankAttribution, SpanGraph, StragglerReport, TraceDiff,
 };
 pub use event::{TelemetryEvent, TelemetryRecord};
 pub use json::ParseError;
