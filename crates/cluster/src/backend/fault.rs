@@ -1,4 +1,4 @@
-//! Fault injection and communication record/replay.
+//! Fault injection.
 //!
 //! [`FaultInjectionBackend`] wraps any [`CommBackend`] and filters every
 //! message a rank sends through a seeded [`FaultPolicy`]: a message can be
@@ -7,23 +7,15 @@
 //! pure function of `(seed, from, to, tag, seq)` — `seq` being the sender's
 //! per-`(to, tag)` message counter — so the same policy produces the same
 //! faults on every run and on every backend, including the free-running
-//! threaded one.
-//!
-//! Every wrapped run also records a [`CommTrace`]: one [`TraceEvent`] per
-//! send decision. A trace can be fed back through
-//! [`FaultInjectionBackend::replay`], which re-executes the recorded
-//! decisions verbatim instead of consulting the policy — the foundation of
-//! reproduce-from-trace debugging.
+//! threaded one. The backend keeps no record of the decisions, only their
+//! count ([`FaultInjectionBackend::fault_count`]); what a run did on the
+//! wire is in its telemetry.
 
 use super::context::{Envelope, Instruments};
 use super::{CommBackend, CommError, Payload, RankComm, RankFailure, RankOutcome};
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
-
-/// Message identity within one run: `(from, to, tag, seq)`.
-type MessageKey = (usize, usize, u64, u64);
-/// Recorded decisions keyed by message identity, for replay.
-type DecisionMap = HashMap<MessageKey, FaultAction>;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// What the fault layer decided to do with one message.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -110,7 +102,7 @@ pub struct FaultPolicy {
 }
 
 impl FaultPolicy {
-    /// A policy that never injects faults (but still records a trace).
+    /// A policy that never injects faults.
     pub fn reliable(seed: u64) -> Self {
         Self {
             seed,
@@ -200,8 +192,9 @@ impl FaultPolicy {
 }
 
 /// SplitMix64-style finaliser over the message identity — deterministic,
-/// backend-independent, and independent of the `rand` stand-in so recorded
-/// traces stay valid if the vendored crates are swapped for real ones.
+/// backend-independent, and independent of the `rand` stand-in so a seed
+/// keeps making the same decisions if the vendored crates are swapped for
+/// real ones.
 fn unit_draw(seed: u64, from: usize, to: usize, tag: u64, seq: u64) -> f64 {
     let mut x = seed
         ^ (from as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15)
@@ -212,78 +205,6 @@ fn unit_draw(seed: u64, from: usize, to: usize, tag: u64, seq: u64) -> f64 {
     x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     x ^= x >> 31;
     (x >> 11) as f64 / (1u64 << 53) as f64
-}
-
-/// One recorded send decision.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct TraceEvent {
-    /// Sending rank.
-    pub from: usize,
-    /// Destination rank.
-    pub to: usize,
-    /// Message tag.
-    pub tag: u64,
-    /// 0-based position of this message in the sender's `(to, tag)` stream.
-    pub seq: u64,
-    /// Payload size in wire bytes.
-    pub bytes: usize,
-    /// What the fault layer did with the message.
-    pub action: FaultAction,
-}
-
-/// A recorded communication trace: every send decision of one run, in the
-/// canonical order `(from, to, tag, seq)`.
-///
-/// Within one sender a stream's `seq` order is the program order of the
-/// sends, so the canonical order is deterministic even when the run itself
-/// interleaved ranks nondeterministically (the threaded backend).
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct CommTrace {
-    events: Vec<TraceEvent>,
-}
-
-impl CommTrace {
-    fn from_events(mut events: Vec<TraceEvent>) -> Self {
-        events.sort_by_key(|e| (e.from, e.to, e.tag, e.seq));
-        Self { events }
-    }
-
-    /// The recorded events in canonical order.
-    pub fn events(&self) -> &[TraceEvent] {
-        &self.events
-    }
-
-    /// Number of recorded send decisions.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// True when nothing was recorded.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// Total number of messages affected by a fault (anything but `Deliver`).
-    pub fn fault_count(&self) -> usize {
-        self.events
-            .iter()
-            .filter(|e| e.action != FaultAction::Deliver)
-            .count()
-    }
-
-    fn decision_map(&self) -> DecisionMap {
-        self.events
-            .iter()
-            .map(|e| ((e.from, e.to, e.tag, e.seq), e.action))
-            .collect()
-    }
-}
-
-enum HarnessMode {
-    /// Decide from the policy.
-    Policy(FaultPolicy),
-    /// Re-execute recorded decisions; unknown messages are delivered.
-    Replay(Arc<DecisionMap>),
 }
 
 /// A snapshot of one rank's fault-decision counters: the total-send clock
@@ -314,9 +235,10 @@ pub struct FaultHarness {
     /// Total send decisions this rank has made, across every stream — the
     /// clock the rank-death fault fires on.
     total_sends: u64,
-    mode: HarnessMode,
-    trace: Arc<Mutex<Vec<TraceEvent>>>,
+    policy: FaultPolicy,
     seq: HashMap<(usize, u64), u64>,
+    /// The backend-wide count of non-`Deliver` decisions.
+    faults: Arc<AtomicU64>,
 }
 
 impl FaultHarness {
@@ -353,37 +275,22 @@ impl FaultHarness {
             .collect();
     }
 
-    /// Decides the fate of one outgoing message and records it in the trace.
-    pub fn decide(&mut self, to: usize, tag: u64, bytes: usize) -> FaultAction {
+    /// Decides the fate of one outgoing message, counting it when it is a
+    /// fault.
+    pub fn decide(&mut self, to: usize, tag: u64) -> FaultAction {
         let counter = self.seq.entry((to, tag)).or_insert(0);
         let seq = *counter;
         *counter += 1;
         let sends_so_far = self.total_sends;
         self.total_sends += 1;
-        let action = match &self.mode {
-            HarnessMode::Policy(policy) => {
-                if policy.kill == Some((self.node, sends_so_far)) {
-                    FaultAction::Kill
-                } else {
-                    policy.decide(self.rank, to, tag, seq)
-                }
-            }
-            HarnessMode::Replay(map) => map
-                .get(&(self.rank, to, tag, seq))
-                .copied()
-                .unwrap_or(FaultAction::Deliver),
+        let action = if self.policy.kill == Some((self.node, sends_so_far)) {
+            FaultAction::Kill
+        } else {
+            self.policy.decide(self.rank, to, tag, seq)
         };
-        self.trace
-            .lock()
-            .expect("fault trace poisoned")
-            .push(TraceEvent {
-                from: self.rank,
-                to,
-                tag,
-                seq,
-                bytes,
-                action,
-            });
+        if action != FaultAction::Deliver {
+            self.faults.fetch_add(1, Ordering::Relaxed);
+        }
         action
     }
 }
@@ -405,9 +312,8 @@ pub(super) fn route_send<M: Payload>(
         return;
     }
     let Instruments { harness, telemetry } = instruments;
-    let bytes = envelope.payload.payload_bytes();
     let action = match harness {
-        Some(harness) => harness.decide(to, envelope.tag, bytes),
+        Some(harness) => harness.decide(to, envelope.tag),
         None => FaultAction::Deliver,
     };
     match action {
@@ -417,7 +323,7 @@ pub(super) fn route_send<M: Payload>(
                 sink.record(ptycho_telemetry::TelemetryEvent::CommDrop {
                     to: to as u64,
                     tag: envelope.tag,
-                    bytes: bytes as u64,
+                    bytes: envelope.payload.payload_bytes() as u64,
                 });
             }
         }
@@ -441,18 +347,15 @@ pub(super) fn route_send<M: Payload>(
     }
 }
 
-/// A backend decorator injecting message faults and recording traces.
+/// A backend decorator injecting message faults.
 ///
 /// Wraps any [`CommBackend`]; the wrapped backend's [`RankComm`] is reused
 /// unchanged, with a per-rank [`FaultHarness`] installed before the rank body
-/// starts. Each call to [`CommBackend::run`] starts a fresh trace, readable
-/// afterwards via [`FaultInjectionBackend::trace`].
+/// starts.
 pub struct FaultInjectionBackend<B> {
     inner: B,
     policy: FaultPolicy,
-    replay: Option<Arc<DecisionMap>>,
-    trace: Arc<Mutex<Vec<TraceEvent>>>,
-    accumulate: bool,
+    faults: Arc<AtomicU64>,
 }
 
 impl<B: CommBackend> FaultInjectionBackend<B> {
@@ -465,43 +368,14 @@ impl<B: CommBackend> FaultInjectionBackend<B> {
         Self {
             inner: inner.with_loss_detection(),
             policy,
-            replay: None,
-            trace: Arc::new(Mutex::new(Vec::new())),
-            accumulate: false,
+            faults: Arc::new(AtomicU64::new(0)),
         }
     }
 
-    /// Wraps `inner` in replay mode: the recorded decisions of `trace` are
-    /// re-executed verbatim (messages not present in the trace are
-    /// delivered normally). Loss detection is enforced, as in
-    /// [`FaultInjectionBackend::new`].
-    pub fn replay(inner: B, trace: &CommTrace) -> Self {
-        Self {
-            inner: inner.with_loss_detection(),
-            policy: FaultPolicy::reliable(0),
-            replay: Some(Arc::new(trace.decision_map())),
-            trace: Arc::new(Mutex::new(Vec::new())),
-            accumulate: false,
-        }
-    }
-
-    /// Keeps accumulating trace events across `run` calls instead of
-    /// starting a fresh trace per call. The recovery drivers in
-    /// `ptycho-core` execute one `run` per attempt (checkpoint restart,
-    /// spare substitution), and the reliable layer's per-attempt wire
-    /// epochs keep the `(from, to, tag, seq)` keys of different attempts
-    /// disjoint — so an accumulated trace replays a whole multi-attempt
-    /// recovery, rank death included, decision for decision.
-    pub fn accumulate_traces(mut self) -> Self {
-        self.accumulate = true;
-        self
-    }
-
-    /// The trace recorded by the most recent `run` (or by every `run` since
-    /// construction, under [`FaultInjectionBackend::accumulate_traces`]),
-    /// in canonical order.
-    pub fn trace(&self) -> CommTrace {
-        CommTrace::from_events(self.trace.lock().expect("fault trace poisoned").clone())
+    /// How many send decisions came out as anything but
+    /// [`FaultAction::Deliver`], across every `run` since construction.
+    pub fn fault_count(&self) -> u64 {
+        self.faults.load(Ordering::Relaxed)
     }
 
     /// The wrapped backend.
@@ -510,17 +384,13 @@ impl<B: CommBackend> FaultInjectionBackend<B> {
     }
 
     fn harness_for(&self, rank: usize) -> FaultHarness {
-        let mode = match &self.replay {
-            Some(map) => HarnessMode::Replay(Arc::clone(map)),
-            None => HarnessMode::Policy(self.policy.clone()),
-        };
         FaultHarness {
             rank,
             node: rank,
             total_sends: 0,
-            mode,
-            trace: Arc::clone(&self.trace),
+            policy: self.policy.clone(),
             seq: HashMap::new(),
+            faults: Arc::clone(&self.faults),
         }
     }
 }
@@ -534,9 +404,6 @@ impl<B: CommBackend + Sync> CommBackend for FaultInjectionBackend<B> {
         R: Send,
         F: Fn(&mut Self::Comm<M>) -> Result<R, CommError> + Sync,
     {
-        if !self.accumulate {
-            self.trace.lock().expect("fault trace poisoned").clear();
-        }
         self.inner.run(num_ranks, |ctx: &mut B::Comm<M>| {
             ctx.instruments().harness = Some(self.harness_for(ctx.rank()));
             body(ctx)
@@ -608,12 +475,9 @@ mod tests {
             .unwrap_err();
         assert_eq!(failure.rank, 1);
         assert!(matches!(failure.error, CommError::RankDead { rank: 1 }));
-        let trace = backend.trace();
-        // Only two decisions reach the harness: the delivered send and the
-        // killing one. The post-death send is suppressed before the harness.
-        assert_eq!(trace.len(), 2);
-        assert_eq!(trace.events()[1].action, FaultAction::Kill);
-        assert_eq!(trace.fault_count(), 1);
+        // The kill is the one fault: the post-death send is suppressed
+        // before it reaches the harness.
+        assert_eq!(backend.fault_count(), 1);
     }
 
     #[test]
@@ -644,49 +508,5 @@ mod tests {
         assert_eq!(policy.decide(2, 0, 0x11, 1), FaultAction::Drop);
         assert_eq!(policy.decide(2, 0, 0x11, 2), FaultAction::Deliver);
         assert_eq!(policy.decide(1, 0, 0x11, 1), FaultAction::Deliver);
-    }
-
-    #[test]
-    fn trace_sorts_canonically_and_counts_faults() {
-        let trace = CommTrace::from_events(vec![
-            TraceEvent {
-                from: 1,
-                to: 0,
-                tag: 5,
-                seq: 1,
-                bytes: 8,
-                action: FaultAction::Drop,
-            },
-            TraceEvent {
-                from: 0,
-                to: 1,
-                tag: 5,
-                seq: 0,
-                bytes: 8,
-                action: FaultAction::Deliver,
-            },
-            TraceEvent {
-                from: 1,
-                to: 0,
-                tag: 5,
-                seq: 0,
-                bytes: 8,
-                action: FaultAction::Duplicate,
-            },
-        ]);
-        assert_eq!(trace.len(), 3);
-        assert_eq!(trace.fault_count(), 2);
-        assert_eq!(trace.events()[0].from, 0);
-        assert_eq!(
-            trace.events()[1],
-            TraceEvent {
-                from: 1,
-                to: 0,
-                tag: 5,
-                seq: 0,
-                bytes: 8,
-                action: FaultAction::Duplicate,
-            }
-        );
     }
 }

@@ -21,7 +21,7 @@
 //! |---|---|---|
 //! | [`ThreadedBackend`] | one OS thread per rank, real channels | the default; wall-clock compute/wait measurement |
 //! | [`LockstepBackend`] | cooperative scheduler, one rank runs at a time in a fixed order | deterministic replayable runs, deadlock *detection* instead of hangs |
-//! | [`FaultInjectionBackend`] | wraps either of the above | dropping / duplicating / delaying messages under a seeded policy, and record/replay of communication traces |
+//! | [`FaultInjectionBackend`] | wraps either of the above | dropping / duplicating / delaying messages and killing nodes under a seeded policy |
 //!
 //! [`ReliableComm`] decorates one rank's communicator with acknowledge /
 //! retransmit; it and the fault layer reach the context's fault harness and
@@ -43,9 +43,7 @@ use crate::clock::RankClock;
 use crate::memory::MemoryTracker;
 
 pub use context::{Instruments, RankCtx};
-pub use fault::{
-    CommTrace, CrashPhase, FaultAction, FaultCursor, FaultInjectionBackend, FaultPolicy, TraceEvent,
-};
+pub use fault::{CrashPhase, FaultAction, FaultCursor, FaultInjectionBackend, FaultPolicy};
 pub use lockstep::LockstepBackend;
 pub use pool::TilePayloadPool;
 pub use reliable::{ReliableComm, ReliableConfig, ReliableStats};
@@ -65,33 +63,9 @@ impl Payload for () {
     }
 }
 
-impl Payload for Vec<u8> {
-    fn payload_bytes(&self) -> usize {
-        self.len()
-    }
-}
-
 impl Payload for Vec<f64> {
     fn payload_bytes(&self) -> usize {
         self.len() * std::mem::size_of::<f64>()
-    }
-}
-
-impl Payload for String {
-    fn payload_bytes(&self) -> usize {
-        self.len()
-    }
-}
-
-/// `Arc`-backed payloads are the zero-copy path: `clone()` (used by the
-/// fault-injection duplicator and by [`ReliableComm`]'s retransmit outbox)
-/// copies one pointer instead of the buffer, while `payload_bytes` still
-/// charges the analytic wire model for the full contents.
-///
-/// [`ReliableComm`]: reliable::ReliableComm
-impl<T: Payload + Sync> Payload for std::sync::Arc<T> {
-    fn payload_bytes(&self) -> usize {
-        (**self).payload_bytes()
     }
 }
 
@@ -488,7 +462,6 @@ pub(crate) fn collect_outcomes<R>(
 #[cfg(test)]
 mod payload_tests {
     use super::*;
-    use std::sync::Arc;
 
     #[test]
     fn shared_tile_clone_aliases_the_buffer() {
@@ -507,8 +480,6 @@ mod payload_tests {
 
     #[test]
     fn arc_payload_reports_inner_wire_size() {
-        let payload = Arc::new(vec![0u8; 37]);
-        assert_eq!(payload.payload_bytes(), 37);
         let tile: SharedTile = vec![0.0f64; 4].into();
         assert_eq!(tile.payload_bytes(), 32);
     }

@@ -534,7 +534,7 @@ mod tests {
             ping_pong(&backend, rounds).unwrap(),
             expected_totals(rounds)
         );
-        assert_eq!(backend.trace().fault_count(), 1);
+        assert_eq!(backend.fault_count(), 1);
     }
 
     #[test]
@@ -561,7 +561,7 @@ mod tests {
             expected_totals(rounds)
         );
         assert!(
-            backend.trace().fault_count() > 0,
+            backend.fault_count() > 0,
             "the seeded policy must actually drop something"
         );
     }

@@ -14,7 +14,7 @@
 //!    rank; the [`LockstepBackend`] runs the same ranks deterministically,
 //!    one at a time, and proves deadlocks instead of hanging; the
 //!    [`FaultInjectionBackend`] wraps either to drop/duplicate/delay
-//!    messages and record/replay communication traces. The decomposition,
+//!    messages or kill a node under a seeded policy. The decomposition,
 //!    accumulation-pass and pipelining logic is exercised for real on all of
 //!    them, exactly as it would be on MPI.
 //! 2. **An analytic hardware model** ([`topology`], [`perf_model`]): a
@@ -78,7 +78,7 @@
 //!     })
 //!     .unwrap_err();
 //! assert!(matches!(failure.error, CommError::Deadlock { .. }));
-//! assert_eq!(faulty.trace().fault_count(), 1);
+//! assert_eq!(faulty.fault_count(), 1);
 //! ```
 
 #![warn(missing_docs)]
@@ -93,10 +93,10 @@ pub mod perf_model;
 pub mod topology;
 
 pub use backend::{
-    Cluster, CommBackend, CommError, CommTrace, CrashPhase, FaultAction, FaultCursor,
-    FaultInjectionBackend, FaultPolicy, Instruments, LockstepBackend, Payload, RankComm, RankCtx,
-    RankFailure, RankOutcome, ReliableComm, ReliableConfig, ReliableStats, SharedTile,
-    ThreadedBackend, TilePayloadPool, TraceEvent,
+    Cluster, CommBackend, CommError, CrashPhase, FaultAction, FaultCursor, FaultInjectionBackend,
+    FaultPolicy, Instruments, LockstepBackend, Payload, RankComm, RankCtx, RankFailure,
+    RankOutcome, ReliableComm, ReliableConfig, ReliableStats, SharedTile, ThreadedBackend,
+    TilePayloadPool,
 };
 pub use clock::{RankClock, TimeBreakdown};
 pub use jobs::{FleetError, FleetView, JobId, JobQueue, QueuedJob};

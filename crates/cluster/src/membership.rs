@@ -69,12 +69,12 @@ pub mod frames {
     ///
     /// Scoping the tag by attempt epoch, membership epoch *and* iteration
     /// means a heartbeat can only ever match the exact liveness probe it
-    /// answers: a stale beat from before a promotion can never be mistaken
-    /// for a fresh one, and — because the attempt epoch (the reliable
-    /// layer's wire epoch) is unique per attempt — a recorded trace's
-    /// `(from, to, tag, seq)` keys stay disjoint across attempts even when
-    /// the membership table did not change (a restart without a death), so
-    /// accumulated traces replay decision-for-decision.
+    /// answers. Fault decisions and stale beats must not alias across
+    /// attempts: the attempt epoch (the reliable layer's wire epoch) is
+    /// unique per attempt, so even when the membership table did not change
+    /// (a restart without a death) a beat from an earlier attempt is never
+    /// mistaken for a fresh one, and the fault layer's `(from, to, tag,
+    /// seq)` decision keys differ from one attempt to the next.
     pub fn heartbeat_tag(attempt_epoch: u8, membership_epoch: u64, iteration: u64) -> u64 {
         assert!(
             membership_epoch < (1 << EPOCH_BITS),

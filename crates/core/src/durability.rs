@@ -274,9 +274,22 @@ impl<'a> ByteReader<'a> {
         Ok(len as usize)
     }
 
+    /// Reads an element count and checks that `count` elements of `width`
+    /// bytes each fit in the bytes left, so a corrupt prefix is refused
+    /// before anything is reserved for it.
+    pub(crate) fn get_count(&mut self, width: usize) -> Result<usize, DurabilityError> {
+        let count = self.get_u64()?;
+        let left = (self.buf.len() - self.pos) as u64;
+        let bytes = count.checked_mul(width as u64);
+        if bytes.is_none_or(|bytes| bytes > left) {
+            return Err(self.corrupt("implausible length prefix"));
+        }
+        Ok(count as usize)
+    }
+
     /// Reads a length-prefixed byte string.
     pub fn get_bytes(&mut self) -> Result<&'a [u8], DurabilityError> {
-        let len = self.get_len(self.buf.len())?;
+        let len = self.get_count(1)?;
         self.take(len)
     }
 
@@ -374,14 +387,14 @@ impl SlotRecord {
     fn decode(payload: &[u8], path: &Path) -> Result<Self, DurabilityError> {
         let mut r = ByteReader::new(payload, path);
         let iteration = r.get_len(u32::MAX as usize)?;
-        let cost_count = r.get_len(1 << 24)?;
+        let cost_count = r.get_count(8)?;
         let mut costs = Vec::with_capacity(cost_count);
         for _ in 0..cost_count {
             costs.push(r.get_f64()?);
         }
         let cursor = r.get_opt(|r| {
             let total_sends = r.get_u64()?;
-            let stream_count = r.get_len(1 << 24)?;
+            let stream_count = r.get_count(24)?;
             let mut streams = Vec::with_capacity(stream_count);
             for _ in 0..stream_count {
                 let to = r.get_len(u32::MAX as usize)?;
@@ -466,7 +479,7 @@ impl EpochManifest {
         let restarts = r.get_len(u32::MAX as usize)?;
         let substitutions = r.get_len(u32::MAX as usize)?;
         let epoch = r.get_u64()?;
-        let slot_count = r.get_len(1 << 16)?;
+        let slot_count = r.get_count(8)?;
         if slot_count == 0 {
             return Err(DurabilityError::Corrupt {
                 path: path.to_path_buf(),
@@ -477,12 +490,12 @@ impl EpochManifest {
         for _ in 0..slot_count {
             assignment.push(r.get_len(u32::MAX as usize)?);
         }
-        let spare_count = r.get_len(1 << 16)?;
+        let spare_count = r.get_count(8)?;
         let mut spares = Vec::with_capacity(spare_count);
         for _ in 0..spare_count {
             spares.push(r.get_len(u32::MAX as usize)?);
         }
-        let dead_count = r.get_len(1 << 16)?;
+        let dead_count = r.get_count(8)?;
         let mut dead = Vec::with_capacity(dead_count);
         for _ in 0..dead_count {
             dead.push(r.get_len(u32::MAX as usize)?);
@@ -492,6 +505,16 @@ impl EpochManifest {
             return Err(DurabilityError::Corrupt {
                 path: path.to_path_buf(),
                 detail: "trailing bytes after manifest payload".to_string(),
+            });
+        }
+        // `MembershipView::from_parts` asserts each node holds one role; a
+        // manifest that breaks that is corrupt, not a panic.
+        let mut seen = std::collections::HashSet::new();
+        let mut nodes = assignment.iter().chain(&spares).chain(&dead);
+        if !nodes.all(|&node| seen.insert(node)) {
+            return Err(DurabilityError::Corrupt {
+                path: path.to_path_buf(),
+                detail: "manifest names a node in more than one membership role".to_string(),
             });
         }
         Ok(Self {
@@ -1163,18 +1186,106 @@ mod tests {
         }
     }
 
+    /// The slot record behind the framed-file golden: it carries a fault
+    /// cursor.
+    fn golden_slot() -> SlotRecord {
+        sample_record(3, 7)
+    }
+
+    /// The manifest behind the framed-file golden: it has spares and dead
+    /// nodes.
+    fn golden_manifest() -> EpochManifest {
+        EpochManifest {
+            membership: MembershipView::from_parts(5, vec![0, 4, 2], vec![6, 7], vec![1, 3]),
+            ..sample_manifest(9, 7, 3, b"opaque spec")
+        }
+    }
+
+    /// Offset of `assignment[1]`'s low byte in a manifest payload: seq,
+    /// iteration, attempt index, restarts, substitutions, membership epoch,
+    /// slot count and `assignment[0]` precede it.
+    const ASSIGNMENT_1: usize = 8 + 8 + 1 + 8 + 8 + 8 + 8 + 8;
+
+    #[test]
+    fn a_manifest_naming_a_node_twice_is_corrupt_and_recovery_falls_back() {
+        let mut payload = golden_manifest().encode();
+        payload[ASSIGNMENT_1] ^= 4; // [0, 4, 2] becomes [0, 0, 2]
+        assert!(matches!(
+            EpochManifest::decode(&payload, Path::new("m")),
+            Err(DurabilityError::Corrupt { detail, .. })
+                if detail == "manifest names a node in more than one membership role"
+        ));
+
+        // The same damage behind a valid checksum, in the newest epoch.
+        let dir = temp_dir("duplicate-node");
+        let store = CheckpointStore::open(&dir).unwrap();
+        commit_epoch(&store, 0, 1, 3);
+        commit_epoch(&store, 1, 2, 3);
+        let mut payload = sample_manifest(1, 2, 3, b"spec").encode();
+        payload[ASSIGNMENT_1] ^= 1; // [0, 1, 2] becomes [0, 0, 2]
+        let manifest = dir.join("epoch-0000000001").join("manifest.ckpt");
+        write_atomic(&manifest, &frame_file(MANIFEST_MAGIC, &payload)).unwrap();
+
+        let recovery = store.recover().unwrap();
+        assert_eq!(recovery.rejected.len(), 1);
+        assert_eq!(recovery.rejected[0].0, 1);
+        assert!(
+            recovery.rejected[0]
+                .1
+                .contains("more than one membership role"),
+            "got: {}",
+            recovery.rejected[0].1
+        );
+        assert_eq!(recovery.epoch.expect("fallback").manifest.seq, 0);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_count_the_remaining_bytes_cannot_hold_is_refused_before_reserving() {
+        let mut w = ByteWriter::new();
+        w.put_u64(0); // iteration
+        w.put_u64(1 << 24); // cost count, with no costs after it
+        assert!(matches!(
+            SlotRecord::decode(&w.into_bytes(), Path::new("s")),
+            Err(DurabilityError::Corrupt { detail, .. }) if detail == "implausible length prefix"
+        ));
+    }
+
+    /// Feeds `decode` every truncation and every single-byte XOR of
+    /// `payload`: each must return, `Ok` or `Err`, never panic.
+    fn assert_decode_never_panics(label: &str, payload: &[u8], decode: fn(&[u8]) -> bool) {
+        assert!(decode(payload), "{label}: the undamaged payload decodes");
+        let survives = |bytes: &[u8]| std::panic::catch_unwind(|| decode(bytes)).is_ok();
+        for len in 0..payload.len() {
+            assert!(survives(&payload[..len]), "{label}: truncation to {len}");
+        }
+        let mut bytes = payload.to_vec();
+        for at in 0..bytes.len() {
+            for mask in 1..=255u8 {
+                bytes[at] ^= mask;
+                assert!(survives(&bytes), "{label}: byte {at} ^ {mask:#04x}");
+                bytes[at] ^= mask;
+            }
+        }
+    }
+
+    #[test]
+    fn store_decoders_never_panic_on_truncated_or_flipped_bytes() {
+        assert_decode_never_panics("slot", &golden_slot().encode(), |bytes| {
+            SlotRecord::decode(bytes, Path::new("s")).is_ok()
+        });
+        assert_decode_never_panics("manifest", &golden_manifest().encode(), |bytes| {
+            EpochManifest::decode(bytes, Path::new("m")).is_ok()
+        });
+    }
+
     /// FNV-1a goldens of whole framed files, so a codec refactor that moves
     /// any on-disk byte — a presence flag, a field order, the framing — is
     /// caught even where it still round-trips.
     #[test]
     fn framed_files_match_their_recorded_bytes() {
-        let slot = frame_file(SLOT_MAGIC, &sample_record(3, 7).encode());
-        let membership = MembershipView::from_parts(5, vec![0, 4, 2], vec![6, 7], vec![1, 3]);
-        let manifest = EpochManifest {
-            membership,
-            ..sample_manifest(9, 7, 3, b"opaque spec")
-        };
-        let manifest = frame_file(MANIFEST_MAGIC, &manifest.encode());
+        let slot = frame_file(SLOT_MAGIC, &golden_slot().encode());
+        let manifest = frame_file(MANIFEST_MAGIC, &golden_manifest().encode());
         assert_eq!(
             (slot.len(), fnv1a64(&slot)),
             (537, 0xf3c3_a3ac_0c49_f30e),

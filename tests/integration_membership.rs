@@ -12,8 +12,8 @@
 use ptycho_cluster::backend::reliable::wire_data_tag;
 use ptycho_cluster::membership::frames;
 use ptycho_cluster::{
-    CommBackend, CommError, FaultAction, FaultInjectionBackend, FaultPolicy, LockstepBackend,
-    RankComm, ReliableComm, ReliableStats, SharedTile,
+    CommBackend, CommError, FaultInjectionBackend, FaultPolicy, LockstepBackend, RankComm,
+    ReliableComm, ReliableStats, SharedTile,
 };
 use ptycho_core::{JobContext, RecoveryPolicy};
 
@@ -238,39 +238,6 @@ fn exhausted_spare_pool_surfaces_a_typed_error() {
         CommError::SparesExhausted { dead_node, .. } => assert_eq!(dead_node, 1),
         other => panic!("expected SparesExhausted, got {other}"),
     }
-}
-
-#[test]
-fn rank_death_trace_replays_to_the_identical_reconstruction() {
-    // Record a whole multi-attempt recovery (death in attempt 0, healed
-    // attempt 1) with trace accumulation, then replay the recorded
-    // decisions verbatim: the kill fires at the same send, the same spare
-    // is promoted, and the volume matches bit for bit.
-    let ds = small_problem();
-    let solver = gd_solver(&ds);
-
-    let recording = FaultInjectionBackend::new(lockstep(), early_death()).accumulate_traces();
-    let first = solver
-        .run_job(&recording, substitute_policy(1), &JobContext::default())
-        .expect("substitution must heal");
-    assert_eq!(first.recovery.substitutions, 1);
-    let trace = recording.trace();
-    assert!(
-        trace.events().iter().any(|e| e.action == FaultAction::Kill),
-        "the recorded trace must contain the rank death"
-    );
-
-    let replaying = FaultInjectionBackend::replay(lockstep(), &trace).accumulate_traces();
-    let second = solver
-        .run_job(&replaying, substitute_policy(1), &JobContext::default())
-        .expect("the replay must heal identically");
-    assert_eq!(second.recovery.substitutions, 1);
-    assert_bit_identical(&first, &second);
-    assert_eq!(
-        replaying.trace().fault_count(),
-        trace.fault_count(),
-        "the replay re-executes exactly the recorded faults"
-    );
 }
 
 #[test]

@@ -165,7 +165,7 @@ fn gd_random_drops_on_pass_traffic_are_healed() {
         .run_job(&faulty, restart_policy(), &JobContext::default())
         .expect("a 5% drop rate must be recoverable");
     assert!(
-        faulty.trace().fault_count() > 0,
+        faulty.fault_count() > 0,
         "the seeded policy must actually drop something"
     );
     assert_bit_identical(&clean, &recovered);
