@@ -1491,6 +1491,8 @@ mod tests {
     const RETIRED_TAGS: [(usize, &str); 2] =
         [(124, "probe-support pruning"), (125, "detector ROI")];
     const FULL_SPEC_LEN: usize = 279;
+    /// Where the checkpointed scan length sits (a little-endian `u64`).
+    const SCAN_LEN_AT: usize = 66;
 
     fn spec(dose: Option<f64>) -> JobSpec {
         let dataset = Dataset::synthesize(SyntheticConfig {
@@ -1557,6 +1559,9 @@ mod tests {
         let base = spec(None);
         assert_round_trips(&base);
         assert_round_trips(&full_spec());
+        let mut prefix = base.clone();
+        prefix.dataset = prefix.dataset.with_scan_prefix(4);
+        assert_round_trips(&prefix);
         for pass_frequency in [PassFrequency::EveryProbe, PassFrequency::PerIteration(2)] {
             let mut spec = base.clone();
             spec.config.pass_frequency = pass_frequency;
@@ -1645,6 +1650,21 @@ mod tests {
             let detail = corrupt_detail(&damaged);
             assert!(detail.contains(name), "{detail:?} should name {name}");
         }
+    }
+
+    #[test]
+    fn a_scan_length_past_the_recipe_is_corrupt() {
+        let spec = full_spec();
+        let recipe_len = spec.dataset.scan().len() as u64;
+        let mut bytes = encode_spec(&spec);
+        let at = SCAN_LEN_AT..SCAN_LEN_AT + 8;
+        assert_eq!(bytes[at.clone()], recipe_len.to_le_bytes());
+        bytes[at].copy_from_slice(&(recipe_len + 1).to_le_bytes());
+        let detail = corrupt_detail(&bytes);
+        assert!(
+            detail.contains("checkpointed scan length"),
+            "{detail:?} should name the checkpointed scan length"
+        );
     }
 
     #[test]

@@ -294,6 +294,39 @@ fn mid_substitution_kill_round_trips_the_adopted_checkpoint() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A job over a scan prefix checkpoints its own scan length, shorter than
+/// the recipe's: resume re-synthesises the full acquisition, trims it back
+/// to the prefix, and finishes bit-identical to the uninterrupted prefix run.
+#[test]
+fn a_prefix_job_killed_at_its_first_barrier_resumes_bit_identical() {
+    let prefix = 6;
+    let spec = JobSpec::new(
+        tiny().with_scan_prefix(prefix),
+        SolverConfig {
+            iterations: 2,
+            halo_px: 20,
+            ..SolverConfig::default()
+        },
+        (2, 2),
+    );
+    let baseline = uninterrupted(spec.clone());
+
+    let dir = scratch("prefix-kill");
+    let engine = JobEngine::new(8);
+    let killed = engine
+        .submit(spec.with_checkpoint_dir(&dir).with_fault_policy(
+            FaultPolicy::reliable(11).kill_process_at_barrier(0, CrashPhase::AfterRename),
+        ))
+        .expect("fits the fleet")
+        .wait();
+    assert_process_killed(&killed, 0);
+
+    let resumed = engine.resume(&dir).expect("resumable").wait();
+    assert_eq!(resumed.state, JobState::Completed);
+    assert_bit_identical(&baseline, resumed.result.as_ref().unwrap());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Live ingestion, splice-before-start: frames streamed into a still-queued
 /// job are spliced in before its first iteration, and the run over the
 /// grown dataset is bit-identical to the batch run over the full one.
