@@ -233,15 +233,6 @@ pub enum CommError {
         /// The checkpoint-store epoch sequence number the kill struck at.
         seq: u64,
     },
-    /// The run was preempted cooperatively at an iteration barrier so the
-    /// job service can splice newly ingested scan positions into the dataset
-    /// and restart the solve over the enlarged problem. Like `Cancelled`,
-    /// this is not a fault — the recovery machinery must surface it
-    /// immediately instead of trying to heal it.
-    Preempted {
-        /// The rank that observed the preemption.
-        rank: usize,
-    },
 }
 
 impl std::fmt::Display for CommError {
@@ -292,11 +283,6 @@ impl std::fmt::Display for CommError {
                 f,
                 "rank {rank}: the hosting process was killed at durable checkpoint \
                  commit {seq}; resume from the checkpoint directory to continue"
-            ),
-            CommError::Preempted { rank } => write!(
-                f,
-                "rank {rank}: the run was preempted at an iteration barrier to splice \
-                 newly ingested scan positions"
             ),
         }
     }

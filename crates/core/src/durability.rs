@@ -36,9 +36,11 @@
 //!     ...
 //! ```
 //!
-//! Epoch sequence numbers are monotonic across restarts *and* across
-//! ingestion splices (a splice restarts the iteration counter, so iteration
-//! numbers alone could not order epochs). After each commit every epoch
+//! Epoch sequence numbers are monotonic across checkpoint restarts and
+//! process resumes, and a torn epoch keeps its number: a resume that falls
+//! back past it rolls the iteration back and commits the same iteration
+//! again under a newer number, so iteration numbers alone could not order
+//! epochs. After each commit every epoch
 //! older than the previous one is pruned, keeping a fallback for torn-write
 //! recovery without unbounded disk growth.
 

@@ -214,13 +214,6 @@ pub struct IterationProgress {
 pub struct JobContext<'a> {
     /// Raised by the job's owner to request cooperative cancellation.
     pub cancel: Option<&'a AtomicBool>,
-    /// Raised by the job's owner to preempt the run at the next iteration
-    /// boundary — same poll points as `cancel`, but surfaced as
-    /// [`CommError::Preempted`] so the owner can splice newly ingested scan
-    /// positions into the dataset and re-run, instead of tearing the job
-    /// down. Like cancellation it is not a fault: the recovery machinery
-    /// never spends restart budget or spares on it.
-    pub preempt: Option<&'a AtomicBool>,
     /// Sink for per-iteration progress events.
     pub progress: Option<&'a (dyn Fn(IterationProgress) + Sync)>,
     /// External spare-pool arbiter: `grant(dead_local_node) -> granted`.
@@ -275,12 +268,6 @@ impl JobContext<'_> {
         self.cancel.is_some_and(|flag| flag.load(Ordering::Relaxed))
     }
 
-    /// True once the owner has requested an iteration-boundary preemption.
-    pub fn preempted(&self) -> bool {
-        self.preempt
-            .is_some_and(|flag| flag.load(Ordering::Relaxed))
-    }
-
     fn emit(&self, event: IterationProgress) {
         if let Some(sink) = self.progress {
             sink(event);
@@ -292,7 +279,6 @@ impl std::fmt::Debug for JobContext<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("JobContext")
             .field("cancel", &self.cancel.map(|c| c.load(Ordering::Relaxed)))
-            .field("preempt", &self.preempt.map(|c| c.load(Ordering::Relaxed)))
             .field("progress", &self.progress.is_some())
             .field("spare_grant", &self.spare_grant.is_some())
             .field("telemetry", &self.telemetry.is_some())
@@ -397,11 +383,11 @@ pub(crate) fn run<K: SolverKernel, B: CommBackend>(
 }
 
 /// One rank's iterations `start..`: the per-rank loop of Algorithm 1, written
-/// once for every policy. Each iteration polls cancellation and preemption,
-/// stamps `IterationBegin`, runs the kernel's body, charges its modeled
-/// compute and stamps `IterationEnd`, runs the policy's `boundary` step, and
-/// emits the progress event. `boundary` sees the state and costs after the
-/// iteration; an error from it ends the rank like a failed iteration.
+/// once for every policy. Each iteration polls cancellation, stamps
+/// `IterationBegin`, runs the kernel's body, charges its modeled compute and
+/// stamps `IterationEnd`, runs the policy's `boundary` step, and emits the
+/// progress event. `boundary` sees the state and costs after the iteration;
+/// an error from it ends the rank like a failed iteration.
 #[allow(clippy::too_many_arguments)]
 fn run_rank<'k, K, C, F>(
     kernel: &'k K,
@@ -427,12 +413,6 @@ where
         // driver maps both to a cancelled (not faulted) run.
         if job.cancelled() {
             return Err(CommError::Cancelled { rank: slot });
-        }
-        // The ingestion preemption point: like cancellation, but the owner
-        // intends to splice new scan positions and re-run rather than tear
-        // the job down.
-        if job.preempted() {
-            return Err(CommError::Preempted { rank: slot });
         }
         if let Some(sink) = sink {
             sink.record_at_comm_ns(
@@ -936,20 +916,6 @@ fn run_recovering<K: SolverKernel, B: CommBackend>(
                 if let CommError::ProcessKilled { .. } = failure.error {
                     flush_telemetry();
                     return Err(failure);
-                }
-                // Preemption mirrors cancellation: the owner raised the
-                // flag to splice ingested scan positions, so the run is
-                // over here and the owner re-runs it. Ranks that were
-                // already parked in a receive or barrier when the flag
-                // went up fail with a timeout instead — map those back
-                // to the preemption that caused them.
-                if job.preempted() || matches!(failure.error, CommError::Preempted { .. }) {
-                    flush_telemetry();
-                    return Err(RankFailure {
-                        rank: failure.rank,
-                        error: CommError::Preempted { rank: failure.rank },
-                        failed_ranks: failure.failed_ranks,
-                    });
                 }
                 // Restart only from a provably consistent boundary: every
                 // rank's latest checkpoint must agree on the iteration

@@ -53,7 +53,7 @@ use ptycho_cluster::{
     FaultPolicy, FleetView, JobId, JobQueue, LockstepBackend, NodeId, RankFailure,
 };
 use ptycho_fft::CArray3;
-use ptycho_sim::dataset::{Dataset, ScanFrame, SyntheticConfig};
+use ptycho_sim::dataset::{Dataset, SyntheticConfig};
 use ptycho_telemetry::{Histogram, MetricsRegistry, Telemetry, TelemetryEvent};
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -288,13 +288,6 @@ struct JobRecord {
     /// and again once the runner hands it back to [`finish`].
     spec: Option<JobSpec>,
     cancel: Arc<AtomicBool>,
-    /// Raised by [`JobHandle::ingest`]: asks the running job to stop at the
-    /// next iteration boundary so newly arrived scan positions can be
-    /// spliced in. Lowered by the runner once the splice happens.
-    preempt: Arc<AtomicBool>,
-    /// Scan frames queued by [`JobHandle::ingest`], consumed by the runner
-    /// at the next splice point.
-    ingest: Arc<Mutex<Vec<ScanFrame>>>,
     /// Job-local node id → fleet node. Indices `0..slots` are the initial
     /// lease; each drawn spare is appended in promotion order, mirroring the
     /// engine's `slots + k` numbering for the k-th promotion.
@@ -554,8 +547,6 @@ impl JobEngine {
                 state: JobState::Queued,
                 spec: Some(spec),
                 cancel: Arc::new(AtomicBool::new(false)),
-                preempt: Arc::new(AtomicBool::new(false)),
-                ingest: Arc::new(Mutex::new(Vec::new())),
                 node_map: Vec::new(),
                 progress: Vec::new(),
                 result: None,
@@ -843,35 +834,6 @@ impl JobHandle {
         }
     }
 
-    /// Streams newly acquired scan positions into the job.
-    ///
-    /// Frames are queued; a running job is preempted at its next iteration
-    /// boundary, splices every queued frame into its dataset with
-    /// deterministic re-partitioning, and re-runs over the enlarged
-    /// dataset. A queued job splices before its first iteration. The final
-    /// volume is **bit-identical** to submitting the full dataset up
-    /// front — the streamed-ingestion tests pin this. Frames must continue
-    /// the scan contiguously ([`ScanFrame`]s from
-    /// [`Dataset::frames_after`]). Frames ingested after the job reached a
-    /// terminal state are dropped; returns `false` in that case.
-    pub fn ingest(&self, frames: Vec<ScanFrame>) -> bool {
-        let state = self.shared.lock();
-        let record = state.jobs.get(&self.id).expect("job record missing");
-        if record.state.is_terminal() {
-            return false;
-        }
-        record
-            .ingest
-            .lock()
-            .expect("ingest queue poisoned")
-            .extend(frames);
-        // Raise preempt *after* the frames are visible: the runner always
-        // lowers the flag before draining the queue, so a raised flag
-        // implies the frames it announces are already there.
-        record.preempt.store(true, Ordering::Release);
-        true
-    }
-
     /// The progress events emitted so far.
     pub fn progress(&self) -> Vec<IterationProgress> {
         self.record(|record| record.progress.clone())
@@ -1033,17 +995,11 @@ fn try_admit(state: &mut ServiceState, shared: &Arc<Shared>) {
 }
 
 /// The per-job runner: builds the job's own backend, wires the job-context
-/// hooks into the shared state, runs the solver (re-running after every
-/// scan-ingestion splice), and completes the job.
+/// hooks into the shared state, runs the solver once, and completes the job.
 fn run_job_thread(shared: Arc<Shared>, id: JobId, mut spec: JobSpec) {
-    let (cancel, preempt, ingest) = {
+    let cancel = {
         let state = shared.lock();
-        let record = state.jobs.get(&id).expect("job record missing");
-        (
-            Arc::clone(&record.cancel),
-            Arc::clone(&record.preempt),
-            Arc::clone(&record.ingest),
-        )
+        Arc::clone(&state.jobs.get(&id).expect("job record missing").cancel)
     };
     let progress_shared = Arc::clone(&shared);
     let progress = move |event: IterationProgress| {
@@ -1097,95 +1053,43 @@ fn run_job_thread(shared: Arc<Shared>, id: JobId, mut spec: JobSpec) {
         try_admit(&mut guard, &grant_shared);
         granted
     };
-    // The store opens once per job: every splice round and the kill/resume
-    // cycle continue the same monotonic epoch sequence.
-    let store = match spec.checkpoint_dir.clone() {
-        None => Ok(None),
-        Some(dir) => CheckpointStore::open(&dir)
-            .map(Some)
-            .map_err(|error| JobError::Rejected {
-                reason: format!("checkpoint store at {}: {error}", dir.display()),
-            }),
-    };
-    let mut resume_epoch: Option<Arc<RecoveredEpoch>> = spec.resume_from.take();
+    // Taken out of the spec so the recovered slot states are freed when the
+    // run ends, not kept alive by the finished record.
+    let resume = spec.resume_from.take();
     // A panicking run fails the job instead of leaving it `Running` with its
     // nodes leased and every waiter blocked.
-    let outcome = catch_unwind(AssertUnwindSafe(|| match store {
-        Err(error) => Err(error),
-        Ok(store) => loop {
-            // Splice point. Lower the preempt flag *before* draining the
-            // queue: any frame queued after the drain was published before
-            // its raise, so it either lands in this drain or leaves the
-            // flag raised for the engine's next boundary poll — no frame is
-            // ever silently stranded.
-            preempt.store(false, Ordering::Release);
-            let frames: Vec<ScanFrame> =
-                std::mem::take(&mut *ingest.lock().expect("ingest queue poisoned"));
-            if !frames.is_empty() {
-                let added = frames.len() as u64;
-                spec.dataset.ingest(frames);
-                if let Some(telemetry) = &spec.telemetry {
-                    telemetry.sink(0).record(TelemetryEvent::ScanIngested {
-                        job: id,
-                        positions: added,
-                        total: spec.dataset.scan().len() as u64,
-                    });
-                }
-                // The spec was checked at submission against the pre-splice
-                // scan; re-check it against the enlarged one instead of
-                // panicking mid-run.
-                if let Some(reason) = refusal_reason(&spec) {
-                    break Err(JobError::Rejected {
-                        reason: format!("ingested scan broke the decomposition: {reason}"),
-                    });
-                }
-            }
-            let spec_bytes = encode_spec(&spec);
-            let durability = store.as_ref().map(|store| DurabilityHook {
+    let outcome = catch_unwind(AssertUnwindSafe(|| {
+        let store = spec
+            .checkpoint_dir
+            .as_ref()
+            .map(|dir| {
+                CheckpointStore::open(dir).map_err(|error| JobError::Rejected {
+                    reason: format!("checkpoint store at {}: {error}", dir.display()),
+                })
+            })
+            .transpose()?;
+        let spec_bytes = encode_spec(&spec);
+        let job = JobContext {
+            cancel: Some(&cancel),
+            progress: Some(&progress),
+            spare_grant: Some(&spare_grant),
+            telemetry: spec.telemetry.as_deref(),
+            durability: store.as_ref().map(|store| DurabilityHook {
                 store,
-                resume: resume_epoch.as_deref(),
+                resume: resume.as_deref(),
                 kill: spec.fault_policy.as_ref().and_then(|p| p.process_kill),
                 spec: &spec_bytes,
-            });
-            let job = JobContext {
-                cancel: Some(&cancel),
-                preempt: Some(&preempt),
-                progress: Some(&progress),
-                spare_grant: Some(&spare_grant),
-                telemetry: spec.telemetry.as_deref(),
-                durability,
-            };
-            let round = run_spec(&spec, &job);
-            let cancelled = cancel.load(Ordering::Relaxed);
-            match round {
-                Err(failure)
-                    if matches!(failure.error, CommError::Preempted { .. }) && !cancelled =>
-                {
-                    // An ingestion splice interrupted the run: restart from
-                    // the initial guess over the (about to be) enlarged
-                    // dataset. The final round is a full deterministic run
-                    // over the final dataset, so the result is bit-identical
-                    // to a batch submission; the on-disk resume state is
-                    // from the pre-splice dataset and no longer applies.
-                    resume_epoch = None;
-                }
-                Ok(result) => {
-                    if !cancelled && !ingest.lock().expect("ingest queue poisoned").is_empty() {
-                        // Frames landed after the run's last boundary poll:
-                        // the job is not done with the data it was promised.
-                        resume_epoch = None;
-                        continue;
-                    }
-                    break Ok(result);
-                }
-                Err(failure)
-                    if cancelled || matches!(failure.error, CommError::Cancelled { .. }) =>
-                {
-                    break Err(JobError::Cancelled);
-                }
-                Err(failure) => break Err(JobError::Failed(failure)),
+            }),
+        };
+        run_spec(&spec, &job).map_err(|failure| {
+            if cancel.load(Ordering::Relaxed)
+                || matches!(failure.error, CommError::Cancelled { .. })
+            {
+                JobError::Cancelled
+            } else {
+                JobError::Failed(failure)
             }
-        },
+        })
     }))
     .unwrap_or_else(|panic| {
         // `panic!` with arguments carries a `String`, a bare literal a `&str`.
@@ -1425,8 +1329,7 @@ fn decode_spec(bytes: &[u8], path: &std::path::Path) -> Result<JobSpec, Durabili
     }
     // The synthesized acquisition is deterministic: re-running the recipe
     // and trimming to the checkpointed scan length reproduces the exact
-    // dataset the killed process was reconstructing (including every
-    // ingested splice, because splices come from the same recipe).
+    // dataset the killed process was reconstructing, scan prefix included.
     let full = Dataset::synthesize(synth);
     if scan_len > full.scan().len() {
         return Err(corrupt(format!(

@@ -183,18 +183,6 @@ impl SyntheticConfig {
     }
 }
 
-/// One newly arrived scan position with its measurement — the unit of live
-/// ingestion. A beamline streams these as the acquisition progresses;
-/// [`Dataset::ingest`] splices them into a dataset between reconstruction
-/// iterations.
-#[derive(Clone, Debug)]
-pub struct ScanFrame {
-    /// The probe location, carrying its acquisition index.
-    pub location: ProbeLocation,
-    /// The measured diffraction amplitude at that location.
-    pub measurement: Array2<f64>,
-}
-
 /// A fully synthesised dataset: ground-truth specimen, probe, scan pattern and
 /// per-probe-location diffraction amplitudes.
 #[derive(Clone, Debug)]
@@ -284,10 +272,9 @@ impl Dataset {
         self.synthetic
     }
 
-    /// The dataset restricted to its first `n` probe locations — what a
-    /// streamed acquisition looks like before the tail has arrived. The
-    /// remaining frames ([`Dataset::frames_after`]) can later be spliced
-    /// back with [`Dataset::ingest`], rebuilding this dataset exactly.
+    /// The dataset restricted to its first `n` probe locations, in
+    /// acquisition order. The synthesis recipe is kept, so a checkpointed
+    /// job over a prefix is rebuilt by re-synthesising and trimming again.
     ///
     /// # Panics
     /// Panics if `n` exceeds the number of scanned locations.
@@ -295,30 +282,6 @@ impl Dataset {
         self.scan = self.scan.prefix(n);
         self.measurements.truncate(n);
         self
-    }
-
-    /// The frames after the first `n` — the stream a live acquisition would
-    /// deliver to a run started on [`Dataset::with_scan_prefix`]`(n)`.
-    pub fn frames_after(&self, n: usize) -> Vec<ScanFrame> {
-        self.scan.locations()[n..]
-            .iter()
-            .map(|&location| ScanFrame {
-                measurement: self.measurements[location.index].clone(),
-                location,
-            })
-            .collect()
-    }
-
-    /// Splices newly arrived frames into the dataset. Frames must continue
-    /// acquisition order ([`ScanPattern::push`] enforces contiguity), so the
-    /// dataset after ingesting `frames_after(n)` into `with_scan_prefix(n)`
-    /// is bit-identical to the original — which is what lets a streamed
-    /// reconstruction converge to the same volume as a batch one.
-    pub fn ingest(&mut self, frames: impl IntoIterator<Item = ScanFrame>) {
-        for frame in frames {
-            self.scan.push(frame.location);
-            self.measurements.push(frame.measurement);
-        }
     }
 
     /// The ground-truth specimen the data was simulated from.

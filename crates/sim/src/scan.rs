@@ -150,9 +150,8 @@ impl ScanPattern {
     }
 
     /// The pattern restricted to its first `n` probe locations (acquisition
-    /// order) — the shape of a scan whose tail has not arrived yet. The
-    /// configuration is kept, so a later [`ScanPattern::push`] of the
-    /// remaining locations rebuilds the full pattern exactly.
+    /// order). The configuration is kept, so the prefix still describes the
+    /// raster it was cut from.
     ///
     /// # Panics
     /// Panics if `n` exceeds the number of locations.
@@ -166,23 +165,6 @@ impl ScanPattern {
             config: self.config,
             locations: self.locations[..n].to_vec(),
         }
-    }
-
-    /// Appends one probe location — the ingestion splice. Locations must
-    /// arrive in acquisition order: the pushed location's `index` has to be
-    /// exactly the current length, so the pattern can never hold a gap.
-    ///
-    /// # Panics
-    /// Panics if the location's index does not continue acquisition order.
-    pub fn push(&mut self, location: ProbeLocation) {
-        assert_eq!(
-            location.index,
-            self.locations.len(),
-            "ingested location index {} does not continue acquisition order (expected {})",
-            location.index,
-            self.locations.len()
-        );
-        self.locations.push(location);
     }
 
     /// All probe locations in acquisition (raster) order.

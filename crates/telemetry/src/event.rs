@@ -243,16 +243,6 @@ telemetry_events! {
         /// The checkpoint store epoch the state came from.
         seq: u64 as "epoch_seq",
     }
-    /// The job service spliced newly ingested scan positions into the
-    /// job's dataset at an iteration boundary.
-    ScanIngested = "scan_ingested" {
-        /// Service-assigned job id.
-        job: u64 as "job_id",
-        /// Scan positions added by this splice.
-        positions: u64 as "positions",
-        /// Total scan positions in the dataset after the splice.
-        total: u64 as "total",
-    }
 }
 
 /// One stamped telemetry event: what happened, on which rank's stream, in

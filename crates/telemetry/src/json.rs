@@ -331,14 +331,9 @@ mod tests {
                 iteration: 4,
                 seq: 9,
             },
-            ScanIngested {
-                job: 42,
-                positions: 8,
-                total: 16,
-            },
         ];
         let kinds: std::collections::BTreeSet<_> = events.iter().map(|e| e.kind()).collect();
-        assert_eq!(kinds.len(), 21, "one event of every kind");
+        assert_eq!(kinds.len(), 20, "one event of every kind");
         events
             .into_iter()
             .map(|event| TelemetryRecord {
@@ -383,8 +378,8 @@ mod tests {
                 dropped += 1;
             }
         }
-        // Every field of the 22 events (two `iteration_end`s) was dropped.
-        assert_eq!(dropped, 55);
+        // Every field of the 21 events (two `iteration_end`s) was dropped.
+        assert_eq!(dropped, 52);
     }
 
     #[test]

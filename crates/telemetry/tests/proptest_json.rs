@@ -14,7 +14,7 @@ use ptycho_telemetry::{TelemetryEvent, TelemetryRecord, TraceSummary};
 use std::collections::BTreeSet;
 
 /// Event kinds [`event`] builds, in declaration order.
-const KINDS: usize = 21;
+const KINDS: usize = 20;
 
 /// Event kind `kind` (`0..KINDS`) with its fields taken from `f`; an
 /// `iteration_end` cost is `f64::from_bits(f[0])`, so NaN, infinities and
@@ -94,11 +94,6 @@ fn event(kind: usize, [a, b, c, d]: [u64; 4]) -> TelemetryEvent {
         19 => CheckpointRestored {
             iteration: a,
             seq: b,
-        },
-        20 => ScanIngested {
-            job: a,
-            positions: b,
-            total: c,
         },
         _ => unreachable!("kind {kind} out of range"),
     }
