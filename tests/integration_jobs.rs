@@ -444,35 +444,31 @@ fn impossible_specs_are_rejected_at_submission() {
     let dataset = tiny();
     let engine = JobEngine::new(16);
 
-    let empty = engine
-        .submit(JobSpec::new(dataset.clone(), tiny_gd_config(1), (0, 2)))
-        .expect_err("an empty grid can never run");
-    assert!(matches!(empty, JobError::Rejected { .. }), "{empty}");
-
-    let oversized = engine
-        .submit(JobSpec::new(dataset.clone(), tiny_gd_config(1), (5, 4)))
-        .expect_err("20 slots cannot fit a 16-node fleet");
-    match &oversized {
-        JobError::Rejected { reason } => {
-            assert!(reason.contains("fleet"), "self-describing: {reason}")
+    // Each refusal is typed and its reason names the cause.
+    let assert_refused = |spec: JobSpec, cause: &str| match engine.submit(spec) {
+        Err(JobError::Rejected { reason }) => {
+            assert!(reason.contains(cause), "{reason:?} should name {cause:?}")
         }
-        other => panic!("expected rejection, got {other}"),
-    }
+        Err(other) => panic!("expected a rejection naming {cause:?}, got {other}"),
+        Ok(_) => panic!("a spec refused for {cause:?} was admitted"),
+    };
 
+    assert_refused(
+        JobSpec::new(dataset.clone(), tiny_gd_config(1), (0, 2)),
+        "tile grid is empty",
+    );
+    // 20 slots cannot fit a 16-node fleet.
+    assert_refused(
+        JobSpec::new(dataset.clone(), tiny_gd_config(1), (5, 4)),
+        "fleet only has 16 live node(s)",
+    );
     // The HVE feasibility constraint is knowable at submission: a 3×3 grid
     // on the tiny dataset makes 32 px tiles that cannot fill 48 px halos.
-    let infeasible = engine
-        .submit(
-            JobSpec::new(dataset, tiny_hve_config(1), (3, 3))
-                .with_method(SolverMethod::HaloVoxelExchange),
-        )
-        .expect_err("an infeasible decomposition must be refused");
-    match &infeasible {
-        JobError::Rejected { reason } => {
-            assert!(reason.contains("halo"), "self-describing: {reason}")
-        }
-        other => panic!("expected rejection, got {other}"),
-    }
+    assert_refused(
+        JobSpec::new(dataset, tiny_hve_config(1), (3, 3))
+            .with_method(SolverMethod::HaloVoxelExchange),
+        "cannot fill 48 px halos",
+    );
 
     assert!(engine.admission_log().is_empty(), "nothing was admitted");
     assert_eq!(engine.free_nodes(), 16, "nothing was leased");
