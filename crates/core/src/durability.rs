@@ -121,14 +121,15 @@ impl std::fmt::Display for DurabilityError {
                 write!(f, "checkpoint file {} is corrupt: {detail}", path.display())
             }
             DurabilityError::NoValidEpoch { rejected } => {
-                write!(f, "no recoverable checkpoint epoch (")?;
-                for (i, (seq, reason)) in rejected.iter().enumerate() {
-                    if i > 0 {
-                        write!(f, "; ")?;
-                    }
-                    write!(f, "epoch {seq}: {reason}")?;
+                let epochs: Vec<String> = rejected
+                    .iter()
+                    .map(|(seq, why)| format!("epoch {seq}: {why}"))
+                    .collect();
+                if epochs.is_empty() {
+                    write!(f, "no valid checkpoint epoch (the store is empty)")
+                } else {
+                    write!(f, "no valid checkpoint epoch ({})", epochs.join("; "))
                 }
-                write!(f, ")")
             }
             DurabilityError::SimulatedCrash { seq, phase } => write!(
                 f,
@@ -948,7 +949,7 @@ fn list_epochs(dir: &Path) -> Result<Vec<u64>, DurabilityError> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     fn temp_dir(tag: &str) -> PathBuf {
@@ -1255,7 +1256,11 @@ mod tests {
 
     /// Feeds `decode` every truncation and every single-byte XOR of
     /// `payload`: each must return, `Ok` or `Err`, never panic.
-    fn assert_decode_never_panics(label: &str, payload: &[u8], decode: fn(&[u8]) -> bool) {
+    pub(crate) fn assert_decode_never_panics(
+        label: &str,
+        payload: &[u8],
+        decode: fn(&[u8]) -> bool,
+    ) {
         assert!(decode(payload), "{label}: the undamaged payload decodes");
         let survives = |bytes: &[u8]| std::panic::catch_unwind(|| decode(bytes)).is_ok();
         for len in 0..payload.len() {

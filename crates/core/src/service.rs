@@ -57,7 +57,7 @@ use ptycho_sim::dataset::{Dataset, SyntheticConfig};
 use ptycho_telemetry::{Histogram, MetricsRegistry, Telemetry, TelemetryEvent};
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
@@ -117,10 +117,10 @@ pub struct JobSpec {
     /// [`JobEngine::resume`] can rebuild the job from the directory alone
     /// after a process kill.
     pub checkpoint_dir: Option<PathBuf>,
-    /// A recovered on-disk epoch to resume from (set by
+    /// A recovered on-disk epoch to resume from (set only by
     /// [`JobEngine::resume`]; the engine prefills rank state, membership,
     /// and recovery counters from it).
-    pub resume_from: Option<Arc<RecoveredEpoch>>,
+    pub(crate) resume_from: Option<Arc<RecoveredEpoch>>,
 }
 
 impl JobSpec {
@@ -188,7 +188,7 @@ impl JobSpec {
     /// `dir`, making it resumable with [`JobEngine::resume`] after a
     /// process kill. Requires a recovering [`RecoveryPolicy`] (the default)
     /// — the consistency barrier persistence rides does not exist under
-    /// [`RecoveryPolicy::FailFast`].
+    /// [`RecoveryPolicy::FailFast`]. A process-kill fault requires one.
     pub fn with_checkpoint_dir(mut self, dir: impl Into<PathBuf>) -> Self {
         self.checkpoint_dir = Some(dir.into());
         self
@@ -228,8 +228,8 @@ impl JobState {
 /// Why a job did not complete.
 #[derive(Clone, Debug)]
 pub enum JobError {
-    /// The spec could never run (bad grid, more slots than the fleet has,
-    /// an invalid baseline decomposition) and was refused at submission.
+    /// The spec could never run: refused by [`JobEngine::submit`], or failed
+    /// in the queue once retirements shrank the live fleet below its size.
     Rejected {
         /// Human-readable refusal reason.
         reason: String,
@@ -460,53 +460,19 @@ impl JobEngine {
         // thread re-opens the directory for the resumed run.
         drop(store);
         let Some(epoch) = recovery.epoch else {
-            let rejected: Vec<String> = recovery
-                .rejected
-                .iter()
-                .map(|(seq, reason)| format!("epoch {seq}: {reason}"))
-                .collect();
-            return Err(JobError::Rejected {
-                reason: format!(
-                    "no valid checkpoint epoch under {} ({})",
-                    dir.display(),
-                    if rejected.is_empty() {
-                        "the store is empty".to_string()
-                    } else {
-                        rejected.join("; ")
-                    }
-                ),
-            });
+            let rejected = recovery.rejected;
+            return Err(reject(DurabilityError::NoValidEpoch { rejected }));
         };
-        let mut spec = decode_spec(&epoch.manifest.spec, &dir).map_err(reject)?;
-        // `CheckpointStore::commit` takes any manifest, so the slot count and
-        // the embedded spec can disagree; refuse before admission.
-        if epoch.slots.len() != spec.slots() {
-            return Err(JobError::Rejected {
-                reason: format!(
-                    "checkpoint epoch {} under {} holds {} slot(s) but its job spec \
-                     decomposes into {} rank(s)",
-                    epoch.manifest.seq,
-                    dir.display(),
-                    epoch.slots.len(),
-                    spec.slots()
-                ),
-            });
-        }
-        // Both kernels checkpoint a `CArray3`: a state that does not decode
-        // is refused here, not admitted to panic its runner.
-        for (slot, record) in epoch.slots.iter().enumerate() {
-            let label = PathBuf::from(format!("slot {slot} of epoch {}", epoch.manifest.seq));
-            CArray3::decode(&mut ByteReader::new(&record.state, &label)).map_err(reject)?;
-        }
+        let mut spec = decode_spec(&epoch.manifest.spec, &dir).map_err(reject)?();
         spec.checkpoint_dir = Some(dir);
         spec.resume_from = Some(Arc::new(epoch));
         spec.telemetry = telemetry;
         self.submit(spec)
     }
 
-    /// Submits a job. Specs that can never run — an empty grid, more slots
-    /// than the fleet owns, an invalid baseline decomposition — are refused
-    /// here rather than left to rot in the queue.
+    /// Submits a job. A spec that can never run is refused here, with a
+    /// reason naming the cause, rather than left to rot in the queue or to
+    /// panic its runner.
     pub fn submit(&self, spec: JobSpec) -> Result<JobHandle, JobError> {
         let slots = spec.slots();
         let refusal = refusal_reason(&spec);
@@ -876,11 +842,18 @@ fn fail_unservable_queued(state: &mut ServiceState, shared: &Arc<Shared>) {
 }
 
 /// Why `spec` can never run, judged from the spec alone; `None` when it
-/// can. The live-fleet check needs the service lock and stays in
-/// [`JobEngine::submit`].
+/// can. Every job, resumed ones included, passes it in [`JobEngine::submit`],
+/// which adds the live-fleet check under the service lock.
 fn refusal_reason(spec: &JobSpec) -> Option<String> {
+    let (rows, cols) = spec.grid;
+    let (_, object_rows, object_cols) = spec.dataset.object_shape();
     if spec.slots() == 0 {
         return Some("the tile grid is empty (zero slots)".into());
+    }
+    if rows > object_rows || cols > object_cols {
+        return Some(format!(
+            "the tile grid {rows}x{cols} is larger than the {object_rows}x{object_cols} px object"
+        ));
     }
     if spec.checkpoint_dir.is_some() && spec.recovery == RecoveryPolicy::FailFast {
         // Persistence rides the consistency barrier, which the fail-fast
@@ -891,6 +864,30 @@ fn refusal_reason(spec: &JobSpec) -> Option<String> {
              (the fail-fast path has no consistency barrier to persist at)"
                 .into(),
         );
+    }
+    let process_kill = spec.fault_policy.as_ref().and_then(|p| p.process_kill);
+    if process_kill.is_some() && spec.checkpoint_dir.is_none() {
+        return Some("a process-kill fault needs a checkpoint dir to strike".into());
+    }
+    if let Some(epoch) = &spec.resume_from {
+        // `CheckpointStore::commit` takes any manifest, so the slot count
+        // and the embedded spec can disagree.
+        let seq = epoch.manifest.seq;
+        if epoch.slots.len() != spec.slots() {
+            return Some(format!(
+                "checkpoint epoch {seq} holds {} slot(s) but its job spec decomposes \
+                 into {} rank(s)",
+                epoch.slots.len(),
+                spec.slots()
+            ));
+        }
+        // Both kernels checkpoint a `CArray3`.
+        for (slot, record) in epoch.slots.iter().enumerate() {
+            let label = PathBuf::from(format!("slot {slot} of epoch {seq}"));
+            if let Err(error) = CArray3::decode(&mut ByteReader::new(&record.state, &label)) {
+                return Some(error.to_string());
+            }
+        }
     }
     // The baseline's decomposition constraint is knowable now; refuse a spec
     // that would only fail after admission.
@@ -1226,10 +1223,11 @@ fn encode_spec(spec: &JobSpec) -> Vec<u8> {
     w.into_bytes()
 }
 
-/// Decodes a manifest-embedded spec back into a submittable [`JobSpec`]
-/// (telemetry, checkpoint directory, and resume state are not part of the
-/// encoding; the caller attaches them). `path` labels decode errors.
-fn decode_spec(bytes: &[u8], path: &std::path::Path) -> Result<JobSpec, DurabilityError> {
+/// Decodes a manifest-embedded spec, refusing a recipe synthesis cannot run;
+/// the returned closure synthesizes the dataset and builds a submittable
+/// [`JobSpec`] (telemetry, checkpoint directory, and resume state are not
+/// part of the encoding; the caller attaches them). `path` labels errors.
+fn decode_spec(bytes: &[u8], path: &Path) -> Result<impl FnOnce() -> JobSpec, DurabilityError> {
     let corrupt = |detail: String| DurabilityError::Corrupt {
         path: path.to_path_buf(),
         detail,
@@ -1327,30 +1325,30 @@ fn decode_spec(bytes: &[u8], path: &std::path::Path) -> Result<JobSpec, Durabili
     if !r.is_exhausted() {
         return Err(corrupt("trailing bytes after the job spec".to_string()));
     }
+    if let Some(reason) = synth.refusal_reason() {
+        return Err(corrupt(format!("unsynthesizable recipe: {reason}")));
+    }
+    // The recipe passed its size bounds, so this product cannot overflow.
+    let positions = synth.scan_grid.0 * synth.scan_grid.1;
+    if scan_len > positions {
+        return Err(corrupt(format!(
+            "checkpointed scan length {scan_len} exceeds the {positions} positions the \
+             synthesis recipe produces"
+        )));
+    }
     // The synthesized acquisition is deterministic: re-running the recipe
     // and trimming to the checkpointed scan length reproduces the exact
     // dataset the killed process was reconstructing, scan prefix included.
-    let full = Dataset::synthesize(synth);
-    if scan_len > full.scan().len() {
-        return Err(corrupt(format!(
-            "checkpointed scan length {scan_len} exceeds the {} positions the \
-             synthesis recipe produces",
-            full.scan().len()
-        )));
-    }
-    let dataset = full.with_scan_prefix(scan_len);
-    Ok(JobSpec {
-        dataset,
-        config,
-        grid,
-        method,
-        priority,
-        recovery,
-        fault_policy,
-        backend,
-        telemetry: None,
-        checkpoint_dir: None,
-        resume_from: None,
+    Ok(move || {
+        let dataset = Dataset::synthesize(synth).with_scan_prefix(scan_len);
+        JobSpec {
+            method,
+            priority,
+            recovery,
+            fault_policy,
+            backend,
+            ..JobSpec::new(dataset, config, grid)
+        }
     })
 }
 
@@ -1378,7 +1376,6 @@ fn run_method<B: CommBackend>(
 mod tests {
     use super::*;
     use crate::durability::{EpochManifest, SlotRecord};
-    use std::path::Path;
 
     /// Byte offsets in the version-1 layout of a spec whose every optional
     /// field is present ([`full_spec`]).
@@ -1396,6 +1393,9 @@ mod tests {
     const FULL_SPEC_LEN: usize = 279;
     /// Where the checkpointed scan length sits (a little-endian `u64`).
     const SCAN_LEN_AT: usize = 66;
+    /// Where the recipe's probe window sits (a little-endian `u64`), in
+    /// every version-1 spec.
+    const WINDOW_AT: usize = 33;
 
     fn spec(dose: Option<f64>) -> JobSpec {
         let dataset = Dataset::synthesize(SyntheticConfig {
@@ -1430,7 +1430,7 @@ mod tests {
     }
 
     fn decode(bytes: &[u8]) -> Result<JobSpec, DurabilityError> {
-        decode_spec(bytes, Path::new("spec-under-test"))
+        decode_spec(bytes, Path::new("spec-under-test")).map(|build| build())
     }
 
     /// The `Corrupt` detail of a rejected buffer; any other outcome fails.
@@ -1570,6 +1570,23 @@ mod tests {
         );
     }
 
+    /// Decoding meets every truncation and single-byte XOR of the full spec
+    /// with `Ok` or `Corrupt`, never a panic. Nothing is synthesized, so a
+    /// mutated size costs at most its refusal.
+    #[test]
+    fn the_spec_parser_never_panics_on_truncated_or_flipped_bytes() {
+        let parses = |bytes: &[u8]| match decode_spec(bytes, Path::new("spec-under-test")) {
+            Ok(_) => true,
+            Err(DurabilityError::Corrupt { .. }) => false,
+            Err(other) => panic!("expected Corrupt, got {other}"),
+        };
+        crate::durability::tests::assert_decode_never_panics(
+            "spec",
+            &encode_spec(&full_spec()),
+            parses,
+        );
+    }
+
     #[test]
     fn trailing_bytes_and_every_truncation_are_corrupt() {
         let bytes = encode_spec(&full_spec());
@@ -1610,12 +1627,21 @@ mod tests {
             .collect()
     }
 
-    /// Commits one epoch with one slot file per entry of `states` (that
-    /// slot's kernel state) under [`tiny_2x2`]'s spec, then resumes it on a
-    /// 4-node engine. Returns the engine and the resumed job's report or
-    /// refusal.
+    /// [`resume_hand_built_spec`] under [`tiny_2x2`]'s spec.
     fn resume_hand_built_epoch(
         tag: &str,
+        states: Vec<Vec<u8>>,
+    ) -> (JobEngine, Result<JobReport, JobError>) {
+        resume_hand_built_spec(tag, encode_spec(&tiny_2x2()), states)
+    }
+
+    /// Commits one epoch with one slot file per entry of `states` (that
+    /// slot's kernel state) under the encoded `spec`, then resumes it on a
+    /// 4-node engine. Returns the engine and the resumed job's report or
+    /// refusal.
+    fn resume_hand_built_spec(
+        tag: &str,
+        spec: Vec<u8>,
         states: Vec<Vec<u8>>,
     ) -> (JobEngine, Result<JobReport, JobError>) {
         let slots = states.len();
@@ -1639,7 +1665,7 @@ mod tests {
             restarts: 0,
             substitutions: 0,
             membership: ptycho_cluster::MembershipView::new(slots, 0),
-            spec: encode_spec(&tiny_2x2()),
+            spec,
         };
         store.commit(&manifest, None).expect("epoch committed");
         drop(store);
@@ -1686,6 +1712,19 @@ mod tests {
             other => panic!("expected a rejection, got {other:?}"),
         }
         assert_eq!(engine.free_nodes(), engine.total_nodes());
+    }
+
+    #[test]
+    fn resume_rejects_a_recipe_synthesis_cannot_run_before_synthesizing_it() {
+        let mut spec = encode_spec(&tiny_2x2());
+        spec[WINDOW_AT..WINDOW_AT + 8].copy_from_slice(&48u64.to_le_bytes());
+        match resume_hand_built_spec("window-48", spec, tile_states(2)).1 {
+            Err(JobError::Rejected { reason }) => assert!(
+                reason.contains("probe window 48 px is not a power of two"),
+                "the reason must name the window: {reason}"
+            ),
+            other => panic!("expected a rejection, got {other:?}"),
+        }
     }
 
     #[test]

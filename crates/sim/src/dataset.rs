@@ -181,6 +181,52 @@ impl SyntheticConfig {
             seed: 42,
         }
     }
+
+    /// Why [`Dataset::synthesize`] cannot run this recipe; `None` when it
+    /// can. Besides the constructors' own preconditions, the object
+    /// (`object_px²·slices` complex voxels) and the measurements
+    /// (`rows·cols·window²` `f64`s) must each fit in `isize::MAX` bytes,
+    /// Rust's allocation limit, so a decoded recipe cannot overflow a size.
+    pub fn refusal_reason(&self) -> Option<String> {
+        let (window, object) = (self.window_px, self.object_px);
+        let (rows, cols) = self.scan_grid;
+        let fits = |factors: &[usize]| {
+            factors
+                .iter()
+                .try_fold(1usize, |bytes, &factor| bytes.checked_mul(factor))
+                .is_some_and(|bytes| bytes <= isize::MAX as usize)
+        };
+        if !window.is_power_of_two() || window < 4 {
+            Some(format!(
+                "probe window {window} px is not a power of two >= 4"
+            ))
+        } else if object == 0 || self.slices == 0 {
+            Some(format!(
+                "the object is empty ({object} px, {} slices)",
+                self.slices
+            ))
+        } else if window > object {
+            Some(format!(
+                "probe window {window} px is larger than the {object} px object"
+            ))
+        } else if rows == 0 || cols == 0 {
+            Some(format!("scan grid {rows}x{cols} has no positions"))
+        } else if let Some(dose) = self.dose.filter(|dose| dose.is_nan() || *dose <= 0.0) {
+            Some(format!("dose {dose} is not positive"))
+        } else if !fits(&[object, object, self.slices, BYTES_PER_COMPLEX]) {
+            Some(format!(
+                "a {object} px, {}-slice object exceeds isize::MAX bytes",
+                self.slices
+            ))
+        } else if !fits(&[rows, cols, window, window, std::mem::size_of::<f64>()]) {
+            Some(format!(
+                "the measurements of a {rows}x{cols} scan with a {window} px window \
+                 exceed isize::MAX bytes"
+            ))
+        } else {
+            None
+        }
+    }
 }
 
 /// A fully synthesised dataset: ground-truth specimen, probe, scan pattern and
@@ -202,6 +248,10 @@ pub struct Dataset {
 
 impl Dataset {
     /// Simulates acquisition of a synthetic dataset.
+    ///
+    /// # Panics
+    /// Panics on a recipe that [`SyntheticConfig::refusal_reason`] refuses;
+    /// past its size bounds the allocation may abort the process instead.
     pub fn synthesize(config: SyntheticConfig) -> Self {
         let geometry = ImagingGeometry {
             pixel_size_pm: 50.0,
@@ -470,6 +520,74 @@ mod tests {
         let acc_energy: f64 = acc.iter().map(|v| v.norm_sqr()).sum();
         let patch_energy: f64 = patch.iter().map(|v| v.norm_sqr()).sum();
         assert!((acc_energy - patch_energy).abs() < 1e-9);
+    }
+
+    /// Over a sweep of small recipes the precondition refuses exactly those
+    /// `synthesize` panics on. Window and object size are crossed in full;
+    /// depth, scan grid and dose are crossed over window/object pairs on
+    /// both sides of the window checks.
+    #[test]
+    fn the_precondition_refuses_exactly_what_synthesis_panics_on() {
+        let base = SyntheticConfig {
+            slices: 1,
+            scan_grid: (1, 1),
+            ..SyntheticConfig::tiny()
+        };
+        let mut recipes = Vec::new();
+        for window_px in 0..=64 {
+            for object_px in 0..=96 {
+                recipes.push(SyntheticConfig {
+                    window_px,
+                    object_px,
+                    ..base
+                });
+            }
+        }
+        let doses = [
+            None,
+            Some(f64::NAN),
+            Some(-1.0),
+            Some(0.0),
+            Some(1e4),
+            Some(f64::INFINITY),
+        ];
+        for (window_px, object_px) in [(4, 4), (8, 16), (4, 0), (6, 8), (16, 8)] {
+            for slices in 0..=2 {
+                for scan_grid in (0..=3).flat_map(|rows| (0..=3).map(move |cols| (rows, cols))) {
+                    for dose in doses {
+                        recipes.push(SyntheticConfig {
+                            object_px,
+                            slices,
+                            scan_grid,
+                            window_px,
+                            dose,
+                            ..base
+                        });
+                    }
+                }
+            }
+        }
+        for recipe in recipes {
+            let panicked = std::panic::catch_unwind(|| Dataset::synthesize(recipe)).is_err();
+            let refusal = recipe.refusal_reason();
+            assert_eq!(refusal.is_some(), panicked, "{recipe:?}: {refusal:?}");
+        }
+    }
+
+    #[test]
+    fn the_size_bounds_refuse_overflowing_recipes() {
+        let huge = |object_px, scan_grid| SyntheticConfig {
+            object_px,
+            scan_grid,
+            ..SyntheticConfig::tiny()
+        };
+        let object = huge(1 << 40, (3, 3)).refusal_reason().expect("refused");
+        assert!(object.contains("object exceeds isize::MAX"), "{object}");
+        let scan = huge(96, (1 << 40, 1 << 20))
+            .refusal_reason()
+            .expect("refused");
+        assert!(scan.contains("measurements"), "{scan}");
+        assert_eq!(huge(96, (3, 3)).refusal_reason(), None);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! submission order, the fleet lease table is conserved through every
 //! lease/release/retire, and cancellation never leaks nodes.
 
-use ptycho_cluster::{CommBackend, FaultInjectionBackend, FaultPolicy};
+use ptycho_cluster::{CommBackend, CrashPhase, FaultInjectionBackend, FaultPolicy};
 use ptycho_core::gradient_decomp::passes::tags;
 use ptycho_core::{
     GradientDecompositionSolver, HaloVoxelExchangeSolver, JobContext, JobEngine, JobError, JobSpec,
@@ -445,33 +445,62 @@ fn impossible_specs_are_rejected_at_submission() {
     let engine = JobEngine::new(16);
 
     // Each refusal is typed and its reason names the cause.
-    let assert_refused = |spec: JobSpec, cause: &str| match engine.submit(spec) {
-        Err(JobError::Rejected { reason }) => {
-            assert!(reason.contains(cause), "{reason:?} should name {cause:?}")
+    fn assert_refused(engine: &JobEngine, spec: JobSpec, cause: &str) {
+        match engine.submit(spec) {
+            Err(JobError::Rejected { reason }) => {
+                assert!(reason.contains(cause), "{reason:?} should name {cause:?}")
+            }
+            Err(other) => panic!("expected a rejection naming {cause:?}, got {other}"),
+            Ok(_) => panic!("a spec refused for {cause:?} was admitted"),
         }
-        Err(other) => panic!("expected a rejection naming {cause:?}, got {other}"),
-        Ok(_) => panic!("a spec refused for {cause:?} was admitted"),
-    };
+    }
 
     assert_refused(
+        &engine,
         JobSpec::new(dataset.clone(), tiny_gd_config(1), (0, 2)),
         "tile grid is empty",
     );
     // 20 slots cannot fit a 16-node fleet.
     assert_refused(
+        &engine,
         JobSpec::new(dataset.clone(), tiny_gd_config(1), (5, 4)),
         "fleet only has 16 live node(s)",
     );
     // The HVE feasibility constraint is knowable at submission: a 3×3 grid
     // on the tiny dataset makes 32 px tiles that cannot fill 48 px halos.
     assert_refused(
-        JobSpec::new(dataset, tiny_hve_config(1), (3, 3))
+        &engine,
+        JobSpec::new(dataset.clone(), tiny_hve_config(1), (3, 3))
             .with_method(SolverMethod::HaloVoxelExchange),
         "cannot fill 48 px halos",
     );
-
+    // An armed process kill strikes a checkpoint commit, which a job with no
+    // checkpoint directory never makes.
+    assert_refused(
+        &engine,
+        JobSpec::new(dataset.clone(), tiny_gd_config(1), (2, 2)).with_fault_policy(
+            FaultPolicy::reliable(1).kill_process_at_barrier(0, CrashPhase::AfterRename),
+        ),
+        "process-kill fault needs a checkpoint dir",
+    );
     assert!(engine.admission_log().is_empty(), "nothing was admitted");
     assert_eq!(engine.free_nodes(), 16, "nothing was leased");
+
+    // A 200×1 grid fits a big enough fleet but cannot tile the 96 px
+    // object: the GD runner would panic, the HVE check on the submitter's
+    // thread would too.
+    let big = JobEngine::new(256);
+    for method in [
+        SolverMethod::GradientDecomposition,
+        SolverMethod::HaloVoxelExchange,
+    ] {
+        assert_refused(
+            &big,
+            JobSpec::new(dataset.clone(), tiny_gd_config(1), (200, 1)).with_method(method),
+            "tile grid 200x1 is larger than the 96x96 px object",
+        );
+    }
+    assert_eq!(big.free_nodes(), 256, "nothing was leased");
 }
 
 #[test]
