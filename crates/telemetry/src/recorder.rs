@@ -517,4 +517,88 @@ mod tests {
         let text = String::from_utf8(buf.0.lock().unwrap().clone()).unwrap();
         assert_eq!(text.lines().count(), 2, "the two surviving ring entries");
     }
+
+    /// Records one `Checkpoint` through a fresh handle on `rank`'s stream.
+    fn record_on(telemetry: &Telemetry, rank: usize, iteration: u64) {
+        telemetry
+            .sink(rank)
+            .record(TelemetryEvent::Checkpoint { iteration });
+    }
+
+    /// The `(rank, seq)` of every line written so far, in file order.
+    fn written(buf: &SharedBuf) -> Vec<(u64, u64)> {
+        let text = String::from_utf8(buf.0.lock().unwrap().clone()).unwrap();
+        text.lines()
+            .map(|line| {
+                let record = json::parse_record(line).unwrap();
+                (record.rank, record.seq)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_rank_racing_one_barrier_ahead_is_flushed_by_its_own_generation() {
+        let buf = SharedBuf::default();
+        let telemetry = Telemetry::with_writer(TelemetryConfig::default(), Box::new(buf.clone()));
+        record_on(&telemetry, 0, 0);
+        record_on(&telemetry, 1, 0);
+        telemetry.sink(0).publish_watermark(4);
+        telemetry.sink(1).publish_watermark(4);
+        // Rank 0 passes barrier 4, records and publishes 5 before the
+        // flusher of generation 4 runs.
+        record_on(&telemetry, 0, 1);
+        telemetry.sink(0).publish_watermark(5);
+        record_on(&telemetry, 0, 2);
+        telemetry.flush_consistent(4);
+        assert_eq!(written(&buf), [(0, 0), (1, 0)]);
+        telemetry.flush_consistent(5);
+        assert_eq!(written(&buf), [(0, 0), (1, 0), (0, 1)]);
+        telemetry.flush_all();
+        assert_eq!(written(&buf), [(0, 0), (1, 0), (0, 1), (0, 2)]);
+        assert_eq!(telemetry.lost_records(), 0);
+    }
+
+    #[test]
+    fn a_failed_attempt_is_written_once_before_its_restart() {
+        let buf = SharedBuf::default();
+        let telemetry = Telemetry::with_writer(TelemetryConfig::default(), Box::new(buf.clone()));
+        record_on(&telemetry, 0, 0);
+        telemetry.sink(0).publish_watermark(3);
+        // The barrier fails: no flush of generation 3. The failed attempt
+        // records one more event, then the restart re-runs iteration 3.
+        record_on(&telemetry, 0, 1);
+        record_on(&telemetry, 0, 2);
+        record_on(&telemetry, 1, 0);
+        telemetry.sink(0).publish_watermark(3);
+        telemetry.sink(1).publish_watermark(3);
+        telemetry.flush_consistent(3);
+        let expected = [(0, 0), (0, 1), (0, 2), (1, 0)];
+        assert_eq!(written(&buf), expected);
+        telemetry.flush_consistent(3);
+        telemetry.flush_all();
+        assert_eq!(written(&buf), expected, "nothing is written twice");
+    }
+
+    #[test]
+    fn successive_handles_continue_the_stream_seq_and_clock() {
+        let telemetry = Telemetry::new();
+        telemetry.sink(2).set_comm_ns(100);
+        telemetry.sink(2).add_compute_ns(10);
+        telemetry
+            .sink(2)
+            .record(TelemetryEvent::BarrierWait { iteration: 0 });
+        telemetry.sink(2).set_comm_ns(40); // stale: ignored across handles too
+        telemetry.sink(2).add_compute_ns(5);
+        telemetry
+            .sink(2)
+            .record(TelemetryEvent::BarrierWait { iteration: 1 });
+        assert_eq!(telemetry.sink(2).sim_parts(), (100, 15));
+        let stamps: Vec<(u64, u64)> = telemetry
+            .records(2)
+            .iter()
+            .map(|r| (r.seq, r.sim_ns))
+            .collect();
+        assert_eq!(stamps, [(0, 110), (1, 115)]);
+        assert_eq!(telemetry.total_recorded(), 2);
+    }
 }
