@@ -80,9 +80,10 @@ pub struct Instruments {
     /// adopts the slot; [`FaultHarness::cursor`] / [`FaultHarness::set_cursor`]
     /// carry its decision counters across a process resume.
     pub harness: Option<FaultHarness>,
-    /// This rank's telemetry stream, when recording is enabled. The context
-    /// reports transport-level events through it (sends, receives, fault
-    /// drops, rank death); `ReliableComm` adds retransmits and acks.
+    /// This rank's telemetry stream, when recording is enabled: its one
+    /// handle, parked back in the hub when the context drops. Transport
+    /// events, `ReliableComm`'s retransmits and acks, and the engine's
+    /// events all go through it.
     pub telemetry: Option<RankSink>,
 }
 
@@ -144,18 +145,13 @@ impl<T: Transport> RankCtx<T> {
     /// Records a completed receive at the API-return point (program order on
     /// the receiver, stamped with the deterministic communication clock) and
     /// unwraps the payload.
-    fn received(&self, envelope: Envelope<T::Msg>) -> T::Msg {
-        if let Some(sink) = &self.instruments.telemetry {
-            sink.record_at_comm_ns(
-                self.clock.comm_ns(),
-                TelemetryEvent::CommRecv {
-                    from: envelope.from as u64,
-                    tag: envelope.tag,
-                    bytes: envelope.payload.payload_bytes() as u64,
-                    corr: envelope.corr,
-                },
-            );
-        }
+    fn received(&mut self, envelope: Envelope<T::Msg>) -> T::Msg {
+        self.trace(TelemetryEvent::CommRecv {
+            from: envelope.from as u64,
+            tag: envelope.tag,
+            bytes: envelope.payload.payload_bytes() as u64,
+            corr: envelope.corr,
+        });
         envelope.payload
     }
 }
@@ -201,17 +197,12 @@ impl<T: Transport> RankComm<T::Msg> for RankCtx<T> {
         // A node killed by the fault layer (possibly by this very send) no
         // longer reaches the transport, so its sends are not recorded.
         if !self.dead {
-            if let Some(sink) = &self.instruments.telemetry {
-                sink.record_at_comm_ns(
-                    self.clock.comm_ns(),
-                    TelemetryEvent::CommSend {
-                        to: to as u64,
-                        tag,
-                        bytes: bytes as u64,
-                        corr,
-                    },
-                );
-            }
+            self.trace(TelemetryEvent::CommSend {
+                to: to as u64,
+                tag,
+                bytes: bytes as u64,
+                corr,
+            });
         }
     }
 

@@ -41,6 +41,7 @@ pub mod threaded;
 
 use crate::clock::RankClock;
 use crate::memory::MemoryTracker;
+use ptycho_telemetry::TelemetryEvent;
 
 pub use context::{Instruments, RankCtx};
 pub use fault::{CrashPhase, FaultAction, FaultCursor, FaultInjectionBackend, FaultPolicy};
@@ -373,6 +374,15 @@ pub trait RankComm<M: Payload> {
     /// The rank's fault harness and telemetry sink (see [`Instruments`]).
     /// Decorators forward this to the communicator they wrap.
     fn instruments(&mut self) -> &mut Instruments;
+
+    /// Records `event` on the rank's telemetry stream, when one is
+    /// installed, stamped at the rank's communication clock.
+    fn trace(&mut self, event: TelemetryEvent) {
+        let now = self.clock_mut().comm_ns();
+        if let Some(sink) = &mut self.instruments().telemetry {
+            sink.record_at_comm_ns(now, event);
+        }
+    }
 }
 
 /// A launcher that executes one body per rank and collects the outcomes.

@@ -202,28 +202,17 @@ where
         self.inner.try_recv(from, tag)
     }
 
-    /// Records a semantic event (retransmit, ack) on the wrapped
-    /// communicator's telemetry stream, which also carries its
-    /// transport-level sends and receives.
-    fn note(inner: &mut C, event: TelemetryEvent) {
-        let at = inner.clock_mut().comm_ns();
-        if let Some(sink) = &inner.instruments().telemetry {
-            sink.record_at_comm_ns(at, event);
-        }
-    }
-
     /// Acknowledges delivery of frame `seq` of the `(from, base_tag)` stream.
+    /// Acks and retransmits are traced on the wrapped communicator's
+    /// stream, next to its transport-level sends and receives.
     fn ack(&mut self, from: usize, base_tag: u64, seq: u64) {
         let tag = wire_ack_tag(base_tag, seq, self.config.epoch);
         self.inner.isend(from, tag, M::default());
         self.stats.acks_sent += 1;
-        Self::note(
-            self.inner,
-            TelemetryEvent::CommAck {
-                peer: from as u64,
-                tag: base_tag,
-            },
-        );
+        self.inner.trace(TelemetryEvent::CommAck {
+            peer: from as u64,
+            tag: base_tag,
+        });
     }
 
     /// Consumes any acknowledgements that have arrived and prunes the
@@ -263,14 +252,11 @@ where
                 entry.payload.clone(),
             );
             self.stats.retransmits += 1;
-            Self::note(
-                self.inner,
-                TelemetryEvent::CommRetransmit {
-                    to: entry.to as u64,
-                    tag: entry.base_tag,
-                    bytes: bytes as u64,
-                },
-            );
+            self.inner.trace(TelemetryEvent::CommRetransmit {
+                to: entry.to as u64,
+                tag: entry.base_tag,
+                bytes: bytes as u64,
+            });
         }
     }
 

@@ -68,7 +68,7 @@ use ptycho_cluster::{
     TimeBreakdown,
 };
 use ptycho_fft::CArray3;
-use ptycho_telemetry::{RankSink, Telemetry, TelemetryEvent};
+use ptycho_telemetry::{Telemetry, TelemetryEvent};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
@@ -386,8 +386,9 @@ pub(crate) fn run<K: SolverKernel, B: CommBackend>(
 /// once for every policy. Each iteration polls cancellation, stamps
 /// `IterationBegin`, runs the kernel's body, charges its modeled compute and
 /// stamps `IterationEnd`, runs the policy's `boundary` step, and emits the
-/// progress event. `boundary` sees the state and costs after the iteration;
-/// an error from it ends the rank like a failed iteration.
+/// progress event. Events go to the telemetry sink installed in `comm`'s
+/// instruments. `boundary` sees the state and costs after the iteration; an
+/// error from it ends the rank like a failed iteration.
 #[allow(clippy::too_many_arguments)]
 fn run_rank<'k, K, C, F>(
     kernel: &'k K,
@@ -396,7 +397,6 @@ fn run_rank<'k, K, C, F>(
     costs: &mut Vec<f64>,
     start: usize,
     attempt: usize,
-    sink: Option<&RankSink>,
     job: &JobContext<'_>,
     mut boundary: F,
 ) -> Result<(), CommError>
@@ -414,19 +414,15 @@ where
         if job.cancelled() {
             return Err(CommError::Cancelled { rank: slot });
         }
-        if let Some(sink) = sink {
-            sink.record_at_comm_ns(
-                comm.clock_mut().comm_ns(),
-                TelemetryEvent::IterationBegin {
-                    iteration: iteration as u64,
-                    attempt: attempt as u64,
-                },
-            );
-        }
+        comm.trace(TelemetryEvent::IterationBegin {
+            iteration: iteration as u64,
+            attempt: attempt as u64,
+        });
         costs.push(kernel.run_iteration(comm, state, iteration)?);
-        if let Some(sink) = sink {
+        let now = comm.clock_mut().comm_ns();
+        if let Some(sink) = &mut comm.instruments().telemetry {
             sink.add_compute_ns(kernel.modeled_compute_ns(slot));
-            sink.set_comm_ns(comm.clock_mut().comm_ns());
+            sink.set_comm_ns(now);
             let (comm_ns, compute_ns) = sink.sim_parts();
             sink.record(TelemetryEvent::IterationEnd {
                 iteration: iteration as u64,
@@ -465,8 +461,7 @@ fn run_fail_fast<K: SolverKernel, B: CommBackend>(
     );
     let iterations = kernel.iterations();
     let outcomes = backend.run::<SharedTile, RankRun, _>(kernel.grid().num_tiles(), |ctx| {
-        let sink = job.telemetry.map(|t| t.sink(ctx.rank()));
-        ctx.instruments().telemetry = sink.clone();
+        ctx.instruments().telemetry = job.telemetry.map(|t| t.sink(ctx.rank()));
         let mut state = kernel.init(ctx);
         let mut costs = Vec::with_capacity(iterations);
         run_rank(
@@ -476,7 +471,6 @@ fn run_fail_fast<K: SolverKernel, B: CommBackend>(
             &mut costs,
             0,
             0,
-            sink.as_ref(),
             job,
             |_, _, _, _| Ok(()),
         )?;
@@ -635,8 +629,7 @@ fn run_recovering<K: SolverKernel, B: CommBackend>(
             // Telemetry streams are keyed by *node*: a promoted spare
             // writes its own stream, leaving the dead node's record of
             // its final attempt intact for post-mortems.
-            let sink = job.telemetry.map(|t| t.sink(node));
-            comm.instruments().telemetry = sink.clone();
+            comm.instruments().telemetry = job.telemetry.map(|t| t.sink(node));
             let mut state = kernel.init(&mut comm);
             let (mut costs, start) = {
                 let slot = slots[slot].lock().expect("checkpoint slot poisoned");
@@ -665,7 +658,7 @@ fn run_recovering<K: SolverKernel, B: CommBackend>(
                     }
                 }
                 if attempt_index == start_attempt {
-                    if let Some(sink) = &sink {
+                    if let Some(sink) = &mut comm.instruments().telemetry {
                         sink.record(TelemetryEvent::CheckpointRestored {
                             iteration: start as u64,
                             seq,
@@ -683,7 +676,6 @@ fn run_recovering<K: SolverKernel, B: CommBackend>(
                 &mut costs,
                 start,
                 attempt_index,
-                sink.as_ref(),
                 job,
                 |comm, state, costs, iteration| {
                     if heartbeats {
@@ -696,23 +688,15 @@ fn run_recovering<K: SolverKernel, B: CommBackend>(
                             frames::heartbeat_tag(config.epoch, membership_epoch, iteration as u64);
                         comm.isend_control((slot + 1) % ranks, tag, SharedTile::default());
                         heartbeats_sent += 1;
-                        if let Some(sink) = &sink {
-                            sink.record_at_comm_ns(
-                                comm.clock_mut().comm_ns(),
-                                TelemetryEvent::HeartbeatSent {
-                                    to: ((slot + 1) % ranks) as u64,
-                                    iteration: iteration as u64,
-                                },
-                            );
-                        }
+                        comm.trace(TelemetryEvent::HeartbeatSent {
+                            to: ((slot + 1) % ranks) as u64,
+                            iteration: iteration as u64,
+                        });
                     }
-                    if let Some(sink) = &sink {
-                        sink.record_at_comm_ns(
-                            comm.clock_mut().comm_ns(),
-                            TelemetryEvent::BarrierWait {
-                                iteration: iteration as u64,
-                            },
-                        );
+                    comm.trace(TelemetryEvent::BarrierWait {
+                        iteration: iteration as u64,
+                    });
+                    if let Some(sink) = &mut comm.instruments().telemetry {
                         // Publish the durability watermark *before* the
                         // barrier: everything recorded so far is covered
                         // by this generation's post-barrier flush.
@@ -744,24 +728,16 @@ fn run_recovering<K: SolverKernel, B: CommBackend>(
                         let prev = (slot + ranks - 1) % ranks;
                         if comm.try_recv_control(prev, tag).is_some() {
                             heartbeats_observed += 1;
-                            if let Some(sink) = &sink {
-                                sink.record_at_comm_ns(
-                                    comm.clock_mut().comm_ns(),
-                                    TelemetryEvent::HeartbeatObserved {
-                                        from: prev as u64,
-                                        iteration: iteration as u64,
-                                    },
-                                );
-                            }
-                        } else if let Some(sink) = &sink {
+                            comm.trace(TelemetryEvent::HeartbeatObserved {
+                                from: prev as u64,
+                                iteration: iteration as u64,
+                            });
+                        } else {
                             let prev_node = assignment.as_ref().map_or(prev, |a| a[prev]);
-                            sink.record_at_comm_ns(
-                                comm.clock_mut().comm_ns(),
-                                TelemetryEvent::RankSuspected {
-                                    node: prev_node as u64,
-                                    iteration: iteration as u64,
-                                },
-                            );
+                            comm.trace(TelemetryEvent::RankSuspected {
+                                node: prev_node as u64,
+                                iteration: iteration as u64,
+                            });
                         }
                     }
                     let snapshot = kernel.checkpoint(state);
@@ -816,30 +792,20 @@ fn run_recovering<K: SolverKernel, B: CommBackend>(
                         if killed.load(Ordering::SeqCst) {
                             return Err(CommError::ProcessKilled { rank: slot, seq });
                         }
-                        if let Some(sink) = &sink {
-                            sink.record_at_comm_ns(
-                                comm.clock_mut().comm_ns(),
-                                TelemetryEvent::CheckpointPersisted {
-                                    iteration: (iteration + 1) as u64,
-                                    seq,
-                                    bytes,
-                                },
-                            );
-                        }
+                        comm.trace(TelemetryEvent::CheckpointPersisted {
+                            iteration: (iteration + 1) as u64,
+                            seq,
+                            bytes,
+                        });
                     }
                     *slots[slot].lock().expect("checkpoint slot poisoned") = Some(CheckpointSlot {
                         iteration: iteration + 1,
                         costs: costs.to_vec(),
                         state: snapshot,
                     });
-                    if let Some(sink) = &sink {
-                        sink.record_at_comm_ns(
-                            comm.clock_mut().comm_ns(),
-                            TelemetryEvent::Checkpoint {
-                                iteration: iteration as u64,
-                            },
-                        );
-                    }
+                    comm.trace(TelemetryEvent::Checkpoint {
+                        iteration: iteration as u64,
+                    });
                     Ok(())
                 },
             );

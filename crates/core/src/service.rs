@@ -926,9 +926,9 @@ fn finish(
     record.finished = Some(Instant::now());
     let spec = record.spec.take().expect("a job ends holding its spec");
     if let Some(telemetry) = &spec.telemetry {
-        // The job's rank threads, if it ever had any, are joined: stamping
-        // stream 0 and flushing cannot race them.
-        let sink = telemetry.sink(0);
+        // The job's rank threads, if it ever had any, are joined and their
+        // streams parked: stamping stream 0 and flushing cannot race them.
+        let mut sink = telemetry.sink(0);
         match record.state {
             JobState::Completed => sink.record(TelemetryEvent::JobCompleted {
                 job: id,
@@ -937,6 +937,7 @@ fn finish(
             JobState::Cancelled => sink.record(TelemetryEvent::JobCancelled { job: id }),
             _ => {}
         }
+        drop(sink);
         telemetry.flush_all();
         // After the final flush the loss counters are settled.
         record.telemetry_lost = telemetry.lost_records_by_rank();

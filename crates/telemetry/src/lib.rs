@@ -17,11 +17,12 @@
 //!    table in [`event`] declares every kind; the enum, its JSONL field
 //!    writer and its field reader are all generated from it.
 //! 2. [`Telemetry`]/[`RankSink`] ([`recorder`]): the flight recorder —
-//!    preallocated per-rank ring buffers with allocation-free recording
+//!    preallocated per-rank ring buffers, each owned by the one sink that
+//!    records into it, so recording takes no lock and allocates nothing
 //!    (the workspace's zero-allocation steady-state gate stays green with
-//!    recording enabled) and a durable JSONL sink flushed at iteration
+//!    recording enabled), and a durable JSONL sink flushed at iteration
 //!    consistency barriers, so a killed process leaves a prefix-consistent
-//!    log.
+//!    log and a failing disk costs trace lines, not the run.
 //! 3. [`MetricsRegistry`] ([`metrics`]): counters, gauges, and log2
 //!    histograms rendered as Prometheus-style text, assembled on demand
 //!    from producer-side counters.
@@ -41,9 +42,10 @@
 //! use ptycho_telemetry::{Telemetry, TelemetryConfig, TelemetryEvent};
 //!
 //! let telemetry = Telemetry::new();
-//! let sink = telemetry.sink(0);
+//! let mut sink = telemetry.sink(0);
 //! sink.set_comm_ns(1_500);
 //! sink.record(TelemetryEvent::IterationBegin { iteration: 0, attempt: 0 });
+//! drop(sink); // parks the stream back in the hub, where snapshots read it
 //! let records = telemetry.records(0);
 //! assert_eq!(records[0].sim_ns, 1_500);
 //! assert_eq!(records[0].seq, 0);

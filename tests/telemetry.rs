@@ -585,6 +585,92 @@ fn a_queued_job_failed_by_fleet_shrinkage_keeps_its_trace() {
     assert_eq!(summary.total_events(), 1, "the job never ran");
 }
 
+/// A disk that fills up: accepts `budget` more bytes, then fails every
+/// write with `ENOSPC`.
+struct FullDisk {
+    budget: usize,
+}
+
+impl Write for FullDisk {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        if self.budget == 0 {
+            return Err(std::io::Error::from_raw_os_error(28));
+        }
+        let n = buf.len().min(self.budget);
+        self.budget -= n;
+        Ok(n)
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+/// A tenant whose trace disk fills mid-run loses trace lines, not its run,
+/// and not its neighbour's: the service stays up for later submissions.
+#[test]
+fn a_full_disk_costs_trace_lines_not_the_service() {
+    let dataset = Dataset::synthesize(SyntheticConfig::tiny());
+    let config = SolverConfig {
+        iterations: 2,
+        halo_px: 20,
+        ..SolverConfig::default()
+    };
+    let full_spec = || JobSpec::new(dataset.clone(), config, (2, 1));
+    let neighbour_spec = || JobSpec::new(dataset.clone(), config, (1, 2));
+    let solo = |spec: JobSpec| {
+        JobEngine::new(2)
+            .submit(spec)
+            .expect("solo submission accepted")
+            .wait()
+            .result
+            .expect("solo run completes")
+    };
+    let full_solo = solo(full_spec());
+    let neighbour_solo = solo(neighbour_spec());
+
+    let full = Arc::new(Telemetry::with_writer(
+        TelemetryConfig::default(),
+        Box::new(FullDisk { budget: 2_000 }),
+    ));
+    let buf = SharedBuf::default();
+    let neighbour = Arc::new(Telemetry::with_writer(
+        TelemetryConfig {
+            job_id: 1,
+            ..TelemetryConfig::default()
+        },
+        Box::new(buf.clone()),
+    ));
+    let engine = JobEngine::paused(4);
+    let full_job = engine
+        .submit(full_spec().with_telemetry(Arc::clone(&full)))
+        .expect("submission accepted");
+    let neighbour_job = engine
+        .submit(neighbour_spec().with_telemetry(Arc::clone(&neighbour)))
+        .expect("submission accepted");
+    engine.start_admitting();
+    let full_report = full_job.wait();
+    let neighbour_report = neighbour_job.wait();
+    assert_eq!(full_report.state, JobState::Completed);
+    assert_eq!(neighbour_report.state, JobState::Completed);
+    assert_bit_identical(&full_solo, &full_report.result.expect("volume"));
+    assert_bit_identical(&neighbour_solo, &neighbour_report.result.expect("volume"));
+
+    assert!(full.lost_records() > 0, "the disk must fill mid-run");
+    assert!(full.lost_records() < full.total_recorded());
+    assert_eq!(neighbour.lost_records(), 0);
+    let summary = validate_jsonl(&buf.contents());
+    assert_eq!(summary.total_events() as u64, neighbour.total_recorded());
+    let registry = engine.metrics_snapshot();
+    assert_eq!(
+        registry.counter("telemetry_lost_records_total"),
+        Some(full.lost_records())
+    );
+    assert!(engine.fleet_is_conserved());
+    let later = engine.submit(full_spec()).expect("the engine still admits");
+    assert_eq!(later.wait().state, JobState::Completed);
+}
+
 #[test]
 fn truncated_final_line_is_tolerated_as_prefix_consistency() {
     let backend = FaultInjectionBackend::new(lockstep(), gd_drop_policy());
