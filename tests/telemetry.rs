@@ -19,7 +19,7 @@
 //!    lifecycle events from the multi-tenant engine whose metrics snapshot
 //!    agrees with the trace.
 
-use ptycho_cluster::{FaultInjectionBackend, FaultPolicy, HardwareModel};
+use ptycho_cluster::{CrashPhase, FaultInjectionBackend, FaultPolicy, HardwareModel};
 use ptycho_core::durability::fnv1a64;
 use ptycho_core::gradient_decomp::passes::tags;
 use ptycho_core::{
@@ -429,32 +429,26 @@ fn iteration_events_are_dense_monotonic_and_complete() {
     assert_eq!(telemetry.total_recorded(), total);
 }
 
-#[test]
-fn iteration_end_pins_compute_and_comm_to_the_modeled_clock() {
-    // Recompute the kernel's per-rank modeled compute constant from the same
-    // public inputs it uses: `compute_ns` must be exactly its cumulative sum
-    // and `comm_ns` the remainder of the stamp. This pins the fields to
-    // their meanings — both are positive and monotone, so weaker assertions
-    // would pass even with the two swapped.
-    let ds = small_problem();
-    let solver = gd_solver(&ds);
-    let telemetry = Telemetry::new();
-    let job = JobContext {
-        telemetry: Some(&telemetry),
-        ..JobContext::default()
-    };
-    solver
-        .run_job(&lockstep(), RecoveryPolicy::FailFast, &job)
-        .expect("run completes");
-
+/// Recomputes each rank's modeled compute constant from the same public
+/// inputs the engine uses — the rank's extended tile and `probes[rank]`, the
+/// probes it evaluates per iteration: `compute_ns` must be exactly its
+/// cumulative sum and `comm_ns` the remainder of the stamp. This pins the
+/// fields to their meanings — both are positive and monotone, so weaker
+/// assertions would pass even with the two swapped.
+fn assert_iteration_ends_follow_the_modeled_clock(
+    ds: &Dataset,
+    telemetry: &Telemetry,
+    grid: &ptycho_core::TileGrid,
+    probes: &[usize],
+) {
     let (slices, _, _) = ds.object_shape();
     let window = ds.model().window_px();
-    for rank in 0..4 {
-        let tile = solver.grid().tile(rank);
+    for (rank, &probes) in probes.iter().enumerate() {
+        let tile = grid.tile(rank);
         let working_set = (tile.extended_area() * slices * BYTES_PER_COMPLEX) as f64;
         let per_probe =
             HardwareModel::summit_v100().probe_gradient_time(window, slices, working_set);
-        let per_iteration = (tile.owned_locations.len() as f64 * per_probe * 1e9) as u64;
+        let per_iteration = (probes as f64 * per_probe * 1e9) as u64;
         assert!(
             per_iteration > 0,
             "rank {rank}: the model must charge compute time"
@@ -483,6 +477,111 @@ fn iteration_end_pins_compute_and_comm_to_the_modeled_clock() {
         }
         assert!(ends > 0, "rank {rank} must end at least one iteration");
     }
+}
+
+/// A Gradient Decomposition rank evaluates the probes it owns.
+#[test]
+fn iteration_end_pins_compute_and_comm_to_the_modeled_clock() {
+    let ds = small_problem();
+    let solver = gd_solver(&ds);
+    let telemetry = Telemetry::new();
+    let job = JobContext {
+        telemetry: Some(&telemetry),
+        ..JobContext::default()
+    };
+    solver
+        .run_job(&lockstep(), RecoveryPolicy::FailFast, &job)
+        .expect("run completes");
+    let owned: Vec<usize> = (0..solver.grid().num_tiles())
+        .map(|rank| solver.grid().tile(rank).owned_locations.len())
+        .collect();
+    assert_iteration_ends_follow_the_modeled_clock(&ds, &telemetry, solver.grid(), &owned);
+}
+
+/// A Halo Voxel Exchange rank evaluates its owned probes plus the redundant
+/// rings around them, over its wider halo.
+#[test]
+fn hve_iteration_end_pins_compute_and_comm_to_the_modeled_clock() {
+    let ds = small_problem();
+    let solver = common::hve_solver(&ds);
+    let telemetry = Telemetry::new();
+    let job = JobContext {
+        telemetry: Some(&telemetry),
+        ..JobContext::default()
+    };
+    solver
+        .run_job(&lockstep(), RecoveryPolicy::FailFast, &job)
+        .expect("run completes");
+    let assigned: Vec<usize> = solver.assigned().iter().map(Vec::len).collect();
+    assert_iteration_ends_follow_the_modeled_clock(&ds, &telemetry, solver.grid(), &assigned);
+}
+
+/// A lockstep run that loses node 1 and heals it by promoting a spare: the
+/// trace holds the heartbeats, the death, the promotion and every
+/// checkpoint, on the dead node's stream and on the spare's.
+#[test]
+fn substitution_trace_matches_golden_hash() {
+    let policy = FaultPolicy::reliable(5).kill_rank(1, 1);
+    let backend = FaultInjectionBackend::new(lockstep(), policy);
+    let (trace, _) = traced_gd_run(&backend, substitute_policy(1));
+    let summary = validate_jsonl(&trace);
+    for kind in [
+        "heartbeat_sent",
+        "heartbeat_observed",
+        "rank_dead",
+        "spare_promoted",
+        "checkpoint",
+    ] {
+        assert!(summary.kind_count(kind) >= 1, "the trace must hold {kind}");
+    }
+    assert_trace_hash(&trace, 0x15d6_a9ec_584b_db04, "substitution");
+}
+
+/// A durable job killed by a whole-process crash at its first barrier, then
+/// resumed from its store, each with a recorder attached: the traces hold
+/// the persisted epochs and the restore that picks the killed run up.
+#[test]
+fn kill_and_resume_traces_match_golden_hash() {
+    let dir = std::env::temp_dir().join(format!("ptycho-telemetry-resume-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let config = SolverConfig {
+        iterations: 2,
+        halo_px: 20,
+        ..SolverConfig::default()
+    };
+    let spec = JobSpec::new(Dataset::synthesize(SyntheticConfig::tiny()), config, (2, 2))
+        .with_checkpoint_dir(&dir)
+        .with_fault_policy(
+            FaultPolicy::reliable(7).kill_process_at_barrier(0, CrashPhase::AfterRename),
+        );
+    let recorder = || {
+        let buf = SharedBuf::default();
+        let telemetry = Telemetry::with_writer(TelemetryConfig::default(), Box::new(buf.clone()));
+        (buf, Arc::new(telemetry))
+    };
+    let engine = JobEngine::new(4);
+
+    let (killed_buf, killed_telemetry) = recorder();
+    let killed = engine
+        .submit(spec.with_telemetry(killed_telemetry))
+        .expect("fits the fleet")
+        .wait();
+    assert_eq!(killed.state, JobState::Failed);
+    let (resumed_buf, resumed_telemetry) = recorder();
+    let resumed = engine
+        .resume_with_telemetry(&dir, Some(resumed_telemetry))
+        .expect("resumable")
+        .wait();
+    assert_eq!(resumed.state, JobState::Completed);
+    let _ = std::fs::remove_dir_all(&dir);
+
+    let resumed_trace = resumed_buf.contents();
+    let summary = validate_jsonl(&resumed_trace);
+    assert_eq!(summary.kind_count("checkpoint_restored"), 4, "one per slot");
+    assert!(summary.kind_count("checkpoint_persisted") >= 1);
+    let mut trace = killed_buf.contents();
+    trace.extend(resumed_trace);
+    assert_trace_hash(&trace, 0x646d_c262_f4bd_20c8, "kill and resume");
 }
 
 #[test]
