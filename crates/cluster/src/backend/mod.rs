@@ -47,7 +47,7 @@ pub use context::{Instruments, RankCtx};
 pub use fault::{CrashPhase, FaultAction, FaultCursor, FaultInjectionBackend, FaultPolicy};
 pub use lockstep::LockstepBackend;
 pub use pool::TilePayloadPool;
-pub use reliable::{ReliableComm, ReliableConfig, ReliableStats};
+pub use reliable::{ReliableComm, ReliableStats};
 pub use threaded::{Cluster, ThreadedBackend};
 
 /// Payloads carried between ranks must report an approximate wire size so the

@@ -12,8 +12,8 @@
 //!   with a later round's traffic (the duplicate hazard documented in PR 2);
 //! * the receiver **acknowledges** each delivery on a paired ack tag;
 //! * when a blocking operation fails, the rank **retransmits** every send the
-//!   peer has not acknowledged and retries, up to
-//!   [`ReliableConfig::max_recoveries`] times, then **escalates** with
+//!   peer has not acknowledged and retries, up to `MAX_RECOVERIES` (8)
+//!   times, then **escalates** with
 //!   [`CommError::RecoveryExhausted`] so the caller (the iteration engine in
 //!   `ptycho-core`) can fall back to checkpoint/restart.
 //!
@@ -65,27 +65,10 @@ pub fn wire_ack_tag(base_tag: u64, seq: u64, epoch: u8) -> u64 {
     wire_data_tag(base_tag, seq, epoch) | ACK_BIT
 }
 
-/// Tuning for [`ReliableComm`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ReliableConfig {
-    /// How many times a failing blocking operation (receive or barrier) is
-    /// retried — each retry retransmits every unacknowledged send — before
-    /// the layer escalates with [`CommError::RecoveryExhausted`].
-    pub max_recoveries: usize,
-    /// Restart-attempt number mixed into every wire tag, so traffic from
-    /// different checkpoint-restart attempts never aliases and seeded fault
-    /// policies draw fresh decisions per attempt.
-    pub epoch: u8,
-}
-
-impl Default for ReliableConfig {
-    fn default() -> Self {
-        Self {
-            max_recoveries: 8,
-            epoch: 0,
-        }
-    }
-}
+/// How many times a failing blocking operation (receive or barrier) is
+/// retried — each retry retransmits every unacknowledged send — before the
+/// layer escalates with [`CommError::RecoveryExhausted`].
+const MAX_RECOVERIES: usize = 8;
 
 /// Counters describing what the reliable layer had to do for one rank.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -129,7 +112,8 @@ struct OutboxEntry<M> {
 /// constructs its comms.
 pub struct ReliableComm<'c, C, M> {
     inner: &'c mut C,
-    config: ReliableConfig,
+    /// Restart-attempt number mixed into every wire tag.
+    epoch: u8,
     /// Next sequence number per outgoing `(to, base_tag)` stream.
     send_seq: HashMap<(usize, u64), u64>,
     /// Next expected sequence number per incoming `(from, base_tag)` stream.
@@ -144,16 +128,14 @@ where
     C: RankComm<M>,
     M: Payload + Default,
 {
-    /// Wraps `inner` with default tuning.
-    pub fn new(inner: &'c mut C) -> Self {
-        Self::with_config(inner, ReliableConfig::default())
-    }
-
-    /// Wraps `inner` with explicit tuning.
-    pub fn with_config(inner: &'c mut C, config: ReliableConfig) -> Self {
+    /// Wraps `inner` for restart attempt `epoch`. The epoch is mixed into
+    /// every wire tag, so traffic from different checkpoint-restart
+    /// attempts never aliases and seeded fault policies draw fresh
+    /// decisions per attempt.
+    pub fn new(inner: &'c mut C, epoch: u8) -> Self {
         Self {
             inner,
-            config,
+            epoch,
             send_seq: HashMap::new(),
             recv_seq: HashMap::new(),
             outbox: Vec::new(),
@@ -164,11 +146,6 @@ where
     /// What the layer had to do so far for this rank.
     pub fn stats(&self) -> ReliableStats {
         self.stats
-    }
-
-    /// The configured tuning.
-    pub fn config(&self) -> ReliableConfig {
-        self.config
     }
 
     /// Sends a **control frame** (heartbeat / membership signalling)
@@ -206,7 +183,7 @@ where
     /// Acks and retransmits are traced on the wrapped communicator's
     /// stream, next to its transport-level sends and receives.
     fn ack(&mut self, from: usize, base_tag: u64, seq: u64) {
-        let tag = wire_ack_tag(base_tag, seq, self.config.epoch);
+        let tag = wire_ack_tag(base_tag, seq, self.epoch);
         self.inner.isend(from, tag, M::default());
         self.stats.acks_sent += 1;
         self.inner.trace(TelemetryEvent::CommAck {
@@ -220,7 +197,7 @@ where
     /// implies every earlier seq of that stream was delivered (the receiver
     /// advances its cursor in order).
     fn drain_acks(&mut self) {
-        let epoch = self.config.epoch;
+        let epoch = self.epoch;
         let mut acked: Vec<(usize, u64, u64)> = Vec::new();
         for entry in &self.outbox {
             if self
@@ -243,7 +220,7 @@ where
 
     /// Re-sends every send still awaiting an acknowledgement.
     fn retransmit_outstanding(&mut self) {
-        let epoch = self.config.epoch;
+        let epoch = self.epoch;
         for entry in &self.outbox {
             let bytes = entry.payload.payload_bytes();
             self.inner.isend(
@@ -267,7 +244,7 @@ where
     /// path, and stream lengths are bounded by the run's round count, so
     /// completeness beats a sliding window that could strand old entries.
     fn reack_duplicates(&mut self) {
-        let epoch = self.config.epoch;
+        let epoch = self.epoch;
         let mut streams: Vec<((usize, u64), u64)> = self
             .recv_seq
             .iter()
@@ -302,7 +279,7 @@ where
     fn escalate(&self, last: CommError) -> CommError {
         CommError::RecoveryExhausted {
             rank: self.inner.rank(),
-            recoveries: self.config.max_recoveries,
+            recoveries: MAX_RECOVERIES,
             last: Box::new(last),
         }
     }
@@ -332,11 +309,11 @@ where
             payload: payload.clone(),
         });
         self.inner
-            .isend(to, wire_data_tag(tag, seq, self.config.epoch), payload);
+            .isend(to, wire_data_tag(tag, seq, self.epoch), payload);
     }
 
     fn recv(&mut self, from: usize, tag: u64) -> Result<M, CommError> {
-        let epoch = self.config.epoch;
+        let epoch = self.epoch;
         let expected = *self.recv_seq.entry((from, tag)).or_insert(0);
         let wire = wire_data_tag(tag, expected, epoch);
         let mut attempts = 0;
@@ -354,7 +331,7 @@ where
                     if matches!(error, CommError::RankDead { .. }) {
                         return Err(error);
                     }
-                    if attempts >= self.config.max_recoveries {
+                    if attempts >= MAX_RECOVERIES {
                         return Err(self.escalate(error));
                     }
                     attempts += 1;
@@ -365,7 +342,7 @@ where
     }
 
     fn try_recv(&mut self, from: usize, tag: u64) -> Option<M> {
-        let epoch = self.config.epoch;
+        let epoch = self.epoch;
         let expected = *self.recv_seq.entry((from, tag)).or_insert(0);
         let payload = self
             .inner
@@ -393,7 +370,7 @@ where
                     if matches!(error, CommError::RankDead { .. }) {
                         return Err(error);
                     }
-                    if attempts >= self.config.max_recoveries {
+                    if attempts >= MAX_RECOVERIES {
                         return Err(self.escalate(error));
                     }
                     attempts += 1;
@@ -435,7 +412,7 @@ mod tests {
         rounds: usize,
     ) -> Result<Vec<f64>, super::super::RankFailure> {
         let outcomes = backend.run::<Vec<f64>, f64, _>(2, |ctx| {
-            let mut rc = ReliableComm::new(ctx);
+            let mut rc = ReliableComm::new(ctx, 0);
             let me = rc.rank();
             let peer = 1 - me;
             let mut total = 0.0;
@@ -492,7 +469,7 @@ mod tests {
         let backend = LockstepBackend::default();
         let outcomes = backend
             .run::<Vec<f64>, (usize, usize), _>(2, |ctx| {
-                let mut rc = ReliableComm::new(ctx);
+                let mut rc = ReliableComm::new(ctx, 0);
                 let peer = 1 - rc.rank();
                 rc.isend(peer, 0x7, vec![1.0; 64]);
                 rc.recv(peer, 0x7)?;
@@ -555,21 +532,15 @@ mod tests {
     #[test]
     fn persistent_drop_escalates_with_recovery_exhausted() {
         // Every frame of the (0 -> 1, tag 0x7) data stream is dropped,
-        // including retransmissions: the receiver must escalate after the
-        // configured number of recoveries instead of retrying forever.
+        // including retransmissions: the receiver must escalate after
+        // `MAX_RECOVERIES` recoveries instead of retrying forever.
         let policy = FaultPolicy::reliable(7)
             .drop(1.0)
             .on_tag(wire_data_tag(0x7, 0, 0));
         let backend = FaultInjectionBackend::new(LockstepBackend::default(), policy);
         let failure = backend
             .run::<Vec<f64>, (), _>(2, |ctx| {
-                let mut rc = ReliableComm::with_config(
-                    ctx,
-                    ReliableConfig {
-                        max_recoveries: 2,
-                        epoch: 0,
-                    },
-                );
+                let mut rc = ReliableComm::new(ctx, 0);
                 if rc.rank() == 0 {
                     rc.isend(1, 0x7, vec![1.0]);
                     Ok(())
@@ -584,7 +555,7 @@ mod tests {
                 rank, recoveries, ..
             } => {
                 assert_eq!(rank, 1);
-                assert_eq!(recoveries, 2);
+                assert_eq!(recoveries, MAX_RECOVERIES);
             }
             other => panic!("expected RecoveryExhausted, got {other:?}"),
         }
@@ -600,13 +571,7 @@ mod tests {
         let backend = FaultInjectionBackend::new(LockstepBackend::default(), policy);
         let outcomes = backend
             .run::<Vec<f64>, f64, _>(2, |ctx| {
-                let mut rc = ReliableComm::with_config(
-                    ctx,
-                    ReliableConfig {
-                        max_recoveries: 2,
-                        epoch: 1,
-                    },
-                );
+                let mut rc = ReliableComm::new(ctx, 1);
                 if rc.rank() == 0 {
                     rc.isend(1, 0x7, vec![9.5]);
                     Ok(0.0)
@@ -624,7 +589,7 @@ mod tests {
         let backend = FaultInjectionBackend::new(LockstepBackend::default(), policy);
         let outcomes = backend
             .run::<Vec<f64>, ReliableStats, _>(2, |ctx| {
-                let mut rc = ReliableComm::new(ctx);
+                let mut rc = ReliableComm::new(ctx, 0);
                 let peer = 1 - rc.rank();
                 rc.isend(peer, 0x7, vec![1.0]);
                 rc.recv(peer, 0x7)?;

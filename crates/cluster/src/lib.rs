@@ -95,8 +95,7 @@ pub mod topology;
 pub use backend::{
     Cluster, CommBackend, CommError, CrashPhase, FaultAction, FaultCursor, FaultInjectionBackend,
     FaultPolicy, Instruments, LockstepBackend, Payload, RankComm, RankCtx, RankFailure,
-    RankOutcome, ReliableComm, ReliableConfig, ReliableStats, SharedTile, ThreadedBackend,
-    TilePayloadPool,
+    RankOutcome, ReliableComm, ReliableStats, SharedTile, ThreadedBackend, TilePayloadPool,
 };
 pub use clock::{RankClock, TimeBreakdown};
 pub use jobs::{FleetError, FleetView, JobId, JobQueue, QueuedJob};

@@ -23,7 +23,7 @@
 //!   sequence numbers.
 //!
 //! Membership epochs are **not** the reliable layer's wire epochs: a wire
-//! epoch ([`crate::ReliableConfig::epoch`]) counts *attempts* (checkpoint
+//! epoch (the `epoch` of [`crate::ReliableComm::new`]) counts *attempts* (checkpoint
 //! restarts and substitutions alike) so retransmit streams never alias
 //! across attempts, while a membership epoch counts *promotions* — it only
 //! moves when the assignment table changes. A run that restarts twice
@@ -91,7 +91,7 @@ pub mod frames {
     }
 
     /// The attempt-epoch space is 8 bits wide, matching the reliable
-    /// layer's wire epoch ([`crate::ReliableConfig::epoch`]); recovery
+    /// layer's wire epoch (the `epoch` of [`crate::ReliableComm::new`]); recovery
     /// drivers must not run more attempts than this.
     pub const MAX_ATTEMPT_EPOCH: u64 = (1 << ATTEMPT_BITS) - 1;
 

@@ -303,7 +303,8 @@ impl<'a> ByteReader<'a> {
 }
 
 /// A value that can round-trip through a checkpoint file bit-identically.
-/// The engine requires it of every `SolverKernel::Checkpoint`.
+/// The engine checkpoints each rank's tile volume through the [`CArray3`]
+/// implementation.
 pub trait CheckpointPayload: Sized {
     /// Appends the value's exact encoding.
     fn encode(&self, out: &mut ByteWriter);
@@ -350,9 +351,8 @@ impl CheckpointPayload for CArray3 {
 }
 
 /// One rank's durable checkpoint: everything the engine's in-memory
-/// `CheckpointSlot` holds, plus the rank's fault-decision cursor, with the
-/// solver state kept as opaque [`CheckpointPayload`] bytes so the store
-/// stays kernel-agnostic.
+/// `CheckpointSlot` holds, with the tile volume kept as opaque
+/// [`CheckpointPayload`] bytes so the store never needs the volume's shape.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SlotRecord {
     /// First iteration the restored state has *not* yet run.
@@ -362,7 +362,8 @@ pub struct SlotRecord {
     /// The rank's fault-decision counters, when a fault harness is
     /// installed.
     pub cursor: Option<FaultCursor>,
-    /// The kernel checkpoint, encoded via [`CheckpointPayload`].
+    /// The rank's halo-extended tile volume, encoded via
+    /// [`CheckpointPayload`].
     pub state: Vec<u8>,
 }
 

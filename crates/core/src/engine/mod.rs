@@ -8,6 +8,10 @@
 //! rank*) and calls the crate-private `engine::run`, which owns everything
 //! around it:
 //!
+//! * the rank's tile: the kernel's `init` hands over the rank's
+//!   `TileWorker` (the halo-extended sub-volume — as in the paper, a rank's
+//!   whole state between iterations), and the engine charges its modeled
+//!   compute, checkpoints and restores its volume, and stitches its core,
 //! * the per-rank iteration loop (one loop for every policy) and cost
 //!   bookkeeping,
 //! * gathering [`RankOutcome`]s and stitching the [`ReconstructionResult`],
@@ -18,7 +22,7 @@
 //!   - [`RecoveryPolicy::RetransmitThenRestart`] wraps every rank's
 //!     communicator in [`ReliableComm`] (sequence-numbered ack/retransmit,
 //!     healing lost messages in place) and additionally keeps a lightweight
-//!     per-iteration checkpoint of each rank's tile state, so that a
+//!     per-iteration checkpoint of each rank's tile volume, so that a
 //!     [`RankFailure`] that survives retransmission rolls the whole run back
 //!     to the last consistent iteration boundary and re-runs it instead of
 //!     aborting, up to `max_iteration_restarts` times;
@@ -43,11 +47,14 @@
 //! either every rank or no rank, so whenever an attempt fails, every rank's
 //! latest checkpoint refers to the same iteration — the engine verifies this
 //! invariant before restarting and escalates the original failure if it ever
-//! does not hold. Restart attempts carry an increasing *epoch* into the
-//! reliable layer's wire tags, so retransmit streams from different attempts
-//! can never alias and seeded fault policies draw fresh decisions. That wire
-//! epoch counts *attempts*; the membership epoch counts *promotions* — the
-//! two move independently (a restart without a death bumps only the former).
+//! does not hold. The tile volume is the whole checkpoint: a kernel's
+//! scratch (Algorithm 1's accumulation buffers) is zero at every iteration
+//! boundary, and every attempt builds it afresh. Restart attempts carry an
+//! increasing *epoch* into the reliable layer's wire tags, so retransmit
+//! streams from different attempts can never alias and seeded fault
+//! policies draw fresh decisions. That wire epoch counts *attempts*; the
+//! membership epoch counts *promotions* — the two move independently (a
+//! restart without a death bumps only the former).
 //!
 //! [`ReliableComm`]: ptycho_cluster::ReliableComm
 //! [`MembershipView`]: ptycho_cluster::MembershipView
@@ -60,11 +67,12 @@ use crate::durability::{
 };
 use crate::stitch::stitch_tiles;
 use crate::tiling::TileGrid;
+use crate::worker::TileWorker;
 use ptycho_array::Rect;
 use ptycho_cluster::membership::frames;
 use ptycho_cluster::{
-    CommBackend, CommError, CrashPhase, MembershipError, MembershipView, MemoryTracker, RankComm,
-    RankFailure, RankOutcome, ReliableComm, ReliableConfig, ReliableStats, SharedTile,
+    CommBackend, CommError, CrashPhase, FaultCursor, MembershipError, MembershipView,
+    MemoryTracker, RankComm, RankFailure, RankOutcome, ReliableComm, ReliableStats, SharedTile,
     TimeBreakdown,
 };
 use ptycho_fft::CArray3;
@@ -249,7 +257,9 @@ pub struct DurabilityHook<'a> {
     /// A previously recovered epoch to resume from: the engine prefills
     /// every rank's checkpoint slot, membership table, and recovery
     /// counters from it before the first attempt, so the resumed run
-    /// continues exactly where the killed process left off.
+    /// continues exactly where the killed process left off. The run panics
+    /// on an epoch whose slot count, or a slot's tile-volume shape, does
+    /// not match the decomposition (`JobEngine::resume` refuses those).
     pub resume: Option<&'a RecoveredEpoch>,
     /// Fault injection: simulate a whole-process kill when committing the
     /// epoch with this store sequence number, at the given phase relative
@@ -287,58 +297,44 @@ impl std::fmt::Debug for JobContext<'_> {
     }
 }
 
-/// What one reconstruction method contributes to the shared engine loop: the
-/// per-rank tile state and the body of one iteration. Everything else —
-/// iteration driving, cost collection, checkpointing, recovery, stitching —
-/// lives in [`run`].
+/// What one reconstruction method contributes to the shared engine loop:
+/// the body of one iteration, and the scratch it needs beyond the rank's
+/// tile. The tile — the [`TileWorker`] `init` builds — belongs to [`run`],
+/// as does everything else: iteration driving, cost collection,
+/// checkpointing, recovery, stitching.
 pub(crate) trait SolverKernel: Sync {
-    /// Rank-local state (tile worker, accumulation buffers, …). The lifetime
-    /// ties the state to the kernel that created it.
+    /// Rank-local scratch beyond the tile (accumulation buffers, gradient
+    /// scratch, payload pools). Nothing in it outlives an iteration: each
+    /// attempt builds it afresh and restores only the tile volume.
     type State<'k>
     where
         Self: 'k;
 
-    /// A lightweight snapshot of the mutable part of [`Self::State`], taken
-    /// at iteration boundaries (for both methods: the tile volume). The
-    /// [`CheckpointPayload`] bound is what lets the durability layer write
-    /// the snapshot to disk and restore it bit-identically in a resumed
-    /// process.
-    type Checkpoint: Send + CheckpointPayload;
-
     /// The tile decomposition (one rank per tile).
     fn grid(&self) -> &TileGrid;
+
+    /// Number of object slices: the depth of every tile volume.
+    fn slices(&self) -> usize;
 
     /// Number of reconstruction iterations.
     fn iterations(&self) -> usize;
 
-    /// Builds rank `ctx.rank()`'s state, registering its memory footprint
-    /// with `ctx`'s tracker. Must not communicate.
-    fn init<'k, C: RankComm<SharedTile>>(&'k self, ctx: &mut C) -> Self::State<'k>;
+    /// Builds rank `ctx.rank()`'s tile worker and scratch, registering their
+    /// memory footprint with `ctx`'s tracker. Must not communicate.
+    fn init<'k, C: RankComm<SharedTile>>(
+        &'k self,
+        ctx: &mut C,
+    ) -> (TileWorker<'k>, Self::State<'k>);
 
     /// Runs one full iteration on this rank, returning the rank's share of
     /// the iteration cost `F(V)`.
     fn run_iteration<C: RankComm<SharedTile>>(
         &self,
         ctx: &mut C,
+        worker: &mut TileWorker<'_>,
         state: &mut Self::State<'_>,
         iteration: usize,
     ) -> Result<f64, CommError>;
-
-    /// Snapshots the mutable state at an iteration boundary.
-    fn checkpoint(&self, state: &Self::State<'_>) -> Self::Checkpoint;
-
-    /// Restores a snapshot taken by [`Self::checkpoint`], resetting any
-    /// intra-iteration scratch (accumulation buffers) to its boundary value.
-    fn restore(&self, state: &mut Self::State<'_>, checkpoint: &Self::Checkpoint);
-
-    /// Extracts the rank's core (non-halo) volume for stitching.
-    fn core_volume(&self, state: &Self::State<'_>) -> CArray3;
-
-    /// The modeled compute time of one iteration on `rank`, in integer
-    /// nanoseconds, used to advance the telemetry stream's simulated clock.
-    /// Must be a pure function of the decomposition (deterministic across
-    /// runs).
-    fn modeled_compute_ns(&self, rank: usize) -> u64;
 }
 
 /// What one rank hands back to the engine.
@@ -351,12 +347,18 @@ struct RankRun {
 }
 
 /// A rank's saved state at a completed iteration boundary.
-struct CheckpointSlot<T> {
+struct CheckpointSlot {
     /// Number of completed iterations (the next attempt resumes here).
     iteration: usize,
     /// Per-iteration costs accumulated so far.
     costs: Vec<f64>,
-    state: T,
+    /// The rank's halo-extended tile volume.
+    volume: CArray3,
+    /// A resumed rank's persisted fault cursor. The first attempt after the
+    /// resume takes it, so seeded fault decisions that fired before the
+    /// kill do not re-fire; later attempts start fresh harnesses exactly as
+    /// they would in an uninterrupted run.
+    cursor: Option<FaultCursor>,
 }
 
 /// Runs `kernel`'s reconstruction on `backend`, one rank per tile, under
@@ -384,15 +386,16 @@ pub(crate) fn run<K: SolverKernel, B: CommBackend>(
 
 /// One rank's iterations `start..`: the per-rank loop of Algorithm 1, written
 /// once for every policy. Each iteration polls cancellation, stamps
-/// `IterationBegin`, runs the kernel's body, charges its modeled compute and
-/// stamps `IterationEnd`, runs the policy's `boundary` step, and emits the
-/// progress event. Events go to the telemetry sink installed in `comm`'s
-/// instruments. `boundary` sees the state and costs after the iteration; an
-/// error from it ends the rank like a failed iteration.
+/// `IterationBegin`, runs the kernel's body, charges the tile's modeled
+/// compute and stamps `IterationEnd`, runs the policy's `boundary` step, and
+/// emits the progress event. Events go to the telemetry sink installed in
+/// `comm`'s instruments. `boundary` sees the tile and costs after the
+/// iteration; an error from it ends the rank like a failed iteration.
 #[allow(clippy::too_many_arguments)]
 fn run_rank<'k, K, C, F>(
     kernel: &'k K,
     comm: &mut C,
+    worker: &mut TileWorker<'k>,
     state: &mut K::State<'k>,
     costs: &mut Vec<f64>,
     start: usize,
@@ -403,7 +406,7 @@ fn run_rank<'k, K, C, F>(
 where
     K: SolverKernel,
     C: RankComm<SharedTile>,
-    F: FnMut(&mut C, &K::State<'k>, &[f64], usize) -> Result<(), CommError>,
+    F: FnMut(&mut C, &TileWorker<'k>, &[f64], usize) -> Result<(), CommError>,
 {
     let slot = comm.rank();
     for iteration in start..kernel.iterations() {
@@ -418,10 +421,10 @@ where
             iteration: iteration as u64,
             attempt: attempt as u64,
         });
-        costs.push(kernel.run_iteration(comm, state, iteration)?);
+        costs.push(kernel.run_iteration(comm, worker, state, iteration)?);
         let now = comm.clock_mut().comm_ns();
         if let Some(sink) = &mut comm.instruments().telemetry {
-            sink.add_compute_ns(kernel.modeled_compute_ns(slot));
+            sink.add_compute_ns(worker.modeled_iteration_ns());
             sink.set_comm_ns(now);
             let (comm_ns, compute_ns) = sink.sim_parts();
             sink.record(TelemetryEvent::IterationEnd {
@@ -432,7 +435,7 @@ where
                 comm_ns,
             });
         }
-        boundary(comm, state, costs, iteration)?;
+        boundary(comm, worker, costs, iteration)?;
         job.emit(IterationProgress {
             rank: slot,
             iteration,
@@ -462,11 +465,12 @@ fn run_fail_fast<K: SolverKernel, B: CommBackend>(
     let iterations = kernel.iterations();
     let outcomes = backend.run::<SharedTile, RankRun, _>(kernel.grid().num_tiles(), |ctx| {
         ctx.instruments().telemetry = job.telemetry.map(|t| t.sink(ctx.rank()));
-        let mut state = kernel.init(ctx);
+        let (mut worker, mut state) = kernel.init(ctx);
         let mut costs = Vec::with_capacity(iterations);
         run_rank(
             kernel,
             ctx,
+            &mut worker,
             &mut state,
             &mut costs,
             0,
@@ -475,7 +479,7 @@ fn run_fail_fast<K: SolverKernel, B: CommBackend>(
             |_, _, _, _| Ok(()),
         )?;
         Ok(RankRun {
-            core: kernel.core_volume(&state),
+            core: worker.core_volume(),
             costs,
             stats: ReliableStats::default(),
             heartbeats_sent: 0,
@@ -502,8 +506,8 @@ fn run_fail_fast<K: SolverKernel, B: CommBackend>(
 /// per-iteration ring heartbeat on control frames, and — when an attempt
 /// fails because a node died — promotes a spare into the dead node's slot
 /// before re-running. The **checkpoint store is keyed by slot**, so the
-/// adopting spare restores exactly the state the dead node saved at the last
-/// consistency barrier.
+/// adopting spare restores exactly the tile volume the dead node saved at
+/// the last consistency barrier.
 fn run_recovering<K: SolverKernel, B: CommBackend>(
     kernel: &K,
     backend: &B,
@@ -535,17 +539,14 @@ fn run_recovering<K: SolverKernel, B: CommBackend>(
         }
     });
     let mut membership = spares.map(|pool| MembershipView::new(ranks, pool));
-    let slots: Vec<Mutex<Option<CheckpointSlot<K::Checkpoint>>>> =
-        (0..ranks).map(|_| Mutex::new(None)).collect();
+    let slots: Vec<Mutex<Option<CheckpointSlot>>> = (0..ranks).map(|_| Mutex::new(None)).collect();
     let mut restarts = 0usize;
     let mut substitutions = 0usize;
     let mut attempt_index = 0usize;
-    // Resuming from disk: prefill every rank's checkpoint slot, the
-    // membership table, and the recovery counters from the recovered
-    // epoch, so the existing restore-from-slot path picks the run up
-    // exactly where the killed process committed it. Fault cursors are
-    // handed to each rank once (first post-resume attempt) so seeded
-    // fault decisions that already fired before the kill do not re-fire.
+    // Resuming from disk: prefill every rank's checkpoint slot (fault
+    // cursor included), the membership table, and the recovery counters
+    // from the recovered epoch, so the existing restore-from-slot path
+    // picks the run up exactly where the killed process committed it.
     let resume_seq = job.durability.as_ref().and_then(|hook| {
         let epoch = hook.resume?;
         assert_eq!(
@@ -557,12 +558,21 @@ fn run_recovering<K: SolverKernel, B: CommBackend>(
         );
         for (slot, record) in epoch.slots.iter().enumerate() {
             let mut reader = ByteReader::new(&record.state, Path::new("recovered slot state"));
-            let state = K::Checkpoint::decode(&mut reader)
-                .expect("recovered checkpoint state does not decode for this kernel");
+            let volume = CArray3::decode(&mut reader)
+                .expect("recovered slot state does not decode as a tile volume");
+            let extended = kernel.grid().tile(slot).extended;
+            let tile = (kernel.slices(), extended.rows(), extended.cols());
+            assert!(
+                volume.shape() == tile,
+                "recovered slot {slot} holds a {:?} tile volume but its tile is {tile:?} \
+                 (slices, rows, cols)",
+                volume.shape()
+            );
             *slots[slot].lock().expect("checkpoint slot poisoned") = Some(CheckpointSlot {
                 iteration: record.iteration,
                 costs: record.costs.clone(),
-                state,
+                volume,
+                cursor: record.cursor.clone(),
             });
         }
         if membership.is_some() {
@@ -573,18 +583,8 @@ fn run_recovering<K: SolverKernel, B: CommBackend>(
         attempt_index = epoch.manifest.attempt_index as usize;
         Some(epoch.manifest.seq)
     });
-    let resume_cursors: Vec<Mutex<Option<ptycho_cluster::FaultCursor>>> = (0..ranks)
-        .map(|slot| {
-            Mutex::new(
-                job.durability
-                    .as_ref()
-                    .and_then(|hook| hook.resume)
-                    .and_then(|epoch| epoch.slots[slot].cursor.clone()),
-            )
-        })
-        .collect();
     let start_attempt = attempt_index;
-    loop {
+    let outcome = 'attempts: loop {
         // The wire epoch (and the heartbeat tags' attempt field) is 8
         // bits wide; make the ceiling explicit instead of letting the
         // cast wrap tags back onto attempt 0's and silently re-drawing
@@ -596,10 +596,7 @@ fn run_recovering<K: SolverKernel, B: CommBackend>(
              (restart budget and spare pool must stay below that combined)",
             frames::MAX_ATTEMPT_EPOCH + 1
         );
-        let config = ReliableConfig {
-            epoch: attempt_index as u8,
-            ..ReliableConfig::default()
-        };
+        let epoch = attempt_index as u8;
         // The attempt's frozen membership: slot -> node. `None` outside
         // membership mode, where slot == node throughout.
         let assignment: Option<Vec<usize>> =
@@ -625,45 +622,33 @@ fn run_recovering<K: SolverKernel, B: CommBackend>(
                     harness.set_node(node);
                 }
             }
-            let mut comm = ReliableComm::with_config(ctx, config);
+            let mut comm = ReliableComm::new(ctx, epoch);
             // Telemetry streams are keyed by *node*: a promoted spare
             // writes its own stream, leaving the dead node's record of
             // its final attempt intact for post-mortems.
             comm.instruments().telemetry = job.telemetry.map(|t| t.sink(node));
-            let mut state = kernel.init(&mut comm);
+            let (mut worker, mut state) = kernel.init(&mut comm);
             let (mut costs, start) = {
-                let slot = slots[slot].lock().expect("checkpoint slot poisoned");
-                match slot.as_ref() {
+                let mut saved = slots[slot].lock().expect("checkpoint slot poisoned");
+                match saved.as_mut() {
                     Some(saved) => {
-                        kernel.restore(&mut state, &saved.state);
+                        *worker.volume_mut() = saved.volume.clone();
+                        if let Some(cursor) = saved.cursor.take() {
+                            if let Some(harness) = &mut comm.instruments().harness {
+                                harness.set_cursor(&cursor);
+                            }
+                        }
                         (saved.costs.clone(), saved.iteration)
                     }
                     None => (Vec::with_capacity(iterations), 0),
                 }
             };
-            // First attempt of a resumed process: hand the rank its
-            // persisted fault cursor (so seeded fault decisions continue
-            // where the killed process stopped, instead of re-firing)
-            // and record the restore. The cell is taken once — later
-            // attempts start fresh harnesses exactly as they would in an
-            // uninterrupted run.
-            if let Some(seq) = resume_seq {
-                if let Some(cursor) = resume_cursors[slot]
-                    .lock()
-                    .expect("resume cursor poisoned")
-                    .take()
-                {
-                    if let Some(harness) = &mut comm.instruments().harness {
-                        harness.set_cursor(&cursor);
-                    }
-                }
-                if attempt_index == start_attempt {
-                    if let Some(sink) = &mut comm.instruments().telemetry {
-                        sink.record(TelemetryEvent::CheckpointRestored {
-                            iteration: start as u64,
-                            seq,
-                        });
-                    }
+            if let Some(seq) = resume_seq.filter(|_| attempt_index == start_attempt) {
+                if let Some(sink) = &mut comm.instruments().telemetry {
+                    sink.record(TelemetryEvent::CheckpointRestored {
+                        iteration: start as u64,
+                        seq,
+                    });
                 }
             }
             let heartbeats = assignment.is_some() && ranks > 1;
@@ -672,20 +657,20 @@ fn run_recovering<K: SolverKernel, B: CommBackend>(
             let result = run_rank(
                 kernel,
                 &mut comm,
+                &mut worker,
                 &mut state,
                 &mut costs,
                 start,
                 attempt_index,
                 job,
-                |comm, state, costs, iteration| {
+                |comm, worker, costs, iteration| {
                     if heartbeats {
                         // Ring liveness beat, sent *before* the barrier
                         // so a death here cannot leave this slot's
                         // checkpoint ahead of its peers'. Control
                         // frames bypass the reliable layer's sequence
                         // accounting entirely.
-                        let tag =
-                            frames::heartbeat_tag(config.epoch, membership_epoch, iteration as u64);
+                        let tag = frames::heartbeat_tag(epoch, membership_epoch, iteration as u64);
                         comm.isend_control((slot + 1) % ranks, tag, SharedTile::default());
                         heartbeats_sent += 1;
                         comm.trace(TelemetryEvent::HeartbeatSent {
@@ -723,8 +708,7 @@ fn run_recovering<K: SolverKernel, B: CommBackend>(
                         // A completed barrier implies the predecessor's
                         // beat was sent; its absence after the barrier
                         // would mark the predecessor suspect.
-                        let tag =
-                            frames::heartbeat_tag(config.epoch, membership_epoch, iteration as u64);
+                        let tag = frames::heartbeat_tag(epoch, membership_epoch, iteration as u64);
                         let prev = (slot + ranks - 1) % ranks;
                         if comm.try_recv_control(prev, tag).is_some() {
                             heartbeats_observed += 1;
@@ -740,7 +724,7 @@ fn run_recovering<K: SolverKernel, B: CommBackend>(
                             });
                         }
                     }
-                    let snapshot = kernel.checkpoint(state);
+                    let volume = worker.volume().clone();
                     // Durable persistence rides the barrier just crossed:
                     // every rank's in-flight state for iteration
                     // `iteration` is final, so the slot files written now
@@ -752,7 +736,7 @@ fn run_recovering<K: SolverKernel, B: CommBackend>(
                     if let Some(hook) = &job.durability {
                         let seq = hook.store.next_seq();
                         let mut encoded = ByteWriter::new();
-                        snapshot.encode(&mut encoded);
+                        volume.encode(&mut encoded);
                         let record = SlotRecord {
                             iteration: iteration + 1,
                             costs: costs.to_vec(),
@@ -768,7 +752,7 @@ fn run_recovering<K: SolverKernel, B: CommBackend>(
                             let manifest = EpochManifest {
                                 seq,
                                 iteration: iteration + 1,
-                                attempt_index: attempt_index as u8,
+                                attempt_index: epoch,
                                 restarts,
                                 substitutions,
                                 membership: membership
@@ -801,7 +785,8 @@ fn run_recovering<K: SolverKernel, B: CommBackend>(
                     *slots[slot].lock().expect("checkpoint slot poisoned") = Some(CheckpointSlot {
                         iteration: iteration + 1,
                         costs: costs.to_vec(),
-                        state: snapshot,
+                        volume,
+                        cursor: None,
                     });
                     comm.trace(TelemetryEvent::Checkpoint {
                         iteration: iteration as u64,
@@ -811,7 +796,7 @@ fn run_recovering<K: SolverKernel, B: CommBackend>(
             );
             match result {
                 Ok(()) => Ok(RankRun {
-                    core: kernel.core_volume(&state),
+                    core: worker.core_volume(),
                     costs,
                     stats: comm.stats(),
                     heartbeats_sent,
@@ -832,14 +817,7 @@ fn run_recovering<K: SolverKernel, B: CommBackend>(
                 }
             }
         });
-        // Rank threads are joined at this point: a driver-side flush (or
-        // stream write) cannot race rank-side recording.
-        let flush_telemetry = || {
-            if let Some(telemetry) = job.telemetry {
-                telemetry.flush_all();
-            }
-        };
-        match attempt {
+        let failure = match attempt {
             Ok(outcomes) => {
                 let reliable = outcomes.iter().fold(ReliableStats::default(), |acc, o| {
                     acc.merge(&o.result.stats)
@@ -847,8 +825,7 @@ fn run_recovering<K: SolverKernel, B: CommBackend>(
                 let heartbeats_sent = outcomes.iter().map(|o| o.result.heartbeats_sent).sum();
                 let heartbeats_observed =
                     outcomes.iter().map(|o| o.result.heartbeats_observed).sum();
-                flush_telemetry();
-                return Ok(assemble(
+                break Ok(assemble(
                     outcomes,
                     kernel.grid().clone(),
                     iterations,
@@ -862,115 +839,106 @@ fn run_recovering<K: SolverKernel, B: CommBackend>(
                     },
                 ));
             }
-            Err(failure) => {
-                // Cancellation is not a fault. Some ranks observe the
-                // flag and unwind with `Cancelled`; ranks already parked
-                // in a receive or barrier fail with a timeout/deadlock
-                // instead. Either way, once the flag is up the run is
-                // over — no restart budget, no substitutions.
-                if job.cancelled() || matches!(failure.error, CommError::Cancelled { .. }) {
-                    flush_telemetry();
-                    return Err(RankFailure {
-                        rank: failure.rank,
-                        error: CommError::Cancelled { rank: failure.rank },
-                        failed_ranks: failure.failed_ranks,
-                    });
-                }
-                // A simulated process kill is terminal by definition:
-                // the "process" is dead, and resuming it is the caller's
-                // job (`JobEngine::resume(dir)`), not this loop's.
-                if let CommError::ProcessKilled { .. } = failure.error {
-                    flush_telemetry();
-                    return Err(failure);
-                }
-                // Restart only from a provably consistent boundary: every
-                // rank's latest checkpoint must agree on the iteration
-                // (None counts as iteration 0).
-                let boundary = |slot: &Mutex<Option<CheckpointSlot<K::Checkpoint>>>| {
-                    slot.lock()
-                        .expect("checkpoint slot poisoned")
-                        .as_ref()
-                        .map_or(0, |saved| saved.iteration)
-                };
-                let first = boundary(&slots[0]);
-                if slots.iter().any(|slot| boundary(slot) != first) {
-                    flush_telemetry();
-                    return Err(failure);
-                }
-                let mut deaths =
-                    std::mem::take(&mut *dead_nodes.lock().expect("death registry poisoned"));
-                deaths.sort_unstable();
-                deaths.dedup();
-                if deaths.is_empty() {
-                    // A message-loss failure: plain checkpoint restart,
-                    // bounded by the restart budget.
-                    if restarts >= max_iteration_restarts {
-                        flush_telemetry();
-                        return Err(failure);
-                    }
-                    restarts += 1;
+            Err(failure) => failure,
+        };
+        // Cancellation is not a fault. Some ranks observe the flag and
+        // unwind with `Cancelled`; ranks already parked in a receive or
+        // barrier fail with a timeout/deadlock instead. Either way, once
+        // the flag is up the run is over — no restart budget, no
+        // substitutions.
+        if job.cancelled() || matches!(failure.error, CommError::Cancelled { .. }) {
+            break Err(RankFailure {
+                rank: failure.rank,
+                error: CommError::Cancelled { rank: failure.rank },
+                failed_ranks: failure.failed_ranks,
+            });
+        }
+        // A simulated process kill is terminal by definition: the
+        // "process" is dead, and resuming it is the caller's job
+        // (`JobEngine::resume(dir)`), not this loop's.
+        if let CommError::ProcessKilled { .. } = failure.error {
+            break Err(failure);
+        }
+        // Restart only from a provably consistent boundary: every rank's
+        // latest checkpoint must agree on the iteration (None counts as
+        // iteration 0).
+        let boundary = |slot: &Mutex<Option<CheckpointSlot>>| {
+            slot.lock()
+                .expect("checkpoint slot poisoned")
+                .as_ref()
+                .map_or(0, |saved| saved.iteration)
+        };
+        let first = boundary(&slots[0]);
+        if slots.iter().any(|slot| boundary(slot) != first) {
+            break Err(failure);
+        }
+        let mut deaths = std::mem::take(&mut *dead_nodes.lock().expect("death registry poisoned"));
+        deaths.sort_unstable();
+        deaths.dedup();
+        if deaths.is_empty() {
+            // A message-loss failure: plain checkpoint restart, bounded by
+            // the restart budget.
+            if restarts >= max_iteration_restarts {
+                break Err(failure);
+            }
+            restarts += 1;
+        } else {
+            // The failure-detector verdict names dead nodes: promote one
+            // spare per death. The restart budget is untouched —
+            // substitutions are bounded by the pool.
+            let view = membership
+                .as_mut()
+                .expect("deaths are only registered in membership mode");
+            for node in deaths {
+                // Under an external arbiter, every promotion must first be
+                // granted a node from the shared pool; a refusal is pool
+                // exhaustion.
+                let promoted = if job.spare_grant.is_none_or(|grant| grant(node)) {
+                    view.substitute(node)
                 } else {
-                    // The failure-detector verdict names dead nodes:
-                    // promote one spare per death. The restart budget is
-                    // untouched — substitutions are bounded by the pool.
-                    let view = membership
-                        .as_mut()
-                        .expect("deaths are only registered in membership mode");
-                    for node in deaths {
-                        // Under an external arbiter, every promotion
-                        // must first be granted a node from the shared
-                        // pool; a refusal is pool exhaustion.
-                        if let Some(grant) = job.spare_grant {
-                            if !grant(node) {
-                                flush_telemetry();
-                                return Err(RankFailure {
-                                    rank: failure.rank,
-                                    error: CommError::SparesExhausted {
-                                        rank: failure.rank,
-                                        dead_node: node,
-                                    },
-                                    failed_ranks: failure.failed_ranks,
+                    Err(MembershipError::SparesExhausted { dead_node: node })
+                };
+                match promoted {
+                    Ok((slot, replacement)) => {
+                        substitutions += 1;
+                        if let Some(telemetry) = job.telemetry {
+                            // Recorded on the *new* node's stream (the
+                            // dead node's stream keeps its final attempt
+                            // for post-mortems).
+                            telemetry
+                                .sink(replacement)
+                                .record(TelemetryEvent::SparePromoted {
+                                    slot: slot as u64,
+                                    node: replacement as u64,
                                 });
-                            }
-                        }
-                        match view.substitute(node) {
-                            Ok((slot, replacement)) => {
-                                substitutions += 1;
-                                if let Some(telemetry) = job.telemetry {
-                                    // Recorded on the *new* node's stream
-                                    // (the dead node's stream keeps its
-                                    // final attempt for post-mortems).
-                                    telemetry.sink(replacement).record(
-                                        TelemetryEvent::SparePromoted {
-                                            slot: slot as u64,
-                                            node: replacement as u64,
-                                        },
-                                    );
-                                }
-                            }
-                            Err(MembershipError::SparesExhausted { dead_node }) => {
-                                flush_telemetry();
-                                return Err(RankFailure {
-                                    rank: failure.rank,
-                                    error: CommError::SparesExhausted {
-                                        rank: failure.rank,
-                                        dead_node,
-                                    },
-                                    failed_ranks: failure.failed_ranks,
-                                });
-                            }
-                            Err(MembershipError::NotAssigned { .. }) => {
-                                // A node can only die while assigned;
-                                // anything else is a driver bug.
-                                unreachable!("dead node was not assigned a slot")
-                            }
                         }
                     }
+                    Err(MembershipError::SparesExhausted { dead_node }) => {
+                        break 'attempts Err(RankFailure {
+                            rank: failure.rank,
+                            error: CommError::SparesExhausted {
+                                rank: failure.rank,
+                                dead_node,
+                            },
+                            failed_ranks: failure.failed_ranks,
+                        });
+                    }
+                    Err(MembershipError::NotAssigned { .. }) => {
+                        // A node can only die while assigned; anything
+                        // else is a driver bug.
+                        unreachable!("dead node was not assigned a slot")
+                    }
                 }
-                attempt_index += 1;
             }
         }
+        attempt_index += 1;
+    };
+    // Rank threads are joined at this point: a driver-side flush (or
+    // stream write) cannot race rank-side recording.
+    if let Some(telemetry) = job.telemetry {
+        telemetry.flush_all();
     }
+    outcome
 }
 
 /// Gathers per-rank outcomes into a [`ReconstructionResult`] — the single

@@ -42,8 +42,7 @@ use crate::tiling::TileGrid;
 use crate::worker::TileWorker;
 use ptycho_array::{Array3, Rect};
 use ptycho_cluster::{
-    CommBackend, CommError, HardwareModel, MemoryCategory, RankComm, RankFailure, SharedTile,
-    TilePayloadPool,
+    CommBackend, CommError, MemoryCategory, RankComm, RankFailure, SharedTile, TilePayloadPool,
 };
 use ptycho_fft::{CArray3, Complex64};
 use ptycho_sim::dataset::{Dataset, BYTES_PER_COMPLEX};
@@ -166,11 +165,11 @@ struct GdKernel<'a> {
     initial: &'a CArray3,
 }
 
-/// Rank-local Gradient Decomposition state. Every buffer is allocated once
+/// Rank-local Gradient Decomposition scratch. Every buffer is allocated once
 /// here and reused across iterations — the steady-state loop is
-/// allocation-free (pinned by `tests/alloc_regression.rs`).
-struct GdState<'a> {
-    worker: TileWorker<'a>,
+/// allocation-free (pinned by `tests/alloc_regression.rs`) — and both
+/// accumulation buffers are zero at every iteration boundary.
+struct GdState {
     owned: Vec<ProbeLocation>,
     acc_buf: CArray3,
     /// With local updates: what this tile has already applied itself.
@@ -184,20 +183,23 @@ struct GdState<'a> {
 
 impl SolverKernel for GdKernel<'_> {
     type State<'k>
-        = GdState<'k>
+        = GdState
     where
         Self: 'k;
-    type Checkpoint = CArray3;
 
     fn grid(&self) -> &TileGrid {
         self.grid
+    }
+
+    fn slices(&self) -> usize {
+        self.dataset.object_shape().0
     }
 
     fn iterations(&self) -> usize {
         self.config.iterations
     }
 
-    fn init<'k, C: RankComm<SharedTile>>(&'k self, ctx: &mut C) -> GdState<'k> {
+    fn init<'k, C: RankComm<SharedTile>>(&'k self, ctx: &mut C) -> (TileWorker<'k>, GdState) {
         let tile = self.grid.tile(ctx.rank()).clone();
         let owned = tile.owned_locations.clone();
         let slices = self.dataset.object_shape().0;
@@ -223,24 +225,24 @@ impl SolverKernel for GdKernel<'_> {
             worker.zero_buffer()
         });
         let gradient = Array3::full(slices, window, window, Complex64::ZERO);
-        GdState {
-            worker,
+        let state = GdState {
             owned,
             acc_buf,
             own_acc,
             gradient,
             pool: TilePayloadPool::new(),
-        }
+        };
+        (worker, state)
     }
 
     fn run_iteration<C: RankComm<SharedTile>>(
         &self,
         ctx: &mut C,
-        state: &mut GdState<'_>,
+        worker: &mut TileWorker<'_>,
+        state: &mut GdState,
         _iteration: usize,
     ) -> Result<f64, CommError> {
         let GdState {
-            worker,
             owned,
             acc_buf,
             own_acc,
@@ -275,38 +277,6 @@ impl SolverKernel for GdKernel<'_> {
                 .compute(|| worker.update_and_reset(acc_buf, own_acc.as_mut(), &passes.cover));
         }
         Ok(iteration_cost)
-    }
-
-    fn checkpoint(&self, state: &GdState<'_>) -> CArray3 {
-        state.worker.volume().clone()
-    }
-
-    fn restore(&self, state: &mut GdState<'_>, checkpoint: &CArray3) {
-        *state.worker.volume_mut() = checkpoint.clone();
-        // The buffers are zero at every iteration boundary; discard whatever
-        // the failed attempt left in them (it may have stopped in any round,
-        // so no single round's cover holds it).
-        state.acc_buf.fill(Complex64::ZERO);
-        if let Some(own_acc) = &mut state.own_acc {
-            own_acc.fill(Complex64::ZERO);
-        }
-    }
-
-    fn core_volume(&self, state: &GdState<'_>) -> CArray3 {
-        state.worker.core_volume()
-    }
-
-    fn modeled_compute_ns(&self, rank: usize) -> u64 {
-        // Analytic (deterministic) per-iteration compute time for the
-        // telemetry stream's simulated clock: every owned probe location is
-        // visited exactly once per iteration, whatever the round split.
-        let tile = self.grid.tile(rank);
-        let slices = self.dataset.object_shape().0;
-        let window = self.dataset.model().window_px();
-        let working_set = (tile.extended.area() * slices * BYTES_PER_COMPLEX) as f64;
-        let per_probe =
-            HardwareModel::summit_v100().probe_gradient_time(window, slices, working_set);
-        (tile.owned_locations.len() as f64 * per_probe * 1e9) as u64
     }
 }
 
@@ -393,7 +363,7 @@ mod tests {
             };
             ptycho_cluster::LockstepBackend::new(ClusterTopology::summit())
                 .run::<SharedTile, (), _>(2, |ctx| {
-                    let state = kernel.init(ctx);
+                    let (_, state) = kernel.init(ctx);
                     assert_eq!(state.own_acc.is_some(), local_updates);
                     let held = state.acc_buf.len() + state.own_acc.map_or(0, |b| b.len());
                     assert_eq!(

@@ -11,11 +11,9 @@ use crate::engine::{JobContext, ReconstructionResult, RecoveryPolicy, SolverKern
 use crate::tiling::{TileGrid, TileInfo};
 use crate::worker::{send_pooled_region, set_region_flat, TileWorker};
 use ptycho_array::Array3;
-use ptycho_cluster::{
-    CommBackend, CommError, HardwareModel, RankComm, RankFailure, SharedTile, TilePayloadPool,
-};
+use ptycho_cluster::{CommBackend, CommError, RankComm, RankFailure, SharedTile, TilePayloadPool};
 use ptycho_fft::{CArray3, Complex64};
-use ptycho_sim::dataset::{Dataset, BYTES_PER_COMPLEX};
+use ptycho_sim::dataset::Dataset;
 use ptycho_sim::scan::ProbeLocation;
 
 /// Message tag used for the voxel copy-paste exchange.
@@ -169,10 +167,9 @@ struct HveKernel<'a> {
     initial: &'a CArray3,
 }
 
-/// Rank-local Halo Voxel Exchange state. The gradient scratch is allocated
+/// Rank-local Halo Voxel Exchange scratch. The gradient scratch is allocated
 /// once and reused across probes and iterations.
 struct HveState<'a> {
-    worker: TileWorker<'a>,
     tile: TileInfo,
     probes: &'a [ProbeLocation],
     neighbors: Vec<usize>,
@@ -188,17 +185,20 @@ impl SolverKernel for HveKernel<'_> {
         = HveState<'k>
     where
         Self: 'k;
-    type Checkpoint = CArray3;
 
     fn grid(&self) -> &TileGrid {
         self.grid
+    }
+
+    fn slices(&self) -> usize {
+        self.dataset.object_shape().0
     }
 
     fn iterations(&self) -> usize {
         self.config.iterations
     }
 
-    fn init<'k, C: RankComm<SharedTile>>(&'k self, ctx: &mut C) -> HveState<'k> {
+    fn init<'k, C: RankComm<SharedTile>>(&'k self, ctx: &mut C) -> (TileWorker<'k>, HveState<'k>) {
         let rank = ctx.rank();
         let tile = self.grid.tile(rank).clone();
         let probes = self.assigned[rank].as_slice();
@@ -214,24 +214,24 @@ impl SolverKernel for HveKernel<'_> {
         let slices = self.dataset.object_shape().0;
         let window = self.dataset.model().window_px();
         let gradient = Array3::full(slices, window, window, Complex64::ZERO);
-        HveState {
-            worker,
+        let state = HveState {
             tile,
             probes,
             neighbors,
             gradient,
             pool: TilePayloadPool::new(),
-        }
+        };
+        (worker, state)
     }
 
     fn run_iteration<C: RankComm<SharedTile>>(
         &self,
         ctx: &mut C,
+        worker: &mut TileWorker<'_>,
         state: &mut HveState<'_>,
         iteration: usize,
     ) -> Result<f64, CommError> {
         let HveState {
-            worker,
             tile,
             probes,
             neighbors,
@@ -295,31 +295,6 @@ impl SolverKernel for HveKernel<'_> {
             set_region_flat(worker.volume_mut(), recv_local, payload.values());
         }
         Ok(iteration_cost)
-    }
-
-    fn checkpoint(&self, state: &HveState<'_>) -> CArray3 {
-        state.worker.volume().clone()
-    }
-
-    fn restore(&self, state: &mut HveState<'_>, checkpoint: &CArray3) {
-        *state.worker.volume_mut() = checkpoint.clone();
-    }
-
-    fn core_volume(&self, state: &HveState<'_>) -> CArray3 {
-        state.worker.core_volume()
-    }
-
-    fn modeled_compute_ns(&self, rank: usize) -> u64 {
-        // Analytic (deterministic) per-iteration compute time for the
-        // telemetry stream's simulated clock: the baseline reconstructs
-        // every assigned probe (owned plus redundant rings) each iteration.
-        let tile = self.grid.tile(rank);
-        let slices = self.dataset.object_shape().0;
-        let window = self.dataset.model().window_px();
-        let working_set = (tile.extended.area() * slices * BYTES_PER_COMPLEX) as f64;
-        let per_probe =
-            HardwareModel::summit_v100().probe_gradient_time(window, slices, working_set);
-        (self.assigned[rank].len() as f64 * per_probe * 1e9) as u64
     }
 }
 

@@ -869,6 +869,17 @@ fn refusal_reason(spec: &JobSpec) -> Option<String> {
     if process_kill.is_some() && spec.checkpoint_dir.is_none() {
         return Some("a process-kill fault needs a checkpoint dir to strike".into());
     }
+    // The baseline's decomposition constraint is knowable now; refuse a spec
+    // that would only fail after admission.
+    let hve = match spec.method {
+        SolverMethod::GradientDecomposition => None,
+        SolverMethod::HaloVoxelExchange => {
+            match HaloVoxelExchangeSolver::new(&spec.dataset, spec.config, spec.grid) {
+                Ok(solver) => Some(solver),
+                Err(error) => return Some(error.to_string()),
+            }
+        }
+    };
     if let Some(epoch) = &spec.resume_from {
         // `CheckpointStore::commit` takes any manifest, so the slot count
         // and the embedded spec can disagree.
@@ -881,24 +892,32 @@ fn refusal_reason(spec: &JobSpec) -> Option<String> {
                 spec.slots()
             ));
         }
-        // Both kernels checkpoint a `CArray3`.
+        // Each slot holds its rank's halo-extended tile volume.
+        let grid = match &hve {
+            Some(solver) => solver.grid().clone(),
+            None => GradientDecompositionSolver::new(&spec.dataset, spec.config, spec.grid)
+                .grid()
+                .clone(),
+        };
+        let slices = spec.dataset.object_shape().0;
         for (slot, record) in epoch.slots.iter().enumerate() {
             let label = PathBuf::from(format!("slot {slot} of epoch {seq}"));
-            if let Err(error) = CArray3::decode(&mut ByteReader::new(&record.state, &label)) {
-                return Some(error.to_string());
+            let volume = match CArray3::decode(&mut ByteReader::new(&record.state, &label)) {
+                Ok(volume) => volume,
+                Err(error) => return Some(error.to_string()),
+            };
+            let extended = grid.tile(slot).extended;
+            let tile = (slices, extended.rows(), extended.cols());
+            if volume.shape() != tile {
+                return Some(format!(
+                    "slot {slot} of checkpoint epoch {seq} holds a {:?} tile volume but its \
+                     job spec's tile {slot} is {tile:?} (slices, rows, cols)",
+                    volume.shape()
+                ));
             }
         }
     }
-    // The baseline's decomposition constraint is knowable now; refuse a spec
-    // that would only fail after admission.
-    match spec.method {
-        SolverMethod::GradientDecomposition => None,
-        SolverMethod::HaloVoxelExchange => {
-            HaloVoxelExchangeSolver::new(&spec.dataset, spec.config, spec.grid)
-                .err()
-                .map(|error| error.to_string())
-        }
-    }
+    None
 }
 
 /// Ends job `id`: the one place a record enters a terminal state. Stamps
@@ -1613,7 +1632,7 @@ mod tests {
         JobSpec::new(Dataset::synthesize(SyntheticConfig::tiny()), config, (2, 2))
     }
 
-    /// Each of [`tiny_2x2`]'s four slots' kernel state: its extended tile,
+    /// Each of [`tiny_2x2`]'s four slots' tile volume: its extended tile,
     /// zero-filled, `depth` slices deep (the spec's own depth is 2).
     fn tile_states(depth: usize) -> Vec<Vec<u8>> {
         let spec = tiny_2x2();
@@ -1637,7 +1656,7 @@ mod tests {
     }
 
     /// Commits one epoch with one slot file per entry of `states` (that
-    /// slot's kernel state) under the encoded `spec`, then resumes it on a
+    /// slot's tile volume) under the encoded `spec`, then resumes it on a
     /// 4-node engine. Returns the engine and the resumed job's report or
     /// refusal.
     fn resume_hand_built_spec(
@@ -1729,11 +1748,51 @@ mod tests {
     }
 
     #[test]
-    fn a_panicking_runner_fails_its_job_and_releases_its_nodes() {
-        // Every slot's state decodes, one slice short of the spec's depth:
-        // the job is admitted and its runner panics restoring the epoch.
+    fn resume_rejects_an_epoch_whose_slot_state_has_the_wrong_shape() {
+        // Every slot's state decodes, one slice short of the spec's depth.
         let (engine, outcome) = resume_hand_built_epoch("shallow-state", tile_states(1));
-        let report = outcome.expect("the epoch passes the resume checks");
+        match outcome {
+            Err(JobError::Rejected { reason }) => assert!(
+                reason.contains("slot 0 of checkpoint epoch")
+                    && reason.contains("(1, 68, 68)")
+                    && reason.contains("(2, 68, 68)"),
+                "the reason must name the slot, the epoch and both shapes: {reason}"
+            ),
+            other => panic!("expected a rejection, got {other:?}"),
+        }
+        assert_eq!(engine.free_nodes(), engine.total_nodes());
+    }
+
+    /// A trace writer whose first `write` panics; later writes succeed.
+    struct PanicsOnFirstWrite {
+        panicked: bool,
+    }
+
+    impl std::io::Write for PanicsOnFirstWrite {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            if !std::mem::replace(&mut self.panicked, true) {
+                panic!("the trace writer panicked");
+            }
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_panicking_runner_fails_its_job_and_releases_its_nodes() {
+        // A caller-supplied trace writer is code no admission check can
+        // refuse: this one panics on its first write, which rank 0 makes
+        // when it flushes the recorder after the first consistency barrier.
+        let writer = Box::new(PanicsOnFirstWrite { panicked: false });
+        let telemetry = Telemetry::with_writer(Default::default(), writer);
+        let engine = JobEngine::new(4);
+        let report = engine
+            .submit(tiny_2x2().with_telemetry(Arc::new(telemetry)))
+            .expect("fits the fleet")
+            .wait();
         assert_eq!(report.state, JobState::Failed);
         match report.error {
             Some(JobError::Panicked { message }) => {

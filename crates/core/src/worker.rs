@@ -3,7 +3,7 @@
 use crate::config::SolverConfig;
 use crate::tiling::TileInfo;
 use ptycho_array::{Array3, Rect};
-use ptycho_cluster::{MemoryCategory, MemoryTracker};
+use ptycho_cluster::{HardwareModel, MemoryCategory, MemoryTracker};
 use ptycho_fft::{CArray3, Complex64};
 use ptycho_sim::dataset::{Dataset, BYTES_PER_COMPLEX, BYTES_PER_MEASUREMENT};
 use ptycho_sim::gradient::{probe_gradient_into, suggested_step};
@@ -21,6 +21,8 @@ pub(crate) struct TileWorker<'a> {
     volume: CArray3,
     step: f64,
     slices: usize,
+    /// See [`TileWorker::modeled_iteration_ns`].
+    iteration_ns: u64,
     /// Reusable forward/adjoint model buffers (incident stack, far field,
     /// back-propagation wave).
     workspace: SimWorkspace,
@@ -29,7 +31,8 @@ pub(crate) struct TileWorker<'a> {
 }
 
 impl<'a> TileWorker<'a> {
-    /// Creates a worker for `tile`, initialising its sub-volume from `initial`
+    /// Creates a worker for `tile` that evaluates `assigned_probes` probe
+    /// locations per iteration, initialising its sub-volume from `initial`
     /// (a full-image volume, usually the flat initial guess) and registering
     /// its memory footprint with `memory`.
     pub fn new(
@@ -71,6 +74,9 @@ impl<'a> TileWorker<'a> {
             MemoryCategory::ModelWorkspace,
             workspace.bytes() + patch.len() * BYTES_PER_COMPLEX,
         );
+        let working_set = (tile.extended.area() * slices * BYTES_PER_COMPLEX) as f64;
+        let per_probe =
+            HardwareModel::summit_v100().probe_gradient_time(window, slices, working_set);
 
         Self {
             dataset,
@@ -78,6 +84,7 @@ impl<'a> TileWorker<'a> {
             volume,
             step,
             slices,
+            iteration_ns: (assigned_probes as f64 * per_probe * 1e9) as u64,
             workspace,
             patch,
         }
@@ -178,6 +185,15 @@ impl<'a> TileWorker<'a> {
     /// Halo Voxel Exchange baseline).
     pub fn volume_mut(&mut self) -> &mut CArray3 {
         &mut self.volume
+    }
+
+    /// The analytic compute time of one iteration on this tile, in integer
+    /// nanoseconds: the Summit model's per-probe gradient time over the
+    /// tile's working set, times the probes evaluated per iteration. A pure
+    /// function of the decomposition, so the telemetry clock it advances is
+    /// deterministic across runs.
+    pub fn modeled_iteration_ns(&self) -> u64 {
+        self.iteration_ns
     }
 
     /// Extracts the core (non-halo) part of the tile volume in image

@@ -9,11 +9,15 @@
 //! through a mid-substitution kill (the adopted spare's checkpoint
 //! round-trips through disk).
 
-use ptycho_cluster::{CommError, CrashPhase, FaultPolicy};
+use ptycho_cluster::{CommError, CrashPhase, FaultPolicy, MembershipView};
+use ptycho_core::durability::ByteWriter;
 use ptycho_core::{
-    CheckpointStore, DurabilityError, JobEngine, JobError, JobReport, JobSpec, JobState,
-    ReconstructionResult, ServiceBackend, SolverConfig, SolverMethod,
+    CheckpointPayload, CheckpointStore, DurabilityError, DurabilityHook, EpochManifest,
+    GradientDecompositionSolver, JobContext, JobEngine, JobError, JobReport, JobSpec, JobState,
+    ReconstructionResult, RecoveredEpoch, RecoveryPolicy, ServiceBackend, SlotRecord, SolverConfig,
+    SolverMethod,
 };
+use ptycho_fft::CArray3;
 use ptycho_sim::dataset::{Dataset, SyntheticConfig};
 use std::path::PathBuf;
 use std::time::Duration;
@@ -481,4 +485,63 @@ fn resume_of_a_held_store_is_rejected() {
         .resume(&dir)
         .expect("resume succeeds once the lock is free");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A direct caller can hand the engine an epoch no admission check has
+/// seen; a slot state of the wrong shape stops the run before any rank
+/// starts, naming the slot and both shapes.
+#[test]
+#[should_panic(
+    expected = "recovered slot 0 holds a (1, 96, 96) tile volume but its tile \
+                           is (2, 96, 96)"
+)]
+fn resuming_a_slot_state_of_the_wrong_shape_panics_naming_both_shapes() {
+    let config = SolverConfig {
+        iterations: 2,
+        halo_px: 20,
+        ..SolverConfig::default()
+    };
+    let dataset = tiny();
+    let solver = GradientDecompositionSolver::new(&dataset, config, (1, 1));
+    let extended = solver.grid().tile(0).extended;
+    let mut state = ByteWriter::new();
+    CArray3::zeros(1, extended.rows(), extended.cols()).encode(&mut state);
+    let epoch = RecoveredEpoch {
+        manifest: EpochManifest {
+            seq: 0,
+            iteration: 1,
+            attempt_index: 0,
+            restarts: 0,
+            substitutions: 0,
+            membership: MembershipView::new(1, 0),
+            spec: Vec::new(),
+        },
+        slots: vec![SlotRecord {
+            iteration: 1,
+            costs: vec![1.0],
+            cursor: None,
+            state: state.into_bytes(),
+        }],
+    };
+    let dir = scratch("wrong-shape");
+    let store = CheckpointStore::open(&dir).expect("store opens");
+    // Nothing after the expected panic runs, and the run never writes to
+    // the store: clean up now.
+    let _ = std::fs::remove_dir_all(&dir);
+    let job = JobContext {
+        durability: Some(DurabilityHook {
+            store: &store,
+            resume: Some(&epoch),
+            kill: None,
+            spec: &[],
+        }),
+        ..JobContext::default()
+    };
+    let _ = solver.run_job(
+        &common::lockstep(),
+        RecoveryPolicy::RetransmitThenRestart {
+            max_iteration_restarts: 0,
+        },
+        &job,
+    );
 }

@@ -253,7 +253,7 @@ fn heartbeats_never_perturb_reliable_seq_accounting() {
         let backend = FaultInjectionBackend::new(LockstepBackend::default(), policy);
         let outcomes = backend
             .run::<SharedTile, (Vec<f64>, ReliableStats), _>(2, |ctx| {
-                let mut rc = ReliableComm::new(ctx);
+                let mut rc = ReliableComm::new(ctx, 0);
                 let me = rc.rank();
                 let peer = 1 - me;
                 let mut got = Vec::new();
@@ -301,7 +301,7 @@ fn heartbeats_never_perturb_reliable_seq_accounting() {
 fn control_sends_reject_data_tags() {
     let backend = LockstepBackend::default();
     let _ = backend.run::<SharedTile, (), _>(2, |ctx| {
-        let mut rc = ReliableComm::new(ctx);
+        let mut rc = ReliableComm::new(ctx, 0);
         if rc.rank() == 0 {
             // Tag 0x7 has no control bit: the reliable layer must refuse to
             // smuggle it around sequence accounting.
