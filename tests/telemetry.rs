@@ -516,14 +516,19 @@ fn hve_iteration_end_pins_compute_and_comm_to_the_modeled_clock() {
     assert_iteration_ends_follow_the_modeled_clock(&ds, &telemetry, solver.grid(), &assigned);
 }
 
+/// The lockstep run that loses node 1 and heals it by promoting a spare.
+fn substitution_trace() -> Vec<u8> {
+    let policy = FaultPolicy::reliable(5).kill_rank(1, 1);
+    let backend = FaultInjectionBackend::new(lockstep(), policy);
+    traced_gd_run(&backend, substitute_policy(1)).0
+}
+
 /// A lockstep run that loses node 1 and heals it by promoting a spare: the
 /// trace holds the heartbeats, the death, the promotion and every
 /// checkpoint, on the dead node's stream and on the spare's.
 #[test]
 fn substitution_trace_matches_golden_hash() {
-    let policy = FaultPolicy::reliable(5).kill_rank(1, 1);
-    let backend = FaultInjectionBackend::new(lockstep(), policy);
-    let (trace, _) = traced_gd_run(&backend, substitute_policy(1));
+    let trace = substitution_trace();
     let summary = validate_jsonl(&trace);
     for kind in [
         "heartbeat_sent",
@@ -538,11 +543,16 @@ fn substitution_trace_matches_golden_hash() {
 }
 
 /// A durable job killed by a whole-process crash at its first barrier, then
-/// resumed from its store, each with a recorder attached: the traces hold
-/// the persisted epochs and the restore that picks the killed run up.
-#[test]
-fn kill_and_resume_traces_match_golden_hash() {
-    let dir = std::env::temp_dir().join(format!("ptycho-telemetry-resume-{}", std::process::id()));
+/// resumed from its store, each with a recorder attached. Returns the
+/// killed run's trace and the resumed run's.
+fn kill_and_resume_traces() -> [Vec<u8>; 2] {
+    // Tests run in parallel: each call gets a store of its own.
+    static CALLS: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+    let call = CALLS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    let dir = std::env::temp_dir().join(format!(
+        "ptycho-telemetry-resume-{}-{call}",
+        std::process::id()
+    ));
     let _ = std::fs::remove_dir_all(&dir);
     let config = SolverConfig {
         iterations: 2,
@@ -579,9 +589,101 @@ fn kill_and_resume_traces_match_golden_hash() {
     let summary = validate_jsonl(&resumed_trace);
     assert_eq!(summary.kind_count("checkpoint_restored"), 4, "one per slot");
     assert!(summary.kind_count("checkpoint_persisted") >= 1);
-    let mut trace = killed_buf.contents();
-    trace.extend(resumed_trace);
-    assert_trace_hash(&trace, 0x646d_c262_f4bd_20c8, "kill and resume");
+    [killed_buf.contents(), resumed_trace]
+}
+
+/// The traces hold the persisted epochs and the restore that picks the
+/// killed run up.
+#[test]
+fn kill_and_resume_traces_match_golden_hash() {
+    assert_trace_hash(
+        &kill_and_resume_traces().concat(),
+        0x646d_c262_f4bd_20c8,
+        "kill and resume",
+    );
+}
+
+/// The kinds [`data_path_projection`] keeps: every kind a run's data
+/// traffic, barriers, iterations, checkpoints, membership changes and job
+/// lifecycle emit.
+const DATA_PATH_KINDS: [&str; 17] = [
+    "comm_send",
+    "comm_recv",
+    "comm_retransmit",
+    "comm_ack",
+    "comm_drop",
+    "barrier_wait",
+    "iteration_begin",
+    "iteration_end",
+    "checkpoint",
+    "rank_dead",
+    "spare_promoted",
+    "job_submitted",
+    "job_admitted",
+    "job_cancelled",
+    "job_completed",
+    "checkpoint_persisted",
+    "checkpoint_restored",
+];
+
+/// Hashes traces projected onto their data path, so that a change to
+/// control-frame traffic alone leaves the hash fixed. The projection keeps only
+/// records of [`DATA_PATH_KINDS`], drops the transport records of control
+/// frames (tags with bit 62 set and bit 63 clear), and zeroes every stamp
+/// that control frames move: `seq`, `sim_ns`, correlation ids, the
+/// cumulative `iteration_end.comm_ns`, and `checkpoint_persisted.bytes`
+/// (a slot file holds one fault-cursor entry per wire stream).
+fn data_path_projection(traces: &[Vec<u8>]) -> u64 {
+    const BIT_62: u64 = 1 << 62;
+    const BIT_63: u64 = 1 << 63;
+    let summaries: Vec<TraceSummary> = traces.iter().map(|t| validate_jsonl(t)).collect();
+    let mut projected = String::new();
+    for record in summaries.iter().flat_map(|s| &s.records) {
+        if !DATA_PATH_KINDS.contains(&record.event.kind()) {
+            continue;
+        }
+        let mut event = record.event;
+        match &mut event {
+            TelemetryEvent::CommSend { tag, corr, .. }
+            | TelemetryEvent::CommRecv { tag, corr, .. } => {
+                if *tag & (BIT_62 | BIT_63) == BIT_62 {
+                    continue;
+                }
+                *corr = 0;
+            }
+            TelemetryEvent::IterationEnd { comm_ns, .. } => *comm_ns = 0,
+            TelemetryEvent::CheckpointPersisted { bytes, .. } => *bytes = 0,
+            _ => {}
+        }
+        projected.push_str(&record_to_line(&ptycho_telemetry::TelemetryRecord {
+            seq: 0,
+            sim_ns: 0,
+            event,
+            ..*record
+        }));
+    }
+    fnv1a64(projected.as_bytes())
+}
+
+/// The substitution run's data path: its messages, clocks' compute half,
+/// checkpoints, death and promotion.
+#[test]
+fn substitution_data_path_matches_golden_hash() {
+    let actual = data_path_projection(&[substitution_trace()]);
+    assert_eq!(
+        actual, 0xcc01_60c4_2bc2_5ff6,
+        "substitution data path moved (new hash {actual:#018x})"
+    );
+}
+
+/// The kill/resume pair's data path, persisted epochs and restores included.
+#[test]
+fn kill_and_resume_data_path_matches_golden_hash() {
+    let actual = data_path_projection(&kill_and_resume_traces());
+    assert_eq!(
+        actual, 0xa5ac_fe70_b21b_fb9d,
+        "kill/resume data path moved (new hash {actual:#018x})"
+    );
 }
 
 #[test]
