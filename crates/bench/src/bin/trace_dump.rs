@@ -175,9 +175,6 @@ fn report_critical_path(summary: &TraceSummary, jobs: &[u64], straggler_z: f64) 
         for (rank, count) in &scan.retransmit_bursts {
             println!("  anomaly: rank {rank} retransmit burst ({count} retransmits)");
         }
-        for (node, count) in &scan.suspicion_clusters {
-            println!("  anomaly: node {node} suspicion cluster ({count} suspicions)");
-        }
         for ((_, rank), stream) in summary
             .streams
             .range((job, 0)..=(job, u64::MAX))

@@ -119,8 +119,8 @@ impl SharedTile {
 }
 
 /// The empty tile every [`SharedTile::default`] aliases: acknowledgement
-/// and heartbeat frames carry it, and sharing one allocation keeps those
-/// control paths allocation-free.
+/// frames carry it, and sharing one allocation keeps the ack path
+/// allocation-free.
 static EMPTY_TILE: std::sync::OnceLock<std::sync::Arc<Vec<f64>>> = std::sync::OnceLock::new();
 
 impl Default for SharedTile {

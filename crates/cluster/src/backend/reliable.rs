@@ -148,37 +148,6 @@ where
         self.stats
     }
 
-    /// Sends a **control frame** (heartbeat / membership signalling)
-    /// straight through the underlying communicator: no sequence number, no
-    /// outbox entry, no acknowledgement, no retransmission. Control frames
-    /// must never perturb the data streams' sequence accounting — losing a
-    /// heartbeat is information, not an error.
-    ///
-    /// # Panics
-    /// Panics unless `tag` carries the control bit
-    /// ([`crate::membership::frames::CONTROL_BIT`]), which keeps control
-    /// frames disjoint from every data and ack tag by construction.
-    pub fn isend_control(&mut self, to: usize, tag: u64, payload: M) {
-        assert!(
-            crate::membership::frames::is_control(tag),
-            "control frames must carry the control bit (tag {tag:#x})"
-        );
-        self.inner.isend(to, tag, payload);
-    }
-
-    /// Non-blocking receive of a control frame, bypassing the sequence
-    /// cursors (see [`ReliableComm::isend_control`]).
-    ///
-    /// # Panics
-    /// Panics unless `tag` carries the control bit.
-    pub fn try_recv_control(&mut self, from: usize, tag: u64) -> Option<M> {
-        assert!(
-            crate::membership::frames::is_control(tag),
-            "control frames must carry the control bit (tag {tag:#x})"
-        );
-        self.inner.try_recv(from, tag)
-    }
-
     /// Acknowledges delivery of frame `seq` of the `(from, base_tag)` stream.
     /// Acks and retransmits are traced on the wrapped communicator's
     /// stream, next to its transport-level sends and receives.

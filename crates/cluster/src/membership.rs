@@ -14,13 +14,6 @@
 //!   retired, the lowest-numbered spare adopts its slot, and the membership
 //!   **epoch** is bumped so every rank (and every seeded fault policy keyed
 //!   on wire traffic) can tell the regimes apart.
-//! * [`frames`] carves a **control-frame** tag space out of the wire-tag
-//!   scheme, disjoint by construction from the reliable layer's data and
-//!   acknowledgement tags, for the heartbeat liveness protocol. Control
-//!   frames deliberately bypass the reliable layer's sequence accounting
-//!   (see `ReliableComm::isend_control`): losing one must never trigger a
-//!   retransmission storm, and sending one must never shift a data stream's
-//!   sequence numbers.
 //!
 //! Membership epochs are **not** the reliable layer's wire epochs: a wire
 //! epoch (the `epoch` of [`crate::ReliableComm::new`]) counts *attempts* (checkpoint
@@ -30,14 +23,14 @@
 //! without losing a node bumps the wire epoch twice and the membership
 //! epoch not at all.
 //!
-//! The failure-detector split mirrors ULFM-style MPI fault tolerance:
-//! heartbeats are the in-band *suspicion* signal each rank can observe
-//! locally, while the authoritative *verdict* that a node is dead comes
-//! from the runtime (in this repository, the simulated backends, which know
-//! a killed rank's comm state; on a real cluster, the MPI runtime's revoke
-//! notification). The iteration engine in `ptycho-core` acts on verdicts at
-//! consistency-barrier boundaries, where every surviving rank's checkpoint
-//! provably refers to the same iteration.
+//! The failure detector is the runtime's verdict, as in ULFM-style MPI
+//! fault tolerance: a node is declared dead by the runtime that knows its
+//! comm state (in this repository, the simulated backends, whose killed rank
+//! fails with `CommError::RankDead`; on a real cluster, the MPI runtime's
+//! revoke notification), not by a liveness probe between ranks. The
+//! iteration engine in `ptycho-core` acts on verdicts at consistency-barrier
+//! boundaries, where every surviving rank's checkpoint provably refers to
+//! the same iteration.
 
 use std::collections::VecDeque;
 
@@ -46,60 +39,6 @@ use std::collections::VecDeque;
 /// for the lifetime of a reconstruction; slots are re-assigned when a node
 /// dies and a spare adopts its tile.
 pub type NodeId = usize;
-
-/// The control-frame corner of the wire-tag space.
-///
-/// The reliable layer encodes data frames as `| ack:1 | epoch:8 | seq:24 |
-/// tag:24 |` (bits 0..56 plus bit 63). Control frames set bit 62, which no
-/// data or acknowledgement tag can ever carry, so the two families cannot
-/// alias regardless of payload tag, sequence number or wire epoch.
-pub mod frames {
-    /// The bit marking a control frame (heartbeats, membership signalling).
-    pub const CONTROL_BIT: u64 = 1 << 62;
-
-    /// Bits available for the iteration index inside a heartbeat tag.
-    const ITERATION_BITS: u32 = 40;
-    /// Bits available for the membership epoch inside a heartbeat tag.
-    const EPOCH_BITS: u32 = 14;
-    /// Bits available for the attempt (wire) epoch inside a heartbeat tag.
-    const ATTEMPT_BITS: u32 = 8;
-
-    /// Encodes a heartbeat frame's wire tag:
-    /// `| 0:1 | control:1 | attempt epoch:8 | membership epoch:14 | iteration:40 |`.
-    ///
-    /// Scoping the tag by attempt epoch, membership epoch *and* iteration
-    /// means a heartbeat can only ever match the exact liveness probe it
-    /// answers. Fault decisions and stale beats must not alias across
-    /// attempts: the attempt epoch (the reliable layer's wire epoch) is
-    /// unique per attempt, so even when the membership table did not change
-    /// (a restart without a death) a beat from an earlier attempt is never
-    /// mistaken for a fresh one, and the fault layer's `(from, to, tag,
-    /// seq)` decision keys differ from one attempt to the next.
-    pub fn heartbeat_tag(attempt_epoch: u8, membership_epoch: u64, iteration: u64) -> u64 {
-        assert!(
-            membership_epoch < (1 << EPOCH_BITS),
-            "membership epoch {membership_epoch} exceeds the {EPOCH_BITS}-bit heartbeat space"
-        );
-        assert!(
-            iteration < (1 << ITERATION_BITS),
-            "iteration {iteration} exceeds the {ITERATION_BITS}-bit heartbeat space"
-        );
-        CONTROL_BIT
-            | ((attempt_epoch as u64) << (ITERATION_BITS + EPOCH_BITS))
-            | (membership_epoch << ITERATION_BITS)
-            | iteration
-    }
-
-    /// The attempt-epoch space is 8 bits wide, matching the reliable
-    /// layer's wire epoch (the `epoch` of [`crate::ReliableComm::new`]); recovery
-    /// drivers must not run more attempts than this.
-    pub const MAX_ATTEMPT_EPOCH: u64 = (1 << ATTEMPT_BITS) - 1;
-
-    /// True when `tag` is a control frame (heartbeat / membership signal).
-    pub fn is_control(tag: u64) -> bool {
-        tag & CONTROL_BIT != 0
-    }
-}
 
 /// Errors from membership-table updates.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -275,7 +214,6 @@ impl MembershipView {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::reliable::{wire_ack_tag, wire_data_tag};
 
     #[test]
     fn fresh_view_assigns_identity_and_parks_spares() {
@@ -314,46 +252,5 @@ mod tests {
         assert_eq!(err, MembershipError::SparesExhausted { dead_node: 1 });
         assert!(view.is_dead(1), "the verdict stands even unhealed");
         assert_eq!(view.epoch(), 1, "no promotion, no epoch bump");
-    }
-
-    #[test]
-    fn heartbeat_tags_never_alias_reliable_traffic() {
-        // Exhaustive-ish sweep: control frames must be disjoint from every
-        // data and ack tag the reliable layer can produce.
-        let hb = frames::heartbeat_tag(1, 3, 17);
-        assert!(frames::is_control(hb));
-        for base in [0u64, 0x10, 0xff_ffff] {
-            for seq in [0u64, 1, (1 << 24) - 1] {
-                for epoch in [0u8, 1, 255] {
-                    assert!(!frames::is_control(wire_data_tag(base, seq, epoch)));
-                    assert!(!frames::is_control(wire_ack_tag(base, seq, epoch)));
-                }
-            }
-        }
-        // Distinct attempt epochs, membership epochs and iterations all give
-        // distinct tags.
-        assert_ne!(
-            frames::heartbeat_tag(0, 0, 5),
-            frames::heartbeat_tag(1, 0, 5)
-        );
-        assert_ne!(
-            frames::heartbeat_tag(0, 0, 5),
-            frames::heartbeat_tag(0, 1, 5)
-        );
-        assert_ne!(
-            frames::heartbeat_tag(0, 0, 5),
-            frames::heartbeat_tag(0, 0, 6)
-        );
-        // The attempt epoch occupies its own bits even at the extremes.
-        assert_ne!(
-            frames::heartbeat_tag(255, (1 << 14) - 1, 0),
-            frames::heartbeat_tag(254, (1 << 14) - 1, 0)
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "heartbeat space")]
-    fn oversized_heartbeat_epoch_is_rejected() {
-        frames::heartbeat_tag(0, 1 << 14, 0);
     }
 }

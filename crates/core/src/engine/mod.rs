@@ -31,14 +31,14 @@
 //!     **permanently dead rank** defeats both (the node cannot answer any
 //!     retransmission, in any attempt). Under this policy the engine keeps a
 //!     [`MembershipView`] — an epoch-numbered slot → node assignment table
-//!     with a pool of standby spare nodes — plus a per-iteration ring
-//!     heartbeat carried on control frames. When an attempt fails because a
-//!     node died (the failure-detector verdict), the engine retires the
-//!     node, promotes the lowest-numbered spare into its tile slot, bumps
-//!     the membership epoch, and re-runs from the last consistency-barrier
-//!     checkpoint — which the adopting spare restores exactly as the dead
-//!     node would have, so the healed run is bit-identical to a fault-free
-//!     one. An empty spare pool surfaces [`CommError::SparesExhausted`].
+//!     with a pool of standby spare nodes. When an attempt fails because a
+//!     node died (the dying rank's [`CommError::RankDead`] verdict), the
+//!     engine retires the node, promotes the lowest-numbered spare into its
+//!     tile slot, bumps the membership epoch, and re-runs from the last
+//!     consistency-barrier checkpoint — which the adopting spare restores
+//!     exactly as the dead node would have, so the healed run is
+//!     bit-identical to a fault-free one. An empty spare pool surfaces
+//!     [`CommError::SparesExhausted`].
 //!
 //! ### Why checkpoints are consistent
 //!
@@ -58,6 +58,7 @@
 //!
 //! [`ReliableComm`]: ptycho_cluster::ReliableComm
 //! [`MembershipView`]: ptycho_cluster::MembershipView
+//! [`CommError::RankDead`]: ptycho_cluster::CommError::RankDead
 //! [`CommError::SparesExhausted`]: ptycho_cluster::CommError::SparesExhausted
 
 use crate::convergence::CostHistory;
@@ -69,7 +70,6 @@ use crate::stitch::stitch_tiles;
 use crate::tiling::TileGrid;
 use crate::worker::TileWorker;
 use ptycho_array::Rect;
-use ptycho_cluster::membership::frames;
 use ptycho_cluster::{
     CommBackend, CommError, CrashPhase, FaultCursor, MembershipError, MembershipView,
     MemoryTracker, RankComm, RankFailure, RankOutcome, ReliableComm, ReliableStats, SharedTile,
@@ -156,20 +156,13 @@ pub struct RecoveryReport {
     /// The membership epoch the run finished under (equals `substitutions`:
     /// one bump per promotion; 0 without the membership layer).
     pub membership_epoch: u64,
-    /// Ring-liveness heartbeats sent across every rank of the successful
-    /// attempt (membership mode only).
-    pub heartbeats_sent: u64,
-    /// Heartbeats observed from ring predecessors across every rank of the
-    /// successful attempt (membership mode only).
-    pub heartbeats_observed: u64,
     /// Reliable-delivery counters summed over every rank (of the successful
     /// attempt).
     pub reliable: ReliableStats,
 }
 
 impl RecoveryReport {
-    /// True when the run needed no recovery work at all (heartbeats are
-    /// routine liveness traffic, not recovery work).
+    /// True when the run needed no recovery work at all.
     pub fn is_clean(&self) -> bool {
         self.iteration_restarts == 0
             && self.substitutions == 0
@@ -342,8 +335,6 @@ struct RankRun {
     core: CArray3,
     costs: Vec<f64>,
     stats: ReliableStats,
-    heartbeats_sent: u64,
-    heartbeats_observed: u64,
 }
 
 /// A rank's saved state at a completed iteration boundary.
@@ -482,8 +473,6 @@ fn run_fail_fast<K: SolverKernel, B: CommBackend>(
             core: worker.core_volume(),
             costs,
             stats: ReliableStats::default(),
-            heartbeats_sent: 0,
-            heartbeats_observed: 0,
         })
     });
     // The rank threads are joined: flushing here cannot race recording.
@@ -502,12 +491,11 @@ fn run_fail_fast<K: SolverKernel, B: CommBackend>(
 ///
 /// With `spares: None` this is plain retransmit + checkpoint restart. With
 /// `spares: Some(n)` the engine additionally keeps a [`MembershipView`]
-/// mapping each tile *slot* to the physical *node* running it, sends a
-/// per-iteration ring heartbeat on control frames, and — when an attempt
-/// fails because a node died — promotes a spare into the dead node's slot
-/// before re-running. The **checkpoint store is keyed by slot**, so the
-/// adopting spare restores exactly the tile volume the dead node saved at
-/// the last consistency barrier.
+/// mapping each tile *slot* to the physical *node* running it and — when an
+/// attempt fails because a node died — promotes a spare into the dead
+/// node's slot before re-running. The **checkpoint store is keyed by slot**,
+/// so the adopting spare restores exactly the tile volume the dead node
+/// saved at the last consistency barrier.
 fn run_recovering<K: SolverKernel, B: CommBackend>(
     kernel: &K,
     backend: &B,
@@ -533,7 +521,7 @@ fn run_recovering<K: SolverKernel, B: CommBackend>(
     // what keeps service-healed runs bit-identical to standalone ones.
     let spares = spares.map(|pool| {
         if job.spare_grant.is_some() {
-            frames::MAX_ATTEMPT_EPOCH as usize + 1
+            usize::from(u8::MAX) + 1
         } else {
             pool
         }
@@ -585,23 +573,22 @@ fn run_recovering<K: SolverKernel, B: CommBackend>(
     });
     let start_attempt = attempt_index;
     let outcome = 'attempts: loop {
-        // The wire epoch (and the heartbeat tags' attempt field) is 8
-        // bits wide; make the ceiling explicit instead of letting the
-        // cast wrap tags back onto attempt 0's and silently re-drawing
-        // its fault decisions. 256 attempts means a restart budget or a
-        // spare pool far beyond what the u8 wire-epoch scheme supports.
-        assert!(
-            attempt_index as u64 <= frames::MAX_ATTEMPT_EPOCH,
-            "recovery exceeded {} attempts: the 8-bit wire-epoch space is exhausted \
-             (restart budget and spare pool must stay below that combined)",
-            frames::MAX_ATTEMPT_EPOCH + 1
-        );
-        let epoch = attempt_index as u8;
+        // The wire epoch is 8 bits wide; make the ceiling explicit
+        // instead of letting a cast wrap tags back onto attempt 0's and
+        // silently re-drawing its fault decisions. 256 attempts means a
+        // restart budget or a spare pool far beyond what the u8 wire-epoch
+        // scheme supports.
+        let epoch = u8::try_from(attempt_index).unwrap_or_else(|_| {
+            panic!(
+                "recovery exceeded {} attempts: the 8-bit wire-epoch space is exhausted \
+                 (restart budget and spare pool must stay below that combined)",
+                usize::from(u8::MAX) + 1
+            )
+        });
         // The attempt's frozen membership: slot -> node. `None` outside
         // membership mode, where slot == node throughout.
         let assignment: Option<Vec<usize>> =
             membership.as_ref().map(|view| view.assignment().to_vec());
-        let membership_epoch = membership.as_ref().map_or(0, MembershipView::epoch);
         // Nodes whose death was observed this attempt — the failure
         // detector's verdict registry, filled by the dying rank itself
         // (the backend is the runtime: it knows the node's communicator
@@ -651,9 +638,6 @@ fn run_recovering<K: SolverKernel, B: CommBackend>(
                     });
                 }
             }
-            let heartbeats = assignment.is_some() && ranks > 1;
-            let mut heartbeats_sent = 0u64;
-            let mut heartbeats_observed = 0u64;
             let result = run_rank(
                 kernel,
                 &mut comm,
@@ -664,20 +648,6 @@ fn run_recovering<K: SolverKernel, B: CommBackend>(
                 attempt_index,
                 job,
                 |comm, worker, costs, iteration| {
-                    if heartbeats {
-                        // Ring liveness beat, sent *before* the barrier
-                        // so a death here cannot leave this slot's
-                        // checkpoint ahead of its peers'. Control
-                        // frames bypass the reliable layer's sequence
-                        // accounting entirely.
-                        let tag = frames::heartbeat_tag(epoch, membership_epoch, iteration as u64);
-                        comm.isend_control((slot + 1) % ranks, tag, SharedTile::default());
-                        heartbeats_sent += 1;
-                        comm.trace(TelemetryEvent::HeartbeatSent {
-                            to: ((slot + 1) % ranks) as u64,
-                            iteration: iteration as u64,
-                        });
-                    }
                     comm.trace(TelemetryEvent::BarrierWait {
                         iteration: iteration as u64,
                     });
@@ -702,26 +672,6 @@ fn run_recovering<K: SolverKernel, B: CommBackend>(
                             // the generation parity keeps a racing next
                             // iteration from moving it underneath us).
                             telemetry.flush_consistent(iteration as u64);
-                        }
-                    }
-                    if heartbeats {
-                        // A completed barrier implies the predecessor's
-                        // beat was sent; its absence after the barrier
-                        // would mark the predecessor suspect.
-                        let tag = frames::heartbeat_tag(epoch, membership_epoch, iteration as u64);
-                        let prev = (slot + ranks - 1) % ranks;
-                        if comm.try_recv_control(prev, tag).is_some() {
-                            heartbeats_observed += 1;
-                            comm.trace(TelemetryEvent::HeartbeatObserved {
-                                from: prev as u64,
-                                iteration: iteration as u64,
-                            });
-                        } else {
-                            let prev_node = assignment.as_ref().map_or(prev, |a| a[prev]);
-                            comm.trace(TelemetryEvent::RankSuspected {
-                                node: prev_node as u64,
-                                iteration: iteration as u64,
-                            });
                         }
                     }
                     let volume = worker.volume().clone();
@@ -799,8 +749,6 @@ fn run_recovering<K: SolverKernel, B: CommBackend>(
                     core: worker.core_volume(),
                     costs,
                     stats: comm.stats(),
-                    heartbeats_sent,
-                    heartbeats_observed,
                 }),
                 Err(error) => {
                     if assignment.is_some() {
@@ -822,9 +770,6 @@ fn run_recovering<K: SolverKernel, B: CommBackend>(
                 let reliable = outcomes.iter().fold(ReliableStats::default(), |acc, o| {
                     acc.merge(&o.result.stats)
                 });
-                let heartbeats_sent = outcomes.iter().map(|o| o.result.heartbeats_sent).sum();
-                let heartbeats_observed =
-                    outcomes.iter().map(|o| o.result.heartbeats_observed).sum();
                 break Ok(assemble(
                     outcomes,
                     kernel.grid().clone(),
@@ -832,9 +777,7 @@ fn run_recovering<K: SolverKernel, B: CommBackend>(
                     RecoveryReport {
                         iteration_restarts: restarts,
                         substitutions,
-                        membership_epoch,
-                        heartbeats_sent,
-                        heartbeats_observed,
+                        membership_epoch: membership.as_ref().map_or(0, MembershipView::epoch),
                         reliable,
                     },
                 ));

@@ -574,7 +574,7 @@ impl JobEngine {
 
     /// A point-in-time metrics registry, counted from the job records: job
     /// lifecycle counters, the recovery work (restarts, substitutions,
-    /// heartbeats, reliable-layer counters) of every completed job's
+    /// reliable-layer counters) of every completed job's
     /// [`RecoveryReport`] and flight-recorder losses, plus the rejection
     /// count, the queue-depth histogram and the fleet gauges. Render with
     /// [`MetricsRegistry::prometheus_text`].
@@ -601,8 +601,6 @@ impl JobEngine {
             for (name, value) in [
                 ("engine_iteration_restarts_total", restarts),
                 ("engine_substitutions_total", r.substitutions as u64),
-                ("engine_heartbeats_sent_total", r.heartbeats_sent),
-                ("engine_heartbeats_observed_total", r.heartbeats_observed),
                 ("comm_retransmits_total", comm.retransmits),
                 ("comm_recoveries_total", comm.recoveries),
                 ("comm_acks_sent_total", comm.acks_sent),

@@ -27,12 +27,12 @@
 //! compute jump (the cumulative `compute_ns` difference) plus an analytic
 //! communication remainder; `comm_retransmit` deltas are recovery overhead;
 //! membership/restore events (`spare_promoted`, `checkpoint_restored`,
-//! `rank_dead`, `rank_suspected`) are healing; every other delta is
-//! communication. The residual between a rank's last stamp and the job's
-//! end-to-end time (the maximum over ranks) is barrier wait. Segments are
-//! integer nanoseconds carved from the same clock, so they sum *exactly* to
-//! the end-to-end time on every rank — an invariant the strict CLI mode
-//! re-verifies on every trace.
+//! `rank_dead`) are healing; every other delta is communication. The
+//! residual between a rank's last stamp and the job's end-to-end time (the
+//! maximum over ranks) is barrier wait. Segments are integer nanoseconds
+//! carved from the same clock, so they sum *exactly* to the end-to-end time
+//! on every rank — an invariant the strict CLI mode re-verifies on every
+//! trace.
 
 use crate::event::{TelemetryEvent, TelemetryRecord};
 use std::collections::BTreeMap;
@@ -327,8 +327,7 @@ pub fn critical_path(records: &[TelemetryRecord], job: u64) -> CriticalPath {
                 TelemetryEvent::CommRetransmit { .. } => row.retransmit_ns += delta,
                 TelemetryEvent::SparePromoted { .. }
                 | TelemetryEvent::CheckpointRestored { .. }
-                | TelemetryEvent::RankDead { .. }
-                | TelemetryEvent::RankSuspected { .. } => row.heal_ns += delta,
+                | TelemetryEvent::RankDead { .. } => row.heal_ns += delta,
                 _ => row.comm_ns += delta,
             }
             prev_sim = prev_sim.max(record.sim_ns);
@@ -434,9 +433,6 @@ pub fn straggler_report(path: &CriticalPath, z_threshold: f64) -> StragglerRepor
 
 /// Minimum retransmit count on one rank that [`anomaly_scan`] calls a burst.
 const RETRANSMIT_BURST: u64 = 3;
-/// Minimum suspicion count against one node that [`anomaly_scan`] calls a
-/// cluster.
-const SUSPICION_CLUSTER: u64 = 2;
 
 /// What the anomaly scan found for one job.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -446,26 +442,16 @@ pub struct AnomalyScan {
     /// `(rank, retransmit_count)` for ranks at or above the burst
     /// threshold, in rank order.
     pub retransmit_bursts: Vec<(u64, u64)>,
-    /// `(node, suspicion_count)` for nodes at or above the cluster
-    /// threshold, in node order.
-    pub suspicion_clusters: Vec<(u64, u64)>,
 }
 
-/// Scans `job` for retransmit bursts and heartbeat-suspicion clusters.
+/// Scans `job` for retransmit bursts.
 /// (Records lost to ring overflow are counted by the trace reader, in
 /// [`StreamSummary::lost`](crate::StreamSummary::lost).)
 pub fn anomaly_scan(records: &[TelemetryRecord], job: u64) -> AnomalyScan {
     let mut retransmits: BTreeMap<u64, u64> = BTreeMap::new();
-    let mut suspicions: BTreeMap<u64, u64> = BTreeMap::new();
     for record in records.iter().filter(|r| r.job == job) {
-        match record.event {
-            TelemetryEvent::CommRetransmit { .. } => {
-                *retransmits.entry(record.rank).or_insert(0) += 1;
-            }
-            TelemetryEvent::RankSuspected { node, .. } => {
-                *suspicions.entry(node).or_insert(0) += 1;
-            }
-            _ => {}
+        if let TelemetryEvent::CommRetransmit { .. } = record.event {
+            *retransmits.entry(record.rank).or_insert(0) += 1;
         }
     }
     AnomalyScan {
@@ -473,10 +459,6 @@ pub fn anomaly_scan(records: &[TelemetryRecord], job: u64) -> AnomalyScan {
         retransmit_bursts: retransmits
             .into_iter()
             .filter(|&(_, n)| n >= RETRANSMIT_BURST)
-            .collect(),
-        suspicion_clusters: suspicions
-            .into_iter()
-            .filter(|&(_, n)| n >= SUSPICION_CLUSTER)
             .collect(),
     }
 }
@@ -814,17 +796,8 @@ mod tests {
                 },
             ));
         }
-        for (seq, iteration) in [(0, 1), (1, 2)] {
-            records.push(record(
-                1,
-                seq,
-                100,
-                TelemetryEvent::RankSuspected { node: 3, iteration },
-            ));
-        }
         let scan = anomaly_scan(&records, 0);
         assert_eq!(scan.retransmit_bursts, vec![(0, 3)]);
-        assert_eq!(scan.suspicion_clusters, vec![(3, 2)]);
         assert_eq!(anomaly_scan(&[], 0), AnomalyScan::default());
     }
 

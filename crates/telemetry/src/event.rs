@@ -18,7 +18,7 @@
 //!
 //! * Comm events (`CommSend`/`CommRecv`/…) name peers in **slot space** — the
 //!   job-local rank indices messages are addressed with.
-//! * Membership events (`RankDead`/`RankSuspected`/`SparePromoted`) name
+//! * Membership events (`RankDead`/`SparePromoted`) name
 //!   **nodes** — physical identities that survive spare substitution.
 //! * Job events carry the service-assigned job id.
 
@@ -133,20 +133,6 @@ telemetry_events! {
         /// Payload size in bytes.
         bytes: u64 as "bytes",
     }
-    /// A ring heartbeat control frame was sent.
-    HeartbeatSent = "heartbeat_sent" {
-        /// Destination slot of the heartbeat.
-        to: u64 as "to",
-        /// Iteration the heartbeat covers.
-        iteration: u64 as "iteration",
-    }
-    /// A ring heartbeat control frame was observed after the barrier.
-    HeartbeatObserved = "heartbeat_observed" {
-        /// Source slot of the heartbeat.
-        from: u64 as "from",
-        /// Iteration the heartbeat covers.
-        iteration: u64 as "iteration",
-    }
     /// A rank reached the per-iteration consistency barrier.
     BarrierWait = "barrier_wait" {
         /// The iteration whose barrier is being entered.
@@ -182,13 +168,6 @@ telemetry_events! {
     RankDead = "rank_dead" {
         /// The node that died.
         node: u64 as "node",
-    }
-    /// A heartbeat expected after the barrier did not arrive.
-    RankSuspected = "rank_suspected" {
-        /// The node whose heartbeat is missing.
-        node: u64 as "node",
-        /// Iteration at which suspicion was raised.
-        iteration: u64 as "iteration",
     }
     /// The recovery driver promoted a standby spare into a dead slot.
     SparePromoted = "spare_promoted" {

@@ -12,10 +12,10 @@
 //!
 //! 1. [`TelemetryEvent`]/[`TelemetryRecord`] ([`event`]): the structured
 //!    event model, a fixed-size `Copy` enum covering comms (send, recv,
-//!    retransmit, ack, drop), heartbeats, barriers, iterations, checkpoints,
-//!    membership (death, suspicion, spare promotion) and job lifecycle. One
-//!    table in [`event`] declares every kind; the enum, its JSONL field
-//!    writer and its field reader are all generated from it.
+//!    retransmit, ack, drop), barriers, iterations, checkpoints, membership
+//!    (death, spare promotion) and job lifecycle. One table in [`event`]
+//!    declares every kind; the enum, its JSONL field writer and its field
+//!    reader are all generated from it.
 //! 2. [`Telemetry`]/[`RankSink`] ([`recorder`]): the flight recorder —
 //!    preallocated per-rank ring buffers, each owned by the one sink that
 //!    records into it, so recording takes no lock and allocates nothing

@@ -166,18 +166,40 @@ mod tests {
     #[test]
     fn validator_rejects_unknown_kinds_and_bad_order() {
         let good = "{\"rank\":0,\"seq\":0,\"sim_ns\":5,\"job\":0,\"kind\":\"barrier_wait\",\"iteration\":0}";
-        let unknown =
-            "{\"rank\":0,\"seq\":1,\"sim_ns\":6,\"job\":0,\"kind\":\"mystery\",\"iteration\":0}";
         let stale = "{\"rank\":0,\"seq\":0,\"sim_ns\":7,\"job\":0,\"kind\":\"barrier_wait\",\"iteration\":1}";
         let backwards_time =
             "{\"rank\":0,\"seq\":2,\"sim_ns\":1,\"job\":0,\"kind\":\"barrier_wait\",\"iteration\":2}";
+        // Kinds the schema once had and retired are unknown kinds too.
+        let unknown_kinds = [
+            "mystery",
+            "heartbeat_sent",
+            "heartbeat_observed",
+            "rank_suspected",
+        ];
+        let unknown = unknown_kinds.map(|kind| {
+            format!(
+                "{{\"rank\":0,\"seq\":1,\"sim_ns\":6,\"job\":0,\"kind\":\"{kind}\",\"iteration\":0}}"
+            )
+        });
         // Mid-trace, each bad line is an error naming its 1-based line
-        // (blank lines count).
-        let unknown_mid = read(&[good, "", unknown, good]).unwrap_err();
-        assert!(matches!(
-            unknown_mid,
-            ParseError::AtLine { line: 3, ref error } if matches!(**error, ParseError::UnknownKind { .. })
-        ));
+        // (blank lines count) and the kind.
+        for (bad, kind) in unknown.iter().zip(unknown_kinds) {
+            let error = read(&[good, "", bad, good]).unwrap_err();
+            assert_eq!(
+                error,
+                ParseError::AtLine {
+                    line: 3,
+                    error: Box::new(ParseError::UnknownKind {
+                        kind: kind.to_string()
+                    }),
+                },
+                "{bad}"
+            );
+            assert_eq!(
+                error.to_string(),
+                format!("line 3: unknown event kind `{kind}`")
+            );
+        }
         for bad in [stale, backwards_time] {
             assert!(matches!(
                 read(&[good, bad, good]),
@@ -186,7 +208,8 @@ mod tests {
             ));
         }
         // As the last line, any of them is a truncated tail.
-        for bad in [unknown, stale, backwards_time] {
+        let unknown = unknown.iter().map(String::as_str);
+        for bad in [stale, backwards_time].into_iter().chain(unknown) {
             let summary = read(&[good, bad, ""]).expect("a bad final line is tolerated");
             assert_eq!(summary.truncated_lines, 1);
             assert_eq!(summary.total_events(), 1);

@@ -14,7 +14,7 @@ use ptycho_telemetry::{TelemetryEvent, TelemetryRecord, TraceSummary};
 use std::collections::BTreeSet;
 
 /// Event kinds [`event`] builds, in declaration order.
-const KINDS: usize = 20;
+const KINDS: usize = 17;
 
 /// Event kind `kind` (`0..KINDS`) with its fields taken from `f`; an
 /// `iteration_end` cost is `f64::from_bits(f[0])`, so NaN, infinities and
@@ -45,53 +45,41 @@ fn event(kind: usize, [a, b, c, d]: [u64; 4]) -> TelemetryEvent {
             tag: b,
             bytes: c,
         },
-        5 => HeartbeatSent {
-            to: a,
-            iteration: b,
-        },
-        6 => HeartbeatObserved {
-            from: a,
-            iteration: b,
-        },
-        7 => BarrierWait { iteration: a },
-        8 => IterationBegin {
+        5 => BarrierWait { iteration: a },
+        6 => IterationBegin {
             iteration: a,
             attempt: b,
         },
-        9 => IterationEnd {
+        7 => IterationEnd {
             iteration: b,
             attempt: c,
             cost: f64::from_bits(a),
             compute_ns: d,
             comm_ns: a ^ d,
         },
-        10 => Checkpoint { iteration: a },
-        11 => RankDead { node: a },
-        12 => RankSuspected {
-            node: a,
-            iteration: b,
-        },
-        13 => SparePromoted { slot: a, node: b },
-        14 => JobSubmitted {
+        8 => Checkpoint { iteration: a },
+        9 => RankDead { node: a },
+        10 => SparePromoted { slot: a, node: b },
+        11 => JobSubmitted {
             job: a,
             priority: b as i64,
             slots: c,
         },
-        15 => JobAdmitted {
+        12 => JobAdmitted {
             job: a,
             queue_depth: b,
         },
-        16 => JobCancelled { job: a },
-        17 => JobCompleted {
+        13 => JobCancelled { job: a },
+        14 => JobCompleted {
             job: a,
             iterations: b,
         },
-        18 => CheckpointPersisted {
+        15 => CheckpointPersisted {
             iteration: a,
             seq: b,
             bytes: c,
         },
-        19 => CheckpointRestored {
+        16 => CheckpointRestored {
             iteration: a,
             seq: b,
         },

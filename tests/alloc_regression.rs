@@ -183,9 +183,9 @@ fn steady_state_iterations_are_allocation_free() {
     );
     assert_eq!(copy.len(), 1 << 16);
 
-    // The control-frame pin: heartbeats and acknowledgements carry
-    // SharedTile::default(), which aliases one static empty buffer (first
-    // use initialises the static; that one-time cost is not the pin).
+    // The ack pin: acknowledgements carry SharedTile::default(), which
+    // aliases one static empty buffer (first use initialises the static;
+    // that one-time cost is not the pin).
     let _ = SharedTile::default();
     let before = ALLOC.allocations();
     let empty = SharedTile::default();

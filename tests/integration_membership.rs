@@ -9,13 +9,9 @@
 //! the fault-free one, on both solvers and both backends. Without spares the
 //! legacy policies keep their exact pre-membership behaviour.
 
-use ptycho_cluster::backend::reliable::wire_data_tag;
-use ptycho_cluster::membership::frames;
-use ptycho_cluster::{
-    CommBackend, CommError, FaultInjectionBackend, FaultPolicy, LockstepBackend, RankComm,
-    ReliableComm, ReliableStats, SharedTile,
-};
+use ptycho_cluster::{CommError, FaultInjectionBackend, FaultPolicy};
 use ptycho_core::{JobContext, RecoveryPolicy};
+use ptycho_telemetry::{Telemetry, TelemetryEvent};
 
 mod common;
 use common::{
@@ -34,9 +30,10 @@ fn early_death() -> FaultPolicy {
     FaultPolicy::reliable(0).kill_rank(1, 1)
 }
 
-/// Kills node 1 in a later iteration: by its seventh send decision the rank
-/// has completed iteration 0 (data sends + acks + heartbeat), so the spare
-/// must resume from the iteration-0 checkpoint rather than from scratch.
+/// Kills node 1 in a later iteration: each iteration costs the rank four
+/// send decisions (two halo sends and the acks of its two halo receives), so
+/// its seventh falls in iteration 1, after its iteration-0 checkpoint, and
+/// the spare must resume from that checkpoint rather than from scratch.
 fn late_death() -> FaultPolicy {
     FaultPolicy::reliable(0).kill_rank(1, 6)
 }
@@ -102,11 +99,32 @@ fn gd_substitution_resumes_from_the_adopted_checkpoint() {
         .expect("fault-free run completes");
 
     let faulty = FaultInjectionBackend::new(lockstep(), late_death());
+    let telemetry = Telemetry::new();
+    let job = JobContext {
+        telemetry: Some(&telemetry),
+        ..JobContext::default()
+    };
     let healed = solver
-        .run_job(&faulty, substitute_policy(1), &JobContext::default())
+        .run_job(&faulty, substitute_policy(1), &job)
         .expect("substitution must heal a late death");
     assert_bit_identical(&clean, &healed);
     assert_eq!(healed.recovery.substitutions, 1);
+
+    // Node 1's own stream: it died after checkpointing iteration 0. A change
+    // in which messages count as sends moves the death across the
+    // checkpoint here instead of silently.
+    let events: Vec<TelemetryEvent> = telemetry.records(1).iter().map(|r| r.event).collect();
+    let position = |wanted: TelemetryEvent| {
+        events
+            .iter()
+            .position(|&e| e == wanted)
+            .unwrap_or_else(|| panic!("node 1's stream must hold {wanted:?}: {events:?}"))
+    };
+    assert!(
+        position(TelemetryEvent::Checkpoint { iteration: 0 })
+            < position(TelemetryEvent::RankDead { node: 1 }),
+        "node 1 must die after its iteration-0 checkpoint: {events:?}"
+    );
 }
 
 #[test]
@@ -143,11 +161,10 @@ fn hve_spare_substitution_heals_a_dead_rank_on_both_backends() {
 }
 
 #[test]
-fn fault_free_spare_mode_is_bit_identical_and_counts_heartbeats() {
+fn fault_free_spare_mode_is_bit_identical() {
     // Configuring a spare pool must not perturb the numerics: a fault-free
     // SubstituteSpare run matches the plain run bit for bit, on both
-    // backends, and the ring heartbeat ledger is complete (every beat sent
-    // was observed by its ring successor).
+    // backends.
     let ds = small_problem();
     let solver = gd_solver(&ds);
     let clean = solver
@@ -168,12 +185,6 @@ fn fault_free_spare_mode_is_bit_identical_and_counts_heartbeats() {
         assert_bit_identical(&clean, run);
         assert_eq!(run.recovery.substitutions, 0, "{label}");
         assert_eq!(run.recovery.membership_epoch, 0, "{label}");
-        // 4 ranks x 2 iterations, one ring beat each.
-        assert_eq!(run.recovery.heartbeats_sent, 8, "{label}");
-        assert_eq!(
-            run.recovery.heartbeats_observed, 8,
-            "{label}: every beat sent before a completed barrier is observable after it"
-        );
     }
 }
 
@@ -238,75 +249,4 @@ fn exhausted_spare_pool_surfaces_a_typed_error() {
         CommError::SparesExhausted { dead_node, .. } => assert_eq!(dead_node, 1),
         other => panic!("expected SparesExhausted, got {other}"),
     }
-}
-
-#[test]
-fn heartbeats_never_perturb_reliable_seq_accounting() {
-    // Two identical reliable exchanges, one of them interleaving control
-    // frames with the data traffic. A surgical drop pinned on an exact
-    // *data* wire tag must hit the same logical message in both runs, the
-    // retransmission must heal it identically, and the reliable layer's
-    // stats (sequence counters, acks, retransmits) must not move by a
-    // single unit — control frames are invisible to sequence accounting.
-    fn exchange(with_heartbeats: bool) -> Vec<(Vec<f64>, ReliableStats)> {
-        let policy = FaultPolicy::reliable(0).drop_message(0, 1, wire_data_tag(0x7, 1, 0), 0);
-        let backend = FaultInjectionBackend::new(LockstepBackend::default(), policy);
-        let outcomes = backend
-            .run::<SharedTile, (Vec<f64>, ReliableStats), _>(2, |ctx| {
-                let mut rc = ReliableComm::new(ctx, 0);
-                let me = rc.rank();
-                let peer = 1 - me;
-                let mut got = Vec::new();
-                for round in 0..3u64 {
-                    if with_heartbeats {
-                        rc.isend_control(
-                            peer,
-                            frames::heartbeat_tag(0, 0, round),
-                            SharedTile::default(),
-                        );
-                    }
-                    rc.isend(
-                        peer,
-                        0x7,
-                        SharedTile::new(vec![(me as u64 * 10 + round) as f64]),
-                    );
-                    got.push(rc.recv(peer, 0x7)?.values()[0]);
-                    if with_heartbeats {
-                        let _ = rc.try_recv_control(peer, frames::heartbeat_tag(0, 0, round));
-                    }
-                }
-                rc.barrier()?;
-                Ok((got, rc.stats()))
-            })
-            .expect("the dropped frame is healed by retransmission");
-        outcomes.into_iter().map(|o| o.result).collect()
-    }
-
-    let without = exchange(false);
-    let with_heartbeats = exchange(true);
-    assert_eq!(
-        without, with_heartbeats,
-        "control frames must not shift data seqs, acks or retransmit counts"
-    );
-    assert!(
-        without.iter().any(|(_, stats)| stats.retransmits > 0),
-        "the pinned drop must actually have been healed"
-    );
-}
-
-// The assert fires inside the rank body, so it surfaces through the
-// backend's thread join.
-#[test]
-#[should_panic(expected = "rank thread panicked")]
-fn control_sends_reject_data_tags() {
-    let backend = LockstepBackend::default();
-    let _ = backend.run::<SharedTile, (), _>(2, |ctx| {
-        let mut rc = ReliableComm::new(ctx, 0);
-        if rc.rank() == 0 {
-            // Tag 0x7 has no control bit: the reliable layer must refuse to
-            // smuggle it around sequence accounting.
-            rc.isend_control(1, 0x7, SharedTile::default());
-        }
-        Ok(())
-    });
 }
