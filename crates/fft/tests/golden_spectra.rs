@@ -1,11 +1,14 @@
 //! FNV-64 goldens of dense forward / inverse spectra of a fixed input.
 //!
-//! Recorded at commit f4fe6a5 (one radix-2 stage per sweep, transposed column
-//! pass) and asserted unchanged since: the bit-identity net under every
-//! restructuring of the dense kernels. Lengths cover odd and even stage
-//! counts; shapes cover wide, tall and both degenerate 2-D cases. Every tier
-//! computes the same IEEE operation sequence, so every tier the host offers
-//! must reproduce the same hashes.
+//! `GOLDEN_1D` and `GOLDEN_2D` were recorded at commit f4fe6a5 (one radix-2
+//! stage per sweep, transposed column pass) and asserted unchanged since: the
+//! bit-identity net under every restructuring of the dense kernels. Lengths
+//! cover odd and even stage counts; shapes cover wide, tall and both
+//! degenerate 2-D cases. `GOLDEN_2D_WINDOWS` was recorded at f7945ca (row
+//! pass through the 1-D plan, in-place column pass) at the window sizes the
+//! workloads run, with odd and even stage counts in both directions. Every
+//! tier computes the same IEEE operation sequence, so every tier the host
+//! offers must reproduce the same hashes.
 
 use ptycho_array::Array2;
 use ptycho_fft::fft2d::Fft2Plan;
@@ -90,6 +93,73 @@ fn dense_2d_spectra_match_recorded_goldens() {
                 "2-D {rows}x{cols} at {level:?}: got ({:#018x}, {:#018x})",
                 fnv1a64(spectrum.as_slice()),
                 fnv1a64(back.as_slice()),
+            );
+        }
+    }
+}
+
+/// `(rows, cols, forward hash, inverse hash, unnormalised inverse hash)`.
+const GOLDEN_2D_WINDOWS: [(usize, usize, u64, u64, u64); 5] = [
+    (
+        32,
+        32,
+        0x9189f3f3a9074d35,
+        0xeae7ca7c432dc152,
+        0xd7c2a55b6b592c0d,
+    ),
+    (
+        64,
+        64,
+        0x23aaf1c85507e1a8,
+        0xfd42238269b96506,
+        0x38b8c3e27089bd34,
+    ),
+    (
+        128,
+        128,
+        0xc6d3295f494a53ce,
+        0xb0e90686bac47074,
+        0x1d2bc5edc0adf9a2,
+    ),
+    (
+        256,
+        64,
+        0xb856307ee7761314,
+        0xdd27d40cd450fe7d,
+        0x980698d644ff25d5,
+    ),
+    (
+        64,
+        256,
+        0x6d67f8516f4bb46a,
+        0xfd085afc1a710e48,
+        0x09ba43e5cfe922d9,
+    ),
+];
+
+#[test]
+fn window_sized_2d_spectra_match_recorded_goldens() {
+    for level in SimdLevel::available_levels() {
+        for &(rows, cols, forward, inverse, unnormalized) in &GOLDEN_2D_WINDOWS {
+            let plan = Fft2Plan::with_simd_level(rows, cols, level);
+            let field = Array2::from_fn(rows, cols, |r, c| sample(r * cols + c));
+            let transforms: [fn(&Fft2Plan, &mut ptycho_fft::CArray2); 3] = [
+                Fft2Plan::forward_mut,
+                Fft2Plan::inverse_mut,
+                Fft2Plan::inverse_unnormalized_mut,
+            ];
+            let hashes = transforms.map(|transform| {
+                let mut out = field.clone();
+                transform(&plan, &mut out);
+                fnv1a64(out.as_slice())
+            });
+            assert_eq!(
+                hashes,
+                [forward, inverse, unnormalized],
+                "2-D {rows}x{cols} at {level:?}: got [{:#018x}, {:#018x}, {:#018x}]",
+                hashes[0],
+                hashes[1],
+                hashes[2],
             );
         }
     }
