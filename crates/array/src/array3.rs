@@ -134,20 +134,31 @@ impl<T: Clone> Array3<T> {
             out.shape(),
             (self.depth, rrows, rcols)
         );
-        out.data.fill(fill);
         let clipped = region.intersect(&self.plane_bounds());
-        let width = (clipped.col1 - clipped.col0).max(0) as usize;
-        if width == 0 {
+        if clipped.is_empty() {
+            out.data.fill(fill);
             return;
         }
+        // Each output cell is written once: the rows above and below the
+        // clipped part and the columns left and right of it take `fill`,
+        // the rest is copied.
+        let top = (clipped.row0 - region.row0) as usize * rcols;
+        let inside = clipped.rows() * rcols;
+        let left = (clipped.col0 - region.col0) as usize;
+        let width = clipped.cols();
         for s in 0..self.depth {
             let src = self.slice_data(s);
-            let dst = out.slice_data_mut(s);
-            for gr in clipped.row0..clipped.row1 {
-                let lr = (gr - region.row0) as usize;
-                let src_off = gr as usize * self.cols + clipped.col0 as usize;
-                let dst_off = lr * rcols + (clipped.col0 - region.col0) as usize;
-                dst[dst_off..dst_off + width].clone_from_slice(&src[src_off..src_off + width]);
+            let (above, rest) = out.slice_data_mut(s).split_at_mut(top);
+            let (middle, below) = rest.split_at_mut(inside);
+            above.fill(fill.clone());
+            below.fill(fill.clone());
+            for (gr, row) in (clipped.row0 as usize..).zip(middle.chunks_exact_mut(rcols)) {
+                let src_off = gr * self.cols + clipped.col0 as usize;
+                let (head, rest) = row.split_at_mut(left);
+                let (copied, tail) = rest.split_at_mut(width);
+                head.fill(fill.clone());
+                copied.clone_from_slice(&src[src_off..src_off + width]);
+                tail.fill(fill.clone());
             }
         }
     }

@@ -1,13 +1,44 @@
 //! Property-based tests for the array and rectangle primitives.
 
 use proptest::prelude::*;
-use ptycho_array::{Array2, Rect};
+use ptycho_array::{Array2, Array3, Rect};
 
 fn rect_strategy() -> impl Strategy<Value = Rect> {
     (-16i64..32, -16i64..32, 0i64..24, 0i64..24).prop_map(|(r0, c0, h, w)| Rect::new(r0, c0, h, w))
 }
 
 proptest! {
+    #[test]
+    fn extract_region_into_writes_every_cell_once(
+        depth in 1usize..4,
+        rows in 1usize..12,
+        cols in 1usize..12,
+        region in rect_strategy(),
+    ) {
+        // Regions inside, partly outside and wholly outside the plane, into
+        // a buffer poisoned with a value neither the volume nor the fill
+        // holds: every cell must come out as the allocating extract has it.
+        let v = Array3::from_fn(depth, rows, cols, |s, r, c| (s * 1000 + r * 31 + c) as f64);
+        let fill = -1.0;
+        let mut out = Array3::full(depth, region.rows(), region.cols(), f64::NAN);
+        v.extract_region_into(region, fill, &mut out);
+        let expected = v.extract_region_with_fill(region, fill);
+        prop_assert_eq!(&out, &expected);
+        for s in 0..depth {
+            for r in 0..region.rows() {
+                for c in 0..region.cols() {
+                    let (gr, gc) = (region.row0 + r as i64, region.col0 + c as i64);
+                    let want = if v.plane_bounds().contains(gr, gc) {
+                        v[(s, gr as usize, gc as usize)]
+                    } else {
+                        fill
+                    };
+                    prop_assert_eq!(out[(s, r, c)], want);
+                }
+            }
+        }
+    }
+
     #[test]
     fn intersection_is_commutative(a in rect_strategy(), b in rect_strategy()) {
         prop_assert_eq!(a.intersect(&b), b.intersect(&a));

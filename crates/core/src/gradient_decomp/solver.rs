@@ -257,13 +257,8 @@ impl SolverKernel for GdKernel<'_> {
                     .clock_mut()
                     .compute(|| worker.compute_gradient_into(loc, gradient));
                 iteration_cost += loss;
-                ctx.clock_mut().compute(|| {
-                    worker.accumulate_patch(acc_buf, loc, gradient);
-                    if let Some(own_acc) = own_acc {
-                        worker.accumulate_patch(own_acc, loc, gradient);
-                        worker.apply_patch(loc, gradient);
-                    }
-                });
+                ctx.clock_mut()
+                    .compute(|| worker.scatter_gradient(loc, gradient, acc_buf, own_acc.as_mut()));
             }
 
             // Steps 10-13: accumulate gradients across tiles.

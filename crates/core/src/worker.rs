@@ -9,6 +9,7 @@ use ptycho_sim::dataset::{Dataset, BYTES_PER_COMPLEX, BYTES_PER_MEASUREMENT};
 use ptycho_sim::gradient::{probe_gradient_into, suggested_step};
 use ptycho_sim::scan::ProbeLocation;
 use ptycho_sim::SimWorkspace;
+use std::ops::Range;
 
 /// The state one worker (simulated GPU) keeps for its tile: the halo-extended
 /// sub-volume it reconstructs, the bound forward model, the gradient step,
@@ -124,11 +125,59 @@ impl<'a> TileWorker<'a> {
         )
     }
 
-    /// Applies one gradient patch to the tile volume at the probe window
-    /// (step 8 of Algorithm 1): `V_k ← V_k − α·grad`. Allocation-free.
+    /// Applies one gradient patch to the tile volume at the probe window:
+    /// `V_k ← V_k − α·grad`, the Halo Voxel Exchange baseline's per-probe
+    /// update. Allocation-free.
     pub fn apply_patch(&mut self, loc: &ProbeLocation, gradient: &CArray3) {
         let local_window = self.local_window(loc);
         add_region_scaled(&mut self.volume, local_window, gradient, -self.step);
+    }
+
+    /// Scatters one probe-window-shaped gradient patch in a single pass over
+    /// the window's rows: step 7 of Algorithm 1, `AccBuf_k += ∂f_i/∂V_k`,
+    /// and with local updates (`own` given) also `own += ∂f_i/∂V_k` and step
+    /// 8, `V_k ← V_k − α·∂f_i/∂V_k`. Each cell gets the operations three
+    /// separate scatters would give it. Allocation-free.
+    ///
+    /// # Panics
+    /// Panics if a buffer is not shaped like the tile volume or `gradient`
+    /// like the probe window.
+    pub fn scatter_gradient(
+        &mut self,
+        loc: &ProbeLocation,
+        gradient: &CArray3,
+        acc: &mut CArray3,
+        own: Option<&mut CArray3>,
+    ) {
+        let window = self.local_window(loc);
+        let shape = self.volume.shape();
+        assert_eq!(acc.shape(), shape, "buffer shape mismatch");
+        check_block(shape, window, gradient);
+        let (acc, g, factor) = (acc.as_mut_slice(), gradient.as_slice(), -self.step);
+        match own {
+            Some(own) => {
+                assert_eq!(own.shape(), shape, "buffer shape mismatch");
+                let (own, volume) = (own.as_mut_slice(), self.volume.as_mut_slice());
+                for (dst, src) in block_rows(shape, window) {
+                    let cells = acc[dst.clone()]
+                        .iter_mut()
+                        .zip(&mut own[dst.clone()])
+                        .zip(&mut volume[dst]);
+                    for (((a, o), v), g) in cells.zip(&g[src]) {
+                        *a += *g;
+                        *o += *g;
+                        *v += *g * factor;
+                    }
+                }
+            }
+            None => {
+                for (dst, src) in block_rows(shape, window) {
+                    for (a, g) in acc[dst].iter_mut().zip(&g[src]) {
+                        *a += *g;
+                    }
+                }
+            }
+        }
     }
 
     /// Steps 14–16 of Algorithm 1 in one sweep over the disjoint `cover`:
@@ -149,7 +198,8 @@ impl<'a> TileWorker<'a> {
             own.as_mut_slice()
         });
         let (volume, total) = (self.volume.as_mut_slice(), total.as_mut_slice());
-        for row in cover.iter().flat_map(|&rect| region_rows(shape, rect)) {
+        let rows = cover.iter().flat_map(|&rect| block_rows(shape, rect));
+        for (row, _) in rows {
             let cells = volume[row.clone()].iter_mut().zip(&mut total[row.clone()]);
             match own.as_deref_mut() {
                 Some(own) => {
@@ -167,13 +217,6 @@ impl<'a> TileWorker<'a> {
                 }
             }
         }
-    }
-
-    /// Scatters a probe-window-shaped gradient patch into an extended-tile
-    /// buffer (step 7: `AccBuf_k += ∂f_i/∂V_k`).
-    pub fn accumulate_patch(&self, buffer: &mut CArray3, loc: &ProbeLocation, gradient: &CArray3) {
-        let local_window = self.local_window(loc);
-        buffer.add_region(local_window, gradient);
     }
 
     /// A read-only view of the current tile volume (extended, tile-local).
@@ -205,46 +248,50 @@ impl<'a> TileWorker<'a> {
     }
 }
 
-/// The flat index range of every row of `region` (tile-local, clipped to the
-/// plane) in every slice of a volume of `shape`.
-fn region_rows(
+/// The flat index ranges of every row of `region`'s part inside the plane,
+/// in every slice of a volume of `shape` (tile-local), each paired with the
+/// same cells' range in a `region`-shaped block (one sub-plane per slice).
+fn block_rows(
     (depth, rows, cols): (usize, usize, usize),
     region: Rect,
-) -> impl Iterator<Item = std::ops::Range<usize>> {
+) -> impl Iterator<Item = (Range<usize>, Range<usize>)> {
     let clipped = region.intersect(&Rect::of_shape(rows, cols));
+    let (block_rows, block_cols) = region.shape();
+    let (width, block_col) = (clipped.cols(), (clipped.col0 - region.col0) as usize);
     (0..depth).flat_map(move |s| {
         (clipped.row0..clipped.row1).map(move |r| {
-            let start = (s * rows + r as usize) * cols;
-            start + clipped.col0 as usize..start + clipped.col1 as usize
+            let dst = (s * rows + r as usize) * cols + clipped.col0 as usize;
+            let block_row = s * block_rows + (r - region.row0) as usize;
+            let src = block_row * block_cols + block_col;
+            (dst..dst + width, src..src + width)
         })
     })
 }
 
-/// Adds `factor · block` into `region` of a complex volume, clipping against
-/// the volume bounds — the allocation-free scatter behind the local
-/// per-probe update (`block` is probe-window shaped: one sub-plane per slice).
-fn add_region_scaled(volume: &mut CArray3, region: Rect, block: &CArray3, factor: f64) {
+/// Panics unless `block` holds one `region`-shaped sub-plane per slice of a
+/// volume of `shape`.
+fn check_block(shape: (usize, usize, usize), region: Rect, block: &CArray3) {
     let (rows, cols) = region.shape();
     assert_eq!(
         block.shape(),
-        (volume.depth(), rows, cols),
-        "add_region_scaled: block shape {:?} does not match region {:?} x {} slices",
+        (shape.0, rows, cols),
+        "block shape {:?} does not match region {:?} x {} slices",
         block.shape(),
         region,
-        volume.depth()
+        shape.0
     );
-    let bounds = volume.plane_bounds();
-    let clipped = region.intersect(&bounds);
-    let vol_cols = volume.cols();
-    for s in 0..volume.depth() {
-        let src = block.slice_data(s);
-        let dst = volume.slice_data_mut(s);
-        for gr in clipped.row0..clipped.row1 {
-            let lr = (gr - region.row0) as usize;
-            for gc in clipped.col0..clipped.col1 {
-                let lc = (gc - region.col0) as usize;
-                dst[gr as usize * vol_cols + gc as usize] += src[lr * cols + lc] * factor;
-            }
+}
+
+/// Adds `factor · block` into `region` of a complex volume, clipping against
+/// the volume bounds — the allocation-free scatter behind HVE's per-probe
+/// update (`block` is probe-window shaped: one sub-plane per slice).
+fn add_region_scaled(volume: &mut CArray3, region: Rect, block: &CArray3, factor: f64) {
+    let shape = volume.shape();
+    check_block(shape, region, block);
+    let (volume, block) = (volume.as_mut_slice(), block.as_slice());
+    for (dst, src) in block_rows(shape, region) {
+        for (v, g) in volume[dst].iter_mut().zip(&block[src]) {
+            *v += *g * factor;
         }
     }
 }
@@ -440,22 +487,93 @@ mod tests {
         assert_eq!(target[(0, 0, 0)], Complex64::ZERO);
     }
 
+    fn bits(v: &CArray3) -> Vec<(u64, u64)> {
+        v.iter().map(|c| (c.re.to_bits(), c.im.to_bits())).collect()
+    }
+
+    /// Inside, hanging over each edge and corner, wider than the plane, and
+    /// wholly outside it.
+    fn clipped_regions(rows: i64, cols: i64) -> [Rect; 6] {
+        [
+            Rect::new(1, 2, 3, 3),
+            Rect::new(-1, 3, 4, 4),
+            Rect::new(rows - 2, -2, 5, 6),
+            Rect::new(-3, -3, rows + 6, cols + 6),
+            Rect::new(2, cols - 1, 3, 4),
+            Rect::new(rows + 1, 0, 2, 2),
+        ]
+    }
+
     #[test]
     fn add_region_scaled_matches_map_then_add() {
         let vol = volume_with_pattern();
-        let region = Rect::new(-1, 3, 4, 4);
-        let block = Array3::from_fn(2, 4, 4, |s, r, c| Complex64::new((s + r) as f64, c as f64));
+        for region in clipped_regions(6, 6) {
+            let (rows, cols) = region.shape();
+            let block = Array3::from_fn(2, rows, cols, |s, r, c| {
+                Complex64::new((s + r) as f64 * 0.7, c as f64 - 1.3)
+            });
 
-        let mut direct = vol.clone();
-        add_region_scaled(&mut direct, region, &block, -0.37);
+            let mut direct = vol.clone();
+            add_region_scaled(&mut direct, region, &block, -0.37);
 
-        let mut reference = vol.clone();
-        let scaled = block.map(|g| -*g * 0.37);
-        reference.add_region(region, &scaled);
+            let mut reference = vol.clone();
+            let scaled = block.map(|g| -*g * 0.37);
+            reference.add_region(region, &scaled);
 
-        for (a, b) in direct.iter().zip(reference.iter()) {
-            assert_eq!(a.re.to_bits(), b.re.to_bits());
-            assert_eq!(a.im.to_bits(), b.im.to_bits());
+            assert_eq!(bits(&direct), bits(&reference), "region {region:?}");
+        }
+    }
+
+    #[test]
+    fn fused_scatter_matches_the_three_separate_scatters() {
+        // Windows clipped at every tile edge, with and without local
+        // updates, against `acc += g` and `own += g` by `Array3::add_region`
+        // and `V += g·(−α)` by the HVE update.
+        let dataset = Dataset::synthesize(SyntheticConfig::tiny());
+        let mut worker = tiny_worker(&dataset);
+        let (depth, rows, cols) = worker.volume().shape();
+        let seeded = |seed: f64| {
+            Array3::from_fn(depth, rows, cols, |s, r, c| {
+                Complex64::new((s + r * c) as f64 * seed, (r as f64 - c as f64) / seed)
+            })
+        };
+        for window in clipped_regions(rows as i64, cols as i64) {
+            let (wr, wc) = window.shape();
+            let gradient = Array3::from_fn(depth, wr, wc, |s, r, c| {
+                Complex64::new(
+                    ((s * 7 + r * 3 + c) as f64 * 0.31).sin(),
+                    (r + c) as f64 * 0.05,
+                )
+            });
+            let loc = ProbeLocation {
+                index: 0,
+                grid_pos: (0, 0),
+                center_px: (0.0, 0.0),
+                window: window.to_global(&worker.tile.extended),
+                radius_px: 1.0,
+            };
+            for local_updates in [false, true] {
+                let (mut acc, mut own) = (seeded(0.5), seeded(1.5));
+                let (mut acc_ref, mut own_ref) = (acc.clone(), own.clone());
+                let volume_before = worker.volume().clone();
+                acc_ref.add_region(window, &gradient);
+                let mut volume_ref = volume_before.clone();
+                if local_updates {
+                    own_ref.add_region(window, &gradient);
+                    add_region_scaled(&mut volume_ref, window, &gradient, -worker.step);
+                }
+                worker.scatter_gradient(
+                    &loc,
+                    &gradient,
+                    &mut acc,
+                    local_updates.then_some(&mut own),
+                );
+                let case = format!("window {window:?}, local_updates={local_updates}");
+                assert_eq!(bits(&acc), bits(&acc_ref), "acc, {case}");
+                assert_eq!(bits(&own), bits(&own_ref), "own, {case}");
+                assert_eq!(bits(worker.volume()), bits(&volume_ref), "volume, {case}");
+                *worker.volume_mut() = volume_before;
+            }
         }
     }
 
@@ -563,7 +681,7 @@ mod tests {
                 }
             }
         }
-        assert_eq!(region_rows((2, 6, 6), Rect::empty()).count(), 0);
+        assert_eq!(block_rows((2, 6, 6), Rect::empty()).count(), 0);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Radix-2 decimation-in-time FFT plans for power-of-two lengths.
 
-use crate::simd::{self, SimdLevel};
+use crate::simd::{self, RowPass, SimdLevel, Stage};
 use crate::Complex64;
 use std::f64::consts::PI;
 
@@ -12,7 +12,8 @@ use std::f64::consts::PI;
 /// hottest loop in the repository) pay only the O(N log N) butterfly work,
 /// with no per-butterfly direction branch, strided table walk or conjugation.
 /// All methods are in-place over `&mut [Complex64]` — this is the
-/// zero-allocation entry point.
+/// zero-allocation entry point. A line is a one-row field to the kernels:
+/// the 2-D plan's row pass runs the same code on every row.
 #[derive(Clone, Debug)]
 pub struct FftPlan {
     len: usize,
@@ -21,12 +22,21 @@ pub struct FftPlan {
     /// Forward twiddles `e^{-2πik/N}`, one contiguous table per butterfly
     /// stage (stage `s` holds `2^s` entries), so the innermost loop walks
     /// them sequentially.
-    forward_stages: Vec<Vec<Complex64>>,
+    forward_stages: Vec<Stage>,
     /// The same tables conjugated (exact), for the inverse direction.
-    inverse_stages: Vec<Vec<Complex64>>,
+    inverse_stages: Vec<Stage>,
     /// The SIMD tier the butterfly loop dispatches to, fixed at construction
     /// (see [`SimdLevel::detect`]).
     level: SimdLevel,
+}
+
+/// The bit-reversal permutation of `0..len` (`len` a power of two).
+pub(crate) fn bit_reversal(len: usize) -> Vec<u32> {
+    let bits = len.trailing_zeros();
+    (0..len as u32)
+        // For len == 1 the shift would be by 32; the one index is 0.
+        .map(|i| i.reverse_bits().checked_shr(32 - bits).unwrap_or(0))
+        .collect()
 }
 
 impl FftPlan {
@@ -56,33 +66,26 @@ impl FftPlan {
             len.is_power_of_two(),
             "FFT length must be a power of two, got {len}"
         );
-        let bits = len.trailing_zeros();
-        let bit_rev = (0..len as u32)
-            .map(|i| i.reverse_bits() >> (32 - bits.max(1)))
-            .collect::<Vec<_>>();
-        // For len == 1 the shift above would be wrong; special-case it.
-        let bit_rev = if len == 1 { vec![0] } else { bit_rev };
         // Base table `e^{-2πik/N}` for `k in 0..N/2`; the per-stage tables
         // index into it (stage of size `s` uses stride `N/s`), so the stage
         // entries are bit-identical to the strided lookups they replace.
         let twiddles: Vec<Complex64> = (0..len / 2)
             .map(|k| Complex64::cis(-2.0 * PI * k as f64 / len as f64))
             .collect();
-        let mut forward_stages: Vec<Vec<Complex64>> = Vec::new();
+        let mut forward_stages = Vec::new();
         let mut size = 2usize;
         while size <= len {
             let half = size / 2;
             let stride = len / size;
-            forward_stages.push((0..half).map(|k| twiddles[k * stride]).collect());
+            forward_stages.push(Stage::new(
+                (0..half).map(|k| twiddles[k * stride]).collect(),
+            ));
             size *= 2;
         }
-        let inverse_stages: Vec<Vec<Complex64>> = forward_stages
-            .iter()
-            .map(|stage| stage.iter().map(|tw| tw.conj()).collect())
-            .collect();
+        let inverse_stages = forward_stages.iter().map(Stage::conj).collect();
         Self {
             len,
-            bit_rev,
+            bit_rev: bit_reversal(len),
             forward_stages,
             inverse_stages,
             level,
@@ -110,7 +113,7 @@ impl FftPlan {
     /// # Panics
     /// Panics if `data.len()` differs from the plan length.
     pub fn forward(&self, data: &mut [Complex64]) {
-        self.transform(data, true);
+        self.transform(data, true, 1.0);
     }
 
     /// In-place inverse transform (normalised by `1/N`).
@@ -118,11 +121,7 @@ impl FftPlan {
     /// # Panics
     /// Panics if `data.len()` differs from the plan length.
     pub fn inverse(&self, data: &mut [Complex64]) {
-        self.transform(data, false);
-        let scale = 1.0 / self.len as f64;
-        for v in data.iter_mut() {
-            *v = v.scale(scale);
-        }
+        self.transform(data, false, 1.0 / self.len as f64);
     }
 
     /// In-place inverse transform *without* the `1/N` normalisation.
@@ -130,10 +129,12 @@ impl FftPlan {
     /// Useful when a forward/inverse pair brackets an elementwise operation and
     /// the caller wants to fold the normalisation into that operation.
     pub fn inverse_unnormalized(&self, data: &mut [Complex64]) {
-        self.transform(data, false);
+        self.transform(data, false, 1.0);
     }
 
-    fn transform(&self, data: &mut [Complex64], forward: bool) {
+    /// The line as a one-row field through the row pass, multiplied by
+    /// `scale` as it is written out.
+    fn transform(&self, data: &mut [Complex64], forward: bool, scale: f64) {
         assert_eq!(
             data.len(),
             self.len,
@@ -141,26 +142,21 @@ impl FftPlan {
             self.len,
             data.len()
         );
-        self.permute(data);
-
-        // Iterative Cooley-Tukey butterflies, two stages per sweep (see the
-        // `simd` module for the sweeps and the one-arithmetic contract).
-        let mut pairs = self.stages(forward).chunks_exact(2);
-        for pair in &mut pairs {
-            let (wa, wb) = (&pair[0], &pair[1]);
-            simd::butterfly_pass2(self.level, data, wa, wb);
-        }
-        if let [last] = pairs.remainder() {
-            let (lo, hi) = data.split_at_mut(self.len / 2);
-            simd::butterfly_range(self.level, lo, hi, last);
-        }
+        let pass = RowPass {
+            within: &self.bit_rev,
+            order: &[0],
+            stages: self.stages(forward),
+            scale,
+        };
+        simd::row_pass(self.level, data, None, None, &pass);
     }
 
-    /// Transforms every column of the row-major `len × cols` field `data` in
-    /// place (unnormalised in both directions): the same permutation and the
-    /// same butterflies as [`Self::forward`] / [`Self::inverse_unnormalized`]
-    /// on each column, but whole rows are swapped and paired, so memory is
-    /// walked along the contiguous rows.
+    /// Runs the butterfly stages down every column of the row-major
+    /// `len × cols` field `data` in place (unnormalised in both directions):
+    /// the butterflies [`Self::forward`] / [`Self::inverse_unnormalized`]
+    /// apply to each column, with whole rows paired so memory is walked along
+    /// the contiguous rows. The rows must already be in bit-reversed order —
+    /// the 2-D row pass writes them there.
     pub(crate) fn transform_columns(&self, data: &mut [Complex64], cols: usize, forward: bool) {
         assert_eq!(
             data.len(),
@@ -170,36 +166,23 @@ impl FftPlan {
             cols,
             data.len()
         );
-        for i in 0..self.len {
-            let j = self.bit_rev[i] as usize;
-            if i < j {
-                let (head, tail) = data.split_at_mut(j * cols);
-                head[i * cols..(i + 1) * cols].swap_with_slice(&mut tail[..cols]);
-            }
-        }
         let mut pairs = self.stages(forward).chunks_exact(2);
         for pair in &mut pairs {
-            let (wa, wb) = (&pair[0], &pair[1]);
-            simd::column_pass2(self.level, data, cols, wa, wb);
+            simd::column_pass2(self.level, data, cols, &pair[0], &pair[1]);
         }
         if let [stage] = pairs.remainder() {
             simd::column_pass(self.level, data, cols, stage);
         }
     }
 
-    /// Applies the bit-reversal permutation.
-    fn permute(&self, data: &mut [Complex64]) {
-        for i in 0..self.len {
-            let j = self.bit_rev[i] as usize;
-            if i < j {
-                data.swap(i, j);
-            }
-        }
+    /// The bit-reversal permutation of `0..len`.
+    pub(crate) fn bit_rev(&self) -> &[u32] {
+        &self.bit_rev
     }
 
     /// Per-stage twiddle tables for the given direction (stage `s` holds
     /// `2^s` entries).
-    fn stages(&self, forward: bool) -> &[Vec<Complex64>] {
+    pub(crate) fn stages(&self, forward: bool) -> &[Stage] {
         if forward {
             &self.forward_stages
         } else {

@@ -1,12 +1,25 @@
 //! 2D fast Fourier transforms over [`Array2<Complex64>`](ptycho_array::Array2).
 //!
 //! The 2D transform is a row pass followed by a column pass, both in the
-//! field's own storage. The row pass runs the 1-D plan over each contiguous
-//! row. The column pass does not transpose: it swaps and pairs whole *rows*
-//! (row `k` with row `k + h` under one broadcast twiddle), so its inner loop
-//! also runs along contiguous memory — see `FftPlan::transform_columns` and
-//! the column sweeps of the [`crate::simd`] module. Each column goes through
-//! exactly the butterflies the 1-D plan would apply to it.
+//! field's own storage, each sweeping the field once (see the
+//! [`crate::simd`] module). The row pass takes the rows in pairs `(i,
+//! rev(i))` of the column transform's bit reversal and runs each through
+//! every stage of the 1-D plan while it sits in L1, writing it out at its
+//! bit-reversed row. The column pass then runs only its butterfly stages.
+//! It does not transpose: it pairs whole *rows* (row `k` with row `k + h`
+//! under one broadcast twiddle), so its inner loop also runs along
+//! contiguous memory. Each column goes through exactly the butterflies the
+//! 1-D plan would apply to it.
+//!
+//! # Fused products
+//!
+//! The multi-slice model multiplies a field pointwise before almost every
+//! transform. [`Fft2Plan::forward_fused`] and
+//! [`Fft2Plan::inverse_unnormalized_fused`] fold that product into the row
+//! pass's load — `x·f` or `x·conj(f)` ([`Factor`]) — and can read `x` from a
+//! distinct source field instead of the destination, so a product and a
+//! transform together touch each value once. The result is bit-identical
+//! to the separate multiply followed by the plain transform.
 //!
 //! # In-place transforms
 //!
@@ -22,9 +35,37 @@
 //! is only shape-checked. They stay for the one external caller that still
 //! names them.
 
-use crate::simd::SimdLevel;
-use crate::{CArray2, FftPlan};
+use crate::simd::{self, RowPass, SimdLevel};
+use crate::{CArray2, Complex64, FftPlan};
 use ptycho_array::Array2;
+use std::ops::Range;
+
+/// A pointwise factor a fused transform multiplies each input value by as
+/// its row pass loads it: one value per element of the field, row-major.
+#[derive(Clone, Copy, Debug)]
+pub enum Factor<'a> {
+    /// `x · f`.
+    Mul(&'a [Complex64]),
+    /// `x · conj(f)`.
+    MulConj(&'a [Complex64]),
+}
+
+impl<'a> Factor<'a> {
+    /// The factor values.
+    pub(crate) fn values(self) -> &'a [Complex64] {
+        match self {
+            Factor::Mul(f) | Factor::MulConj(f) => f,
+        }
+    }
+
+    /// The same kind of factor over `range` of the values.
+    pub(crate) fn sub(self, range: Range<usize>) -> Self {
+        match self {
+            Factor::Mul(f) => Factor::Mul(&f[range]),
+            Factor::MulConj(f) => Factor::MulConj(&f[range]),
+        }
+    }
+}
 
 /// A reusable plan for 2D FFTs of a fixed `(rows, cols)` shape (both powers of
 /// two).
@@ -107,7 +148,7 @@ impl Fft2Plan {
     /// # Panics
     /// Panics if the field shape differs from the plan shape.
     pub fn forward_mut(&self, field: &mut CArray2) {
-        self.transform(field, true, 1.0);
+        self.transform(field, None, None, true, 1.0);
     }
 
     /// In-place inverse 2D transform (normalised by `1/(rows·cols)`): zero
@@ -116,7 +157,8 @@ impl Fft2Plan {
     /// # Panics
     /// Panics if the field shape differs from the plan shape.
     pub fn inverse_mut(&self, field: &mut CArray2) {
-        self.transform(field, false, 1.0 / (self.rows * self.cols) as f64);
+        let scale = 1.0 / (self.rows * self.cols) as f64;
+        self.transform(field, None, None, false, scale);
     }
 
     /// In-place inverse 2D transform *without* the `1/(rows·cols)`
@@ -127,7 +169,40 @@ impl Fft2Plan {
     /// # Panics
     /// Panics if the field shape differs from the plan shape.
     pub fn inverse_unnormalized_mut(&self, field: &mut CArray2) {
-        self.transform(field, false, 1.0);
+        self.transform(field, None, None, false, 1.0);
+    }
+
+    /// Forward 2D transform (unnormalised) of `x ⊙ factor` into `field`, `x`
+    /// being `source` when given and `field` itself otherwise: the product
+    /// is taken as the row pass loads each value, so the pair touches every
+    /// value once. Bit-identical to the separate multiply, then
+    /// [`Self::forward_mut`]. Zero heap allocations.
+    ///
+    /// # Panics
+    /// Panics if the field shape differs from the plan shape, or `source` or
+    /// the factor does not hold one value per element of the field.
+    pub fn forward_fused(
+        &self,
+        field: &mut CArray2,
+        source: Option<&[Complex64]>,
+        factor: Option<Factor<'_>>,
+    ) {
+        self.transform(field, source, factor, true, 1.0);
+    }
+
+    /// [`Self::forward_fused`] for the unnormalised inverse transform:
+    /// bit-identical to the separate multiply, then
+    /// [`Self::inverse_unnormalized_mut`].
+    ///
+    /// # Panics
+    /// As [`Self::forward_fused`].
+    pub fn inverse_unnormalized_fused(
+        &self,
+        field: &mut CArray2,
+        source: Option<&[Complex64]>,
+        factor: Option<Factor<'_>>,
+    ) {
+        self.transform(field, source, factor, false, 1.0);
     }
 
     /// [`Self::forward_mut`]; `scratch` is only shape-checked.
@@ -160,9 +235,17 @@ impl Fft2Plan {
         );
     }
 
-    /// Row pass then column pass, unnormalised, with every value multiplied
-    /// by `scale` (a power of two, so exact) while its row is still hot.
-    fn transform(&self, field: &mut CArray2, forward: bool, scale: f64) {
+    /// The fused row pass (reading `source` or `field`, times `factor` on
+    /// load, times `scale` — a power of two, so exact — on write-out, each
+    /// row landing at its bit-reversed row), then the column stages.
+    fn transform(
+        &self,
+        field: &mut CArray2,
+        source: Option<&[Complex64]>,
+        factor: Option<Factor<'_>>,
+        forward: bool,
+        scale: f64,
+    ) {
         assert_eq!(
             field.shape(),
             (self.rows, self.cols),
@@ -171,18 +254,13 @@ impl Fft2Plan {
             field.shape()
         );
         let data = field.as_mut_slice();
-        for row in data.chunks_exact_mut(self.cols) {
-            if forward {
-                self.row_plan.forward(row);
-            } else {
-                self.row_plan.inverse_unnormalized(row);
-            }
-            if scale != 1.0 {
-                for v in row.iter_mut() {
-                    *v = v.scale(scale);
-                }
-            }
-        }
+        let pass = RowPass {
+            within: self.row_plan.bit_rev(),
+            order: self.col_plan.bit_rev(),
+            stages: self.row_plan.stages(forward),
+            scale,
+        };
+        simd::row_pass(self.simd_level(), data, source, factor, &pass);
         self.col_plan.transform_columns(data, self.cols, forward);
     }
 }
@@ -515,6 +593,111 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn fused_transforms_match_a_separate_multiply_then_the_transform() {
+        // Every fused entry — factor on load, conjugated factor, distinct
+        // source, in place, scaled inverse — at every tier, against the
+        // scalar multiply followed by the plain scalar transform. Sizes run
+        // 2⁰ … 2¹⁰ in each direction (1×N, N×1, N×2 leave every sweep its
+        // degenerate cases) plus square and oblong fields with odd and even
+        // stage counts.
+        let mut shapes: Vec<(usize, usize)> = (0..=10)
+            .map(|e| 1usize << e)
+            .flat_map(|n| [(1, n), (n, 1), (n, 2)])
+            .collect();
+        shapes.extend([(4, 4), (8, 16), (16, 8), (32, 32), (64, 128)]);
+        for level in SimdLevel::available_levels() {
+            for &(rows, cols) in &shapes {
+                let scalar = Fft2Plan::with_simd_level(rows, cols, SimdLevel::Scalar);
+                let plan = Fft2Plan::with_simd_level(rows, cols, level);
+                let input = test_field(rows, cols);
+                let f = test_field(rows + 1, cols).as_slice()[cols..].to_vec();
+                let element_count = (rows * cols) as f64;
+                let directions = [(true, 1.0), (false, 1.0), (false, 1.0 / element_count)];
+                let factors = [None, Some(Factor::Mul(&f)), Some(Factor::MulConj(&f))];
+                for (forward, scale) in directions {
+                    for factor in factors {
+                        let mut expected = input.clone();
+                        for (x, &f) in expected.as_mut_slice().iter_mut().zip(&f) {
+                            match factor {
+                                None => {}
+                                Some(Factor::Mul(_)) => *x *= f,
+                                Some(Factor::MulConj(_)) => *x *= f.conj(),
+                            }
+                        }
+                        scalar.transform(&mut expected, None, None, forward, scale);
+                        for from_source in [false, true] {
+                            let mut fused = if from_source {
+                                Array2::full(rows, cols, Complex64::new(f64::NAN, -1.0))
+                            } else {
+                                input.clone()
+                            };
+                            let source = from_source.then_some(input.as_slice());
+                            plan.transform(&mut fused, source, factor, forward, scale);
+                            for (a, b) in expected.as_slice().iter().zip(fused.as_slice()) {
+                                assert_eq!(
+                                    (a.re.to_bits(), a.im.to_bits()),
+                                    (b.re.to_bits(), b.im.to_bits()),
+                                    "{rows}x{cols} at {level:?}, forward={forward}, \
+                                     scale={scale}, factor={factor:?}, source={from_source}"
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn public_fused_entries_are_the_forward_and_unnormalised_inverse() {
+        let plan = Fft2Plan::new(16, 8);
+        let field = test_field(16, 8);
+        let f = Array2::from_fn(16, 8, |r, c| {
+            Complex64::new(1.0 + r as f64 * 0.1, c as f64 * 0.2)
+        });
+        let mut product = field.clone();
+        product.zip_apply(&f, |x, f| *x *= f.conj());
+        for (fused, plain) in [
+            (
+                Fft2Plan::forward_fused as fn(&Fft2Plan, &mut CArray2, _, _),
+                Fft2Plan::forward_mut as fn(&Fft2Plan, &mut CArray2),
+            ),
+            (
+                Fft2Plan::inverse_unnormalized_fused,
+                Fft2Plan::inverse_unnormalized_mut,
+            ),
+        ] {
+            let mut expected = product.clone();
+            plain(&plan, &mut expected);
+            let mut out = Array2::full(16, 8, Complex64::ZERO);
+            fused(
+                &plan,
+                &mut out,
+                Some(field.as_slice()),
+                Some(Factor::MulConj(f.as_slice())),
+            );
+            assert_eq!(out, expected);
+            let mut in_place = field.clone();
+            fused(
+                &plan,
+                &mut in_place,
+                None,
+                Some(Factor::MulConj(f.as_slice())),
+            );
+            assert_eq!(in_place, expected);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "row pass source length")]
+    fn mismatched_source_panics() {
+        let plan = Fft2Plan::new(8, 8);
+        let source = test_field(4, 8);
+        let mut field = Array2::full(8, 8, Complex64::ZERO);
+        plan.forward_fused(&mut field, Some(source.as_slice()), None);
     }
 
     #[test]

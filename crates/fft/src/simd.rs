@@ -2,22 +2,40 @@
 //!
 //! # Sweeps
 //!
-//! A plan drives its data through sweeps, dispatched once per sweep at the
-//! tier fixed at plan construction. The dense plans run **two radix-2
-//! stages per sweep** (`butterfly_pass2` along a contiguous line,
-//! `column_pass2` down the columns of a row-major field): the four values
+//! A transform is two passes over a row-major field, each dispatched once at
+//! the tier fixed at plan construction (a 1-D plan's line is a one-row
+//! field):
+//!
+//! * **The row pass** (`row_pass`) takes each row pair `(i, rev(i))` of the
+//!   column transform's bit reversal and runs both rows through every stage
+//!   of the row transform while they sit in L1. Each row's own bit reversal
+//!   is a gather fused into the first radix-2² sweep when the input comes
+//!   from a distinct source field, or an in-place permutation when it does
+//!   not. An optional pointwise factor (`x·f` or `x·conj(f)`) is applied to
+//!   each value as it is loaded, the remaining stages follow, and the
+//!   inverse's normalisation is applied as each row is written out. The row
+//!   lands at its bit-reversed position, so the column pass does no
+//!   permutation of its own. In place, the two rows of a pair are
+//!   transformed and then swapped while hot, with no scratch.
+//! * **The column pass** (`column_pass2` / `column_pass`) pairs whole
+//!   *rows*: all butterflies between two rows share one twiddle, which is
+//!   broadcast, and the inner loop runs along the contiguous columns. That
+//!   is what lets the 2-D plan transform its columns in place, without
+//!   transposing.
+//!
+//! Both passes run **two radix-2 stages per sweep**: the four values
 //! `x[j], x[j+h], x[j+2h], x[j+3h]` of a `4h` block go through the stage of
 //! half-size `h` and then the stage of half-size `2h` while they sit in
 //! registers. Every butterfly is still `t = b·w; a' = a + t; b' = a − t` with
 //! the same operands and the same twiddle-table entries as two separate
 //! one-stage sweeps, so the result is bit-identical to them; only half the
 //! loads and stores happen. An odd stage count leaves the last stage to a
-//! one-stage sweep (`butterfly_range` / `column_pass`).
-//!
-//! The column sweeps pair whole *rows*: all butterflies between two rows share
-//! one twiddle, which is broadcast, and the inner loop runs along the
-//! contiguous columns. That is what lets the 2-D plan transform its columns
-//! in place, without transposing.
+//! one-stage sweep. The row sweeps read each stage's twiddles pre-split
+//! (`Stage`: `w` and its swap `[w.im, w.re]`), so a product needs no
+//! twiddle permute. The factor, gather, twiddle split, row placement and
+//! scale change where values are read and written, never which operations
+//! produce them: a fused transform is bit-identical to a separate multiply
+//! followed by the plain transform.
 //!
 //! # Dispatch tiers
 //!
@@ -31,7 +49,10 @@
 //!   x86_64 baseline, so this tier needs no runtime check.
 //! * [`SimdLevel::Avx2`] — two `Complex64` per `__m256d`, selected when
 //!   `is_x86_feature_detected!("avx2")` holds. A lone trailing value (odd run
-//!   length, single-column field) goes through the SSE2 lane.
+//!   length, single-column field) goes through the SSE2 lane. The first
+//!   radix-2² sweep of a row holds the four values of a block as the lane
+//!   pairs `[x0, x2]` / `[x1, x3]`, so its first stage is one vector
+//!   butterfly as well.
 //!
 //! # One arithmetic
 //!
@@ -52,9 +73,11 @@
 //! multiply with the add/subtract and drop one rounding per component, which
 //! makes results ULP-close to scalar instead of equal — every golden then
 //! needs a column per tier and a checkpoint cannot resume bit-identically on
-//! a host of another tier. Measured on one AVX2 box (pinned CPU, best of
-//! 2000, one dense 128² forward transform / `iter_s_p50` of `perf_bench`'s
-//! `gd-compute-1r` in calibrated seconds, alternating runs):
+//! a host of another tier. Measured at commit 9bce48f, with one radix-2
+//! stage per sweep and a transposed column pass, on one AVX2 box (pinned
+//! CPU, best of 2000, one dense 128² forward transform / `iter_s_p50` of
+//! `perf_bench`'s `gd-compute-1r` in calibrated seconds, alternating runs),
+//! and not re-measured over the sweeps above:
 //!
 //! | tier               | 128² forward | `gd-compute-1r` iteration |
 //! |--------------------|-------------:|--------------------------:|
@@ -78,6 +101,7 @@
 // `re, im` f64 sequence).
 #![cfg_attr(target_arch = "x86_64", allow(unsafe_code))]
 
+use crate::fft2d::Factor;
 use crate::Complex64;
 
 /// The instruction-set tier a plan's butterfly kernels run at.
@@ -150,50 +174,101 @@ macro_rules! dispatch {
     };
 }
 
-// The sweeps. Twiddle tables are a plan's per-stage tables: the stage of
-// half-size `h` (blocks of `2h`) has `h` entries. Every kernel walks
-// `chunks_exact_mut` blocks, which are whole by construction — a ragged tail,
-// which no plan produces, would be left untouched, and an empty table panics
-// there — so the one relation checked up front is the one the kernels index
-// by without a slice's own bounds behind it: a two-stage sweep reads `2h`
-// entries of the second table for the `h` of the first.
+// The sweeps. A stage table belongs to a plan: the stage of half-size `h`
+// (blocks of `2h`) has `h` entries, so stage `s` of a length-`n` transform
+// has `2^s`. The dispatchers check every relation a kernel indexes by without
+// a slice's own bounds behind it.
 
-/// One stage over paired runs — `lo[k]`, `hi[k]` under twiddle `tw[k]`, for
-/// every `k` all three runs have: the 1-D plan's odd last stage.
-pub(crate) fn butterfly_range(
-    level: SimdLevel,
-    lo: &mut [Complex64],
-    hi: &mut [Complex64],
-    tw: &[Complex64],
-) {
-    debug_assert!(lo.len() == hi.len() && lo.len() == tw.len());
-    dispatch!(level, scalar_range, sse2_range, avx2_range, (lo, hi, tw))
+/// One butterfly stage's twiddles `w[k]`, and the same values with their
+/// parts swapped, `[w.im, w.re]`. The vector tiers' products read both, so
+/// they do no twiddle permute; the swap is exact, so the split moves no bit.
+#[derive(Clone, Debug)]
+pub(crate) struct Stage {
+    w: Vec<Complex64>,
+    swapped: Vec<Complex64>,
 }
 
-/// Two stages over every `4h`-block of a contiguous line: the stage `wa` (`h`
-/// entries), then the stage `wb` (`2h` entries).
+impl Stage {
+    pub(crate) fn new(w: Vec<Complex64>) -> Self {
+        let swapped = w.iter().map(|w| Complex64::new(w.im, w.re)).collect();
+        Self { w, swapped }
+    }
+
+    /// The conjugated table (exact), for the inverse direction.
+    pub(crate) fn conj(&self) -> Self {
+        Self::new(self.w.iter().map(|w| w.conj()).collect())
+    }
+
+    fn len(&self) -> usize {
+        self.w.len()
+    }
+}
+
+/// The tables a row pass runs with (see the module docs).
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct RowPass<'a> {
+    /// The bit reversal within a row; its length is the row length.
+    pub within: &'a [u32],
+    /// The column transform's bit reversal: input row `i` is written to row
+    /// `order[i]`. Its length is the row count.
+    pub order: &'a [u32],
+    /// The row transform's stage tables, stage `s` holding `2^s` entries.
+    pub stages: &'a [Stage],
+    /// What every output value is multiplied by (`1.0`: nothing).
+    pub scale: f64,
+}
+
+/// The row pass over the row-major field `data`: input row `i` — of `source`,
+/// or of `data` itself when `None` — is loaded times `factor`, transformed,
+/// multiplied by `pass.scale` and written to row `pass.order[i]`.
 ///
 /// # Panics
-/// Panics if `wb` is not twice as long as `wa`.
-pub(crate) fn butterfly_pass2(
+/// Panics if `data` is not `order.len()` rows of `within.len()` values,
+/// `source` or `factor` is not as long as `data`, a bit-reversal table holds
+/// an index outside its own length, or the stage tables do not fit the row.
+pub(crate) fn row_pass(
     level: SimdLevel,
     data: &mut [Complex64],
-    wa: &[Complex64],
-    wb: &[Complex64],
+    source: Option<&[Complex64]>,
+    factor: Option<Factor<'_>>,
+    pass: &RowPass<'_>,
 ) {
-    assert_eq!(wb.len(), 2 * wa.len(), "second-stage twiddle table");
-    dispatch!(level, scalar_pass2, sse2_pass2, avx2_pass2, (data, wa, wb))
+    let n = pass.within.len();
+    assert_eq!(data.len(), n * pass.order.len(), "row pass field length");
+    if let Some(source) = source {
+        assert_eq!(source.len(), data.len(), "row pass source length");
+    }
+    if let Some(factor) = factor {
+        assert_eq!(factor.values().len(), data.len(), "row pass factor length");
+    }
+    for table in [pass.within, pass.order] {
+        assert!(
+            table.iter().all(|&r| (r as usize) < table.len()),
+            "bit-reversal table"
+        );
+    }
+    assert!(
+        1 << pass.stages.len() == n
+            && pass
+                .stages
+                .iter()
+                .enumerate()
+                .all(|(s, t)| t.len() == 1 << s),
+        "row stage tables"
+    );
+    dispatch!(
+        level,
+        scalar_rows,
+        sse2_rows,
+        avx2_rows,
+        (data, source, factor, pass)
+    )
 }
 
 /// One stage down the columns of a row-major field of row length `cols`: every
 /// `2h`-block of rows pairs row `k` with row `k + h` under the broadcast
 /// twiddle `stage[k]`.
-pub(crate) fn column_pass(
-    level: SimdLevel,
-    data: &mut [Complex64],
-    cols: usize,
-    stage: &[Complex64],
-) {
+pub(crate) fn column_pass(level: SimdLevel, data: &mut [Complex64], cols: usize, stage: &Stage) {
     dispatch!(
         level,
         scalar_column,
@@ -203,7 +278,8 @@ pub(crate) fn column_pass(
     )
 }
 
-/// Two stages down the columns, over every `4h`-block of rows.
+/// Two stages down the columns, over every `4h`-block of rows: the stage `wa`
+/// (`h` entries), then the stage `wb` (`2h` entries).
 ///
 /// # Panics
 /// Panics if `wb` is not twice as long as `wa`.
@@ -211,8 +287,8 @@ pub(crate) fn column_pass2(
     level: SimdLevel,
     data: &mut [Complex64],
     cols: usize,
-    wa: &[Complex64],
-    wb: &[Complex64],
+    wa: &Stage,
+    wb: &Stage,
 ) {
     assert_eq!(wb.len(), 2 * wa.len(), "second-stage twiddle table");
     dispatch!(
@@ -225,12 +301,94 @@ pub(crate) fn column_pass2(
 }
 
 // The portable sweeps. The butterfly is the exact operation sequence
-// `t = b·w; a' = a + t; b' = a − t` — the bit-identity reference for every
-// other tier.
+// `t = b·w; a' = a + t; b' = a − t`, and a loaded value is `x · f` or
+// `x · conj(f)` exactly as a separate multiply computes it — the bit-identity
+// reference for every other tier.
 
-fn scalar_range(lo: &mut [Complex64], hi: &mut [Complex64], tw: &[Complex64]) {
-    for ((a, b), w) in lo.iter_mut().zip(hi.iter_mut()).zip(tw) {
-        butterfly(a, b, *w);
+fn scalar_rows(
+    data: &mut [Complex64],
+    source: Option<&[Complex64]>,
+    factor: Option<Factor<'_>>,
+    pass: &RowPass<'_>,
+) {
+    let n = pass.within.len();
+    let row = |r: usize| r * n..(r + 1) * n;
+    let factor_of = |r: usize| factor.map(|f| f.sub(row(r)));
+    for (i, &j) in pass.order.iter().enumerate() {
+        let j = j as usize;
+        if j < i {
+            continue;
+        }
+        match source {
+            Some(source) => {
+                scalar_row_from(&mut data[row(j)], &source[row(i)], factor_of(i), pass);
+                if i != j {
+                    scalar_row_from(&mut data[row(i)], &source[row(j)], factor_of(j), pass);
+                }
+            }
+            None => {
+                scalar_row_in_place(&mut data[row(i)], factor_of(i), pass);
+                if i != j {
+                    scalar_row_in_place(&mut data[row(j)], factor_of(j), pass);
+                    let (head, tail) = data.split_at_mut(j * n);
+                    head[row(i)].swap_with_slice(&mut tail[..n]);
+                }
+            }
+        }
+    }
+}
+
+/// `values[i]` times the factor at `i`.
+fn load(values: &[Complex64], factor: Option<Factor<'_>>, i: usize) -> Complex64 {
+    match factor {
+        None => values[i],
+        Some(Factor::Mul(f)) => values[i] * f[i],
+        Some(Factor::MulConj(f)) => values[i] * f[i].conj(),
+    }
+}
+
+fn scalar_row_from(
+    row: &mut [Complex64],
+    source: &[Complex64],
+    factor: Option<Factor<'_>>,
+    pass: &RowPass<'_>,
+) {
+    for (x, &r) in row.iter_mut().zip(pass.within) {
+        *x = load(source, factor, r as usize);
+    }
+    scalar_stages(row, pass);
+}
+
+fn scalar_row_in_place(row: &mut [Complex64], factor: Option<Factor<'_>>, pass: &RowPass<'_>) {
+    for (k, &r) in pass.within.iter().enumerate() {
+        let r = r as usize;
+        if k < r {
+            let (a, b) = (load(row, factor, r), load(row, factor, k));
+            row[k] = a;
+            row[r] = b;
+        } else if k == r {
+            row[k] = load(row, factor, k);
+        }
+    }
+    scalar_stages(row, pass);
+}
+
+/// Every stage of the row transform over a permuted row, then the scale.
+fn scalar_stages(row: &mut [Complex64], pass: &RowPass<'_>) {
+    let mut pairs = pass.stages.chunks_exact(2);
+    for pair in &mut pairs {
+        scalar_pass2(row, &pair[0].w, &pair[1].w);
+    }
+    if let [last] = pairs.remainder() {
+        let (lo, hi) = row.split_at_mut(row.len() / 2);
+        for ((a, b), w) in lo.iter_mut().zip(hi.iter_mut()).zip(&last.w) {
+            butterfly(a, b, *w);
+        }
+    }
+    if pass.scale != 1.0 {
+        for x in row.iter_mut() {
+            *x = x.scale(pass.scale);
+        }
     }
 }
 
@@ -247,14 +405,14 @@ fn scalar_pass2(data: &mut [Complex64], wa: &[Complex64], wb: &[Complex64]) {
     }
 }
 
-fn scalar_column(data: &mut [Complex64], cols: usize, stage: &[Complex64]) {
+fn scalar_column(data: &mut [Complex64], cols: usize, stage: &Stage) {
     let h = stage.len();
     for block in data.chunks_exact_mut(2 * h * cols) {
         let (lo, hi) = block.split_at_mut(h * cols);
         for ((lo, hi), w) in lo
             .chunks_exact_mut(cols)
             .zip(hi.chunks_exact_mut(cols))
-            .zip(stage)
+            .zip(&stage.w)
         {
             for (a, b) in lo.iter_mut().zip(hi) {
                 butterfly(a, b, *w);
@@ -263,16 +421,16 @@ fn scalar_column(data: &mut [Complex64], cols: usize, stage: &[Complex64]) {
     }
 }
 
-fn scalar_column2(data: &mut [Complex64], cols: usize, wa: &[Complex64], wb: &[Complex64]) {
+fn scalar_column2(data: &mut [Complex64], cols: usize, wa: &Stage, wb: &Stage) {
     let h = wa.len();
-    let (wb0, wb1) = wb.split_at(h);
+    let (wb0, wb1) = wb.w.split_at(h);
     for block in data.chunks_exact_mut(4 * h * cols) {
         let [q0, q1, q2, q3] = quarters(block, h * cols);
         for j in 0..h {
             let row = j * cols..(j + 1) * cols;
             let (x0, x1) = (&mut q0[row.clone()], &mut q1[row.clone()]);
             let (x2, x3) = (&mut q2[row.clone()], &mut q3[row]);
-            let (wa, wb0, wb1) = (wa[j], wb0[j], wb1[j]);
+            let (wa, wb0, wb1) = (wa.w[j], wb0[j], wb1[j]);
             for c in 0..cols {
                 butterfly2(&mut x0[c], &mut x1[c], &mut x2[c], &mut x3[c], wa, wb0, wb1);
             }
@@ -316,7 +474,9 @@ fn butterfly2(
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::Complex64;
+    use super::{RowPass, Stage};
+    use crate::fft2d::Factor;
+    use crate::Complex64;
     use core::arch::x86_64::*;
 
     /// A vector of `N` complex values and the butterfly arithmetic on it.
@@ -334,13 +494,35 @@ mod x86 {
         /// The one-value tier that finishes a run whose length `N` does not
         /// divide.
         type Tail: Lanes;
+        /// The first radix-2² sweep's twiddles, held in registers.
+        type Quad: Copy;
         unsafe fn load(p: *const Complex64) -> Self::V;
         unsafe fn store(p: *mut Complex64, v: Self::V);
         unsafe fn splat(w: Complex64) -> Self::V;
-        /// The complex products `b·w`, lane by lane.
-        unsafe fn mul(b: Self::V, w: Self::V) -> Self::V;
+        /// `[w.im, w.re]` of every value (exact).
+        unsafe fn swap(w: Self::V) -> Self::V;
+        /// `conj(w)` of every value: the imaginary sign flipped (exact).
+        unsafe fn conj(w: Self::V) -> Self::V;
+        /// The complex products `b·w`, lane by lane, given `w` and
+        /// `swap(w)`.
+        unsafe fn mul(b: Self::V, w: Self::V, w_swapped: Self::V) -> Self::V;
         unsafe fn add(a: Self::V, b: Self::V) -> Self::V;
         unsafe fn sub(a: Self::V, b: Self::V) -> Self::V;
+        /// Every part times the real `s`, as `Complex64::scale`.
+        unsafe fn scale(v: Self::V, s: f64) -> Self::V;
+        /// Loads the first two stages' twiddles (one, then two entries).
+        unsafe fn quad_twiddles(wa: &Stage, wb: &Stage) -> Self::Quad;
+        /// `super::butterfly2` on the values at `idx` of `src`, each times
+        /// its factor as kind `K` asks, under the first two stages'
+        /// twiddles; the block is stored at `out[0..4]`. Every value is
+        /// loaded before any is stored, so `out` may be the block read.
+        unsafe fn quad<const K: u8>(
+            src: *const Complex64,
+            factor: *const Complex64,
+            idx: [usize; 4],
+            tw: Self::Quad,
+            out: *mut Complex64,
+        );
     }
 
     /// One `Complex64` per `__m128d`.
@@ -352,6 +534,7 @@ mod x86 {
         const N: usize = 1;
         type V = __m128d;
         type Tail = Sse2;
+        type Quad = [(__m128d, __m128d); 3];
         #[inline(always)]
         unsafe fn load(p: *const Complex64) -> __m128d {
             _mm_loadu_pd(p as *const f64)
@@ -364,19 +547,26 @@ mod x86 {
         unsafe fn splat(w: Complex64) -> __m128d {
             _mm_set_pd(w.im, w.re)
         }
+        #[inline(always)]
+        unsafe fn swap(w: __m128d) -> __m128d {
+            _mm_shuffle_pd(w, w, 0b01)
+        }
+        #[inline(always)]
+        unsafe fn conj(w: __m128d) -> __m128d {
+            _mm_xor_pd(w, _mm_set_pd(-0.0, 0.0))
+        }
         /// Replicates the scalar complex multiply
         /// `(b.re·w.re − b.im·w.im, b.re·w.im + b.im·w.re)` with the same two
         /// multiplies and one add/subtract per lane — bit-identical.
         #[inline(always)]
-        unsafe fn mul(b: __m128d, w: __m128d) -> __m128d {
+        unsafe fn mul(b: __m128d, w: __m128d, w_swapped: __m128d) -> __m128d {
             let bre = _mm_unpacklo_pd(b, b); // [b.re, b.re]
             let bim = _mm_unpackhi_pd(b, b); // [b.im, b.im]
-            let wsw = _mm_shuffle_pd(w, w, 0b01); // [w.im, w.re]
 
             // `[-0.0, 0.0]`: XORing flips the sign of lane 0 only, turning
             // the add into `[x0 − y0, x1 + y1]` (IEEE subtraction *is*
             // addition of the negation, so this matches the scalar subtract).
-            let prod_im = _mm_xor_pd(_mm_mul_pd(bim, wsw), _mm_set_pd(0.0, -0.0));
+            let prod_im = _mm_xor_pd(_mm_mul_pd(bim, w_swapped), _mm_set_pd(0.0, -0.0));
             _mm_add_pd(_mm_mul_pd(bre, w), prod_im)
         }
         #[inline(always)]
@@ -387,12 +577,48 @@ mod x86 {
         unsafe fn sub(a: __m128d, b: __m128d) -> __m128d {
             _mm_sub_pd(a, b)
         }
+        #[inline(always)]
+        unsafe fn scale(v: __m128d, s: f64) -> __m128d {
+            _mm_mul_pd(v, _mm_set1_pd(s))
+        }
+        #[inline(always)]
+        unsafe fn quad_twiddles(wa: &Stage, wb: &Stage) -> Self::Quad {
+            [
+                (Self::splat(wa.w[0]), Self::splat(wa.swapped[0])),
+                (Self::splat(wb.w[0]), Self::splat(wb.swapped[0])),
+                (Self::splat(wb.w[1]), Self::splat(wb.swapped[1])),
+            ]
+        }
+        #[inline(always)]
+        unsafe fn quad<const K: u8>(
+            src: *const Complex64,
+            factor: *const Complex64,
+            idx: [usize; 4],
+            [wa, wb0, wb1]: Self::Quad,
+            out: *mut Complex64,
+        ) {
+            let x0 = load_times::<Self, K>(src, factor, idx[0]);
+            let x1 = load_times::<Self, K>(src, factor, idx[1]);
+            let x2 = load_times::<Self, K>(src, factor, idx[2]);
+            let x3 = load_times::<Self, K>(src, factor, idx[3]);
+            let t = Self::mul(x1, wa.0, wa.1);
+            let (y0, y1) = (Self::add(x0, t), Self::sub(x0, t));
+            let t = Self::mul(x3, wa.0, wa.1);
+            let (y2, y3) = (Self::add(x2, t), Self::sub(x2, t));
+            let t = Self::mul(y2, wb0.0, wb0.1);
+            Self::store(out, Self::add(y0, t));
+            Self::store(out.add(2), Self::sub(y0, t));
+            let t = Self::mul(y3, wb1.0, wb1.1);
+            Self::store(out.add(1), Self::add(y1, t));
+            Self::store(out.add(3), Self::sub(y1, t));
+        }
     }
 
     impl Lanes for Avx2 {
         const N: usize = 2;
         type V = __m256d;
         type Tail = Sse2;
+        type Quad = [(__m256d, __m256d); 2];
         #[inline(always)]
         unsafe fn load(p: *const Complex64) -> __m256d {
             _mm256_loadu_pd(p as *const f64)
@@ -405,17 +631,24 @@ mod x86 {
         unsafe fn splat(w: Complex64) -> __m256d {
             _mm256_set_pd(w.im, w.re, w.im, w.re)
         }
+        #[inline(always)]
+        unsafe fn swap(w: __m256d) -> __m256d {
+            _mm256_permute_pd(w, 0b0101)
+        }
+        #[inline(always)]
+        unsafe fn conj(w: __m256d) -> __m256d {
+            _mm256_xor_pd(w, _mm256_set_pd(-0.0, 0.0, -0.0, 0.0))
+        }
         /// [`Sse2::mul`] on two values: both products rounded, then
         /// `addsub` — deliberately not `vfmaddsub`, which would drop a
         /// rounding (see the module docs).
         #[inline(always)]
-        unsafe fn mul(b: __m256d, w: __m256d) -> __m256d {
+        unsafe fn mul(b: __m256d, w: __m256d, w_swapped: __m256d) -> __m256d {
             let bre = _mm256_movedup_pd(b); // [b0.re, b0.re, b1.re, b1.re]
             let bim = _mm256_permute_pd(b, 0b1111); // [b0.im, b0.im, b1.im, b1.im]
-            let wsw = _mm256_permute_pd(w, 0b0101); // [w0.im, w0.re, w1.im, w1.re]
 
             // even lanes: b.re·w.re − b.im·w.im, odd lanes: b.re·w.im + b.im·w.re
-            _mm256_addsub_pd(_mm256_mul_pd(bre, w), _mm256_mul_pd(bim, wsw))
+            _mm256_addsub_pd(_mm256_mul_pd(bre, w), _mm256_mul_pd(bim, w_swapped))
         }
         #[inline(always)]
         unsafe fn add(a: __m256d, b: __m256d) -> __m256d {
@@ -425,33 +658,139 @@ mod x86 {
         unsafe fn sub(a: __m256d, b: __m256d) -> __m256d {
             _mm256_sub_pd(a, b)
         }
-    }
-
-    /// Where a run's twiddles come from: one table entry per butterfly
-    /// (contiguous line) or one value for the whole run (column sweeps).
-    trait Twiddle: Copy {
-        unsafe fn get<L: Lanes>(self, k: usize) -> L::V;
-    }
-
-    impl Twiddle for *const Complex64 {
         #[inline(always)]
-        unsafe fn get<L: Lanes>(self, k: usize) -> L::V {
-            L::load(self.add(k))
+        unsafe fn scale(v: __m256d, s: f64) -> __m256d {
+            _mm256_mul_pd(v, _mm256_set1_pd(s))
+        }
+        /// `[wa, wa]` and the stage-2 table `[wb0, wb1]`, each with its swap.
+        #[inline(always)]
+        unsafe fn quad_twiddles(wa: &Stage, wb: &Stage) -> Self::Quad {
+            [
+                (Self::splat(wa.w[0]), Self::splat(wa.swapped[0])),
+                (Self::load(wb.w.as_ptr()), Self::load(wb.swapped.as_ptr())),
+            ]
+        }
+        /// The block as the lane pairs `[x0, x2]` / `[x1, x3]`: the first
+        /// stage's two butterflies are one vector butterfly, and one
+        /// 128-bit-lane shuffle pairs its outputs as `[y0, y1]` / `[y2, y3]`
+        /// for the second stage's two.
+        #[inline(always)]
+        unsafe fn quad<const K: u8>(
+            src: *const Complex64,
+            factor: *const Complex64,
+            idx: [usize; 4],
+            [wa, wb]: Self::Quad,
+            out: *mut Complex64,
+        ) {
+            let (mut a, mut b) = (pair(src, idx[0], idx[2]), pair(src, idx[1], idx[3]));
+            if K != ONE {
+                a = times::<Self, K>(a, pair(factor, idx[0], idx[2]));
+                b = times::<Self, K>(b, pair(factor, idx[1], idx[3]));
+            }
+            let t = Self::mul(b, wa.0, wa.1);
+            let (y02, y13) = (Self::add(a, t), Self::sub(a, t));
+            let lo = _mm256_permute2f128_pd(y02, y13, 0x20); // [y0, y1]
+            let hi = _mm256_permute2f128_pd(y02, y13, 0x31); // [y2, y3]
+            let t = Self::mul(hi, wb.0, wb.1);
+            Self::store(out, Self::add(lo, t));
+            Self::store(out.add(2), Self::sub(lo, t));
+        }
+    }
+
+    /// The values at `lo` and `hi` of `p` as one `[p[lo], p[hi]]` vector.
+    ///
+    /// # Safety
+    /// `p + lo` and `p + hi` must each address a valid value.
+    #[inline(always)]
+    unsafe fn pair(p: *const Complex64, lo: usize, hi: usize) -> __m256d {
+        _mm256_set_m128d(
+            _mm_loadu_pd(p.add(hi) as *const f64),
+            _mm_loadu_pd(p.add(lo) as *const f64),
+        )
+    }
+
+    // The factor kinds a row pass is instantiated for.
+    const ONE: u8 = 0;
+    const MUL: u8 = 1;
+    const CONJ: u8 = 2;
+
+    /// `x · f`, or `x · conj(f)` for `CONJ`, value by value.
+    ///
+    /// # Safety
+    /// The CPU must support `L`.
+    #[inline(always)]
+    unsafe fn times<L: Lanes, const K: u8>(x: L::V, f: L::V) -> L::V {
+        let f = if K == CONJ { L::conj(f) } else { f };
+        L::mul(x, f, L::swap(f))
+    }
+
+    /// The value(s) at `i` of `src`, times the factor at `i` unless `K` is
+    /// `ONE` (when `factor` is never read).
+    ///
+    /// # Safety
+    /// `src + i`, and unless `K` is `ONE` `factor + i`, must address `L::N`
+    /// valid values.
+    #[inline(always)]
+    unsafe fn load_times<L: Lanes, const K: u8>(
+        src: *const Complex64,
+        factor: *const Complex64,
+        i: usize,
+    ) -> L::V {
+        let x = L::load(src.add(i));
+        if K == ONE {
+            x
+        } else {
+            times::<L, K>(x, L::load(factor.add(i)))
+        }
+    }
+
+    /// Where a run's twiddles come from: a stage table (row sweeps) or one
+    /// value for the whole run (column sweeps).
+    trait Twiddle: Copy {
+        /// `(w, swap(w))` for the butterflies at `k`.
+        unsafe fn get<L: Lanes>(self, k: usize) -> (L::V, L::V);
+    }
+
+    /// A stage table, read from one entry on.
+    #[derive(Clone, Copy)]
+    struct Table {
+        w: *const Complex64,
+        swapped: *const Complex64,
+    }
+
+    impl Table {
+        fn of(stage: &Stage, from: usize) -> Self {
+            Self {
+                w: stage.w[from..].as_ptr(),
+                swapped: stage.swapped[from..].as_ptr(),
+            }
+        }
+    }
+
+    impl Twiddle for Table {
+        #[inline(always)]
+        unsafe fn get<L: Lanes>(self, k: usize) -> (L::V, L::V) {
+            (L::load(self.w.add(k)), L::load(self.swapped.add(k)))
         }
     }
 
     impl Twiddle for Complex64 {
         #[inline(always)]
-        unsafe fn get<L: Lanes>(self, _k: usize) -> L::V {
-            L::splat(self)
+        unsafe fn get<L: Lanes>(self, _k: usize) -> (L::V, L::V) {
+            (L::splat(self), L::splat(Complex64::new(self.im, self.re)))
         }
     }
 
     /// # Safety
     /// `a + k` and `b + k` must address `L::N` valid values.
     #[inline(always)]
-    unsafe fn butterfly<L: Lanes>(a: *mut Complex64, b: *mut Complex64, k: usize, w: L::V) {
-        let t = L::mul(L::load(b.add(k)), w);
+    unsafe fn butterfly<L: Lanes>(
+        a: *mut Complex64,
+        b: *mut Complex64,
+        k: usize,
+        (w, ws): (L::V, L::V),
+    ) {
+        let t = L::mul(L::load(b.add(k)), w, ws);
         let u = L::load(a.add(k));
         L::store(a.add(k), L::add(u, t));
         L::store(b.add(k), L::sub(u, t));
@@ -466,21 +805,21 @@ mod x86 {
     unsafe fn butterfly2<L: Lanes>(
         x: [*mut Complex64; 4],
         k: usize,
-        wa: L::V,
-        wb0: L::V,
-        wb1: L::V,
+        wa: (L::V, L::V),
+        wb0: (L::V, L::V),
+        wb1: (L::V, L::V),
     ) {
         let [x0, x1, x2, x3] = x.map(|p| p.add(k));
-        let t = L::mul(L::load(x1), wa);
+        let t = L::mul(L::load(x1), wa.0, wa.1);
         let u = L::load(x0);
         let (y0, y1) = (L::add(u, t), L::sub(u, t));
-        let t = L::mul(L::load(x3), wa);
+        let t = L::mul(L::load(x3), wa.0, wa.1);
         let u = L::load(x2);
         let (y2, y3) = (L::add(u, t), L::sub(u, t));
-        let t = L::mul(y2, wb0);
+        let t = L::mul(y2, wb0.0, wb0.1);
         L::store(x0, L::add(y0, t));
         L::store(x2, L::sub(y0, t));
-        let t = L::mul(y3, wb1);
+        let t = L::mul(y3, wb1.0, wb1.1);
         L::store(x1, L::add(y1, t));
         L::store(x3, L::sub(y1, t));
     }
@@ -526,53 +865,181 @@ mod x86 {
     }
 
     // The sweeps of the parent module, once over `Lanes`. Each relies on what
-    // its dispatcher established: the CPU supports `L`, and for the two-stage
-    // sweeps `wb.len() == 2 * wa.len()`. All other indexing stays inside a
+    // its dispatcher established: the CPU supports `L`; for the row pass the
+    // field, source and factor lengths, the bit-reversal tables' ranges and
+    // the stage table lengths; for the two-stage column sweep
+    // `wb.len() == 2 * wa.len()`. All other indexing stays inside a
     // `chunks_exact_mut` block or a slice's own length.
 
     #[inline(always)]
-    unsafe fn range<L: Lanes>(lo: &mut [Complex64], hi: &mut [Complex64], tw: &[Complex64]) {
-        // Like the scalar zip: as many butterflies as all three runs have.
-        let n = lo.len().min(hi.len()).min(tw.len());
-        run1::<L, _>(lo.as_mut_ptr(), hi.as_mut_ptr(), tw.as_ptr(), n);
-    }
-
-    #[inline(always)]
-    unsafe fn pass2<L: Lanes>(data: &mut [Complex64], wa: &[Complex64], wb: &[Complex64]) {
-        let h = wa.len();
-        let (wa, wb) = (wa.as_ptr(), wb.as_ptr());
-        for block in data.chunks_exact_mut(4 * h) {
-            let x0 = block.as_mut_ptr();
-            let x = [x0, x0.add(h), x0.add(2 * h), x0.add(3 * h)];
-            run2::<L, _>(x, wa, wb, wb.add(h), h);
+    unsafe fn rows<L: Lanes>(
+        data: &mut [Complex64],
+        source: Option<&[Complex64]>,
+        factor: Option<Factor<'_>>,
+        pass: &RowPass<'_>,
+    ) {
+        let null = core::ptr::null();
+        match factor {
+            None => rows_by::<L, ONE>(data, source, null, pass),
+            Some(Factor::Mul(f)) => rows_by::<L, MUL>(data, source, f.as_ptr(), pass),
+            Some(Factor::MulConj(f)) => rows_by::<L, CONJ>(data, source, f.as_ptr(), pass),
         }
     }
 
     #[inline(always)]
-    unsafe fn column<L: Lanes>(data: &mut [Complex64], cols: usize, stage: &[Complex64]) {
+    unsafe fn rows_by<L: Lanes, const K: u8>(
+        data: &mut [Complex64],
+        source: Option<&[Complex64]>,
+        factor: *const Complex64,
+        pass: &RowPass<'_>,
+    ) {
+        let n = pass.within.len();
+        let quad = if n >= 4 {
+            Some(L::quad_twiddles(&pass.stages[0], &pass.stages[1]))
+        } else {
+            None
+        };
+        let base = data.as_mut_ptr();
+        for (i, &j) in pass.order.iter().enumerate() {
+            let j = j as usize;
+            if j < i {
+                continue;
+            }
+            let (row_i, row_j) = (base.add(i * n), base.add(j * n));
+            let (factor_i, factor_j) = (factor.wrapping_add(i * n), factor.wrapping_add(j * n));
+            match source {
+                Some(source) => {
+                    let src = source.as_ptr();
+                    row_from::<L, K>(row_j, src.add(i * n), factor_i, quad, pass);
+                    if i != j {
+                        row_from::<L, K>(row_i, src.add(j * n), factor_j, quad, pass);
+                    }
+                }
+                None => {
+                    row_in_place::<L, K>(row_i, factor_i, quad, pass);
+                    if i != j {
+                        row_in_place::<L, K>(row_j, factor_j, quad, pass);
+                        core::ptr::swap_nonoverlapping(row_i, row_j, n);
+                    }
+                }
+            }
+        }
+    }
+
+    /// One row from a distinct source: the gather, times the factor, fused
+    /// into the first radix-2² sweep, then the remaining stages and the
+    /// scale.
+    #[inline(always)]
+    unsafe fn row_from<L: Lanes, const K: u8>(
+        row: *mut Complex64,
+        src: *const Complex64,
+        factor: *const Complex64,
+        quad: Option<L::Quad>,
+        pass: &RowPass<'_>,
+    ) {
+        let rev = pass.within;
+        match quad {
+            Some(tw) => {
+                for (b, r) in rev.chunks_exact(4).enumerate() {
+                    let idx = [r[0], r[1], r[2], r[3]].map(|r| r as usize);
+                    L::quad::<K>(src, factor, idx, tw, row.add(4 * b));
+                }
+                stages::<L>(row, &pass.stages[2..], pass);
+            }
+            None => {
+                for (k, &r) in rev.iter().enumerate() {
+                    let x = load_times::<L::Tail, K>(src, factor, r as usize);
+                    <L::Tail as Lanes>::store(row.add(k), x);
+                }
+                stages::<L>(row, pass.stages, pass);
+            }
+        }
+    }
+
+    /// One row in place: permuted in place (each value times its factor),
+    /// then every stage and the scale.
+    #[inline(always)]
+    unsafe fn row_in_place<L: Lanes, const K: u8>(
+        row: *mut Complex64,
+        factor: *const Complex64,
+        quad: Option<L::Quad>,
+        pass: &RowPass<'_>,
+    ) {
+        for (k, &r) in pass.within.iter().enumerate() {
+            let r = r as usize;
+            if k < r {
+                let a = load_times::<L::Tail, K>(row, factor, r);
+                let b = load_times::<L::Tail, K>(row, factor, k);
+                <L::Tail as Lanes>::store(row.add(k), a);
+                <L::Tail as Lanes>::store(row.add(r), b);
+            } else if k == r && K != ONE {
+                let x = load_times::<L::Tail, K>(row, factor, k);
+                <L::Tail as Lanes>::store(row.add(k), x);
+            }
+        }
+        match quad {
+            Some(tw) => {
+                let null = core::ptr::null();
+                for k in (0..pass.within.len()).step_by(4) {
+                    L::quad::<ONE>(row, null, [k, k + 1, k + 2, k + 3], tw, row.add(k));
+                }
+                stages::<L>(row, &pass.stages[2..], pass);
+            }
+            None => stages::<L>(row, pass.stages, pass),
+        }
+    }
+
+    /// The given stages over a row in bit-reversed order, two per sweep and
+    /// an odd last one alone, then the scale.
+    #[inline(always)]
+    unsafe fn stages<L: Lanes>(row: *mut Complex64, stages: &[Stage], pass: &RowPass<'_>) {
+        let n = pass.within.len();
+        let mut pairs = stages.chunks_exact(2);
+        for pair in &mut pairs {
+            let (wa, wb) = (&pair[0], &pair[1]);
+            let h = wa.len();
+            for start in (0..n).step_by(4 * h) {
+                let x0 = row.add(start);
+                let x = [x0, x0.add(h), x0.add(2 * h), x0.add(3 * h)];
+                run2::<L, _>(x, Table::of(wa, 0), Table::of(wb, 0), Table::of(wb, h), h);
+            }
+        }
+        if let [last] = pairs.remainder() {
+            run1::<L, _>(row, row.add(n / 2), Table::of(last, 0), n / 2);
+        }
+        if pass.scale != 1.0 {
+            let mut k = 0;
+            while k + L::N <= n {
+                L::store(row.add(k), L::scale(L::load(row.add(k)), pass.scale));
+                k += L::N;
+            }
+            if k < n {
+                let x = <L::Tail as Lanes>::load(row.add(k));
+                <L::Tail as Lanes>::store(row.add(k), <L::Tail as Lanes>::scale(x, pass.scale));
+            }
+        }
+    }
+
+    #[inline(always)]
+    unsafe fn column<L: Lanes>(data: &mut [Complex64], cols: usize, stage: &Stage) {
         let h = stage.len();
         for block in data.chunks_exact_mut(2 * h * cols) {
             let lo = block.as_mut_ptr();
             let hi = lo.add(h * cols);
-            for (k, w) in stage.iter().enumerate() {
+            for (k, w) in stage.w.iter().enumerate() {
                 run1::<L, _>(lo.add(k * cols), hi.add(k * cols), *w, cols);
             }
         }
     }
 
     #[inline(always)]
-    unsafe fn column2<L: Lanes>(
-        data: &mut [Complex64],
-        cols: usize,
-        wa: &[Complex64],
-        wb: &[Complex64],
-    ) {
+    unsafe fn column2<L: Lanes>(data: &mut [Complex64], cols: usize, wa: &Stage, wb: &Stage) {
         let h = wa.len();
         for block in data.chunks_exact_mut(4 * h * cols) {
             let x0 = block.as_mut_ptr();
             for j in 0..h {
                 let x = [0, 1, 2, 3].map(|q| x0.add((q * h + j) * cols));
-                run2::<L, _>(x, wa[j], wb[j], wb[j + h], cols);
+                run2::<L, _>(x, wa.w[j], wb.w[j], wb.w[j + h], cols);
             }
         }
     }
@@ -598,19 +1065,26 @@ mod x86 {
         };
     }
 
-    per_tier!(sse2_range, avx2_range, range(lo: &mut [Complex64], hi: &mut [Complex64], tw: &[Complex64]));
-    per_tier!(sse2_pass2, avx2_pass2, pass2(data: &mut [Complex64], wa: &[Complex64], wb: &[Complex64]));
-    per_tier!(sse2_column, avx2_column, column(data: &mut [Complex64], cols: usize, stage: &[Complex64]));
-    per_tier!(sse2_column2, avx2_column2, column2(data: &mut [Complex64], cols: usize, wa: &[Complex64], wb: &[Complex64]));
+    per_tier!(sse2_rows, avx2_rows, rows(data: &mut [Complex64], source: Option<&[Complex64]>, factor: Option<Factor<'_>>, pass: &RowPass<'_>));
+    per_tier!(sse2_column, avx2_column, column(data: &mut [Complex64], cols: usize, stage: &Stage));
+    per_tier!(sse2_column2, avx2_column2, column2(data: &mut [Complex64], cols: usize, wa: &Stage, wb: &Stage));
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fft1d::bit_reversal;
 
     fn test_data(n: usize) -> Vec<Complex64> {
         (0..n)
             .map(|i| Complex64::new((i as f64 * 0.61).sin(), (i as f64 * 0.37).cos()))
+            .collect()
+    }
+
+    fn bits(values: &[Complex64]) -> Vec<(u64, u64)> {
+        values
+            .iter()
+            .map(|v| (v.re.to_bits(), v.im.to_bits()))
             .collect()
     }
 
@@ -638,18 +1112,11 @@ mod tests {
 
     #[test]
     fn every_tier_sweeps_bit_identical_to_scalar() {
-        // All four sweeps at every tier against the scalar loops. Half-sizes
-        // 1 and 3 and the odd column counts leave AVX2 a one-value tail on
-        // every run; `cols == 1` is all tail.
-        type Sweep = fn(SimdLevel, &mut [Complex64], &[Complex64], &[Complex64], usize);
-        let sweeps: [(&str, Sweep); 4] = [
-            ("pass2", |level, data, wa, wb, _| {
-                butterfly_pass2(level, data, wa, wb)
-            }),
-            ("range", |level, data, wa, _, _| {
-                let (lo, hi) = data.split_at_mut(wa.len());
-                butterfly_range(level, lo, &mut hi[..wa.len()], wa)
-            }),
+        // The column sweeps at every tier against the scalar loops, on tables
+        // that are not twiddles. Half-sizes 1 and 3 and the odd column counts
+        // leave AVX2 a one-value tail on every run; `cols == 1` is all tail.
+        type Sweep = fn(SimdLevel, &mut [Complex64], &Stage, &Stage, usize);
+        let sweeps: [(&str, Sweep); 2] = [
             ("column", |level, data, wa, _, cols| {
                 column_pass(level, data, cols, wa)
             }),
@@ -660,23 +1127,91 @@ mod tests {
         for level in SimdLevel::available_levels() {
             for h in [1usize, 2, 3, 4, 8, 32] {
                 for cols in [1usize, 2, 3, 5, 8] {
-                    let wa = test_data(h);
-                    let wb: Vec<Complex64> = test_data(3 * h).split_off(h);
+                    let wa = Stage::new(test_data(h));
+                    let wb = Stage::new(test_data(3 * h).split_off(h));
                     for (name, sweep) in &sweeps {
                         let mut scalar = test_data(2 * 4 * h * cols);
                         let mut tier = scalar.clone();
                         sweep(SimdLevel::Scalar, &mut scalar, &wa, &wb, cols);
                         sweep(level, &mut tier, &wa, &wb, cols);
-                        for (i, (a, b)) in scalar.iter().zip(&tier).enumerate() {
-                            assert_eq!(
-                                (a.re.to_bits(), a.im.to_bits()),
-                                (b.re.to_bits(), b.im.to_bits()),
-                                "{name} at {level:?}, h={h}, cols={cols}, index {i}"
-                            );
-                        }
+                        assert_eq!(
+                            bits(&scalar),
+                            bits(&tier),
+                            "{name} at {level:?}, h={h}, cols={cols}"
+                        );
                     }
                 }
             }
         }
+    }
+
+    #[test]
+    fn every_tier_row_pass_bit_identical_to_scalar() {
+        // Every combination the row pass is instantiated for — in place or
+        // from a source, no factor / `x·f` / `x·conj(f)`, scaled or not —
+        // on tables that are not twiddles, so a butterfly fed the wrong
+        // entry cannot cancel. Rows of 1 and 2 values never reach the
+        // radix-2² sweep; 4, 16 and 64 end on a two-stage sweep, 8 and 32 on
+        // a one-stage one.
+        for level in SimdLevel::available_levels() {
+            for n in [1usize, 2, 4, 8, 16, 32, 64] {
+                for rows in [1usize, 2, 4] {
+                    let stages: Vec<Stage> = (0..n.trailing_zeros())
+                        .map(|s| Stage::new(test_data(3 << s).split_off(2 << s)))
+                        .collect();
+                    let (within, order) = (bit_reversal(n), bit_reversal(rows));
+                    let input = test_data(rows * n);
+                    let f = test_data(rows * n + 5).split_off(5);
+                    let factors = [None, Some(Factor::Mul(&f)), Some(Factor::MulConj(&f))];
+                    for (source, factor, scale) in [None, Some(&input[..])]
+                        .into_iter()
+                        .flat_map(|s| factors.map(|f| (s, f)))
+                        .flat_map(|(s, f)| [1.0, 0.125].map(|scale| (s, f, scale)))
+                    {
+                        let pass = RowPass {
+                            within: &within,
+                            order: &order,
+                            stages: &stages,
+                            scale,
+                        };
+                        let run = |level| {
+                            let mut data = match source {
+                                Some(_) => vec![Complex64::new(f64::NAN, 7.0); rows * n],
+                                None => input.clone(),
+                            };
+                            row_pass(level, &mut data, source, factor, &pass);
+                            bits(&data)
+                        };
+                        assert_eq!(
+                            run(SimdLevel::Scalar),
+                            run(level),
+                            "{rows}x{n} at {level:?}, source={}, factor={factor:?}, scale={scale}",
+                            source.is_some()
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "row pass factor length")]
+    fn short_factor_panics() {
+        let within = bit_reversal(4);
+        let stages: Vec<Stage> = (0..2).map(|s| Stage::new(test_data(1 << s))).collect();
+        let pass = RowPass {
+            within: &within,
+            order: &[0],
+            stages: &stages,
+            scale: 1.0,
+        };
+        let f = test_data(3);
+        row_pass(
+            SimdLevel::detect(),
+            &mut test_data(4),
+            None,
+            Some(Factor::Mul(&f)),
+            &pass,
+        );
     }
 }

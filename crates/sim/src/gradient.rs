@@ -13,6 +13,7 @@
 
 use crate::multislice::{ForwardPass, MultisliceModel, SimWorkspace};
 use ptycho_array::{Array2, Array3};
+use ptycho_fft::fft2d::Factor;
 use ptycho_fft::{CArray3, Complex64};
 
 /// The result of evaluating one probe location: the scalar data-fidelity cost
@@ -142,31 +143,31 @@ pub fn probe_gradient_into(
 
     // Back through the last slice's FFT: the adjoint of the unnormalised
     // forward transform is the unnormalised inverse transform, F^H = N · F⁻¹.
-    model.plan().fft().inverse_unnormalized_mut(back);
+    // From here on the far-field buffer, which nothing reads any more, holds
+    // ∂L/∂conj(a_s) where a_s = t_s ⊙ psi_s, and `back` is the spectrum
+    // scratch of the propagations between slices.
+    let fft = model.plan().fft();
+    fft.inverse_unnormalized_fused(far_field, Some(back.as_slice()), None);
 
-    // Back through the slices in reverse order. `back` holds ∂L/∂conj(a_s)
-    // where a_s = t_s ⊙ psi_s.
+    // Back through the slices in reverse order.
     for s in (0..model.slices()).rev() {
-        let psi_s = incident[s].as_slice();
-        let t_s = object_patch.slice_data(s);
-        // ∂L/∂conj(t_s) = ∂L/∂conj(a_s) ⊙ conj(psi_s), and in the same sweep
-        // ∂L/∂conj(psi_s) = ∂L/∂conj(a_s) ⊙ conj(t_s) — which nothing reads
-        // at the entry slice.
-        for (((g, d_a), p), t) in gradient
+        // ∂L/∂conj(t_s) = ∂L/∂conj(a_s) ⊙ conj(psi_s).
+        for ((g, d_a), p) in gradient
             .slice_data_mut(s)
             .iter_mut()
-            .zip(back.as_mut_slice())
-            .zip(psi_s)
-            .zip(t_s)
+            .zip(far_field.as_slice())
+            .zip(incident[s].as_slice())
         {
             *g = *d_a * p.conj();
-            if s > 0 {
-                *d_a *= t.conj();
-            }
         }
         if s > 0 {
-            // Pull it through the propagator between slices s − 1 and s.
-            model.plan().propagate_adjoint_in_place(back);
+            // ∂L/∂conj(psi_s) = ∂L/∂conj(a_s) ⊙ conj(t_s), pulled through the
+            // propagator between slices s − 1 and s; each product is taken
+            // as the transform after it loads its input.
+            let t_s = Factor::MulConj(object_patch.slice_data(s));
+            fft.forward_fused(back, Some(far_field.as_slice()), Some(t_s));
+            let adjoint = Some(model.plan().adjoint_transfer_factor());
+            fft.inverse_unnormalized_fused(far_field, Some(back.as_slice()), adjoint);
         }
     }
     loss

@@ -13,7 +13,7 @@
 
 use crate::probe::Probe;
 use ptycho_array::Array2;
-use ptycho_fft::fft2d::Fft2Plan;
+use ptycho_fft::fft2d::{Factor, Fft2Plan};
 use ptycho_fft::{CArray2, CArray3, Complex64};
 use std::f64::consts::PI;
 
@@ -26,7 +26,8 @@ pub struct PropagationPlan {
     transfer: CArray2,
     /// `H / window²`: the transfer function with the inverse transform's
     /// normalisation folded in (exact — `window²` is a power of two), so a
-    /// propagation is forward FFT, one multiply sweep, unnormalised inverse.
+    /// propagation is a forward FFT and an unnormalised inverse that
+    /// multiplies by it as it loads each value.
     transfer_scaled: CArray2,
 }
 
@@ -78,21 +79,32 @@ impl PropagationPlan {
         &self.transfer
     }
 
-    /// Propagates a wave by one slice spacing in place: forward FFT,
-    /// elementwise transfer multiply, inverse FFT, all in `wave`'s storage.
-    /// Zero heap allocations.
+    /// Propagates a wave by one slice spacing in place: forward FFT, then
+    /// the inverse FFT of the spectrum times the transfer function, all in
+    /// `wave`'s storage. Zero heap allocations.
     pub fn propagate_in_place(&self, wave: &mut CArray2) {
         self.fft.forward_mut(wave);
-        wave.zip_apply(&self.transfer_scaled, |w, h| *w *= *h);
-        self.fft.inverse_unnormalized_mut(wave);
+        self.fft
+            .inverse_unnormalized_fused(wave, None, Some(self.transfer_factor()));
     }
 
     /// In-place adjoint propagation (multiplies by `conj(H)`). Zero heap
     /// allocations.
     pub fn propagate_adjoint_in_place(&self, wave: &mut CArray2) {
         self.fft.forward_mut(wave);
-        wave.zip_apply(&self.transfer_scaled, |w, h| *w *= h.conj());
-        self.fft.inverse_unnormalized_mut(wave);
+        self.fft
+            .inverse_unnormalized_fused(wave, None, Some(self.adjoint_transfer_factor()));
+    }
+
+    /// `· H / window²`, the load factor of a propagation's inverse transform.
+    pub(crate) fn transfer_factor(&self) -> Factor<'_> {
+        Factor::Mul(self.transfer_scaled.as_slice())
+    }
+
+    /// `· conj(H) / window²`, the load factor of an adjoint propagation's
+    /// inverse transform.
+    pub(crate) fn adjoint_transfer_factor(&self) -> Factor<'_> {
+        Factor::MulConj(self.transfer_scaled.as_slice())
     }
 }
 
@@ -125,7 +137,10 @@ impl SimWorkspace {
     }
 
     /// The far-field diffraction wave `D` of the latest
-    /// [`MultisliceModel::forward_with`] call.
+    /// [`MultisliceModel::forward_with`] call. The buffer is the forward
+    /// pass's spectrum scratch until then, and the adjoint of
+    /// [`crate::gradient::probe_gradient_into`] reuses it after, so read it
+    /// between the two.
     pub fn far_field(&self) -> &CArray2 {
         &self.far_field
     }
@@ -290,32 +305,27 @@ impl MultisliceModel {
             far_field,
             ..
         } = ws;
+        let fft = &self.plan.fft;
         incident[0].copy_from(self.probe.field());
         let last = self.slices - 1;
         for s in 0..self.slices {
-            // Transmission, written where the slice's spectrum is wanted:
-            // the next incident wave, or the far field for the last slice.
+            // The slice's spectrum FFT(psi_s ⊙ t_s), the product taken as the
+            // transform loads psi_s; the far-field buffer holds it until the
+            // last slice's spectrum becomes D.
             let (before, after) = incident.split_at_mut(s + 1);
-            let wave = if s == last {
-                &mut *far_field
-            } else {
-                &mut after[0]
-            };
-            let t_s = object_patch.slice_data(s);
-            for ((dst, src), t) in wave
-                .as_mut_slice()
-                .iter_mut()
-                .zip(before[s].as_slice())
-                .zip(t_s)
-            {
-                *dst = *src * *t;
-            }
+            let t_s = Factor::Mul(object_patch.slice_data(s));
+            fft.forward_fused(far_field, Some(before[s].as_slice()), Some(t_s));
             if s < last {
-                self.plan.propagate_in_place(wave);
+                // psi_{s+1} = IFFT(H ⊙ spectrum), the product again on load.
+                let spectrum = Some(far_field.as_slice());
+                fft.inverse_unnormalized_fused(
+                    &mut after[0],
+                    spectrum,
+                    Some(self.plan.transfer_factor()),
+                );
             } else {
                 // D = H ⊙ FFT(a_last).
-                self.plan.fft.forward_mut(wave);
-                wave.zip_apply(&self.plan.transfer, |d, h| *d *= *h);
+                far_field.zip_apply(&self.plan.transfer, |d, h| *d *= *h);
             }
         }
     }
