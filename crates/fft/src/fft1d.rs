@@ -148,7 +148,7 @@ impl FftPlan {
             stages: self.stages(forward),
             scale,
         };
-        simd::row_pass(self.level, data, None, None, &pass);
+        simd::row_pass(self.level, data, None, &pass);
     }
 
     /// Runs the butterfly stages down every column of the row-major

@@ -15,11 +15,11 @@
 //!
 //! The multi-slice model multiplies a field pointwise before almost every
 //! transform. [`Fft2Plan::forward_fused`] and
-//! [`Fft2Plan::inverse_unnormalized_fused`] fold that product into the row
-//! pass's load — `x·f` or `x·conj(f)` ([`Factor`]) — and can read `x` from a
-//! distinct source field instead of the destination, so a product and a
-//! transform together touch each value once. The result is bit-identical
-//! to the separate multiply followed by the plain transform.
+//! [`Fft2Plan::inverse_unnormalized_fused`] read `x` from a source field
+//! distinct from the destination and fold that product into the row pass's
+//! load — `x·f` or `x·conj(f)` ([`Factor`]) — so a product and a transform
+//! together touch each value once. The result is bit-identical to the
+//! separate multiply followed by the plain transform.
 //!
 //! # In-place transforms
 //!
@@ -35,7 +35,7 @@
 //! is only shape-checked. They stay for the one external caller that still
 //! names them.
 
-use crate::simd::{self, RowPass, SimdLevel};
+use crate::simd::{self, RowPass, SimdLevel, Source};
 use crate::{CArray2, Complex64, FftPlan};
 use ptycho_array::Array2;
 use std::ops::Range;
@@ -148,7 +148,7 @@ impl Fft2Plan {
     /// # Panics
     /// Panics if the field shape differs from the plan shape.
     pub fn forward_mut(&self, field: &mut CArray2) {
-        self.transform(field, None, None, true, 1.0);
+        self.transform(field, None, true, 1.0);
     }
 
     /// In-place inverse 2D transform (normalised by `1/(rows·cols)`): zero
@@ -158,7 +158,7 @@ impl Fft2Plan {
     /// Panics if the field shape differs from the plan shape.
     pub fn inverse_mut(&self, field: &mut CArray2) {
         let scale = 1.0 / (self.rows * self.cols) as f64;
-        self.transform(field, None, None, false, scale);
+        self.transform(field, None, false, scale);
     }
 
     /// In-place inverse 2D transform *without* the `1/(rows·cols)`
@@ -169,14 +169,14 @@ impl Fft2Plan {
     /// # Panics
     /// Panics if the field shape differs from the plan shape.
     pub fn inverse_unnormalized_mut(&self, field: &mut CArray2) {
-        self.transform(field, None, None, false, 1.0);
+        self.transform(field, None, false, 1.0);
     }
 
-    /// Forward 2D transform (unnormalised) of `x ⊙ factor` into `field`, `x`
-    /// being `source` when given and `field` itself otherwise: the product
-    /// is taken as the row pass loads each value, so the pair touches every
-    /// value once. Bit-identical to the separate multiply, then
-    /// [`Self::forward_mut`]. Zero heap allocations.
+    /// Forward 2D transform (unnormalised) of `source ⊙ factor` into
+    /// `field`, whose old values are never read: the product is taken as
+    /// the row pass loads each value, so the pair touches every value once.
+    /// Bit-identical to the separate multiply, then [`Self::forward_mut`].
+    /// Zero heap allocations.
     ///
     /// # Panics
     /// Panics if the field shape differs from the plan shape, or `source` or
@@ -184,10 +184,18 @@ impl Fft2Plan {
     pub fn forward_fused(
         &self,
         field: &mut CArray2,
-        source: Option<&[Complex64]>,
+        source: &[Complex64],
         factor: Option<Factor<'_>>,
     ) {
-        self.transform(field, source, factor, true, 1.0);
+        self.transform(
+            field,
+            Some(Source {
+                values: source,
+                factor,
+            }),
+            true,
+            1.0,
+        );
     }
 
     /// [`Self::forward_fused`] for the unnormalised inverse transform:
@@ -199,10 +207,18 @@ impl Fft2Plan {
     pub fn inverse_unnormalized_fused(
         &self,
         field: &mut CArray2,
-        source: Option<&[Complex64]>,
+        source: &[Complex64],
         factor: Option<Factor<'_>>,
     ) {
-        self.transform(field, source, factor, false, 1.0);
+        self.transform(
+            field,
+            Some(Source {
+                values: source,
+                factor,
+            }),
+            false,
+            1.0,
+        );
     }
 
     /// [`Self::forward_mut`]; `scratch` is only shape-checked.
@@ -235,14 +251,13 @@ impl Fft2Plan {
         );
     }
 
-    /// The fused row pass (reading `source` or `field`, times `factor` on
-    /// load, times `scale` — a power of two, so exact — on write-out, each
+    /// The fused row pass (reading `source` times its factor, or `field`
+    /// itself, times `scale` — a power of two, so exact — on write-out, each
     /// row landing at its bit-reversed row), then the column stages.
     fn transform(
         &self,
         field: &mut CArray2,
-        source: Option<&[Complex64]>,
-        factor: Option<Factor<'_>>,
+        source: Option<Source<'_>>,
         forward: bool,
         scale: f64,
     ) {
@@ -260,7 +275,7 @@ impl Fft2Plan {
             stages: self.row_plan.stages(forward),
             scale,
         };
-        simd::row_pass(self.simd_level(), data, source, factor, &pass);
+        simd::row_pass(self.simd_level(), data, source, &pass);
         self.col_plan.transform_columns(data, self.cols, forward);
     }
 }
@@ -597,9 +612,10 @@ mod tests {
 
     #[test]
     fn fused_transforms_match_a_separate_multiply_then_the_transform() {
-        // Every fused entry — factor on load, conjugated factor, distinct
-        // source, in place, scaled inverse — at every tier, against the
-        // scalar multiply followed by the plain scalar transform. Sizes run
+        // Every row-pass input — a distinct source with no factor, a factor
+        // on load or a conjugated factor; the field in place — forward,
+        // inverse and scaled inverse, at every tier, against the scalar
+        // multiply followed by the plain scalar in-place transform. Sizes run
         // 2⁰ … 2¹⁰ in each direction (1×N, N×1, N×2 leave every sweep its
         // degenerate cases) plus square and oblong fields with odd and even
         // stage counts.
@@ -627,21 +643,26 @@ mod tests {
                                 Some(Factor::MulConj(_)) => *x *= f.conj(),
                             }
                         }
-                        scalar.transform(&mut expected, None, None, forward, scale);
-                        for from_source in [false, true] {
-                            let mut fused = if from_source {
-                                Array2::full(rows, cols, Complex64::new(f64::NAN, -1.0))
-                            } else {
-                                input.clone()
-                            };
-                            let source = from_source.then_some(input.as_slice());
-                            plan.transform(&mut fused, source, factor, forward, scale);
-                            for (a, b) in expected.as_slice().iter().zip(fused.as_slice()) {
+                        scalar.transform(&mut expected, None, forward, scale);
+                        let mut fused = Array2::full(rows, cols, Complex64::new(f64::NAN, -1.0));
+                        let source = Source {
+                            values: input.as_slice(),
+                            factor,
+                        };
+                        plan.transform(&mut fused, Some(source), forward, scale);
+                        let mut runs = vec![("source", fused)];
+                        if factor.is_none() {
+                            let mut in_place = input.clone();
+                            plan.transform(&mut in_place, None, forward, scale);
+                            runs.push(("in place", in_place));
+                        }
+                        for (input, out) in runs {
+                            for (a, b) in expected.as_slice().iter().zip(out.as_slice()) {
                                 assert_eq!(
                                     (a.re.to_bits(), a.im.to_bits()),
                                     (b.re.to_bits(), b.im.to_bits()),
                                     "{rows}x{cols} at {level:?}, forward={forward}, \
-                                     scale={scale}, factor={factor:?}, source={from_source}"
+                                     scale={scale}, factor={factor:?}, {input}"
                                 );
                             }
                         }
@@ -676,18 +697,10 @@ mod tests {
             fused(
                 &plan,
                 &mut out,
-                Some(field.as_slice()),
+                field.as_slice(),
                 Some(Factor::MulConj(f.as_slice())),
             );
             assert_eq!(out, expected);
-            let mut in_place = field.clone();
-            fused(
-                &plan,
-                &mut in_place,
-                None,
-                Some(Factor::MulConj(f.as_slice())),
-            );
-            assert_eq!(in_place, expected);
         }
     }
 
@@ -697,7 +710,7 @@ mod tests {
         let plan = Fft2Plan::new(8, 8);
         let source = test_field(4, 8);
         let mut field = Array2::full(8, 8, Complex64::ZERO);
-        plan.forward_fused(&mut field, Some(source.as_slice()), None);
+        plan.forward_fused(&mut field, source.as_slice(), None);
     }
 
     #[test]

@@ -8,15 +8,15 @@
 //!
 //! * **The row pass** (`row_pass`) takes each row pair `(i, rev(i))` of the
 //!   column transform's bit reversal and runs both rows through every stage
-//!   of the row transform while they sit in L1. Each row's own bit reversal
-//!   is a gather fused into the first radix-2² sweep when the input comes
-//!   from a distinct source field, or an in-place permutation when it does
-//!   not. An optional pointwise factor (`x·f` or `x·conj(f)`) is applied to
-//!   each value as it is loaded, the remaining stages follow, and the
-//!   inverse's normalisation is applied as each row is written out. The row
-//!   lands at its bit-reversed position, so the column pass does no
-//!   permutation of its own. In place, the two rows of a pair are
-//!   transformed and then swapped while hot, with no scratch.
+//!   of the row transform while they sit in L1. When the input comes from
+//!   a distinct source field, each row's own bit reversal is a gather fused
+//!   into the first radix-2² sweep, and an optional pointwise factor
+//!   (`x·f` or `x·conj(f)`) is applied to each value as it is loaded; in
+//!   place, the row is permuted in place and no factor is taken. The
+//!   remaining stages follow, and the inverse's normalisation is applied as
+//!   each row is written out. The row lands at its bit-reversed position, so
+//!   the column pass does no permutation of its own. In place, the two rows
+//!   of a pair are transformed and then swapped while hot, with no scratch.
 //! * **The column pass** (`column_pass2` / `column_pass`) pairs whole
 //!   *rows*: all butterflies between two rows share one twiddle, which is
 //!   broadcast, and the inner loop runs along the contiguous columns. That
@@ -218,28 +218,35 @@ pub(crate) struct RowPass<'a> {
     pub scale: f64,
 }
 
-/// The row pass over the row-major field `data`: input row `i` — of `source`,
-/// or of `data` itself when `None` — is loaded times `factor`, transformed,
+/// A distinct field a row pass reads its input from, each value times the
+/// factor, if any, as it is loaded.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Source<'a> {
+    pub values: &'a [Complex64],
+    pub factor: Option<Factor<'a>>,
+}
+
+/// The row pass over the row-major field `data`: input row `i` — of `source`
+/// (times its factor), or of `data` itself when `None` — is transformed,
 /// multiplied by `pass.scale` and written to row `pass.order[i]`.
 ///
 /// # Panics
-/// Panics if `data` is not `order.len()` rows of `within.len()` values,
-/// `source` or `factor` is not as long as `data`, a bit-reversal table holds
+/// Panics if `data` is not `order.len()` rows of `within.len()` values, the
+/// source or its factor is not as long as `data`, a bit-reversal table holds
 /// an index outside its own length, or the stage tables do not fit the row.
 pub(crate) fn row_pass(
     level: SimdLevel,
     data: &mut [Complex64],
-    source: Option<&[Complex64]>,
-    factor: Option<Factor<'_>>,
+    source: Option<Source<'_>>,
     pass: &RowPass<'_>,
 ) {
     let n = pass.within.len();
     assert_eq!(data.len(), n * pass.order.len(), "row pass field length");
     if let Some(source) = source {
-        assert_eq!(source.len(), data.len(), "row pass source length");
-    }
-    if let Some(factor) = factor {
-        assert_eq!(factor.values().len(), data.len(), "row pass factor length");
+        assert_eq!(source.values.len(), data.len(), "row pass source length");
+        if let Some(factor) = source.factor {
+            assert_eq!(factor.values().len(), data.len(), "row pass factor length");
+        }
     }
     for table in [pass.within, pass.order] {
         assert!(
@@ -261,7 +268,7 @@ pub(crate) fn row_pass(
         scalar_rows,
         sse2_rows,
         avx2_rows,
-        (data, source, factor, pass)
+        (data, source, pass)
     )
 }
 
@@ -305,31 +312,26 @@ pub(crate) fn column_pass2(
 // `x · conj(f)` exactly as a separate multiply computes it — the bit-identity
 // reference for every other tier.
 
-fn scalar_rows(
-    data: &mut [Complex64],
-    source: Option<&[Complex64]>,
-    factor: Option<Factor<'_>>,
-    pass: &RowPass<'_>,
-) {
+fn scalar_rows(data: &mut [Complex64], source: Option<Source<'_>>, pass: &RowPass<'_>) {
     let n = pass.within.len();
     let row = |r: usize| r * n..(r + 1) * n;
-    let factor_of = |r: usize| factor.map(|f| f.sub(row(r)));
     for (i, &j) in pass.order.iter().enumerate() {
         let j = j as usize;
         if j < i {
             continue;
         }
         match source {
-            Some(source) => {
-                scalar_row_from(&mut data[row(j)], &source[row(i)], factor_of(i), pass);
+            Some(Source { values, factor }) => {
+                let source_row = |r: usize| (&values[row(r)], factor.map(|f| f.sub(row(r))));
+                scalar_row_from(&mut data[row(j)], source_row(i), pass);
                 if i != j {
-                    scalar_row_from(&mut data[row(i)], &source[row(j)], factor_of(j), pass);
+                    scalar_row_from(&mut data[row(i)], source_row(j), pass);
                 }
             }
             None => {
-                scalar_row_in_place(&mut data[row(i)], factor_of(i), pass);
+                scalar_row_in_place(&mut data[row(i)], pass);
                 if i != j {
-                    scalar_row_in_place(&mut data[row(j)], factor_of(j), pass);
+                    scalar_row_in_place(&mut data[row(j)], pass);
                     let (head, tail) = data.split_at_mut(j * n);
                     head[row(i)].swap_with_slice(&mut tail[..n]);
                 }
@@ -349,8 +351,7 @@ fn load(values: &[Complex64], factor: Option<Factor<'_>>, i: usize) -> Complex64
 
 fn scalar_row_from(
     row: &mut [Complex64],
-    source: &[Complex64],
-    factor: Option<Factor<'_>>,
+    (source, factor): (&[Complex64], Option<Factor<'_>>),
     pass: &RowPass<'_>,
 ) {
     for (x, &r) in row.iter_mut().zip(pass.within) {
@@ -359,15 +360,10 @@ fn scalar_row_from(
     scalar_stages(row, pass);
 }
 
-fn scalar_row_in_place(row: &mut [Complex64], factor: Option<Factor<'_>>, pass: &RowPass<'_>) {
+fn scalar_row_in_place(row: &mut [Complex64], pass: &RowPass<'_>) {
     for (k, &r) in pass.within.iter().enumerate() {
-        let r = r as usize;
-        if k < r {
-            let (a, b) = (load(row, factor, r), load(row, factor, k));
-            row[k] = a;
-            row[r] = b;
-        } else if k == r {
-            row[k] = load(row, factor, k);
+        if k < r as usize {
+            row.swap(k, r as usize);
         }
     }
     scalar_stages(row, pass);
@@ -474,7 +470,7 @@ fn butterfly2(
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::{RowPass, Stage};
+    use super::{RowPass, Source, Stage};
     use crate::fft2d::Factor;
     use crate::Complex64;
     use core::arch::x86_64::*;
@@ -874,54 +870,74 @@ mod x86 {
     #[inline(always)]
     unsafe fn rows<L: Lanes>(
         data: &mut [Complex64],
-        source: Option<&[Complex64]>,
-        factor: Option<Factor<'_>>,
+        source: Option<Source<'_>>,
         pass: &RowPass<'_>,
     ) {
-        let null = core::ptr::null();
+        let Some(Source { values, factor }) = source else {
+            return rows_in_place::<L>(data, pass);
+        };
         match factor {
-            None => rows_by::<L, ONE>(data, source, null, pass),
-            Some(Factor::Mul(f)) => rows_by::<L, MUL>(data, source, f.as_ptr(), pass),
-            Some(Factor::MulConj(f)) => rows_by::<L, CONJ>(data, source, f.as_ptr(), pass),
+            None => rows_from::<L, ONE>(data, values, core::ptr::null(), pass),
+            Some(Factor::Mul(f)) => rows_from::<L, MUL>(data, values, f.as_ptr(), pass),
+            Some(Factor::MulConj(f)) => rows_from::<L, CONJ>(data, values, f.as_ptr(), pass),
         }
     }
 
+    /// The row pairs `(i, order[i])` of a row pass, each visited once.
+    fn row_pairs(order: &[u32]) -> impl Iterator<Item = (usize, usize)> + '_ {
+        (0..order.len())
+            .map(|i| (i, order[i] as usize))
+            .filter(|&(i, j)| i <= j)
+    }
+
+    /// The first radix-2² sweep's twiddles, for rows long enough to have one.
     #[inline(always)]
-    unsafe fn rows_by<L: Lanes, const K: u8>(
+    unsafe fn quad_twiddles<L: Lanes>(pass: &RowPass<'_>) -> Option<L::Quad> {
+        (pass.within.len() >= 4).then(|| L::quad_twiddles(&pass.stages[0], &pass.stages[1]))
+    }
+
+    #[inline(always)]
+    unsafe fn rows_from<L: Lanes, const K: u8>(
         data: &mut [Complex64],
-        source: Option<&[Complex64]>,
+        source: &[Complex64],
         factor: *const Complex64,
         pass: &RowPass<'_>,
     ) {
         let n = pass.within.len();
-        let quad = if n >= 4 {
-            Some(L::quad_twiddles(&pass.stages[0], &pass.stages[1]))
-        } else {
-            None
-        };
-        let base = data.as_mut_ptr();
-        for (i, &j) in pass.order.iter().enumerate() {
-            let j = j as usize;
-            if j < i {
-                continue;
+        let quad = quad_twiddles::<L>(pass);
+        let (row, src) = (data.as_mut_ptr(), source.as_ptr());
+        for (i, j) in row_pairs(pass.order) {
+            let (at_i, at_j) = (i * n, j * n);
+            row_from::<L, K>(
+                row.add(at_j),
+                src.add(at_i),
+                factor.wrapping_add(at_i),
+                quad,
+                pass,
+            );
+            if i != j {
+                row_from::<L, K>(
+                    row.add(at_i),
+                    src.add(at_j),
+                    factor.wrapping_add(at_j),
+                    quad,
+                    pass,
+                );
             }
-            let (row_i, row_j) = (base.add(i * n), base.add(j * n));
-            let (factor_i, factor_j) = (factor.wrapping_add(i * n), factor.wrapping_add(j * n));
-            match source {
-                Some(source) => {
-                    let src = source.as_ptr();
-                    row_from::<L, K>(row_j, src.add(i * n), factor_i, quad, pass);
-                    if i != j {
-                        row_from::<L, K>(row_i, src.add(j * n), factor_j, quad, pass);
-                    }
-                }
-                None => {
-                    row_in_place::<L, K>(row_i, factor_i, quad, pass);
-                    if i != j {
-                        row_in_place::<L, K>(row_j, factor_j, quad, pass);
-                        core::ptr::swap_nonoverlapping(row_i, row_j, n);
-                    }
-                }
+        }
+    }
+
+    #[inline(always)]
+    unsafe fn rows_in_place<L: Lanes>(data: &mut [Complex64], pass: &RowPass<'_>) {
+        let n = pass.within.len();
+        let quad = quad_twiddles::<L>(pass);
+        let row = data.as_mut_ptr();
+        for (i, j) in row_pairs(pass.order) {
+            let (row_i, row_j) = (row.add(i * n), row.add(j * n));
+            row_in_place::<L>(row_i, quad, pass);
+            if i != j {
+                row_in_place::<L>(row_j, quad, pass);
+                core::ptr::swap_nonoverlapping(row_i, row_j, n);
             }
         }
     }
@@ -956,25 +972,17 @@ mod x86 {
         }
     }
 
-    /// One row in place: permuted in place (each value times its factor),
-    /// then every stage and the scale.
+    /// One row in place: permuted in place, then every stage and the scale.
     #[inline(always)]
-    unsafe fn row_in_place<L: Lanes, const K: u8>(
+    unsafe fn row_in_place<L: Lanes>(
         row: *mut Complex64,
-        factor: *const Complex64,
         quad: Option<L::Quad>,
         pass: &RowPass<'_>,
     ) {
         for (k, &r) in pass.within.iter().enumerate() {
             let r = r as usize;
             if k < r {
-                let a = load_times::<L::Tail, K>(row, factor, r);
-                let b = load_times::<L::Tail, K>(row, factor, k);
-                <L::Tail as Lanes>::store(row.add(k), a);
-                <L::Tail as Lanes>::store(row.add(r), b);
-            } else if k == r && K != ONE {
-                let x = load_times::<L::Tail, K>(row, factor, k);
-                <L::Tail as Lanes>::store(row.add(k), x);
+                core::ptr::swap_nonoverlapping(row.add(k), row.add(r), 1);
             }
         }
         match quad {
@@ -1065,7 +1073,7 @@ mod x86 {
         };
     }
 
-    per_tier!(sse2_rows, avx2_rows, rows(data: &mut [Complex64], source: Option<&[Complex64]>, factor: Option<Factor<'_>>, pass: &RowPass<'_>));
+    per_tier!(sse2_rows, avx2_rows, rows(data: &mut [Complex64], source: Option<Source<'_>>, pass: &RowPass<'_>));
     per_tier!(sse2_column, avx2_column, column(data: &mut [Complex64], cols: usize, stage: &Stage));
     per_tier!(sse2_column2, avx2_column2, column2(data: &mut [Complex64], cols: usize, wa: &Stage, wb: &Stage));
 }
@@ -1147,9 +1155,9 @@ mod tests {
 
     #[test]
     fn every_tier_row_pass_bit_identical_to_scalar() {
-        // Every combination the row pass is instantiated for — in place or
-        // from a source, no factor / `x·f` / `x·conj(f)`, scaled or not —
-        // on tables that are not twiddles, so a butterfly fed the wrong
+        // Every combination the row pass is instantiated for — in place, or
+        // from a source with no factor / `x·f` / `x·conj(f)`; scaled or not
+        // — on tables that are not twiddles, so a butterfly fed the wrong
         // entry cannot cancel. Rows of 1 and 2 values never reach the
         // radix-2² sweep; 4, 16 and 64 end on a two-stage sweep, 8 and 32 on
         // a one-stage one.
@@ -1162,11 +1170,21 @@ mod tests {
                     let (within, order) = (bit_reversal(n), bit_reversal(rows));
                     let input = test_data(rows * n);
                     let f = test_data(rows * n + 5).split_off(5);
-                    let factors = [None, Some(Factor::Mul(&f)), Some(Factor::MulConj(&f))];
-                    for (source, factor, scale) in [None, Some(&input[..])]
+                    let from = |factor| {
+                        Some(Source {
+                            values: &input,
+                            factor,
+                        })
+                    };
+                    let sources = [
+                        None,
+                        from(None),
+                        from(Some(Factor::Mul(&f))),
+                        from(Some(Factor::MulConj(&f))),
+                    ];
+                    for (source, scale) in sources
                         .into_iter()
-                        .flat_map(|s| factors.map(|f| (s, f)))
-                        .flat_map(|(s, f)| [1.0, 0.125].map(|scale| (s, f, scale)))
+                        .flat_map(|s| [1.0, 0.125].map(|scale| (s, scale)))
                     {
                         let pass = RowPass {
                             within: &within,
@@ -1179,14 +1197,14 @@ mod tests {
                                 Some(_) => vec![Complex64::new(f64::NAN, 7.0); rows * n],
                                 None => input.clone(),
                             };
-                            row_pass(level, &mut data, source, factor, &pass);
+                            row_pass(level, &mut data, source, &pass);
                             bits(&data)
                         };
                         assert_eq!(
                             run(SimdLevel::Scalar),
                             run(level),
-                            "{rows}x{n} at {level:?}, source={}, factor={factor:?}, scale={scale}",
-                            source.is_some()
+                            "{rows}x{n} at {level:?}, source={:?}, scale={scale}",
+                            source.map(|s| s.factor)
                         );
                     }
                 }
@@ -1205,13 +1223,11 @@ mod tests {
             stages: &stages,
             scale: 1.0,
         };
-        let f = test_data(3);
-        row_pass(
-            SimdLevel::detect(),
-            &mut test_data(4),
-            None,
-            Some(Factor::Mul(&f)),
-            &pass,
-        );
+        let (source, f) = (test_data(4), test_data(3));
+        let source = Source {
+            values: &source,
+            factor: Some(Factor::Mul(&f)),
+        };
+        row_pass(SimdLevel::detect(), &mut test_data(4), Some(source), &pass);
     }
 }

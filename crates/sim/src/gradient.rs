@@ -147,7 +147,7 @@ pub fn probe_gradient_into(
     // ∂L/∂conj(a_s) where a_s = t_s ⊙ psi_s, and `back` is the spectrum
     // scratch of the propagations between slices.
     let fft = model.plan().fft();
-    fft.inverse_unnormalized_fused(far_field, Some(back.as_slice()), None);
+    fft.inverse_unnormalized_fused(far_field, back.as_slice(), None);
 
     // Back through the slices in reverse order.
     for s in (0..model.slices()).rev() {
@@ -165,9 +165,9 @@ pub fn probe_gradient_into(
             // propagator between slices s − 1 and s; each product is taken
             // as the transform after it loads its input.
             let t_s = Factor::MulConj(object_patch.slice_data(s));
-            fft.forward_fused(back, Some(far_field.as_slice()), Some(t_s));
+            fft.forward_fused(back, far_field.as_slice(), Some(t_s));
             let adjoint = Some(model.plan().adjoint_transfer_factor());
-            fft.inverse_unnormalized_fused(far_field, Some(back.as_slice()), adjoint);
+            fft.inverse_unnormalized_fused(far_field, back.as_slice(), adjoint);
         }
     }
     loss

@@ -79,30 +79,16 @@ impl PropagationPlan {
         &self.transfer
     }
 
-    /// Propagates a wave by one slice spacing in place: forward FFT, then
-    /// the inverse FFT of the spectrum times the transfer function, all in
-    /// `wave`'s storage. Zero heap allocations.
-    pub fn propagate_in_place(&self, wave: &mut CArray2) {
-        self.fft.forward_mut(wave);
-        self.fft
-            .inverse_unnormalized_fused(wave, None, Some(self.transfer_factor()));
-    }
-
-    /// In-place adjoint propagation (multiplies by `conj(H)`). Zero heap
-    /// allocations.
-    pub fn propagate_adjoint_in_place(&self, wave: &mut CArray2) {
-        self.fft.forward_mut(wave);
-        self.fft
-            .inverse_unnormalized_fused(wave, None, Some(self.adjoint_transfer_factor()));
-    }
-
-    /// `· H / window²`, the load factor of a propagation's inverse transform.
+    /// `· H / window²`, the load factor of a propagation's inverse transform:
+    /// a propagation by one slice spacing is [`Fft2Plan::forward_fused`] into
+    /// a spectrum buffer, then [`Fft2Plan::inverse_unnormalized_fused`] out of
+    /// it with this factor.
     pub(crate) fn transfer_factor(&self) -> Factor<'_> {
         Factor::Mul(self.transfer_scaled.as_slice())
     }
 
     /// `· conj(H) / window²`, the load factor of an adjoint propagation's
-    /// inverse transform.
+    /// inverse transform (see [`Self::transfer_factor`]).
     pub(crate) fn adjoint_transfer_factor(&self) -> Factor<'_> {
         Factor::MulConj(self.transfer_scaled.as_slice())
     }
@@ -110,7 +96,10 @@ impl PropagationPlan {
 
 /// Reusable per-worker buffers for the forward model and its adjoint: the
 /// incident-wave stack (one probe-window field per slice), the far-field
-/// spectrum and the back-propagation wave.
+/// spectrum and the back-propagation wave. The last two are also the
+/// spectrum scratch of the propagations between slices, so only the incident
+/// stack is readable from outside; [`MultisliceModel::forward`] returns the
+/// far field in its [`ForwardPass`].
 ///
 /// Allocate one per worker ([`SimWorkspace::for_model`]) and thread it
 /// through [`MultisliceModel::forward_with`] /
@@ -134,15 +123,6 @@ impl SimWorkspace {
             far_field: zero.clone(),
             back: zero,
         }
-    }
-
-    /// The far-field diffraction wave `D` of the latest
-    /// [`MultisliceModel::forward_with`] call. The buffer is the forward
-    /// pass's spectrum scratch until then, and the adjoint of
-    /// [`crate::gradient::probe_gradient_into`] reuses it after, so read it
-    /// between the two.
-    pub fn far_field(&self) -> &CArray2 {
-        &self.far_field
     }
 
     /// The incident wave at the entrance of slice `s` (`s < slices`) of the
@@ -314,15 +294,11 @@ impl MultisliceModel {
             // last slice's spectrum becomes D.
             let (before, after) = incident.split_at_mut(s + 1);
             let t_s = Factor::Mul(object_patch.slice_data(s));
-            fft.forward_fused(far_field, Some(before[s].as_slice()), Some(t_s));
+            fft.forward_fused(far_field, before[s].as_slice(), Some(t_s));
             if s < last {
                 // psi_{s+1} = IFFT(H ⊙ spectrum), the product again on load.
-                let spectrum = Some(far_field.as_slice());
-                fft.inverse_unnormalized_fused(
-                    &mut after[0],
-                    spectrum,
-                    Some(self.plan.transfer_factor()),
-                );
+                let h = Some(self.plan.transfer_factor());
+                fft.inverse_unnormalized_fused(&mut after[0], far_field.as_slice(), h);
             } else {
                 // D = H ⊙ FFT(a_last).
                 far_field.zip_apply(&self.plan.transfer, |d, h| *d *= *h);
@@ -366,26 +342,45 @@ mod tests {
         Array3::full(slices, window, window, Complex64::ONE)
     }
 
+    /// One propagation by the transform pair the forward model and the
+    /// adjoint run: the forward transform of `wave` into a spectrum buffer,
+    /// then the unnormalised inverse, times `factor` on load, out of it.
+    fn propagate(plan: &PropagationPlan, wave: &CArray2, factor: Factor<'_>) -> CArray2 {
+        let mut spectrum = wave.clone();
+        plan.fft()
+            .forward_fused(&mut spectrum, wave.as_slice(), None);
+        let mut out = wave.clone();
+        plan.fft()
+            .inverse_unnormalized_fused(&mut out, spectrum.as_slice(), Some(factor));
+        out
+    }
+
+    fn energy(field: &CArray2) -> f64 {
+        field.as_slice().iter().map(|v| v.norm_sqr()).sum()
+    }
+
     #[test]
     fn propagation_conserves_energy() {
+        // Through a vacuum every incident wave after the first is the one
+        // before it propagated by `forward_with`'s transform pair.
         let probe = test_probe(32);
         let model = MultisliceModel::new(probe, 3);
-        let wave = model.probe().field().clone();
-        let mut propagated = wave.clone();
-        model.plan().propagate_in_place(&mut propagated);
-        let e0: f64 = wave.as_slice().iter().map(|v| v.norm_sqr()).sum();
-        let e1: f64 = propagated.as_slice().iter().map(|v| v.norm_sqr()).sum();
-        assert!((e0 - e1).abs() < 1e-9 * e0);
+        let mut ws = SimWorkspace::for_model(&model);
+        model.forward_with(&vacuum(3, 32), &mut ws);
+        let e0 = energy(model.probe().field());
+        for s in 1..3 {
+            assert!((energy(ws.incident(s)) - e0).abs() < 1e-9 * e0, "slice {s}");
+        }
     }
 
     #[test]
     fn propagate_then_adjoint_is_identity() {
         let probe = test_probe(32);
         let model = MultisliceModel::new(probe, 1);
+        let plan = model.plan();
         let wave = model.probe().field().clone();
-        let mut roundtrip = wave.clone();
-        model.plan().propagate_in_place(&mut roundtrip);
-        model.plan().propagate_adjoint_in_place(&mut roundtrip);
+        let propagated = propagate(plan, &wave, plan.transfer_factor());
+        let roundtrip = propagate(plan, &propagated, plan.adjoint_transfer_factor());
         for (a, b) in roundtrip.as_slice().iter().zip(wave.as_slice()) {
             assert!((*a - *b).abs() < 1e-10);
         }
@@ -449,7 +444,7 @@ mod tests {
             .far_field
             .as_slice()
             .iter()
-            .zip(ws.far_field().as_slice())
+            .zip(ws.far_field.as_slice())
         {
             assert_eq!(a.re.to_bits(), b.re.to_bits());
             assert_eq!(a.im.to_bits(), b.im.to_bits());
