@@ -126,6 +126,23 @@ impl<T: Clone> Array3<T> {
     /// # Panics
     /// Panics if `out` does not have the expected shape.
     pub fn extract_region_into(&self, region: Rect, fill: T, out: &mut Array3<T>) {
+        self.extract_region_map_into(region, fill, out, T::clone);
+    }
+
+    /// [`Self::extract_region_into`] into a volume of another element type:
+    /// each copied cell is `convert`ed as it is written, and out-of-bounds
+    /// cells take `fill` (already of the output type). One pass, each output
+    /// cell written once.
+    ///
+    /// # Panics
+    /// Panics if `out` does not have the expected shape.
+    pub fn extract_region_map_into<U: Clone>(
+        &self,
+        region: Rect,
+        fill: U,
+        out: &mut Array3<U>,
+        convert: impl Fn(&T) -> U,
+    ) {
         let (rrows, rcols) = region.shape();
         assert_eq!(
             out.shape(),
@@ -141,7 +158,7 @@ impl<T: Clone> Array3<T> {
         }
         // Each output cell is written once: the rows above and below the
         // clipped part and the columns left and right of it take `fill`,
-        // the rest is copied.
+        // the rest is converted from the source.
         let top = (clipped.row0 - region.row0) as usize * rcols;
         let inside = clipped.rows() * rcols;
         let left = (clipped.col0 - region.col0) as usize;
@@ -157,7 +174,9 @@ impl<T: Clone> Array3<T> {
                 let (head, rest) = row.split_at_mut(left);
                 let (copied, tail) = rest.split_at_mut(width);
                 head.fill(fill.clone());
-                copied.clone_from_slice(&src[src_off..src_off + width]);
+                for (dst, src) in copied.iter_mut().zip(&src[src_off..src_off + width]) {
+                    *dst = convert(src);
+                }
                 tail.fill(fill.clone());
             }
         }
@@ -431,6 +450,21 @@ mod tests {
             let expected = v.extract_region_with_fill(region, -1.0);
             let mut out = Array3::full(3, region.rows(), region.cols(), 0.0);
             v.extract_region_into(region, -1.0, &mut out);
+            assert_eq!(out, expected, "region {region:?}");
+        }
+    }
+
+    #[test]
+    fn extract_region_map_into_converts_each_copied_cell() {
+        let v = Array3::from_fn(2, 5, 6, |s, r, c| (s * 100 + r * 10 + c) as f64);
+        for &region in &[
+            Rect::new(1, 2, 3, 3),
+            Rect::new(-2, -1, 4, 4),
+            Rect::new(10, 10, 2, 2),
+        ] {
+            let expected = v.extract_region_with_fill(region, -1.0).map(|x| *x as i64);
+            let mut out = Array3::full(2, region.rows(), region.cols(), 0i64);
+            v.extract_region_map_into(region, -1, &mut out, |x| *x as i64);
             assert_eq!(out, expected, "region {region:?}");
         }
     }

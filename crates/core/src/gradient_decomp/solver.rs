@@ -40,11 +40,11 @@ use crate::engine::{JobContext, ReconstructionResult, RecoveryPolicy, SolverKern
 use crate::gradient_decomp::passes::{run_planned_passes, PassPlan};
 use crate::tiling::TileGrid;
 use crate::worker::TileWorker;
-use ptycho_array::{Array3, Rect};
+use ptycho_array::Rect;
 use ptycho_cluster::{
     CommBackend, CommError, MemoryCategory, RankComm, RankFailure, SharedTile, TilePayloadPool,
 };
-use ptycho_fft::{CArray3, Complex64};
+use ptycho_fft::CArray3;
 use ptycho_sim::dataset::{Dataset, BYTES_PER_COMPLEX};
 use ptycho_sim::scan::ProbeLocation;
 
@@ -174,8 +174,6 @@ struct GdState {
     acc_buf: CArray3,
     /// With local updates: what this tile has already applied itself.
     own_acc: Option<CArray3>,
-    /// Probe-window-shaped gradient scratch, refilled per probe location.
-    gradient: CArray3,
     /// Recycles the pass-message payload buffers, so steady-state sends
     /// allocate nothing.
     pool: TilePayloadPool,
@@ -203,7 +201,6 @@ impl SolverKernel for GdKernel<'_> {
         let tile = self.grid.tile(ctx.rank()).clone();
         let owned = tile.owned_locations.clone();
         let slices = self.dataset.object_shape().0;
-        let window = self.dataset.model().window_px();
 
         let worker = TileWorker::new(
             self.dataset,
@@ -224,12 +221,10 @@ impl SolverKernel for GdKernel<'_> {
                 .allocate(MemoryCategory::AccumulationBuffer, buffer_bytes);
             worker.zero_buffer()
         });
-        let gradient = Array3::full(slices, window, window, Complex64::ZERO);
         let state = GdState {
             owned,
             acc_buf,
             own_acc,
-            gradient,
             pool: TilePayloadPool::new(),
         };
         (worker, state)
@@ -246,19 +241,16 @@ impl SolverKernel for GdKernel<'_> {
             owned,
             acc_buf,
             own_acc,
-            gradient,
             pool,
         } = state;
         let mut iteration_cost = 0.0;
         let rounds = self.plan.rounds();
         for round in 0..rounds {
             for loc in round_share(owned, round, rounds) {
-                let loss = ctx
-                    .clock_mut()
-                    .compute(|| worker.compute_gradient_into(loc, gradient));
+                let loss = ctx.clock_mut().compute(|| worker.compute_gradient(loc));
                 iteration_cost += loss;
                 ctx.clock_mut()
-                    .compute(|| worker.scatter_gradient(loc, gradient, acc_buf, own_acc.as_mut()));
+                    .compute(|| worker.scatter_gradient(loc, acc_buf, own_acc.as_mut()));
             }
 
             // Steps 10-13: accumulate gradients across tiles.

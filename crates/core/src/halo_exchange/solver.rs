@@ -10,9 +10,8 @@ use crate::config::SolverConfig;
 use crate::engine::{JobContext, ReconstructionResult, RecoveryPolicy, SolverKernel};
 use crate::tiling::{TileGrid, TileInfo};
 use crate::worker::{send_pooled_region, set_region_flat, TileWorker};
-use ptycho_array::Array3;
 use ptycho_cluster::{CommBackend, CommError, RankComm, RankFailure, SharedTile, TilePayloadPool};
-use ptycho_fft::{CArray3, Complex64};
+use ptycho_fft::CArray3;
 use ptycho_sim::dataset::Dataset;
 use ptycho_sim::scan::ProbeLocation;
 
@@ -167,14 +166,11 @@ struct HveKernel<'a> {
     initial: &'a CArray3,
 }
 
-/// Rank-local Halo Voxel Exchange scratch. The gradient scratch is allocated
-/// once and reused across probes and iterations.
+/// Rank-local Halo Voxel Exchange scratch.
 struct HveState<'a> {
     tile: TileInfo,
     probes: &'a [ProbeLocation],
     neighbors: Vec<usize>,
-    /// Probe-window-shaped gradient scratch, refilled per probe location.
-    gradient: CArray3,
     /// Recycles the voxel-paste payload buffers, so steady-state exchanges
     /// allocate nothing.
     pool: TilePayloadPool,
@@ -211,14 +207,10 @@ impl SolverKernel for HveKernel<'_> {
             ctx.memory_mut(),
         );
         let neighbors = self.grid.neighbors(rank);
-        let slices = self.dataset.object_shape().0;
-        let window = self.dataset.model().window_px();
-        let gradient = Array3::full(slices, window, window, Complex64::ZERO);
         let state = HveState {
             tile,
             probes,
             neighbors,
-            gradient,
             pool: TilePayloadPool::new(),
         };
         (worker, state)
@@ -235,7 +227,6 @@ impl SolverKernel for HveKernel<'_> {
             tile,
             probes,
             neighbors,
-            gradient,
             pool,
         } = state;
 
@@ -244,9 +235,7 @@ impl SolverKernel for HveKernel<'_> {
         // applied locally, immediately.
         let mut iteration_cost = 0.0;
         for loc in probes.iter() {
-            let loss = ctx
-                .clock_mut()
-                .compute(|| worker.compute_gradient_into(loc, gradient));
+            let loss = ctx.clock_mut().compute(|| worker.compute_gradient(loc));
             // Only count owned probes towards the global cost so that the
             // reported F(V) is comparable with the Gradient Decomposition
             // method (redundant evaluations would double-count).
@@ -256,8 +245,7 @@ impl SolverKernel for HveKernel<'_> {
             ) {
                 iteration_cost += loss;
             }
-            ctx.clock_mut()
-                .compute(|| worker.apply_patch(loc, gradient));
+            ctx.clock_mut().compute(|| worker.apply_patch(loc));
         }
 
         // Voxel copy-paste: send my core voxels into every neighbour's halo,

@@ -4,17 +4,23 @@ use crate::config::SolverConfig;
 use crate::tiling::TileInfo;
 use ptycho_array::{Array3, Rect};
 use ptycho_cluster::{HardwareModel, MemoryCategory, MemoryTracker};
-use ptycho_fft::{CArray3, Complex64};
+use ptycho_fft::{CArray3, Complex32, Complex64};
 use ptycho_sim::dataset::{Dataset, BYTES_PER_COMPLEX, BYTES_PER_MEASUREMENT};
 use ptycho_sim::gradient::{probe_gradient_into, suggested_step};
 use ptycho_sim::scan::ProbeLocation;
 use ptycho_sim::SimWorkspace;
+use std::mem::size_of_val;
 use std::ops::Range;
 
 /// The state one worker (simulated GPU) keeps for its tile: the halo-extended
 /// sub-volume it reconstructs, the bound forward model, the gradient step,
-/// and the pooled per-probe buffers (model workspace + patch scratch) that
-/// make the steady-state gradient evaluation allocation-free.
+/// and the pooled per-probe buffers (model workspace, patch and gradient)
+/// that make the steady-state gradient evaluation allocation-free.
+///
+/// The tile volume is complex `f64`; every per-probe evaluation runs in
+/// complex `f32` ([`Dataset::model_f32`]). The patch is rounded to `f32` as
+/// it is extracted, and the gradient widened back to `f64` as it is added to
+/// the volume or an accumulation buffer.
 pub(crate) struct TileWorker<'a> {
     dataset: &'a Dataset,
     tile: TileInfo,
@@ -26,9 +32,11 @@ pub(crate) struct TileWorker<'a> {
     iteration_ns: u64,
     /// Reusable forward/adjoint model buffers (incident stack, far field,
     /// back-propagation wave).
-    workspace: SimWorkspace,
+    workspace: SimWorkspace<f32>,
     /// Reusable probe-window object patch, refilled per probe location.
-    patch: CArray3,
+    patch: Array3<Complex32>,
+    /// Probe-window gradient `∂f_i/∂V`, refilled per probe location.
+    gradient: Array3<Complex32>,
 }
 
 impl<'a> TileWorker<'a> {
@@ -62,18 +70,19 @@ impl<'a> TileWorker<'a> {
             MemoryCategory::Measurements,
             assigned_probes * window * window * BYTES_PER_MEASUREMENT,
         );
+        // The pooled buffers this worker holds resident for its whole life —
+        // the SimWorkspace of the model it evaluates, the probe-window object
+        // patch and the gradient — charged at the bytes they actually hold.
+        let workspace = SimWorkspace::for_model(dataset.model_f32());
+        let patch = Array3::full(slices, window, window, Complex32::ONE);
+        let gradient = Array3::full(slices, window, window, Complex32::ZERO);
         memory.allocate(
             MemoryCategory::GradientBuffer,
-            window * window * slices * BYTES_PER_COMPLEX,
+            size_of_val(gradient.as_slice()),
         );
-        // The pooled buffers this worker holds resident for its whole life:
-        // the SimWorkspace of the model it evaluates and the probe-window
-        // object patch, charged at the bytes they actually hold.
-        let workspace = SimWorkspace::for_model(dataset.model());
-        let patch = Array3::full(slices, window, window, Complex64::ONE);
         memory.allocate(
             MemoryCategory::ModelWorkspace,
-            workspace.bytes() + patch.len() * BYTES_PER_COMPLEX,
+            workspace.bytes() + size_of_val(patch.as_slice()),
         );
         let working_set = (tile.extended.area() * slices * BYTES_PER_COMPLEX) as f64;
         let per_probe =
@@ -88,6 +97,7 @@ impl<'a> TileWorker<'a> {
             iteration_ns: (assigned_probes as f64 * per_probe * 1e9) as u64,
             workspace,
             patch,
+            gradient,
         }
     }
 
@@ -108,52 +118,56 @@ impl<'a> TileWorker<'a> {
     }
 
     /// Computes the individual image gradient `∂f_i/∂V_k` for one owned probe
-    /// location against the current tile state, writing it into the
-    /// caller-owned probe-window-shaped `gradient` buffer. Returns the probe
-    /// loss. Allocation-free: the object patch and every model intermediate
-    /// live in the worker's pooled buffers.
-    pub fn compute_gradient_into(&mut self, loc: &ProbeLocation, gradient: &mut CArray3) -> f64 {
+    /// location against the current tile state into the worker's gradient
+    /// buffer, in complex `f32`: the patch is rounded as it is extracted
+    /// (the vacuum fill is exact). Returns the probe loss. Allocation-free:
+    /// the object patch, the gradient and every model intermediate live in
+    /// the worker's pooled buffers.
+    pub fn compute_gradient(&mut self, loc: &ProbeLocation) -> f64 {
         let local_window = self.local_window(loc);
-        self.volume
-            .extract_region_into(local_window, Complex64::ONE, &mut self.patch);
+        self.volume.extract_region_map_into(
+            local_window,
+            Complex32::ONE,
+            &mut self.patch,
+            |v| Complex32::narrow(*v),
+        );
         probe_gradient_into(
-            self.dataset.model(),
+            self.dataset.model_f32(),
             &self.patch,
             self.dataset.measurement(loc),
             &mut self.workspace,
-            gradient,
+            &mut self.gradient,
         )
     }
 
-    /// Applies one gradient patch to the tile volume at the probe window:
-    /// `V_k ← V_k − α·grad`, the Halo Voxel Exchange baseline's per-probe
-    /// update. Allocation-free.
-    pub fn apply_patch(&mut self, loc: &ProbeLocation, gradient: &CArray3) {
+    /// Applies the gradient of the last [`Self::compute_gradient`] to the
+    /// tile volume at the probe window: `V_k ← V_k − α·grad`, the Halo Voxel
+    /// Exchange baseline's per-probe update. Allocation-free.
+    pub fn apply_patch(&mut self, loc: &ProbeLocation) {
         let local_window = self.local_window(loc);
-        add_region_scaled(&mut self.volume, local_window, gradient, -self.step);
+        add_region_scaled(&mut self.volume, local_window, &self.gradient, -self.step);
     }
 
-    /// Scatters one probe-window-shaped gradient patch in a single pass over
-    /// the window's rows: step 7 of Algorithm 1, `AccBuf_k += ∂f_i/∂V_k`,
-    /// and with local updates (`own` given) also `own += ∂f_i/∂V_k` and step
-    /// 8, `V_k ← V_k − α·∂f_i/∂V_k`. Each cell gets the operations three
-    /// separate scatters would give it. Allocation-free.
+    /// Scatters the gradient of the last [`Self::compute_gradient`] in a
+    /// single pass over the window's rows: step 7 of Algorithm 1,
+    /// `AccBuf_k += ∂f_i/∂V_k`, and with local updates (`own` given) also
+    /// `own += ∂f_i/∂V_k` and step 8, `V_k ← V_k − α·∂f_i/∂V_k`. Each cell
+    /// gets the operations three separate scatters of the widened gradient
+    /// would give it. Allocation-free.
     ///
     /// # Panics
-    /// Panics if a buffer is not shaped like the tile volume or `gradient`
-    /// like the probe window.
+    /// Panics if a buffer is not shaped like the tile volume.
     pub fn scatter_gradient(
         &mut self,
         loc: &ProbeLocation,
-        gradient: &CArray3,
         acc: &mut CArray3,
         own: Option<&mut CArray3>,
     ) {
         let window = self.local_window(loc);
         let shape = self.volume.shape();
         assert_eq!(acc.shape(), shape, "buffer shape mismatch");
-        check_block(shape, window, gradient);
-        let (acc, g, factor) = (acc.as_mut_slice(), gradient.as_slice(), -self.step);
+        check_block(shape, window, &self.gradient);
+        let (acc, g, factor) = (acc.as_mut_slice(), self.gradient.as_slice(), -self.step);
         match own {
             Some(own) => {
                 assert_eq!(own.shape(), shape, "buffer shape mismatch");
@@ -164,16 +178,17 @@ impl<'a> TileWorker<'a> {
                         .zip(&mut own[dst.clone()])
                         .zip(&mut volume[dst]);
                     for (((a, o), v), g) in cells.zip(&g[src]) {
-                        *a += *g;
-                        *o += *g;
-                        *v += *g * factor;
+                        let g = g.widen();
+                        *a += g;
+                        *o += g;
+                        *v += g * factor;
                     }
                 }
             }
             None => {
                 for (dst, src) in block_rows(shape, window) {
                     for (a, g) in acc[dst].iter_mut().zip(&g[src]) {
-                        *a += *g;
+                        *a += g.widen();
                     }
                 }
             }
@@ -270,7 +285,7 @@ fn block_rows(
 
 /// Panics unless `block` holds one `region`-shaped sub-plane per slice of a
 /// volume of `shape`.
-fn check_block(shape: (usize, usize, usize), region: Rect, block: &CArray3) {
+fn check_block<T>(shape: (usize, usize, usize), region: Rect, block: &Array3<T>) {
     let (rows, cols) = region.shape();
     assert_eq!(
         block.shape(),
@@ -282,16 +297,17 @@ fn check_block(shape: (usize, usize, usize), region: Rect, block: &CArray3) {
     );
 }
 
-/// Adds `factor · block` into `region` of a complex volume, clipping against
-/// the volume bounds — the allocation-free scatter behind HVE's per-probe
-/// update (`block` is probe-window shaped: one sub-plane per slice).
-fn add_region_scaled(volume: &mut CArray3, region: Rect, block: &CArray3, factor: f64) {
+/// Adds `factor · block`, each value widened to `f64` as it is added, into
+/// `region` of a complex volume, clipping against the volume bounds — the
+/// allocation-free scatter behind HVE's per-probe update (`block` is
+/// probe-window shaped: one sub-plane per slice).
+fn add_region_scaled(volume: &mut CArray3, region: Rect, block: &Array3<Complex32>, factor: f64) {
     let shape = volume.shape();
     check_block(shape, region, block);
     let (volume, block) = (volume.as_mut_slice(), block.as_slice());
     for (dst, src) in block_rows(shape, region) {
         for (v, g) in volume[dst].iter_mut().zip(&block[src]) {
-            *v += *g * factor;
+            *v += g.widen() * factor;
         }
     }
 }
@@ -510,14 +526,14 @@ mod tests {
         for region in clipped_regions(6, 6) {
             let (rows, cols) = region.shape();
             let block = Array3::from_fn(2, rows, cols, |s, r, c| {
-                Complex64::new((s + r) as f64 * 0.7, c as f64 - 1.3)
+                Complex32::new((s + r) as f32 * 0.7, c as f32 - 1.3)
             });
 
             let mut direct = vol.clone();
             add_region_scaled(&mut direct, region, &block, -0.37);
 
             let mut reference = vol.clone();
-            let scaled = block.map(|g| -*g * 0.37);
+            let scaled = block.map(|g| -g.widen() * 0.37);
             reference.add_region(region, &scaled);
 
             assert_eq!(bits(&direct), bits(&reference), "region {region:?}");
@@ -527,8 +543,8 @@ mod tests {
     #[test]
     fn fused_scatter_matches_the_three_separate_scatters() {
         // Windows clipped at every tile edge, with and without local
-        // updates, against `acc += g` and `own += g` by `Array3::add_region`
-        // and `V += g·(−α)` by the HVE update.
+        // updates, against `acc += g` and `own += g` of the widened gradient
+        // by `Array3::add_region` and `V += g·(−α)` by the HVE update.
         let dataset = Dataset::synthesize(SyntheticConfig::tiny());
         let mut worker = tiny_worker(&dataset);
         let (depth, rows, cols) = worker.volume().shape();
@@ -540,11 +556,13 @@ mod tests {
         for window in clipped_regions(rows as i64, cols as i64) {
             let (wr, wc) = window.shape();
             let gradient = Array3::from_fn(depth, wr, wc, |s, r, c| {
-                Complex64::new(
-                    ((s * 7 + r * 3 + c) as f64 * 0.31).sin(),
-                    (r + c) as f64 * 0.05,
+                Complex32::new(
+                    ((s * 7 + r * 3 + c) as f32 * 0.31).sin(),
+                    (r + c) as f32 * 0.05,
                 )
             });
+            let wide = gradient.map(|g| g.widen());
+            worker.gradient = gradient.clone();
             let loc = ProbeLocation {
                 index: 0,
                 grid_pos: (0, 0),
@@ -556,18 +574,13 @@ mod tests {
                 let (mut acc, mut own) = (seeded(0.5), seeded(1.5));
                 let (mut acc_ref, mut own_ref) = (acc.clone(), own.clone());
                 let volume_before = worker.volume().clone();
-                acc_ref.add_region(window, &gradient);
+                acc_ref.add_region(window, &wide);
                 let mut volume_ref = volume_before.clone();
                 if local_updates {
-                    own_ref.add_region(window, &gradient);
+                    own_ref.add_region(window, &wide);
                     add_region_scaled(&mut volume_ref, window, &gradient, -worker.step);
                 }
-                worker.scatter_gradient(
-                    &loc,
-                    &gradient,
-                    &mut acc,
-                    local_updates.then_some(&mut own),
-                );
+                worker.scatter_gradient(&loc, &mut acc, local_updates.then_some(&mut own));
                 let case = format!("window {window:?}, local_updates={local_updates}");
                 assert_eq!(bits(&acc), bits(&acc_ref), "acc, {case}");
                 assert_eq!(bits(&own), bits(&own_ref), "own, {case}");
@@ -579,15 +592,30 @@ mod tests {
 
     #[test]
     fn model_workspace_charge_equals_the_bytes_held() {
+        // The workspace, patch and gradient are complex f32: each charge is
+        // the element count times the 8 bytes of the element stored.
         let dataset = Dataset::synthesize(SyntheticConfig::tiny());
-        let (_, rows, cols) = dataset.object_shape();
+        let (slices, rows, cols) = dataset.object_shape();
         let grid = TileGrid::new(rows, cols, 1, 1, 8, dataset.scan());
         let initial = dataset.initial_guess();
         let mut memory = MemoryTracker::new();
         let config = SolverConfig::default();
         let worker = TileWorker::new(&dataset, grid.tile(0), &initial, &config, 0, &mut memory);
-        let held = worker.workspace.bytes() + worker.patch.len() * std::mem::size_of::<Complex64>();
-        assert_eq!(memory.current_of(MemoryCategory::ModelWorkspace), held);
+        let element = std::mem::size_of::<Complex32>();
+        assert_eq!(element, 8);
+        let window = dataset.model_f32().window_px();
+        let fields = (slices + 2) * window * window;
+        assert_eq!(worker.workspace.bytes(), fields * element);
+        assert_eq!(worker.patch.len(), slices * window * window);
+        assert_eq!(worker.gradient.len(), slices * window * window);
+        assert_eq!(
+            memory.current_of(MemoryCategory::ModelWorkspace),
+            (fields + worker.patch.len()) * element
+        );
+        assert_eq!(
+            memory.current_of(MemoryCategory::GradientBuffer),
+            worker.gradient.len() * element
+        );
     }
 
     /// The `±0.0` decision the pass plan rests on: skipping the cells where a

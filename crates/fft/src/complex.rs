@@ -1,29 +1,142 @@
-//! A minimal double-precision complex number.
+//! Complex numbers over either IEEE binary precision.
 
 use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Sub, SubAssign};
 
-/// A double-precision complex number `re + i·im`.
+/// A real floating-point type complex values and transforms are built on:
+/// `f64`, or `f32` for the reconstruction's working precision.
+///
+/// Sealed: the FFT kernels exist for exactly these two types.
+pub trait Real:
+    Copy
+    + Default
+    + PartialEq
+    + PartialOrd
+    + fmt::Debug
+    + fmt::Display
+    + Send
+    + Sync
+    + 'static
+    + Add<Output = Self>
+    + Sub<Output = Self>
+    + Mul<Output = Self>
+    + Div<Output = Self>
+    + Neg<Output = Self>
+    + AddAssign
+    + SubAssign
+    + MulAssign
+    + DivAssign
+    + Sum
+    + crate::simd::Sweeps
+{
+    /// `0`.
+    const ZERO: Self;
+    /// `1`.
+    const ONE: Self;
+    /// `x` rounded to the nearest value of this type (exact for `f64`).
+    fn from_f64(x: f64) -> Self;
+    /// This value as an `f64` (exact).
+    fn to_f64(self) -> f64;
+    /// The IEEE 754 bit pattern, zero-extended: what bit-identity tests and
+    /// goldens compare.
+    fn bit_pattern(self) -> u64;
+    /// Square root.
+    fn sqrt(self) -> Self;
+    /// `sqrt(self² + other²)` without undue overflow.
+    fn hypot(self, other: Self) -> Self;
+    /// Four-quadrant arctangent of `self / other`.
+    fn atan2(self, other: Self) -> Self;
+    /// Sine.
+    fn sin(self) -> Self;
+    /// Cosine.
+    fn cos(self) -> Self;
+    /// `e^self`.
+    fn exp(self) -> Self;
+    /// Neither infinite nor NaN.
+    fn is_finite(self) -> bool;
+}
+
+macro_rules! real {
+    ($($t:ty),*) => {$(
+        impl Real for $t {
+            const ZERO: $t = 0.0;
+            const ONE: $t = 1.0;
+            #[inline]
+            fn from_f64(x: f64) -> $t {
+                x as $t
+            }
+            #[inline]
+            fn to_f64(self) -> f64 {
+                self as f64
+            }
+            #[inline]
+            fn bit_pattern(self) -> u64 {
+                self.to_bits() as u64
+            }
+            #[inline]
+            fn sqrt(self) -> $t {
+                <$t>::sqrt(self)
+            }
+            #[inline]
+            fn hypot(self, other: $t) -> $t {
+                <$t>::hypot(self, other)
+            }
+            #[inline]
+            fn atan2(self, other: $t) -> $t {
+                <$t>::atan2(self, other)
+            }
+            #[inline]
+            fn sin(self) -> $t {
+                <$t>::sin(self)
+            }
+            #[inline]
+            fn cos(self) -> $t {
+                <$t>::cos(self)
+            }
+            #[inline]
+            fn exp(self) -> $t {
+                <$t>::exp(self)
+            }
+            #[inline]
+            fn is_finite(self) -> bool {
+                <$t>::is_finite(self)
+            }
+        }
+    )*};
+}
+
+real!(f32, f64);
+
+/// A complex number `re + i·im` over the real type `T`.
 ///
 /// This type exists so that the workspace has no external numeric dependencies;
 /// it implements exactly the operations the FFT kernels, the multi-slice
-/// propagation model and the gradient computations require.
+/// propagation model and the gradient computations require. Every operation
+/// is the same sequence of IEEE operations at either precision.
 // `repr(C)` guarantees the `re, im` field order in memory, so a
-// `&[Complex64]` is exactly a dense `re, im, re, im, …` f64 sequence — the
-// layout the SIMD butterfly kernels load two lanes at a time.
+// `&[Complex<T>]` is exactly a dense `re, im, re, im, …` sequence of `T` —
+// the layout the SIMD butterfly kernels load several lanes at a time.
 #[repr(C)]
 #[derive(Clone, Copy, PartialEq, Default)]
-pub struct Complex64 {
+pub struct Complex<T> {
     /// Real part.
-    pub re: f64,
+    pub re: T,
     /// Imaginary part.
-    pub im: f64,
+    pub im: T,
 }
 
-impl fmt::Debug for Complex64 {
+/// A double-precision complex number: the precision of everything that is
+/// synthesised or persisted.
+pub type Complex64 = Complex<f64>;
+
+/// A single-precision complex number: the reconstruction's working precision
+/// for every per-probe evaluation.
+pub type Complex32 = Complex<f32>;
+
+impl<T: Real> fmt::Debug for Complex<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.im >= 0.0 {
+        if self.im >= T::ZERO {
             write!(f, "{}+{}i", self.re, self.im)
         } else {
             write!(f, "{}{}i", self.re, self.im)
@@ -31,35 +144,57 @@ impl fmt::Debug for Complex64 {
     }
 }
 
-impl fmt::Display for Complex64 {
+impl<T: Real> fmt::Display for Complex<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         fmt::Debug::fmt(self, f)
     }
 }
 
-impl Complex64 {
+impl<T: Real> Complex<T> {
     /// The additive identity `0 + 0i`.
-    pub const ZERO: Complex64 = Complex64 { re: 0.0, im: 0.0 };
+    pub const ZERO: Self = Self {
+        re: T::ZERO,
+        im: T::ZERO,
+    };
     /// The multiplicative identity `1 + 0i`.
-    pub const ONE: Complex64 = Complex64 { re: 1.0, im: 0.0 };
+    pub const ONE: Self = Self {
+        re: T::ONE,
+        im: T::ZERO,
+    };
     /// The imaginary unit `0 + 1i`.
-    pub const I: Complex64 = Complex64 { re: 0.0, im: 1.0 };
+    pub const I: Self = Self {
+        re: T::ZERO,
+        im: T::ONE,
+    };
 
     /// Creates a complex number from its real and imaginary parts.
     #[inline]
-    pub const fn new(re: f64, im: f64) -> Self {
+    pub const fn new(re: T, im: T) -> Self {
         Self { re, im }
     }
 
     /// Creates a purely real complex number.
     #[inline]
-    pub const fn from_real(re: f64) -> Self {
-        Self { re, im: 0.0 }
+    pub const fn from_real(re: T) -> Self {
+        Self { re, im: T::ZERO }
+    }
+
+    /// `z` rounded part by part to this precision (exact for `f64`): how an
+    /// `f64` table becomes a working-precision one.
+    #[inline]
+    pub fn narrow(z: Complex64) -> Self {
+        Self::new(T::from_f64(z.re), T::from_f64(z.im))
+    }
+
+    /// This value in double precision (exact).
+    #[inline]
+    pub fn widen(self) -> Complex64 {
+        Complex64::new(self.re.to_f64(), self.im.to_f64())
     }
 
     /// Creates a complex number from polar coordinates `r·e^{iθ}`.
     #[inline]
-    pub fn from_polar(r: f64, theta: f64) -> Self {
+    pub fn from_polar(r: T, theta: T) -> Self {
         Self {
             re: r * theta.cos(),
             im: r * theta.sin(),
@@ -69,8 +204,8 @@ impl Complex64 {
     /// `e^{iθ}`: the unit-magnitude phase factor used for propagators and
     /// twiddle factors.
     #[inline]
-    pub fn cis(theta: f64) -> Self {
-        Self::from_polar(1.0, theta)
+    pub fn cis(theta: T) -> Self {
+        Self::from_polar(T::ONE, theta)
     }
 
     /// Complex conjugate.
@@ -84,19 +219,19 @@ impl Complex64 {
 
     /// Magnitude (absolute value).
     #[inline]
-    pub fn abs(self) -> f64 {
+    pub fn abs(self) -> T {
         self.re.hypot(self.im)
     }
 
     /// Squared magnitude `re² + im²` (the measured diffraction intensity).
     #[inline]
-    pub fn norm_sqr(self) -> f64 {
+    pub fn norm_sqr(self) -> T {
         self.re * self.re + self.im * self.im
     }
 
     /// Argument (phase angle) in radians.
     #[inline]
-    pub fn arg(self) -> f64 {
+    pub fn arg(self) -> T {
         self.im.atan2(self.re)
     }
 
@@ -119,7 +254,7 @@ impl Complex64 {
 
     /// Multiplication by a real scalar.
     #[inline]
-    pub fn scale(self, s: f64) -> Self {
+    pub fn scale(self, s: T) -> Self {
         Self {
             re: self.re * s,
             im: self.im * s,
@@ -133,112 +268,112 @@ impl Complex64 {
     }
 }
 
-impl From<f64> for Complex64 {
-    fn from(re: f64) -> Self {
+impl<T: Real> From<T> for Complex<T> {
+    fn from(re: T) -> Self {
         Self::from_real(re)
     }
 }
 
-impl Add for Complex64 {
-    type Output = Complex64;
+impl<T: Real> Add for Complex<T> {
+    type Output = Self;
     #[inline]
-    fn add(self, rhs: Complex64) -> Complex64 {
-        Complex64::new(self.re + rhs.re, self.im + rhs.im)
+    fn add(self, rhs: Self) -> Self {
+        Self::new(self.re + rhs.re, self.im + rhs.im)
     }
 }
 
-impl Sub for Complex64 {
-    type Output = Complex64;
+impl<T: Real> Sub for Complex<T> {
+    type Output = Self;
     #[inline]
-    fn sub(self, rhs: Complex64) -> Complex64 {
-        Complex64::new(self.re - rhs.re, self.im - rhs.im)
+    fn sub(self, rhs: Self) -> Self {
+        Self::new(self.re - rhs.re, self.im - rhs.im)
     }
 }
 
-impl Mul for Complex64 {
-    type Output = Complex64;
+impl<T: Real> Mul for Complex<T> {
+    type Output = Self;
     #[inline]
-    fn mul(self, rhs: Complex64) -> Complex64 {
-        Complex64::new(
+    fn mul(self, rhs: Self) -> Self {
+        Self::new(
             self.re * rhs.re - self.im * rhs.im,
             self.re * rhs.im + self.im * rhs.re,
         )
     }
 }
 
-impl Div for Complex64 {
-    type Output = Complex64;
+impl<T: Real> Div for Complex<T> {
+    type Output = Self;
     #[inline]
     // Complex division is multiplication by the reciprocal; not a typo.
     #[allow(clippy::suspicious_arithmetic_impl)]
-    fn div(self, rhs: Complex64) -> Complex64 {
+    fn div(self, rhs: Self) -> Self {
         self * rhs.recip()
     }
 }
 
-impl Mul<f64> for Complex64 {
-    type Output = Complex64;
+impl<T: Real> Mul<T> for Complex<T> {
+    type Output = Self;
     #[inline]
-    fn mul(self, rhs: f64) -> Complex64 {
+    fn mul(self, rhs: T) -> Self {
         self.scale(rhs)
     }
 }
 
-impl Div<f64> for Complex64 {
-    type Output = Complex64;
+impl<T: Real> Div<T> for Complex<T> {
+    type Output = Self;
     #[inline]
-    fn div(self, rhs: f64) -> Complex64 {
-        self.scale(1.0 / rhs)
+    fn div(self, rhs: T) -> Self {
+        self.scale(T::ONE / rhs)
     }
 }
 
-impl Neg for Complex64 {
-    type Output = Complex64;
+impl<T: Real> Neg for Complex<T> {
+    type Output = Self;
     #[inline]
-    fn neg(self) -> Complex64 {
-        Complex64::new(-self.re, -self.im)
+    fn neg(self) -> Self {
+        Self::new(-self.re, -self.im)
     }
 }
 
-impl AddAssign for Complex64 {
+impl<T: Real> AddAssign for Complex<T> {
     #[inline]
-    fn add_assign(&mut self, rhs: Complex64) {
+    fn add_assign(&mut self, rhs: Self) {
         self.re += rhs.re;
         self.im += rhs.im;
     }
 }
 
-impl SubAssign for Complex64 {
+impl<T: Real> SubAssign for Complex<T> {
     #[inline]
-    fn sub_assign(&mut self, rhs: Complex64) {
+    fn sub_assign(&mut self, rhs: Self) {
         self.re -= rhs.re;
         self.im -= rhs.im;
     }
 }
 
-impl MulAssign for Complex64 {
+impl<T: Real> MulAssign for Complex<T> {
     #[inline]
-    fn mul_assign(&mut self, rhs: Complex64) {
+    fn mul_assign(&mut self, rhs: Self) {
         *self = *self * rhs;
     }
 }
 
-impl DivAssign for Complex64 {
+impl<T: Real> DivAssign for Complex<T> {
     #[inline]
-    fn div_assign(&mut self, rhs: Complex64) {
+    fn div_assign(&mut self, rhs: Self) {
         *self = *self / rhs;
     }
 }
 
-impl Sum for Complex64 {
-    fn sum<I: Iterator<Item = Complex64>>(iter: I) -> Complex64 {
-        iter.fold(Complex64::ZERO, |a, b| a + b)
+impl<T: Real> Sum for Complex<T> {
+    fn sum<I: Iterator<Item = Self>>(iter: I) -> Self {
+        iter.fold(Self::ZERO, |a, b| a + b)
     }
 }
 
-impl<'a> Sum<&'a Complex64> for Complex64 {
-    fn sum<I: Iterator<Item = &'a Complex64>>(iter: I) -> Complex64 {
-        iter.fold(Complex64::ZERO, |a, b| a + *b)
+impl<'a, T: Real> Sum<&'a Complex<T>> for Complex<T> {
+    fn sum<I: Iterator<Item = &'a Complex<T>>>(iter: I) -> Self {
+        iter.fold(Self::ZERO, |a, b| a + *b)
     }
 }
 
@@ -354,6 +489,20 @@ mod tests {
         let z = Complex64::new(2.0, -6.0);
         assert!(close(z * 0.5, Complex64::new(1.0, -3.0)));
         assert!(close(z / 2.0, Complex64::new(1.0, -3.0)));
+    }
+
+    #[test]
+    fn narrowing_rounds_and_widening_is_exact() {
+        let z = Complex64::new(0.1, -1.0 / 3.0);
+        let narrow = Complex32::narrow(z);
+        assert_eq!((narrow.re, narrow.im), (0.1f32, -1.0f32 / 3.0));
+        assert_eq!(
+            narrow.widen(),
+            Complex64::new(0.1f32 as f64, (-1.0f32 / 3.0) as f64)
+        );
+        assert_eq!(Complex64::narrow(z), z);
+        assert_eq!(z.widen(), z);
+        assert_eq!(1.5f32.bit_pattern(), 1.5f32.to_bits() as u64);
     }
 
     #[test]

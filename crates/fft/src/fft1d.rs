@@ -1,30 +1,32 @@
 //! Radix-2 decimation-in-time FFT plans for power-of-two lengths.
 
+use crate::complex::{Complex, Real};
 use crate::simd::{self, RowPass, SimdLevel, Stage};
 use crate::Complex64;
 use std::f64::consts::PI;
 
-/// A reusable plan for 1D FFTs of a fixed power-of-two length.
+/// A reusable plan for 1D FFTs of a fixed power-of-two length, over complex
+/// values of precision `R` (`f64` unless named).
 ///
 /// The plan caches the bit-reversal permutation and *per-stage* twiddle
 /// tables for both directions, so repeated transforms (the common case in the
 /// multi-slice model, which transforms every slice of every probe — the
 /// hottest loop in the repository) pay only the O(N log N) butterfly work,
 /// with no per-butterfly direction branch, strided table walk or conjugation.
-/// All methods are in-place over `&mut [Complex64]` — this is the
+/// All methods are in-place over `&mut [Complex<R>]` — this is the
 /// zero-allocation entry point. A line is a one-row field to the kernels:
 /// the 2-D plan's row pass runs the same code on every row.
 #[derive(Clone, Debug)]
-pub struct FftPlan {
+pub struct FftPlan<R: Real = f64> {
     len: usize,
     /// Bit-reversed index for every position.
     bit_rev: Vec<u32>,
     /// Forward twiddles `e^{-2πik/N}`, one contiguous table per butterfly
     /// stage (stage `s` holds `2^s` entries), so the innermost loop walks
-    /// them sequentially.
-    forward_stages: Vec<Stage>,
+    /// them sequentially. Computed in `f64` and narrowed once to `R`.
+    forward_stages: Vec<Stage<R>>,
     /// The same tables conjugated (exact), for the inverse direction.
-    inverse_stages: Vec<Stage>,
+    inverse_stages: Vec<Stage<R>>,
     /// The SIMD tier the butterfly loop dispatches to, fixed at construction
     /// (see [`SimdLevel::detect`]).
     level: SimdLevel,
@@ -40,15 +42,19 @@ pub(crate) fn bit_reversal(len: usize) -> Vec<u32> {
 }
 
 impl FftPlan {
-    /// Creates a plan for transforms of length `len`, dispatching the
-    /// butterfly loop at the best SIMD tier this machine supports.
+    /// Creates an `f64` plan for transforms of length `len`, dispatching the
+    /// butterfly loop at the best SIMD tier this machine supports. A plan of
+    /// another precision is `FftPlan::<R>::with_simd_level(len,
+    /// SimdLevel::detect())`.
     ///
     /// # Panics
     /// Panics if `len` is zero or not a power of two.
     pub fn new(len: usize) -> Self {
         Self::with_simd_level(len, SimdLevel::detect())
     }
+}
 
+impl<R: Real> FftPlan<R> {
     /// Creates a plan pinned to a specific SIMD tier — the bench/test entry
     /// point for comparing tiers on one machine (`Scalar` is the portable
     /// oracle every tier is bit-identical to). Prefer [`FftPlan::new`].
@@ -69,6 +75,7 @@ impl FftPlan {
         // Base table `e^{-2πik/N}` for `k in 0..N/2`; the per-stage tables
         // index into it (stage of size `s` uses stride `N/s`), so the stage
         // entries are bit-identical to the strided lookups they replace.
+        // Every entry is computed in `f64` and rounded once to `R`.
         let twiddles: Vec<Complex64> = (0..len / 2)
             .map(|k| Complex64::cis(-2.0 * PI * k as f64 / len as f64))
             .collect();
@@ -78,7 +85,9 @@ impl FftPlan {
             let half = size / 2;
             let stride = len / size;
             forward_stages.push(Stage::new(
-                (0..half).map(|k| twiddles[k * stride]).collect(),
+                (0..half)
+                    .map(|k| Complex::narrow(twiddles[k * stride]))
+                    .collect(),
             ));
             size *= 2;
         }
@@ -112,29 +121,29 @@ impl FftPlan {
     ///
     /// # Panics
     /// Panics if `data.len()` differs from the plan length.
-    pub fn forward(&self, data: &mut [Complex64]) {
-        self.transform(data, true, 1.0);
+    pub fn forward(&self, data: &mut [Complex<R>]) {
+        self.transform(data, true, R::ONE);
     }
 
     /// In-place inverse transform (normalised by `1/N`).
     ///
     /// # Panics
     /// Panics if `data.len()` differs from the plan length.
-    pub fn inverse(&self, data: &mut [Complex64]) {
-        self.transform(data, false, 1.0 / self.len as f64);
+    pub fn inverse(&self, data: &mut [Complex<R>]) {
+        self.transform(data, false, R::from_f64(1.0 / self.len as f64));
     }
 
     /// In-place inverse transform *without* the `1/N` normalisation.
     ///
     /// Useful when a forward/inverse pair brackets an elementwise operation and
     /// the caller wants to fold the normalisation into that operation.
-    pub fn inverse_unnormalized(&self, data: &mut [Complex64]) {
-        self.transform(data, false, 1.0);
+    pub fn inverse_unnormalized(&self, data: &mut [Complex<R>]) {
+        self.transform(data, false, R::ONE);
     }
 
     /// The line as a one-row field through the row pass, multiplied by
     /// `scale` as it is written out.
-    fn transform(&self, data: &mut [Complex64], forward: bool, scale: f64) {
+    fn transform(&self, data: &mut [Complex<R>], forward: bool, scale: R) {
         assert_eq!(
             data.len(),
             self.len,
@@ -157,7 +166,7 @@ impl FftPlan {
     /// apply to each column, with whole rows paired so memory is walked along
     /// the contiguous rows. The rows must already be in bit-reversed order —
     /// the 2-D row pass writes them there.
-    pub(crate) fn transform_columns(&self, data: &mut [Complex64], cols: usize, forward: bool) {
+    pub(crate) fn transform_columns(&self, data: &mut [Complex<R>], cols: usize, forward: bool) {
         assert_eq!(
             data.len(),
             self.len * cols,
@@ -182,7 +191,7 @@ impl FftPlan {
 
     /// Per-stage twiddle tables for the given direction (stage `s` holds
     /// `2^s` entries).
-    pub(crate) fn stages(&self, forward: bool) -> &[Stage] {
+    pub(crate) fn stages(&self, forward: bool) -> &[Stage<R>] {
         if forward {
             &self.forward_stages
         } else {
@@ -372,18 +381,23 @@ mod tests {
         plan.forward(&mut data);
     }
 
-    #[test]
-    fn every_tier_plan_bit_identical_to_scalar_plan() {
+    fn plans_match_scalar<R: Real>() {
         // 2⁰ … 2¹⁰ covers the degenerate plan, odd and even stage counts
-        // (the one-stage tail sweep) and AVX2's one-value tail at h = 1.
+        // (the one-stage tail sweep) and the vector tiers' one-value tails
+        // at h = 1.
         for level in SimdLevel::available_levels() {
             for n in (0..=10).map(|e| 1usize << e) {
-                let scalar_plan = FftPlan::with_simd_level(n, SimdLevel::Scalar);
-                let tier_plan = FftPlan::with_simd_level(n, level);
-                let input: Vec<Complex64> = (0..n)
-                    .map(|i| Complex64::new((i as f64 * 0.83).sin(), (i as f64 * 0.19).cos()))
+                let scalar_plan = FftPlan::<R>::with_simd_level(n, SimdLevel::Scalar);
+                let tier_plan = FftPlan::<R>::with_simd_level(n, level);
+                let input: Vec<Complex<R>> = (0..n)
+                    .map(|i| {
+                        Complex::narrow(Complex64::new(
+                            (i as f64 * 0.83).sin(),
+                            (i as f64 * 0.19).cos(),
+                        ))
+                    })
                     .collect();
-                let transforms: [fn(&FftPlan, &mut [Complex64]); 3] = [
+                let transforms: [fn(&FftPlan<R>, &mut [Complex<R>]); 3] = [
                     FftPlan::forward,
                     FftPlan::inverse,
                     FftPlan::inverse_unnormalized,
@@ -395,12 +409,33 @@ mod tests {
                     transform(&tier_plan, &mut b);
                     for (x, y) in a.iter().zip(&b) {
                         assert_eq!(
-                            (x.re.to_bits(), x.im.to_bits()),
-                            (y.re.to_bits(), y.im.to_bits()),
+                            (x.re.bit_pattern(), x.im.bit_pattern()),
+                            (y.re.bit_pattern(), y.im.bit_pattern()),
                             "n={n} at {level:?}, transform {t}"
                         );
                     }
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn every_tier_plan_bit_identical_to_scalar_plan() {
+        plans_match_scalar::<f64>();
+        plans_match_scalar::<f32>();
+    }
+
+    #[test]
+    fn f32_twiddles_are_the_f64_twiddles_rounded_once() {
+        let (wide, narrow) = (
+            FftPlan::new(64),
+            FftPlan::<f32>::with_simd_level(64, SimdLevel::Scalar),
+        );
+        for forward in [true, false] {
+            for (w64, w32) in wide.stages(forward).iter().zip(narrow.stages(forward)) {
+                let rounded: Vec<Complex<f32>> =
+                    w64.w.iter().map(|w| Complex::narrow(*w)).collect();
+                assert_eq!(rounded, w32.w);
             }
         }
     }
@@ -427,7 +462,7 @@ mod tests {
             // the #[should_panic] contract still holds.
             panic!("SIMD level Avx2 is not available on this machine");
         }
-        let _ = FftPlan::with_simd_level(8, SimdLevel::Avx2);
+        let _ = FftPlan::<f64>::with_simd_level(8, SimdLevel::Avx2);
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! 2D fast Fourier transforms over [`Array2<Complex64>`](ptycho_array::Array2).
+//! 2D fast Fourier transforms over [`Array2<Complex<R>>`](ptycho_array::Array2),
+//! `R` being `f64` or `f32`.
 //!
 //! The 2D transform is a row pass followed by a column pass, both in the
 //! field's own storage, each sweeping the field once (see the
@@ -35,24 +36,25 @@
 //! is only shape-checked. They stay for the one external caller that still
 //! names them.
 
+use crate::complex::{Complex, Real};
 use crate::simd::{self, RowPass, SimdLevel, Source};
-use crate::{CArray2, Complex64, FftPlan};
+use crate::{CArray2, FftPlan};
 use ptycho_array::Array2;
 use std::ops::Range;
 
 /// A pointwise factor a fused transform multiplies each input value by as
 /// its row pass loads it: one value per element of the field, row-major.
 #[derive(Clone, Copy, Debug)]
-pub enum Factor<'a> {
+pub enum Factor<'a, R: Real = f64> {
     /// `x · f`.
-    Mul(&'a [Complex64]),
+    Mul(&'a [Complex<R>]),
     /// `x · conj(f)`.
-    MulConj(&'a [Complex64]),
+    MulConj(&'a [Complex<R>]),
 }
 
-impl<'a> Factor<'a> {
+impl<'a, R: Real> Factor<'a, R> {
     /// The factor values.
-    pub(crate) fn values(self) -> &'a [Complex64] {
+    pub(crate) fn values(self) -> &'a [Complex<R>] {
         match self {
             Factor::Mul(f) | Factor::MulConj(f) => f,
         }
@@ -68,13 +70,13 @@ impl<'a> Factor<'a> {
 }
 
 /// A reusable plan for 2D FFTs of a fixed `(rows, cols)` shape (both powers of
-/// two).
+/// two), over complex values of precision `R` (`f64` unless named).
 #[derive(Clone, Debug)]
-pub struct Fft2Plan {
+pub struct Fft2Plan<R: Real = f64> {
     rows: usize,
     cols: usize,
-    row_plan: FftPlan,
-    col_plan: FftPlan,
+    row_plan: FftPlan<R>,
+    col_plan: FftPlan<R>,
 }
 
 /// The workspace argument of the `*_in_place` shims: a plan shape and nothing
@@ -93,132 +95,14 @@ impl Fft2Scratch {
 }
 
 impl Fft2Plan {
-    /// Creates a plan for `rows x cols` transforms at the best SIMD tier this
-    /// machine supports.
+    /// Creates an `f64` plan for `rows x cols` transforms at the best SIMD
+    /// tier this machine supports. A plan of another precision is
+    /// `Fft2Plan::<R>::with_simd_level(rows, cols, SimdLevel::detect())`.
     ///
     /// # Panics
     /// Panics if either dimension is zero or not a power of two.
     pub fn new(rows: usize, cols: usize) -> Self {
         Self::with_simd_level(rows, cols, SimdLevel::detect())
-    }
-
-    /// Creates a plan pinned to a specific SIMD tier (bench/test entry
-    /// point). Prefer [`Fft2Plan::new`].
-    ///
-    /// # Panics
-    /// Panics if a dimension is invalid or `level` is unavailable.
-    pub fn with_simd_level(rows: usize, cols: usize, level: SimdLevel) -> Self {
-        Self {
-            rows,
-            cols,
-            row_plan: FftPlan::with_simd_level(cols, level),
-            col_plan: FftPlan::with_simd_level(rows, level),
-        }
-    }
-
-    /// `(rows, cols)` shape the plan was built for.
-    pub fn shape(&self) -> (usize, usize) {
-        (self.rows, self.cols)
-    }
-
-    /// The SIMD tier this plan's kernels run at.
-    pub fn simd_level(&self) -> SimdLevel {
-        self.row_plan.simd_level()
-    }
-
-    /// Forward 2D transform (unnormalised). By-value wrapper over
-    /// [`Self::forward_mut`] (clones the input).
-    pub fn forward(&self, field: &CArray2) -> CArray2 {
-        let mut out = field.clone();
-        self.forward_mut(&mut out);
-        out
-    }
-
-    /// Inverse 2D transform (normalised by `1/(rows·cols)`). By-value wrapper
-    /// over [`Self::inverse_mut`].
-    pub fn inverse(&self, field: &CArray2) -> CArray2 {
-        let mut out = field.clone();
-        self.inverse_mut(&mut out);
-        out
-    }
-
-    /// In-place forward 2D transform (unnormalised): zero heap allocations,
-    /// no workspace.
-    ///
-    /// # Panics
-    /// Panics if the field shape differs from the plan shape.
-    pub fn forward_mut(&self, field: &mut CArray2) {
-        self.transform(field, None, true, 1.0);
-    }
-
-    /// In-place inverse 2D transform (normalised by `1/(rows·cols)`): zero
-    /// heap allocations, no workspace.
-    ///
-    /// # Panics
-    /// Panics if the field shape differs from the plan shape.
-    pub fn inverse_mut(&self, field: &mut CArray2) {
-        let scale = 1.0 / (self.rows * self.cols) as f64;
-        self.transform(field, None, false, scale);
-    }
-
-    /// In-place inverse 2D transform *without* the `1/(rows·cols)`
-    /// normalisation, for callers that fold it into an elementwise factor
-    /// they apply anyway (the multi-slice model pre-scales its transfer
-    /// function).
-    ///
-    /// # Panics
-    /// Panics if the field shape differs from the plan shape.
-    pub fn inverse_unnormalized_mut(&self, field: &mut CArray2) {
-        self.transform(field, None, false, 1.0);
-    }
-
-    /// Forward 2D transform (unnormalised) of `source ⊙ factor` into
-    /// `field`, whose old values are never read: the product is taken as
-    /// the row pass loads each value, so the pair touches every value once.
-    /// Bit-identical to the separate multiply, then [`Self::forward_mut`].
-    /// Zero heap allocations.
-    ///
-    /// # Panics
-    /// Panics if the field shape differs from the plan shape, or `source` or
-    /// the factor does not hold one value per element of the field.
-    pub fn forward_fused(
-        &self,
-        field: &mut CArray2,
-        source: &[Complex64],
-        factor: Option<Factor<'_>>,
-    ) {
-        self.transform(
-            field,
-            Some(Source {
-                values: source,
-                factor,
-            }),
-            true,
-            1.0,
-        );
-    }
-
-    /// [`Self::forward_fused`] for the unnormalised inverse transform:
-    /// bit-identical to the separate multiply, then
-    /// [`Self::inverse_unnormalized_mut`].
-    ///
-    /// # Panics
-    /// As [`Self::forward_fused`].
-    pub fn inverse_unnormalized_fused(
-        &self,
-        field: &mut CArray2,
-        source: &[Complex64],
-        factor: Option<Factor<'_>>,
-    ) {
-        self.transform(
-            field,
-            Some(Source {
-                values: source,
-                factor,
-            }),
-            false,
-            1.0,
-        );
     }
 
     /// [`Self::forward_mut`]; `scratch` is only shape-checked.
@@ -250,16 +134,137 @@ impl Fft2Plan {
             (self.rows, self.cols)
         );
     }
+}
+
+impl<R: Real> Fft2Plan<R> {
+    /// Creates a plan pinned to a specific SIMD tier (bench/test entry
+    /// point). Prefer [`Fft2Plan::new`].
+    ///
+    /// # Panics
+    /// Panics if a dimension is invalid or `level` is unavailable.
+    pub fn with_simd_level(rows: usize, cols: usize, level: SimdLevel) -> Self {
+        Self {
+            rows,
+            cols,
+            row_plan: FftPlan::with_simd_level(cols, level),
+            col_plan: FftPlan::with_simd_level(rows, level),
+        }
+    }
+
+    /// `(rows, cols)` shape the plan was built for.
+    pub fn shape(&self) -> (usize, usize) {
+        (self.rows, self.cols)
+    }
+
+    /// The SIMD tier this plan's kernels run at.
+    pub fn simd_level(&self) -> SimdLevel {
+        self.row_plan.simd_level()
+    }
+
+    /// Forward 2D transform (unnormalised). By-value wrapper over
+    /// [`Self::forward_mut`] (clones the input).
+    pub fn forward(&self, field: &Array2<Complex<R>>) -> Array2<Complex<R>> {
+        let mut out = field.clone();
+        self.forward_mut(&mut out);
+        out
+    }
+
+    /// Inverse 2D transform (normalised by `1/(rows·cols)`). By-value wrapper
+    /// over [`Self::inverse_mut`].
+    pub fn inverse(&self, field: &Array2<Complex<R>>) -> Array2<Complex<R>> {
+        let mut out = field.clone();
+        self.inverse_mut(&mut out);
+        out
+    }
+
+    /// In-place forward 2D transform (unnormalised): zero heap allocations,
+    /// no workspace.
+    ///
+    /// # Panics
+    /// Panics if the field shape differs from the plan shape.
+    pub fn forward_mut(&self, field: &mut Array2<Complex<R>>) {
+        self.transform(field, None, true, R::ONE);
+    }
+
+    /// In-place inverse 2D transform (normalised by `1/(rows·cols)`): zero
+    /// heap allocations, no workspace.
+    ///
+    /// # Panics
+    /// Panics if the field shape differs from the plan shape.
+    pub fn inverse_mut(&self, field: &mut Array2<Complex<R>>) {
+        let scale = R::from_f64(1.0 / (self.rows * self.cols) as f64);
+        self.transform(field, None, false, scale);
+    }
+
+    /// In-place inverse 2D transform *without* the `1/(rows·cols)`
+    /// normalisation, for callers that fold it into an elementwise factor
+    /// they apply anyway (the multi-slice model pre-scales its transfer
+    /// function).
+    ///
+    /// # Panics
+    /// Panics if the field shape differs from the plan shape.
+    pub fn inverse_unnormalized_mut(&self, field: &mut Array2<Complex<R>>) {
+        self.transform(field, None, false, R::ONE);
+    }
+
+    /// Forward 2D transform (unnormalised) of `source ⊙ factor` into
+    /// `field`, whose old values are never read: the product is taken as
+    /// the row pass loads each value, so the pair touches every value once.
+    /// Bit-identical to the separate multiply, then [`Self::forward_mut`].
+    /// Zero heap allocations.
+    ///
+    /// # Panics
+    /// Panics if the field shape differs from the plan shape, or `source` or
+    /// the factor does not hold one value per element of the field.
+    pub fn forward_fused(
+        &self,
+        field: &mut Array2<Complex<R>>,
+        source: &[Complex<R>],
+        factor: Option<Factor<'_, R>>,
+    ) {
+        self.transform(
+            field,
+            Some(Source {
+                values: source,
+                factor,
+            }),
+            true,
+            R::ONE,
+        );
+    }
+
+    /// [`Self::forward_fused`] for the unnormalised inverse transform:
+    /// bit-identical to the separate multiply, then
+    /// [`Self::inverse_unnormalized_mut`].
+    ///
+    /// # Panics
+    /// As [`Self::forward_fused`].
+    pub fn inverse_unnormalized_fused(
+        &self,
+        field: &mut Array2<Complex<R>>,
+        source: &[Complex<R>],
+        factor: Option<Factor<'_, R>>,
+    ) {
+        self.transform(
+            field,
+            Some(Source {
+                values: source,
+                factor,
+            }),
+            false,
+            R::ONE,
+        );
+    }
 
     /// The fused row pass (reading `source` times its factor, or `field`
     /// itself, times `scale` — a power of two, so exact — on write-out, each
     /// row landing at its bit-reversed row), then the column stages.
     fn transform(
         &self,
-        field: &mut CArray2,
-        source: Option<Source<'_>>,
+        field: &mut Array2<Complex<R>>,
+        source: Option<Source<'_, R>>,
         forward: bool,
-        scale: f64,
+        scale: R,
     ) {
         assert_eq!(
             field.shape(),
@@ -567,11 +572,23 @@ mod tests {
         assert_fields_close(&data, &field, 1e-9);
     }
 
-    #[test]
-    fn every_tier_2d_plan_bit_identical_to_scalar_2d_plan() {
+    /// [`test_field`] rounded to precision `R`.
+    fn test_field_in<R: Real>(rows: usize, cols: usize) -> Array2<Complex<R>> {
+        test_field(rows, cols).map(|v| Complex::narrow(*v))
+    }
+
+    fn bits<R: Real>(field: &Array2<Complex<R>>) -> Vec<(u64, u64)> {
+        field
+            .as_slice()
+            .iter()
+            .map(|v| (v.re.bit_pattern(), v.im.bit_pattern()))
+            .collect()
+    }
+
+    fn plans_2d_match_scalar<R: Real>() {
         // Row pass, column pass (one- and two-stage sweeps, odd stage counts)
         // and the scaling, at every tier; the 1×N / N×1 / N×2 shapes leave
-        // AVX2's column sweeps nothing but the one-value tail.
+        // the vector column sweeps nothing but the one-value tail.
         for level in SimdLevel::available_levels() {
             for &(rows, cols) in &[
                 (1usize, 1usize),
@@ -584,11 +601,11 @@ mod tests {
                 (128, 2),
                 (64, 64),
             ] {
-                let field = test_field(rows, cols);
-                let scalar_plan = Fft2Plan::with_simd_level(rows, cols, SimdLevel::Scalar);
-                let tier_plan = Fft2Plan::with_simd_level(rows, cols, level);
+                let field = test_field_in::<R>(rows, cols);
+                let scalar_plan = Fft2Plan::<R>::with_simd_level(rows, cols, SimdLevel::Scalar);
+                let tier_plan = Fft2Plan::<R>::with_simd_level(rows, cols, level);
                 assert_eq!(tier_plan.simd_level(), level);
-                let transforms: [fn(&Fft2Plan, &mut CArray2); 3] = [
+                let transforms: [fn(&Fft2Plan<R>, &mut Array2<Complex<R>>); 3] = [
                     Fft2Plan::forward_mut,
                     Fft2Plan::inverse_mut,
                     Fft2Plan::inverse_unnormalized_mut,
@@ -598,20 +615,23 @@ mod tests {
                     let mut b = field.clone();
                     transform(&scalar_plan, &mut a);
                     transform(&tier_plan, &mut b);
-                    for (x, y) in a.as_slice().iter().zip(b.as_slice()) {
-                        assert_eq!(
-                            (x.re.to_bits(), x.im.to_bits()),
-                            (y.re.to_bits(), y.im.to_bits()),
-                            "{rows}x{cols} at {level:?}, transform {t}"
-                        );
-                    }
+                    assert_eq!(
+                        bits(&a),
+                        bits(&b),
+                        "{rows}x{cols} at {level:?}, transform {t}"
+                    );
                 }
             }
         }
     }
 
     #[test]
-    fn fused_transforms_match_a_separate_multiply_then_the_transform() {
+    fn every_tier_2d_plan_bit_identical_to_scalar_2d_plan() {
+        plans_2d_match_scalar::<f64>();
+        plans_2d_match_scalar::<f32>();
+    }
+
+    fn fused_match_separate<R: Real>() {
         // Every row-pass input — a distinct source with no factor, a factor
         // on load or a conjugated factor; the field in place — forward,
         // inverse and scaled inverse, at every tier, against the scalar
@@ -626,12 +646,12 @@ mod tests {
         shapes.extend([(4, 4), (8, 16), (16, 8), (32, 32), (64, 128)]);
         for level in SimdLevel::available_levels() {
             for &(rows, cols) in &shapes {
-                let scalar = Fft2Plan::with_simd_level(rows, cols, SimdLevel::Scalar);
-                let plan = Fft2Plan::with_simd_level(rows, cols, level);
-                let input = test_field(rows, cols);
-                let f = test_field(rows + 1, cols).as_slice()[cols..].to_vec();
-                let element_count = (rows * cols) as f64;
-                let directions = [(true, 1.0), (false, 1.0), (false, 1.0 / element_count)];
+                let scalar = Fft2Plan::<R>::with_simd_level(rows, cols, SimdLevel::Scalar);
+                let plan = Fft2Plan::<R>::with_simd_level(rows, cols, level);
+                let input = test_field_in::<R>(rows, cols);
+                let f = test_field_in::<R>(rows + 1, cols).as_slice()[cols..].to_vec();
+                let inverse_scale = R::from_f64(1.0 / (rows * cols) as f64);
+                let directions = [(true, R::ONE), (false, R::ONE), (false, inverse_scale)];
                 let factors = [None, Some(Factor::Mul(&f)), Some(Factor::MulConj(&f))];
                 for (forward, scale) in directions {
                     for factor in factors {
@@ -644,7 +664,8 @@ mod tests {
                             }
                         }
                         scalar.transform(&mut expected, None, forward, scale);
-                        let mut fused = Array2::full(rows, cols, Complex64::new(f64::NAN, -1.0));
+                        let nan = Complex::narrow(Complex64::new(f64::NAN, -1.0));
+                        let mut fused = Array2::full(rows, cols, nan);
                         let source = Source {
                             values: input.as_slice(),
                             factor,
@@ -657,18 +678,54 @@ mod tests {
                             runs.push(("in place", in_place));
                         }
                         for (input, out) in runs {
-                            for (a, b) in expected.as_slice().iter().zip(out.as_slice()) {
-                                assert_eq!(
-                                    (a.re.to_bits(), a.im.to_bits()),
-                                    (b.re.to_bits(), b.im.to_bits()),
-                                    "{rows}x{cols} at {level:?}, forward={forward}, \
-                                     scale={scale}, factor={factor:?}, {input}"
-                                );
-                            }
+                            assert_eq!(
+                                bits(&expected),
+                                bits(&out),
+                                "{rows}x{cols} at {level:?}, forward={forward}, \
+                                 scale={scale}, factor={factor:?}, {input}"
+                            );
                         }
                     }
                 }
             }
+        }
+    }
+
+    #[test]
+    fn fused_transforms_match_a_separate_multiply_then_the_transform() {
+        fused_match_separate::<f64>();
+        fused_match_separate::<f32>();
+    }
+
+    #[test]
+    fn f32_transforms_stay_within_their_bound_of_the_f64_reference_dft() {
+        // The f32 plan (twiddles rounded once from f64, every butterfly in
+        // f32) against the naive f64 DFT of the same f32 input, at the
+        // window sizes the workloads use, forward and round trip: relative
+        // L2 error at most `F32_DFT_BOUND`, about 17 units of f32 rounding
+        // (2⁻²⁴). Measured on x86_64: 1.2–1.5e-7 forward and 1.8–2.3e-7
+        // round trip over these sizes.
+        const F32_DFT_BOUND: f64 = 2e-6;
+        for n in [32usize, 64, 128, 256] {
+            let input = test_field_in::<f32>(n, n);
+            let reference = dft2_reference(&input.map(|v| v.widen()));
+            let plan = Fft2Plan::<f32>::with_simd_level(n, n, SimdLevel::detect());
+            let spectrum = plan.forward(&input);
+            let back = plan.inverse(&spectrum);
+            let relative_l2 = |got: &Array2<Complex<f32>>, want: &CArray2| {
+                let (mut err, mut norm) = (0.0, 0.0);
+                for (g, w) in got.as_slice().iter().zip(want.as_slice()) {
+                    err += (g.widen() - *w).norm_sqr();
+                    norm += w.norm_sqr();
+                }
+                (err / norm).sqrt()
+            };
+            let forward_err = relative_l2(&spectrum, &reference);
+            let roundtrip_err = relative_l2(&back, &input.map(|v| v.widen()));
+            assert!(
+                forward_err <= F32_DFT_BOUND && roundtrip_err <= F32_DFT_BOUND,
+                "{n}x{n}: forward {forward_err:.3e}, round trip {roundtrip_err:.3e}"
+            );
         }
     }
 

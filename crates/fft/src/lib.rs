@@ -9,19 +9,25 @@
 //!
 //! # Contents
 //!
-//! * [`Complex64`] — a minimal double-precision complex number.
+//! * [`Complex`] — a minimal complex number over a [`Real`] type, with
+//!   [`Complex64`] (double precision: synthesis, storage, checkpoints) and
+//!   [`Complex32`] (single precision: the reconstruction's working
+//!   precision) as names.
 //! * [`FftPlan`] — a cached-twiddle radix-2 plan for power-of-two 1D
-//!   transforms. Its `forward`/`inverse` methods are *in-place* over
-//!   `&mut [Complex64]` — they are the zero-allocation entry points.
+//!   transforms at either precision (`f64` unless named). Its
+//!   `forward`/`inverse` methods are *in-place* over `&mut [Complex<R>]` —
+//!   they are the zero-allocation entry points.
 //! * [`fft2d`] — forward/inverse 2D transforms over [`ptycho_array::Array2`]:
 //!   a row pass and a transpose-free column pass, both in place (the
 //!   hot-path API needs no workspace), plus `fftshift`/`ifftshift`.
 //! * [`simd`] — the butterfly-sweep kernel tiers ([`SimdLevel`]):
 //!   scalar everywhere, plus SSE2 and AVX2 `core::arch` kernels on x86_64,
 //!   the widest one the CPU offers selected at plan construction by runtime
-//!   detection. Every tier computes the same IEEE operation sequence, so all
-//!   are bit-identical and the tier is not part of a result's identity; that
-//!   module's docs state the contract and why FMA is not used.
+//!   detection. Every sweep is written once and instantiated at `f64` and
+//!   `f32`. At each precision every tier computes the same IEEE operation
+//!   sequence, so all are bit-identical and the tier is not part of a
+//!   result's identity; that module's docs state the contract and why FMA is
+//!   not used.
 //! * [`dft`] — a naive O(N²) reference DFT used only by tests and benches.
 //!
 //! # Conventions
@@ -59,7 +65,7 @@ mod fft1d;
 pub mod fft2d;
 pub mod simd;
 
-pub use complex::Complex64;
+pub use complex::{Complex, Complex32, Complex64, Real};
 pub use fft1d::{fft, ifft, FftPlan};
 pub use simd::SimdLevel;
 

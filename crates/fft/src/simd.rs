@@ -1,4 +1,4 @@
-//! The radix-2 butterfly sweeps, at every dispatch tier.
+//! The radix-2 butterfly sweeps, at every dispatch tier and both precisions.
 //!
 //! # Sweeps
 //!
@@ -37,47 +37,62 @@
 //! produce them: a fused transform is bit-identical to a separate multiply
 //! followed by the plain transform.
 //!
-//! # Dispatch tiers
+//! # Dispatch tiers and precisions
 //!
 //! A plan resolves its tier once, at construction, to the widest one the CPU
 //! offers ([`SimdLevel::detect`]); there is no cargo feature and no switch.
+//! Every sweep is written once — the portable loops generic over
+//! [`Real`](crate::Real), the vector ones over a lane type — and
+//! instantiated at both `f64` and `f32`:
 //!
-//! * [`SimdLevel::Scalar`] — the portable loops: the only tier on non-x86_64
-//!   targets, and on x86_64 the oracle the other two are pinned against
+//! | tier                  | `f64` lanes              | `f32` lanes              |
+//! |-----------------------|--------------------------|--------------------------|
+//! | [`SimdLevel::Scalar`] | one value                | one value                |
+//! | [`SimdLevel::Sse2`]   | 1 complex per `__m128d`  | 2 complex per `__m128`   |
+//! | [`SimdLevel::Avx2`]   | 2 complex per `__m256d`  | 4 complex per `__m256`   |
+//!
+//! * `Scalar` is the portable tier: the only one on non-x86_64 targets, and
+//!   on x86_64 the oracle the other two are pinned against
 //!   (`with_simd_level(Scalar)`).
-//! * [`SimdLevel::Sse2`] — one `Complex64` per `__m128d`. SSE2 is part of the
-//!   x86_64 baseline, so this tier needs no runtime check.
-//! * [`SimdLevel::Avx2`] — two `Complex64` per `__m256d`, selected when
-//!   `is_x86_feature_detected!("avx2")` holds. A lone trailing value (odd run
-//!   length, single-column field) goes through the SSE2 lane. The first
-//!   radix-2² sweep of a row holds the four values of a block as the lane
-//!   pairs `[x0, x2]` / `[x1, x3]`, so its first stage is one vector
-//!   butterfly as well.
+//! * `Sse2` is part of the x86_64 baseline, so it needs no runtime check.
+//! * `Avx2` is selected when `is_x86_feature_detected!("avx2")` holds.
+//!
+//! A run whose length the lane count does not divide (odd run lengths,
+//! single-column fields) is finished one complex value at a time by the
+//! tier's one-value lane: the SSE2 `f64` lane, or the low half of an
+//! `__m128` for `f32`. The first radix-2² sweep of a row holds the four
+//! values of a block as the lane pairs `[x0, x2]` / `[x1, x3]` (two
+//! `__m256d` for AVX2 `f64`, two `__m128` for `f32` at both vector tiers),
+//! so its first stage is one vector butterfly as well.
 //!
 //! # One arithmetic
 //!
 //! Every tier computes every butterfly as the *same* IEEE 754 operations in
-//! the same order as the scalar `Mul` / `Add` / `Sub` impls: the product
-//! `b·w` is two multiplies and one add/subtract per component
-//! (`_mm256_mul_pd` ×2 + `_mm256_addsub_pd` on AVX2; SSE2 has no `addsub`
-//! and adds the sign-flipped product, which IEEE defines as the same
-//! operation), then `a' = a + t`, `b' = a − t`. No accumulation is
-//! reordered and nothing is fused, so which tier, which lane and which
-//! partition of a run computed a value cannot be seen in its bits: all tiers
-//! are **bit-identical**, pinned by `to_bits` tests at every level of the
-//! stack (sweeps, 1-D / 2-D plans, the multi-slice gradient, whole
-//! solves). The dispatch tier is therefore not part of a result's identity —
-//! goldens, traces and checkpoints are the same on every host.
+//! the same order as the scalar `Mul` / `Add` / `Sub` impls, at the
+//! precision of the data: the product `b·w` is two multiplies and one
+//! add/subtract per component (`mul` ×2 + `addsub` on AVX2 — `_pd` or
+//! `_ps`; SSE2 has no `addsub` and adds the sign-flipped product, which IEEE
+//! defines as the same operation), then `a' = a + t`, `b' = a − t`. No
+//! accumulation is reordered and nothing is fused, so which tier, which lane
+//! and which partition of a run computed a value cannot be seen in its bits:
+//! at each precision all tiers are **bit-identical**, pinned by `to_bits`
+//! tests at every level of the stack (sweeps, 1-D / 2-D plans, the
+//! multi-slice gradient, whole solves). The dispatch tier is therefore not
+//! part of a result's identity — goldens, traces and checkpoints are the
+//! same on every host.
 //!
-//! FMA is deliberately not used. `vfmaddsub231pd` would fuse the second
-//! multiply with the add/subtract and drop one rounding per component, which
-//! makes results ULP-close to scalar instead of equal — every golden then
-//! needs a column per tier and a checkpoint cannot resume bit-identically on
-//! a host of another tier. Measured at commit 9bce48f, with one radix-2
-//! stage per sweep and a transposed column pass, on one AVX2 box (pinned
-//! CPU, best of 2000, one dense 128² forward transform / `iter_s_p50` of
-//! `perf_bench`'s `gd-compute-1r` in calibrated seconds, alternating runs),
-//! and not re-measured over the sweeps above:
+//! FMA is deliberately not used, at either precision. `vfmaddsub231pd` /
+//! `vfmaddsub231ps` would fuse the second multiply with the add/subtract and
+//! drop one rounding per component, which makes results ULP-close to scalar
+//! instead of equal — every golden then needs a column per tier and a
+//! checkpoint cannot resume bit-identically on a host of another tier. In
+//! `f32` a dropped rounding is 2²⁹ times coarser than in `f64`, so the gap
+//! between tiers would be plainly visible in every reconstruction. Measured
+//! at commit 9bce48f in `f64`, with one radix-2 stage per sweep and a
+//! transposed column pass, on one AVX2 box (pinned CPU, best of 2000, one
+//! dense 128² forward transform / `iter_s_p50` of `perf_bench`'s
+//! `gd-compute-1r` in calibrated seconds, alternating runs), and not
+//! re-measured over the sweeps above:
 //!
 //! | tier               | 128² forward | `gd-compute-1r` iteration |
 //! |--------------------|-------------:|--------------------------:|
@@ -97,22 +112,23 @@
 // two invariants, both enforced here: every kernel is only dispatched after
 // its CPU feature is statically (SSE2) or dynamically (AVX2) confirmed, and
 // every pointer stays inside the bounds of the slices passed in
-// (`Complex64` is `#[repr(C)]`, so a `&[Complex64]` is exactly a dense
-// `re, im` f64 sequence).
+// (`Complex<T>` is `#[repr(C)]`, so a `&[Complex<T>]` is exactly a dense
+// `re, im` sequence of `T`).
 #![cfg_attr(target_arch = "x86_64", allow(unsafe_code))]
 
+use crate::complex::{Complex, Real};
 use crate::fft2d::Factor;
-use crate::Complex64;
 
 /// The instruction-set tier a plan's butterfly kernels run at.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum SimdLevel {
     /// Portable scalar loop (always available; bit-identity reference).
     Scalar,
-    /// SSE2 `f64x2` kernels, one complex value per vector (every x86_64).
+    /// SSE2 kernels: one `f64` or two `f32` complex values per vector
+    /// (every x86_64).
     Sse2,
-    /// AVX2 `f64x4` kernels, two complex values per vector (x86_64,
-    /// runtime-detected).
+    /// AVX2 kernels: two `f64` or four `f32` complex values per vector
+    /// (x86_64, runtime-detected).
     Avx2,
 }
 
@@ -157,40 +173,147 @@ impl SimdLevel {
     }
 }
 
-/// Calls the kernel of the given tier with the given arguments.
+// The tables and entry points the sweeps are instantiated over. They are
+// nominally public inside a private module, so `Sweeps` can be a supertrait
+// of the public `Real` without any of it being nameable outside the crate.
+mod kernel {
+    use super::SimdLevel;
+    use crate::complex::{Complex, Real};
+    use crate::fft2d::Factor;
+
+    /// One butterfly stage's twiddles `w[k]`, and the same values with their
+    /// parts swapped, `[w.im, w.re]`. The vector tiers' products read both,
+    /// so they do no twiddle permute; the swap is exact, so the split moves
+    /// no bit.
+    #[derive(Clone, Debug)]
+    pub struct Stage<R: Real> {
+        pub(crate) w: Vec<Complex<R>>,
+        pub(crate) swapped: Vec<Complex<R>>,
+    }
+
+    /// The tables a row pass runs with (see the module docs).
+    #[derive(Clone, Copy, Debug)]
+    pub struct RowPass<'a, R: Real> {
+        /// The bit reversal within a row; its length is the row length.
+        pub within: &'a [u32],
+        /// The column transform's bit reversal: input row `i` is written to
+        /// row `order[i]`. Its length is the row count.
+        pub order: &'a [u32],
+        /// The row transform's stage tables, stage `s` holding `2^s` entries.
+        pub stages: &'a [Stage<R>],
+        /// What every output value is multiplied by (`1`: nothing).
+        pub scale: R,
+    }
+
+    /// A distinct field a row pass reads its input from, each value times
+    /// the factor, if any, as it is loaded.
+    #[derive(Clone, Copy, Debug)]
+    pub struct Source<'a, R: Real> {
+        /// The input values, row-major like the field written.
+        pub values: &'a [Complex<R>],
+        /// What each value is multiplied by as it is loaded.
+        pub factor: Option<Factor<'a, R>>,
+    }
+
+    /// The sweeps of one precision, dispatched to a tier. Implemented for
+    /// `f32` and `f64` only; the checked entry points are `row_pass`,
+    /// `column_pass` and `column_pass2` of the parent module.
+    pub trait Sweeps: Sized {
+        /// The row pass, once its dispatcher checked every length relation.
+        fn rows(
+            level: SimdLevel,
+            data: &mut [Complex<Self>],
+            source: Option<Source<'_, Self>>,
+            pass: &RowPass<'_, Self>,
+        ) where
+            Self: Real;
+        /// One stage down the columns.
+        fn column(level: SimdLevel, data: &mut [Complex<Self>], cols: usize, stage: &Stage<Self>)
+        where
+            Self: Real;
+        /// Two stages down the columns, `wb` twice as long as `wa`.
+        fn column2(
+            level: SimdLevel,
+            data: &mut [Complex<Self>],
+            cols: usize,
+            wa: &Stage<Self>,
+            wb: &Stage<Self>,
+        ) where
+            Self: Real;
+    }
+}
+
+pub(crate) use kernel::{RowPass, Source, Stage, Sweeps};
+
+/// Calls the kernel of the given tier, instantiated at `$real`, with the
+/// given arguments.
 macro_rules! dispatch {
-    ($level:expr, $scalar:ident, $sse2:ident, $avx2:ident, ($($arg:expr),*)) => {
+    ($level:expr, $real:ty, $scalar:ident, $sse2:ident, $avx2:ident, ($($arg:expr),*)) => {
         match $level {
             // SAFETY: the caller established the kernel's length relations;
             // SSE2 is part of the x86_64 baseline.
             #[cfg(target_arch = "x86_64")]
-            SimdLevel::Sse2 => unsafe { x86::$sse2($($arg),*) },
+            SimdLevel::Sse2 => unsafe { x86::$sse2::<$real>($($arg),*) },
             // SAFETY: as above; a plan only holds `Avx2` after `is_available`
             // confirmed `avx2` at runtime.
             #[cfg(target_arch = "x86_64")]
-            SimdLevel::Avx2 => unsafe { x86::$avx2($($arg),*) },
-            _ => $scalar($($arg),*),
+            SimdLevel::Avx2 => unsafe { x86::$avx2::<$real>($($arg),*) },
+            _ => $scalar::<$real>($($arg),*),
         }
     };
 }
+
+macro_rules! sweeps {
+    ($($real:ty),*) => {$(
+        impl Sweeps for $real {
+            fn rows(
+                level: SimdLevel,
+                data: &mut [Complex<$real>],
+                source: Option<Source<'_, $real>>,
+                pass: &RowPass<'_, $real>,
+            ) {
+                dispatch!(level, $real, scalar_rows, sse2_rows, avx2_rows, (data, source, pass))
+            }
+
+            fn column(
+                level: SimdLevel,
+                data: &mut [Complex<$real>],
+                cols: usize,
+                stage: &Stage<$real>,
+            ) {
+                dispatch!(level, $real, scalar_column, sse2_column, avx2_column, (data, cols, stage))
+            }
+
+            fn column2(
+                level: SimdLevel,
+                data: &mut [Complex<$real>],
+                cols: usize,
+                wa: &Stage<$real>,
+                wb: &Stage<$real>,
+            ) {
+                dispatch!(
+                    level,
+                    $real,
+                    scalar_column2,
+                    sse2_column2,
+                    avx2_column2,
+                    (data, cols, wa, wb)
+                )
+            }
+        }
+    )*};
+}
+
+sweeps!(f32, f64);
 
 // The sweeps. A stage table belongs to a plan: the stage of half-size `h`
 // (blocks of `2h`) has `h` entries, so stage `s` of a length-`n` transform
 // has `2^s`. The dispatchers check every relation a kernel indexes by without
 // a slice's own bounds behind it.
 
-/// One butterfly stage's twiddles `w[k]`, and the same values with their
-/// parts swapped, `[w.im, w.re]`. The vector tiers' products read both, so
-/// they do no twiddle permute; the swap is exact, so the split moves no bit.
-#[derive(Clone, Debug)]
-pub(crate) struct Stage {
-    w: Vec<Complex64>,
-    swapped: Vec<Complex64>,
-}
-
-impl Stage {
-    pub(crate) fn new(w: Vec<Complex64>) -> Self {
-        let swapped = w.iter().map(|w| Complex64::new(w.im, w.re)).collect();
+impl<R: Real> Stage<R> {
+    pub(crate) fn new(w: Vec<Complex<R>>) -> Self {
+        let swapped = w.iter().map(|w| Complex::new(w.im, w.re)).collect();
         Self { w, swapped }
     }
 
@@ -204,28 +327,6 @@ impl Stage {
     }
 }
 
-/// The tables a row pass runs with (see the module docs).
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct RowPass<'a> {
-    /// The bit reversal within a row; its length is the row length.
-    pub within: &'a [u32],
-    /// The column transform's bit reversal: input row `i` is written to row
-    /// `order[i]`. Its length is the row count.
-    pub order: &'a [u32],
-    /// The row transform's stage tables, stage `s` holding `2^s` entries.
-    pub stages: &'a [Stage],
-    /// What every output value is multiplied by (`1.0`: nothing).
-    pub scale: f64,
-}
-
-/// A distinct field a row pass reads its input from, each value times the
-/// factor, if any, as it is loaded.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct Source<'a> {
-    pub values: &'a [Complex64],
-    pub factor: Option<Factor<'a>>,
-}
-
 /// The row pass over the row-major field `data`: input row `i` — of `source`
 /// (times its factor), or of `data` itself when `None` — is transformed,
 /// multiplied by `pass.scale` and written to row `pass.order[i]`.
@@ -234,11 +335,11 @@ pub(crate) struct Source<'a> {
 /// Panics if `data` is not `order.len()` rows of `within.len()` values, the
 /// source or its factor is not as long as `data`, a bit-reversal table holds
 /// an index outside its own length, or the stage tables do not fit the row.
-pub(crate) fn row_pass(
+pub(crate) fn row_pass<R: Real>(
     level: SimdLevel,
-    data: &mut [Complex64],
-    source: Option<Source<'_>>,
-    pass: &RowPass<'_>,
+    data: &mut [Complex<R>],
+    source: Option<Source<'_, R>>,
+    pass: &RowPass<'_, R>,
 ) {
     let n = pass.within.len();
     assert_eq!(data.len(), n * pass.order.len(), "row pass field length");
@@ -263,26 +364,19 @@ pub(crate) fn row_pass(
                 .all(|(s, t)| t.len() == 1 << s),
         "row stage tables"
     );
-    dispatch!(
-        level,
-        scalar_rows,
-        sse2_rows,
-        avx2_rows,
-        (data, source, pass)
-    )
+    R::rows(level, data, source, pass)
 }
 
 /// One stage down the columns of a row-major field of row length `cols`: every
 /// `2h`-block of rows pairs row `k` with row `k + h` under the broadcast
 /// twiddle `stage[k]`.
-pub(crate) fn column_pass(level: SimdLevel, data: &mut [Complex64], cols: usize, stage: &Stage) {
-    dispatch!(
-        level,
-        scalar_column,
-        sse2_column,
-        avx2_column,
-        (data, cols, stage)
-    )
+pub(crate) fn column_pass<R: Real>(
+    level: SimdLevel,
+    data: &mut [Complex<R>],
+    cols: usize,
+    stage: &Stage<R>,
+) {
+    R::column(level, data, cols, stage)
 }
 
 /// Two stages down the columns, over every `4h`-block of rows: the stage `wa`
@@ -290,21 +384,15 @@ pub(crate) fn column_pass(level: SimdLevel, data: &mut [Complex64], cols: usize,
 ///
 /// # Panics
 /// Panics if `wb` is not twice as long as `wa`.
-pub(crate) fn column_pass2(
+pub(crate) fn column_pass2<R: Real>(
     level: SimdLevel,
-    data: &mut [Complex64],
+    data: &mut [Complex<R>],
     cols: usize,
-    wa: &Stage,
-    wb: &Stage,
+    wa: &Stage<R>,
+    wb: &Stage<R>,
 ) {
     assert_eq!(wb.len(), 2 * wa.len(), "second-stage twiddle table");
-    dispatch!(
-        level,
-        scalar_column2,
-        sse2_column2,
-        avx2_column2,
-        (data, cols, wa, wb)
-    )
+    R::column2(level, data, cols, wa, wb)
 }
 
 // The portable sweeps. The butterfly is the exact operation sequence
@@ -312,7 +400,11 @@ pub(crate) fn column_pass2(
 // `x · conj(f)` exactly as a separate multiply computes it — the bit-identity
 // reference for every other tier.
 
-fn scalar_rows(data: &mut [Complex64], source: Option<Source<'_>>, pass: &RowPass<'_>) {
+fn scalar_rows<R: Real>(
+    data: &mut [Complex<R>],
+    source: Option<Source<'_, R>>,
+    pass: &RowPass<'_, R>,
+) {
     let n = pass.within.len();
     let row = |r: usize| r * n..(r + 1) * n;
     for (i, &j) in pass.order.iter().enumerate() {
@@ -341,7 +433,7 @@ fn scalar_rows(data: &mut [Complex64], source: Option<Source<'_>>, pass: &RowPas
 }
 
 /// `values[i]` times the factor at `i`.
-fn load(values: &[Complex64], factor: Option<Factor<'_>>, i: usize) -> Complex64 {
+fn load<R: Real>(values: &[Complex<R>], factor: Option<Factor<'_, R>>, i: usize) -> Complex<R> {
     match factor {
         None => values[i],
         Some(Factor::Mul(f)) => values[i] * f[i],
@@ -349,10 +441,10 @@ fn load(values: &[Complex64], factor: Option<Factor<'_>>, i: usize) -> Complex64
     }
 }
 
-fn scalar_row_from(
-    row: &mut [Complex64],
-    (source, factor): (&[Complex64], Option<Factor<'_>>),
-    pass: &RowPass<'_>,
+fn scalar_row_from<R: Real>(
+    row: &mut [Complex<R>],
+    (source, factor): (&[Complex<R>], Option<Factor<'_, R>>),
+    pass: &RowPass<'_, R>,
 ) {
     for (x, &r) in row.iter_mut().zip(pass.within) {
         *x = load(source, factor, r as usize);
@@ -360,7 +452,7 @@ fn scalar_row_from(
     scalar_stages(row, pass);
 }
 
-fn scalar_row_in_place(row: &mut [Complex64], pass: &RowPass<'_>) {
+fn scalar_row_in_place<R: Real>(row: &mut [Complex<R>], pass: &RowPass<'_, R>) {
     for (k, &r) in pass.within.iter().enumerate() {
         if k < r as usize {
             row.swap(k, r as usize);
@@ -370,7 +462,7 @@ fn scalar_row_in_place(row: &mut [Complex64], pass: &RowPass<'_>) {
 }
 
 /// Every stage of the row transform over a permuted row, then the scale.
-fn scalar_stages(row: &mut [Complex64], pass: &RowPass<'_>) {
+fn scalar_stages<R: Real>(row: &mut [Complex<R>], pass: &RowPass<'_, R>) {
     let mut pairs = pass.stages.chunks_exact(2);
     for pair in &mut pairs {
         scalar_pass2(row, &pair[0].w, &pair[1].w);
@@ -381,14 +473,14 @@ fn scalar_stages(row: &mut [Complex64], pass: &RowPass<'_>) {
             butterfly(a, b, *w);
         }
     }
-    if pass.scale != 1.0 {
+    if pass.scale != R::ONE {
         for x in row.iter_mut() {
             *x = x.scale(pass.scale);
         }
     }
 }
 
-fn scalar_pass2(data: &mut [Complex64], wa: &[Complex64], wb: &[Complex64]) {
+fn scalar_pass2<R: Real>(data: &mut [Complex<R>], wa: &[Complex<R>], wb: &[Complex<R>]) {
     let h = wa.len();
     let (wb0, wb1) = wb.split_at(h);
     for block in data.chunks_exact_mut(4 * h) {
@@ -401,7 +493,7 @@ fn scalar_pass2(data: &mut [Complex64], wa: &[Complex64], wb: &[Complex64]) {
     }
 }
 
-fn scalar_column(data: &mut [Complex64], cols: usize, stage: &Stage) {
+fn scalar_column<R: Real>(data: &mut [Complex<R>], cols: usize, stage: &Stage<R>) {
     let h = stage.len();
     for block in data.chunks_exact_mut(2 * h * cols) {
         let (lo, hi) = block.split_at_mut(h * cols);
@@ -417,7 +509,7 @@ fn scalar_column(data: &mut [Complex64], cols: usize, stage: &Stage) {
     }
 }
 
-fn scalar_column2(data: &mut [Complex64], cols: usize, wa: &Stage, wb: &Stage) {
+fn scalar_column2<R: Real>(data: &mut [Complex<R>], cols: usize, wa: &Stage<R>, wb: &Stage<R>) {
     let h = wa.len();
     let (wb0, wb1) = wb.w.split_at(h);
     for block in data.chunks_exact_mut(4 * h * cols) {
@@ -435,7 +527,7 @@ fn scalar_column2(data: &mut [Complex64], cols: usize, wa: &Stage, wb: &Stage) {
 }
 
 /// Splits a `4·len` block into its four `len`-long quarters.
-fn quarters(block: &mut [Complex64], len: usize) -> [&mut [Complex64]; 4] {
+fn quarters<T>(block: &mut [T], len: usize) -> [&mut [T]; 4] {
     let (lo, hi) = block.split_at_mut(2 * len);
     let (x0, x1) = lo.split_at_mut(len);
     let (x2, x3) = hi.split_at_mut(len);
@@ -443,7 +535,7 @@ fn quarters(block: &mut [Complex64], len: usize) -> [&mut [Complex64]; 4] {
 }
 
 #[inline(always)]
-fn butterfly(a: &mut Complex64, b: &mut Complex64, w: Complex64) {
+fn butterfly<R: Real>(a: &mut Complex<R>, b: &mut Complex<R>, w: Complex<R>) {
     let t = *b * w;
     let u = *a;
     *a = u + t;
@@ -453,14 +545,14 @@ fn butterfly(a: &mut Complex64, b: &mut Complex64, w: Complex64) {
 /// The stage-`h` butterflies `(x0, x1)`, `(x2, x3)` under `wa`, then the
 /// stage-`2h` butterflies `(x0, x2)` under `wb0` and `(x1, x3)` under `wb1`.
 #[inline(always)]
-fn butterfly2(
-    x0: &mut Complex64,
-    x1: &mut Complex64,
-    x2: &mut Complex64,
-    x3: &mut Complex64,
-    wa: Complex64,
-    wb0: Complex64,
-    wb1: Complex64,
+fn butterfly2<R: Real>(
+    x0: &mut Complex<R>,
+    x1: &mut Complex<R>,
+    x2: &mut Complex<R>,
+    x3: &mut Complex<R>,
+    wa: Complex<R>,
+    wb0: Complex<R>,
+    wb1: Complex<R>,
 ) {
     butterfly(x0, x1, wa);
     butterfly(x2, x3, wa);
@@ -471,30 +563,31 @@ fn butterfly2(
 #[cfg(target_arch = "x86_64")]
 mod x86 {
     use super::{RowPass, Source, Stage};
+    use crate::complex::{Complex, Real};
     use crate::fft2d::Factor;
-    use crate::Complex64;
     use core::arch::x86_64::*;
 
-    /// A vector of `N` complex values and the butterfly arithmetic on it.
-    /// The sweeps below are written once over this trait and instantiated per
-    /// tier inside a `#[target_feature]` function, so the intrinsics inline.
+    /// A vector of `N` complex values of precision `R` and the butterfly
+    /// arithmetic on it. The sweeps below are written once over this trait
+    /// and instantiated per tier and precision inside a `#[target_feature]`
+    /// function, so the intrinsics inline.
     ///
     /// # Safety
     /// Every method requires the CPU features of the implementing tier, and
     /// `load` / `store` require `N` valid complex values behind the pointer.
-    trait Lanes {
-        /// Complex values per vector: 1 or 2, so a run leaves at most one
-        /// value to the tail.
+    pub(super) trait Lanes {
+        type R: Real;
+        /// Complex values per vector: 1, 2 or 4.
         const N: usize;
         type V: Copy;
-        /// The one-value tier that finishes a run whose length `N` does not
-        /// divide.
-        type Tail: Lanes;
+        /// The one-value lane that finishes, value by value, a run whose
+        /// length `N` does not divide.
+        type One: Lanes<R = Self::R>;
         /// The first radix-2² sweep's twiddles, held in registers.
         type Quad: Copy;
-        unsafe fn load(p: *const Complex64) -> Self::V;
-        unsafe fn store(p: *mut Complex64, v: Self::V);
-        unsafe fn splat(w: Complex64) -> Self::V;
+        unsafe fn load(p: *const Complex<Self::R>) -> Self::V;
+        unsafe fn store(p: *mut Complex<Self::R>, v: Self::V);
+        unsafe fn splat(w: Complex<Self::R>) -> Self::V;
         /// `[w.im, w.re]` of every value (exact).
         unsafe fn swap(w: Self::V) -> Self::V;
         /// `conj(w)` of every value: the imaginary sign flipped (exact).
@@ -504,43 +597,67 @@ mod x86 {
         unsafe fn mul(b: Self::V, w: Self::V, w_swapped: Self::V) -> Self::V;
         unsafe fn add(a: Self::V, b: Self::V) -> Self::V;
         unsafe fn sub(a: Self::V, b: Self::V) -> Self::V;
-        /// Every part times the real `s`, as `Complex64::scale`.
-        unsafe fn scale(v: Self::V, s: f64) -> Self::V;
+        /// Every part times the real `s`, as `Complex::scale`.
+        unsafe fn scale(v: Self::V, s: Self::R) -> Self::V;
         /// Loads the first two stages' twiddles (one, then two entries).
-        unsafe fn quad_twiddles(wa: &Stage, wb: &Stage) -> Self::Quad;
+        unsafe fn quad_twiddles(wa: &Stage<Self::R>, wb: &Stage<Self::R>) -> Self::Quad;
         /// `super::butterfly2` on the values at `idx` of `src`, each times
         /// its factor as kind `K` asks, under the first two stages'
         /// twiddles; the block is stored at `out[0..4]`. Every value is
         /// loaded before any is stored, so `out` may be the block read.
         unsafe fn quad<const K: u8>(
-            src: *const Complex64,
-            factor: *const Complex64,
+            src: *const Complex<Self::R>,
+            factor: *const Complex<Self::R>,
             idx: [usize; 4],
             tw: Self::Quad,
-            out: *mut Complex64,
+            out: *mut Complex<Self::R>,
         );
     }
 
-    /// One `Complex64` per `__m128d`.
-    struct Sse2;
-    /// Two `Complex64` per `__m256d`.
-    struct Avx2;
+    /// The lane types of each tier at one precision.
+    pub(super) trait Tiers: Real {
+        type Sse2: Lanes<R = Self>;
+        type Avx2: Lanes<R = Self>;
+    }
 
-    impl Lanes for Sse2 {
+    impl Tiers for f64 {
+        type Sse2 = Sse2F64;
+        type Avx2 = Avx2F64;
+    }
+
+    impl Tiers for f32 {
+        type Sse2 = Sse2F32;
+        type Avx2 = Avx2F32;
+    }
+
+    /// One `Complex<f64>` per `__m128d`.
+    pub(super) struct Sse2F64;
+    /// Two `Complex<f64>` per `__m256d`.
+    pub(super) struct Avx2F64;
+    /// Two `Complex<f32>` per `__m128`.
+    pub(super) struct Sse2F32;
+    /// Four `Complex<f32>` per `__m256`.
+    pub(super) struct Avx2F32;
+    /// One `Complex<f32>` in the low half of an `__m128` (SSE2): the
+    /// one-value lane of both `f32` tiers.
+    pub(super) struct OneF32;
+
+    impl Lanes for Sse2F64 {
+        type R = f64;
         const N: usize = 1;
         type V = __m128d;
-        type Tail = Sse2;
+        type One = Sse2F64;
         type Quad = [(__m128d, __m128d); 3];
         #[inline(always)]
-        unsafe fn load(p: *const Complex64) -> __m128d {
+        unsafe fn load(p: *const Complex<f64>) -> __m128d {
             _mm_loadu_pd(p as *const f64)
         }
         #[inline(always)]
-        unsafe fn store(p: *mut Complex64, v: __m128d) {
+        unsafe fn store(p: *mut Complex<f64>, v: __m128d) {
             _mm_storeu_pd(p as *mut f64, v)
         }
         #[inline(always)]
-        unsafe fn splat(w: Complex64) -> __m128d {
+        unsafe fn splat(w: Complex<f64>) -> __m128d {
             _mm_set_pd(w.im, w.re)
         }
         #[inline(always)]
@@ -578,7 +695,7 @@ mod x86 {
             _mm_mul_pd(v, _mm_set1_pd(s))
         }
         #[inline(always)]
-        unsafe fn quad_twiddles(wa: &Stage, wb: &Stage) -> Self::Quad {
+        unsafe fn quad_twiddles(wa: &Stage<f64>, wb: &Stage<f64>) -> Self::Quad {
             [
                 (Self::splat(wa.w[0]), Self::splat(wa.swapped[0])),
                 (Self::splat(wb.w[0]), Self::splat(wb.swapped[0])),
@@ -587,11 +704,11 @@ mod x86 {
         }
         #[inline(always)]
         unsafe fn quad<const K: u8>(
-            src: *const Complex64,
-            factor: *const Complex64,
+            src: *const Complex<f64>,
+            factor: *const Complex<f64>,
             idx: [usize; 4],
             [wa, wb0, wb1]: Self::Quad,
-            out: *mut Complex64,
+            out: *mut Complex<f64>,
         ) {
             let x0 = load_times::<Self, K>(src, factor, idx[0]);
             let x1 = load_times::<Self, K>(src, factor, idx[1]);
@@ -610,21 +727,22 @@ mod x86 {
         }
     }
 
-    impl Lanes for Avx2 {
+    impl Lanes for Avx2F64 {
+        type R = f64;
         const N: usize = 2;
         type V = __m256d;
-        type Tail = Sse2;
+        type One = Sse2F64;
         type Quad = [(__m256d, __m256d); 2];
         #[inline(always)]
-        unsafe fn load(p: *const Complex64) -> __m256d {
+        unsafe fn load(p: *const Complex<f64>) -> __m256d {
             _mm256_loadu_pd(p as *const f64)
         }
         #[inline(always)]
-        unsafe fn store(p: *mut Complex64, v: __m256d) {
+        unsafe fn store(p: *mut Complex<f64>, v: __m256d) {
             _mm256_storeu_pd(p as *mut f64, v)
         }
         #[inline(always)]
-        unsafe fn splat(w: Complex64) -> __m256d {
+        unsafe fn splat(w: Complex<f64>) -> __m256d {
             _mm256_set_pd(w.im, w.re, w.im, w.re)
         }
         #[inline(always)]
@@ -635,7 +753,7 @@ mod x86 {
         unsafe fn conj(w: __m256d) -> __m256d {
             _mm256_xor_pd(w, _mm256_set_pd(-0.0, 0.0, -0.0, 0.0))
         }
-        /// [`Sse2::mul`] on two values: both products rounded, then
+        /// [`Sse2F64::mul`] on two values: both products rounded, then
         /// `addsub` — deliberately not `vfmaddsub`, which would drop a
         /// rounding (see the module docs).
         #[inline(always)]
@@ -660,7 +778,7 @@ mod x86 {
         }
         /// `[wa, wa]` and the stage-2 table `[wb0, wb1]`, each with its swap.
         #[inline(always)]
-        unsafe fn quad_twiddles(wa: &Stage, wb: &Stage) -> Self::Quad {
+        unsafe fn quad_twiddles(wa: &Stage<f64>, wb: &Stage<f64>) -> Self::Quad {
             [
                 (Self::splat(wa.w[0]), Self::splat(wa.swapped[0])),
                 (Self::load(wb.w.as_ptr()), Self::load(wb.swapped.as_ptr())),
@@ -672,16 +790,16 @@ mod x86 {
         /// for the second stage's two.
         #[inline(always)]
         unsafe fn quad<const K: u8>(
-            src: *const Complex64,
-            factor: *const Complex64,
+            src: *const Complex<f64>,
+            factor: *const Complex<f64>,
             idx: [usize; 4],
             [wa, wb]: Self::Quad,
-            out: *mut Complex64,
+            out: *mut Complex<f64>,
         ) {
-            let (mut a, mut b) = (pair(src, idx[0], idx[2]), pair(src, idx[1], idx[3]));
+            let (mut a, mut b) = (pair_f64(src, idx[0], idx[2]), pair_f64(src, idx[1], idx[3]));
             if K != ONE {
-                a = times::<Self, K>(a, pair(factor, idx[0], idx[2]));
-                b = times::<Self, K>(b, pair(factor, idx[1], idx[3]));
+                a = times::<Self, K>(a, pair_f64(factor, idx[0], idx[2]));
+                b = times::<Self, K>(b, pair_f64(factor, idx[1], idx[3]));
             }
             let t = Self::mul(b, wa.0, wa.1);
             let (y02, y13) = (Self::add(a, t), Self::sub(a, t));
@@ -693,16 +811,227 @@ mod x86 {
         }
     }
 
+    impl Lanes for Sse2F32 {
+        type R = f32;
+        const N: usize = 2;
+        type V = __m128;
+        type One = OneF32;
+        type Quad = [(__m128, __m128); 2];
+        #[inline(always)]
+        unsafe fn load(p: *const Complex<f32>) -> __m128 {
+            _mm_loadu_ps(p as *const f32)
+        }
+        #[inline(always)]
+        unsafe fn store(p: *mut Complex<f32>, v: __m128) {
+            _mm_storeu_ps(p as *mut f32, v)
+        }
+        #[inline(always)]
+        unsafe fn splat(w: Complex<f32>) -> __m128 {
+            _mm_set_ps(w.im, w.re, w.im, w.re)
+        }
+        #[inline(always)]
+        unsafe fn swap(w: __m128) -> __m128 {
+            _mm_shuffle_ps::<0b10_11_00_01>(w, w)
+        }
+        #[inline(always)]
+        unsafe fn conj(w: __m128) -> __m128 {
+            _mm_xor_ps(w, _mm_set_ps(-0.0, 0.0, -0.0, 0.0))
+        }
+        /// [`Sse2F64::mul`] on two `f32` values: the same two multiplies
+        /// and one add of the sign-flipped product per lane.
+        #[inline(always)]
+        unsafe fn mul(b: __m128, w: __m128, w_swapped: __m128) -> __m128 {
+            let bre = _mm_shuffle_ps::<0b10_10_00_00>(b, b); // [b0.re, b0.re, b1.re, b1.re]
+            let bim = _mm_shuffle_ps::<0b11_11_01_01>(b, b); // [b0.im, b0.im, b1.im, b1.im]
+            let prod_im = _mm_xor_ps(_mm_mul_ps(bim, w_swapped), _mm_set_ps(0.0, -0.0, 0.0, -0.0));
+            _mm_add_ps(_mm_mul_ps(bre, w), prod_im)
+        }
+        #[inline(always)]
+        unsafe fn add(a: __m128, b: __m128) -> __m128 {
+            _mm_add_ps(a, b)
+        }
+        #[inline(always)]
+        unsafe fn sub(a: __m128, b: __m128) -> __m128 {
+            _mm_sub_ps(a, b)
+        }
+        #[inline(always)]
+        unsafe fn scale(v: __m128, s: f32) -> __m128 {
+            _mm_mul_ps(v, _mm_set1_ps(s))
+        }
+        /// `[wa, wa]` and the stage-2 table `[wb0, wb1]`, each with its swap.
+        #[inline(always)]
+        unsafe fn quad_twiddles(wa: &Stage<f32>, wb: &Stage<f32>) -> Self::Quad {
+            [
+                (Self::splat(wa.w[0]), Self::splat(wa.swapped[0])),
+                (Self::load(wb.w.as_ptr()), Self::load(wb.swapped.as_ptr())),
+            ]
+        }
+        /// [`Avx2F64::quad`] in an `__m128`: the lane pairs `[x0, x2]` /
+        /// `[x1, x3]`, one vector butterfly, then a half swap pairs the
+        /// outputs as `[y0, y1]` / `[y2, y3]`.
+        #[inline(always)]
+        unsafe fn quad<const K: u8>(
+            src: *const Complex<f32>,
+            factor: *const Complex<f32>,
+            idx: [usize; 4],
+            [wa, wb]: Self::Quad,
+            out: *mut Complex<f32>,
+        ) {
+            let (mut a, mut b) = (pair_f32(src, idx[0], idx[2]), pair_f32(src, idx[1], idx[3]));
+            if K != ONE {
+                a = times::<Self, K>(a, pair_f32(factor, idx[0], idx[2]));
+                b = times::<Self, K>(b, pair_f32(factor, idx[1], idx[3]));
+            }
+            let t = Self::mul(b, wa.0, wa.1);
+            let (y02, y13) = (Self::add(a, t), Self::sub(a, t));
+            let lo = _mm_movelh_ps(y02, y13); // [y0, y1]
+            let hi = _mm_movehl_ps(y13, y02); // [y2, y3]
+            let t = Self::mul(hi, wb.0, wb.1);
+            Self::store(out, Self::add(lo, t));
+            Self::store(out.add(2), Self::sub(lo, t));
+        }
+    }
+
+    impl Lanes for Avx2F32 {
+        type R = f32;
+        const N: usize = 4;
+        type V = __m256;
+        type One = OneF32;
+        type Quad = <Sse2F32 as Lanes>::Quad;
+        #[inline(always)]
+        unsafe fn load(p: *const Complex<f32>) -> __m256 {
+            _mm256_loadu_ps(p as *const f32)
+        }
+        #[inline(always)]
+        unsafe fn store(p: *mut Complex<f32>, v: __m256) {
+            _mm256_storeu_ps(p as *mut f32, v)
+        }
+        #[inline(always)]
+        unsafe fn splat(w: Complex<f32>) -> __m256 {
+            _mm256_set_ps(w.im, w.re, w.im, w.re, w.im, w.re, w.im, w.re)
+        }
+        #[inline(always)]
+        unsafe fn swap(w: __m256) -> __m256 {
+            _mm256_permute_ps::<0b10_11_00_01>(w)
+        }
+        #[inline(always)]
+        unsafe fn conj(w: __m256) -> __m256 {
+            _mm256_xor_ps(w, _mm256_set_ps(-0.0, 0.0, -0.0, 0.0, -0.0, 0.0, -0.0, 0.0))
+        }
+        /// [`Avx2F64::mul`] on four `f32` values: both products rounded,
+        /// then `addsub`, never `vfmaddsub`.
+        #[inline(always)]
+        unsafe fn mul(b: __m256, w: __m256, w_swapped: __m256) -> __m256 {
+            let bre = _mm256_moveldup_ps(b); // [b0.re, b0.re, b1.re, b1.re, …]
+            let bim = _mm256_movehdup_ps(b); // [b0.im, b0.im, b1.im, b1.im, …]
+            _mm256_addsub_ps(_mm256_mul_ps(bre, w), _mm256_mul_ps(bim, w_swapped))
+        }
+        #[inline(always)]
+        unsafe fn add(a: __m256, b: __m256) -> __m256 {
+            _mm256_add_ps(a, b)
+        }
+        #[inline(always)]
+        unsafe fn sub(a: __m256, b: __m256) -> __m256 {
+            _mm256_sub_ps(a, b)
+        }
+        #[inline(always)]
+        unsafe fn scale(v: __m256, s: f32) -> __m256 {
+            _mm256_mul_ps(v, _mm256_set1_ps(s))
+        }
+        /// A block of four is one `__m256`'s worth: the first sweep runs
+        /// on the 128-bit lanes of [`Sse2F32::quad`].
+        #[inline(always)]
+        unsafe fn quad_twiddles(wa: &Stage<f32>, wb: &Stage<f32>) -> Self::Quad {
+            Sse2F32::quad_twiddles(wa, wb)
+        }
+        #[inline(always)]
+        unsafe fn quad<const K: u8>(
+            src: *const Complex<f32>,
+            factor: *const Complex<f32>,
+            idx: [usize; 4],
+            tw: Self::Quad,
+            out: *mut Complex<f32>,
+        ) {
+            Sse2F32::quad::<K>(src, factor, idx, tw, out)
+        }
+    }
+
+    /// [`Sse2F32`]'s arithmetic on the low two floats; the high two are
+    /// zero on load and never stored.
+    impl Lanes for OneF32 {
+        type R = f32;
+        const N: usize = 1;
+        type V = __m128;
+        type One = OneF32;
+        type Quad = <Sse2F32 as Lanes>::Quad;
+        #[inline(always)]
+        unsafe fn load(p: *const Complex<f32>) -> __m128 {
+            _mm_castsi128_ps(_mm_cvtsi64_si128((p as *const i64).read_unaligned()))
+        }
+        #[inline(always)]
+        unsafe fn store(p: *mut Complex<f32>, v: __m128) {
+            (p as *mut i64).write_unaligned(_mm_cvtsi128_si64(_mm_castps_si128(v)))
+        }
+        #[inline(always)]
+        unsafe fn splat(w: Complex<f32>) -> __m128 {
+            Sse2F32::splat(w)
+        }
+        #[inline(always)]
+        unsafe fn swap(w: __m128) -> __m128 {
+            Sse2F32::swap(w)
+        }
+        #[inline(always)]
+        unsafe fn conj(w: __m128) -> __m128 {
+            Sse2F32::conj(w)
+        }
+        #[inline(always)]
+        unsafe fn mul(b: __m128, w: __m128, w_swapped: __m128) -> __m128 {
+            Sse2F32::mul(b, w, w_swapped)
+        }
+        #[inline(always)]
+        unsafe fn add(a: __m128, b: __m128) -> __m128 {
+            Sse2F32::add(a, b)
+        }
+        #[inline(always)]
+        unsafe fn sub(a: __m128, b: __m128) -> __m128 {
+            Sse2F32::sub(a, b)
+        }
+        #[inline(always)]
+        unsafe fn scale(v: __m128, s: f32) -> __m128 {
+            Sse2F32::scale(v, s)
+        }
+        #[inline(always)]
+        unsafe fn quad_twiddles(wa: &Stage<f32>, wb: &Stage<f32>) -> Self::Quad {
+            Sse2F32::quad_twiddles(wa, wb)
+        }
+        #[inline(always)]
+        unsafe fn quad<const K: u8>(
+            src: *const Complex<f32>,
+            factor: *const Complex<f32>,
+            idx: [usize; 4],
+            tw: Self::Quad,
+            out: *mut Complex<f32>,
+        ) {
+            Sse2F32::quad::<K>(src, factor, idx, tw, out)
+        }
+    }
+
     /// The values at `lo` and `hi` of `p` as one `[p[lo], p[hi]]` vector.
+    ///
+    /// # Safety
+    /// `p + lo` and `p + hi` must each address a valid value; AVX.
+    #[inline(always)]
+    unsafe fn pair_f64(p: *const Complex<f64>, lo: usize, hi: usize) -> __m256d {
+        _mm256_set_m128d(Sse2F64::load(p.add(hi)), Sse2F64::load(p.add(lo)))
+    }
+
+    /// [`pair_f64`] for two `f32` values in an `__m128`.
     ///
     /// # Safety
     /// `p + lo` and `p + hi` must each address a valid value.
     #[inline(always)]
-    unsafe fn pair(p: *const Complex64, lo: usize, hi: usize) -> __m256d {
-        _mm256_set_m128d(
-            _mm_loadu_pd(p.add(hi) as *const f64),
-            _mm_loadu_pd(p.add(lo) as *const f64),
-        )
+    unsafe fn pair_f32(p: *const Complex<f32>, lo: usize, hi: usize) -> __m128 {
+        _mm_movelh_ps(OneF32::load(p.add(lo)), OneF32::load(p.add(hi)))
     }
 
     // The factor kinds a row pass is instantiated for.
@@ -728,8 +1057,8 @@ mod x86 {
     /// valid values.
     #[inline(always)]
     unsafe fn load_times<L: Lanes, const K: u8>(
-        src: *const Complex64,
-        factor: *const Complex64,
+        src: *const Complex<L::R>,
+        factor: *const Complex<L::R>,
         i: usize,
     ) -> L::V {
         let x = L::load(src.add(i));
@@ -742,20 +1071,27 @@ mod x86 {
 
     /// Where a run's twiddles come from: a stage table (row sweeps) or one
     /// value for the whole run (column sweeps).
-    trait Twiddle: Copy {
+    trait Twiddle<R>: Copy {
         /// `(w, swap(w))` for the butterflies at `k`.
-        unsafe fn get<L: Lanes>(self, k: usize) -> (L::V, L::V);
+        unsafe fn get<L: Lanes<R = R>>(self, k: usize) -> (L::V, L::V);
     }
 
     /// A stage table, read from one entry on.
-    #[derive(Clone, Copy)]
-    struct Table {
-        w: *const Complex64,
-        swapped: *const Complex64,
+    struct Table<R> {
+        w: *const Complex<R>,
+        swapped: *const Complex<R>,
     }
 
-    impl Table {
-        fn of(stage: &Stage, from: usize) -> Self {
+    impl<R> Clone for Table<R> {
+        fn clone(&self) -> Self {
+            *self
+        }
+    }
+
+    impl<R> Copy for Table<R> {}
+
+    impl<R: Real> Table<R> {
+        fn of(stage: &Stage<R>, from: usize) -> Self {
             Self {
                 w: stage.w[from..].as_ptr(),
                 swapped: stage.swapped[from..].as_ptr(),
@@ -763,17 +1099,17 @@ mod x86 {
         }
     }
 
-    impl Twiddle for Table {
+    impl<R> Twiddle<R> for Table<R> {
         #[inline(always)]
-        unsafe fn get<L: Lanes>(self, k: usize) -> (L::V, L::V) {
+        unsafe fn get<L: Lanes<R = R>>(self, k: usize) -> (L::V, L::V) {
             (L::load(self.w.add(k)), L::load(self.swapped.add(k)))
         }
     }
 
-    impl Twiddle for Complex64 {
+    impl<R: Real> Twiddle<R> for Complex<R> {
         #[inline(always)]
-        unsafe fn get<L: Lanes>(self, _k: usize) -> (L::V, L::V) {
-            (L::splat(self), L::splat(Complex64::new(self.im, self.re)))
+        unsafe fn get<L: Lanes<R = R>>(self, _k: usize) -> (L::V, L::V) {
+            (L::splat(self), L::splat(Complex::new(self.im, self.re)))
         }
     }
 
@@ -781,8 +1117,8 @@ mod x86 {
     /// `a + k` and `b + k` must address `L::N` valid values.
     #[inline(always)]
     unsafe fn butterfly<L: Lanes>(
-        a: *mut Complex64,
-        b: *mut Complex64,
+        a: *mut Complex<L::R>,
+        b: *mut Complex<L::R>,
         k: usize,
         (w, ws): (L::V, L::V),
     ) {
@@ -799,7 +1135,7 @@ mod x86 {
     /// Each `x[i] + k` must address `L::N` valid values.
     #[inline(always)]
     unsafe fn butterfly2<L: Lanes>(
-        x: [*mut Complex64; 4],
+        x: [*mut Complex<L::R>; 4],
         k: usize,
         wa: (L::V, L::V),
         wb0: (L::V, L::V),
@@ -826,14 +1162,20 @@ mod x86 {
     /// `lo` and `hi` must address `n` valid values each, and a table twiddle
     /// `n` entries.
     #[inline(always)]
-    unsafe fn run1<L: Lanes, W: Twiddle>(lo: *mut Complex64, hi: *mut Complex64, w: W, n: usize) {
+    unsafe fn run1<L: Lanes, W: Twiddle<L::R>>(
+        lo: *mut Complex<L::R>,
+        hi: *mut Complex<L::R>,
+        w: W,
+        n: usize,
+    ) {
         let mut k = 0;
         while k + L::N <= n {
             butterfly::<L>(lo, hi, k, w.get::<L>(k));
             k += L::N;
         }
-        if k < n {
-            butterfly::<L::Tail>(lo, hi, k, w.get::<L::Tail>(k));
+        while k < n {
+            butterfly::<L::One>(lo, hi, k, w.get::<L::One>(k));
+            k += 1;
         }
     }
 
@@ -843,20 +1185,27 @@ mod x86 {
     /// Every `x[i]` must address `n` valid values, and every table twiddle
     /// `n` entries.
     #[inline(always)]
-    unsafe fn run2<L: Lanes, W: Twiddle>(x: [*mut Complex64; 4], wa: W, wb0: W, wb1: W, n: usize) {
+    unsafe fn run2<L: Lanes, W: Twiddle<L::R>>(
+        x: [*mut Complex<L::R>; 4],
+        wa: W,
+        wb0: W,
+        wb1: W,
+        n: usize,
+    ) {
         let mut k = 0;
         while k + L::N <= n {
             butterfly2::<L>(x, k, wa.get::<L>(k), wb0.get::<L>(k), wb1.get::<L>(k));
             k += L::N;
         }
-        if k < n {
-            butterfly2::<L::Tail>(
+        while k < n {
+            butterfly2::<L::One>(
                 x,
                 k,
-                wa.get::<L::Tail>(k),
-                wb0.get::<L::Tail>(k),
-                wb1.get::<L::Tail>(k),
+                wa.get::<L::One>(k),
+                wb0.get::<L::One>(k),
+                wb1.get::<L::One>(k),
             );
+            k += 1;
         }
     }
 
@@ -869,9 +1218,9 @@ mod x86 {
 
     #[inline(always)]
     unsafe fn rows<L: Lanes>(
-        data: &mut [Complex64],
-        source: Option<Source<'_>>,
-        pass: &RowPass<'_>,
+        data: &mut [Complex<L::R>],
+        source: Option<Source<'_, L::R>>,
+        pass: &RowPass<'_, L::R>,
     ) {
         let Some(Source { values, factor }) = source else {
             return rows_in_place::<L>(data, pass);
@@ -892,16 +1241,16 @@ mod x86 {
 
     /// The first radix-2² sweep's twiddles, for rows long enough to have one.
     #[inline(always)]
-    unsafe fn quad_twiddles<L: Lanes>(pass: &RowPass<'_>) -> Option<L::Quad> {
+    unsafe fn quad_twiddles<L: Lanes>(pass: &RowPass<'_, L::R>) -> Option<L::Quad> {
         (pass.within.len() >= 4).then(|| L::quad_twiddles(&pass.stages[0], &pass.stages[1]))
     }
 
     #[inline(always)]
     unsafe fn rows_from<L: Lanes, const K: u8>(
-        data: &mut [Complex64],
-        source: &[Complex64],
-        factor: *const Complex64,
-        pass: &RowPass<'_>,
+        data: &mut [Complex<L::R>],
+        source: &[Complex<L::R>],
+        factor: *const Complex<L::R>,
+        pass: &RowPass<'_, L::R>,
     ) {
         let n = pass.within.len();
         let quad = quad_twiddles::<L>(pass);
@@ -928,7 +1277,7 @@ mod x86 {
     }
 
     #[inline(always)]
-    unsafe fn rows_in_place<L: Lanes>(data: &mut [Complex64], pass: &RowPass<'_>) {
+    unsafe fn rows_in_place<L: Lanes>(data: &mut [Complex<L::R>], pass: &RowPass<'_, L::R>) {
         let n = pass.within.len();
         let quad = quad_twiddles::<L>(pass);
         let row = data.as_mut_ptr();
@@ -947,11 +1296,11 @@ mod x86 {
     /// scale.
     #[inline(always)]
     unsafe fn row_from<L: Lanes, const K: u8>(
-        row: *mut Complex64,
-        src: *const Complex64,
-        factor: *const Complex64,
+        row: *mut Complex<L::R>,
+        src: *const Complex<L::R>,
+        factor: *const Complex<L::R>,
         quad: Option<L::Quad>,
-        pass: &RowPass<'_>,
+        pass: &RowPass<'_, L::R>,
     ) {
         let rev = pass.within;
         match quad {
@@ -964,8 +1313,8 @@ mod x86 {
             }
             None => {
                 for (k, &r) in rev.iter().enumerate() {
-                    let x = load_times::<L::Tail, K>(src, factor, r as usize);
-                    <L::Tail as Lanes>::store(row.add(k), x);
+                    let x = load_times::<L::One, K>(src, factor, r as usize);
+                    <L::One as Lanes>::store(row.add(k), x);
                 }
                 stages::<L>(row, pass.stages, pass);
             }
@@ -975,9 +1324,9 @@ mod x86 {
     /// One row in place: permuted in place, then every stage and the scale.
     #[inline(always)]
     unsafe fn row_in_place<L: Lanes>(
-        row: *mut Complex64,
+        row: *mut Complex<L::R>,
         quad: Option<L::Quad>,
-        pass: &RowPass<'_>,
+        pass: &RowPass<'_, L::R>,
     ) {
         for (k, &r) in pass.within.iter().enumerate() {
             let r = r as usize;
@@ -1000,7 +1349,11 @@ mod x86 {
     /// The given stages over a row in bit-reversed order, two per sweep and
     /// an odd last one alone, then the scale.
     #[inline(always)]
-    unsafe fn stages<L: Lanes>(row: *mut Complex64, stages: &[Stage], pass: &RowPass<'_>) {
+    unsafe fn stages<L: Lanes>(
+        row: *mut Complex<L::R>,
+        stages: &[Stage<L::R>],
+        pass: &RowPass<'_, L::R>,
+    ) {
         let n = pass.within.len();
         let mut pairs = stages.chunks_exact(2);
         for pair in &mut pairs {
@@ -1015,21 +1368,22 @@ mod x86 {
         if let [last] = pairs.remainder() {
             run1::<L, _>(row, row.add(n / 2), Table::of(last, 0), n / 2);
         }
-        if pass.scale != 1.0 {
+        if pass.scale != <L::R as Real>::ONE {
             let mut k = 0;
             while k + L::N <= n {
                 L::store(row.add(k), L::scale(L::load(row.add(k)), pass.scale));
                 k += L::N;
             }
-            if k < n {
-                let x = <L::Tail as Lanes>::load(row.add(k));
-                <L::Tail as Lanes>::store(row.add(k), <L::Tail as Lanes>::scale(x, pass.scale));
+            while k < n {
+                let x = <L::One as Lanes>::load(row.add(k));
+                <L::One as Lanes>::store(row.add(k), <L::One as Lanes>::scale(x, pass.scale));
+                k += 1;
             }
         }
     }
 
     #[inline(always)]
-    unsafe fn column<L: Lanes>(data: &mut [Complex64], cols: usize, stage: &Stage) {
+    unsafe fn column<L: Lanes>(data: &mut [Complex<L::R>], cols: usize, stage: &Stage<L::R>) {
         let h = stage.len();
         for block in data.chunks_exact_mut(2 * h * cols) {
             let lo = block.as_mut_ptr();
@@ -1041,7 +1395,12 @@ mod x86 {
     }
 
     #[inline(always)]
-    unsafe fn column2<L: Lanes>(data: &mut [Complex64], cols: usize, wa: &Stage, wb: &Stage) {
+    unsafe fn column2<L: Lanes>(
+        data: &mut [Complex<L::R>],
+        cols: usize,
+        wa: &Stage<L::R>,
+        wb: &Stage<L::R>,
+    ) {
         let h = wa.len();
         for block in data.chunks_exact_mut(4 * h * cols) {
             let x0 = block.as_mut_ptr();
@@ -1053,46 +1412,52 @@ mod x86 {
     }
 
     /// Instantiates a sweep for both tiers inside `#[target_feature]`
-    /// functions, so the intrinsics inline.
+    /// functions, generic over the precision, so the intrinsics inline.
     macro_rules! per_tier {
         ($sse2:ident, $avx2:ident, $sweep:ident($($arg:ident: $ty:ty),*)) => {
             /// # Safety
             /// See the note above the generic sweeps.
             #[target_feature(enable = "sse2")]
-            pub(super) unsafe fn $sse2($($arg: $ty),*) {
-                $sweep::<Sse2>($($arg),*)
+            pub(super) unsafe fn $sse2<R: Tiers>($($arg: $ty),*) {
+                $sweep::<R::Sse2>($($arg),*)
             }
 
             /// # Safety
             /// See the note above the generic sweeps; the caller must have
             /// confirmed `avx2` at runtime.
             #[target_feature(enable = "avx2")]
-            pub(super) unsafe fn $avx2($($arg: $ty),*) {
-                $sweep::<Avx2>($($arg),*)
+            pub(super) unsafe fn $avx2<R: Tiers>($($arg: $ty),*) {
+                $sweep::<R::Avx2>($($arg),*)
             }
         };
     }
 
-    per_tier!(sse2_rows, avx2_rows, rows(data: &mut [Complex64], source: Option<Source<'_>>, pass: &RowPass<'_>));
-    per_tier!(sse2_column, avx2_column, column(data: &mut [Complex64], cols: usize, stage: &Stage));
-    per_tier!(sse2_column2, avx2_column2, column2(data: &mut [Complex64], cols: usize, wa: &Stage, wb: &Stage));
+    per_tier!(sse2_rows, avx2_rows, rows(data: &mut [Complex<R>], source: Option<Source<'_, R>>, pass: &RowPass<'_, R>));
+    per_tier!(sse2_column, avx2_column, column(data: &mut [Complex<R>], cols: usize, stage: &Stage<R>));
+    per_tier!(sse2_column2, avx2_column2, column2(data: &mut [Complex<R>], cols: usize, wa: &Stage<R>, wb: &Stage<R>));
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::fft1d::bit_reversal;
+    use crate::Complex64;
 
-    fn test_data(n: usize) -> Vec<Complex64> {
+    fn test_data<R: Real>(n: usize) -> Vec<Complex<R>> {
         (0..n)
-            .map(|i| Complex64::new((i as f64 * 0.61).sin(), (i as f64 * 0.37).cos()))
+            .map(|i| {
+                Complex::narrow(Complex64::new(
+                    (i as f64 * 0.61).sin(),
+                    (i as f64 * 0.37).cos(),
+                ))
+            })
             .collect()
     }
 
-    fn bits(values: &[Complex64]) -> Vec<(u64, u64)> {
+    fn bits<R: Real>(values: &[Complex<R>]) -> Vec<(u64, u64)> {
         values
             .iter()
-            .map(|v| (v.re.to_bits(), v.im.to_bits()))
+            .map(|v| (v.re.bit_pattern(), v.im.bit_pattern()))
             .collect()
     }
 
@@ -1118,13 +1483,13 @@ mod tests {
         assert!(SimdLevel::detect() >= SimdLevel::Sse2);
     }
 
-    #[test]
-    fn every_tier_sweeps_bit_identical_to_scalar() {
+    fn column_sweeps_match_scalar<R: Real>() {
         // The column sweeps at every tier against the scalar loops, on tables
         // that are not twiddles. Half-sizes 1 and 3 and the odd column counts
-        // leave AVX2 a one-value tail on every run; `cols == 1` is all tail.
-        type Sweep = fn(SimdLevel, &mut [Complex64], &Stage, &Stage, usize);
-        let sweeps: [(&str, Sweep); 2] = [
+        // leave the vector tiers a tail of one to three values on every run;
+        // `cols == 1` is all tail.
+        type Sweep<R> = fn(SimdLevel, &mut [Complex<R>], &Stage<R>, &Stage<R>, usize);
+        let sweeps: [(&str, Sweep<R>); 2] = [
             ("column", |level, data, wa, _, cols| {
                 column_pass(level, data, cols, wa)
             }),
@@ -1134,11 +1499,11 @@ mod tests {
         ];
         for level in SimdLevel::available_levels() {
             for h in [1usize, 2, 3, 4, 8, 32] {
-                for cols in [1usize, 2, 3, 5, 8] {
+                for cols in [1usize, 2, 3, 5, 7, 8, 12] {
                     let wa = Stage::new(test_data(h));
                     let wb = Stage::new(test_data(3 * h).split_off(h));
                     for (name, sweep) in &sweeps {
-                        let mut scalar = test_data(2 * 4 * h * cols);
+                        let mut scalar = test_data::<R>(2 * 4 * h * cols);
                         let mut tier = scalar.clone();
                         sweep(SimdLevel::Scalar, &mut scalar, &wa, &wb, cols);
                         sweep(level, &mut tier, &wa, &wb, cols);
@@ -1154,7 +1519,12 @@ mod tests {
     }
 
     #[test]
-    fn every_tier_row_pass_bit_identical_to_scalar() {
+    fn every_tier_sweeps_bit_identical_to_scalar() {
+        column_sweeps_match_scalar::<f64>();
+        column_sweeps_match_scalar::<f32>();
+    }
+
+    fn row_passes_match_scalar<R: Real>() {
         // Every combination the row pass is instantiated for — in place, or
         // from a source with no factor / `x·f` / `x·conj(f)`; scaled or not
         // — on tables that are not twiddles, so a butterfly fed the wrong
@@ -1164,12 +1534,12 @@ mod tests {
         for level in SimdLevel::available_levels() {
             for n in [1usize, 2, 4, 8, 16, 32, 64] {
                 for rows in [1usize, 2, 4] {
-                    let stages: Vec<Stage> = (0..n.trailing_zeros())
+                    let stages: Vec<Stage<R>> = (0..n.trailing_zeros())
                         .map(|s| Stage::new(test_data(3 << s).split_off(2 << s)))
                         .collect();
                     let (within, order) = (bit_reversal(n), bit_reversal(rows));
-                    let input = test_data(rows * n);
-                    let f = test_data(rows * n + 5).split_off(5);
+                    let input = test_data::<R>(rows * n);
+                    let f = test_data::<R>(rows * n + 5).split_off(5);
                     let from = |factor| {
                         Some(Source {
                             values: &input,
@@ -1182,9 +1552,10 @@ mod tests {
                         from(Some(Factor::Mul(&f))),
                         from(Some(Factor::MulConj(&f))),
                     ];
+                    let scales = [R::ONE, R::from_f64(0.125)];
                     for (source, scale) in sources
                         .into_iter()
-                        .flat_map(|s| [1.0, 0.125].map(|scale| (s, scale)))
+                        .flat_map(|s| scales.map(|scale| (s, scale)))
                     {
                         let pass = RowPass {
                             within: &within,
@@ -1194,7 +1565,9 @@ mod tests {
                         };
                         let run = |level| {
                             let mut data = match source {
-                                Some(_) => vec![Complex64::new(f64::NAN, 7.0); rows * n],
+                                Some(_) => {
+                                    vec![Complex::narrow(Complex64::new(f64::NAN, 7.0)); rows * n]
+                                }
                                 None => input.clone(),
                             };
                             row_pass(level, &mut data, source, &pass);
@@ -1213,10 +1586,16 @@ mod tests {
     }
 
     #[test]
+    fn every_tier_row_pass_bit_identical_to_scalar() {
+        row_passes_match_scalar::<f64>();
+        row_passes_match_scalar::<f32>();
+    }
+
+    #[test]
     #[should_panic(expected = "row pass factor length")]
     fn short_factor_panics() {
         let within = bit_reversal(4);
-        let stages: Vec<Stage> = (0..2).map(|s| Stage::new(test_data(1 << s))).collect();
+        let stages: Vec<Stage<f64>> = (0..2).map(|s| Stage::new(test_data(1 << s))).collect();
         let pass = RowPass {
             within: &within,
             order: &[0],

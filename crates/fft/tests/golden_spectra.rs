@@ -6,13 +6,16 @@
 //! cover odd and even stage counts; shapes cover wide, tall and both
 //! degenerate 2-D cases. `GOLDEN_2D_WINDOWS` was recorded at f7945ca (row
 //! pass through the 1-D plan, in-place column pass) at the window sizes the
-//! workloads run, with odd and even stage counts in both directions. Every
-//! tier computes the same IEEE operation sequence, so every tier the host
-//! offers must reproduce the same hashes.
+//! workloads run, with odd and even stage counts in both directions.
+//! `GOLDEN_2D_WINDOWS_F32` holds the same transforms of the same input
+//! rounded to `f32`, through the `f32` plans the reconstruction runs,
+//! recorded when they were introduced. At each precision every tier computes
+//! the same IEEE operation sequence, so every tier the host offers must
+//! reproduce the same hashes.
 
 use ptycho_array::Array2;
 use ptycho_fft::fft2d::Fft2Plan;
-use ptycho_fft::{Complex64, FftPlan, SimdLevel};
+use ptycho_fft::{Complex, Complex64, FftPlan, SimdLevel};
 
 /// Exactly representable pseudo-random values in `[-0.5, 0.5)`, free of any
 /// libm call so the input bits are the same on every platform.
@@ -24,17 +27,29 @@ fn sample(i: usize) -> Complex64 {
 }
 
 fn fnv1a64(values: &[Complex64]) -> u64 {
+    fnv1a64_bytes(values.iter().flat_map(|v| {
+        v.re.to_bits()
+            .to_le_bytes()
+            .into_iter()
+            .chain(v.im.to_bits().to_le_bytes())
+    }))
+}
+
+/// [`fnv1a64`] over `f32` values: four little-endian bytes per part.
+fn fnv1a64_f32(values: &[Complex<f32>]) -> u64 {
+    fnv1a64_bytes(values.iter().flat_map(|v| {
+        v.re.to_bits()
+            .to_le_bytes()
+            .into_iter()
+            .chain(v.im.to_bits().to_le_bytes())
+    }))
+}
+
+fn fnv1a64_bytes(bytes: impl Iterator<Item = u8>) -> u64 {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for v in values {
-        for byte in
-            v.re.to_bits()
-                .to_le_bytes()
-                .into_iter()
-                .chain(v.im.to_bits().to_le_bytes())
-        {
-            hash ^= byte as u64;
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
+    for byte in bytes {
+        hash ^= byte as u64;
+        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
     }
     hash
 }
@@ -157,6 +172,75 @@ fn window_sized_2d_spectra_match_recorded_goldens() {
                 hashes,
                 [forward, inverse, unnormalized],
                 "2-D {rows}x{cols} at {level:?}: got [{:#018x}, {:#018x}, {:#018x}]",
+                hashes[0],
+                hashes[1],
+                hashes[2],
+            );
+        }
+    }
+}
+
+/// `(rows, cols, forward hash, inverse hash, unnormalised inverse hash)` of
+/// the `f32` plans.
+const GOLDEN_2D_WINDOWS_F32: [(usize, usize, u64, u64, u64); 5] = [
+    (
+        32,
+        32,
+        0xcbb054b236dfb468,
+        0x3d34839377a3bfe1,
+        0xb3fafae9ba717f48,
+    ),
+    (
+        64,
+        64,
+        0x4995cdad77355c81,
+        0x9e61ba557d2cc569,
+        0x0e8b3bebbe715135,
+    ),
+    (
+        128,
+        128,
+        0x2d12ad18aca4c15e,
+        0xbb17c9b0015c0864,
+        0x30136edeced7df7e,
+    ),
+    (
+        256,
+        64,
+        0x4433e11b8bb9cd5a,
+        0x2713d7cf94a83cb0,
+        0xe97944ab547cab4a,
+    ),
+    (
+        64,
+        256,
+        0x3172090b41e3d146,
+        0x57702d42832702d4,
+        0x56e340183c4a8ae6,
+    ),
+];
+
+#[test]
+fn window_sized_f32_spectra_match_recorded_goldens() {
+    for level in SimdLevel::available_levels() {
+        for &(rows, cols, forward, inverse, unnormalized) in &GOLDEN_2D_WINDOWS_F32 {
+            let plan = Fft2Plan::<f32>::with_simd_level(rows, cols, level);
+            let field: Array2<Complex<f32>> =
+                Array2::from_fn(rows, cols, |r, c| Complex::narrow(sample(r * cols + c)));
+            let transforms: [fn(&Fft2Plan<f32>, &mut Array2<Complex<f32>>); 3] = [
+                Fft2Plan::forward_mut,
+                Fft2Plan::inverse_mut,
+                Fft2Plan::inverse_unnormalized_mut,
+            ];
+            let hashes = transforms.map(|transform| {
+                let mut out = field.clone();
+                transform(&plan, &mut out);
+                fnv1a64_f32(out.as_slice())
+            });
+            assert_eq!(
+                hashes,
+                [forward, inverse, unnormalized],
+                "f32 2-D {rows}x{cols} at {level:?}: got [{:#018x}, {:#018x}, {:#018x}]",
                 hashes[0],
                 hashes[1],
                 hashes[2],

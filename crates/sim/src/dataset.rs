@@ -240,6 +240,8 @@ pub struct Dataset {
     synthetic: SyntheticConfig,
     specimen: Specimen,
     model: MultisliceModel,
+    /// The same model in complex `f32`: what every solver evaluates.
+    model_f32: MultisliceModel<f32>,
     scan: ScanPattern,
     /// Measured diffraction amplitudes `|y_i|`, one per probe location, in
     /// acquisition order.
@@ -278,6 +280,7 @@ impl Dataset {
             config.window_px,
             probe.radius_px(),
         ));
+        let model_f32 = MultisliceModel::with_precision(probe.clone(), config.slices);
         let model = MultisliceModel::new(probe, config.slices);
 
         let truth = specimen.transmission();
@@ -307,6 +310,7 @@ impl Dataset {
             synthetic: config,
             specimen,
             model,
+            model_f32,
             scan,
             measurements,
         }
@@ -339,9 +343,18 @@ impl Dataset {
         &self.specimen
     }
 
-    /// The bound multi-slice model (probe + propagation).
+    /// The bound multi-slice model (probe + propagation) in `f64`: the
+    /// model the measurements were synthesised with, and the oracle the
+    /// working-precision model is tested against.
     pub fn model(&self) -> &MultisliceModel {
         &self.model
+    }
+
+    /// The same model in complex `f32`, its tables the `f64` ones rounded
+    /// once: the working precision of every per-probe evaluation a solver
+    /// runs.
+    pub fn model_f32(&self) -> &MultisliceModel<f32> {
+        &self.model_f32
     }
 
     /// The scan pattern.

@@ -10,34 +10,45 @@
 //! The object variable is the per-slice complex transmission function; the
 //! gradient returned here is the Wirtinger derivative `∂f_i/∂conj(t_s)`, so a
 //! gradient-descent update is `t_s ← t_s − α · grad_s`.
+//!
+//! Every function runs at the model's precision `R` (see
+//! [`crate::multislice`]): the measurement, stored in `f64`, is rounded to
+//! `R` as it is read, each residual `|D| − y` is formed in `R`, and the loss
+//! sums the residuals' squares in `f64`.
 
 use crate::multislice::{ForwardPass, MultisliceModel, SimWorkspace};
 use ptycho_array::{Array2, Array3};
 use ptycho_fft::fft2d::Factor;
-use ptycho_fft::{CArray3, Complex64};
+use ptycho_fft::{CArray3, Complex, Real};
 
 /// The result of evaluating one probe location: the scalar data-fidelity cost
 /// and the gradient with respect to the object patch.
 #[derive(Clone, Debug)]
-pub struct GradientResult {
+pub struct GradientResult<R: Real = f64> {
     /// The squared-error cost `f_i(V) = Σ_k (|y_k| − |G_k|)²`.
     pub loss: f64,
     /// Gradient with respect to the object transmission patch, shape
     /// `(slices, window, window)`.
-    pub gradient: CArray3,
+    pub gradient: Array3<Complex<R>>,
 }
 
 /// Computes the data-fidelity cost for one probe location without the gradient.
-pub fn probe_loss(
-    model: &MultisliceModel,
-    object_patch: &CArray3,
+pub fn probe_loss<R: Real>(
+    model: &MultisliceModel<R>,
+    object_patch: &Array3<Complex<R>>,
     measured_amplitude: &Array2<f64>,
 ) -> f64 {
     let pass = model.forward(object_patch);
     loss_from_pass(&pass, measured_amplitude)
 }
 
-fn loss_from_pass(pass: &ForwardPass, measured_amplitude: &Array2<f64>) -> f64 {
+/// `|D| − y` in the working precision, `y` rounded to it as it is read.
+#[inline]
+fn residual<R: Real>(d: Complex<R>, y: f64) -> R {
+    d.abs() - R::from_f64(y)
+}
+
+fn loss_from_pass<R: Real>(pass: &ForwardPass<R>, measured_amplitude: &Array2<f64>) -> f64 {
     assert_eq!(
         pass.far_field.shape(),
         measured_amplitude.shape(),
@@ -49,9 +60,9 @@ fn loss_from_pass(pass: &ForwardPass, measured_amplitude: &Array2<f64>) -> f64 {
         .as_slice()
         .iter()
         .zip(measured_amplitude.as_slice())
-        .map(|(d, m)| {
-            let s = d.abs();
-            (s - m) * (s - m)
+        .map(|(d, y)| {
+            let r = residual(*d, *y).to_f64();
+            r * r
         })
         .sum()
 }
@@ -62,14 +73,14 @@ fn loss_from_pass(pass: &ForwardPass, measured_amplitude: &Array2<f64>) -> f64 {
 /// By-value wrapper over [`probe_gradient_into`] — it allocates a fresh
 /// [`SimWorkspace`] and gradient volume per call. Hot loops should hold both
 /// and call `probe_gradient_into` directly.
-pub fn probe_gradient(
-    model: &MultisliceModel,
-    object_patch: &CArray3,
+pub fn probe_gradient<R: Real>(
+    model: &MultisliceModel<R>,
+    object_patch: &Array3<Complex<R>>,
     measured_amplitude: &Array2<f64>,
-) -> GradientResult {
+) -> GradientResult<R> {
     let n = model.window_px();
     let mut ws = SimWorkspace::for_model(model);
-    let mut gradient = Array3::full(model.slices(), n, n, Complex64::ZERO);
+    let mut gradient = Array3::full(model.slices(), n, n, Complex::ZERO);
     let loss = probe_gradient_into(
         model,
         object_patch,
@@ -87,12 +98,12 @@ pub fn probe_gradient(
 ///
 /// # Panics
 /// Panics if any shape does not match the model.
-pub fn probe_gradient_into(
-    model: &MultisliceModel,
-    object_patch: &CArray3,
+pub fn probe_gradient_into<R: Real>(
+    model: &MultisliceModel<R>,
+    object_patch: &Array3<Complex<R>>,
     measured_amplitude: &Array2<f64>,
-    ws: &mut SimWorkspace,
-    gradient: &mut CArray3,
+    ws: &mut SimWorkspace<R>,
+    gradient: &mut Array3<Complex<R>>,
 ) -> f64 {
     let n = model.window_px();
     assert_eq!(
@@ -132,12 +143,13 @@ pub fn probe_gradient_into(
         .zip(measured_amplitude.as_slice())
         .zip(model.plan().transfer().as_slice())
     {
-        let a = d.abs();
-        loss += (a - y) * (a - y);
-        *b = if a == 0.0 {
-            Complex64::ZERO
+        let (a, r) = (d.abs(), residual(*d, *y));
+        let wide = r.to_f64();
+        loss += wide * wide;
+        *b = if a == R::ZERO {
+            Complex::ZERO
         } else {
-            d.scale((a - y) / a) * h.conj()
+            d.scale(r / a) * h.conj()
         };
     }
 
@@ -177,7 +189,7 @@ pub fn probe_gradient_into(
 /// ePIE normalisation: the amplitude loss has curvature of order
 /// `window² · max|p|²` with respect to the transmission, so its reciprocal is a
 /// stable step. Multiply by a relaxation factor in `(0, 1]` for extra safety.
-pub fn suggested_step(model: &MultisliceModel) -> f64 {
+pub fn suggested_step<R: Real>(model: &MultisliceModel<R>) -> f64 {
     let n = model.window_px();
     let max_probe_intensity = model
         .probe()
@@ -204,8 +216,13 @@ mod tests {
     use super::*;
     use crate::physics::ImagingGeometry;
     use crate::probe::{Probe, ProbeConfig};
+    use ptycho_fft::Complex64;
 
     fn small_model(slices: usize) -> MultisliceModel {
+        small_model_in(slices)
+    }
+
+    fn small_model_in<R: Real>(slices: usize) -> MultisliceModel<R> {
         let probe = Probe::new(ProbeConfig {
             window_px: 16,
             geometry: ImagingGeometry {
@@ -215,7 +232,7 @@ mod tests {
             },
             total_intensity: 1.0,
         });
-        MultisliceModel::new(probe, slices)
+        MultisliceModel::with_precision(probe, slices)
     }
 
     fn phase_object(slices: usize, n: usize, strength: f64) -> CArray3 {
@@ -443,25 +460,24 @@ mod tests {
         );
     }
 
-    #[test]
-    fn gradient_is_bit_identical_at_every_simd_tier() {
+    fn gradients_match_scalar<R: Real>() {
         use ptycho_fft::SimdLevel;
         // The whole chain — every transform and its adjoint — against the
         // scalar tier: the dispatch tier must not reach a single bit of the
         // loss or the gradient.
         for slices in [1usize, 3] {
-            let scalar = small_model(slices).with_simd_level(SimdLevel::Scalar);
+            let scalar = small_model_in::<R>(slices).with_simd_level(SimdLevel::Scalar);
             let truth = phase_object(slices, 16, 0.3);
-            let measured = scalar.simulate_amplitude(&truth);
-            let guess = phase_object(slices, 16, 0.1);
+            let measured = small_model(slices).simulate_amplitude(&truth);
+            let guess = phase_object(slices, 16, 0.1).map(|v| Complex::narrow(*v));
             let mut ws = SimWorkspace::for_model(&scalar);
-            let mut reference = Array3::full(slices, 16, 16, Complex64::ZERO);
+            let mut reference = Array3::full(slices, 16, 16, Complex::ZERO);
             let reference_loss =
                 probe_gradient_into(&scalar, &guess, &measured, &mut ws, &mut reference);
             for level in SimdLevel::available_levels() {
-                let pinned = small_model(slices).with_simd_level(level);
+                let pinned = small_model_in::<R>(slices).with_simd_level(level);
                 assert_eq!(pinned.plan().fft().simd_level(), level);
-                let mut gradient = Array3::full(slices, 16, 16, Complex64::ONE);
+                let mut gradient = Array3::full(slices, 16, 16, Complex::ONE);
                 let loss = probe_gradient_into(&pinned, &guess, &measured, &mut ws, &mut gradient);
                 assert_eq!(
                     loss.to_bits(),
@@ -470,13 +486,19 @@ mod tests {
                 );
                 for (a, b) in reference.iter().zip(gradient.iter()) {
                     assert_eq!(
-                        (a.re.to_bits(), a.im.to_bits()),
-                        (b.re.to_bits(), b.im.to_bits()),
+                        (a.re.bit_pattern(), a.im.bit_pattern()),
+                        (b.re.bit_pattern(), b.im.bit_pattern()),
                         "gradient, {slices} slices at {level:?}"
                     );
                 }
             }
         }
+    }
+
+    #[test]
+    fn gradient_is_bit_identical_at_every_simd_tier() {
+        gradients_match_scalar::<f64>();
+        gradients_match_scalar::<f32>();
     }
 
     #[test]

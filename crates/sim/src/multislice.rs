@@ -10,30 +10,39 @@
 //!
 //! This is the computational kernel whose `N log N` FFT cost the paper
 //! identifies as the source of super-linear strong scaling (Sec. VI-C).
+//!
+//! # Precision
+//!
+//! The model is generic over the real type `R` of its fields, `f64` unless
+//! named. Synthesis runs it at `f64`; every per-probe evaluation of a
+//! reconstruction runs the `f32` instantiation, as the paper's GPUs do. Both
+//! are the same code, and every table an `f32` model holds — twiddles,
+//! `H / window²`, the probe — is the `f64` table rounded once.
 
 use crate::probe::Probe;
-use ptycho_array::Array2;
+use ptycho_array::{Array2, Array3};
 use ptycho_fft::fft2d::{Factor, Fft2Plan};
-use ptycho_fft::{CArray2, CArray3, Complex64};
+use ptycho_fft::{Complex, Complex64, Real, SimdLevel};
 use std::f64::consts::PI;
 
 /// Precomputed Fresnel propagator and FFT plan for a probe window.
 #[derive(Clone, Debug)]
-pub struct PropagationPlan {
+pub struct PropagationPlan<R: Real = f64> {
     window_px: usize,
-    fft: Fft2Plan,
+    fft: Fft2Plan<R>,
     /// Fresnel transfer function `H(k) = exp(-iπλΔz|k|²)` in unshifted layout.
-    transfer: CArray2,
+    transfer: Array2<Complex<R>>,
     /// `H / window²`: the transfer function with the inverse transform's
     /// normalisation folded in (exact — `window²` is a power of two), so a
     /// propagation is a forward FFT and an unnormalised inverse that
     /// multiplies by it as it loads each value.
-    transfer_scaled: CArray2,
+    transfer_scaled: Array2<Complex<R>>,
 }
 
-impl PropagationPlan {
+impl<R: Real> PropagationPlan<R> {
     /// Builds the propagator for a square window of `window_px` pixels with
     /// the given wavelength, pixel size and slice spacing (all in picometres).
+    /// Every table is computed in `f64` and rounded once to `R`.
     pub fn new(window_px: usize, wavelength_pm: f64, pixel_size_pm: f64, slice_dz_pm: f64) -> Self {
         assert!(window_px.is_power_of_two(), "window must be a power of two");
         let n = window_px;
@@ -53,11 +62,11 @@ impl PropagationPlan {
             Complex64::cis(-PI * wavelength_pm * slice_dz_pm * k2)
         });
         let normalisation = 1.0 / (n * n) as f64;
-        let transfer_scaled = transfer.map(|v| v.scale(normalisation));
+        let transfer_scaled = transfer.map(|v| Complex::narrow(v.scale(normalisation)));
         Self {
             window_px,
-            fft: Fft2Plan::new(n, n),
-            transfer,
+            fft: Fft2Plan::with_simd_level(n, n, SimdLevel::detect()),
+            transfer: transfer.map(|v| Complex::narrow(*v)),
             transfer_scaled,
         }
     }
@@ -68,14 +77,14 @@ impl PropagationPlan {
     }
 
     /// The FFT plan shared by propagation and far-field formation.
-    pub fn fft(&self) -> &Fft2Plan {
+    pub fn fft(&self) -> &Fft2Plan<R> {
         &self.fft
     }
 
     /// The Fresnel transfer function `H`, unshifted layout. The far field of
     /// the last slice is `H ⊙ FFT(a)`, and the adjoint enters through
     /// `conj(H)`.
-    pub(crate) fn transfer(&self) -> &CArray2 {
+    pub(crate) fn transfer(&self) -> &Array2<Complex<R>> {
         &self.transfer
     }
 
@@ -83,13 +92,13 @@ impl PropagationPlan {
     /// a propagation by one slice spacing is [`Fft2Plan::forward_fused`] into
     /// a spectrum buffer, then [`Fft2Plan::inverse_unnormalized_fused`] out of
     /// it with this factor.
-    pub(crate) fn transfer_factor(&self) -> Factor<'_> {
+    pub(crate) fn transfer_factor(&self) -> Factor<'_, R> {
         Factor::Mul(self.transfer_scaled.as_slice())
     }
 
     /// `· conj(H) / window²`, the load factor of an adjoint propagation's
     /// inverse transform (see [`Self::transfer_factor`]).
-    pub(crate) fn adjoint_transfer_factor(&self) -> Factor<'_> {
+    pub(crate) fn adjoint_transfer_factor(&self) -> Factor<'_, R> {
         Factor::MulConj(self.transfer_scaled.as_slice())
     }
 }
@@ -107,17 +116,18 @@ impl PropagationPlan {
 /// evaluation reuses the same memory — the steady-state reconstruction loop
 /// performs zero heap allocations.
 #[derive(Clone, Debug)]
-pub struct SimWorkspace {
-    pub(crate) incident: Vec<CArray2>,
-    pub(crate) far_field: CArray2,
-    pub(crate) back: CArray2,
+pub struct SimWorkspace<R: Real = f64> {
+    pub(crate) incident: Vec<Array2<Complex<R>>>,
+    pub(crate) far_field: Array2<Complex<R>>,
+    pub(crate) back: Array2<Complex<R>>,
 }
 
-impl SimWorkspace {
-    /// Allocates a workspace sized for `model`'s window and slice count.
-    pub fn for_model(model: &MultisliceModel) -> Self {
+impl<R: Real> SimWorkspace<R> {
+    /// Allocates a workspace sized for `model`'s window and slice count, at
+    /// the model's precision.
+    pub fn for_model(model: &MultisliceModel<R>) -> Self {
         let n = model.window_px();
-        let zero = Array2::full(n, n, Complex64::ZERO);
+        let zero = Array2::full(n, n, Complex::ZERO);
         Self {
             incident: vec![zero.clone(); model.slices()],
             far_field: zero.clone(),
@@ -127,7 +137,7 @@ impl SimWorkspace {
 
     /// The incident wave at the entrance of slice `s` (`s < slices`) of the
     /// latest forward pass.
-    pub fn incident(&self, s: usize) -> &CArray2 {
+    pub fn incident(&self, s: usize) -> &Array2<Complex<R>> {
         &self.incident[s]
     }
 
@@ -146,30 +156,30 @@ impl SimWorkspace {
         let values = self.incident.iter().map(|f| f.len()).sum::<usize>()
             + self.far_field.len()
             + self.back.len();
-        values * std::mem::size_of::<Complex64>()
+        values * std::mem::size_of::<Complex<R>>()
     }
 }
 
 /// Everything the forward pass produced, retained for the adjoint pass.
 #[derive(Clone, Debug)]
-pub struct ForwardPass {
+pub struct ForwardPass<R: Real = f64> {
     /// The incident wave at the entrance of every slice (`psi_s` before
     /// transmission), length `slices`. The exit wave is never formed: the
     /// far field comes straight from the last slice's spectrum.
-    pub incident: Vec<CArray2>,
+    pub incident: Vec<Array2<Complex<R>>>,
     /// The far-field diffraction wave `D = FFT(exit)`.
-    pub far_field: CArray2,
+    pub far_field: Array2<Complex<R>>,
 }
 
-impl ForwardPass {
-    /// The simulated diffraction amplitude `|G(p_i, V)|`.
+impl<R: Real> ForwardPass<R> {
+    /// The simulated diffraction amplitude `|G(p_i, V)|`, widened to `f64`.
     pub fn amplitude(&self) -> Array2<f64> {
-        self.far_field.map(|v| v.abs())
+        self.far_field.map(|v| v.abs().to_f64())
     }
 
-    /// The simulated diffraction intensity `|G(p_i, V)|²`.
+    /// The simulated diffraction intensity `|G(p_i, V)|²`, widened to `f64`.
     pub fn intensity(&self) -> Array2<f64> {
-        self.far_field.map(|v| v.norm_sqr())
+        self.far_field.map(|v| v.norm_sqr().to_f64())
     }
 }
 
@@ -182,16 +192,27 @@ impl ForwardPass {
 /// neither is evaluated: a forward pass runs `2·slices − 1` transforms, and
 /// the adjoint in [`crate::gradient`] drops the mirror-image pair.
 #[derive(Clone, Debug)]
-pub struct MultisliceModel {
+pub struct MultisliceModel<R: Real = f64> {
     probe: Probe,
-    plan: PropagationPlan,
+    /// The probe field rounded once to `R`: the first incident wave.
+    incident: Array2<Complex<R>>,
+    plan: PropagationPlan<R>,
     slices: usize,
 }
 
 impl MultisliceModel {
-    /// Creates a model for `slices` object slices using the probe's imaging
-    /// geometry for the propagator.
+    /// Creates an `f64` model for `slices` object slices using the probe's
+    /// imaging geometry for the propagator.
     pub fn new(probe: Probe, slices: usize) -> Self {
+        Self::with_precision(probe, slices)
+    }
+}
+
+impl<R: Real> MultisliceModel<R> {
+    /// Creates a model of precision `R` for `slices` object slices using the
+    /// probe's imaging geometry for the propagator: the `f64` probe and
+    /// propagator tables, each rounded once to `R`.
+    pub fn with_precision(probe: Probe, slices: usize) -> Self {
         assert!(slices > 0, "need at least one slice");
         let geom = probe.config().geometry;
         let plan = PropagationPlan::new(
@@ -201,6 +222,7 @@ impl MultisliceModel {
             geom.slice_thickness_pm,
         );
         Self {
+            incident: probe.field().map(|v| Complex::narrow(*v)),
             probe,
             plan,
             slices,
@@ -210,19 +232,19 @@ impl MultisliceModel {
     /// Pins every transform of the model to `level` instead of the detected
     /// tier, for the cross-tier identity tests.
     #[cfg(test)]
-    pub(crate) fn with_simd_level(mut self, level: ptycho_fft::SimdLevel) -> Self {
+    pub(crate) fn with_simd_level(mut self, level: SimdLevel) -> Self {
         let n = self.window_px();
         self.plan.fft = Fft2Plan::with_simd_level(n, n, level);
         self
     }
 
-    /// The probe this model simulates.
+    /// The probe this model simulates (its `f64` field).
     pub fn probe(&self) -> &Probe {
         &self.probe
     }
 
     /// The propagation plan (FFT + Fresnel transfer function).
-    pub fn plan(&self) -> &PropagationPlan {
+    pub fn plan(&self) -> &PropagationPlan<R> {
         &self.plan
     }
 
@@ -245,7 +267,7 @@ impl MultisliceModel {
     ///
     /// # Panics
     /// Panics if the patch shape does not match the model.
-    pub fn forward(&self, object_patch: &CArray3) -> ForwardPass {
+    pub fn forward(&self, object_patch: &Array3<Complex<R>>) -> ForwardPass<R> {
         let mut ws = SimWorkspace::for_model(self);
         self.forward_with(object_patch, &mut ws);
         ForwardPass {
@@ -260,7 +282,7 @@ impl MultisliceModel {
     ///
     /// # Panics
     /// Panics if the patch or workspace does not match the model.
-    pub fn forward_with(&self, object_patch: &CArray3, ws: &mut SimWorkspace) {
+    pub fn forward_with(&self, object_patch: &Array3<Complex<R>>, ws: &mut SimWorkspace<R>) {
         let n = self.window_px();
         assert_eq!(
             object_patch.shape(),
@@ -286,7 +308,7 @@ impl MultisliceModel {
             ..
         } = ws;
         let fft = &self.plan.fft;
-        incident[0].copy_from(self.probe.field());
+        incident[0].copy_from(&self.incident);
         let last = self.slices - 1;
         for s in 0..self.slices {
             // The slice's spectrum FFT(psi_s ⊙ t_s), the product taken as the
@@ -307,7 +329,7 @@ impl MultisliceModel {
     }
 
     /// Convenience wrapper returning only the diffraction amplitude.
-    pub fn simulate_amplitude(&self, object_patch: &CArray3) -> Array2<f64> {
+    pub fn simulate_amplitude(&self, object_patch: &Array3<Complex<R>>) -> Array2<f64> {
         self.forward(object_patch).amplitude()
     }
 
@@ -324,7 +346,7 @@ mod tests {
     use super::*;
     use crate::physics::ImagingGeometry;
     use crate::probe::ProbeConfig;
-    use ptycho_array::Array3;
+    use ptycho_fft::{CArray2, CArray3};
 
     fn test_probe(window: usize) -> Probe {
         Probe::new(ProbeConfig {
