@@ -231,6 +231,8 @@ fn threaded_trace_is_deterministic_under_duplicate_and_delay_faults() {
 // Cross-build pins: the determinism tests above compare two runs of one
 // build; these FNV-1a goldens pin the durable JSONL bytes themselves, so a
 // refactor of the rank loop cannot reorder or restamp an event unnoticed.
+// The run goldens were re-recorded once, when every per-probe evaluation
+// moved to complex f32; only the `cost` fields of those traces changed.
 // ---------------------------------------------------------------------------
 
 fn assert_trace_hash(trace: &[u8], expected: u64, label: &str) {
@@ -244,14 +246,14 @@ fn assert_trace_hash(trace: &[u8], expected: u64, label: &str) {
 #[test]
 fn fail_fast_trace_matches_golden_hash() {
     let (trace, _) = traced_gd_run(&lockstep(), RecoveryPolicy::FailFast);
-    assert_trace_hash(&trace, 0x9976_df81_cc9f_4a42, "fail-fast");
+    assert_trace_hash(&trace, 0xebde_af64_75ae_05fb, "fail-fast");
 }
 
 #[test]
 fn restart_trace_under_drop_matches_golden_hash() {
     let backend = FaultInjectionBackend::new(lockstep(), gd_drop_policy());
     let (trace, _) = traced_gd_run(&backend, restart_policy());
-    assert_trace_hash(&trace, 0x8b9f_cd4d_80a5_c32a, "restart under drop");
+    assert_trace_hash(&trace, 0xd259_a5a1_01c3_4991, "restart under drop");
 }
 
 /// The two runs above emit only some kinds. This pins the line of every
@@ -518,7 +520,7 @@ fn substitution_trace_matches_golden_hash() {
     for kind in ["rank_dead", "spare_promoted", "checkpoint"] {
         assert!(summary.kind_count(kind) >= 1, "the trace must hold {kind}");
     }
-    assert_trace_hash(&trace, 0x85cd_a4ec_0759_38c3, "substitution");
+    assert_trace_hash(&trace, 0x3b4e_0738_cbf1_5efb, "substitution");
 }
 
 /// A durable job killed by a whole-process crash at its first barrier, then
@@ -577,7 +579,7 @@ fn kill_and_resume_traces() -> [Vec<u8>; 2] {
 fn kill_and_resume_traces_match_golden_hash() {
     assert_trace_hash(
         &kill_and_resume_traces().concat(),
-        0x525a_8815_537e_fd88,
+        0x6bfc_139d_6878_aee7,
         "kill and resume",
     );
 }
@@ -650,7 +652,7 @@ fn data_path_projection(traces: &[Vec<u8>]) -> u64 {
 fn substitution_data_path_matches_golden_hash() {
     let actual = data_path_projection(&[substitution_trace()]);
     assert_eq!(
-        actual, 0xcc01_60c4_2bc2_5ff6,
+        actual, 0xae59_3c43_b730_fa40,
         "substitution data path moved (new hash {actual:#018x})"
     );
 }
@@ -660,7 +662,7 @@ fn substitution_data_path_matches_golden_hash() {
 fn kill_and_resume_data_path_matches_golden_hash() {
     let actual = data_path_projection(&kill_and_resume_traces());
     assert_eq!(
-        actual, 0xa5ac_fe70_b21b_fb9d,
+        actual, 0x4741_99ba_be6c_21c6,
         "kill/resume data path moved (new hash {actual:#018x})"
     );
 }
