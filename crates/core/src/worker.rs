@@ -125,12 +125,10 @@ impl<'a> TileWorker<'a> {
     /// the worker's pooled buffers.
     pub fn compute_gradient(&mut self, loc: &ProbeLocation) -> f64 {
         let local_window = self.local_window(loc);
-        self.volume.extract_region_map_into(
-            local_window,
-            Complex32::ONE,
-            &mut self.patch,
-            |v| Complex32::narrow(*v),
-        );
+        self.volume
+            .extract_region_map_into(local_window, Complex32::ONE, &mut self.patch, |v| {
+                Complex32::narrow(*v)
+            });
         probe_gradient_into(
             self.dataset.model_f32(),
             &self.patch,

@@ -397,7 +397,8 @@ mod tests {
                         ))
                     })
                     .collect();
-                let transforms: [fn(&FftPlan<R>, &mut [Complex<R>]); 3] = [
+                type Transform<R> = fn(&FftPlan<R>, &mut [Complex<R>]);
+                let transforms: [Transform<R>; 3] = [
                     FftPlan::forward,
                     FftPlan::inverse,
                     FftPlan::inverse_unnormalized,

@@ -605,7 +605,8 @@ mod tests {
                 let scalar_plan = Fft2Plan::<R>::with_simd_level(rows, cols, SimdLevel::Scalar);
                 let tier_plan = Fft2Plan::<R>::with_simd_level(rows, cols, level);
                 assert_eq!(tier_plan.simd_level(), level);
-                let transforms: [fn(&Fft2Plan<R>, &mut Array2<Complex<R>>); 3] = [
+                type Transform<R> = fn(&Fft2Plan<R>, &mut Array2<Complex<R>>);
+                let transforms: [Transform<R>; 3] = [
                     Fft2Plan::forward_mut,
                     Fft2Plan::inverse_mut,
                     Fft2Plan::inverse_unnormalized_mut,

@@ -42,7 +42,7 @@
 //! A plan resolves its tier once, at construction, to the widest one the CPU
 //! offers ([`SimdLevel::detect`]); there is no cargo feature and no switch.
 //! Every sweep is written once — the portable loops generic over
-//! [`Real`](crate::Real), the vector ones over a lane type — and
+//! [`Real`], the vector ones over a lane type — and
 //! instantiated at both `f64` and `f32`:
 //!
 //! | tier                  | `f64` lanes              | `f32` lanes              |

@@ -227,7 +227,8 @@ fn window_sized_f32_spectra_match_recorded_goldens() {
             let plan = Fft2Plan::<f32>::with_simd_level(rows, cols, level);
             let field: Array2<Complex<f32>> =
                 Array2::from_fn(rows, cols, |r, c| Complex::narrow(sample(r * cols + c)));
-            let transforms: [fn(&Fft2Plan<f32>, &mut Array2<Complex<f32>>); 3] = [
+            type Transform = fn(&Fft2Plan<f32>, &mut Array2<Complex<f32>>);
+            let transforms: [Transform; 3] = [
                 Fft2Plan::forward_mut,
                 Fft2Plan::inverse_mut,
                 Fft2Plan::inverse_unnormalized_mut,

@@ -42,10 +42,11 @@ pub fn probe_loss<R: Real>(
     loss_from_pass(&pass, measured_amplitude)
 }
 
-/// `|D| − y` in the working precision, `y` rounded to it as it is read.
+/// The residual `a − y` of the amplitude `a = |D|`, in the working
+/// precision: `y` is rounded to it as it is read.
 #[inline]
-fn residual<R: Real>(d: Complex<R>, y: f64) -> R {
-    d.abs() - R::from_f64(y)
+fn residual<R: Real>(a: R, y: f64) -> R {
+    a - R::from_f64(y)
 }
 
 fn loss_from_pass<R: Real>(pass: &ForwardPass<R>, measured_amplitude: &Array2<f64>) -> f64 {
@@ -61,7 +62,7 @@ fn loss_from_pass<R: Real>(pass: &ForwardPass<R>, measured_amplitude: &Array2<f6
         .iter()
         .zip(measured_amplitude.as_slice())
         .map(|(d, y)| {
-            let r = residual(*d, *y).to_f64();
+            let r = residual(d.abs(), *y).to_f64();
             r * r
         })
         .sum()
@@ -143,7 +144,8 @@ pub fn probe_gradient_into<R: Real>(
         .zip(measured_amplitude.as_slice())
         .zip(model.plan().transfer().as_slice())
     {
-        let (a, r) = (d.abs(), residual(*d, *y));
+        let a = d.abs();
+        let r = residual(a, *y);
         let wide = r.to_f64();
         loss += wide * wide;
         *b = if a == R::ZERO {
