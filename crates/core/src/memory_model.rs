@@ -8,6 +8,13 @@
 //! (8 bytes), diffraction measurements as half precision (2 bytes), and every
 //! rank keeps a fixed workspace (probe, propagator, FFT scratch and framework
 //! overhead) independent of the decomposition.
+//!
+//! How the running program compares (`TileWorker` charges what it holds):
+//! the per-probe model workspace, object patch and gradient are complex
+//! `f32`, 8 bytes per value, as this model assumes for the workspace. The
+//! tile volume and the accumulation buffers are not: they stay complex `f64`
+//! (16 bytes per voxel, `BYTES_PER_COMPLEX`), twice [`GPU_VOXEL_BYTES`],
+//! because they carry the iterate and the checkpoints bit for bit.
 
 use crate::tiling::TileGrid;
 use ptycho_sim::dataset::DatasetSpec;

@@ -280,7 +280,6 @@ impl Dataset {
             config.window_px,
             probe.radius_px(),
         ));
-        let model_f32 = MultisliceModel::with_precision(probe.clone(), config.slices);
         let model = MultisliceModel::new(probe, config.slices);
 
         let truth = specimen.transmission();
@@ -309,8 +308,8 @@ impl Dataset {
             ),
             synthetic: config,
             specimen,
+            model_f32: model.narrowed(),
             model,
-            model_f32,
             scan,
             measurements,
         }

@@ -234,7 +234,7 @@ mod tests {
             },
             total_intensity: 1.0,
         });
-        MultisliceModel::with_precision(probe, slices)
+        MultisliceModel::new(probe, slices).narrowed()
     }
 
     fn phase_object(slices: usize, n: usize, strength: f64) -> CArray3 {

@@ -22,7 +22,7 @@
 use crate::probe::Probe;
 use ptycho_array::{Array2, Array3};
 use ptycho_fft::fft2d::{Factor, Fft2Plan};
-use ptycho_fft::{Complex, Complex64, Real, SimdLevel};
+use ptycho_fft::{Complex, Complex64, Real};
 use std::f64::consts::PI;
 
 /// Precomputed Fresnel propagator and FFT plan for a probe window.
@@ -39,10 +39,9 @@ pub struct PropagationPlan<R: Real = f64> {
     transfer_scaled: Array2<Complex<R>>,
 }
 
-impl<R: Real> PropagationPlan<R> {
+impl PropagationPlan {
     /// Builds the propagator for a square window of `window_px` pixels with
     /// the given wavelength, pixel size and slice spacing (all in picometres).
-    /// Every table is computed in `f64` and rounded once to `R`.
     pub fn new(window_px: usize, wavelength_pm: f64, pixel_size_pm: f64, slice_dz_pm: f64) -> Self {
         assert!(window_px.is_power_of_two(), "window must be a power of two");
         let n = window_px;
@@ -62,15 +61,29 @@ impl<R: Real> PropagationPlan<R> {
             Complex64::cis(-PI * wavelength_pm * slice_dz_pm * k2)
         });
         let normalisation = 1.0 / (n * n) as f64;
-        let transfer_scaled = transfer.map(|v| Complex::narrow(v.scale(normalisation)));
+        let transfer_scaled = transfer.map(|v| v.scale(normalisation));
         Self {
             window_px,
-            fft: Fft2Plan::with_simd_level(n, n, SimdLevel::detect()),
-            transfer: transfer.map(|v| Complex::narrow(*v)),
+            fft: Fft2Plan::new(n, n),
+            transfer,
             transfer_scaled,
         }
     }
 
+    /// This plan at precision `S`: each table rounded once, the FFT plan
+    /// rebuilt at the same tier.
+    fn narrowed<S: Real>(&self) -> PropagationPlan<S> {
+        let n = self.window_px;
+        PropagationPlan {
+            window_px: n,
+            fft: Fft2Plan::with_simd_level(n, n, self.fft.simd_level()),
+            transfer: self.transfer.map(|v| Complex::narrow(*v)),
+            transfer_scaled: self.transfer_scaled.map(|v| Complex::narrow(*v)),
+        }
+    }
+}
+
+impl<R: Real> PropagationPlan<R> {
     /// Window size in pixels.
     pub fn window_px(&self) -> usize {
         self.window_px
@@ -194,7 +207,7 @@ impl<R: Real> ForwardPass<R> {
 #[derive(Clone, Debug)]
 pub struct MultisliceModel<R: Real = f64> {
     probe: Probe,
-    /// The probe field rounded once to `R`: the first incident wave.
+    /// The probe field at precision `R`: the first incident wave.
     incident: Array2<Complex<R>>,
     plan: PropagationPlan<R>,
     slices: usize,
@@ -204,15 +217,6 @@ impl MultisliceModel {
     /// Creates an `f64` model for `slices` object slices using the probe's
     /// imaging geometry for the propagator.
     pub fn new(probe: Probe, slices: usize) -> Self {
-        Self::with_precision(probe, slices)
-    }
-}
-
-impl<R: Real> MultisliceModel<R> {
-    /// Creates a model of precision `R` for `slices` object slices using the
-    /// probe's imaging geometry for the propagator: the `f64` probe and
-    /// propagator tables, each rounded once to `R`.
-    pub fn with_precision(probe: Probe, slices: usize) -> Self {
         assert!(slices > 0, "need at least one slice");
         let geom = probe.config().geometry;
         let plan = PropagationPlan::new(
@@ -222,17 +226,31 @@ impl<R: Real> MultisliceModel<R> {
             geom.slice_thickness_pm,
         );
         Self {
-            incident: probe.field().map(|v| Complex::narrow(*v)),
+            incident: probe.field().clone(),
             probe,
             plan,
             slices,
         }
     }
 
+    /// This model at precision `S` (`f32`: the reconstruction's working
+    /// precision): the probe field and the propagator tables each rounded
+    /// once, the same probe, slice count and FFT tier.
+    pub fn narrowed<S: Real>(&self) -> MultisliceModel<S> {
+        MultisliceModel {
+            probe: self.probe.clone(),
+            incident: self.incident.map(|v| Complex::narrow(*v)),
+            plan: self.plan.narrowed(),
+            slices: self.slices,
+        }
+    }
+}
+
+impl<R: Real> MultisliceModel<R> {
     /// Pins every transform of the model to `level` instead of the detected
     /// tier, for the cross-tier identity tests.
     #[cfg(test)]
-    pub(crate) fn with_simd_level(mut self, level: SimdLevel) -> Self {
+    pub(crate) fn with_simd_level(mut self, level: ptycho_fft::SimdLevel) -> Self {
         let n = self.window_px();
         self.plan.fft = Fft2Plan::with_simd_level(n, n, level);
         self

@@ -43,7 +43,7 @@ fn model<R: Real>(window_px: usize, slices: usize) -> MultisliceModel<R> {
         },
         total_intensity: 1.0,
     });
-    MultisliceModel::with_precision(probe, slices)
+    MultisliceModel::new(probe, slices).narrowed()
 }
 
 /// A weak, exactly representable transmission patch, free of libm calls.
