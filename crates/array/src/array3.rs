@@ -126,7 +126,7 @@ impl<T: Clone> Array3<T> {
     /// # Panics
     /// Panics if `out` does not have the expected shape.
     pub fn extract_region_into(&self, region: Rect, fill: T, out: &mut Array3<T>) {
-        self.extract_region_map_into(region, fill, out, T::clone);
+        self.extract_rows_into(region, fill, out, |dst, src| dst.clone_from_slice(src));
     }
 
     /// [`Self::extract_region_into`] into a volume of another element type:
@@ -143,6 +143,22 @@ impl<T: Clone> Array3<T> {
         out: &mut Array3<U>,
         convert: impl Fn(&T) -> U,
     ) {
+        self.extract_rows_into(region, fill, out, |dst, src| {
+            for (d, s) in dst.iter_mut().zip(src) {
+                *d = convert(s);
+            }
+        });
+    }
+
+    /// The body of both extractions: `copy_row` writes each clipped row's
+    /// in-bounds cells from the source row, `fill` takes the rest.
+    fn extract_rows_into<U: Clone>(
+        &self,
+        region: Rect,
+        fill: U,
+        out: &mut Array3<U>,
+        mut copy_row: impl FnMut(&mut [U], &[T]),
+    ) {
         let (rrows, rcols) = region.shape();
         assert_eq!(
             out.shape(),
@@ -158,7 +174,7 @@ impl<T: Clone> Array3<T> {
         }
         // Each output cell is written once: the rows above and below the
         // clipped part and the columns left and right of it take `fill`,
-        // the rest is converted from the source.
+        // the rest is copied from the source.
         let top = (clipped.row0 - region.row0) as usize * rcols;
         let inside = clipped.rows() * rcols;
         let left = (clipped.col0 - region.col0) as usize;
@@ -174,9 +190,7 @@ impl<T: Clone> Array3<T> {
                 let (head, rest) = row.split_at_mut(left);
                 let (copied, tail) = rest.split_at_mut(width);
                 head.fill(fill.clone());
-                for (dst, src) in copied.iter_mut().zip(&src[src_off..src_off + width]) {
-                    *dst = convert(src);
-                }
+                copy_row(copied, &src[src_off..src_off + width]);
                 tail.fill(fill.clone());
             }
         }
