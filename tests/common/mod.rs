@@ -30,6 +30,23 @@ pub fn small_problem() -> Dataset {
     })
 }
 
+/// The problem the whole-solve goldens are recorded on: a 96 px, 2-slice
+/// object under a 5×5 scan of 32-px windows. Neighbouring windows overlap by
+/// half, so what the passes exchange and when the tile is updated both reach
+/// the result, and 25 locations over 9 or 4 tiles leave ranks with unequal
+/// shares (empty rounds under `EveryProbe`).
+pub fn golden_problem() -> Dataset {
+    Dataset::synthesize(SyntheticConfig {
+        object_px: 96,
+        slices: 2,
+        scan_grid: (5, 5),
+        window_px: 32,
+        dose: None,
+        defocus_pm: 12_000.0,
+        seed: 16,
+    })
+}
+
 /// The Gradient Decomposition config matching [`small_problem`].
 pub fn gd_config() -> SolverConfig {
     SolverConfig {

@@ -10,10 +10,10 @@
 //! this table is the only one that compares a build with its ancestors.
 //!
 //! The matrix is every pass frequency of Fig. 9 × local updates on / off ×
-//! four grids — 3×3 (diagonal overlaps, ranks with empty rounds), 1×4 and
-//! 4×1 (one sweep axis idle, non-adjacent extended tiles overlapping) and
-//! 2×2 — on the lockstep backend, plus one threaded run that must land on
-//! its lockstep row.
+//! five grids — 3×3 (diagonal overlaps, ranks with empty rounds), 1×4 and
+//! 4×1 (one sweep axis idle, non-adjacent extended tiles overlapping), 2×2
+//! and 1×1 (no pass message at all) — on the lockstep backend, plus one
+//! threaded run that must land on its lockstep row.
 //!
 //! The hashes depend on the platform's `libm` (probe synthesis, twiddles)
 //! and on nothing else: every FFT dispatch tier computes the same bits, so
@@ -22,14 +22,13 @@
 
 mod common;
 
-use common::{lockstep, threaded};
+use common::{golden_problem, lockstep, threaded};
 use ptycho_core::config::PassFrequency::{self, EveryProbe, PerIteration};
 use ptycho_core::durability::fnv1a64;
 use ptycho_core::{
     GradientDecompositionSolver, JobContext, ReconstructionResult, RecoveryPolicy, SolverConfig,
 };
 use ptycho_fft::SimdLevel;
-use ptycho_sim::dataset::{Dataset, SyntheticConfig};
 
 /// `(volume hash, cost-history hash)` of one solve: FNV-1a over the
 /// little-endian bit patterns of the stitched volume's `re, im` values and
@@ -49,22 +48,6 @@ fn fingerprint(result: &ReconstructionResult) -> (u64, u64) {
     )
 }
 
-/// A 96 px, 2-slice object under a 5×5 scan of 32-px windows: neighbouring
-/// windows overlap by half, so what the passes exchange and when the tile is
-/// updated both reach the result, and 25 locations over 9 or 4 tiles leave
-/// ranks with unequal shares (empty rounds under `EveryProbe`).
-fn dataset() -> Dataset {
-    Dataset::synthesize(SyntheticConfig {
-        object_px: 96,
-        slices: 2,
-        scan_grid: (5, 5),
-        window_px: 32,
-        dose: None,
-        defocus_pm: 12_000.0,
-        seed: 16,
-    })
-}
-
 fn config(pass_frequency: PassFrequency, local_updates: bool) -> SolverConfig {
     SolverConfig {
         iterations: 2,
@@ -80,7 +63,7 @@ type Fingerprint = (u64, u64);
 /// `(frequency, local updates, grid, fingerprint)`.
 type Row = (PassFrequency, bool, (usize, usize), Fingerprint);
 
-const GOLDEN: [Row; 24] = [
+const GOLDEN: [Row; 30] = [
     (
         EveryProbe,
         true,
@@ -225,11 +208,47 @@ const GOLDEN: [Row; 24] = [
         (2, 2),
         (0x5376_47b8_23d0_1938, 0xe59f_12bc_bece_be93),
     ),
+    (
+        EveryProbe,
+        true,
+        (1, 1),
+        (0x83e8_613a_b86f_5740, 0x7330_24ee_f7a5_8098),
+    ),
+    (
+        EveryProbe,
+        false,
+        (1, 1),
+        (0x83e8_613a_b86f_5740, 0x7330_24ee_f7a5_8098),
+    ),
+    (
+        PerIteration(2),
+        true,
+        (1, 1),
+        (0x83e8_613a_b86f_5740, 0x7330_24ee_f7a5_8098),
+    ),
+    (
+        PerIteration(2),
+        false,
+        (1, 1),
+        (0xc07b_7167_ac7a_ec43, 0x23d8_ac5e_6010_fd4b),
+    ),
+    (
+        PerIteration(1),
+        true,
+        (1, 1),
+        (0x83e8_613a_b86f_5740, 0x7330_24ee_f7a5_8098),
+    ),
+    (
+        PerIteration(1),
+        false,
+        (1, 1),
+        (0x5376_47b8_23d0_1938, 0x9d71_558c_0328_1466),
+    ),
 ];
 
 #[test]
 fn lockstep_solves_match_recorded_goldens() {
-    let dataset = dataset();
+    let dataset = golden_problem();
     let backend = lockstep();
     for row in &GOLDEN {
         let &(frequency, local_updates, grid, expected) = row;
@@ -254,7 +273,7 @@ fn lockstep_solves_match_recorded_goldens() {
 
 #[test]
 fn threaded_solve_lands_on_its_lockstep_golden() {
-    let dataset = dataset();
+    let dataset = golden_problem();
     let row = GOLDEN
         .iter()
         .find(|row| (row.0, row.1, row.2) == (EveryProbe, true, (3, 3)))
