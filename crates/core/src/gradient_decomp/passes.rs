@@ -55,6 +55,24 @@
 //! reset at `+0.0`, only ever adds, and `+0.0 + −0.0`, like `x + −x`, is
 //! `+0.0`. [`run_accumulation_passes`] takes arbitrary buffers but covers
 //! every tile whole, which skips nothing.
+//!
+//! # Shared cells
+//!
+//! A rank's *shared* cells in a round are the disjoint union of every region
+//! it receives or sends in the four sweeps: the only cells of its buffer any
+//! pass reads or writes. With local updates (step 8 of Algorithm 1) that is
+//! all the buffers have to hold. Every gradient goes into the volume at once
+//! and into both `acc` (`AccBuf`) and `own` (what the tile applied itself),
+//! and the update applies `total − own`. Where no pass reaches, `acc` and
+//! `own` receive the same adds in the same order, so the two are equal bit
+//! for bit, `t − o` is `+0.0` (`x − x` is `+0.0` for every finite `x`) and
+//! `v − α·(+0.0)` is `v`, a `−0.0` in `v` included. The adds, the
+//! update and the reset to `+0.0` over such a cell are therefore skipped:
+//! the solver accumulates into and updates over `shared` only, and allocates
+//! both buffers over [`PassPlan::frame`], the bounding box of the rank's
+//! shared cells over every round. On a 1×1 grid that frame is empty. Without
+//! local updates the volume waits for the accumulated total, so the buffers
+//! keep the whole extended tile and the update its cover.
 
 use crate::tiling::TileGrid;
 use crate::worker::{add_region_flat, send_pooled_region, set_region_flat};
@@ -112,8 +130,37 @@ pub struct RankPasses {
     pub sweeps: [SweepStep; 4],
     /// Disjoint, non-empty tile-local rectangles holding every cell the
     /// rank's buffer can hold a nonzero in once the round's passes are done
-    /// (its seed and all it received); empty if it takes no part.
+    /// (its seed and all it received); empty if it takes no part. Without
+    /// local updates, the cells the tile update visits.
     pub cover: Vec<Rect>,
+    /// Disjoint, non-empty tile-local rectangles holding every cell of the
+    /// round's send and receive regions; empty if the rank exchanges
+    /// nothing. Receives lie inside `cover`; a send is the bounding box of
+    /// what it carries, so it may also span zero cells between the cover's
+    /// rectangles. With local updates, the only cells the round's scatter
+    /// accumulates into and its tile update visits (see
+    /// [Shared cells](self#shared-cells)).
+    pub shared: Vec<Rect>,
+}
+
+impl RankPasses {
+    /// The same entry for buffers that hold only `frame` (tile-local) of the
+    /// extended tile: every rectangle moved into `frame`-local coordinates.
+    /// Messages and `shared` lie inside [`PassPlan::frame`]; `cover` lies
+    /// inside the frame only when that is the whole extended tile.
+    pub fn in_frame(&self, frame: Rect) -> Self {
+        let moved = |rects: &[Rect]| rects.iter().map(|rect| rect.to_local(&frame)).collect();
+        let mut sweeps = self.sweeps;
+        let transfers = sweeps.iter_mut().flat_map(|s| [&mut s.recv, &mut s.send]);
+        for Transfer { region, .. } in transfers.flatten() {
+            *region = region.to_local(&frame);
+        }
+        Self {
+            sweeps,
+            cover: moved(&self.cover),
+            shared: moved(&self.shared),
+        }
+    }
 }
 
 /// The static pass plan of a job: for every synchronisation round and rank,
@@ -145,6 +192,7 @@ impl PassPlan {
                     RankPasses {
                         sweeps: [SweepStep::default(); 4],
                         cover: vec![round[rank].intersect(&extended).to_local(&extended)],
+                        shared: Vec::new(),
                     }
                 })
                 .collect();
@@ -180,6 +228,14 @@ impl PassPlan {
             }
             for rank_passes in &mut passes {
                 rank_passes.cover = disjoint_union(&rank_passes.cover);
+                let messages: Vec<Rect> = rank_passes
+                    .sweeps
+                    .iter()
+                    .flat_map(|step| [step.recv, step.send])
+                    .flatten()
+                    .map(|transfer| transfer.region)
+                    .collect();
+                rank_passes.shared = disjoint_union(&messages);
             }
             steps.append(&mut passes);
         }
@@ -196,13 +252,25 @@ impl PassPlan {
         assert!(rank < self.ranks, "rank {rank} outside the planned grid");
         &self.steps[round * self.ranks + rank]
     }
+
+    /// The tile-local bounding box of `rank`'s [`RankPasses::shared`] cells
+    /// over every round: all of the extended tile a local-update run's
+    /// accumulation buffers have to hold. Empty if the rank never exchanges.
+    pub fn frame(&self, rank: usize) -> Rect {
+        (0..self.rounds())
+            .flat_map(|round| &self.passes(round, rank).shared)
+            .fold(Rect::empty(), |frame, rect| frame.bounding_union(rect))
+    }
 }
 
 /// Runs this rank's four planned sweeps of one round on its accumulation
 /// buffer. Provided the buffer was zero outside the rank's seed, it ends up
 /// equal (over its extended tile) to the sum of the accumulation buffers of
 /// every tile whose extended region overlaps it, and zero outside
-/// [`RankPasses::cover`].
+/// [`RankPasses::cover`]. Each sweep reads and writes only its own receive
+/// and send regions, so only [`RankPasses::shared`] is ever visited; a
+/// buffer that holds part of the extended tile takes the entry
+/// [`RankPasses::in_frame`] of its frame.
 ///
 /// Every rank of the grid must run the same round of the same plan, otherwise
 /// the blocking receives deadlock (on the lockstep backend the deadlock is

@@ -34,18 +34,24 @@
 //!   bit-identical to shipping whole strips and sweeping whole tiles
 //!   (`tests/golden_solver.rs`); what changes is the work and message
 //!   volume — at `T = 1` by an order of magnitude.
+//! * With local updates, `AccBuf` and the record of locally applied
+//!   gradients are touched only on the cells a pass sends or receives
+//!   ([`RankPasses::shared`]) and allocated only over their bounding box
+//!   over all rounds ([`PassPlan::frame`]; empty on one tile). Every other
+//!   cell would take the same adds in both buffers, so step 15 would apply
+//!   `total − own = +0.0` there: step 7 and steps 14–16 skip it, and only
+//!   step 8 writes the volume over the whole window. The paper's buffer
+//!   spans the extended tile; the reconstruction is bit-identical.
 
 use crate::config::SolverConfig;
 use crate::engine::{JobContext, ReconstructionResult, RecoveryPolicy, SolverKernel};
-use crate::gradient_decomp::passes::{run_planned_passes, PassPlan};
+use crate::gradient_decomp::passes::{run_planned_passes, PassPlan, RankPasses};
 use crate::tiling::TileGrid;
-use crate::worker::TileWorker;
+use crate::worker::{AccBuffers, TileWorker};
 use ptycho_array::Rect;
-use ptycho_cluster::{
-    CommBackend, CommError, MemoryCategory, RankComm, RankFailure, SharedTile, TilePayloadPool,
-};
+use ptycho_cluster::{CommBackend, CommError, RankComm, RankFailure, SharedTile, TilePayloadPool};
 use ptycho_fft::CArray3;
-use ptycho_sim::dataset::{Dataset, BYTES_PER_COMPLEX};
+use ptycho_sim::dataset::Dataset;
 use ptycho_sim::scan::ProbeLocation;
 
 /// The Gradient Decomposition parallel solver (the paper's contribution).
@@ -171,9 +177,10 @@ struct GdKernel<'a> {
 /// accumulation buffers are zero at every iteration boundary.
 struct GdState {
     owned: Vec<ProbeLocation>,
-    acc_buf: CArray3,
-    /// With local updates: what this tile has already applied itself.
-    own_acc: Option<CArray3>,
+    /// This rank's part in every round of the plan, in the frame of
+    /// `buffers`.
+    rounds: Vec<RankPasses>,
+    buffers: AccBuffers,
     /// Recycles the pass-message payload buffers, so steady-state sends
     /// allocate nothing.
     pool: TilePayloadPool,
@@ -198,7 +205,8 @@ impl SolverKernel for GdKernel<'_> {
     }
 
     fn init<'k, C: RankComm<SharedTile>>(&'k self, ctx: &mut C) -> (TileWorker<'k>, GdState) {
-        let tile = self.grid.tile(ctx.rank()).clone();
+        let rank = ctx.rank();
+        let tile = self.grid.tile(rank).clone();
         let owned = tile.owned_locations.clone();
         let slices = self.dataset.object_shape().0;
 
@@ -211,20 +219,22 @@ impl SolverKernel for GdKernel<'_> {
             ctx.memory_mut(),
         );
         // The accumulation buffer (and, with local updates, the record of
-        // what was already applied locally) live on the GPU too.
-        let buffer_bytes = tile.extended.area() * slices * BYTES_PER_COMPLEX;
-        ctx.memory_mut()
-            .allocate(MemoryCategory::AccumulationBuffer, buffer_bytes);
-        let acc_buf = worker.zero_buffer();
-        let own_acc = self.config.local_updates.then(|| {
-            ctx.memory_mut()
-                .allocate(MemoryCategory::AccumulationBuffer, buffer_bytes);
-            worker.zero_buffer()
-        });
+        // what was already applied locally) live on the GPU too: with local
+        // updates over the band the plan ever exchanges, without them over
+        // the whole extended tile, whose cover the update sweeps.
+        let frame = if self.config.local_updates {
+            self.plan.frame(rank)
+        } else {
+            tile.extended.to_local(&tile.extended)
+        };
+        let buffers = AccBuffers::new(frame, slices, self.config.local_updates, ctx.memory_mut());
+        let rounds = (0..self.plan.rounds())
+            .map(|round| self.plan.passes(round, rank).in_frame(frame))
+            .collect();
         let state = GdState {
             owned,
-            acc_buf,
-            own_acc,
+            rounds,
+            buffers,
             pool: TilePayloadPool::new(),
         };
         (worker, state)
@@ -239,29 +249,36 @@ impl SolverKernel for GdKernel<'_> {
     ) -> Result<f64, CommError> {
         let GdState {
             owned,
-            acc_buf,
-            own_acc,
+            rounds,
+            buffers,
             pool,
         } = state;
         let mut iteration_cost = 0.0;
-        let rounds = self.plan.rounds();
-        for round in 0..rounds {
-            for loc in round_share(owned, round, rounds) {
+        for (round, passes) in rounds.iter().enumerate() {
+            // The buffer cells the round reads back: with local updates only
+            // what a pass exchanges (elsewhere `acc` and `own` would take the
+            // same adds and the update would apply `+0.0`), without them the
+            // cover, which holds every cell the round's windows touch.
+            let cells = if self.config.local_updates {
+                &passes.shared
+            } else {
+                &passes.cover
+            };
+            for loc in round_share(owned, round, rounds.len()) {
                 let loss = ctx.clock_mut().compute(|| worker.compute_gradient(loc));
                 iteration_cost += loss;
                 ctx.clock_mut()
-                    .compute(|| worker.scatter_gradient(loc, acc_buf, own_acc.as_mut()));
+                    .compute(|| worker.scatter_gradient(loc, buffers, cells));
             }
 
             // Steps 10-13: accumulate gradients across tiles.
-            let passes = self.plan.passes(round, ctx.rank());
-            run_planned_passes(ctx, passes, acc_buf, pool)?;
+            run_planned_passes(ctx, passes, &mut buffers.acc, pool)?;
 
             // Steps 14-16: update the tile from the accumulated gradients and
-            // reset the buffers in place, in one sweep over the round's cover;
-            // everywhere else both buffers are still zero.
+            // reset the buffers in place, in one sweep over the same cells;
+            // everywhere else the update is a bitwise identity.
             ctx.clock_mut()
-                .compute(|| worker.update_and_reset(acc_buf, own_acc.as_mut(), &passes.cover));
+                .compute(|| worker.update_and_reset(buffers, cells));
         }
         Ok(iteration_cost)
     }
@@ -271,8 +288,8 @@ impl SolverKernel for GdKernel<'_> {
 mod tests {
     use super::*;
     use crate::config::PassFrequency;
-    use ptycho_cluster::{Cluster, ClusterTopology};
-    use ptycho_sim::dataset::SyntheticConfig;
+    use ptycho_cluster::{Cluster, ClusterTopology, MemoryCategory};
+    use ptycho_sim::dataset::{SyntheticConfig, BYTES_PER_COMPLEX};
 
     fn tiny_dataset() -> Dataset {
         Dataset::synthesize(SyntheticConfig::tiny())
@@ -331,15 +348,18 @@ mod tests {
 
     #[test]
     fn accumulation_buffer_charge_equals_the_bytes_held() {
-        // `own_acc` exists — and is charged — only when local updates use it.
+        // With local updates both buffers span the rank's frame: nothing on
+        // one tile, the overlap band on 2×1. Without them `acc` alone spans
+        // the whole extended tile.
         let dataset = tiny_dataset();
         let initial = dataset.initial_guess();
-        for local_updates in [true, false] {
+        let slices = dataset.object_shape().0;
+        for (grid, local_updates) in [((1, 1), true), ((2, 1), true), ((2, 1), false)] {
             let config = SolverConfig {
                 local_updates,
                 ..quick_config(1)
             };
-            let solver = GradientDecompositionSolver::new(&dataset, config, (1, 2));
+            let solver = GradientDecompositionSolver::new(&dataset, config, grid);
             let plan = solver.pass_plan();
             let kernel = GdKernel {
                 dataset: &dataset,
@@ -349,15 +369,26 @@ mod tests {
                 initial: &initial,
             };
             ptycho_cluster::LockstepBackend::new(ClusterTopology::summit())
-                .run::<SharedTile, (), _>(2, |ctx| {
+                .run::<SharedTile, (), _>(grid.0 * grid.1, |ctx| {
+                    let extended = solver.grid().tile(ctx.rank()).extended;
                     let (_, state) = kernel.init(ctx);
-                    assert_eq!(state.own_acc.is_some(), local_updates);
-                    let held = state.acc_buf.len() + state.own_acc.map_or(0, |b| b.len());
+                    let AccBuffers { frame, acc, own } = &state.buffers;
+                    assert_eq!(own.is_some(), local_updates);
+                    assert_eq!(acc.shape(), (slices, frame.rows(), frame.cols()));
+                    let held = acc.len() + own.as_ref().map_or(0, |b| b.len());
                     assert_eq!(
                         ctx.memory_mut()
                             .current_of(MemoryCategory::AccumulationBuffer),
                         held * BYTES_PER_COMPLEX
                     );
+                    match (grid, local_updates) {
+                        ((1, 1), _) => assert_eq!(held, 0),
+                        // The 40-row overlap band of a 68 × 96 extended tile.
+                        (_, true) => {
+                            assert_eq!((frame.shape(), extended.shape()), ((40, 96), (68, 96)))
+                        }
+                        (_, false) => assert_eq!(*frame, extended.to_local(&extended)),
+                    }
                     Ok(())
                 })
                 .expect("no faults injected");

@@ -15,6 +15,14 @@
 //! tile volume and the accumulation buffers are not: they stay complex `f64`
 //! (16 bytes per voxel, `BYTES_PER_COMPLEX`), twice [`GPU_VOXEL_BYTES`],
 //! because they carry the iterate and the checkpoints bit for bit.
+//!
+//! The accumulation buffers also differ in extent. This model charges one
+//! `AccBuf` over the whole extended tile, as the paper's Algorithm 1 and
+//! tables do, and its rows stay that way so they keep reproducing the
+//! paper. With local updates the running program holds its two buffers
+//! only over the band its directional passes exchange (`PassPlan::frame`),
+//! none at all on a single tile, so its measured
+//! `AccumulationBuffer` charge is smaller than this model's.
 
 use crate::tiling::TileGrid;
 use ptycho_sim::dataset::DatasetSpec;

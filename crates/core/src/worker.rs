@@ -106,17 +106,6 @@ impl<'a> TileWorker<'a> {
         loc.window.to_local(&self.tile.extended)
     }
 
-    /// An all-zero buffer with the shape of the extended tile (used for the
-    /// gradient accumulation buffers of Algorithm 1).
-    pub fn zero_buffer(&self) -> CArray3 {
-        Array3::full(
-            self.slices,
-            self.tile.extended.rows(),
-            self.tile.extended.cols(),
-            Complex64::ZERO,
-        )
-    }
-
     /// Computes the individual image gradient `∂f_i/∂V_k` for one owned probe
     /// location against the current tile state into the worker's gradient
     /// buffer, in complex `f32`: the patch is rounded as it is extracted
@@ -146,86 +135,104 @@ impl<'a> TileWorker<'a> {
         add_region_scaled(&mut self.volume, local_window, &self.gradient, -self.step);
     }
 
-    /// Scatters the gradient of the last [`Self::compute_gradient`] in a
-    /// single pass over the window's rows: step 7 of Algorithm 1,
-    /// `AccBuf_k += ∂f_i/∂V_k`, and with local updates (`own` given) also
-    /// `own += ∂f_i/∂V_k` and step 8, `V_k ← V_k − α·∂f_i/∂V_k`. Each cell
-    /// gets the operations three separate scatters of the widened gradient
-    /// would give it. Allocation-free.
+    /// Scatters the gradient of the last [`Self::compute_gradient`]: step 7
+    /// of Algorithm 1, `AccBuf_k += ∂f_i/∂V_k`, and with local updates also
+    /// `own += ∂f_i/∂V_k` and step 8, `V_k ← V_k − α·∂f_i/∂V_k`. The volume
+    /// takes the whole window; the buffers only its part inside `cells`
+    /// (frame-local rectangles, clipped to the frame). Each cell visited
+    /// gets the operations separate scatters of the widened gradient would
+    /// give it. Allocation-free.
     ///
-    /// # Panics
-    /// Panics if a buffer is not shaped like the tile volume.
+    /// The solver passes the round's [`RankPasses::shared`] cells with
+    /// local updates, and its cover without them, which holds every cell of
+    /// the round's windows inside the tile.
+    ///
+    /// [`RankPasses::shared`]: crate::gradient_decomp::passes::RankPasses::shared
     pub fn scatter_gradient(
         &mut self,
         loc: &ProbeLocation,
-        acc: &mut CArray3,
-        own: Option<&mut CArray3>,
+        buffers: &mut AccBuffers,
+        cells: &[Rect],
     ) {
         let window = self.local_window(loc);
         let shape = self.volume.shape();
-        assert_eq!(acc.shape(), shape, "buffer shape mismatch");
         check_block(shape, window, &self.gradient);
-        let (acc, g, factor) = (acc.as_mut_slice(), self.gradient.as_slice(), -self.step);
-        match own {
-            Some(own) => {
-                assert_eq!(own.shape(), shape, "buffer shape mismatch");
-                let (own, volume) = (own.as_mut_slice(), self.volume.as_mut_slice());
-                for (dst, src) in block_rows(shape, window) {
-                    let cells = acc[dst.clone()]
-                        .iter_mut()
-                        .zip(&mut own[dst.clone()])
-                        .zip(&mut volume[dst]);
-                    for (((a, o), v), g) in cells.zip(&g[src]) {
-                        let g = g.widen();
-                        *a += g;
-                        *o += g;
-                        *v += g * factor;
-                    }
+        let g = self.gradient.as_slice();
+        let AccBuffers { frame, acc, own } = buffers;
+        let frame = *frame;
+        let (acc, mut own) = (
+            acc.as_mut_slice(),
+            own.as_mut().map(|own| own.as_mut_slice()),
+        );
+        if own.is_some() {
+            let (volume, factor) = (self.volume.as_mut_slice(), -self.step);
+            for (dst, src) in block_rows(shape, window) {
+                for (v, g) in volume[dst].iter_mut().zip(&g[src]) {
+                    *v += g.widen() * factor;
                 }
             }
-            None => {
-                for (dst, src) in block_rows(shape, window) {
-                    for (a, g) in acc[dst].iter_mut().zip(&g[src]) {
-                        *a += g.widen();
+        }
+        for rect in cells {
+            let hit = window.intersect(&rect.to_global(&frame).intersect(&frame));
+            let rows = frame_rows(shape.0, frame, hit).zip(frame_rows(shape.0, window, hit));
+            for (dst, src) in rows {
+                match own.as_deref_mut() {
+                    Some(own) => {
+                        let pairs = acc[dst.clone()].iter_mut().zip(&mut own[dst]);
+                        for ((a, o), g) in pairs.zip(&g[src]) {
+                            let g = g.widen();
+                            *a += g;
+                            *o += g;
+                        }
+                    }
+                    None => {
+                        for (a, g) in acc[dst].iter_mut().zip(&g[src]) {
+                            *a += g.widen();
+                        }
                     }
                 }
             }
         }
     }
 
-    /// Steps 14–16 of Algorithm 1 in one sweep over the disjoint `cover`:
-    /// `V_k ← V_k − α·(total − own)`, `own` being what this tile already
-    /// applied locally (`α·total` without it), then `+0.0` into each visited
-    /// buffer cell. Where the buffers are zero the update is a bitwise
-    /// identity, so `cover` only has to hold their nonzeros.
-    pub fn update_and_reset(
-        &mut self,
-        total: &mut CArray3,
-        own: Option<&mut CArray3>,
-        cover: &[Rect],
-    ) {
-        let shape = self.volume.shape();
-        assert_eq!(total.shape(), shape, "buffer shape mismatch");
-        let mut own = own.map(|own| {
-            assert_eq!(own.shape(), shape, "buffer shape mismatch");
-            own.as_mut_slice()
-        });
-        let (volume, total) = (self.volume.as_mut_slice(), total.as_mut_slice());
-        let rows = cover.iter().flat_map(|&rect| block_rows(shape, rect));
-        for (row, _) in rows {
-            let cells = volume[row.clone()].iter_mut().zip(&mut total[row.clone()]);
-            match own.as_deref_mut() {
-                Some(own) => {
-                    for ((v, t), o) in cells.zip(&mut own[row]) {
-                        *v -= (*t - *o).scale(self.step);
-                        *t = Complex64::ZERO;
-                        *o = Complex64::ZERO;
+    /// Steps 14–16 of Algorithm 1 in one sweep over the disjoint `cells`
+    /// (frame-local rectangles, clipped to the frame): `V_k ← V_k −
+    /// α·(total − own)`, `own` being what this tile already applied locally
+    /// (`α·total` without it), then `+0.0` into each visited buffer cell.
+    /// Where `total` is zero, or equals `own` bit for bit, the update is a
+    /// bitwise identity, so `cells` only has to hold the cells a pass wrote:
+    /// the round's [`RankPasses::shared`] cells with local updates, its
+    /// cover without them.
+    ///
+    /// [`RankPasses::shared`]: crate::gradient_decomp::passes::RankPasses::shared
+    pub fn update_and_reset(&mut self, buffers: &mut AccBuffers, cells: &[Rect]) {
+        let plane = self.volume.plane_bounds();
+        let depth = self.slices;
+        let AccBuffers { frame, acc, own } = buffers;
+        let frame = *frame;
+        assert!(
+            plane.contains_rect(&frame),
+            "frame {frame:?} outside the tile"
+        );
+        let mut own = own.as_mut().map(|own| own.as_mut_slice());
+        let (volume, total) = (self.volume.as_mut_slice(), acc.as_mut_slice());
+        for rect in cells {
+            let hit = rect.to_global(&frame).intersect(&frame);
+            for (row, buf) in frame_rows(depth, plane, hit).zip(frame_rows(depth, frame, hit)) {
+                let pairs = volume[row].iter_mut().zip(&mut total[buf.clone()]);
+                match own.as_deref_mut() {
+                    Some(own) => {
+                        for ((v, t), o) in pairs.zip(&mut own[buf]) {
+                            *v -= (*t - *o).scale(self.step);
+                            *t = Complex64::ZERO;
+                            *o = Complex64::ZERO;
+                        }
                     }
-                }
-                None => {
-                    for (v, t) in cells {
-                        *v -= t.scale(self.step);
-                        *t = Complex64::ZERO;
+                    None => {
+                        for (v, t) in pairs {
+                            *v -= t.scale(self.step);
+                            *t = Complex64::ZERO;
+                        }
                     }
                 }
             }
@@ -261,6 +268,54 @@ impl<'a> TileWorker<'a> {
     }
 }
 
+/// The accumulation buffers of Algorithm 1 — `AccBuf`, and with local
+/// updates `own`, what the tile has already applied itself — held over
+/// `frame`, a tile-local rectangle: one `frame`-shaped plane per slice,
+/// all `+0.0` at every round boundary.
+pub(crate) struct AccBuffers {
+    /// The part of the extended tile the buffers hold (tile-local).
+    pub frame: Rect,
+    pub acc: CArray3,
+    pub own: Option<CArray3>,
+}
+
+impl AccBuffers {
+    /// Zeroed buffers over `frame` for a volume of `slices` slices (`own`
+    /// only with local updates), charged to `memory` at the bytes they hold.
+    pub fn new(
+        frame: Rect,
+        slices: usize,
+        local_updates: bool,
+        memory: &mut MemoryTracker,
+    ) -> Self {
+        let mut zeroed = || {
+            memory.allocate(
+                MemoryCategory::AccumulationBuffer,
+                frame.area() * slices * BYTES_PER_COMPLEX,
+            );
+            Array3::full(slices, frame.rows(), frame.cols(), Complex64::ZERO)
+        };
+        let acc = zeroed();
+        let own = local_updates.then(zeroed);
+        Self { frame, acc, own }
+    }
+}
+
+/// The flat index range of each row of `cells`, slice by slice, in an array
+/// of `depth` `frame`-shaped planes; `cells` lies inside `frame`, both in
+/// the same coordinates.
+fn frame_rows(depth: usize, frame: Rect, cells: Rect) -> impl Iterator<Item = Range<usize>> {
+    let (rows, cols) = frame.shape();
+    let (row0, col0) = (cells.row0 - frame.row0, cells.col0 - frame.col0);
+    let (height, width) = cells.shape();
+    (0..depth).flat_map(move |s| {
+        (0..height).map(move |r| {
+            let start = (s * rows + (row0 as usize + r)) * cols + col0 as usize;
+            start..start + width
+        })
+    })
+}
+
 /// The flat index ranges of every row of `region`'s part inside the plane,
 /// in every slice of a volume of `shape` (tile-local), each paired with the
 /// same cells' range in a `region`-shaped block (one sub-plane per slice).
@@ -268,17 +323,9 @@ fn block_rows(
     (depth, rows, cols): (usize, usize, usize),
     region: Rect,
 ) -> impl Iterator<Item = (Range<usize>, Range<usize>)> {
-    let clipped = region.intersect(&Rect::of_shape(rows, cols));
-    let (block_rows, block_cols) = region.shape();
-    let (width, block_col) = (clipped.cols(), (clipped.col0 - region.col0) as usize);
-    (0..depth).flat_map(move |s| {
-        (clipped.row0..clipped.row1).map(move |r| {
-            let dst = (s * rows + r as usize) * cols + clipped.col0 as usize;
-            let block_row = s * block_rows + (r - region.row0) as usize;
-            let src = block_row * block_cols + block_col;
-            (dst..dst + width, src..src + width)
-        })
-    })
+    let plane = Rect::of_shape(rows, cols);
+    let clipped = region.intersect(&plane);
+    frame_rows(depth, plane, clipped).zip(frame_rows(depth, region, clipped))
 }
 
 /// Panics unless `block` holds one `region`-shaped sub-plane per slice of a
@@ -541,17 +588,30 @@ mod tests {
     #[test]
     fn fused_scatter_matches_the_three_separate_scatters() {
         // Windows clipped at every tile edge, with and without local
-        // updates, against `acc += g` and `own += g` of the widened gradient
-        // by `Array3::add_region` and `V += g·(−α)` by the HVE update.
+        // updates, over buffers that hold the bounding box of a cell set
+        // cutting the windows: none, one strip, two disjoint strips, the
+        // whole tile. The references are `acc += g` and `own += g` of the
+        // widened gradient by `Array3::add_region` over each window ∩ cell
+        // rect, and `V += g·(−α)` by the HVE update over the whole window.
         let dataset = Dataset::synthesize(SyntheticConfig::tiny());
         let mut worker = tiny_worker(&dataset);
         let (depth, rows, cols) = worker.volume().shape();
-        let seeded = |seed: f64| {
-            Array3::from_fn(depth, rows, cols, |s, r, c| {
+        let (rows, cols) = (rows as i64, cols as i64);
+        let seeded = |frame: Rect, seed: f64| {
+            Array3::from_fn(depth, frame.rows(), frame.cols(), |s, r, c| {
                 Complex64::new((s + r * c) as f64 * seed, (r as f64 - c as f64) / seed)
             })
         };
-        for window in clipped_regions(rows as i64, cols as i64) {
+        let cell_sets: [&[Rect]; 4] = [
+            &[],
+            &[Rect::new(0, 3, rows, 4)],
+            &[
+                Rect::new(0, 0, 3, cols),
+                Rect::new(rows - 4, 1, 2, cols - 2),
+            ],
+            &[Rect::of_shape(rows as usize, cols as usize)],
+        ];
+        for window in clipped_regions(rows, cols) {
             let (wr, wc) = window.shape();
             let gradient = Array3::from_fn(depth, wr, wc, |s, r, c| {
                 Complex32::new(
@@ -568,20 +628,38 @@ mod tests {
                 window: window.to_global(&worker.tile.extended),
                 radius_px: 1.0,
             };
-            for local_updates in [false, true] {
-                let (mut acc, mut own) = (seeded(0.5), seeded(1.5));
-                let (mut acc_ref, mut own_ref) = (acc.clone(), own.clone());
+            for (local_updates, set) in [false, true]
+                .into_iter()
+                .flat_map(|local| cell_sets.iter().map(move |set| (local, set)))
+            {
+                let frame = set.iter().fold(Rect::empty(), |f, r| f.bounding_union(r));
+                let cells: Vec<Rect> = set.iter().map(|rect| rect.to_local(&frame)).collect();
+                let mut buffers = AccBuffers {
+                    frame,
+                    acc: seeded(frame, 0.5),
+                    own: local_updates.then(|| seeded(frame, 1.5)),
+                };
+                let (mut acc_ref, mut own_ref) = (buffers.acc.clone(), buffers.own.clone());
                 let volume_before = worker.volume().clone();
-                acc_ref.add_region(window, &wide);
+                for hit in set.iter().map(|rect| window.intersect(rect)) {
+                    let g = wide.extract_region(hit.to_local(&window));
+                    acc_ref.add_region(hit.to_local(&frame), &g);
+                    if let Some(own_ref) = own_ref.as_mut() {
+                        own_ref.add_region(hit.to_local(&frame), &g);
+                    }
+                }
                 let mut volume_ref = volume_before.clone();
                 if local_updates {
-                    own_ref.add_region(window, &wide);
                     add_region_scaled(&mut volume_ref, window, &gradient, -worker.step);
                 }
-                worker.scatter_gradient(&loc, &mut acc, local_updates.then_some(&mut own));
-                let case = format!("window {window:?}, local_updates={local_updates}");
-                assert_eq!(bits(&acc), bits(&acc_ref), "acc, {case}");
-                assert_eq!(bits(&own), bits(&own_ref), "own, {case}");
+                worker.scatter_gradient(&loc, &mut buffers, &cells);
+                let case = format!("window {window:?}, cells {set:?}, local {local_updates}");
+                assert_eq!(bits(&buffers.acc), bits(&acc_ref), "acc, {case}");
+                assert_eq!(
+                    buffers.own.as_ref().map(bits),
+                    own_ref.as_ref().map(bits),
+                    "own, {case}"
+                );
                 assert_eq!(bits(worker.volume()), bits(&volume_ref), "volume, {case}");
                 *worker.volume_mut() = volume_before;
             }
@@ -664,45 +742,66 @@ mod tests {
         let mut worker = tiny_worker(&dataset);
         worker.volume_mut().as_mut_slice()[..n].clone_from_slice(values.as_slice());
         let before = bits(worker.volume());
-        let (mut total, mut own) = (worker.zero_buffer(), worker.zero_buffer());
-        let whole = [worker.volume().plane_bounds()];
-        worker.update_and_reset(&mut total, None, &whole);
-        worker.update_and_reset(&mut total, Some(&mut own), &whole);
+        let (whole, depth) = (worker.volume().plane_bounds(), worker.volume().depth());
+        let zeroed =
+            |local_updates| AccBuffers::new(whole, depth, local_updates, &mut MemoryTracker::new());
+        let (mut without, mut with) = (zeroed(false), zeroed(true));
+        worker.update_and_reset(&mut without, &[whole]);
+        worker.update_and_reset(&mut with, &[whole]);
         assert_eq!(bits(worker.volume()), before);
-        assert_eq!(bits(&total), bits(&worker.zero_buffer()));
-        assert_eq!(bits(&own), bits(&worker.zero_buffer()));
+        let zeros = bits(&zeroed(false).acc);
+        for buffer in [&without.acc, &with.acc, with.own.as_ref().unwrap()] {
+            assert_eq!(bits(buffer), zeros);
+        }
     }
 
     #[test]
     fn region_updates_touch_exactly_the_clipped_region() {
         let dataset = Dataset::synthesize(SyntheticConfig::tiny());
         let mut worker = tiny_worker(&dataset);
-        let (_, rows, cols) = worker.volume().shape();
-        let (rows, cols) = (rows as i64, cols as i64);
-        // Hangs over the bottom-left corner; the second rect is disjoint.
-        let cover = [Rect::new(rows - 2, -2, 5, 6), Rect::new(0, cols - 3, 2, 3)];
+        let (depth, rows, cols) = worker.volume().shape();
         let (t0, o0) = (Complex64::new(1.0, -2.0), Complex64::new(0.25, 0.5));
-        for local_updates in [false, true] {
+        // Buffers over the whole tile and over an inner band of it.
+        let frames = [
+            Rect::of_shape(rows, cols),
+            Rect::new(3, 2, rows as i64 - 5, cols as i64 - 6),
+        ];
+        for (frame, local_updates) in frames.into_iter().flat_map(|f| [(f, false), (f, true)]) {
+            let (rows, cols) = (frame.rows() as i64, frame.cols() as i64);
+            // Frame-local; hangs over the bottom-left corner; the second
+            // rect is disjoint.
+            let cells = [Rect::new(rows - 2, -2, 5, 6), Rect::new(0, cols - 3, 2, 3)];
+            let full = |value| Array3::full(depth, frame.rows(), frame.cols(), value);
+            let mut buffers = AccBuffers {
+                frame,
+                acc: full(t0),
+                own: local_updates.then(|| full(o0)),
+            };
             let before = worker.volume().clone();
-            let mut total = worker.zero_buffer().map(|_| t0);
-            let mut own = worker.zero_buffer().map(|_| o0);
             let remote = if local_updates { t0 - o0 } else { t0 };
             let step = worker.step;
-            worker.update_and_reset(&mut total, local_updates.then_some(&mut own), &cover);
+            worker.update_and_reset(&mut buffers, &cells);
             for s in 0..before.depth() {
-                for r in 0..before.rows() {
-                    for c in 0..before.cols() {
-                        let i = (s, r, c);
-                        let hit = cover.iter().any(|x| x.contains(r as i64, c as i64));
+                for r in 0..before.rows() as i64 {
+                    for c in 0..before.cols() as i64 {
+                        let (fr, fc) = (r - frame.row0, c - frame.col0);
+                        let inside = frame.contains(r, c);
+                        let hit = inside && cells.iter().any(|x| x.contains(fr, fc));
+                        let i = (s, r as usize, c as usize);
                         let want = if hit {
                             before[i] - remote.scale(step)
                         } else {
                             before[i]
                         };
-                        assert_eq!(worker.volume()[i], want);
-                        assert_eq!(total[i], if hit { Complex64::ZERO } else { t0 });
-                        let reset = hit && local_updates;
-                        assert_eq!(own[i], if reset { Complex64::ZERO } else { o0 });
+                        assert_eq!(worker.volume()[i], want, "{frame:?} at {i:?}");
+                        if !inside {
+                            continue;
+                        }
+                        let f = (s, fr as usize, fc as usize);
+                        assert_eq!(buffers.acc[f], if hit { Complex64::ZERO } else { t0 });
+                        if let Some(own) = &buffers.own {
+                            assert_eq!(own[f], if hit { Complex64::ZERO } else { o0 });
+                        }
                     }
                 }
             }

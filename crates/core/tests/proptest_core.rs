@@ -84,6 +84,103 @@ fn bits(buffer: &CArray3) -> Vec<(u64, u64)> {
     buffer.iter().map(bits_of).collect()
 }
 
+/// True when `rect` lies inside the union of the disjoint `union`.
+fn inside_union(rect: &Rect, union: &[Rect]) -> bool {
+    union
+        .iter()
+        .map(|u| u.intersect(rect).area())
+        .sum::<usize>()
+        == rect.area()
+}
+
+/// The step both local-update rounds below apply.
+const ALPHA: f64 = 0.37;
+
+/// Runs every round of `plan` with local updates on every rank of `grid`,
+/// from deterministic volumes, and returns the volumes. Per round a rank
+/// adds each of its `windows` (image coordinates, clipped to its extended
+/// tile) of a deterministic gradient `g` into its volume as `V += g·(−α)`
+/// and into `acc` and `own`, runs the planned passes on `acc`, then updates
+/// `V −= α·(acc − own)` and resets both buffers. `restricted` holds the
+/// buffers over [`PassPlan::frame`] and touches them on the round's shared
+/// cells only; otherwise they span the extended tile, take every window
+/// cell, and the update sweeps the cover.
+fn local_update_rounds(
+    grid: &TileGrid,
+    plan: &PassPlan,
+    windows: &[Vec<Rect>],
+    slices: usize,
+    restricted: bool,
+) -> Vec<CArray3> {
+    let ranks = grid.num_tiles();
+    LockstepBackend::new(ClusterTopology::summit())
+        .run::<SharedTile, CArray3, _>(ranks, |ctx| {
+            let rank = ctx.rank();
+            let extended = grid.tile(rank).extended;
+            let tile = extended.to_local(&extended);
+            let frame = if restricted { plan.frame(rank) } else { tile };
+            let mut volume = Array3::from_fn(slices, tile.rows(), tile.cols(), |s, r, c| {
+                match (r + 2 * c + s) % 7 {
+                    0 => Complex64::new(-0.0, 0.0),
+                    k => Complex64::new(k as f64 * 0.25 - 1.0, (rank + r) as f64 * 0.125),
+                }
+            });
+            let zeroed = || Array3::full(slices, frame.rows(), frame.cols(), Complex64::ZERO);
+            let (mut acc, mut own) = (zeroed(), zeroed());
+            let mut pool = TilePayloadPool::new();
+            let at = |s: usize, r: i64, c: i64| {
+                (s, (r - frame.row0) as usize, (c - frame.col0) as usize)
+            };
+            for round in 0..plan.rounds() {
+                let passes = plan.passes(round, rank).in_frame(frame);
+                let cells: Vec<Rect> = if restricted {
+                    &passes.shared
+                } else {
+                    &passes.cover
+                }
+                .iter()
+                .map(|rect| rect.to_global(&frame))
+                .collect();
+                for (k, window) in windows[round * ranks + rank].iter().enumerate() {
+                    let window = window.intersect(&extended).to_local(&extended);
+                    for s in 0..slices {
+                        for r in window.row0..window.row1 {
+                            for c in window.col0..window.col1 {
+                                let g = Complex64::new(
+                                    ((r * 31 + c * 7 + (s + k) as i64) as f64 * 0.37).sin(),
+                                    (rank + round) as f64 - c as f64 * 0.01,
+                                );
+                                volume[(s, r as usize, c as usize)] += g * -ALPHA;
+                                if !restricted || cells.iter().any(|x| x.contains(r, c)) {
+                                    acc[at(s, r, c)] += g;
+                                    own[at(s, r, c)] += g;
+                                }
+                            }
+                        }
+                    }
+                }
+                run_planned_passes(ctx, &passes, &mut acc, &mut pool)?;
+                for rect in &cells {
+                    for s in 0..slices {
+                        for r in rect.row0..rect.row1 {
+                            for c in rect.col0..rect.col1 {
+                                let (t, o) = (acc[at(s, r, c)], own[at(s, r, c)]);
+                                volume[(s, r as usize, c as usize)] -= (t - o).scale(ALPHA);
+                                acc[at(s, r, c)] = Complex64::ZERO;
+                                own[at(s, r, c)] = Complex64::ZERO;
+                            }
+                        }
+                    }
+                }
+            }
+            Ok(volume)
+        })
+        .expect("no faults injected")
+        .into_iter()
+        .map(|outcome| outcome.result)
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -187,6 +284,32 @@ proptest! {
                 if passes.cover.is_empty() {
                     prop_assert!(passes.sweeps.iter().all(|s| s.recv.is_none() && s.send.is_none()));
                 }
+                // Shared cells: disjoint rects inside the rank's frame holding
+                // every message region. Receives lie inside the cover; a send
+                // is the bounding box of what it carries, so it may span
+                // cells between the cover's rects, which hold `+0.0` (the
+                // planned sweep above leaves nothing outside the cover).
+                let shared = &passes.shared;
+                let sent: Vec<Rect> = passes.sweeps.iter().filter_map(|s| s.send).map(|t| t.region).collect();
+                for step in &passes.sweeps {
+                    for transfer in [step.recv, step.send].into_iter().flatten() {
+                        prop_assert!(inside_union(&transfer.region, shared), "{:?}", shared);
+                    }
+                    if let Some(recv) = step.recv {
+                        prop_assert!(inside_union(&recv.region, cover), "{:?}", recv);
+                    }
+                }
+                for (i, a) in shared.iter().enumerate() {
+                    prop_assert!(!a.is_empty(), "{:?}", shared);
+                    prop_assert!(shared[i + 1..].iter().all(|b| !a.intersects(b)), "{:?}", shared);
+                    prop_assert!(plan.frame(rank).contains_rect(a), "{:?}", a);
+                    for (r, c) in (a.row0..a.row1).flat_map(|r| (a.col0..a.col1).map(move |c| (r, c))) {
+                        prop_assert!(
+                            cover.iter().chain(&sent).any(|x| x.contains(r, c)),
+                            "{:?} at ({}, {}) outside {:?} and {:?}", a, r, c, cover, sent
+                        );
+                    }
+                }
             }
             prop_assert_eq!(sends, recvs);
         }
@@ -202,6 +325,52 @@ proptest! {
             prop_assert_eq!(covered, extended(rank).area());
             prop_assert!(idle.passes(0, rank).cover.is_empty());
             prop_assert!(idle.passes(0, rank).sweeps.iter().all(|s| s.send.is_none()));
+        }
+    }
+
+    #[test]
+    fn local_updates_on_frame_buffers_equal_whole_tile_buffers(
+        image in 24usize..72,
+        grid_rows in 1usize..5,
+        grid_cols in 1usize..5,
+        halo in 0usize..40,
+        slices in 1usize..3,
+        // Per round, rank and slot: a window offset from the rank's extended
+        // tile's corner and a size; the selector drops a third of them.
+        window_specs in proptest::collection::vec(
+            (-8i64..64, -8i64..64, 1i64..24, 1i64..24, 0u8..3), 64),
+    ) {
+        let scan = scan_for(image, 3);
+        let grid = TileGrid::new(image, image, grid_rows, grid_cols, halo, &scan);
+        let ranks = grid.num_tiles();
+        let rounds = 2;
+        let windows: Vec<Vec<Rect>> = (0..rounds * ranks)
+            .map(|entry| {
+                let corner = grid.tile(entry % ranks).extended;
+                window_specs[2 * entry..2 * entry + 2]
+                    .iter()
+                    .filter(|spec| spec.4 != 0)
+                    .map(|&(dr, dc, rows, cols, _)| {
+                        Rect::new(corner.row0 + dr, corner.col0 + dc, rows, cols)
+                    })
+                    .collect()
+            })
+            .collect();
+        // Seeds as the solver plans them: each entry's windows' bounding box.
+        let seeds: Vec<Rect> = windows
+            .iter()
+            .map(|ws| ws.iter().fold(Rect::empty(), |seed, w| seed.bounding_union(w)))
+            .collect();
+        let plan = PassPlan::new(&grid, &seeds);
+        let whole = local_update_rounds(&grid, &plan, &windows, slices, false);
+        let restricted = local_update_rounds(&grid, &plan, &windows, slices, true);
+        for rank in 0..ranks {
+            prop_assert_eq!(bits(&restricted[rank]), bits(&whole[rank]), "rank {}", rank);
+            let extended = grid.tile(rank).extended;
+            prop_assert!(extended.to_local(&extended).contains_rect(&plan.frame(rank)));
+        }
+        if ranks == 1 {
+            prop_assert!(plan.frame(0).is_empty());
         }
     }
 
