@@ -225,7 +225,7 @@ impl SolverKernel for GdKernel<'_> {
         let frame = if self.config.local_updates {
             self.plan.frame(rank)
         } else {
-            tile.extended.to_local(&tile.extended)
+            Rect::of_shape(tile.extended.rows(), tile.extended.cols())
         };
         let buffers = AccBuffers::new(frame, slices, self.config.local_updates, ctx.memory_mut());
         let rounds = (0..self.plan.rounds())
