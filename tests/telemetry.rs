@@ -19,7 +19,7 @@
 //!    lifecycle events from the multi-tenant engine whose metrics snapshot
 //!    agrees with the trace.
 
-use ptycho_cluster::{CrashPhase, FaultInjectionBackend, FaultPolicy, HardwareModel};
+use ptycho_cluster::{CrashPhase, FaultInjectionBackend, FaultPolicy, HardwareModel, RankFailure};
 use ptycho_core::durability::fnv1a64;
 use ptycho_core::gradient_decomp::passes::tags;
 use ptycho_core::{
@@ -61,24 +61,28 @@ impl Write for SharedBuf {
     }
 }
 
-/// Runs the standard 2×2 Gradient Decomposition problem with a durable
-/// recorder attached, returning the emitted JSONL and the reconstruction.
-fn traced_gd_run<B: ptycho_cluster::CommBackend>(
-    backend: &B,
-    policy: RecoveryPolicy,
+/// Runs `solve` with a durable recorder attached, returning the emitted
+/// JSONL and the reconstruction.
+fn traced_run(
+    solve: impl FnOnce(&JobContext<'_>) -> Result<ReconstructionResult, RankFailure>,
 ) -> (Vec<u8>, ReconstructionResult) {
-    let ds = small_problem();
-    let solver = gd_solver(&ds);
     let buf = SharedBuf::default();
     let telemetry = Telemetry::with_writer(TelemetryConfig::default(), Box::new(buf.clone()));
     let job = JobContext {
         telemetry: Some(&telemetry),
         ..JobContext::default()
     };
-    let result = solver
-        .run_job(backend, policy, &job)
-        .expect("traced run must complete");
+    let result = solve(&job).expect("traced run must complete");
     (buf.contents(), result)
+}
+
+/// Runs the standard 2×2 Gradient Decomposition problem with a durable
+/// recorder attached, returning the emitted JSONL and the reconstruction.
+fn traced_gd_run<B: ptycho_cluster::CommBackend>(
+    backend: &B,
+    policy: RecoveryPolicy,
+) -> (Vec<u8>, ReconstructionResult) {
+    traced_run(|job| gd_solver(&small_problem()).run_job(backend, policy, job))
 }
 
 /// Every line of `bytes` must be a valid, in-order record that re-emits to
@@ -587,11 +591,9 @@ fn kill_and_resume_traces_match_golden_hash() {
 /// The kinds [`data_path_projection`] keeps: every kind a run's data
 /// traffic, barriers, iterations, checkpoints, membership changes and job
 /// lifecycle emit.
-const DATA_PATH_KINDS: [&str; 17] = [
+const DATA_PATH_KINDS: [&str; 15] = [
     "comm_send",
     "comm_recv",
-    "comm_retransmit",
-    "comm_ack",
     "comm_drop",
     "barrier_wait",
     "iteration_begin",
@@ -608,15 +610,17 @@ const DATA_PATH_KINDS: [&str; 17] = [
 ];
 
 /// Hashes traces projected onto their data path, so that a change to
-/// control-frame traffic alone leaves the hash fixed. The projection keeps only
-/// records of [`DATA_PATH_KINDS`], drops the transport records of control
-/// frames (tags with bit 62 set and bit 63 clear), and zeroes every stamp
-/// that control frames move: `seq`, `sim_ns`, correlation ids, the
-/// cumulative `iteration_end.comm_ns`, and `checkpoint_persisted.bytes`
-/// (a slot file holds one fault-cursor entry per wire stream).
+/// control-frame or acknowledgement traffic alone leaves the hash fixed. The
+/// projection keeps only records of [`DATA_PATH_KINDS`], drops the transport
+/// records of control frames (tags with bit 62 or bit 63 set), masks every
+/// data-frame tag to its 24-bit base tag (the bits above it once carried a
+/// stream sequence number and a restart attempt), and zeroes every stamp
+/// that other frames move: `seq`, `sim_ns`, correlation ids, the cumulative
+/// `iteration_end.comm_ns`, and `checkpoint_persisted.bytes` (a slot file
+/// holds one fault-cursor entry per wire stream).
 fn data_path_projection(traces: &[Vec<u8>]) -> u64 {
-    const BIT_62: u64 = 1 << 62;
-    const BIT_63: u64 = 1 << 63;
+    const CONTROL_BITS: u64 = (1 << 62) | (1 << 63);
+    const BASE_TAG: u64 = (1 << 24) - 1;
     let summaries: Vec<TraceSummary> = traces.iter().map(|t| validate_jsonl(t)).collect();
     let mut projected = String::new();
     for record in summaries.iter().flat_map(|s| &s.records) {
@@ -627,10 +631,17 @@ fn data_path_projection(traces: &[Vec<u8>]) -> u64 {
         match &mut event {
             TelemetryEvent::CommSend { tag, corr, .. }
             | TelemetryEvent::CommRecv { tag, corr, .. } => {
-                if *tag & (BIT_62 | BIT_63) == BIT_62 {
+                if *tag & CONTROL_BITS != 0 {
                     continue;
                 }
+                *tag &= BASE_TAG;
                 *corr = 0;
+            }
+            TelemetryEvent::CommDrop { tag, .. } => {
+                if *tag & CONTROL_BITS != 0 {
+                    continue;
+                }
+                *tag &= BASE_TAG;
             }
             TelemetryEvent::IterationEnd { comm_ns, .. } => *comm_ns = 0,
             TelemetryEvent::CheckpointPersisted { bytes, .. } => *bytes = 0,
@@ -652,7 +663,7 @@ fn data_path_projection(traces: &[Vec<u8>]) -> u64 {
 fn substitution_data_path_matches_golden_hash() {
     let actual = data_path_projection(&[substitution_trace()]);
     assert_eq!(
-        actual, 0xae59_3c43_b730_fa40,
+        actual, 0x349e_2a6c_faf1_f2da,
         "substitution data path moved (new hash {actual:#018x})"
     );
 }
@@ -662,9 +673,30 @@ fn substitution_data_path_matches_golden_hash() {
 fn kill_and_resume_data_path_matches_golden_hash() {
     let actual = data_path_projection(&kill_and_resume_traces());
     assert_eq!(
-        actual, 0x4741_99ba_be6c_21c6,
+        actual, 0x38c6_3373_0731_69be,
         "kill/resume data path moved (new hash {actual:#018x})"
     );
+}
+
+/// Fault-free lockstep runs of both solvers under the recovering policy, the
+/// path every service job takes: their messages, barriers, checkpoints and
+/// iteration costs.
+#[test]
+fn fault_free_recovering_data_paths_match_golden_hashes() {
+    let (gd, _) = traced_gd_run(&lockstep(), restart_policy());
+    let (hve, _) = traced_run(|job| {
+        common::hve_solver(&small_problem()).run_job(&lockstep(), restart_policy(), job)
+    });
+    for (label, trace, expected) in [
+        ("gradient-decomposition", gd, 0x3056_57ea_95ea_4ddc),
+        ("halo-voxel-exchange", hve, 0x2b3e_01cf_b844_ed40),
+    ] {
+        let actual = data_path_projection(&[trace]);
+        assert_eq!(
+            actual, expected,
+            "{label}: recovering data path moved (new hash {actual:#018x})"
+        );
+    }
 }
 
 #[test]
