@@ -22,7 +22,7 @@
 //!   write the combined event log (all jobs, one file) to `path`. Inspect
 //!   with `trace_dump`.
 //! * `--metrics` — print the engine's end-of-run metrics snapshot: the
-//!   Prometheus-style registry plus a retransmit/heal/queue-depth summary.
+//!   Prometheus-style registry plus a restart/heal/queue-depth summary.
 //! * `--checkpoint-dir <dir>` — durably checkpoint every job into
 //!   `<dir>/job-<i>`, and print the FNV-64 volume hash of the designated
 //!   *probe* job (submission index `jobs / 2`, forced to 2 iterations) for
@@ -472,12 +472,14 @@ fn main() -> ExitCode {
 
     let registry = engine.metrics_snapshot();
     if args.metrics {
-        let retransmits = registry.counter("comm_retransmits_total").unwrap_or(0);
+        let restarts = registry
+            .counter("engine_iteration_restarts_total")
+            .unwrap_or(0);
         let heals = registry.counter("engine_substitutions_total").unwrap_or(0);
         let (depth_p50, depth_p99) = registry
             .histogram("queue_depth")
             .map_or((0, 0), |h| (h.quantile(0.5), h.quantile(0.99)));
-        println!("  metrics:      {retransmits} retransmit(s), {heals} heal(s), queue depth p50 {depth_p50} p99 {depth_p99}");
+        println!("  metrics:      {restarts} restart(s), {heals} heal(s), queue depth p50 {depth_p50} p99 {depth_p99}");
         println!("--- metrics snapshot ---");
         print!("{}", registry.prometheus_text());
         println!("------------------------");

@@ -1,7 +1,6 @@
 //! Reassembles a JSONL telemetry log into per-rank stream digests with each
 //! job's exact critical-path attribution (compute / comm / barrier-wait /
-//! retransmit / heal per rank, summing exactly to the job's end-to-end
-//! simulated time), and the causal analyses built on top of it.
+//! heal per rank, summing exactly to the job's end-to-end simulated time), and the causal analyses built on top of it.
 //!
 //! ```text
 //! cargo run --release -p ptycho-bench --bin trace_dump -- trace.jsonl
@@ -19,10 +18,10 @@
 //!   (`StreamSummary::lost`) are warned about per stream; `--strict` turns
 //!   the warning into a non-zero exit.
 //! * `--critical-path` — per job: the attribution rows without the stream
-//!   digests, plus the straggler report and the anomaly scan. `--strict`
-//!   exits non-zero on *integrity* violations only — lost ring records or
-//!   an attribution row that fails the exact sum — never on anomalies (a
-//!   fault-drill trace legitimately has retransmit bursts and kills).
+//!   digests, plus the straggler report. `--strict` exits non-zero on
+//!   *integrity* violations only — lost ring records or an attribution row
+//!   that fails the exact sum — never on stragglers (a fault-drill trace
+//!   legitimately has kills and restarts).
 //! * `--diff OTHER` — compare this trace's spans against `OTHER`'s,
 //!   structurally (clocks excluded): exit 0 and print `identical` when the
 //!   span sets match, exit 2 and print `DIVERGED …` localising the first
@@ -120,15 +119,14 @@ fn read_trace(path: &str) -> Result<TraceSummary, String> {
 /// do not sum exactly to the job's end-to-end time.
 fn print_attribution(path: &CriticalPath) -> bool {
     let mut intact = true;
-    println!("  attribution (compute / comm / wait / retransmit / heal):");
+    println!("  attribution (compute / comm / wait / heal):");
     for row in &path.ranks {
         println!(
-            "    rank {}: {} / {} / {} / {} / {}",
+            "    rank {}: {} / {} / {} / {}",
             row.rank,
             format_ns(row.compute_ns),
             format_ns(row.comm_ns),
             format_ns(row.barrier_wait_ns),
-            format_ns(row.retransmit_ns),
             format_ns(row.heal_ns),
         );
         if row.total_ns() != path.end_to_end_ns {
@@ -170,10 +168,6 @@ fn report_critical_path(summary: &TraceSummary, jobs: &[u64], straggler_z: f64) 
                     straggler.rank, straggler.wait_share, straggler.z_score
                 );
             }
-        }
-        let scan = analysis::anomaly_scan(&summary.records, job);
-        for (rank, count) in &scan.retransmit_bursts {
-            println!("  anomaly: rank {rank} retransmit burst ({count} retransmits)");
         }
         for ((_, rank), stream) in summary
             .streams

@@ -18,15 +18,15 @@ use crate::topology::ClusterTopology;
 use ptycho_telemetry::{RankSink, TelemetryEvent};
 
 /// A message in flight between two ranks.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct Envelope<M> {
     pub(crate) from: usize,
     pub(crate) tag: u64,
     /// Span correlation id: the sender's slot in the high 32 bits, its
-    /// per-context send counter in the low 32. Stamped once per logical
-    /// `isend`, before fault routing, so every copy of a duplicated or
-    /// delayed message carries the same id and telemetry receives can be
-    /// paired with their originating send unambiguously.
+    /// per-context send counter in the low 32. Stamped once per `isend`,
+    /// before fault routing, so a delayed message carries its send's id and
+    /// telemetry receives can be paired with their originating send
+    /// unambiguously.
     pub(crate) corr: u64,
     pub(crate) payload: M,
 }
@@ -69,21 +69,20 @@ pub trait Transport {
 }
 
 /// The cross-cutting instruments a rank's communicator carries besides the
-/// wire, reached through [`RankComm::instruments`]: decorators
-/// ([`FaultInjectionBackend`](super::FaultInjectionBackend),
-/// [`ReliableComm`](super::ReliableComm)) and the iteration engine install
-/// and read them here instead of through one trait hook each.
+/// wire, reached through [`RankComm::instruments`]: the
+/// [`FaultInjectionBackend`](super::FaultInjectionBackend) and the iteration
+/// engine install and read them here instead of through one trait hook each.
 #[derive(Default)]
 pub struct Instruments {
     /// The fault filter every send is routed through, when one is installed.
     /// Its [`FaultHarness::set_node`] re-keys node-keyed faults after a spare
-    /// adopts the slot; [`FaultHarness::cursor`] / [`FaultHarness::set_cursor`]
+    /// adopts the slot, [`FaultHarness::set_attempt`] names the restart
+    /// attempt, and [`FaultHarness::cursor`] / [`FaultHarness::set_cursor`]
     /// carry its decision counters across a process resume.
     pub harness: Option<FaultHarness>,
     /// This rank's telemetry stream, when recording is enabled: its one
     /// handle, parked back in the hub when the context drops. Transport
-    /// events, `ReliableComm`'s retransmits and acks, and the engine's
-    /// events all go through it.
+    /// events and the engine's events both go through it.
     pub telemetry: Option<RankSink>,
 }
 
@@ -108,7 +107,7 @@ pub struct RankCtx<T: Transport> {
 }
 
 /// Hands one envelope to the transport, charging its analytic wire time to
-/// the sender (once per copy: a duplicate is two transfers).
+/// the sender.
 fn deliver<T: Transport>(
     transport: &mut T,
     clock: &mut RankClock,
@@ -172,8 +171,8 @@ impl<T: Transport> RankComm<T::Msg> for RankCtx<T> {
             self.size
         );
         let bytes = payload.payload_bytes();
-        // One correlation id per logical send, stamped before fault routing
-        // so duplicates and delayed deliveries all carry it.
+        // One correlation id per send, stamped before fault routing so a
+        // delayed delivery carries it too.
         let corr = ((self.rank as u64) << 32) | self.send_corr;
         self.send_corr += 1;
         let envelope = Envelope {
@@ -340,7 +339,7 @@ pub(super) mod conformance {
                 barrier_with_finished_peer_errors_without_hanging,
                 delayed_messages_are_released_before_blocking_and_at_exit,
                 killed_rank_sends_and_delayed_queue_are_suppressed,
-                duplicate_copies_share_the_send_correlation_id,
+                delayed_deliveries_keep_their_send_correlation_ids,
             );
             #[test]
             #[should_panic(expected = "rank thread panicked")]
@@ -587,20 +586,25 @@ pub(super) mod conformance {
         assert_eq!(faulty.fault_count(), 2);
     }
 
-    pub fn duplicate_copies_share_the_send_correlation_id<B>(backend: &B)
+    pub fn delayed_deliveries_keep_their_send_correlation_ids<B>(backend: &B)
     where
         B: CommBackend + Clone + Sync,
     {
+        // Tag 5 is held back and overtaken by tag 6: each receive must still
+        // carry the id its own send was stamped with.
         let telemetry = Telemetry::new();
-        let faulty =
-            FaultInjectionBackend::new(backend.clone(), FaultPolicy::reliable(0).duplicate(1.0));
+        let faulty = FaultInjectionBackend::new(
+            backend.clone(),
+            FaultPolicy::reliable(0).delay(1.0).on_tag(5),
+        );
         faulty
             .run::<Vec<f64>, (), _>(2, |ctx| {
                 ctx.instruments().telemetry = Some(telemetry.sink(ctx.rank()));
                 if ctx.rank() == 0 {
                     ctx.isend(1, 5, vec![1.0]);
+                    ctx.isend(1, 6, vec![2.0]);
                 } else {
-                    ctx.recv(0, 5)?;
+                    ctx.recv(0, 6)?;
                     ctx.recv(0, 5)?;
                 }
                 Ok(())
@@ -622,7 +626,9 @@ pub(super) mod conformance {
                 _ => None,
             })
             .collect();
-        assert_eq!(sent.len(), 1, "one logical send, one CommSend");
-        assert_eq!(received, [sent[0], sent[0]]);
+        assert_eq!(sent.len(), 2, "one CommSend per send");
+        assert_ne!(sent[0], sent[1]);
+        assert_eq!(received, [sent[1], sent[0]]);
+        assert_eq!(faulty.fault_count(), 1);
     }
 }

@@ -2,12 +2,14 @@
 //!
 //! [`FaultInjectionBackend`] wraps any [`CommBackend`] and filters every
 //! message a rank sends through a seeded [`FaultPolicy`]: a message can be
-//! delivered normally, dropped, duplicated, or delayed (held back until its
-//! sender next blocks, which reorders it past later traffic). Decisions are a
-//! pure function of `(seed, from, to, tag, seq)` — `seq` being the sender's
-//! per-`(to, tag)` message counter — so the same policy produces the same
-//! faults on every run and on every backend, including the free-running
-//! threaded one. The backend keeps no record of the decisions, only their
+//! delivered normally, dropped, or delayed (held back until its sender next
+//! blocks, which reorders it past later traffic). Decisions are a pure
+//! function of `(seed, from, to, tag, seq, attempt)` — `seq` being the
+//! sender's per-`(to, tag)` message counter and `attempt` the iteration
+//! engine's restart attempt ([`FaultHarness::set_attempt`]) — so the same
+//! policy produces the same faults on every run and on every backend,
+//! including the free-running threaded one, while a restarted attempt draws
+//! fresh ones. The backend keeps no record of the decisions, only their
 //! count ([`FaultInjectionBackend::fault_count`]); what a run did on the
 //! wire is in its telemetry.
 
@@ -24,8 +26,6 @@ pub enum FaultAction {
     Deliver,
     /// Silently discard the message (the receiver is *not* told).
     Drop,
-    /// Deliver the message twice.
-    Duplicate,
     /// Hold the message back until the sender next blocks (in a receive, at a
     /// barrier, or at rank completion), letting later traffic overtake it.
     Delay,
@@ -66,25 +66,24 @@ pub enum CrashPhase {
 
 /// A seeded, deterministic fault model.
 ///
-/// Probabilities are evaluated in the order drop → duplicate → delay against
-/// a single uniform draw per message, so their sum must stay ≤ 1. An optional
-/// tag filter restricts faults to one message class (e.g. a single
-/// directional pass), and [`FaultPolicy::drop_message`] pins a single exact
-/// message for surgical tests.
+/// Probabilities are evaluated in the order drop → delay against a single
+/// uniform draw per message, so their sum must stay ≤ 1. An optional tag
+/// filter restricts faults to one message class (e.g. a single directional
+/// pass), and [`FaultPolicy::drop_message`] pins a single exact message of
+/// the first attempt for surgical tests.
 #[derive(Clone, Debug, PartialEq)]
 pub struct FaultPolicy {
     /// Seed for the per-message decision hash.
     pub seed: u64,
     /// Probability that a message is dropped.
     pub drop_probability: f64,
-    /// Probability that a message is duplicated.
-    pub duplicate_probability: f64,
     /// Probability that a message is delayed (reordered).
     pub delay_probability: f64,
     /// When set, messages with any *other* tag are always delivered.
     pub only_tag: Option<u64>,
     /// When set, deterministically drops exactly the message identified by
-    /// `(from, to, tag, seq)` in addition to the probabilistic rules.
+    /// `(from, to, tag, seq)` of attempt 0, in addition to the probabilistic
+    /// rules; a restart delivers it.
     pub drop_exact: Option<(usize, usize, u64, u64)>,
     /// When set, permanently kills one node: `(node, after_sends)` makes the
     /// node's `after_sends`-th send decision (0-based, counted across every
@@ -107,7 +106,6 @@ impl FaultPolicy {
         Self {
             seed,
             drop_probability: 0.0,
-            duplicate_probability: 0.0,
             delay_probability: 0.0,
             only_tag: None,
             drop_exact: None,
@@ -119,12 +117,6 @@ impl FaultPolicy {
     /// Sets the drop probability.
     pub fn drop(mut self, probability: f64) -> Self {
         self.drop_probability = probability;
-        self
-    }
-
-    /// Sets the duplicate probability.
-    pub fn duplicate(mut self, probability: f64) -> Self {
-        self.duplicate_probability = probability;
         self
     }
 
@@ -142,7 +134,8 @@ impl FaultPolicy {
 
     /// Deterministically drops exactly one message: the `seq`-th message
     /// (0-based, counted per `(from, to, tag)` stream) from rank `from` to
-    /// rank `to` with tag `tag`.
+    /// rank `to` with tag `tag`, in attempt 0 only — so one checkpoint
+    /// restart heals it.
     pub fn drop_message(mut self, from: usize, to: usize, tag: u64, seq: u64) -> Self {
         self.drop_exact = Some((from, to, tag, seq));
         self
@@ -168,8 +161,8 @@ impl FaultPolicy {
         self
     }
 
-    fn decide(&self, from: usize, to: usize, tag: u64, seq: u64) -> FaultAction {
-        if self.drop_exact == Some((from, to, tag, seq)) {
+    fn decide(&self, from: usize, to: usize, tag: u64, seq: u64, attempt: u64) -> FaultAction {
+        if attempt == 0 && self.drop_exact == Some((from, to, tag, seq)) {
             return FaultAction::Drop;
         }
         if let Some(only) = self.only_tag {
@@ -177,13 +170,10 @@ impl FaultPolicy {
                 return FaultAction::Deliver;
             }
         }
-        let draw = unit_draw(self.seed, from, to, tag, seq);
+        let draw = unit_draw(self.seed, from, to, tag, seq, attempt);
         if draw < self.drop_probability {
             FaultAction::Drop
-        } else if draw < self.drop_probability + self.duplicate_probability {
-            FaultAction::Duplicate
-        } else if draw < self.drop_probability + self.duplicate_probability + self.delay_probability
-        {
+        } else if draw < self.drop_probability + self.delay_probability {
             FaultAction::Delay
         } else {
             FaultAction::Deliver
@@ -194,13 +184,15 @@ impl FaultPolicy {
 /// SplitMix64-style finaliser over the message identity — deterministic,
 /// backend-independent, and independent of the `rand` stand-in so a seed
 /// keeps making the same decisions if the vendored crates are swapped for
-/// real ones.
-fn unit_draw(seed: u64, from: usize, to: usize, tag: u64, seq: u64) -> f64 {
+/// real ones. The attempt's term is zero at attempt 0, so first-attempt
+/// decisions depend on the message identity alone.
+fn unit_draw(seed: u64, from: usize, to: usize, tag: u64, seq: u64, attempt: u64) -> f64 {
     let mut x = seed
         ^ (from as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15)
         ^ (to as u64).wrapping_mul(0xbf58_476d_1ce4_e5b9)
         ^ tag.wrapping_mul(0x94d0_49bb_1331_11eb)
-        ^ seq.wrapping_mul(0xd6e8_feb8_6659_fd93);
+        ^ seq.wrapping_mul(0xd6e8_feb8_6659_fd93)
+        ^ attempt.wrapping_mul(0xa076_1d64_78bd_642f);
     x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     x ^= x >> 31;
@@ -235,6 +227,9 @@ pub struct FaultHarness {
     /// Total send decisions this rank has made, across every stream — the
     /// clock the rank-death fault fires on.
     total_sends: u64,
+    /// The iteration engine's restart attempt (0 until
+    /// [`FaultHarness::set_attempt`]): mixed into every message decision.
+    attempt: u64,
     policy: FaultPolicy,
     seq: HashMap<(usize, u64), u64>,
     /// The backend-wide count of non-`Deliver` decisions.
@@ -249,6 +244,14 @@ impl FaultHarness {
     /// stay keyed by the rank slot (the wire identity).
     pub fn set_node(&mut self, node: usize) {
         self.node = node;
+    }
+
+    /// Tells the harness which restart attempt of the run it filters, so a
+    /// re-run from a checkpoint draws fresh message decisions instead of
+    /// replaying the ones that failed it. Attempt 0 is the first run, the
+    /// only one [`FaultPolicy::drop_message`] fires in.
+    pub fn set_attempt(&mut self, attempt: u64) {
+        self.attempt = attempt;
     }
 
     /// Snapshots the harness's decision counters (see [`FaultCursor`]).
@@ -286,7 +289,7 @@ impl FaultHarness {
         let action = if self.policy.kill == Some((self.node, sends_so_far)) {
             FaultAction::Kill
         } else {
-            self.policy.decide(self.rank, to, tag, seq)
+            self.policy.decide(self.rank, to, tag, seq, self.attempt)
         };
         if action != FaultAction::Deliver {
             self.faults.fetch_add(1, Ordering::Relaxed);
@@ -296,7 +299,7 @@ impl FaultHarness {
 }
 
 /// The one fault-dispatch protocol behind `isend`: consult the harness (if
-/// any), then deliver / drop / duplicate via `deliver`, or park the envelope
+/// any), then deliver via `deliver` or drop, or park the envelope
 /// in `delayed` (released when the sender next blocks or finishes), or kill
 /// the sending rank outright (`dead` is set, this envelope and every delayed
 /// one is lost, and all later sends are suppressed).
@@ -306,7 +309,7 @@ pub(super) fn route_send<M: Payload>(
     dead: &mut bool,
     to: usize,
     envelope: Envelope<M>,
-    mut deliver: impl FnMut(usize, Envelope<M>),
+    deliver: impl FnOnce(usize, Envelope<M>),
 ) {
     if *dead {
         return;
@@ -326,10 +329,6 @@ pub(super) fn route_send<M: Payload>(
                     bytes: envelope.payload.payload_bytes() as u64,
                 });
             }
-        }
-        FaultAction::Duplicate => {
-            deliver(to, envelope.clone());
-            deliver(to, envelope);
         }
         FaultAction::Delay => delayed.push((to, envelope)),
         FaultAction::Kill => {
@@ -388,6 +387,7 @@ impl<B: CommBackend> FaultInjectionBackend<B> {
             rank,
             node: rank,
             total_sends: 0,
+            attempt: 0,
             policy: self.policy.clone(),
             seq: HashMap::new(),
             faults: Arc::clone(&self.faults),
@@ -421,13 +421,74 @@ mod tests {
 
     #[test]
     fn policy_decisions_are_deterministic() {
-        let policy = FaultPolicy::reliable(7).drop(0.3).duplicate(0.2).delay(0.1);
+        let policy = FaultPolicy::reliable(7).drop(0.3).delay(0.1);
         for from in 0..4 {
             for seq in 0..20 {
-                let a = policy.decide(from, 1, 0x10, seq);
-                let b = policy.decide(from, 1, 0x10, seq);
-                assert_eq!(a, b);
+                for attempt in 0..3 {
+                    let a = policy.decide(from, 1, 0x10, seq, attempt);
+                    let b = policy.decide(from, 1, 0x10, seq, attempt);
+                    assert_eq!(a, b);
+                }
             }
+        }
+    }
+
+    /// The draw every first-attempt decision is made from, written out
+    /// without the attempt term: the message identity alone.
+    fn attempt_free_draw(seed: u64, from: usize, to: usize, tag: u64, seq: u64) -> f64 {
+        let mut x = seed
+            ^ (from as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15)
+            ^ (to as u64).wrapping_mul(0xbf58_476d_1ce4_e5b9)
+            ^ tag.wrapping_mul(0x94d0_49bb_1331_11eb)
+            ^ seq.wrapping_mul(0xd6e8_feb8_6659_fd93);
+        x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        x ^= x >> 31;
+        (x >> 11) as f64 / (1u64 << 53) as f64
+    }
+
+    #[test]
+    fn first_attempt_decisions_depend_on_the_message_identity_alone() {
+        let policy = FaultPolicy::reliable(0x5eed).drop(0.3).delay(0.2);
+        let mut faults = 0;
+        for from in 0..4 {
+            for to in 0..4 {
+                for tag in [0x0, 0x7, 0x11, 0x20, 0xff_ffff] {
+                    for seq in 0..16 {
+                        let draw = attempt_free_draw(0x5eed, from, to, tag, seq);
+                        let expected = if draw < 0.3 {
+                            FaultAction::Drop
+                        } else if draw < 0.5 {
+                            FaultAction::Delay
+                        } else {
+                            FaultAction::Deliver
+                        };
+                        let actual = policy.decide(from, to, tag, seq, 0);
+                        assert_eq!(actual, expected, "({from}, {to}, {tag:#x}, {seq})");
+                        faults += usize::from(actual != FaultAction::Deliver);
+                    }
+                }
+            }
+        }
+        assert!(faults > 0, "the sampled grid must exercise the faults");
+    }
+
+    #[test]
+    fn a_later_attempt_redraws_every_decision() {
+        let policy = FaultPolicy::reliable(42).drop(0.5);
+        let decisions = |attempt| -> Vec<FaultAction> {
+            (0..1000)
+                .map(|seq| policy.decide(0, 1, 0x7, seq, attempt))
+                .collect()
+        };
+        let first = decisions(0);
+        for attempt in 1..4 {
+            let later = decisions(attempt);
+            let moved = first.iter().zip(&later).filter(|(a, b)| a != b).count();
+            assert!(
+                (350..650).contains(&moved),
+                "attempt {attempt}: ~half of 1000 independent draws must differ, got {moved}"
+            );
         }
     }
 
@@ -435,7 +496,7 @@ mod tests {
     fn probabilities_shape_the_action_mix() {
         let policy = FaultPolicy::reliable(99).drop(0.5);
         let drops = (0..1000)
-            .filter(|&seq| policy.decide(0, 1, 2, seq) == FaultAction::Drop)
+            .filter(|&seq| policy.decide(0, 1, 2, seq, 0) == FaultAction::Drop)
             .count();
         assert!(
             (350..650).contains(&drops),
@@ -443,14 +504,14 @@ mod tests {
         );
 
         let reliable = FaultPolicy::reliable(99);
-        assert!((0..1000).all(|seq| reliable.decide(0, 1, 2, seq) == FaultAction::Deliver));
+        assert!((0..1000).all(|seq| reliable.decide(0, 1, 2, seq, 0) == FaultAction::Deliver));
     }
 
     #[test]
     fn tag_filter_limits_faults() {
         let policy = FaultPolicy::reliable(3).drop(1.0).on_tag(0x11);
-        assert_eq!(policy.decide(0, 1, 0x10, 0), FaultAction::Deliver);
-        assert_eq!(policy.decide(0, 1, 0x11, 0), FaultAction::Drop);
+        assert_eq!(policy.decide(0, 1, 0x10, 0, 0), FaultAction::Deliver);
+        assert_eq!(policy.decide(0, 1, 0x11, 0, 0), FaultAction::Drop);
     }
 
     #[test]
@@ -504,9 +565,50 @@ mod tests {
     #[test]
     fn exact_drop_hits_one_message() {
         let policy = FaultPolicy::reliable(3).drop_message(2, 0, 0x11, 1);
-        assert_eq!(policy.decide(2, 0, 0x11, 0), FaultAction::Deliver);
-        assert_eq!(policy.decide(2, 0, 0x11, 1), FaultAction::Drop);
-        assert_eq!(policy.decide(2, 0, 0x11, 2), FaultAction::Deliver);
-        assert_eq!(policy.decide(1, 0, 0x11, 1), FaultAction::Deliver);
+        assert_eq!(policy.decide(2, 0, 0x11, 0, 0), FaultAction::Deliver);
+        assert_eq!(policy.decide(2, 0, 0x11, 1, 0), FaultAction::Drop);
+        assert_eq!(policy.decide(2, 0, 0x11, 2, 0), FaultAction::Deliver);
+        assert_eq!(policy.decide(1, 0, 0x11, 1, 0), FaultAction::Deliver);
+    }
+
+    #[test]
+    fn exact_drop_fires_in_the_first_attempt_only() {
+        let policy = FaultPolicy::reliable(3).drop_message(2, 0, 0x11, 1);
+        assert_eq!(policy.decide(2, 0, 0x11, 1, 0), FaultAction::Drop);
+        for attempt in 1..8 {
+            assert_eq!(
+                policy.decide(2, 0, 0x11, 1, attempt),
+                FaultAction::Deliver,
+                "attempt {attempt} must deliver the message attempt 0 dropped"
+            );
+        }
+    }
+
+    #[test]
+    fn the_harness_hands_its_attempt_to_every_decision() {
+        use super::super::LockstepBackend;
+        // Rank 0's first message is pinned for attempt 0; a harness told it
+        // runs attempt 1 delivers it.
+        let policy = FaultPolicy::reliable(0).drop_message(0, 1, 0x1, 0);
+        let backend = FaultInjectionBackend::new(LockstepBackend::default(), policy);
+        let run = |attempt: u64| {
+            backend.run::<Vec<f64>, f64, _>(2, |ctx| {
+                ctx.instruments()
+                    .harness
+                    .as_mut()
+                    .expect("the backend installs a harness")
+                    .set_attempt(attempt);
+                if ctx.rank() == 0 {
+                    ctx.isend(1, 0x1, vec![2.5]);
+                    Ok(0.0)
+                } else {
+                    Ok(ctx.recv(0, 0x1)?[0])
+                }
+            })
+        };
+        let failure = run(0).expect_err("attempt 0 loses the pinned message");
+        assert!(matches!(failure.error, CommError::Deadlock { .. }));
+        assert_eq!(run(1).expect("attempt 1 delivers it")[1].result, 2.5);
+        assert_eq!(backend.fault_count(), 1);
     }
 }

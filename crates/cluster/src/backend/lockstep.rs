@@ -49,9 +49,9 @@ struct SchedState<M> {
     mailboxes: Vec<Vec<Envelope<M>>>,
     /// Set once the scheduler has proven a global deadlock; blocked calls
     /// observe it and return an error. Cleared again the moment any rank
-    /// makes progress (takes a message, completes a barrier), because a
-    /// recovery layer may retransmit and resolve a previously proven
-    /// deadlock — the stale proof must not poison later blocking calls.
+    /// makes progress (takes a message, completes a barrier), because a rank
+    /// that acts on the error may resolve a previously proven deadlock — the
+    /// stale proof must not poison later blocking calls.
     deadlock: Option<String>,
     /// Bumped each time a barrier completes, so a rank woken from a barrier
     /// can tell a genuine release apart from a deadlock wake-up even after
@@ -137,7 +137,7 @@ impl<M> SchedState<M> {
     fn take_matching(&mut self, rank: usize, from: usize, tag: u64) -> Option<Envelope<M>> {
         let envelope = take_match(&mut self.mailboxes[rank], from, tag)?;
         // A successful receive is progress: any earlier deadlock proof is
-        // stale (a recovery layer retransmitted its way out of it).
+        // stale (a rank acted on the error and resolved it).
         self.deadlock = None;
         Some(envelope)
     }

@@ -21,22 +21,25 @@
 //! |---|---|---|
 //! | [`ThreadedBackend`] | one OS thread per rank, real channels | the default; wall-clock compute/wait measurement |
 //! | [`LockstepBackend`] | cooperative scheduler, one rank runs at a time in a fixed order | deterministic replayable runs, deadlock *detection* instead of hangs |
-//! | [`FaultInjectionBackend`] | wraps either of the above | dropping / duplicating / delaying messages and killing nodes under a seeded policy |
+//! | [`FaultInjectionBackend`] | wraps either of the above | dropping / delaying messages and killing nodes under a seeded policy |
 //!
-//! [`ReliableComm`] decorates one rank's communicator with acknowledge /
-//! retransmit; it and the fault layer reach the context's fault harness and
-//! telemetry sink through the one accessor [`RankComm::instruments`].
+//! The fault layer and the iteration engine reach the context's fault
+//! harness and telemetry sink through the one accessor
+//! [`RankComm::instruments`].
 //!
 //! Communication failures are values, not hangs: [`RankComm::recv`] returns
 //! [`CommError`] when a message cannot arrive (receive timeout on the
 //! threaded backend, global deadlock detected by the lockstep scheduler), and
 //! [`CommBackend::run`] surfaces the first failing rank as a [`RankFailure`].
+//! Nothing below the iteration engine heals a lost message: as with plain
+//! MPI point-to-point sends, the failure reaches the caller, and the
+//! engine's recovering policy rolls every rank back to its last
+//! consistency-barrier checkpoint and re-runs.
 
 mod context;
 pub mod fault;
 pub mod lockstep;
 pub mod pool;
-pub mod reliable;
 pub mod threaded;
 
 use crate::clock::RankClock;
@@ -47,13 +50,11 @@ pub use context::{Instruments, RankCtx};
 pub use fault::{CrashPhase, FaultAction, FaultCursor, FaultInjectionBackend, FaultPolicy};
 pub use lockstep::LockstepBackend;
 pub use pool::TilePayloadPool;
-pub use reliable::{ReliableComm, ReliableStats};
 pub use threaded::{Cluster, ThreadedBackend};
 
 /// Payloads carried between ranks must report an approximate wire size so the
-/// analytic communication model can charge for them, and must be cloneable so
-/// the fault-injection layer can duplicate messages.
-pub trait Payload: Clone + Send {
+/// analytic communication model can charge for them.
+pub trait Payload: Send {
     /// Number of bytes this payload would occupy on the wire.
     fn payload_bytes(&self) -> usize;
 }
@@ -71,9 +72,9 @@ impl Payload for Vec<f64> {
 }
 
 /// A tile-sized wire payload (the flat `re, im`-interleaved f64 buffer the
-/// solvers exchange) behind an [`Arc`](std::sync::Arc): sending, duplicating
-/// or buffering it for retransmission aliases the one allocation instead of
-/// deep-copying volume-sized data.
+/// solvers exchange) behind an [`Arc`](std::sync::Arc): the sender keeps an
+/// alias for reuse while the message is in flight, instead of deep-copying
+/// volume-sized data.
 ///
 /// The contents are immutable while shared — mutation is only possible
 /// through [`SharedTile::unique_values_mut`], which (via `Arc::get_mut`)
@@ -111,23 +112,10 @@ impl SharedTile {
     }
 
     /// Mutable access to the underlying buffer, granted only when this
-    /// handle is the sole owner (no clone is in a mailbox, a retransmit
-    /// outbox or a fault-injection duplicate). Returns `None` otherwise.
+    /// handle is the sole owner (no clone is in a mailbox or still held by
+    /// a receiver). Returns `None` otherwise.
     pub fn unique_values_mut(&mut self) -> Option<&mut Vec<f64>> {
         std::sync::Arc::get_mut(&mut self.0)
-    }
-}
-
-/// The empty tile every [`SharedTile::default`] aliases: acknowledgement
-/// frames carry it, and sharing one allocation keeps the ack path
-/// allocation-free.
-static EMPTY_TILE: std::sync::OnceLock<std::sync::Arc<Vec<f64>>> = std::sync::OnceLock::new();
-
-impl Default for SharedTile {
-    fn default() -> Self {
-        Self(std::sync::Arc::clone(
-            EMPTY_TILE.get_or_init(|| std::sync::Arc::new(Vec::new())),
-        ))
     }
 }
 
@@ -185,24 +173,11 @@ pub enum CommError {
         /// The tag the receive was posted against.
         tag: u64,
     },
-    /// The reliable-delivery layer ([`ReliableComm`]) retried a failing
-    /// blocking operation its full recovery budget — retransmitting
-    /// unacknowledged sends each time — and the operation still failed.
-    /// Carries the last underlying error so callers can escalate (e.g. to a
-    /// checkpoint restart) with the root cause intact.
-    RecoveryExhausted {
-        /// The rank that gave up.
-        rank: usize,
-        /// How many recovery rounds were attempted.
-        recoveries: usize,
-        /// The final underlying failure.
-        last: Box<CommError>,
-    },
     /// This rank was killed by the fault layer's rank-death fault class
     /// ([`FaultAction::Kill`]): the simulated node died permanently mid-run.
     /// Every subsequent operation on the rank's communicator reports this
     /// error, mirroring a process whose runtime has revoked its communicator.
-    /// Unlike message loss this is not recoverable in place — the membership
+    /// Unlike message loss a plain restart cannot heal it — the membership
     /// layer must substitute a spare node for the dead one.
     RankDead {
         /// The rank whose node died.
@@ -256,15 +231,6 @@ impl std::fmt::Display for CommError {
                 f,
                 "rank {rank}: all peers terminated while waiting for a message \
                  from rank {from} (tag {tag:#x})"
-            ),
-            CommError::RecoveryExhausted {
-                rank,
-                recoveries,
-                last,
-            } => write!(
-                f,
-                "rank {rank}: reliable delivery gave up after {recoveries} \
-                 retransmit/retry rounds; last failure: {last}"
             ),
             CommError::RankDead { rank } => write!(
                 f,
@@ -418,11 +384,10 @@ pub trait CommBackend {
     }
 
     /// True when a lost message surfaces as a [`CommError`] on this backend
-    /// (a proven deadlock, a bounded receive). Recovery layers that act on
-    /// such errors ([`ReliableComm`], the iteration engine's
-    /// retransmit/restart policy) are inert on a backend without it — they
-    /// would hang exactly like the raw backend — so they check this up
-    /// front and refuse loudly instead.
+    /// (a proven deadlock, a bounded receive). The iteration engine's
+    /// recovering policy acts on such errors and is inert on a backend
+    /// without it — it would hang exactly like the raw backend — so it
+    /// checks this up front and refuses loudly instead.
     fn loss_detection_enabled(&self) -> bool {
         true
     }
@@ -471,7 +436,6 @@ mod payload_tests {
         assert_eq!(tile.payload_bytes(), 1024 * 8);
         assert_eq!(copy.len(), 1024);
         assert!(!copy.is_empty());
-        assert!(SharedTile::default().is_empty());
     }
 
     #[test]

@@ -1,33 +1,27 @@
 //! A rank-local pool recycling [`SharedTile`] payload buffers.
 //!
-//! ISSUE 4 made every comm-layer *copy* of a payload an `Arc` alias, but
-//! each send still allocated its one payload `Vec` (and the `Arc` box
-//! around it). [`TilePayloadPool`] removes that last per-send allocation:
-//! the sender keeps a clone of every tile it sends, and the next
+//! Every comm-layer *copy* of a payload is an `Arc` alias, but each send
+//! would still allocate its one payload `Vec` (and the `Arc` box around
+//! it). [`TilePayloadPool`] removes that last per-send allocation: the
+//! sender keeps a clone of every tile it sends, and the next
 //! [`TilePayloadPool::acquire`] of the same size reuses the first retired
-//! tile whose strong count has returned to 1 — meaning the receiver
-//! consumed it *and* every comm-layer alias (mailbox envelope,
-//! [`ReliableComm`] retransmit outbox, fault-injection duplicate) has been
-//! dropped.
+//! tile whose strong count has returned to 1 — meaning the message left the
+//! mailbox and the receiver dropped it.
 //!
 //! Tiles are bucketed by exact payload length (the overlap-region sizes of
 //! a decomposition are a small fixed set), so a recycled buffer never needs
 //! resizing and the steady state performs literally zero allocations —
 //! pinned by `tests/alloc_regression.rs`.
 //!
-//! The natural recycle point under reliable delivery is the consistency
-//! barrier: [`ReliableComm::barrier`] drains the acknowledged outbox, which
-//! releases the last comm-layer reference to each delivered payload, so
-//! tiles retired before a barrier become reusable right after it. On the
-//! raw (fail-fast) path the receiver's `recv` is the release point and
-//! reuse kicks in within the same exchange round.
+//! The recycle point is the receiver's drop: once the receiving rank has
+//! folded a payload into its buffers and dropped it, the sender's retired
+//! alias is the last one, and reuse kicks in within the same exchange round
+//! on every policy. A message held back by a `Delay` fault stays aliased
+//! until it is released and consumed.
 //!
 //! The pool is deliberately rank-local and unsynchronised: payload buffers
 //! never migrate between ranks (only their `Arc` aliases do), so no locking
 //! is needed.
-//!
-//! [`ReliableComm`]: super::ReliableComm
-//! [`ReliableComm::barrier`]: super::RankComm::barrier
 
 use super::SharedTile;
 use std::collections::HashMap;
@@ -108,7 +102,7 @@ mod tests {
     fn aliased_tiles_are_not_recycled() {
         let mut pool = TilePayloadPool::new();
         let tile = pool.acquire(4);
-        let in_flight = tile.clone(); // the mailbox / outbox alias
+        let in_flight = tile.clone(); // the mailbox / receiver alias
         let ptr = tile.values().as_ptr();
         pool.retire(tile);
         assert_eq!(pool.reusable(), 0, "an in-flight tile is not reusable");
@@ -120,6 +114,35 @@ mod tests {
         );
         drop(in_flight);
         assert_eq!(pool.reusable(), 1, "dropping the alias releases the tile");
+    }
+
+    #[test]
+    fn a_sent_tile_is_reusable_once_the_receiver_drops_it() {
+        use crate::backend::{CommBackend, LockstepBackend, RankComm};
+        let outcomes = LockstepBackend::default()
+            .run::<SharedTile, (usize, usize), _>(2, |ctx| {
+                if ctx.rank() == 0 {
+                    let mut pool = TilePayloadPool::new();
+                    let tile = pool.acquire(16);
+                    ctx.isend(1, 0x1, tile.clone());
+                    pool.retire(tile);
+                    let in_flight = pool.reusable();
+                    // Rank 1 has received and dropped the payload once it
+                    // reaches this barrier.
+                    ctx.barrier()?;
+                    Ok((in_flight, pool.reusable()))
+                } else {
+                    drop(ctx.recv(0, 0x1)?);
+                    ctx.barrier()?;
+                    Ok((0, 0))
+                }
+            })
+            .unwrap();
+        assert_eq!(
+            outcomes[0].result,
+            (0, 1),
+            "aliased while in flight, reusable after the receiver's drop"
+        );
     }
 
     #[test]

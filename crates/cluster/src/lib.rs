@@ -13,7 +13,7 @@
 //!    [`CommBackend`]. The [`ThreadedBackend`] executes one OS thread per
 //!    rank; the [`LockstepBackend`] runs the same ranks deterministically,
 //!    one at a time, and proves deadlocks instead of hanging; the
-//!    [`FaultInjectionBackend`] wraps either to drop/duplicate/delay
+//!    [`FaultInjectionBackend`] wraps either to drop or delay
 //!    messages or kill a node under a seeded policy. The decomposition,
 //!    accumulation-pass and pipelining logic is exercised for real on all of
 //!    them, exactly as it would be on MPI.
@@ -95,7 +95,7 @@ pub mod topology;
 pub use backend::{
     Cluster, CommBackend, CommError, CrashPhase, FaultAction, FaultCursor, FaultInjectionBackend,
     FaultPolicy, Instruments, LockstepBackend, Payload, RankComm, RankCtx, RankFailure,
-    RankOutcome, ReliableComm, ReliableStats, SharedTile, ThreadedBackend, TilePayloadPool,
+    RankOutcome, SharedTile, ThreadedBackend, TilePayloadPool,
 };
 pub use clock::{RankClock, TimeBreakdown};
 pub use jobs::{FleetError, FleetView, JobId, JobQueue, QueuedJob};

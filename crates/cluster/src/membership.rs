@@ -12,16 +12,17 @@
 //!   detector verdict promotes one.
 //! * [`MembershipView::substitute`] is the promotion step: the dead node is
 //!   retired, the lowest-numbered spare adopts its slot, and the membership
-//!   **epoch** is bumped so every rank (and every seeded fault policy keyed
-//!   on wire traffic) can tell the regimes apart.
+//!   **epoch** is bumped so every rank can tell the regimes apart.
 //!
-//! Membership epochs are **not** the reliable layer's wire epochs: a wire
-//! epoch (the `epoch` of [`crate::ReliableComm::new`]) counts *attempts* (checkpoint
-//! restarts and substitutions alike) so retransmit streams never alias
-//! across attempts, while a membership epoch counts *promotions* — it only
-//! moves when the assignment table changes. A run that restarts twice
-//! without losing a node bumps the wire epoch twice and the membership
-//! epoch not at all.
+//! Membership epochs are **not** the engine's attempt numbers: an attempt
+//! number (what [`FaultHarness::set_attempt`] receives) counts *attempts*
+//! (checkpoint restarts and substitutions alike) so seeded fault policies
+//! draw fresh decisions per attempt, while a membership epoch counts
+//! *promotions* — it only moves when the assignment table changes. A run
+//! that restarts twice without losing a node bumps the attempt number twice
+//! and the membership epoch not at all.
+//!
+//! [`FaultHarness::set_attempt`]: crate::backend::fault::FaultHarness::set_attempt
 //!
 //! The failure detector is the runtime's verdict, as in ULFM-style MPI
 //! fault tolerance: a node is declared dead by the runtime that knows its

@@ -18,21 +18,19 @@
 //! * **recovery**, governed by [`RecoveryPolicy`]:
 //!   - [`RecoveryPolicy::FailFast`] reproduces the historical behaviour —
 //!     the first communication failure aborts the run (and adds zero
-//!     overhead to the fault-free path; no extra barriers, no wrapping);
-//!   - [`RecoveryPolicy::RetransmitThenRestart`] wraps every rank's
-//!     communicator in [`ReliableComm`] (sequence-numbered ack/retransmit,
-//!     healing lost messages in place) and additionally keeps a lightweight
-//!     per-iteration checkpoint of each rank's tile volume, so that a
-//!     [`RankFailure`] that survives retransmission rolls the whole run back
-//!     to the last consistent iteration boundary and re-runs it instead of
-//!     aborting, up to `max_iteration_restarts` times;
-//!   - [`RecoveryPolicy::SubstituteSpare`] escalates one layer further:
-//!     retransmission and checkpoint restarts handle *message* loss, but a
-//!     **permanently dead rank** defeats both (the node cannot answer any
-//!     retransmission, in any attempt). Under this policy the engine keeps a
+//!     overhead to the fault-free path; no extra barriers);
+//!   - [`RecoveryPolicy::Recover`] keeps a lightweight per-iteration
+//!     checkpoint of each rank's tile volume. Ranks exchange messages over
+//!     the raw transport, exactly as under `FailFast`; a lost message
+//!     surfaces as the transport's own error (a proven deadlock on
+//!     lockstep, a receive timeout on threaded), and the resulting
+//!     [`RankFailure`] rolls the whole run back to the last consistent
+//!     iteration boundary and re-runs it instead of aborting, up to
+//!     `max_iteration_restarts` times. A **permanently dead rank** would
+//!     die again in every attempt, so the engine also keeps a
 //!     [`MembershipView`] — an epoch-numbered slot → node assignment table
-//!     with a pool of standby spare nodes. When an attempt fails because a
-//!     node died (the dying rank's [`CommError::RankDead`] verdict), the
+//!     with a pool of `spares` standby nodes. When an attempt fails because
+//!     a node died (the dying rank's [`CommError::RankDead`] verdict), the
 //!     engine retires the node, promotes the lowest-numbered spare into its
 //!     tile slot, bumps the membership epoch, and re-runs from the last
 //!     consistency-barrier checkpoint — which the adopting spare restores
@@ -49,14 +47,15 @@
 //! invariant before restarting and escalates the original failure if it ever
 //! does not hold. The tile volume is the whole checkpoint: a kernel's
 //! scratch (Algorithm 1's accumulation buffers) is zero at every iteration
-//! boundary, and every attempt builds it afresh. Restart attempts carry an
-//! increasing *epoch* into the reliable layer's wire tags, so retransmit
-//! streams from different attempts can never alias and seeded fault
-//! policies draw fresh decisions. That wire epoch counts *attempts*; the
-//! membership epoch counts *promotions* — the two move independently (a
-//! restart without a death bumps only the former).
+//! boundary, and every attempt builds it afresh. Every attempt also runs on
+//! fresh transports, so no message of a failed attempt can reach a later
+//! one. The attempt number goes to each rank's fault harness
+//! ([`FaultHarness::set_attempt`]), so seeded fault policies draw fresh
+//! decisions per attempt. It counts *attempts*; the membership epoch counts
+//! *promotions* — the two move independently (a restart without a death
+//! bumps only the former).
 //!
-//! [`ReliableComm`]: ptycho_cluster::ReliableComm
+//! [`FaultHarness::set_attempt`]: ptycho_cluster::backend::fault::FaultHarness::set_attempt
 //! [`MembershipView`]: ptycho_cluster::MembershipView
 //! [`CommError::RankDead`]: ptycho_cluster::CommError::RankDead
 //! [`CommError::SparesExhausted`]: ptycho_cluster::CommError::SparesExhausted
@@ -72,8 +71,7 @@ use crate::worker::TileWorker;
 use ptycho_array::Rect;
 use ptycho_cluster::{
     CommBackend, CommError, CrashPhase, FaultCursor, MembershipError, MembershipView,
-    MemoryTracker, RankComm, RankFailure, RankOutcome, ReliableComm, ReliableStats, SharedTile,
-    TimeBreakdown,
+    MemoryTracker, RankComm, RankFailure, RankOutcome, SharedTile, TimeBreakdown,
 };
 use ptycho_fft::CArray3;
 use ptycho_telemetry::{Telemetry, TelemetryEvent};
@@ -120,29 +118,30 @@ pub enum RecoveryPolicy {
     /// zero-overhead fault-free path).
     #[default]
     FailFast,
-    /// Heal lost messages with the reliable-delivery layer; if a failure
-    /// still escalates, roll back to the last consistent iteration boundary
-    /// and re-run, at most `max_iteration_restarts` times.
-    RetransmitThenRestart {
-        /// Upper bound on checkpoint restarts before the failure is
-        /// surfaced to the caller.
-        max_iteration_restarts: usize,
-    },
-    /// Everything [`RecoveryPolicy::RetransmitThenRestart`] does, plus the
-    /// escalation step for **permanently dead ranks**: a pool of `spares`
-    /// standby nodes and a rank-membership table. When an attempt fails
-    /// because a node died (rather than because messages were lost), a
-    /// spare is promoted into the dead node's tile slot, adopts the slot's
-    /// last consistency-barrier checkpoint, and the run re-runs under a
-    /// bumped membership epoch — bit-identically to a fault-free run. The
-    /// restart budget only counts restarts *not* caused by a death;
-    /// substitutions are bounded by the spare pool instead.
-    SubstituteSpare {
+    /// Checkpoint every rank's tile at each iteration boundary and heal a
+    /// failed attempt by rolling back to it. A failure caused by lost
+    /// messages re-runs from the checkpoint, at most
+    /// `max_iteration_restarts` times. A failure caused by a **permanently
+    /// dead node** promotes one of `spares` standby nodes into the dead
+    /// node's tile slot, where it adopts the slot's last checkpoint, and
+    /// re-runs under a bumped membership epoch — bit-identically to a
+    /// fault-free run; with no spare left the run fails with
+    /// [`CommError::SparesExhausted`]. Substitutions are bounded by the
+    /// spare pool, not by the restart budget.
+    Recover {
         /// Number of standby spare nodes available for promotion.
         spares: usize,
         /// Upper bound on checkpoint restarts for non-death failures.
         max_iteration_restarts: usize,
     },
+}
+
+/// Always zero: nothing retransmits. Held only because the benchmark
+/// harness (`perf_bench`) reads `recovery.reliable.retransmits`.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct RetransmitCount {
+    /// Messages retransmitted: always 0.
+    pub retransmits: u64,
 }
 
 /// What the recovery machinery did during one reconstruction.
@@ -151,22 +150,19 @@ pub struct RecoveryReport {
     /// Checkpoint restarts the engine performed (excluding substitutions).
     pub iteration_restarts: usize,
     /// Spare-rank promotions: how many permanently dead nodes were replaced
-    /// by standby spares ([`RecoveryPolicy::SubstituteSpare`]).
+    /// by standby spares ([`RecoveryPolicy::Recover`]).
     pub substitutions: usize,
     /// The membership epoch the run finished under (equals `substitutions`:
-    /// one bump per promotion; 0 without the membership layer).
+    /// one bump per promotion).
     pub membership_epoch: u64,
-    /// Reliable-delivery counters summed over every rank (of the successful
-    /// attempt).
-    pub reliable: ReliableStats,
+    /// Always zero (see [`RetransmitCount`]).
+    pub reliable: RetransmitCount,
 }
 
 impl RecoveryReport {
     /// True when the run needed no recovery work at all.
     pub fn is_clean(&self) -> bool {
-        self.iteration_restarts == 0
-            && self.substitutions == 0
-            && self.reliable == ReliableStats::default()
+        self.iteration_restarts == 0 && self.substitutions == 0
     }
 }
 
@@ -207,7 +203,7 @@ pub struct IterationProgress {
 ///   before each promotion; returning `false` means the pool is exhausted
 ///   and the run fails with [`CommError::SparesExhausted`]. When present,
 ///   the policy's own `spares` count is ignored — promotions are bounded by
-///   the external pool (and the 8-bit attempt-epoch ceiling) instead, while
+///   the external pool (and the one-byte attempt ceiling) instead, while
 ///   job-local spare numbering (`slots + k` for the k-th promotion) is
 ///   unchanged, which is what keeps a healed service run bit-identical to
 ///   the same job healed standalone.
@@ -334,7 +330,6 @@ pub(crate) trait SolverKernel: Sync {
 struct RankRun {
     core: CArray3,
     costs: Vec<f64>,
-    stats: ReliableStats,
 }
 
 /// A rank's saved state at a completed iteration boundary.
@@ -365,13 +360,10 @@ pub(crate) fn run<K: SolverKernel, B: CommBackend>(
 ) -> Result<ReconstructionResult, RankFailure> {
     match policy {
         RecoveryPolicy::FailFast => run_fail_fast(kernel, backend, job),
-        RecoveryPolicy::RetransmitThenRestart {
-            max_iteration_restarts,
-        } => run_recovering(kernel, backend, job, max_iteration_restarts, None),
-        RecoveryPolicy::SubstituteSpare {
+        RecoveryPolicy::Recover {
             spares,
             max_iteration_restarts,
-        } => run_recovering(kernel, backend, job, max_iteration_restarts, Some(spares)),
+        } => run_recovering(kernel, backend, job, max_iteration_restarts, spares),
     }
 }
 
@@ -449,9 +441,8 @@ fn run_fail_fast<K: SolverKernel, B: CommBackend>(
     // silent no-op here would look like durability while providing none.
     assert!(
         job.durability.is_none(),
-        "durable checkpoints require a recovering policy \
-         (RetransmitThenRestart or SubstituteSpare): the fail-fast path \
-         has no consistency barrier to persist at"
+        "durable checkpoints require the recovering policy (Recover): \
+         the fail-fast path has no consistency barrier to persist at"
     );
     let iterations = kernel.iterations();
     let outcomes = backend.run::<SharedTile, RankRun, _>(kernel.grid().num_tiles(), |ctx| {
@@ -472,7 +463,6 @@ fn run_fail_fast<K: SolverKernel, B: CommBackend>(
         Ok(RankRun {
             core: worker.core_volume(),
             costs,
-            stats: ReliableStats::default(),
         })
     });
     // The rank threads are joined: flushing here cannot race recording.
@@ -487,21 +477,21 @@ fn run_fail_fast<K: SolverKernel, B: CommBackend>(
     ))
 }
 
-/// The shared recovery driver behind both recovering policies.
+/// The recovery driver behind [`RecoveryPolicy::Recover`].
 ///
-/// With `spares: None` this is plain retransmit + checkpoint restart. With
-/// `spares: Some(n)` the engine additionally keeps a [`MembershipView`]
-/// mapping each tile *slot* to the physical *node* running it and — when an
-/// attempt fails because a node died — promotes a spare into the dead
-/// node's slot before re-running. The **checkpoint store is keyed by slot**,
-/// so the adopting spare restores exactly the tile volume the dead node
-/// saved at the last consistency barrier.
+/// Every attempt runs the ranks from the last consistency-barrier
+/// checkpoint. A [`MembershipView`] maps each tile *slot* to the physical
+/// *node* running it and — when an attempt fails because a node died — a
+/// spare is promoted into the dead node's slot before re-running; any other
+/// failure is a plain checkpoint restart. The **checkpoint store is keyed by
+/// slot**, so the adopting spare restores exactly the tile volume the dead
+/// node saved at the last consistency barrier.
 fn run_recovering<K: SolverKernel, B: CommBackend>(
     kernel: &K,
     backend: &B,
     job: &JobContext<'_>,
     max_iteration_restarts: usize,
-    spares: Option<usize>,
+    spares: usize,
 ) -> Result<ReconstructionResult, RankFailure> {
     // Recovery acts on communication *errors*; a backend that hangs on a
     // lost message (threaded without a receive timeout) never produces
@@ -514,19 +504,17 @@ fn run_recovering<K: SolverKernel, B: CommBackend>(
     let iterations = kernel.iterations();
     let ranks = kernel.grid().num_tiles();
     // With an external spare arbiter, the pool bound lives outside the
-    // engine: size the local view at the attempt-epoch ceiling (the hard
-    // upper bound on promotions anyway) so the arbiter alone decides
-    // exhaustion. Promotion numbering is unaffected — the k-th promotion
-    // is always local node `ranks + k` whatever the pool size — which is
-    // what keeps service-healed runs bit-identical to standalone ones.
-    let spares = spares.map(|pool| {
-        if job.spare_grant.is_some() {
-            usize::from(u8::MAX) + 1
-        } else {
-            pool
-        }
-    });
-    let mut membership = spares.map(|pool| MembershipView::new(ranks, pool));
+    // engine: size the local view at the attempt ceiling (the hard upper
+    // bound on promotions anyway) so the arbiter alone decides exhaustion.
+    // Promotion numbering is unaffected — the k-th promotion is always
+    // local node `ranks + k` whatever the pool size — which is what keeps
+    // service-healed runs bit-identical to standalone ones.
+    let spares = if job.spare_grant.is_some() {
+        usize::from(u8::MAX) + 1
+    } else {
+        spares
+    };
+    let mut membership = MembershipView::new(ranks, spares);
     let slots: Vec<Mutex<Option<CheckpointSlot>>> = (0..ranks).map(|_| Mutex::new(None)).collect();
     let mut restarts = 0usize;
     let mut substitutions = 0usize;
@@ -563,9 +551,7 @@ fn run_recovering<K: SolverKernel, B: CommBackend>(
                 cursor: record.cursor.clone(),
             });
         }
-        if membership.is_some() {
-            membership = Some(epoch.manifest.membership.clone());
-        }
+        membership = epoch.manifest.membership.clone();
         restarts = epoch.manifest.restarts;
         substitutions = epoch.manifest.substitutions;
         attempt_index = epoch.manifest.attempt_index as usize;
@@ -573,22 +559,20 @@ fn run_recovering<K: SolverKernel, B: CommBackend>(
     });
     let start_attempt = attempt_index;
     let outcome = 'attempts: loop {
-        // The wire epoch is 8 bits wide; make the ceiling explicit
-        // instead of letting a cast wrap tags back onto attempt 0's and
-        // silently re-drawing its fault decisions. 256 attempts means a
-        // restart budget or a spare pool far beyond what the u8 wire-epoch
-        // scheme supports.
+        // A checkpoint manifest records the attempt in one byte
+        // (`EpochManifest::attempt_index`); make that ceiling explicit
+        // instead of letting a cast wrap a resumed run back onto attempt 0's
+        // fault decisions. 256 attempts means a restart budget or a spare
+        // pool far beyond anything a run needs.
         let epoch = u8::try_from(attempt_index).unwrap_or_else(|_| {
             panic!(
-                "recovery exceeded {} attempts: the 8-bit wire-epoch space is exhausted \
-                 (restart budget and spare pool must stay below that combined)",
+                "recovery exceeded {} attempts: a checkpoint manifest records the attempt \
+                 in one byte (restart budget and spare pool must stay below that combined)",
                 usize::from(u8::MAX) + 1
             )
         });
-        // The attempt's frozen membership: slot -> node. `None` outside
-        // membership mode, where slot == node throughout.
-        let assignment: Option<Vec<usize>> =
-            membership.as_ref().map(|view| view.assignment().to_vec());
+        // The attempt's frozen membership: slot -> node.
+        let assignment = membership.assignment().to_vec();
         // Nodes whose death was observed this attempt — the failure
         // detector's verdict registry, filled by the dying rank itself
         // (the backend is the runtime: it knows the node's communicator
@@ -598,23 +582,22 @@ fn run_recovering<K: SolverKernel, B: CommBackend>(
         // every rank observes it after the commit barrier and unwinds
         // together, so the "process" dies as a unit.
         let killed = AtomicBool::new(false);
-        let attempt = backend.run::<SharedTile, RankRun, _>(ranks, |ctx| {
-            let slot = ctx.rank();
-            let node = assignment.as_ref().map_or(slot, |a| a[slot]);
-            if assignment.is_some() {
-                // Node-keyed faults (rank death) must follow the node:
-                // a spare adopting this slot must not inherit a death
-                // aimed at its predecessor.
-                if let Some(harness) = &mut ctx.instruments().harness {
-                    harness.set_node(node);
-                }
+        let attempt = backend.run::<SharedTile, RankRun, _>(ranks, |comm| {
+            let slot = comm.rank();
+            let node = assignment[slot];
+            if let Some(harness) = &mut comm.instruments().harness {
+                // Node-keyed faults (rank death) must follow the node: a
+                // spare adopting this slot must not inherit a death aimed
+                // at its predecessor. Message faults draw afresh per
+                // attempt.
+                harness.set_node(node);
+                harness.set_attempt(attempt_index as u64);
             }
-            let mut comm = ReliableComm::new(ctx, epoch);
             // Telemetry streams are keyed by *node*: a promoted spare
             // writes its own stream, leaving the dead node's record of
             // its final attempt intact for post-mortems.
             comm.instruments().telemetry = job.telemetry.map(|t| t.sink(node));
-            let (mut worker, mut state) = kernel.init(&mut comm);
+            let (mut worker, mut state) = kernel.init(comm);
             let (mut costs, start) = {
                 let mut saved = slots[slot].lock().expect("checkpoint slot poisoned");
                 match saved.as_mut() {
@@ -640,7 +623,7 @@ fn run_recovering<K: SolverKernel, B: CommBackend>(
             }
             let result = run_rank(
                 kernel,
-                &mut comm,
+                comm,
                 &mut worker,
                 &mut state,
                 &mut costs,
@@ -660,9 +643,7 @@ fn run_recovering<K: SolverKernel, B: CommBackend>(
                     // The consistency barrier: no rank can proceed past
                     // this iteration until every rank has completed it,
                     // so every stored checkpoint always refers to the
-                    // same iteration. It doubles as the quiesce point
-                    // after which any of this rank's sends a peer still
-                    // needs have been delivered.
+                    // same iteration.
                     comm.barrier()?;
                     if slot == 0 {
                         if let Some(telemetry) = job.telemetry {
@@ -705,9 +686,7 @@ fn run_recovering<K: SolverKernel, B: CommBackend>(
                                 attempt_index: epoch,
                                 restarts,
                                 substitutions,
-                                membership: membership
-                                    .clone()
-                                    .unwrap_or_else(|| MembershipView::new(ranks, 0)),
+                                membership: membership.clone(),
                                 spec: hook.spec.to_vec(),
                             };
                             let crash = hook
@@ -748,18 +727,15 @@ fn run_recovering<K: SolverKernel, B: CommBackend>(
                 Ok(()) => Ok(RankRun {
                     core: worker.core_volume(),
                     costs,
-                    stats: comm.stats(),
                 }),
                 Err(error) => {
-                    if assignment.is_some() {
-                        if let CommError::RankDead { .. } = error {
-                            // The dying rank registers the verdict for
-                            // the engine's substitution step.
-                            dead_nodes
-                                .lock()
-                                .expect("death registry poisoned")
-                                .push(node);
-                        }
+                    if let CommError::RankDead { .. } = error {
+                        // The dying rank registers the verdict for the
+                        // engine's substitution step.
+                        dead_nodes
+                            .lock()
+                            .expect("death registry poisoned")
+                            .push(node);
                     }
                     Err(error)
                 }
@@ -767,9 +743,6 @@ fn run_recovering<K: SolverKernel, B: CommBackend>(
         });
         let failure = match attempt {
             Ok(outcomes) => {
-                let reliable = outcomes.iter().fold(ReliableStats::default(), |acc, o| {
-                    acc.merge(&o.result.stats)
-                });
                 break Ok(assemble(
                     outcomes,
                     kernel.grid().clone(),
@@ -777,8 +750,8 @@ fn run_recovering<K: SolverKernel, B: CommBackend>(
                     RecoveryReport {
                         iteration_restarts: restarts,
                         substitutions,
-                        membership_epoch: membership.as_ref().map_or(0, MembershipView::epoch),
-                        reliable,
+                        membership_epoch: membership.epoch(),
+                        reliable: RetransmitCount::default(),
                     },
                 ));
             }
@@ -829,15 +802,12 @@ fn run_recovering<K: SolverKernel, B: CommBackend>(
             // The failure-detector verdict names dead nodes: promote one
             // spare per death. The restart budget is untouched —
             // substitutions are bounded by the pool.
-            let view = membership
-                .as_mut()
-                .expect("deaths are only registered in membership mode");
             for node in deaths {
                 // Under an external arbiter, every promotion must first be
                 // granted a node from the shared pool; a refusal is pool
                 // exhaustion.
                 let promoted = if job.spare_grant.is_none_or(|grant| grant(node)) {
-                    view.substitute(node)
+                    membership.substitute(node)
                 } else {
                     Err(MembershipError::SparesExhausted { dead_node: node })
                 };

@@ -278,9 +278,9 @@ impl PassPlan {
 ///
 /// Generic over the communication backend: any [`RankComm`] carrying the
 /// flat `re, im`-interleaved wire format works. Payloads travel as
-/// [`SharedTile`]s, so the fault-injection and reliable-delivery layers
-/// duplicate/buffer them by aliasing an `Arc` instead of deep-copying
-/// tile-sized buffers — and every payload buffer comes out of the rank's
+/// [`SharedTile`]s, so the transport and the fault-injection layer buffer
+/// them by aliasing an `Arc` instead of deep-copying tile-sized buffers —
+/// and every payload buffer comes out of the rank's
 /// [`TilePayloadPool`], so the steady-state send path allocates nothing.
 pub fn run_planned_passes<C: RankComm<SharedTile>>(
     ctx: &mut C,

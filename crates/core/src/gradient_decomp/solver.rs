@@ -126,9 +126,8 @@ impl<'a> GradientDecompositionSolver<'a> {
 
     /// Runs the reconstruction on `backend`, one rank per tile, under
     /// `policy`: [`RecoveryPolicy::FailFast`] surfaces the first
-    /// communication failure, the recovering policies heal lost messages by
-    /// acknowledge/retransmit and roll surviving failures back to the last
-    /// completed iteration. The [`JobContext`] adds cooperative
+    /// communication failure, [`RecoveryPolicy::Recover`] rolls a failed
+    /// attempt back to the last completed iteration and re-runs it. The [`JobContext`] adds cooperative
     /// cancellation, per-iteration progress streaming, telemetry, durable
     /// checkpoints and an externally owned spare pool;
     /// `JobContext::default()` adds none.
@@ -464,8 +463,8 @@ mod tests {
 
     #[test]
     fn recovery_mode_matches_fail_fast_on_a_clean_run() {
-        // The reliable layer and the per-iteration checkpoints must not
-        // change the numerics: a fault-free recovery-mode run is
+        // The per-iteration barriers and checkpoints must not change the
+        // numerics: a fault-free recovery-mode run is
         // bit-identical to the fail-fast run.
         let dataset = tiny_dataset();
         let solver = GradientDecompositionSolver::new(&dataset, quick_config(2), (2, 2));
@@ -476,7 +475,8 @@ mod tests {
         let recovered = solver
             .run_job(
                 &backend,
-                RecoveryPolicy::RetransmitThenRestart {
+                RecoveryPolicy::Recover {
+                    spares: 0,
                     max_iteration_restarts: 2,
                 },
                 &JobContext::default(),

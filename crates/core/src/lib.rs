@@ -77,7 +77,7 @@ pub use durability::{
 };
 pub use engine::{
     DurabilityHook, IterationProgress, JobContext, ReconstructionResult, RecoveryPolicy,
-    RecoveryReport,
+    RecoveryReport, RetransmitCount,
 };
 pub use gradient_decomp::solver::GradientDecompositionSolver;
 pub use halo_exchange::solver::HaloVoxelExchangeSolver;

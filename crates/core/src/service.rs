@@ -100,8 +100,8 @@ pub struct JobSpec {
     pub method: SolverMethod,
     /// Admission priority: higher is served earlier; ties break FIFO.
     pub priority: i32,
-    /// The engine recovery policy. Under [`RecoveryPolicy::SubstituteSpare`]
-    /// the policy's own `spares` count is ignored — replacements come from
+    /// The engine recovery policy. Under [`RecoveryPolicy::Recover`] the
+    /// policy's own `spares` count is ignored — replacements come from
     /// the service's shared fleet pool instead.
     pub recovery: RecoveryPolicy,
     /// Optional fault injection wrapped around the job's backend
@@ -125,8 +125,8 @@ pub struct JobSpec {
 
 impl JobSpec {
     /// A Gradient Decomposition job on the lockstep backend at priority 0,
-    /// with retransmit + checkpoint-restart + shared-pool substitution
-    /// enabled (the service default).
+    /// with checkpoint restart and shared-pool substitution enabled (the
+    /// service default).
     pub fn new(dataset: Dataset, config: SolverConfig, grid: (usize, usize)) -> Self {
         Self {
             dataset,
@@ -134,7 +134,7 @@ impl JobSpec {
             grid,
             method: SolverMethod::GradientDecomposition,
             priority: 0,
-            recovery: RecoveryPolicy::SubstituteSpare {
+            recovery: RecoveryPolicy::Recover {
                 // Ignored in service runs: the shared fleet pool (via
                 // `JobContext::spare_grant`) bounds substitutions instead.
                 spares: 0,
@@ -573,8 +573,8 @@ impl JobEngine {
     }
 
     /// A point-in-time metrics registry, counted from the job records: job
-    /// lifecycle counters, the recovery work (restarts, substitutions,
-    /// reliable-layer counters) of every completed job's
+    /// lifecycle counters, the recovery work (restarts, substitutions) of
+    /// every completed job's
     /// [`RecoveryReport`] and flight-recorder losses, plus the rejection
     /// count, the queue-depth histogram and the fleet gauges. Render with
     /// [`MetricsRegistry::prometheus_text`].
@@ -597,14 +597,12 @@ impl JobEngine {
         // every recovery counter at zero.
         let completed = state.jobs.values().filter_map(|r| r.result.as_ref());
         for r in std::iter::once(RecoveryReport::default()).chain(completed.map(|r| r.recovery)) {
-            let (restarts, comm) = (r.iteration_restarts as u64, r.reliable);
             for (name, value) in [
-                ("engine_iteration_restarts_total", restarts),
+                (
+                    "engine_iteration_restarts_total",
+                    r.iteration_restarts as u64,
+                ),
                 ("engine_substitutions_total", r.substitutions as u64),
-                ("comm_retransmits_total", comm.retransmits),
-                ("comm_recoveries_total", comm.recoveries),
-                ("comm_acks_sent_total", comm.acks_sent),
-                ("comm_duplicates_reacked_total", comm.duplicates_reacked),
             ] {
                 registry.inc_counter(name, value);
             }
@@ -1194,12 +1192,11 @@ fn encode_spec(spec: &JobSpec) -> Vec<u8> {
         SolverMethod::HaloVoxelExchange => 1,
     });
     w.put_u64(spec.priority as i64 as u64);
+    // Tag 1 is retired: it named a recovering policy without spares,
+    // which `Recover { spares: 0, .. }` now is.
     let (tag, restarts, spares) = match spec.recovery {
         RecoveryPolicy::FailFast => (0, 0, 0),
-        RecoveryPolicy::RetransmitThenRestart {
-            max_iteration_restarts,
-        } => (1, max_iteration_restarts, 0),
-        RecoveryPolicy::SubstituteSpare {
+        RecoveryPolicy::Recover {
             spares,
             max_iteration_restarts,
         } => (2, max_iteration_restarts, spares),
@@ -1210,7 +1207,8 @@ fn encode_spec(spec: &JobSpec) -> Vec<u8> {
     w.put_opt(spec.fault_policy.as_ref(), |w, policy| {
         w.put_u64(policy.seed);
         w.put_f64(policy.drop_probability);
-        w.put_f64(policy.duplicate_probability);
+        // The retired message-duplication probability keeps its position.
+        w.put_f64(0.0);
         w.put_f64(policy.delay_probability);
         w.put_opt(policy.only_tag, ByteWriter::put_u64);
         w.put_opt(policy.drop_exact, |w, (from, to, tag, seq)| {
@@ -1296,20 +1294,27 @@ fn decode_spec(bytes: &[u8], path: &Path) -> Result<impl FnOnce() -> JobSpec, Du
     let priority = r.get_u64()? as i64 as i32;
     let recovery = match (r.get_u8()?, r.get_u64()? as usize, r.get_u64()? as usize) {
         (0, _, _) => RecoveryPolicy::FailFast,
-        (1, max_iteration_restarts, _) => RecoveryPolicy::RetransmitThenRestart {
+        (1, max_iteration_restarts, _) => RecoveryPolicy::Recover {
+            spares: 0,
             max_iteration_restarts,
         },
-        (2, max_iteration_restarts, spares) => RecoveryPolicy::SubstituteSpare {
+        (2, max_iteration_restarts, spares) => RecoveryPolicy::Recover {
             spares,
             max_iteration_restarts,
         },
         (tag, _, _) => return Err(corrupt(format!("unknown recovery-policy tag {tag}"))),
     };
     let fault_policy = r.get_opt(|r| {
+        let seed = r.get_u64()?;
+        let drop_probability = r.get_f64()?;
+        if r.get_f64()? != 0.0 {
+            return Err(corrupt(
+                "the spec sets message duplication, which is no longer supported".to_string(),
+            ));
+        }
         Ok(FaultPolicy {
-            seed: r.get_u64()?,
-            drop_probability: r.get_f64()?,
-            duplicate_probability: r.get_f64()?,
+            seed,
+            drop_probability,
             delay_probability: r.get_f64()?,
             only_tag: r.get_opt(ByteReader::get_u64)?,
             drop_exact: r.get_opt(|r| {
@@ -1408,6 +1413,10 @@ mod tests {
     /// Where the retired probe-support and detector-ROI settings sat.
     const RETIRED_TAGS: [(usize, &str); 2] =
         [(124, "probe-support pruning"), (125, "detector ROI")];
+    /// Where the retired message-duplication probability sits (an `f64`).
+    const RETIRED_DUPLICATE_AT: usize = 185;
+    /// Where the recovery-policy tag sits.
+    const RECOVERY_TAG_AT: usize = 151;
     const FULL_SPEC_LEN: usize = 279;
     /// Where the checkpointed scan length sits (a little-endian `u64`).
     const SCAN_LEN_AT: usize = 66;
@@ -1434,10 +1443,7 @@ mod tests {
             drop_exact: Some((0, 1, 7, 3)),
             kill: Some((1, 5)),
             process_kill: Some((2, phase)),
-            ..FaultPolicy::reliable(11)
-                .drop(0.125)
-                .duplicate(0.25)
-                .delay(0.0625)
+            ..FaultPolicy::reliable(11).drop(0.125).delay(0.0625)
         }
     }
 
@@ -1497,10 +1503,11 @@ mod tests {
         }
         for recovery in [
             RecoveryPolicy::FailFast,
-            RecoveryPolicy::RetransmitThenRestart {
+            RecoveryPolicy::Recover {
+                spares: 0,
                 max_iteration_restarts: 4,
             },
-            RecoveryPolicy::SubstituteSpare {
+            RecoveryPolicy::Recover {
                 spares: 2,
                 max_iteration_restarts: 1,
             },
@@ -1536,13 +1543,37 @@ mod tests {
         for (offset, name) in RETIRED_TAGS {
             assert_eq!(bytes[offset], 0, "retired {name} tag at {offset}");
         }
+        let duplicate = RETIRED_DUPLICATE_AT..RETIRED_DUPLICATE_AT + 8;
+        assert_eq!(bytes[duplicate], 0.0f64.to_le_bytes());
+        assert_eq!(bytes[RECOVERY_TAG_AT], 2, "recovery-policy tag");
+    }
+
+    /// Tag 1 once named a recovering policy without spares; it decodes as
+    /// the one recovering policy with none.
+    #[test]
+    fn the_retired_recovery_tag_decodes_as_recover_without_spares() {
+        let mut bytes = encode_spec(&full_spec());
+        bytes[RECOVERY_TAG_AT] = 1;
+        assert_eq!(
+            decode(&bytes).expect("tag 1 decodes").recovery,
+            RecoveryPolicy::Recover {
+                spares: 0,
+                max_iteration_restarts: 2,
+            }
+        );
     }
 
     /// The FNV-1a golden of the whole version-1 encoding of [`full_spec`]:
-    /// every value, not only the layout's length and tag offsets.
+    /// every value, not only the layout's length and tag offsets. The
+    /// encoding from before message duplication was retired differs only in
+    /// the retired position, which held the policy's 0.25.
     #[test]
     fn the_full_spec_encodes_to_its_recorded_bytes() {
-        let bytes = encode_spec(&full_spec());
+        let mut bytes = encode_spec(&full_spec());
+        let actual = crate::durability::fnv1a64(&bytes);
+        assert_eq!(actual, 0x6256_6171_d011_b4b7, "new hash {actual:#018x}");
+        bytes[RETIRED_DUPLICATE_AT..RETIRED_DUPLICATE_AT + 8]
+            .copy_from_slice(&0.25f64.to_le_bytes());
         assert_eq!(crate::durability::fnv1a64(&bytes), 0x9d3f_74bd_887e_b6fa);
     }
 
@@ -1571,6 +1602,11 @@ mod tests {
             let detail = corrupt_detail(&damaged);
             assert!(detail.contains(name), "{detail:?} should name {name}");
         }
+        let mut damaged = bytes.clone();
+        damaged[RETIRED_DUPLICATE_AT..RETIRED_DUPLICATE_AT + 8]
+            .copy_from_slice(&0.25f64.to_le_bytes());
+        let detail = corrupt_detail(&damaged);
+        assert!(detail.contains("duplication"), "{detail:?}");
     }
 
     #[test]

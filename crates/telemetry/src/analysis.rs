@@ -1,5 +1,5 @@
 //! Causal trace analysis: span graphs, critical-path attribution, straggler
-//! detection, anomaly scanning, and trace diffing.
+//! detection, and trace diffing.
 //!
 //! Everything in this module is a pure function of the parsed
 //! [`TelemetryRecord`] list, and every collection is built in canonical
@@ -9,15 +9,13 @@
 //! # Span pairing
 //!
 //! Message spans pair `comm_send` records with the `comm_recv` records they
-//! caused. The pairing key is `(tag, corr)`: the wire tag (which, under the
-//! reliable layer, already encodes the stream's epoch and sequence number)
-//! plus the correlation id the sending backend stamped into the envelope.
-//! The correlation id carries the sender's slot in its high 32 bits and a
-//! per-sender transport-send counter in the low 32, so a key identifies one
-//! logical transport send globally. Fault-injected duplicates deliver the
-//! same envelope twice: both receives carry the same key and both pair to
-//! the one send (FIFO ordinal matching, clamped to the last send of the
-//! key).
+//! caused. The pairing key is `(tag, corr)`: the tag plus the correlation
+//! id the sending backend stamped into the envelope. The correlation id
+//! carries the sender's slot in its high 32 bits and a per-sender
+//! transport-send counter in the low 32, so a key identifies one transport
+//! send globally. A receive recorded twice under one key (a hand-edited or
+//! concatenated trace) pairs to the same send again (FIFO ordinal matching,
+//! clamped to the last send of the key) instead of being dropped.
 //!
 //! # Attribution
 //!
@@ -25,8 +23,7 @@
 //! classifying every inter-record `sim_ns` delta by the kind of the record
 //! that *closes* it: an `iteration_end` delta is split into its modeled
 //! compute jump (the cumulative `compute_ns` difference) plus an analytic
-//! communication remainder; `comm_retransmit` deltas are recovery overhead;
-//! membership/restore events (`spare_promoted`, `checkpoint_restored`,
+//! communication remainder; membership/restore events (`spare_promoted`, `checkpoint_restored`,
 //! `rank_dead`) are healing; every other delta is communication. The
 //! residual between a rank's last stamp and the job's end-to-end time (the
 //! maximum over ranks) is barrier wait. Segments are integer nanoseconds
@@ -59,7 +56,8 @@ pub struct MessageSpan {
     pub recv: Option<(u64, u64)>,
     /// Simulated time of the first paired receive.
     pub recv_sim_ns: Option<u64>,
-    /// How many receives paired to this send (>1 under duplicate faults).
+    /// How many receives paired to this send (>1 only when a trace records
+    /// one delivery twice).
     pub deliveries: u64,
 }
 
@@ -123,8 +121,8 @@ pub struct SpanGraph {
     pub message_spans: Vec<MessageSpan>,
     /// Iteration spans in `(rank, seq-of-begin)` order.
     pub iteration_spans: Vec<IterationSpan>,
-    /// Send→recv happens-before edges, one per paired receive (duplicates
-    /// included), in receive `(rank, seq)` order.
+    /// Send→recv happens-before edges, one per paired receive, in receive
+    /// `(rank, seq)` order.
     pub happens_before: Vec<CausalEdge>,
     /// Barrier groups in iteration order.
     pub barriers: Vec<BarrierGroup>,
@@ -262,10 +260,8 @@ pub struct RankAttribution {
     pub rank: u64,
     /// Modeled compute nanoseconds.
     pub compute_ns: u64,
-    /// Analytic communication nanoseconds (sends, acks, halo traffic).
+    /// Analytic communication nanoseconds (sends, halo traffic).
     pub comm_ns: u64,
-    /// Time closed by retransmit records: recovery overhead.
-    pub retransmit_ns: u64,
     /// Time closed by membership/restore records: healing overhead.
     pub heal_ns: u64,
     /// Residual idle time waiting for the job's busiest rank.
@@ -275,7 +271,7 @@ pub struct RankAttribution {
 impl RankAttribution {
     /// The segments' sum — always exactly the job's end-to-end time.
     pub fn total_ns(&self) -> u64 {
-        self.compute_ns + self.comm_ns + self.retransmit_ns + self.heal_ns + self.barrier_wait_ns
+        self.compute_ns + self.comm_ns + self.heal_ns + self.barrier_wait_ns
     }
 }
 
@@ -324,7 +320,6 @@ pub fn critical_path(records: &[TelemetryRecord], job: u64) -> CriticalPath {
                     row.compute_ns += compute_delta;
                     row.comm_ns += delta - compute_delta;
                 }
-                TelemetryEvent::CommRetransmit { .. } => row.retransmit_ns += delta,
                 TelemetryEvent::SparePromoted { .. }
                 | TelemetryEvent::CheckpointRestored { .. }
                 | TelemetryEvent::RankDead { .. } => row.heal_ns += delta,
@@ -427,38 +422,6 @@ pub fn straggler_report(path: &CriticalPath, z_threshold: f64) -> StragglerRepor
                 wait_share: share,
                 z_score: z,
             })
-            .collect(),
-    }
-}
-
-/// Minimum retransmit count on one rank that [`anomaly_scan`] calls a burst.
-const RETRANSMIT_BURST: u64 = 3;
-
-/// What the anomaly scan found for one job.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct AnomalyScan {
-    /// The job scanned.
-    pub job: u64,
-    /// `(rank, retransmit_count)` for ranks at or above the burst
-    /// threshold, in rank order.
-    pub retransmit_bursts: Vec<(u64, u64)>,
-}
-
-/// Scans `job` for retransmit bursts.
-/// (Records lost to ring overflow are counted by the trace reader, in
-/// [`StreamSummary::lost`](crate::StreamSummary::lost).)
-pub fn anomaly_scan(records: &[TelemetryRecord], job: u64) -> AnomalyScan {
-    let mut retransmits: BTreeMap<u64, u64> = BTreeMap::new();
-    for record in records.iter().filter(|r| r.job == job) {
-        if let TelemetryEvent::CommRetransmit { .. } = record.event {
-            *retransmits.entry(record.rank).or_insert(0) += 1;
-        }
-    }
-    AnomalyScan {
-        job,
-        retransmit_bursts: retransmits
-            .into_iter()
-            .filter(|&(_, n)| n >= RETRANSMIT_BURST)
             .collect(),
     }
 }
@@ -664,7 +627,7 @@ mod tests {
         let records = vec![
             send(0, 0, 10, 1, 0x7, 0),
             recv(1, 0, 0, 0, 0x7, 0),
-            recv(1, 1, 0, 0, 0x7, 0), // fault-injected duplicate
+            recv(1, 1, 0, 0, 0x7, 0), // the same delivery recorded twice
         ];
         let graph = span_graph(&records, 0);
         assert_eq!(graph.message_spans.len(), 1);
@@ -688,14 +651,14 @@ mod tests {
     #[test]
     fn attribution_sums_exactly_to_end_to_end_time() {
         let records = vec![
-            // Rank 0: send at 100 (comm), retransmit closing at 150,
+            // Rank 0: send at 100 (comm), drop closing at 150 (comm),
             // iteration end at 400 with 200 compute.
             send(0, 0, 100, 1, 0x7, 0),
             record(
                 0,
                 1,
                 150,
-                TelemetryEvent::CommRetransmit {
+                TelemetryEvent::CommDrop {
                     to: 1,
                     tag: 0x7,
                     bytes: 64,
@@ -718,8 +681,7 @@ mod tests {
             );
         }
         let r0 = &path.ranks[0];
-        assert_eq!(r0.comm_ns, 100 + 50);
-        assert_eq!(r0.retransmit_ns, 50);
+        assert_eq!(r0.comm_ns, 100 + 50 + 50);
         assert_eq!(r0.compute_ns, 200);
         assert_eq!(r0.barrier_wait_ns, 0);
         let r1 = &path.ranks[1];
@@ -779,26 +741,6 @@ mod tests {
             ..path
         };
         assert!(straggler_report(&uniform, 1.0).stragglers.is_empty());
-    }
-
-    #[test]
-    fn anomaly_scan_finds_bursts_clusters_and_gaps() {
-        let mut records = Vec::new();
-        for seq in 0..3 {
-            records.push(record(
-                0,
-                seq,
-                10 * (seq + 1),
-                TelemetryEvent::CommRetransmit {
-                    to: 1,
-                    tag: 0x7,
-                    bytes: 64,
-                },
-            ));
-        }
-        let scan = anomaly_scan(&records, 0);
-        assert_eq!(scan.retransmit_bursts, vec![(0, 3)]);
-        assert_eq!(anomaly_scan(&[], 0), AnomalyScan::default());
     }
 
     #[test]

@@ -83,16 +83,15 @@ telemetry_events! {
     CommSend = "comm_send" {
         /// Destination slot.
         to: u64 as "to",
-        /// Message tag as passed to the transport (wire tag under
-        /// `ReliableComm`).
+        /// Message tag as passed to the transport.
         tag: u64 as "tag",
         /// Payload size in bytes.
         bytes: u64 as "bytes",
         /// Span correlation id stamped by the sending backend: the sender's
         /// slot in the high 32 bits, a per-sender transport-send counter in
-        /// the low 32. Every copy of one logical send (fault duplicates,
-        /// delayed deliveries) shares the id, so the analysis layer can pair
-        /// sends with receives even when `(peer, tag)` alone is ambiguous.
+        /// the low 32. A delayed delivery keeps its send's id, so the
+        /// analysis layer can pair sends with receives even when
+        /// `(peer, tag)` alone is ambiguous.
         corr: u64 as "corr",
     }
     /// A rank's blocking or polling receive returned a message.
@@ -106,23 +105,6 @@ telemetry_events! {
         /// Correlation id of the send that produced this message (see the
         /// `corr` field of [`TelemetryEvent::CommSend`]).
         corr: u64 as "corr",
-    }
-    /// The reliable layer re-sent an unacknowledged message.
-    CommRetransmit = "comm_retransmit" {
-        /// Destination slot.
-        to: u64 as "to",
-        /// Application-level (base) tag of the retransmitted message.
-        tag: u64 as "tag",
-        /// Payload size in bytes.
-        bytes: u64 as "bytes",
-    }
-    /// The reliable layer acknowledged a received message (including
-    /// re-acknowledged duplicates).
-    CommAck = "comm_ack" {
-        /// The peer being acknowledged.
-        peer: u64 as "peer",
-        /// Application-level (base) tag of the acknowledged message.
-        tag: u64 as "tag",
     }
     /// The fault harness dropped an outgoing message.
     CommDrop = "comm_drop" {

@@ -263,12 +263,6 @@ mod tests {
                 bytes: 8,
                 corr: (2 << 32) | 5,
             },
-            CommRetransmit {
-                to: 0,
-                tag: 7,
-                bytes: 64,
-            },
-            CommAck { peer: 1, tag: 7 },
             CommDrop {
                 to: 1,
                 tag: 7,
@@ -321,7 +315,7 @@ mod tests {
             },
         ];
         let kinds: std::collections::BTreeSet<_> = events.iter().map(|e| e.kind()).collect();
-        assert_eq!(kinds.len(), 17, "one event of every kind");
+        assert_eq!(kinds.len(), 15, "one event of every kind");
         events
             .into_iter()
             .map(|event| TelemetryRecord {
@@ -366,18 +360,19 @@ mod tests {
                 dropped += 1;
             }
         }
-        // Every field of the 18 events (two `iteration_end`s) was dropped.
-        assert_eq!(dropped, 46);
+        // Every field of the 16 events (two `iteration_end`s) was dropped.
+        assert_eq!(dropped, 41);
     }
 
     #[test]
     fn full_range_integers_round_trip_exactly() {
-        // Ack tags set bit 63, and a tag is any `u64`: both lie far above
-        // f64's 2^53 exact-integer range.
+        // A tag is any `u64`, far above f64's 2^53 exact-integer range.
         for event in [
-            TelemetryEvent::CommAck {
-                peer: 1,
+            TelemetryEvent::CommRecv {
+                from: 1,
                 tag: (1 << 63) | 17,
+                bytes: 8,
+                corr: 0,
             },
             TelemetryEvent::CommSend {
                 to: 2,
@@ -405,24 +400,24 @@ mod tests {
 
     #[test]
     fn malformed_integers_are_rejected_naming_the_field() {
-        // A `comm_ack` line whose field `bad` holds `token`.
+        // A `spare_promoted` line whose field `bad` holds `token`.
         let line = |bad: &str, token: &str| {
             let num = |field: &str, value: &str| {
                 format!("\"{field}\":{}", if field == bad { token } else { value })
             };
             format!(
-                "{{{},{},{},{},\"kind\":\"comm_ack\",{},{}}}",
+                "{{{},{},{},{},\"kind\":\"spare_promoted\",{},{}}}",
                 num("rank", "0"),
                 num("seq", "1"),
                 num("sim_ns", "2"),
                 num("job", "3"),
-                num("peer", "4"),
-                num("tag", "5")
+                num("slot", "4"),
+                num("node", "5")
             )
         };
         assert!(parse_record(&line("", "")).is_ok());
         for token in ["-3", "2.9", "NaN", "inf", "1e3", "18446744073709551616"] {
-            for field in ["rank", "seq", "sim_ns", "job", "peer", "tag"] {
+            for field in ["rank", "seq", "sim_ns", "job", "slot", "node"] {
                 assert_eq!(
                     parse_record(&line(field, token)),
                     Err(ParseError::InvalidNumber {

@@ -12,7 +12,7 @@
 //!
 //! 1. [`TelemetryEvent`]/[`TelemetryRecord`] ([`event`]): the structured
 //!    event model, a fixed-size `Copy` enum covering comms (send, recv,
-//!    retransmit, ack, drop), barriers, iterations, checkpoints, membership
+//!    drop), barriers, iterations, checkpoints, membership
 //!    (death, spare promotion) and job lifecycle. One table in [`event`]
 //!    declares every kind; the enum, its JSONL field writer and its field
 //!    reader are all generated from it.
@@ -32,8 +32,8 @@
 //!    lost records, per-rank digests) behind the `trace_dump` binary.
 //! 5. [`analysis`]: causal trace analysis — span graphs paired from
 //!    send/recv correlation ids, exact critical-path attribution
-//!    (compute / comm / barrier-wait / retransmit / heal per rank),
-//!    straggler z-scoring, anomaly scanning, and structural trace diffing
+//!    (compute / comm / barrier-wait / heal per rank), straggler
+//!    z-scoring, and structural trace diffing
 //!    for resumed-vs-clean comparisons.
 //!
 //! # Quick start
@@ -62,8 +62,8 @@ pub mod recorder;
 pub mod trace;
 
 pub use analysis::{
-    anomaly_scan, critical_path, diff_jobs, span_graph, straggler_report, AnomalyScan,
-    CriticalPath, RankAttribution, SpanGraph, StragglerReport, TraceDiff,
+    critical_path, diff_jobs, span_graph, straggler_report, CriticalPath, RankAttribution,
+    SpanGraph, StragglerReport, TraceDiff,
 };
 pub use event::{TelemetryEvent, TelemetryRecord};
 pub use json::ParseError;

@@ -2,8 +2,8 @@
 //! histograms, rendered as Prometheus-style text.
 //!
 //! The registry is deliberately not on any steady-state path: producers keep
-//! their own plain counters (e.g. `ReliableStats`, the job service's
-//! bookkeeping) and a snapshot call assembles a registry on demand. `BTreeMap`
+//! their own plain counters (e.g. the job service's bookkeeping) and a
+//! snapshot call assembles a registry on demand. `BTreeMap`
 //! storage makes every snapshot deterministically ordered.
 
 use std::collections::BTreeMap;

@@ -14,7 +14,7 @@ use ptycho_telemetry::{TelemetryEvent, TelemetryRecord, TraceSummary};
 use std::collections::BTreeSet;
 
 /// Event kinds [`event`] builds, in declaration order.
-const KINDS: usize = 17;
+const KINDS: usize = 15;
 
 /// Event kind `kind` (`0..KINDS`) with its fields taken from `f`; an
 /// `iteration_end` cost is `f64::from_bits(f[0])`, so NaN, infinities and
@@ -34,52 +34,46 @@ fn event(kind: usize, [a, b, c, d]: [u64; 4]) -> TelemetryEvent {
             bytes: c,
             corr: d,
         },
-        2 => CommRetransmit {
+        2 => CommDrop {
             to: a,
             tag: b,
             bytes: c,
         },
-        3 => CommAck { peer: a, tag: b },
-        4 => CommDrop {
-            to: a,
-            tag: b,
-            bytes: c,
-        },
-        5 => BarrierWait { iteration: a },
-        6 => IterationBegin {
+        3 => BarrierWait { iteration: a },
+        4 => IterationBegin {
             iteration: a,
             attempt: b,
         },
-        7 => IterationEnd {
+        5 => IterationEnd {
             iteration: b,
             attempt: c,
             cost: f64::from_bits(a),
             compute_ns: d,
             comm_ns: a ^ d,
         },
-        8 => Checkpoint { iteration: a },
-        9 => RankDead { node: a },
-        10 => SparePromoted { slot: a, node: b },
-        11 => JobSubmitted {
+        6 => Checkpoint { iteration: a },
+        7 => RankDead { node: a },
+        8 => SparePromoted { slot: a, node: b },
+        9 => JobSubmitted {
             job: a,
             priority: b as i64,
             slots: c,
         },
-        12 => JobAdmitted {
+        10 => JobAdmitted {
             job: a,
             queue_depth: b,
         },
-        13 => JobCancelled { job: a },
-        14 => JobCompleted {
+        11 => JobCancelled { job: a },
+        12 => JobCompleted {
             job: a,
             iterations: b,
         },
-        15 => CheckpointPersisted {
+        13 => CheckpointPersisted {
             iteration: a,
             seq: b,
             bytes: c,
         },
-        16 => CheckpointRestored {
+        14 => CheckpointRestored {
             iteration: a,
             seq: b,
         },

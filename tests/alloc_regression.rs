@@ -170,9 +170,9 @@ fn steady_state_iterations_are_allocation_free() {
         hve_run_allocations(&dataset, 6, (1, 1)),
     );
 
-    // The zero-copy payload pin: cloning a SharedTile — what the
-    // fault-injection duplicator and ReliableComm's retransmit outbox do to
-    // every in-flight message — must alias the Arc, not copy the buffer.
+    // The zero-copy payload pin: cloning a SharedTile — what the payload
+    // pool does to every message it retires — must alias the Arc, not copy
+    // the buffer.
     let tile = SharedTile::new(vec![0.5; 1 << 16]);
     let before = ALLOC.allocations();
     let copy = tile.clone();
@@ -182,17 +182,4 @@ fn steady_state_iterations_are_allocation_free() {
         "cloning a SharedTile must not allocate"
     );
     assert_eq!(copy.len(), 1 << 16);
-
-    // The ack pin: acknowledgements carry SharedTile::default(), which
-    // aliases one static empty buffer (first use initialises the static;
-    // that one-time cost is not the pin).
-    let _ = SharedTile::default();
-    let before = ALLOC.allocations();
-    let empty = SharedTile::default();
-    assert_eq!(
-        ALLOC.allocations(),
-        before,
-        "SharedTile::default must alias the static empty tile, not allocate"
-    );
-    assert!(empty.is_empty());
 }

@@ -87,16 +87,17 @@ pub fn threaded(timeout_ms: u64) -> Cluster {
     Cluster::new(ClusterTopology::summit()).with_recv_timeout(Duration::from_millis(timeout_ms))
 }
 
-/// Retransmit + checkpoint-restart recovery with the standard budget.
+/// Checkpoint-restart recovery with the standard budget and no spares.
 pub fn restart_policy() -> RecoveryPolicy {
-    RecoveryPolicy::RetransmitThenRestart {
+    RecoveryPolicy::Recover {
+        spares: 0,
         max_iteration_restarts: 2,
     }
 }
 
 /// Spare-substitution recovery with a pool of `spares` standby nodes.
 pub fn substitute_policy(spares: usize) -> RecoveryPolicy {
-    RecoveryPolicy::SubstituteSpare {
+    RecoveryPolicy::Recover {
         spares,
         max_iteration_restarts: 1,
     }
@@ -104,7 +105,7 @@ pub fn substitute_policy(spares: usize) -> RecoveryPolicy {
 
 /// Asserts two reconstructions match **bit for bit**: every voxel of the
 /// stitched volume and every entry of the cost history. This is the
-/// recovery contract — a healed run (retransmit, checkpoint restart, spare
+/// recovery contract — a healed run (checkpoint restart, spare
 /// substitution) must be indistinguishable from a fault-free one.
 pub fn assert_bit_identical(a: &ReconstructionResult, b: &ReconstructionResult) {
     assert_eq!(a.volume.shape(), b.volume.shape());

@@ -8,9 +8,9 @@
 //! 1. **Deterministic span graphs** — two identical seeded runs produce
 //!    byte-identical span graphs (the `Debug` rendering is compared as
 //!    bytes), on the lockstep backend under seeded drop faults and on the
-//!    free-running threaded backend under duplicate/delay faults.
-//! 2. **Exact attribution** — for every rank, the five attribution segments
-//!    (compute, comm, retransmit, heal, barrier wait) sum *exactly* to the
+//!    free-running threaded backend under delay faults.
+//! 2. **Exact attribution** — for every rank, the four attribution segments
+//!    (compute, comm, heal, barrier wait) sum *exactly* to the
 //!    job's end-to-end simulated time. No rounding, no residue.
 //! 3. **Straggler detection** — a seeded delay-fault run skews one rank's
 //!    barrier-wait share far enough above the mean that the z-threshold
@@ -130,12 +130,12 @@ fn span_graph_is_byte_identical_across_seeded_lockstep_runs() {
 
 #[test]
 fn span_graph_is_byte_identical_across_seeded_threaded_runs() {
-    // Duplicate + delay faults only — both heal inline without wall-time
-    // dependent retransmission, so the threaded backend's free-running
-    // schedule cannot leak into the trace (same caveat as the telemetry
-    // byte-identity suite).
+    // Delay faults only — a delayed message is released when its sender
+    // next blocks, so nothing is lost, no wall-time dependent restart fires,
+    // and the threaded backend's free-running schedule cannot leak into the
+    // trace (same caveat as the telemetry byte-identity suite).
     let run = || {
-        let policy = FaultPolicy::reliable(11).duplicate(0.15).delay(0.1);
+        let policy = FaultPolicy::reliable(11).delay(0.1);
         let backend = FaultInjectionBackend::new(threaded(5_000), policy);
         traced_records(&backend, restart_policy())
     };
@@ -149,9 +149,9 @@ fn span_graph_is_byte_identical_across_seeded_threaded_runs() {
         "identical seeded threaded runs must build byte-identical span graphs"
     );
 
-    // Duplicates and delays heal inside the reliable layer before the
-    // receive is recorded, so the graph of the *observed* run is fully
-    // paired: every send span has its receive, nothing dangles.
+    // Every delayed message is released and received, so the graph of the
+    // observed run is fully paired: every send span has its receive,
+    // nothing dangles.
     let graph = analysis::span_graph(&records_a, 0);
     assert!(!graph.message_spans.is_empty());
     assert!(
@@ -182,26 +182,24 @@ fn critical_path_attribution_sums_exactly_on_a_real_trace() {
         assert_eq!(
             row.total_ns(),
             path.end_to_end_ns,
-            "rank {}: compute {} + comm {} + retransmit {} + heal {} + wait {} \
+            "rank {}: compute {} + comm {} + heal {} + wait {} \
              must sum exactly to the end-to-end simulated time",
             row.rank,
             row.compute_ns,
             row.comm_ns,
-            row.retransmit_ns,
             row.heal_ns,
             row.barrier_wait_ns
         );
         assert!(row.compute_ns > 0, "rank {} must do compute", row.rank);
     }
-    // The injected drop heals by retransmission. The re-send's wire time is
-    // charged when the frame goes out (its `comm_send` record), so the
-    // attribution books it under comm; the retransmission itself is still
-    // visible in the record stream.
+    // The injected drop heals by one restart: the re-run iterations'
+    // traffic is booked under comm like the first attempt's, and the
+    // restart itself is visible in the record stream.
     assert!(
         records
             .iter()
-            .any(|r| matches!(r.event, TelemetryEvent::CommRetransmit { .. })),
-        "the drop's retransmission must appear in the trace"
+            .any(|r| matches!(r.event, TelemetryEvent::IterationBegin { attempt: 1, .. })),
+        "the drop's restart must appear in the trace"
     );
     // The critical rank is the one with zero barrier wait.
     let critical = path
@@ -317,8 +315,8 @@ fn diff_localises_a_faulted_run_against_a_clean_one() {
         traced_records(&backend, restart_policy()).0
     };
     let diff = analysis::diff_jobs(&clean, 0, &faulted, 0);
-    // The reconstruction is bit-identical (the recovery contract), so every
-    // iteration span matches; the drop + retransmission shows up purely on
+    // The reconstruction is bit-identical (the recovery contract); the
+    // failed first attempt leaves its sends, the dropped one unpaired, on
     // the message-span side.
     assert!(
         diff.messages_only_in_a > 0 || diff.messages_only_in_b > 0,

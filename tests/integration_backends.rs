@@ -155,53 +155,36 @@ fn sends_to_an_already_failed_rank_do_not_panic_the_run() {
 #[test]
 fn delayed_messages_do_not_corrupt_the_solve() {
     // A delayed message is released before its sender next blocks, and the
-    // pass structure always posts a blocking receive between two sends on the
-    // same (from, to, tag) stream — so per-stream order survives and the
-    // reconstruction must equal the fault-free one.
+    // exchange structure always posts a blocking receive between two sends
+    // on the same (from, to, tag) stream — so per-stream order survives and
+    // the reconstruction must equal the fault-free one, on either solver and
+    // whether or not the run keeps checkpoints.
     let ds = small_problem();
-    let clean = gd_solver(&ds)
-        .run_job(
-            &lockstep(),
-            RecoveryPolicy::FailFast,
-            &JobContext::default(),
-        )
-        .expect("fault-free run completes");
-
-    let policy = FaultPolicy::reliable(77).delay(0.5);
-    let faulty = FaultInjectionBackend::new(lockstep(), policy);
-    let noisy = gd_solver(&ds)
-        .run_job(&faulty, RecoveryPolicy::FailFast, &JobContext::default())
-        .expect("delays must not break the solve");
-    assert!(faulty.fault_count() > 0, "delays must actually fire");
-    assert_bit_identical(&clean, &noisy);
-}
-
-#[test]
-fn duplicated_messages_are_ignored_by_single_round_traffic() {
-    // With one synchronisation round per stream, tag-matched receives consume
-    // exactly one copy per posted receive and spare duplicates rot harmlessly
-    // in the mailbox. (Across *multiple* rounds a duplicate is a real fault —
-    // a stale copy would match a later round's receive first — which is
-    // exactly the class of bug the fault layer exists to expose.)
-    let ds = small_problem();
-    let config = SolverConfig {
-        iterations: 1,
-        halo_px: 20,
-        ..SolverConfig::default()
-    };
-    let clean = GradientDecompositionSolver::new(&ds, config, (2, 2))
-        .run_job(
-            &lockstep(),
-            RecoveryPolicy::FailFast,
-            &JobContext::default(),
-        )
-        .expect("fault-free run completes");
-
-    let policy = FaultPolicy::reliable(77).duplicate(0.5);
-    let faulty = FaultInjectionBackend::new(lockstep(), policy);
-    let noisy = GradientDecompositionSolver::new(&ds, config, (2, 2))
-        .run_job(&faulty, RecoveryPolicy::FailFast, &JobContext::default())
-        .expect("spare duplicates must not break a single-round solve");
-    assert!(faulty.fault_count() > 0, "duplicates must actually fire");
-    assert_bit_identical(&clean, &noisy);
+    common::run_both_solvers!(&ds, |solver, label| {
+        let clean = solver
+            .run_job(
+                &lockstep(),
+                RecoveryPolicy::FailFast,
+                &JobContext::default(),
+            )
+            .expect("fault-free run completes");
+        for policy in [RecoveryPolicy::FailFast, common::restart_policy()] {
+            let faulty =
+                FaultInjectionBackend::new(lockstep(), FaultPolicy::reliable(77).delay(0.5));
+            let noisy = solver
+                .run_job(&faulty, policy, &JobContext::default())
+                .unwrap_or_else(|failure| {
+                    panic!("{label} {policy:?}: delays broke the solve: {failure}")
+                });
+            assert!(
+                faulty.fault_count() > 0,
+                "{label} {policy:?}: delays must fire"
+            );
+            assert_bit_identical(&clean, &noisy);
+            assert!(
+                noisy.recovery.is_clean(),
+                "{label} {policy:?}: nothing to heal"
+            );
+        }
+    });
 }

@@ -539,7 +539,8 @@ fn resuming_a_slot_state_of_the_wrong_shape_panics_naming_both_shapes() {
     };
     let _ = solver.run_job(
         &common::lockstep(),
-        RecoveryPolicy::RetransmitThenRestart {
+        RecoveryPolicy::Recover {
+            spares: 0,
             max_iteration_restarts: 0,
         },
         &job,

@@ -50,8 +50,8 @@ fn kill_policy(seed: u64) -> FaultPolicy {
     FaultPolicy::reliable(seed).kill_rank(1, 1)
 }
 
-/// Drops the first vertical-forward pass message on a 2×2 GD grid; the
-/// reliable layer heals it by retransmission (no spare consumed).
+/// Drops the first vertical-forward pass message on a 2×2 GD grid; one
+/// checkpoint restart heals it (no spare consumed).
 fn drop_policy(seed: u64) -> FaultPolicy {
     FaultPolicy::reliable(seed).drop_message(0, 2, tags::VERTICAL_FORWARD, 0)
 }
@@ -61,10 +61,10 @@ fn drop_policy(seed: u64) -> FaultPolicy {
 /// service's shared one (the service ignores the spec's own `spares`).
 fn solo_policy(spec: &JobSpec) -> RecoveryPolicy {
     match spec.recovery {
-        RecoveryPolicy::SubstituteSpare {
+        RecoveryPolicy::Recover {
             max_iteration_restarts,
             ..
-        } => RecoveryPolicy::SubstituteSpare {
+        } => RecoveryPolicy::Recover {
             spares: 8,
             max_iteration_restarts,
         },
@@ -127,8 +127,8 @@ fn expected_admissions(submitted: &[(u64, i32)]) -> Vec<u64> {
 
 /// The tentpole soak: a burst of 104 mixed-tenant jobs — both solvers,
 /// three grid shapes, seven priority levels, four rank-death jobs healed
-/// from the shared pool and four lost-message jobs healed by
-/// retransmission — every single one bit-identical to its solo run.
+/// from the shared pool and four lost-message jobs healed by exactly one
+/// restart — every single one bit-identical to its solo run.
 #[test]
 fn scheduler_soak_104_jobs_complete_bit_identical_to_solo_runs() {
     const JOBS: usize = 104;
@@ -222,6 +222,12 @@ fn scheduler_soak_104_jobs_complete_bit_identical_to_solo_runs() {
         assert_eq!(recovery.substitutions, 1, "job {i} healed once");
         assert_eq!(recovery.membership_epoch, 1, "job {i} bumped its epoch");
     }
+    for i in [15usize, 41, 67, 93] {
+        let report = handles[i].wait();
+        let recovery = &report.result.as_ref().unwrap().recovery;
+        assert_eq!(recovery.iteration_restarts, 1, "job {i} restarted once");
+        assert_eq!(recovery.substitutions, 0, "job {i} consumed no spare");
+    }
 
     // The scheduler's fairness witness: strict head-of-line admission means
     // the log is exactly the priority-sorted submission order.
@@ -256,9 +262,10 @@ fn scheduler_soak_is_bit_identical_across_all_16_seeds() {
             let mut spec = JobSpec::new(dataset.clone(), tiny_gd_config(iterations), grid)
                 .with_priority(priority);
             if j == killed {
-                // Vary the death site with the seed: rank 1's second or
-                // third send decision, both inside iteration 0.
-                let after_sends = 1 + seed % 2;
+                // Vary the death site with the seed: rank 1's first or
+                // second send decision (a 2×1 rank sends once per
+                // iteration, so its second falls in iteration 1).
+                let after_sends = seed % 2;
                 spec =
                     spec.with_fault_policy(FaultPolicy::reliable(seed).kill_rank(1, after_sends));
             }

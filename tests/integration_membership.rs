@@ -1,13 +1,12 @@
 //! Integration tests for rank membership and spare-rank substitution.
 //!
-//! The contract under test: a **permanently dead rank** — which defeats both
-//! retransmission (the node answers nothing) and checkpoint restarts (it
-//! dies again every attempt) — is healed by
-//! [`RecoveryPolicy::SubstituteSpare`]: a standby spare node adopts the dead
-//! node's tile from its last consistency-barrier checkpoint, the membership
-//! epoch is bumped, and the finished reconstruction is **bit-identical** to
-//! the fault-free one, on both solvers and both backends. Without spares the
-//! legacy policies keep their exact pre-membership behaviour.
+//! The contract under test: a **permanently dead rank** — which defeats a
+//! plain checkpoint restart (it dies again every attempt) — is healed by
+//! [`RecoveryPolicy::Recover`] with spares: a standby spare node adopts the
+//! dead node's tile from its last consistency-barrier checkpoint, the
+//! membership epoch is bumped, and the finished reconstruction is
+//! **bit-identical** to the fault-free one, on both solvers and both
+//! backends. Without spares the run fails with a typed error.
 
 use ptycho_cluster::{CommError, FaultInjectionBackend, FaultPolicy};
 use ptycho_core::{JobContext, RecoveryPolicy};
@@ -24,18 +23,18 @@ fn threaded() -> ptycho_cluster::Cluster {
     common::threaded(100)
 }
 
-/// Kills node 1 early in iteration 0 (its second send decision, counting
-/// acknowledgements — well before the first consistency barrier).
+/// Kills node 1 early in iteration 0 (its second send decision — well
+/// before the first consistency barrier).
 fn early_death() -> FaultPolicy {
     FaultPolicy::reliable(0).kill_rank(1, 1)
 }
 
-/// Kills node 1 in a later iteration: each iteration costs the rank four
-/// send decisions (two halo sends and the acks of its two halo receives), so
-/// its seventh falls in iteration 1, after its iteration-0 checkpoint, and
-/// the spare must resume from that checkpoint rather than from scratch.
+/// Kills node 1 in a later iteration: each iteration costs the rank two
+/// send decisions (its two halo sends), so its third falls in iteration 1,
+/// after its iteration-0 checkpoint, and the spare must resume from that
+/// checkpoint rather than from scratch.
 fn late_death() -> FaultPolicy {
-    FaultPolicy::reliable(0).kill_rank(1, 6)
+    FaultPolicy::reliable(0).kill_rank(1, 2)
 }
 
 #[test]
@@ -163,7 +162,7 @@ fn hve_spare_substitution_heals_a_dead_rank_on_both_backends() {
 #[test]
 fn fault_free_spare_mode_is_bit_identical() {
     // Configuring a spare pool must not perturb the numerics: a fault-free
-    // SubstituteSpare run matches the plain run bit for bit, on both
+    // recovering run matches the plain run bit for bit, on both
     // backends.
     let ds = small_problem();
     let solver = gd_solver(&ds);
@@ -210,13 +209,14 @@ fn rank_death_without_spares_keeps_the_legacy_policies_intact() {
         failure.error
     );
 
-    // RetransmitThenRestart: the node dies again on every attempt (same
-    // node, same slot, same send count), so the restart budget runs out and
-    // the run fails — exactly the pre-membership behaviour.
+    // Recover without spares: a restart would meet the same death (same
+    // node, same slot, same send count), so the restart budget is not spent
+    // on it and the run reports the empty pool.
     let failure = solver
         .run_job(
             &FaultInjectionBackend::new(lockstep(), early_death()),
-            RecoveryPolicy::RetransmitThenRestart {
+            RecoveryPolicy::Recover {
+                spares: 0,
                 max_iteration_restarts: 2,
             },
             &JobContext::default(),
@@ -225,11 +225,38 @@ fn rank_death_without_spares_keeps_the_legacy_policies_intact() {
     assert!(
         matches!(
             failure.error,
-            CommError::RankDead { .. } | CommError::RecoveryExhausted { .. }
+            CommError::SparesExhausted { dead_node: 1, .. }
         ),
         "unexpected error: {}",
         failure.error
     );
+}
+
+#[test]
+fn a_substitution_does_not_spend_the_restart_budget() {
+    // A death is healed by the spare pool alone: no restart budget needed.
+    let ds = small_problem();
+    let solver = gd_solver(&ds);
+    let clean = solver
+        .run_job(
+            &lockstep(),
+            RecoveryPolicy::FailFast,
+            &JobContext::default(),
+        )
+        .expect("fault-free run completes");
+    let healed = solver
+        .run_job(
+            &FaultInjectionBackend::new(lockstep(), late_death()),
+            RecoveryPolicy::Recover {
+                spares: 1,
+                max_iteration_restarts: 0,
+            },
+            &JobContext::default(),
+        )
+        .expect("a spare heals the death without a restart budget");
+    assert_bit_identical(&clean, &healed);
+    assert_eq!(healed.recovery.substitutions, 1);
+    assert_eq!(healed.recovery.iteration_restarts, 0);
 }
 
 #[test]

@@ -2,15 +2,18 @@
 //!
 //! The contract under test: a seeded drop policy that makes a plain
 //! (`FailFast`) run fail with a [`RankFailure`] is healed by
-//! `RetransmitThenRestart` — transparently by acknowledge/retransmit where
-//! possible, by checkpoint restart where retransmission is defeated — and
-//! the recovered reconstruction is **bit-identical** to the fault-free one,
-//! on both solvers and both backends.
+//! [`RecoveryPolicy::Recover`] — the lost message surfaces as the
+//! transport's own error, every rank rolls back to its last
+//! consistency-barrier checkpoint, and the re-run attempt draws fresh fault
+//! decisions — and the recovered reconstruction is **bit-identical** to the
+//! fault-free one, on both solvers and both backends.
+//!
+//! [`RankFailure`]: ptycho_cluster::RankFailure
 
-use ptycho_cluster::backend::reliable::wire_data_tag;
 use ptycho_cluster::{CommError, FaultInjectionBackend, FaultPolicy, RankFailure};
 use ptycho_core::gradient_decomp::passes::tags;
 use ptycho_core::{JobContext, RecoveryPolicy};
+use ptycho_telemetry::{Telemetry, TelemetryEvent};
 
 mod common;
 use common::{
@@ -26,16 +29,13 @@ fn threaded() -> ptycho_cluster::Cluster {
     common::threaded(150)
 }
 
-/// Drops the first frame of the (0 → 2) vertical-forward stream. In both
-/// fail-fast and recovery mode the first wire frame of that stream carries
-/// the raw tag value (sequence number and epoch are zero), so one policy
-/// covers both modes; the retransmission occupies the next harness slot and
-/// is delivered.
+/// Drops the first message of the (0 → 2) vertical-forward stream, in the
+/// first attempt only: the restarted attempt delivers it.
 fn gd_drop_policy() -> FaultPolicy {
     FaultPolicy::reliable(0).drop_message(0, 2, tags::VERTICAL_FORWARD, 0)
 }
 
-/// Same construction for the baseline: drop the first voxel-paste frame
+/// Same construction for the baseline: drop the first voxel-paste message
 /// rank 0 sends to rank 1.
 fn hve_drop_policy() -> FaultPolicy {
     FaultPolicy::reliable(0).drop_message(0, 1, TAG_VOXEL_PASTE, 0)
@@ -64,7 +64,7 @@ fn hve_fail_fast_still_surfaces_rank_failure() {
 }
 
 #[test]
-fn gd_retransmit_heals_dropped_pass_message_on_both_backends() {
+fn gd_one_restart_heals_a_dropped_pass_message_on_both_backends() {
     let ds = small_problem();
     let solver = gd_solver(&ds);
     let clean = solver
@@ -97,18 +97,15 @@ fn gd_retransmit_heals_dropped_pass_message_on_both_backends() {
             .unwrap_or_else(|failure| panic!("{label}: recovery must succeed, got {failure}"));
         assert_bit_identical(&clean, &recovered);
         assert_eq!(
-            recovered.recovery.iteration_restarts, 0,
-            "{label}: retransmission alone must heal a single drop"
+            recovered.recovery.iteration_restarts, 1,
+            "{label}: exactly one checkpoint restart heals a single drop"
         );
-        assert!(
-            recovered.recovery.reliable.retransmits > 0,
-            "{label}: the dropped frame must have been retransmitted"
-        );
+        assert_eq!(recovered.recovery.substitutions, 0, "{label}");
     }
 }
 
 #[test]
-fn hve_retransmit_heals_dropped_voxel_paste_on_both_backends() {
+fn hve_one_restart_heals_a_dropped_voxel_paste_on_both_backends() {
     let ds = small_problem();
     let solver = hve_solver(&ds);
     let clean = solver
@@ -140,16 +137,14 @@ fn hve_retransmit_heals_dropped_voxel_paste_on_both_backends() {
         let recovered = recovered
             .unwrap_or_else(|failure| panic!("{label}: recovery must succeed, got {failure}"));
         assert_bit_identical(&clean, &recovered);
-        assert_eq!(recovered.recovery.iteration_restarts, 0, "{label}");
-        assert!(recovered.recovery.reliable.retransmits > 0, "{label}");
+        assert_eq!(recovered.recovery.iteration_restarts, 1, "{label}");
     }
 }
 
 #[test]
 fn gd_random_drops_on_pass_traffic_are_healed() {
-    // A seeded probabilistic policy across every message class (data frames
-    // and acknowledgements alike): whatever it hits must be recovered and
-    // the result must stay exact.
+    // A seeded probabilistic policy across every message class: whatever
+    // it hits must be recovered and the result must stay exact.
     let ds = small_problem();
     let solver = gd_solver(&ds);
     let clean = solver
@@ -172,45 +167,12 @@ fn gd_random_drops_on_pass_traffic_are_healed() {
 }
 
 #[test]
-fn gd_restart_recovers_when_retransmission_is_defeated() {
-    // Drop *every* epoch-0 frame whose wire tag is the first
-    // vertical-forward sequence slot — including retransmissions, which
-    // reuse the same wire tag. The reliable layer must exhaust its budget,
-    // the engine must restart from the last checkpoint (here: from scratch,
-    // the failure is in iteration 0), and the epoch-1 attempt's distinct
-    // wire tags escape the policy.
-    let ds = small_problem();
-    let solver = gd_solver(&ds);
-    let clean = solver
-        .run_job(
-            &lockstep(),
-            RecoveryPolicy::FailFast,
-            &JobContext::default(),
-        )
-        .expect("fault-free run completes");
-
-    let policy =
-        FaultPolicy::reliable(0)
-            .drop(1.0)
-            .on_tag(wire_data_tag(tags::VERTICAL_FORWARD, 0, 0));
-    let faulty = FaultInjectionBackend::new(lockstep(), policy);
-    let recovered = solver
-        .run_job(&faulty, restart_policy(), &JobContext::default())
-        .expect("the epoch-1 attempt must succeed");
-    assert_eq!(
-        recovered.recovery.iteration_restarts, 1,
-        "exactly one checkpoint restart"
-    );
-    assert_bit_identical(&clean, &recovered);
-}
-
-#[test]
 fn gd_restart_resumes_from_the_iteration_boundary_checkpoint() {
-    // Same construction, but the doomed wire tag is the *second* sequence
-    // slot of the vertical-forward stream — one round per iteration, so the
-    // failure hits iteration 1 after iteration 0 checkpointed. The restart
-    // must resume from the checkpoint (not recompute iteration 0) and still
-    // reproduce the fault-free volume bit for bit.
+    // Drop the *second* message of the vertical-forward stream — one round
+    // per iteration, so the failure hits iteration 1 after iteration 0
+    // checkpointed. The restart must resume from the checkpoint (not
+    // recompute iteration 0) and still reproduce the fault-free volume bit
+    // for bit.
     let ds = small_problem();
     let solver = gd_solver(&ds);
     let clean = solver
@@ -221,50 +183,142 @@ fn gd_restart_resumes_from_the_iteration_boundary_checkpoint() {
         )
         .expect("fault-free run completes");
 
-    let policy =
-        FaultPolicy::reliable(0)
-            .drop(1.0)
-            .on_tag(wire_data_tag(tags::VERTICAL_FORWARD, 1, 0));
+    let policy = FaultPolicy::reliable(0).drop_message(0, 2, tags::VERTICAL_FORWARD, 1);
     let faulty = FaultInjectionBackend::new(lockstep(), policy);
+    let telemetry = Telemetry::new();
+    let job = JobContext {
+        telemetry: Some(&telemetry),
+        ..JobContext::default()
+    };
     let recovered = solver
-        .run_job(&faulty, restart_policy(), &JobContext::default())
-        .expect("the epoch-1 attempt must succeed");
+        .run_job(&faulty, restart_policy(), &job)
+        .expect("the second attempt must succeed");
     assert_eq!(recovered.recovery.iteration_restarts, 1);
     assert_bit_identical(&clean, &recovered);
+    for rank in 0..4 {
+        let begins: Vec<(u64, u64)> = telemetry
+            .records(rank)
+            .iter()
+            .filter_map(|r| match r.event {
+                TelemetryEvent::IterationBegin { iteration, attempt } => Some((iteration, attempt)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(
+            begins,
+            [(0, 0), (1, 0), (1, 1)],
+            "rank {rank}: the restart re-runs iteration 1 only"
+        );
+    }
 }
 
 #[test]
-fn restart_budget_zero_surfaces_the_escalated_failure() {
-    // With retransmission defeated and no restart budget, the run must fail
-    // with the reliable layer's escalation error — never hang, never return
-    // a wrong volume.
+fn hve_restart_resumes_from_the_iteration_boundary_checkpoint() {
+    // One voxel paste per neighbour per iteration: dropping the second
+    // (0 → 1) paste fails iteration 1 after iteration 0 checkpointed.
     let ds = small_problem();
-    let solver = gd_solver(&ds);
-    let policy =
-        FaultPolicy::reliable(0)
-            .drop(1.0)
-            .on_tag(wire_data_tag(tags::VERTICAL_FORWARD, 0, 0));
-    let faulty = FaultInjectionBackend::new(lockstep(), policy);
-    let failure: RankFailure = solver
+    let solver = hve_solver(&ds);
+    let clean = solver
         .run_job(
-            &faulty,
-            RecoveryPolicy::RetransmitThenRestart {
-                max_iteration_restarts: 0,
-            },
+            &lockstep(),
+            RecoveryPolicy::FailFast,
             &JobContext::default(),
         )
-        .expect_err("no restart budget and a persistent drop must fail");
+        .expect("fault-free run completes");
+
+    let policy = FaultPolicy::reliable(0).drop_message(0, 1, TAG_VOXEL_PASTE, 1);
+    let faulty = FaultInjectionBackend::new(lockstep(), policy);
+    let telemetry = Telemetry::new();
+    let job = JobContext {
+        telemetry: Some(&telemetry),
+        ..JobContext::default()
+    };
+    let recovered = solver
+        .run_job(&faulty, restart_policy(), &job)
+        .expect("the second attempt must succeed");
+    assert_eq!(recovered.recovery.iteration_restarts, 1);
+    assert_bit_identical(&clean, &recovered);
+    let restarted = telemetry.records(1).iter().any(|r| {
+        matches!(
+            r.event,
+            TelemetryEvent::IterationBegin {
+                iteration: 1,
+                attempt: 1
+            }
+        )
+    });
+    let recomputed = telemetry.records(1).iter().any(|r| {
+        matches!(
+            r.event,
+            TelemetryEvent::IterationBegin {
+                iteration: 0,
+                attempt: 1
+            }
+        )
+    });
+    assert!(restarted && !recomputed, "only iteration 1 re-runs");
+}
+
+#[test]
+fn a_persistent_drop_times_out_on_threaded() {
+    // The threaded transport's own loss detector: the receive that waits
+    // for a message dropped in every attempt times out, and with the
+    // budget spent that timeout (or its consequence at a peer) surfaces.
+    let ds = small_problem();
+    let policy = FaultPolicy::reliable(0)
+        .drop(1.0)
+        .on_tag(tags::VERTICAL_FORWARD);
+    let faulty = FaultInjectionBackend::new(threaded(), policy);
+    let failure = gd_solver(&ds)
+        .run_job(&faulty, restart_policy(), &JobContext::default())
+        .expect_err("a persistent drop must fail");
     assert!(
-        matches!(failure.error, CommError::RecoveryExhausted { .. }),
-        "expected the escalation error, got: {}",
+        matches!(
+            failure.error,
+            CommError::RecvTimeout { .. }
+                | CommError::BarrierTimeout { .. }
+                | CommError::PeersGone { .. }
+        ),
+        "expected a timeout-class error, got: {}",
         failure.error
     );
 }
 
 #[test]
+fn restart_budget_zero_surfaces_the_escalated_failure() {
+    // Every vertical-forward message is dropped in every attempt, so no
+    // restart can heal the run: with no budget, and with the standard one
+    // spent, the transport's own failure must surface — never a hang,
+    // never a wrong volume.
+    let ds = small_problem();
+    let solver = gd_solver(&ds);
+    for max_iteration_restarts in [0, 2] {
+        let policy = FaultPolicy::reliable(0)
+            .drop(1.0)
+            .on_tag(tags::VERTICAL_FORWARD);
+        let faulty = FaultInjectionBackend::new(lockstep(), policy);
+        let failure: RankFailure = solver
+            .run_job(
+                &faulty,
+                RecoveryPolicy::Recover {
+                    spares: 0,
+                    max_iteration_restarts,
+                },
+                &JobContext::default(),
+            )
+            .expect_err("a persistent drop must fail");
+        assert!(
+            matches!(failure.error, CommError::Deadlock { .. }),
+            "budget {max_iteration_restarts}: expected the transport's deadlock, got: {}",
+            failure.error
+        );
+    }
+}
+
+#[test]
 fn hve_recovery_mode_is_bit_identical_across_backends_fault_free() {
-    // The recovery machinery (reliable wrapping + per-iteration barriers +
-    // checkpoints) must not perturb the numerics on either backend.
+    // The recovery machinery (per-iteration barriers + checkpoints) must not
+    // perturb the numerics on either backend.
     let ds = small_problem();
     let solver = hve_solver(&ds);
     let clean = solver
@@ -282,6 +336,6 @@ fn hve_recovery_mode_is_bit_identical_across_backends_fault_free() {
         .expect("fault-free");
     assert_bit_identical(&clean, &on_lockstep);
     assert_bit_identical(&clean, &on_threaded);
-    assert!(on_lockstep.recovery.reliable.retransmits == 0);
-    assert!(on_lockstep.recovery.is_clean() || on_lockstep.recovery.reliable.acks_sent > 0);
+    assert!(on_lockstep.recovery.is_clean());
+    assert!(on_threaded.recovery.is_clean());
 }

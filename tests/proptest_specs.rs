@@ -43,8 +43,8 @@ proptest! {
         };
         let recovery = [
             RecoveryPolicy::FailFast,
-            RecoveryPolicy::RetransmitThenRestart { max_iteration_restarts: 2 },
-            RecoveryPolicy::SubstituteSpare { spares: 0, max_iteration_restarts: 2 },
+            RecoveryPolicy::Recover { spares: 0, max_iteration_restarts: 2 },
+            RecoveryPolicy::Recover { spares: 0, max_iteration_restarts: 0 },
         ][recovery];
         let method = [SolverMethod::GradientDecomposition, SolverMethod::HaloVoxelExchange][method];
         let mut spec = JobSpec::new(dataset, config, (grid_rows, grid_cols))
