@@ -105,6 +105,53 @@ fn gd_one_restart_heals_a_dropped_pass_message_on_both_backends() {
 }
 
 #[test]
+fn gd_restart_recovers_when_retransmission_is_defeated() {
+    // No sender re-sends a lost message, so the loss lasts the whole first
+    // attempt. It hits iteration 0, before any checkpoint exists: the one
+    // restart must start over from scratch and still reproduce the
+    // fault-free volume bit for bit.
+    let ds = small_problem();
+    let solver = gd_solver(&ds);
+    let clean = solver
+        .run_job(
+            &lockstep(),
+            RecoveryPolicy::FailFast,
+            &JobContext::default(),
+        )
+        .expect("fault-free run completes");
+
+    let faulty = FaultInjectionBackend::new(lockstep(), gd_drop_policy());
+    let telemetry = Telemetry::new();
+    let job = JobContext {
+        telemetry: Some(&telemetry),
+        ..JobContext::default()
+    };
+    let recovered = solver
+        .run_job(&faulty, restart_policy(), &job)
+        .expect("the second attempt must succeed");
+    assert_eq!(
+        recovered.recovery.iteration_restarts, 1,
+        "exactly one checkpoint restart"
+    );
+    assert_bit_identical(&clean, &recovered);
+    for rank in 0..4 {
+        let begins: Vec<(u64, u64)> = telemetry
+            .records(rank)
+            .iter()
+            .filter_map(|r| match r.event {
+                TelemetryEvent::IterationBegin { iteration, attempt } => Some((iteration, attempt)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(
+            begins,
+            [(0, 0), (0, 1), (1, 1)],
+            "rank {rank}: the restart re-runs from iteration 0"
+        );
+    }
+}
+
+#[test]
 fn hve_one_restart_heals_a_dropped_voxel_paste_on_both_backends() {
     let ds = small_problem();
     let solver = hve_solver(&ds);
