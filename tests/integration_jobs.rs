@@ -12,10 +12,13 @@
 use ptycho_cluster::{CommBackend, CrashPhase, FaultInjectionBackend, FaultPolicy};
 use ptycho_core::gradient_decomp::passes::tags;
 use ptycho_core::{
-    GradientDecompositionSolver, HaloVoxelExchangeSolver, JobContext, JobEngine, JobError, JobSpec,
-    JobState, ReconstructionResult, RecoveryPolicy, ServiceBackend, SolverConfig, SolverMethod,
+    GradientDecompositionSolver, HaloVoxelExchangeSolver, JobContext, JobEngine, JobError,
+    JobHandle, JobReport, JobSpec, JobState, ReconstructionResult, RecoveryPolicy, ServiceBackend,
+    SolverConfig, SolverMethod,
 };
 use ptycho_sim::dataset::{Dataset, SyntheticConfig};
+use ptycho_telemetry::Telemetry;
+use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
 mod common;
@@ -123,6 +126,84 @@ fn expected_admissions(submitted: &[(u64, i32)]) -> Vec<u64> {
     let mut order: Vec<(u64, i32)> = submitted.to_vec();
     order.sort_by_key(|&(id, priority)| (std::cmp::Reverse(priority), id));
     order.into_iter().map(|(id, _)| id).collect()
+}
+
+/// How long a test waits on the engine before calling it wedged: a tiny job
+/// takes milliseconds, so this only trips on a hang.
+const DEADLINE: Duration = Duration::from_secs(10);
+
+/// Waits for `job` on a helper thread, failing the test at [`DEADLINE`]
+/// instead of hanging it.
+fn wait_within_deadline(job: JobHandle) -> JobReport {
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = tx.send(job.wait());
+    });
+    rx.recv_timeout(DEADLINE)
+        .expect("the job must end before the deadline")
+}
+
+/// [`JobEngine::wait_idle`] on a helper thread, bounded by [`DEADLINE`].
+fn idle_within_deadline(engine: &Arc<JobEngine>) {
+    let (tx, rx) = mpsc::channel();
+    let engine = Arc::clone(engine);
+    std::thread::spawn(move || {
+        engine.wait_idle();
+        tx.send(())
+    });
+    rx.recv_timeout(DEADLINE)
+        .expect("the engine must go idle before the deadline");
+}
+
+/// The JSONL line of one lifecycle event kind.
+fn kind_line(kind: &str) -> Vec<u8> {
+    format!("\"kind\":\"{kind}\"").into_bytes()
+}
+
+fn holds(buf: &[u8], needle: &[u8]) -> bool {
+    buf.windows(needle.len()).any(|window| window == needle)
+}
+
+/// A trace writer that panics on the batch holding `needle`'s line.
+struct PanicsOn(Vec<u8>);
+
+impl std::io::Write for PanicsOn {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        assert!(!holds(buf, &self.0), "the trace writer panicked");
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+/// A recorder whose writer panics on `kind`'s line.
+fn panicking_trace(kind: &str) -> Arc<Telemetry> {
+    let writer = Box::new(PanicsOn(kind_line(kind)));
+    Arc::new(Telemetry::with_writer(Default::default(), writer))
+}
+
+/// A trace writer that, on the batch holding `needle`'s line, reports that
+/// it got there and then blocks until the test releases it.
+struct BlocksOn {
+    needle: Vec<u8>,
+    entered: mpsc::Sender<()>,
+    release: mpsc::Receiver<()>,
+}
+
+impl std::io::Write for BlocksOn {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        if holds(buf, &self.needle) {
+            let _ = self.entered.send(());
+            let _ = self.release.recv();
+        }
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
 }
 
 /// The tentpole soak: a burst of 104 mixed-tenant jobs — both solvers,
@@ -655,10 +736,11 @@ fn fleet_shrinkage_fails_queued_jobs_it_can_never_serve() {
     // Paused, so both jobs are submitted against the whole fleet: on a live
     // engine the dying job could retire its node before the follower
     // arrives, and the follower would be refused at submission instead.
-    let engine = JobEngine::paused(2);
-    // The dying job takes the whole 2-node fleet; the full-width follower
-    // queues behind it. When the dead rank retires a node, one live node
-    // remains: neither the heal nor the follower can ever be served.
+    let engine = Arc::new(JobEngine::paused(2));
+    // The dying job takes the whole 2-node fleet; two full-width followers
+    // queue behind it, the second with a trace writer that panics. When the
+    // dead rank retires a node, one live node remains: neither the heal nor
+    // a follower can ever be served.
     let a = engine
         .submit(
             JobSpec::new(dataset.clone(), tiny_gd_config(2), (2, 1))
@@ -668,8 +750,14 @@ fn fleet_shrinkage_fails_queued_jobs_it_can_never_serve() {
     let b = engine
         .submit(JobSpec::new(dataset.clone(), tiny_gd_config(2), (2, 1)))
         .expect("feasible against the live fleet at submission");
+    let d = engine
+        .submit(
+            JobSpec::new(dataset.clone(), tiny_gd_config(2), (2, 1))
+                .with_telemetry(panicking_trace("job_submitted")),
+        )
+        .expect("feasible against the live fleet at submission");
     engine.start_admitting();
-    engine.wait_idle();
+    idle_within_deadline(&engine);
 
     let a = a.wait();
     assert_eq!(a.state, JobState::Failed, "{:?}", a.error);
@@ -687,6 +775,14 @@ fn fleet_shrinkage_fails_queued_jobs_it_can_never_serve() {
         }
         other => panic!("expected a shrunken-fleet rejection, got {other}"),
     }
+    // Ending the doomed job flushes its trace into the panicking writer.
+    let d = d.wait();
+    assert_eq!(d.state, JobState::Failed);
+    assert!(
+        matches!(d.error, Some(JobError::Panicked { .. })),
+        "{:?}",
+        d.error
+    );
 
     // A fresh full-width submission is refused outright: feasibility is
     // judged against live nodes, not the fleet's original size.
@@ -770,5 +866,116 @@ fn a_blocked_heal_is_served_before_new_admissions_and_the_queue_still_drains() {
     assert_eq!(c.wait().state, JobState::Completed);
 
     assert_eq!(engine.dead_nodes(), 1);
+    assert!(engine.fleet_is_conserved());
+}
+
+/// A trace writer is caller code: one that panics on its job's
+/// `job_completed` line fails that job alone. Its nodes come back, and the
+/// engine serves the next tenant.
+#[test]
+fn a_trace_writer_panicking_on_job_completed_fails_only_its_job() {
+    let engine = JobEngine::new(4);
+    let job = engine
+        .submit(
+            JobSpec::new(tiny(), tiny_gd_config(2), (2, 2))
+                .with_telemetry(panicking_trace("job_completed")),
+        )
+        .expect("fits the fleet");
+    let report = wait_within_deadline(job);
+    assert_eq!(report.state, JobState::Failed);
+    match report.error {
+        Some(JobError::Panicked { message }) => {
+            assert!(message.contains("trace writer"), "{message}")
+        }
+        other => panic!("expected a panic failure, got {other:?}"),
+    }
+    assert_eq!(engine.free_nodes(), engine.total_nodes());
+    assert!(engine.fleet_is_conserved());
+
+    let next = engine
+        .submit(JobSpec::new(tiny(), tiny_gd_config(1), (2, 2)))
+        .expect("fits the fleet");
+    assert_eq!(wait_within_deadline(next).state, JobState::Completed);
+}
+
+/// One job's trace writer blocking on its `job_completed` line holds up
+/// nobody else: a neighbour submitted meanwhile, onto free nodes, completes
+/// first. The blocked job stays running until its trace is written.
+#[test]
+fn a_blocked_trace_writer_does_not_hold_up_a_neighbour() {
+    let engine = Arc::new(JobEngine::new(8));
+    let (entered_tx, entered) = mpsc::channel();
+    let (release, release_rx) = mpsc::channel();
+    let writer = Box::new(BlocksOn {
+        needle: kind_line("job_completed"),
+        entered: entered_tx,
+        release: release_rx,
+    });
+    let telemetry = Arc::new(Telemetry::with_writer(Default::default(), writer));
+    let blocked = engine
+        .submit(JobSpec::new(tiny(), tiny_gd_config(2), (2, 2)).with_telemetry(telemetry))
+        .expect("fits the fleet");
+    entered
+        .recv_timeout(DEADLINE)
+        .expect("the writer reaches the job_completed line");
+
+    let (tx, neighbour) = mpsc::channel();
+    let submitter = Arc::clone(&engine);
+    std::thread::spawn(move || {
+        let job = submitter
+            .submit(JobSpec::new(tiny(), tiny_gd_config(1), (2, 2)))
+            .expect("fits beside the blocked job");
+        let _ = tx.send(job.wait());
+    });
+    let neighbour = neighbour.recv_timeout(DEADLINE);
+    let blocked_state = neighbour.is_ok().then(|| blocked.state());
+    // Released whatever happened, so a failure does not leave it wedged.
+    release.send(()).expect("the writer is still waiting");
+    let neighbour = neighbour.expect("the neighbour must complete while the writer blocks");
+    assert_eq!(neighbour.state, JobState::Completed);
+    assert_eq!(
+        blocked_state,
+        Some(JobState::Running),
+        "a job ends only once its trace is written"
+    );
+    assert_eq!(wait_within_deadline(blocked).state, JobState::Completed);
+    assert!(engine.fleet_is_conserved());
+}
+
+/// Cancelling a queued job whose trace writer panics on its
+/// `job_cancelled` line returns, ends the job, and leaves the engine live.
+#[test]
+fn cancelling_a_queued_job_whose_trace_writer_panics_leaves_the_engine_live() {
+    let engine = JobEngine::paused(4);
+    let queued = engine
+        .submit(
+            JobSpec::new(tiny(), tiny_gd_config(2), (2, 2))
+                .with_telemetry(panicking_trace("job_cancelled")),
+        )
+        .expect("fits the fleet");
+    let (tx, cancelled) = mpsc::channel();
+    std::thread::spawn(move || {
+        queued.cancel();
+        tx.send(queued)
+    });
+    let queued = cancelled
+        .recv_timeout(DEADLINE)
+        .expect("cancel() must return");
+    let report = wait_within_deadline(queued);
+    assert!(report.state.is_terminal(), "{:?}", report.state);
+    assert!(
+        matches!(report.error, Some(JobError::Panicked { .. })),
+        "{:?}",
+        report.error
+    );
+
+    engine.start_admitting();
+    let next = engine
+        .submit(JobSpec::new(tiny(), tiny_gd_config(1), (2, 2)))
+        .expect("fits the fleet");
+    let next_id = next.id();
+    assert_eq!(wait_within_deadline(next).state, JobState::Completed);
+    assert_eq!(engine.admission_log(), vec![next_id]);
+    assert_eq!(engine.free_nodes(), 4);
     assert!(engine.fleet_is_conserved());
 }
