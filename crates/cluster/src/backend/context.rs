@@ -1,7 +1,7 @@
 //! The one per-rank context every transport shares.
 //!
 //! A [`Transport`] moves envelopes between ranks and nothing else: enqueue,
-//! blocking matched take, non-blocking matched take, barrier, rank finished.
+//! blocking matched take, barrier, rank finished.
 //! Everything a solver observes on top of that — range checks, correlation
 //! ids, fault routing, `Delay` flushing, wire-time charging, wait-time
 //! measurement, rank death and the transport-level telemetry events — is
@@ -44,8 +44,8 @@ pub(super) fn take_match<M>(
 
 /// What a backend must provide to carry [`RankCtx`] traffic for one rank.
 ///
-/// Matching is MPI's ([`take_match`]): `take`/`try_take` return the oldest
-/// envelope from `from` with tag `tag`, leaving everything else queued.
+/// Matching is MPI's ([`take_match`]): `take` returns the oldest envelope
+/// from `from` with tag `tag`, leaving everything else queued.
 pub trait Transport {
     /// The payload type this transport carries.
     type Msg: Payload;
@@ -56,9 +56,6 @@ pub trait Transport {
 
     /// Blocks until a matching envelope arrives, or reports why none can.
     fn take(&mut self, from: usize, tag: u64) -> Result<Envelope<Self::Msg>, CommError>;
-
-    /// Returns a matching envelope if one has already arrived.
-    fn try_take(&mut self, from: usize, tag: u64) -> Option<Envelope<Self::Msg>>;
 
     /// Blocks until every rank has arrived, or reports why they cannot.
     fn barrier(&mut self) -> Result<(), CommError>;
@@ -140,19 +137,6 @@ impl<T: Transport> RankCtx<T> {
             );
         }
     }
-
-    /// Records a completed receive at the API-return point (program order on
-    /// the receiver, stamped with the deterministic communication clock) and
-    /// unwraps the payload.
-    fn received(&mut self, envelope: Envelope<T::Msg>) -> T::Msg {
-        self.trace(TelemetryEvent::CommRecv {
-            from: envelope.from as u64,
-            tag: envelope.tag,
-            bytes: envelope.payload.payload_bytes() as u64,
-            corr: envelope.corr,
-        });
-        envelope.payload
-    }
 }
 
 impl<T: Transport> RankComm<T::Msg> for RankCtx<T> {
@@ -211,15 +195,15 @@ impl<T: Transport> RankComm<T::Msg> for RankCtx<T> {
         }
         self.flush_delayed();
         let envelope = self.clock.wait(|| self.transport.take(from, tag))?;
-        Ok(self.received(envelope))
-    }
-
-    fn try_recv(&mut self, from: usize, tag: u64) -> Option<T::Msg> {
-        if self.dead {
-            return None;
-        }
-        let envelope = self.transport.try_take(from, tag)?;
-        Some(self.received(envelope))
+        // Recorded at the API-return point: program order on the receiver,
+        // stamped with the deterministic communication clock.
+        self.trace(TelemetryEvent::CommRecv {
+            from: envelope.from as u64,
+            tag: envelope.tag,
+            bytes: envelope.payload.payload_bytes() as u64,
+            corr: envelope.corr,
+        });
+        Ok(envelope.payload)
     }
 
     fn barrier(&mut self) -> Result<(), CommError> {
@@ -331,7 +315,6 @@ pub(super) mod conformance {
             $crate::backend::context::conformance::transport_conformance_tests!(@cases $backend;
                 ring_pass_accumulates,
                 tag_matching_is_respected,
-                try_recv_returns_none_when_empty,
                 barrier_synchronises_all_ranks,
                 communication_time_is_charged_to_sender,
                 self_send_is_received_locally,
@@ -406,20 +389,6 @@ pub(super) mod conformance {
             })
             .unwrap();
         assert_eq!(outcomes[1].result, (10.0, 20.0));
-    }
-
-    pub fn try_recv_returns_none_when_empty<B: CommBackend>(backend: &B) {
-        let outcomes = backend
-            .run::<Vec<f64>, bool, _>(2, |ctx| {
-                if ctx.rank() == 0 {
-                    Ok(ctx.try_recv(1, 4).is_none())
-                } else {
-                    // Never sends anything.
-                    Ok(true)
-                }
-            })
-            .unwrap();
-        assert!(outcomes[0].result);
     }
 
     pub fn barrier_synchronises_all_ranks<B: CommBackend>(backend: &B) {
@@ -571,7 +540,6 @@ pub(super) mod conformance {
                     ctx.isend(1, 3, vec![3.0]); // suppressed: already dead
                     assert_eq!(ctx.recv(1, 9), Err(CommError::RankDead { rank: 0 }));
                     assert_eq!(ctx.barrier(), Err(CommError::RankDead { rank: 0 }));
-                    assert_eq!(ctx.try_recv(1, 9), None);
                     Ok(0)
                 } else {
                     // None of the three can arrive, before or after rank 0

@@ -219,30 +219,6 @@ impl<M: Payload> Transport for LockstepTransport<M> {
         }
     }
 
-    /// Cooperative probe: yields one turn to the other runnable ranks so a
-    /// poll can observe new messages. Like `MPI_Iprobe` (and like the
-    /// threaded backend), a `while try_recv(..).is_none() {}` loop whose
-    /// awaited sender never sends is the *caller's* livelock — prefer the
-    /// blocking `recv`, whose deadlocks this backend proves.
-    fn try_take(&mut self, from: usize, tag: u64) -> Option<Envelope<M>> {
-        let rank = self.rank;
-        let mut state = self.lock();
-        if let Some(envelope) = state.take_matching(rank, from, tag) {
-            return Some(envelope);
-        }
-        let others_can_run = state
-            .status
-            .iter()
-            .enumerate()
-            .any(|(r, s)| r != rank && *s == RankStatus::Runnable);
-        if !others_can_run {
-            return None;
-        }
-        // Stay runnable: the baton comes back after one round.
-        self.park(state, RankStatus::Runnable)
-            .take_matching(rank, from, tag)
-    }
-
     fn barrier(&mut self) -> Result<(), CommError> {
         let rank = self.rank;
         let mut state = self.lock();
@@ -341,24 +317,6 @@ mod tests {
     use super::*;
 
     transport_conformance_tests!(LockstepBackend::default());
-
-    #[test]
-    fn try_recv_yields_then_sees_message() {
-        let backend = LockstepBackend::default();
-        let outcomes = backend
-            .run::<Vec<f64>, bool, _>(2, |ctx| {
-                if ctx.rank() == 0 {
-                    // Polls before rank 1 has run at all: the cooperative
-                    // yield inside try_recv lets rank 1 execute its send.
-                    Ok(ctx.try_recv(1, 4).is_some())
-                } else {
-                    ctx.isend(0, 4, vec![1.0]);
-                    Ok(true)
-                }
-            })
-            .unwrap();
-        assert!(outcomes[0].result, "yielding try_recv must see the message");
-    }
 
     #[test]
     fn deadlock_is_detected_not_hung() {

@@ -4,7 +4,7 @@
 //! traits rather than a concrete runtime:
 //!
 //! * [`RankComm`] is the per-rank surface — the MPI-flavoured primitives a
-//!   rank body actually uses (`isend`/`recv`/`try_recv`/`barrier`, plus the
+//!   rank body actually uses (`isend`/`recv`/`barrier`, plus the
 //!   rank's [`RankClock`] and [`MemoryTracker`]).
 //! * [`CommBackend`] is the launcher — it runs a rank body on `n` ranks and
 //!   collects one [`RankOutcome`] per rank.
@@ -12,9 +12,9 @@
 //! Everything a rank observes above the wire — range checks, correlation
 //! ids, fault routing, `Delay` flushing, wire-time and wait-time charging,
 //! rank death, transport-level telemetry — is written once, in the generic
-//! per-rank context [`RankCtx`]. Beneath it a *transport* is five calls
-//! (enqueue an envelope, blocking matched take, non-blocking matched take,
-//! barrier, rank finished), and the two built-in backends are one transport
+//! per-rank context [`RankCtx`]. Beneath it a *transport* is four calls
+//! (enqueue an envelope, blocking matched take, barrier, rank finished),
+//! and the two built-in backends are one transport
 //! each; the third wraps either:
 //!
 //! | Backend | Execution | Use it for |
@@ -323,10 +323,6 @@ pub trait RankComm<M: Payload> {
     /// backend can prove (deadlock) or strongly suspect (timeout) that the
     /// message will never arrive.
     fn recv(&mut self, from: usize, tag: u64) -> Result<M, CommError>;
-
-    /// Non-blocking probe: returns a matching message if one has already
-    /// arrived, without waiting.
-    fn try_recv(&mut self, from: usize, tag: u64) -> Option<M>;
 
     /// Synchronises all ranks; blocked time is charged to wait time.
     fn barrier(&mut self) -> Result<(), CommError>;

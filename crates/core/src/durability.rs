@@ -43,12 +43,20 @@
 //! epochs. After each commit every epoch
 //! older than the previous one is pruned, keeping a fallback for torn-write
 //! recovery without unbounded disk growth.
+//!
+//! Every byte format the store writes is encoded here: slot files,
+//! manifests, and the job spec each manifest embeds for `JobEngine::resume`.
 
-use ptycho_cluster::{CrashPhase, FaultCursor, MembershipView};
+use crate::config::{PassFrequency, SolverConfig};
+use crate::engine::RecoveryPolicy;
+use crate::service::{JobSpec, ServiceBackend, SolverMethod};
+use ptycho_cluster::{CrashPhase, FaultCursor, FaultPolicy, MembershipView};
 use ptycho_fft::CArray3;
+use ptycho_sim::dataset::{Dataset, SyntheticConfig};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::Duration;
 
 /// Magic + version prefixes for the two file types.
 const SLOT_MAGIC: &[u8; 4] = b"PTS1";
@@ -223,10 +231,11 @@ impl<'a> ByteReader<'a> {
         Self { buf, pos: 0, path }
     }
 
-    fn corrupt(&self, detail: &str) -> DurabilityError {
+    /// A decode error at this payload's path.
+    fn corrupt(&self, detail: impl Into<String>) -> DurabilityError {
         DurabilityError::Corrupt {
             path: self.path.to_path_buf(),
-            detail: detail.to_string(),
+            detail: detail.into(),
         }
     }
 
@@ -264,7 +273,7 @@ impl<'a> ByteReader<'a> {
         match self.get_u8()? {
             0 => Ok(None),
             1 => read(self).map(Some),
-            tag => Err(self.corrupt(&format!("unknown option tag {tag}"))),
+            tag => Err(self.corrupt(format!("unknown option tag {tag}"))),
         }
     }
 
@@ -333,10 +342,7 @@ impl CheckpointPayload for CArray3 {
             .checked_mul(rows)
             .and_then(|dr| dr.checked_mul(cols))
             .filter(|&n| n <= (1 << 30))
-            .ok_or_else(|| DurabilityError::Corrupt {
-                path: reader.path.to_path_buf(),
-                detail: "implausible volume shape".to_string(),
-            })?;
+            .ok_or_else(|| reader.corrupt("implausible volume shape"))?;
         // Take the payload before allocating, so a shape the bytes cannot
         // fill is refused without reserving memory for it.
         let bytes = reader.take(len * 16)?;
@@ -413,10 +419,7 @@ impl SlotRecord {
         })?;
         let state = r.get_bytes()?.to_vec();
         if !r.is_exhausted() {
-            return Err(DurabilityError::Corrupt {
-                path: path.to_path_buf(),
-                detail: "trailing bytes after slot payload".to_string(),
-            });
+            return Err(r.corrupt("trailing bytes after slot payload"));
         }
         Ok(Self {
             iteration,
@@ -428,7 +431,7 @@ impl SlotRecord {
 }
 
 /// The commit record of one epoch: the engine counters and membership state
-/// a resumed process needs, plus the service's opaque job-spec encoding so
+/// a resumed process needs, plus the encoded job spec so
 /// `JobEngine::resume(dir)` can rebuild the job from the directory alone.
 #[derive(Clone, Debug, PartialEq)]
 pub struct EpochManifest {
@@ -445,8 +448,8 @@ pub struct EpochManifest {
     /// The membership table frozen for the attempt that committed this
     /// epoch (substitutions included).
     pub membership: MembershipView,
-    /// The service-level job spec, encoded by `ptycho_core::service` —
-    /// opaque to the store.
+    /// The service-level job spec, in this module's spec encoding — opaque
+    /// to the store.
     pub spec: Vec<u8>,
 }
 
@@ -485,10 +488,7 @@ impl EpochManifest {
         let epoch = r.get_u64()?;
         let slot_count = r.get_count(8)?;
         if slot_count == 0 {
-            return Err(DurabilityError::Corrupt {
-                path: path.to_path_buf(),
-                detail: "manifest records zero slots".to_string(),
-            });
+            return Err(r.corrupt("manifest records zero slots"));
         }
         let mut assignment = Vec::with_capacity(slot_count);
         for _ in 0..slot_count {
@@ -506,20 +506,14 @@ impl EpochManifest {
         }
         let spec = r.get_bytes()?.to_vec();
         if !r.is_exhausted() {
-            return Err(DurabilityError::Corrupt {
-                path: path.to_path_buf(),
-                detail: "trailing bytes after manifest payload".to_string(),
-            });
+            return Err(r.corrupt("trailing bytes after manifest payload"));
         }
         // `MembershipView::from_parts` asserts each node holds one role; a
         // manifest that breaks that is corrupt, not a panic.
         let mut seen = std::collections::HashSet::new();
         let mut nodes = assignment.iter().chain(&spares).chain(&dead);
         if !nodes.all(|&node| seen.insert(node)) {
-            return Err(DurabilityError::Corrupt {
-                path: path.to_path_buf(),
-                detail: "manifest names a node in more than one membership role".to_string(),
-            });
+            return Err(r.corrupt("manifest names a node in more than one membership role"));
         }
         Ok(Self {
             seq,
@@ -531,6 +525,236 @@ impl EpochManifest {
             spec,
         })
     }
+}
+
+/// Current encoding version of the manifest-embedded job spec.
+const SPEC_VERSION: u8 = 1;
+
+/// Encodes everything [`JobEngine::resume`] needs to rebuild the job from
+/// the checkpoint directory alone. The dataset is stored as its synthesis
+/// recipe plus the current scan length — the synthesized acquisition is
+/// deterministic, so the recipe *is* the data. Embedded opaquely in every
+/// [`EpochManifest`].
+///
+/// [`JobEngine::resume`]: crate::service::JobEngine::resume
+pub(crate) fn encode_spec(spec: &JobSpec) -> Vec<u8> {
+    let mut w = ByteWriter::new();
+    w.put_u8(SPEC_VERSION);
+    let synth = spec.dataset.synthetic_config();
+    w.put_u64(synth.object_px as u64);
+    w.put_u64(synth.slices as u64);
+    w.put_u64(synth.scan_grid.0 as u64);
+    w.put_u64(synth.scan_grid.1 as u64);
+    w.put_u64(synth.window_px as u64);
+    w.put_opt(synth.dose, ByteWriter::put_f64);
+    w.put_f64(synth.defocus_pm);
+    w.put_u64(synth.seed);
+    w.put_u64(spec.dataset.scan().len() as u64);
+    let c = &spec.config;
+    w.put_u64(c.iterations as u64);
+    w.put_f64(c.step_relaxation);
+    w.put_u64(c.halo_px as u64);
+    let (tag, times) = match c.pass_frequency {
+        PassFrequency::EveryProbe => (0, 0),
+        PassFrequency::PerIteration(times) => (1, times),
+    };
+    w.put_u8(tag);
+    w.put_u64(times as u64);
+    w.put_u8(c.local_updates as u8);
+    w.put_u64(c.hve_extra_probe_rows as u64);
+    w.put_u64(c.hve_exchange_period as u64);
+    // The absent tags of two retired settings (probe-support pruning, then
+    // the detector ROI): the version-1 layout keeps their positions, so
+    // stores written before their removal still decode.
+    w.put_u8(0);
+    w.put_u8(0);
+    w.put_u64(spec.grid.0 as u64);
+    w.put_u64(spec.grid.1 as u64);
+    w.put_u8(match spec.method {
+        SolverMethod::GradientDecomposition => 0,
+        SolverMethod::HaloVoxelExchange => 1,
+    });
+    w.put_u64(spec.priority as i64 as u64);
+    // Tag 1 is retired: it named a recovering policy without spares,
+    // which `Recover { spares: 0, .. }` now is.
+    let (tag, restarts, spares) = match spec.recovery {
+        RecoveryPolicy::FailFast => (0, 0, 0),
+        RecoveryPolicy::Recover {
+            spares,
+            max_iteration_restarts,
+        } => (2, max_iteration_restarts, spares),
+    };
+    w.put_u8(tag);
+    w.put_u64(restarts as u64);
+    w.put_u64(spares as u64);
+    w.put_opt(spec.fault_policy.as_ref(), |w, policy| {
+        w.put_u64(policy.seed);
+        w.put_f64(policy.drop_probability);
+        // The retired message-duplication probability keeps its position.
+        w.put_f64(0.0);
+        w.put_f64(policy.delay_probability);
+        w.put_opt(policy.only_tag, ByteWriter::put_u64);
+        w.put_opt(policy.drop_exact, |w, (from, to, tag, seq)| {
+            w.put_u64(from as u64);
+            w.put_u64(to as u64);
+            w.put_u64(tag);
+            w.put_u64(seq);
+        });
+        w.put_opt(policy.kill, |w, (node, after_sends)| {
+            w.put_u64(node as u64);
+            w.put_u64(after_sends);
+        });
+        w.put_opt(policy.process_kill, |w, (seq, phase)| {
+            w.put_u64(seq);
+            w.put_u8(match phase {
+                CrashPhase::BeforeRename => 0,
+                CrashPhase::DuringRename => 1,
+                CrashPhase::AfterRename => 2,
+            });
+        });
+    });
+    let (tag, nanos) = match spec.backend {
+        ServiceBackend::Lockstep => (0, 0),
+        ServiceBackend::Threaded { recv_timeout } => (1, recv_timeout.as_nanos() as u64),
+    };
+    w.put_u8(tag);
+    w.put_u64(nanos);
+    w.into_bytes()
+}
+
+/// Decodes a manifest-embedded spec, refusing a recipe synthesis cannot run;
+/// the returned closure synthesizes the dataset and builds a submittable
+/// [`JobSpec`] (telemetry, checkpoint directory, and resume state are not
+/// part of the encoding; the caller attaches them). `path` labels errors.
+pub(crate) fn decode_spec(
+    bytes: &[u8],
+    path: &Path,
+) -> Result<impl FnOnce() -> JobSpec, DurabilityError> {
+    let mut r = ByteReader::new(bytes, path);
+    let version = r.get_u8()?;
+    if version != SPEC_VERSION {
+        return Err(r.corrupt(format!(
+            "unsupported spec version {version} (expected {SPEC_VERSION})"
+        )));
+    }
+    let synth = SyntheticConfig {
+        object_px: r.get_u64()? as usize,
+        slices: r.get_u64()? as usize,
+        scan_grid: (r.get_u64()? as usize, r.get_u64()? as usize),
+        window_px: r.get_u64()? as usize,
+        dose: r.get_opt(ByteReader::get_f64)?,
+        defocus_pm: r.get_f64()?,
+        seed: r.get_u64()?,
+    };
+    let scan_len = r.get_u64()? as usize;
+    let config = SolverConfig {
+        iterations: r.get_u64()? as usize,
+        step_relaxation: r.get_f64()?,
+        halo_px: r.get_u64()? as usize,
+        pass_frequency: match (r.get_u8()?, r.get_u64()?) {
+            (0, _) => PassFrequency::EveryProbe,
+            (1, times) => PassFrequency::PerIteration(times as usize),
+            (tag, _) => return Err(r.corrupt(format!("unknown pass-frequency tag {tag}"))),
+        },
+        local_updates: r.get_u8()? != 0,
+        hve_extra_probe_rows: r.get_u64()? as usize,
+        hve_exchange_period: r.get_u64()? as usize,
+    };
+    for retired in ["probe-support pruning", "a detector ROI"] {
+        if r.get_opt(|_| Ok(()))?.is_some() {
+            return Err(r.corrupt(format!(
+                "the spec sets {retired}, which is no longer supported"
+            )));
+        }
+    }
+    let grid = (r.get_u64()? as usize, r.get_u64()? as usize);
+    let method = match r.get_u8()? {
+        0 => SolverMethod::GradientDecomposition,
+        1 => SolverMethod::HaloVoxelExchange,
+        tag => return Err(r.corrupt(format!("unknown solver-method tag {tag}"))),
+    };
+    let priority = r.get_u64()? as i64 as i32;
+    let recovery = match (r.get_u8()?, r.get_u64()? as usize, r.get_u64()? as usize) {
+        (0, _, _) => RecoveryPolicy::FailFast,
+        (1, max_iteration_restarts, _) => RecoveryPolicy::Recover {
+            spares: 0,
+            max_iteration_restarts,
+        },
+        (2, max_iteration_restarts, spares) => RecoveryPolicy::Recover {
+            spares,
+            max_iteration_restarts,
+        },
+        (tag, _, _) => return Err(r.corrupt(format!("unknown recovery-policy tag {tag}"))),
+    };
+    let fault_policy = r.get_opt(|r| {
+        let seed = r.get_u64()?;
+        let drop_probability = r.get_f64()?;
+        if r.get_f64()? != 0.0 {
+            return Err(
+                r.corrupt("the spec sets message duplication, which is no longer supported")
+            );
+        }
+        Ok(FaultPolicy {
+            seed,
+            drop_probability,
+            delay_probability: r.get_f64()?,
+            only_tag: r.get_opt(ByteReader::get_u64)?,
+            drop_exact: r.get_opt(|r| {
+                Ok((
+                    r.get_u64()? as usize,
+                    r.get_u64()? as usize,
+                    r.get_u64()?,
+                    r.get_u64()?,
+                ))
+            })?,
+            kill: r.get_opt(|r| Ok((r.get_u64()? as usize, r.get_u64()?)))?,
+            process_kill: r.get_opt(|r| {
+                let seq = r.get_u64()?;
+                let phase = match r.get_u8()? {
+                    0 => CrashPhase::BeforeRename,
+                    1 => CrashPhase::DuringRename,
+                    2 => CrashPhase::AfterRename,
+                    tag => return Err(r.corrupt(format!("unknown crash-phase tag {tag}"))),
+                };
+                Ok((seq, phase))
+            })?,
+        })
+    })?;
+    let backend = match (r.get_u8()?, r.get_u64()?) {
+        (0, _) => ServiceBackend::Lockstep,
+        (1, nanos) => ServiceBackend::Threaded {
+            recv_timeout: Duration::from_nanos(nanos),
+        },
+        (tag, _) => return Err(r.corrupt(format!("unknown backend tag {tag}"))),
+    };
+    if !r.is_exhausted() {
+        return Err(r.corrupt("trailing bytes after the job spec"));
+    }
+    if let Some(reason) = synth.refusal_reason() {
+        return Err(r.corrupt(format!("unsynthesizable recipe: {reason}")));
+    }
+    // The recipe passed its size bounds, so this product cannot overflow.
+    let positions = synth.scan_grid.0 * synth.scan_grid.1;
+    if scan_len > positions {
+        return Err(r.corrupt(format!(
+            "checkpointed scan length {scan_len} exceeds the {positions} positions the \
+             synthesis recipe produces"
+        )));
+    }
+    // The synthesized acquisition is deterministic: re-running the recipe
+    // and trimming to the checkpointed scan length reproduces the exact
+    // dataset the killed process was reconstructing, scan prefix included.
+    Ok(move || {
+        let dataset = Dataset::synthesize(synth).with_scan_prefix(scan_len);
+        JobSpec {
+            method,
+            priority,
+            recovery,
+            fault_policy,
+            backend,
+            ..JobSpec::new(dataset, config, grid)
+        }
+    })
 }
 
 /// One fully verified epoch, ready to prefill the engine's checkpoint slots.
@@ -1311,5 +1535,258 @@ pub(crate) mod tests {
         // The FNV-1a 64 reference value for "hello".
         assert_eq!(fnv1a64(b"hello"), 0xa430_d846_80aa_bd0b);
         assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
+    }
+
+    /// Byte offsets in the version-1 layout of a spec whose every optional
+    /// field is present ([`full_spec`]).
+    const OPTION_TAGS: [(usize, &str); 6] = [
+        (41, "dose"),
+        (168, "fault_policy"),
+        (201, "only_tag"),
+        (210, "drop_exact"),
+        (243, "kill"),
+        (260, "process_kill"),
+    ];
+    /// Where the retired probe-support and detector-ROI settings sat.
+    const RETIRED_TAGS: [(usize, &str); 2] =
+        [(124, "probe-support pruning"), (125, "detector ROI")];
+    /// Where the retired message-duplication probability sits (an `f64`).
+    const RETIRED_DUPLICATE_AT: usize = 185;
+    /// Where the recovery-policy tag sits.
+    const RECOVERY_TAG_AT: usize = 151;
+    const FULL_SPEC_LEN: usize = 279;
+    /// Where the checkpointed scan length sits (a little-endian `u64`).
+    const SCAN_LEN_AT: usize = 66;
+
+    fn spec(dose: Option<f64>) -> JobSpec {
+        let dataset = Dataset::synthesize(SyntheticConfig {
+            dose,
+            ..SyntheticConfig::tiny()
+        });
+        let config = SolverConfig {
+            iterations: 3,
+            halo_px: 20,
+            ..SolverConfig::default()
+        };
+        JobSpec::new(dataset, config, (1, 2))
+    }
+
+    fn full_fault_policy(phase: CrashPhase) -> FaultPolicy {
+        FaultPolicy {
+            only_tag: Some(7),
+            drop_exact: Some((0, 1, 7, 3)),
+            kill: Some((1, 5)),
+            process_kill: Some((2, phase)),
+            ..FaultPolicy::reliable(11).drop(0.125).delay(0.0625)
+        }
+    }
+
+    fn full_spec() -> JobSpec {
+        spec(Some(1e4))
+            .with_priority(-3)
+            .with_fault_policy(full_fault_policy(CrashPhase::DuringRename))
+    }
+
+    fn decode(bytes: &[u8]) -> Result<JobSpec, DurabilityError> {
+        decode_spec(bytes, Path::new("spec-under-test")).map(|build| build())
+    }
+
+    /// The `Corrupt` detail of a rejected buffer; any other outcome fails.
+    fn corrupt_detail(bytes: &[u8]) -> String {
+        match decode(bytes) {
+            Err(DurabilityError::Corrupt { detail, .. }) => detail,
+            Err(other) => panic!("expected Corrupt, got {other}"),
+            Ok(_) => panic!("a damaged spec decoded"),
+        }
+    }
+
+    fn assert_round_trips(spec: &JobSpec) {
+        let bytes = encode_spec(spec);
+        let decoded = decode(&bytes).expect("an encoded spec decodes");
+        // The dataset recipe has no `PartialEq`; the re-encoding below pins it.
+        assert_eq!(decoded.dataset.scan().len(), spec.dataset.scan().len());
+        assert_eq!(decoded.config, spec.config);
+        assert_eq!(decoded.grid, spec.grid);
+        assert_eq!(decoded.method, spec.method);
+        assert_eq!(decoded.priority, spec.priority);
+        assert_eq!(decoded.recovery, spec.recovery);
+        assert_eq!(decoded.fault_policy, spec.fault_policy);
+        assert_eq!(decoded.backend, spec.backend);
+        assert_eq!(encode_spec(&decoded), bytes);
+    }
+
+    #[test]
+    fn spec_round_trips_through_every_enum_arm() {
+        let base = spec(None);
+        assert_round_trips(&base);
+        assert_round_trips(&full_spec());
+        let mut prefix = base.clone();
+        prefix.dataset = prefix.dataset.with_scan_prefix(4);
+        assert_round_trips(&prefix);
+        for pass_frequency in [PassFrequency::EveryProbe, PassFrequency::PerIteration(2)] {
+            let mut spec = base.clone();
+            spec.config.pass_frequency = pass_frequency;
+            spec.config.local_updates = false;
+            assert_round_trips(&spec);
+        }
+        for method in [
+            SolverMethod::GradientDecomposition,
+            SolverMethod::HaloVoxelExchange,
+        ] {
+            assert_round_trips(&base.clone().with_method(method));
+        }
+        for recovery in [
+            RecoveryPolicy::FailFast,
+            RecoveryPolicy::Recover {
+                spares: 0,
+                max_iteration_restarts: 4,
+            },
+            RecoveryPolicy::Recover {
+                spares: 2,
+                max_iteration_restarts: 1,
+            },
+        ] {
+            assert_round_trips(&base.clone().with_recovery(recovery));
+        }
+        for backend in [
+            ServiceBackend::Lockstep,
+            ServiceBackend::Threaded {
+                recv_timeout: Duration::from_millis(250),
+            },
+        ] {
+            assert_round_trips(&base.clone().with_backend(backend));
+        }
+        assert_round_trips(&base.clone().with_fault_policy(FaultPolicy::reliable(3)));
+        for phase in [
+            CrashPhase::BeforeRename,
+            CrashPhase::DuringRename,
+            CrashPhase::AfterRename,
+        ] {
+            assert_round_trips(&base.clone().with_fault_policy(full_fault_policy(phase)));
+        }
+    }
+
+    #[test]
+    fn the_version_1_layout_keeps_the_retired_positions() {
+        let bytes = encode_spec(&full_spec());
+        assert_eq!(bytes.len(), FULL_SPEC_LEN);
+        assert_eq!(bytes[0], SPEC_VERSION);
+        for (offset, name) in OPTION_TAGS {
+            assert_eq!(bytes[offset], 1, "{name} tag at {offset}");
+        }
+        for (offset, name) in RETIRED_TAGS {
+            assert_eq!(bytes[offset], 0, "retired {name} tag at {offset}");
+        }
+        let duplicate = RETIRED_DUPLICATE_AT..RETIRED_DUPLICATE_AT + 8;
+        assert_eq!(bytes[duplicate], 0.0f64.to_le_bytes());
+        assert_eq!(bytes[RECOVERY_TAG_AT], 2, "recovery-policy tag");
+    }
+
+    /// Tag 1 once named a recovering policy without spares; it decodes as
+    /// the one recovering policy with none.
+    #[test]
+    fn the_retired_recovery_tag_decodes_as_recover_without_spares() {
+        let mut bytes = encode_spec(&full_spec());
+        bytes[RECOVERY_TAG_AT] = 1;
+        assert_eq!(
+            decode(&bytes).expect("tag 1 decodes").recovery,
+            RecoveryPolicy::Recover {
+                spares: 0,
+                max_iteration_restarts: 2,
+            }
+        );
+    }
+
+    /// The FNV-1a golden of the whole version-1 encoding of [`full_spec`]:
+    /// every value, not only the layout's length and tag offsets. The
+    /// encoding from before message duplication was retired differs only in
+    /// the retired position, which held the policy's 0.25.
+    #[test]
+    fn the_full_spec_encodes_to_its_recorded_bytes() {
+        let mut bytes = encode_spec(&full_spec());
+        let actual = crate::durability::fnv1a64(&bytes);
+        assert_eq!(actual, 0x6256_6171_d011_b4b7, "new hash {actual:#018x}");
+        bytes[RETIRED_DUPLICATE_AT..RETIRED_DUPLICATE_AT + 8]
+            .copy_from_slice(&0.25f64.to_le_bytes());
+        assert_eq!(crate::durability::fnv1a64(&bytes), 0x9d3f_74bd_887e_b6fa);
+    }
+
+    #[test]
+    fn only_tag_1_means_present() {
+        let bytes = encode_spec(&full_spec());
+        for (offset, name) in OPTION_TAGS.into_iter().chain(RETIRED_TAGS) {
+            for tag in [2u8, 255] {
+                let mut damaged = bytes.clone();
+                damaged[offset] = tag;
+                assert_eq!(
+                    corrupt_detail(&damaged),
+                    format!("unknown option tag {tag}"),
+                    "{name} tag at {offset}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_retired_setting_is_refused_by_name() {
+        let bytes = encode_spec(&full_spec());
+        for (offset, name) in RETIRED_TAGS {
+            let mut damaged = bytes.clone();
+            damaged[offset] = 1;
+            let detail = corrupt_detail(&damaged);
+            assert!(detail.contains(name), "{detail:?} should name {name}");
+        }
+        let mut damaged = bytes.clone();
+        damaged[RETIRED_DUPLICATE_AT..RETIRED_DUPLICATE_AT + 8]
+            .copy_from_slice(&0.25f64.to_le_bytes());
+        let detail = corrupt_detail(&damaged);
+        assert!(detail.contains("duplication"), "{detail:?}");
+    }
+
+    #[test]
+    fn a_scan_length_past_the_recipe_is_corrupt() {
+        let spec = full_spec();
+        let recipe_len = spec.dataset.scan().len() as u64;
+        let mut bytes = encode_spec(&spec);
+        let at = SCAN_LEN_AT..SCAN_LEN_AT + 8;
+        assert_eq!(bytes[at.clone()], recipe_len.to_le_bytes());
+        bytes[at].copy_from_slice(&(recipe_len + 1).to_le_bytes());
+        let detail = corrupt_detail(&bytes);
+        assert!(
+            detail.contains("checkpointed scan length"),
+            "{detail:?} should name the checkpointed scan length"
+        );
+    }
+
+    /// Decoding meets every truncation and single-byte XOR of the full spec
+    /// with `Ok` or `Corrupt`, never a panic. Nothing is synthesized, so a
+    /// mutated size costs at most its refusal.
+    #[test]
+    fn the_spec_parser_never_panics_on_truncated_or_flipped_bytes() {
+        let parses = |bytes: &[u8]| match decode_spec(bytes, Path::new("spec-under-test")) {
+            Ok(_) => true,
+            Err(DurabilityError::Corrupt { .. }) => false,
+            Err(other) => panic!("expected Corrupt, got {other}"),
+        };
+        crate::durability::tests::assert_decode_never_panics(
+            "spec",
+            &encode_spec(&full_spec()),
+            parses,
+        );
+    }
+
+    #[test]
+    fn trailing_bytes_and_every_truncation_are_corrupt() {
+        let bytes = encode_spec(&full_spec());
+        let mut longer = bytes.clone();
+        longer.push(0);
+        assert_eq!(corrupt_detail(&longer), "trailing bytes after the job spec");
+        for len in 0..bytes.len() {
+            assert_eq!(
+                corrupt_detail(&bytes[..len]),
+                "payload truncated",
+                "at {len}"
+            );
+        }
     }
 }

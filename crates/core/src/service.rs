@@ -37,27 +37,23 @@
 //!
 //! [`FleetView`]: ptycho_cluster::FleetView
 //! [`JobQueue`]: ptycho_cluster::JobQueue
+//! [`JobContext::spare_grant`]: crate::engine::JobContext::spare_grant
 
-use crate::config::{PassFrequency, SolverConfig};
+mod runner;
+
+use crate::config::SolverConfig;
 use crate::durability::{
-    ByteReader, ByteWriter, CheckpointPayload, CheckpointStore, DurabilityError, RecoveredEpoch,
+    decode_spec, ByteReader, CheckpointPayload, CheckpointStore, DurabilityError, RecoveredEpoch,
 };
-use crate::engine::{
-    DurabilityHook, IterationProgress, JobContext, ReconstructionResult, RecoveryPolicy,
-    RecoveryReport,
-};
+use crate::engine::{IterationProgress, ReconstructionResult, RecoveryPolicy, RecoveryReport};
 use crate::gradient_decomp::solver::GradientDecompositionSolver;
 use crate::halo_exchange::solver::HaloVoxelExchangeSolver;
-use ptycho_cluster::{
-    Cluster, ClusterTopology, CommBackend, CommError, CrashPhase, FaultInjectionBackend,
-    FaultPolicy, FleetView, JobId, JobQueue, LockstepBackend, NodeId, RankFailure,
-};
+use ptycho_cluster::{FaultPolicy, FleetView, JobId, JobQueue, NodeId, QueuedJob, RankFailure};
 use ptycho_fft::CArray3;
-use ptycho_sim::dataset::{Dataset, SyntheticConfig};
+use ptycho_sim::dataset::Dataset;
 use ptycho_telemetry::{Histogram, MetricsRegistry, Telemetry, TelemetryEvent};
 use std::collections::BTreeMap;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
@@ -284,8 +280,8 @@ pub struct JobReport {
 /// [`JobEngine::metrics_snapshot`] counts these records.
 struct JobRecord {
     state: JobState,
-    /// The spec whenever no runner holds it: from submission to admission,
-    /// and again once the runner hands it back to [`finish`].
+    /// The spec while the job is queued. Admission hands it to the runner;
+    /// a cancel or a fleet shrink [`dequeue`]s it to end the job.
     spec: Option<JobSpec>,
     cancel: Arc<AtomicBool>,
     /// Job-local node id → fleet node. Indices `0..slots` are the initial
@@ -295,8 +291,8 @@ struct JobRecord {
     progress: Vec<IterationProgress>,
     result: Option<ReconstructionResult>,
     error: Option<JobError>,
-    /// Flight-recorder records lost to ring overflow, per rank, settled by
-    /// the final flush in [`finish`].
+    /// Flight-recorder records lost, per rank, counted by the final flush
+    /// in [`runner::end_job`].
     telemetry_lost: Vec<u64>,
     submitted: Instant,
     started: Option<Instant>,
@@ -531,10 +527,11 @@ impl JobEngine {
         })
     }
 
-    /// Blocks until no job is running or waiting.
+    /// Blocks until every job is terminal: none is queued, running, or
+    /// being ended.
     pub fn wait_idle(&self) {
         let mut state = self.shared.lock();
-        while state.active > 0 || !state.queue.is_empty() {
+        while state.jobs.values().any(|r| !r.state.is_terminal()) {
             state = self.shared.wait(state);
         }
     }
@@ -768,9 +765,15 @@ impl JobHandle {
         let mut state = self.shared.lock();
         let record = state.jobs.get(&self.id).expect("job record missing");
         match record.state {
-            // The removed entry may have been the head-of-line blocker;
-            // `finish` re-runs admission.
-            JobState::Queued => finish(&mut state, &self.shared, self.id, Err(JobError::Cancelled)),
+            // Ended once the guard is dropped; `finish` re-runs admission, as
+            // the removed entry may have been the head-of-line blocker. A
+            // queued job already dequeued is being ended by a fleet shrink.
+            JobState::Queued => {
+                if let Some(spec) = dequeue(&mut state, self.id) {
+                    drop(state);
+                    runner::end_job(&self.shared, self.id, &spec, Err(JobError::Cancelled));
+                }
+            }
             JobState::Running => {
                 record.cancel.store(true, Ordering::Relaxed);
                 // A running job may be parked in the spare_grant condvar
@@ -813,28 +816,14 @@ impl JobHandle {
     }
 }
 
-/// Fails every queued job whose slot count exceeds the live fleet (total
-/// minus retired nodes). A dead node never returns to the free pool, so
-/// such a job can never be admitted; with strict head-of-line scheduling
-/// it would block the entire queue, and `wait_idle` / `JobHandle::wait`
-/// would hang with no failure path. Called with the state lock held after
-/// every retirement.
-fn fail_unservable_queued(state: &mut ServiceState, shared: &Arc<Shared>) {
-    let live = state.fleet.total_nodes() - state.fleet.dead_count();
-    let doomed: Vec<(JobId, usize)> = state
-        .queue
-        .entries()
-        .iter()
-        .filter(|e| e.slots > live)
-        .map(|e| (e.job, e.slots))
-        .collect();
-    for (id, slots) in doomed {
-        let reason = format!(
-            "retirements shrank the fleet below the job's size: needs \
-             {slots} node(s) but only {live} live node(s) remain"
-        );
-        finish(state, shared, id, Err(JobError::Rejected { reason }));
-    }
+/// Takes queued job `id` out of the queue to end it, handing back its spec;
+/// `None` once admission or another caller has taken it. Called with the
+/// state lock held; the caller ends the job ([`runner::end_job`]) once the
+/// guard is dropped.
+fn dequeue(state: &mut ServiceState, id: JobId) -> Option<JobSpec> {
+    let spec = state.jobs.get_mut(&id)?.spec.take()?;
+    state.queue.remove(id);
+    Some(spec)
 }
 
 /// Why `spec` can never run, judged from the spec alone; `None` when it
@@ -916,16 +905,17 @@ fn refusal_reason(spec: &JobSpec) -> Option<String> {
     None
 }
 
-/// Ends job `id`: the one place a record enters a terminal state. Stamps
-/// the lifecycle event, flushes the job's recorder and keeps its loss
-/// counts, gives back what the job held (its queue entry, or its lease),
-/// and re-runs admission. Called with the state lock held, on a queued
-/// record or on a running one whose runner has handed its spec back.
+/// Ends job `id`: the one place a record enters a terminal state. Called
+/// with the state lock held, by [`runner::end_job`] once it has settled the
+/// job's trace. Records the outcome and loss counts, gives back the job's
+/// lease (a queued job left the queue when it was dequeued), and re-runs
+/// admission.
 fn finish(
     state: &mut ServiceState,
     shared: &Arc<Shared>,
     id: JobId,
     outcome: Result<ReconstructionResult, JobError>,
+    telemetry_lost: Vec<u64>,
 ) {
     let record = state.jobs.get_mut(&id).expect("job record missing");
     let was_running = record.state == JobState::Running;
@@ -938,30 +928,11 @@ fn finish(
         Ok(result) => record.result = Some(result),
         Err(error) => record.error = Some(error),
     }
+    record.telemetry_lost = telemetry_lost;
     record.finished = Some(Instant::now());
-    let spec = record.spec.take().expect("a job ends holding its spec");
-    if let Some(telemetry) = &spec.telemetry {
-        // The job's rank threads, if it ever had any, are joined and their
-        // streams parked: stamping stream 0 and flushing cannot race them.
-        let mut sink = telemetry.sink(0);
-        match record.state {
-            JobState::Completed => sink.record(TelemetryEvent::JobCompleted {
-                job: id,
-                iterations: spec.config.iterations as u64,
-            }),
-            JobState::Cancelled => sink.record(TelemetryEvent::JobCancelled { job: id }),
-            _ => {}
-        }
-        drop(sink);
-        telemetry.flush_all();
-        // After the final flush the loss counters are settled.
-        record.telemetry_lost = telemetry.lost_records_by_rank();
-    }
     if was_running {
         state.active -= 1;
         state.fleet.release(id);
-    } else {
-        state.queue.remove(id);
     }
     try_admit(state, shared);
     shared.changed.notify_all();
@@ -989,6 +960,7 @@ fn try_admit(state: &mut ServiceState, shared: &Arc<Shared>) {
             .expect("pop_admissible checked the free pool");
         let record = state.jobs.get_mut(&entry.job).expect("job record missing");
         let spec = record.spec.take().expect("a queued job holds its spec");
+        let cancel = Arc::clone(&record.cancel);
         record.state = JobState::Running;
         record.started = Some(Instant::now());
         record.node_map = leased;
@@ -1003,658 +975,88 @@ fn try_admit(state: &mut ServiceState, shared: &Arc<Shared>) {
             });
         }
         let shared = Arc::clone(shared);
-        std::thread::spawn(move || run_job_thread(shared, entry.job, spec));
+        std::thread::spawn(move || runner::run_job_thread(shared, entry.job, spec, cancel));
     }
 }
 
-/// The per-job runner: builds the job's own backend, wires the job-context
-/// hooks into the shared state, runs the solver once, and completes the job.
-fn run_job_thread(shared: Arc<Shared>, id: JobId, mut spec: JobSpec) {
-    let cancel = {
-        let state = shared.lock();
-        Arc::clone(&state.jobs.get(&id).expect("job record missing").cancel)
-    };
-    let progress_shared = Arc::clone(&shared);
-    let progress = move |event: IterationProgress| {
-        let mut state = progress_shared.lock();
-        if let Some(record) = state.jobs.get_mut(&id) {
-            record.progress.push(event);
-        }
-    };
-    let grant_shared = Arc::clone(&shared);
-    let grant_cancel = Arc::clone(&cancel);
-    let spare_grant = move |dead_local: usize| -> bool {
-        let mut guard = grant_shared.lock();
-        let dead_global = guard
-            .jobs
-            .get(&id)
-            .and_then(|r| r.node_map.get(dead_local).copied());
-        if dead_global.is_none_or(|node| guard.fleet.retire(node).is_err()) {
-            return false;
-        }
-        // Counted as waiting from here on, the grant outranks new
-        // admissions (see `try_admit`), including those that failing doomed
-        // queue entries below would otherwise run first.
-        guard.waiting_for_spare += 1;
-        // The retirement just shrank the live fleet: queued jobs bigger
-        // than what remains can never be admitted, and head-of-line
-        // scheduling would let one pin the queue (and `wait_idle`) forever.
-        fail_unservable_queued(&mut guard, &grant_shared);
-        // The free pool may be transiently empty when every node is leased
-        // out to tenants: block until a neighbouring job releases one. The
-        // grant can only fail for good when no other active tenant exists —
-        // or every one of them is itself blocked here — so nobody will ever
-        // free a node (and when the job was cancelled while waiting).
-        let granted = loop {
-            if let Some(replacement) = guard.fleet.draw_spare(id) {
-                if let Some(record) = guard.jobs.get_mut(&id) {
-                    // Appended in promotion order: the engine numbers the
-                    // k-th promoted spare `slots + k`, which indexes this
-                    // entry.
-                    record.node_map.push(replacement);
-                }
-                break true;
+/// The runner's `JobContext::spare_grant` hook: retires job `id`'s dead
+/// local node `dead_local` and leases a replacement from the shared pool,
+/// appending it to the job's node map. Returns whether one was granted.
+fn grant_spare(shared: &Arc<Shared>, id: JobId, cancel: &AtomicBool, dead_local: usize) -> bool {
+    let mut guard = shared.lock();
+    let dead_global = guard
+        .jobs
+        .get(&id)
+        .and_then(|r| r.node_map.get(dead_local).copied());
+    if dead_global.is_none_or(|node| guard.fleet.retire(node).is_err()) {
+        return false;
+    }
+    // Counted as waiting from here on, the grant outranks new admissions
+    // (see `try_admit`), including those that ending doomed queue entries
+    // below would otherwise run first.
+    guard.waiting_for_spare += 1;
+    // The retirement just shrank the live fleet (a dead node never returns
+    // to the free pool): a queued job bigger than what remains can never be
+    // admitted, and head-of-line scheduling would let it pin the queue (and
+    // `wait_idle`, `JobHandle::wait`) forever. Dequeue each such job now and
+    // end it as rejected once the guard is dropped.
+    let live = guard.fleet.total_nodes() - guard.fleet.dead_count();
+    let unservable: Vec<QueuedJob> = guard
+        .queue
+        .entries()
+        .iter()
+        .filter(|e| e.slots > live)
+        .copied()
+        .collect();
+    let doomed: Vec<_> = unservable
+        .into_iter()
+        .filter_map(|entry| Some((entry, dequeue(&mut guard, entry.job)?)))
+        .collect();
+    drop(guard);
+    for (entry, spec) in doomed {
+        let reason = format!(
+            "retirements shrank the fleet below the job's size: needs {} node(s) \
+             but only {live} live node(s) remain",
+            entry.slots
+        );
+        runner::end_job(shared, entry.job, &spec, Err(JobError::Rejected { reason }));
+    }
+    let mut guard = shared.lock();
+    // The free pool may be transiently empty when every node is leased out
+    // to tenants: block until a neighbouring job releases one. The grant can
+    // only fail for good when no other active tenant exists — or every one
+    // of them is itself blocked here — so nobody will ever free a node (and
+    // when the job was cancelled while waiting).
+    let granted = loop {
+        if let Some(replacement) = guard.fleet.draw_spare(id) {
+            if let Some(record) = guard.jobs.get_mut(&id) {
+                // Appended in promotion order: the engine numbers the k-th
+                // promoted spare `slots + k`, which indexes this entry.
+                record.node_map.push(replacement);
             }
-            if grant_cancel.load(Ordering::Relaxed) || guard.waiting_for_spare >= guard.active {
-                break false;
-            }
-            guard = grant_shared.wait(guard);
-        };
-        guard.waiting_for_spare -= 1;
-        // Run the admission that `try_admit` deferred while this job was
-        // waiting, so leftover free nodes still reach the queue.
-        try_admit(&mut guard, &grant_shared);
-        granted
-    };
-    // Taken out of the spec so the recovered slot states are freed when the
-    // run ends, not kept alive by the finished record.
-    let resume = spec.resume_from.take();
-    // A panicking run fails the job instead of leaving it `Running` with its
-    // nodes leased and every waiter blocked.
-    let outcome = catch_unwind(AssertUnwindSafe(|| {
-        let store = spec
-            .checkpoint_dir
-            .as_ref()
-            .map(|dir| {
-                CheckpointStore::open(dir).map_err(|error| JobError::Rejected {
-                    reason: format!("checkpoint store at {}: {error}", dir.display()),
-                })
-            })
-            .transpose()?;
-        let spec_bytes = encode_spec(&spec);
-        let job = JobContext {
-            cancel: Some(&cancel),
-            progress: Some(&progress),
-            spare_grant: Some(&spare_grant),
-            telemetry: spec.telemetry.as_deref(),
-            durability: store.as_ref().map(|store| DurabilityHook {
-                store,
-                resume: resume.as_deref(),
-                kill: spec.fault_policy.as_ref().and_then(|p| p.process_kill),
-                spec: &spec_bytes,
-            }),
-        };
-        run_spec(&spec, &job).map_err(|failure| {
-            if cancel.load(Ordering::Relaxed)
-                || matches!(failure.error, CommError::Cancelled { .. })
-            {
-                JobError::Cancelled
-            } else {
-                JobError::Failed(failure)
-            }
-        })
-    }))
-    .unwrap_or_else(|panic| {
-        // `panic!` with arguments carries a `String`, a bare literal a `&str`.
-        let message = panic
-            .downcast_ref::<String>()
-            .cloned()
-            .or_else(|| panic.downcast_ref::<&str>().map(|s| s.to_string()))
-            .unwrap_or_else(|| "a panic without a message".into());
-        Err(JobError::Panicked { message })
-    });
-    let mut state = shared.lock();
-    state.jobs.get_mut(&id).expect("job record missing").spec = Some(spec);
-    finish(&mut state, &shared, id, outcome);
-}
-
-/// Builds the job's backend and runs its solver. Each arm hands a concrete
-/// backend type to the generic runner — `CommBackend` is not object-safe
-/// (generic `run`), so dispatch is by enumeration, not by `dyn`.
-fn run_spec(spec: &JobSpec, job: &JobContext<'_>) -> Result<ReconstructionResult, RankFailure> {
-    let topology = ClusterTopology::summit();
-    match (spec.backend, spec.fault_policy.clone()) {
-        (ServiceBackend::Lockstep, None) => run_method(spec, &LockstepBackend::new(topology), job),
-        (ServiceBackend::Lockstep, Some(policy)) => run_method(
-            spec,
-            &FaultInjectionBackend::new(LockstepBackend::new(topology), policy),
-            job,
-        ),
-        (ServiceBackend::Threaded { recv_timeout }, None) => run_method(
-            spec,
-            &Cluster::new(topology).with_recv_timeout(recv_timeout),
-            job,
-        ),
-        (ServiceBackend::Threaded { recv_timeout }, Some(policy)) => run_method(
-            spec,
-            &FaultInjectionBackend::new(
-                Cluster::new(topology).with_recv_timeout(recv_timeout),
-                policy,
-            ),
-            job,
-        ),
-    }
-}
-
-/// Current encoding version of the manifest-embedded job spec.
-const SPEC_VERSION: u8 = 1;
-
-/// Encodes everything [`JobEngine::resume`] needs to rebuild the job from
-/// the checkpoint directory alone. The dataset is stored as its synthesis
-/// recipe plus the current scan length — the synthesized acquisition is
-/// deterministic, so the recipe *is* the data. Embedded opaquely in every
-/// [`EpochManifest`](crate::durability::EpochManifest).
-fn encode_spec(spec: &JobSpec) -> Vec<u8> {
-    let mut w = ByteWriter::new();
-    w.put_u8(SPEC_VERSION);
-    let synth = spec.dataset.synthetic_config();
-    w.put_u64(synth.object_px as u64);
-    w.put_u64(synth.slices as u64);
-    w.put_u64(synth.scan_grid.0 as u64);
-    w.put_u64(synth.scan_grid.1 as u64);
-    w.put_u64(synth.window_px as u64);
-    w.put_opt(synth.dose, ByteWriter::put_f64);
-    w.put_f64(synth.defocus_pm);
-    w.put_u64(synth.seed);
-    w.put_u64(spec.dataset.scan().len() as u64);
-    let c = &spec.config;
-    w.put_u64(c.iterations as u64);
-    w.put_f64(c.step_relaxation);
-    w.put_u64(c.halo_px as u64);
-    let (tag, times) = match c.pass_frequency {
-        PassFrequency::EveryProbe => (0, 0),
-        PassFrequency::PerIteration(times) => (1, times),
-    };
-    w.put_u8(tag);
-    w.put_u64(times as u64);
-    w.put_u8(c.local_updates as u8);
-    w.put_u64(c.hve_extra_probe_rows as u64);
-    w.put_u64(c.hve_exchange_period as u64);
-    // The absent tags of two retired settings (probe-support pruning, then
-    // the detector ROI): the version-1 layout keeps their positions, so
-    // stores written before their removal still decode.
-    w.put_u8(0);
-    w.put_u8(0);
-    w.put_u64(spec.grid.0 as u64);
-    w.put_u64(spec.grid.1 as u64);
-    w.put_u8(match spec.method {
-        SolverMethod::GradientDecomposition => 0,
-        SolverMethod::HaloVoxelExchange => 1,
-    });
-    w.put_u64(spec.priority as i64 as u64);
-    // Tag 1 is retired: it named a recovering policy without spares,
-    // which `Recover { spares: 0, .. }` now is.
-    let (tag, restarts, spares) = match spec.recovery {
-        RecoveryPolicy::FailFast => (0, 0, 0),
-        RecoveryPolicy::Recover {
-            spares,
-            max_iteration_restarts,
-        } => (2, max_iteration_restarts, spares),
-    };
-    w.put_u8(tag);
-    w.put_u64(restarts as u64);
-    w.put_u64(spares as u64);
-    w.put_opt(spec.fault_policy.as_ref(), |w, policy| {
-        w.put_u64(policy.seed);
-        w.put_f64(policy.drop_probability);
-        // The retired message-duplication probability keeps its position.
-        w.put_f64(0.0);
-        w.put_f64(policy.delay_probability);
-        w.put_opt(policy.only_tag, ByteWriter::put_u64);
-        w.put_opt(policy.drop_exact, |w, (from, to, tag, seq)| {
-            w.put_u64(from as u64);
-            w.put_u64(to as u64);
-            w.put_u64(tag);
-            w.put_u64(seq);
-        });
-        w.put_opt(policy.kill, |w, (node, after_sends)| {
-            w.put_u64(node as u64);
-            w.put_u64(after_sends);
-        });
-        w.put_opt(policy.process_kill, |w, (seq, phase)| {
-            w.put_u64(seq);
-            w.put_u8(match phase {
-                CrashPhase::BeforeRename => 0,
-                CrashPhase::DuringRename => 1,
-                CrashPhase::AfterRename => 2,
-            });
-        });
-    });
-    let (tag, nanos) = match spec.backend {
-        ServiceBackend::Lockstep => (0, 0),
-        ServiceBackend::Threaded { recv_timeout } => (1, recv_timeout.as_nanos() as u64),
-    };
-    w.put_u8(tag);
-    w.put_u64(nanos);
-    w.into_bytes()
-}
-
-/// Decodes a manifest-embedded spec, refusing a recipe synthesis cannot run;
-/// the returned closure synthesizes the dataset and builds a submittable
-/// [`JobSpec`] (telemetry, checkpoint directory, and resume state are not
-/// part of the encoding; the caller attaches them). `path` labels errors.
-fn decode_spec(bytes: &[u8], path: &Path) -> Result<impl FnOnce() -> JobSpec, DurabilityError> {
-    let corrupt = |detail: String| DurabilityError::Corrupt {
-        path: path.to_path_buf(),
-        detail,
-    };
-    let mut r = ByteReader::new(bytes, path);
-    let version = r.get_u8()?;
-    if version != SPEC_VERSION {
-        return Err(corrupt(format!(
-            "unsupported spec version {version} (expected {SPEC_VERSION})"
-        )));
-    }
-    let synth = SyntheticConfig {
-        object_px: r.get_u64()? as usize,
-        slices: r.get_u64()? as usize,
-        scan_grid: (r.get_u64()? as usize, r.get_u64()? as usize),
-        window_px: r.get_u64()? as usize,
-        dose: r.get_opt(ByteReader::get_f64)?,
-        defocus_pm: r.get_f64()?,
-        seed: r.get_u64()?,
-    };
-    let scan_len = r.get_u64()? as usize;
-    let config = SolverConfig {
-        iterations: r.get_u64()? as usize,
-        step_relaxation: r.get_f64()?,
-        halo_px: r.get_u64()? as usize,
-        pass_frequency: match (r.get_u8()?, r.get_u64()?) {
-            (0, _) => PassFrequency::EveryProbe,
-            (1, times) => PassFrequency::PerIteration(times as usize),
-            (tag, _) => return Err(corrupt(format!("unknown pass-frequency tag {tag}"))),
-        },
-        local_updates: r.get_u8()? != 0,
-        hve_extra_probe_rows: r.get_u64()? as usize,
-        hve_exchange_period: r.get_u64()? as usize,
-    };
-    for retired in ["probe-support pruning", "a detector ROI"] {
-        if r.get_opt(|_| Ok(()))?.is_some() {
-            return Err(corrupt(format!(
-                "the spec sets {retired}, which is no longer supported"
-            )));
+            break true;
         }
-    }
-    let grid = (r.get_u64()? as usize, r.get_u64()? as usize);
-    let method = match r.get_u8()? {
-        0 => SolverMethod::GradientDecomposition,
-        1 => SolverMethod::HaloVoxelExchange,
-        tag => return Err(corrupt(format!("unknown solver-method tag {tag}"))),
-    };
-    let priority = r.get_u64()? as i64 as i32;
-    let recovery = match (r.get_u8()?, r.get_u64()? as usize, r.get_u64()? as usize) {
-        (0, _, _) => RecoveryPolicy::FailFast,
-        (1, max_iteration_restarts, _) => RecoveryPolicy::Recover {
-            spares: 0,
-            max_iteration_restarts,
-        },
-        (2, max_iteration_restarts, spares) => RecoveryPolicy::Recover {
-            spares,
-            max_iteration_restarts,
-        },
-        (tag, _, _) => return Err(corrupt(format!("unknown recovery-policy tag {tag}"))),
-    };
-    let fault_policy = r.get_opt(|r| {
-        let seed = r.get_u64()?;
-        let drop_probability = r.get_f64()?;
-        if r.get_f64()? != 0.0 {
-            return Err(corrupt(
-                "the spec sets message duplication, which is no longer supported".to_string(),
-            ));
+        if cancel.load(Ordering::Relaxed) || guard.waiting_for_spare >= guard.active {
+            break false;
         }
-        Ok(FaultPolicy {
-            seed,
-            drop_probability,
-            delay_probability: r.get_f64()?,
-            only_tag: r.get_opt(ByteReader::get_u64)?,
-            drop_exact: r.get_opt(|r| {
-                Ok((
-                    r.get_u64()? as usize,
-                    r.get_u64()? as usize,
-                    r.get_u64()?,
-                    r.get_u64()?,
-                ))
-            })?,
-            kill: r.get_opt(|r| Ok((r.get_u64()? as usize, r.get_u64()?)))?,
-            process_kill: r.get_opt(|r| {
-                let seq = r.get_u64()?;
-                let phase = match r.get_u8()? {
-                    0 => CrashPhase::BeforeRename,
-                    1 => CrashPhase::DuringRename,
-                    2 => CrashPhase::AfterRename,
-                    tag => return Err(corrupt(format!("unknown crash-phase tag {tag}"))),
-                };
-                Ok((seq, phase))
-            })?,
-        })
-    })?;
-    let backend = match (r.get_u8()?, r.get_u64()?) {
-        (0, _) => ServiceBackend::Lockstep,
-        (1, nanos) => ServiceBackend::Threaded {
-            recv_timeout: Duration::from_nanos(nanos),
-        },
-        (tag, _) => return Err(corrupt(format!("unknown backend tag {tag}"))),
+        guard = shared.wait(guard);
     };
-    if !r.is_exhausted() {
-        return Err(corrupt("trailing bytes after the job spec".to_string()));
-    }
-    if let Some(reason) = synth.refusal_reason() {
-        return Err(corrupt(format!("unsynthesizable recipe: {reason}")));
-    }
-    // The recipe passed its size bounds, so this product cannot overflow.
-    let positions = synth.scan_grid.0 * synth.scan_grid.1;
-    if scan_len > positions {
-        return Err(corrupt(format!(
-            "checkpointed scan length {scan_len} exceeds the {positions} positions the \
-             synthesis recipe produces"
-        )));
-    }
-    // The synthesized acquisition is deterministic: re-running the recipe
-    // and trimming to the checkpointed scan length reproduces the exact
-    // dataset the killed process was reconstructing, scan prefix included.
-    Ok(move || {
-        let dataset = Dataset::synthesize(synth).with_scan_prefix(scan_len);
-        JobSpec {
-            method,
-            priority,
-            recovery,
-            fault_policy,
-            backend,
-            ..JobSpec::new(dataset, config, grid)
-        }
-    })
-}
-
-fn run_method<B: CommBackend>(
-    spec: &JobSpec,
-    backend: &B,
-    job: &JobContext<'_>,
-) -> Result<ReconstructionResult, RankFailure> {
-    match spec.method {
-        SolverMethod::GradientDecomposition => GradientDecompositionSolver::new(
-            &spec.dataset,
-            spec.config,
-            spec.grid,
-        )
-        .run_job(backend, spec.recovery, job),
-        SolverMethod::HaloVoxelExchange => {
-            HaloVoxelExchangeSolver::new(&spec.dataset, spec.config, spec.grid)
-                .expect("validated at submission")
-                .run_job(backend, spec.recovery, job)
-        }
-    }
+    guard.waiting_for_spare -= 1;
+    // Run the admission that `try_admit` deferred while this job was
+    // waiting, so leftover free nodes still reach the queue.
+    try_admit(&mut guard, shared);
+    granted
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::durability::{EpochManifest, SlotRecord};
+    use crate::durability::{encode_spec, ByteWriter, EpochManifest, SlotRecord};
+    use ptycho_sim::dataset::SyntheticConfig;
 
-    /// Byte offsets in the version-1 layout of a spec whose every optional
-    /// field is present ([`full_spec`]).
-    const OPTION_TAGS: [(usize, &str); 6] = [
-        (41, "dose"),
-        (168, "fault_policy"),
-        (201, "only_tag"),
-        (210, "drop_exact"),
-        (243, "kill"),
-        (260, "process_kill"),
-    ];
-    /// Where the retired probe-support and detector-ROI settings sat.
-    const RETIRED_TAGS: [(usize, &str); 2] =
-        [(124, "probe-support pruning"), (125, "detector ROI")];
-    /// Where the retired message-duplication probability sits (an `f64`).
-    const RETIRED_DUPLICATE_AT: usize = 185;
-    /// Where the recovery-policy tag sits.
-    const RECOVERY_TAG_AT: usize = 151;
-    const FULL_SPEC_LEN: usize = 279;
-    /// Where the checkpointed scan length sits (a little-endian `u64`).
-    const SCAN_LEN_AT: usize = 66;
     /// Where the recipe's probe window sits (a little-endian `u64`), in
     /// every version-1 spec.
     const WINDOW_AT: usize = 33;
-
-    fn spec(dose: Option<f64>) -> JobSpec {
-        let dataset = Dataset::synthesize(SyntheticConfig {
-            dose,
-            ..SyntheticConfig::tiny()
-        });
-        let config = SolverConfig {
-            iterations: 3,
-            halo_px: 20,
-            ..SolverConfig::default()
-        };
-        JobSpec::new(dataset, config, (1, 2))
-    }
-
-    fn full_fault_policy(phase: CrashPhase) -> FaultPolicy {
-        FaultPolicy {
-            only_tag: Some(7),
-            drop_exact: Some((0, 1, 7, 3)),
-            kill: Some((1, 5)),
-            process_kill: Some((2, phase)),
-            ..FaultPolicy::reliable(11).drop(0.125).delay(0.0625)
-        }
-    }
-
-    fn full_spec() -> JobSpec {
-        spec(Some(1e4))
-            .with_priority(-3)
-            .with_fault_policy(full_fault_policy(CrashPhase::DuringRename))
-    }
-
-    fn decode(bytes: &[u8]) -> Result<JobSpec, DurabilityError> {
-        decode_spec(bytes, Path::new("spec-under-test")).map(|build| build())
-    }
-
-    /// The `Corrupt` detail of a rejected buffer; any other outcome fails.
-    fn corrupt_detail(bytes: &[u8]) -> String {
-        match decode(bytes) {
-            Err(DurabilityError::Corrupt { detail, .. }) => detail,
-            Err(other) => panic!("expected Corrupt, got {other}"),
-            Ok(_) => panic!("a damaged spec decoded"),
-        }
-    }
-
-    fn assert_round_trips(spec: &JobSpec) {
-        let bytes = encode_spec(spec);
-        let decoded = decode(&bytes).expect("an encoded spec decodes");
-        // The dataset recipe has no `PartialEq`; the re-encoding below pins it.
-        assert_eq!(decoded.dataset.scan().len(), spec.dataset.scan().len());
-        assert_eq!(decoded.config, spec.config);
-        assert_eq!(decoded.grid, spec.grid);
-        assert_eq!(decoded.method, spec.method);
-        assert_eq!(decoded.priority, spec.priority);
-        assert_eq!(decoded.recovery, spec.recovery);
-        assert_eq!(decoded.fault_policy, spec.fault_policy);
-        assert_eq!(decoded.backend, spec.backend);
-        assert_eq!(encode_spec(&decoded), bytes);
-    }
-
-    #[test]
-    fn spec_round_trips_through_every_enum_arm() {
-        let base = spec(None);
-        assert_round_trips(&base);
-        assert_round_trips(&full_spec());
-        let mut prefix = base.clone();
-        prefix.dataset = prefix.dataset.with_scan_prefix(4);
-        assert_round_trips(&prefix);
-        for pass_frequency in [PassFrequency::EveryProbe, PassFrequency::PerIteration(2)] {
-            let mut spec = base.clone();
-            spec.config.pass_frequency = pass_frequency;
-            spec.config.local_updates = false;
-            assert_round_trips(&spec);
-        }
-        for method in [
-            SolverMethod::GradientDecomposition,
-            SolverMethod::HaloVoxelExchange,
-        ] {
-            assert_round_trips(&base.clone().with_method(method));
-        }
-        for recovery in [
-            RecoveryPolicy::FailFast,
-            RecoveryPolicy::Recover {
-                spares: 0,
-                max_iteration_restarts: 4,
-            },
-            RecoveryPolicy::Recover {
-                spares: 2,
-                max_iteration_restarts: 1,
-            },
-        ] {
-            assert_round_trips(&base.clone().with_recovery(recovery));
-        }
-        for backend in [
-            ServiceBackend::Lockstep,
-            ServiceBackend::Threaded {
-                recv_timeout: Duration::from_millis(250),
-            },
-        ] {
-            assert_round_trips(&base.clone().with_backend(backend));
-        }
-        assert_round_trips(&base.clone().with_fault_policy(FaultPolicy::reliable(3)));
-        for phase in [
-            CrashPhase::BeforeRename,
-            CrashPhase::DuringRename,
-            CrashPhase::AfterRename,
-        ] {
-            assert_round_trips(&base.clone().with_fault_policy(full_fault_policy(phase)));
-        }
-    }
-
-    #[test]
-    fn the_version_1_layout_keeps_the_retired_positions() {
-        let bytes = encode_spec(&full_spec());
-        assert_eq!(bytes.len(), FULL_SPEC_LEN);
-        assert_eq!(bytes[0], SPEC_VERSION);
-        for (offset, name) in OPTION_TAGS {
-            assert_eq!(bytes[offset], 1, "{name} tag at {offset}");
-        }
-        for (offset, name) in RETIRED_TAGS {
-            assert_eq!(bytes[offset], 0, "retired {name} tag at {offset}");
-        }
-        let duplicate = RETIRED_DUPLICATE_AT..RETIRED_DUPLICATE_AT + 8;
-        assert_eq!(bytes[duplicate], 0.0f64.to_le_bytes());
-        assert_eq!(bytes[RECOVERY_TAG_AT], 2, "recovery-policy tag");
-    }
-
-    /// Tag 1 once named a recovering policy without spares; it decodes as
-    /// the one recovering policy with none.
-    #[test]
-    fn the_retired_recovery_tag_decodes_as_recover_without_spares() {
-        let mut bytes = encode_spec(&full_spec());
-        bytes[RECOVERY_TAG_AT] = 1;
-        assert_eq!(
-            decode(&bytes).expect("tag 1 decodes").recovery,
-            RecoveryPolicy::Recover {
-                spares: 0,
-                max_iteration_restarts: 2,
-            }
-        );
-    }
-
-    /// The FNV-1a golden of the whole version-1 encoding of [`full_spec`]:
-    /// every value, not only the layout's length and tag offsets. The
-    /// encoding from before message duplication was retired differs only in
-    /// the retired position, which held the policy's 0.25.
-    #[test]
-    fn the_full_spec_encodes_to_its_recorded_bytes() {
-        let mut bytes = encode_spec(&full_spec());
-        let actual = crate::durability::fnv1a64(&bytes);
-        assert_eq!(actual, 0x6256_6171_d011_b4b7, "new hash {actual:#018x}");
-        bytes[RETIRED_DUPLICATE_AT..RETIRED_DUPLICATE_AT + 8]
-            .copy_from_slice(&0.25f64.to_le_bytes());
-        assert_eq!(crate::durability::fnv1a64(&bytes), 0x9d3f_74bd_887e_b6fa);
-    }
-
-    #[test]
-    fn only_tag_1_means_present() {
-        let bytes = encode_spec(&full_spec());
-        for (offset, name) in OPTION_TAGS.into_iter().chain(RETIRED_TAGS) {
-            for tag in [2u8, 255] {
-                let mut damaged = bytes.clone();
-                damaged[offset] = tag;
-                assert_eq!(
-                    corrupt_detail(&damaged),
-                    format!("unknown option tag {tag}"),
-                    "{name} tag at {offset}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn a_retired_setting_is_refused_by_name() {
-        let bytes = encode_spec(&full_spec());
-        for (offset, name) in RETIRED_TAGS {
-            let mut damaged = bytes.clone();
-            damaged[offset] = 1;
-            let detail = corrupt_detail(&damaged);
-            assert!(detail.contains(name), "{detail:?} should name {name}");
-        }
-        let mut damaged = bytes.clone();
-        damaged[RETIRED_DUPLICATE_AT..RETIRED_DUPLICATE_AT + 8]
-            .copy_from_slice(&0.25f64.to_le_bytes());
-        let detail = corrupt_detail(&damaged);
-        assert!(detail.contains("duplication"), "{detail:?}");
-    }
-
-    #[test]
-    fn a_scan_length_past_the_recipe_is_corrupt() {
-        let spec = full_spec();
-        let recipe_len = spec.dataset.scan().len() as u64;
-        let mut bytes = encode_spec(&spec);
-        let at = SCAN_LEN_AT..SCAN_LEN_AT + 8;
-        assert_eq!(bytes[at.clone()], recipe_len.to_le_bytes());
-        bytes[at].copy_from_slice(&(recipe_len + 1).to_le_bytes());
-        let detail = corrupt_detail(&bytes);
-        assert!(
-            detail.contains("checkpointed scan length"),
-            "{detail:?} should name the checkpointed scan length"
-        );
-    }
-
-    /// Decoding meets every truncation and single-byte XOR of the full spec
-    /// with `Ok` or `Corrupt`, never a panic. Nothing is synthesized, so a
-    /// mutated size costs at most its refusal.
-    #[test]
-    fn the_spec_parser_never_panics_on_truncated_or_flipped_bytes() {
-        let parses = |bytes: &[u8]| match decode_spec(bytes, Path::new("spec-under-test")) {
-            Ok(_) => true,
-            Err(DurabilityError::Corrupt { .. }) => false,
-            Err(other) => panic!("expected Corrupt, got {other}"),
-        };
-        crate::durability::tests::assert_decode_never_panics(
-            "spec",
-            &encode_spec(&full_spec()),
-            parses,
-        );
-    }
-
-    #[test]
-    fn trailing_bytes_and_every_truncation_are_corrupt() {
-        let bytes = encode_spec(&full_spec());
-        let mut longer = bytes.clone();
-        longer.push(0);
-        assert_eq!(corrupt_detail(&longer), "trailing bytes after the job spec");
-        for len in 0..bytes.len() {
-            assert_eq!(
-                corrupt_detail(&bytes[..len]),
-                "payload truncated",
-                "at {len}"
-            );
-        }
-    }
 
     /// A two-iteration GD job on a 2×2 grid (four ranks).
     fn tiny_2x2() -> JobSpec {
