@@ -87,6 +87,28 @@ pub fn threaded(timeout_ms: u64) -> Cluster {
     Cluster::new(ClusterTopology::summit()).with_recv_timeout(Duration::from_millis(timeout_ms))
 }
 
+/// How long a pinned solve may take before the test fails instead of
+/// waiting on it: ample for the small fixtures, and far below any receive
+/// timeout a lost message could otherwise hide behind.
+pub const SOLVE_DEADLINE: Duration = Duration::from_secs(5);
+
+/// Runs `solve` on a helper thread and returns what it returns, failing the
+/// test if it has not finished within [`SOLVE_DEADLINE`]. A panic inside
+/// `solve` (a failed assertion) propagates unchanged.
+pub fn within_deadline<T: Send + 'static>(solve: impl FnOnce() -> T + Send + 'static) -> T {
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = tx.send(std::panic::catch_unwind(std::panic::AssertUnwindSafe(
+            solve,
+        )));
+    });
+    match rx.recv_timeout(SOLVE_DEADLINE) {
+        Ok(Ok(value)) => value,
+        Ok(Err(panic)) => std::panic::resume_unwind(panic),
+        Err(_) => panic!("the solve did not finish within {SOLVE_DEADLINE:?}"),
+    }
+}
+
 /// Checkpoint-restart recovery with the standard budget and no spares.
 pub fn restart_policy() -> RecoveryPolicy {
     RecoveryPolicy::Recover {

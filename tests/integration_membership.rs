@@ -8,13 +8,14 @@
 //! **bit-identical** to the fault-free one, on both solvers and both
 //! backends. Without spares the run fails with a typed error.
 
-use ptycho_cluster::{CommError, FaultInjectionBackend, FaultPolicy};
+use ptycho_cluster::{Cluster, ClusterTopology, CommError, FaultInjectionBackend, FaultPolicy};
 use ptycho_core::{JobContext, RecoveryPolicy};
 use ptycho_telemetry::{Telemetry, TelemetryEvent};
 
 mod common;
 use common::{
     assert_bit_identical, gd_solver, hve_solver, lockstep, small_problem, substitute_policy,
+    within_deadline,
 };
 
 // A dead rank's silence should be detected (and the substitution triggered)
@@ -157,6 +158,31 @@ fn hve_spare_substitution_heals_a_dead_rank_on_both_backends() {
         assert_bit_identical(&clean, &healed);
         assert_eq!(healed.recovery.substitutions, 1, "{label}");
     }
+}
+
+#[test]
+fn hve_kill_heals_by_one_substitution_on_a_threaded_backend_without_a_timeout() {
+    // No receive timeout is configured anywhere: the dead rank's exit must
+    // reach the ranks waiting on it, so the heal takes milliseconds.
+    within_deadline(|| {
+        let ds = small_problem();
+        let solver = hve_solver(&ds);
+        let clean = solver
+            .run_job(
+                &lockstep(),
+                RecoveryPolicy::FailFast,
+                &JobContext::default(),
+            )
+            .expect("fault-free run completes");
+        let faulty =
+            FaultInjectionBackend::new(Cluster::new(ClusterTopology::summit()), early_death());
+        let healed = solver
+            .run_job(&faulty, substitute_policy(1), &JobContext::default())
+            .expect("one substitution heals the death");
+        assert_bit_identical(&clean, &healed);
+        assert_eq!(healed.recovery.substitutions, 1);
+        assert_eq!(healed.recovery.iteration_restarts, 0);
+    });
 }
 
 #[test]

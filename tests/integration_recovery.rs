@@ -10,7 +10,9 @@
 //!
 //! [`RankFailure`]: ptycho_cluster::RankFailure
 
-use ptycho_cluster::{CommError, FaultInjectionBackend, FaultPolicy, RankFailure};
+use ptycho_cluster::{
+    Cluster, ClusterTopology, CommError, FaultInjectionBackend, FaultPolicy, RankFailure,
+};
 use ptycho_core::gradient_decomp::passes::tags;
 use ptycho_core::{JobContext, RecoveryPolicy};
 use ptycho_telemetry::{Telemetry, TelemetryEvent};
@@ -18,6 +20,7 @@ use ptycho_telemetry::{Telemetry, TelemetryEvent};
 mod common;
 use common::{
     assert_bit_identical, gd_solver, hve_solver, lockstep, restart_policy, small_problem,
+    within_deadline,
 };
 
 /// The HVE voxel copy-paste tag (`halo_exchange::solver::TAG_VOXEL_PASTE`).
@@ -61,6 +64,73 @@ fn hve_fail_fast_still_surfaces_rank_failure() {
         .run_job(&faulty, RecoveryPolicy::FailFast, &JobContext::default())
         .expect_err("FailFast must not heal a dropped voxel paste");
     assert!(matches!(failure.error, CommError::Deadlock { .. }));
+}
+
+#[test]
+fn gd_drop_heals_by_one_restart_on_a_threaded_backend_without_a_timeout() {
+    // No receive timeout is configured anywhere: the loss itself must reach
+    // the receiver, so the heal takes milliseconds, not a timer's wait.
+    within_deadline(|| {
+        let ds = small_problem();
+        let solver = gd_solver(&ds);
+        let clean = solver
+            .run_job(
+                &lockstep(),
+                RecoveryPolicy::FailFast,
+                &JobContext::default(),
+            )
+            .expect("fault-free run completes");
+        let faulty =
+            FaultInjectionBackend::new(Cluster::new(ClusterTopology::summit()), gd_drop_policy());
+        let recovered = solver
+            .run_job(&faulty, restart_policy(), &JobContext::default())
+            .expect("one restart heals the drop");
+        assert_bit_identical(&clean, &recovered);
+        assert_eq!(recovered.recovery.iteration_restarts, 1);
+        assert_eq!(recovered.recovery.substitutions, 0);
+    });
+}
+
+#[test]
+fn fail_fast_reports_the_same_drop_on_both_backends() {
+    // The same fault is the same failure, whichever transport carried it.
+    within_deadline(|| {
+        let ds = small_problem();
+        let job = JobContext::default();
+        let gd = gd_solver(&ds);
+        let gd_failures = [
+            gd.run_job(
+                &FaultInjectionBackend::new(lockstep(), gd_drop_policy()),
+                RecoveryPolicy::FailFast,
+                &job,
+            ),
+            gd.run_job(
+                &FaultInjectionBackend::new(threaded(), gd_drop_policy()),
+                RecoveryPolicy::FailFast,
+                &job,
+            ),
+        ]
+        .map(|run| run.expect_err("FailFast must not heal a dropped pass message"));
+        assert_eq!(gd_failures[0], gd_failures[1], "GD: lockstep vs threaded");
+        let hve = hve_solver(&ds);
+        let hve_failures = [
+            hve.run_job(
+                &FaultInjectionBackend::new(lockstep(), hve_drop_policy()),
+                RecoveryPolicy::FailFast,
+                &job,
+            ),
+            hve.run_job(
+                &FaultInjectionBackend::new(threaded(), hve_drop_policy()),
+                RecoveryPolicy::FailFast,
+                &job,
+            ),
+        ]
+        .map(|run| run.expect_err("FailFast must not heal a dropped voxel paste"));
+        assert_eq!(
+            hve_failures[0], hve_failures[1],
+            "HVE: lockstep vs threaded"
+        );
+    });
 }
 
 #[test]
