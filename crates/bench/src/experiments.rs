@@ -17,7 +17,7 @@
 
 use crate::report::{fmt, fmt_or_na, Table};
 use ptycho_array::stats;
-use ptycho_cluster::{Cluster, ClusterTopology, CommBackend, TimeBreakdown};
+use ptycho_cluster::{Cluster, ClusterTopology, TimeBreakdown};
 use ptycho_core::config::PassFrequency;
 use ptycho_core::scaling::{Method, ScalingPoint, ScalingScenario};
 use ptycho_core::stitch::phase_image;
@@ -279,17 +279,10 @@ pub fn quality_dataset(seed: u64) -> Dataset {
     })
 }
 
-/// The backend the image-quality experiments run on: one OS thread per rank,
-/// with loss detection (a generous 30 s receive bound) so that a stalled
-/// experiment errors out instead of hanging.
-fn quality_cluster() -> Cluster {
-    Cluster::new(ClusterTopology::summit()).with_loss_detection()
-}
-
 /// Runs both methods on the same dataset and tile grid and measures seam
 /// artifacts at the tile borders (Fig. 8) plus reconstruction error.
 pub fn fig8(iterations: usize) -> Fig8Result {
-    let cluster = &quality_cluster();
+    let cluster = &Cluster::new(ClusterTopology::summit());
     let dataset = quality_dataset(17);
     let grid_dims = (3, 3);
 
@@ -356,7 +349,7 @@ pub struct ConvergenceCurve {
 /// frequencies of Fig. 9 (once per probe location, twice per iteration, once
 /// per iteration) and returns the three convergence curves.
 pub fn fig9(iterations: usize) -> Vec<ConvergenceCurve> {
-    let cluster = &quality_cluster();
+    let cluster = &Cluster::new(ClusterTopology::summit());
     let dataset = quality_dataset(23);
     let variants = [
         ("T = every probe location", PassFrequency::EveryProbe),

@@ -4,11 +4,18 @@
 //! blocking matched take, barrier, rank finished.
 //! Everything a solver observes on top of that — range checks, correlation
 //! ids, fault routing, `Delay` flushing, wire-time charging, wait-time
-//! measurement, rank death and the transport-level telemetry events — is
-//! written once, in [`RankCtx`], so two transports cannot drift apart in any
-//! of it. [`launch`] is the matching single launcher: one scoped thread per
-//! rank, rank exit (return *or* unwind) reported to the transport, outcomes
+//! measurement, rank death, loss and departure, and the transport-level
+//! telemetry events — is written once, in [`RankCtx`], so two transports
+//! cannot drift apart in any of it. [`launch`] is the matching single
+//! launcher: one scoped thread per rank, rank exit (return *or* unwind)
+//! announced to every peer and reported to the transport, outcomes
 //! collected in rank order.
+//!
+//! Loss and departure are envelopes too. A message the fault layer drops
+//! becomes a payload-less tombstone at its place in the sender's stream, and
+//! a rank that exits leaves an exit notice behind everything it sent. A
+//! take that meets either fails at once ([`take_match`]), so no transport
+//! needs a timer to notice that a message will never come.
 
 use super::fault::{self, FaultHarness};
 use super::{collect_outcomes, CommError, Payload, RankComm, RankFailure, RankOutcome};
@@ -17,35 +24,69 @@ use crate::memory::MemoryTracker;
 use crate::topology::ClusterTopology;
 use ptycho_telemetry::{RankSink, TelemetryEvent};
 
-/// A message in flight between two ranks.
+/// What one rank leaves in another's queue.
 #[derive(Debug)]
 pub struct Envelope<M> {
     pub(crate) from: usize,
-    pub(crate) tag: u64,
-    /// Span correlation id: the sender's slot in the high 32 bits, its
-    /// per-context send counter in the low 32. Stamped once per `isend`,
-    /// before fault routing, so a delayed message carries its send's id and
-    /// telemetry receives can be paired with their originating send
-    /// unambiguously.
-    pub(crate) corr: u64,
-    pub(crate) payload: M,
+    pub(crate) content: Content<M>,
 }
 
-/// MPI matching, shared by every transport's queue: removes and returns the
-/// oldest envelope from `from` with tag `tag`, leaving the rest in order.
+/// The three things a sender's stream can carry.
+#[derive(Debug)]
+pub(crate) enum Content<M> {
+    /// A message.
+    Message {
+        tag: u64,
+        /// Span correlation id: the sender's slot in the high 32 bits, its
+        /// per-context send counter in the low 32. Stamped once per `isend`,
+        /// before fault routing, so a delayed message carries its send's id
+        /// and telemetry receives can be paired with their originating send
+        /// unambiguously.
+        corr: u64,
+        payload: M,
+    },
+    /// The tombstone of a message the fault layer dropped.
+    Lost { tag: u64 },
+    /// The sender has exited and will send nothing more.
+    Exit,
+}
+
+impl<M> Envelope<M> {
+    /// True when a take of `(from, tag)` stops here: a message or tombstone
+    /// of that stream, or `from`'s exit notice.
+    pub(super) fn ends_take(&self, from: usize, tag: u64) -> bool {
+        self.from == from
+            && match self.content {
+                Content::Message { tag: sent, .. } | Content::Lost { tag: sent } => sent == tag,
+                Content::Exit => true,
+            }
+    }
+}
+
+/// MPI matching, shared by every transport's queue, for a take of
+/// `(from, tag)` by `rank`: the oldest envelope that [ends the
+/// take](Envelope::ends_take) decides it. A message or tombstone is removed
+/// and returned, leaving the rest in order; `from`'s exit notice fails the
+/// take with [`CommError::PeerGone`] and stays queued, so every later take
+/// from that sender fails too. `None` means nothing in the queue decides it
+/// yet.
 pub(super) fn take_match<M>(
     queue: &mut Vec<Envelope<M>>,
+    rank: usize,
     from: usize,
     tag: u64,
-) -> Option<Envelope<M>> {
-    let pos = queue.iter().position(|e| e.from == from && e.tag == tag)?;
-    Some(queue.remove(pos))
+) -> Option<Result<Envelope<M>, CommError>> {
+    let pos = queue.iter().position(|e| e.ends_take(from, tag))?;
+    Some(match queue[pos].content {
+        Content::Exit => Err(CommError::PeerGone { rank, from, tag }),
+        _ => Ok(queue.remove(pos)),
+    })
 }
 
 /// What a backend must provide to carry [`RankCtx`] traffic for one rank.
 ///
-/// Matching is MPI's ([`take_match`]): `take` returns the oldest envelope
-/// from `from` with tag `tag`, leaving everything else queued.
+/// Matching is MPI's ([`take_match`]): `take` returns the oldest message or
+/// tombstone from `from` with tag `tag`, leaving everything else queued.
 pub trait Transport {
     /// The payload type this transport carries.
     type Msg: Payload;
@@ -54,10 +95,12 @@ pub trait Transport {
     /// blocking, like a buffered `MPI_Isend`.
     fn enqueue(&mut self, to: usize, envelope: Envelope<Self::Msg>);
 
-    /// Blocks until a matching envelope arrives, or reports why none can.
+    /// Blocks until [`take_match`] decides the take.
     fn take(&mut self, from: usize, tag: u64) -> Result<Envelope<Self::Msg>, CommError>;
 
-    /// Blocks until every rank has arrived, or reports why they cannot.
+    /// Blocks until every rank has arrived, or fails with
+    /// [`CommError::BarrierBroken`] once a rank has finished without
+    /// arriving.
     fn barrier(&mut self) -> Result<(), CommError>;
 
     /// This rank's body returned or unwound: it will never send, receive or
@@ -103,8 +146,8 @@ pub struct RankCtx<T: Transport> {
     memory: MemoryTracker,
 }
 
-/// Hands one envelope to the transport, charging its analytic wire time to
-/// the sender.
+/// Hands one envelope to the transport, charging a message's analytic wire
+/// time to the sender (a tombstone crosses no wire).
 fn deliver<T: Transport>(
     transport: &mut T,
     clock: &mut RankClock,
@@ -112,8 +155,10 @@ fn deliver<T: Transport>(
     to: usize,
     envelope: Envelope<T::Msg>,
 ) {
-    let bytes = envelope.payload.payload_bytes();
-    clock.charge_communication(topology.transfer_time(envelope.from, to, bytes));
+    if let Content::Message { payload, .. } = &envelope.content {
+        let bytes = payload.payload_bytes();
+        clock.charge_communication(topology.transfer_time(envelope.from, to, bytes));
+    }
     transport.enqueue(to, envelope);
 }
 
@@ -161,9 +206,7 @@ impl<T: Transport> RankComm<T::Msg> for RankCtx<T> {
         self.send_corr += 1;
         let envelope = Envelope {
             from: self.rank,
-            tag,
-            corr,
-            payload,
+            content: Content::Message { tag, corr, payload },
         };
         let RankCtx {
             instruments,
@@ -195,15 +238,22 @@ impl<T: Transport> RankComm<T::Msg> for RankCtx<T> {
         }
         self.flush_delayed();
         let envelope = self.clock.wait(|| self.transport.take(from, tag))?;
+        let Content::Message { corr, payload, .. } = envelope.content else {
+            return Err(CommError::MessageLost {
+                rank: self.rank,
+                from,
+                tag,
+            });
+        };
         // Recorded at the API-return point: program order on the receiver,
         // stamped with the deterministic communication clock.
         self.trace(TelemetryEvent::CommRecv {
-            from: envelope.from as u64,
-            tag: envelope.tag,
-            bytes: envelope.payload.payload_bytes() as u64,
-            corr: envelope.corr,
+            from: from as u64,
+            tag,
+            bytes: payload.payload_bytes() as u64,
+            corr,
         });
-        Ok(envelope.payload)
+        Ok(payload)
     }
 
     fn barrier(&mut self) -> Result<(), CommError> {
@@ -227,20 +277,32 @@ impl<T: Transport> RankComm<T::Msg> for RankCtx<T> {
     }
 }
 
-/// Reports rank exit to the transport however the body leaves — return or
-/// unwind — so peers blocked on this rank error out instead of hanging and a
-/// panic propagates through `join`.
+/// Announces rank exit however the body leaves — return or unwind — so
+/// peers blocked on this rank error out instead of hanging and a panic
+/// propagates through `join`.
 struct ExitGuard<'a, T: Transport>(&'a mut RankCtx<T>);
 
 impl<T: Transport> Drop for ExitGuard<'_, T> {
     fn drop(&mut self) {
+        let ctx = &mut *self.0;
         // A delayed message must not be lost just because its sender
         // finished first; a panicking rank's held-back messages die with it
         // (releasing them could panic again mid-unwind).
         if !std::thread::panicking() {
-            self.0.flush_delayed();
+            ctx.flush_delayed();
         }
-        self.0.transport.finish();
+        // One exit notice per peer, behind everything this rank sent: a
+        // peer waiting on a message this rank never sent fails at once.
+        for peer in (0..ctx.size).filter(|&peer| peer != ctx.rank) {
+            ctx.transport.enqueue(
+                peer,
+                Envelope {
+                    from: ctx.rank,
+                    content: Content::Exit,
+                },
+            );
+        }
+        ctx.transport.finish();
     }
 }
 
@@ -320,6 +382,8 @@ pub(super) mod conformance {
                 self_send_is_received_locally,
                 outcomes_are_ordered_by_rank,
                 barrier_with_finished_peer_errors_without_hanging,
+                a_dropped_message_is_reported_lost,
+                a_receive_from_an_exited_rank_fails_at_once,
                 delayed_messages_are_released_before_blocking_and_at_exit,
                 killed_rank_sends_and_delayed_queue_are_suppressed,
                 delayed_deliveries_keep_their_send_correlation_ids,
@@ -475,8 +539,8 @@ pub(super) mod conformance {
         });
     }
 
-    /// No timeout is configured: the error must come from the transport
-    /// knowing the peer is gone, at once, not from a deadline.
+    /// Rank 0 exits without reaching the barrier: the two ranks waiting at
+    /// it can never be released, and learn so from the departure itself.
     pub fn barrier_with_finished_peer_errors_without_hanging<B: CommBackend>(backend: &B) {
         let failure = backend
             .run::<(), (), _>(3, |ctx| {
@@ -487,11 +551,77 @@ pub(super) mod conformance {
                 }
             })
             .unwrap_err();
-        assert!(matches!(
-            failure.error,
-            CommError::BarrierTimeout { .. } | CommError::Deadlock { .. }
-        ));
+        assert_eq!(failure.error, CommError::BarrierBroken { rank: 1 });
         assert_eq!(failure.failed_ranks, 2);
+    }
+
+    /// A drop leaves a tombstone at the message's place in its stream: the
+    /// receive it would have matched reports the loss, traffic on other
+    /// tags and the stream's next message are unaffected, and the tombstone
+    /// is charged no wire time.
+    pub fn a_dropped_message_is_reported_lost<B>(backend: &B)
+    where
+        B: CommBackend + Clone + Sync,
+    {
+        let faulty = FaultInjectionBackend::new(
+            backend.clone(),
+            FaultPolicy::reliable(0).drop_message(0, 1, 5, 0),
+        );
+        let outcomes = faulty
+            .run::<Vec<f64>, (f64, Option<CommError>, f64), _>(2, |ctx| {
+                if ctx.rank() == 0 {
+                    ctx.isend(1, 5, vec![1.0]); // dropped
+                    ctx.isend(1, 5, vec![2.0]);
+                    ctx.isend(1, 6, vec![3.0]);
+                    Ok((0.0, None, 0.0))
+                } else {
+                    let other_tag = ctx.recv(0, 6)?[0];
+                    let lost = ctx.recv(0, 5).err();
+                    Ok((other_tag, lost, ctx.recv(0, 5)?[0]))
+                }
+            })
+            .unwrap();
+        let lost = CommError::MessageLost {
+            rank: 1,
+            from: 0,
+            tag: 5,
+        };
+        assert_eq!(outcomes[1].result, (3.0, Some(lost), 2.0));
+        let two_sends = 2.0 * ClusterTopology::summit().transfer_time(0, 1, 8);
+        assert!((outcomes[0].time.communication - two_sends).abs() < 1e-12);
+        assert_eq!(faulty.fault_count(), 1);
+    }
+
+    /// Rank 0 sends one message and exits while rank 1 stays live: rank 2
+    /// still receives that message, and every receive from rank 0 that it
+    /// never sent fails at once, because its exit notice stays queued.
+    pub fn a_receive_from_an_exited_rank_fails_at_once<B: CommBackend>(backend: &B) {
+        let outcomes = backend
+            .run::<Vec<f64>, Vec<Result<f64, CommError>>, _>(3, |ctx| match ctx.rank() {
+                0 => {
+                    ctx.isend(2, 1, vec![1.0]);
+                    Ok(Vec::new())
+                }
+                1 => {
+                    // Live, so no channel can disconnect, until rank 2 is done.
+                    ctx.recv(2, 9)?;
+                    Ok(Vec::new())
+                }
+                _ => {
+                    let seen = [1, 2, 1].map(|tag| ctx.recv(0, tag).map(|m| m[0]));
+                    ctx.isend(1, 9, Vec::new());
+                    Ok(seen.to_vec())
+                }
+            })
+            .unwrap();
+        let gone = |tag| {
+            Err(CommError::PeerGone {
+                rank: 2,
+                from: 0,
+                tag,
+            })
+        };
+        assert_eq!(outcomes[2].result, [Ok(1.0), gone(2), gone(1)]);
     }
 
     pub fn delayed_messages_are_released_before_blocking_and_at_exit<B>(backend: &B)
@@ -542,8 +672,8 @@ pub(super) mod conformance {
                     assert_eq!(ctx.barrier(), Err(CommError::RankDead { rank: 0 }));
                     Ok(0)
                 } else {
-                    // None of the three can arrive, before or after rank 0
-                    // finishes; each receive is told so instead of hanging.
+                    // None of the three can arrive; once rank 0 has exited,
+                    // each receive is told so instead of hanging.
                     Ok((1..=3).filter(|&tag| ctx.recv(0, tag).is_ok()).count())
                 }
             })

@@ -13,7 +13,7 @@
 //! count ([`FaultInjectionBackend::fault_count`]); what a run did on the
 //! wire is in its telemetry.
 
-use super::context::{Envelope, Instruments};
+use super::context::{Content, Envelope, Instruments};
 use super::{CommBackend, CommError, Payload, RankComm, RankFailure, RankOutcome};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -24,7 +24,9 @@ use std::sync::Arc;
 pub enum FaultAction {
     /// Deliver the message normally.
     Deliver,
-    /// Silently discard the message (the receiver is *not* told).
+    /// Discard the message. A payload-less tombstone takes its place in
+    /// the sender's stream, so the receive that would have matched it fails
+    /// with [`CommError::MessageLost`].
     Drop,
     /// Hold the message back until the sender next blocks (in a receive, at a
     /// barrier, or at rank completion), letting later traffic overtake it.
@@ -299,10 +301,11 @@ impl FaultHarness {
 }
 
 /// The one fault-dispatch protocol behind `isend`: consult the harness (if
-/// any), then deliver via `deliver` or drop, or park the envelope
-/// in `delayed` (released when the sender next blocks or finishes), or kill
-/// the sending rank outright (`dead` is set, this envelope and every delayed
-/// one is lost, and all later sends are suppressed).
+/// any), then deliver the envelope via `deliver`, or deliver its tombstone
+/// in its place (a drop), or park it in `delayed` (released when the sender
+/// next blocks or finishes), or kill the sending rank outright (`dead` is
+/// set, this envelope and every delayed one is lost, and all later sends
+/// are suppressed).
 pub(super) fn route_send<M: Payload>(
     instruments: &mut Instruments,
     delayed: &mut Vec<(usize, Envelope<M>)>,
@@ -314,9 +317,14 @@ pub(super) fn route_send<M: Payload>(
     if *dead {
         return;
     }
+    // Only messages meet the fault layer.
+    let Content::Message { tag, payload, .. } = &envelope.content else {
+        return deliver(to, envelope);
+    };
+    let (tag, bytes) = (*tag, payload.payload_bytes() as u64);
     let Instruments { harness, telemetry } = instruments;
     let action = match harness {
-        Some(harness) => harness.decide(to, envelope.tag),
+        Some(harness) => harness.decide(to, tag),
         None => FaultAction::Deliver,
     };
     match action {
@@ -325,10 +333,17 @@ pub(super) fn route_send<M: Payload>(
             if let Some(sink) = telemetry {
                 sink.record(ptycho_telemetry::TelemetryEvent::CommDrop {
                     to: to as u64,
-                    tag: envelope.tag,
-                    bytes: envelope.payload.payload_bytes() as u64,
+                    tag,
+                    bytes,
                 });
             }
+            // The tombstone keeps the message's place in its stream, so
+            // the receive that would have matched it reports the loss.
+            let tombstone = Envelope {
+                from: envelope.from,
+                content: Content::Lost { tag },
+            };
+            deliver(to, tombstone);
         }
         FaultAction::Delay => delayed.push((to, envelope)),
         FaultAction::Kill => {
@@ -359,13 +374,9 @@ pub struct FaultInjectionBackend<B> {
 
 impl<B: CommBackend> FaultInjectionBackend<B> {
     /// Wraps `inner`, injecting faults according to `policy`.
-    ///
-    /// Loss detection is enforced on the wrapped backend
-    /// ([`CommBackend::with_loss_detection`]): a policy that drops messages
-    /// can surface errors, never hang the run.
     pub fn new(inner: B, policy: FaultPolicy) -> Self {
         Self {
-            inner: inner.with_loss_detection(),
+            inner,
             policy,
             faults: Arc::new(AtomicU64::new(0)),
         }
@@ -375,11 +386,6 @@ impl<B: CommBackend> FaultInjectionBackend<B> {
     /// [`FaultAction::Deliver`], across every `run` since construction.
     pub fn fault_count(&self) -> u64 {
         self.faults.load(Ordering::Relaxed)
-    }
-
-    /// The wrapped backend.
-    pub fn inner(&self) -> &B {
-        &self.inner
     }
 
     fn harness_for(&self, rank: usize) -> FaultHarness {
@@ -408,10 +414,6 @@ impl<B: CommBackend + Sync> CommBackend for FaultInjectionBackend<B> {
             ctx.instruments().harness = Some(self.harness_for(ctx.rank()));
             body(ctx)
         })
-    }
-
-    fn loss_detection_enabled(&self) -> bool {
-        self.inner.loss_detection_enabled()
     }
 }
 
@@ -607,7 +609,14 @@ mod tests {
             })
         };
         let failure = run(0).expect_err("attempt 0 loses the pinned message");
-        assert!(matches!(failure.error, CommError::Deadlock { .. }));
+        assert_eq!(
+            failure.error,
+            CommError::MessageLost {
+                rank: 1,
+                from: 0,
+                tag: 0x1
+            }
+        );
         assert_eq!(run(1).expect("attempt 1 delivers it")[1].result, 2.5);
         assert_eq!(backend.fault_count(), 1);
     }

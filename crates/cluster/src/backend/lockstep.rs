@@ -16,8 +16,10 @@
 //! * **Deadlock detection** — the scheduler sees the global state, so the
 //!   moment every unfinished rank is blocked it can *prove* a deadlock and
 //!   fail every blocked receive with [`CommError::Deadlock`] (listing what
-//!   each rank was waiting for) instead of hanging the test suite. A dropped
-//!   message therefore surfaces as an error value, not a timeout.
+//!   each rank was waiting for) instead of hanging the test suite. A lost
+//!   message or an exited peer never gets that far: its tombstone or exit
+//!   notice fails the waiting receive at once, exactly as on the threaded
+//!   backend, so a proof is only ever needed for a cycle among live ranks.
 //!
 //! Ranks still run on scoped OS threads (stable Rust has no suspendable
 //! closures), but the baton guarantees the single-runnable invariant, so the
@@ -32,7 +34,8 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 enum RankStatus {
     /// Eligible to run when the baton reaches it.
     Runnable,
-    /// Blocked in `recv(from, tag)` with no matching message in its mailbox.
+    /// Blocked in `recv(from, tag)` with nothing in its mailbox that decides
+    /// the take.
     BlockedRecv { from: usize, tag: u64 },
     /// Arrived at the barrier, waiting for the others.
     BlockedBarrier,
@@ -133,19 +136,27 @@ impl<M> Shared<M> {
 }
 
 impl<M> SchedState<M> {
-    /// Takes the first matching entry of `rank`'s mailbox.
-    fn take_matching(&mut self, rank: usize, from: usize, tag: u64) -> Option<Envelope<M>> {
-        let envelope = take_match(&mut self.mailboxes[rank], from, tag)?;
-        // A successful receive is progress: any earlier deadlock proof is
+    /// Decides a take of `(from, tag)` by `rank` from its mailbox, if
+    /// anything there decides it.
+    fn take_matching(
+        &mut self,
+        rank: usize,
+        from: usize,
+        tag: u64,
+    ) -> Option<Result<Envelope<M>, CommError>> {
+        let decided = take_match(&mut self.mailboxes[rank], rank, from, tag)?;
+        // A decided receive is progress: any earlier deadlock proof is
         // stale (a rank acted on the error and resolved it).
         self.deadlock = None;
-        Some(envelope)
+        Some(decided)
+    }
+
+    /// True once a rank has finished: it can never arrive at a barrier.
+    fn barrier_broken(&self) -> bool {
+        self.status.contains(&RankStatus::Finished)
     }
 
     /// Releases every rank if all of them are now waiting at the barrier.
-    /// Finished ranks can never arrive, so with one present the barrier
-    /// stays shut — and once every live rank is waiting at it, the next
-    /// yield proves the deadlock.
     fn try_release_barrier(&mut self) -> bool {
         if !self.status.iter().all(|s| *s == RankStatus::BlockedBarrier) {
             return false;
@@ -165,8 +176,11 @@ pub struct LockstepTransport<M> {
 }
 
 impl<M> LockstepTransport<M> {
+    /// The scheduler state. A rank's exit (its notices, then `finish`) may
+    /// run during an unwind, so a poisoned mutex is accepted rather than
+    /// panicked on: the state is valid at every step.
     fn lock(&self) -> MutexGuard<'_, SchedState<M>> {
-        self.shared.state.lock().expect("lockstep state poisoned")
+        self.shared.state.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Parks the calling rank under `status`, hands the baton on, and
@@ -186,15 +200,14 @@ impl<M> LockstepTransport<M> {
 impl<M: Payload> Transport for LockstepTransport<M> {
     type Msg = M;
 
-    /// Sends are non-blocking: the baton is kept.
+    /// Sends are non-blocking: the baton is kept. An envelope that decides
+    /// the receiver's pending take makes it runnable.
     fn enqueue(&mut self, to: usize, envelope: Envelope<M>) {
         let mut state = self.lock();
-        let waited_for = RankStatus::BlockedRecv {
-            from: envelope.from,
-            tag: envelope.tag,
-        };
-        if state.status[to] == waited_for {
-            state.status[to] = RankStatus::Runnable;
+        if let RankStatus::BlockedRecv { from, tag } = state.status[to] {
+            if envelope.ends_take(from, tag) {
+                state.status[to] = RankStatus::Runnable;
+            }
         }
         state.mailboxes[to].push(envelope);
     }
@@ -202,13 +215,13 @@ impl<M: Payload> Transport for LockstepTransport<M> {
     fn take(&mut self, from: usize, tag: u64) -> Result<Envelope<M>, CommError> {
         let rank = self.rank;
         let mut state = self.lock();
-        if let Some(envelope) = state.take_matching(rank, from, tag) {
-            return Ok(envelope);
+        if let Some(decided) = state.take_matching(rank, from, tag) {
+            return decided;
         }
         loop {
             state = self.park(state, RankStatus::BlockedRecv { from, tag });
-            if let Some(envelope) = state.take_matching(rank, from, tag) {
-                return Ok(envelope);
+            if let Some(decided) = state.take_matching(rank, from, tag) {
+                return decided;
             }
             if let Some(detail) = state.deadlock.clone() {
                 return Err(CommError::Deadlock { rank, detail });
@@ -224,16 +237,23 @@ impl<M: Payload> Transport for LockstepTransport<M> {
         let mut state = self.lock();
         let entered_epoch = state.barrier_epoch;
         loop {
+            if state.barrier_broken() {
+                return Err(CommError::BarrierBroken { rank });
+            }
             state.status[rank] = RankStatus::BlockedBarrier;
             if state.try_release_barrier() {
                 self.shared.baton.notify_all();
                 return Ok(());
             }
             state = self.park(state, RankStatus::BlockedBarrier);
-            // A bumped epoch means the barrier genuinely completed; only an
-            // un-bumped epoch with a standing deadlock proof is a failure.
+            // A bumped epoch means the barrier genuinely completed; an
+            // un-bumped one with a finished rank or a standing deadlock proof
+            // is a failure.
             if state.barrier_epoch != entered_epoch {
                 return Ok(());
+            }
+            if state.barrier_broken() {
+                return Err(CommError::BarrierBroken { rank });
             }
             if let Some(detail) = state.deadlock.clone() {
                 return Err(CommError::Deadlock { rank, detail });
@@ -244,15 +264,19 @@ impl<M: Payload> Transport for LockstepTransport<M> {
         }
     }
 
-    /// Marks the rank finished and schedules a successor. A body that
-    /// panics unwinds while *holding* the baton; releasing it here lets the
-    /// other ranks error out via deadlock detection and the panic propagate
-    /// through `join` instead of hanging the scope forever.
+    /// Marks the rank finished, wakes every rank waiting at the barrier it
+    /// can now never reach, and schedules a successor. A body that panics
+    /// unwinds while *holding* the baton; releasing it here lets the other
+    /// ranks error out and the panic propagate through `join` instead of
+    /// hanging the scope forever.
     fn finish(&mut self) {
-        // May run during an unwind: accept a poisoned mutex rather than
-        // double-panicking.
-        let mut state = self.shared.state.lock().unwrap_or_else(|e| e.into_inner());
+        let mut state = self.lock();
         state.status[self.rank] = RankStatus::Finished;
+        for status in &mut state.status {
+            if *status == RankStatus::BlockedBarrier {
+                *status = RankStatus::Runnable;
+            }
+        }
         self.shared.yield_baton(&mut state, self.rank);
     }
 }
@@ -320,44 +344,31 @@ mod tests {
 
     #[test]
     fn deadlock_is_detected_not_hung() {
-        // Rank 1 waits for a message nobody sends; rank 0 finishes right
-        // away. The scheduler must prove the deadlock and fail the run.
+        // Each rank waits on the other, and neither has sent: a true cycle
+        // among live ranks, which only the scheduler's global view can
+        // prove.
         let backend = LockstepBackend::default();
         let failure = backend
             .run::<Vec<f64>, (), _>(2, |ctx| {
-                if ctx.rank() == 1 {
-                    ctx.recv(0, 42)?;
-                }
+                let peer = 1 - ctx.rank();
+                ctx.recv(peer, 42)?;
+                ctx.isend(peer, 42, vec![1.0]);
                 Ok(())
             })
             .unwrap_err();
-        assert_eq!(failure.rank, 1);
+        assert_eq!(failure.rank, 0);
+        assert_eq!(failure.failed_ranks, 2);
         match failure.error {
             CommError::Deadlock { rank, detail } => {
-                assert_eq!(rank, 1);
+                assert_eq!(rank, 0);
                 assert!(
-                    detail.contains("tag=0x2a"),
-                    "diagnostic lists the wait: {detail}"
+                    detail.contains("rank 0 waits on recv(from=1, tag=0x2a)")
+                        && detail.contains("rank 1 waits on recv(from=0, tag=0x2a)"),
+                    "diagnostic lists both waits: {detail}"
                 );
             }
             other => panic!("expected a deadlock, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn barrier_with_finished_rank_is_a_deadlock() {
-        let backend = LockstepBackend::default();
-        let failure = backend
-            .run::<(), (), _>(3, |ctx| {
-                if ctx.rank() == 0 {
-                    Ok(()) // never reaches the barrier
-                } else {
-                    ctx.barrier()
-                }
-            })
-            .unwrap_err();
-        assert!(matches!(failure.error, CommError::Deadlock { .. }));
-        assert_eq!(failure.failed_ranks, 2);
     }
 
     #[test]

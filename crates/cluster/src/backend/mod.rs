@@ -27,14 +27,21 @@
 //! harness and telemetry sink through the one accessor
 //! [`RankComm::instruments`].
 //!
-//! Communication failures are values, not hangs: [`RankComm::recv`] returns
-//! [`CommError`] when a message cannot arrive (receive timeout on the
-//! threaded backend, global deadlock detected by the lockstep scheduler), and
-//! [`CommBackend::run`] surfaces the first failing rank as a [`RankFailure`].
-//! Nothing below the iteration engine heals a lost message: as with plain
-//! MPI point-to-point sends, the failure reaches the caller, and the
-//! engine's recovering policy rolls every rank back to its last
-//! consistency-barrier checkpoint and re-runs.
+//! Communication failures are values, not hangs. Loss and departure are
+//! events in the message stream, written once in [`RankCtx`]: a dropped
+//! message leaves a tombstone at its place in the sender's stream, which
+//! fails the matching receive with [`CommError::MessageLost`], and a rank
+//! that exits (returns, fails or panics) leaves an exit notice behind
+//! everything it sent, which fails a receive that can no longer be matched
+//! with [`CommError::PeerGone`]. A barrier a departed rank can never reach
+//! fails with [`CommError::BarrierBroken`]. No backend keeps a timer.
+//! [`CommBackend::run`] surfaces the rank whose error caused the others as a
+//! [`RankFailure`]. Nothing below the iteration engine heals a lost message:
+//! as with plain MPI point-to-point sends, the failure reaches the caller,
+//! and the engine's recovering policy rolls every rank back to its last
+//! consistency-barrier checkpoint and re-runs. A true deadlock among live
+//! ranks is proven by the lockstep scheduler ([`CommError::Deadlock`]); on
+//! the threaded backend it hangs, like `MPI_Wait`.
 
 mod context;
 pub mod fault;
@@ -134,13 +141,14 @@ impl Payload for SharedTile {
 /// A communication failure observed by one rank.
 ///
 /// The simulated runtimes turn conditions that would hang an MPI job into
-/// values: a receive that cannot be satisfied is reported, not waited on
-/// forever.
+/// values: a receive or barrier that can never complete because a message
+/// was lost or a peer has exited is reported, not waited on forever.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum CommError {
-    /// A receive did not match any message within the backend's allowed wait
-    /// (see [`ThreadedBackend::with_recv_timeout`]).
-    RecvTimeout {
+    /// The message a receive matched was lost in transit: the fault layer
+    /// dropped it ([`FaultAction::Drop`]) and left a tombstone at its place
+    /// in the sender's stream.
+    MessageLost {
         /// The receiving rank.
         rank: usize,
         /// The sender the receive was posted against.
@@ -158,14 +166,15 @@ pub enum CommError {
         /// for when the deadlock was detected.
         detail: String,
     },
-    /// A barrier did not complete within the backend's allowed wait — some
-    /// rank exited (usually with its own error) before arriving.
-    BarrierTimeout {
-        /// The rank that gave up waiting at the barrier.
+    /// A barrier can never complete: some rank exited (usually with its own
+    /// error) without arriving.
+    BarrierBroken {
+        /// The rank that was waiting at the barrier.
         rank: usize,
     },
-    /// Every peer terminated while this rank was still waiting for a message.
-    PeersGone {
+    /// The sender exited (returned, failed, was killed or cancelled, or
+    /// panicked) without sending a message this receive could match.
+    PeerGone {
         /// The receiving rank.
         rank: usize,
         /// The sender the receive was posted against.
@@ -214,23 +223,21 @@ pub enum CommError {
 impl std::fmt::Display for CommError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            CommError::RecvTimeout { rank, from, tag } => write!(
+            CommError::MessageLost { rank, from, tag } => write!(
                 f,
-                "rank {rank}: receive from rank {from} (tag {tag:#x}) timed out — \
-                 the message was lost or never sent"
+                "rank {rank}: the message from rank {from} (tag {tag:#x}) was lost in transit"
             ),
             CommError::Deadlock { rank, detail } => {
                 write!(f, "rank {rank}: communication deadlock detected: {detail}")
             }
-            CommError::BarrierTimeout { rank } => write!(
+            CommError::BarrierBroken { rank } => write!(
                 f,
-                "rank {rank}: barrier did not complete within the allowed wait — \
-                 a peer exited before arriving"
+                "rank {rank}: barrier can never complete — a peer exited before arriving"
             ),
-            CommError::PeersGone { rank, from, tag } => write!(
+            CommError::PeerGone { rank, from, tag } => write!(
                 f,
-                "rank {rank}: all peers terminated while waiting for a message \
-                 from rank {from} (tag {tag:#x})"
+                "rank {rank}: rank {from} exited without sending the message (tag {tag:#x}) \
+                 this rank waits for"
             ),
             CommError::RankDead { rank } => write!(
                 f,
@@ -257,11 +264,16 @@ impl std::fmt::Display for CommError {
 
 impl std::error::Error for CommError {}
 
-/// The failure of a whole multi-rank run: the lowest-ranked failing rank and
-/// its error, plus how many ranks failed in total.
+/// The failure of a whole multi-rank run: the rank whose error caused it
+/// and that error, plus how many ranks failed in total.
+///
+/// The cause is the lowest rank whose error is not a [`CommError::PeerGone`]
+/// or [`CommError::BarrierBroken`]: those two only report that *another*
+/// rank exited. When every error is one of them, it is the lowest failing
+/// rank.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RankFailure {
-    /// The lowest failing rank.
+    /// The rank whose error caused the failure.
     pub rank: usize,
     /// That rank's communication error.
     pub error: CommError,
@@ -320,8 +332,9 @@ pub trait RankComm<M: Payload> {
     /// Blocking receive of the next message from `from` with tag `tag` (the
     /// analogue of `MPI_Irecv` + `MPI_Wait`). Time spent blocked is charged
     /// to wait time. Returns a [`CommError`] instead of hanging when the
-    /// backend can prove (deadlock) or strongly suspect (timeout) that the
-    /// message will never arrive.
+    /// message can never arrive: it was lost ([`CommError::MessageLost`]),
+    /// its sender exited first ([`CommError::PeerGone`]), or the lockstep
+    /// scheduler proved a deadlock.
     fn recv(&mut self, from: usize, tag: u64) -> Result<M, CommError>;
 
     /// Synchronises all ranks; blocked time is charged to wait time.
@@ -364,38 +377,15 @@ pub trait CommBackend {
         M: Payload + 'static,
         R: Send,
         F: Fn(&mut Self::Comm<M>) -> Result<R, CommError> + Sync;
-
-    /// Returns a version of this backend on which a *lost* message is
-    /// guaranteed to surface as a [`CommError`] instead of an indefinite
-    /// hang. The lockstep backend already proves deadlocks, so this is a
-    /// no-op there; the threaded backend installs a generous receive
-    /// timeout unless one was configured explicitly.
-    /// [`FaultInjectionBackend`] applies this to whatever it wraps, so a
-    /// lossy policy can never hang the suite by construction.
-    fn with_loss_detection(self) -> Self
-    where
-        Self: Sized,
-    {
-        self
-    }
-
-    /// True when a lost message surfaces as a [`CommError`] on this backend
-    /// (a proven deadlock, a bounded receive). The iteration engine's
-    /// recovering policy acts on such errors and is inert on a backend
-    /// without it — it would hang exactly like the raw backend — so it
-    /// checks this up front and refuses loudly instead.
-    fn loss_detection_enabled(&self) -> bool {
-        true
-    }
 }
 
-/// Splits per-rank `Result` outcomes into a success vector or the first
-/// failure.
+/// Splits per-rank `Result` outcomes into a success vector or the failure
+/// that caused the others (see [`RankFailure`]).
 pub(crate) fn collect_outcomes<R>(
     outcomes: Vec<RankOutcome<Result<R, CommError>>>,
 ) -> Result<Vec<RankOutcome<R>>, RankFailure> {
-    let failed_ranks = outcomes.iter().filter(|o| o.result.is_err()).count();
     let mut collected = Vec::with_capacity(outcomes.len());
+    let mut errors = Vec::new();
     for outcome in outcomes {
         match outcome.result {
             Ok(result) => collected.push(RankOutcome {
@@ -404,16 +394,27 @@ pub(crate) fn collect_outcomes<R>(
                 time: outcome.time,
                 memory: outcome.memory,
             }),
-            Err(error) => {
-                return Err(RankFailure {
-                    rank: outcome.rank,
-                    error,
-                    failed_ranks,
-                })
-            }
+            Err(error) => errors.push((outcome.rank, error)),
         }
     }
-    Ok(collected)
+    let failed_ranks = errors.len();
+    let cause = errors
+        .iter()
+        .position(|(_, error)| {
+            !matches!(
+                error,
+                CommError::PeerGone { .. } | CommError::BarrierBroken { .. }
+            )
+        })
+        .unwrap_or(0);
+    match errors.into_iter().nth(cause) {
+        None => Ok(collected),
+        Some((rank, error)) => Err(RankFailure {
+            rank,
+            error,
+            failed_ranks,
+        }),
+    }
 }
 
 #[cfg(test)]

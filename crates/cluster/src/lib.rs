@@ -58,15 +58,17 @@
 //! ```
 //!
 //! Fault injection turns lost messages into detectable errors instead of
-//! hangs — here a dropped broadcast is proven dead by the lockstep scheduler:
+//! hangs — here a dropped broadcast leaves a tombstone in its place, which
+//! fails the receive that would have matched it, on either backend:
 //!
 //! ```
 //! use ptycho_cluster::{
-//!     CommBackend, CommError, FaultInjectionBackend, FaultPolicy, LockstepBackend, RankComm,
+//!     Cluster, ClusterTopology, CommBackend, CommError, FaultInjectionBackend, FaultPolicy,
+//!     RankComm,
 //! };
 //!
 //! let policy = FaultPolicy::reliable(1).drop_message(0, 1, 0, 0);
-//! let faulty = FaultInjectionBackend::new(LockstepBackend::default(), policy);
+//! let faulty = FaultInjectionBackend::new(Cluster::new(ClusterTopology::summit()), policy);
 //! let failure = faulty
 //!     .run::<Vec<f64>, f64, _>(2, |ctx| {
 //!         if ctx.rank() == 0 {
@@ -77,7 +79,10 @@
 //!         }
 //!     })
 //!     .unwrap_err();
-//! assert!(matches!(failure.error, CommError::Deadlock { .. }));
+//! assert_eq!(
+//!     failure.error,
+//!     CommError::MessageLost { rank: 1, from: 0, tag: 0 }
+//! );
 //! assert_eq!(faulty.fault_count(), 1);
 //! ```
 

@@ -56,7 +56,6 @@ use ptycho_sim::dataset::{Dataset, SyntheticConfig};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Duration;
 
 /// Magic + version prefixes for the two file types.
 const SLOT_MAGIC: &[u8; 4] = b"PTS1";
@@ -527,8 +526,9 @@ impl EpochManifest {
     }
 }
 
-/// Current encoding version of the manifest-embedded job spec.
-const SPEC_VERSION: u8 = 1;
+/// Current encoding version of the manifest-embedded job spec; bytes of any
+/// other version are refused.
+const SPEC_VERSION: u8 = 2;
 
 /// Encodes everything [`JobEngine::resume`] needs to rebuild the job from
 /// the checkpoint directory alone. The dataset is stored as its synthesis
@@ -563,11 +563,6 @@ pub(crate) fn encode_spec(spec: &JobSpec) -> Vec<u8> {
     w.put_u8(c.local_updates as u8);
     w.put_u64(c.hve_extra_probe_rows as u64);
     w.put_u64(c.hve_exchange_period as u64);
-    // The absent tags of two retired settings (probe-support pruning, then
-    // the detector ROI): the version-1 layout keeps their positions, so
-    // stores written before their removal still decode.
-    w.put_u8(0);
-    w.put_u8(0);
     w.put_u64(spec.grid.0 as u64);
     w.put_u64(spec.grid.1 as u64);
     w.put_u8(match spec.method {
@@ -575,14 +570,12 @@ pub(crate) fn encode_spec(spec: &JobSpec) -> Vec<u8> {
         SolverMethod::HaloVoxelExchange => 1,
     });
     w.put_u64(spec.priority as i64 as u64);
-    // Tag 1 is retired: it named a recovering policy without spares,
-    // which `Recover { spares: 0, .. }` now is.
     let (tag, restarts, spares) = match spec.recovery {
         RecoveryPolicy::FailFast => (0, 0, 0),
         RecoveryPolicy::Recover {
             spares,
             max_iteration_restarts,
-        } => (2, max_iteration_restarts, spares),
+        } => (1, max_iteration_restarts, spares),
     };
     w.put_u8(tag);
     w.put_u64(restarts as u64);
@@ -590,8 +583,6 @@ pub(crate) fn encode_spec(spec: &JobSpec) -> Vec<u8> {
     w.put_opt(spec.fault_policy.as_ref(), |w, policy| {
         w.put_u64(policy.seed);
         w.put_f64(policy.drop_probability);
-        // The retired message-duplication probability keeps its position.
-        w.put_f64(0.0);
         w.put_f64(policy.delay_probability);
         w.put_opt(policy.only_tag, ByteWriter::put_u64);
         w.put_opt(policy.drop_exact, |w, (from, to, tag, seq)| {
@@ -613,12 +604,10 @@ pub(crate) fn encode_spec(spec: &JobSpec) -> Vec<u8> {
             });
         });
     });
-    let (tag, nanos) = match spec.backend {
-        ServiceBackend::Lockstep => (0, 0),
-        ServiceBackend::Threaded { recv_timeout } => (1, recv_timeout.as_nanos() as u64),
-    };
-    w.put_u8(tag);
-    w.put_u64(nanos);
+    w.put_u8(match spec.backend {
+        ServiceBackend::Lockstep => 0,
+        ServiceBackend::Threaded => 1,
+    });
     w.into_bytes()
 }
 
@@ -660,13 +649,6 @@ pub(crate) fn decode_spec(
         hve_extra_probe_rows: r.get_u64()? as usize,
         hve_exchange_period: r.get_u64()? as usize,
     };
-    for retired in ["probe-support pruning", "a detector ROI"] {
-        if r.get_opt(|_| Ok(()))?.is_some() {
-            return Err(r.corrupt(format!(
-                "the spec sets {retired}, which is no longer supported"
-            )));
-        }
-    }
     let grid = (r.get_u64()? as usize, r.get_u64()? as usize);
     let method = match r.get_u8()? {
         0 => SolverMethod::GradientDecomposition,
@@ -676,27 +658,16 @@ pub(crate) fn decode_spec(
     let priority = r.get_u64()? as i64 as i32;
     let recovery = match (r.get_u8()?, r.get_u64()? as usize, r.get_u64()? as usize) {
         (0, _, _) => RecoveryPolicy::FailFast,
-        (1, max_iteration_restarts, _) => RecoveryPolicy::Recover {
-            spares: 0,
-            max_iteration_restarts,
-        },
-        (2, max_iteration_restarts, spares) => RecoveryPolicy::Recover {
+        (1, max_iteration_restarts, spares) => RecoveryPolicy::Recover {
             spares,
             max_iteration_restarts,
         },
         (tag, _, _) => return Err(r.corrupt(format!("unknown recovery-policy tag {tag}"))),
     };
     let fault_policy = r.get_opt(|r| {
-        let seed = r.get_u64()?;
-        let drop_probability = r.get_f64()?;
-        if r.get_f64()? != 0.0 {
-            return Err(
-                r.corrupt("the spec sets message duplication, which is no longer supported")
-            );
-        }
         Ok(FaultPolicy {
-            seed,
-            drop_probability,
+            seed: r.get_u64()?,
+            drop_probability: r.get_f64()?,
             delay_probability: r.get_f64()?,
             only_tag: r.get_opt(ByteReader::get_u64)?,
             drop_exact: r.get_opt(|r| {
@@ -720,12 +691,10 @@ pub(crate) fn decode_spec(
             })?,
         })
     })?;
-    let backend = match (r.get_u8()?, r.get_u64()?) {
-        (0, _) => ServiceBackend::Lockstep,
-        (1, nanos) => ServiceBackend::Threaded {
-            recv_timeout: Duration::from_nanos(nanos),
-        },
-        (tag, _) => return Err(r.corrupt(format!("unknown backend tag {tag}"))),
+    let backend = match r.get_u8()? {
+        0 => ServiceBackend::Lockstep,
+        1 => ServiceBackend::Threaded,
+        tag => return Err(r.corrupt(format!("unknown backend tag {tag}"))),
     };
     if !r.is_exhausted() {
         return Err(r.corrupt("trailing bytes after the job spec"));
@@ -1537,24 +1506,17 @@ pub(crate) mod tests {
         assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
     }
 
-    /// Byte offsets in the version-1 layout of a spec whose every optional
-    /// field is present ([`full_spec`]).
+    /// Byte offsets of the option tags in a spec whose every optional field
+    /// is present ([`full_spec`]).
     const OPTION_TAGS: [(usize, &str); 6] = [
         (41, "dose"),
-        (168, "fault_policy"),
-        (201, "only_tag"),
-        (210, "drop_exact"),
-        (243, "kill"),
-        (260, "process_kill"),
+        (166, "fault_policy"),
+        (191, "only_tag"),
+        (200, "drop_exact"),
+        (233, "kill"),
+        (250, "process_kill"),
     ];
-    /// Where the retired probe-support and detector-ROI settings sat.
-    const RETIRED_TAGS: [(usize, &str); 2] =
-        [(124, "probe-support pruning"), (125, "detector ROI")];
-    /// Where the retired message-duplication probability sits (an `f64`).
-    const RETIRED_DUPLICATE_AT: usize = 185;
-    /// Where the recovery-policy tag sits.
-    const RECOVERY_TAG_AT: usize = 151;
-    const FULL_SPEC_LEN: usize = 279;
+    const FULL_SPEC_LEN: usize = 261;
     /// Where the checkpointed scan length sits (a little-endian `u64`).
     const SCAN_LEN_AT: usize = 66;
 
@@ -1648,12 +1610,7 @@ pub(crate) mod tests {
         ] {
             assert_round_trips(&base.clone().with_recovery(recovery));
         }
-        for backend in [
-            ServiceBackend::Lockstep,
-            ServiceBackend::Threaded {
-                recv_timeout: Duration::from_millis(250),
-            },
-        ] {
+        for backend in [ServiceBackend::Lockstep, ServiceBackend::Threaded] {
             assert_round_trips(&base.clone().with_backend(backend));
         }
         assert_round_trips(&base.clone().with_fault_policy(FaultPolicy::reliable(3)));
@@ -1666,55 +1623,32 @@ pub(crate) mod tests {
         }
     }
 
-    #[test]
-    fn the_version_1_layout_keeps_the_retired_positions() {
-        let bytes = encode_spec(&full_spec());
-        assert_eq!(bytes.len(), FULL_SPEC_LEN);
-        assert_eq!(bytes[0], SPEC_VERSION);
-        for (offset, name) in OPTION_TAGS {
-            assert_eq!(bytes[offset], 1, "{name} tag at {offset}");
-        }
-        for (offset, name) in RETIRED_TAGS {
-            assert_eq!(bytes[offset], 0, "retired {name} tag at {offset}");
-        }
-        let duplicate = RETIRED_DUPLICATE_AT..RETIRED_DUPLICATE_AT + 8;
-        assert_eq!(bytes[duplicate], 0.0f64.to_le_bytes());
-        assert_eq!(bytes[RECOVERY_TAG_AT], 2, "recovery-policy tag");
-    }
-
-    /// Tag 1 once named a recovering policy without spares; it decodes as
-    /// the one recovering policy with none.
-    #[test]
-    fn the_retired_recovery_tag_decodes_as_recover_without_spares() {
-        let mut bytes = encode_spec(&full_spec());
-        bytes[RECOVERY_TAG_AT] = 1;
-        assert_eq!(
-            decode(&bytes).expect("tag 1 decodes").recovery,
-            RecoveryPolicy::Recover {
-                spares: 0,
-                max_iteration_restarts: 2,
-            }
-        );
-    }
-
-    /// The FNV-1a golden of the whole version-1 encoding of [`full_spec`]:
-    /// every value, not only the layout's length and tag offsets. The
-    /// encoding from before message duplication was retired differs only in
-    /// the retired position, which held the policy's 0.25.
+    /// The FNV-1a golden of the whole encoding of [`full_spec`]: every
+    /// value, not only the layout's length and tag offsets.
     #[test]
     fn the_full_spec_encodes_to_its_recorded_bytes() {
-        let mut bytes = encode_spec(&full_spec());
+        let bytes = encode_spec(&full_spec());
+        assert_eq!(bytes.len(), FULL_SPEC_LEN);
         let actual = crate::durability::fnv1a64(&bytes);
-        assert_eq!(actual, 0x6256_6171_d011_b4b7, "new hash {actual:#018x}");
-        bytes[RETIRED_DUPLICATE_AT..RETIRED_DUPLICATE_AT + 8]
-            .copy_from_slice(&0.25f64.to_le_bytes());
-        assert_eq!(crate::durability::fnv1a64(&bytes), 0x9d3f_74bd_887e_b6fa);
+        assert_eq!(actual, 0xfa25_3d1e_8c03_0ab9, "new hash {actual:#018x}");
+    }
+
+    /// Version 1 kept a position for each retired setting; its bytes are no
+    /// longer read.
+    #[test]
+    fn a_version_1_spec_is_refused() {
+        let mut bytes = encode_spec(&full_spec());
+        bytes[0] = 1;
+        assert_eq!(
+            corrupt_detail(&bytes),
+            "unsupported spec version 1 (expected 2)"
+        );
     }
 
     #[test]
     fn only_tag_1_means_present() {
         let bytes = encode_spec(&full_spec());
-        for (offset, name) in OPTION_TAGS.into_iter().chain(RETIRED_TAGS) {
+        for (offset, name) in OPTION_TAGS {
             for tag in [2u8, 255] {
                 let mut damaged = bytes.clone();
                 damaged[offset] = tag;
@@ -1725,22 +1659,6 @@ pub(crate) mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn a_retired_setting_is_refused_by_name() {
-        let bytes = encode_spec(&full_spec());
-        for (offset, name) in RETIRED_TAGS {
-            let mut damaged = bytes.clone();
-            damaged[offset] = 1;
-            let detail = corrupt_detail(&damaged);
-            assert!(detail.contains(name), "{detail:?} should name {name}");
-        }
-        let mut damaged = bytes.clone();
-        damaged[RETIRED_DUPLICATE_AT..RETIRED_DUPLICATE_AT + 8]
-            .copy_from_slice(&0.25f64.to_le_bytes());
-        let detail = corrupt_detail(&damaged);
-        assert!(detail.contains("duplication"), "{detail:?}");
     }
 
     #[test]

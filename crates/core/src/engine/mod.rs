@@ -22,8 +22,8 @@
 //!   - [`RecoveryPolicy::Recover`] keeps a lightweight per-iteration
 //!     checkpoint of each rank's tile volume. Ranks exchange messages over
 //!     the raw transport, exactly as under `FailFast`; a lost message
-//!     surfaces as the transport's own error (a proven deadlock on
-//!     lockstep, a receive timeout on threaded), and the resulting
+//!     surfaces as [`CommError::MessageLost`] at the receive that would
+//!     have matched it, on either transport, and the resulting
 //!     [`RankFailure`] rolls the whole run back to the last consistent
 //!     iteration boundary and re-runs it instead of aborting, up to
 //!     `max_iteration_restarts` times. A **permanently dead rank** would
@@ -57,6 +57,7 @@
 //!
 //! [`FaultHarness::set_attempt`]: ptycho_cluster::backend::fault::FaultHarness::set_attempt
 //! [`MembershipView`]: ptycho_cluster::MembershipView
+//! [`CommError::MessageLost`]: ptycho_cluster::CommError::MessageLost
 //! [`CommError::RankDead`]: ptycho_cluster::CommError::RankDead
 //! [`CommError::SparesExhausted`]: ptycho_cluster::CommError::SparesExhausted
 
@@ -493,14 +494,6 @@ fn run_recovering<K: SolverKernel, B: CommBackend>(
     max_iteration_restarts: usize,
     spares: usize,
 ) -> Result<ReconstructionResult, RankFailure> {
-    // Recovery acts on communication *errors*; a backend that hangs on a
-    // lost message (threaded without a receive timeout) never produces
-    // one, so the policy would silently be inert. Refuse loudly instead.
-    assert!(
-        backend.loss_detection_enabled(),
-        "recovering policies require a backend that turns lost messages into errors; \
-         enable it with `with_recv_timeout(..)` or `with_loss_detection()`"
-    );
     let iterations = kernel.iterations();
     let ranks = kernel.grid().num_tiles();
     // With an external spare arbiter, the pool bound lives outside the
@@ -759,9 +752,9 @@ fn run_recovering<K: SolverKernel, B: CommBackend>(
         };
         // Cancellation is not a fault. Some ranks observe the flag and
         // unwind with `Cancelled`; ranks already parked in a receive or
-        // barrier fail with a timeout/deadlock instead. Either way, once
-        // the flag is up the run is over — no restart budget, no
-        // substitutions.
+        // barrier fail with `PeerGone` / `BarrierBroken` once a cancelled
+        // peer exits. Either way, once the flag is up the run is over — no
+        // restart budget, no substitutions.
         if job.cancelled() || matches!(failure.error, CommError::Cancelled { .. }) {
             break Err(RankFailure {
                 rank: failure.rank,

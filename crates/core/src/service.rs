@@ -56,7 +56,7 @@ use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Which reconstruction method a job runs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -74,12 +74,10 @@ pub enum ServiceBackend {
     /// The deterministic lockstep scheduler (default; reproducible bit for
     /// bit and deadlock-proving).
     Lockstep,
-    /// One OS thread per rank, with the receive timeout that recovery needs
-    /// to observe lost messages.
-    Threaded {
-        /// How long a receive waits before reporting the message lost.
-        recv_timeout: Duration,
-    },
+    /// One OS thread per rank. A lost message or an exited rank fails the
+    /// waiting receive at once, as on lockstep; a true deadlock among live
+    /// ranks hangs, like `MPI_Wait`.
+    Threaded,
 }
 
 /// One reconstruction request: everything the engine needs to run the job,
@@ -1053,9 +1051,10 @@ mod tests {
     use super::*;
     use crate::durability::{encode_spec, ByteWriter, EpochManifest, SlotRecord};
     use ptycho_sim::dataset::SyntheticConfig;
+    use std::time::Duration;
 
-    /// Where the recipe's probe window sits (a little-endian `u64`), in
-    /// every version-1 spec.
+    /// Where the recipe's probe window sits (a little-endian `u64`) in a
+    /// spec.
     const WINDOW_AT: usize = 33;
 
     /// A two-iteration GD job on a 2×2 grid (four ranks).

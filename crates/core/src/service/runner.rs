@@ -127,11 +127,7 @@ fn run_spec(spec: &JobSpec, job: &JobContext<'_>) -> Result<ReconstructionResult
     let topology = ClusterTopology::summit();
     match spec.backend {
         ServiceBackend::Lockstep => run_faulty(spec, LockstepBackend::new(topology), job),
-        ServiceBackend::Threaded { recv_timeout } => run_faulty(
-            spec,
-            Cluster::new(topology).with_recv_timeout(recv_timeout),
-            job,
-        ),
+        ServiceBackend::Threaded => run_faulty(spec, Cluster::new(topology), job),
     }
 }
 

@@ -13,6 +13,7 @@ use ptycho_core::{
     SolverConfig,
 };
 use ptycho_sim::dataset::{Dataset, SyntheticConfig};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::time::Duration;
 
 /// The shared small reconstruction problem: a 128 px, 2-slice object under a
@@ -80,16 +81,14 @@ pub fn lockstep() -> LockstepBackend {
     LockstepBackend::new(ClusterTopology::summit())
 }
 
-/// The threaded backend with a bounded receive, so lost messages surface as
-/// errors within `timeout_ms` instead of after the 30 s loss-detection
-/// default. Suites pick the timeout their fault scenario needs.
-pub fn threaded(timeout_ms: u64) -> Cluster {
-    Cluster::new(ClusterTopology::summit()).with_recv_timeout(Duration::from_millis(timeout_ms))
+/// The threaded backend on the Summit topology.
+pub fn threaded() -> Cluster {
+    Cluster::new(ClusterTopology::summit())
 }
 
 /// How long a pinned solve may take before the test fails instead of
-/// waiting on it: ample for the small fixtures, and far below any receive
-/// timeout a lost message could otherwise hide behind.
+/// waiting on it: ample for the small fixtures, so a solve left waiting on a
+/// lost message or an exited rank fails the test instead of hanging it.
 pub const SOLVE_DEADLINE: Duration = Duration::from_secs(5);
 
 /// Runs `solve` on a helper thread and returns what it returns, failing the
@@ -97,16 +96,14 @@ pub const SOLVE_DEADLINE: Duration = Duration::from_secs(5);
 /// `solve` (a failed assertion) propagates unchanged.
 pub fn within_deadline<T: Send + 'static>(solve: impl FnOnce() -> T + Send + 'static) -> T {
     let (tx, rx) = std::sync::mpsc::channel();
-    std::thread::spawn(move || {
-        let _ = tx.send(std::panic::catch_unwind(std::panic::AssertUnwindSafe(
-            solve,
-        )));
+    let worker = std::thread::spawn(move || {
+        let _ = tx.send(catch_unwind(AssertUnwindSafe(solve)));
     });
-    match rx.recv_timeout(SOLVE_DEADLINE) {
-        Ok(Ok(value)) => value,
-        Ok(Err(panic)) => std::panic::resume_unwind(panic),
-        Err(_) => panic!("the solve did not finish within {SOLVE_DEADLINE:?}"),
-    }
+    let Ok(outcome) = rx.recv_timeout(SOLVE_DEADLINE) else {
+        panic!("the solve did not finish within {SOLVE_DEADLINE:?}");
+    };
+    worker.join().expect("the solve's panic was caught");
+    outcome.unwrap_or_else(|panic| resume_unwind(panic))
 }
 
 /// Checkpoint-restart recovery with the standard budget and no spares.

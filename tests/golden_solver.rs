@@ -283,7 +283,7 @@ fn threaded_solve_lands_on_its_lockstep_golden() {
         fingerprint(
             &solver
                 .run_job(
-                    &threaded(5_000),
+                    &threaded(),
                     RecoveryPolicy::FailFast,
                     &JobContext::default()
                 )

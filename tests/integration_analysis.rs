@@ -136,7 +136,7 @@ fn span_graph_is_byte_identical_across_seeded_threaded_runs() {
     // trace (same caveat as the telemetry byte-identity suite).
     let run = || {
         let policy = FaultPolicy::reliable(11).delay(0.1);
-        let backend = FaultInjectionBackend::new(threaded(5_000), policy);
+        let backend = FaultInjectionBackend::new(threaded(), policy);
         traced_records(&backend, restart_policy())
     };
     let (records_a, _) = run();

@@ -5,13 +5,14 @@
 //! reconstructions; and fault injection turns a lost pass message into a
 //! detectable error (never a hang or a silently wrong volume).
 
-use ptycho_cluster::{Cluster, ClusterTopology, CommError, FaultInjectionBackend, FaultPolicy};
+use ptycho_cluster::{
+    Cluster, ClusterTopology, CommError, FaultInjectionBackend, FaultPolicy, RankFailure,
+};
 use ptycho_core::gradient_decomp::passes::tags;
 use ptycho_core::{GradientDecompositionSolver, JobContext, RecoveryPolicy, SolverConfig};
-use std::time::Duration;
 
 mod common;
-use common::{assert_bit_identical, gd_solver, hve_solver, lockstep, small_problem};
+use common::{assert_bit_identical, gd_solver, hve_solver, lockstep, small_problem, threaded};
 
 #[test]
 fn gd_solver_is_bit_identical_across_backends() {
@@ -73,61 +74,64 @@ fn lockstep_reruns_are_bit_identical() {
 }
 
 #[test]
-fn dropped_pass_message_is_a_detectable_error_on_lockstep() {
+fn a_dropped_pass_message_is_reported_lost_on_both_backends() {
     // Drop the first vertical-forward pass message from rank 0 to rank 2 (the
-    // tile below it on a 2x2 grid). The receiver can never complete its
-    // forward pass, every rank eventually blocks, and the lockstep scheduler
-    // must *prove* the deadlock — not hang, not return a wrong volume.
+    // tile below it on a 2x2 grid). Its tombstone fails rank 2's receive of
+    // it, the other ranks fail on rank 2's exit, and the run reports the
+    // loss itself — the same failure on both backends, not a hang and not a
+    // wrong volume.
     let ds = small_problem();
-    let policy = FaultPolicy::reliable(0).drop_message(0, 2, tags::VERTICAL_FORWARD, 0);
-    let faulty = FaultInjectionBackend::new(lockstep(), policy);
-
-    let failure = gd_solver(&ds)
-        .run_job(&faulty, RecoveryPolicy::FailFast, &JobContext::default())
-        .expect_err("a dropped pass message must fail the run");
-    assert!(
-        matches!(failure.error, CommError::Deadlock { .. }),
-        "expected a proven deadlock, got: {}",
-        failure.error
-    );
-    let message = failure.to_string();
-    assert!(
-        message.contains("deadlock"),
-        "failure must be self-describing: {message}"
-    );
-    assert_eq!(faulty.fault_count(), 1, "exactly one message was dropped");
-}
-
-#[test]
-fn dropped_pass_message_times_out_on_threaded() {
-    // Same fault on the threaded backend: the bounded receive turns the lost
-    // message into a timeout error instead of an infinite hang.
-    let ds = small_problem();
-    let policy = FaultPolicy::reliable(0).drop_message(0, 2, tags::VERTICAL_FORWARD, 0);
-    let threaded =
-        Cluster::new(ClusterTopology::summit()).with_recv_timeout(Duration::from_millis(250));
-    let faulty = FaultInjectionBackend::new(threaded, policy);
-
-    let failure = gd_solver(&ds)
-        .run_job(&faulty, RecoveryPolicy::FailFast, &JobContext::default())
-        .expect_err("a dropped pass message must fail the run");
-    assert!(
-        matches!(
-            failure.error,
-            CommError::RecvTimeout { .. } | CommError::PeersGone { .. }
+    let policy = || FaultPolicy::reliable(0).drop_message(0, 2, tags::VERTICAL_FORWARD, 0);
+    let expected = RankFailure {
+        rank: 2,
+        error: CommError::MessageLost {
+            rank: 2,
+            from: 0,
+            tag: tags::VERTICAL_FORWARD,
+        },
+        failed_ranks: 4,
+    };
+    let on_lockstep = FaultInjectionBackend::new(lockstep(), policy());
+    let on_threaded = FaultInjectionBackend::new(threaded(), policy());
+    for (label, failure, faults) in [
+        (
+            "lockstep",
+            gd_solver(&ds).run_job(
+                &on_lockstep,
+                RecoveryPolicy::FailFast,
+                &JobContext::default(),
+            ),
+            on_lockstep.fault_count(),
         ),
-        "expected a timeout-class error, got: {}",
-        failure.error
-    );
+        (
+            "threaded",
+            gd_solver(&ds).run_job(
+                &on_threaded,
+                RecoveryPolicy::FailFast,
+                &JobContext::default(),
+            ),
+            on_threaded.fault_count(),
+        ),
+    ] {
+        let failure = failure.expect_err("a dropped pass message must fail the run");
+        assert_eq!(failure, expected, "{label}");
+        let message = failure.to_string();
+        assert!(
+            message.contains("lost in transit"),
+            "{label}: failure must be self-describing: {message}"
+        );
+        assert_eq!(faults, 1, "{label}: exactly one message was dropped");
+    }
 }
 
 #[test]
 fn sends_to_an_already_failed_rank_do_not_panic_the_run() {
-    // Drop rank 0's first horizontal-forward message to rank 1: rank 1 times
-    // out and exits in round 1 while other ranks are still solving, so later
-    // rounds post sends to a rank whose channel is gone. Those sends must be
-    // buffered into the void and the run must still report the original
-    // failure as a value — not panic in the sender's thread.
+    // Drop rank 0's first horizontal-forward message to rank 1: rank 1 meets
+    // the tombstone and exits in round 1 while other ranks are still
+    // solving, so later rounds post sends to a rank whose channel is gone.
+    // Those sends must be buffered into the void and the run must still
+    // report the original failure as a value — not panic in the sender's
+    // thread.
     let ds = small_problem();
     let config = SolverConfig {
         iterations: 2,
@@ -135,20 +139,18 @@ fn sends_to_an_already_failed_rank_do_not_panic_the_run() {
         ..SolverConfig::default()
     };
     let policy = FaultPolicy::reliable(0).drop_message(0, 1, tags::HORIZONTAL_FORWARD, 0);
-    let threaded =
-        Cluster::new(ClusterTopology::summit()).with_recv_timeout(Duration::from_millis(250));
-    let faulty = FaultInjectionBackend::new(threaded, policy);
+    let faulty = FaultInjectionBackend::new(threaded(), policy);
 
     let failure = GradientDecompositionSolver::new(&ds, config, (2, 2))
         .run_job(&faulty, RecoveryPolicy::FailFast, &JobContext::default())
         .expect_err("the dropped message must fail the run");
-    assert!(
-        matches!(
-            failure.error,
-            CommError::RecvTimeout { .. } | CommError::PeersGone { .. }
-        ),
-        "expected a timeout-class error, got: {}",
-        failure.error
+    assert_eq!(
+        failure.error,
+        CommError::MessageLost {
+            rank: 1,
+            from: 0,
+            tag: tags::HORIZONTAL_FORWARD,
+        }
     );
 }
 

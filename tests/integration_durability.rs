@@ -20,7 +20,6 @@ use ptycho_core::{
 use ptycho_fft::CArray3;
 use ptycho_sim::dataset::{Dataset, SyntheticConfig};
 use std::path::PathBuf;
-use std::time::Duration;
 
 mod common;
 use common::assert_bit_identical;
@@ -91,12 +90,7 @@ fn assert_process_killed(report: &JobReport, expect_seq: u64) {
 fn kill_at_every_barrier_resumes_bit_identical_for_both_solvers_and_backends() {
     let backends = [
         ("lockstep", ServiceBackend::Lockstep),
-        (
-            "threaded",
-            ServiceBackend::Threaded {
-                recv_timeout: Duration::from_millis(500),
-            },
-        ),
+        ("threaded", ServiceBackend::Threaded),
     ];
     for (method_label, method) in [
         ("gd", SolverMethod::GradientDecomposition),

@@ -644,9 +644,7 @@ fn threaded_backend_jobs_match_the_lockstep_service_run() {
     let engine = JobEngine::new(4);
     let on_lockstep = engine.submit(spec.clone()).expect("fits the fleet").wait();
     let on_threaded = engine
-        .submit(spec.with_backend(ServiceBackend::Threaded {
-            recv_timeout: Duration::from_millis(500),
-        }))
+        .submit(spec.with_backend(ServiceBackend::Threaded))
         .expect("fits the fleet")
         .wait();
 

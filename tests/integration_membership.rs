@@ -15,14 +15,8 @@ use ptycho_telemetry::{Telemetry, TelemetryEvent};
 mod common;
 use common::{
     assert_bit_identical, gd_solver, hve_solver, lockstep, small_problem, substitute_policy,
-    within_deadline,
+    threaded, within_deadline,
 };
-
-// A dead rank's silence should be detected (and the substitution triggered)
-// quickly, not after the 30 s loss-detection default.
-fn threaded() -> ptycho_cluster::Cluster {
-    common::threaded(100)
-}
 
 /// Kills node 1 early in iteration 0 (its second send decision — well
 /// before the first consistency barrier).
@@ -162,8 +156,8 @@ fn hve_spare_substitution_heals_a_dead_rank_on_both_backends() {
 
 #[test]
 fn hve_kill_heals_by_one_substitution_on_a_threaded_backend_without_a_timeout() {
-    // No receive timeout is configured anywhere: the dead rank's exit must
-    // reach the ranks waiting on it, so the heal takes milliseconds.
+    // A plain threaded backend: the dead rank's exit notices, not a clock,
+    // must end its peers' waits, so the heal takes milliseconds.
     within_deadline(|| {
         let ds = small_problem();
         let solver = hve_solver(&ds);
@@ -226,14 +220,7 @@ fn rank_death_without_spares_keeps_the_legacy_policies_intact() {
             &JobContext::default(),
         )
         .expect_err("FailFast must not heal a dead rank");
-    assert!(
-        matches!(
-            failure.error,
-            CommError::RankDead { .. } | CommError::Deadlock { .. }
-        ),
-        "unexpected error: {}",
-        failure.error
-    );
+    assert_eq!(failure.error, CommError::RankDead { rank: 1 });
 
     // Recover without spares: a restart would meet the same death (same
     // node, same slot, same send count), so the restart budget is not spent

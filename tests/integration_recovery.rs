@@ -2,8 +2,8 @@
 //!
 //! The contract under test: a seeded drop policy that makes a plain
 //! (`FailFast`) run fail with a [`RankFailure`] is healed by
-//! [`RecoveryPolicy::Recover`] — the lost message surfaces as the
-//! transport's own error, every rank rolls back to its last
+//! [`RecoveryPolicy::Recover`] — the lost message surfaces as
+//! [`CommError::MessageLost`] on either backend, every rank rolls back to its last
 //! consistency-barrier checkpoint, and the re-run attempt draws fresh fault
 //! decisions — and the recovered reconstruction is **bit-identical** to the
 //! fault-free one, on both solvers and both backends.
@@ -19,18 +19,12 @@ use ptycho_telemetry::{Telemetry, TelemetryEvent};
 
 mod common;
 use common::{
-    assert_bit_identical, gd_solver, hve_solver, lockstep, restart_policy, small_problem,
+    assert_bit_identical, gd_solver, hve_solver, lockstep, restart_policy, small_problem, threaded,
     within_deadline,
 };
 
 /// The HVE voxel copy-paste tag (`halo_exchange::solver::TAG_VOXEL_PASTE`).
 const TAG_VOXEL_PASTE: u64 = 0x20;
-
-// A dropped frame should be detected (and recovered) quickly, not after the
-// 30 s loss-detection default.
-fn threaded() -> ptycho_cluster::Cluster {
-    common::threaded(150)
-}
 
 /// Drops the first message of the (0 → 2) vertical-forward stream, in the
 /// first attempt only: the restarted attempt delivers it.
@@ -38,11 +32,26 @@ fn gd_drop_policy() -> FaultPolicy {
     FaultPolicy::reliable(0).drop_message(0, 2, tags::VERTICAL_FORWARD, 0)
 }
 
+/// What [`gd_drop_policy`] fails a run with: rank 2's receive of that
+/// message meets its tombstone.
+const GD_DROP: CommError = CommError::MessageLost {
+    rank: 2,
+    from: 0,
+    tag: tags::VERTICAL_FORWARD,
+};
+
 /// Same construction for the baseline: drop the first voxel-paste message
 /// rank 0 sends to rank 1.
 fn hve_drop_policy() -> FaultPolicy {
     FaultPolicy::reliable(0).drop_message(0, 1, TAG_VOXEL_PASTE, 0)
 }
+
+/// What [`hve_drop_policy`] fails a run with.
+const HVE_DROP: CommError = CommError::MessageLost {
+    rank: 1,
+    from: 0,
+    tag: TAG_VOXEL_PASTE,
+};
 
 #[test]
 fn gd_fail_fast_still_surfaces_rank_failure() {
@@ -52,7 +61,7 @@ fn gd_fail_fast_still_surfaces_rank_failure() {
     let failure = solver
         .run_job(&faulty, RecoveryPolicy::FailFast, &JobContext::default())
         .expect_err("FailFast must not heal a dropped pass message");
-    assert!(matches!(failure.error, CommError::Deadlock { .. }));
+    assert_eq!(failure.error, GD_DROP);
 }
 
 #[test]
@@ -63,13 +72,13 @@ fn hve_fail_fast_still_surfaces_rank_failure() {
     let failure = solver
         .run_job(&faulty, RecoveryPolicy::FailFast, &JobContext::default())
         .expect_err("FailFast must not heal a dropped voxel paste");
-    assert!(matches!(failure.error, CommError::Deadlock { .. }));
+    assert_eq!(failure.error, HVE_DROP);
 }
 
 #[test]
 fn gd_drop_heals_by_one_restart_on_a_threaded_backend_without_a_timeout() {
-    // No receive timeout is configured anywhere: the loss itself must reach
-    // the receiver, so the heal takes milliseconds, not a timer's wait.
+    // A plain threaded backend: the drop's tombstone, not a clock, must
+    // fail the receiver, so the heal takes milliseconds.
     within_deadline(|| {
         let ds = small_problem();
         let solver = gd_solver(&ds);
@@ -112,6 +121,7 @@ fn fail_fast_reports_the_same_drop_on_both_backends() {
         ]
         .map(|run| run.expect_err("FailFast must not heal a dropped pass message"));
         assert_eq!(gd_failures[0], gd_failures[1], "GD: lockstep vs threaded");
+        assert_eq!(gd_failures[0].error, GD_DROP);
         let hve = hve_solver(&ds);
         let hve_failures = [
             hve.run_job(
@@ -130,6 +140,7 @@ fn fail_fast_reports_the_same_drop_on_both_backends() {
             hve_failures[0], hve_failures[1],
             "HVE: lockstep vs threaded"
         );
+        assert_eq!(hve_failures[0].error, HVE_DROP);
     });
 }
 
@@ -377,10 +388,10 @@ fn hve_restart_resumes_from_the_iteration_boundary_checkpoint() {
 }
 
 #[test]
-fn a_persistent_drop_times_out_on_threaded() {
-    // The threaded transport's own loss detector: the receive that waits
-    // for a message dropped in every attempt times out, and with the
-    // budget spent that timeout (or its consequence at a peer) surfaces.
+fn a_persistent_drop_is_reported_lost_on_threaded() {
+    // A message dropped in every attempt: each attempt's receive meets its
+    // tombstone, and with the budget spent that loss — not its consequence
+    // at a peer — surfaces, as it does on lockstep.
     let ds = small_problem();
     let policy = FaultPolicy::reliable(0)
         .drop(1.0)
@@ -389,16 +400,7 @@ fn a_persistent_drop_times_out_on_threaded() {
     let failure = gd_solver(&ds)
         .run_job(&faulty, restart_policy(), &JobContext::default())
         .expect_err("a persistent drop must fail");
-    assert!(
-        matches!(
-            failure.error,
-            CommError::RecvTimeout { .. }
-                | CommError::BarrierTimeout { .. }
-                | CommError::PeersGone { .. }
-        ),
-        "expected a timeout-class error, got: {}",
-        failure.error
-    );
+    assert_eq!(failure.error, GD_DROP);
 }
 
 #[test]
@@ -424,10 +426,9 @@ fn restart_budget_zero_surfaces_the_escalated_failure() {
                 &JobContext::default(),
             )
             .expect_err("a persistent drop must fail");
-        assert!(
-            matches!(failure.error, CommError::Deadlock { .. }),
-            "budget {max_iteration_restarts}: expected the transport's deadlock, got: {}",
-            failure.error
+        assert_eq!(
+            failure.error, GD_DROP,
+            "budget {max_iteration_restarts}: the loss itself must surface"
         );
     }
 }

@@ -9,9 +9,7 @@
 //!    per-rank clock (analytic communication time + modeled compute time),
 //!    never wall time. Pinned on the lockstep backend under seeded drop and
 //!    kill faults, and on the free-running threaded backend under delay
-//!    faults (a drop on the threaded backend surfaces after a wall-clock
-//!    receive timeout, when each rank has run as far as real thread timing
-//!    let it, so byte-identity under drops is a lockstep-only claim).
+//!    faults.
 //! 3. **Content** — the event stream tells the story the run actually had:
 //!    dense per-rank sequence numbers, a monotonic simulated clock, one
 //!    `iteration_begin`/`iteration_end` pair per iteration, a `rank_dead` /
@@ -215,11 +213,10 @@ fn threaded_trace_is_deterministic_under_delay_faults() {
     // Delay faults only: a delayed message is released when its sender next
     // blocks, so no frame is lost, no wall-time-dependent restart fires, and
     // the threaded backend's free-running schedule cannot leak into the
-    // per-rank event streams. (A generous receive timeout keeps a
-    // descheduled thread from faking a loss on a loaded machine.)
+    // per-rank event streams.
     let run = || {
         let policy = FaultPolicy::reliable(11).delay(0.1);
-        let backend = FaultInjectionBackend::new(common::threaded(5_000), policy);
+        let backend = FaultInjectionBackend::new(common::threaded(), policy);
         traced_gd_run(&backend, restart_policy())
     };
     let (trace_a, result_a) = run();
@@ -521,6 +518,21 @@ fn substitution_trace_matches_golden_hash() {
         assert!(summary.kind_count(kind) >= 1, "the trace must hold {kind}");
     }
     assert_trace_hash(&trace, 0xf805_2088_a9b1_2e8d, "substitution");
+}
+
+/// No timer decides a threaded failure: every rank fails at the same receive
+/// or barrier as on lockstep, so the healed runs trace byte for byte what
+/// their lockstep goldens pin (`restart_trace_under_drop_matches_golden_hash`,
+/// `substitution_trace_matches_golden_hash`).
+#[test]
+fn threaded_heals_trace_their_lockstep_goldens() {
+    let backend = FaultInjectionBackend::new(common::threaded(), gd_drop_policy());
+    let (trace, _) = traced_gd_run(&backend, restart_policy());
+    assert_trace_hash(&trace, 0x0f09_8484_6069_666f, "threaded restart under drop");
+    let policy = FaultPolicy::reliable(5).kill_rank(1, 1);
+    let backend = FaultInjectionBackend::new(common::threaded(), policy);
+    let (trace, _) = traced_gd_run(&backend, substitute_policy(1));
+    assert_trace_hash(&trace, 0xf805_2088_a9b1_2e8d, "threaded substitution");
 }
 
 /// A durable job killed by a whole-process crash at its first barrier, then
