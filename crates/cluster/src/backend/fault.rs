@@ -372,7 +372,7 @@ pub struct FaultInjectionBackend<B> {
     faults: Arc<AtomicU64>,
 }
 
-impl<B: CommBackend> FaultInjectionBackend<B> {
+impl<B> FaultInjectionBackend<B> {
     /// Wraps `inner`, injecting faults according to `policy`.
     pub fn new(inner: B, policy: FaultPolicy) -> Self {
         Self {

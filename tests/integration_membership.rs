@@ -8,7 +8,7 @@
 //! **bit-identical** to the fault-free one, on both solvers and both
 //! backends. Without spares the run fails with a typed error.
 
-use ptycho_cluster::{Cluster, ClusterTopology, CommError, FaultInjectionBackend, FaultPolicy};
+use ptycho_cluster::{CommError, FaultInjectionBackend, FaultPolicy};
 use ptycho_core::{JobContext, RecoveryPolicy};
 use ptycho_telemetry::{Telemetry, TelemetryEvent};
 
@@ -168,8 +168,7 @@ fn hve_kill_heals_by_one_substitution_on_a_threaded_backend_without_a_timeout() 
                 &JobContext::default(),
             )
             .expect("fault-free run completes");
-        let faulty =
-            FaultInjectionBackend::new(Cluster::new(ClusterTopology::summit()), early_death());
+        let faulty = FaultInjectionBackend::new(threaded(), early_death());
         let healed = solver
             .run_job(&faulty, substitute_policy(1), &JobContext::default())
             .expect("one substitution heals the death");

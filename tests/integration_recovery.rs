@@ -10,9 +10,7 @@
 //!
 //! [`RankFailure`]: ptycho_cluster::RankFailure
 
-use ptycho_cluster::{
-    Cluster, ClusterTopology, CommError, FaultInjectionBackend, FaultPolicy, RankFailure,
-};
+use ptycho_cluster::{CommError, FaultInjectionBackend, FaultPolicy, RankFailure};
 use ptycho_core::gradient_decomp::passes::tags;
 use ptycho_core::{JobContext, RecoveryPolicy};
 use ptycho_telemetry::{Telemetry, TelemetryEvent};
@@ -89,8 +87,7 @@ fn gd_drop_heals_by_one_restart_on_a_threaded_backend_without_a_timeout() {
                 &JobContext::default(),
             )
             .expect("fault-free run completes");
-        let faulty =
-            FaultInjectionBackend::new(Cluster::new(ClusterTopology::summit()), gd_drop_policy());
+        let faulty = FaultInjectionBackend::new(threaded(), gd_drop_policy());
         let recovered = solver
             .run_job(&faulty, restart_policy(), &JobContext::default())
             .expect("one restart heals the drop");
