@@ -6,7 +6,8 @@
 //! detectable error (never a hang or a silently wrong volume).
 
 use ptycho_cluster::{
-    Cluster, ClusterTopology, CommError, FaultInjectionBackend, FaultPolicy, RankFailure,
+    Cluster, ClusterTopology, CommBackend, CommError, FaultInjectionBackend, FaultPolicy,
+    RankFailure,
 };
 use ptycho_core::gradient_decomp::passes::tags;
 use ptycho_core::{GradientDecompositionSolver, JobContext, RecoveryPolicy, SolverConfig};
@@ -73,55 +74,48 @@ fn lockstep_reruns_are_bit_identical() {
     assert_bit_identical(&a, &b);
 }
 
-#[test]
-fn a_dropped_pass_message_is_reported_lost_on_both_backends() {
-    // Drop the first vertical-forward pass message from rank 0 to rank 2 (the
-    // tile below it on a 2x2 grid). Its tombstone fails rank 2's receive of
-    // it, the other ranks fail on rank 2's exit, and the run reports the
-    // loss itself — the same failure on both backends, not a hang and not a
-    // wrong volume.
+/// Drops the first vertical-forward pass message from rank 0 to rank 2 (the
+/// tile below it on a 2x2 grid). Its tombstone fails rank 2's receive of it,
+/// the other ranks fail on rank 2's exit, and the run reports the loss
+/// itself — the same failure on every backend, not a hang and not a wrong
+/// volume.
+fn assert_dropped_pass_message_is_reported_lost<B: CommBackend + Sync>(backend: B) {
     let ds = small_problem();
-    let policy = || FaultPolicy::reliable(0).drop_message(0, 2, tags::VERTICAL_FORWARD, 0);
-    let expected = RankFailure {
-        rank: 2,
-        error: CommError::MessageLost {
+    let policy = FaultPolicy::reliable(0).drop_message(0, 2, tags::VERTICAL_FORWARD, 0);
+    let faulty = FaultInjectionBackend::new(backend, policy);
+    let failure = gd_solver(&ds)
+        .run_job(&faulty, RecoveryPolicy::FailFast, &JobContext::default())
+        .expect_err("a dropped pass message must fail the run");
+    assert_eq!(
+        failure,
+        RankFailure {
             rank: 2,
-            from: 0,
-            tag: tags::VERTICAL_FORWARD,
-        },
-        failed_ranks: 4,
-    };
-    let on_lockstep = FaultInjectionBackend::new(lockstep(), policy());
-    let on_threaded = FaultInjectionBackend::new(threaded(), policy());
-    for (label, failure, faults) in [
-        (
-            "lockstep",
-            gd_solver(&ds).run_job(
-                &on_lockstep,
-                RecoveryPolicy::FailFast,
-                &JobContext::default(),
-            ),
-            on_lockstep.fault_count(),
-        ),
-        (
-            "threaded",
-            gd_solver(&ds).run_job(
-                &on_threaded,
-                RecoveryPolicy::FailFast,
-                &JobContext::default(),
-            ),
-            on_threaded.fault_count(),
-        ),
-    ] {
-        let failure = failure.expect_err("a dropped pass message must fail the run");
-        assert_eq!(failure, expected, "{label}");
-        let message = failure.to_string();
-        assert!(
-            message.contains("lost in transit"),
-            "{label}: failure must be self-describing: {message}"
-        );
-        assert_eq!(faults, 1, "{label}: exactly one message was dropped");
-    }
+            error: CommError::MessageLost {
+                rank: 2,
+                from: 0,
+                tag: tags::VERTICAL_FORWARD,
+            },
+            failed_ranks: 4,
+        }
+    );
+    let message = failure.to_string();
+    assert!(
+        message.contains("lost in transit"),
+        "failure must be self-describing: {message}"
+    );
+    assert_eq!(faulty.fault_count(), 1, "exactly one message was dropped");
+}
+
+#[test]
+fn dropped_pass_message_is_a_detectable_error_on_lockstep() {
+    assert_dropped_pass_message_is_reported_lost(lockstep());
+}
+
+#[test]
+fn dropped_pass_message_times_out_on_threaded() {
+    // The threaded backend keeps no receive timer: the tombstone ends the run
+    // at once, with the same failure the lockstep scheduler reports.
+    assert_dropped_pass_message_is_reported_lost(threaded());
 }
 
 #[test]
