@@ -1231,7 +1231,8 @@ mod tests {
         assert_eq!(report.state, JobState::Failed);
         match report.error {
             Some(JobError::Panicked { message }) => {
-                assert!(message.contains("rank thread panicked"), "{message}")
+                assert!(message.contains("rank thread panicked"), "{message}");
+                assert!(message.contains("the trace writer panicked"), "{message}");
             }
             other => panic!("expected a panic failure, got {other:?}"),
         }

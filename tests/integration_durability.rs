@@ -9,13 +9,13 @@
 //! through a mid-substitution kill (the adopted spare's checkpoint
 //! round-trips through disk).
 
-use ptycho_cluster::{CommError, CrashPhase, FaultPolicy, MembershipView};
+use ptycho_cluster::{CommError, CrashPhase, FaultPolicy, MembershipView, RankFailure};
 use ptycho_core::durability::ByteWriter;
 use ptycho_core::{
     CheckpointPayload, CheckpointStore, DurabilityError, DurabilityHook, EpochManifest,
-    GradientDecompositionSolver, JobContext, JobEngine, JobError, JobReport, JobSpec, JobState,
-    ReconstructionResult, RecoveredEpoch, RecoveryPolicy, ServiceBackend, SlotRecord, SolverConfig,
-    SolverMethod,
+    GradientDecompositionSolver, HaloVoxelExchangeSolver, JobContext, JobEngine, JobError,
+    JobReport, JobSpec, JobState, ReconstructionResult, RecoveredEpoch, RecoveryPolicy,
+    ServiceBackend, SlotRecord, SolverConfig, SolverMethod,
 };
 use ptycho_fft::CArray3;
 use ptycho_sim::dataset::{Dataset, SyntheticConfig};
@@ -85,43 +85,121 @@ fn assert_process_killed(report: &JobReport, expect_seq: u64) {
 
 /// The tentpole matrix: kill the process at **every** barrier (epoch 0 and
 /// epoch 1 of a 2-iteration run), for both solvers on both backends, and
-/// pin each resumed run bit-identical to the uninterrupted one.
+/// pin each resumed run bit-identical to the uninterrupted lockstep service
+/// run. The lockstep leg kills and resumes through the service; the
+/// threaded leg through the engine directly
+/// ([`kill_and_resume_on_threaded`]).
 #[test]
 fn kill_at_every_barrier_resumes_bit_identical_for_both_solvers_and_backends() {
-    let backends = [
-        ("lockstep", ServiceBackend::Lockstep),
-        ("threaded", ServiceBackend::Threaded),
-    ];
     for (method_label, method) in [
         ("gd", SolverMethod::GradientDecomposition),
         ("hve", SolverMethod::HaloVoxelExchange),
     ] {
-        for (backend_label, backend) in backends {
-            let baseline = uninterrupted(spec_for(method, backend));
-            for kill_seq in 0..2u64 {
-                let label = format!("{method_label}/{backend_label}/seq{kill_seq}");
-                let dir = scratch(&label.replace('/', "-"));
-                let engine = JobEngine::new(8);
-                let killed = engine
-                    .submit(
-                        spec_for(method, backend)
-                            .with_checkpoint_dir(&dir)
-                            .with_fault_policy(
-                                FaultPolicy::reliable(7)
-                                    .kill_process_at_barrier(kill_seq, CrashPhase::AfterRename),
-                            ),
-                    )
-                    .expect("fits the fleet")
-                    .wait();
-                assert_process_killed(&killed, kill_seq);
+        let baseline = uninterrupted(spec_for(method, ServiceBackend::Lockstep));
+        for kill_seq in 0..2u64 {
+            let label = format!("{method_label}-lockstep-seq{kill_seq}");
+            let dir = scratch(&label);
+            let engine = JobEngine::new(8);
+            let killed = engine
+                .submit(
+                    spec_for(method, ServiceBackend::Lockstep)
+                        .with_checkpoint_dir(&dir)
+                        .with_fault_policy(
+                            FaultPolicy::reliable(7)
+                                .kill_process_at_barrier(kill_seq, CrashPhase::AfterRename),
+                        ),
+                )
+                .expect("fits the fleet")
+                .wait();
+            assert_process_killed(&killed, kill_seq);
 
-                let resumed = engine.resume(&dir).expect("resumable").wait();
-                assert_eq!(resumed.state, JobState::Completed, "{label}");
-                assert_bit_identical(&baseline, resumed.result.as_ref().unwrap());
-                let _ = std::fs::remove_dir_all(&dir);
-            }
+            let resumed = engine.resume(&dir).expect("resumable").wait();
+            assert_eq!(resumed.state, JobState::Completed, "{label}");
+            assert_bit_identical(&baseline, resumed.result.as_ref().unwrap());
+            let _ = std::fs::remove_dir_all(&dir);
+
+            let label = format!("{method_label}-threaded-seq{kill_seq}");
+            let spec = spec_for(method, ServiceBackend::Lockstep);
+            assert_bit_identical(
+                &baseline,
+                &kill_and_resume_on_threaded(&spec, kill_seq, &label),
+            );
         }
     }
+}
+
+/// Runs `spec`'s solver on a threaded [`Cluster`](ptycho_cluster::Cluster)
+/// through the engine directly, under the service's recovery policy.
+fn run_on_threaded(
+    spec: &JobSpec,
+    durability: DurabilityHook<'_>,
+) -> Result<ReconstructionResult, RankFailure> {
+    let policy = RecoveryPolicy::Recover {
+        spares: 0,
+        max_iteration_restarts: 2,
+    };
+    let job = JobContext {
+        durability: Some(durability),
+        ..JobContext::default()
+    };
+    let backend = common::threaded();
+    match spec.method {
+        SolverMethod::GradientDecomposition => {
+            GradientDecompositionSolver::new(&spec.dataset, spec.config, spec.grid)
+                .run_job(&backend, policy, &job)
+        }
+        SolverMethod::HaloVoxelExchange => {
+            HaloVoxelExchangeSolver::new(&spec.dataset, spec.config, spec.grid)
+                .expect("feasible decomposition")
+                .run_job(&backend, policy, &job)
+        }
+    }
+}
+
+/// Kills a threaded engine run of `spec` at barrier `kill_seq`, then, as a
+/// fresh process would, reopens its store and resumes from the epoch that
+/// survived. Returns the resumed result.
+fn kill_and_resume_on_threaded(spec: &JobSpec, kill_seq: u64, label: &str) -> ReconstructionResult {
+    let dir = scratch(label);
+    let store = CheckpointStore::open(&dir).expect("store opens");
+    let killed = run_on_threaded(
+        spec,
+        DurabilityHook {
+            store: &store,
+            resume: None,
+            kill: Some((kill_seq, CrashPhase::AfterRename)),
+            spec: &[],
+        },
+    );
+    match killed {
+        Err(RankFailure {
+            error: CommError::ProcessKilled { seq, .. },
+            ..
+        }) => assert_eq!(seq, kill_seq, "{label}: kill must strike the armed barrier"),
+        Err(failure) => panic!("{label}: expected ProcessKilled, got {failure}"),
+        Ok(_) => panic!("{label}: the armed kill never struck"),
+    }
+    drop(store);
+
+    let store = CheckpointStore::open(&dir).expect("store reopens");
+    let epoch = store
+        .recover()
+        .expect("scan succeeds")
+        .epoch
+        .expect("the killed barrier's epoch was committed");
+    let resumed = run_on_threaded(
+        spec,
+        DurabilityHook {
+            store: &store,
+            resume: Some(&epoch),
+            kill: None,
+            spec: &[],
+        },
+    )
+    .unwrap_or_else(|failure| panic!("{label}: resume must complete, got {failure}"));
+    drop(store);
+    let _ = std::fs::remove_dir_all(&dir);
+    resumed
 }
 
 /// Each crash phase leaves the documented on-disk state — `BeforeRename`

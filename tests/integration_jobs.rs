@@ -571,6 +571,13 @@ fn impossible_specs_are_rejected_at_submission() {
         ),
         "process-kill fault needs a checkpoint dir",
     );
+    // One `f64` cost per iteration: a history past `isize::MAX` bytes can
+    // never be allocated.
+    assert_refused(
+        &engine,
+        JobSpec::new(dataset.clone(), tiny_gd_config(usize::MAX), (2, 2)),
+        "cost history",
+    );
     assert!(engine.admission_log().is_empty(), "nothing was admitted");
     assert_eq!(engine.free_nodes(), 16, "nothing was leased");
 

@@ -3,7 +3,7 @@
 //! report whose error is not a runner panic. No spec panics the caller.
 //!
 //! Shapes are small (objects of 32–96 px, windows of 8/16/32 px, grids of
-//! 0–12 tiles per side, halos of 0–100 px, 0–2 iterations), crossed with
+//! 0–12 tiles per side, halos of 0–100 px, 0–2 iterations or `usize::MAX`), crossed with
 //! both solvers, every recovery policy, both pass frequencies, and optional
 //! message-drop, rank-kill and process-kill faults with and without a
 //! checkpoint directory.
@@ -23,7 +23,7 @@ proptest! {
     #[test]
     fn every_constructible_spec_is_refused_or_reported(
         shape in (32usize..=96, 0usize..3, 0usize..=12, 0usize..=12, 0usize..=100),
-        run in (0usize..=2, 0usize..2, 0usize..3, 0usize..2),
+        run in (0usize..4, 0usize..2, 0usize..3, 0usize..2),
         faults in (0usize..4, 0usize..4, 0usize..4, 0usize..2, 0u64..1000),
     ) {
         let (object_px, window, grid_rows, grid_cols, halo_px) = shape;
@@ -34,6 +34,8 @@ proptest! {
             window_px: [8, 16, 32][window],
             ..SyntheticConfig::tiny()
         });
+        // `usize::MAX` iterations: a cost history no allocator can hold.
+        let iterations = [0, 1, 2, usize::MAX][iterations];
         let config = SolverConfig {
             iterations,
             halo_px,
