@@ -23,6 +23,7 @@ use crate::clock::RankClock;
 use crate::memory::MemoryTracker;
 use crate::topology::ClusterTopology;
 use ptycho_telemetry::{RankSink, TelemetryEvent};
+use std::any::Any;
 
 /// What one rank leaves in another's queue.
 #[derive(Debug)]
@@ -306,6 +307,16 @@ impl<T: Transport> Drop for ExitGuard<'_, T> {
     }
 }
 
+/// The text a panic's payload carries: `panic!` with arguments carries a
+/// `String`, a bare literal a `&str`; any other payload has none.
+pub fn panic_text(payload: &(dyn Any + Send)) -> String {
+    payload
+        .downcast_ref::<String>()
+        .cloned()
+        .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+        .unwrap_or_else(|| "a panic without a message".into())
+}
+
 /// Runs `body` once per transport, each on its own scoped thread with a
 /// fresh [`RankCtx`], and collects the outcomes in rank order (shared by
 /// every built-in backend's `run`).
@@ -355,7 +366,11 @@ where
             .collect();
         handles
             .into_iter()
-            .map(|handle| handle.join().expect("rank thread panicked"))
+            .map(|handle| {
+                handle.join().unwrap_or_else(|payload| {
+                    panic!("rank thread panicked: {}", panic_text(&*payload))
+                })
+            })
             .collect()
     });
     collect_outcomes(outcomes)

@@ -53,7 +53,7 @@ use crate::clock::RankClock;
 use crate::memory::MemoryTracker;
 use ptycho_telemetry::TelemetryEvent;
 
-pub use context::{Instruments, RankCtx};
+pub use context::{panic_text, Instruments, RankCtx};
 pub use fault::{CrashPhase, FaultAction, FaultCursor, FaultInjectionBackend, FaultPolicy};
 pub use lockstep::LockstepBackend;
 pub use pool::TilePayloadPool;

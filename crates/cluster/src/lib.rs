@@ -98,9 +98,9 @@ pub mod perf_model;
 pub mod topology;
 
 pub use backend::{
-    Cluster, CommBackend, CommError, CrashPhase, FaultAction, FaultCursor, FaultInjectionBackend,
-    FaultPolicy, Instruments, LockstepBackend, Payload, RankComm, RankCtx, RankFailure,
-    RankOutcome, SharedTile, ThreadedBackend, TilePayloadPool,
+    panic_text, Cluster, CommBackend, CommError, CrashPhase, FaultAction, FaultCursor,
+    FaultInjectionBackend, FaultPolicy, Instruments, LockstepBackend, Payload, RankComm, RankCtx,
+    RankFailure, RankOutcome, SharedTile, ThreadedBackend, TilePayloadPool,
 };
 pub use clock::{RankClock, TimeBreakdown};
 pub use jobs::{FleetError, FleetView, JobId, JobQueue, QueuedJob};

@@ -48,8 +48,7 @@
 //! manifests, and the job spec each manifest embeds for `JobEngine::resume`.
 
 use crate::config::{PassFrequency, SolverConfig};
-use crate::engine::RecoveryPolicy;
-use crate::service::{JobSpec, ServiceBackend, SolverMethod};
+use crate::service::{JobSpec, SolverMethod};
 use ptycho_cluster::{CrashPhase, FaultCursor, FaultPolicy, MembershipView};
 use ptycho_fft::CArray3;
 use ptycho_sim::dataset::{Dataset, SyntheticConfig};
@@ -528,12 +527,12 @@ impl EpochManifest {
 
 /// Current encoding version of the manifest-embedded job spec; bytes of any
 /// other version are refused.
-const SPEC_VERSION: u8 = 2;
+const SPEC_VERSION: u8 = 3;
 
 /// Encodes everything [`JobEngine::resume`] needs to rebuild the job from
 /// the checkpoint directory alone. The dataset is stored as its synthesis
-/// recipe plus the current scan length — the synthesized acquisition is
-/// deterministic, so the recipe *is* the data. Embedded opaquely in every
+/// recipe — the synthesized acquisition is deterministic, so the recipe
+/// *is* the data. Embedded opaquely in every
 /// [`EpochManifest`].
 ///
 /// [`JobEngine::resume`]: crate::service::JobEngine::resume
@@ -549,7 +548,6 @@ pub(crate) fn encode_spec(spec: &JobSpec) -> Vec<u8> {
     w.put_opt(synth.dose, ByteWriter::put_f64);
     w.put_f64(synth.defocus_pm);
     w.put_u64(synth.seed);
-    w.put_u64(spec.dataset.scan().len() as u64);
     let c = &spec.config;
     w.put_u64(c.iterations as u64);
     w.put_f64(c.step_relaxation);
@@ -570,16 +568,6 @@ pub(crate) fn encode_spec(spec: &JobSpec) -> Vec<u8> {
         SolverMethod::HaloVoxelExchange => 1,
     });
     w.put_u64(spec.priority as i64 as u64);
-    let (tag, restarts, spares) = match spec.recovery {
-        RecoveryPolicy::FailFast => (0, 0, 0),
-        RecoveryPolicy::Recover {
-            spares,
-            max_iteration_restarts,
-        } => (1, max_iteration_restarts, spares),
-    };
-    w.put_u8(tag);
-    w.put_u64(restarts as u64);
-    w.put_u64(spares as u64);
     w.put_opt(spec.fault_policy.as_ref(), |w, policy| {
         w.put_u64(policy.seed);
         w.put_f64(policy.drop_probability);
@@ -603,10 +591,6 @@ pub(crate) fn encode_spec(spec: &JobSpec) -> Vec<u8> {
                 CrashPhase::AfterRename => 2,
             });
         });
-    });
-    w.put_u8(match spec.backend {
-        ServiceBackend::Lockstep => 0,
-        ServiceBackend::Threaded => 1,
     });
     w.into_bytes()
 }
@@ -635,7 +619,6 @@ pub(crate) fn decode_spec(
         defocus_pm: r.get_f64()?,
         seed: r.get_u64()?,
     };
-    let scan_len = r.get_u64()? as usize;
     let config = SolverConfig {
         iterations: r.get_u64()? as usize,
         step_relaxation: r.get_f64()?,
@@ -656,14 +639,6 @@ pub(crate) fn decode_spec(
         tag => return Err(r.corrupt(format!("unknown solver-method tag {tag}"))),
     };
     let priority = r.get_u64()? as i64 as i32;
-    let recovery = match (r.get_u8()?, r.get_u64()? as usize, r.get_u64()? as usize) {
-        (0, _, _) => RecoveryPolicy::FailFast,
-        (1, max_iteration_restarts, spares) => RecoveryPolicy::Recover {
-            spares,
-            max_iteration_restarts,
-        },
-        (tag, _, _) => return Err(r.corrupt(format!("unknown recovery-policy tag {tag}"))),
-    };
     let fault_policy = r.get_opt(|r| {
         Ok(FaultPolicy {
             seed: r.get_u64()?,
@@ -691,38 +666,19 @@ pub(crate) fn decode_spec(
             })?,
         })
     })?;
-    let backend = match r.get_u8()? {
-        0 => ServiceBackend::Lockstep,
-        1 => ServiceBackend::Threaded,
-        tag => return Err(r.corrupt(format!("unknown backend tag {tag}"))),
-    };
     if !r.is_exhausted() {
         return Err(r.corrupt("trailing bytes after the job spec"));
     }
     if let Some(reason) = synth.refusal_reason() {
         return Err(r.corrupt(format!("unsynthesizable recipe: {reason}")));
     }
-    // The recipe passed its size bounds, so this product cannot overflow.
-    let positions = synth.scan_grid.0 * synth.scan_grid.1;
-    if scan_len > positions {
-        return Err(r.corrupt(format!(
-            "checkpointed scan length {scan_len} exceeds the {positions} positions the \
-             synthesis recipe produces"
-        )));
-    }
     // The synthesized acquisition is deterministic: re-running the recipe
-    // and trimming to the checkpointed scan length reproduces the exact
-    // dataset the killed process was reconstructing, scan prefix included.
-    Ok(move || {
-        let dataset = Dataset::synthesize(synth).with_scan_prefix(scan_len);
-        JobSpec {
-            method,
-            priority,
-            recovery,
-            fault_policy,
-            backend,
-            ..JobSpec::new(dataset, config, grid)
-        }
+    // reproduces the exact dataset the killed process was reconstructing.
+    Ok(move || JobSpec {
+        method,
+        priority,
+        fault_policy,
+        ..JobSpec::new(Dataset::synthesize(synth), config, grid)
     })
 }
 
@@ -1510,15 +1466,13 @@ pub(crate) mod tests {
     /// is present ([`full_spec`]).
     const OPTION_TAGS: [(usize, &str); 6] = [
         (41, "dose"),
-        (166, "fault_policy"),
-        (191, "only_tag"),
-        (200, "drop_exact"),
-        (233, "kill"),
-        (250, "process_kill"),
+        (141, "fault_policy"),
+        (166, "only_tag"),
+        (175, "drop_exact"),
+        (208, "kill"),
+        (225, "process_kill"),
     ];
-    const FULL_SPEC_LEN: usize = 261;
-    /// Where the checkpointed scan length sits (a little-endian `u64`).
-    const SCAN_LEN_AT: usize = 66;
+    const FULL_SPEC_LEN: usize = 235;
 
     fn spec(dose: Option<f64>) -> JobSpec {
         let dataset = Dataset::synthesize(SyntheticConfig {
@@ -1571,9 +1525,7 @@ pub(crate) mod tests {
         assert_eq!(decoded.grid, spec.grid);
         assert_eq!(decoded.method, spec.method);
         assert_eq!(decoded.priority, spec.priority);
-        assert_eq!(decoded.recovery, spec.recovery);
         assert_eq!(decoded.fault_policy, spec.fault_policy);
-        assert_eq!(decoded.backend, spec.backend);
         assert_eq!(encode_spec(&decoded), bytes);
     }
 
@@ -1582,9 +1534,6 @@ pub(crate) mod tests {
         let base = spec(None);
         assert_round_trips(&base);
         assert_round_trips(&full_spec());
-        let mut prefix = base.clone();
-        prefix.dataset = prefix.dataset.with_scan_prefix(4);
-        assert_round_trips(&prefix);
         for pass_frequency in [PassFrequency::EveryProbe, PassFrequency::PerIteration(2)] {
             let mut spec = base.clone();
             spec.config.pass_frequency = pass_frequency;
@@ -1596,22 +1545,6 @@ pub(crate) mod tests {
             SolverMethod::HaloVoxelExchange,
         ] {
             assert_round_trips(&base.clone().with_method(method));
-        }
-        for recovery in [
-            RecoveryPolicy::FailFast,
-            RecoveryPolicy::Recover {
-                spares: 0,
-                max_iteration_restarts: 4,
-            },
-            RecoveryPolicy::Recover {
-                spares: 2,
-                max_iteration_restarts: 1,
-            },
-        ] {
-            assert_round_trips(&base.clone().with_recovery(recovery));
-        }
-        for backend in [ServiceBackend::Lockstep, ServiceBackend::Threaded] {
-            assert_round_trips(&base.clone().with_backend(backend));
         }
         assert_round_trips(&base.clone().with_fault_policy(FaultPolicy::reliable(3)));
         for phase in [
@@ -1630,18 +1563,17 @@ pub(crate) mod tests {
         let bytes = encode_spec(&full_spec());
         assert_eq!(bytes.len(), FULL_SPEC_LEN);
         let actual = crate::durability::fnv1a64(&bytes);
-        assert_eq!(actual, 0xfa25_3d1e_8c03_0ab9, "new hash {actual:#018x}");
+        assert_eq!(actual, 0x37d4_cfd0_e982_8b60, "new hash {actual:#018x}");
     }
 
-    /// Version 1 kept a position for each retired setting; its bytes are no
-    /// longer read.
+    /// Only the current layout is read.
     #[test]
-    fn a_version_1_spec_is_refused() {
+    fn a_version_2_spec_is_refused() {
         let mut bytes = encode_spec(&full_spec());
-        bytes[0] = 1;
+        bytes[0] = 2;
         assert_eq!(
             corrupt_detail(&bytes),
-            "unsupported spec version 1 (expected 2)"
+            "unsupported spec version 2 (expected 3)"
         );
     }
 
@@ -1659,21 +1591,6 @@ pub(crate) mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn a_scan_length_past_the_recipe_is_corrupt() {
-        let spec = full_spec();
-        let recipe_len = spec.dataset.scan().len() as u64;
-        let mut bytes = encode_spec(&spec);
-        let at = SCAN_LEN_AT..SCAN_LEN_AT + 8;
-        assert_eq!(bytes[at.clone()], recipe_len.to_le_bytes());
-        bytes[at].copy_from_slice(&(recipe_len + 1).to_le_bytes());
-        let detail = corrupt_detail(&bytes);
-        assert!(
-            detail.contains("checkpointed scan length"),
-            "{detail:?} should name the checkpointed scan length"
-        );
     }
 
     /// Decoding meets every truncation and single-byte XOR of the full spec

@@ -153,9 +153,6 @@ pub struct RecoveryReport {
     /// Spare-rank promotions: how many permanently dead nodes were replaced
     /// by standby spares ([`RecoveryPolicy::Recover`]).
     pub substitutions: usize,
-    /// The membership epoch the run finished under (equals `substitutions`:
-    /// one bump per promotion).
-    pub membership_epoch: u64,
     /// Always zero (see [`RetransmitCount`]).
     pub reliable: RetransmitCount,
 }
@@ -743,7 +740,6 @@ fn run_recovering<K: SolverKernel, B: CommBackend>(
                     RecoveryReport {
                         iteration_restarts: restarts,
                         substitutions,
-                        membership_epoch: membership.epoch(),
                         reliable: RetransmitCount::default(),
                     },
                 ));

@@ -83,8 +83,6 @@ pub use gradient_decomp::solver::GradientDecompositionSolver;
 pub use halo_exchange::solver::HaloVoxelExchangeSolver;
 pub use memory_model::{gd_memory_per_gpu, hve_memory_per_gpu, MemoryBreakdown};
 pub use scaling::{strong_scaling_efficiency, ScalingPoint, ScalingScenario};
-pub use service::{
-    JobEngine, JobError, JobHandle, JobReport, JobSpec, JobState, ServiceBackend, SolverMethod,
-};
+pub use service::{JobEngine, JobError, JobHandle, JobReport, JobSpec, JobState, SolverMethod};
 pub use stitch::{seam_artifact_metric, stitch_tiles};
 pub use tiling::{TileGrid, TileInfo};

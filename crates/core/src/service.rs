@@ -45,7 +45,7 @@ use crate::config::SolverConfig;
 use crate::durability::{
     decode_spec, ByteReader, CheckpointPayload, CheckpointStore, DurabilityError, RecoveredEpoch,
 };
-use crate::engine::{IterationProgress, ReconstructionResult, RecoveryPolicy, RecoveryReport};
+use crate::engine::{IterationProgress, ReconstructionResult, RecoveryReport};
 use crate::gradient_decomp::solver::GradientDecompositionSolver;
 use crate::halo_exchange::solver::HaloVoxelExchangeSolver;
 use ptycho_cluster::{FaultPolicy, FleetView, JobId, JobQueue, NodeId, QueuedJob, RankFailure};
@@ -67,19 +67,6 @@ pub enum SolverMethod {
     HaloVoxelExchange,
 }
 
-/// Which communication backend a job's ranks run on. Every job gets its own
-/// backend instance, so tenants never share communication state.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ServiceBackend {
-    /// The deterministic lockstep scheduler (default; reproducible bit for
-    /// bit and deadlock-proving).
-    Lockstep,
-    /// One OS thread per rank. A lost message or an exited rank fails the
-    /// waiting receive at once, as on lockstep; a true deadlock among live
-    /// ranks hangs, like `MPI_Wait`.
-    Threaded,
-}
-
 /// One reconstruction request: everything the engine needs to run the job,
 /// plus its admission priority.
 #[derive(Clone, Debug)]
@@ -94,15 +81,9 @@ pub struct JobSpec {
     pub method: SolverMethod,
     /// Admission priority: higher is served earlier; ties break FIFO.
     pub priority: i32,
-    /// The engine recovery policy. Under [`RecoveryPolicy::Recover`] the
-    /// policy's own `spares` count is ignored — replacements come from
-    /// the service's shared fleet pool instead.
-    pub recovery: RecoveryPolicy,
     /// Optional fault injection wrapped around the job's backend
     /// (job-local: seeds and rank ids are the job's own).
     pub fault_policy: Option<FaultPolicy>,
-    /// The communication backend the job runs on.
-    pub backend: ServiceBackend,
     /// Optional flight recorder: comm, iteration, recovery, and job
     /// lifecycle events stream into it (and its durable sink, if any).
     pub telemetry: Option<Arc<Telemetry>>,
@@ -118,9 +99,9 @@ pub struct JobSpec {
 }
 
 impl JobSpec {
-    /// A Gradient Decomposition job on the lockstep backend at priority 0,
-    /// with checkpoint restart and shared-pool substitution enabled (the
-    /// service default).
+    /// A Gradient Decomposition job at priority 0. Every job runs on its
+    /// own lockstep backend with checkpoint restart and shared-pool
+    /// substitution.
     pub fn new(dataset: Dataset, config: SolverConfig, grid: (usize, usize)) -> Self {
         Self {
             dataset,
@@ -128,14 +109,7 @@ impl JobSpec {
             grid,
             method: SolverMethod::GradientDecomposition,
             priority: 0,
-            recovery: RecoveryPolicy::Recover {
-                // Ignored in service runs: the shared fleet pool (via
-                // `JobContext::spare_grant`) bounds substitutions instead.
-                spares: 0,
-                max_iteration_restarts: 2,
-            },
             fault_policy: None,
-            backend: ServiceBackend::Lockstep,
             telemetry: None,
             checkpoint_dir: None,
             resume_from: None,
@@ -154,21 +128,9 @@ impl JobSpec {
         self
     }
 
-    /// Sets the recovery policy.
-    pub fn with_recovery(mut self, recovery: RecoveryPolicy) -> Self {
-        self.recovery = recovery;
-        self
-    }
-
     /// Wraps the job's backend in fault injection.
     pub fn with_fault_policy(mut self, policy: FaultPolicy) -> Self {
         self.fault_policy = Some(policy);
-        self
-    }
-
-    /// Sets the communication backend.
-    pub fn with_backend(mut self, backend: ServiceBackend) -> Self {
-        self.backend = backend;
         self
     }
 
@@ -180,9 +142,7 @@ impl JobSpec {
 
     /// Durably checkpoints the job into a [`CheckpointStore`] rooted at
     /// `dir`, making it resumable with [`JobEngine::resume`] after a
-    /// process kill. Requires a recovering [`RecoveryPolicy`] (the default)
-    /// — the consistency barrier persistence rides does not exist under
-    /// [`RecoveryPolicy::FailFast`]. A process-kill fault requires one.
+    /// process kill. A process-kill fault requires one.
     pub fn with_checkpoint_dir(mut self, dir: impl Into<PathBuf>) -> Self {
         self.checkpoint_dir = Some(dir.into());
         self
@@ -419,11 +379,10 @@ impl JobEngine {
     /// Scans the [`CheckpointStore`] rooted at `dir` for the newest epoch
     /// that verifies end to end (torn or corrupted epochs are skipped with
     /// a typed reason, never trusted), decodes the job spec embedded in its
-    /// manifest, rebuilds the dataset from the synthesis recipe and the
-    /// checkpointed scan length, and submits the job with every rank
-    /// prefilled from the on-disk state. The resumed run continues at the
-    /// checkpointed iteration and finishes **bit-identical** to the same
-    /// job never having been killed.
+    /// manifest, rebuilds the dataset from its synthesis recipe, and
+    /// submits the job with every rank prefilled from the on-disk state.
+    /// The resumed run continues at the checkpointed iteration and finishes
+    /// **bit-identical** to the same job never having been killed.
     ///
     /// The resumed job is a fresh submission: new id, no telemetry recorder
     /// (use [`JobEngine::resume_with_telemetry`] to attach one), and the
@@ -838,15 +797,16 @@ fn refusal_reason(spec: &JobSpec) -> Option<String> {
             "the tile grid {rows}x{cols} is larger than the {object_rows}x{object_cols} px object"
         ));
     }
-    if spec.checkpoint_dir.is_some() && spec.recovery == RecoveryPolicy::FailFast {
-        // Persistence rides the consistency barrier, which the fail-fast
-        // path never reaches; refuse the combination instead of letting the
-        // engine assert on it mid-run.
-        return Some(
-            "durable checkpointing requires a recovering policy \
-             (the fail-fast path has no consistency barrier to persist at)"
-                .into(),
-        );
+    // Each rank keeps one `f64` cost per iteration; a history past
+    // `isize::MAX` bytes would panic its allocation on a rank thread.
+    let iterations = spec.config.iterations;
+    let fits = iterations
+        .checked_mul(std::mem::size_of::<f64>())
+        .is_some_and(|bytes| bytes <= isize::MAX as usize);
+    if !fits {
+        return Some(format!(
+            "{iterations} iterations need a cost history larger than isize::MAX bytes"
+        ));
     }
     let process_kill = spec.fault_policy.as_ref().and_then(|p| p.process_kill);
     if process_kill.is_some() && spec.checkpoint_dir.is_none() {

@@ -1,13 +1,15 @@
 //! The per-job runner: the thread admission spawns for each job. It owns the
 //! job's [`JobSpec`] from admission on, and ends the job with [`end_job`].
 
-use super::{finish, grant_spare, JobError, JobSpec, ServiceBackend, Shared, SolverMethod};
+use super::{finish, grant_spare, JobError, JobSpec, Shared, SolverMethod};
 use crate::durability::{encode_spec, CheckpointStore};
-use crate::engine::{DurabilityHook, IterationProgress, JobContext, ReconstructionResult};
+use crate::engine::{
+    DurabilityHook, IterationProgress, JobContext, ReconstructionResult, RecoveryPolicy,
+};
 use crate::gradient_decomp::solver::GradientDecompositionSolver;
 use crate::halo_exchange::solver::HaloVoxelExchangeSolver;
 use ptycho_cluster::{
-    Cluster, ClusterTopology, CommBackend, CommError, FaultInjectionBackend, JobId,
+    panic_text, ClusterTopology, CommBackend, CommError, FaultInjectionBackend, JobId,
     LockstepBackend, RankFailure,
 };
 use ptycho_telemetry::TelemetryEvent;
@@ -15,6 +17,14 @@ use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+
+/// Every job's recovery policy: up to two checkpoint restarts. `spares` is
+/// unused — replacements come from the service's shared fleet pool through
+/// [`JobContext::spare_grant`].
+const RECOVERY: RecoveryPolicy = RecoveryPolicy::Recover {
+    spares: 0,
+    max_iteration_restarts: 2,
+};
 
 /// Runs admitted job `id`: builds its backend, wires the job-context hooks
 /// into the shared state, runs the solver once and ends the job. `cancel`
@@ -111,33 +121,15 @@ pub(super) fn end_job(
 
 /// The job error for a caught panic.
 fn panicked(panic: Box<dyn Any + Send>) -> JobError {
-    // `panic!` with arguments carries a `String`, a bare literal a `&str`.
-    let message = panic
-        .downcast_ref::<String>()
-        .cloned()
-        .or_else(|| panic.downcast_ref::<&str>().map(|s| s.to_string()))
-        .unwrap_or_else(|| "a panic without a message".into());
-    JobError::Panicked { message }
-}
-
-/// Builds the job's backend and runs its solver. Each arm hands a concrete
-/// backend type to the generic runner — `CommBackend` is not object-safe
-/// (generic `run`), so dispatch is by enumeration, not by `dyn`.
-fn run_spec(spec: &JobSpec, job: &JobContext<'_>) -> Result<ReconstructionResult, RankFailure> {
-    let topology = ClusterTopology::summit();
-    match spec.backend {
-        ServiceBackend::Lockstep => run_faulty(spec, LockstepBackend::new(topology), job),
-        ServiceBackend::Threaded => run_faulty(spec, Cluster::new(topology), job),
+    JobError::Panicked {
+        message: panic_text(&*panic),
     }
 }
 
-/// Wraps `backend` in the spec's fault injection, if it has any, and runs
-/// the job's solver on it.
-fn run_faulty<B: CommBackend + Sync>(
-    spec: &JobSpec,
-    backend: B,
-    job: &JobContext<'_>,
-) -> Result<ReconstructionResult, RankFailure> {
+/// Builds the job's lockstep backend, wrapped in the spec's fault
+/// injection if it has any, and runs the job's solver on it.
+fn run_spec(spec: &JobSpec, job: &JobContext<'_>) -> Result<ReconstructionResult, RankFailure> {
+    let backend = LockstepBackend::new(ClusterTopology::summit());
     match spec.fault_policy.clone() {
         None => run_method(spec, &backend, job),
         Some(policy) => run_method(spec, &FaultInjectionBackend::new(backend, policy), job),
@@ -151,12 +143,11 @@ fn run_method<B: CommBackend>(
 ) -> Result<ReconstructionResult, RankFailure> {
     let (dataset, config, grid) = (&spec.dataset, spec.config, spec.grid);
     match spec.method {
-        SolverMethod::GradientDecomposition => GradientDecompositionSolver::new(
-            dataset, config, grid,
-        )
-        .run_job(backend, spec.recovery, job),
+        SolverMethod::GradientDecomposition => {
+            GradientDecompositionSolver::new(dataset, config, grid).run_job(backend, RECOVERY, job)
+        }
         SolverMethod::HaloVoxelExchange => HaloVoxelExchangeSolver::new(dataset, config, grid)
             .expect("validated at submission")
-            .run_job(backend, spec.recovery, job),
+            .run_job(backend, RECOVERY, job),
     }
 }

@@ -325,18 +325,6 @@ impl Dataset {
         self.synthetic
     }
 
-    /// The dataset restricted to its first `n` probe locations, in
-    /// acquisition order. The synthesis recipe is kept, so a checkpointed
-    /// job over a prefix is rebuilt by re-synthesising and trimming again.
-    ///
-    /// # Panics
-    /// Panics if `n` exceeds the number of scanned locations.
-    pub fn with_scan_prefix(mut self, n: usize) -> Self {
-        self.scan = self.scan.prefix(n);
-        self.measurements.truncate(n);
-        self
-    }
-
     /// The ground-truth specimen the data was simulated from.
     pub fn specimen(&self) -> &Specimen {
         &self.specimen

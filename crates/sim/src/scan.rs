@@ -149,24 +149,6 @@ impl ScanPattern {
         &self.config
     }
 
-    /// The pattern restricted to its first `n` probe locations (acquisition
-    /// order). The configuration is kept, so the prefix still describes the
-    /// raster it was cut from.
-    ///
-    /// # Panics
-    /// Panics if `n` exceeds the number of locations.
-    pub fn prefix(&self, n: usize) -> ScanPattern {
-        assert!(
-            n <= self.locations.len(),
-            "prefix {n} exceeds the {} scanned locations",
-            self.locations.len()
-        );
-        Self {
-            config: self.config,
-            locations: self.locations[..n].to_vec(),
-        }
-    }
-
     /// All probe locations in acquisition (raster) order.
     pub fn locations(&self) -> &[ProbeLocation] {
         &self.locations

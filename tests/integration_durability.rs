@@ -5,17 +5,17 @@
 //! durable checkpoint commit, resumed from the on-disk store by a fresh
 //! engine via [`JobEngine::resume`], must finish **bit-identical** to the
 //! same job never having been killed — at every barrier, in every crash
-//! phase, on both solvers and both backends, over a scan prefix, and
-//! through a mid-substitution kill (the adopted spare's checkpoint
-//! round-trips through disk).
+//! phase, on both solvers and both backends, and through a
+//! mid-substitution kill (the adopted spare's checkpoint round-trips
+//! through disk).
 
 use ptycho_cluster::{CommError, CrashPhase, FaultPolicy, MembershipView, RankFailure};
 use ptycho_core::durability::ByteWriter;
 use ptycho_core::{
     CheckpointPayload, CheckpointStore, DurabilityError, DurabilityHook, EpochManifest,
     GradientDecompositionSolver, HaloVoxelExchangeSolver, JobContext, JobEngine, JobError,
-    JobReport, JobSpec, JobState, ReconstructionResult, RecoveredEpoch, RecoveryPolicy,
-    ServiceBackend, SlotRecord, SolverConfig, SolverMethod,
+    JobReport, JobSpec, JobState, ReconstructionResult, RecoveredEpoch, RecoveryPolicy, SlotRecord,
+    SolverConfig, SolverMethod,
 };
 use ptycho_fft::CArray3;
 use ptycho_sim::dataset::{Dataset, SyntheticConfig};
@@ -39,9 +39,9 @@ fn tiny() -> Dataset {
     Dataset::synthesize(SyntheticConfig::tiny())
 }
 
-/// A 2-iteration spec for `method` on `backend` over the tiny dataset —
-/// two consistency barriers, so the store commits epochs 0 and 1.
-fn spec_for(method: SolverMethod, backend: ServiceBackend) -> JobSpec {
+/// A 2-iteration spec for `method` over the tiny dataset — two consistency
+/// barriers, so the store commits epochs 0 and 1.
+fn spec_for(method: SolverMethod) -> JobSpec {
     let config = match method {
         SolverMethod::GradientDecomposition => SolverConfig {
             iterations: 2,
@@ -54,9 +54,7 @@ fn spec_for(method: SolverMethod, backend: ServiceBackend) -> JobSpec {
             ..SolverConfig::default()
         },
     };
-    JobSpec::new(tiny(), config, (2, 2))
-        .with_method(method)
-        .with_backend(backend)
+    JobSpec::new(tiny(), config, (2, 2)).with_method(method)
 }
 
 /// Runs `spec` to completion on a dedicated engine and returns the result —
@@ -95,14 +93,14 @@ fn kill_at_every_barrier_resumes_bit_identical_for_both_solvers_and_backends() {
         ("gd", SolverMethod::GradientDecomposition),
         ("hve", SolverMethod::HaloVoxelExchange),
     ] {
-        let baseline = uninterrupted(spec_for(method, ServiceBackend::Lockstep));
+        let baseline = uninterrupted(spec_for(method));
         for kill_seq in 0..2u64 {
             let label = format!("{method_label}-lockstep-seq{kill_seq}");
             let dir = scratch(&label);
             let engine = JobEngine::new(8);
             let killed = engine
                 .submit(
-                    spec_for(method, ServiceBackend::Lockstep)
+                    spec_for(method)
                         .with_checkpoint_dir(&dir)
                         .with_fault_policy(
                             FaultPolicy::reliable(7)
@@ -119,11 +117,8 @@ fn kill_at_every_barrier_resumes_bit_identical_for_both_solvers_and_backends() {
             let _ = std::fs::remove_dir_all(&dir);
 
             let label = format!("{method_label}-threaded-seq{kill_seq}");
-            let spec = spec_for(method, ServiceBackend::Lockstep);
-            assert_bit_identical(
-                &baseline,
-                &kill_and_resume_on_threaded(&spec, kill_seq, &label),
-            );
+            let resumed = kill_and_resume_on_threaded(&spec_for(method), kill_seq, &label);
+            assert_bit_identical(&baseline, &resumed);
         }
     }
 }
@@ -209,10 +204,7 @@ fn kill_and_resume_on_threaded(spec: &JobSpec, kill_seq: u64, label: &str) -> Re
 /// bit-identical to the uninterrupted run.
 #[test]
 fn every_crash_phase_resumes_bit_identical() {
-    let baseline = uninterrupted(spec_for(
-        SolverMethod::GradientDecomposition,
-        ServiceBackend::Lockstep,
-    ));
+    let baseline = uninterrupted(spec_for(SolverMethod::GradientDecomposition));
     for (phase, surviving_seq) in [
         (CrashPhase::BeforeRename, 0),
         (CrashPhase::DuringRename, 0),
@@ -222,12 +214,9 @@ fn every_crash_phase_resumes_bit_identical() {
         let engine = JobEngine::new(8);
         let killed = engine
             .submit(
-                spec_for(
-                    SolverMethod::GradientDecomposition,
-                    ServiceBackend::Lockstep,
-                )
-                .with_checkpoint_dir(&dir)
-                .with_fault_policy(FaultPolicy::reliable(3).kill_process_at_barrier(1, phase)),
+                spec_for(SolverMethod::GradientDecomposition)
+                    .with_checkpoint_dir(&dir)
+                    .with_fault_policy(FaultPolicy::reliable(3).kill_process_at_barrier(1, phase)),
             )
             .expect("fits the fleet")
             .wait();
@@ -267,10 +256,7 @@ fn every_crash_phase_resumes_bit_identical() {
 /// resume.
 #[test]
 fn torn_newest_checkpoint_falls_back_and_total_corruption_is_a_typed_error() {
-    let spec = spec_for(
-        SolverMethod::GradientDecomposition,
-        ServiceBackend::Lockstep,
-    );
+    let spec = spec_for(SolverMethod::GradientDecomposition);
     let baseline = uninterrupted(spec.clone());
 
     let dir = scratch("torn");
@@ -322,11 +308,7 @@ fn torn_newest_checkpoint_falls_back_and_total_corruption_is_a_typed_error() {
 #[test]
 fn mid_substitution_kill_round_trips_the_adopted_checkpoint() {
     let node_death = FaultPolicy::reliable(5).kill_rank(1, 1);
-    let spec = spec_for(
-        SolverMethod::GradientDecomposition,
-        ServiceBackend::Lockstep,
-    )
-    .with_fault_policy(node_death.clone());
+    let spec = spec_for(SolverMethod::GradientDecomposition).with_fault_policy(node_death.clone());
     let baseline = {
         let report = JobEngine::new(8)
             .submit(spec.clone())
@@ -368,39 +350,6 @@ fn mid_substitution_kill_round_trips_the_adopted_checkpoint() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A job over a scan prefix checkpoints its own scan length, shorter than
-/// the recipe's: resume re-synthesises the full acquisition, trims it back
-/// to the prefix, and finishes bit-identical to the uninterrupted prefix run.
-#[test]
-fn a_prefix_job_killed_at_its_first_barrier_resumes_bit_identical() {
-    let prefix = 6;
-    let spec = JobSpec::new(
-        tiny().with_scan_prefix(prefix),
-        SolverConfig {
-            iterations: 2,
-            halo_px: 20,
-            ..SolverConfig::default()
-        },
-        (2, 2),
-    );
-    let baseline = uninterrupted(spec.clone());
-
-    let dir = scratch("prefix-kill");
-    let engine = JobEngine::new(8);
-    let killed = engine
-        .submit(spec.with_checkpoint_dir(&dir).with_fault_policy(
-            FaultPolicy::reliable(11).kill_process_at_barrier(0, CrashPhase::AfterRename),
-        ))
-        .expect("fits the fleet")
-        .wait();
-    assert_process_killed(&killed, 0);
-
-    let resumed = engine.resume(&dir).expect("resumable").wait();
-    assert_eq!(resumed.state, JobState::Completed);
-    assert_bit_identical(&baseline, resumed.result.as_ref().unwrap());
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
 /// Checkpointing is invisible in the numbers: the extra persistence
 /// barriers change no message payloads, so a checkpointed run equals the
 /// plain one bit for bit (already implied by the kill matrix, pinned
@@ -411,34 +360,12 @@ fn checkpointing_does_not_perturb_the_reconstruction() {
         SolverMethod::GradientDecomposition,
         SolverMethod::HaloVoxelExchange,
     ] {
-        let plain = uninterrupted(spec_for(method, ServiceBackend::Lockstep));
+        let plain = uninterrupted(spec_for(method));
         let dir = scratch(&format!("invisible-{method:?}"));
-        let checkpointed =
-            uninterrupted(spec_for(method, ServiceBackend::Lockstep).with_checkpoint_dir(&dir));
+        let checkpointed = uninterrupted(spec_for(method).with_checkpoint_dir(&dir));
         assert_bit_identical(&plain, &checkpointed);
         let _ = std::fs::remove_dir_all(&dir);
     }
-}
-
-/// Durable checkpointing requires a barrier to ride: the fail-fast policy
-/// has none, and the service refuses the combination at submission.
-#[test]
-fn fail_fast_with_a_checkpoint_dir_is_rejected_at_submission() {
-    let dir = scratch("failfast");
-    let spec = spec_for(
-        SolverMethod::GradientDecomposition,
-        ServiceBackend::Lockstep,
-    )
-    .with_recovery(ptycho_core::RecoveryPolicy::FailFast)
-    .with_checkpoint_dir(&dir);
-    match JobEngine::new(8).submit(spec) {
-        Err(JobError::Rejected { reason }) => {
-            assert!(reason.contains("recovering policy"), "got: {reason}")
-        }
-        Ok(_) => panic!("fail-fast + checkpointing must be refused"),
-        Err(other) => panic!("expected Rejected, got {other}"),
-    }
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Resuming an empty or missing store is a typed refusal, not a panic.
@@ -532,14 +459,11 @@ fn resume_of_a_held_store_is_rejected() {
     let engine = JobEngine::new(8);
     let killed = engine
         .submit(
-            spec_for(
-                SolverMethod::GradientDecomposition,
-                ServiceBackend::Lockstep,
-            )
-            .with_checkpoint_dir(&dir)
-            .with_fault_policy(
-                FaultPolicy::reliable(7).kill_process_at_barrier(0, CrashPhase::AfterRename),
-            ),
+            spec_for(SolverMethod::GradientDecomposition)
+                .with_checkpoint_dir(&dir)
+                .with_fault_policy(
+                    FaultPolicy::reliable(7).kill_process_at_barrier(0, CrashPhase::AfterRename),
+                ),
         )
         .expect("fits the fleet")
         .wait();

@@ -66,10 +66,6 @@ fn gd_spare_substitution_heals_a_dead_rank_on_both_backends() {
             "{label}: exactly one spare promotion"
         );
         assert_eq!(
-            healed.recovery.membership_epoch, 1,
-            "{label}: one promotion bumps the membership epoch once"
-        );
-        assert_eq!(
             healed.recovery.iteration_restarts, 0,
             "{label}: a death consumes a spare, not the restart budget"
         );
@@ -202,7 +198,6 @@ fn fault_free_spare_mode_is_bit_identical() {
     for (label, run) in [("lockstep", &on_lockstep), ("threaded", &on_threaded)] {
         assert_bit_identical(&clean, run);
         assert_eq!(run.recovery.substitutions, 0, "{label}");
-        assert_eq!(run.recovery.membership_epoch, 0, "{label}");
     }
 }
 

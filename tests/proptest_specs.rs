@@ -3,15 +3,15 @@
 //! report whose error is not a runner panic. No spec panics the caller.
 //!
 //! Shapes are small (objects of 32–96 px, windows of 8/16/32 px, grids of
-//! 0–12 tiles per side, halos of 0–100 px, 0–2 iterations or `usize::MAX`), crossed with
-//! both solvers, every recovery policy, both pass frequencies, and optional
+//! 0–12 tiles per side, halos of 0–100 px, 0–2 iterations or `usize::MAX`),
+//! crossed with both solvers, both pass frequencies, and optional
 //! message-drop, rank-kill and process-kill faults with and without a
 //! checkpoint directory.
 
 use proptest::prelude::*;
 use ptycho_cluster::{CrashPhase, FaultPolicy};
 use ptycho_core::config::PassFrequency;
-use ptycho_core::{JobEngine, JobError, JobSpec, RecoveryPolicy, SolverConfig, SolverMethod};
+use ptycho_core::{JobEngine, JobError, JobSpec, SolverConfig, SolverMethod};
 use ptycho_sim::dataset::{Dataset, SyntheticConfig};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -23,11 +23,11 @@ proptest! {
     #[test]
     fn every_constructible_spec_is_refused_or_reported(
         shape in (32usize..=96, 0usize..3, 0usize..=12, 0usize..=12, 0usize..=100),
-        run in (0usize..4, 0usize..2, 0usize..3, 0usize..2),
+        run in (0usize..4, 0usize..2, 0usize..2),
         faults in (0usize..4, 0usize..4, 0usize..4, 0usize..2, 0u64..1000),
     ) {
         let (object_px, window, grid_rows, grid_cols, halo_px) = shape;
-        let (iterations, method, recovery, pass_frequency) = run;
+        let (iterations, method, pass_frequency) = run;
         let (drop, kill, process_kill, durable, seed) = faults;
         let dataset = Dataset::synthesize(SyntheticConfig {
             object_px,
@@ -43,15 +43,8 @@ proptest! {
                 [pass_frequency],
             ..SolverConfig::default()
         };
-        let recovery = [
-            RecoveryPolicy::FailFast,
-            RecoveryPolicy::Recover { spares: 0, max_iteration_restarts: 2 },
-            RecoveryPolicy::Recover { spares: 0, max_iteration_restarts: 0 },
-        ][recovery];
         let method = [SolverMethod::GradientDecomposition, SolverMethod::HaloVoxelExchange][method];
-        let mut spec = JobSpec::new(dataset, config, (grid_rows, grid_cols))
-            .with_method(method)
-            .with_recovery(recovery);
+        let mut spec = JobSpec::new(dataset, config, (grid_rows, grid_cols)).with_method(method);
         // Each fault is armed in a quarter of the cases.
         if drop * kill * process_kill == 0 {
             let mut policy = FaultPolicy::reliable(seed);
