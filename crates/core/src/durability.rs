@@ -624,11 +624,18 @@ pub(crate) fn decode_spec(
         step_relaxation: r.get_f64()?,
         halo_px: r.get_u64()? as usize,
         pass_frequency: match (r.get_u8()?, r.get_u64()?) {
-            (0, _) => PassFrequency::EveryProbe,
+            (0, 0) => PassFrequency::EveryProbe,
+            (0, times) => {
+                return Err(r.corrupt(format!("every-probe pass frequency with count {times}")))
+            }
             (1, times) => PassFrequency::PerIteration(times as usize),
             (tag, _) => return Err(r.corrupt(format!("unknown pass-frequency tag {tag}"))),
         },
-        local_updates: r.get_u8()? != 0,
+        local_updates: match r.get_u8()? {
+            0 => false,
+            1 => true,
+            byte => return Err(r.corrupt(format!("unknown local-updates byte {byte}"))),
+        },
         hve_extra_probe_rows: r.get_u64()? as usize,
         hve_exchange_period: r.get_u64()? as usize,
     };
@@ -638,7 +645,10 @@ pub(crate) fn decode_spec(
         1 => SolverMethod::HaloVoxelExchange,
         tag => return Err(r.corrupt(format!("unknown solver-method tag {tag}"))),
     };
-    let priority = r.get_u64()? as i64 as i32;
+    let word = r.get_u64()?;
+    let Ok(priority) = i32::try_from(word as i64) else {
+        return Err(r.corrupt(format!("priority word {word:#x} is not an i32")));
+    };
     let fault_policy = r.get_opt(|r| {
         Ok(FaultPolicy {
             seed: r.get_u64()?,
@@ -1591,6 +1601,32 @@ pub(crate) mod tests {
                 );
             }
         }
+    }
+
+    /// A byte the encoder never writes is corrupt, not read as its nearest
+    /// meaning: each would re-encode to different bytes.
+    #[test]
+    fn bytes_the_encoder_never_writes_are_corrupt() {
+        let bytes = encode_spec(&full_spec());
+        let damaged = |offset: usize, patch: &[u8]| {
+            let mut damaged = bytes.clone();
+            damaged[offset..offset + patch.len()].copy_from_slice(patch);
+            corrupt_detail(&damaged)
+        };
+        // The pass-frequency tag at 90, its count at 91..99.
+        assert_eq!(
+            damaged(90, &[0, 3, 0, 0, 0, 0, 0, 0, 0]),
+            "every-probe pass frequency with count 3"
+        );
+        assert_eq!(damaged(99, &[2]), "unknown local-updates byte 2");
+        assert_eq!(
+            damaged(133, &(1u64 << 31).to_le_bytes()),
+            "priority word 0x80000000 is not an i32"
+        );
+        assert_eq!(
+            damaged(133, &(i32::MIN as i64 - 1).to_le_bytes()),
+            "priority word 0xffffffff7fffffff is not an i32"
+        );
     }
 
     /// Decoding meets every truncation and single-byte XOR of the full spec

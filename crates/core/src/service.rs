@@ -148,9 +148,10 @@ impl JobSpec {
         self
     }
 
-    /// How many fleet nodes the job needs.
+    /// How many fleet nodes the job needs (saturating: a grid that large
+    /// is refused at submission as larger than the object).
     pub fn slots(&self) -> usize {
-        self.grid.0 * self.grid.1
+        self.grid.0.saturating_mul(self.grid.1)
     }
 }
 
@@ -427,8 +428,8 @@ impl JobEngine {
     /// reason naming the cause, rather than left to rot in the queue or to
     /// panic its runner.
     pub fn submit(&self, spec: JobSpec) -> Result<JobHandle, JobError> {
-        let slots = spec.slots();
         let refusal = refusal_reason(&spec);
+        let slots = spec.slots();
         let mut state = self.shared.lock();
         // Feasibility is judged against the *live* fleet (total minus
         // retired nodes): a dead node never returns to the free pool, so a
@@ -789,13 +790,13 @@ fn dequeue(state: &mut ServiceState, id: JobId) -> Option<JobSpec> {
 fn refusal_reason(spec: &JobSpec) -> Option<String> {
     let (rows, cols) = spec.grid;
     let (_, object_rows, object_cols) = spec.dataset.object_shape();
-    if spec.slots() == 0 {
-        return Some("the tile grid is empty (zero slots)".into());
-    }
     if rows > object_rows || cols > object_cols {
         return Some(format!(
             "the tile grid {rows}x{cols} is larger than the {object_rows}x{object_cols} px object"
         ));
+    }
+    if spec.slots() == 0 {
+        return Some("the tile grid is empty (zero slots)".into());
     }
     // Each rank keeps one `f64` cost per iteration; a history past
     // `isize::MAX` bytes would panic its allocation on a rank thread.

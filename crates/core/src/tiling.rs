@@ -72,11 +72,14 @@ impl TileGrid {
         );
         let image_bounds = Rect::of_shape(image_rows, image_cols);
         let cores = Rect::grid(&image_bounds, grid_rows, grid_cols);
+        // A halo as wide as the image already extends every tile to all of
+        // it; capping there keeps the dilation inside `i64`.
+        let margin = halo_px.min(image_rows.max(image_cols)) as i64;
         let tiles = cores
             .into_iter()
             .enumerate()
             .map(|(index, core)| {
-                let extended = core.dilate(halo_px as i64).clamp_to(&image_bounds);
+                let extended = core.dilate(margin).clamp_to(&image_bounds);
                 let owned_locations = scan.locations_owned_by(&core);
                 TileInfo {
                     index,
@@ -311,6 +314,17 @@ mod tests {
         assert!(grid
             .overlap(grid.rank_at(0, 0), grid.rank_at(0, 2))
             .is_empty());
+    }
+
+    #[test]
+    fn a_halo_wider_than_the_image_extends_every_tile_to_all_of_it() {
+        let scan = test_scan();
+        let widest = TileGrid::new(128, 96, 3, 2, usize::MAX, &scan);
+        let capped = TileGrid::new(128, 96, 3, 2, 128, &scan);
+        assert_eq!(widest.tiles(), capped.tiles());
+        for t in widest.tiles() {
+            assert_eq!(t.extended, widest.image_bounds());
+        }
     }
 
     #[test]

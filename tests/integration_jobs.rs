@@ -585,6 +585,15 @@ fn impossible_specs_are_rejected_at_submission() {
             "tile grid 200x1 is larger than the 96x96 px object",
         );
     }
+    // A grid whose slot count overflows `usize` is refused for its size
+    // before anything multiplies it.
+    for grid in [(usize::MAX, 2), (1 << 32, 1 << 32)] {
+        assert_refused(
+            &big,
+            JobSpec::new(dataset.clone(), tiny_gd_config(1), grid),
+            "is larger than the 96x96 px object",
+        );
+    }
     assert_eq!(big.free_nodes(), 256, "nothing was leased");
 }
 

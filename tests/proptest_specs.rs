@@ -3,7 +3,8 @@
 //! report whose error is not a runner panic. No spec panics the caller.
 //!
 //! Shapes are small (objects of 32–96 px, windows of 8/16/32 px, grids of
-//! 0–12 tiles per side, halos of 0–100 px, 0–2 iterations or `usize::MAX`),
+//! 0–12 tiles per side, halos of 0–100 px or `usize::MAX`, 0–2 iterations
+//! or `usize::MAX`),
 //! crossed with both solvers, both pass frequencies, and optional
 //! message-drop, rank-kill and process-kill faults with and without a
 //! checkpoint directory.
@@ -22,11 +23,11 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
     #[test]
     fn every_constructible_spec_is_refused_or_reported(
-        shape in (32usize..=96, 0usize..3, 0usize..=12, 0usize..=12, 0usize..=100),
+        shape in (32usize..=96, 0usize..3, 0usize..=12, 0usize..=12, 0usize..=100, 0usize..4),
         run in (0usize..4, 0usize..2, 0usize..2),
         faults in (0usize..4, 0usize..4, 0usize..4, 0usize..2, 0u64..1000),
     ) {
-        let (object_px, window, grid_rows, grid_cols, halo_px) = shape;
+        let (object_px, window, grid_rows, grid_cols, halo_px, widest_halo) = shape;
         let (iterations, method, pass_frequency) = run;
         let (drop, kill, process_kill, durable, seed) = faults;
         let dataset = Dataset::synthesize(SyntheticConfig {
@@ -36,6 +37,8 @@ proptest! {
         });
         // `usize::MAX` iterations: a cost history no allocator can hold.
         let iterations = [0, 1, 2, usize::MAX][iterations];
+        // A quarter of the cases ask for a halo wider than any object.
+        let halo_px = if widest_halo == 0 { usize::MAX } else { halo_px };
         let config = SolverConfig {
             iterations,
             halo_px,
