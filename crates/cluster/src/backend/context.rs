@@ -3,9 +3,9 @@
 //! A [`Transport`] moves envelopes between ranks and nothing else: enqueue,
 //! blocking matched take, barrier, rank finished.
 //! Everything a solver observes on top of that — range checks, correlation
-//! ids, fault routing, `Delay` flushing, wire-time charging, wait-time
-//! measurement, rank death, loss and departure, and the transport-level
-//! telemetry events — is written once, in [`RankCtx`], so two transports
+//! ids, fault routing, wire-time charging, wait-time measurement, rank
+//! death, loss and departure, and the transport-level telemetry events —
+//! is written once, in [`RankCtx`], so two transports
 //! cannot drift apart in any of it. [`launch`] is the matching single
 //! launcher: one scoped thread per rank, rank exit (return *or* unwind)
 //! announced to every peer and reported to the transport, outcomes
@@ -40,9 +40,8 @@ pub(crate) enum Content<M> {
         tag: u64,
         /// Span correlation id: the sender's slot in the high 32 bits, its
         /// per-context send counter in the low 32. Stamped once per `isend`,
-        /// before fault routing, so a delayed message carries its send's id
-        /// and telemetry receives can be paired with their originating send
-        /// unambiguously.
+        /// so a telemetry receive pairs with its originating send
+        /// unambiguously, whatever order the receiver takes its streams in.
         corr: u64,
         payload: M,
     },
@@ -135,9 +134,6 @@ pub struct RankCtx<T: Transport> {
     topology: ClusterTopology,
     pub(super) transport: T,
     instruments: Instruments,
-    /// Messages held back by a `Delay` fault, with their destination;
-    /// released before this rank next blocks and when it finishes.
-    delayed: Vec<(usize, Envelope<T::Msg>)>,
     /// Counter feeding the low half of each outgoing correlation id.
     send_corr: u64,
     /// Set by a `Kill` fault: the node is permanently dead — sends are
@@ -145,44 +141,6 @@ pub struct RankCtx<T: Transport> {
     dead: bool,
     clock: RankClock,
     memory: MemoryTracker,
-}
-
-/// Hands one envelope to the transport, charging a message's analytic wire
-/// time to the sender (a tombstone crosses no wire).
-fn deliver<T: Transport>(
-    transport: &mut T,
-    clock: &mut RankClock,
-    topology: &ClusterTopology,
-    to: usize,
-    envelope: Envelope<T::Msg>,
-) {
-    if let Content::Message { payload, .. } = &envelope.content {
-        let bytes = payload.payload_bytes();
-        clock.charge_communication(topology.transfer_time(envelope.from, to, bytes));
-    }
-    transport.enqueue(to, envelope);
-}
-
-impl<T: Transport> RankCtx<T> {
-    /// Releases every `Delay`-held message. Called on entry to every
-    /// blocking operation — unconditionally, before the transport is asked
-    /// whether the wanted message already arrived — because the release
-    /// charges this rank's analytic clock: gating it on arrival would let
-    /// real thread timing decide *when* the charge lands and break trace
-    /// determinism. (It also means a delayed message can never deadlock its
-    /// own sender's round trip.) A killed node holds nothing: the kill
-    /// cleared its queue and suppresses every later send.
-    fn flush_delayed(&mut self) {
-        for (to, envelope) in self.delayed.drain(..) {
-            deliver(
-                &mut self.transport,
-                &mut self.clock,
-                &self.topology,
-                to,
-                envelope,
-            );
-        }
-    }
 }
 
 impl<T: Transport> RankComm<T::Msg> for RankCtx<T> {
@@ -201,26 +159,22 @@ impl<T: Transport> RankComm<T::Msg> for RankCtx<T> {
             self.size
         );
         let bytes = payload.payload_bytes();
-        // One correlation id per send, stamped before fault routing so a
-        // delayed delivery carries it too.
         let corr = ((self.rank as u64) << 32) | self.send_corr;
         self.send_corr += 1;
         let envelope = Envelope {
             from: self.rank,
             content: Content::Message { tag, corr, payload },
         };
-        let RankCtx {
-            instruments,
-            delayed,
-            dead,
-            transport,
-            clock,
-            topology,
-            ..
-        } = self;
-        fault::route_send(instruments, delayed, dead, to, envelope, |to, envelope| {
-            deliver(transport, clock, topology, to, envelope)
-        });
+        let routed = fault::route_send(&mut self.instruments, &mut self.dead, to, envelope);
+        if let Some(envelope) = routed {
+            // A message charges its analytic wire time to the sender; a
+            // tombstone crosses no wire.
+            if let Content::Message { .. } = envelope.content {
+                let wire = self.topology.transfer_time(self.rank, to, bytes);
+                self.clock.charge_communication(wire);
+            }
+            self.transport.enqueue(to, envelope);
+        }
         // A node killed by the fault layer (possibly by this very send) no
         // longer reaches the transport, so its sends are not recorded.
         if !self.dead {
@@ -237,7 +191,6 @@ impl<T: Transport> RankComm<T::Msg> for RankCtx<T> {
         if self.dead {
             return Err(CommError::RankDead { rank: self.rank });
         }
-        self.flush_delayed();
         let envelope = self.clock.wait(|| self.transport.take(from, tag))?;
         let Content::Message { corr, payload, .. } = envelope.content else {
             return Err(CommError::MessageLost {
@@ -261,7 +214,6 @@ impl<T: Transport> RankComm<T::Msg> for RankCtx<T> {
         if self.dead {
             return Err(CommError::RankDead { rank: self.rank });
         }
-        self.flush_delayed();
         self.clock.wait(|| self.transport.barrier())
     }
 
@@ -286,12 +238,6 @@ struct ExitGuard<'a, T: Transport>(&'a mut RankCtx<T>);
 impl<T: Transport> Drop for ExitGuard<'_, T> {
     fn drop(&mut self) {
         let ctx = &mut *self.0;
-        // A delayed message must not be lost just because its sender
-        // finished first; a panicking rank's held-back messages die with it
-        // (releasing them could panic again mid-unwind).
-        if !std::thread::panicking() {
-            ctx.flush_delayed();
-        }
         // One exit notice per peer, behind everything this rank sent: a
         // peer waiting on a message this rank never sent fails at once.
         for peer in (0..ctx.size).filter(|&peer| peer != ctx.rank) {
@@ -345,7 +291,6 @@ where
                         topology,
                         transport,
                         instruments: Instruments::default(),
-                        delayed: Vec::new(),
                         send_corr: 0,
                         dead: false,
                         clock: RankClock::new(),
@@ -399,7 +344,6 @@ pub(super) mod conformance {
                 barrier_with_finished_peer_errors_without_hanging,
                 a_dropped_message_is_reported_lost,
                 a_receive_from_an_exited_rank_fails_at_once,
-                delayed_messages_are_released_before_blocking_and_at_exit,
                 killed_rank_sends_and_delayed_queue_are_suppressed,
                 delayed_deliveries_keep_their_send_correlation_ids,
             );
@@ -639,78 +583,39 @@ pub(super) mod conformance {
         assert_eq!(outcomes[2].result, [Ok(1.0), gone(2), gone(1)]);
     }
 
-    pub fn delayed_messages_are_released_before_blocking_and_at_exit<B>(backend: &B)
-    where
-        B: CommBackend + Clone + Sync,
-    {
-        let faulty =
-            FaultInjectionBackend::new(backend.clone(), FaultPolicy::reliable(0).delay(1.0));
-        let outcomes = faulty
-            .run::<Vec<f64>, f64, _>(2, |ctx| {
-                if ctx.rank() == 0 {
-                    // Held back, then released on entry to the receive below
-                    // — or rank 1 could never produce the reply.
-                    ctx.isend(1, 1, vec![1.0]);
-                    let reply = ctx.recv(1, 2)?[0];
-                    // Held back until this rank finishes.
-                    ctx.isend(1, 3, vec![3.0]);
-                    Ok(reply)
-                } else {
-                    let ping = ctx.recv(0, 1)?[0];
-                    ctx.isend(0, 2, vec![ping + 1.0]);
-                    Ok(ctx.recv(0, 3)?[0])
-                }
-            })
-            .unwrap();
-        assert_eq!(outcomes[0].result, 2.0);
-        assert_eq!(outcomes[1].result, 3.0);
-        assert_eq!(faulty.fault_count(), 3);
-    }
-
     pub fn killed_rank_sends_and_delayed_queue_are_suppressed<B>(backend: &B)
     where
         B: CommBackend + Clone + Sync,
     {
-        // Node 0's first send is delayed, its second kills it.
-        let policy = FaultPolicy::reliable(0)
-            .delay(1.0)
-            .on_tag(1)
-            .kill_rank(0, 1);
-        let faulty = FaultInjectionBackend::new(backend.clone(), policy);
+        // Node 0's second send kills it.
+        let faulty =
+            FaultInjectionBackend::new(backend.clone(), FaultPolicy::reliable(0).kill_rank(0, 1));
         let outcomes = faulty
             .run::<Vec<f64>, usize, _>(2, |ctx| {
                 if ctx.rank() == 0 {
-                    ctx.isend(1, 1, vec![1.0]); // held back, then dies with the node
+                    ctx.isend(1, 1, vec![1.0]); // delivered before the death
                     ctx.isend(1, 2, vec![2.0]); // the moment of death
                     ctx.isend(1, 3, vec![3.0]); // suppressed: already dead
                     assert_eq!(ctx.recv(1, 9), Err(CommError::RankDead { rank: 0 }));
                     assert_eq!(ctx.barrier(), Err(CommError::RankDead { rank: 0 }));
                     Ok(0)
                 } else {
-                    // None of the three can arrive; once rank 0 has exited,
-                    // each receive is told so instead of hanging.
+                    // Only the first can arrive; once rank 0 has exited, each
+                    // receive of the other two is told so instead of hanging.
                     Ok((1..=3).filter(|&tag| ctx.recv(0, tag).is_ok()).count())
                 }
             })
             .unwrap();
-        assert_eq!(outcomes[1].result, 0);
-        // The delay and the kill; the suppressed send never reaches the
-        // harness.
-        assert_eq!(faulty.fault_count(), 2);
+        assert_eq!(outcomes[1].result, 1);
+        // The kill alone; the suppressed send never reaches the harness.
+        assert_eq!(faulty.fault_count(), 1);
     }
 
-    pub fn delayed_deliveries_keep_their_send_correlation_ids<B>(backend: &B)
-    where
-        B: CommBackend + Clone + Sync,
-    {
-        // Tag 5 is held back and overtaken by tag 6: each receive must still
+    pub fn delayed_deliveries_keep_their_send_correlation_ids<B: CommBackend>(backend: &B) {
+        // Tag 5 is sent first but received last: each receive must still
         // carry the id its own send was stamped with.
         let telemetry = Telemetry::new();
-        let faulty = FaultInjectionBackend::new(
-            backend.clone(),
-            FaultPolicy::reliable(0).delay(1.0).on_tag(5),
-        );
-        faulty
+        backend
             .run::<Vec<f64>, (), _>(2, |ctx| {
                 ctx.instruments().telemetry = Some(telemetry.sink(ctx.rank()));
                 if ctx.rank() == 0 {
@@ -742,6 +647,5 @@ pub(super) mod conformance {
         assert_eq!(sent.len(), 2, "one CommSend per send");
         assert_ne!(sent[0], sent[1]);
         assert_eq!(received, [sent[1], sent[0]]);
-        assert_eq!(faulty.fault_count(), 1);
     }
 }

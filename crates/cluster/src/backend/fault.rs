@@ -1,9 +1,11 @@
 //! Fault injection.
 //!
 //! [`FaultInjectionBackend`] wraps any [`CommBackend`] and filters every
-//! message a rank sends through a seeded [`FaultPolicy`]: a message can be
-//! delivered normally, dropped, or delayed (held back until its sender next
-//! blocks, which reorders it past later traffic). Decisions are a pure
+//! message a rank sends through a seeded [`FaultPolicy`]: a message is
+//! delivered normally or dropped, or the send kills its node. There is no
+//! reordering fault: a receive matches by `(source, tag)` in send order, as
+//! MPI's no-overtaking rule has it, so a message held back past later
+//! traffic would be invisible to it. Decisions are a pure
 //! function of `(seed, from, to, tag, seq, attempt)` — `seq` being the
 //! sender's per-`(to, tag)` message counter and `attempt` the iteration
 //! engine's restart attempt ([`FaultHarness::set_attempt`]) — so the same
@@ -28,16 +30,12 @@ pub enum FaultAction {
     /// the sender's stream, so the receive that would have matched it fails
     /// with [`CommError::MessageLost`].
     Drop,
-    /// Hold the message back until the sender next blocks (in a receive, at a
-    /// barrier, or at rank completion), letting later traffic overtake it.
-    Delay,
-    /// The sending node dies permanently at this send: the message (and any
-    /// delayed messages it was holding) is lost, every later send from the
-    /// node is suppressed, and every later blocking operation on its
-    /// communicator reports [`CommError::RankDead`]. Unlike the message
-    /// faults above this one is keyed by *node* identity
-    /// ([`FaultPolicy::kill_rank`]), so a spare that adopts the dead node's
-    /// tile slot does not inherit the death.
+    /// The sending node dies permanently at this send: the message is lost,
+    /// every later send from the node is suppressed, and every later
+    /// blocking operation on its communicator reports
+    /// [`CommError::RankDead`]. Unlike the message fault above this one is
+    /// keyed by *node* identity ([`FaultPolicy::kill_rank`]), so a spare
+    /// that adopts the dead node's tile slot does not inherit the death.
     Kill,
 }
 
@@ -68,19 +66,16 @@ pub enum CrashPhase {
 
 /// A seeded, deterministic fault model.
 ///
-/// Probabilities are evaluated in the order drop → delay against a single
-/// uniform draw per message, so their sum must stay ≤ 1. An optional tag
-/// filter restricts faults to one message class (e.g. a single directional
-/// pass), and [`FaultPolicy::drop_message`] pins a single exact message of
-/// the first attempt for surgical tests.
+/// The drop probability is evaluated against a single uniform draw per
+/// message. An optional tag filter restricts faults to one message class
+/// (e.g. a single directional pass), and [`FaultPolicy::drop_message`] pins
+/// a single exact message of the first attempt for surgical tests.
 #[derive(Clone, Debug, PartialEq)]
 pub struct FaultPolicy {
     /// Seed for the per-message decision hash.
     pub seed: u64,
     /// Probability that a message is dropped.
     pub drop_probability: f64,
-    /// Probability that a message is delayed (reordered).
-    pub delay_probability: f64,
     /// When set, messages with any *other* tag are always delivered.
     pub only_tag: Option<u64>,
     /// When set, deterministically drops exactly the message identified by
@@ -108,7 +103,6 @@ impl FaultPolicy {
         Self {
             seed,
             drop_probability: 0.0,
-            delay_probability: 0.0,
             only_tag: None,
             drop_exact: None,
             kill: None,
@@ -119,12 +113,6 @@ impl FaultPolicy {
     /// Sets the drop probability.
     pub fn drop(mut self, probability: f64) -> Self {
         self.drop_probability = probability;
-        self
-    }
-
-    /// Sets the delay probability.
-    pub fn delay(mut self, probability: f64) -> Self {
-        self.delay_probability = probability;
         self
     }
 
@@ -175,8 +163,6 @@ impl FaultPolicy {
         let draw = unit_draw(self.seed, from, to, tag, seq, attempt);
         if draw < self.drop_probability {
             FaultAction::Drop
-        } else if draw < self.drop_probability + self.delay_probability {
-            FaultAction::Delay
         } else {
             FaultAction::Deliver
         }
@@ -301,25 +287,22 @@ impl FaultHarness {
 }
 
 /// The one fault-dispatch protocol behind `isend`: consult the harness (if
-/// any), then deliver the envelope via `deliver`, or deliver its tombstone
-/// in its place (a drop), or park it in `delayed` (released when the sender
-/// next blocks or finishes), or kill the sending rank outright (`dead` is
-/// set, this envelope and every delayed one is lost, and all later sends
+/// any) and return what reaches the transport — the envelope itself, its
+/// tombstone in its place (a drop), or nothing when the send kills the
+/// sending rank (`dead` is set, this envelope is lost, and all later sends
 /// are suppressed).
 pub(super) fn route_send<M: Payload>(
     instruments: &mut Instruments,
-    delayed: &mut Vec<(usize, Envelope<M>)>,
     dead: &mut bool,
     to: usize,
     envelope: Envelope<M>,
-    deliver: impl FnOnce(usize, Envelope<M>),
-) {
+) -> Option<Envelope<M>> {
     if *dead {
-        return;
+        return None;
     }
     // Only messages meet the fault layer.
     let Content::Message { tag, payload, .. } = &envelope.content else {
-        return deliver(to, envelope);
+        return Some(envelope);
     };
     let (tag, bytes) = (*tag, payload.payload_bytes() as u64);
     let Instruments { harness, telemetry } = instruments;
@@ -328,7 +311,7 @@ pub(super) fn route_send<M: Payload>(
         None => FaultAction::Deliver,
     };
     match action {
-        FaultAction::Deliver => deliver(to, envelope),
+        FaultAction::Deliver => Some(envelope),
         FaultAction::Drop => {
             if let Some(sink) = telemetry {
                 sink.record(ptycho_telemetry::TelemetryEvent::CommDrop {
@@ -339,17 +322,13 @@ pub(super) fn route_send<M: Payload>(
             }
             // The tombstone keeps the message's place in its stream, so
             // the receive that would have matched it reports the loss.
-            let tombstone = Envelope {
+            Some(Envelope {
                 from: envelope.from,
                 content: Content::Lost { tag },
-            };
-            deliver(to, tombstone);
+            })
         }
-        FaultAction::Delay => delayed.push((to, envelope)),
         FaultAction::Kill => {
             *dead = true;
-            // A dying node takes its held-back messages with it.
-            delayed.clear();
             if let Some(sink) = telemetry {
                 let node = harness
                     .as_ref()
@@ -357,6 +336,7 @@ pub(super) fn route_send<M: Payload>(
                     .node;
                 sink.record(ptycho_telemetry::TelemetryEvent::RankDead { node: node as u64 });
             }
+            None
         }
     }
 }
@@ -423,7 +403,7 @@ mod tests {
 
     #[test]
     fn policy_decisions_are_deterministic() {
-        let policy = FaultPolicy::reliable(7).drop(0.3).delay(0.1);
+        let policy = FaultPolicy::reliable(7).drop(0.3);
         for from in 0..4 {
             for seq in 0..20 {
                 for attempt in 0..3 {
@@ -451,7 +431,7 @@ mod tests {
 
     #[test]
     fn first_attempt_decisions_depend_on_the_message_identity_alone() {
-        let policy = FaultPolicy::reliable(0x5eed).drop(0.3).delay(0.2);
+        let policy = FaultPolicy::reliable(0x5eed).drop(0.3);
         let mut faults = 0;
         for from in 0..4 {
             for to in 0..4 {
@@ -460,8 +440,6 @@ mod tests {
                         let draw = attempt_free_draw(0x5eed, from, to, tag, seq);
                         let expected = if draw < 0.3 {
                             FaultAction::Drop
-                        } else if draw < 0.5 {
-                            FaultAction::Delay
                         } else {
                             FaultAction::Deliver
                         };

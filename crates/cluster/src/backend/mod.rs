@@ -10,7 +10,7 @@
 //!   collects one [`RankOutcome`] per rank.
 //!
 //! Everything a rank observes above the wire — range checks, correlation
-//! ids, fault routing, `Delay` flushing, wire-time and wait-time charging,
+//! ids, fault routing, wire-time and wait-time charging,
 //! rank death, transport-level telemetry — is written once, in the generic
 //! per-rank context [`RankCtx`]. Beneath it a *transport* is four calls
 //! (enqueue an envelope, blocking matched take, barrier, rank finished),
@@ -21,7 +21,7 @@
 //! |---|---|---|
 //! | [`ThreadedBackend`] | one OS thread per rank, real channels | the default; wall-clock compute/wait measurement |
 //! | [`LockstepBackend`] | cooperative scheduler, one rank runs at a time in a fixed order | deterministic replayable runs, deadlock *detection* instead of hangs |
-//! | [`FaultInjectionBackend`] | wraps either of the above | dropping / delaying messages and killing nodes under a seeded policy |
+//! | [`FaultInjectionBackend`] | wraps either of the above | dropping messages and killing nodes under a seeded policy |
 //!
 //! The fault layer and the iteration engine reach the context's fault
 //! harness and telemetry sink through the one accessor

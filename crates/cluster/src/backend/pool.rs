@@ -16,8 +16,7 @@
 //! The recycle point is the receiver's drop: once the receiving rank has
 //! folded a payload into its buffers and dropped it, the sender's retired
 //! alias is the last one, and reuse kicks in within the same exchange round
-//! on every policy. A message held back by a `Delay` fault stays aliased
-//! until it is released and consumed.
+//! on every policy.
 //!
 //! The pool is deliberately rank-local and unsynchronised: payload buffers
 //! never migrate between ranks (only their `Arc` aliases do), so no locking

@@ -13,8 +13,8 @@
 //!    [`CommBackend`]. The [`ThreadedBackend`] executes one OS thread per
 //!    rank; the [`LockstepBackend`] runs the same ranks deterministically,
 //!    one at a time, and proves deadlocks instead of hanging; the
-//!    [`FaultInjectionBackend`] wraps either to drop or delay
-//!    messages or kill a node under a seeded policy. The decomposition,
+//!    [`FaultInjectionBackend`] wraps either to drop messages or kill a
+//!    node under a seeded policy. The decomposition,
 //!    accumulation-pass and pipelining logic is exercised for real on all of
 //!    them, exactly as it would be on MPI.
 //! 2. **An analytic hardware model** ([`topology`], [`perf_model`]): a

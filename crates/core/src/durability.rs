@@ -527,7 +527,7 @@ impl EpochManifest {
 
 /// Current encoding version of the manifest-embedded job spec; bytes of any
 /// other version are refused.
-const SPEC_VERSION: u8 = 3;
+const SPEC_VERSION: u8 = 4;
 
 /// Encodes everything [`JobEngine::resume`] needs to rebuild the job from
 /// the checkpoint directory alone. The dataset is stored as its synthesis
@@ -571,7 +571,6 @@ pub(crate) fn encode_spec(spec: &JobSpec) -> Vec<u8> {
     w.put_opt(spec.fault_policy.as_ref(), |w, policy| {
         w.put_u64(policy.seed);
         w.put_f64(policy.drop_probability);
-        w.put_f64(policy.delay_probability);
         w.put_opt(policy.only_tag, ByteWriter::put_u64);
         w.put_opt(policy.drop_exact, |w, (from, to, tag, seq)| {
             w.put_u64(from as u64);
@@ -653,7 +652,6 @@ pub(crate) fn decode_spec(
         Ok(FaultPolicy {
             seed: r.get_u64()?,
             drop_probability: r.get_f64()?,
-            delay_probability: r.get_f64()?,
             only_tag: r.get_opt(ByteReader::get_u64)?,
             drop_exact: r.get_opt(|r| {
                 Ok((
@@ -1477,12 +1475,12 @@ pub(crate) mod tests {
     const OPTION_TAGS: [(usize, &str); 6] = [
         (41, "dose"),
         (141, "fault_policy"),
-        (166, "only_tag"),
-        (175, "drop_exact"),
-        (208, "kill"),
-        (225, "process_kill"),
+        (158, "only_tag"),
+        (167, "drop_exact"),
+        (200, "kill"),
+        (217, "process_kill"),
     ];
-    const FULL_SPEC_LEN: usize = 235;
+    const FULL_SPEC_LEN: usize = 227;
 
     fn spec(dose: Option<f64>) -> JobSpec {
         let dataset = Dataset::synthesize(SyntheticConfig {
@@ -1503,7 +1501,7 @@ pub(crate) mod tests {
             drop_exact: Some((0, 1, 7, 3)),
             kill: Some((1, 5)),
             process_kill: Some((2, phase)),
-            ..FaultPolicy::reliable(11).drop(0.125).delay(0.0625)
+            ..FaultPolicy::reliable(11).drop(0.125)
         }
     }
 
@@ -1573,7 +1571,7 @@ pub(crate) mod tests {
         let bytes = encode_spec(&full_spec());
         assert_eq!(bytes.len(), FULL_SPEC_LEN);
         let actual = crate::durability::fnv1a64(&bytes);
-        assert_eq!(actual, 0x37d4_cfd0_e982_8b60, "new hash {actual:#018x}");
+        assert_eq!(actual, 0xaeea_d676_9315_b93e, "new hash {actual:#018x}");
     }
 
     /// Only the current layout is read.
@@ -1583,7 +1581,20 @@ pub(crate) mod tests {
         bytes[0] = 2;
         assert_eq!(
             corrupt_detail(&bytes),
-            "unsupported spec version 2 (expected 3)"
+            "unsupported spec version 2 (expected 4)"
+        );
+    }
+
+    /// Layout 3 is layout 4 plus a delay probability at 158..166; its
+    /// bytes are refused by version before anything past byte 0 is read.
+    #[test]
+    fn a_version_3_spec_is_refused() {
+        let mut bytes = encode_spec(&full_spec());
+        bytes[0] = 3;
+        bytes.splice(158..158, 0.0625f64.to_le_bytes());
+        assert_eq!(
+            corrupt_detail(&bytes),
+            "unsupported spec version 3 (expected 4)"
         );
     }
 

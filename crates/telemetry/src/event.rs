@@ -89,9 +89,9 @@ telemetry_events! {
         bytes: u64 as "bytes",
         /// Span correlation id stamped by the sending backend: the sender's
         /// slot in the high 32 bits, a per-sender transport-send counter in
-        /// the low 32. A delayed delivery keeps its send's id, so the
-        /// analysis layer can pair sends with receives even when
-        /// `(peer, tag)` alone is ambiguous.
+        /// the low 32. The receive carries its send's id, so the analysis
+        /// layer can pair sends with receives even when `(peer, tag)` alone
+        /// is ambiguous.
         corr: u64 as "corr",
     }
     /// A rank's blocking or polling receive returned a message.

@@ -7,12 +7,13 @@
 //!
 //! 1. **Deterministic span graphs** — two identical seeded runs produce
 //!    byte-identical span graphs (the `Debug` rendering is compared as
-//!    bytes), on the lockstep backend under seeded drop faults and on the
-//!    free-running threaded backend under delay faults.
+//!    bytes) on the lockstep backend under a seeded drop, and the
+//!    free-running threaded backend healing the same drop builds the
+//!    lockstep graph byte for byte.
 //! 2. **Exact attribution** — for every rank, the four attribution segments
 //!    (compute, comm, heal, barrier wait) sum *exactly* to the
 //!    job's end-to-end simulated time. No rounding, no residue.
-//! 3. **Straggler detection** — a seeded delay-fault run skews one rank's
+//! 3. **Straggler detection** — an uneven split skews one rank's
 //!    barrier-wait share far enough above the mean that the z-threshold
 //!    flags it, and the flagged set is pinned.
 //! 4. **Empty diffs** — the structural trace diff of two identical seeded
@@ -130,35 +131,23 @@ fn span_graph_is_byte_identical_across_seeded_lockstep_runs() {
 
 #[test]
 fn span_graph_is_byte_identical_across_seeded_threaded_runs() {
-    // Delay faults only — a delayed message is released when its sender
-    // next blocks, so nothing is lost, no wall-time dependent restart fires,
-    // and the threaded backend's free-running schedule cannot leak into the
-    // trace (same caveat as the telemetry byte-identity suite).
-    let run = || {
-        let policy = FaultPolicy::reliable(11).delay(0.1);
-        let backend = FaultInjectionBackend::new(threaded(), policy);
-        traced_records(&backend, restart_policy())
+    // No timer decides a threaded failure: the dropped frame fails the same
+    // receive as on lockstep and one restart heals it, so every threaded run
+    // builds the lockstep run's span graph byte for byte.
+    let graph = |records: &[TelemetryRecord]| format!("{:?}", analysis::span_graph(records, 0));
+    let lockstep_graph = {
+        let backend = FaultInjectionBackend::new(lockstep(), gd_drop_policy());
+        graph(&traced_records(&backend, restart_policy()).0)
     };
-    let (records_a, _) = run();
-    let (records_b, _) = run();
-    let graph_a = format!("{:?}", analysis::span_graph(&records_a, 0));
-    let graph_b = format!("{:?}", analysis::span_graph(&records_b, 0));
-    assert_eq!(
-        graph_a.as_bytes(),
-        graph_b.as_bytes(),
-        "identical seeded threaded runs must build byte-identical span graphs"
-    );
-
-    // Every delayed message is released and received, so the graph of the
-    // observed run is fully paired: every send span has its receive,
-    // nothing dangles.
-    let graph = analysis::span_graph(&records_a, 0);
-    assert!(!graph.message_spans.is_empty());
-    assert!(
-        graph.message_spans.iter().all(|s| s.recv.is_some()),
-        "the healed run's observed sends must all pair"
-    );
-    assert_eq!(graph.unpaired_recvs, 0);
+    for run in 0..2 {
+        let backend = FaultInjectionBackend::new(threaded(), gd_drop_policy());
+        let (records, _) = traced_records(&backend, restart_policy());
+        assert_eq!(
+            graph(&records).as_bytes(),
+            lockstep_graph.as_bytes(),
+            "threaded run {run} must build the lockstep span graph"
+        );
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -211,7 +200,7 @@ fn critical_path_attribution_sums_exactly_on_a_real_trace() {
 }
 
 // ---------------------------------------------------------------------------
-// Straggler detection: a seeded delay-fault run pins the flagged set.
+// Straggler detection: an uneven split pins the flagged set.
 // ---------------------------------------------------------------------------
 
 #[test]
@@ -220,9 +209,6 @@ fn straggler_detection_pins_on_a_seeded_delay_fault_run() {
     // rank ends up with the lightest tile, finishes early, and sits in the
     // barrier while its peers grind — the exact wait-share signature the
     // detector flags.
-    // Seeded delay faults reorder frames throughout the run; because the
-    // simulated clock charges analytic wire time, not arrival order, they
-    // must not move the attribution or the flagged set at all.
     let ds = Dataset::synthesize(SyntheticConfig {
         object_px: 128,
         slices: 2,
@@ -232,7 +218,7 @@ fn straggler_detection_pins_on_a_seeded_delay_fault_run() {
         defocus_pm: 12_000.0,
         seed: 21,
     });
-    let run = |policy: FaultPolicy| {
+    let run = || {
         let solver = GradientDecompositionSolver::new(&ds, gd_config(), (3, 1));
         let buf = SharedBuf::default();
         let telemetry = Telemetry::with_writer(TelemetryConfig::default(), Box::new(buf.clone()));
@@ -240,10 +226,9 @@ fn straggler_detection_pins_on_a_seeded_delay_fault_run() {
             telemetry: Some(&telemetry),
             ..JobContext::default()
         };
-        let backend = FaultInjectionBackend::new(lockstep(), policy);
         solver
-            .run_job(&backend, restart_policy(), &job)
-            .expect("delayed run completes");
+            .run_job(&lockstep(), restart_policy(), &job)
+            .expect("fault-free run completes");
         let bytes = buf.contents();
         let text = std::str::from_utf8(&bytes).expect("trace is UTF-8");
         TraceSummary::from_lines(text.lines())
@@ -251,8 +236,7 @@ fn straggler_detection_pins_on_a_seeded_delay_fault_run() {
             .records
     };
 
-    let records = run(FaultPolicy::reliable(7).delay(0.45));
-    let path = analysis::critical_path(&records, 0);
+    let path = analysis::critical_path(&run(), 0);
     let report = analysis::straggler_report(&path, 1.0);
     assert_eq!(report.z_threshold, 1.0);
     assert!(
@@ -274,15 +258,8 @@ fn straggler_detection_pins_on_a_seeded_delay_fault_run() {
         assert!(straggler.wait_share > report.mean_wait_share);
     }
 
-    // Reordering is invisible to the simulated clock: the fault-free run
-    // yields the same attribution, and a repeat of the seeded delay run
-    // renders the identical report byte for byte.
-    let clean_path = analysis::critical_path(&run(FaultPolicy::reliable(7)), 0);
-    assert_eq!(format!("{path:?}"), format!("{clean_path:?}"));
-    let repeat = analysis::straggler_report(
-        &analysis::critical_path(&run(FaultPolicy::reliable(7).delay(0.45)), 0),
-        1.0,
-    );
+    // A repeat of the run renders the identical report byte for byte.
+    let repeat = analysis::straggler_report(&analysis::critical_path(&run(), 0), 1.0);
     assert_eq!(format!("{report:?}"), format!("{repeat:?}"));
 }
 

@@ -147,40 +147,3 @@ fn sends_to_an_already_failed_rank_do_not_panic_the_run() {
         }
     );
 }
-
-#[test]
-fn delayed_messages_do_not_corrupt_the_solve() {
-    // A delayed message is released before its sender next blocks, and the
-    // exchange structure always posts a blocking receive between two sends
-    // on the same (from, to, tag) stream — so per-stream order survives and
-    // the reconstruction must equal the fault-free one, on either solver and
-    // whether or not the run keeps checkpoints.
-    let ds = small_problem();
-    common::run_both_solvers!(&ds, |solver, label| {
-        let clean = solver
-            .run_job(
-                &lockstep(),
-                RecoveryPolicy::FailFast,
-                &JobContext::default(),
-            )
-            .expect("fault-free run completes");
-        for policy in [RecoveryPolicy::FailFast, common::restart_policy()] {
-            let faulty =
-                FaultInjectionBackend::new(lockstep(), FaultPolicy::reliable(77).delay(0.5));
-            let noisy = solver
-                .run_job(&faulty, policy, &JobContext::default())
-                .unwrap_or_else(|failure| {
-                    panic!("{label} {policy:?}: delays broke the solve: {failure}")
-                });
-            assert!(
-                faulty.fault_count() > 0,
-                "{label} {policy:?}: delays must fire"
-            );
-            assert_bit_identical(&clean, &noisy);
-            assert!(
-                noisy.recovery.is_clean(),
-                "{label} {policy:?}: nothing to heal"
-            );
-        }
-    });
-}

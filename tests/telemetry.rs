@@ -8,8 +8,8 @@
 //!    JSONL event logs, because every record is stamped with the simulated
 //!    per-rank clock (analytic communication time + modeled compute time),
 //!    never wall time. Pinned on the lockstep backend under seeded drop and
-//!    kill faults, and on the free-running threaded backend under delay
-//!    faults.
+//!    kill faults, and on the free-running threaded backend by healing the
+//!    same faults to the lockstep goldens.
 //! 3. **Content** — the event stream tells the story the run actually had:
 //!    dense per-rank sequence numbers, a monotonic simulated clock, one
 //!    `iteration_begin`/`iteration_end` pair per iteration, a `rank_dead` /
@@ -206,28 +206,6 @@ fn lockstep_trace_is_deterministic_under_kill_and_substitution() {
         streams.contains(&4),
         "the promoted spare (node 4) must own a telemetry stream, got {streams:?}"
     );
-}
-
-#[test]
-fn threaded_trace_is_deterministic_under_delay_faults() {
-    // Delay faults only: a delayed message is released when its sender next
-    // blocks, so no frame is lost, no wall-time-dependent restart fires, and
-    // the threaded backend's free-running schedule cannot leak into the
-    // per-rank event streams.
-    let run = || {
-        let policy = FaultPolicy::reliable(11).delay(0.1);
-        let backend = FaultInjectionBackend::new(common::threaded(), policy);
-        traced_gd_run(&backend, restart_policy())
-    };
-    let (trace_a, result_a) = run();
-    let (trace_b, result_b) = run();
-    assert!(!trace_a.is_empty());
-    assert_eq!(
-        trace_a, trace_b,
-        "threaded runs under delay faults must emit byte-identical telemetry"
-    );
-    assert_bit_identical(&result_a, &result_b);
-    validate_jsonl(&trace_a);
 }
 
 // ---------------------------------------------------------------------------
