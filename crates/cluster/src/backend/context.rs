@@ -344,8 +344,8 @@ pub(super) mod conformance {
                 barrier_with_finished_peer_errors_without_hanging,
                 a_dropped_message_is_reported_lost,
                 a_receive_from_an_exited_rank_fails_at_once,
-                killed_rank_sends_and_delayed_queue_are_suppressed,
-                delayed_deliveries_keep_their_send_correlation_ids,
+                killed_rank_sends_are_suppressed,
+                out_of_order_receives_keep_their_send_correlation_ids,
             );
             #[test]
             #[should_panic(expected = "rank thread panicked")]
@@ -583,7 +583,7 @@ pub(super) mod conformance {
         assert_eq!(outcomes[2].result, [Ok(1.0), gone(2), gone(1)]);
     }
 
-    pub fn killed_rank_sends_and_delayed_queue_are_suppressed<B>(backend: &B)
+    pub fn killed_rank_sends_are_suppressed<B>(backend: &B)
     where
         B: CommBackend + Clone + Sync,
     {
@@ -611,7 +611,7 @@ pub(super) mod conformance {
         assert_eq!(faulty.fault_count(), 1);
     }
 
-    pub fn delayed_deliveries_keep_their_send_correlation_ids<B: CommBackend>(backend: &B) {
+    pub fn out_of_order_receives_keep_their_send_correlation_ids<B: CommBackend>(backend: &B) {
         // Tag 5 is sent first but received last: each receive must still
         // carry the id its own send was stamped with.
         let telemetry = Telemetry::new();

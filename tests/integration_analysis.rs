@@ -204,7 +204,7 @@ fn critical_path_attribution_sums_exactly_on_a_real_trace() {
 // ---------------------------------------------------------------------------
 
 #[test]
-fn straggler_detection_pins_on_a_seeded_delay_fault_run() {
+fn straggler_detection_pins_on_an_uneven_split_run() {
     // A 5-row scan over a 3×1 grid splits its rows unevenly: the middle
     // rank ends up with the lightest tile, finishes early, and sits in the
     // barrier while its peers grind — the exact wait-share signature the
