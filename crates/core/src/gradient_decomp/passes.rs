@@ -68,17 +68,22 @@
 //! for bit, `t − o` is `+0.0` (`x − x` is `+0.0` for every finite `x`) and
 //! `v − α·(+0.0)` is `v`, a `−0.0` in `v` included. The adds, the
 //! update and the reset to `+0.0` over such a cell are therefore skipped:
-//! the solver accumulates into and updates over `shared` only, and allocates
-//! both buffers over [`PassPlan::frame`], the bounding box of the rank's
-//! shared cells over every round. On a 1×1 grid that frame is empty. Without
-//! local updates the volume waits for the accumulated total, so the buffers
-//! keep the whole extended tile and the update its cover.
+//! the solver accumulates into and updates over `shared` only, and holds
+//! both buffers over [`PassPlan::strips`], the disjoint union of the rank's
+//! shared cells over every round, laid out back to back ([`StripLayout`]).
+//! On a 1×1 grid there are none. [`StripLayout::split`] cuts each round's
+//! shared cells and message regions into pieces along the strips once, so
+//! the hot path intersects nothing; a message still carries its whole
+//! region, gathered from its pieces. Without local updates the volume waits
+//! for the accumulated total, so the buffers keep the whole extended tile,
+//! one strip, and the update its cover.
 
 use crate::tiling::TileGrid;
-use crate::worker::{add_region_flat, send_pooled_region, set_region_flat};
+use crate::worker::{apply_region_flat, send_pooled_region, FlatRegion};
 use ptycho_array::Rect;
 use ptycho_cluster::{CommError, RankComm, SharedTile, TilePayloadPool};
-use ptycho_fft::CArray3;
+use ptycho_fft::{CArray3, Complex64};
+use std::ops::Range;
 
 /// Message tags for the four directional passes; combined with the sending
 /// rank they uniquely identify each transfer within one synchronisation round.
@@ -141,26 +146,6 @@ pub struct RankPasses {
     /// accumulates into and its tile update visits (see
     /// [Shared cells](self#shared-cells)).
     pub shared: Vec<Rect>,
-}
-
-impl RankPasses {
-    /// The same entry for buffers that hold only `frame` (tile-local) of the
-    /// extended tile: every rectangle moved into `frame`-local coordinates.
-    /// Messages and `shared` lie inside [`PassPlan::frame`]; `cover` lies
-    /// inside the frame only when that is the whole extended tile.
-    pub fn in_frame(&self, frame: Rect) -> Self {
-        let moved = |rects: &[Rect]| rects.iter().map(|rect| rect.to_local(&frame)).collect();
-        let mut sweeps = self.sweeps;
-        let transfers = sweeps.iter_mut().flat_map(|s| [&mut s.recv, &mut s.send]);
-        for Transfer { region, .. } in transfers.flatten() {
-            *region = region.to_local(&frame);
-        }
-        Self {
-            sweeps,
-            cover: moved(&self.cover),
-            shared: moved(&self.shared),
-        }
-    }
 }
 
 /// The static pass plan of a job: for every synchronisation round and rank,
@@ -253,24 +238,177 @@ impl PassPlan {
         &self.steps[round * self.ranks + rank]
     }
 
-    /// The tile-local bounding box of `rank`'s [`RankPasses::shared`] cells
-    /// over every round: all of the extended tile a local-update run's
-    /// accumulation buffers have to hold. Empty if the rank never exchanges.
-    pub fn frame(&self, rank: usize) -> Rect {
-        (0..self.rounds())
-            .flat_map(|round| &self.passes(round, rank).shared)
-            .fold(Rect::empty(), |frame, rect| frame.bounding_union(rect))
+    /// The disjoint union of `rank`'s [`RankPasses::shared`] cells over
+    /// every round, as disjoint tile-local rectangles: all of the extended
+    /// tile a local-update run's accumulation buffers have to hold (see
+    /// [`StripLayout`]). Empty if the rank never exchanges.
+    pub fn strips(&self, rank: usize) -> Vec<Rect> {
+        let shared: Vec<Rect> = (0..self.rounds())
+            .flat_map(|round| self.passes(round, rank).shared.iter().copied())
+            .collect();
+        disjoint_union(&shared)
+    }
+}
+
+/// One tile-local rectangle of a flat buffer: `depth` `rect`-shaped planes,
+/// one per slice, each row-major, stored from `offset` on.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Strip {
+    /// The cells held (tile-local).
+    pub rect: Rect,
+    /// Index of the strip's first value in the flat buffer.
+    pub offset: usize,
+}
+
+impl Strip {
+    /// `rect` alone, from offset 0: how a volume holds its plane, a
+    /// gradient block its window and a wire payload its region.
+    pub(crate) fn alone(rect: Rect) -> Self {
+        Self { rect, offset: 0 }
+    }
+
+    /// The flat index range of each row of `cells`, slice by slice, in a
+    /// buffer of `depth` slices; `cells` lies inside `rect`, both in the same
+    /// coordinates. A volume is one strip over its plane at offset 0, a wire
+    /// payload one over its region (in complex values).
+    pub(crate) fn rows(self, depth: usize, cells: Rect) -> impl Iterator<Item = Range<usize>> {
+        let (rows, cols) = self.rect.shape();
+        let (row0, col0) = (cells.row0 - self.rect.row0, cells.col0 - self.rect.col0);
+        let (height, width) = cells.shape();
+        (0..depth).flat_map(move |s| {
+            (0..height).map(move |r| {
+                let start = self.offset + (s * rows + (row0 as usize + r)) * cols + col0 as usize;
+                start..start + width
+            })
+        })
+    }
+}
+
+/// The cells of one rectangle that lie in one [`Strip`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct Piece {
+    pub strip: Strip,
+    /// Inside `strip.rect`.
+    pub cells: Rect,
+}
+
+/// Where a rank's accumulation buffers hold their cells: disjoint
+/// tile-local [`Strip`]s laid back to back in one flat buffer. With local
+/// updates the strips are [`PassPlan::strips`], the cells the passes
+/// exchange; without them, one strip over the whole extended tile, laid out
+/// as that tile's volume.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct StripLayout {
+    depth: usize,
+    strips: Vec<Strip>,
+    len: usize,
+}
+
+impl StripLayout {
+    /// Lays out the disjoint, tile-local `rects` (empty ones dropped) for a
+    /// volume of `depth` slices.
+    pub fn new(rects: &[Rect], depth: usize) -> Self {
+        let mut len = 0;
+        let strips = rects
+            .iter()
+            .filter(|rect| !rect.is_empty())
+            .map(|&rect| {
+                let strip = Strip { rect, offset: len };
+                len += depth * rect.area();
+                strip
+            })
+            .collect();
+        Self { depth, strips, len }
+    }
+
+    /// The strips, in buffer order.
+    pub fn strips(&self) -> &[Strip] {
+        &self.strips
+    }
+
+    /// Values in a buffer of this layout: every strip's cells, once per slice.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// True when the layout holds no cell.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Splits one round of a rank's plan over this layout, once, so the
+    /// passes, the scatter and the update walk row ranges and intersect
+    /// nothing: every transfer region, and the `cells` the round's scatter
+    /// and update visit, as pieces, one per strip each meets.
+    ///
+    /// # Panics
+    /// Panics unless the strips hold every transfer region and every cell.
+    pub fn split(&self, passes: &RankPasses, cells: &[Rect]) -> StripPasses {
+        let mut pieces = Vec::new();
+        let sweeps = passes.sweeps.map(|step| {
+            [step.recv, step.send].map(|transfer| {
+                transfer.map(|transfer| (transfer, self.split_rect(transfer.region, &mut pieces)))
+            })
+        });
+        let start = pieces.len();
+        for &rect in cells {
+            self.split_rect(rect, &mut pieces);
+        }
+        StripPasses {
+            depth: self.depth,
+            len: self.len,
+            sweeps,
+            cells: start..pieces.len(),
+            pieces,
+        }
+    }
+
+    /// Appends `rect`'s pieces to `pieces`; returns their range.
+    fn split_rect(&self, rect: Rect, pieces: &mut Vec<Piece>) -> Range<usize> {
+        let start = pieces.len();
+        pieces.extend(self.strips.iter().filter_map(|&strip| {
+            let cells = rect.intersect(&strip.rect);
+            (!cells.is_empty()).then_some(Piece { strip, cells })
+        }));
+        let held: usize = pieces[start..].iter().map(|piece| piece.cells.area()).sum();
+        assert_eq!(held, rect.area(), "{rect:?} outside the strips");
+        start..pieces.len()
+    }
+}
+
+/// A planned message and the range of its region's pieces in
+/// [`StripPasses::pieces`].
+type SplitTransfer = (Transfer, Range<usize>);
+
+/// One round of a rank's plan split over a [`StripLayout`] by
+/// [`StripLayout::split`]: what [`run_planned_passes`] runs.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct StripPasses {
+    depth: usize,
+    /// The layout's buffer length.
+    len: usize,
+    /// Per sweep in running order, the receive then the send.
+    sweeps: [[Option<SplitTransfer>; 2]; 4],
+    /// The range of the round's visited cells' pieces in `pieces`.
+    cells: Range<usize>,
+    pieces: Vec<Piece>,
+}
+
+impl StripPasses {
+    /// The pieces of the cells the round's scatter and update visit.
+    pub(crate) fn cells(&self) -> &[Piece] {
+        &self.pieces[self.cells.clone()]
     }
 }
 
 /// Runs this rank's four planned sweeps of one round on its accumulation
-/// buffer. Provided the buffer was zero outside the rank's seed, it ends up
-/// equal (over its extended tile) to the sum of the accumulation buffers of
-/// every tile whose extended region overlaps it, and zero outside
-/// [`RankPasses::cover`]. Each sweep reads and writes only its own receive
-/// and send regions, so only [`RankPasses::shared`] is ever visited; a
-/// buffer that holds part of the extended tile takes the entry
-/// [`RankPasses::in_frame`] of its frame.
+/// buffer, `passes` split over the buffer's [`StripLayout`]. Provided the
+/// buffer was zero outside the rank's seed, it ends up equal (over the cells
+/// it holds) to the sum of the accumulation buffers of every tile whose
+/// extended region overlaps it, and zero outside [`RankPasses::cover`]. Each
+/// sweep reads and writes only its own receive and send regions, so only
+/// [`RankPasses::shared`] is ever visited, and the wire carries each region
+/// whole whatever strips hold it.
 ///
 /// Every rank of the grid must run the same round of the same plan, otherwise
 /// the blocking receives deadlock (on the lockstep backend the deadlock is
@@ -282,23 +420,34 @@ impl PassPlan {
 /// them by aliasing an `Arc` instead of deep-copying tile-sized buffers —
 /// and every payload buffer comes out of the rank's
 /// [`TilePayloadPool`], so the steady-state send path allocates nothing.
+///
+/// # Panics
+/// Panics unless `buffer` has the length of the layout `passes` was split
+/// over.
 pub fn run_planned_passes<C: RankComm<SharedTile>>(
     ctx: &mut C,
-    passes: &RankPasses,
-    buffer: &mut CArray3,
+    passes: &StripPasses,
+    buffer: &mut [Complex64],
     pool: &mut TilePayloadPool,
 ) -> Result<(), CommError> {
-    for (step, &(_, forward, tag)) in passes.sweeps.iter().zip(&SWEEPS) {
-        if let Some(Transfer { peer, region }) = step.recv {
-            let payload = ctx.recv(peer, tag)?;
+    assert_eq!(buffer.len(), passes.len, "buffer does not match the layout");
+    let at = |region, pieces: &Range<usize>| FlatRegion {
+        region,
+        depth: passes.depth,
+        pieces: &passes.pieces[pieces.clone()],
+    };
+    for ([recv, send], &(_, forward, tag)) in passes.sweeps.iter().zip(&SWEEPS) {
+        if let Some((Transfer { peer, region }, pieces)) = recv {
+            let payload = ctx.recv(*peer, tag)?;
+            let (at, data) = (at(*region, pieces), payload.values());
             if forward {
-                add_region_flat(buffer, region, payload.values());
+                apply_region_flat(buffer, at, data, |dst, src| *dst += src);
             } else {
-                set_region_flat(buffer, region, payload.values());
+                apply_region_flat(buffer, at, data, |dst, src| *dst = src);
             }
         }
-        if let Some(Transfer { peer, region }) = step.send {
-            send_pooled_region(ctx, pool, buffer, region, peer, tag);
+        if let Some((Transfer { peer, region }, pieces)) = send {
+            send_pooled_region(ctx, pool, buffer, at(*region, pieces), *peer, tag);
         }
     }
     Ok(())
@@ -316,7 +465,9 @@ pub fn run_accumulation_passes<C: RankComm<SharedTile>>(
 ) -> Result<(), CommError> {
     let whole_tiles: Vec<Rect> = grid.tiles().iter().map(|tile| tile.extended).collect();
     let plan = PassPlan::new(grid, &whole_tiles);
-    run_planned_passes(ctx, plan.passes(0, ctx.rank()), buffer, pool)
+    let layout = StripLayout::new(&[buffer.plane_bounds()], buffer.depth());
+    let passes = layout.split(plan.passes(0, ctx.rank()), &[]);
+    run_planned_passes(ctx, &passes, buffer.as_mut_slice(), pool)
 }
 
 /// The rank `(drow, dcol)` tiles away from this one, if the grid has it.

@@ -36,16 +36,18 @@
 //!   volume — at `T = 1` by an order of magnitude.
 //! * With local updates, `AccBuf` and the record of locally applied
 //!   gradients are touched only on the cells a pass sends or receives
-//!   ([`RankPasses::shared`]) and allocated only over their bounding box
-//!   over all rounds ([`PassPlan::frame`]; empty on one tile). Every other
+//!   ([`RankPasses::shared`]) and hold only those cells over all rounds, as
+//!   disjoint strips ([`PassPlan::strips`]; none on one tile). Every other
 //!   cell would take the same adds in both buffers, so step 15 would apply
 //!   `total − own = +0.0` there: step 7 and steps 14–16 skip it, and only
 //!   step 8 writes the volume over the whole window. The paper's buffer
 //!   spans the extended tile; the reconstruction is bit-identical.
+//!
+//! [`RankPasses::shared`]: crate::gradient_decomp::passes::RankPasses::shared
 
 use crate::config::SolverConfig;
 use crate::engine::{JobContext, ReconstructionResult, RecoveryPolicy, SolverKernel};
-use crate::gradient_decomp::passes::{run_planned_passes, PassPlan, RankPasses};
+use crate::gradient_decomp::passes::{run_planned_passes, PassPlan, StripLayout, StripPasses};
 use crate::tiling::TileGrid;
 use crate::worker::{AccBuffers, TileWorker};
 use ptycho_array::Rect;
@@ -176,9 +178,9 @@ struct GdKernel<'a> {
 /// accumulation buffers are zero at every iteration boundary.
 struct GdState {
     owned: Vec<ProbeLocation>,
-    /// This rank's part in every round of the plan, in the frame of
-    /// `buffers`.
-    rounds: Vec<RankPasses>,
+    /// This rank's part in every round of the plan, split over the strips
+    /// of `buffers`.
+    rounds: Vec<StripPasses>,
     buffers: AccBuffers,
     /// Recycles the pass-message payload buffers, so steady-state sends
     /// allocate nothing.
@@ -219,17 +221,29 @@ impl SolverKernel for GdKernel<'_> {
         );
         // The accumulation buffer (and, with local updates, the record of
         // what was already applied locally) live on the GPU too: with local
-        // updates over the band the plan ever exchanges, without them over
-        // the whole extended tile, whose cover the update sweeps.
-        let frame = if self.config.local_updates {
-            self.plan.frame(rank)
+        // updates over the cells the plan ever exchanges, without them over
+        // the whole extended tile, whose cover the update sweeps. The round
+        // visits the same cells: what a pass exchanges (elsewhere `acc` and
+        // `own` would take the same adds and the update would apply `+0.0`),
+        // or the cover, which holds every cell the round's windows touch.
+        let strips = if self.config.local_updates {
+            self.plan.strips(rank)
         } else {
-            Rect::of_shape(tile.extended.rows(), tile.extended.cols())
+            vec![tile.extended.to_local(&tile.extended)]
         };
-        let buffers = AccBuffers::new(frame, slices, self.config.local_updates, ctx.memory_mut());
+        let layout = StripLayout::new(&strips, slices);
         let rounds = (0..self.plan.rounds())
-            .map(|round| self.plan.passes(round, rank).in_frame(frame))
+            .map(|round| {
+                let passes = self.plan.passes(round, rank);
+                let cells = if self.config.local_updates {
+                    &passes.shared
+                } else {
+                    &passes.cover
+                };
+                layout.split(passes, cells)
+            })
             .collect();
+        let buffers = AccBuffers::new(&layout, self.config.local_updates, ctx.memory_mut());
         let state = GdState {
             owned,
             rounds,
@@ -254,15 +268,7 @@ impl SolverKernel for GdKernel<'_> {
         } = state;
         let mut iteration_cost = 0.0;
         for (round, passes) in rounds.iter().enumerate() {
-            // The buffer cells the round reads back: with local updates only
-            // what a pass exchanges (elsewhere `acc` and `own` would take the
-            // same adds and the update would apply `+0.0`), without them the
-            // cover, which holds every cell the round's windows touch.
-            let cells = if self.config.local_updates {
-                &passes.shared
-            } else {
-                &passes.cover
-            };
+            let cells = passes.cells();
             for loc in round_share(owned, round, rounds.len()) {
                 let loss = ctx.clock_mut().compute(|| worker.compute_gradient(loc));
                 iteration_cost += loss;
@@ -347,15 +353,28 @@ mod tests {
 
     #[test]
     fn accumulation_buffer_charge_equals_the_bytes_held() {
-        // With local updates both buffers span the rank's frame: nothing on
-        // one tile, the overlap band on 2×1. Without them `acc` alone spans
-        // the whole extended tile.
+        // With local updates both buffers hold the rank's strips, the cells
+        // its passes exchange: nothing on one tile, part of the overlap band
+        // on 2×1. Without them `acc` alone spans the whole extended tile.
+        // On 3×3 at `T = 1` every rank's strips are exactly the union of its
+        // rounds' shared cells, and with an 8-px halo (at 20 px the overlaps
+        // fill the centre tile) the centre rank holds fewer cells than their
+        // bounding box.
         let dataset = tiny_dataset();
         let initial = dataset.initial_guess();
         let slices = dataset.object_shape().0;
-        for (grid, local_updates) in [((1, 1), true), ((2, 1), true), ((2, 1), false)] {
+        let default = SolverConfig::default().pass_frequency;
+        let cases = [
+            ((1, 1), true, default, 20),
+            ((2, 1), true, default, 20),
+            ((2, 1), false, default, 20),
+            ((3, 3), true, PassFrequency::EveryProbe, 8),
+        ];
+        for (grid, local_updates, pass_frequency, halo_px) in cases {
             let config = SolverConfig {
                 local_updates,
+                pass_frequency,
+                halo_px,
                 ..quick_config(1)
             };
             let solver = GradientDecompositionSolver::new(&dataset, config, grid);
@@ -369,24 +388,71 @@ mod tests {
             };
             ptycho_cluster::LockstepBackend::new(ClusterTopology::summit())
                 .run::<SharedTile, (), _>(grid.0 * grid.1, |ctx| {
-                    let extended = solver.grid().tile(ctx.rank()).extended;
+                    let rank = ctx.rank();
+                    let extended = solver.grid().tile(rank).extended;
+                    let tile = extended.to_local(&extended);
                     let (_, state) = kernel.init(ctx);
-                    let AccBuffers { frame, acc, own } = &state.buffers;
+                    let AccBuffers { acc, own } = &state.buffers;
                     assert_eq!(own.is_some(), local_updates);
-                    assert_eq!(acc.shape(), (slices, frame.rows(), frame.cols()));
-                    let held = acc.len() + own.as_ref().map_or(0, |b| b.len());
+                    let strips = if local_updates {
+                        plan.strips(rank)
+                    } else {
+                        vec![tile]
+                    };
+                    let layout = StripLayout::new(&strips, slices);
+                    assert_eq!(acc.len(), layout.len());
+                    assert_eq!(own.as_ref().map_or(acc.len(), Vec::len), acc.len());
+                    let held = acc.len() + own.as_ref().map_or(0, Vec::len);
                     assert_eq!(
                         ctx.memory_mut()
                             .current_of(MemoryCategory::AccumulationBuffer),
                         held * BYTES_PER_COMPLEX
                     );
+                    let cells: usize = strips.iter().map(Rect::area).sum();
+                    assert_eq!(layout.len(), cells * slices);
+                    let bounding_box = strips
+                        .iter()
+                        .fold(Rect::empty(), |b, r| b.bounding_union(r));
                     match (grid, local_updates) {
                         ((1, 1), _) => assert_eq!(held, 0),
-                        // The 40-row overlap band of a 68 × 96 extended tile.
-                        (_, true) => {
-                            assert_eq!((frame.shape(), extended.shape()), ((40, 96), (68, 96)))
+                        // Inside the 40-row overlap band of a 68 × 96
+                        // extended tile.
+                        ((2, 1), true) => {
+                            assert_eq!(
+                                (bounding_box.shape(), extended.shape()),
+                                ((40, 96), (68, 96))
+                            )
                         }
-                        (_, false) => assert_eq!(*frame, extended.to_local(&extended)),
+                        ((2, 1), false) => assert_eq!(strips, [tile]),
+                        _ => {
+                            let shared: Vec<&Rect> = (0..plan.rounds())
+                                .flat_map(|round| &plan.passes(round, rank).shared)
+                                .collect();
+                            for (i, a) in strips.iter().enumerate() {
+                                assert!(!a.is_empty() && tile.contains_rect(a), "{a:?}");
+                                assert!(strips[i + 1..].iter().all(|b| !a.intersects(b)));
+                            }
+                            let in_strips = |r, c| strips.iter().any(|s| s.contains(r, c));
+                            let in_shared = |r, c| shared.iter().any(|s| s.contains(r, c));
+                            for (r, c) in (tile.row0..tile.row1)
+                                .flat_map(|r| (tile.col0..tile.col1).map(move |c| (r, c)))
+                            {
+                                assert_eq!(in_strips(r, c), in_shared(r, c), "({r}, {c})");
+                            }
+                            for round in 0..plan.rounds() {
+                                let passes = plan.passes(round, rank);
+                                let transfers = passes.sweeps.iter().flat_map(|s| [s.recv, s.send]);
+                                let regions = transfers.flatten().map(|t| t.region);
+                                for rect in passes.shared.iter().copied().chain(regions) {
+                                    let inside: usize =
+                                        strips.iter().map(|s| s.intersect(&rect).area()).sum();
+                                    assert_eq!(inside, rect.area(), "round {round}: {rect:?}");
+                                }
+                            }
+                            if rank == solver.grid().rank_at(1, 1) {
+                                assert!(cells < bounding_box.area(), "{cells} cells held");
+                            }
+                        }
                     }
                     Ok(())
                 })

@@ -9,7 +9,7 @@
 use crate::config::SolverConfig;
 use crate::engine::{JobContext, ReconstructionResult, RecoveryPolicy, SolverKernel};
 use crate::tiling::{TileGrid, TileInfo};
-use crate::worker::{send_pooled_region, set_region_flat, TileWorker};
+use crate::worker::{send_pooled_volume_region, set_region_flat, TileWorker};
 use ptycho_cluster::{CommBackend, CommError, RankComm, RankFailure, SharedTile, TilePayloadPool};
 use ptycho_fft::CArray3;
 use ptycho_sim::dataset::Dataset;
@@ -264,7 +264,7 @@ impl SolverKernel for HveKernel<'_> {
                 continue;
             }
             let send_local = send_region_global.to_local(&tile.extended);
-            send_pooled_region(
+            send_pooled_volume_region(
                 ctx,
                 pool,
                 worker.volume(),

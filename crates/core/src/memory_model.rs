@@ -20,8 +20,8 @@
 //! `AccBuf` over the whole extended tile, as the paper's Algorithm 1 and
 //! tables do, and its rows stay that way so they keep reproducing the
 //! paper. With local updates the running program holds its two buffers
-//! only over the band its directional passes exchange (`PassPlan::frame`),
-//! none at all on a single tile, so its measured
+//! only over the union of the cells its directional passes exchange
+//! (`PassPlan::strips`), none at all on a single tile, so its measured
 //! `AccumulationBuffer` charge is smaller than this model's.
 
 use crate::tiling::TileGrid;

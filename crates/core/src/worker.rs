@@ -1,6 +1,7 @@
 //! Per-rank tile state shared by both decomposition solvers.
 
 use crate::config::SolverConfig;
+use crate::gradient_decomp::passes::{Piece, Strip, StripLayout};
 use crate::tiling::TileInfo;
 use ptycho_array::{Array3, Rect};
 use ptycho_cluster::{HardwareModel, MemoryCategory, MemoryTracker};
@@ -139,9 +140,9 @@ impl<'a> TileWorker<'a> {
     /// of Algorithm 1, `AccBuf_k += ∂f_i/∂V_k`, and with local updates also
     /// `own += ∂f_i/∂V_k` and step 8, `V_k ← V_k − α·∂f_i/∂V_k`. The volume
     /// takes the whole window; the buffers only its part inside `cells`
-    /// (frame-local rectangles, clipped to the frame). Each cell visited
-    /// gets the operations separate scatters of the widened gradient would
-    /// give it. Allocation-free.
+    /// (disjoint pieces of the buffers' strips). Each cell visited gets the
+    /// operations separate scatters of the widened gradient would give it.
+    /// Allocation-free.
     ///
     /// The solver passes the round's [`RankPasses::shared`] cells with
     /// local updates, and its cover without them, which holds every cell of
@@ -152,18 +153,13 @@ impl<'a> TileWorker<'a> {
         &mut self,
         loc: &ProbeLocation,
         buffers: &mut AccBuffers,
-        cells: &[Rect],
+        cells: &[Piece],
     ) {
         let window = self.local_window(loc);
         let shape = self.volume.shape();
         check_block(shape, window, &self.gradient);
         let g = self.gradient.as_slice();
-        let AccBuffers { frame, acc, own } = buffers;
-        let frame = *frame;
-        let (acc, mut own) = (
-            acc.as_mut_slice(),
-            own.as_mut().map(|own| own.as_mut_slice()),
-        );
+        let (acc, mut own) = (buffers.acc.as_mut_slice(), buffers.own.as_deref_mut());
         if own.is_some() {
             let (volume, factor) = (self.volume.as_mut_slice(), -self.step);
             for (dst, src) in block_rows(shape, window) {
@@ -172,9 +168,10 @@ impl<'a> TileWorker<'a> {
                 }
             }
         }
-        for rect in cells {
-            let hit = window.intersect(&rect.to_global(&frame).intersect(&frame));
-            let rows = frame_rows(shape.0, frame, hit).zip(frame_rows(shape.0, window, hit));
+        let block = Strip::alone(window);
+        for piece in cells {
+            let hit = window.intersect(&piece.cells);
+            let rows = piece.strip.rows(shape.0, hit).zip(block.rows(shape.0, hit));
             for (dst, src) in rows {
                 match own.as_deref_mut() {
                     Some(own) => {
@@ -196,7 +193,7 @@ impl<'a> TileWorker<'a> {
     }
 
     /// Steps 14–16 of Algorithm 1 in one sweep over the disjoint `cells`
-    /// (frame-local rectangles, clipped to the frame): `V_k ← V_k −
+    /// (pieces of the buffers' strips, inside the tile): `V_k ← V_k −
     /// α·(total − own)`, `own` being what this tile already applied locally
     /// (`α·total` without it), then `+0.0` into each visited buffer cell.
     /// Where `total` is zero, or equals `own` bit for bit, the update is a
@@ -205,20 +202,18 @@ impl<'a> TileWorker<'a> {
     /// cover without them.
     ///
     /// [`RankPasses::shared`]: crate::gradient_decomp::passes::RankPasses::shared
-    pub fn update_and_reset(&mut self, buffers: &mut AccBuffers, cells: &[Rect]) {
-        let plane = self.volume.plane_bounds();
+    pub fn update_and_reset(&mut self, buffers: &mut AccBuffers, cells: &[Piece]) {
+        let plane = Strip::alone(self.volume.plane_bounds());
         let depth = self.slices;
-        let AccBuffers { frame, acc, own } = buffers;
-        let frame = *frame;
-        assert!(
-            plane.contains_rect(&frame),
-            "frame {frame:?} outside the tile"
-        );
-        let mut own = own.as_mut().map(|own| own.as_mut_slice());
-        let (volume, total) = (self.volume.as_mut_slice(), acc.as_mut_slice());
-        for rect in cells {
-            let hit = rect.to_global(&frame).intersect(&frame);
-            for (row, buf) in frame_rows(depth, plane, hit).zip(frame_rows(depth, frame, hit)) {
+        let mut own = buffers.own.as_deref_mut();
+        let (volume, total) = (self.volume.as_mut_slice(), buffers.acc.as_mut_slice());
+        for piece in cells {
+            assert!(
+                plane.rect.contains_rect(&piece.cells),
+                "{piece:?} outside the tile"
+            );
+            let rows = plane.rows(depth, piece.cells);
+            for (row, buf) in rows.zip(piece.strip.rows(depth, piece.cells)) {
                 let pairs = volume[row].iter_mut().zip(&mut total[buf.clone()]);
                 match own.as_deref_mut() {
                     Some(own) => {
@@ -269,51 +264,28 @@ impl<'a> TileWorker<'a> {
 }
 
 /// The accumulation buffers of Algorithm 1 — `AccBuf`, and with local
-/// updates `own`, what the tile has already applied itself — held over
-/// `frame`, a tile-local rectangle: one `frame`-shaped plane per slice,
-/// all `+0.0` at every round boundary.
+/// updates `own`, what the tile has already applied itself — held over the
+/// strips of a [`StripLayout`], all `+0.0` at every round boundary.
 pub(crate) struct AccBuffers {
-    /// The part of the extended tile the buffers hold (tile-local).
-    pub frame: Rect,
-    pub acc: CArray3,
-    pub own: Option<CArray3>,
+    pub acc: Vec<Complex64>,
+    pub own: Option<Vec<Complex64>>,
 }
 
 impl AccBuffers {
-    /// Zeroed buffers over `frame` for a volume of `slices` slices (`own`
-    /// only with local updates), charged to `memory` at the bytes they hold.
-    pub fn new(
-        frame: Rect,
-        slices: usize,
-        local_updates: bool,
-        memory: &mut MemoryTracker,
-    ) -> Self {
+    /// Zeroed buffers over `layout` (`own` only with local updates),
+    /// charged to `memory` at the bytes they hold.
+    pub fn new(layout: &StripLayout, local_updates: bool, memory: &mut MemoryTracker) -> Self {
         let mut zeroed = || {
             memory.allocate(
                 MemoryCategory::AccumulationBuffer,
-                frame.area() * slices * BYTES_PER_COMPLEX,
+                layout.len() * BYTES_PER_COMPLEX,
             );
-            Array3::full(slices, frame.rows(), frame.cols(), Complex64::ZERO)
+            vec![Complex64::ZERO; layout.len()]
         };
         let acc = zeroed();
         let own = local_updates.then(zeroed);
-        Self { frame, acc, own }
+        Self { acc, own }
     }
-}
-
-/// The flat index range of each row of `cells`, slice by slice, in an array
-/// of `depth` `frame`-shaped planes; `cells` lies inside `frame`, both in
-/// the same coordinates.
-fn frame_rows(depth: usize, frame: Rect, cells: Rect) -> impl Iterator<Item = Range<usize>> {
-    let (rows, cols) = frame.shape();
-    let (row0, col0) = (cells.row0 - frame.row0, cells.col0 - frame.col0);
-    let (height, width) = cells.shape();
-    (0..depth).flat_map(move |s| {
-        (0..height).map(move |r| {
-            let start = (s * rows + (row0 as usize + r)) * cols + col0 as usize;
-            start..start + width
-        })
-    })
 }
 
 /// The flat index ranges of every row of `region`'s part inside the plane,
@@ -323,9 +295,10 @@ fn block_rows(
     (depth, rows, cols): (usize, usize, usize),
     region: Rect,
 ) -> impl Iterator<Item = (Range<usize>, Range<usize>)> {
-    let plane = Rect::of_shape(rows, cols);
-    let clipped = region.intersect(&plane);
-    frame_rows(depth, plane, clipped).zip(frame_rows(depth, region, clipped))
+    let plane = Strip::alone(Rect::of_shape(rows, cols));
+    let clipped = region.intersect(&plane.rect);
+    let rows = plane.rows(depth, clipped);
+    rows.zip(Strip::alone(region).rows(depth, clipped))
 }
 
 /// Panics unless `block` holds one `region`-shaped sub-plane per slice of a
@@ -357,6 +330,55 @@ fn add_region_scaled(volume: &mut CArray3, region: Rect, block: &Array3<Complex3
     }
 }
 
+/// A wire-format region and where its cells lie in a flat complex buffer of
+/// `depth` slices: the disjoint `pieces` of `region` the buffer holds, one
+/// per strip they lie in. Cells of `region` no piece holds travel as zero
+/// and are not written.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct FlatRegion<'a> {
+    pub region: Rect,
+    pub depth: usize,
+    pub pieces: &'a [Piece],
+}
+
+impl FlatRegion<'_> {
+    /// The region's length on the wire, in `f64`s.
+    fn flat_len(&self) -> usize {
+        self.depth * self.region.area() * 2
+    }
+
+    /// The flat range of every row of every piece, slice by slice, paired
+    /// with the same cells' range in the wire payload (in `f64`s).
+    fn rows(&self) -> impl Iterator<Item = (Range<usize>, Range<usize>)> + '_ {
+        let wire = Strip::alone(self.region);
+        self.pieces.iter().flat_map(move |piece| {
+            let wire_rows = wire.rows(self.depth, piece.cells);
+            let rows = piece.strip.rows(self.depth, piece.cells);
+            rows.zip(wire_rows.map(|row| 2 * row.start..2 * row.end))
+        })
+    }
+}
+
+/// Runs `f` on `region` of a volume of `shape` as a [`FlatRegion`]: a
+/// volume is one strip over its plane, and the region's one piece is its
+/// part inside the plane (none when it misses the plane).
+fn in_volume<R>(
+    (depth, rows, cols): (usize, usize, usize),
+    region: Rect,
+    f: impl FnOnce(FlatRegion<'_>) -> R,
+) -> R {
+    let plane = Rect::of_shape(rows, cols);
+    let piece = [Piece {
+        strip: Strip::alone(plane),
+        cells: region.intersect(&plane),
+    }];
+    f(FlatRegion {
+        region,
+        depth,
+        pieces: &piece,
+    })
+}
+
 /// Flattens the values of `region` (tile-local coordinates) of a complex
 /// volume into an interleaved `re, im` vector, slice-major then row-major —
 /// the wire format of every gradient/voxel message. Cells of `region` outside
@@ -364,30 +386,30 @@ fn add_region_scaled(volume: &mut CArray3, region: Rect, block: &Array3<Complex3
 /// use [`extract_region_flat_into`] over a pooled buffer instead.
 #[cfg(test)]
 pub(crate) fn extract_region_flat(volume: &CArray3, region: Rect) -> Vec<f64> {
-    let (rows, cols) = region.shape();
-    let mut out = vec![0.0; volume.depth() * rows * cols * 2];
-    extract_region_flat_into(volume, region, &mut out);
-    out
+    in_volume(volume.shape(), region, |at| {
+        let mut out = vec![0.0; at.flat_len()];
+        extract_region_flat_into(volume.as_slice(), at, &mut out);
+        out
+    })
 }
 
-/// Extracts `region` of `buffer` into a pooled payload and sends it — the
-/// one allocation-free send path shared by the directional passes and the
-/// HVE voxel paste. The tile retired back into the pool keeps its buffer
-/// alive until every comm-layer alias has been dropped, at which point the
-/// pool recycles it.
+/// Extracts `at` of `buffer` into a pooled payload and sends it — the one
+/// allocation-free send path shared by the directional passes and the HVE
+/// voxel paste. The tile retired back into the pool keeps its buffer alive
+/// until every comm-layer alias has been dropped, at which point the pool
+/// recycles it.
 pub(crate) fn send_pooled_region<C: ptycho_cluster::RankComm<ptycho_cluster::SharedTile>>(
     ctx: &mut C,
     pool: &mut ptycho_cluster::TilePayloadPool,
-    buffer: &CArray3,
-    region: Rect,
+    buffer: &[Complex64],
+    at: FlatRegion<'_>,
     to: usize,
     tag: u64,
 ) {
-    let (rows, cols) = region.shape();
-    let mut tile = pool.acquire(buffer.depth() * rows * cols * 2);
+    let mut tile = pool.acquire(at.flat_len());
     extract_region_flat_into(
         buffer,
-        region,
+        at,
         tile.unique_values_mut()
             .expect("freshly acquired tiles are unaliased"),
     );
@@ -395,82 +417,83 @@ pub(crate) fn send_pooled_region<C: ptycho_cluster::RankComm<ptycho_cluster::Sha
     pool.retire(tile);
 }
 
-/// [`extract_region_flat`] into a caller-owned buffer of exactly
-/// `slices * rows * cols * 2` values (a pooled
-/// [`ptycho_cluster::SharedTile`] payload), so the steady-state multi-rank
-/// send path performs no allocation. The buffer's previous contents are
-/// fully overwritten (out-of-volume cells with zero; a region inside the
-/// volume — every pass region — needs no zero pre-fill).
-pub(crate) fn extract_region_flat_into(volume: &CArray3, region: Rect, out: &mut [f64]) {
-    let slices = volume.depth();
-    let (rows, cols) = region.shape();
+/// Sends `region` of a volume from a pooled payload ([`send_pooled_region`]
+/// over the volume's one strip).
+pub(crate) fn send_pooled_volume_region<C: ptycho_cluster::RankComm<ptycho_cluster::SharedTile>>(
+    ctx: &mut C,
+    pool: &mut ptycho_cluster::TilePayloadPool,
+    volume: &CArray3,
+    region: Rect,
+    to: usize,
+    tag: u64,
+) {
+    in_volume(volume.shape(), region, |at| {
+        send_pooled_region(ctx, pool, volume.as_slice(), at, to, tag);
+    });
+}
+
+/// Flattens `at` of `buffer` into a caller-owned buffer of exactly its wire
+/// length (a pooled [`ptycho_cluster::SharedTile`] payload), row slice by
+/// row slice, so the steady-state multi-rank send path performs no
+/// allocation. The buffer's previous contents are fully overwritten: cells
+/// no piece holds with zero (a region the pieces tile — every pass region —
+/// needs no zero pre-fill).
+pub(crate) fn extract_region_flat_into(buffer: &[Complex64], at: FlatRegion<'_>, out: &mut [f64]) {
     assert_eq!(
         out.len(),
-        slices * rows * cols * 2,
+        at.flat_len(),
         "payload buffer must match the region's flat size"
     );
-    let bounds = volume.plane_bounds();
-    let clipped = region.intersect(&bounds);
-    if clipped != region {
+    let held: usize = at.pieces.iter().map(|piece| piece.cells.area()).sum();
+    if held != at.region.area() {
         out.fill(0.0);
     }
-    let vol_cols = volume.cols();
-    for s in 0..slices {
-        let plane = volume.slice_data(s);
-        for gr in clipped.row0..clipped.row1 {
-            let lr = (gr - region.row0) as usize;
-            for gc in clipped.col0..clipped.col1 {
-                let lc = (gc - region.col0) as usize;
-                let idx = 2 * ((s * rows + lr) * cols + lc);
-                let v = plane[gr as usize * vol_cols + gc as usize];
-                out[idx] = v.re;
-                out[idx + 1] = v.im;
-            }
+    for (src, dst) in at.rows() {
+        for (pair, v) in out[dst].chunks_exact_mut(2).zip(&buffer[src]) {
+            pair[0] = v.re;
+            pair[1] = v.im;
         }
     }
 }
 
-/// Adds interleaved `re, im` values into `region` of a complex volume
-/// (the gradient-accumulation receive).
+/// Adds interleaved `re, im` values into `region` of a complex volume,
+/// clipped to the volume: a forward sweep's receive over a whole tile.
+#[cfg(test)]
 pub(crate) fn add_region_flat(volume: &mut CArray3, region: Rect, data: &[f64]) {
-    apply_region_flat(volume, region, data, |dst, src| *dst += src);
+    in_volume(volume.shape(), region, |at| {
+        apply_region_flat(volume.as_mut_slice(), at, data, |dst, src| *dst += src);
+    });
 }
 
 /// Overwrites `region` of a complex volume with interleaved `re, im` values
-/// (the backward-pass replace, and the HVE voxel paste).
+/// (the backward-pass replace, and the HVE voxel paste), clipped to the
+/// volume.
 pub(crate) fn set_region_flat(volume: &mut CArray3, region: Rect, data: &[f64]) {
-    apply_region_flat(volume, region, data, |dst, src| *dst = src);
+    in_volume(volume.shape(), region, |at| {
+        apply_region_flat(volume.as_mut_slice(), at, data, |dst, src| *dst = src);
+    });
 }
 
-fn apply_region_flat(
-    volume: &mut CArray3,
-    region: Rect,
+/// Applies `op(cell, value)` to every cell of `at` held in `buffer`, row
+/// slice by row slice, `value` read from the interleaved `re, im` payload
+/// `data` — the one receive path of the passes and the HVE paste.
+pub(crate) fn apply_region_flat(
+    buffer: &mut [Complex64],
+    at: FlatRegion<'_>,
     data: &[f64],
     mut op: impl FnMut(&mut Complex64, Complex64),
 ) {
-    let slices = volume.depth();
-    let (rows, cols) = region.shape();
     assert_eq!(
         data.len(),
-        slices * rows * cols * 2,
+        at.flat_len(),
         "flat payload length {} does not match region {:?} x {} slices",
         data.len(),
-        region,
-        slices
+        at.region,
+        at.depth
     );
-    let bounds = volume.plane_bounds();
-    let clipped = region.intersect(&bounds);
-    let vol_cols = volume.cols();
-    for s in 0..slices {
-        let plane = volume.slice_data_mut(s);
-        for gr in clipped.row0..clipped.row1 {
-            let lr = (gr - region.row0) as usize;
-            for gc in clipped.col0..clipped.col1 {
-                let lc = (gc - region.col0) as usize;
-                let idx = 2 * ((s * rows + lr) * cols + lc);
-                let value = Complex64::new(data[idx], data[idx + 1]);
-                op(&mut plane[gr as usize * vol_cols + gc as usize], value);
-            }
+    for (dst, src) in at.rows() {
+        for (cell, pair) in buffer[dst].iter_mut().zip(data[src].chunks_exact(2)) {
+            op(cell, Complex64::new(pair[0], pair[1]));
         }
     }
 }
@@ -478,6 +501,7 @@ fn apply_region_flat(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gradient_decomp::passes::RankPasses;
     use crate::tiling::TileGrid;
     use ptycho_array::Array3;
     use ptycho_sim::dataset::SyntheticConfig;
@@ -548,8 +572,12 @@ mod tests {
         assert_eq!(target[(0, 0, 0)], Complex64::ZERO);
     }
 
-    fn bits(v: &CArray3) -> Vec<(u64, u64)> {
+    fn flat_bits(v: &[Complex64]) -> Vec<(u64, u64)> {
         v.iter().map(|c| (c.re.to_bits(), c.im.to_bits())).collect()
+    }
+
+    fn bits(v: &CArray3) -> Vec<(u64, u64)> {
+        flat_bits(v.as_slice())
     }
 
     /// Inside, hanging over each edge and corner, wider than the plane, and
@@ -585,23 +613,43 @@ mod tests {
         }
     }
 
+    /// The values a buffer of `layout` holds of a tile-shaped volume.
+    fn gather(layout: &StripLayout, whole: &CArray3) -> Vec<Complex64> {
+        let strips = layout.strips().iter();
+        strips
+            .flat_map(|strip| whole.extract_region(strip.rect).as_slice().to_vec())
+            .collect()
+    }
+
+    /// `cells` split into pieces of `layout`'s strips.
+    fn pieces(layout: &StripLayout, cells: &[Rect]) -> Vec<Piece> {
+        let idle = RankPasses {
+            sweeps: Default::default(),
+            cover: Vec::new(),
+            shared: Vec::new(),
+        };
+        layout.split(&idle, cells).cells().to_vec()
+    }
+
     #[test]
     fn fused_scatter_matches_the_three_separate_scatters() {
         // Windows clipped at every tile edge, with and without local
-        // updates, over buffers that hold the bounding box of a cell set
-        // cutting the windows: none, one strip, two disjoint strips, the
-        // whole tile. The references are `acc += g` and `own += g` of the
-        // widened gradient by `Array3::add_region` over each window ∩ cell
-        // rect, and `V += g·(−α)` by the HVE update over the whole window.
+        // updates, over buffers that hold a cell set cutting the windows —
+        // none, one strip, two disjoint strips, the whole tile — either as
+        // those strips or as their bounding box. The references are `acc
+        // += g` and `own += g` of the widened gradient by
+        // `Array3::add_region` over each window ∩ cell rect of a
+        // tile-shaped volume, and `V += g·(−α)` by the HVE update over the
+        // whole window.
         let dataset = Dataset::synthesize(SyntheticConfig::tiny());
         let mut worker = tiny_worker(&dataset);
         let (depth, rows, cols) = worker.volume().shape();
-        let (rows, cols) = (rows as i64, cols as i64);
-        let seeded = |frame: Rect, seed: f64| {
-            Array3::from_fn(depth, frame.rows(), frame.cols(), |s, r, c| {
+        let seeded = |seed: f64| {
+            Array3::from_fn(depth, rows, cols, |s, r, c| {
                 Complex64::new((s + r * c) as f64 * seed, (r as f64 - c as f64) / seed)
             })
         };
+        let (rows, cols) = (rows as i64, cols as i64);
         let cell_sets: [&[Rect]; 4] = [
             &[],
             &[Rect::new(0, 3, rows, 4)],
@@ -628,40 +676,90 @@ mod tests {
                 window: window.to_global(&worker.tile.extended),
                 radius_px: 1.0,
             };
-            for (local_updates, set) in [false, true]
-                .into_iter()
-                .flat_map(|local| cell_sets.iter().map(move |set| (local, set)))
-            {
-                let frame = set.iter().fold(Rect::empty(), |f, r| f.bounding_union(r));
-                let cells: Vec<Rect> = set.iter().map(|rect| rect.to_local(&frame)).collect();
-                let mut buffers = AccBuffers {
-                    frame,
-                    acc: seeded(frame, 0.5),
-                    own: local_updates.then(|| seeded(frame, 1.5)),
+            for (local_updates, set, boxed) in [false, true].into_iter().flat_map(|local| {
+                cell_sets
+                    .iter()
+                    .flat_map(move |set| [(local, set, false), (local, set, true)])
+            }) {
+                let bounding_box = set.iter().fold(Rect::empty(), |f, r| f.bounding_union(r));
+                let layout = if boxed {
+                    StripLayout::new(&[bounding_box], depth)
+                } else {
+                    StripLayout::new(set, depth)
                 };
-                let (mut acc_ref, mut own_ref) = (buffers.acc.clone(), buffers.own.clone());
+                let cells = pieces(&layout, set);
+                let (mut acc_ref, mut own_ref) = (seeded(0.5), seeded(1.5));
+                let mut buffers = AccBuffers {
+                    acc: gather(&layout, &acc_ref),
+                    own: local_updates.then(|| gather(&layout, &own_ref)),
+                };
                 let volume_before = worker.volume().clone();
                 for hit in set.iter().map(|rect| window.intersect(rect)) {
                     let g = wide.extract_region(hit.to_local(&window));
-                    acc_ref.add_region(hit.to_local(&frame), &g);
-                    if let Some(own_ref) = own_ref.as_mut() {
-                        own_ref.add_region(hit.to_local(&frame), &g);
-                    }
+                    acc_ref.add_region(hit, &g);
+                    own_ref.add_region(hit, &g);
                 }
                 let mut volume_ref = volume_before.clone();
                 if local_updates {
                     add_region_scaled(&mut volume_ref, window, &gradient, -worker.step);
                 }
                 worker.scatter_gradient(&loc, &mut buffers, &cells);
-                let case = format!("window {window:?}, cells {set:?}, local {local_updates}");
-                assert_eq!(bits(&buffers.acc), bits(&acc_ref), "acc, {case}");
+                let case =
+                    format!("window {window:?}, cells {set:?}, local {local_updates}, {boxed}");
+                let want = |whole: &CArray3| flat_bits(&gather(&layout, whole));
+                assert_eq!(flat_bits(&buffers.acc), want(&acc_ref), "acc, {case}");
                 assert_eq!(
-                    buffers.own.as_ref().map(bits),
-                    own_ref.as_ref().map(bits),
+                    buffers.own.as_deref().map(flat_bits),
+                    local_updates.then(|| want(&own_ref)),
                     "own, {case}"
                 );
                 assert_eq!(bits(worker.volume()), bits(&volume_ref), "volume, {case}");
                 *worker.volume_mut() = volume_before;
+            }
+        }
+    }
+
+    #[test]
+    fn flat_regions_across_strips_match_the_volume_wire_format() {
+        // A region held in pieces of several strips travels exactly as the
+        // same region of a whole volume: the same payload out, the same
+        // cells written in.
+        let vol = volume_with_pattern();
+        let strips = [
+            Rect::new(0, 0, 2, 6),
+            Rect::new(2, 0, 3, 2),
+            Rect::new(2, 2, 3, 4),
+            Rect::new(5, 1, 1, 5),
+        ];
+        let layout = StripLayout::new(&strips, vol.depth());
+        for region in [
+            Rect::new(1, 1, 4, 4),
+            Rect::new(0, 0, 5, 6),
+            Rect::new(5, 2, 1, 3),
+        ] {
+            let pieces = pieces(&layout, &[region]);
+            let at = FlatRegion {
+                region,
+                depth: vol.depth(),
+                pieces: &pieces,
+            };
+            let want = extract_region_flat(&vol, region);
+            let mut got = vec![f64::NAN; want.len()];
+            extract_region_flat_into(&gather(&layout, &vol), at, &mut got);
+            assert_eq!(got, want, "{region:?}");
+
+            let data: Vec<f64> = (0..want.len()).map(|i| i as f64 * 0.5 - 3.0).collect();
+            let (mut added, mut set) = (vol.clone(), vol.clone());
+            add_region_flat(&mut added, region, &data);
+            set_region_flat(&mut set, region, &data);
+            for (whole, op) in [(added, true), (set, false)] {
+                let mut buffer = gather(&layout, &vol);
+                if op {
+                    apply_region_flat(&mut buffer, at, &data, |dst, src| *dst += src);
+                } else {
+                    apply_region_flat(&mut buffer, at, &data, |dst, src| *dst = src);
+                }
+                assert_eq!(flat_bits(&buffer), flat_bits(&gather(&layout, &whole)));
             }
         }
     }
@@ -743,15 +841,17 @@ mod tests {
         worker.volume_mut().as_mut_slice()[..n].clone_from_slice(values.as_slice());
         let before = bits(worker.volume());
         let (whole, depth) = (worker.volume().plane_bounds(), worker.volume().depth());
+        let layout = StripLayout::new(&[whole], depth);
         let zeroed =
-            |local_updates| AccBuffers::new(whole, depth, local_updates, &mut MemoryTracker::new());
+            |local_updates| AccBuffers::new(&layout, local_updates, &mut MemoryTracker::new());
         let (mut without, mut with) = (zeroed(false), zeroed(true));
-        worker.update_and_reset(&mut without, &[whole]);
-        worker.update_and_reset(&mut with, &[whole]);
+        let cells = pieces(&layout, &[whole]);
+        worker.update_and_reset(&mut without, &cells);
+        worker.update_and_reset(&mut with, &cells);
         assert_eq!(bits(worker.volume()), before);
-        let zeros = bits(&zeroed(false).acc);
+        let zeros = flat_bits(&zeroed(false).acc);
         for buffer in [&without.acc, &with.acc, with.own.as_ref().unwrap()] {
-            assert_eq!(bits(buffer), zeros);
+            assert_eq!(flat_bits(buffer), zeros);
         }
     }
 
@@ -760,44 +860,60 @@ mod tests {
         let dataset = Dataset::synthesize(SyntheticConfig::tiny());
         let mut worker = tiny_worker(&dataset);
         let (depth, rows, cols) = worker.volume().shape();
+        let (rows, cols) = (rows as i64, cols as i64);
         let (t0, o0) = (Complex64::new(1.0, -2.0), Complex64::new(0.25, 0.5));
-        // Buffers over the whole tile and over an inner band of it.
-        let frames = [
-            Rect::of_shape(rows, cols),
-            Rect::new(3, 2, rows as i64 - 5, cols as i64 - 6),
+        // Buffers over the whole tile, over an inner band of it, and over
+        // two disjoint bands.
+        let layouts: [&[Rect]; 3] = [
+            &[Rect::new(0, 0, rows, cols)],
+            &[Rect::new(3, 2, rows - 5, cols - 6)],
+            &[Rect::new(1, 0, 4, cols), Rect::new(rows - 6, 3, 5, 7)],
         ];
-        for (frame, local_updates) in frames.into_iter().flat_map(|f| [(f, false), (f, true)]) {
-            let (rows, cols) = (frame.rows() as i64, frame.cols() as i64);
-            // Frame-local; hangs over the bottom-left corner; the second
-            // rect is disjoint.
-            let cells = [Rect::new(rows - 2, -2, 5, 6), Rect::new(0, cols - 3, 2, 3)];
-            let full = |value| Array3::full(depth, frame.rows(), frame.cols(), value);
+        for (strips, local_updates) in layouts.into_iter().flat_map(|l| [(l, false), (l, true)]) {
+            // Relative to the first strip: one hangs over its bottom-left
+            // corner, the other is disjoint; each clipped to the strips.
+            let first = strips[0];
+            let cells: Vec<Rect> = [
+                Rect::new(first.rows() as i64 - 2, -2, 5, 6),
+                Rect::new(0, first.cols() as i64 - 3, 2, 3),
+            ]
+            .iter()
+            .flat_map(|rect| {
+                strips
+                    .iter()
+                    .map(|strip| rect.to_global(&first).intersect(strip))
+            })
+            .filter(|rect| !rect.is_empty())
+            .collect();
+            let layout = StripLayout::new(strips, depth);
             let mut buffers = AccBuffers {
-                frame,
-                acc: full(t0),
-                own: local_updates.then(|| full(o0)),
+                acc: vec![t0; layout.len()],
+                own: local_updates.then(|| vec![o0; layout.len()]),
             };
             let before = worker.volume().clone();
             let remote = if local_updates { t0 - o0 } else { t0 };
             let step = worker.step;
-            worker.update_and_reset(&mut buffers, &cells);
-            for s in 0..before.depth() {
-                for r in 0..before.rows() as i64 {
-                    for c in 0..before.cols() as i64 {
-                        let (fr, fc) = (r - frame.row0, c - frame.col0);
-                        let inside = frame.contains(r, c);
-                        let hit = inside && cells.iter().any(|x| x.contains(fr, fc));
+            worker.update_and_reset(&mut buffers, &pieces(&layout, &cells));
+            for s in 0..depth {
+                for r in 0..rows {
+                    for c in 0..cols {
+                        let held = layout
+                            .strips()
+                            .iter()
+                            .find(|strip| strip.rect.contains(r, c));
+                        let hit = cells.iter().any(|x| x.contains(r, c));
                         let i = (s, r as usize, c as usize);
                         let want = if hit {
                             before[i] - remote.scale(step)
                         } else {
                             before[i]
                         };
-                        assert_eq!(worker.volume()[i], want, "{frame:?} at {i:?}");
-                        if !inside {
-                            continue;
-                        }
-                        let f = (s, fr as usize, fc as usize);
+                        assert_eq!(worker.volume()[i], want, "{strips:?} at {i:?}");
+                        let Some(strip) = held else { continue };
+                        let (rect, offset) = (strip.rect, strip.offset);
+                        let f = offset
+                            + (s * rect.rows() + (r - rect.row0) as usize) * rect.cols()
+                            + (c - rect.col0) as usize;
                         assert_eq!(buffers.acc[f], if hit { Complex64::ZERO } else { t0 });
                         if let Some(own) = &buffers.own {
                             assert_eq!(own[f], if hit { Complex64::ZERO } else { o0 });
@@ -807,6 +923,13 @@ mod tests {
             }
         }
         assert_eq!(block_rows((2, 6, 6), Rect::empty()).count(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside the strips")]
+    fn splitting_a_rect_the_strips_do_not_hold_panics() {
+        let layout = StripLayout::new(&[Rect::new(0, 0, 2, 6), Rect::new(3, 0, 2, 6)], 1);
+        pieces(&layout, &[Rect::new(1, 1, 3, 2)]);
     }
 
     #[test]

@@ -6,7 +6,9 @@ use ptycho_array::{Array3, Rect};
 use ptycho_cluster::{
     ClusterTopology, CommBackend, LockstepBackend, RankComm, SharedTile, TilePayloadPool,
 };
-use ptycho_core::gradient_decomp::passes::{run_accumulation_passes, run_planned_passes, PassPlan};
+use ptycho_core::gradient_decomp::passes::{
+    run_accumulation_passes, run_planned_passes, PassPlan, StripLayout,
+};
 use ptycho_core::memory_model::{decomposition_geometry, gd_memory_per_gpu};
 use ptycho_core::stitch::{border_mask, stitch_tiles};
 use ptycho_core::tiling::TileGrid;
@@ -36,7 +38,9 @@ fn run_passes(grid: &TileGrid, initial: &[CArray3], plan: Option<&PassPlan>) -> 
             let mut pool = TilePayloadPool::new();
             match plan {
                 Some(plan) => {
-                    run_planned_passes(ctx, plan.passes(0, ctx.rank()), &mut buffer, &mut pool)?
+                    let layout = StripLayout::new(&[buffer.plane_bounds()], buffer.depth());
+                    let passes = layout.split(plan.passes(0, ctx.rank()), &[]);
+                    run_planned_passes(ctx, &passes, buffer.as_mut_slice(), &mut pool)?
                 }
                 None => run_accumulation_passes(ctx, grid, &mut buffer, &mut pool)?,
             }
@@ -102,7 +106,7 @@ const ALPHA: f64 = 0.37;
 /// tile) of a deterministic gradient `g` into its volume as `V += g·(−α)`
 /// and into `acc` and `own`, runs the planned passes on `acc`, then updates
 /// `V −= α·(acc − own)` and resets both buffers. `restricted` holds the
-/// buffers over [`PassPlan::frame`] and touches them on the round's shared
+/// buffers over [`PassPlan::strips`] and touches them on the round's shared
 /// cells only; otherwise they span the extended tile, take every window
 /// cell, and the update sweeps the cover.
 fn local_update_rounds(
@@ -118,29 +122,43 @@ fn local_update_rounds(
             let rank = ctx.rank();
             let extended = grid.tile(rank).extended;
             let tile = extended.to_local(&extended);
-            let frame = if restricted { plan.frame(rank) } else { tile };
+            let strips = if restricted {
+                plan.strips(rank)
+            } else {
+                vec![tile]
+            };
+            let layout = StripLayout::new(&strips, slices);
             let mut volume = Array3::from_fn(slices, tile.rows(), tile.cols(), |s, r, c| {
                 match (r + 2 * c + s) % 7 {
                     0 => Complex64::new(-0.0, 0.0),
                     k => Complex64::new(k as f64 * 0.25 - 1.0, (rank + r) as f64 * 0.125),
                 }
             });
-            let zeroed = || Array3::full(slices, frame.rows(), frame.cols(), Complex64::ZERO);
-            let (mut acc, mut own) = (zeroed(), zeroed());
+            let (mut acc, mut own) = (
+                vec![Complex64::ZERO; layout.len()],
+                vec![Complex64::ZERO; layout.len()],
+            );
             let mut pool = TilePayloadPool::new();
+            // Where cell `(r, c)` of slice `s` lies in a buffer of `layout`.
             let at = |s: usize, r: i64, c: i64| {
-                (s, (r - frame.row0) as usize, (c - frame.col0) as usize)
+                let strip = layout
+                    .strips()
+                    .iter()
+                    .find(|strip| strip.rect.contains(r, c));
+                let strip = strip.expect("a visited cell lies in a strip");
+                let (rect, offset) = (strip.rect, strip.offset);
+                offset
+                    + (s * rect.rows() + (r - rect.row0) as usize) * rect.cols()
+                    + (c - rect.col0) as usize
             };
             for round in 0..plan.rounds() {
-                let passes = plan.passes(round, rank).in_frame(frame);
-                let cells: Vec<Rect> = if restricted {
-                    &passes.shared
+                let entry = plan.passes(round, rank);
+                let cells = if restricted {
+                    &entry.shared
                 } else {
-                    &passes.cover
-                }
-                .iter()
-                .map(|rect| rect.to_global(&frame))
-                .collect();
+                    &entry.cover
+                };
+                let passes = layout.split(entry, cells);
                 for (k, window) in windows[round * ranks + rank].iter().enumerate() {
                     let window = window.intersect(&extended).to_local(&extended);
                     for s in 0..slices {
@@ -160,7 +178,7 @@ fn local_update_rounds(
                     }
                 }
                 run_planned_passes(ctx, &passes, &mut acc, &mut pool)?;
-                for rect in &cells {
+                for rect in cells {
                     for s in 0..slices {
                         for r in rect.row0..rect.row1 {
                             for c in rect.col0..rect.col1 {
@@ -284,7 +302,7 @@ proptest! {
                 if passes.cover.is_empty() {
                     prop_assert!(passes.sweeps.iter().all(|s| s.recv.is_none() && s.send.is_none()));
                 }
-                // Shared cells: disjoint rects inside the rank's frame holding
+                // Shared cells: disjoint rects inside the rank's strips holding
                 // every message region. Receives lie inside the cover; a send
                 // is the bounding box of what it carries, so it may span
                 // cells between the cover's rects, which hold `+0.0` (the
@@ -302,7 +320,7 @@ proptest! {
                 for (i, a) in shared.iter().enumerate() {
                     prop_assert!(!a.is_empty(), "{:?}", shared);
                     prop_assert!(shared[i + 1..].iter().all(|b| !a.intersects(b)), "{:?}", shared);
-                    prop_assert!(plan.frame(rank).contains_rect(a), "{:?}", a);
+                    prop_assert!(inside_union(a, &plan.strips(rank)), "{:?}", a);
                     for (r, c) in (a.row0..a.row1).flat_map(|r| (a.col0..a.col1).map(move |c| (r, c))) {
                         prop_assert!(
                             cover.iter().chain(&sent).any(|x| x.contains(r, c)),
@@ -367,10 +385,14 @@ proptest! {
         for rank in 0..ranks {
             prop_assert_eq!(bits(&restricted[rank]), bits(&whole[rank]), "rank {}", rank);
             let extended = grid.tile(rank).extended;
-            prop_assert!(extended.to_local(&extended).contains_rect(&plan.frame(rank)));
+            let strips = plan.strips(rank);
+            for (i, a) in strips.iter().enumerate() {
+                prop_assert!(!a.is_empty() && extended.to_local(&extended).contains_rect(a));
+                prop_assert!(strips[i + 1..].iter().all(|b| !a.intersects(b)), "{:?}", strips);
+            }
         }
         if ranks == 1 {
-            prop_assert!(plan.frame(0).is_empty());
+            prop_assert!(plan.strips(0).is_empty());
         }
     }
 
