@@ -1,13 +1,273 @@
 //! Property-based tests for the array and rectangle primitives.
 
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseResult;
 use ptycho_array::{Array2, Array3, Rect};
+use std::ops::AddAssign;
 
 fn rect_strategy() -> impl Strategy<Value = Rect> {
     (-16i64..32, -16i64..32, 0i64..24, 0i64..24).prop_map(|(r0, c0, h, w)| Rect::new(r0, c0, h, w))
 }
 
+/// A region of a plane at most 9×9: origins on both sides of the plane and
+/// sizes from zero past the plane, so regions lie inside, hang off every
+/// side, cover it whole, miss it entirely or hold no cell.
+fn region_strategy() -> impl Strategy<Value = Rect> {
+    (-12i64..14, -12i64..14, 0i64..14, 0i64..14).prop_map(|(r0, c0, h, w)| Rect::new(r0, c0, h, w))
+}
+
+/// A complex value as the solvers hold one, compared bit for bit: every
+/// region op must copy or add each cell exactly as a per-cell loop does.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+struct Cplx {
+    re: f64,
+    im: f64,
+}
+
+impl AddAssign for Cplx {
+    fn add_assign(&mut self, rhs: Self) {
+        self.re += rhs.re;
+        self.im += rhs.im;
+    }
+}
+
+/// Values where a copy, an add and a skipped cell differ in their bits.
+const SPECIALS: [f64; 6] = [0.0, -0.0, f64::NAN, f64::MIN_POSITIVE, -3.0e-310, f64::MAX];
+
+/// The `i`-th value of a buffer seeded with `seed`: every third part a
+/// special, the rest distinct ordinary values.
+fn value(seed: usize, i: usize) -> Cplx {
+    let part = |k: usize| {
+        if k.is_multiple_of(3) {
+            SPECIALS[(k / 3) % SPECIALS.len()]
+        } else {
+            (k as f64 * 0.37 - 5.0) * if k.is_multiple_of(2) { 1.0 } else { -1.5 }
+        }
+    };
+    Cplx {
+        re: part(seed + 2 * i),
+        im: part(seed + 2 * i + 1),
+    }
+}
+
+fn bits(values: &[Cplx]) -> Vec<(u64, u64)> {
+    values
+        .iter()
+        .map(|v| (v.re.to_bits(), v.im.to_bits()))
+        .collect()
+}
+
+/// The per-cell reference every region op is checked against: calls
+/// `op(volume, block)` for each cell of `region`, slice by slice, with the
+/// cell's flat index in a `depth × rows × cols` volume (`None` outside the
+/// plane) and in a `region`-shaped block of `depth` sub-planes.
+fn each_cell(
+    (depth, rows, cols): (usize, usize, usize),
+    region: Rect,
+    mut op: impl FnMut(Option<usize>, usize),
+) {
+    let plane = Rect::of_shape(rows, cols);
+    let (height, width) = region.shape();
+    for s in 0..depth {
+        for r in 0..height {
+            for c in 0..width {
+                let (gr, gc) = (region.row0 + r as i64, region.col0 + c as i64);
+                let inside = plane.contains(gr, gc);
+                let volume = inside.then(|| (s * rows + gr as usize) * cols + gc as usize);
+                op(volume, (s * height + r) * width + c);
+            }
+        }
+    }
+}
+
+/// Checks `Array2::{extract, paste_region, add_region, fill_region}` on
+/// `region` of a `rows × cols` plane against [`each_cell`].
+fn check_region_ops_2d(rows: usize, cols: usize, region: Rect, seed: usize) -> TestCaseResult {
+    let shape = (1, rows, cols);
+    let img = Array2::from_fn(rows, cols, |r, c| value(seed, r * cols + c));
+    let (height, width) = region.shape();
+    let block = Array2::from_fn(height, width, |r, c| value(seed + 7, r * width + c));
+
+    let mut want = vec![Cplx::default(); region.area()];
+    each_cell(shape, region, |v, b| {
+        if let Some(v) = v {
+            want[b] = img.as_slice()[v];
+        }
+    });
+    prop_assert_eq!(bits(img.extract(region).as_slice()), bits(&want), "extract");
+
+    let mut pasted = img.clone();
+    let mut want = img.as_slice().to_vec();
+    each_cell(shape, region, |v, b| {
+        if let Some(v) = v {
+            want[v] = block.as_slice()[b];
+        }
+    });
+    pasted.paste_region(region, &block);
+    prop_assert_eq!(bits(pasted.as_slice()), bits(&want), "paste_region");
+
+    let mut added = img.clone();
+    let mut want = img.as_slice().to_vec();
+    each_cell(shape, region, |v, b| {
+        if let Some(v) = v {
+            want[v] += block.as_slice()[b];
+        }
+    });
+    added.add_region(region, &block);
+    prop_assert_eq!(bits(added.as_slice()), bits(&want), "add_region");
+
+    let mut filled = img.clone();
+    let fill = value(seed + 3, 0);
+    let mut want = img.as_slice().to_vec();
+    each_cell(shape, region, |v, _| {
+        if let Some(v) = v {
+            want[v] = fill;
+        }
+    });
+    filled.fill_region(region, fill);
+    prop_assert_eq!(bits(filled.as_slice()), bits(&want), "fill_region");
+    Ok(())
+}
+
+/// Checks `Array3`'s region ops — the three extractions with a fill (the
+/// two into buffers poisoned with values neither the volume nor the fill
+/// holds), the default-filled extract, paste and add — on `region` of a
+/// `depth × rows × cols` volume against [`each_cell`].
+fn check_region_ops_3d(
+    (depth, rows, cols): (usize, usize, usize),
+    region: Rect,
+    seed: usize,
+) -> TestCaseResult {
+    let shape = (depth, rows, cols);
+    let vol = Array3::from_fn(depth, rows, cols, |s, r, c| {
+        value(seed, (s * rows + r) * cols + c)
+    });
+    let (height, width) = region.shape();
+    let block = Array3::from_fn(depth, height, width, |s, r, c| {
+        value(seed + 5, (s * height + r) * width + c)
+    });
+    let fill = Cplx { re: -0.0, im: 1.0 };
+    let poison = Cplx {
+        re: 7.0e300,
+        im: -7.0e300,
+    };
+
+    let mut want = vec![fill; depth * region.area()];
+    each_cell(shape, region, |v, b| {
+        if let Some(v) = v {
+            want[b] = vol.as_slice()[v];
+        }
+    });
+    let with_fill = vol.extract_region_with_fill(region, fill);
+    prop_assert_eq!(with_fill.shape(), (depth, height, width));
+    prop_assert_eq!(
+        bits(with_fill.as_slice()),
+        bits(&want),
+        "extract_region_with_fill"
+    );
+    let mut into = Array3::full(depth, height, width, poison);
+    vol.extract_region_into(region, fill, &mut into);
+    prop_assert_eq!(bits(into.as_slice()), bits(&want), "extract_region_into");
+    let convert = |c: &Cplx| [c.im.to_bits(), c.re.to_bits() ^ 1];
+    let want_mapped: Vec<[u64; 2]> = want.iter().map(convert).collect();
+    let mut mapped = Array3::full(depth, height, width, [u64::MAX; 2]);
+    vol.extract_region_map_into(region, convert(&fill), &mut mapped, convert);
+    prop_assert_eq!(
+        mapped.as_slice(),
+        &want_mapped[..],
+        "extract_region_map_into"
+    );
+    let mut want_default = vec![Cplx::default(); want.len()];
+    each_cell(shape, region, |v, b| {
+        if let Some(v) = v {
+            want_default[b] = vol.as_slice()[v];
+        }
+    });
+    let default = vol.extract_region(region);
+    prop_assert_eq!(
+        bits(default.as_slice()),
+        bits(&want_default),
+        "extract_region"
+    );
+
+    let mut pasted = vol.clone();
+    let mut want = vol.as_slice().to_vec();
+    each_cell(shape, region, |v, b| {
+        if let Some(v) = v {
+            want[v] = block.as_slice()[b];
+        }
+    });
+    pasted.paste_region(region, &block);
+    prop_assert_eq!(bits(pasted.as_slice()), bits(&want), "paste_region");
+
+    let mut added = vol.clone();
+    let mut want = vol.as_slice().to_vec();
+    each_cell(shape, region, |v, b| {
+        if let Some(v) = v {
+            want[v] += block.as_slice()[b];
+        }
+    });
+    added.add_region(region, &block);
+    prop_assert_eq!(bits(added.as_slice()), bits(&want), "add_region");
+    Ok(())
+}
+
+/// Regions no random draw is sure to produce on a `rows × cols` plane:
+/// wholly outside past each side, empty in each way a `Rect` can be, the
+/// whole plane, and wider than it on every side.
+fn edge_regions(rows: i64, cols: i64) -> Vec<Rect> {
+    vec![
+        Rect::new(-3, 0, 3, cols),
+        Rect::new(rows, 0, 2, cols),
+        Rect::new(0, -4, rows, 4),
+        Rect::new(0, cols, rows, 1),
+        Rect::new(-5, -5, 2, 2),
+        Rect::new(rows + 1, cols + 1, 3, 3),
+        Rect::empty(),
+        Rect::new(2, 1, 0, 4),
+        Rect::new(1, 2, 3, 0),
+        Rect::from_corners(4, 2, 0, 9),
+        Rect::of_shape(rows as usize, cols as usize),
+        Rect::new(-2, -3, rows + 5, cols + 6),
+    ]
+}
+
+#[test]
+fn region_ops_on_edge_regions_match_the_per_cell_reference() {
+    for (depth, rows, cols) in [(1, 1, 1), (2, 5, 7), (3, 6, 2)] {
+        for (seed, region) in edge_regions(rows as i64, cols as i64)
+            .into_iter()
+            .enumerate()
+        {
+            let case = format!("{depth}x{rows}x{cols}, {region:?}");
+            check_region_ops_2d(rows, cols, region, seed).expect(&case);
+            check_region_ops_3d((depth, rows, cols), region, seed).expect(&case);
+        }
+    }
+}
+
 proptest! {
+    #[test]
+    fn region_ops_2d_match_the_per_cell_reference(
+        rows in 1usize..10,
+        cols in 1usize..10,
+        region in region_strategy(),
+        seed in 0usize..64,
+    ) {
+        check_region_ops_2d(rows, cols, region, seed)?;
+    }
+
+    #[test]
+    fn region_ops_3d_match_the_per_cell_reference(
+        depth in 1usize..4,
+        rows in 1usize..10,
+        cols in 1usize..10,
+        region in region_strategy(),
+        seed in 0usize..64,
+    ) {
+        check_region_ops_3d((depth, rows, cols), region, seed)?;
+    }
+
     #[test]
     fn extract_region_into_writes_every_cell_once(
         depth in 1usize..4,
