@@ -1,5 +1,6 @@
 //! Row-major dense 2D arrays.
 
+use crate::rect::clipped_rows;
 use crate::{Rect, Shape2};
 use std::fmt;
 use std::ops::{Add, AddAssign, Index, IndexMut, Mul, Sub};
@@ -88,26 +89,6 @@ impl<T: Clone> Array2<T> {
         Self { rows, cols, data }
     }
 
-    /// Extracts the sub-block covered by `region` (clipped to the array).
-    ///
-    /// Cells of `region` outside the array are filled with `fill`. The returned
-    /// array always has shape `region.shape()`.
-    pub fn extract_with_fill(&self, region: Rect, fill: T) -> Array2<T> {
-        let mut out = Array2::full(region.rows(), region.cols(), fill);
-        let bounds = self.bounds();
-        let clipped = region.intersect(&bounds);
-        for gr in clipped.row0..clipped.row1 {
-            let lr = (gr - region.row0) as usize;
-            let src_base = gr as usize * self.cols;
-            let dst_base = lr * out.cols;
-            for gc in clipped.col0..clipped.col1 {
-                let lc = (gc - region.col0) as usize;
-                out.data[dst_base + lc] = self.data[src_base + gc as usize].clone();
-            }
-        }
-        out
-    }
-
     /// Writes `block` into the cells covered by `region` (clipped to the array).
     ///
     /// `block` must have shape `region.shape()`.
@@ -119,27 +100,16 @@ impl<T: Clone> Array2<T> {
             block.shape(),
             region.shape()
         );
-        let bounds = self.bounds();
-        let clipped = region.intersect(&bounds);
-        for gr in clipped.row0..clipped.row1 {
-            let lr = (gr - region.row0) as usize;
-            let dst_base = gr as usize * self.cols;
-            let src_base = lr * block.cols;
-            for gc in clipped.col0..clipped.col1 {
-                let lc = (gc - region.col0) as usize;
-                self.data[dst_base + gc as usize] = block.data[src_base + lc].clone();
-            }
+        for (dst, src) in clipped_rows(self.bounds(), region, 1) {
+            self.data[dst].clone_from_slice(&block.data[src]);
         }
     }
 
     /// Fills every cell of `region` (clipped to the array) with `value`.
     pub fn fill_region(&mut self, region: Rect, value: T) {
-        let clipped = region.intersect(&self.bounds());
-        for gr in clipped.row0..clipped.row1 {
-            let base = gr as usize * self.cols;
-            for gc in clipped.col0..clipped.col1 {
-                self.data[base + gc as usize] = value.clone();
-            }
+        let bounds = self.bounds();
+        for row in bounds.flat_rows(1, 0, region.intersect(&bounds)) {
+            self.data[row].fill(value.clone());
         }
     }
 
@@ -319,7 +289,11 @@ impl<T: Clone + Default> Array2<T> {
     /// Extracts the sub-block covered by `region`; out-of-bounds cells are
     /// `T::default()`.
     pub fn extract(&self, region: Rect) -> Array2<T> {
-        self.extract_with_fill(region, T::default())
+        let mut out = Array2::zeros(region.rows(), region.cols());
+        for (src, dst) in clipped_rows(self.bounds(), region, 1) {
+            out.data[dst].clone_from_slice(&self.data[src]);
+        }
+        out
     }
 }
 
@@ -347,14 +321,6 @@ impl<T> Array2<T>
 where
     T: Copy + AddAssign,
 {
-    /// Adds `other` elementwise into `self`.
-    pub fn add_assign_elementwise(&mut self, other: &Array2<T>) {
-        assert_eq!(self.shape(), other.shape(), "add_assign: shape mismatch");
-        for (a, b) in self.data.iter_mut().zip(other.data.iter()) {
-            *a += *b;
-        }
-    }
-
     /// Adds `block` into the cells covered by `region` (clipped to the array).
     /// `block` must have shape `region.shape()`.
     pub fn add_region(&mut self, region: Rect, block: &Array2<T>) {
@@ -365,14 +331,9 @@ where
             block.shape(),
             region.shape()
         );
-        let clipped = region.intersect(&self.bounds());
-        for gr in clipped.row0..clipped.row1 {
-            let lr = (gr - region.row0) as usize;
-            let dst_base = gr as usize * self.cols;
-            let src_base = lr * block.cols;
-            for gc in clipped.col0..clipped.col1 {
-                let lc = (gc - region.col0) as usize;
-                self.data[dst_base + gc as usize] += block.data[src_base + lc];
+        for (dst, src) in clipped_rows(self.bounds(), region, 1) {
+            for (a, b) in self.data[dst].iter_mut().zip(&block.data[src]) {
+                *a += *b;
             }
         }
     }
@@ -380,24 +341,11 @@ where
 
 impl<T> Array2<T>
 where
-    T: Copy + Add<Output = T> + std::iter::Sum<T>,
+    T: Copy + std::iter::Sum<T>,
 {
     /// Sum of all elements.
     pub fn sum(&self) -> T {
         self.data.iter().copied().sum()
-    }
-
-    /// Sum of the elements inside `region` (clipped to the array).
-    pub fn region_sum(&self, region: Rect) -> T {
-        let clipped = region.intersect(&self.bounds());
-        let mut acc: Vec<T> = Vec::new();
-        for gr in clipped.row0..clipped.row1 {
-            let base = gr as usize * self.cols;
-            for gc in clipped.col0..clipped.col1 {
-                acc.push(self.data[base + gc as usize]);
-            }
-        }
-        acc.into_iter().sum()
     }
 }
 
@@ -505,8 +453,8 @@ mod tests {
     fn fill_and_region_sum() {
         let mut a = Array2::<f64>::zeros(8, 8);
         a.fill_region(Rect::new(2, 2, 3, 3), 2.0);
-        assert_eq!(a.region_sum(Rect::new(0, 0, 8, 8)), 18.0);
-        assert_eq!(a.region_sum(Rect::new(2, 2, 1, 1)), 2.0);
+        assert_eq!(a.extract(Rect::new(0, 0, 8, 8)).sum(), 18.0);
+        assert_eq!(a.extract(Rect::new(2, 2, 1, 1)).sum(), 2.0);
     }
 
     #[test]
@@ -568,14 +516,5 @@ mod tests {
         let expected = a.zip_map(&b, |x, y| *x * *y);
         a.zip_apply(&b, |x, y| *x *= *y);
         assert_eq!(a, expected);
-    }
-
-    #[test]
-    fn add_assign_elementwise_accumulates() {
-        let mut a = Array2::full(2, 2, 1.0f64);
-        let b = Array2::full(2, 2, 0.5f64);
-        a.add_assign_elementwise(&b);
-        a.add_assign_elementwise(&b);
-        assert_eq!(a.as_slice(), &[2.0, 2.0, 2.0, 2.0]);
     }
 }

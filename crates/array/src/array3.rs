@@ -1,5 +1,6 @@
 //! Dense stacks of 2D slices.
 
+use crate::rect::clipped_rows;
 use crate::{Array2, Rect, Shape3};
 use std::ops::{AddAssign, Index, IndexMut};
 
@@ -92,18 +93,6 @@ impl<T: Clone> Array3<T> {
         Array2::from_vec(self.rows, self.cols, self.data[s * n..(s + 1) * n].to_vec())
     }
 
-    /// Overwrites slice `s` with `plane`.
-    pub fn set_slice(&mut self, s: usize, plane: &Array2<T>) {
-        assert!(s < self.depth, "slice {} out of bounds ({})", s, self.depth);
-        assert_eq!(
-            plane.shape(),
-            (self.rows, self.cols),
-            "set_slice: shape mismatch"
-        );
-        let n = self.rows * self.cols;
-        self.data[s * n..(s + 1) * n].clone_from_slice(plane.as_slice());
-    }
-
     /// Extracts the same rectangular `region` from every slice, producing a
     /// smaller volume of shape `(depth, region.rows(), region.cols())`.
     /// Out-of-bounds cells are filled with `fill`.
@@ -131,8 +120,7 @@ impl<T: Clone> Array3<T> {
 
     /// [`Self::extract_region_into`] into a volume of another element type:
     /// each copied cell is `convert`ed as it is written, and out-of-bounds
-    /// cells take `fill` (already of the output type). One pass, each output
-    /// cell written once.
+    /// cells take `fill` (already of the output type).
     ///
     /// # Panics
     /// Panics if `out` does not have the expected shape.
@@ -150,8 +138,9 @@ impl<T: Clone> Array3<T> {
         });
     }
 
-    /// The body of both extractions: `copy_row` writes each clipped row's
-    /// in-bounds cells from the source row, `fill` takes the rest.
+    /// The body of both extractions: `copy_row` writes each row of the
+    /// region's part inside the plane from the source row; `fill` takes
+    /// every cell first, only when the region leaves the plane.
     fn extract_rows_into<U: Clone>(
         &self,
         region: Rect,
@@ -159,50 +148,22 @@ impl<T: Clone> Array3<T> {
         out: &mut Array3<U>,
         mut copy_row: impl FnMut(&mut [U], &[T]),
     ) {
-        let (rrows, rcols) = region.shape();
-        assert_eq!(
-            out.shape(),
-            (self.depth, rrows, rcols),
-            "extract_region_into: output shape {:?} does not match (depth, region) {:?}",
-            out.shape(),
-            (self.depth, rrows, rcols)
-        );
-        let clipped = region.intersect(&self.plane_bounds());
-        if clipped.is_empty() {
+        self.check_block("extract_region_into", region, out);
+        let plane = self.plane_bounds();
+        if region.intersect(&plane).area() != region.area() {
             out.data.fill(fill);
-            return;
         }
-        // Each output cell is written once: the rows above and below the
-        // clipped part and the columns left and right of it take `fill`,
-        // the rest is copied from the source.
-        let top = (clipped.row0 - region.row0) as usize * rcols;
-        let inside = clipped.rows() * rcols;
-        let left = (clipped.col0 - region.col0) as usize;
-        let width = clipped.cols();
-        for s in 0..self.depth {
-            let src = self.slice_data(s);
-            let (above, rest) = out.slice_data_mut(s).split_at_mut(top);
-            let (middle, below) = rest.split_at_mut(inside);
-            above.fill(fill.clone());
-            below.fill(fill.clone());
-            for (gr, row) in (clipped.row0 as usize..).zip(middle.chunks_exact_mut(rcols)) {
-                let src_off = gr * self.cols + clipped.col0 as usize;
-                let (head, rest) = row.split_at_mut(left);
-                let (copied, tail) = rest.split_at_mut(width);
-                head.fill(fill.clone());
-                copy_row(copied, &src[src_off..src_off + width]);
-                tail.fill(fill.clone());
-            }
+        for (src, dst) in clipped_rows(plane, region, self.depth) {
+            copy_row(&mut out.data[dst], &self.data[src]);
         }
     }
 
-    /// Writes `block` (one sub-plane per slice) into `region` of every slice.
+    /// Writes `block` (one sub-plane per slice) into `region` of every slice,
+    /// clipping against the volume bounds.
     pub fn paste_region(&mut self, region: Rect, block: &Array3<T>) {
-        assert_eq!(block.depth, self.depth, "paste_region: depth mismatch");
-        for s in 0..self.depth {
-            let mut plane = self.slice(s);
-            plane.paste_region(region, &block.slice(s));
-            self.set_slice(s, &plane);
+        self.check_block("paste_region", region, block);
+        for (dst, src) in clipped_rows(self.plane_bounds(), region, self.depth) {
+            self.data[dst].clone_from_slice(&block.data[src]);
         }
     }
 }
@@ -249,6 +210,17 @@ impl<T> Array3<T> {
     /// The in-plane bounds rectangle `[0, rows) x [0, cols)`.
     pub fn plane_bounds(&self) -> Rect {
         Rect::of_shape(self.rows, self.cols)
+    }
+
+    /// Panics unless `block` holds one `region`-shaped sub-plane per slice.
+    fn check_block<U>(&self, op: &str, region: Rect, block: &Array3<U>) {
+        assert_eq!(
+            block.shape(),
+            (self.depth, region.rows(), region.cols()),
+            "{op}: block shape {:?} does not match (depth, region) {:?}",
+            block.shape(),
+            (self.depth, region.rows(), region.cols())
+        );
     }
 
     /// Flat view of the data (slice-major, then row-major).
@@ -327,41 +299,13 @@ impl<T> Array3<T>
 where
     T: Copy + AddAssign,
 {
-    /// Adds `other` elementwise into `self`.
-    pub fn add_assign_elementwise(&mut self, other: &Array3<T>) {
-        assert_eq!(self.shape(), other.shape(), "add_assign: shape mismatch");
-        for (a, b) in self.data.iter_mut().zip(other.data.iter()) {
-            *a += *b;
-        }
-    }
-
     /// Adds `block` (one sub-plane per slice) into `region` of every slice,
     /// clipping against the volume bounds.
-    pub fn add_region(&mut self, region: Rect, block: &Array3<T>)
-    where
-        T: Clone,
-    {
-        assert_eq!(block.depth, self.depth, "add_region: depth mismatch");
-        assert_eq!(
-            (block.rows, block.cols),
-            region.shape(),
-            "add_region: block plane shape {:?} does not match region shape {:?}",
-            (block.rows, block.cols),
-            region.shape()
-        );
-        let bounds = self.plane_bounds();
-        let clipped = region.intersect(&bounds);
-        let plane_len = self.rows * self.cols;
-        let block_plane_len = block.rows * block.cols;
-        for s in 0..self.depth {
-            let dst = &mut self.data[s * plane_len..(s + 1) * plane_len];
-            let src = &block.data[s * block_plane_len..(s + 1) * block_plane_len];
-            for gr in clipped.row0..clipped.row1 {
-                let lr = (gr - region.row0) as usize;
-                for gc in clipped.col0..clipped.col1 {
-                    let lc = (gc - region.col0) as usize;
-                    dst[gr as usize * self.cols + gc as usize] += src[lr * block.cols + lc];
-                }
+    pub fn add_region(&mut self, region: Rect, block: &Array3<T>) {
+        self.check_block("add_region", region, block);
+        for (dst, src) in clipped_rows(self.plane_bounds(), region, self.depth) {
+            for (a, b) in self.data[dst].iter_mut().zip(&block.data[src]) {
+                *a += *b;
             }
         }
     }
@@ -405,8 +349,7 @@ mod tests {
         let s1 = v.slice(1);
         assert_eq!(s1[(2, 2)], 122);
         let mut v2 = v.clone();
-        let plane = Array2::full(3, 3, -1);
-        v2.set_slice(0, &plane);
+        v2.slice_data_mut(0).fill(-1);
         assert_eq!(v2[(0, 1, 1)], -1);
         assert_eq!(v2[(1, 1, 1)], 111);
     }
@@ -516,14 +459,6 @@ mod tests {
         assert!(sq.iter().all(|&x| x == 4.0));
         let sum = v.zip_map(&sq, |a, b| a + b);
         assert!(sum.iter().all(|&x| x == 6.0));
-    }
-
-    #[test]
-    fn add_assign_elementwise_volume() {
-        let mut v = Array3::full(1, 2, 2, 1.0f64);
-        let w = Array3::full(1, 2, 2, 0.25f64);
-        v.add_assign_elementwise(&w);
-        assert!(v.iter().all(|&x| (x - 1.25).abs() < 1e-12));
     }
 
     #[test]

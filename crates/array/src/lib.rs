@@ -17,8 +17,12 @@
 //! * [`Array2`] — a row-major dense 2D array generic over its element type.
 //! * [`Array3`] — a dense stack of equally-shaped 2D slices (`depth × rows × cols`).
 //! * [`Rect`] — half-open axis-aligned rectangles with intersection, union,
-//!   containment, translation and clamping; the vocabulary used by the tiling
-//!   and halo logic in `ptycho-core`.
+//!   containment and translation; the vocabulary used by the tiling and halo
+//!   logic in `ptycho-core`.
+//! * [`Rect::flat_rows`] — the flat index range of each row of a rectangle
+//!   of cells in a buffer of row-major planes: the one row walk that every
+//!   region copy of the workspace (the arrays' region ops, probe windows,
+//!   gradient scatters, accumulation strips, wire payloads) goes through.
 //! * [`stats`] — reductions and image-comparison metrics (RMSE, PSNR,
 //!   normalised cross-correlation) used by tests and the experiment harnesses.
 //!
@@ -31,7 +35,6 @@
 //! let mut img = Array2::<f64>::zeros(64, 64);
 //! let block = Rect::new(8, 8, 8, 8);
 //! img.fill_region(block, 1.0);
-//! assert_eq!(img.region_sum(block), 64.0);
 //!
 //! // Extract it, scale it, and paste it back shifted by (4, 4).
 //! let patch = img.extract(block);

@@ -7,6 +7,7 @@
 //! before being clamped back onto it.
 
 use std::fmt;
+use std::ops::Range;
 
 /// A half-open axis-aligned rectangle `[row0, row1) x [col0, col1)` with signed
 /// coordinates.
@@ -184,11 +185,6 @@ impl Rect {
         }
     }
 
-    /// Clamps the rectangle to lie inside `bounds` (equivalent to intersecting).
-    pub fn clamp_to(&self, bounds: &Rect) -> Rect {
-        self.intersect(bounds)
-    }
-
     /// Expresses this rectangle in the local coordinate frame whose origin is the
     /// top-left corner of `frame`.
     ///
@@ -211,6 +207,48 @@ impl Rect {
             (self.row0 + self.row1) as f64 / 2.0,
             (self.col0 + self.col1) as f64 / 2.0,
         )
+    }
+
+    /// The flat index range of each row of `cells`, slice by slice, in a
+    /// buffer that holds `depth` row-major `self`-shaped planes from
+    /// `offset` on: the one walk from a rectangle to buffer rows that every
+    /// region copy of the workspace takes. `cells` is in the coordinates of
+    /// `self`; an empty `cells` has no rows.
+    ///
+    /// # Panics
+    /// Panics unless `cells` lies inside `self`.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use ptycho_array::Rect;
+    ///
+    /// // Two 3x4 planes from offset 5; the cells are 2x2 at (11, 2).
+    /// let plane = Rect::new(10, 0, 3, 4);
+    /// let rows: Vec<_> = plane.flat_rows(2, 5, Rect::new(11, 2, 2, 2)).collect();
+    /// assert_eq!(rows, [11..13, 15..17, 23..25, 27..29]);
+    /// ```
+    pub fn flat_rows(
+        &self,
+        depth: usize,
+        offset: usize,
+        cells: Rect,
+    ) -> impl Iterator<Item = Range<usize>> {
+        assert!(self.contains_rect(&cells), "{cells:?} outside {self:?}");
+        let (plane, cols) = (self.area(), self.cols());
+        let (height, width, first) = if cells.is_empty() {
+            (0, 0, 0)
+        } else {
+            let (row, col) = (cells.row0 - self.row0, cells.col0 - self.col0);
+            let first = offset + row as usize * cols + col as usize;
+            (cells.rows(), cells.cols(), first)
+        };
+        (0..depth).flat_map(move |s| {
+            (0..height).map(move |r| {
+                let start = first + s * plane + r * cols;
+                start..start + width
+            })
+        })
     }
 
     /// Iterates over all `(row, col)` cells of the rectangle in row-major order.
@@ -256,6 +294,22 @@ impl Rect {
         }
         tiles
     }
+}
+
+/// The rows of `region`'s part inside `plane`, slice by slice: each row's
+/// flat range in a buffer of `depth` `plane`-shaped planes, paired with the
+/// same cells' range in a `region`-shaped block of `depth` planes — what
+/// every clipped region op of [`Array2`](crate::Array2) and
+/// [`Array3`](crate::Array3) copies, adds or fills row slice by row slice.
+pub(crate) fn clipped_rows(
+    plane: Rect,
+    region: Rect,
+    depth: usize,
+) -> impl Iterator<Item = (Range<usize>, Range<usize>)> {
+    let clipped = region.intersect(&plane);
+    plane
+        .flat_rows(depth, 0, clipped)
+        .zip(region.flat_rows(depth, 0, clipped))
 }
 
 #[cfg(test)]
@@ -316,7 +370,7 @@ mod tests {
         let halo = tile.dilate(2);
         assert_eq!(halo, Rect::from_corners(-2, 6, -2, 6));
         let bounds = Rect::new(0, 0, 8, 8);
-        assert_eq!(halo.clamp_to(&bounds), Rect::new(0, 0, 6, 6));
+        assert_eq!(halo.intersect(&bounds), Rect::new(0, 0, 6, 6));
     }
 
     #[test]
@@ -369,6 +423,25 @@ mod tests {
         let r = Rect::new(0, 0, 2, 2);
         let cells: Vec<_> = r.iter_cells().collect();
         assert_eq!(cells, vec![(0, 0), (0, 1), (1, 0), (1, 1)]);
+    }
+
+    #[test]
+    fn flat_rows_of_empty_cells_are_none() {
+        let plane = Rect::new(-2, 3, 4, 5);
+        for cells in [
+            Rect::empty(),
+            Rect::new(9, 9, 0, 3),
+            Rect::from_corners(4, 2, 0, 9),
+        ] {
+            assert_eq!(plane.flat_rows(3, 7, cells).count(), 0, "{cells:?}");
+        }
+        assert_eq!(plane.flat_rows(0, 0, plane).count(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside")]
+    fn flat_rows_of_cells_outside_the_plane_panic() {
+        let _ = Rect::new(0, 0, 4, 4).flat_rows(1, 0, Rect::new(3, 0, 2, 2));
     }
 
     #[test]

@@ -261,26 +261,11 @@ pub struct Strip {
 }
 
 impl Strip {
-    /// `rect` alone, from offset 0: how a volume holds its plane, a
-    /// gradient block its window and a wire payload its region.
-    pub(crate) fn alone(rect: Rect) -> Self {
-        Self { rect, offset: 0 }
-    }
-
     /// The flat index range of each row of `cells`, slice by slice, in a
-    /// buffer of `depth` slices; `cells` lies inside `rect`, both in the same
-    /// coordinates. A volume is one strip over its plane at offset 0, a wire
-    /// payload one over its region (in complex values).
+    /// buffer of `depth` slices ([`Rect::flat_rows`] over the strip's
+    /// planes from its offset); `cells` lies inside `rect`, both tile-local.
     pub(crate) fn rows(self, depth: usize, cells: Rect) -> impl Iterator<Item = Range<usize>> {
-        let (rows, cols) = self.rect.shape();
-        let (row0, col0) = (cells.row0 - self.rect.row0, cells.col0 - self.rect.col0);
-        let (height, width) = cells.shape();
-        (0..depth).flat_map(move |s| {
-            (0..height).map(move |r| {
-                let start = self.offset + (s * rows + (row0 as usize + r)) * cols + col0 as usize;
-                start..start + width
-            })
-        })
+        self.rect.flat_rows(depth, self.offset, cells)
     }
 }
 
@@ -431,10 +416,8 @@ pub fn run_planned_passes<C: RankComm<SharedTile>>(
     pool: &mut TilePayloadPool,
 ) -> Result<(), CommError> {
     assert_eq!(buffer.len(), passes.len, "buffer does not match the layout");
-    let at = |region, pieces: &Range<usize>| FlatRegion {
-        region,
-        depth: passes.depth,
-        pieces: &passes.pieces[pieces.clone()],
+    let at = |region, pieces: &Range<usize>| {
+        FlatRegion::new(region, passes.depth, &passes.pieces[pieces.clone()])
     };
     for ([recv, send], &(_, forward, tag)) in passes.sweeps.iter().zip(&SWEEPS) {
         if let Some((Transfer { peer, region }, pieces)) = recv {
@@ -485,7 +468,9 @@ fn local_overlap(grid: &TileGrid, rank: usize, peer: usize) -> Rect {
 }
 
 /// The union of `rects` as disjoint non-empty rectangles: bands cut at every
-/// top and bottom edge, each band's touching column spans merged.
+/// top and bottom edge, each band's touching column spans merged, and a
+/// span merged into the rectangle that ends right above it with the same
+/// columns.
 fn disjoint_union(rects: &[Rect]) -> Vec<Rect> {
     let rects: Vec<&Rect> = rects.iter().filter(|rect| !rect.is_empty()).collect();
     let mut edges: Vec<i64> = rects.iter().flat_map(|r| [r.row0, r.row1]).collect();
@@ -499,10 +484,20 @@ fn disjoint_union(rects: &[Rect]) -> Vec<Rect> {
             .map(|rect| (rect.col0, rect.col1))
             .collect();
         spans.sort_unstable();
+        let mut band: Vec<(i64, i64)> = Vec::new();
         for (col0, col1) in spans {
-            match union.last_mut() {
-                Some(r) if r.row0 == top && col0 <= r.col1 => r.col1 = r.col1.max(col1),
-                _ => union.push(Rect::from_corners(top, bottom, col0, col1)),
+            match band.last_mut() {
+                Some(span) if col0 <= span.1 => span.1 = span.1.max(col1),
+                _ => band.push((col0, col1)),
+            }
+        }
+        for (col0, col1) in band {
+            let above = union
+                .iter_mut()
+                .find(|r| r.row1 == top && (r.col0, r.col1) == (col0, col1));
+            match above {
+                Some(r) => r.row1 = bottom,
+                None => union.push(Rect::from_corners(top, bottom, col0, col1)),
             }
         }
     }
@@ -632,7 +627,7 @@ mod tests {
 
     #[test]
     fn disjoint_union_rasterises_to_the_union() {
-        let cases: [&[Rect]; 6] = [
+        let cases: [&[Rect]; 7] = [
             // Overlapping.
             &[
                 Rect::new(0, 0, 4, 4),
@@ -655,6 +650,13 @@ mod tests {
                 Rect::new(0, 0, 2, 2),
                 Rect::new(2, 2, 2, 2),
                 Rect::new(5, 0, 1, 1),
+            ],
+            // Stacked with equal columns, around a band of other spans.
+            &[
+                Rect::new(0, 0, 2, 3),
+                Rect::new(2, 0, 2, 3),
+                Rect::new(1, 4, 2, 2),
+                Rect::new(4, 0, 1, 4),
             ],
             // Empty inputs, alone and among others.
             &[Rect::empty(), Rect::new(3, 3, 0, 5)],
@@ -685,6 +687,23 @@ mod tests {
         // Touching spans of one band make one rectangle.
         let side_by_side = [Rect::new(0, 2, 2, 3), Rect::new(0, 0, 2, 2)];
         assert_eq!(disjoint_union(&side_by_side), vec![Rect::new(0, 0, 2, 5)]);
+        // Stacked rectangles with the same columns make one rectangle, also
+        // when a band between them is cut by a neighbour's edge; different
+        // columns stay apart.
+        let stacked = [
+            Rect::new(0, 1, 2, 3),
+            Rect::new(2, 1, 3, 3),
+            Rect::new(3, 6, 1, 2),
+            Rect::new(5, 1, 1, 2),
+        ];
+        assert_eq!(
+            disjoint_union(&stacked),
+            vec![
+                Rect::new(0, 1, 5, 3),
+                Rect::new(3, 6, 1, 2),
+                Rect::new(5, 1, 1, 2),
+            ]
+        );
         assert!(disjoint_union(&[]).is_empty());
     }
 

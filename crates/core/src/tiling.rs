@@ -79,7 +79,7 @@ impl TileGrid {
             .into_iter()
             .enumerate()
             .map(|(index, core)| {
-                let extended = core.dilate(margin).clamp_to(&image_bounds);
+                let extended = core.dilate(margin).intersect(&image_bounds);
                 let owned_locations = scan.locations_owned_by(&core);
                 TileInfo {
                     index,

@@ -155,23 +155,23 @@ impl<'a> TileWorker<'a> {
         buffers: &mut AccBuffers,
         cells: &[Piece],
     ) {
-        let window = self.local_window(loc);
-        let shape = self.volume.shape();
-        check_block(shape, window, &self.gradient);
-        let g = self.gradient.as_slice();
+        let (window, depth) = (self.local_window(loc), self.slices);
         let (acc, mut own) = (buffers.acc.as_mut_slice(), buffers.own.as_deref_mut());
         if own.is_some() {
-            let (volume, factor) = (self.volume.as_mut_slice(), -self.step);
-            for (dst, src) in block_rows(shape, window) {
-                for (v, g) in volume[dst].iter_mut().zip(&g[src]) {
-                    *v += g.widen() * factor;
-                }
-            }
+            add_region_scaled(&mut self.volume, window, &self.gradient, -self.step);
         }
-        let block = Strip::alone(window);
+        let g = self.gradient.as_slice();
+        assert_eq!(
+            g.len(),
+            depth * window.area(),
+            "gradient outside {window:?}"
+        );
         for piece in cells {
             let hit = window.intersect(&piece.cells);
-            let rows = piece.strip.rows(shape.0, hit).zip(block.rows(shape.0, hit));
+            let rows = piece
+                .strip
+                .rows(depth, hit)
+                .zip(window.flat_rows(depth, 0, hit));
             for (dst, src) in rows {
                 match own.as_deref_mut() {
                     Some(own) => {
@@ -203,16 +203,12 @@ impl<'a> TileWorker<'a> {
     ///
     /// [`RankPasses::shared`]: crate::gradient_decomp::passes::RankPasses::shared
     pub fn update_and_reset(&mut self, buffers: &mut AccBuffers, cells: &[Piece]) {
-        let plane = Strip::alone(self.volume.plane_bounds());
-        let depth = self.slices;
+        let (plane, depth) = (self.volume.plane_bounds(), self.slices);
         let mut own = buffers.own.as_deref_mut();
         let (volume, total) = (self.volume.as_mut_slice(), buffers.acc.as_mut_slice());
         for piece in cells {
-            assert!(
-                plane.rect.contains_rect(&piece.cells),
-                "{piece:?} outside the tile"
-            );
-            let rows = plane.rows(depth, piece.cells);
+            // Panics unless the piece lies inside the tile.
+            let rows = plane.flat_rows(depth, 0, piece.cells);
             for (row, buf) in rows.zip(piece.strip.rows(depth, piece.cells)) {
                 let pairs = volume[row].iter_mut().zip(&mut total[buf.clone()]);
                 match own.as_deref_mut() {
@@ -288,42 +284,25 @@ impl AccBuffers {
     }
 }
 
-/// The flat index ranges of every row of `region`'s part inside the plane,
-/// in every slice of a volume of `shape` (tile-local), each paired with the
-/// same cells' range in a `region`-shaped block (one sub-plane per slice).
-fn block_rows(
-    (depth, rows, cols): (usize, usize, usize),
-    region: Rect,
-) -> impl Iterator<Item = (Range<usize>, Range<usize>)> {
-    let plane = Strip::alone(Rect::of_shape(rows, cols));
-    let clipped = region.intersect(&plane.rect);
-    let rows = plane.rows(depth, clipped);
-    rows.zip(Strip::alone(region).rows(depth, clipped))
-}
-
-/// Panics unless `block` holds one `region`-shaped sub-plane per slice of a
-/// volume of `shape`.
-fn check_block<T>(shape: (usize, usize, usize), region: Rect, block: &Array3<T>) {
+/// Adds `factor · block`, each value widened to `f64` as it is added, into
+/// `region` of a complex volume, clipping against the volume bounds — the
+/// allocation-free scatter behind HVE's per-probe update and GD's local
+/// update (`block` is probe-window shaped: one sub-plane per slice).
+fn add_region_scaled(volume: &mut CArray3, region: Rect, block: &Array3<Complex32>, factor: f64) {
+    let (plane, depth) = (volume.plane_bounds(), volume.depth());
     let (rows, cols) = region.shape();
     assert_eq!(
         block.shape(),
-        (shape.0, rows, cols),
-        "block shape {:?} does not match region {:?} x {} slices",
+        (depth, rows, cols),
+        "block shape {:?} does not match region {region:?} x {depth} slices",
         block.shape(),
-        region,
-        shape.0
     );
-}
-
-/// Adds `factor · block`, each value widened to `f64` as it is added, into
-/// `region` of a complex volume, clipping against the volume bounds — the
-/// allocation-free scatter behind HVE's per-probe update (`block` is
-/// probe-window shaped: one sub-plane per slice).
-fn add_region_scaled(volume: &mut CArray3, region: Rect, block: &Array3<Complex32>, factor: f64) {
-    let shape = volume.shape();
-    check_block(shape, region, block);
+    let inside = region.intersect(&plane);
+    let rows = plane
+        .flat_rows(depth, 0, inside)
+        .zip(region.flat_rows(depth, 0, inside));
     let (volume, block) = (volume.as_mut_slice(), block.as_slice());
-    for (dst, src) in block_rows(shape, region) {
+    for (dst, src) in rows {
         for (v, g) in volume[dst].iter_mut().zip(&block[src]) {
             *v += g.widen() * factor;
         }
@@ -336,12 +315,21 @@ fn add_region_scaled(volume: &mut CArray3, region: Rect, block: &Array3<Complex3
 /// and are not written.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct FlatRegion<'a> {
-    pub region: Rect,
-    pub depth: usize,
-    pub pieces: &'a [Piece],
+    region: Rect,
+    depth: usize,
+    pieces: &'a [Piece],
 }
 
-impl FlatRegion<'_> {
+impl<'a> FlatRegion<'a> {
+    /// `region` of a buffer of `depth` slices, held in `pieces`.
+    pub(crate) fn new(region: Rect, depth: usize, pieces: &'a [Piece]) -> Self {
+        Self {
+            region,
+            depth,
+            pieces,
+        }
+    }
+
     /// The region's length on the wire, in `f64`s.
     fn flat_len(&self) -> usize {
         self.depth * self.region.area() * 2
@@ -350,33 +338,27 @@ impl FlatRegion<'_> {
     /// The flat range of every row of every piece, slice by slice, paired
     /// with the same cells' range in the wire payload (in `f64`s).
     fn rows(&self) -> impl Iterator<Item = (Range<usize>, Range<usize>)> + '_ {
-        let wire = Strip::alone(self.region);
         self.pieces.iter().flat_map(move |piece| {
-            let wire_rows = wire.rows(self.depth, piece.cells);
+            let wire_rows = self.region.flat_rows(self.depth, 0, piece.cells);
             let rows = piece.strip.rows(self.depth, piece.cells);
             rows.zip(wire_rows.map(|row| 2 * row.start..2 * row.end))
         })
     }
 }
 
-/// Runs `f` on `region` of a volume of `shape` as a [`FlatRegion`]: a
-/// volume is one strip over its plane, and the region's one piece is its
-/// part inside the plane (none when it misses the plane).
-fn in_volume<R>(
-    (depth, rows, cols): (usize, usize, usize),
-    region: Rect,
-    f: impl FnOnce(FlatRegion<'_>) -> R,
-) -> R {
-    let plane = Rect::of_shape(rows, cols);
-    let piece = [Piece {
-        strip: Strip::alone(plane),
+/// `region`'s one piece in a volume, which holds its plane as one strip
+/// from offset 0: the part of `region` inside the plane (none when it
+/// misses the plane).
+fn volume_piece(volume: &CArray3, region: Rect) -> [Piece; 1] {
+    let plane = volume.plane_bounds();
+    let strip = Strip {
+        rect: plane,
+        offset: 0,
+    };
+    [Piece {
+        strip,
         cells: region.intersect(&plane),
-    }];
-    f(FlatRegion {
-        region,
-        depth,
-        pieces: &piece,
-    })
+    }]
 }
 
 /// Flattens the values of `region` (tile-local coordinates) of a complex
@@ -386,11 +368,11 @@ fn in_volume<R>(
 /// use [`extract_region_flat_into`] over a pooled buffer instead.
 #[cfg(test)]
 pub(crate) fn extract_region_flat(volume: &CArray3, region: Rect) -> Vec<f64> {
-    in_volume(volume.shape(), region, |at| {
-        let mut out = vec![0.0; at.flat_len()];
-        extract_region_flat_into(volume.as_slice(), at, &mut out);
-        out
-    })
+    let pieces = volume_piece(volume, region);
+    let at = FlatRegion::new(region, volume.depth(), &pieces);
+    let mut out = vec![0.0; at.flat_len()];
+    extract_region_flat_into(volume.as_slice(), at, &mut out);
+    out
 }
 
 /// Extracts `at` of `buffer` into a pooled payload and sends it — the one
@@ -427,9 +409,9 @@ pub(crate) fn send_pooled_volume_region<C: ptycho_cluster::RankComm<ptycho_clust
     to: usize,
     tag: u64,
 ) {
-    in_volume(volume.shape(), region, |at| {
-        send_pooled_region(ctx, pool, volume.as_slice(), at, to, tag);
-    });
+    let pieces = volume_piece(volume, region);
+    let at = FlatRegion::new(region, volume.depth(), &pieces);
+    send_pooled_region(ctx, pool, volume.as_slice(), at, to, tag);
 }
 
 /// Flattens `at` of `buffer` into a caller-owned buffer of exactly its wire
@@ -460,18 +442,18 @@ pub(crate) fn extract_region_flat_into(buffer: &[Complex64], at: FlatRegion<'_>,
 /// clipped to the volume: a forward sweep's receive over a whole tile.
 #[cfg(test)]
 pub(crate) fn add_region_flat(volume: &mut CArray3, region: Rect, data: &[f64]) {
-    in_volume(volume.shape(), region, |at| {
-        apply_region_flat(volume.as_mut_slice(), at, data, |dst, src| *dst += src);
-    });
+    let pieces = volume_piece(volume, region);
+    let at = FlatRegion::new(region, volume.depth(), &pieces);
+    apply_region_flat(volume.as_mut_slice(), at, data, |dst, src| *dst += src);
 }
 
 /// Overwrites `region` of a complex volume with interleaved `re, im` values
 /// (the backward-pass replace, and the HVE voxel paste), clipped to the
 /// volume.
 pub(crate) fn set_region_flat(volume: &mut CArray3, region: Rect, data: &[f64]) {
-    in_volume(volume.shape(), region, |at| {
-        apply_region_flat(volume.as_mut_slice(), at, data, |dst, src| *dst = src);
-    });
+    let pieces = volume_piece(volume, region);
+    let at = FlatRegion::new(region, volume.depth(), &pieces);
+    apply_region_flat(volume.as_mut_slice(), at, data, |dst, src| *dst = src);
 }
 
 /// Applies `op(cell, value)` to every cell of `at` held in `buffer`, row
@@ -738,11 +720,7 @@ mod tests {
             Rect::new(5, 2, 1, 3),
         ] {
             let pieces = pieces(&layout, &[region]);
-            let at = FlatRegion {
-                region,
-                depth: vol.depth(),
-                pieces: &pieces,
-            };
+            let at = FlatRegion::new(region, vol.depth(), &pieces);
             let want = extract_region_flat(&vol, region);
             let mut got = vec![f64::NAN; want.len()];
             extract_region_flat_into(&gather(&layout, &vol), at, &mut got);
@@ -922,7 +900,6 @@ mod tests {
                 }
             }
         }
-        assert_eq!(block_rows((2, 6, 6), Rect::empty()).count(), 0);
     }
 
     #[test]
