@@ -361,20 +361,6 @@ fn volume_piece(volume: &CArray3, region: Rect) -> [Piece; 1] {
     }]
 }
 
-/// Flattens the values of `region` (tile-local coordinates) of a complex
-/// volume into an interleaved `re, im` vector, slice-major then row-major —
-/// the wire format of every gradient/voxel message. Cells of `region` outside
-/// the volume flatten to zero. Allocates the payload; the solvers' hot paths
-/// use [`extract_region_flat_into`] over a pooled buffer instead.
-#[cfg(test)]
-pub(crate) fn extract_region_flat(volume: &CArray3, region: Rect) -> Vec<f64> {
-    let pieces = volume_piece(volume, region);
-    let at = FlatRegion::new(region, volume.depth(), &pieces);
-    let mut out = vec![0.0; at.flat_len()];
-    extract_region_flat_into(volume.as_slice(), at, &mut out);
-    out
-}
-
 /// Extracts `at` of `buffer` into a pooled payload and sends it — the one
 /// allocation-free send path shared by the directional passes and the HVE
 /// voxel paste. The tile retired back into the pool keeps its buffer alive
@@ -438,15 +424,6 @@ pub(crate) fn extract_region_flat_into(buffer: &[Complex64], at: FlatRegion<'_>,
     }
 }
 
-/// Adds interleaved `re, im` values into `region` of a complex volume,
-/// clipped to the volume: a forward sweep's receive over a whole tile.
-#[cfg(test)]
-pub(crate) fn add_region_flat(volume: &mut CArray3, region: Rect, data: &[f64]) {
-    let pieces = volume_piece(volume, region);
-    let at = FlatRegion::new(region, volume.depth(), &pieces);
-    apply_region_flat(volume.as_mut_slice(), at, data, |dst, src| *dst += src);
-}
-
 /// Overwrites `region` of a complex volume with interleaved `re, im` values
 /// (the backward-pass replace, and the HVE voxel paste), clipped to the
 /// volume.
@@ -500,6 +477,27 @@ mod tests {
             0,
             &mut MemoryTracker::new(),
         )
+    }
+
+    /// Flattens the values of `region` (tile-local coordinates) of a complex
+    /// volume into an interleaved `re, im` vector, slice-major then row-major —
+    /// the wire format of every gradient/voxel message. Cells of `region`
+    /// outside the volume flatten to zero. Allocates the payload; the solvers'
+    /// hot paths use [`extract_region_flat_into`] over a pooled buffer instead.
+    fn extract_region_flat(volume: &CArray3, region: Rect) -> Vec<f64> {
+        let pieces = volume_piece(volume, region);
+        let at = FlatRegion::new(region, volume.depth(), &pieces);
+        let mut out = vec![0.0; at.flat_len()];
+        extract_region_flat_into(volume.as_slice(), at, &mut out);
+        out
+    }
+
+    /// Adds interleaved `re, im` values into `region` of a complex volume,
+    /// clipped to the volume: a forward sweep's receive over a whole tile.
+    fn add_region_flat(volume: &mut CArray3, region: Rect, data: &[f64]) {
+        let pieces = volume_piece(volume, region);
+        let at = FlatRegion::new(region, volume.depth(), &pieces);
+        apply_region_flat(volume.as_mut_slice(), at, data, |dst, src| *dst += src);
     }
 
     fn volume_with_pattern() -> CArray3 {

@@ -247,15 +247,6 @@ impl MultisliceModel {
 }
 
 impl<R: Real> MultisliceModel<R> {
-    /// Pins every transform of the model to `level` instead of the detected
-    /// tier, for the cross-tier identity tests.
-    #[cfg(test)]
-    pub(crate) fn with_simd_level(mut self, level: ptycho_fft::SimdLevel) -> Self {
-        let n = self.window_px();
-        self.plan.fft = Fft2Plan::with_simd_level(n, n, level);
-        self
-    }
-
     /// The probe this model simulates (its `f64` field).
     pub fn probe(&self) -> &Probe {
         &self.probe
@@ -365,6 +356,16 @@ mod tests {
     use crate::physics::ImagingGeometry;
     use crate::probe::ProbeConfig;
     use ptycho_fft::{CArray2, CArray3};
+
+    impl<R: Real> MultisliceModel<R> {
+        /// Pins every transform of the model to `level` instead of the
+        /// detected tier, for the cross-tier identity tests.
+        pub(crate) fn with_simd_level(mut self, level: ptycho_fft::SimdLevel) -> Self {
+            let n = self.window_px();
+            self.plan.fft = Fft2Plan::with_simd_level(n, n, level);
+            self
+        }
+    }
 
     fn test_probe(window: usize) -> Probe {
         Probe::new(ProbeConfig {

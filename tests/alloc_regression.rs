@@ -1,27 +1,26 @@
 //! Zero-allocation regression gate for the reconstruction hot path.
 //!
-//! ISSUE 4's tentpole makes the steady-state Gradient Decomposition
-//! iteration allocation-free: FFTs run in place, in the field's own
-//! storage, the multislice forward/adjoint evaluation reuses a
-//! `SimWorkspace`, the per-rank gradient and accumulation buffers are pooled
-//! at `init`, and the buffer resets happen in place. This binary installs a
-//! counting global allocator and pins the property: a single-rank GD run
-//! with extra iterations must perform **exactly** the same number of
-//! allocations as a shorter run — i.e. a steady-state iteration allocates
+//! The steady-state Gradient Decomposition iteration is allocation-free:
+//! FFTs run in place, in the field's own storage, the multislice
+//! forward/adjoint evaluation reuses a `SimWorkspace`, the per-rank gradient
+//! and accumulation buffers are pooled at `init`, and the buffer resets
+//! happen in place. This binary installs a counting global allocator and
+//! pins the property: a run with extra iterations must perform **exactly**
+//! the same number of allocations as a shorter run — i.e. a steady-state
+//! iteration allocates nothing.
+//!
+//! The pin covers single-rank GD, **multi-rank** GD and the **HVE** kernel,
+//! alone (1×1) and with its voxel paste (2×2): every wire payload comes out
+//! of a rank-local [`TilePayloadPool`](ptycho_cluster::TilePayloadPool) that
+//! recycles `SharedTile` buffers once their `Arc` strong count returns to 1,
+//! so a steady-state lockstep 2×2 iteration of either solver allocates
 //! nothing.
 //!
-//! ISSUE 5 extends the pin to **multi-rank** sends and to the **HVE**
-//! kernel: every wire payload now comes out of a rank-local
-//! [`TilePayloadPool`](ptycho_cluster::TilePayloadPool) that recycles
-//! `SharedTile` buffers once their `Arc` strong count returns to 1, so a
-//! steady-state lockstep 2×2 GD iteration allocates nothing either.
-
-//!
-//! ISSUE 7 extends the pin once more: attaching a telemetry flight recorder
-//! must not break it. The per-rank ring buffers are preallocated when the
-//! rank's sink is created (a per-run setup cost identical between the short
-//! and long runs), so recording an event on the steady-state path is a ring
-//! write — zero allocations.
+//! Attaching a telemetry flight recorder must not break it either. The
+//! per-rank ring buffers are preallocated when the rank's sink is created (a
+//! per-run setup cost identical between the short and long runs), so
+//! recording an event on the steady-state path is a ring write — zero
+//! allocations.
 
 use ptycho_alloc::CountingAllocator;
 use ptycho_cluster::{ClusterTopology, LockstepBackend, SharedTile};
@@ -168,6 +167,20 @@ fn steady_state_iterations_are_allocation_free() {
         "HVE 1x1",
         hve_run_allocations(&dataset, 2, (1, 1)),
         hve_run_allocations(&dataset, 6, (1, 1)),
+    );
+
+    // The HVE voxel paste (2x2, a paste every iteration). The paste sends
+    // before it receives, so a rank can acquire from its payload pool again
+    // before a slower peer has dropped the last payload it sent: the pool
+    // grows over the first exchanges, then stops. Measured at 76b4cb3: 136 /
+    // 144 / 152 / 159 allocations at 2 / 3 / 4 / 5 iterations, then 159 at
+    // 6, 8, 10, 20 and 40 (1x2 goes 65 -> 67 at 3 iterations, then stays
+    // flat). So the pair starts at 6 iterations: it pins the steady state,
+    // not the warm-up.
+    assert_steady_state(
+        "HVE 2x2",
+        hve_run_allocations(&dataset, 6, (2, 2)),
+        hve_run_allocations(&dataset, 12, (2, 2)),
     );
 
     // The zero-copy payload pin: cloning a SharedTile — what the payload

@@ -1,34 +1,47 @@
-//! FNV-64 goldens of whole Gradient Decomposition solves.
+//! FNV-64 goldens of whole solves: Gradient Decomposition and the Halo
+//! Voxel Exchange baseline.
 //!
-//! First recorded at commit 1f8111f (whole-overlap-strip accumulation passes,
-//! whole-tile apply and reset) and asserted unchanged under every
-//! restructuring of the pass / tile-update path since. Re-recorded once, when
-//! every per-probe evaluation moved to complex `f32` (the tile volume and the
-//! accumulation buffers stay `f64`); `tests/fidelity.rs` bounds how far that
-//! move may take a reconstruction from the ground truth. Every other
-//! bit-identity pin in the repository compares two paths of *one* build;
-//! this table is the only one that compares a build with its ancestors.
+//! The GD table was first recorded at commit 1f8111f (whole-overlap-strip
+//! accumulation passes, whole-tile apply and reset) and asserted unchanged
+//! under every restructuring of the pass / tile-update path since.
+//! Re-recorded once, when every per-probe evaluation moved to complex `f32`
+//! (the tile volume and the accumulation buffers stay `f64`);
+//! `tests/fidelity.rs` bounds how far that move may take a reconstruction
+//! from the ground truth. The HVE table was recorded at 76b4cb3, before the
+//! voxel paste moved onto the planned-step executor the passes run on. Every
+//! other bit-identity pin in the repository compares two paths of *one*
+//! build; these tables are the only ones that compare a build with its
+//! ancestors.
 //!
-//! The matrix is every pass frequency of Fig. 9 × local updates on / off ×
+//! The GD matrix is every pass frequency of Fig. 9 × local updates on / off ×
 //! five grids — 3×3 (diagonal overlaps, ranks with empty rounds), 1×4 and
 //! 4×1 (one sweep axis idle, non-adjacent extended tiles overlapping), 2×2
 //! and 1×1 (no pass message at all) — on the lockstep backend, plus one
-//! threaded run that must land on its lockstep row.
+//! threaded run that must land on its lockstep row. The HVE matrix is a
+//! voxel paste after every iteration and after every second one (the last
+//! iteration always pastes) × six grids — 1×2, 2×1 and 1×3 (strips of
+//! tiles along either axis), and 2×2, 2×3 and 3×3 (diagonal neighbours) —
+//! over three iterations, so a paste's voxels are
+//! read back by the next iteration's probes; again on lockstep, plus one
+//! threaded row.
 //!
 //! The hashes depend on the platform's `libm` (probe synthesis, twiddles)
 //! and on nothing else: every FFT dispatch tier computes the same bits, so
-//! the constants, recorded on the scalar tier, hold at whichever tier the
-//! host resolves to.
+//! the constants (the GD table recorded on the scalar tier, the HVE table
+//! on AVX2) hold at whichever tier the host resolves to.
 
 mod common;
 
 use common::{golden_problem, lockstep, threaded};
+use ptycho_cluster::CommBackend;
 use ptycho_core::config::PassFrequency::{self, EveryProbe, PerIteration};
 use ptycho_core::durability::fnv1a64;
 use ptycho_core::{
-    GradientDecompositionSolver, JobContext, ReconstructionResult, RecoveryPolicy, SolverConfig,
+    GradientDecompositionSolver, HaloVoxelExchangeSolver, JobContext, ReconstructionResult,
+    RecoveryPolicy, SolverConfig,
 };
 use ptycho_fft::SimdLevel;
+use ptycho_sim::dataset::Dataset;
 
 /// `(volume hash, cost-history hash)` of one solve: FNV-1a over the
 /// little-endian bit patterns of the stitched volume's `re, im` values and
@@ -291,4 +304,73 @@ fn threaded_solve_lands_on_its_lockstep_golden() {
         ),
         row.3
     );
+}
+
+fn hve_config(exchange_period: usize) -> SolverConfig {
+    SolverConfig {
+        iterations: 3,
+        hve_extra_probe_rows: 1,
+        hve_exchange_period: exchange_period,
+        ..SolverConfig::default()
+    }
+}
+
+/// `(exchange period, grid, fingerprint)`.
+type HveRow = (usize, (usize, usize), Fingerprint);
+
+const HVE_GOLDEN: [HveRow; 12] = [
+    (1, (1, 2), (0xaf77_0d06_0663_b955, 0xfcc7_0a78_f675_bfed)),
+    (2, (1, 2), (0x8b53_6d3a_a293_ccbd, 0x73db_cc2b_8a29_89bc)),
+    (1, (2, 1), (0x16ca_d424_81a1_915d, 0x2095_5d9b_3a74_e673)),
+    (2, (2, 1), (0x027e_a0ad_2681_245f, 0xd5f2_bec5_b1c0_ef0a)),
+    (1, (1, 3), (0xbcc0_1646_5d09_950a, 0x2f27_ebd6_f548_bb89)),
+    (2, (1, 3), (0x3d87_5839_179a_ed71, 0x3e45_8dc9_9c6e_2020)),
+    (1, (2, 2), (0xcb69_d825_faf8_565b, 0x96a7_c025_257f_ba85)),
+    (2, (2, 2), (0x73fd_a914_3cc1_9256, 0x32ef_dcd7_334e_611b)),
+    (1, (2, 3), (0x01db_820e_cd29_3784, 0xd90c_54b8_bb30_7db5)),
+    (2, (2, 3), (0x43c1_ace0_95bd_fd51, 0x7ee6_99c0_51da_8b49)),
+    (1, (3, 3), (0x0b2d_4726_e707_8ff2, 0x11f7_2138_0215_25a6)),
+    (2, (3, 3), (0x1dd2_c11b_300f_bb26, 0xaaa6_480d_1581_b619)),
+];
+
+fn hve_fingerprint<B: CommBackend>(
+    dataset: &Dataset,
+    backend: &B,
+    exchange_period: usize,
+    grid: (usize, usize),
+) -> Fingerprint {
+    let solver = HaloVoxelExchangeSolver::new(dataset, hve_config(exchange_period), grid)
+        .expect("every grid of the table is feasible");
+    fingerprint(
+        &solver
+            .run_job(backend, RecoveryPolicy::FailFast, &JobContext::default())
+            .expect("fault-free run completes"),
+    )
+}
+
+#[test]
+fn hve_lockstep_solves_match_recorded_goldens() {
+    let dataset = golden_problem();
+    let backend = lockstep();
+    for &(period, grid, expected) in &HVE_GOLDEN {
+        let got = hve_fingerprint(&dataset, &backend, period, grid);
+        assert_eq!(
+            got,
+            expected,
+            "HVE, exchange period {period}, grid {grid:?} at {:?}: got ({:#018x}, {:#018x})",
+            SimdLevel::detect(),
+            got.0,
+            got.1,
+        );
+    }
+}
+
+#[test]
+fn hve_threaded_solve_lands_on_its_lockstep_golden() {
+    let dataset = golden_problem();
+    let row = HVE_GOLDEN
+        .iter()
+        .find(|row| (row.0, row.1) == (1, (3, 3)))
+        .expect("the table covers a paste every iteration on 3x3");
+    assert_eq!(hve_fingerprint(&dataset, &threaded(), row.0, row.1), row.2);
 }
