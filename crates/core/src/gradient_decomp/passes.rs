@@ -1,5 +1,6 @@
 //! Forward and backward accumulated-gradient passes (Sec. IV, Fig. 4),
-//! restricted by a static plan to the cells that can carry gradient.
+//! restricted by a static plan to the cells that can carry gradient, and the
+//! one executor and wire format every planned transfer goes through.
 //!
 //! Direct-neighbour gradient exchange is not enough when the probe overlap
 //! ratio is high: a probe circle can overlap tiles that are not adjacent to
@@ -28,10 +29,12 @@
 //! itself accumulates, clipped to its extended tile — and walks the four
 //! sweeps symbolically in the order they run: a transfer from `a` to `b`
 //! carries the bounding box of `overlap(a, b) ∩ cover[a]`, and `cover[b]`
-//! gains what arrived. A rank therefore has one receive and one send
-//! rectangle per sweep (an empty one means *no message at all*) and a final
-//! cover of disjoint rectangles outside which its buffer is still all zeros
-//! when the round ends — the only cells the tile update and reset visit.
+//! gains what arrived. A rank's part in a round is therefore an ordered list
+//! of [`Step`]s — per sweep at most one receive (added in on a forward sweep,
+//! written over the buffer on a backward one) and then one send; a transfer
+//! that would carry only zeros is *no step at all* — and a final cover of
+//! disjoint rectangles outside which its buffer is still all zeros when the
+//! round ends: the only cells the tile update and reset visit.
 //!
 //! **Why the backward sweep covers the whole chain.** The forward sweep has
 //! already folded every upstream tile's cover into the last tile's (`cover[b]
@@ -43,9 +46,11 @@
 //!
 //! **Deadlock freedom.** Every rank derives the plan from the same grid and
 //! the same seeds, and the builder records the two ends of a transfer
-//! together, so a send is planned iff its receive is — the argument that
-//! already lets every rank agree on the number of rounds. The property suite
-//! pins it (`send(a→b) == recv(b←a)` in image coordinates).
+//! together, so every send step has exactly one receive step at its peer,
+//! with the same tag and the same image cells, and the reverse — the
+//! argument that already lets every rank agree on the number of rounds.
+//! Each receive precedes its send, so a chain drains upstream-first. The
+//! property suite pins both.
 //!
 //! **`±0.0`.** Restricting a sweep or the update to the cover is exact:
 //! `x + 0.0`, `0.0` replacing `0.0` and `v − α·(0.0 − 0.0)` leave every bit
@@ -77,9 +82,16 @@
 //! region, gathered from its pieces. Without local updates the volume waits
 //! for the accumulated total, so the buffers keep the whole extended tile,
 //! one strip, and the update its cover.
+//!
+//! # One transfer path
+//!
+//! [`run_planned_passes`] runs any step list over any [`StripLayout`]: also
+//! the Halo Voxel Exchange paste
+//! ([`paste_steps`](crate::halo_exchange::solver::paste_steps)) over the
+//! tile volume as one strip. The wire format (interleaved `re, im` `f64`s,
+//! slice-major then row-major) is private to this module.
 
 use crate::tiling::TileGrid;
-use crate::worker::{apply_region_flat, send_pooled_region, FlatRegion};
 use ptycho_array::Rect;
 use ptycho_cluster::{CommError, RankComm, SharedTile, TilePayloadPool};
 use ptycho_fft::{CArray3, Complex64};
@@ -98,13 +110,14 @@ pub mod tags {
     pub const HORIZONTAL_BACKWARD: u64 = 0x13;
 }
 
-/// The four sweeps in the order they run: `(step, forward, tag)`, `step`
-/// being the tile-grid offset from a sender to its receiver.
-const SWEEPS: [((isize, isize), bool, u64); 4] = [
-    ((1, 0), true, tags::VERTICAL_FORWARD),
-    ((-1, 0), false, tags::VERTICAL_BACKWARD),
-    ((0, 1), true, tags::HORIZONTAL_FORWARD),
-    ((0, -1), false, tags::HORIZONTAL_BACKWARD),
+/// The four sweeps in the order they run: `(step, receive, tag)`, `step`
+/// being the tile-grid offset from a sender to its receiver and `receive`
+/// what the receiver does with what arrives.
+const SWEEPS: [((isize, isize), Op, u64); 4] = [
+    ((1, 0), Op::Add, tags::VERTICAL_FORWARD),
+    ((-1, 0), Op::Replace, tags::VERTICAL_BACKWARD),
+    ((0, 1), Op::Add, tags::HORIZONTAL_FORWARD),
+    ((0, -1), Op::Replace, tags::HORIZONTAL_BACKWARD),
 ];
 
 /// One planned message: the peer rank and the region it covers, in the
@@ -117,22 +130,43 @@ pub struct Transfer {
     pub region: Rect,
 }
 
-/// One rank's part in one directional sweep: receive (add on a forward
-/// sweep, replace on a backward one), then send on. `None` is no message.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct SweepStep {
-    /// What arrives from the upstream neighbour.
-    pub recv: Option<Transfer>,
-    /// What goes to the downstream neighbour.
-    pub send: Option<Transfer>,
+/// What a [`Step`] does with its transfer's region of the buffer.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Op {
+    /// Sends the region to the peer.
+    Send,
+    /// Receives the region and adds it in (a forward sweep).
+    Add,
+    /// Receives the region and writes it over (a backward sweep, a paste).
+    Replace,
+}
+
+/// One end of one planned message, in a rank's running order.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Step {
+    /// Send, or receive and add / replace.
+    pub op: Op,
+    /// The message tag; the other end's step carries the same one.
+    pub tag: u64,
+    /// The peer and the region, tile-local to the rank running the step.
+    pub transfer: Transfer,
+}
+
+impl Step {
+    /// `op` on `region` with `peer`, under `tag`.
+    pub fn new(op: Op, tag: u64, peer: usize, region: Rect) -> Self {
+        let transfer = Transfer { peer, region };
+        Self { op, tag, transfer }
+    }
 }
 
 /// One rank's part in one synchronisation round.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RankPasses {
-    /// The four sweeps, in running order (vertical forward, vertical
-    /// backward, horizontal forward, horizontal backward).
-    pub sweeps: [SweepStep; 4],
+    /// The four sweeps' messages, in running order (vertical forward,
+    /// vertical backward, horizontal forward, horizontal backward), each
+    /// sweep's receive before its send.
+    pub steps: Vec<Step>,
     /// Disjoint, non-empty tile-local rectangles holding every cell the
     /// rank's buffer can hold a nonzero in once the round's passes are done
     /// (its seed and all it received); empty if it takes no part. Without
@@ -175,18 +209,19 @@ impl PassPlan {
                 .map(|rank| {
                     let extended = grid.tile(rank).extended;
                     RankPasses {
-                        sweeps: [SweepStep::default(); 4],
+                        steps: Vec::new(),
                         cover: vec![round[rank].intersect(&extended).to_local(&extended)],
                         shared: Vec::new(),
                     }
                 })
                 .collect();
-            for (sweep, &(step, forward, _)) in SWEEPS.iter().enumerate() {
+            for &(step, receive, tag) in &SWEEPS {
                 // Rank order is row-major, so ascending order visits every
                 // chain upstream-first on a forward sweep, descending order
-                // on a backward one.
+                // on a backward one: a rank's receive is recorded before its
+                // send.
                 for i in 0..ranks {
-                    let from = if forward { i } else { ranks - 1 - i };
+                    let from = if receive == Op::Add { i } else { ranks - 1 - i };
                     let Some(to) = neighbour(grid, from, step) else {
                         continue;
                     };
@@ -200,25 +235,19 @@ impl PassPlan {
                     let arrives = sent
                         .to_global(&grid.tile(from).extended)
                         .to_local(&grid.tile(to).extended);
-                    passes[from].sweeps[sweep].send = Some(Transfer {
-                        peer: to,
-                        region: sent,
-                    });
-                    passes[to].sweeps[sweep].recv = Some(Transfer {
-                        peer: from,
-                        region: arrives,
-                    });
+                    passes[from].steps.push(Step::new(Op::Send, tag, to, sent));
+                    passes[to]
+                        .steps
+                        .push(Step::new(receive, tag, from, arrives));
                     passes[to].cover.push(arrives);
                 }
             }
             for rank_passes in &mut passes {
                 rank_passes.cover = disjoint_union(&rank_passes.cover);
                 let messages: Vec<Rect> = rank_passes
-                    .sweeps
+                    .steps
                     .iter()
-                    .flat_map(|step| [step.recv, step.send])
-                    .flatten()
-                    .map(|transfer| transfer.region)
+                    .map(|step| step.transfer.region)
                     .collect();
                 rank_passes.shared = disjoint_union(&messages);
             }
@@ -321,20 +350,20 @@ impl StripLayout {
         self.len == 0
     }
 
-    /// Splits one round of a rank's plan over this layout, once, so the
-    /// passes, the scatter and the update walk row ranges and intersect
-    /// nothing: every transfer region, and the `cells` the round's scatter
-    /// and update visit, as pieces, one per strip each meets.
+    /// Splits a rank's steps — one round of a pass plan, or a voxel paste —
+    /// over this layout, once, so the executor, the scatter and the update
+    /// walk row ranges and intersect nothing: every step's region, and the
+    /// `cells` the round's scatter and update visit, as pieces, one per
+    /// strip each meets.
     ///
     /// # Panics
-    /// Panics unless the strips hold every transfer region and every cell.
-    pub fn split(&self, passes: &RankPasses, cells: &[Rect]) -> StripPasses {
+    /// Panics unless the strips hold every step's region and every cell.
+    pub fn split(&self, steps: &[Step], cells: &[Rect]) -> StripPasses {
         let mut pieces = Vec::new();
-        let sweeps = passes.sweeps.map(|step| {
-            [step.recv, step.send].map(|transfer| {
-                transfer.map(|transfer| (transfer, self.split_rect(transfer.region, &mut pieces)))
-            })
-        });
+        let steps = steps
+            .iter()
+            .map(|&step| (step, self.split_rect(step.transfer.region, &mut pieces)))
+            .collect();
         let start = pieces.len();
         for &rect in cells {
             self.split_rect(rect, &mut pieces);
@@ -342,7 +371,7 @@ impl StripLayout {
         StripPasses {
             depth: self.depth,
             len: self.len,
-            sweeps,
+            steps,
             cells: start..pieces.len(),
             pieces,
         }
@@ -361,19 +390,15 @@ impl StripLayout {
     }
 }
 
-/// A planned message and the range of its region's pieces in
-/// [`StripPasses::pieces`].
-type SplitTransfer = (Transfer, Range<usize>);
-
-/// One round of a rank's plan split over a [`StripLayout`] by
-/// [`StripLayout::split`]: what [`run_planned_passes`] runs.
+/// A rank's steps split over a [`StripLayout`] by [`StripLayout::split`]:
+/// what [`run_planned_passes`] runs.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct StripPasses {
     depth: usize,
     /// The layout's buffer length.
     len: usize,
-    /// Per sweep in running order, the receive then the send.
-    sweeps: [[Option<SplitTransfer>; 2]; 4],
+    /// In running order, each step with the range of its region's pieces.
+    steps: Vec<(Step, Range<usize>)>,
     /// The range of the round's visited cells' pieces in `pieces`.
     cells: Range<usize>,
     pieces: Vec<Piece>,
@@ -386,18 +411,18 @@ impl StripPasses {
     }
 }
 
-/// Runs this rank's four planned sweeps of one round on its accumulation
-/// buffer, `passes` split over the buffer's [`StripLayout`]. Provided the
-/// buffer was zero outside the rank's seed, it ends up equal (over the cells
-/// it holds) to the sum of the accumulation buffers of every tile whose
-/// extended region overlaps it, and zero outside [`RankPasses::cover`]. Each
-/// sweep reads and writes only its own receive and send regions, so only
-/// [`RankPasses::shared`] is ever visited, and the wire carries each region
-/// whole whatever strips hold it.
+/// Runs this rank's steps, in order, on its buffer, `passes` split over the
+/// buffer's [`StripLayout`]: a send ships its region, a receive blocks for
+/// the peer's and adds it in or writes it over. Each step touches only its
+/// own region, and the wire carries each region whole whatever strips hold
+/// it. After one round of a [`PassPlan`], an accumulation buffer that was
+/// zero outside the rank's seed equals (over the cells it holds) the sum of
+/// the buffers of every tile whose extended region overlaps it, and is zero
+/// outside [`RankPasses::cover`]; only [`RankPasses::shared`] is visited.
 ///
-/// Every rank of the grid must run the same round of the same plan, otherwise
-/// the blocking receives deadlock (on the lockstep backend the deadlock is
-/// detected and reported as a [`CommError`]).
+/// Every rank of the grid must run the same round of the same plan (or the
+/// same paste), otherwise the blocking receives deadlock (on the lockstep
+/// backend the deadlock is detected and reported as a [`CommError`]).
 ///
 /// Generic over the communication backend: any [`RankComm`] carrying the
 /// flat `re, im`-interleaved wire format works. Payloads travel as
@@ -416,21 +441,23 @@ pub fn run_planned_passes<C: RankComm<SharedTile>>(
     pool: &mut TilePayloadPool,
 ) -> Result<(), CommError> {
     assert_eq!(buffer.len(), passes.len, "buffer does not match the layout");
-    let at = |region, pieces: &Range<usize>| {
-        FlatRegion::new(region, passes.depth, &passes.pieces[pieces.clone()])
-    };
-    for ([recv, send], &(_, forward, tag)) in passes.sweeps.iter().zip(&SWEEPS) {
-        if let Some((Transfer { peer, region }, pieces)) = recv {
-            let payload = ctx.recv(*peer, tag)?;
-            let (at, data) = (at(*region, pieces), payload.values());
-            if forward {
-                apply_region_flat(buffer, at, data, |dst, src| *dst += src);
-            } else {
-                apply_region_flat(buffer, at, data, |dst, src| *dst = src);
+    for (Step { op, tag, transfer }, pieces) in &passes.steps {
+        let (peer, tag) = (transfer.peer, *tag);
+        let at = FlatRegion {
+            region: transfer.region,
+            depth: passes.depth,
+            pieces: &passes.pieces[pieces.clone()],
+        };
+        match op {
+            Op::Send => send_pooled_region(ctx, pool, buffer, at, peer, tag),
+            Op::Add => {
+                let payload = ctx.recv(peer, tag)?;
+                apply_region_flat(buffer, at, payload.values(), |dst, src| *dst += src);
             }
-        }
-        if let Some((Transfer { peer, region }, pieces)) = send {
-            send_pooled_region(ctx, pool, buffer, at(*region, pieces), *peer, tag);
+            Op::Replace => {
+                let payload = ctx.recv(peer, tag)?;
+                apply_region_flat(buffer, at, payload.values(), |dst, src| *dst = src);
+            }
         }
     }
     Ok(())
@@ -449,8 +476,101 @@ pub fn run_accumulation_passes<C: RankComm<SharedTile>>(
     let whole_tiles: Vec<Rect> = grid.tiles().iter().map(|tile| tile.extended).collect();
     let plan = PassPlan::new(grid, &whole_tiles);
     let layout = StripLayout::new(&[buffer.plane_bounds()], buffer.depth());
-    let passes = layout.split(plan.passes(0, ctx.rank()), &[]);
+    let passes = layout.split(&plan.passes(0, ctx.rank()).steps, &[]);
     run_planned_passes(ctx, &passes, buffer.as_mut_slice(), pool)
+}
+
+/// A wire-format region and where its cells lie in a flat complex buffer of
+/// `depth` slices: the disjoint `pieces` of `region` the buffer holds, one
+/// per strip they lie in, together tiling `region` ([`StripLayout::split`]
+/// checks it).
+#[derive(Clone, Copy, Debug)]
+struct FlatRegion<'a> {
+    region: Rect,
+    depth: usize,
+    pieces: &'a [Piece],
+}
+
+impl FlatRegion<'_> {
+    /// The region's length on the wire, in `f64`s.
+    fn flat_len(&self) -> usize {
+        self.depth * self.region.area() * 2
+    }
+
+    /// The flat range of every row of every piece, slice by slice, paired
+    /// with the same cells' range in the wire payload (in `f64`s).
+    fn rows(&self) -> impl Iterator<Item = (Range<usize>, Range<usize>)> + '_ {
+        self.pieces.iter().flat_map(move |piece| {
+            let wire_rows = self.region.flat_rows(self.depth, 0, piece.cells);
+            let rows = piece.strip.rows(self.depth, piece.cells);
+            rows.zip(wire_rows.map(|row| 2 * row.start..2 * row.end))
+        })
+    }
+}
+
+/// Extracts `at` of `buffer` into a pooled payload and sends it — the one
+/// send path, allocation-free in the steady state. The tile retired back
+/// into the pool keeps its buffer alive until every comm-layer alias has
+/// been dropped, at which point the pool recycles it.
+fn send_pooled_region<C: RankComm<SharedTile>>(
+    ctx: &mut C,
+    pool: &mut TilePayloadPool,
+    buffer: &[Complex64],
+    at: FlatRegion<'_>,
+    to: usize,
+    tag: u64,
+) {
+    let mut tile = pool.acquire(at.flat_len());
+    extract_region_flat_into(
+        buffer,
+        at,
+        tile.unique_values_mut()
+            .expect("freshly acquired tiles are unaliased"),
+    );
+    ctx.isend(to, tag, tile.clone());
+    pool.retire(tile);
+}
+
+/// Flattens `at` of `buffer` into a caller-owned buffer of exactly its wire
+/// length (a pooled [`SharedTile`] payload), row slice by row slice, so the
+/// steady-state send path performs no allocation. The pieces tile the
+/// region, so every value of `out` is overwritten.
+fn extract_region_flat_into(buffer: &[Complex64], at: FlatRegion<'_>, out: &mut [f64]) {
+    assert_eq!(
+        out.len(),
+        at.flat_len(),
+        "payload buffer must match the region's flat size"
+    );
+    for (src, dst) in at.rows() {
+        for (pair, v) in out[dst].chunks_exact_mut(2).zip(&buffer[src]) {
+            pair[0] = v.re;
+            pair[1] = v.im;
+        }
+    }
+}
+
+/// Applies `op(cell, value)` to every cell of `at` in `buffer`, row slice by
+/// row slice, `value` read from the interleaved `re, im` payload `data` —
+/// the one receive path.
+fn apply_region_flat(
+    buffer: &mut [Complex64],
+    at: FlatRegion<'_>,
+    data: &[f64],
+    mut op: impl FnMut(&mut Complex64, Complex64),
+) {
+    assert_eq!(
+        data.len(),
+        at.flat_len(),
+        "flat payload length {} does not match region {:?} x {} slices",
+        data.len(),
+        at.region,
+        at.depth
+    );
+    for (dst, src) in at.rows() {
+        for (cell, pair) in buffer[dst].iter_mut().zip(data[src].chunks_exact(2)) {
+            op(cell, Complex64::new(pair[0], pair[1]));
+        }
+    }
 }
 
 /// The rank `(drow, dcol)` tiles away from this one, if the grid has it.
@@ -705,6 +825,172 @@ mod tests {
             ]
         );
         assert!(disjoint_union(&[]).is_empty());
+    }
+
+    fn volume_with_pattern() -> CArray3 {
+        Array3::from_fn(2, 6, 6, |s, r, c| {
+            Complex64::new((s * 36 + r * 6 + c) as f64, -(r as f64))
+        })
+    }
+
+    fn flat_bits(v: &[Complex64]) -> Vec<(u64, u64)> {
+        v.iter().map(|c| (c.re.to_bits(), c.im.to_bits())).collect()
+    }
+
+    /// The values a buffer of `layout` holds of a tile-shaped volume.
+    fn gather(layout: &StripLayout, whole: &CArray3) -> Vec<Complex64> {
+        let strips = layout.strips().iter();
+        strips
+            .flat_map(|strip| whole.extract_region(strip.rect).as_slice().to_vec())
+            .collect()
+    }
+
+    /// The one-strip layout of `volume`, as the voxel paste holds it.
+    fn whole(volume: &CArray3) -> StripLayout {
+        StripLayout::new(&[volume.plane_bounds()], volume.depth())
+    }
+
+    /// The wire payload of `region` of `volume` built cell by cell —
+    /// slice-major, then row-major, `re, im` interleaved — sharing no code
+    /// with the codec.
+    fn wire_reference(volume: &CArray3, region: Rect) -> Vec<f64> {
+        let mut out = Vec::new();
+        for s in 0..volume.depth() {
+            for r in region.row0..region.row1 {
+                for c in region.col0..region.col1 {
+                    let v = volume[(s, r as usize, c as usize)];
+                    out.extend([v.re, v.im]);
+                }
+            }
+        }
+        out
+    }
+
+    /// Extracts `region` of `buffer`, laid out by `layout`, into a payload.
+    fn extract(layout: &StripLayout, buffer: &[Complex64], region: Rect) -> Vec<f64> {
+        let split = layout.split(&[], &[region]);
+        let at = FlatRegion {
+            region,
+            depth: layout.depth,
+            pieces: split.cells(),
+        };
+        let mut out = vec![f64::NAN; at.flat_len()];
+        extract_region_flat_into(buffer, at, &mut out);
+        out
+    }
+
+    /// Applies `data` to `region` of `buffer`, laid out by `layout`: added
+    /// in, or written over it.
+    fn apply(
+        layout: &StripLayout,
+        buffer: &mut [Complex64],
+        region: Rect,
+        data: &[f64],
+        add: bool,
+    ) {
+        let split = layout.split(&[], &[region]);
+        let at = FlatRegion {
+            region,
+            depth: layout.depth,
+            pieces: split.cells(),
+        };
+        if add {
+            apply_region_flat(buffer, at, data, |dst, src| *dst += src);
+        } else {
+            apply_region_flat(buffer, at, data, |dst, src| *dst = src);
+        }
+    }
+
+    #[test]
+    fn flat_roundtrip_set() {
+        let vol = volume_with_pattern();
+        let layout = whole(&vol);
+        let region = Rect::new(1, 2, 3, 3);
+        let flat = extract(&layout, vol.as_slice(), region);
+        assert_eq!(flat.len(), 2 * 3 * 3 * 2);
+        assert_eq!(flat, wire_reference(&vol, region));
+
+        let mut target = Array3::full(2, 6, 6, Complex64::ZERO);
+        apply(&layout, target.as_mut_slice(), region, &flat, false);
+        for s in 0..2 {
+            for r in 0..6 {
+                for c in 0..6 {
+                    let inside = region.contains(r as i64, c as i64);
+                    let want = if inside {
+                        vol[(s, r, c)]
+                    } else {
+                        Complex64::ZERO
+                    };
+                    assert_eq!(target[(s, r, c)], want, "({s}, {r}, {c})");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn flat_add_accumulates() {
+        let vol = volume_with_pattern();
+        let layout = whole(&vol);
+        let region = Rect::new(0, 0, 2, 2);
+        let flat = extract(&layout, vol.as_slice(), region);
+        let mut target = vol.clone();
+        apply(&layout, target.as_mut_slice(), region, &flat, true);
+        assert_eq!(target[(0, 0, 0)], vol[(0, 0, 0)] + vol[(0, 0, 0)]);
+        assert_eq!(target[(1, 1, 1)], vol[(1, 1, 1)].scale(2.0));
+        // Outside region unchanged.
+        assert_eq!(target[(0, 5, 5)], vol[(0, 5, 5)]);
+    }
+
+    #[test]
+    fn flat_regions_across_strips_match_the_volume_wire_format() {
+        // A region held in pieces of several strips travels exactly as the
+        // wire format says, cell by cell: the same payload out, the same
+        // cells written in.
+        let vol = volume_with_pattern();
+        let strips = [
+            Rect::new(0, 0, 2, 6),
+            Rect::new(2, 0, 3, 2),
+            Rect::new(2, 2, 3, 4),
+            Rect::new(5, 1, 1, 5),
+        ];
+        let layout = StripLayout::new(&strips, vol.depth());
+        for region in [
+            Rect::new(1, 1, 4, 4),
+            Rect::new(0, 0, 5, 6),
+            Rect::new(5, 2, 1, 3),
+        ] {
+            let want = wire_reference(&vol, region);
+            assert_eq!(extract(&layout, &gather(&layout, &vol), region), want);
+
+            let data: Vec<f64> = (0..want.len()).map(|i| i as f64 * 0.5 - 3.0).collect();
+            let (rows, cols) = region.shape();
+            let block = Array3::from_fn(vol.depth(), rows, cols, |s, r, c| {
+                let i = 2 * ((s * rows + r) * cols + c);
+                Complex64::new(data[i], data[i + 1])
+            });
+            let (mut added, mut set) = (vol.clone(), vol.clone());
+            added.add_region(region, &block);
+            set.paste_region(region, &block);
+            for (whole, add) in [(added, true), (set, false)] {
+                let mut buffer = gather(&layout, &vol);
+                apply(&layout, &mut buffer, region, &data, add);
+                assert_eq!(flat_bits(&buffer), flat_bits(&gather(&layout, &whole)));
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "does not match region")]
+    fn wrong_payload_length_panics() {
+        let mut vol = volume_with_pattern();
+        let layout = whole(&vol);
+        apply(
+            &layout,
+            vol.as_mut_slice(),
+            Rect::new(0, 0, 2, 2),
+            &[1.0, 2.0],
+            true,
+        );
     }
 
     #[test]

@@ -240,7 +240,7 @@ impl SolverKernel for GdKernel<'_> {
                 } else {
                     &passes.cover
                 };
-                layout.split(passes, cells)
+                layout.split(&passes.steps, cells)
             })
             .collect();
         let buffers = AccBuffers::new(&layout, self.config.local_updates, ctx.memory_mut());
@@ -441,8 +441,7 @@ mod tests {
                             }
                             for round in 0..plan.rounds() {
                                 let passes = plan.passes(round, rank);
-                                let transfers = passes.sweeps.iter().flat_map(|s| [s.recv, s.send]);
-                                let regions = transfers.flatten().map(|t| t.region);
+                                let regions = passes.steps.iter().map(|s| s.transfer.region);
                                 for rect in passes.shared.iter().copied().chain(regions) {
                                     let inside: usize =
                                         strips.iter().map(|s| s.intersect(&rect).area()).sum();

@@ -5,11 +5,16 @@
 //! what one baseline iteration does on one rank: embarrassingly parallel tile reconstruction with
 //! redundant probe locations, followed every `hve_exchange_period`
 //! iterations by the synchronous voxel copy-paste exchange of Fig. 2(g).
+//!
+//! The paste is planned once per rank ([`paste_steps`]) and run, one replace
+//! round per exchange, by GD's executor ([`run_planned_passes`]).
 
 use crate::config::SolverConfig;
 use crate::engine::{JobContext, ReconstructionResult, RecoveryPolicy, SolverKernel};
-use crate::tiling::{TileGrid, TileInfo};
-use crate::worker::{send_pooled_volume_region, set_region_flat, TileWorker};
+use crate::gradient_decomp::passes::{run_planned_passes, Op, Step, StripLayout, StripPasses};
+use crate::tiling::TileGrid;
+use crate::worker::TileWorker;
+use ptycho_array::Rect;
 use ptycho_cluster::{CommBackend, CommError, RankComm, RankFailure, SharedTile, TilePayloadPool};
 use ptycho_fft::CArray3;
 use ptycho_sim::dataset::Dataset;
@@ -156,6 +161,27 @@ impl<'a> HaloVoxelExchangeSolver<'a> {
     }
 }
 
+/// `rank`'s part in one voxel paste, in running order: sends of its core
+/// voxels into every neighbour's halo (`core ∩ peer.extended`), then
+/// replaces of its halo from every neighbour's core (`peer.core ∩
+/// extended`), each in [`TileGrid::neighbors`] order, tile-local; an empty
+/// region is no step. Every send is paired with one replace at the peer
+/// (same tag, same image cells); a rank's replaces are disjoint, inside its
+/// extended tile and outside its core, so their order moves no bit.
+pub fn paste_steps(grid: &TileGrid, rank: usize) -> Vec<Step> {
+    let (tile, neighbors) = (grid.tile(rank), grid.neighbors(rank));
+    let send = |&p: &usize| (Op::Send, p, tile.core.intersect(&grid.tile(p).extended));
+    let replace = |&p: &usize| (Op::Replace, p, grid.tile(p).core.intersect(&tile.extended));
+    let steps = neighbors
+        .iter()
+        .map(send)
+        .chain(neighbors.iter().map(replace));
+    steps
+        .filter(|(.., region)| !region.is_empty())
+        .map(|(op, p, region)| Step::new(op, TAG_VOXEL_PASTE, p, region.to_local(&tile.extended)))
+        .collect()
+}
+
 /// The Halo Voxel Exchange `SolverKernel`, plugged into the shared
 /// iteration engine.
 struct HveKernel<'a> {
@@ -168,9 +194,11 @@ struct HveKernel<'a> {
 
 /// Rank-local Halo Voxel Exchange scratch.
 struct HveState<'a> {
-    tile: TileInfo,
+    /// Only the probes owned here, centred in the core, count towards the cost.
+    core: Rect,
     probes: &'a [ProbeLocation],
-    neighbors: Vec<usize>,
+    /// The rank's part in a voxel paste, split over the tile volume.
+    paste: StripPasses,
     /// Recycles the voxel-paste payload buffers, so steady-state exchanges
     /// allocate nothing.
     pool: TilePayloadPool,
@@ -196,21 +224,21 @@ impl SolverKernel for HveKernel<'_> {
 
     fn init<'k, C: RankComm<SharedTile>>(&'k self, ctx: &mut C) -> (TileWorker<'k>, HveState<'k>) {
         let rank = ctx.rank();
-        let tile = self.grid.tile(rank).clone();
+        let tile = self.grid.tile(rank);
         let probes = self.assigned[rank].as_slice();
         let worker = TileWorker::new(
             self.dataset,
-            &tile,
+            tile,
             self.initial,
             &self.config,
             probes.len(),
             ctx.memory_mut(),
         );
-        let neighbors = self.grid.neighbors(rank);
+        let volume = StripLayout::new(&[tile.extended.to_local(&tile.extended)], self.slices());
         let state = HveState {
-            tile,
+            core: tile.core,
             probes,
-            neighbors,
+            paste: volume.split(&paste_steps(self.grid, rank), &[]),
             pool: TilePayloadPool::new(),
         };
         (worker, state)
@@ -224,9 +252,9 @@ impl SolverKernel for HveKernel<'_> {
         iteration: usize,
     ) -> Result<f64, CommError> {
         let HveState {
-            tile,
+            core,
             probes,
-            neighbors,
+            paste,
             pool,
         } = state;
 
@@ -239,7 +267,7 @@ impl SolverKernel for HveKernel<'_> {
             // Only count owned probes towards the global cost so that the
             // reported F(V) is comparable with the Gradient Decomposition
             // method (redundant evaluations would double-count).
-            if tile.core.contains(
+            if core.contains(
                 loc.center_px.0.floor() as i64,
                 loc.center_px.1.floor() as i64,
             ) {
@@ -253,34 +281,10 @@ impl SolverKernel for HveKernel<'_> {
         // exchange, Fig. 2(g)). The baseline reconstructs tiles independently
         // for `hve_exchange_period` iterations between exchanges.
         let exchange_period = self.config.hve_exchange_period.max(1);
-        if !(iteration + 1).is_multiple_of(exchange_period)
-            && iteration + 1 != self.config.iterations
+        if (iteration + 1).is_multiple_of(exchange_period)
+            || iteration + 1 == self.config.iterations
         {
-            return Ok(iteration_cost);
-        }
-        for &peer in neighbors.iter() {
-            let send_region_global = tile.core.intersect(&self.grid.tile(peer).extended);
-            if send_region_global.is_empty() {
-                continue;
-            }
-            let send_local = send_region_global.to_local(&tile.extended);
-            send_pooled_volume_region(
-                ctx,
-                pool,
-                worker.volume(),
-                send_local,
-                peer,
-                TAG_VOXEL_PASTE,
-            );
-        }
-        for &peer in neighbors.iter() {
-            let recv_region_global = self.grid.tile(peer).core.intersect(&tile.extended);
-            if recv_region_global.is_empty() {
-                continue;
-            }
-            let recv_local = recv_region_global.to_local(&tile.extended);
-            let payload = ctx.recv(peer, TAG_VOXEL_PASTE)?;
-            set_region_flat(worker.volume_mut(), recv_local, payload.values());
+            run_planned_passes(ctx, paste, worker.volume_mut().as_mut_slice(), pool)?;
         }
         Ok(iteration_cost)
     }

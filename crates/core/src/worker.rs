@@ -1,7 +1,7 @@
 //! Per-rank tile state shared by both decomposition solvers.
 
 use crate::config::SolverConfig;
-use crate::gradient_decomp::passes::{Piece, Strip, StripLayout};
+use crate::gradient_decomp::passes::{Piece, StripLayout};
 use crate::tiling::TileInfo;
 use ptycho_array::{Array3, Rect};
 use ptycho_cluster::{HardwareModel, MemoryCategory, MemoryTracker};
@@ -11,7 +11,6 @@ use ptycho_sim::gradient::{probe_gradient_into, suggested_step};
 use ptycho_sim::scan::ProbeLocation;
 use ptycho_sim::SimWorkspace;
 use std::mem::size_of_val;
-use std::ops::Range;
 
 /// The state one worker (simulated GPU) keeps for its tile: the halo-extended
 /// sub-volume it reconstructs, the bound forward model, the gradient step,
@@ -235,8 +234,9 @@ impl<'a> TileWorker<'a> {
         &self.volume
     }
 
-    /// Mutable access to the tile volume (used by the voxel copy-paste of the
-    /// Halo Voxel Exchange baseline).
+    /// Mutable access to the tile volume: the buffer the Halo Voxel Exchange
+    /// baseline's planned voxel paste runs on (laid out as one strip over the
+    /// extended tile), and what the engine restores a checkpoint into.
     pub fn volume_mut(&mut self) -> &mut CArray3 {
         &mut self.volume
     }
@@ -309,158 +309,9 @@ fn add_region_scaled(volume: &mut CArray3, region: Rect, block: &Array3<Complex3
     }
 }
 
-/// A wire-format region and where its cells lie in a flat complex buffer of
-/// `depth` slices: the disjoint `pieces` of `region` the buffer holds, one
-/// per strip they lie in. Cells of `region` no piece holds travel as zero
-/// and are not written.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct FlatRegion<'a> {
-    region: Rect,
-    depth: usize,
-    pieces: &'a [Piece],
-}
-
-impl<'a> FlatRegion<'a> {
-    /// `region` of a buffer of `depth` slices, held in `pieces`.
-    pub(crate) fn new(region: Rect, depth: usize, pieces: &'a [Piece]) -> Self {
-        Self {
-            region,
-            depth,
-            pieces,
-        }
-    }
-
-    /// The region's length on the wire, in `f64`s.
-    fn flat_len(&self) -> usize {
-        self.depth * self.region.area() * 2
-    }
-
-    /// The flat range of every row of every piece, slice by slice, paired
-    /// with the same cells' range in the wire payload (in `f64`s).
-    fn rows(&self) -> impl Iterator<Item = (Range<usize>, Range<usize>)> + '_ {
-        self.pieces.iter().flat_map(move |piece| {
-            let wire_rows = self.region.flat_rows(self.depth, 0, piece.cells);
-            let rows = piece.strip.rows(self.depth, piece.cells);
-            rows.zip(wire_rows.map(|row| 2 * row.start..2 * row.end))
-        })
-    }
-}
-
-/// `region`'s one piece in a volume, which holds its plane as one strip
-/// from offset 0: the part of `region` inside the plane (none when it
-/// misses the plane).
-fn volume_piece(volume: &CArray3, region: Rect) -> [Piece; 1] {
-    let plane = volume.plane_bounds();
-    let strip = Strip {
-        rect: plane,
-        offset: 0,
-    };
-    [Piece {
-        strip,
-        cells: region.intersect(&plane),
-    }]
-}
-
-/// Extracts `at` of `buffer` into a pooled payload and sends it — the one
-/// allocation-free send path shared by the directional passes and the HVE
-/// voxel paste. The tile retired back into the pool keeps its buffer alive
-/// until every comm-layer alias has been dropped, at which point the pool
-/// recycles it.
-pub(crate) fn send_pooled_region<C: ptycho_cluster::RankComm<ptycho_cluster::SharedTile>>(
-    ctx: &mut C,
-    pool: &mut ptycho_cluster::TilePayloadPool,
-    buffer: &[Complex64],
-    at: FlatRegion<'_>,
-    to: usize,
-    tag: u64,
-) {
-    let mut tile = pool.acquire(at.flat_len());
-    extract_region_flat_into(
-        buffer,
-        at,
-        tile.unique_values_mut()
-            .expect("freshly acquired tiles are unaliased"),
-    );
-    ctx.isend(to, tag, tile.clone());
-    pool.retire(tile);
-}
-
-/// Sends `region` of a volume from a pooled payload ([`send_pooled_region`]
-/// over the volume's one strip).
-pub(crate) fn send_pooled_volume_region<C: ptycho_cluster::RankComm<ptycho_cluster::SharedTile>>(
-    ctx: &mut C,
-    pool: &mut ptycho_cluster::TilePayloadPool,
-    volume: &CArray3,
-    region: Rect,
-    to: usize,
-    tag: u64,
-) {
-    let pieces = volume_piece(volume, region);
-    let at = FlatRegion::new(region, volume.depth(), &pieces);
-    send_pooled_region(ctx, pool, volume.as_slice(), at, to, tag);
-}
-
-/// Flattens `at` of `buffer` into a caller-owned buffer of exactly its wire
-/// length (a pooled [`ptycho_cluster::SharedTile`] payload), row slice by
-/// row slice, so the steady-state multi-rank send path performs no
-/// allocation. The buffer's previous contents are fully overwritten: cells
-/// no piece holds with zero (a region the pieces tile — every pass region —
-/// needs no zero pre-fill).
-pub(crate) fn extract_region_flat_into(buffer: &[Complex64], at: FlatRegion<'_>, out: &mut [f64]) {
-    assert_eq!(
-        out.len(),
-        at.flat_len(),
-        "payload buffer must match the region's flat size"
-    );
-    let held: usize = at.pieces.iter().map(|piece| piece.cells.area()).sum();
-    if held != at.region.area() {
-        out.fill(0.0);
-    }
-    for (src, dst) in at.rows() {
-        for (pair, v) in out[dst].chunks_exact_mut(2).zip(&buffer[src]) {
-            pair[0] = v.re;
-            pair[1] = v.im;
-        }
-    }
-}
-
-/// Overwrites `region` of a complex volume with interleaved `re, im` values
-/// (the backward-pass replace, and the HVE voxel paste), clipped to the
-/// volume.
-pub(crate) fn set_region_flat(volume: &mut CArray3, region: Rect, data: &[f64]) {
-    let pieces = volume_piece(volume, region);
-    let at = FlatRegion::new(region, volume.depth(), &pieces);
-    apply_region_flat(volume.as_mut_slice(), at, data, |dst, src| *dst = src);
-}
-
-/// Applies `op(cell, value)` to every cell of `at` held in `buffer`, row
-/// slice by row slice, `value` read from the interleaved `re, im` payload
-/// `data` — the one receive path of the passes and the HVE paste.
-pub(crate) fn apply_region_flat(
-    buffer: &mut [Complex64],
-    at: FlatRegion<'_>,
-    data: &[f64],
-    mut op: impl FnMut(&mut Complex64, Complex64),
-) {
-    assert_eq!(
-        data.len(),
-        at.flat_len(),
-        "flat payload length {} does not match region {:?} x {} slices",
-        data.len(),
-        at.region,
-        at.depth
-    );
-    for (dst, src) in at.rows() {
-        for (cell, pair) in buffer[dst].iter_mut().zip(data[src].chunks_exact(2)) {
-            op(cell, Complex64::new(pair[0], pair[1]));
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gradient_decomp::passes::RankPasses;
     use crate::tiling::TileGrid;
     use ptycho_array::Array3;
     use ptycho_sim::dataset::SyntheticConfig;
@@ -479,77 +330,10 @@ mod tests {
         )
     }
 
-    /// Flattens the values of `region` (tile-local coordinates) of a complex
-    /// volume into an interleaved `re, im` vector, slice-major then row-major —
-    /// the wire format of every gradient/voxel message. Cells of `region`
-    /// outside the volume flatten to zero. Allocates the payload; the solvers'
-    /// hot paths use [`extract_region_flat_into`] over a pooled buffer instead.
-    fn extract_region_flat(volume: &CArray3, region: Rect) -> Vec<f64> {
-        let pieces = volume_piece(volume, region);
-        let at = FlatRegion::new(region, volume.depth(), &pieces);
-        let mut out = vec![0.0; at.flat_len()];
-        extract_region_flat_into(volume.as_slice(), at, &mut out);
-        out
-    }
-
-    /// Adds interleaved `re, im` values into `region` of a complex volume,
-    /// clipped to the volume: a forward sweep's receive over a whole tile.
-    fn add_region_flat(volume: &mut CArray3, region: Rect, data: &[f64]) {
-        let pieces = volume_piece(volume, region);
-        let at = FlatRegion::new(region, volume.depth(), &pieces);
-        apply_region_flat(volume.as_mut_slice(), at, data, |dst, src| *dst += src);
-    }
-
     fn volume_with_pattern() -> CArray3 {
         Array3::from_fn(2, 6, 6, |s, r, c| {
             Complex64::new((s * 36 + r * 6 + c) as f64, -(r as f64))
         })
-    }
-
-    #[test]
-    fn flat_roundtrip_set() {
-        let vol = volume_with_pattern();
-        let region = Rect::new(1, 2, 3, 3);
-        let flat = extract_region_flat(&vol, region);
-        assert_eq!(flat.len(), 2 * 3 * 3 * 2);
-
-        let mut target = Array3::full(2, 6, 6, Complex64::ZERO);
-        set_region_flat(&mut target, region, &flat);
-        for s in 0..2 {
-            for r in 1..4 {
-                for c in 2..5 {
-                    assert_eq!(target[(s, r, c)], vol[(s, r, c)]);
-                }
-            }
-        }
-        // Outside the region stays zero.
-        assert_eq!(target[(0, 0, 0)], Complex64::ZERO);
-    }
-
-    #[test]
-    fn flat_add_accumulates() {
-        let vol = volume_with_pattern();
-        let region = Rect::new(0, 0, 2, 2);
-        let flat = extract_region_flat(&vol, region);
-        let mut target = vol.clone();
-        add_region_flat(&mut target, region, &flat);
-        assert_eq!(target[(0, 0, 0)], vol[(0, 0, 0)] + vol[(0, 0, 0)]);
-        assert_eq!(target[(1, 1, 1)], vol[(1, 1, 1)].scale(2.0));
-        // Outside region unchanged.
-        assert_eq!(target[(0, 5, 5)], vol[(0, 5, 5)]);
-    }
-
-    #[test]
-    fn flat_handles_out_of_bounds_region() {
-        let vol = volume_with_pattern();
-        // Region hangs off the edge; extract pads with zeros and apply clips.
-        let region = Rect::new(4, 4, 4, 4);
-        let flat = extract_region_flat(&vol, region);
-        assert_eq!(flat.len(), 2 * 4 * 4 * 2);
-        let mut target = Array3::full(2, 6, 6, Complex64::ZERO);
-        set_region_flat(&mut target, region, &flat);
-        assert_eq!(target[(0, 5, 5)], vol[(0, 5, 5)]);
-        assert_eq!(target[(0, 0, 0)], Complex64::ZERO);
     }
 
     fn flat_bits(v: &[Complex64]) -> Vec<(u64, u64)> {
@@ -603,12 +387,7 @@ mod tests {
 
     /// `cells` split into pieces of `layout`'s strips.
     fn pieces(layout: &StripLayout, cells: &[Rect]) -> Vec<Piece> {
-        let idle = RankPasses {
-            sweeps: Default::default(),
-            cover: Vec::new(),
-            shared: Vec::new(),
-        };
-        layout.split(&idle, cells).cells().to_vec()
+        layout.split(&[], cells).cells().to_vec()
     }
 
     #[test]
@@ -700,47 +479,6 @@ mod tests {
     }
 
     #[test]
-    fn flat_regions_across_strips_match_the_volume_wire_format() {
-        // A region held in pieces of several strips travels exactly as the
-        // same region of a whole volume: the same payload out, the same
-        // cells written in.
-        let vol = volume_with_pattern();
-        let strips = [
-            Rect::new(0, 0, 2, 6),
-            Rect::new(2, 0, 3, 2),
-            Rect::new(2, 2, 3, 4),
-            Rect::new(5, 1, 1, 5),
-        ];
-        let layout = StripLayout::new(&strips, vol.depth());
-        for region in [
-            Rect::new(1, 1, 4, 4),
-            Rect::new(0, 0, 5, 6),
-            Rect::new(5, 2, 1, 3),
-        ] {
-            let pieces = pieces(&layout, &[region]);
-            let at = FlatRegion::new(region, vol.depth(), &pieces);
-            let want = extract_region_flat(&vol, region);
-            let mut got = vec![f64::NAN; want.len()];
-            extract_region_flat_into(&gather(&layout, &vol), at, &mut got);
-            assert_eq!(got, want, "{region:?}");
-
-            let data: Vec<f64> = (0..want.len()).map(|i| i as f64 * 0.5 - 3.0).collect();
-            let (mut added, mut set) = (vol.clone(), vol.clone());
-            add_region_flat(&mut added, region, &data);
-            set_region_flat(&mut set, region, &data);
-            for (whole, op) in [(added, true), (set, false)] {
-                let mut buffer = gather(&layout, &vol);
-                if op {
-                    apply_region_flat(&mut buffer, at, &data, |dst, src| *dst += src);
-                } else {
-                    apply_region_flat(&mut buffer, at, &data, |dst, src| *dst = src);
-                }
-                assert_eq!(flat_bits(&buffer), flat_bits(&gather(&layout, &whole)));
-            }
-        }
-    }
-
-    #[test]
     fn model_workspace_charge_equals_the_bytes_held() {
         // The workspace, patch and gradient are complex f32: each charge is
         // the element count times the 8 bytes of the element stored.
@@ -781,13 +519,15 @@ mod tests {
         let values = Array3::from_fn(1, 1, n, |_, _, c| {
             Complex64::new(specials[c], specials[n - 1 - c])
         });
-        let zeros = vec![0.0; 2 * n];
+        // A message of zeros, as a receive applies it: `+=` per cell on a
+        // forward sweep, `=` on a backward one.
+        let zeros = Array3::full(1, 1, n, Complex64::ZERO);
 
         // Forward receive: `x + 0.0` is `x` — except for `x = −0.0`, which
         // becomes `+0.0`. That is the one value a skipped addition would
         // leave different, so accumulation buffers must never hold it …
         let mut added = values.clone();
-        add_region_flat(&mut added, row, &zeros);
+        added.add_region(row, &zeros);
         let unsigned_zero = |x: f64| if x == 0.0 { 0.0 } else { x };
         let expected = values.map(|c| Complex64::new(unsigned_zero(c.re), unsigned_zero(c.im)));
         assert_eq!(bits(&added), bits(&expected));
@@ -804,11 +544,8 @@ mod tests {
 
         // Backward receive: a zero replacing a zero.
         let mut replaced = Array3::full(1, 1, n, Complex64::ZERO);
-        set_region_flat(&mut replaced, row, &zeros);
-        assert_eq!(
-            bits(&replaced),
-            bits(&Array3::full(1, 1, n, Complex64::ZERO))
-        );
+        replaced.paste_region(row, &zeros);
+        assert_eq!(bits(&replaced), bits(&zeros));
 
         // Tile update and reset: `v − α·0` and `v − α·(0 − 0)` are `v`,
         // `−0.0` included, and the reset leaves `+0.0` behind.
@@ -905,12 +642,5 @@ mod tests {
     fn splitting_a_rect_the_strips_do_not_hold_panics() {
         let layout = StripLayout::new(&[Rect::new(0, 0, 2, 6), Rect::new(3, 0, 2, 6)], 1);
         pieces(&layout, &[Rect::new(1, 1, 3, 2)]);
-    }
-
-    #[test]
-    #[should_panic(expected = "does not match region")]
-    fn wrong_payload_length_panics() {
-        let mut vol = volume_with_pattern();
-        add_region_flat(&mut vol, Rect::new(0, 0, 2, 2), &[1.0, 2.0]);
     }
 }

@@ -2,13 +2,15 @@
 //! stitching and the analytic memory model.
 
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 use ptycho_array::{Array3, Rect};
 use ptycho_cluster::{
     ClusterTopology, CommBackend, LockstepBackend, RankComm, SharedTile, TilePayloadPool,
 };
 use ptycho_core::gradient_decomp::passes::{
-    run_accumulation_passes, run_planned_passes, PassPlan, StripLayout,
+    run_accumulation_passes, run_planned_passes, tags, Op, PassPlan, Step, StripLayout,
 };
+use ptycho_core::halo_exchange::solver::paste_steps;
 use ptycho_core::memory_model::{decomposition_geometry, gd_memory_per_gpu};
 use ptycho_core::stitch::{border_mask, stitch_tiles};
 use ptycho_core::tiling::TileGrid;
@@ -39,7 +41,7 @@ fn run_passes(grid: &TileGrid, initial: &[CArray3], plan: Option<&PassPlan>) -> 
             match plan {
                 Some(plan) => {
                     let layout = StripLayout::new(&[buffer.plane_bounds()], buffer.depth());
-                    let passes = layout.split(plan.passes(0, ctx.rank()), &[]);
+                    let passes = layout.split(&plan.passes(0, ctx.rank()).steps, &[]);
                     run_planned_passes(ctx, &passes, buffer.as_mut_slice(), &mut pool)?
                 }
                 None => run_accumulation_passes(ctx, grid, &mut buffer, &mut pool)?,
@@ -95,6 +97,55 @@ fn inside_union(rect: &Rect, union: &[Rect]) -> bool {
         .map(|u| u.intersect(rect).area())
         .sum::<usize>()
         == rect.area()
+}
+
+/// Deadlock freedom: every planned send `a→b` is exactly one planned
+/// receive at `b` from `a`, with the same tag and the same cells of the
+/// image, and every planned receive is exactly one send the same way round.
+/// `steps[rank]` is a rank's list, tile-local to `extended(rank)`. Returns
+/// the number of sends.
+fn check_pairing(
+    steps: &[&[Step]],
+    extended: impl Fn(usize) -> Rect,
+) -> Result<usize, TestCaseError> {
+    // A step seen from the other end: (peer, rank, tag, image region).
+    let global = |rank: usize, step: &Step| {
+        let region = step.transfer.region.to_global(&extended(rank));
+        (step.transfer.peer, step.tag, region)
+    };
+    let mut sends = 0;
+    for (rank, list) in steps.iter().enumerate() {
+        for step in list.iter() {
+            prop_assert!(
+                !step.transfer.region.is_empty(),
+                "rank {}: {:?}",
+                rank,
+                step
+            );
+            let (peer, tag, region) = global(rank, step);
+            prop_assert!(
+                peer < steps.len() && peer != rank,
+                "rank {}: {:?}",
+                rank,
+                step
+            );
+            let partners = steps[peer]
+                .iter()
+                .filter(|other| (other.op == Op::Send) != (step.op == Op::Send))
+                .filter(|other| global(peer, other) == (rank, tag, region))
+                .count();
+            prop_assert_eq!(
+                partners,
+                1,
+                "rank {}: {:?} pairs with {} steps",
+                rank,
+                step,
+                partners
+            );
+            sends += usize::from(step.op == Op::Send);
+        }
+    }
+    Ok(sends)
 }
 
 /// The step both local-update rounds below apply.
@@ -158,7 +209,7 @@ fn local_update_rounds(
                 } else {
                     &entry.cover
                 };
-                let passes = layout.split(entry, cells);
+                let passes = layout.split(&entry.steps, cells);
                 for (k, window) in windows[round * ranks + rank].iter().enumerate() {
                     let window = window.intersect(&extended).to_local(&extended);
                     for s in 0..slices {
@@ -272,10 +323,11 @@ proptest! {
 
         // A cover is disjoint rects inside the extended tile, within the
         // bounding box a single-rectangle plan would have tracked.
-        // Deadlock freedom: every planned send is its peer's planned
-        // receive — same sweep, same cells of the image — and vice versa.
+        // Deadlock freedom: every planned send is exactly one planned receive
+        // at its peer — same tag, so the same sweep, and the same cells of
+        // the image — and vice versa; a rank's steps run sweep by sweep,
+        // each receive before its send.
         for (round, round_seeds) in [&seeds, &whole_tiles].into_iter().enumerate() {
-            let (mut sends, mut recvs) = (0, 0);
             for (rank, bounding_box) in bounding_boxes(&grid, round_seeds).into_iter().enumerate() {
                 let passes = plan.passes(round, rank);
                 let cover = &passes.cover;
@@ -286,21 +338,22 @@ proptest! {
                     prop_assert!(local_box.contains_rect(a), "{:?} outside {:?}", cover, local_box);
                     prop_assert!(cover[i + 1..].iter().all(|b| !a.intersects(b)), "{:?}", cover);
                 }
-                for (sweep, step) in passes.sweeps.iter().enumerate() {
-                    recvs += usize::from(step.recv.is_some());
-                    let Some(send) = step.send else { continue };
-                    sends += 1;
-                    prop_assert!(!send.region.is_empty());
-                    let recv = plan.passes(round, send.peer).sweeps[sweep].recv;
-                    prop_assert_eq!(recv.map(|t| t.peer), Some(rank));
-                    prop_assert_eq!(
-                        recv.map(|t| t.region.to_global(&extended(send.peer))),
-                        Some(send.region.to_global(&extended(rank)))
-                    );
+                // A rank's steps run sweep by sweep, each sweep at most one
+                // receive (added in forward, written over backward) and then
+                // at most one send.
+                let sweep = |tag: u64| tag - tags::VERTICAL_FORWARD;
+                for pair in passes.steps.windows(2) {
+                    let order = |step: &Step| (sweep(step.tag), step.op == Op::Send);
+                    prop_assert!(order(&pair[0]) < order(&pair[1]), "{:?}", passes.steps);
+                }
+                for step in &passes.steps {
+                    prop_assert!(sweep(step.tag) < 4, "{:?}", step);
+                    let receive = if sweep(step.tag) % 2 == 0 { Op::Add } else { Op::Replace };
+                    prop_assert!(step.op == Op::Send || step.op == receive, "{:?}", step);
                 }
                 // A rank with an empty cover took no part in the round.
                 if passes.cover.is_empty() {
-                    prop_assert!(passes.sweeps.iter().all(|s| s.recv.is_none() && s.send.is_none()));
+                    prop_assert!(passes.steps.is_empty());
                 }
                 // Shared cells: disjoint rects inside the rank's strips holding
                 // every message region. Receives lie inside the cover; a send
@@ -308,13 +361,12 @@ proptest! {
                 // cells between the cover's rects, which hold `+0.0` (the
                 // planned sweep above leaves nothing outside the cover).
                 let shared = &passes.shared;
-                let sent: Vec<Rect> = passes.sweeps.iter().filter_map(|s| s.send).map(|t| t.region).collect();
-                for step in &passes.sweeps {
-                    for transfer in [step.recv, step.send].into_iter().flatten() {
-                        prop_assert!(inside_union(&transfer.region, shared), "{:?}", shared);
-                    }
-                    if let Some(recv) = step.recv {
-                        prop_assert!(inside_union(&recv.region, cover), "{:?}", recv);
+                let is_send = |step: &&Step| step.op == Op::Send;
+                let sent: Vec<Rect> = passes.steps.iter().filter(is_send).map(|s| s.transfer.region).collect();
+                for step in &passes.steps {
+                    prop_assert!(inside_union(&step.transfer.region, shared), "{:?}", shared);
+                    if step.op != Op::Send {
+                        prop_assert!(inside_union(&step.transfer.region, cover), "{:?}", step);
                     }
                 }
                 for (i, a) in shared.iter().enumerate() {
@@ -329,7 +381,11 @@ proptest! {
                     }
                 }
             }
-            prop_assert_eq!(sends, recvs);
+            let steps: Vec<&[Step]> =
+                (0..ranks).map(|rank| plan.passes(round, rank).steps.as_slice()).collect();
+            let sends = check_pairing(&steps, extended)?;
+            let recvs = steps.iter().flat_map(|list| list.iter()).filter(|s| s.op != Op::Send);
+            prop_assert_eq!(sends, recvs.count());
         }
 
         // Whole-tile seeds plan the whole-buffer entry's round and cover each
@@ -342,7 +398,57 @@ proptest! {
             let covered: usize = dense.passes(0, rank).cover.iter().map(Rect::area).sum();
             prop_assert_eq!(covered, extended(rank).area());
             prop_assert!(idle.passes(0, rank).cover.is_empty());
-            prop_assert!(idle.passes(0, rank).sweeps.iter().all(|s| s.send.is_none()));
+            prop_assert!(idle.passes(0, rank).steps.is_empty());
+        }
+    }
+
+    #[test]
+    fn paste_plans_pair_up_and_tile_each_halo_with_disjoint_replaces(
+        image in 24usize..160,
+        grid_rows in 1usize..5,
+        grid_cols in 1usize..5,
+        // The halo as a share of the smallest core side: every grid drawn
+        // is feasible for the baseline.
+        halo_percent in 0usize..101,
+        positions in 2usize..5,
+    ) {
+        let scan = scan_for(image, positions);
+        let cores = TileGrid::new(image, image, grid_rows, grid_cols, 0, &scan);
+        let smallest = cores.tiles().iter().map(|t| t.core.rows().min(t.core.cols())).min();
+        let halo = smallest.unwrap_or(0) * halo_percent / 100;
+        let grid = TileGrid::new(image, image, grid_rows, grid_cols, halo, &scan);
+        prop_assert!(grid.hve_feasible(halo));
+        let ranks = grid.num_tiles();
+        let plans: Vec<Vec<Step>> = (0..ranks).map(|rank| paste_steps(&grid, rank)).collect();
+        let steps: Vec<&[Step]> = plans.iter().map(Vec::as_slice).collect();
+        let extended = |rank: usize| grid.tile(rank).extended;
+        let sends = check_pairing(&steps, extended)?;
+        let mut all = plans.iter().flatten();
+        prop_assert_eq!(sends, all.clone().filter(|s| s.op == Op::Replace).count());
+        let tag = all.next().map(|s| s.tag);
+        prop_assert!(all.all(|s| Some(s.tag) == tag), "one tag for the whole paste");
+
+        for (rank, plan) in plans.iter().enumerate() {
+            let tile = grid.tile(rank);
+            let local_tile = tile.extended.to_local(&tile.extended);
+            let local_core = tile.core.to_local(&tile.extended);
+            // Every send comes before every replace; nothing adds.
+            let first_replace = plan.iter().position(|s| s.op != Op::Send).unwrap_or(plan.len());
+            prop_assert!(plan[first_replace..].iter().all(|s| s.op == Op::Replace), "{:?}", plan);
+            for send in &plan[..first_replace] {
+                prop_assert!(local_core.contains_rect(&send.transfer.region), "{:?}", send);
+            }
+            // The replaces are disjoint, inside the extended tile and outside
+            // the core, so their order moves no bit; and together they are
+            // the whole halo: every halo cell takes one neighbour's core.
+            let replaces: Vec<Rect> = plan[first_replace..].iter().map(|s| s.transfer.region).collect();
+            for (i, a) in replaces.iter().enumerate() {
+                prop_assert!(local_tile.contains_rect(a), "{:?} outside {:?}", a, local_tile);
+                prop_assert!(!a.intersects(&local_core), "{:?} inside {:?}", a, local_core);
+                prop_assert!(replaces[i + 1..].iter().all(|b| !a.intersects(b)), "{:?}", replaces);
+            }
+            let replaced: usize = replaces.iter().map(Rect::area).sum();
+            prop_assert_eq!(replaced, tile.extended.area() - tile.core.area(), "rank {}", rank);
         }
     }
 
