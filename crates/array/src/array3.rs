@@ -110,51 +110,18 @@ impl<T: Clone> Array3<T> {
     /// The allocation-free sibling of [`Self::extract_region_with_fill`]:
     /// writes the extracted region into a caller-owned volume of shape
     /// `(depth, region.rows(), region.cols())`, so repeated probe-window
-    /// extractions reuse one buffer.
+    /// extractions reuse one buffer. Out-of-bounds cells take `fill`.
     ///
     /// # Panics
     /// Panics if `out` does not have the expected shape.
     pub fn extract_region_into(&self, region: Rect, fill: T, out: &mut Array3<T>) {
-        self.extract_rows_into(region, fill, out, |dst, src| dst.clone_from_slice(src));
-    }
-
-    /// [`Self::extract_region_into`] into a volume of another element type:
-    /// each copied cell is `convert`ed as it is written, and out-of-bounds
-    /// cells take `fill` (already of the output type).
-    ///
-    /// # Panics
-    /// Panics if `out` does not have the expected shape.
-    pub fn extract_region_map_into<U: Clone>(
-        &self,
-        region: Rect,
-        fill: U,
-        out: &mut Array3<U>,
-        convert: impl Fn(&T) -> U,
-    ) {
-        self.extract_rows_into(region, fill, out, |dst, src| {
-            for (d, s) in dst.iter_mut().zip(src) {
-                *d = convert(s);
-            }
-        });
-    }
-
-    /// The body of both extractions: `copy_row` writes each row of the
-    /// region's part inside the plane from the source row; `fill` takes
-    /// every cell first, only when the region leaves the plane.
-    fn extract_rows_into<U: Clone>(
-        &self,
-        region: Rect,
-        fill: U,
-        out: &mut Array3<U>,
-        mut copy_row: impl FnMut(&mut [U], &[T]),
-    ) {
         self.check_block("extract_region_into", region, out);
         let plane = self.plane_bounds();
         if region.intersect(&plane).area() != region.area() {
             out.data.fill(fill);
         }
         for (src, dst) in clipped_rows(plane, region, self.depth) {
-            copy_row(&mut out.data[dst], &self.data[src]);
+            out.data[dst].clone_from_slice(&self.data[src]);
         }
     }
 
@@ -407,21 +374,6 @@ mod tests {
             let expected = v.extract_region_with_fill(region, -1.0);
             let mut out = Array3::full(3, region.rows(), region.cols(), 0.0);
             v.extract_region_into(region, -1.0, &mut out);
-            assert_eq!(out, expected, "region {region:?}");
-        }
-    }
-
-    #[test]
-    fn extract_region_map_into_converts_each_copied_cell() {
-        let v = Array3::from_fn(2, 5, 6, |s, r, c| (s * 100 + r * 10 + c) as f64);
-        for &region in &[
-            Rect::new(1, 2, 3, 3),
-            Rect::new(-2, -1, 4, 4),
-            Rect::new(10, 10, 2, 2),
-        ] {
-            let expected = v.extract_region_with_fill(region, -1.0).map(|x| *x as i64);
-            let mut out = Array3::full(2, region.rows(), region.cols(), 0i64);
-            v.extract_region_map_into(region, -1, &mut out, |x| *x as i64);
             assert_eq!(out, expected, "region {region:?}");
         }
     }

@@ -168,15 +168,6 @@ fn check_region_ops_3d(
     let mut into = Array3::full(depth, height, width, poison);
     vol.extract_region_into(region, fill, &mut into);
     prop_assert_eq!(bits(into.as_slice()), bits(&want), "extract_region_into");
-    let convert = |c: &Cplx| [c.im.to_bits(), c.re.to_bits() ^ 1];
-    let want_mapped: Vec<[u64; 2]> = want.iter().map(convert).collect();
-    let mut mapped = Array3::full(depth, height, width, [u64::MAX; 2]);
-    vol.extract_region_map_into(region, convert(&fill), &mut mapped, convert);
-    prop_assert_eq!(
-        mapped.as_slice(),
-        &want_mapped[..],
-        "extract_region_map_into"
-    );
     let mut want_default = vec![Cplx::default(); want.len()];
     each_cell(shape, region, |v, b| {
         if let Some(v) = v {

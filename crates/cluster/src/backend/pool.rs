@@ -38,6 +38,20 @@ impl TilePayloadPool {
         Self::default()
     }
 
+    /// A pool holding `copies` reusable tiles for each entry of `lens` (a
+    /// length listed twice gets twice the copies): sized up front for a
+    /// rank that sends messages of those lengths, so the warm-up exchanges
+    /// need not grow it.
+    pub fn with_capacity(lens: &[usize], copies: usize) -> Self {
+        let mut pool = Self::new();
+        for &len in lens {
+            for _ in 0..copies {
+                pool.retire(SharedTile::new(vec![0.0; len]));
+            }
+        }
+        pool
+    }
+
     /// Returns a tile of exactly `len` values with unique ownership
     /// (`ref_count() == 1`), reusing a retired buffer of the same length
     /// when one has been released by every alias, allocating a fresh one
@@ -142,6 +156,15 @@ mod tests {
             (0, 1),
             "aliased while in flight, reusable after the receiver's drop"
         );
+    }
+
+    #[test]
+    fn with_capacity_holds_reusable_copies_of_each_length() {
+        let mut pool = TilePayloadPool::with_capacity(&[4, 6, 4], 2);
+        assert_eq!((pool.retired(), pool.reusable()), (6, 6));
+        let fours: Vec<SharedTile> = (0..4).map(|_| pool.acquire(4)).collect();
+        assert!(fours.iter().all(|tile| tile.len() == 4));
+        assert_eq!(pool.retired(), 2, "the four 4s came from the pool");
     }
 
     #[test]

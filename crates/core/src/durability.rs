@@ -49,17 +49,19 @@
 
 use crate::config::{PassFrequency, SolverConfig};
 use crate::service::{JobSpec, SolverMethod};
+use ptycho_array::Array3;
 use ptycho_cluster::{CrashPhase, FaultCursor, FaultPolicy, MembershipView};
-use ptycho_fft::CArray3;
+use ptycho_fft::{Complex, Real};
 use ptycho_sim::dataset::{Dataset, SyntheticConfig};
 use std::io::Write as _;
+use std::mem::size_of;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Magic + version prefixes for the two file types.
 const SLOT_MAGIC: &[u8; 4] = b"PTS1";
 const MANIFEST_MAGIC: &[u8; 4] = b"PTM1";
-const FORMAT_VERSION: u32 = 1;
+const FORMAT_VERSION: u32 = 2;
 
 /// How many committed epochs [`CheckpointStore::commit`] keeps on disk: the
 /// new one plus one fallback for torn-write recovery.
@@ -310,8 +312,8 @@ impl<'a> ByteReader<'a> {
 }
 
 /// A value that can round-trip through a checkpoint file bit-identically.
-/// The engine checkpoints each rank's tile volume through the [`CArray3`]
-/// implementation.
+/// The engine checkpoints each rank's complex `f32` tile volume through the
+/// [`Array3`] implementation, and hashes stitched `f64` results with it.
 pub trait CheckpointPayload: Sized {
     /// Appends the value's exact encoding.
     fn encode(&self, out: &mut ByteWriter);
@@ -319,15 +321,22 @@ pub trait CheckpointPayload: Sized {
     fn decode(reader: &mut ByteReader<'_>) -> Result<Self, DurabilityError>;
 }
 
-impl CheckpointPayload for CArray3 {
+/// A complex volume at either precision: its shape as three `u64`s, then
+/// every value's `re, im` as the little-endian bit patterns of `R` itself —
+/// 16 bytes a value for a [`CArray3`](ptycho_fft::CArray3), 8 for complex
+/// `f32`.
+impl<R: Real> CheckpointPayload for Array3<Complex<R>> {
     fn encode(&self, out: &mut ByteWriter) {
         let (depth, rows, cols) = self.shape();
         out.put_u64(depth as u64);
         out.put_u64(rows as u64);
         out.put_u64(cols as u64);
+        let width = size_of::<R>();
         for value in self.as_slice() {
-            out.put_f64(value.re);
-            out.put_f64(value.im);
+            for part in [value.re, value.im] {
+                out.buf
+                    .extend_from_slice(&part.bit_pattern().to_le_bytes()[..width]);
+            }
         }
     }
 
@@ -343,15 +352,35 @@ impl CheckpointPayload for CArray3 {
             .ok_or_else(|| reader.corrupt("implausible volume shape"))?;
         // Take the payload before allocating, so a shape the bytes cannot
         // fill is refused without reserving memory for it.
-        let bytes = reader.take(len * 16)?;
-        let mut volume = CArray3::zeros(depth, rows, cols);
-        for (value, pair) in volume.as_mut_slice().iter_mut().zip(bytes.chunks_exact(16)) {
-            let (re, im) = pair.split_at(8);
-            value.re = f64::from_le_bytes(re.try_into().expect("8 bytes"));
-            value.im = f64::from_le_bytes(im.try_into().expect("8 bytes"));
+        let width = size_of::<R>();
+        let bytes = reader.take(len * 2 * width)?;
+        let part = |le: &[u8]| {
+            let mut word = [0; 8];
+            word[..width].copy_from_slice(le);
+            R::from_bit_pattern(u64::from_le_bytes(word))
+        };
+        let mut volume = Array3::full(depth, rows, cols, Complex::ZERO);
+        let pairs = bytes.chunks_exact(2 * width);
+        for (value, pair) in volume.as_mut_slice().iter_mut().zip(pairs) {
+            let (re, im) = pair.split_at(width);
+            *value = Complex::new(part(re), part(im));
         }
         Ok(volume)
     }
+}
+
+/// Decodes a whole payload: a `T` that leaves no byte of `bytes` unread
+/// (`path` labels the error). A slot state the engine restores from.
+pub(crate) fn decode_exactly<T: CheckpointPayload>(
+    bytes: &[u8],
+    path: &Path,
+) -> Result<T, DurabilityError> {
+    let mut reader = ByteReader::new(bytes, path);
+    let value = T::decode(&mut reader)?;
+    if !reader.is_exhausted() {
+        return Err(reader.corrupt("trailing bytes after the payload"));
+    }
+    Ok(value)
 }
 
 /// One rank's durable checkpoint: everything the engine's in-memory
@@ -1109,6 +1138,8 @@ fn list_epochs(dir: &Path) -> Result<Vec<u64>, DurabilityError> {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::worker::TileVolume;
+    use ptycho_fft::{CArray3, Complex32, Complex64};
 
     fn temp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
@@ -1120,10 +1151,11 @@ pub(crate) mod tests {
         dir
     }
 
-    fn sample_volume(seed: u64) -> CArray3 {
-        CArray3::from_fn(2, 3, 4, |d, r, c| ptycho_fft::Complex64 {
-            re: (seed as f64) + (d * 100 + r * 10 + c) as f64 * 0.5,
-            im: -((d + r + c) as f64) / 3.0,
+    /// A tile volume, as the engine checkpoints it.
+    fn sample_volume(seed: u64) -> TileVolume {
+        TileVolume::from_fn(2, 3, 4, |d, r, c| Complex32 {
+            re: (seed as f32) + (d * 100 + r * 10 + c) as f32 * 0.5,
+            im: -((d + r + c) as f32) / 3.0,
         })
     }
 
@@ -1183,8 +1215,8 @@ pub(crate) mod tests {
         assert_eq!(epoch.slots.len(), 2);
         for (slot, record) in epoch.slots.iter().enumerate() {
             assert_eq!(record, &sample_record(slot as u64, 4));
-            let mut reader = ByteReader::new(&record.state, Path::new("state"));
-            let volume = CArray3::decode(&mut reader).expect("volume decodes");
+            let volume: TileVolume =
+                decode_exactly(&record.state, Path::new("state")).expect("volume decodes");
             assert_eq!(volume.as_slice(), sample_volume(slot as u64).as_slice());
         }
         let _ = std::fs::remove_dir_all(&dir);
@@ -1192,7 +1224,7 @@ pub(crate) mod tests {
 
     #[test]
     fn a_volume_its_bytes_cannot_fill_is_truncated() {
-        let decode = |bytes: &[u8]| CArray3::decode(&mut ByteReader::new(bytes, Path::new("v")));
+        let decode = |bytes: &[u8]| TileVolume::decode(&mut ByteReader::new(bytes, Path::new("v")));
         let mut out = ByteWriter::new();
         sample_volume(1).encode(&mut out);
         let bytes = out.into_bytes();
@@ -1214,6 +1246,147 @@ pub(crate) mod tests {
             decode(&out.into_bytes()),
             Err(DurabilityError::Corrupt { detail, .. }) if detail == "payload truncated"
         ));
+    }
+
+    /// Every bit of every value survives the volume codec at either
+    /// precision: `±0.0`, NaNs with payloads (quiet and signalling),
+    /// subnormals and infinities included. A `CArray3` keeps the layout it
+    /// has always had, `put_f64` per part, so result hashes do not move.
+    #[test]
+    fn volumes_round_trip_bit_for_bit_at_both_precisions() {
+        let f64s = [
+            0.0,
+            -0.0,
+            f64::from_bits(0x7ff8_0000_0000_0001),
+            f64::from_bits(0x7ff0_0000_0000_0001),
+            f64::from_bits(1),
+            -f64::MIN_POSITIVE / 4.0,
+            f64::INFINITY,
+            -f64::MAX,
+        ];
+        let f32s = [
+            0.0,
+            -0.0,
+            f32::from_bits(0x7fc0_0001),
+            f32::from_bits(0x7f80_0001),
+            f32::from_bits(1),
+            -f32::MIN_POSITIVE / 4.0,
+            f32::NEG_INFINITY,
+            f32::MAX,
+        ];
+        let n = f64s.len();
+        let wide = CArray3::from_fn(1, 2, n, |_, r, c| {
+            Complex64::new(f64s[(c + r) % n], f64s[n - 1 - c])
+        });
+        let narrow = TileVolume::from_fn(1, 2, n, |_, r, c| {
+            Complex32::new(f32s[(c + r) % n], f32s[n - 1 - c])
+        });
+
+        let mut out = ByteWriter::new();
+        wide.encode(&mut out);
+        let bytes = out.into_bytes();
+        let mut by_part = ByteWriter::new();
+        for dim in [1, 2, n] {
+            by_part.put_u64(dim as u64);
+        }
+        for v in wide.as_slice() {
+            by_part.put_f64(v.re);
+            by_part.put_f64(v.im);
+        }
+        assert_eq!(bytes, by_part.into_bytes(), "the f64 layout");
+        let back: CArray3 = decode_exactly(&bytes, Path::new("wide")).expect("decodes");
+        let bits = |v: &CArray3| -> Vec<u64> {
+            v.iter()
+                .flat_map(|c| [c.re.to_bits(), c.im.to_bits()])
+                .collect()
+        };
+        assert_eq!(bits(&back), bits(&wide));
+
+        let mut out = ByteWriter::new();
+        narrow.encode(&mut out);
+        let bytes = out.into_bytes();
+        assert_eq!(bytes.len(), 3 * 8 + narrow.len() * 8, "8 bytes a value");
+        let back: TileVolume = decode_exactly(&bytes, Path::new("narrow")).expect("decodes");
+        let bits = |v: &TileVolume| -> Vec<u32> {
+            v.iter()
+                .flat_map(|c| [c.re.to_bits(), c.im.to_bits()])
+                .collect()
+        };
+        assert_eq!(bits(&back), bits(&narrow));
+
+        // Each precision's bytes read as the other's: a shape the f32 bytes
+        // cannot fill, and f64 bytes with half of them left over.
+        let mut out = ByteWriter::new();
+        narrow.encode(&mut out);
+        assert!(matches!(
+            decode_exactly::<CArray3>(&out.into_bytes(), Path::new("v")),
+            Err(DurabilityError::Corrupt { detail, .. }) if detail == "payload truncated"
+        ));
+        let mut out = ByteWriter::new();
+        wide.encode(&mut out);
+        assert!(matches!(
+            decode_exactly::<TileVolume>(&out.into_bytes(), Path::new("v")),
+            Err(DurabilityError::Corrupt { detail, .. })
+                if detail == "trailing bytes after the payload"
+        ));
+    }
+
+    /// [`frame_file`] as a store writing format `version` framed it.
+    fn frame_file_at(version: u32, magic: &[u8; 4], payload: &[u8]) -> Vec<u8> {
+        let mut bytes = frame_file(magic, payload);
+        bytes[4..8].copy_from_slice(&version.to_le_bytes());
+        let body_end = bytes.len() - 8;
+        let checksum = fnv1a64(&bytes[..body_end]);
+        bytes[body_end..].copy_from_slice(&checksum.to_le_bytes());
+        bytes
+    }
+
+    /// Format 1 held each slot's tile volume as complex `f64`. Its files —
+    /// a slot, or a manifest — are refused with a typed `Corrupt`, and
+    /// recovery reports the epoch rejected instead of resuming it.
+    #[test]
+    fn files_framed_at_format_version_1_are_refused() {
+        let mut state = ByteWriter::new();
+        sample_volume(0).map(|v| v.widen()).encode(&mut state);
+        let slot = SlotRecord {
+            state: state.into_bytes(),
+            ..sample_record(0, 1)
+        };
+        let old_files = [
+            ("slot-0.ckpt", SLOT_MAGIC, slot.encode()),
+            (
+                "manifest.ckpt",
+                MANIFEST_MAGIC,
+                sample_manifest(0, 1, 1, b"spec").encode(),
+            ),
+        ];
+        for (name, magic, payload) in old_files {
+            let dir = temp_dir(&format!("format-1-{name}"));
+            let store = CheckpointStore::open(&dir).unwrap();
+            commit_epoch(&store, 0, 1, 1);
+            let path = dir.join("epoch-0000000000").join(name);
+            write_atomic(&path, &frame_file_at(1, magic, &payload)).unwrap();
+            assert_eq!(
+                read_verified(&path, magic),
+                Err(DurabilityError::Corrupt {
+                    path: path.clone(),
+                    detail: "unsupported format version 1".to_string(),
+                }),
+                "{name}"
+            );
+            let recovery = store.recover().expect("the scan itself succeeds");
+            assert!(recovery.epoch.is_none(), "{name}");
+            assert_eq!(recovery.rejected.len(), 1, "{name}");
+            assert!(
+                recovery.rejected[0]
+                    .1
+                    .contains("unsupported format version 1"),
+                "{name}: {}",
+                recovery.rejected[0].1
+            );
+            drop(store);
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]
@@ -1446,19 +1619,20 @@ pub(crate) mod tests {
 
     /// FNV-1a goldens of whole framed files, so a codec refactor that moves
     /// any on-disk byte — a presence flag, a field order, the framing — is
-    /// caught even where it still round-trips.
+    /// caught even where it still round-trips. Re-recorded at format 2,
+    /// whose slot holds a complex `f32` tile volume (537 → 345 bytes).
     #[test]
     fn framed_files_match_their_recorded_bytes() {
         let slot = frame_file(SLOT_MAGIC, &golden_slot().encode());
         let manifest = frame_file(MANIFEST_MAGIC, &golden_manifest().encode());
         assert_eq!(
             (slot.len(), fnv1a64(&slot)),
-            (537, 0xf3c3_a3ac_0c49_f30e),
+            (345, 0xb9c7_3231_a1f0_bee0),
             "slot file with a fault cursor"
         );
         assert_eq!(
             (manifest.len(), fnv1a64(&manifest)),
-            (156, 0x5c70_6854_0577_e5ec),
+            (156, 0x49f5_bac5_6f37_fdd0),
             "manifest with spares and dead nodes"
         );
     }

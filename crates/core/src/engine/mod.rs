@@ -63,12 +63,12 @@
 
 use crate::convergence::CostHistory;
 use crate::durability::{
-    ByteReader, ByteWriter, CheckpointPayload, CheckpointStore, DurabilityError, EpochManifest,
+    decode_exactly, ByteWriter, CheckpointPayload, CheckpointStore, DurabilityError, EpochManifest,
     RecoveredEpoch, SlotRecord,
 };
 use crate::stitch::stitch_tiles;
 use crate::tiling::TileGrid;
-use crate::worker::TileWorker;
+use crate::worker::{TileVolume, TileWorker};
 use ptycho_array::Rect;
 use ptycho_cluster::{
     CommBackend, CommError, CrashPhase, FaultCursor, MembershipError, MembershipView,
@@ -337,7 +337,7 @@ struct CheckpointSlot {
     /// Per-iteration costs accumulated so far.
     costs: Vec<f64>,
     /// The rank's halo-extended tile volume.
-    volume: CArray3,
+    volume: TileVolume,
     /// A resumed rank's persisted fault cursor. The first attempt after the
     /// resume takes it, so seeded fault decisions that fired before the
     /// kill do not re-fire; later attempts start fresh harnesses exactly as
@@ -523,9 +523,9 @@ fn run_recovering<K: SolverKernel, B: CommBackend>(
             ranks
         );
         for (slot, record) in epoch.slots.iter().enumerate() {
-            let mut reader = ByteReader::new(&record.state, Path::new("recovered slot state"));
-            let volume = CArray3::decode(&mut reader)
-                .expect("recovered slot state does not decode as a tile volume");
+            let volume: TileVolume =
+                decode_exactly(&record.state, Path::new("recovered slot state"))
+                    .expect("recovered slot state does not decode as a tile volume");
             let extended = kernel.grid().tile(slot).extended;
             let tile = (kernel.slices(), extended.rows(), extended.cols());
             assert!(

@@ -88,13 +88,17 @@
 //! [`run_planned_passes`] runs any step list over any [`StripLayout`]: also
 //! the Halo Voxel Exchange paste
 //! ([`paste_steps`](crate::halo_exchange::solver::paste_steps)) over the
-//! tile volume as one strip. The wire format (interleaved `re, im` `f64`s,
-//! slice-major then row-major) is private to this module.
+//! tile volume as one strip. Both run on the rank's complex `f32` state,
+//! and the executor takes a buffer of either precision. The wire format
+//! (interleaved `re, im` `f64`s, slice-major then row-major) is private to
+//! this module: an `f32` is widened onto it and narrowed back off it, both
+//! exactly, so a message carries the same values whatever the buffer's
+//! precision.
 
 use crate::tiling::TileGrid;
 use ptycho_array::Rect;
 use ptycho_cluster::{CommError, RankComm, SharedTile, TilePayloadPool};
-use ptycho_fft::{CArray3, Complex64};
+use ptycho_fft::{CArray3, Complex, Real};
 use std::ops::Range;
 
 /// Message tags for the four directional passes; combined with the sending
@@ -409,6 +413,19 @@ impl StripPasses {
     pub(crate) fn cells(&self) -> &[Piece] {
         &self.pieces[self.cells.clone()]
     }
+
+    /// The wire length, in `f64`s, of each message the steps send.
+    pub(crate) fn send_lens(&self) -> Vec<usize> {
+        let sends = self.steps.iter().filter(|(step, _)| step.op == Op::Send);
+        sends
+            .map(|(step, _)| wire_len(self.depth, step.transfer.region))
+            .collect()
+    }
+}
+
+/// The length of `region` of a `depth`-slice buffer on the wire, in `f64`s.
+fn wire_len(depth: usize, region: Rect) -> usize {
+    depth * region.area() * 2
 }
 
 /// Runs this rank's steps, in order, on its buffer, `passes` split over the
@@ -424,20 +441,21 @@ impl StripPasses {
 /// same paste), otherwise the blocking receives deadlock (on the lockstep
 /// backend the deadlock is detected and reported as a [`CommError`]).
 ///
-/// Generic over the communication backend: any [`RankComm`] carrying the
-/// flat `re, im`-interleaved wire format works. Payloads travel as
-/// [`SharedTile`]s, so the transport and the fault-injection layer buffer
-/// them by aliasing an `Arc` instead of deep-copying tile-sized buffers —
-/// and every payload buffer comes out of the rank's
-/// [`TilePayloadPool`], so the steady-state send path allocates nothing.
+/// Generic over the buffer's precision and the communication backend: any
+/// [`RankComm`] carrying the flat `re, im`-interleaved wire format works.
+/// Payloads travel as [`SharedTile`]s, so the transport and the
+/// fault-injection layer buffer them by aliasing an `Arc` instead of
+/// deep-copying tile-sized buffers — and every payload buffer comes out of
+/// the rank's [`TilePayloadPool`], so the steady-state send path allocates
+/// nothing.
 ///
 /// # Panics
 /// Panics unless `buffer` has the length of the layout `passes` was split
 /// over.
-pub fn run_planned_passes<C: RankComm<SharedTile>>(
+pub fn run_planned_passes<R: Real, C: RankComm<SharedTile>>(
     ctx: &mut C,
     passes: &StripPasses,
-    buffer: &mut [Complex64],
+    buffer: &mut [Complex<R>],
     pool: &mut TilePayloadPool,
 ) -> Result<(), CommError> {
     assert_eq!(buffer.len(), passes.len, "buffer does not match the layout");
@@ -494,7 +512,7 @@ struct FlatRegion<'a> {
 impl FlatRegion<'_> {
     /// The region's length on the wire, in `f64`s.
     fn flat_len(&self) -> usize {
-        self.depth * self.region.area() * 2
+        wire_len(self.depth, self.region)
     }
 
     /// The flat range of every row of every piece, slice by slice, paired
@@ -512,10 +530,10 @@ impl FlatRegion<'_> {
 /// send path, allocation-free in the steady state. The tile retired back
 /// into the pool keeps its buffer alive until every comm-layer alias has
 /// been dropped, at which point the pool recycles it.
-fn send_pooled_region<C: RankComm<SharedTile>>(
+fn send_pooled_region<R: Real, C: RankComm<SharedTile>>(
     ctx: &mut C,
     pool: &mut TilePayloadPool,
-    buffer: &[Complex64],
+    buffer: &[Complex<R>],
     at: FlatRegion<'_>,
     to: usize,
     tag: u64,
@@ -534,8 +552,8 @@ fn send_pooled_region<C: RankComm<SharedTile>>(
 /// Flattens `at` of `buffer` into a caller-owned buffer of exactly its wire
 /// length (a pooled [`SharedTile`] payload), row slice by row slice, so the
 /// steady-state send path performs no allocation. The pieces tile the
-/// region, so every value of `out` is overwritten.
-fn extract_region_flat_into(buffer: &[Complex64], at: FlatRegion<'_>, out: &mut [f64]) {
+/// region, so every value of `out` is overwritten, widened exactly.
+fn extract_region_flat_into<R: Real>(buffer: &[Complex<R>], at: FlatRegion<'_>, out: &mut [f64]) {
     assert_eq!(
         out.len(),
         at.flat_len(),
@@ -543,20 +561,21 @@ fn extract_region_flat_into(buffer: &[Complex64], at: FlatRegion<'_>, out: &mut 
     );
     for (src, dst) in at.rows() {
         for (pair, v) in out[dst].chunks_exact_mut(2).zip(&buffer[src]) {
-            pair[0] = v.re;
-            pair[1] = v.im;
+            pair[0] = v.re.to_f64();
+            pair[1] = v.im.to_f64();
         }
     }
 }
 
 /// Applies `op(cell, value)` to every cell of `at` in `buffer`, row slice by
-/// row slice, `value` read from the interleaved `re, im` payload `data` —
-/// the one receive path.
-fn apply_region_flat(
-    buffer: &mut [Complex64],
+/// row slice, `value` read from the interleaved `re, im` payload `data` and
+/// rounded to the buffer's precision (exact for what a buffer of that
+/// precision sent) — the one receive path.
+fn apply_region_flat<R: Real>(
+    buffer: &mut [Complex<R>],
     at: FlatRegion<'_>,
     data: &[f64],
-    mut op: impl FnMut(&mut Complex64, Complex64),
+    mut op: impl FnMut(&mut Complex<R>, Complex<R>),
 ) {
     assert_eq!(
         data.len(),
@@ -568,7 +587,10 @@ fn apply_region_flat(
     );
     for (dst, src) in at.rows() {
         for (cell, pair) in buffer[dst].iter_mut().zip(data[src].chunks_exact(2)) {
-            op(cell, Complex64::new(pair[0], pair[1]));
+            op(
+                cell,
+                Complex::new(R::from_f64(pair[0]), R::from_f64(pair[1])),
+            );
         }
     }
 }

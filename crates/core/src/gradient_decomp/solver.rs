@@ -294,7 +294,9 @@ mod tests {
     use super::*;
     use crate::config::PassFrequency;
     use ptycho_cluster::{Cluster, ClusterTopology, MemoryCategory};
-    use ptycho_sim::dataset::{SyntheticConfig, BYTES_PER_COMPLEX};
+    use ptycho_fft::Complex32;
+    use ptycho_sim::dataset::SyntheticConfig;
+    use std::mem::size_of;
 
     fn tiny_dataset() -> Dataset {
         Dataset::synthesize(SyntheticConfig::tiny())
@@ -341,9 +343,10 @@ mod tests {
         assert!(result.cost_history.final_cost() < result.cost_history.initial_cost());
         assert!(result.average_peak_memory_bytes() > 0.0);
         // Each rank holds roughly a quarter of the volume plus halo, so its
-        // voxel storage (tile + halo) must be well below the full volume's.
+        // voxel storage (tile + halo) must be well below the full volume's
+        // at the same complex `f32`.
         let (d, r, c) = dataset.object_shape();
-        let full_volume_bytes = d * r * c * 16;
+        let full_volume_bytes = d * r * c * size_of::<Complex32>();
         for m in &result.memory {
             let voxel_bytes = m.peak_of(ptycho_cluster::MemoryCategory::TileVoxels)
                 + m.peak_of(ptycho_cluster::MemoryCategory::HaloVoxels);
@@ -356,6 +359,7 @@ mod tests {
         // With local updates both buffers hold the rank's strips, the cells
         // its passes exchange: nothing on one tile, part of the overlap band
         // on 2×1. Without them `acc` alone spans the whole extended tile.
+        // Either way each value is complex `f32`, charged at its 8 bytes.
         // On 3×3 at `T = 1` every rank's strips are exactly the union of its
         // rounds' shared cells, and with an 8-px halo (at 20 px the overlaps
         // fill the centre tile) the centre rank holds fewer cells than their
@@ -403,10 +407,11 @@ mod tests {
                     assert_eq!(acc.len(), layout.len());
                     assert_eq!(own.as_ref().map_or(acc.len(), Vec::len), acc.len());
                     let held = acc.len() + own.as_ref().map_or(0, Vec::len);
+                    assert_eq!(size_of::<Complex32>(), 8);
                     assert_eq!(
                         ctx.memory_mut()
                             .current_of(MemoryCategory::AccumulationBuffer),
-                        held * BYTES_PER_COMPLEX
+                        held * 8
                     );
                     let cells: usize = strips.iter().map(Rect::area).sum();
                     assert_eq!(layout.len(), cells * slices);

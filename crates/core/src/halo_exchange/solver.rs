@@ -23,6 +23,9 @@ use ptycho_sim::scan::ProbeLocation;
 /// Message tag used for the voxel copy-paste exchange.
 const TAG_VOXEL_PASTE: u64 = 0x20;
 
+/// Payload buffers a rank's pool holds per paste send from the start.
+const PASTE_PAYLOAD_COPIES: usize = 2;
+
 /// Errors the baseline can report before running.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum HaloExchangeError {
@@ -235,11 +238,17 @@ impl SolverKernel for HveKernel<'_> {
             ctx.memory_mut(),
         );
         let volume = StripLayout::new(&[tile.extended.to_local(&tile.extended)], self.slices());
+        let paste = volume.split(&paste_steps(self.grid, rank), &[]);
+        // The paste sends all its messages before it receives any, so a
+        // rank can be back at its pool before a slower peer has dropped
+        // what it sent last time: hold PASTE_PAYLOAD_COPIES of each send up
+        // front rather than growing the pool over the first exchanges.
+        let pool = TilePayloadPool::with_capacity(&paste.send_lens(), PASTE_PAYLOAD_COPIES);
         let state = HveState {
             core: tile.core,
             probes,
-            paste: volume.split(&paste_steps(self.grid, rank), &[]),
-            pool: TilePayloadPool::new(),
+            paste,
+            pool,
         };
         (worker, state)
     }

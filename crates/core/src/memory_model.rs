@@ -10,11 +10,11 @@
 //! overhead) independent of the decomposition.
 //!
 //! How the running program compares (`TileWorker` charges what it holds):
-//! the per-probe model workspace, object patch and gradient are complex
-//! `f32`, 8 bytes per value, as this model assumes for the workspace. The
-//! tile volume and the accumulation buffers are not: they stay complex `f64`
-//! (16 bytes per voxel, `BYTES_PER_COMPLEX`), twice [`GPU_VOXEL_BYTES`],
-//! because they carry the iterate and the checkpoints bit for bit.
+//! the tile volume, the accumulation buffers, the per-probe model
+//! workspace, object patch and gradient are all complex `f32`, 8 bytes per
+//! value, [`GPU_VOXEL_BYTES`]. A rank's `TileVoxels` and `HaloVoxels`
+//! charges are this model's `tile_voxels` and `halo_voxels` for its tile's
+//! geometry, exactly (`tests/integration_feasibility.rs` pins it).
 //!
 //! The accumulation buffers also differ in extent. This model charges one
 //! `AccBuf` over the whole extended tile, as the paper's Algorithm 1 and
@@ -105,6 +105,16 @@ impl DecompositionGeometry {
     /// Area of the average halo in pixels.
     pub fn halo_area(&self) -> f64 {
         (self.extended_area() - self.core_area()).max(0.0)
+    }
+
+    /// Bytes of the average tile's core and halo voxels over `slices`
+    /// slices, at [`GPU_VOXEL_BYTES`]: a breakdown's `tile_voxels` and
+    /// `halo_voxels`.
+    pub fn voxel_bytes(&self, slices: f64) -> (f64, f64) {
+        (
+            self.core_area() * slices * GPU_VOXEL_BYTES,
+            self.halo_area() * slices * GPU_VOXEL_BYTES,
+        )
     }
 }
 
@@ -225,8 +235,7 @@ fn memory_from_geometry(
 ) -> MemoryBreakdown {
     let slices = spec.slices() as f64;
     let detector = (spec.detector_px * spec.detector_px) as f64;
-    let tile_voxels = geometry.core_area() * slices * GPU_VOXEL_BYTES;
-    let halo_voxels = geometry.halo_area() * slices * GPU_VOXEL_BYTES;
+    let (tile_voxels, halo_voxels) = geometry.voxel_bytes(slices);
     let measurements = geometry.avg_assigned * detector * GPU_MEASUREMENT_BYTES;
     let buffers = if with_accumulation_buffer {
         geometry.extended_area() * slices * GPU_VOXEL_BYTES

@@ -43,13 +43,13 @@ mod runner;
 
 use crate::config::SolverConfig;
 use crate::durability::{
-    decode_spec, ByteReader, CheckpointPayload, CheckpointStore, DurabilityError, RecoveredEpoch,
+    decode_exactly, decode_spec, CheckpointStore, DurabilityError, RecoveredEpoch,
 };
 use crate::engine::{IterationProgress, ReconstructionResult, RecoveryReport};
 use crate::gradient_decomp::solver::GradientDecompositionSolver;
 use crate::halo_exchange::solver::HaloVoxelExchangeSolver;
+use crate::worker::TileVolume;
 use ptycho_cluster::{FaultPolicy, FleetView, JobId, JobQueue, NodeId, QueuedJob, RankFailure};
-use ptycho_fft::CArray3;
 use ptycho_sim::dataset::Dataset;
 use ptycho_telemetry::{Histogram, MetricsRegistry, Telemetry, TelemetryEvent};
 use std::collections::BTreeMap;
@@ -846,7 +846,7 @@ fn refusal_reason(spec: &JobSpec) -> Option<String> {
         let slices = spec.dataset.object_shape().0;
         for (slot, record) in epoch.slots.iter().enumerate() {
             let label = PathBuf::from(format!("slot {slot} of epoch {seq}"));
-            let volume = match CArray3::decode(&mut ByteReader::new(&record.state, &label)) {
+            let volume: TileVolume = match decode_exactly(&record.state, &label) {
                 Ok(volume) => volume,
                 Err(error) => return Some(error.to_string()),
             };
@@ -1010,7 +1010,9 @@ fn grant_spare(shared: &Arc<Shared>, id: JobId, cancel: &AtomicBool, dead_local:
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::durability::{encode_spec, ByteWriter, EpochManifest, SlotRecord};
+    use crate::durability::{
+        encode_spec, ByteWriter, CheckpointPayload, EpochManifest, SlotRecord,
+    };
     use ptycho_sim::dataset::SyntheticConfig;
     use std::time::Duration;
 
@@ -1037,7 +1039,7 @@ mod tests {
             .map(|slot| {
                 let tile = solver.grid().tile(slot).extended;
                 let mut out = ByteWriter::new();
-                CArray3::zeros(depth, tile.rows(), tile.cols()).encode(&mut out);
+                TileVolume::zeros(depth, tile.rows(), tile.cols()).encode(&mut out);
                 out.into_bytes()
             })
             .collect()
@@ -1124,6 +1126,27 @@ mod tests {
             Err(JobError::Rejected { reason }) => assert!(
                 reason.contains("slot 2 of epoch") && reason.contains("payload truncated"),
                 "the reason must name the slot and the decode error: {reason}"
+            ),
+            other => panic!("expected a rejection, got {other:?}"),
+        }
+        assert_eq!(engine.free_nodes(), engine.total_nodes());
+    }
+
+    #[test]
+    fn resume_rejects_a_slot_state_held_at_the_wrong_precision() {
+        // Slot 1 holds its tile as complex f64, the right shape: its first
+        // half reads as a complex f32 tile, and the rest is left over.
+        let mut states = tile_states(2);
+        let tile: TileVolume =
+            decode_exactly(&states[1], &PathBuf::new()).expect("the helper's state decodes");
+        let mut wide = ByteWriter::new();
+        tile.map(|v| v.widen()).encode(&mut wide);
+        states[1] = wide.into_bytes();
+        let (engine, outcome) = resume_hand_built_epoch("f64-state", states);
+        match outcome {
+            Err(JobError::Rejected { reason }) => assert!(
+                reason.contains("slot 1 of epoch") && reason.contains("trailing bytes"),
+                "the reason must name the slot and the leftover bytes: {reason}"
             ),
             other => panic!("expected a rejection, got {other:?}"),
         }

@@ -12,21 +12,28 @@ use ptycho_sim::scan::ProbeLocation;
 use ptycho_sim::SimWorkspace;
 use std::mem::size_of_val;
 
+/// A rank's halo-extended tile volume: complex `f32`, 8 bytes a voxel, as
+/// the paper's GPUs hold it.
+pub(crate) type TileVolume = Array3<Complex32>;
+
 /// The state one worker (simulated GPU) keeps for its tile: the halo-extended
 /// sub-volume it reconstructs, the bound forward model, the gradient step,
 /// and the pooled per-probe buffers (model workspace, patch and gradient)
 /// that make the steady-state gradient evaluation allocation-free.
 ///
-/// The tile volume is complex `f64`; every per-probe evaluation runs in
-/// complex `f32` ([`Dataset::model_f32`]). The patch is rounded to `f32` as
-/// it is extracted, and the gradient widened back to `f64` as it is added to
-/// the volume or an accumulation buffer.
+/// Everything a rank holds is complex `f32`: the tile volume, the
+/// accumulation buffers, and every per-probe evaluation
+/// ([`Dataset::model_f32`]). The patch is a same-type copy of the volume,
+/// and the gradient is added to the volume or a buffer as it is. Only the
+/// flat initial guess (ones, exact in `f32`) and the stitched result
+/// ([`Self::core_volume`], widened exactly) are complex `f64`.
 pub(crate) struct TileWorker<'a> {
     dataset: &'a Dataset,
     tile: TileInfo,
     /// The worker's halo-extended sub-volume, in tile-local coordinates.
-    volume: CArray3,
-    step: f64,
+    volume: TileVolume,
+    /// The gradient step `α`, rounded to `f32` once.
+    step: f32,
     slices: usize,
     /// See [`TileWorker::modeled_iteration_ns`].
     iteration_ns: u64,
@@ -53,19 +60,19 @@ impl<'a> TileWorker<'a> {
         memory: &mut MemoryTracker,
     ) -> Self {
         let slices = dataset.object_shape().0;
-        let volume = initial.extract_region_with_fill(tile.extended, Complex64::ONE);
-        let step = config.step_relaxation * suggested_step(dataset.model());
+        // The flat initial guess is ones: exact in `f32`.
+        let volume = initial
+            .extract_region_with_fill(tile.extended, Complex64::ONE)
+            .map(|v| Complex32::narrow(*v));
+        let step = (config.step_relaxation * suggested_step(dataset.model())) as f32;
 
-        // Register what this worker would hold in GPU memory.
+        // Register what this worker holds in GPU memory, at the bytes held:
+        // the volume's core columns, and the rest of it, its halo.
         let window = dataset.model().window_px();
-        memory.allocate(
-            MemoryCategory::TileVoxels,
-            tile.core.area() * slices * BYTES_PER_COMPLEX,
-        );
-        memory.allocate(
-            MemoryCategory::HaloVoxels,
-            tile.halo_area() * slices * BYTES_PER_COMPLEX,
-        );
+        let held = size_of_val(volume.as_slice());
+        let core = held / tile.extended.area() * tile.core.area();
+        memory.allocate(MemoryCategory::TileVoxels, core);
+        memory.allocate(MemoryCategory::HaloVoxels, held - core);
         memory.allocate(
             MemoryCategory::Measurements,
             assigned_probes * window * window * BYTES_PER_MEASUREMENT,
@@ -84,6 +91,8 @@ impl<'a> TileWorker<'a> {
             MemoryCategory::ModelWorkspace,
             workspace.bytes() + size_of_val(patch.as_slice()),
         );
+        // The Summit model's working set keeps its own 16 B a voxel: the
+        // modeled clock is not re-derived from what the rank holds.
         let working_set = (tile.extended.area() * slices * BYTES_PER_COMPLEX) as f64;
         let per_probe =
             HardwareModel::summit_v100().probe_gradient_time(window, slices, working_set);
@@ -108,16 +117,14 @@ impl<'a> TileWorker<'a> {
 
     /// Computes the individual image gradient `∂f_i/∂V_k` for one owned probe
     /// location against the current tile state into the worker's gradient
-    /// buffer, in complex `f32`: the patch is rounded as it is extracted
-    /// (the vacuum fill is exact). Returns the probe loss. Allocation-free:
-    /// the object patch, the gradient and every model intermediate live in
-    /// the worker's pooled buffers.
+    /// buffer: the patch is a row copy of the volume, vacuum (`1`) outside
+    /// it. Returns the probe loss. Allocation-free: the object patch, the
+    /// gradient and every model intermediate live in the worker's pooled
+    /// buffers.
     pub fn compute_gradient(&mut self, loc: &ProbeLocation) -> f64 {
         let local_window = self.local_window(loc);
         self.volume
-            .extract_region_map_into(local_window, Complex32::ONE, &mut self.patch, |v| {
-                Complex32::narrow(*v)
-            });
+            .extract_region_into(local_window, Complex32::ONE, &mut self.patch);
         probe_gradient_into(
             self.dataset.model_f32(),
             &self.patch,
@@ -140,7 +147,7 @@ impl<'a> TileWorker<'a> {
     /// `own += ∂f_i/∂V_k` and step 8, `V_k ← V_k − α·∂f_i/∂V_k`. The volume
     /// takes the whole window; the buffers only its part inside `cells`
     /// (disjoint pieces of the buffers' strips). Each cell visited gets the
-    /// operations separate scatters of the widened gradient would give it.
+    /// operations separate scatters of the gradient would give it.
     /// Allocation-free.
     ///
     /// The solver passes the round's [`RankPasses::shared`] cells with
@@ -175,15 +182,14 @@ impl<'a> TileWorker<'a> {
                 match own.as_deref_mut() {
                     Some(own) => {
                         let pairs = acc[dst.clone()].iter_mut().zip(&mut own[dst]);
-                        for ((a, o), g) in pairs.zip(&g[src]) {
-                            let g = g.widen();
+                        for ((a, o), &g) in pairs.zip(&g[src]) {
                             *a += g;
                             *o += g;
                         }
                     }
                     None => {
-                        for (a, g) in acc[dst].iter_mut().zip(&g[src]) {
-                            *a += g.widen();
+                        for (a, &g) in acc[dst].iter_mut().zip(&g[src]) {
+                            *a += g;
                         }
                     }
                 }
@@ -214,14 +220,14 @@ impl<'a> TileWorker<'a> {
                     Some(own) => {
                         for ((v, t), o) in pairs.zip(&mut own[buf]) {
                             *v -= (*t - *o).scale(self.step);
-                            *t = Complex64::ZERO;
-                            *o = Complex64::ZERO;
+                            *t = Complex32::ZERO;
+                            *o = Complex32::ZERO;
                         }
                     }
                     None => {
                         for (v, t) in pairs {
                             *v -= t.scale(self.step);
-                            *t = Complex64::ZERO;
+                            *t = Complex32::ZERO;
                         }
                     }
                 }
@@ -230,14 +236,14 @@ impl<'a> TileWorker<'a> {
     }
 
     /// A read-only view of the current tile volume (extended, tile-local).
-    pub fn volume(&self) -> &CArray3 {
+    pub fn volume(&self) -> &TileVolume {
         &self.volume
     }
 
     /// Mutable access to the tile volume: the buffer the Halo Voxel Exchange
     /// baseline's planned voxel paste runs on (laid out as one strip over the
     /// extended tile), and what the engine restores a checkpoint into.
-    pub fn volume_mut(&mut self) -> &mut CArray3 {
+    pub fn volume_mut(&mut self) -> &mut TileVolume {
         &mut self.volume
     }
 
@@ -251,11 +257,10 @@ impl<'a> TileWorker<'a> {
     }
 
     /// Extracts the core (non-halo) part of the tile volume in image
-    /// coordinates, ready for stitching.
+    /// coordinates, widened (exactly) to complex `f64`, ready for stitching.
     pub fn core_volume(&self) -> CArray3 {
         let core_local = self.tile.core.to_local(&self.tile.extended);
-        self.volume
-            .extract_region_with_fill(core_local, Complex64::ONE)
+        self.volume.extract_region(core_local).map(|v| v.widen())
     }
 }
 
@@ -263,8 +268,8 @@ impl<'a> TileWorker<'a> {
 /// updates `own`, what the tile has already applied itself — held over the
 /// strips of a [`StripLayout`], all `+0.0` at every round boundary.
 pub(crate) struct AccBuffers {
-    pub acc: Vec<Complex64>,
-    pub own: Option<Vec<Complex64>>,
+    pub acc: Vec<Complex32>,
+    pub own: Option<Vec<Complex32>>,
 }
 
 impl AccBuffers {
@@ -272,11 +277,9 @@ impl AccBuffers {
     /// charged to `memory` at the bytes they hold.
     pub fn new(layout: &StripLayout, local_updates: bool, memory: &mut MemoryTracker) -> Self {
         let mut zeroed = || {
-            memory.allocate(
-                MemoryCategory::AccumulationBuffer,
-                layout.len() * BYTES_PER_COMPLEX,
-            );
-            vec![Complex64::ZERO; layout.len()]
+            let buffer = vec![Complex32::ZERO; layout.len()];
+            memory.allocate(MemoryCategory::AccumulationBuffer, size_of_val(&buffer[..]));
+            buffer
         };
         let acc = zeroed();
         let own = local_updates.then(zeroed);
@@ -284,11 +287,16 @@ impl AccBuffers {
     }
 }
 
-/// Adds `factor · block`, each value widened to `f64` as it is added, into
-/// `region` of a complex volume, clipping against the volume bounds — the
-/// allocation-free scatter behind HVE's per-probe update and GD's local
-/// update (`block` is probe-window shaped: one sub-plane per slice).
-fn add_region_scaled(volume: &mut CArray3, region: Rect, block: &Array3<Complex32>, factor: f64) {
+/// Adds `factor · block` into `region` of the tile volume, clipping against
+/// the volume bounds — the allocation-free scatter behind HVE's per-probe
+/// update and GD's local update (`block` is probe-window shaped: one
+/// sub-plane per slice).
+fn add_region_scaled(
+    volume: &mut TileVolume,
+    region: Rect,
+    block: &Array3<Complex32>,
+    factor: f32,
+) {
     let (plane, depth) = (volume.plane_bounds(), volume.depth());
     let (rows, cols) = region.shape();
     assert_eq!(
@@ -303,8 +311,8 @@ fn add_region_scaled(volume: &mut CArray3, region: Rect, block: &Array3<Complex3
         .zip(region.flat_rows(depth, 0, inside));
     let (volume, block) = (volume.as_mut_slice(), block.as_slice());
     for (dst, src) in rows {
-        for (v, g) in volume[dst].iter_mut().zip(&block[src]) {
-            *v += g.widen() * factor;
+        for (v, &g) in volume[dst].iter_mut().zip(&block[src]) {
+            *v += g * factor;
         }
     }
 }
@@ -330,17 +338,17 @@ mod tests {
         )
     }
 
-    fn volume_with_pattern() -> CArray3 {
+    fn volume_with_pattern() -> TileVolume {
         Array3::from_fn(2, 6, 6, |s, r, c| {
-            Complex64::new((s * 36 + r * 6 + c) as f64, -(r as f64))
+            Complex32::new((s * 36 + r * 6 + c) as f32, -(r as f32))
         })
     }
 
-    fn flat_bits(v: &[Complex64]) -> Vec<(u64, u64)> {
+    fn flat_bits(v: &[Complex32]) -> Vec<(u32, u32)> {
         v.iter().map(|c| (c.re.to_bits(), c.im.to_bits())).collect()
     }
 
-    fn bits(v: &CArray3) -> Vec<(u64, u64)> {
+    fn bits(v: &TileVolume) -> Vec<(u32, u32)> {
         flat_bits(v.as_slice())
     }
 
@@ -370,7 +378,7 @@ mod tests {
             add_region_scaled(&mut direct, region, &block, -0.37);
 
             let mut reference = vol.clone();
-            let scaled = block.map(|g| -g.widen() * 0.37);
+            let scaled = block.map(|&g| g * -0.37);
             reference.add_region(region, &scaled);
 
             assert_eq!(bits(&direct), bits(&reference), "region {region:?}");
@@ -378,7 +386,7 @@ mod tests {
     }
 
     /// The values a buffer of `layout` holds of a tile-shaped volume.
-    fn gather(layout: &StripLayout, whole: &CArray3) -> Vec<Complex64> {
+    fn gather(layout: &StripLayout, whole: &TileVolume) -> Vec<Complex32> {
         let strips = layout.strips().iter();
         strips
             .flat_map(|strip| whole.extract_region(strip.rect).as_slice().to_vec())
@@ -396,16 +404,16 @@ mod tests {
         // updates, over buffers that hold a cell set cutting the windows —
         // none, one strip, two disjoint strips, the whole tile — either as
         // those strips or as their bounding box. The references are `acc
-        // += g` and `own += g` of the widened gradient by
+        // += g` and `own += g` of the gradient by
         // `Array3::add_region` over each window ∩ cell rect of a
         // tile-shaped volume, and `V += g·(−α)` by the HVE update over the
         // whole window.
         let dataset = Dataset::synthesize(SyntheticConfig::tiny());
         let mut worker = tiny_worker(&dataset);
         let (depth, rows, cols) = worker.volume().shape();
-        let seeded = |seed: f64| {
+        let seeded = |seed: f32| {
             Array3::from_fn(depth, rows, cols, |s, r, c| {
-                Complex64::new((s + r * c) as f64 * seed, (r as f64 - c as f64) / seed)
+                Complex32::new((s + r * c) as f32 * seed, (r as f32 - c as f32) / seed)
             })
         };
         let (rows, cols) = (rows as i64, cols as i64);
@@ -426,7 +434,6 @@ mod tests {
                     (r + c) as f32 * 0.05,
                 )
             });
-            let wide = gradient.map(|g| g.widen());
             worker.gradient = gradient.clone();
             let loc = ProbeLocation {
                 index: 0,
@@ -454,7 +461,7 @@ mod tests {
                 };
                 let volume_before = worker.volume().clone();
                 for hit in set.iter().map(|rect| window.intersect(rect)) {
-                    let g = wide.extract_region(hit.to_local(&window));
+                    let g = gradient.extract_region(hit.to_local(&window));
                     acc_ref.add_region(hit, &g);
                     own_ref.add_region(hit, &g);
                 }
@@ -465,7 +472,7 @@ mod tests {
                 worker.scatter_gradient(&loc, &mut buffers, &cells);
                 let case =
                     format!("window {window:?}, cells {set:?}, local {local_updates}, {boxed}");
-                let want = |whole: &CArray3| flat_bits(&gather(&layout, whole));
+                let want = |whole: &TileVolume| flat_bits(&gather(&layout, whole));
                 assert_eq!(flat_bits(&buffers.acc), want(&acc_ref), "acc, {case}");
                 assert_eq!(
                     buffers.own.as_deref().map(flat_bits),
@@ -506,34 +513,72 @@ mod tests {
         );
     }
 
+    #[test]
+    fn tile_charges_equal_the_bytes_held() {
+        // Every rank of a 2×2 grid (each tile with a halo on two sides)
+        // charges its core and halo voxels, and its accumulation buffers, at
+        // the 8 bytes of the complex `f32` each value is held in.
+        let dataset = Dataset::synthesize(SyntheticConfig::tiny());
+        let (slices, rows, cols) = dataset.object_shape();
+        let grid = TileGrid::new(rows, cols, 2, 2, 8, dataset.scan());
+        let initial = dataset.initial_guess();
+        let config = SolverConfig::default();
+        assert_eq!(std::mem::size_of::<Complex32>(), 8);
+        for tile in grid.tiles() {
+            let mut memory = MemoryTracker::new();
+            let worker = TileWorker::new(&dataset, tile, &initial, &config, 0, &mut memory);
+            let (tile_voxels, halo_voxels) = (
+                memory.current_of(MemoryCategory::TileVoxels),
+                memory.current_of(MemoryCategory::HaloVoxels),
+            );
+            assert!(tile.halo_area() > 0);
+            assert_eq!(tile_voxels, tile.core.area() * slices * 8);
+            assert_eq!(halo_voxels, tile.halo_area() * slices * 8);
+            assert_eq!(
+                tile_voxels + halo_voxels,
+                size_of_val(worker.volume().as_slice())
+            );
+
+            let local = tile.extended.to_local(&tile.extended);
+            let layout = StripLayout::new(&[local], slices);
+            let buffers = AccBuffers::new(&layout, true, &mut memory);
+            let held = buffers.acc.len() + buffers.own.as_ref().map_or(0, Vec::len);
+            assert_eq!(held, 2 * tile.extended.area() * slices);
+            assert_eq!(
+                memory.current_of(MemoryCategory::AccumulationBuffer),
+                held * 8
+            );
+        }
+    }
+
     /// The `±0.0` decision the pass plan rests on: skipping the cells where a
     /// message, or an accumulation buffer, holds `+0.0` changes no bit.
     #[test]
     fn skipping_zeros_changes_no_bit_and_buffers_never_hold_negative_zero() {
-        let specials = [0.0, -0.0, 1.5, -2.25, f64::MIN_POSITIVE, -f64::MAX];
+        let specials = [0.0, -0.0, 1.5, -2.25, f32::MIN_POSITIVE, -f32::MAX];
         let n = specials.len();
-        let bits = |v: &CArray3| -> Vec<(u64, u64)> {
+        let bits = |v: &TileVolume| -> Vec<(u32, u32)> {
             v.iter().map(|c| (c.re.to_bits(), c.im.to_bits())).collect()
         };
         let row = Rect::of_shape(1, n);
         let values = Array3::from_fn(1, 1, n, |_, _, c| {
-            Complex64::new(specials[c], specials[n - 1 - c])
+            Complex32::new(specials[c], specials[n - 1 - c])
         });
         // A message of zeros, as a receive applies it: `+=` per cell on a
         // forward sweep, `=` on a backward one.
-        let zeros = Array3::full(1, 1, n, Complex64::ZERO);
+        let zeros = Array3::full(1, 1, n, Complex32::ZERO);
 
         // Forward receive: `x + 0.0` is `x` — except for `x = −0.0`, which
         // becomes `+0.0`. That is the one value a skipped addition would
         // leave different, so accumulation buffers must never hold it …
         let mut added = values.clone();
         added.add_region(row, &zeros);
-        let unsigned_zero = |x: f64| if x == 0.0 { 0.0 } else { x };
-        let expected = values.map(|c| Complex64::new(unsigned_zero(c.re), unsigned_zero(c.im)));
+        let unsigned_zero = |x: f32| if x == 0.0 { 0.0 } else { x };
+        let expected = values.map(|c| Complex32::new(unsigned_zero(c.re), unsigned_zero(c.im)));
         assert_eq!(bits(&added), bits(&expected));
         // … and they cannot: a buffer starts at `+0.0` and only ever adds,
         // and neither `+0.0 + −0.0` nor `x + −x` is `−0.0`.
-        let mut acc_buf = Array3::full(1, 1, n, Complex64::ZERO);
+        let mut acc_buf = Array3::full(1, 1, n, Complex32::ZERO);
         acc_buf.add_region(row, &values);
         let accumulated_once = acc_buf.clone();
         acc_buf.add_region(row, &values.map(|c| -*c));
@@ -543,7 +588,7 @@ mod tests {
         }
 
         // Backward receive: a zero replacing a zero.
-        let mut replaced = Array3::full(1, 1, n, Complex64::ZERO);
+        let mut replaced = Array3::full(1, 1, n, Complex32::ZERO);
         replaced.paste_region(row, &zeros);
         assert_eq!(bits(&replaced), bits(&zeros));
 
@@ -574,7 +619,7 @@ mod tests {
         let mut worker = tiny_worker(&dataset);
         let (depth, rows, cols) = worker.volume().shape();
         let (rows, cols) = (rows as i64, cols as i64);
-        let (t0, o0) = (Complex64::new(1.0, -2.0), Complex64::new(0.25, 0.5));
+        let (t0, o0) = (Complex32::new(1.0, -2.0), Complex32::new(0.25, 0.5));
         // Buffers over the whole tile, over an inner band of it, and over
         // two disjoint bands.
         let layouts: [&[Rect]; 3] = [
@@ -627,9 +672,9 @@ mod tests {
                         let f = offset
                             + (s * rect.rows() + (r - rect.row0) as usize) * rect.cols()
                             + (c - rect.col0) as usize;
-                        assert_eq!(buffers.acc[f], if hit { Complex64::ZERO } else { t0 });
+                        assert_eq!(buffers.acc[f], if hit { Complex32::ZERO } else { t0 });
                         if let Some(own) = &buffers.own {
-                            assert_eq!(own[f], if hit { Complex64::ZERO } else { o0 });
+                            assert_eq!(own[f], if hit { Complex32::ZERO } else { o0 });
                         }
                     }
                 }

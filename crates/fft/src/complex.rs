@@ -41,6 +41,9 @@ pub trait Real:
     /// The IEEE 754 bit pattern, zero-extended: what bit-identity tests and
     /// goldens compare.
     fn bit_pattern(self) -> u64;
+    /// The value whose [`Real::bit_pattern`] is `bits` (the high bits past
+    /// this type's width are ignored): `bit_pattern`'s exact inverse.
+    fn from_bit_pattern(bits: u64) -> Self;
     /// Square root.
     fn sqrt(self) -> Self;
     /// `sqrt(self² + other²)` without undue overflow.
@@ -73,6 +76,10 @@ macro_rules! real {
             #[inline]
             fn bit_pattern(self) -> u64 {
                 self.to_bits() as u64
+            }
+            #[inline]
+            fn from_bit_pattern(bits: u64) -> $t {
+                <$t>::from_bits(bits as _)
             }
             #[inline]
             fn sqrt(self) -> $t {

@@ -4,11 +4,12 @@
 //! The GD table was first recorded at commit 1f8111f (whole-overlap-strip
 //! accumulation passes, whole-tile apply and reset) and asserted unchanged
 //! under every restructuring of the pass / tile-update path since.
-//! Re-recorded once, when every per-probe evaluation moved to complex `f32`
-//! (the tile volume and the accumulation buffers stay `f64`);
-//! `tests/fidelity.rs` bounds how far that move may take a reconstruction
-//! from the ground truth. The HVE table was recorded at 76b4cb3, before the
-//! voxel paste moved onto the planned-step executor the passes run on. Every
+//! Re-recorded once, when every per-probe evaluation moved to complex `f32`,
+//! and once more, with the HVE table, when the tile volume and the
+//! accumulation buffers followed it; `tests/fidelity.rs` bounds how far
+//! each move may take a reconstruction from the ground truth. The HVE table
+//! was first recorded at 76b4cb3, before the voxel paste moved onto the
+//! planned-step executor the passes run on. Every
 //! other bit-identity pin in the repository compares two paths of *one*
 //! build; these tables are the only ones that compare a build with its
 //! ancestors.
@@ -81,181 +82,181 @@ const GOLDEN: [Row; 30] = [
         EveryProbe,
         true,
         (3, 3),
-        (0x5448_af84_4998_b23d, 0x0770_40c2_9d4b_a622),
+        (0xe088_32e9_4e91_44b4, 0x352f_acc2_1d58_3add),
     ),
     (
         EveryProbe,
         false,
         (3, 3),
-        (0x2a92_7c64_2cc9_241d, 0x0770_40c2_9d4b_a622),
+        (0x5365_3b25_d77b_9e87, 0x5470_36e7_354c_01d3),
     ),
     (
         PerIteration(2),
         true,
         (3, 3),
-        (0xca44_9f9e_fed8_e431, 0x0856_6592_1dac_d4bf),
+        (0x4a47_ede5_9a06_b5c5, 0x5589_7c3c_73f7_7574),
     ),
     (
         PerIteration(2),
         false,
         (3, 3),
-        (0xe497_b114_d2ae_c3a7, 0x7973_afb6_41aa_6c95),
+        (0x1946_c9ec_2d18_873c, 0xbda1_efb6_30f1_207d),
     ),
     (
         PerIteration(1),
         true,
         (3, 3),
-        (0x500b_24ee_188e_4152, 0xc4ab_d277_3b58_55be),
+        (0xf1b3_3f10_a8d3_a00b, 0xe95e_7419_9cad_b78d),
     ),
     (
         PerIteration(1),
         false,
         (3, 3),
-        (0x5376_47b8_23d0_1938, 0xe59f_12bc_bece_be93),
+        (0xaa7a_1207_01e1_8102, 0xf6cf_f862_9147_e9fb),
     ),
     (
         EveryProbe,
         true,
         (1, 4),
-        (0xa9c4_7cd2_7774_c0cf, 0x40ea_806e_1d55_d797),
+        (0xbfed_42c4_8837_8966, 0x0a7c_b3a1_b4d0_0c19),
     ),
     (
         EveryProbe,
         false,
         (1, 4),
-        (0x67d8_ca6f_5952_b859, 0x40ea_806e_1d55_d797),
+        (0xf9a2_5921_6e3a_7693, 0x4b58_b6ee_a317_d229),
     ),
     (
         PerIteration(2),
         true,
         (1, 4),
-        (0x8896_74bc_f8b3_c8de, 0x279d_03d3_fcaa_9264),
+        (0x087d_159a_38e6_e5bd, 0x40e6_a237_a984_b70c),
     ),
     (
         PerIteration(2),
         false,
         (1, 4),
-        (0x6e7e_d20e_cb05_8627, 0x3b3a_45fe_cec9_b075),
+        (0x0762_e461_6d8b_49f7, 0x8bac_207b_fe3c_c14a),
     ),
     (
         PerIteration(1),
         true,
         (1, 4),
-        (0xe53c_1ecc_bec6_3fcc, 0xa1ff_1134_dbbb_9449),
+        (0x9c29_6fb8_4c00_a653, 0xae32_f92a_a9c1_5a64),
     ),
     (
         PerIteration(1),
         false,
         (1, 4),
-        (0x5376_47b8_23d0_1938, 0x9d71_558c_0328_1466),
+        (0x5521_b00e_297c_b1c7, 0x8ae4_1ce1_9489_ae31),
     ),
     (
         EveryProbe,
         true,
         (4, 1),
-        (0xd62f_18a1_bfd3_599e, 0x383d_0f08_0802_53ae),
+        (0x84a5_a1b3_e53a_fd41, 0x1da6_05a8_0163_3b20),
     ),
     (
         EveryProbe,
         false,
         (4, 1),
-        (0xe05f_5798_a2bd_7bf1, 0x383d_0f08_0802_53ae),
+        (0x984c_94e1_cdb3_6dde, 0x16f1_664f_40f9_4706),
     ),
     (
         PerIteration(2),
         true,
         (4, 1),
-        (0x4fc0_1b45_8e3d_98b5, 0x119f_ef72_7177_18f6),
+        (0x18d6_1a25_0cae_d0dc, 0x7143_d482_d5ea_15a2),
     ),
     (
         PerIteration(2),
         false,
         (4, 1),
-        (0x0371_aa47_d06a_2252, 0x06b9_13c4_6e3d_2f31),
+        (0xa2b5_a10a_0dd6_556f, 0x5b05_dabc_acd4_2007),
     ),
     (
         PerIteration(1),
         true,
         (4, 1),
-        (0x33f6_6565_398f_b7d4, 0x277c_a716_e50b_cd1c),
+        (0x55ab_3c57_b086_feae, 0xa132_4901_ec7e_7d98),
     ),
     (
         PerIteration(1),
         false,
         (4, 1),
-        (0x5376_47b8_23d0_1938, 0xe59f_12bc_bece_be93),
+        (0x478e_1cdc_aebb_2a4d, 0x88d6_a55a_bac2_b5a9),
     ),
     (
         EveryProbe,
         true,
         (2, 2),
-        (0x2be3_0f47_0fac_c02b, 0x15ff_4661_93e1_564e),
+        (0xb028_0f8c_75c8_5892, 0x3b51_0667_04fe_973c),
     ),
     (
         EveryProbe,
         false,
         (2, 2),
-        (0x2be3_0f47_0fac_c02b, 0x15ff_4661_93e1_564e),
+        (0xb028_0f8c_75c8_5892, 0x3b51_0667_04fe_973c),
     ),
     (
         PerIteration(2),
         true,
         (2, 2),
-        (0xe422_4b04_394c_66a9, 0xfb45_294d_e38c_1ccf),
+        (0xb7a7_51db_c87a_69c5, 0xb8d1_e94d_7f44_7c4c),
     ),
     (
         PerIteration(2),
         false,
         (2, 2),
-        (0xdc60_8b55_9d51_90bc, 0x6224_a126_97ad_72d7),
+        (0xd6ef_5f57_5a42_3eda, 0x215f_3fe0_3b5a_c8f1),
     ),
     (
         PerIteration(1),
         true,
         (2, 2),
-        (0xa4b4_dbe8_68ec_ec7c, 0x14b7_79d8_9277_210b),
+        (0xc469_5374_fb41_86a5, 0x9c2a_a97b_3e59_0912),
     ),
     (
         PerIteration(1),
         false,
         (2, 2),
-        (0x5376_47b8_23d0_1938, 0xe59f_12bc_bece_be93),
+        (0x213b_cf6d_65f9_d9e5, 0xc2aa_70c7_fc1a_26a1),
     ),
     (
         EveryProbe,
         true,
         (1, 1),
-        (0x83e8_613a_b86f_5740, 0x7330_24ee_f7a5_8098),
+        (0x8693_67c4_f6a3_a8a8, 0xe097_1536_ec56_3864),
     ),
     (
         EveryProbe,
         false,
         (1, 1),
-        (0x83e8_613a_b86f_5740, 0x7330_24ee_f7a5_8098),
+        (0x8693_67c4_f6a3_a8a8, 0xe097_1536_ec56_3864),
     ),
     (
         PerIteration(2),
         true,
         (1, 1),
-        (0x83e8_613a_b86f_5740, 0x7330_24ee_f7a5_8098),
+        (0x8693_67c4_f6a3_a8a8, 0xe097_1536_ec56_3864),
     ),
     (
         PerIteration(2),
         false,
         (1, 1),
-        (0xc07b_7167_ac7a_ec43, 0x23d8_ac5e_6010_fd4b),
+        (0xd8e7_dafb_30fb_fa59, 0xc006_83e7_4d1a_af71),
     ),
     (
         PerIteration(1),
         true,
         (1, 1),
-        (0x83e8_613a_b86f_5740, 0x7330_24ee_f7a5_8098),
+        (0x8693_67c4_f6a3_a8a8, 0xe097_1536_ec56_3864),
     ),
     (
         PerIteration(1),
         false,
         (1, 1),
-        (0x5376_47b8_23d0_1938, 0x9d71_558c_0328_1466),
+        (0x3011_71ad_c2be_0e55, 0xcca3_2859_2f85_d692),
     ),
 ];
 
@@ -319,18 +320,18 @@ fn hve_config(exchange_period: usize) -> SolverConfig {
 type HveRow = (usize, (usize, usize), Fingerprint);
 
 const HVE_GOLDEN: [HveRow; 12] = [
-    (1, (1, 2), (0xaf77_0d06_0663_b955, 0xfcc7_0a78_f675_bfed)),
-    (2, (1, 2), (0x8b53_6d3a_a293_ccbd, 0x73db_cc2b_8a29_89bc)),
-    (1, (2, 1), (0x16ca_d424_81a1_915d, 0x2095_5d9b_3a74_e673)),
-    (2, (2, 1), (0x027e_a0ad_2681_245f, 0xd5f2_bec5_b1c0_ef0a)),
-    (1, (1, 3), (0xbcc0_1646_5d09_950a, 0x2f27_ebd6_f548_bb89)),
-    (2, (1, 3), (0x3d87_5839_179a_ed71, 0x3e45_8dc9_9c6e_2020)),
-    (1, (2, 2), (0xcb69_d825_faf8_565b, 0x96a7_c025_257f_ba85)),
-    (2, (2, 2), (0x73fd_a914_3cc1_9256, 0x32ef_dcd7_334e_611b)),
-    (1, (2, 3), (0x01db_820e_cd29_3784, 0xd90c_54b8_bb30_7db5)),
-    (2, (2, 3), (0x43c1_ace0_95bd_fd51, 0x7ee6_99c0_51da_8b49)),
-    (1, (3, 3), (0x0b2d_4726_e707_8ff2, 0x11f7_2138_0215_25a6)),
-    (2, (3, 3), (0x1dd2_c11b_300f_bb26, 0xaaa6_480d_1581_b619)),
+    (1, (1, 2), (0x91f3_9801_910f_55aa, 0xd47e_b99d_69f3_d3f1)),
+    (2, (1, 2), (0x59ad_ac58_4b36_3351, 0xf589_d776_99bb_e1cd)),
+    (1, (2, 1), (0x4665_d847_b4ad_e5fa, 0x6b54_e9d2_f40b_0b48)),
+    (2, (2, 1), (0xe913_f05c_7018_53ec, 0x43d8_3435_c0b4_c95e)),
+    (1, (1, 3), (0x656f_84f6_861c_8f1b, 0x03ed_d4bf_a755_8d03)),
+    (2, (1, 3), (0xfcba_7107_6e3e_f995, 0x2c4d_6d18_2601_6a9a)),
+    (1, (2, 2), (0x119c_1b00_5e34_ff99, 0x8f43_23ff_2c62_e8f8)),
+    (2, (2, 2), (0xbc4b_7297_c6b7_6bce, 0xba5a_f5d0_beca_f610)),
+    (1, (2, 3), (0x041e_d583_329f_b074, 0xddbf_f663_e49e_31d4)),
+    (2, (2, 3), (0x75c0_2afb_ea57_a39e, 0x9be4_1c6c_4a2f_e2f9)),
+    (1, (3, 3), (0x199c_9813_faa4_ba57, 0xf07b_03cd_52bf_e750)),
+    (2, (3, 3), (0x8f12_7b8b_3e76_2151, 0x74de_4aef_852c_00be)),
 ];
 
 fn hve_fingerprint<B: CommBackend>(

@@ -9,6 +9,7 @@
 //! mid-substitution kill (the adopted spare's checkpoint round-trips
 //! through disk).
 
+use ptycho_array::Array3;
 use ptycho_cluster::{CommError, CrashPhase, FaultPolicy, MembershipView, RankFailure};
 use ptycho_core::durability::ByteWriter;
 use ptycho_core::{
@@ -17,7 +18,7 @@ use ptycho_core::{
     JobReport, JobSpec, JobState, ReconstructionResult, RecoveredEpoch, RecoveryPolicy, SlotRecord,
     SolverConfig, SolverMethod,
 };
-use ptycho_fft::CArray3;
+use ptycho_fft::Complex32;
 use ptycho_sim::dataset::{Dataset, SyntheticConfig};
 use std::path::PathBuf;
 
@@ -501,7 +502,8 @@ fn resuming_a_slot_state_of_the_wrong_shape_panics_naming_both_shapes() {
     let solver = GradientDecompositionSolver::new(&dataset, config, (1, 1));
     let extended = solver.grid().tile(0).extended;
     let mut state = ByteWriter::new();
-    CArray3::zeros(1, extended.rows(), extended.cols()).encode(&mut state);
+    // A tile volume as the engine checkpoints it, complex `f32`.
+    Array3::<Complex32>::zeros(1, extended.rows(), extended.cols()).encode(&mut state);
     let epoch = RecoveredEpoch {
         manifest: EpochManifest {
             seq: 0,

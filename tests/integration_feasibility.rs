@@ -12,10 +12,19 @@
 //!   band) must never mark a cell runnable that the solver refuses — i.e.
 //!   whenever the solver errors, the table marks NA, and whenever the table
 //!   is feasible, the solver constructs.
+//!
+//! The same file holds the model to the program's voxel charges: each
+//! Gradient Decomposition rank charges exactly the tile and halo voxels the
+//! model counts for its tile.
 
-use ptycho_core::memory_model::{hve_feasible, hve_hard_feasible};
+mod common;
+
+use ptycho_cluster::MemoryCategory;
+use ptycho_core::memory_model::{hve_feasible, hve_hard_feasible, DecompositionGeometry};
 use ptycho_core::tiling::TileGrid;
-use ptycho_core::{HaloVoxelExchangeSolver, SolverConfig};
+use ptycho_core::{
+    GradientDecompositionSolver, HaloVoxelExchangeSolver, JobContext, RecoveryPolicy, SolverConfig,
+};
 use ptycho_sim::dataset::{Dataset, DatasetSpec, SyntheticConfig};
 use ptycho_sim::physics::ImagingGeometry;
 
@@ -139,4 +148,47 @@ fn infeasible_cells_match_the_solver_error_detail() {
     } = err;
     assert_eq!(required_halo_px, halo_px);
     assert!(smallest_tile_px < halo_px);
+}
+
+/// On every rank of the golden problem's 3×3 GD grid — corner, edge and
+/// centre tiles, halos on two to four sides — the peak `TileVoxels` and
+/// `HaloVoxels` charges equal the model's `tile_voxels` and `halo_voxels`
+/// for that rank's tile, at `GPU_VOXEL_BYTES`, to the byte.
+#[test]
+fn gd_voxel_charges_equal_the_memory_model() {
+    let dataset = common::golden_problem();
+    let config = SolverConfig {
+        iterations: 1,
+        ..common::gd_config()
+    };
+    let solver = GradientDecompositionSolver::new(&dataset, config, (3, 3));
+    let result = solver
+        .run_job(
+            &common::lockstep(),
+            RecoveryPolicy::FailFast,
+            &JobContext::default(),
+        )
+        .expect("fault-free run completes");
+    let slices = dataset.object_shape().0 as f64;
+    assert_eq!(result.memory.len(), 9);
+    for (rank, memory) in result.memory.iter().enumerate() {
+        let tile = solver.grid().tile(rank);
+        let owned = tile.owned_locations.len() as f64;
+        let geometry = DecompositionGeometry {
+            gpus: 9,
+            grid: (3, 3),
+            tile_px: (tile.core.rows() as f64, tile.core.cols() as f64),
+            halo_px: config.halo_px as f64,
+            extended_px: (tile.extended.rows() as f64, tile.extended.cols() as f64),
+            avg_owned: owned,
+            max_owned: owned,
+            avg_assigned: owned,
+            max_assigned: owned,
+        };
+        let charged = (
+            memory.peak_of(MemoryCategory::TileVoxels) as f64,
+            memory.peak_of(MemoryCategory::HaloVoxels) as f64,
+        );
+        assert_eq!(charged, geometry.voxel_bytes(slices), "rank {rank}");
+    }
 }
