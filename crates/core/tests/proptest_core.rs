@@ -151,34 +151,51 @@ fn check_pairing(
 /// The step both local-update rounds below apply.
 const ALPHA: f64 = 0.37;
 
+/// How [`local_update_rounds`] holds a rank's accumulation buffers.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Buffers {
+    /// Over the extended tile: every window cell accumulates and the
+    /// update sweeps the round's cover.
+    WholeTile,
+    /// Over [`PassPlan::strips`], fresh each round: only the round's shared
+    /// cells accumulate and are updated.
+    Restricted,
+    /// Over each round's own shared cells, laid out afresh per round at the
+    /// front of one buffer as long as the longest round's layout, which
+    /// every round reuses: only the round's shared cells accumulate and are
+    /// updated.
+    PerRound,
+}
+
 /// Runs every round of `plan` with local updates on every rank of `grid`,
-/// from deterministic volumes, and returns the volumes. Per round a rank
-/// adds each of its `windows` (image coordinates, clipped to its extended
-/// tile) of a deterministic gradient `g` into its volume as `V += g·(−α)`
-/// and into `acc` and `own`, runs the planned passes on `acc`, then updates
-/// `V −= α·(acc − own)` and resets both buffers. `restricted` holds the
-/// buffers over [`PassPlan::strips`] and touches them on the round's shared
-/// cells only; otherwise they span the extended tile, take every window
-/// cell, and the update sweeps the cover.
+/// from deterministic volumes, and returns each rank's volume and how many
+/// `acc` / `own` values were not `+0.0` at the end of a round. Per round a
+/// rank adds each of its `windows` (image coordinates, clipped to its
+/// extended tile) of a deterministic gradient `g` into its volume as `V +=
+/// g·(−α)` and into `acc` and `own`, runs the planned passes on `acc`, then
+/// updates `V −= α·(acc − own)` and resets both buffers, over the cells
+/// `buffers` says.
 fn local_update_rounds(
     grid: &TileGrid,
     plan: &PassPlan,
     windows: &[Vec<Rect>],
     slices: usize,
-    restricted: bool,
-) -> Vec<CArray3> {
+    buffers: Buffers,
+) -> Vec<(CArray3, usize)> {
     let ranks = grid.num_tiles();
     LockstepBackend::new(ClusterTopology::summit())
-        .run::<SharedTile, CArray3, _>(ranks, |ctx| {
+        .run::<SharedTile, (CArray3, usize), _>(ranks, |ctx| {
             let rank = ctx.rank();
             let extended = grid.tile(rank).extended;
             let tile = extended.to_local(&extended);
-            let strips = if restricted {
-                plan.strips(rank)
-            } else {
-                vec![tile]
-            };
-            let layout = StripLayout::new(&strips, slices);
+            let layouts: Vec<StripLayout> = (0..plan.rounds())
+                .map(|round| match buffers {
+                    Buffers::WholeTile => StripLayout::new(&[tile], slices),
+                    Buffers::Restricted => StripLayout::new(&plan.strips(rank), slices),
+                    Buffers::PerRound => StripLayout::new(&plan.passes(round, rank).shared, slices),
+                })
+                .collect();
+            let longest = layouts.iter().map(StripLayout::len).max().unwrap_or(0);
             let mut volume = Array3::from_fn(slices, tile.rows(), tile.cols(), |s, r, c| {
                 match (r + 2 * c + s) % 7 {
                     0 => Complex64::new(-0.0, 0.0),
@@ -186,28 +203,33 @@ fn local_update_rounds(
                 }
             });
             let (mut acc, mut own) = (
-                vec![Complex64::ZERO; layout.len()],
-                vec![Complex64::ZERO; layout.len()],
+                vec![Complex64::ZERO; longest],
+                vec![Complex64::ZERO; longest],
             );
             let mut pool = TilePayloadPool::new();
-            // Where cell `(r, c)` of slice `s` lies in a buffer of `layout`.
-            let at = |s: usize, r: i64, c: i64| {
-                let strip = layout
-                    .strips()
-                    .iter()
-                    .find(|strip| strip.rect.contains(r, c));
-                let strip = strip.expect("a visited cell lies in a strip");
-                let (rect, offset) = (strip.rect, strip.offset);
-                offset
-                    + (s * rect.rows() + (r - rect.row0) as usize) * rect.cols()
-                    + (c - rect.col0) as usize
-            };
-            for round in 0..plan.rounds() {
+            let mut not_reset = 0;
+            for (round, layout) in layouts.iter().enumerate() {
+                if buffers != Buffers::PerRound {
+                    acc = vec![Complex64::ZERO; layout.len()];
+                    own = vec![Complex64::ZERO; layout.len()];
+                }
+                // Where cell `(r, c)` of slice `s` lies in a buffer of `layout`.
+                let at = |s: usize, r: i64, c: i64| {
+                    let strip = layout
+                        .strips()
+                        .iter()
+                        .find(|strip| strip.rect.contains(r, c));
+                    let strip = strip.expect("a visited cell lies in a strip");
+                    let (rect, offset) = (strip.rect, strip.offset);
+                    offset
+                        + (s * rect.rows() + (r - rect.row0) as usize) * rect.cols()
+                        + (c - rect.col0) as usize
+                };
                 let entry = plan.passes(round, rank);
-                let cells = if restricted {
-                    &entry.shared
-                } else {
+                let cells = if buffers == Buffers::WholeTile {
                     &entry.cover
+                } else {
+                    &entry.shared
                 };
                 let passes = layout.split(&entry.steps, cells);
                 for (k, window) in windows[round * ranks + rank].iter().enumerate() {
@@ -220,7 +242,9 @@ fn local_update_rounds(
                                     (rank + round) as f64 - c as f64 * 0.01,
                                 );
                                 volume[(s, r as usize, c as usize)] += g * -ALPHA;
-                                if !restricted || cells.iter().any(|x| x.contains(r, c)) {
+                                if buffers == Buffers::WholeTile
+                                    || cells.iter().any(|x| x.contains(r, c))
+                                {
                                     acc[at(s, r, c)] += g;
                                     own[at(s, r, c)] += g;
                                 }
@@ -228,7 +252,7 @@ fn local_update_rounds(
                         }
                     }
                 }
-                run_planned_passes(ctx, &passes, &mut acc, &mut pool)?;
+                run_planned_passes(ctx, &passes, &mut acc[..layout.len()], &mut pool)?;
                 for rect in cells {
                     for s in 0..slices {
                         for r in rect.row0..rect.row1 {
@@ -241,8 +265,14 @@ fn local_update_rounds(
                         }
                     }
                 }
+                let zero = bits_of(&Complex64::ZERO);
+                not_reset += acc
+                    .iter()
+                    .chain(&own)
+                    .filter(|v| bits_of(v) != zero)
+                    .count();
             }
-            Ok(volume)
+            Ok((volume, not_reset))
         })
         .expect("no faults injected")
         .into_iter()
@@ -486,10 +516,21 @@ proptest! {
             .map(|ws| ws.iter().fold(Rect::empty(), |seed, w| seed.bounding_union(w)))
             .collect();
         let plan = PassPlan::new(&grid, &seeds);
-        let whole = local_update_rounds(&grid, &plan, &windows, slices, false);
-        let restricted = local_update_rounds(&grid, &plan, &windows, slices, true);
+        let whole = local_update_rounds(&grid, &plan, &windows, slices, Buffers::WholeTile);
+        // Restricted buffers hold the round's shared cells only; per-round
+        // ones also reuse one buffer across rounds whose layouts differ, and
+        // every value they hold is `+0.0` at each round boundary.
+        for buffers in [Buffers::Restricted, Buffers::PerRound] {
+            let held = local_update_rounds(&grid, &plan, &windows, slices, buffers);
+            for rank in 0..ranks {
+                prop_assert_eq!(
+                    bits(&held[rank].0), bits(&whole[rank].0), "rank {}, {:?}", rank, buffers
+                );
+                prop_assert_eq!(held[rank].1, 0, "rank {}, {:?}", rank, buffers);
+                prop_assert_eq!(whole[rank].1, 0, "rank {}", rank);
+            }
+        }
         for rank in 0..ranks {
-            prop_assert_eq!(bits(&restricted[rank]), bits(&whole[rank]), "rank {}", rank);
             let extended = grid.tile(rank).extended;
             let strips = plan.strips(rank);
             for (i, a) in strips.iter().enumerate() {
