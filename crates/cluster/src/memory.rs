@@ -4,9 +4,11 @@
 //! reports average peak GPU memory per rank falling from 9.14 GB on 6 GPUs to
 //! 0.18 GB on 4158 GPUs for Gradient Decomposition, versus a floor of 0.48 GB
 //! for Halo Voxel Exchange. The solvers register every allocation they would
-//! make on a GPU (tile voxels, halo voxels, measurements, gradient and
-//! accumulation buffers) with this tracker so that the same statistic can be
-//! reported for the reproduction.
+//! make on a GPU (tile voxels, halo voxels, measurements, accumulation
+//! buffers and the model workspace) with this tracker so that the same
+//! statistic can be reported for the reproduction. No per-probe gradient
+//! volume is held: the adjoint hands each slice's gradient on inside the
+//! model workspace.
 
 use std::collections::BTreeMap;
 
@@ -19,11 +21,10 @@ pub enum MemoryCategory {
     HaloVoxels,
     /// Diffraction measurements assigned to the tile.
     Measurements,
-    /// The per-probe image gradient workspace.
-    GradientBuffer,
     /// The accumulated-gradient buffer (`AccBuf` in Algorithm 1).
     AccumulationBuffer,
-    /// Probe, propagator and FFT workspace.
+    /// The model workspace (incident stack, far field, back-propagation
+    /// wave) and the probe-window object patch.
     ModelWorkspace,
     /// Anything else.
     Other,
@@ -108,11 +109,11 @@ mod tests {
     #[test]
     fn peak_tracks_maximum_not_current() {
         let mut t = MemoryTracker::new();
-        t.allocate(MemoryCategory::GradientBuffer, 100);
-        t.release(MemoryCategory::GradientBuffer, 100);
-        t.allocate(MemoryCategory::GradientBuffer, 60);
-        assert_eq!(t.current_of(MemoryCategory::GradientBuffer), 60);
-        assert_eq!(t.peak_of(MemoryCategory::GradientBuffer), 100);
+        t.allocate(MemoryCategory::AccumulationBuffer, 100);
+        t.release(MemoryCategory::AccumulationBuffer, 100);
+        t.allocate(MemoryCategory::AccumulationBuffer, 60);
+        assert_eq!(t.current_of(MemoryCategory::AccumulationBuffer), 60);
+        assert_eq!(t.peak_of(MemoryCategory::AccumulationBuffer), 100);
         assert_eq!(t.peak_total(), 100);
     }
 

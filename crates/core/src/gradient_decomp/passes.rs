@@ -73,15 +73,28 @@
 //! for bit, `t − o` is `+0.0` (`x − x` is `+0.0` for every finite `x`) and
 //! `v − α·(+0.0)` is `v`, a `−0.0` in `v` included. The adds, the
 //! update and the reset to `+0.0` over such a cell are therefore skipped:
-//! the solver accumulates into and updates over `shared` only, and holds
-//! both buffers over [`PassPlan::strips`], the disjoint union of the rank's
-//! shared cells over every round, laid out back to back ([`StripLayout`]).
-//! On a 1×1 grid there are none. [`StripLayout::split`] cuts each round's
-//! shared cells and message regions into pieces along the strips once, so
-//! the hot path intersects nothing; a message still carries its whole
-//! region, gathered from its pieces. Without local updates the volume waits
-//! for the accumulated total, so the buffers keep the whole extended tile,
-//! one strip, and the update its cover.
+//! the solver accumulates into and updates over `shared` only. Without
+//! local updates the volume waits for the accumulated total, so the round
+//! accumulates into and updates over its cover.
+//!
+//! # One round's cells
+//!
+//! Algorithm 1 resets `AccBuf` at every round, so a rank's buffers hold one
+//! round's cells at a time. Each round is laid out on its own
+//! ([`StripLayout::for_round`]): the disjoint union of the cells it visits
+//! and its message regions — its shared cells with local updates, `cover ∪
+//! shared` without them — as rectangles laid back to back from the front
+//! of one flat buffer each for `acc` and `own`, as long as the longest
+//! round's layout. On a 1×1 grid there are none. A round runs on the first
+//! values of the buffers, as many as its layout holds. That is exact
+//! because both buffers are `+0.0` everywhere at every round boundary:
+//! every value a round writes (its scatter into the visited cells, a
+//! receive into its cover) is reset by its update, and a cell the round
+//! only sends from holds `+0.0` throughout, as it would in a whole-tile
+//! buffer. [`StripLayout::split`] cuts each round's visited cells and
+//! message regions into pieces along its strips once, so the hot path
+//! intersects nothing; a message still carries its whole region, gathered
+//! from its pieces.
 //!
 //! # One transfer path
 //!
@@ -270,17 +283,6 @@ impl PassPlan {
         assert!(rank < self.ranks, "rank {rank} outside the planned grid");
         &self.steps[round * self.ranks + rank]
     }
-
-    /// The disjoint union of `rank`'s [`RankPasses::shared`] cells over
-    /// every round, as disjoint tile-local rectangles: all of the extended
-    /// tile a local-update run's accumulation buffers have to hold (see
-    /// [`StripLayout`]). Empty if the rank never exchanges.
-    pub fn strips(&self, rank: usize) -> Vec<Rect> {
-        let shared: Vec<Rect> = (0..self.rounds())
-            .flat_map(|round| self.passes(round, rank).shared.iter().copied())
-            .collect();
-        disjoint_union(&shared)
-    }
 }
 
 /// One tile-local rectangle of a flat buffer: `depth` `rect`-shaped planes,
@@ -300,6 +302,12 @@ impl Strip {
     pub(crate) fn rows(self, depth: usize, cells: Rect) -> impl Iterator<Item = Range<usize>> {
         self.rect.flat_rows(depth, self.offset, cells)
     }
+
+    /// The flat index range of each row of `cells` in slice `s` alone.
+    pub(crate) fn slice_rows(self, s: usize, cells: Rect) -> impl Iterator<Item = Range<usize>> {
+        let plane = self.offset + s * self.rect.area();
+        self.rect.flat_rows(1, plane, cells)
+    }
 }
 
 /// The cells of one rectangle that lie in one [`Strip`].
@@ -310,11 +318,10 @@ pub(crate) struct Piece {
     pub cells: Rect,
 }
 
-/// Where a rank's accumulation buffers hold their cells: disjoint
-/// tile-local [`Strip`]s laid back to back in one flat buffer. With local
-/// updates the strips are [`PassPlan::strips`], the cells the passes
-/// exchange; without them, one strip over the whole extended tile, laid out
-/// as that tile's volume.
+/// Where a buffer holds its cells: disjoint tile-local [`Strip`]s laid back
+/// to back in one flat buffer. A round of a pass plan is laid out on its own
+/// ([`Self::for_round`]), at the front of the rank's accumulation buffers;
+/// the Halo Voxel Exchange paste runs on the tile volume as one strip.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct StripLayout {
     depth: usize,
@@ -337,6 +344,15 @@ impl StripLayout {
             })
             .collect();
         Self { depth, strips, len }
+    }
+
+    /// The layout of one round of a rank's passes: the disjoint union of
+    /// the `cells` its scatter and update visit and every step's region —
+    /// every cell the round writes or reads in the accumulation buffers.
+    pub fn for_round(steps: &[Step], cells: &[Rect], depth: usize) -> Self {
+        let regions = steps.iter().map(|step| step.transfer.region);
+        let rects: Vec<Rect> = cells.iter().copied().chain(regions).collect();
+        Self::new(&disjoint_union(&rects), depth)
     }
 
     /// The strips, in buffer order.
@@ -409,6 +425,12 @@ pub struct StripPasses {
 }
 
 impl StripPasses {
+    /// The length of the layout the steps were split over: a round runs on
+    /// the first `len` values of its rank's accumulation buffers.
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
     /// The pieces of the cells the round's scatter and update visit.
     pub(crate) fn cells(&self) -> &[Piece] {
         &self.pieces[self.cells.clone()]

@@ -13,7 +13,7 @@ use crate::config::SolverConfig;
 use crate::engine::{JobContext, ReconstructionResult, RecoveryPolicy, SolverKernel};
 use crate::gradient_decomp::passes::{run_planned_passes, Op, Step, StripLayout, StripPasses};
 use crate::tiling::TileGrid;
-use crate::worker::TileWorker;
+use crate::worker::{AccBuffers, TileWorker};
 use ptycho_array::Rect;
 use ptycho_cluster::{CommBackend, CommError, RankComm, RankFailure, SharedTile, TilePayloadPool};
 use ptycho_fft::CArray3;
@@ -269,10 +269,13 @@ impl SolverKernel for HveKernel<'_> {
 
         // Embarrassingly parallel tile reconstruction with the redundant probe
         // locations (Figs. 2(d)-(e)): every assigned probe's gradient is
-        // applied locally, immediately.
+        // applied locally, immediately — GD's per-probe step over no buffer
+        // cells.
         let mut iteration_cost = 0.0;
         for loc in probes.iter() {
-            let loss = ctx.clock_mut().compute(|| worker.compute_gradient(loc));
+            let loss = ctx
+                .clock_mut()
+                .compute(|| worker.probe_step(loc, &mut AccBuffers::local_only(), &[]));
             // Only count owned probes towards the global cost so that the
             // reported F(V) is comparable with the Gradient Decomposition
             // method (redundant evaluations would double-count).
@@ -282,7 +285,6 @@ impl SolverKernel for HveKernel<'_> {
             ) {
                 iteration_cost += loss;
             }
-            ctx.clock_mut().compute(|| worker.apply_patch(loc));
         }
 
         // Voxel copy-paste: send my core voxels into every neighbour's halo,

@@ -11,18 +11,21 @@
 //!
 //! How the running program compares (`TileWorker` charges what it holds):
 //! the tile volume, the accumulation buffers, the per-probe model
-//! workspace, object patch and gradient are all complex `f32`, 8 bytes per
-//! value, [`GPU_VOXEL_BYTES`]. A rank's `TileVoxels` and `HaloVoxels`
+//! workspace and object patch are all complex `f32`, 8 bytes per value,
+//! [`GPU_VOXEL_BYTES`]. No per-probe gradient volume is held: the adjoint
+//! hands each slice's gradient on from the model workspace. A rank's `TileVoxels` and `HaloVoxels`
 //! charges are this model's `tile_voxels` and `halo_voxels` for its tile's
 //! geometry, exactly (`tests/integration_feasibility.rs` pins it).
 //!
 //! The accumulation buffers also differ in extent. This model charges one
 //! `AccBuf` over the whole extended tile, as the paper's Algorithm 1 and
 //! tables do, and its rows stay that way so they keep reproducing the
-//! paper. With local updates the running program holds its two buffers
-//! only over the union of the cells its directional passes exchange
-//! (`PassPlan::strips`), none at all on a single tile, so its measured
-//! `AccumulationBuffer` charge is smaller than this model's.
+//! paper. The running program holds its buffers over one synchronisation
+//! round's cells at a time (Algorithm 1 resets them every round): as long
+//! as the longest round's cells it visits and exchanges — with local
+//! updates only the cells its directional passes exchange, none at all on
+//! a single tile — so its measured `AccumulationBuffer` charge is smaller
+//! than this model's.
 
 use crate::tiling::TileGrid;
 use ptycho_sim::dataset::DatasetSpec;

@@ -1,13 +1,13 @@
 //! Per-rank tile state shared by both decomposition solvers.
 
 use crate::config::SolverConfig;
-use crate::gradient_decomp::passes::{Piece, StripLayout};
+use crate::gradient_decomp::passes::Piece;
 use crate::tiling::TileInfo;
 use ptycho_array::{Array3, Rect};
 use ptycho_cluster::{HardwareModel, MemoryCategory, MemoryTracker};
 use ptycho_fft::{CArray3, Complex32, Complex64};
 use ptycho_sim::dataset::{Dataset, BYTES_PER_COMPLEX, BYTES_PER_MEASUREMENT};
-use ptycho_sim::gradient::{probe_gradient_into, suggested_step};
+use ptycho_sim::gradient::{probe_gradient_by_slice, suggested_step};
 use ptycho_sim::scan::ProbeLocation;
 use ptycho_sim::SimWorkspace;
 use std::mem::size_of_val;
@@ -18,8 +18,12 @@ pub(crate) type TileVolume = Array3<Complex32>;
 
 /// The state one worker (simulated GPU) keeps for its tile: the halo-extended
 /// sub-volume it reconstructs, the bound forward model, the gradient step,
-/// and the pooled per-probe buffers (model workspace, patch and gradient)
-/// that make the steady-state gradient evaluation allocation-free.
+/// and the pooled per-probe buffers (model workspace and object patch) that
+/// make the steady-state gradient evaluation allocation-free.
+///
+/// No gradient volume is held: the adjoint hands each slice's gradient to
+/// [`Self::probe_step`]'s sink as soon as it is computed, in the model
+/// workspace, and the sink applies and accumulates it there.
 ///
 /// Everything a rank holds is complex `f32`: the tile volume, the
 /// accumulation buffers, and every per-probe evaluation
@@ -38,12 +42,10 @@ pub(crate) struct TileWorker<'a> {
     /// See [`TileWorker::modeled_iteration_ns`].
     iteration_ns: u64,
     /// Reusable forward/adjoint model buffers (incident stack, far field,
-    /// back-propagation wave).
+    /// back-propagation wave, which also holds each slice's gradient).
     workspace: SimWorkspace<f32>,
     /// Reusable probe-window object patch, refilled per probe location.
     patch: Array3<Complex32>,
-    /// Probe-window gradient `∂f_i/∂V`, refilled per probe location.
-    gradient: Array3<Complex32>,
 }
 
 impl<'a> TileWorker<'a> {
@@ -78,15 +80,10 @@ impl<'a> TileWorker<'a> {
             assigned_probes * window * window * BYTES_PER_MEASUREMENT,
         );
         // The pooled buffers this worker holds resident for its whole life —
-        // the SimWorkspace of the model it evaluates, the probe-window object
-        // patch and the gradient — charged at the bytes they actually hold.
+        // the SimWorkspace of the model it evaluates and the probe-window
+        // object patch — charged at the bytes they actually hold.
         let workspace = SimWorkspace::for_model(dataset.model_f32());
         let patch = Array3::full(slices, window, window, Complex32::ONE);
-        let gradient = Array3::full(slices, window, window, Complex32::ZERO);
-        memory.allocate(
-            MemoryCategory::GradientBuffer,
-            size_of_val(gradient.as_slice()),
-        );
         memory.allocate(
             MemoryCategory::ModelWorkspace,
             workspace.bytes() + size_of_val(patch.as_slice()),
@@ -106,7 +103,6 @@ impl<'a> TileWorker<'a> {
             iteration_ns: (assigned_probes as f64 * per_probe * 1e9) as u64,
             workspace,
             patch,
-            gradient,
         }
     }
 
@@ -115,90 +111,47 @@ impl<'a> TileWorker<'a> {
         loc.window.to_local(&self.tile.extended)
     }
 
-    /// Computes the individual image gradient `∂f_i/∂V_k` for one owned probe
-    /// location against the current tile state into the worker's gradient
-    /// buffer: the patch is a row copy of the volume, vacuum (`1`) outside
-    /// it. Returns the probe loss. Allocation-free: the object patch, the
-    /// gradient and every model intermediate live in the worker's pooled
-    /// buffers.
-    pub fn compute_gradient(&mut self, loc: &ProbeLocation) -> f64 {
-        let local_window = self.local_window(loc);
-        self.volume
-            .extract_region_into(local_window, Complex32::ONE, &mut self.patch);
-        probe_gradient_into(
-            self.dataset.model_f32(),
-            &self.patch,
-            self.dataset.measurement(loc),
-            &mut self.workspace,
-            &mut self.gradient,
-        )
-    }
-
-    /// Applies the gradient of the last [`Self::compute_gradient`] to the
-    /// tile volume at the probe window: `V_k ← V_k − α·grad`, the Halo Voxel
-    /// Exchange baseline's per-probe update. Allocation-free.
-    pub fn apply_patch(&mut self, loc: &ProbeLocation) {
-        let local_window = self.local_window(loc);
-        add_region_scaled(&mut self.volume, local_window, &self.gradient, -self.step);
-    }
-
-    /// Scatters the gradient of the last [`Self::compute_gradient`]: step 7
-    /// of Algorithm 1, `AccBuf_k += ∂f_i/∂V_k`, and with local updates also
-    /// `own += ∂f_i/∂V_k` and step 8, `V_k ← V_k − α·∂f_i/∂V_k`. The volume
-    /// takes the whole window; the buffers only its part inside `cells`
-    /// (disjoint pieces of the buffers' strips). Each cell visited gets the
-    /// operations separate scatters of the gradient would give it.
-    /// Allocation-free.
+    /// One probe location, both solvers' per-probe step: evaluates the
+    /// individual image gradient `∂f_i/∂V_k` against the current tile state
+    /// (the patch is a row copy of the volume, vacuum (`1`) outside it) and
+    /// hands it, slice by slice as the adjoint computes it, to a
+    /// [`GradientSink`] over `buffers` and `cells`. Returns the probe loss.
+    /// Allocation-free: the patch, each slice's gradient and every model
+    /// intermediate live in the worker's pooled buffers.
     ///
-    /// The solver passes the round's [`RankPasses::shared`] cells with
-    /// local updates, and its cover without them, which holds every cell of
-    /// the round's windows inside the tile.
+    /// GD passes the round's [`RankPasses::shared`] cells with local
+    /// updates and its cover without them, which holds every cell of the
+    /// round's windows inside the tile; HVE passes
+    /// [`AccBuffers::local_only`] and no cells.
     ///
     /// [`RankPasses::shared`]: crate::gradient_decomp::passes::RankPasses::shared
-    pub fn scatter_gradient(
+    pub fn probe_step(
         &mut self,
         loc: &ProbeLocation,
         buffers: &mut AccBuffers,
         cells: &[Piece],
-    ) {
-        let (window, depth) = (self.local_window(loc), self.slices);
-        let (acc, mut own) = (buffers.acc.as_mut_slice(), buffers.own.as_deref_mut());
-        if own.is_some() {
-            add_region_scaled(&mut self.volume, window, &self.gradient, -self.step);
-        }
-        let g = self.gradient.as_slice();
-        assert_eq!(
-            g.len(),
-            depth * window.area(),
-            "gradient outside {window:?}"
-        );
-        for piece in cells {
-            let hit = window.intersect(&piece.cells);
-            let rows = piece
-                .strip
-                .rows(depth, hit)
-                .zip(window.flat_rows(depth, 0, hit));
-            for (dst, src) in rows {
-                match own.as_deref_mut() {
-                    Some(own) => {
-                        let pairs = acc[dst.clone()].iter_mut().zip(&mut own[dst]);
-                        for ((a, o), &g) in pairs.zip(&g[src]) {
-                            *a += g;
-                            *o += g;
-                        }
-                    }
-                    None => {
-                        for (a, &g) in acc[dst].iter_mut().zip(&g[src]) {
-                            *a += g;
-                        }
-                    }
-                }
-            }
-        }
+    ) -> f64 {
+        let window = self.local_window(loc);
+        self.volume
+            .extract_region_into(window, Complex32::ONE, &mut self.patch);
+        let mut sink = GradientSink {
+            volume: &mut self.volume,
+            window,
+            factor: -self.step,
+            buffers,
+            cells,
+        };
+        probe_gradient_by_slice(
+            self.dataset.model_f32(),
+            &self.patch,
+            self.dataset.measurement(loc),
+            &mut self.workspace,
+            |s, g| sink.take(s, g),
+        )
     }
 
     /// Steps 14–16 of Algorithm 1 in one sweep over the disjoint `cells`
-    /// (pieces of the buffers' strips, inside the tile): `V_k ← V_k −
+    /// (pieces of the round's strips, inside the tile): `V_k ← V_k −
     /// α·(total − own)`, `own` being what this tile already applied locally
     /// (`α·total` without it), then `+0.0` into each visited buffer cell.
     /// Where `total` is zero, or equals `own` bit for bit, the update is a
@@ -264,20 +217,77 @@ impl<'a> TileWorker<'a> {
     }
 }
 
+/// Where one probe's gradient goes, one slice at a time: with local updates
+/// step 8 of Algorithm 1, `V_k ← V_k − α·∂f_i/∂V_k` over the whole window
+/// (clipped to the tile), and step 7, `AccBuf_k += ∂f_i/∂V_k` (with local
+/// updates also `own += ∂f_i/∂V_k`), on the window's part inside `cells`
+/// (disjoint pieces of the round's strips). Each cell visited gets the
+/// operations a whole-volume gradient scattered separately would give it.
+struct GradientSink<'s> {
+    volume: &'s mut TileVolume,
+    /// The probe window, tile-local.
+    window: Rect,
+    /// `−α`.
+    factor: f32,
+    buffers: &'s mut AccBuffers,
+    cells: &'s [Piece],
+}
+
+impl GradientSink<'_> {
+    /// Takes slice `s` of the gradient, `g` (window-shaped, row-major).
+    fn take(&mut self, s: usize, g: &[Complex32]) {
+        let window = self.window;
+        let (acc, mut own) = (
+            self.buffers.acc.as_mut_slice(),
+            self.buffers.own.as_deref_mut(),
+        );
+        if own.is_some() {
+            add_region_scaled(self.volume, s, window, g, self.factor);
+        }
+        for piece in self.cells {
+            let hit = window.intersect(&piece.cells);
+            let rows = piece
+                .strip
+                .slice_rows(s, hit)
+                .zip(window.flat_rows(1, 0, hit));
+            for (dst, src) in rows {
+                match own.as_deref_mut() {
+                    Some(own) => {
+                        let pairs = acc[dst.clone()].iter_mut().zip(&mut own[dst]);
+                        for ((a, o), &g) in pairs.zip(&g[src]) {
+                            *a += g;
+                            *o += g;
+                        }
+                    }
+                    None => {
+                        for (a, &g) in acc[dst].iter_mut().zip(&g[src]) {
+                            *a += g;
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
 /// The accumulation buffers of Algorithm 1 — `AccBuf`, and with local
-/// updates `own`, what the tile has already applied itself — held over the
-/// strips of a [`StripLayout`], all `+0.0` at every round boundary.
+/// updates `own`, what the tile has already applied itself. Each round of
+/// the pass plan lays its own cells out at their front
+/// ([`StripLayout::for_round`]), so they are as long as the longest round's
+/// layout; every value is `+0.0` at every round boundary.
+///
+/// [`StripLayout::for_round`]: crate::gradient_decomp::passes::StripLayout::for_round
 pub(crate) struct AccBuffers {
     pub acc: Vec<Complex32>,
     pub own: Option<Vec<Complex32>>,
 }
 
 impl AccBuffers {
-    /// Zeroed buffers over `layout` (`own` only with local updates),
+    /// Zeroed buffers of `len` values each (`own` only with local updates),
     /// charged to `memory` at the bytes they hold.
-    pub fn new(layout: &StripLayout, local_updates: bool, memory: &mut MemoryTracker) -> Self {
+    pub fn new(len: usize, local_updates: bool, memory: &mut MemoryTracker) -> Self {
         let mut zeroed = || {
-            let buffer = vec![Complex32::ZERO; layout.len()];
+            let buffer = vec![Complex32::ZERO; len];
             memory.allocate(MemoryCategory::AccumulationBuffer, size_of_val(&buffer[..]));
             buffer
         };
@@ -285,31 +295,42 @@ impl AccBuffers {
         let own = local_updates.then(zeroed);
         Self { acc, own }
     }
+
+    /// Local updates over no buffer cells: the Halo Voxel Exchange
+    /// baseline's per-probe update, which applies every gradient to the
+    /// volume at once and accumulates nothing. Holds no value.
+    pub fn local_only() -> Self {
+        Self {
+            acc: Vec::new(),
+            own: Some(Vec::new()),
+        }
+    }
 }
 
-/// Adds `factor · block` into `region` of the tile volume, clipping against
-/// the volume bounds — the allocation-free scatter behind HVE's per-probe
-/// update and GD's local update (`block` is probe-window shaped: one
-/// sub-plane per slice).
+/// Adds `factor · block` into `region` of slice `s` of the tile volume,
+/// clipping against the volume bounds — the allocation-free per-slice
+/// update behind HVE's per-probe update and GD's local update (`block` is
+/// one `region`-shaped plane).
 fn add_region_scaled(
     volume: &mut TileVolume,
+    s: usize,
     region: Rect,
-    block: &Array3<Complex32>,
+    block: &[Complex32],
     factor: f32,
 ) {
-    let (plane, depth) = (volume.plane_bounds(), volume.depth());
-    let (rows, cols) = region.shape();
+    let plane = volume.plane_bounds();
+    assert!(s < volume.depth(), "slice {s} of {}", volume.depth());
     assert_eq!(
-        block.shape(),
-        (depth, rows, cols),
-        "block shape {:?} does not match region {region:?} x {depth} slices",
-        block.shape(),
+        block.len(),
+        region.area(),
+        "block of {} values does not match region {region:?}",
+        block.len(),
     );
     let inside = region.intersect(&plane);
     let rows = plane
-        .flat_rows(depth, 0, inside)
-        .zip(region.flat_rows(depth, 0, inside));
-    let (volume, block) = (volume.as_mut_slice(), block.as_slice());
+        .flat_rows(1, s * plane.area(), inside)
+        .zip(region.flat_rows(1, 0, inside));
+    let volume = volume.as_mut_slice();
     for (dst, src) in rows {
         for (v, &g) in volume[dst].iter_mut().zip(&block[src]) {
             *v += g * factor;
@@ -320,6 +341,7 @@ fn add_region_scaled(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gradient_decomp::passes::StripLayout;
     use crate::tiling::TileGrid;
     use ptycho_array::Array3;
     use ptycho_sim::dataset::SyntheticConfig;
@@ -375,7 +397,9 @@ mod tests {
             });
 
             let mut direct = vol.clone();
-            add_region_scaled(&mut direct, region, &block, -0.37);
+            for s in 0..block.depth() {
+                add_region_scaled(&mut direct, s, region, block.slice_data(s), -0.37);
+            }
 
             let mut reference = vol.clone();
             let scaled = block.map(|&g| g * -0.37);
@@ -403,11 +427,12 @@ mod tests {
         // Windows clipped at every tile edge, with and without local
         // updates, over buffers that hold a cell set cutting the windows —
         // none, one strip, two disjoint strips, the whole tile — either as
-        // those strips or as their bounding box. The references are `acc
-        // += g` and `own += g` of the gradient by
-        // `Array3::add_region` over each window ∩ cell rect of a
-        // tile-shaped volume, and `V += g·(−α)` by the HVE update over the
-        // whole window.
+        // those strips or as their bounding box. A synthetic gradient goes
+        // into the per-slice sink one slice at a time, last slice first, as
+        // the adjoint hands it over. The references are `acc += g` and `own
+        // += g` of the gradient by `Array3::add_region` over each window ∩
+        // cell rect of a tile-shaped volume, and `V += g·(−α)` by
+        // `Array3::add_region` of the scaled gradient over the whole window.
         let dataset = Dataset::synthesize(SyntheticConfig::tiny());
         let mut worker = tiny_worker(&dataset);
         let (depth, rows, cols) = worker.volume().shape();
@@ -434,14 +459,6 @@ mod tests {
                     (r + c) as f32 * 0.05,
                 )
             });
-            worker.gradient = gradient.clone();
-            let loc = ProbeLocation {
-                index: 0,
-                grid_pos: (0, 0),
-                center_px: (0.0, 0.0),
-                window: window.to_global(&worker.tile.extended),
-                radius_px: 1.0,
-            };
             for (local_updates, set, boxed) in [false, true].into_iter().flat_map(|local| {
                 cell_sets
                     .iter()
@@ -467,9 +484,18 @@ mod tests {
                 }
                 let mut volume_ref = volume_before.clone();
                 if local_updates {
-                    add_region_scaled(&mut volume_ref, window, &gradient, -worker.step);
+                    volume_ref.add_region(window, &gradient.map(|&g| g * -worker.step));
                 }
-                worker.scatter_gradient(&loc, &mut buffers, &cells);
+                let mut sink = GradientSink {
+                    volume: &mut worker.volume,
+                    window,
+                    factor: -worker.step,
+                    buffers: &mut buffers,
+                    cells: &cells,
+                };
+                for s in (0..depth).rev() {
+                    sink.take(s, gradient.slice_data(s));
+                }
                 let case =
                     format!("window {window:?}, cells {set:?}, local {local_updates}, {boxed}");
                 let want = |whole: &TileVolume| flat_bits(&gather(&layout, whole));
@@ -487,8 +513,10 @@ mod tests {
 
     #[test]
     fn model_workspace_charge_equals_the_bytes_held() {
-        // The workspace, patch and gradient are complex f32: each charge is
-        // the element count times the 8 bytes of the element stored.
+        // The workspace and patch are complex f32: the charge is the element
+        // count times the 8 bytes of the element stored. No gradient volume
+        // is held or charged: the voxels, measurements and workspace are all
+        // a worker charges.
         let dataset = Dataset::synthesize(SyntheticConfig::tiny());
         let (slices, rows, cols) = dataset.object_shape();
         let grid = TileGrid::new(rows, cols, 1, 1, 8, dataset.scan());
@@ -502,15 +530,18 @@ mod tests {
         let fields = (slices + 2) * window * window;
         assert_eq!(worker.workspace.bytes(), fields * element);
         assert_eq!(worker.patch.len(), slices * window * window);
-        assert_eq!(worker.gradient.len(), slices * window * window);
         assert_eq!(
             memory.current_of(MemoryCategory::ModelWorkspace),
             (fields + worker.patch.len()) * element
         );
-        assert_eq!(
-            memory.current_of(MemoryCategory::GradientBuffer),
-            worker.gradient.len() * element
-        );
+        let charged = [
+            MemoryCategory::TileVoxels,
+            MemoryCategory::HaloVoxels,
+            MemoryCategory::Measurements,
+            MemoryCategory::ModelWorkspace,
+        ];
+        let sum: usize = charged.iter().map(|&c| memory.current_of(c)).sum();
+        assert_eq!(memory.current_total(), sum);
     }
 
     #[test]
@@ -539,11 +570,10 @@ mod tests {
                 size_of_val(worker.volume().as_slice())
             );
 
-            let local = tile.extended.to_local(&tile.extended);
-            let layout = StripLayout::new(&[local], slices);
-            let buffers = AccBuffers::new(&layout, true, &mut memory);
+            let len = tile.extended.area() * slices;
+            let buffers = AccBuffers::new(len, true, &mut memory);
             let held = buffers.acc.len() + buffers.own.as_ref().map_or(0, Vec::len);
-            assert_eq!(held, 2 * tile.extended.area() * slices);
+            assert_eq!(held, 2 * len);
             assert_eq!(
                 memory.current_of(MemoryCategory::AccumulationBuffer),
                 held * 8
@@ -601,7 +631,7 @@ mod tests {
         let (whole, depth) = (worker.volume().plane_bounds(), worker.volume().depth());
         let layout = StripLayout::new(&[whole], depth);
         let zeroed =
-            |local_updates| AccBuffers::new(&layout, local_updates, &mut MemoryTracker::new());
+            |local_updates| AccBuffers::new(layout.len(), local_updates, &mut MemoryTracker::new());
         let (mut without, mut with) = (zeroed(false), zeroed(true));
         let cells = pieces(&layout, &[whole]);
         worker.update_and_reset(&mut without, &cells);

@@ -157,8 +157,8 @@ enum Buffers {
     /// Over the extended tile: every window cell accumulates and the
     /// update sweeps the round's cover.
     WholeTile,
-    /// Over [`PassPlan::strips`], fresh each round: only the round's shared
-    /// cells accumulate and are updated.
+    /// Over each round's own shared cells, in buffers made fresh each
+    /// round: only the round's shared cells accumulate and are updated.
     Restricted,
     /// Over each round's own shared cells, laid out afresh per round at the
     /// front of one buffer as long as the longest round's layout, which
@@ -191,8 +191,9 @@ fn local_update_rounds(
             let layouts: Vec<StripLayout> = (0..plan.rounds())
                 .map(|round| match buffers {
                     Buffers::WholeTile => StripLayout::new(&[tile], slices),
-                    Buffers::Restricted => StripLayout::new(&plan.strips(rank), slices),
-                    Buffers::PerRound => StripLayout::new(&plan.passes(round, rank).shared, slices),
+                    Buffers::Restricted | Buffers::PerRound => {
+                        StripLayout::new(&plan.passes(round, rank).shared, slices)
+                    }
                 })
                 .collect();
             let longest = layouts.iter().map(StripLayout::len).max().unwrap_or(0);
@@ -402,7 +403,7 @@ proptest! {
                 for (i, a) in shared.iter().enumerate() {
                     prop_assert!(!a.is_empty(), "{:?}", shared);
                     prop_assert!(shared[i + 1..].iter().all(|b| !a.intersects(b)), "{:?}", shared);
-                    prop_assert!(inside_union(a, &plan.strips(rank)), "{:?}", a);
+                    prop_assert!(local_tile.contains_rect(a), "{:?}", a);
                     for (r, c) in (a.row0..a.row1).flat_map(|r| (a.col0..a.col1).map(move |c| (r, c))) {
                         prop_assert!(
                             cover.iter().chain(&sent).any(|x| x.contains(r, c)),
@@ -530,16 +531,16 @@ proptest! {
                 prop_assert_eq!(whole[rank].1, 0, "rank {}", rank);
             }
         }
-        for rank in 0..ranks {
+        for (round, rank) in (0..rounds).flat_map(|round| (0..ranks).map(move |rank| (round, rank))) {
             let extended = grid.tile(rank).extended;
-            let strips = plan.strips(rank);
-            for (i, a) in strips.iter().enumerate() {
+            let shared = &plan.passes(round, rank).shared;
+            for (i, a) in shared.iter().enumerate() {
                 prop_assert!(!a.is_empty() && extended.to_local(&extended).contains_rect(a));
-                prop_assert!(strips[i + 1..].iter().all(|b| !a.intersects(b)), "{:?}", strips);
+                prop_assert!(shared[i + 1..].iter().all(|b| !a.intersects(b)), "{:?}", shared);
             }
-        }
-        if ranks == 1 {
-            prop_assert!(plan.strips(0).is_empty());
+            if ranks == 1 {
+                prop_assert!(shared.is_empty());
+            }
         }
     }
 

@@ -72,8 +72,8 @@ fn loss_from_pass<R: Real>(pass: &ForwardPass<R>, measured_amplitude: &Array2<f6
 /// by back-propagating through the multi-slice model.
 ///
 /// By-value wrapper over [`probe_gradient_into`] — it allocates a fresh
-/// [`SimWorkspace`] and gradient volume per call. Hot loops should hold both
-/// and call `probe_gradient_into` directly.
+/// [`SimWorkspace`] and gradient volume per call. Hot loops should hold a
+/// workspace and call [`probe_gradient_by_slice`] directly.
 pub fn probe_gradient<R: Real>(
     model: &MultisliceModel<R>,
     object_patch: &Array3<Complex<R>>,
@@ -92,10 +92,9 @@ pub fn probe_gradient<R: Real>(
     GradientResult { loss, gradient }
 }
 
-/// The allocation-free core of [`probe_gradient`]: evaluates the forward
-/// model and its adjoint entirely inside `ws`'s reusable buffers and writes
-/// the gradient into the caller-owned `gradient` volume (shape
-/// `(slices, window, window)`). Returns the probe loss.
+/// [`probe_gradient_by_slice`] into a caller-owned `gradient` volume (shape
+/// `(slices, window, window)`): each slice's gradient is copied into its
+/// plane. Returns the probe loss.
 ///
 /// # Panics
 /// Panics if any shape does not match the model.
@@ -115,6 +114,29 @@ pub fn probe_gradient_into<R: Real>(
         model.slices(),
         n
     );
+    probe_gradient_by_slice(model, object_patch, measured_amplitude, ws, |s, g| {
+        gradient.slice_data_mut(s).copy_from_slice(g)
+    })
+}
+
+/// The one adjoint: evaluates the forward model and its adjoint entirely
+/// inside `ws`'s reusable buffers and hands each slice's gradient `g_s`
+/// (row-major, `window × window`) to `sink(s, g_s)` as soon as it is
+/// computed — every slice exactly once, from the last slice down to slice
+/// 0 — so no gradient volume is held. Returns the probe loss.
+///
+/// `g_s` lives in the workspace's back-propagation buffer, which holds
+/// nothing live at that point; it is overwritten after `sink` returns.
+///
+/// # Panics
+/// Panics if any shape does not match the model.
+pub fn probe_gradient_by_slice<R: Real>(
+    model: &MultisliceModel<R>,
+    object_patch: &Array3<Complex<R>>,
+    measured_amplitude: &Array2<f64>,
+    ws: &mut SimWorkspace<R>,
+    mut sink: impl FnMut(usize, &[Complex<R>]),
+) -> f64 {
     model.forward_with(object_patch, ws);
 
     let SimWorkspace {
@@ -158,22 +180,24 @@ pub fn probe_gradient_into<R: Real>(
     // Back through the last slice's FFT: the adjoint of the unnormalised
     // forward transform is the unnormalised inverse transform, F^H = N · F⁻¹.
     // From here on the far-field buffer, which nothing reads any more, holds
-    // ∂L/∂conj(a_s) where a_s = t_s ⊙ psi_s, and `back` is the spectrum
-    // scratch of the propagations between slices.
+    // ∂L/∂conj(a_s) where a_s = t_s ⊙ psi_s, and `back` holds each slice's
+    // gradient until the sink has taken it, then serves as the spectrum
+    // scratch of the propagation to the slice before.
     let fft = model.plan().fft();
     fft.inverse_unnormalized_fused(far_field, back.as_slice(), None);
 
     // Back through the slices in reverse order.
     for s in (0..model.slices()).rev() {
         // ∂L/∂conj(t_s) = ∂L/∂conj(a_s) ⊙ conj(psi_s).
-        for ((g, d_a), p) in gradient
-            .slice_data_mut(s)
+        for ((g, d_a), p) in back
+            .as_mut_slice()
             .iter_mut()
             .zip(far_field.as_slice())
             .zip(incident[s].as_slice())
         {
             *g = *d_a * p.conj();
         }
+        sink(s, back.as_slice());
         if s > 0 {
             // ∂L/∂conj(psi_s) = ∂L/∂conj(a_s) ⊙ conj(t_s), pulled through the
             // propagator between slices s − 1 and s; each product is taken
@@ -495,6 +519,48 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The sink form hands over each slice exactly once, last slice first,
+    /// bit-identical to the same slice of [`probe_gradient_into`]'s volume
+    /// at every tier.
+    fn sink_matches_gradient_into<R: Real>() {
+        use ptycho_fft::SimdLevel;
+        for slices in [1usize, 3] {
+            let truth = phase_object(slices, 16, 0.3);
+            let measured = small_model(slices).simulate_amplitude(&truth);
+            let guess = phase_object(slices, 16, 0.1).map(|v| Complex::narrow(*v));
+            for level in SimdLevel::available_levels() {
+                let model = small_model_in::<R>(slices).with_simd_level(level);
+                let mut ws = SimWorkspace::for_model(&model);
+                let mut volume = Array3::full(slices, 16, 16, Complex::ONE);
+                let loss = probe_gradient_into(&model, &guess, &measured, &mut ws, &mut volume);
+                let mut seen = Vec::new();
+                let sink_loss =
+                    probe_gradient_by_slice(&model, &guess, &measured, &mut ws, |s, g| {
+                        let bits = |v: &[Complex<R>]| -> Vec<_> {
+                            v.iter()
+                                .map(|c| (c.re.bit_pattern(), c.im.bit_pattern()))
+                                .collect()
+                        };
+                        assert_eq!(
+                            bits(g),
+                            bits(volume.slice_data(s)),
+                            "slice {s} at {level:?}"
+                        );
+                        seen.push(s);
+                    });
+                assert_eq!(sink_loss.to_bits(), loss.to_bits(), "loss at {level:?}");
+                let descending: Vec<usize> = (0..slices).rev().collect();
+                assert_eq!(seen, descending, "{slices} slices at {level:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn sink_gets_each_slice_once_in_descending_order_as_gradient_into_does() {
+        sink_matches_gradient_into::<f64>();
+        sink_matches_gradient_into::<f32>();
     }
 
     #[test]
