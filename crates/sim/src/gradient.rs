@@ -522,19 +522,20 @@ mod tests {
     }
 
     /// The sink form hands over each slice exactly once, last slice first,
-    /// bit-identical to the same slice of [`probe_gradient_into`]'s volume
-    /// at every tier.
+    /// at every tier bit-identical to the same slice of
+    /// [`probe_gradient_into`]'s volume at the scalar tier.
     fn sink_matches_gradient_into<R: Real>() {
         use ptycho_fft::SimdLevel;
         for slices in [1usize, 3] {
             let truth = phase_object(slices, 16, 0.3);
             let measured = small_model(slices).simulate_amplitude(&truth);
             let guess = phase_object(slices, 16, 0.1).map(|v| Complex::narrow(*v));
+            let scalar = small_model_in::<R>(slices).with_simd_level(SimdLevel::Scalar);
+            let mut ws = SimWorkspace::for_model(&scalar);
+            let mut volume = Array3::full(slices, 16, 16, Complex::ONE);
+            let loss = probe_gradient_into(&scalar, &guess, &measured, &mut ws, &mut volume);
             for level in SimdLevel::available_levels() {
                 let model = small_model_in::<R>(slices).with_simd_level(level);
-                let mut ws = SimWorkspace::for_model(&model);
-                let mut volume = Array3::full(slices, 16, 16, Complex::ONE);
-                let loss = probe_gradient_into(&model, &guess, &measured, &mut ws, &mut volume);
                 let mut seen = Vec::new();
                 let sink_loss =
                     probe_gradient_by_slice(&model, &guess, &measured, &mut ws, |s, g| {
