@@ -345,6 +345,7 @@ mod tests {
     use crate::tiling::TileGrid;
     use ptycho_array::Array3;
     use ptycho_sim::dataset::SyntheticConfig;
+    use ptycho_sim::gradient::probe_gradient_into;
 
     /// A single-rank worker over the whole of `dataset`'s object.
     fn tiny_worker(dataset: &Dataset) -> TileWorker<'_> {
@@ -507,6 +508,95 @@ mod tests {
                 );
                 assert_eq!(bits(worker.volume()), bits(&volume_ref), "volume, {case}");
                 *worker.volume_mut() = volume_before;
+            }
+        }
+    }
+
+    #[test]
+    fn probe_step_equals_the_gradient_of_a_patch_copy_applied_by_add_region() {
+        // Windows clipped at every tile edge and corner and one inside,
+        // with and without local updates over buffers holding cell sets
+        // that cut them, and HVE's local-only buffers. The reference
+        // evaluates `probe_gradient_into` on an `extract_region_with_fill`
+        // copy of the pre-step volume (vacuum outside the tile), then does
+        // `V += g·(−α)` (local updates) over the whole window and `acc += g`,
+        // `own += g` over each window ∩ cell rect, all by `Array3::add_region`.
+        let dataset = Dataset::synthesize(SyntheticConfig::tiny());
+        let model = dataset.model_f32();
+        let n = model.window_px() as i64;
+        let mut worker = tiny_worker(&dataset);
+        let (depth, rows, cols) = worker.volume().shape();
+        // A non-flat state, so no slice's gradient is trivial.
+        let start = Array3::from_fn(depth, rows, cols, |s, r, c| {
+            Complex32::narrow(Complex64::cis(((s + 3 * r + 2 * c) as f64 * 0.17).sin()))
+        });
+        let seeded = |seed: f32| {
+            Array3::from_fn(depth, rows, cols, |s, r, c| {
+                Complex32::new((s + r * c) as f32 * seed, (r as f32 - c as f32) / seed)
+            })
+        };
+        let (rows, cols) = (rows as i64, cols as i64);
+        let cell_sets: [&[Rect]; 4] = [
+            &[],
+            &[Rect::new(0, 3, rows, 4)],
+            &[
+                Rect::new(0, 0, 3, cols),
+                Rect::new(rows - 4, 1, 2, cols - 2),
+            ],
+            &[Rect::of_shape(rows as usize, cols as usize)],
+        ];
+        let corners = |extent: i64| [-(n / 3), extent / 2 - n / 2, extent - 2 * n / 3];
+        let windows = corners(rows)
+            .into_iter()
+            .flat_map(|r| corners(cols).map(|c| Rect::new(r, c, n, n)));
+        let locations = dataset.scan().locations();
+        for (k, window) in windows.enumerate() {
+            let mut loc = locations[k % locations.len()];
+            loc.window = window.to_global(&worker.tile.extended);
+            assert_eq!(worker.local_window(&loc), window);
+            let measured = dataset.measurement(&loc);
+            let patch = start.extract_region_with_fill(window, Complex32::ONE);
+            let mut ws = SimWorkspace::for_model(model);
+            let mut gradient = Array3::full(depth, n as usize, n as usize, Complex32::ZERO);
+            let loss = probe_gradient_into(model, &patch, measured, &mut ws, &mut gradient);
+            let mut stepped = start.clone();
+            stepped.add_region(window, &gradient.map(|&g| g * -worker.step));
+
+            // HVE: every gradient applied at once, nothing accumulated.
+            *worker.volume_mut() = start.clone();
+            let hve_loss = worker.probe_step(&loc, &mut AccBuffers::local_only(), &[]);
+            assert_eq!(hve_loss.to_bits(), loss.to_bits(), "HVE loss, {window:?}");
+            assert_eq!(bits(worker.volume()), bits(&stepped), "HVE, {window:?}");
+
+            for (local_updates, set) in [false, true]
+                .into_iter()
+                .flat_map(|local| cell_sets.iter().map(move |set| (local, set)))
+            {
+                let layout = StripLayout::new(set, depth);
+                let cells = pieces(&layout, set);
+                let (mut acc_ref, mut own_ref) = (seeded(0.5), seeded(1.5));
+                let mut buffers = AccBuffers {
+                    acc: gather(&layout, &acc_ref),
+                    own: local_updates.then(|| gather(&layout, &own_ref)),
+                };
+                for hit in set.iter().map(|rect| window.intersect(rect)) {
+                    let g = gradient.extract_region(hit.to_local(&window));
+                    acc_ref.add_region(hit, &g);
+                    own_ref.add_region(hit, &g);
+                }
+                *worker.volume_mut() = start.clone();
+                let step_loss = worker.probe_step(&loc, &mut buffers, &cells);
+                let case = format!("window {window:?}, cells {set:?}, local {local_updates}");
+                assert_eq!(step_loss.to_bits(), loss.to_bits(), "loss, {case}");
+                let want = |whole: &TileVolume| flat_bits(&gather(&layout, whole));
+                assert_eq!(flat_bits(&buffers.acc), want(&acc_ref), "acc, {case}");
+                assert_eq!(
+                    buffers.own.as_deref().map(flat_bits),
+                    local_updates.then(|| want(&own_ref)),
+                    "own, {case}"
+                );
+                let volume_ref = if local_updates { &stepped } else { &start };
+                assert_eq!(bits(worker.volume()), bits(volume_ref), "volume, {case}");
             }
         }
     }

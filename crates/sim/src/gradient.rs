@@ -558,6 +558,79 @@ mod tests {
         }
     }
 
+    /// An object read one slice at a time whose slice `s` is overwritten as
+    /// soon as its gradient `g_s` is taken, the way a local update steps the
+    /// tile: a read of `t_s` after that moves bits. Collects the gradient.
+    struct SteppedObject<R: Real> {
+        object: Array3<Complex<R>>,
+        gradient: Array3<Complex<R>>,
+        taken: Vec<usize>,
+    }
+
+    impl<R: Real> SteppedObject<R> {
+        fn take(&mut self, s: usize, g: &[Complex<R>]) {
+            self.gradient.slice_data_mut(s).copy_from_slice(g);
+            let stepped = Complex::new(R::from_f64(2.5), R::from_f64(-1.5));
+            self.object.slice_data_mut(s).fill(stepped);
+            self.taken.push(s);
+        }
+    }
+
+    /// The adjoint reading `source`'s object slice by slice.
+    fn adjoint_of<R: Real>(
+        model: &MultisliceModel<R>,
+        source: &mut SteppedObject<R>,
+        measured: &Array2<f64>,
+        ws: &mut SimWorkspace<R>,
+    ) -> f64 {
+        let patch = source.object.clone();
+        probe_gradient_by_slice(model, &patch, measured, ws, |s, g| source.take(s, g))
+    }
+
+    /// At every tier, the adjoint over an object whose slices are stepped
+    /// as their gradients are taken equals [`probe_gradient_into`] on the
+    /// unstepped patch, bit for bit.
+    fn slice_source_matches_gradient_into<R: Real>() {
+        use ptycho_fft::SimdLevel;
+        let bits = |v: &[Complex<R>]| -> Vec<_> {
+            v.iter()
+                .map(|c| (c.re.bit_pattern(), c.im.bit_pattern()))
+                .collect()
+        };
+        for slices in [1usize, 2, 3] {
+            let truth = phase_object(slices, 16, 0.3);
+            let measured = small_model(slices).simulate_amplitude(&truth);
+            let guess = phase_object(slices, 16, 0.1).map(|v| Complex::narrow(*v));
+            for level in SimdLevel::available_levels() {
+                let model = small_model_in::<R>(slices).with_simd_level(level);
+                let mut ws = SimWorkspace::for_model(&model);
+                let mut reference = Array3::full(slices, 16, 16, Complex::ZERO);
+                let loss = probe_gradient_into(&model, &guess, &measured, &mut ws, &mut reference);
+                let mut source = SteppedObject {
+                    object: guess.clone(),
+                    gradient: Array3::full(slices, 16, 16, Complex::ONE),
+                    taken: Vec::new(),
+                };
+                let source_loss = adjoint_of(&model, &mut source, &measured, &mut ws);
+                let case = format!("{slices} slices at {level:?}");
+                assert_eq!(source_loss.to_bits(), loss.to_bits(), "loss, {case}");
+                assert_eq!(
+                    bits(source.gradient.as_slice()),
+                    bits(reference.as_slice()),
+                    "gradient, {case}"
+                );
+                let descending: Vec<usize> = (0..slices).rev().collect();
+                assert_eq!(source.taken, descending, "{case}");
+            }
+        }
+    }
+
+    #[test]
+    fn slice_source_adjoint_equals_gradient_into_with_each_slice_stepped_once_taken() {
+        slice_source_matches_gradient_into::<f64>();
+        slice_source_matches_gradient_into::<f32>();
+    }
+
     #[test]
     fn sink_gets_each_slice_once_in_descending_order_as_gradient_into_does() {
         sink_matches_gradient_into::<f64>();
