@@ -119,21 +119,6 @@ impl<T: Clone> Array2<T> {
         self.data.fill(value);
     }
 
-    /// Copies `src` into `self` without allocating.
-    ///
-    /// # Panics
-    /// Panics if the shapes differ.
-    pub fn copy_from(&mut self, src: &Array2<T>) {
-        assert_eq!(
-            self.shape(),
-            src.shape(),
-            "copy_from: shape mismatch {:?} vs {:?}",
-            self.shape(),
-            src.shape()
-        );
-        self.data.clone_from_slice(&src.data);
-    }
-
     /// Returns a transposed copy of the array.
     pub fn transposed(&self) -> Array2<T> {
         let mut data = Vec::with_capacity(self.data.len());
@@ -493,20 +478,10 @@ mod tests {
     }
 
     #[test]
-    fn fill_and_copy_from_reuse_storage() {
+    fn fill_reuses_storage() {
         let mut a = Array2::full(2, 3, 1.0f64);
         a.fill(4.0);
         assert!(a.iter().all(|&v| v == 4.0));
-        let b = Array2::from_fn(2, 3, |r, c| (r * 3 + c) as f64);
-        a.copy_from(&b);
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    #[should_panic(expected = "copy_from: shape mismatch")]
-    fn copy_from_shape_mismatch_panics() {
-        let mut a = Array2::<f64>::zeros(2, 2);
-        a.copy_from(&Array2::zeros(3, 3));
     }
 
     #[test]

@@ -23,8 +23,8 @@ pub enum MemoryCategory {
     Measurements,
     /// The accumulated-gradient buffer (`AccBuf` in Algorithm 1).
     AccumulationBuffer,
-    /// The model workspace (incident stack, far field, back-propagation
-    /// wave) and the probe-window object patch.
+    /// The model workspace: `slices + 1` probe-window fields (the incident
+    /// waves after the probe, far field, back-propagation wave).
     ModelWorkspace,
     /// Anything else.
     Other,

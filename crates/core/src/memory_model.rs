@@ -10,12 +10,18 @@
 //! overhead) independent of the decomposition.
 //!
 //! How the running program compares (`TileWorker` charges what it holds):
-//! the tile volume, the accumulation buffers, the per-probe model
-//! workspace and object patch are all complex `f32`, 8 bytes per value,
-//! [`GPU_VOXEL_BYTES`]. No per-probe gradient volume is held: the adjoint
-//! hands each slice's gradient on from the model workspace. A rank's `TileVoxels` and `HaloVoxels`
-//! charges are this model's `tile_voxels` and `halo_voxels` for its tile's
-//! geometry, exactly (`tests/integration_feasibility.rs` pins it).
+//! the tile volume, the accumulation buffers and the per-probe model
+//! workspace are all complex `f32`, 8 bytes per value, [`GPU_VOXEL_BYTES`].
+//! The program's workspace is `S + 1` probe-window fields for `S` slices
+//! (the incident waves after the probe, the far field and the
+//! back-propagation wave), against this model's
+//! [`WORKSPACE_DETECTOR_BUFFERS`] detector-sized fields. No per-probe copy
+//! of the object and no per-probe gradient volume is held: the model reads
+//! each object slice from the tile into a workspace field, and the adjoint
+//! hands each slice's gradient on from the workspace. A rank's `TileVoxels` and
+//! `HaloVoxels` charges are this model's `tile_voxels` and `halo_voxels`
+//! for its tile's geometry, exactly (`tests/integration_feasibility.rs`
+//! pins it).
 //!
 //! The accumulation buffers also differ in extent. This model charges one
 //! `AccBuf` over the whole extended tile, as the paper's Algorithm 1 and

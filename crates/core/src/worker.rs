@@ -7,7 +7,7 @@ use ptycho_array::{Array3, Rect};
 use ptycho_cluster::{HardwareModel, MemoryCategory, MemoryTracker};
 use ptycho_fft::{CArray3, Complex32, Complex64};
 use ptycho_sim::dataset::{Dataset, BYTES_PER_COMPLEX, BYTES_PER_MEASUREMENT};
-use ptycho_sim::gradient::{probe_gradient_by_slice, suggested_step};
+use ptycho_sim::gradient::{probe_gradient_by_slice, suggested_step, ObjectSlices};
 use ptycho_sim::scan::ProbeLocation;
 use ptycho_sim::SimWorkspace;
 use std::mem::size_of_val;
@@ -18,19 +18,21 @@ pub(crate) type TileVolume = Array3<Complex32>;
 
 /// The state one worker (simulated GPU) keeps for its tile: the halo-extended
 /// sub-volume it reconstructs, the bound forward model, the gradient step,
-/// and the pooled per-probe buffers (model workspace and object patch) that
-/// make the steady-state gradient evaluation allocation-free.
+/// and the pooled model workspace that makes the steady-state gradient
+/// evaluation allocation-free.
 ///
-/// No gradient volume is held: the adjoint hands each slice's gradient to
+/// Only the tile holds the object and no gradient volume is held: the model
+/// reads each slice of a probe window straight from the tile into a
+/// workspace field, and the adjoint hands each slice's gradient to
 /// [`Self::probe_step`]'s sink as soon as it is computed, in the model
 /// workspace, and the sink applies and accumulates it there.
 ///
 /// Everything a rank holds is complex `f32`: the tile volume, the
 /// accumulation buffers, and every per-probe evaluation
-/// ([`Dataset::model_f32`]). The patch is a same-type copy of the volume,
-/// and the gradient is added to the volume or a buffer as it is. Only the
-/// flat initial guess (ones, exact in `f32`) and the stitched result
-/// ([`Self::core_volume`], widened exactly) are complex `f64`.
+/// ([`Dataset::model_f32`]). A slice the model reads is a same-type row copy
+/// of the volume, and the gradient is added to the volume or a buffer as it
+/// is. Only the flat initial guess (ones, exact in `f32`) and the stitched
+/// result ([`Self::core_volume`], widened exactly) are complex `f64`.
 pub(crate) struct TileWorker<'a> {
     dataset: &'a Dataset,
     tile: TileInfo,
@@ -41,11 +43,9 @@ pub(crate) struct TileWorker<'a> {
     slices: usize,
     /// See [`TileWorker::modeled_iteration_ns`].
     iteration_ns: u64,
-    /// Reusable forward/adjoint model buffers (incident stack, far field,
-    /// back-propagation wave, which also holds each slice's gradient).
+    /// Reusable forward/adjoint model buffers, which also receive each
+    /// object slice and each slice's gradient.
     workspace: SimWorkspace<f32>,
-    /// Reusable probe-window object patch, refilled per probe location.
-    patch: Array3<Complex32>,
 }
 
 impl<'a> TileWorker<'a> {
@@ -79,15 +79,10 @@ impl<'a> TileWorker<'a> {
             MemoryCategory::Measurements,
             assigned_probes * window * window * BYTES_PER_MEASUREMENT,
         );
-        // The pooled buffers this worker holds resident for its whole life —
-        // the SimWorkspace of the model it evaluates and the probe-window
-        // object patch — charged at the bytes they actually hold.
+        // The SimWorkspace this worker holds resident for its whole life,
+        // charged at the bytes it actually holds.
         let workspace = SimWorkspace::for_model(dataset.model_f32());
-        let patch = Array3::full(slices, window, window, Complex32::ONE);
-        memory.allocate(
-            MemoryCategory::ModelWorkspace,
-            workspace.bytes() + size_of_val(patch.as_slice()),
-        );
+        memory.allocate(MemoryCategory::ModelWorkspace, workspace.bytes());
         // The Summit model's working set keeps its own 16 B a voxel: the
         // modeled clock is not re-derived from what the rank holds.
         let working_set = (tile.extended.area() * slices * BYTES_PER_COMPLEX) as f64;
@@ -102,7 +97,6 @@ impl<'a> TileWorker<'a> {
             slices,
             iteration_ns: (assigned_probes as f64 * per_probe * 1e9) as u64,
             workspace,
-            patch,
         }
     }
 
@@ -113,11 +107,12 @@ impl<'a> TileWorker<'a> {
 
     /// One probe location, both solvers' per-probe step: evaluates the
     /// individual image gradient `∂f_i/∂V_k` against the current tile state
-    /// (the patch is a row copy of the volume, vacuum (`1`) outside it) and
-    /// hands it, slice by slice as the adjoint computes it, to a
-    /// [`GradientSink`] over `buffers` and `cells`. Returns the probe loss.
-    /// Allocation-free: the patch, each slice's gradient and every model
-    /// intermediate live in the worker's pooled buffers.
+    /// (each object slice read from the volume as the model needs it,
+    /// vacuum (`1`) outside it) and hands it, slice by slice as the adjoint
+    /// computes it, to a [`GradientSink`] over `buffers` and `cells`.
+    /// Returns the probe loss. Allocation-free: each object slice, each
+    /// slice's gradient and every model intermediate live in the worker's
+    /// pooled workspace.
     ///
     /// GD passes the round's [`RankPasses::shared`] cells with local
     /// updates and its cover without them, which holds every cell of the
@@ -131,22 +126,18 @@ impl<'a> TileWorker<'a> {
         buffers: &mut AccBuffers,
         cells: &[Piece],
     ) -> f64 {
-        let window = self.local_window(loc);
-        self.volume
-            .extract_region_into(window, Complex32::ONE, &mut self.patch);
         let mut sink = GradientSink {
+            window: self.local_window(loc),
             volume: &mut self.volume,
-            window,
             factor: -self.step,
             buffers,
             cells,
         };
         probe_gradient_by_slice(
             self.dataset.model_f32(),
-            &self.patch,
+            &mut sink,
             self.dataset.measurement(loc),
             &mut self.workspace,
-            |s, g| sink.take(s, g),
         )
     }
 
@@ -217,12 +208,15 @@ impl<'a> TileWorker<'a> {
     }
 }
 
-/// Where one probe's gradient goes, one slice at a time: with local updates
-/// step 8 of Algorithm 1, `V_k ← V_k − α·∂f_i/∂V_k` over the whole window
-/// (clipped to the tile), and step 7, `AccBuf_k += ∂f_i/∂V_k` (with local
-/// updates also `own += ∂f_i/∂V_k`), on the window's part inside `cells`
-/// (disjoint pieces of the round's strips). Each cell visited gets the
-/// operations a whole-volume gradient scattered separately would give it.
+/// The tile as one probe's model sees it, one slice at a time: where each
+/// slice of the window is read from, and where its gradient goes — with
+/// local updates step 8 of Algorithm 1, `V_k ← V_k − α·∂f_i/∂V_k` over the
+/// whole window (clipped to the tile), and step 7, `AccBuf_k += ∂f_i/∂V_k`
+/// (with local updates also `own += ∂f_i/∂V_k`), on the window's part
+/// inside `cells` (disjoint pieces of the round's strips). The model reads
+/// slice `s` before step 8 changes it, so each cell visited gets the
+/// operations a pre-step copy of the window and separate scatters of a
+/// whole-volume gradient would give it.
 struct GradientSink<'s> {
     volume: &'s mut TileVolume,
     /// The probe window, tile-local.
@@ -233,7 +227,22 @@ struct GradientSink<'s> {
     cells: &'s [Piece],
 }
 
-impl GradientSink<'_> {
+impl ObjectSlices<f32> for GradientSink<'_> {
+    /// Reads slice `s` of the window, vacuum (`1`) outside the tile.
+    fn load(&self, s: usize, t: &mut [Complex32]) {
+        let (plane, window) = (self.volume.plane_bounds(), self.window);
+        let inside = window.intersect(&plane);
+        if inside.area() != window.area() {
+            t.fill(Complex32::ONE);
+        }
+        let rows = plane
+            .flat_rows(1, s * plane.area(), inside)
+            .zip(window.flat_rows(1, 0, inside));
+        for (src, dst) in rows {
+            t[dst].copy_from_slice(&self.volume.as_slice()[src]);
+        }
+    }
+
     /// Takes slice `s` of the gradient, `g` (window-shaped, row-major).
     fn take(&mut self, s: usize, g: &[Complex32]) {
         let window = self.window;
@@ -603,10 +612,12 @@ mod tests {
 
     #[test]
     fn model_workspace_charge_equals_the_bytes_held() {
-        // The workspace and patch are complex f32: the charge is the element
-        // count times the 8 bytes of the element stored. No gradient volume
-        // is held or charged: the voxels, measurements and workspace are all
-        // a worker charges.
+        // The workspace is complex f32: the charge is the element count
+        // times the 8 bytes of the element stored — `S + 1` window fields,
+        // the incident waves after the probe, the far field and the
+        // back-propagation wave. Neither an object patch nor a gradient
+        // volume is held or charged: the voxels, measurements and workspace
+        // are all a worker charges.
         let dataset = Dataset::synthesize(SyntheticConfig::tiny());
         let (slices, rows, cols) = dataset.object_shape();
         let grid = TileGrid::new(rows, cols, 1, 1, 8, dataset.scan());
@@ -617,12 +628,11 @@ mod tests {
         let element = std::mem::size_of::<Complex32>();
         assert_eq!(element, 8);
         let window = dataset.model_f32().window_px();
-        let fields = (slices + 2) * window * window;
-        assert_eq!(worker.workspace.bytes(), fields * element);
-        assert_eq!(worker.patch.len(), slices * window * window);
+        let values = (slices + 1) * window * window;
+        assert_eq!(worker.workspace.bytes(), values * element);
         assert_eq!(
             memory.current_of(MemoryCategory::ModelWorkspace),
-            (fields + worker.patch.len()) * element
+            values * element
         );
         let charged = [
             MemoryCategory::TileVoxels,
@@ -632,6 +642,37 @@ mod tests {
         ];
         let sum: usize = charged.iter().map(|&c| memory.current_of(c)).sum();
         assert_eq!(memory.current_total(), sum);
+    }
+
+    #[test]
+    fn single_rank_charge_is_voxels_measurements_and_s_plus_one_window_fields() {
+        let dataset = Dataset::synthesize(SyntheticConfig::tiny());
+        let (slices, rows, cols) = dataset.object_shape();
+        let grid = TileGrid::new(rows, cols, 1, 1, 8, dataset.scan());
+        let probes = dataset.scan().len();
+        let mut memory = MemoryTracker::new();
+        let config = SolverConfig::default();
+        let initial = dataset.initial_guess();
+        TileWorker::new(
+            &dataset,
+            grid.tile(0),
+            &initial,
+            &config,
+            probes,
+            &mut memory,
+        );
+        let window = dataset.model_f32().window_px();
+        let measurements = memory.current_of(MemoryCategory::Measurements);
+        assert_eq!(
+            measurements,
+            probes * window * window * BYTES_PER_MEASUREMENT
+        );
+        let total = memory.current_of(MemoryCategory::TileVoxels)
+            + memory.current_of(MemoryCategory::HaloVoxels)
+            + measurements
+            + (slices + 1) * window * window * 8;
+        assert_eq!(memory.current_total(), total);
+        assert_eq!(memory.peak_total(), total);
     }
 
     #[test]

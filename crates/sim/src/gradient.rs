@@ -92,9 +92,10 @@ pub fn probe_gradient<R: Real>(
     GradientResult { loss, gradient }
 }
 
-/// [`probe_gradient_by_slice`] into a caller-owned `gradient` volume (shape
-/// `(slices, window, window)`): each slice's gradient is copied into its
-/// plane. Returns the probe loss.
+/// [`probe_gradient_by_slice`] over an object patch (shape `(slices,
+/// window, window)`) into a caller-owned `gradient` volume of the same
+/// shape: each slice's gradient is copied into its plane. Returns the probe
+/// loss.
 ///
 /// # Panics
 /// Panics if any shape does not match the model.
@@ -106,6 +107,7 @@ pub fn probe_gradient_into<R: Real>(
     gradient: &mut Array3<Complex<R>>,
 ) -> f64 {
     let n = model.window_px();
+    model.check_patch(object_patch);
     assert_eq!(
         gradient.shape(),
         (model.slices(), n, n),
@@ -114,30 +116,68 @@ pub fn probe_gradient_into<R: Real>(
         model.slices(),
         n
     );
-    probe_gradient_by_slice(model, object_patch, measured_amplitude, ws, |s, g| {
-        gradient.slice_data_mut(s).copy_from_slice(g)
-    })
+    let mut patch = PatchSlices {
+        patch: object_patch,
+        gradient,
+    };
+    probe_gradient_by_slice(model, &mut patch, measured_amplitude, ws)
+}
+
+/// The object one probe is evaluated against, read one slice at a time, and
+/// where its gradient goes: the caller side of [`probe_gradient_by_slice`].
+/// One object does both because both usually borrow the same volume — a
+/// reconstruction's tile, which `take` may step (`t_s ← t_s − α·g_s`).
+pub trait ObjectSlices<R: Real> {
+    /// Writes the probe window's slice `s` of the object, `t_s` (row-major,
+    /// `window × window`), into `t`.
+    fn load(&self, s: usize, t: &mut [Complex<R>]);
+
+    /// Takes slice `s`'s gradient `g_s = ∂f_i/∂conj(t_s)` (row-major,
+    /// `window × window`). Every `load` of slice `s` comes before it, so it
+    /// may change slice `s` of the object.
+    fn take(&mut self, s: usize, g: &[Complex<R>]);
+}
+
+/// An object patch as an [`ObjectSlices`] whose gradient is copied into a
+/// volume.
+struct PatchSlices<'a, R: Real> {
+    patch: &'a Array3<Complex<R>>,
+    gradient: &'a mut Array3<Complex<R>>,
+}
+
+impl<R: Real> ObjectSlices<R> for PatchSlices<'_, R> {
+    fn load(&self, s: usize, t: &mut [Complex<R>]) {
+        t.copy_from_slice(self.patch.slice_data(s));
+    }
+
+    fn take(&mut self, s: usize, g: &[Complex<R>]) {
+        self.gradient.slice_data_mut(s).copy_from_slice(g);
+    }
 }
 
 /// The one adjoint: evaluates the forward model and its adjoint entirely
-/// inside `ws`'s reusable buffers and hands each slice's gradient `g_s`
-/// (row-major, `window × window`) to `sink(s, g_s)` as soon as it is
-/// computed — every slice exactly once, from the last slice down to slice
-/// 0 — so no gradient volume is held. Returns the probe loss.
+/// inside `ws`'s reusable buffers, reading the object from `object` one
+/// slice at a time and handing each slice's gradient `g_s` (row-major,
+/// `window × window`) to `object.take(s, g_s)` as soon as it is computed —
+/// every slice exactly once, from the last slice down to slice 0 — so
+/// neither an object patch nor a gradient volume is held. Returns the probe
+/// loss.
 ///
-/// `g_s` lives in the workspace's back-propagation buffer, which holds
-/// nothing live at that point; it is overwritten after `sink` returns.
+/// The forward pass loads every slice once, in ascending order; the
+/// adjoint loads slice `s > 0` once more, after forming `g_s` and before
+/// handing it over. `g_s` lives in the workspace's back-propagation buffer,
+/// which holds nothing live at that point; it is overwritten after `take`
+/// returns.
 ///
 /// # Panics
-/// Panics if any shape does not match the model.
+/// Panics if the workspace or the measurement does not match the model.
 pub fn probe_gradient_by_slice<R: Real>(
     model: &MultisliceModel<R>,
-    object_patch: &Array3<Complex<R>>,
+    object: &mut impl ObjectSlices<R>,
     measured_amplitude: &Array2<f64>,
     ws: &mut SimWorkspace<R>,
-    mut sink: impl FnMut(usize, &[Complex<R>]),
 ) -> f64 {
-    model.forward_with(object_patch, ws);
+    model.forward_from(|s, t| object.load(s, t), ws);
 
     let SimWorkspace {
         incident,
@@ -181,32 +221,42 @@ pub fn probe_gradient_by_slice<R: Real>(
     // forward transform is the unnormalised inverse transform, F^H = N · F⁻¹.
     // From here on the far-field buffer, which nothing reads any more, holds
     // ∂L/∂conj(a_s) where a_s = t_s ⊙ psi_s, and `back` holds each slice's
-    // gradient until the sink has taken it, then serves as the spectrum
-    // scratch of the propagation to the slice before.
+    // gradient until `take` has it, then serves as the spectrum scratch of
+    // the propagation to the slice before.
     let fft = model.plan().fft();
     fft.inverse_unnormalized_fused(far_field, back.as_slice(), None);
 
     // Back through the slices in reverse order.
     for s in (0..model.slices()).rev() {
         // ∂L/∂conj(t_s) = ∂L/∂conj(a_s) ⊙ conj(psi_s).
+        let psi_s = match s {
+            0 => model.probe_field(),
+            _ => &incident[s - 1],
+        };
         for ((g, d_a), p) in back
             .as_mut_slice()
             .iter_mut()
             .zip(far_field.as_slice())
-            .zip(incident[s].as_slice())
+            .zip(psi_s.as_slice())
         {
             *g = *d_a * p.conj();
         }
-        sink(s, back.as_slice());
-        if s > 0 {
-            // ∂L/∂conj(psi_s) = ∂L/∂conj(a_s) ⊙ conj(t_s), pulled through the
-            // propagator between slices s − 1 and s; each product is taken
-            // as the transform after it loads its input.
-            let t_s = Factor::MulConj(object_patch.slice_data(s));
-            fft.forward_fused(back, far_field.as_slice(), Some(t_s));
-            let adjoint = Some(model.plan().adjoint_transfer_factor());
-            fft.inverse_unnormalized_fused(far_field, back.as_slice(), adjoint);
+        if s == 0 {
+            object.take(s, back.as_slice());
+            break;
         }
+        // psi_s is dead: its field takes t_s, read before `take` may step
+        // slice s.
+        let t_s = &mut incident[s - 1];
+        object.load(s, t_s.as_mut_slice());
+        object.take(s, back.as_slice());
+        // ∂L/∂conj(psi_s) = ∂L/∂conj(a_s) ⊙ conj(t_s), pulled through the
+        // propagator between slices s − 1 and s; each product is taken as
+        // the transform after it loads its input.
+        let t_s = Some(Factor::MulConj(t_s.as_slice()));
+        fft.forward_fused(back, far_field.as_slice(), t_s);
+        let adjoint = Some(model.plan().adjoint_transfer_factor());
+        fft.inverse_unnormalized_fused(far_field, back.as_slice(), adjoint);
     }
     loss
 }
@@ -521,6 +571,12 @@ mod tests {
         }
     }
 
+    fn bits<R: Real>(v: &[Complex<R>]) -> Vec<(u64, u64)> {
+        v.iter()
+            .map(|c| (c.re.bit_pattern(), c.im.bit_pattern()))
+            .collect()
+    }
+
     /// The sink form hands over each slice exactly once, last slice first,
     /// at every tier bit-identical to the same slice of
     /// [`probe_gradient_into`]'s volume at the scalar tier.
@@ -536,24 +592,18 @@ mod tests {
             let loss = probe_gradient_into(&scalar, &guess, &measured, &mut ws, &mut volume);
             for level in SimdLevel::available_levels() {
                 let model = small_model_in::<R>(slices).with_simd_level(level);
-                let mut seen = Vec::new();
-                let sink_loss =
-                    probe_gradient_by_slice(&model, &guess, &measured, &mut ws, |s, g| {
-                        let bits = |v: &[Complex<R>]| -> Vec<_> {
-                            v.iter()
-                                .map(|c| (c.re.bit_pattern(), c.im.bit_pattern()))
-                                .collect()
-                        };
-                        assert_eq!(
-                            bits(g),
-                            bits(volume.slice_data(s)),
-                            "slice {s} at {level:?}"
-                        );
-                        seen.push(s);
-                    });
+                let mut source = SteppedObject::new(&guess);
+                let sink_loss = probe_gradient_by_slice(&model, &mut source, &measured, &mut ws);
+                for s in 0..slices {
+                    assert_eq!(
+                        bits(source.gradient.slice_data(s)),
+                        bits(volume.slice_data(s)),
+                        "slice {s} at {level:?}"
+                    );
+                }
                 assert_eq!(sink_loss.to_bits(), loss.to_bits(), "loss at {level:?}");
                 let descending: Vec<usize> = (0..slices).rev().collect();
-                assert_eq!(seen, descending, "{slices} slices at {level:?}");
+                assert_eq!(source.taken, descending, "{slices} slices at {level:?}");
             }
         }
     }
@@ -568,6 +618,21 @@ mod tests {
     }
 
     impl<R: Real> SteppedObject<R> {
+        fn new(object: &Array3<Complex<R>>) -> Self {
+            let (slices, rows, cols) = object.shape();
+            Self {
+                object: object.clone(),
+                gradient: Array3::full(slices, rows, cols, Complex::ONE),
+                taken: Vec::new(),
+            }
+        }
+    }
+
+    impl<R: Real> ObjectSlices<R> for SteppedObject<R> {
+        fn load(&self, s: usize, t: &mut [Complex<R>]) {
+            t.copy_from_slice(self.object.slice_data(s));
+        }
+
         fn take(&mut self, s: usize, g: &[Complex<R>]) {
             self.gradient.slice_data_mut(s).copy_from_slice(g);
             let stepped = Complex::new(R::from_f64(2.5), R::from_f64(-1.5));
@@ -576,27 +641,11 @@ mod tests {
         }
     }
 
-    /// The adjoint reading `source`'s object slice by slice.
-    fn adjoint_of<R: Real>(
-        model: &MultisliceModel<R>,
-        source: &mut SteppedObject<R>,
-        measured: &Array2<f64>,
-        ws: &mut SimWorkspace<R>,
-    ) -> f64 {
-        let patch = source.object.clone();
-        probe_gradient_by_slice(model, &patch, measured, ws, |s, g| source.take(s, g))
-    }
-
     /// At every tier, the adjoint over an object whose slices are stepped
     /// as their gradients are taken equals [`probe_gradient_into`] on the
     /// unstepped patch, bit for bit.
     fn slice_source_matches_gradient_into<R: Real>() {
         use ptycho_fft::SimdLevel;
-        let bits = |v: &[Complex<R>]| -> Vec<_> {
-            v.iter()
-                .map(|c| (c.re.bit_pattern(), c.im.bit_pattern()))
-                .collect()
-        };
         for slices in [1usize, 2, 3] {
             let truth = phase_object(slices, 16, 0.3);
             let measured = small_model(slices).simulate_amplitude(&truth);
@@ -606,12 +655,8 @@ mod tests {
                 let mut ws = SimWorkspace::for_model(&model);
                 let mut reference = Array3::full(slices, 16, 16, Complex::ZERO);
                 let loss = probe_gradient_into(&model, &guess, &measured, &mut ws, &mut reference);
-                let mut source = SteppedObject {
-                    object: guess.clone(),
-                    gradient: Array3::full(slices, 16, 16, Complex::ONE),
-                    taken: Vec::new(),
-                };
-                let source_loss = adjoint_of(&model, &mut source, &measured, &mut ws);
+                let mut source = SteppedObject::new(&guess);
+                let source_loss = probe_gradient_by_slice(&model, &mut source, &measured, &mut ws);
                 let case = format!("{slices} slices at {level:?}");
                 assert_eq!(source_loss.to_bits(), loss.to_bits(), "loss, {case}");
                 assert_eq!(

@@ -55,7 +55,7 @@ pub mod specimen;
 pub use dataset::{Dataset, DatasetSpec};
 pub use gradient::{
     apply_gradient_step, probe_gradient, probe_gradient_by_slice, probe_gradient_into, probe_loss,
-    suggested_step, GradientResult,
+    suggested_step, GradientResult, ObjectSlices,
 };
 pub use multislice::{MultisliceModel, PropagationPlan, SimWorkspace};
 pub use probe::{Probe, ProbeConfig};

@@ -117,19 +117,22 @@ impl<R: Real> PropagationPlan<R> {
 }
 
 /// Reusable per-worker buffers for the forward model and its adjoint: the
-/// incident-wave stack (one probe-window field per slice), the far-field
-/// spectrum and the back-propagation wave. The last two are also the
-/// spectrum scratch of the propagations between slices, so only the incident
-/// stack is readable from outside; [`MultisliceModel::forward`] returns the
-/// far field in its [`ForwardPass`].
+/// incident waves after the first (`psi_1 … psi_{slices−1}`, one
+/// probe-window field each; `psi_0` is the model's probe), the far-field
+/// spectrum and the back-propagation wave, `slices + 1` fields in all. The
+/// last two are also the spectrum scratch of the propagations between
+/// slices and receive each object slice as it is read, so none is readable
+/// from outside; [`MultisliceModel::forward`] returns the far field in its
+/// [`ForwardPass`].
 ///
 /// Allocate one per worker ([`SimWorkspace::for_model`]) and thread it
 /// through [`MultisliceModel::forward_with`] /
-/// [`crate::gradient::probe_gradient_into`]; after the first call every
+/// [`crate::gradient::probe_gradient_by_slice`]; after the first call every
 /// evaluation reuses the same memory — the steady-state reconstruction loop
 /// performs zero heap allocations.
 #[derive(Clone, Debug)]
 pub struct SimWorkspace<R: Real = f64> {
+    /// `psi_1 … psi_{slices−1}`: `incident[s − 1]` enters slice `s`.
     pub(crate) incident: Vec<Array2<Complex<R>>>,
     pub(crate) far_field: Array2<Complex<R>>,
     pub(crate) back: Array2<Complex<R>>,
@@ -142,21 +145,15 @@ impl<R: Real> SimWorkspace<R> {
         let n = model.window_px();
         let zero = Array2::full(n, n, Complex::ZERO);
         Self {
-            incident: vec![zero.clone(); model.slices()],
+            incident: vec![zero.clone(); model.slices() - 1],
             far_field: zero.clone(),
             back: zero,
         }
     }
 
-    /// The incident wave at the entrance of slice `s` (`s < slices`) of the
-    /// latest forward pass.
-    pub fn incident(&self, s: usize) -> &Array2<Complex<R>> {
-        &self.incident[s]
-    }
-
     /// Number of slices this workspace was sized for.
     pub fn slices(&self) -> usize {
-        self.incident.len()
+        self.incident.len() + 1
     }
 
     /// Probe-window side length this workspace was sized for.
@@ -173,13 +170,9 @@ impl<R: Real> SimWorkspace<R> {
     }
 }
 
-/// Everything the forward pass produced, retained for the adjoint pass.
+/// What [`MultisliceModel::forward`] hands back: the far field.
 #[derive(Clone, Debug)]
 pub struct ForwardPass<R: Real = f64> {
-    /// The incident wave at the entrance of every slice (`psi_s` before
-    /// transmission), length `slices`. The exit wave is never formed: the
-    /// far field comes straight from the last slice's spectrum.
-    pub incident: Vec<Array2<Complex<R>>>,
     /// The far-field diffraction wave `D = FFT(exit)`.
     pub far_field: Array2<Complex<R>>,
 }
@@ -207,8 +200,8 @@ impl<R: Real> ForwardPass<R> {
 #[derive(Clone, Debug)]
 pub struct MultisliceModel<R: Real = f64> {
     probe: Probe,
-    /// The probe field at precision `R`: the first incident wave.
-    incident: Array2<Complex<R>>,
+    /// The probe field at precision `R`: the first incident wave `psi_0`.
+    probe_field: Array2<Complex<R>>,
     plan: PropagationPlan<R>,
     slices: usize,
 }
@@ -226,7 +219,7 @@ impl MultisliceModel {
             geom.slice_thickness_pm,
         );
         Self {
-            incident: probe.field().clone(),
+            probe_field: probe.field().clone(),
             probe,
             plan,
             slices,
@@ -239,7 +232,7 @@ impl MultisliceModel {
     pub fn narrowed<S: Real>(&self) -> MultisliceModel<S> {
         MultisliceModel {
             probe: self.probe.clone(),
-            incident: self.incident.map(|v| Complex::narrow(*v)),
+            probe_field: self.probe_field.map(|v| Complex::narrow(*v)),
             plan: self.plan.narrowed(),
             slices: self.slices,
         }
@@ -267,8 +260,14 @@ impl<R: Real> MultisliceModel<R> {
         self.probe.window_px()
     }
 
+    /// The probe field at precision `R`, `psi_0`: the adjoint reads it for
+    /// the first slice's gradient, so no workspace holds a copy.
+    pub(crate) fn probe_field(&self) -> &Array2<Complex<R>> {
+        &self.probe_field
+    }
+
     /// Runs the forward model on an object patch (shape
-    /// `(slices, window, window)`), keeping intermediates for the adjoint.
+    /// `(slices, window, window)`) and returns the far field.
     ///
     /// By-value wrapper over [`Self::forward_with`] — it allocates a fresh
     /// [`SimWorkspace`] per call. Hot loops should hold a workspace and call
@@ -280,18 +279,24 @@ impl<R: Real> MultisliceModel<R> {
         let mut ws = SimWorkspace::for_model(self);
         self.forward_with(object_patch, &mut ws);
         ForwardPass {
-            incident: ws.incident,
             far_field: ws.far_field,
         }
     }
 
-    /// Runs the forward model into a reusable [`SimWorkspace`]: the incident
-    /// stack and far field are written into `ws`'s buffers, so repeated calls
-    /// perform zero heap allocations.
+    /// Runs the forward model on an object patch into a reusable
+    /// [`SimWorkspace`]: the incident waves and far field are written into
+    /// `ws`'s buffers, so repeated calls perform zero heap allocations.
     ///
     /// # Panics
     /// Panics if the patch or workspace does not match the model.
     pub fn forward_with(&self, object_patch: &Array3<Complex<R>>, ws: &mut SimWorkspace<R>) {
+        self.check_patch(object_patch);
+        self.forward_from(|s, t| t.copy_from_slice(object_patch.slice_data(s)), ws);
+    }
+
+    /// Panics unless `object_patch` has the model's shape
+    /// `(slices, window, window)`.
+    pub(crate) fn check_patch(&self, object_patch: &Array3<Complex<R>>) {
         let n = self.window_px();
         assert_eq!(
             object_patch.shape(),
@@ -301,6 +306,22 @@ impl<R: Real> MultisliceModel<R> {
             self.slices,
             n
         );
+    }
+
+    /// The forward model over an object read one slice at a time:
+    /// `load(s, t)` writes slice `s` (row-major, `window × window`) into `t`,
+    /// every slice once in ascending order. Each slice is loaded into the
+    /// back-propagation buffer, which the forward pass does not otherwise
+    /// use.
+    ///
+    /// # Panics
+    /// Panics if the workspace does not match the model.
+    pub(crate) fn forward_from(
+        &self,
+        load: impl Fn(usize, &mut [Complex<R>]),
+        ws: &mut SimWorkspace<R>,
+    ) {
+        let n = self.window_px();
         assert_eq!(
             (ws.slices(), ws.window_px()),
             (self.slices, n),
@@ -314,18 +335,19 @@ impl<R: Real> MultisliceModel<R> {
         let SimWorkspace {
             incident,
             far_field,
-            ..
+            back,
         } = ws;
         let fft = &self.plan.fft;
-        incident[0].copy_from(&self.incident);
         let last = self.slices - 1;
         for s in 0..self.slices {
             // The slice's spectrum FFT(psi_s ⊙ t_s), the product taken as the
             // transform loads psi_s; the far-field buffer holds it until the
             // last slice's spectrum becomes D.
-            let (before, after) = incident.split_at_mut(s + 1);
-            let t_s = Factor::Mul(object_patch.slice_data(s));
-            fft.forward_fused(far_field, before[s].as_slice(), Some(t_s));
+            load(s, back.as_mut_slice());
+            let (before, after) = incident.split_at_mut(s);
+            let psi_s = before.last().unwrap_or(&self.probe_field);
+            let t_s = Factor::Mul(back.as_slice());
+            fft.forward_fused(far_field, psi_s.as_slice(), Some(t_s));
             if s < last {
                 // psi_{s+1} = IFFT(H ⊙ spectrum), the product again on load.
                 let h = Some(self.plan.transfer_factor());
@@ -409,8 +431,8 @@ mod tests {
         let mut ws = SimWorkspace::for_model(&model);
         model.forward_with(&vacuum(3, 32), &mut ws);
         let e0 = energy(model.probe().field());
-        for s in 1..3 {
-            assert!((energy(ws.incident(s)) - e0).abs() < 1e-9 * e0, "slice {s}");
+        for (s, psi) in (1..3).zip(&ws.incident) {
+            assert!((energy(psi) - e0).abs() < 1e-9 * e0, "slice {s}");
         }
     }
 
@@ -464,7 +486,12 @@ mod tests {
         let probe = test_probe(16);
         let model = MultisliceModel::new(probe, 3);
         let pass = model.forward(&vacuum(3, 16));
-        assert_eq!(pass.incident.len(), 3);
+        // The workspace keeps the incident waves the adjoint reads: every
+        // one but the first, which is the model's probe.
+        let mut ws = SimWorkspace::for_model(&model);
+        model.forward_with(&vacuum(3, 16), &mut ws);
+        assert_eq!((ws.slices(), ws.incident.len()), (3, 2));
+        assert_eq!(ws.bytes(), 4 * 16 * 16 * std::mem::size_of::<Complex64>());
         assert_eq!(pass.far_field.shape(), (16, 16));
         assert_eq!(pass.amplitude().shape(), (16, 16));
     }
@@ -477,9 +504,11 @@ mod tests {
             Complex64::cis(0.1 * ((s + 2 * r + c) as f64).sin())
         });
         let pass = model.forward(&object);
+        let mut fresh = SimWorkspace::for_model(&model);
+        model.forward_with(&object, &mut fresh);
         let mut ws = SimWorkspace::for_model(&model);
         // Run twice through the same workspace: reuse must not change results.
-        model.forward_with(&object, &mut ws);
+        model.forward_with(&vacuum(3, 16), &mut ws);
         model.forward_with(&object, &mut ws);
         for (a, b) in pass
             .far_field
@@ -490,12 +519,8 @@ mod tests {
             assert_eq!(a.re.to_bits(), b.re.to_bits());
             assert_eq!(a.im.to_bits(), b.im.to_bits());
         }
-        for s in 0..3 {
-            for (a, b) in pass.incident[s]
-                .as_slice()
-                .iter()
-                .zip(ws.incident(s).as_slice())
-            {
+        for (psi_fresh, psi) in fresh.incident.iter().zip(&ws.incident) {
+            for (a, b) in psi_fresh.as_slice().iter().zip(psi.as_slice()) {
                 assert_eq!(a.re.to_bits(), b.re.to_bits());
                 assert_eq!(a.im.to_bits(), b.im.to_bits());
             }
