@@ -109,8 +109,8 @@ impl<T: Clone> Array3<T> {
 
     /// The allocation-free sibling of [`Self::extract_region_with_fill`]:
     /// writes the extracted region into a caller-owned volume of shape
-    /// `(depth, region.rows(), region.cols())`, so repeated probe-window
-    /// extractions reuse one buffer. Out-of-bounds cells take `fill`.
+    /// `(depth, region.rows(), region.cols())`, so repeated extractions
+    /// reuse one buffer. Out-of-bounds cells take `fill`.
     ///
     /// # Panics
     /// Panics if `out` does not have the expected shape.
