@@ -113,12 +113,6 @@ impl<T: Clone> Array2<T> {
         }
     }
 
-    /// Overwrites every element with `value` (an allocation-free reset; the
-    /// accumulation buffers of Algorithm 1 are cleared this way every round).
-    pub fn fill(&mut self, value: T) {
-        self.data.fill(value);
-    }
-
     /// Returns a transposed copy of the array.
     pub fn transposed(&self) -> Array2<T> {
         let mut data = Vec::with_capacity(self.data.len());
@@ -475,13 +469,6 @@ mod tests {
         assert_eq!(total, 36);
         let indexed: Vec<_> = a.indexed_iter().filter(|&(r, c, _)| r == c).collect();
         assert_eq!(indexed.len(), 3);
-    }
-
-    #[test]
-    fn fill_reuses_storage() {
-        let mut a = Array2::full(2, 3, 1.0f64);
-        a.fill(4.0);
-        assert!(a.iter().all(|&v| v == 4.0));
     }
 
     #[test]

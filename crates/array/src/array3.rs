@@ -97,32 +97,11 @@ impl<T: Clone> Array3<T> {
     /// smaller volume of shape `(depth, region.rows(), region.cols())`.
     /// Out-of-bounds cells are filled with `fill`.
     pub fn extract_region_with_fill(&self, region: Rect, fill: T) -> Array3<T> {
-        let mut out = Array3::full(self.depth, region.rows(), region.cols(), fill.clone());
-        self.extract_region_into(region, fill, &mut out);
-        out
-    }
-
-    /// Overwrites every voxel with `value` (an allocation-free reset).
-    pub fn fill(&mut self, value: T) {
-        self.data.fill(value);
-    }
-
-    /// The allocation-free sibling of [`Self::extract_region_with_fill`]:
-    /// writes the extracted region into a caller-owned volume of shape
-    /// `(depth, region.rows(), region.cols())`, so repeated extractions
-    /// reuse one buffer. Out-of-bounds cells take `fill`.
-    ///
-    /// # Panics
-    /// Panics if `out` does not have the expected shape.
-    pub fn extract_region_into(&self, region: Rect, fill: T, out: &mut Array3<T>) {
-        self.check_block("extract_region_into", region, out);
-        let plane = self.plane_bounds();
-        if region.intersect(&plane).area() != region.area() {
-            out.data.fill(fill);
-        }
-        for (src, dst) in clipped_rows(plane, region, self.depth) {
+        let mut out = Array3::full(self.depth, region.rows(), region.cols(), fill);
+        for (src, dst) in clipped_rows(self.plane_bounds(), region, self.depth) {
             out.data[dst].clone_from_slice(&self.data[src]);
         }
+        out
     }
 
     /// Writes `block` (one sub-plane per slice) into `region` of every slice,
@@ -360,37 +339,6 @@ mod tests {
         assert_eq!(sub.shape(), (1, 3, 3));
         assert_eq!(sub[(0, 0, 0)], 0.0);
         assert_eq!(sub[(0, 1, 1)], 3.0);
-    }
-
-    #[test]
-    fn extract_region_into_matches_allocating_extract() {
-        let v = Array3::from_fn(3, 5, 6, |s, r, c| (s * 100 + r * 10 + c) as f64);
-        for &region in &[
-            Rect::new(1, 2, 3, 3),
-            Rect::new(-2, -1, 4, 4),
-            Rect::new(3, 4, 4, 4),
-            Rect::new(10, 10, 2, 2),
-        ] {
-            let expected = v.extract_region_with_fill(region, -1.0);
-            let mut out = Array3::full(3, region.rows(), region.cols(), 0.0);
-            v.extract_region_into(region, -1.0, &mut out);
-            assert_eq!(out, expected, "region {region:?}");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "extract_region_into")]
-    fn extract_region_into_wrong_shape_panics() {
-        let v = Array3::full(1, 4, 4, 0.0f64);
-        let mut out = Array3::full(1, 2, 3, 0.0);
-        v.extract_region_into(Rect::new(0, 0, 2, 2), 0.0, &mut out);
-    }
-
-    #[test]
-    fn fill_resets_every_voxel() {
-        let mut v = Array3::from_fn(2, 2, 2, |s, r, c| (s + r + c) as f64);
-        v.fill(0.0);
-        assert!(v.iter().all(|&x| x == 0.0));
     }
 
     #[test]

@@ -2,9 +2,10 @@
 //!
 //! The steady-state Gradient Decomposition iteration is allocation-free:
 //! FFTs run in place, in the field's own storage, the multislice
-//! forward/adjoint evaluation reuses a `SimWorkspace`, the per-rank gradient
-//! and accumulation buffers are pooled at `init`, and the buffer resets
-//! happen in place. This binary installs a counting global allocator and
+//! forward/adjoint evaluation reuses a `SimWorkspace` (which also holds each
+//! object slice and each slice's gradient: no rank holds a gradient volume),
+//! the per-rank accumulation buffers are allocated once at `init`, and the
+//! buffer resets happen in place. This binary installs a counting global allocator and
 //! pins the property: a run with extra iterations must perform **exactly**
 //! the same number of allocations as a shorter run — i.e. a steady-state
 //! iteration allocates nothing.
