@@ -3,9 +3,9 @@
 //! A [`Transport`] moves envelopes between ranks and nothing else: enqueue,
 //! blocking matched take, barrier, rank finished.
 //! Everything a solver observes on top of that — range checks, correlation
-//! ids, fault routing, wire-time charging, wait-time measurement, rank
-//! death, loss and departure, and the transport-level telemetry events —
-//! is written once, in [`RankCtx`], so two transports
+//! ids, fault routing, the simulated clock's send, receive and barrier
+//! rules, rank death, loss and departure, and the transport-level telemetry
+//! events — is written once, in [`RankCtx`], so two transports
 //! cannot drift apart in any of it. [`launch`] is the matching single
 //! launcher: one scoped thread per rank, rank exit (return *or* unwind)
 //! announced to every peer and reported to the transport, outcomes
@@ -43,6 +43,8 @@ pub(crate) enum Content<M> {
         /// so a telemetry receive pairs with its originating send
         /// unambiguously, whatever order the receiver takes its streams in.
         corr: u64,
+        /// Arrival time: the sender's simulated clock after the wire time.
+        at: u64,
         payload: M,
     },
     /// The tombstone of a message the fault layer dropped.
@@ -98,10 +100,11 @@ pub trait Transport {
     /// Blocks until [`take_match`] decides the take.
     fn take(&mut self, from: usize, tag: u64) -> Result<Envelope<Self::Msg>, CommError>;
 
-    /// Blocks until every rank has arrived, or fails with
+    /// Blocks until every rank has arrived, and returns the latest of
+    /// their simulated arrival times (this rank's is `at`), or fails with
     /// [`CommError::BarrierBroken`] once a rank has finished without
     /// arriving.
-    fn barrier(&mut self) -> Result<(), CommError>;
+    fn barrier(&mut self, at: u64) -> Result<u64, CommError>;
 
     /// This rank's body returned or unwound: it will never send, receive or
     /// arrive at a barrier again. Runs during unwinding, so must not panic.
@@ -126,7 +129,7 @@ pub struct Instruments {
     pub telemetry: Option<RankSink>,
 }
 
-/// The per-rank handle of every built-in backend: identity, clocks, memory,
+/// The per-rank handle of every built-in backend: identity, clock, memory,
 /// instruments and the fault-routing state, over a transport `T`.
 pub struct RankCtx<T: Transport> {
     rank: usize,
@@ -163,15 +166,23 @@ impl<T: Transport> RankComm<T::Msg> for RankCtx<T> {
         self.send_corr += 1;
         let envelope = Envelope {
             from: self.rank,
-            content: Content::Message { tag, corr, payload },
+            content: Content::Message {
+                tag,
+                corr,
+                at: 0,
+                payload,
+            },
         };
-        let routed = fault::route_send(&mut self.instruments, &mut self.dead, to, envelope);
-        if let Some(envelope) = routed {
-            // A message charges its analytic wire time to the sender; a
-            // tombstone crosses no wire.
-            if let Content::Message { .. } = envelope.content {
-                let wire = self.topology.transfer_time(self.rank, to, bytes);
-                self.clock.charge_communication(wire);
+        let now = self.clock.now();
+        let routed = fault::route_send(&mut self.instruments, &mut self.dead, now, to, envelope);
+        if let Some(mut envelope) = routed {
+            // A message charges its analytic wire time to the sender and
+            // arrives at the sender's clock after it; a tombstone crosses
+            // no wire.
+            if let Content::Message { at, .. } = &mut envelope.content {
+                *at = self
+                    .clock
+                    .send(self.topology.transfer_time(self.rank, to, bytes));
             }
             self.transport.enqueue(to, envelope);
         }
@@ -191,16 +202,20 @@ impl<T: Transport> RankComm<T::Msg> for RankCtx<T> {
         if self.dead {
             return Err(CommError::RankDead { rank: self.rank });
         }
-        let envelope = self.clock.wait(|| self.transport.take(from, tag))?;
-        let Content::Message { corr, payload, .. } = envelope.content else {
+        let envelope = self.transport.take(from, tag)?;
+        let Content::Message {
+            corr, at, payload, ..
+        } = envelope.content
+        else {
             return Err(CommError::MessageLost {
                 rank: self.rank,
                 from,
                 tag,
             });
         };
+        self.clock.wait_until(at);
         // Recorded at the API-return point: program order on the receiver,
-        // stamped with the deterministic communication clock.
+        // stamped at the message's arrival or later.
         self.trace(TelemetryEvent::CommRecv {
             from: from as u64,
             tag,
@@ -214,7 +229,9 @@ impl<T: Transport> RankComm<T::Msg> for RankCtx<T> {
         if self.dead {
             return Err(CommError::RankDead { rank: self.rank });
         }
-        self.clock.wait(|| self.transport.barrier())
+        let latest = self.transport.barrier(self.clock.now())?;
+        self.clock.wait_until(latest);
+        Ok(())
     }
 
     fn clock_mut(&mut self) -> &mut RankClock {
@@ -293,7 +310,7 @@ where
                         instruments: Instruments::default(),
                         send_corr: 0,
                         dead: false,
-                        clock: RankClock::new(),
+                        clock: RankClock::default(),
                         memory: MemoryTracker::new(),
                     };
                     let result = {
@@ -331,6 +348,11 @@ pub(super) mod conformance {
     use crate::topology::ClusterTopology;
     use ptycho_telemetry::{Telemetry, TelemetryEvent};
 
+    /// `seconds` as the clock books it: whole nanoseconds.
+    fn booked(seconds: f64) -> f64 {
+        (seconds * 1e9) as u64 as f64 / 1e9
+    }
+
     /// Instantiates every conformance case as a `#[test]` on `$backend`.
     macro_rules! transport_conformance_tests {
         ($backend:expr) => {
@@ -338,6 +360,7 @@ pub(super) mod conformance {
                 ring_pass_accumulates,
                 tag_matching_is_respected,
                 barrier_synchronises_all_ranks,
+                barrier_moves_every_clock_to_the_latest_arrival,
                 communication_time_is_charged_to_sender,
                 self_send_is_received_locally,
                 outcomes_are_ordered_by_rank,
@@ -434,6 +457,23 @@ pub(super) mod conformance {
         }
     }
 
+    /// Ranks that reach a barrier at different simulated times all leave it
+    /// at the latest arrival, each booking its own gap as wait.
+    pub fn barrier_moves_every_clock_to_the_latest_arrival<B: CommBackend>(backend: &B) {
+        let outcomes = backend
+            .run::<Vec<f64>, (), _>(4, |ctx| {
+                let busy = [300, 1_200, 700, 0][ctx.rank()];
+                ctx.clock_mut().compute(busy);
+                ctx.barrier()
+            })
+            .unwrap();
+        let waits: Vec<f64> = outcomes.iter().map(|o| o.time.wait).collect();
+        assert_eq!(waits, [900e-9, 0.0, 500e-9, 1_200e-9]);
+        for o in &outcomes {
+            assert_eq!(o.time.total(), 1_200e-9, "rank {}", o.rank);
+        }
+    }
+
     pub fn communication_time_is_charged_to_sender<B: CommBackend>(backend: &B) {
         let payload_len = 10_000usize;
         let outcomes = backend
@@ -448,10 +488,10 @@ pub(super) mod conformance {
             })
             .unwrap();
         let expected = ClusterTopology::summit().transfer_time(0, 6, payload_len * 8);
-        assert!((outcomes[0].time.communication - expected).abs() < 1e-12);
+        assert_eq!(outcomes[0].time.communication, booked(expected));
         assert_eq!(outcomes[6].time.communication, 0.0);
-        // The receiver's blocking time shows up as wait.
-        assert!(outcomes[6].time.wait >= 0.0);
+        // The receiver, idle until then, waits for the message's arrival.
+        assert_eq!(outcomes[6].time.wait, booked(expected));
     }
 
     pub fn self_send_is_received_locally<B: CommBackend>(backend: &B) {
@@ -546,8 +586,8 @@ pub(super) mod conformance {
             tag: 5,
         };
         assert_eq!(outcomes[1].result, (3.0, Some(lost), 2.0));
-        let two_sends = 2.0 * ClusterTopology::summit().transfer_time(0, 1, 8);
-        assert!((outcomes[0].time.communication - two_sends).abs() < 1e-12);
+        let one_send = booked(ClusterTopology::summit().transfer_time(0, 1, 8));
+        assert_eq!(outcomes[0].time.communication, 2.0 * one_send);
         assert_eq!(faulty.fault_count(), 1);
     }
 

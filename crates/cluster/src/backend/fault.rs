@@ -17,6 +17,7 @@
 
 use super::context::{Content, Envelope, Instruments};
 use super::{CommBackend, CommError, Payload, RankComm, RankFailure, RankOutcome};
+use ptycho_telemetry::TelemetryEvent;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -290,10 +291,11 @@ impl FaultHarness {
 /// any) and return what reaches the transport — the envelope itself, its
 /// tombstone in its place (a drop), or nothing when the send kills the
 /// sending rank (`dead` is set, this envelope is lost, and all later sends
-/// are suppressed).
+/// are suppressed). A drop or a death is stamped at the sender's `now`.
 pub(super) fn route_send<M: Payload>(
     instruments: &mut Instruments,
     dead: &mut bool,
+    now: u64,
     to: usize,
     envelope: Envelope<M>,
 ) -> Option<Envelope<M>> {
@@ -314,11 +316,8 @@ pub(super) fn route_send<M: Payload>(
         FaultAction::Deliver => Some(envelope),
         FaultAction::Drop => {
             if let Some(sink) = telemetry {
-                sink.record(ptycho_telemetry::TelemetryEvent::CommDrop {
-                    to: to as u64,
-                    tag,
-                    bytes,
-                });
+                let to = to as u64;
+                sink.record_at(now, TelemetryEvent::CommDrop { to, tag, bytes });
             }
             // The tombstone keeps the message's place in its stream, so
             // the receive that would have matched it reports the loss.
@@ -334,7 +333,7 @@ pub(super) fn route_send<M: Payload>(
                     .as_ref()
                     .expect("only a harness can kill a node")
                     .node;
-                sink.record(ptycho_telemetry::TelemetryEvent::RankDead { node: node as u64 });
+                sink.record_at(now, TelemetryEvent::RankDead { node: node as u64 });
             }
             None
         }

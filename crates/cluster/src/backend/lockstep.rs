@@ -60,6 +60,11 @@ struct SchedState<M> {
     /// can tell a genuine release apart from a deadlock wake-up even after
     /// earlier deadlocks were proven and recovered.
     barrier_epoch: u64,
+    /// The latest simulated arrival at the barrier being gathered.
+    barrier_latest: u64,
+    /// The latest arrival at the last barrier released, which every rank
+    /// it released reads before the next barrier can release.
+    released_at: u64,
 }
 
 struct Shared<M> {
@@ -163,6 +168,7 @@ impl<M> SchedState<M> {
         }
         self.status.fill(RankStatus::Runnable);
         self.barrier_epoch += 1;
+        self.released_at = std::mem::take(&mut self.barrier_latest);
         // Completing a barrier is progress; drop any stale proof.
         self.deadlock = None;
         true
@@ -232,10 +238,11 @@ impl<M: Payload> Transport for LockstepTransport<M> {
         }
     }
 
-    fn barrier(&mut self) -> Result<(), CommError> {
+    fn barrier(&mut self, at: u64) -> Result<u64, CommError> {
         let rank = self.rank;
         let mut state = self.lock();
         let entered_epoch = state.barrier_epoch;
+        state.barrier_latest = state.barrier_latest.max(at);
         loop {
             if state.barrier_broken() {
                 return Err(CommError::BarrierBroken { rank });
@@ -243,14 +250,14 @@ impl<M: Payload> Transport for LockstepTransport<M> {
             state.status[rank] = RankStatus::BlockedBarrier;
             if state.try_release_barrier() {
                 self.shared.baton.notify_all();
-                return Ok(());
+                return Ok(state.released_at);
             }
             state = self.park(state, RankStatus::BlockedBarrier);
             // A bumped epoch means the barrier genuinely completed; an
             // un-bumped one with a finished rank or a standing deadlock proof
             // is a failure.
             if state.barrier_epoch != entered_epoch {
-                return Ok(());
+                return Ok(state.released_at);
             }
             if state.barrier_broken() {
                 return Err(CommError::BarrierBroken { rank });
@@ -315,6 +322,8 @@ impl CommBackend for LockstepBackend {
                 mailboxes: (0..num_ranks).map(|_| Vec::new()).collect(),
                 deadlock: None,
                 barrier_epoch: 0,
+                barrier_latest: 0,
+                released_at: 0,
             }),
             baton: Condvar::new(),
         });

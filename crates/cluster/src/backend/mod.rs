@@ -10,8 +10,8 @@
 //!   collects one [`RankOutcome`] per rank.
 //!
 //! Everything a rank observes above the wire — range checks, correlation
-//! ids, fault routing, wire-time and wait-time charging,
-//! rank death, transport-level telemetry — is written once, in the generic
+//! ids, fault routing, the simulated [`RankClock`] (the same on either
+//! backend), rank death, transport-level telemetry — is written once, in the generic
 //! per-rank context [`RankCtx`]. Beneath it a *transport* is four calls
 //! (enqueue an envelope, blocking matched take, barrier, rank finished),
 //! and the two built-in backends are one transport
@@ -19,8 +19,8 @@
 //!
 //! | Backend | Execution | Use it for |
 //! |---|---|---|
-//! | [`ThreadedBackend`] | one OS thread per rank, real channels | the default; wall-clock compute/wait measurement |
-//! | [`LockstepBackend`] | cooperative scheduler, one rank runs at a time in a fixed order | deterministic replayable runs, deadlock *detection* instead of hangs |
+//! | [`ThreadedBackend`] | one OS thread per rank, real channels | the default; ranks run concurrently |
+//! | [`LockstepBackend`] | cooperative scheduler, one rank runs at a time in a fixed order | replayable interleavings, deadlock *detection* instead of hangs |
 //! | [`FaultInjectionBackend`] | wraps either of the above | dropping messages and killing nodes under a seeded policy |
 //!
 //! The fault layer and the iteration engine reach the context's fault
@@ -300,7 +300,7 @@ pub struct RankOutcome<R> {
     pub rank: usize,
     /// Whatever the rank body returned.
     pub result: R,
-    /// Time accounting collected by the rank.
+    /// The rank's simulated clock at exit, in seconds.
     pub time: crate::clock::TimeBreakdown,
     /// Memory accounting collected by the rank.
     pub memory: MemoryTracker,
@@ -311,9 +311,10 @@ pub struct RankOutcome<R> {
 /// The primitives mirror MPI: sends are non-blocking and buffered
 /// (`MPI_Isend`), receives are matched on `(source, tag)` with per-sender
 /// ordering (`MPI_Irecv` + `MPI_Wait`), and barriers synchronise every rank.
-/// On top of the wire surface each rank carries its own [`RankClock`] (time
-/// accounting) and [`MemoryTracker`] (memory accounting), because the solvers
-/// charge simulated compute time and GPU allocations as they go.
+/// On top of the wire surface each rank carries its own [`RankClock`] (the
+/// simulated time every other layer reads) and [`MemoryTracker`] (memory
+/// accounting), because the solvers charge modelled compute time and GPU
+/// allocations as they go.
 pub trait RankComm<M: Payload> {
     /// This rank's index in `0..size`.
     fn rank(&self) -> usize;
@@ -323,24 +324,26 @@ pub trait RankComm<M: Payload> {
 
     /// Non-blocking send of `payload` to `to` with a user-chosen `tag` (the
     /// analogue of `MPI_Isend` into a buffered request). The analytic wire
-    /// time for the message is charged to this rank's communication budget.
+    /// time for the message is charged to this rank's clock, and the
+    /// message arrives at the clock after that charge.
     ///
     /// # Panics
     /// Panics if `to` is out of range.
     fn isend(&mut self, to: usize, tag: u64, payload: M);
 
     /// Blocking receive of the next message from `from` with tag `tag` (the
-    /// analogue of `MPI_Irecv` + `MPI_Wait`). Time spent blocked is charged
-    /// to wait time. Returns a [`CommError`] instead of hanging when the
+    /// analogue of `MPI_Irecv` + `MPI_Wait`). The clock moves to the
+    /// message's arrival if that is later, booking the gap as wait. Returns a [`CommError`] instead of hanging when the
     /// message can never arrive: it was lost ([`CommError::MessageLost`]),
     /// its sender exited first ([`CommError::PeerGone`]), or the lockstep
     /// scheduler proved a deadlock.
     fn recv(&mut self, from: usize, tag: u64) -> Result<M, CommError>;
 
-    /// Synchronises all ranks; blocked time is charged to wait time.
+    /// Synchronises all ranks; every rank's clock moves to the latest
+    /// arrival, booking its own gap as wait.
     fn barrier(&mut self) -> Result<(), CommError>;
 
-    /// The rank's time accounting.
+    /// The rank's simulated clock.
     fn clock_mut(&mut self) -> &mut RankClock;
 
     /// The rank's memory accounting.
@@ -351,11 +354,11 @@ pub trait RankComm<M: Payload> {
     fn instruments(&mut self) -> &mut Instruments;
 
     /// Records `event` on the rank's telemetry stream, when one is
-    /// installed, stamped at the rank's communication clock.
+    /// installed, stamped at the rank's simulated clock.
     fn trace(&mut self, event: TelemetryEvent) {
-        let now = self.clock_mut().comm_ns();
+        let now = self.clock_mut().now();
         if let Some(sink) = &mut self.instruments().telemetry {
-            sink.record_at_comm_ns(now, event);
+            sink.record_at(now, event);
         }
     }
 }

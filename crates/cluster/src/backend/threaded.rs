@@ -6,13 +6,13 @@
 //! message arrives (the semantics of `MPI_Wait` on an `MPI_Irecv`). Tag
 //! matching and per-sender ordering follow MPI rules.
 //!
-//! Wall-clock time spent blocked in receives and barriers is measured and
-//! charged to *wait* time; the analytic wire time of each message (from the
-//! [`ClusterTopology`]) is charged to *communication* time, because a channel
-//! between threads is orders of magnitude faster than InfiniBand and measuring
-//! it directly would tell us nothing about the modelled machine. Both charges
-//! are made by the shared [`RankCtx`]; this file is only the channels and the
-//! barrier.
+//! Time is simulated, not measured: the shared [`RankCtx`] charges each
+//! message's analytic wire time (from the [`ClusterTopology`]) and moves a
+//! receiver's clock to the message's arrival, because a channel between
+//! threads is orders of magnitude faster than InfiniBand and measuring it
+//! would tell us nothing about the modelled machine. This file is only the
+//! channels and the barrier, which hands every rank the latest simulated
+//! arrival.
 //!
 //! Nothing here keeps time. A receive whose message was dropped, or whose
 //! sender has exited, is decided by the tombstone or exit notice in the
@@ -42,6 +42,11 @@ struct BarrierState {
     /// Ranks whose body has exited. Any departure makes every later
     /// generation impossible to complete.
     departed: usize,
+    /// The latest simulated arrival in the generation being gathered.
+    latest: u64,
+    /// The latest arrival of the last generation completed, which each of
+    /// its ranks reads before the next generation can complete.
+    released_at: u64,
 }
 
 impl BreakableBarrier {
@@ -52,22 +57,27 @@ impl BreakableBarrier {
                 arrived: 0,
                 generation: 0,
                 departed: 0,
+                latest: 0,
+                released_at: 0,
             }),
             changed: Condvar::new(),
         }
     }
 
-    /// Waits for all ranks; on `Err(())` the arrival is rolled back so the
+    /// Waits for all ranks, arriving at simulated time `at`, and returns
+    /// the latest arrival; on `Err(())` the arrival is rolled back so the
     /// counters stay valid.
-    fn wait(&self) -> Result<(), ()> {
+    fn wait(&self, at: u64) -> Result<u64, ()> {
         let mut state = self.state.lock().expect("barrier poisoned");
         let generation = state.generation;
         state.arrived += 1;
+        state.latest = state.latest.max(at);
         if state.arrived == self.size {
             state.arrived = 0;
             state.generation += 1;
+            state.released_at = std::mem::take(&mut state.latest);
             self.changed.notify_all();
-            return Ok(());
+            return Ok(state.released_at);
         }
         while state.generation == generation {
             if state.departed > 0 {
@@ -76,7 +86,7 @@ impl BreakableBarrier {
             }
             state = self.changed.wait(state).expect("barrier poisoned");
         }
-        Ok(())
+        Ok(state.released_at)
     }
 
     /// Records that a rank exited and wakes every waiter. May run during an
@@ -127,9 +137,9 @@ impl<M: Payload> Transport for ThreadedTransport<M> {
         }
     }
 
-    fn barrier(&mut self) -> Result<(), CommError> {
+    fn barrier(&mut self, at: u64) -> Result<u64, CommError> {
         self.barrier
-            .wait()
+            .wait(at)
             .map_err(|()| CommError::BarrierBroken { rank: self.rank })
     }
 

@@ -1,12 +1,28 @@
-//! Per-rank simulated clocks and runtime breakdowns.
+//! The per-rank simulated clock and the runtime breakdown read from it.
 //!
 //! Fig. 7b of the paper breaks reconstruction runtime into *computation*,
-//! *GPU waiting* and *communication* time. The threaded runtime measures the
-//! first two with real wall-clock timers and charges the third from the
-//! topology's analytic transfer times (a thread channel is far faster than
-//! InfiniBand, so measuring it directly would be meaningless).
-
-use std::time::Instant;
+//! *GPU waiting* and *communication* time. Each rank keeps one
+//! [`RankClock`] in integer nanoseconds of the modelled machine, and only the
+//! model moves it:
+//!
+//! * **compute** — each probe gradient charges the Summit model's per-probe
+//!   time ([`HardwareModel::probe_gradient_time`]);
+//! * **send** — the sender charges the message's analytic wire time
+//!   ([`ClusterTopology::transfer_time`]), and the message carries the
+//!   sender's clock after that charge: its arrival time;
+//! * **receive** — the clock moves to `max(own, arrival)`, and the gap is
+//!   booked as wait;
+//! * **barrier** — every rank moves to the latest arrival, each booking its
+//!   own gap as wait.
+//!
+//! This is Lamport's logical clock (CACM 1978) with the LogGP-shaped message
+//! cost of `transfer_time` (Alexandrov et al., SPAA 1995). A rank's clock is
+//! a function of its program order and of the arrival times it receives, so
+//! every reading of it — [`TimeBreakdown`], the telemetry stamps — is the
+//! same on every backend and on every run. No wall time enters it.
+//!
+//! [`HardwareModel::probe_gradient_time`]: crate::HardwareModel::probe_gradient_time
+//! [`ClusterTopology::transfer_time`]: crate::ClusterTopology::transfer_time
 
 /// A breakdown of where a rank's time went, in seconds.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
@@ -44,70 +60,59 @@ impl TimeBreakdown {
     }
 }
 
-/// A per-rank clock accumulating a [`TimeBreakdown`].
-#[derive(Debug)]
+/// One rank's simulated clock: the time it has spent computing,
+/// communicating and waiting, in integer nanoseconds. Its reading,
+/// [`Self::now`], is their sum.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RankClock {
-    breakdown: TimeBreakdown,
-    /// Deterministic integer mirror of the analytic communication charges,
-    /// in nanoseconds. Unlike the wall-clock compute/wait measurements this
-    /// is a pure function of the message sequence, so telemetry stamps taken
-    /// from it are bit-identical across identical seeded runs.
+    compute_ns: u64,
     comm_ns: u64,
-}
-
-impl Default for RankClock {
-    fn default() -> Self {
-        Self::new()
-    }
+    wait_ns: u64,
 }
 
 impl RankClock {
-    /// Creates a clock with all categories at zero.
-    pub fn new() -> Self {
-        Self {
-            breakdown: TimeBreakdown::default(),
-            comm_ns: 0,
-        }
+    /// The rank's simulated time.
+    pub fn now(&self) -> u64 {
+        self.compute_ns + self.comm_ns + self.wait_ns
     }
 
-    /// Runs `f`, charging its wall-clock duration to *compute* time.
-    pub fn compute<T>(&mut self, f: impl FnOnce() -> T) -> T {
-        let start = Instant::now();
-        let out = f();
-        self.breakdown.compute += start.elapsed().as_secs_f64();
-        out
+    /// Modelled compute booked so far.
+    pub fn compute_ns(&self) -> u64 {
+        self.compute_ns
     }
 
-    /// Runs `f` (typically a blocking receive), charging its wall-clock
-    /// duration to *wait* time.
-    pub fn wait<T>(&mut self, f: impl FnOnce() -> T) -> T {
-        let start = Instant::now();
-        let out = f();
-        self.breakdown.wait += start.elapsed().as_secs_f64();
-        out
-    }
-
-    /// Charges `seconds` of analytic communication time.
-    pub fn charge_communication(&mut self, seconds: f64) {
-        self.breakdown.communication += seconds;
-        self.comm_ns += (seconds * 1e9) as u64;
-    }
-
-    /// Cumulative analytic communication time in integer nanoseconds — the
-    /// deterministic clock telemetry events are stamped with.
+    /// Analytic communication booked so far.
     pub fn comm_ns(&self) -> u64 {
         self.comm_ns
     }
 
-    /// The accumulated breakdown.
-    pub fn breakdown(&self) -> TimeBreakdown {
-        self.breakdown
+    /// Charges `ns` of modelled compute.
+    pub fn compute(&mut self, ns: u64) {
+        self.compute_ns += ns;
     }
 
-    /// Resets all categories to zero.
-    pub fn reset(&mut self) {
-        self.breakdown = TimeBreakdown::default();
-        self.comm_ns = 0;
+    /// Charges a message's analytic wire time, `seconds`, and returns the
+    /// clock after it: the message's arrival time.
+    pub(crate) fn send(&mut self, seconds: f64) -> u64 {
+        self.comm_ns += (seconds * 1e9) as u64;
+        self.now()
+    }
+
+    /// Moves the clock to `at` if that is later, booking the gap as wait: a
+    /// receive of a message arriving at `at`, or a barrier whose latest
+    /// arrival is `at`.
+    pub(crate) fn wait_until(&mut self, at: u64) {
+        self.wait_ns += at.saturating_sub(self.now());
+    }
+
+    /// The breakdown in seconds.
+    pub fn breakdown(&self) -> TimeBreakdown {
+        let seconds = |ns: u64| ns as f64 / 1e9;
+        TimeBreakdown {
+            compute: seconds(self.compute_ns),
+            wait: seconds(self.wait_ns),
+            communication: seconds(self.comm_ns),
+        }
     }
 }
 
@@ -116,36 +121,55 @@ mod tests {
     use super::*;
 
     #[test]
-    fn compute_and_wait_are_measured() {
-        let mut clock = RankClock::new();
-        let value = clock.compute(|| {
-            std::thread::sleep(std::time::Duration::from_millis(5));
-            42
+    fn a_receive_books_the_gap_to_its_arrival_as_wait() {
+        let mut sender = RankClock::default();
+        sender.compute(1_000);
+        let arrival = sender.send(250e-9);
+        assert_eq!(
+            arrival, 1_250,
+            "a message arrives at the sender's clock after its wire time"
+        );
+
+        let mut receiver = RankClock::default();
+        receiver.compute(400);
+        receiver.wait_until(arrival);
+        assert_eq!(receiver.now(), 1_250);
+        assert_eq!(receiver.wait_ns, 850);
+
+        // A message that arrived while the receiver was busy costs no wait.
+        receiver.compute(1_000);
+        receiver.wait_until(arrival);
+        assert_eq!((receiver.now(), receiver.wait_ns), (2_250, 850));
+    }
+
+    #[test]
+    fn a_barrier_moves_every_rank_to_the_latest_arrival() {
+        let mut clocks = [300, 1_200, 700].map(|ns| {
+            let mut clock = RankClock::default();
+            clock.compute(ns);
+            clock
         });
-        assert_eq!(value, 42);
-        clock.wait(|| std::thread::sleep(std::time::Duration::from_millis(5)));
-        let b = clock.breakdown();
-        assert!(b.compute >= 0.004, "compute={}", b.compute);
-        assert!(b.wait >= 0.004, "wait={}", b.wait);
-        assert_eq!(b.communication, 0.0);
+        let latest = clocks.iter().map(RankClock::now).max().unwrap();
+        for clock in &mut clocks {
+            clock.wait_until(latest);
+        }
+        assert!(clocks.iter().all(|clock| clock.now() == 1_200));
+        let waits = clocks.map(|clock| clock.wait_ns);
+        assert_eq!(waits, [900, 0, 500]);
     }
 
     #[test]
     fn charges_accumulate() {
-        let mut clock = RankClock::new();
-        clock.charge_communication(1.5);
-        clock.charge_communication(0.5);
+        let mut clock = RankClock::default();
+        clock.send(1.5);
+        clock.send(0.5);
+        clock.compute(250_000_000);
         let b = clock.breakdown();
         assert_eq!(b.communication, 2.0);
-        assert_eq!(b.total(), 2.0);
-    }
-
-    #[test]
-    fn reset_clears() {
-        let mut clock = RankClock::new();
-        clock.charge_communication(1.0);
-        clock.reset();
-        assert_eq!(clock.breakdown(), TimeBreakdown::default());
+        assert_eq!(b.compute, 0.25);
+        assert_eq!(b.wait, 0.0);
+        assert_eq!(b.total(), 2.25);
+        assert_eq!(clock.now(), 2_250_000_000);
     }
 
     #[test]

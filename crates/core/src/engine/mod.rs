@@ -10,8 +10,8 @@
 //!
 //! * the rank's tile: the kernel's `init` hands over the rank's
 //!   `TileWorker` (the halo-extended sub-volume — as in the paper, a rank's
-//!   whole state between iterations), and the engine charges its modeled
-//!   compute, checkpoints and restores its volume, and stitches its core,
+//!   whole state between iterations), and the engine checkpoints and
+//!   restores its volume and stitches its core,
 //! * the per-rank iteration loop (one loop for every policy) and cost
 //!   bookkeeping,
 //! * gathering [`RankOutcome`]s and stitching the [`ReconstructionResult`],
@@ -49,7 +49,9 @@
 //! scratch (Algorithm 1's accumulation buffers) is zero at every iteration
 //! boundary, and every attempt builds it afresh. Every attempt also runs on
 //! fresh transports, so no message of a failed attempt can reach a later
-//! one. The attempt number goes to each rank's fault harness
+//! one. Each slot's simulated clock is kept across attempts: a restart starts
+//! where the failed attempt stopped, so its time stays booked and telemetry
+//! stamps stay monotonic. The attempt number goes to each rank's fault harness
 //! ([`FaultHarness::set_attempt`]), so seeded fault policies draw fresh
 //! decisions per attempt. It counts *attempts*; the membership epoch counts
 //! *promotions* — the two move independently (a restart without a death
@@ -72,7 +74,7 @@ use crate::worker::{TileVolume, TileWorker};
 use ptycho_array::Rect;
 use ptycho_cluster::{
     CommBackend, CommError, CrashPhase, FaultCursor, MembershipError, MembershipView,
-    MemoryTracker, RankComm, RankFailure, RankOutcome, SharedTile, TimeBreakdown,
+    MemoryTracker, RankClock, RankComm, RankFailure, RankOutcome, SharedTile, TimeBreakdown,
 };
 use ptycho_fft::CArray3;
 use ptycho_telemetry::{Telemetry, TelemetryEvent};
@@ -87,7 +89,8 @@ pub struct ReconstructionResult {
     pub volume: CArray3,
     /// Global cost `F(V)` per iteration, summed over every probe location.
     pub cost_history: CostHistory,
-    /// Per-rank time breakdowns.
+    /// Per-rank simulated time, from each rank's clock at the end of the
+    /// run (under [`RecoveryPolicy::Recover`], across every attempt).
     pub time: Vec<TimeBreakdown>,
     /// Per-rank memory accounting.
     pub memory: Vec<MemoryTracker>,
@@ -367,9 +370,9 @@ pub(crate) fn run<K: SolverKernel, B: CommBackend>(
 
 /// One rank's iterations `start..`: the per-rank loop of Algorithm 1, written
 /// once for every policy. Each iteration polls cancellation, stamps
-/// `IterationBegin`, runs the kernel's body, charges the tile's modeled
-/// compute and stamps `IterationEnd`, runs the policy's `boundary` step, and
-/// emits the progress event. Events go to the telemetry sink installed in
+/// `IterationBegin`, runs the kernel's body, stamps `IterationEnd` with the
+/// rank clock's split, runs the policy's `boundary` step, and emits the
+/// progress event. Events go to the telemetry sink installed in
 /// `comm`'s instruments. `boundary` sees the tile and costs after the
 /// iteration; an error from it ends the rank like a failed iteration.
 #[allow(clippy::too_many_arguments)]
@@ -403,19 +406,14 @@ where
             attempt: attempt as u64,
         });
         costs.push(kernel.run_iteration(comm, worker, state, iteration)?);
-        let now = comm.clock_mut().comm_ns();
-        if let Some(sink) = &mut comm.instruments().telemetry {
-            sink.add_compute_ns(worker.modeled_iteration_ns());
-            sink.set_comm_ns(now);
-            let (comm_ns, compute_ns) = sink.sim_parts();
-            sink.record(TelemetryEvent::IterationEnd {
-                iteration: iteration as u64,
-                attempt: attempt as u64,
-                cost: costs[iteration],
-                compute_ns,
-                comm_ns,
-            });
-        }
+        let clock = *comm.clock_mut();
+        comm.trace(TelemetryEvent::IterationEnd {
+            iteration: iteration as u64,
+            attempt: attempt as u64,
+            cost: costs[iteration],
+            compute_ns: clock.compute_ns(),
+            comm_ns: clock.comm_ns(),
+        });
         boundary(comm, worker, costs, iteration)?;
         job.emit(IterationProgress {
             rank: slot,
@@ -506,6 +504,8 @@ fn run_recovering<K: SolverKernel, B: CommBackend>(
     };
     let mut membership = MembershipView::new(ranks, spares);
     let slots: Vec<Mutex<Option<CheckpointSlot>>> = (0..ranks).map(|_| Mutex::new(None)).collect();
+    // Each slot's simulated clock where its last attempt stopped.
+    let clocks: Vec<Mutex<RankClock>> = (0..ranks).map(|_| Mutex::default()).collect();
     let mut restarts = 0usize;
     let mut substitutions = 0usize;
     let mut attempt_index = 0usize;
@@ -587,6 +587,7 @@ fn run_recovering<K: SolverKernel, B: CommBackend>(
             // writes its own stream, leaving the dead node's record of
             // its final attempt intact for post-mortems.
             comm.instruments().telemetry = job.telemetry.map(|t| t.sink(node));
+            *comm.clock_mut() = *clocks[slot].lock().expect("rank clock poisoned");
             let (mut worker, mut state) = kernel.init(comm);
             let (mut costs, start) = {
                 let mut saved = slots[slot].lock().expect("checkpoint slot poisoned");
@@ -604,12 +605,8 @@ fn run_recovering<K: SolverKernel, B: CommBackend>(
                 }
             };
             if let Some(seq) = resume_seq.filter(|_| attempt_index == start_attempt) {
-                if let Some(sink) = &mut comm.instruments().telemetry {
-                    sink.record(TelemetryEvent::CheckpointRestored {
-                        iteration: start as u64,
-                        seq,
-                    });
-                }
+                let iteration = start as u64;
+                comm.trace(TelemetryEvent::CheckpointRestored { iteration, seq });
             }
             let result = run_rank(
                 kernel,
@@ -713,6 +710,7 @@ fn run_recovering<K: SolverKernel, B: CommBackend>(
                     Ok(())
                 },
             );
+            *clocks[slot].lock().expect("rank clock poisoned") = *comm.clock_mut();
             match result {
                 Ok(()) => Ok(RankRun {
                     core: worker.core_volume(),

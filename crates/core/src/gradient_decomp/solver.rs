@@ -272,10 +272,7 @@ impl SolverKernel for GdKernel<'_> {
             let cells = passes.cells();
             for loc in round_share(owned, round, rounds.len()) {
                 // The gradient, and steps 7 and 8 on each slice of it.
-                let loss = ctx
-                    .clock_mut()
-                    .compute(|| worker.probe_step(loc, buffers, cells));
-                iteration_cost += loss;
+                iteration_cost += worker.probe_step(ctx.clock_mut(), loc, buffers, cells);
             }
 
             // Steps 10-13: accumulate gradients across tiles, on the front
@@ -285,8 +282,7 @@ impl SolverKernel for GdKernel<'_> {
             // Steps 14-16: update the tile from the accumulated gradients and
             // reset the buffers in place, in one sweep over the same cells;
             // everywhere else the update is a bitwise identity.
-            ctx.clock_mut()
-                .compute(|| worker.update_and_reset(buffers, cells));
+            worker.update_and_reset(buffers, cells);
         }
         Ok(iteration_cost)
     }

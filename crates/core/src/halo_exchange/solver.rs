@@ -273,9 +273,7 @@ impl SolverKernel for HveKernel<'_> {
         // cells.
         let mut iteration_cost = 0.0;
         for loc in probes.iter() {
-            let loss = ctx
-                .clock_mut()
-                .compute(|| worker.probe_step(loc, &mut AccBuffers::local_only(), &[]));
+            let loss = worker.probe_step(ctx.clock_mut(), loc, &mut AccBuffers::local_only(), &[]);
             // Only count owned probes towards the global cost so that the
             // reported F(V) is comparable with the Gradient Decomposition
             // method (redundant evaluations would double-count).

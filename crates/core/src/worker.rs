@@ -4,7 +4,7 @@ use crate::config::SolverConfig;
 use crate::gradient_decomp::passes::Piece;
 use crate::tiling::TileInfo;
 use ptycho_array::{Array3, Rect};
-use ptycho_cluster::{HardwareModel, MemoryCategory, MemoryTracker};
+use ptycho_cluster::{HardwareModel, MemoryCategory, MemoryTracker, RankClock};
 use ptycho_fft::{CArray3, Complex32, Complex64};
 use ptycho_sim::dataset::{Dataset, BYTES_PER_COMPLEX, BYTES_PER_MEASUREMENT};
 use ptycho_sim::gradient::{probe_gradient_by_slice, suggested_step, ObjectSlices};
@@ -41,8 +41,9 @@ pub(crate) struct TileWorker<'a> {
     /// The gradient step `α`, rounded to `f32` once.
     step: f32,
     slices: usize,
-    /// See [`TileWorker::modeled_iteration_ns`].
-    iteration_ns: u64,
+    /// The Summit model's time for one probe gradient over this tile, in
+    /// integer nanoseconds: what [`Self::probe_step`] charges.
+    probe_ns: u64,
     /// Reusable forward/adjoint model buffers, which also receive each
     /// object slice and each slice's gradient.
     workspace: SimWorkspace<f32>,
@@ -95,7 +96,7 @@ impl<'a> TileWorker<'a> {
             volume,
             step,
             slices,
-            iteration_ns: (assigned_probes as f64 * per_probe * 1e9) as u64,
+            probe_ns: (per_probe * 1e9) as u64,
             workspace,
         }
     }
@@ -110,9 +111,9 @@ impl<'a> TileWorker<'a> {
     /// (each object slice read from the volume as the model needs it,
     /// vacuum (`1`) outside it) and hands it, slice by slice as the adjoint
     /// computes it, to a [`GradientSink`] over `buffers` and `cells`.
-    /// Returns the probe loss. Allocation-free: each object slice, each
-    /// slice's gradient and every model intermediate live in the worker's
-    /// pooled workspace.
+    /// Returns the probe loss, and charges the model's per-probe time to
+    /// `clock`. Allocation-free: each object slice, each slice's gradient
+    /// and every model intermediate live in the worker's pooled workspace.
     ///
     /// GD passes the round's [`RankPasses::shared`] cells with local
     /// updates and its cover without them, which holds every cell of the
@@ -122,6 +123,7 @@ impl<'a> TileWorker<'a> {
     /// [`RankPasses::shared`]: crate::gradient_decomp::passes::RankPasses::shared
     pub fn probe_step(
         &mut self,
+        clock: &mut RankClock,
         loc: &ProbeLocation,
         buffers: &mut AccBuffers,
         cells: &[Piece],
@@ -133,6 +135,7 @@ impl<'a> TileWorker<'a> {
             buffers,
             cells,
         };
+        clock.compute(self.probe_ns);
         probe_gradient_by_slice(
             self.dataset.model_f32(),
             &mut sink,
@@ -189,15 +192,6 @@ impl<'a> TileWorker<'a> {
     /// extended tile), and what the engine restores a checkpoint into.
     pub fn volume_mut(&mut self) -> &mut TileVolume {
         &mut self.volume
-    }
-
-    /// The analytic compute time of one iteration on this tile, in integer
-    /// nanoseconds: the Summit model's per-probe gradient time over the
-    /// tile's working set, times the probes evaluated per iteration. A pure
-    /// function of the decomposition, so the telemetry clock it advances is
-    /// deterministic across runs.
-    pub fn modeled_iteration_ns(&self) -> u64 {
-        self.iteration_ns
     }
 
     /// Extracts the core (non-halo) part of the tile volume in image
@@ -573,7 +567,12 @@ mod tests {
 
             // HVE: every gradient applied at once, nothing accumulated.
             *worker.volume_mut() = start.clone();
-            let hve_loss = worker.probe_step(&loc, &mut AccBuffers::local_only(), &[]);
+            let hve_loss = worker.probe_step(
+                &mut RankClock::default(),
+                &loc,
+                &mut AccBuffers::local_only(),
+                &[],
+            );
             assert_eq!(hve_loss.to_bits(), loss.to_bits(), "HVE loss, {window:?}");
             assert_eq!(bits(worker.volume()), bits(&stepped), "HVE, {window:?}");
 
@@ -594,7 +593,8 @@ mod tests {
                     own_ref.add_region(hit, &g);
                 }
                 *worker.volume_mut() = start.clone();
-                let step_loss = worker.probe_step(&loc, &mut buffers, &cells);
+                let step_loss =
+                    worker.probe_step(&mut RankClock::default(), &loc, &mut buffers, &cells);
                 let case = format!("window {window:?}, cells {set:?}, local {local_updates}");
                 assert_eq!(step_loss.to_bits(), loss.to_bits(), "loss, {case}");
                 let want = |whole: &TileVolume| flat_bits(&gather(&layout, whole));

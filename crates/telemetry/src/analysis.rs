@@ -20,16 +20,19 @@
 //! # Attribution
 //!
 //! [`critical_path`] attributes each rank's end-to-end simulated time by
-//! classifying every inter-record `sim_ns` delta by the kind of the record
-//! that *closes* it: an `iteration_end` delta is split into its modeled
-//! compute jump (the cumulative `compute_ns` difference) plus an analytic
-//! communication remainder; membership/restore events (`spare_promoted`, `checkpoint_restored`,
-//! `rank_dead`) are healing; every other delta is communication. The
-//! residual between a rank's last stamp and the job's end-to-end time (the
-//! maximum over ranks) is barrier wait. Segments are integer nanoseconds
-//! carved from the same clock, so they sum *exactly* to the end-to-end time
-//! on every rank — an invariant the strict CLI mode re-verifies on every
-//! trace.
+//! classifying every inter-record `sim_ns` delta. A delta closed by a
+//! membership/restore event (`spare_promoted`, `checkpoint_restored`,
+//! `rank_dead`) is healing. Every other delta is held open until the rank's
+//! next `iteration_end`, which carries the rank clock's split: cumulative
+//! `compute_ns` and `comm_ns`, and `sim_ns − compute_ns − comm_ns` waited.
+//! The held time is split by how much each of the three grew since the
+//! previous `iteration_end` — compute first, then wait, the rest
+//! communication. What a rank's records close after its last
+//! `iteration_end` (the closing barriers), and the residual between its last
+//! stamp and the job's end-to-end time (the maximum over ranks), is barrier
+//! wait. Segments are integer nanoseconds carved from the same clock, so
+//! they sum *exactly* to the end-to-end time on every rank — an invariant
+//! the strict CLI mode re-verifies on every trace.
 
 use crate::event::{TelemetryEvent, TelemetryRecord};
 use std::collections::BTreeMap;
@@ -264,7 +267,8 @@ pub struct RankAttribution {
     pub comm_ns: u64,
     /// Time closed by membership/restore records: healing overhead.
     pub heal_ns: u64,
-    /// Residual idle time waiting for the job's busiest rank.
+    /// Time waiting for peers: for messages and at barriers during the
+    /// iterations, and after them for the job's last rank.
     pub barrier_wait_ns: u64,
 }
 
@@ -282,8 +286,8 @@ pub struct CriticalPath {
     pub job: u64,
     /// End-to-end simulated time: the maximum final stamp over every rank.
     pub end_to_end_ns: u64,
-    /// The rank whose stream reaches `end_to_end_ns` (lowest rank on ties)
-    /// — the rank every barrier wait in the job is waiting for.
+    /// The rank that waited least (lowest rank on ties): the rank the
+    /// others' waits point at.
     pub critical_rank: u64,
     /// Per-rank attribution, in rank order. Each row's segments sum exactly
     /// to `end_to_end_ns`.
@@ -306,40 +310,51 @@ pub fn critical_path(records: &[TelemetryRecord], job: u64) -> CriticalPath {
             ..RankAttribution::default()
         };
         let mut prev_sim = 0u64;
-        let mut prev_compute = 0u64;
+        // The clock's cumulative compute and wait at the last
+        // `iteration_end`, and the time closed since then (healing aside).
+        let (mut prev_compute, mut prev_wait, mut open) = (0u64, 0u64, 0u64);
         while i < recs.len() && recs[i].rank == rank {
             let record = recs[i];
             let delta = record.sim_ns.saturating_sub(prev_sim);
             match record.event {
-                TelemetryEvent::IterationEnd { compute_ns, .. } => {
-                    // The compute jump lands in one lump just before the
-                    // end record; the remainder of the delta is the
-                    // iteration's analytic communication.
-                    let compute_delta = compute_ns.saturating_sub(prev_compute).min(delta);
+                TelemetryEvent::IterationEnd {
+                    compute_ns,
+                    comm_ns,
+                    ..
+                } => {
+                    open += delta;
+                    let waited = record
+                        .sim_ns
+                        .saturating_sub(compute_ns.saturating_add(comm_ns));
+                    let compute = compute_ns.saturating_sub(prev_compute).min(open);
+                    let wait = waited.saturating_sub(prev_wait).min(open - compute);
+                    row.compute_ns += compute;
+                    row.barrier_wait_ns += wait;
+                    row.comm_ns += open - compute - wait;
                     prev_compute = prev_compute.max(compute_ns);
-                    row.compute_ns += compute_delta;
-                    row.comm_ns += delta - compute_delta;
+                    prev_wait = prev_wait.max(waited);
+                    open = 0;
                 }
                 TelemetryEvent::SparePromoted { .. }
                 | TelemetryEvent::CheckpointRestored { .. }
                 | TelemetryEvent::RankDead { .. } => row.heal_ns += delta,
-                _ => row.comm_ns += delta,
+                _ => open += delta,
             }
             prev_sim = prev_sim.max(record.sim_ns);
             i += 1;
         }
+        row.barrier_wait_ns += open;
         ends.push(prev_sim);
         rows.push(row);
     }
     let end_to_end = ends.iter().copied().max().unwrap_or(0);
-    let critical_rank = ends
-        .iter()
-        .position(|&e| e == end_to_end)
-        .map(|idx| rows[idx].rank)
-        .unwrap_or(0);
     for (row, end) in rows.iter_mut().zip(&ends) {
-        row.barrier_wait_ns = end_to_end - end;
+        row.barrier_wait_ns += end_to_end - end;
     }
+    let critical_rank = rows
+        .iter()
+        .min_by_key(|row| row.barrier_wait_ns)
+        .map_or(0, |row| row.rank);
     CriticalPath {
         job,
         end_to_end_ns: end_to_end,

@@ -43,8 +43,7 @@
 //!
 //! let telemetry = Telemetry::new();
 //! let mut sink = telemetry.sink(0);
-//! sink.set_comm_ns(1_500);
-//! sink.record(TelemetryEvent::IterationBegin { iteration: 0, attempt: 0 });
+//! sink.record_at(1_500, TelemetryEvent::IterationBegin { iteration: 0, attempt: 0 });
 //! drop(sink); // parks the stream back in the hub, where snapshots read it
 //! let records = telemetry.records(0);
 //! assert_eq!(records[0].sim_ns, 1_500);

@@ -6,7 +6,7 @@
 //!
 //! One [`Telemetry`] hub covers one run (or one job of the service).
 //! [`Telemetry::sink`] moves a rank's stream (ring, sequence counter,
-//! simulated clock) out of the hub into the returned [`RankSink`], which
+//! last stamp) out of the hub into the returned [`RankSink`], which
 //! owns it outright. Dropping the sink, on return or on unwind, parks the
 //! stream back; the next `sink` for that rank continues it. Snapshots read
 //! the parked streams, so a stream held by a running rank shows up once the
@@ -66,8 +66,7 @@ impl Default for TelemetryConfig {
     }
 }
 
-/// One rank's stream: the ring, the simulated clock mirror, and the
-/// hand-off cursor.
+/// One rank's stream: the ring, the last stamp, and the hand-off cursor.
 struct Stream {
     rank: u64,
     job: u64,
@@ -78,22 +77,22 @@ struct Stream {
     start: usize,
     /// Next sequence number to assign (== total records ever recorded).
     next_seq: u64,
-    /// Cumulative analytic communication nanoseconds (monotonic).
-    comm_ns: u64,
-    /// Cumulative modeled compute nanoseconds (monotonic).
-    compute_ns: u64,
+    /// The simulated time of the latest record (monotonic).
+    last_ns: u64,
     /// First sequence number not yet handed off to the hub.
     handed_seq: u64,
 }
 
 impl Stream {
-    /// Stamps and stores one event. Never allocates: the ring was sized at
-    /// construction, and `push` below capacity reuses the reserved storage.
-    fn record(&mut self, event: TelemetryEvent) {
+    /// Stamps one event at `sim_ns`, or at the last stamp if that is later,
+    /// and stores it. Never allocates: the ring was sized at construction,
+    /// and `push` below capacity reuses the reserved storage.
+    fn record(&mut self, sim_ns: u64, event: TelemetryEvent) {
+        self.last_ns = self.last_ns.max(sim_ns);
         let record = TelemetryRecord {
             rank: self.rank,
             seq: self.next_seq,
-            sim_ns: self.comm_ns + self.compute_ns,
+            sim_ns: self.last_ns,
             job: self.job,
             event,
         };
@@ -255,8 +254,7 @@ impl Telemetry {
                 ring: Vec::with_capacity(capacity),
                 start: 0,
                 next_seq: 0,
-                comm_ns: 0,
-                compute_ns: 0,
+                last_ns: 0,
                 handed_seq: 0,
             };
             // Without a writer nothing is ever handed off.
@@ -414,41 +412,21 @@ impl Drop for RankSink {
 }
 
 impl RankSink {
-    /// Stamps and stores one event at the rank's current simulated time.
+    /// Stamps and stores one event at the stream's last stamp: for events
+    /// recorded outside a rank, which has no clock of its own.
     pub fn record(&mut self, event: TelemetryEvent) {
+        let at = self.stream.as_ref().map_or(0, |stream| stream.last_ns);
+        self.record_at(at, event);
+    }
+
+    /// Stamps and stores one event at simulated time `sim_ns`, a reading
+    /// of the rank's clock. Stamps are monotonic: an earlier `sim_ns` than
+    /// the stream's last stamp is stamped at the last stamp.
+    pub fn record_at(&mut self, sim_ns: u64, event: TelemetryEvent) {
         match &mut self.stream {
-            Some(stream) => stream.record(event),
+            Some(stream) => stream.record(sim_ns, event),
             None => self.detached += 1,
         }
-    }
-
-    /// Updates the rank's analytic communication clock (monotonic: stale
-    /// values are ignored), then stores the event.
-    pub fn record_at_comm_ns(&mut self, comm_ns: u64, event: TelemetryEvent) {
-        self.set_comm_ns(comm_ns);
-        self.record(event);
-    }
-
-    /// Updates the rank's analytic communication clock without recording.
-    /// Monotonic: stale values are ignored.
-    pub fn set_comm_ns(&mut self, comm_ns: u64) {
-        if let Some(stream) = &mut self.stream {
-            stream.comm_ns = stream.comm_ns.max(comm_ns);
-        }
-    }
-
-    /// Adds modeled compute time to the rank's simulated clock.
-    pub fn add_compute_ns(&mut self, compute_ns: u64) {
-        if let Some(stream) = &mut self.stream {
-            stream.compute_ns += compute_ns;
-        }
-    }
-
-    /// The rank's simulated clock split: `(comm_ns, compute_ns)`.
-    pub fn sim_parts(&self) -> (u64, u64) {
-        self.stream
-            .as_ref()
-            .map_or((0, 0), |s| (s.comm_ns, s.compute_ns))
     }
 
     /// Hands the rank's new records to the hub and publishes its durable
@@ -508,18 +486,17 @@ mod tests {
     }
 
     #[test]
-    fn sim_clock_combines_comm_and_compute_monotonically() {
+    fn stamps_are_monotonic_and_unclocked_records_take_the_last_stamp() {
         let telemetry = Telemetry::new();
         let mut sink = telemetry.sink(1);
-        sink.set_comm_ns(100);
-        sink.add_compute_ns(50);
         sink.record(TelemetryEvent::BarrierWait { iteration: 0 });
-        sink.set_comm_ns(40); // stale: ignored
-        sink.record_at_comm_ns(300, TelemetryEvent::BarrierWait { iteration: 1 });
+        sink.record_at(150, TelemetryEvent::BarrierWait { iteration: 1 });
+        sink.record_at(40, TelemetryEvent::BarrierWait { iteration: 2 }); // stale
+        sink.record(TelemetryEvent::Checkpoint { iteration: 2 });
+        sink.record_at(350, TelemetryEvent::BarrierWait { iteration: 3 });
         drop(sink);
-        let records = telemetry.records(1);
-        assert_eq!(records[0].sim_ns, 150);
-        assert_eq!(records[1].sim_ns, 350);
+        let stamps: Vec<u64> = telemetry.records(1).iter().map(|r| r.sim_ns).collect();
+        assert_eq!(stamps, [0, 150, 150, 150, 350]);
     }
 
     #[test]
@@ -630,24 +607,23 @@ mod tests {
     #[test]
     fn successive_handles_continue_the_stream_seq_and_clock() {
         let telemetry = Telemetry::new();
-        telemetry.sink(2).set_comm_ns(100);
-        telemetry.sink(2).add_compute_ns(10);
         telemetry
             .sink(2)
-            .record(TelemetryEvent::BarrierWait { iteration: 0 });
-        telemetry.sink(2).set_comm_ns(40); // stale: ignored across handles too
-        telemetry.sink(2).add_compute_ns(5);
+            .record_at(110, TelemetryEvent::BarrierWait { iteration: 0 });
+        // Stale across handles too.
         telemetry
             .sink(2)
-            .record(TelemetryEvent::BarrierWait { iteration: 1 });
-        assert_eq!(telemetry.sink(2).sim_parts(), (100, 15));
+            .record_at(40, TelemetryEvent::BarrierWait { iteration: 1 });
+        telemetry
+            .sink(2)
+            .record(TelemetryEvent::Checkpoint { iteration: 1 });
         let stamps: Vec<(u64, u64)> = telemetry
             .records(2)
             .iter()
             .map(|r| (r.seq, r.sim_ns))
             .collect();
-        assert_eq!(stamps, [(0, 110), (1, 115)]);
-        assert_eq!(telemetry.total_recorded(), 2);
+        assert_eq!(stamps, [(0, 110), (1, 110), (2, 110)]);
+        assert_eq!(telemetry.total_recorded(), 3);
     }
 
     #[test]
@@ -656,10 +632,8 @@ mod tests {
         let mut held = telemetry.sink(0);
         held.record(TelemetryEvent::Checkpoint { iteration: 0 });
         let mut second = telemetry.sink(0);
-        second.set_comm_ns(500);
-        second.record(TelemetryEvent::Checkpoint { iteration: 1 });
+        second.record_at(500, TelemetryEvent::Checkpoint { iteration: 1 });
         second.record(TelemetryEvent::Checkpoint { iteration: 2 });
-        assert_eq!(second.sim_parts(), (0, 0));
         assert!(
             telemetry.records(0).is_empty(),
             "a held stream is not parked"
@@ -668,9 +642,12 @@ mod tests {
         assert_eq!(telemetry.lost_records_by_rank(), [2]);
         held.record(TelemetryEvent::Checkpoint { iteration: 3 });
         drop(held);
-        let seqs: Vec<u64> = telemetry.records(0).iter().map(|r| r.seq).collect();
-        assert_eq!(seqs, [0, 1], "the holder's stream is untouched");
-        assert_eq!(telemetry.sink(0).sim_parts(), (0, 0));
+        let stamps: Vec<(u64, u64)> = telemetry
+            .records(0)
+            .iter()
+            .map(|r| (r.seq, r.sim_ns))
+            .collect();
+        assert_eq!(stamps, [(0, 0), (1, 0)], "the holder's stream is untouched");
     }
 
     /// Accepts `budget` bytes, then fails every call with `ENOSPC`.

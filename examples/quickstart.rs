@@ -74,7 +74,9 @@ fn main() {
     );
     let critical = result.critical_path();
     println!(
-        "critical path: {:.2} s compute, {:.2} s wait, {:.4} s modelled communication",
-        critical.compute, critical.wait, critical.communication
+        "modelled critical path: {:.3} ms compute, {:.3} ms wait, {:.3} ms communication",
+        critical.compute * 1e3,
+        critical.wait * 1e3,
+        critical.communication * 1e3
     );
 }

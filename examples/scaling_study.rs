@@ -1,8 +1,10 @@
 //! Strong-scaling study on real threads plus the paper-scale analytic model.
 //!
 //! The first part runs the Gradient Decomposition solver on 1, 2, 4 and 6
-//! simulated GPU ranks (real threads on this machine) and reports measured
-//! wall-clock compute time per rank. The second part uses the calibrated
+//! simulated GPU ranks (real threads on this machine) and reports the wall
+//! time of each solve next to the largest rank's modelled compute time (the
+//! Summit model's per-probe time, from the rank's simulated clock). The
+//! second part uses the calibrated
 //! performance model to print the paper-scale strong-scaling table of the
 //! large Lead Titanate dataset (Table III(a) / Fig. 7a).
 //!
@@ -43,7 +45,7 @@ fn main() {
     );
     println!(
         "{:>6}  {:>12}  {:>16}  {:>14}",
-        "ranks", "wall (s)", "max compute (s)", "final cost"
+        "ranks", "wall (s)", "max compute (ms)", "final cost"
     );
     let mut baseline_wall = None;
     for ranks in [1usize, 2, 4, 6] {
@@ -54,10 +56,10 @@ fn main() {
             .run_job(&cluster, RecoveryPolicy::FailFast, &JobContext::default())
             .expect("fault-free run completes");
         let wall = start.elapsed().as_secs_f64();
-        let max_compute = result.time.iter().map(|t| t.compute).fold(0.0f64, f64::max);
+        let max_compute = 1e3 * result.time.iter().map(|t| t.compute).fold(0.0f64, f64::max);
         baseline_wall.get_or_insert(wall);
         println!(
-            "{ranks:>6}  {wall:>12.2}  {max_compute:>16.2}  {:>14.4}",
+            "{ranks:>6}  {wall:>12.2}  {max_compute:>16.3}  {:>14.4}",
             result.cost_history.final_cost()
         );
     }

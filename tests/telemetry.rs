@@ -6,8 +6,8 @@
 //!    reconstruction: telemetry-on and telemetry-off runs are bit-identical.
 //! 2. **Determinism** — two identical seeded runs emit **byte-identical**
 //!    JSONL event logs, because every record is stamped with the simulated
-//!    per-rank clock (analytic communication time + modeled compute time),
-//!    never wall time. Pinned on the lockstep backend under seeded drop and
+//!    per-rank clock (modeled compute, analytic communication and the waits
+//!    they cause), never wall time. Pinned on the lockstep backend under seeded drop and
 //!    kill faults, and on the free-running threaded backend by healing the
 //!    same faults to the lockstep goldens.
 //! 3. **Content** — the event stream tells the story the run actually had:
@@ -17,7 +17,9 @@
 //!    lifecycle events from the multi-tenant engine whose metrics snapshot
 //!    agrees with the trace.
 
-use ptycho_cluster::{CrashPhase, FaultInjectionBackend, FaultPolicy, HardwareModel, RankFailure};
+use ptycho_cluster::{
+    ClusterTopology, CrashPhase, FaultInjectionBackend, FaultPolicy, HardwareModel, RankFailure,
+};
 use ptycho_core::durability::fnv1a64;
 use ptycho_core::gradient_decomp::passes::tags;
 use ptycho_core::{
@@ -219,7 +221,12 @@ fn lockstep_trace_is_deterministic_under_kill_and_substitution() {
 // correlation ids and slot sizes the acks moved changed with them. They, and
 // the data-path goldens, were re-recorded once more when each rank's state
 // moved to complex f32: only `iteration_end.cost` and, in the resumed trace,
-// `checkpoint_persisted.bytes` (a slot holds 8 bytes a voxel) changed.
+// `checkpoint_persisted.bytes` (a slot holds 8 bytes a voxel) changed. The
+// run goldens, and the data-path goldens that keep `iteration_end.compute_ns`,
+// were re-recorded once more when the two simulated clocks became one causal
+// clock: every `sim_ns` now includes waits, compute is charged per probe in
+// whole nanoseconds, and a restarted attempt keeps the time its failed
+// attempt spent.
 // ---------------------------------------------------------------------------
 
 fn assert_trace_hash(trace: &[u8], expected: u64, label: &str) {
@@ -233,14 +240,14 @@ fn assert_trace_hash(trace: &[u8], expected: u64, label: &str) {
 #[test]
 fn fail_fast_trace_matches_golden_hash() {
     let (trace, _) = traced_gd_run(&lockstep(), RecoveryPolicy::FailFast);
-    assert_trace_hash(&trace, 0xadf7_e0ab_8d59_a2e6, "fail-fast");
+    assert_trace_hash(&trace, 0xe0ea_90ef_0380_fb8b, "fail-fast");
 }
 
 #[test]
 fn restart_trace_under_drop_matches_golden_hash() {
     let backend = FaultInjectionBackend::new(lockstep(), gd_drop_policy());
     let (trace, _) = traced_gd_run(&backend, restart_policy());
-    assert_trace_hash(&trace, 0xf608_9ab3_8859_9400, "restart under drop");
+    assert_trace_hash(&trace, 0x4cc5_d566_c4de_81a9, "restart under drop");
 }
 
 /// The two runs above emit only some kinds. This pins the line of every
@@ -394,12 +401,15 @@ fn iteration_events_are_dense_monotonic_and_complete() {
     assert_eq!(telemetry.total_recorded(), total);
 }
 
-/// Recomputes each rank's modeled compute constant from the same public
-/// inputs the engine uses — the rank's extended tile and `probes[rank]`, the
-/// probes it evaluates per iteration: `compute_ns` must be exactly its
-/// cumulative sum and `comm_ns` the remainder of the stamp. This pins the
-/// fields to their meanings — both are positive and monotone, so weaker
-/// assertions would pass even with the two swapped.
+/// Recomputes each rank's modeled clock from the same public inputs the
+/// solver uses — the rank's extended tile and `probes[rank]`, the probes it
+/// evaluates per iteration, each charged the model's per-probe time in whole
+/// nanoseconds — and from the rank's own `comm_send` records, each charged
+/// its wire time in whole nanoseconds: `compute_ns` and `comm_ns` must be
+/// exactly their cumulative sums, and what is left of the stamp, the wait,
+/// must not be negative. This pins the fields to their meanings — both are
+/// positive and monotone, so weaker assertions would pass even with the two
+/// swapped.
 fn assert_iteration_ends_follow_the_modeled_clock(
     ds: &Dataset,
     telemetry: &Telemetry,
@@ -413,31 +423,42 @@ fn assert_iteration_ends_follow_the_modeled_clock(
         let working_set = (tile.extended_area() * slices * BYTES_PER_COMPLEX) as f64;
         let per_probe =
             HardwareModel::summit_v100().probe_gradient_time(window, slices, working_set);
-        let per_iteration = (probes as f64 * per_probe * 1e9) as u64;
+        let per_iteration = probes as u64 * (per_probe * 1e9) as u64;
         assert!(
             per_iteration > 0,
             "rank {rank}: the model must charge compute time"
         );
-        let mut ends = 0u64;
+        let (mut ends, mut sent_ns) = (0u64, 0u64);
         for record in telemetry.records(rank) {
-            if let TelemetryEvent::IterationEnd {
-                compute_ns,
-                comm_ns,
-                ..
-            } = record.event
-            {
-                ends += 1;
-                assert_eq!(
+            match record.event {
+                TelemetryEvent::CommSend { to, bytes, .. } => {
+                    let wire =
+                        ClusterTopology::summit().transfer_time(rank, to as usize, bytes as usize);
+                    sent_ns += (wire * 1e9) as u64;
+                }
+                TelemetryEvent::IterationEnd {
                     compute_ns,
-                    ends * per_iteration,
-                    "rank {rank} iteration {ends}: compute_ns must be the \
-                     cumulative modeled compute (comm/compute swapped?)"
-                );
-                assert_eq!(
-                    compute_ns + comm_ns,
-                    record.sim_ns,
-                    "rank {rank}: the split must sum to the record's simulated stamp"
-                );
+                    comm_ns,
+                    ..
+                } => {
+                    ends += 1;
+                    assert_eq!(
+                        compute_ns,
+                        ends * per_iteration,
+                        "rank {rank} iteration {ends}: compute_ns must be the \
+                         cumulative modeled compute (comm/compute swapped?)"
+                    );
+                    assert_eq!(
+                        comm_ns, sent_ns,
+                        "rank {rank} iteration {ends}: comm_ns must be the cumulative \
+                         wire time of the rank's sends"
+                    );
+                    assert!(
+                        compute_ns + comm_ns <= record.sim_ns,
+                        "rank {rank}: the stamp is the split plus a wait"
+                    );
+                }
+                _ => {}
             }
         }
         assert!(ends > 0, "rank {rank} must end at least one iteration");
@@ -498,7 +519,7 @@ fn substitution_trace_matches_golden_hash() {
     for kind in ["rank_dead", "spare_promoted", "checkpoint"] {
         assert!(summary.kind_count(kind) >= 1, "the trace must hold {kind}");
     }
-    assert_trace_hash(&trace, 0x0511_0ecd_9289_2bf2, "substitution");
+    assert_trace_hash(&trace, 0xff29_146c_4719_8d18, "substitution");
 }
 
 /// No timer decides a threaded failure: every rank fails at the same receive
@@ -509,11 +530,11 @@ fn substitution_trace_matches_golden_hash() {
 fn threaded_heals_trace_their_lockstep_goldens() {
     let backend = FaultInjectionBackend::new(common::threaded(), gd_drop_policy());
     let (trace, _) = traced_gd_run(&backend, restart_policy());
-    assert_trace_hash(&trace, 0xf608_9ab3_8859_9400, "threaded restart under drop");
+    assert_trace_hash(&trace, 0x4cc5_d566_c4de_81a9, "threaded restart under drop");
     let policy = FaultPolicy::reliable(5).kill_rank(1, 1);
     let backend = FaultInjectionBackend::new(common::threaded(), policy);
     let (trace, _) = traced_gd_run(&backend, substitute_policy(1));
-    assert_trace_hash(&trace, 0x0511_0ecd_9289_2bf2, "threaded substitution");
+    assert_trace_hash(&trace, 0xff29_146c_4719_8d18, "threaded substitution");
 }
 
 /// A durable job killed by a whole-process crash at its first barrier, then
@@ -572,7 +593,7 @@ fn kill_and_resume_traces() -> [Vec<u8>; 2] {
 fn kill_and_resume_traces_match_golden_hash() {
     assert_trace_hash(
         &kill_and_resume_traces().concat(),
-        0xe287_d669_ef08_e32e,
+        0x3529_9158_1d1f_45f3,
         "kill and resume",
     );
 }
@@ -653,7 +674,7 @@ fn data_path_projection(traces: &[Vec<u8>]) -> u64 {
 fn substitution_data_path_matches_golden_hash() {
     let actual = data_path_projection(&[substitution_trace()]);
     assert_eq!(
-        actual, 0xddee_e219_6f36_642d,
+        actual, 0x75b6_7bb9_95d8_f35b,
         "substitution data path moved (new hash {actual:#018x})"
     );
 }
@@ -679,7 +700,7 @@ fn fault_free_recovering_data_paths_match_golden_hashes() {
     });
     for (label, trace, expected) in [
         ("gradient-decomposition", gd, 0x963a_2240_6d7e_9d79),
-        ("halo-voxel-exchange", hve, 0xc356_e74a_7ab1_0e33),
+        ("halo-voxel-exchange", hve, 0x116e_0ee3_583d_b503),
     ] {
         let actual = data_path_projection(&[trace]);
         assert_eq!(
