@@ -50,7 +50,9 @@ fn assert_one_clock(label: &str, runs: [ReconstructionResult; 4]) {
 }
 
 /// Gradient Decomposition on a 3×3 grid of the golden problem, whose 25
-/// locations leave the nine ranks unequal shares.
+/// locations leave the nine ranks unequal shares, under the recovering
+/// policy, so every iteration ends at a barrier the ranks reach at
+/// different simulated times.
 fn gd_3x3(backend: &impl CommBackend, pass_frequency: PassFrequency) -> ReconstructionResult {
     let config = SolverConfig {
         iterations: 2,
@@ -59,7 +61,7 @@ fn gd_3x3(backend: &impl CommBackend, pass_frequency: PassFrequency) -> Reconstr
         ..SolverConfig::default()
     };
     GradientDecompositionSolver::new(&golden_problem(), config, (3, 3))
-        .run_job(backend, RecoveryPolicy::FailFast, &JobContext::default())
+        .run_job(backend, restart_policy(), &JobContext::default())
         .expect("fault-free run completes")
 }
 
