@@ -742,19 +742,6 @@ pub struct Recovery {
 /// Name of the single-writer lockfile at the store root.
 const LOCK_FILE: &str = "lock";
 
-/// Whether `pid` names a live process. On Linux this is a procfs probe —
-/// std-only, no new dependencies. Elsewhere liveness cannot be checked
-/// cheaply, so every recorded pid is conservatively treated as alive
-/// (a stale lock then needs manual removal rather than risking two
-/// writers).
-fn pid_is_alive(pid: u32) -> bool {
-    if cfg!(target_os = "linux") {
-        Path::new(&format!("/proc/{pid}")).exists()
-    } else {
-        true
-    }
-}
-
 /// The crash-consistent checkpoint store rooted at one directory.
 ///
 /// Thread-safe for the engine's access pattern: each rank writes only its
@@ -776,6 +763,8 @@ pub struct CheckpointStore {
     next_seq: AtomicU64,
     /// The lockfile this instance owns and must remove on drop.
     lock_path: PathBuf,
+    /// Every file operation the store performs goes through here.
+    fs: Box<dyn StoreFs>,
 }
 
 impl CheckpointStore {
@@ -784,79 +773,19 @@ impl CheckpointStore {
     /// everything already on disk — committed or torn — so sequence numbers
     /// never repeat across restarts.
     pub fn open(dir: impl Into<PathBuf>) -> Result<Self, DurabilityError> {
-        let dir = dir.into();
-        std::fs::create_dir_all(&dir).map_err(|e| DurabilityError::Io {
-            path: dir.clone(),
-            detail: e.to_string(),
-        })?;
-        let lock_path = Self::acquire_lock(&dir)?;
-        let mut max_seq = None;
-        for seq in list_epochs(&dir)? {
-            max_seq = Some(max_seq.map_or(seq, |m: u64| m.max(seq)));
-        }
+        Self::open_on(Box::new(StdFs), dir.into())
+    }
+
+    /// [`CheckpointStore::open`] over the file operations `fs`.
+    fn open_on(fs: Box<dyn StoreFs>, dir: PathBuf) -> Result<Self, DurabilityError> {
+        create_dir_durably(&*fs, &dir).map_err(|e| DurabilityError::io(&dir, e))?;
+        let lock_path = acquire_lock(&*fs, &dir)?;
+        let max_seq = list_epochs(&*fs, &dir)?.into_iter().max();
         Ok(Self {
             next_seq: AtomicU64::new(max_seq.map_or(0, |m| m + 1)),
             dir,
             lock_path,
-        })
-    }
-
-    /// Creates the lockfile exclusively, handling the stale-lock case: a
-    /// recorded pid that no longer runs is a crash leftover and is
-    /// reclaimed; a live one (including this process — a second store
-    /// instance over the same root) is a real conflict.
-    fn acquire_lock(dir: &Path) -> Result<PathBuf, DurabilityError> {
-        let lock_path = dir.join(LOCK_FILE);
-        let io_err = |e: std::io::Error| DurabilityError::Io {
-            path: lock_path.clone(),
-            detail: e.to_string(),
-        };
-        // Two tries: the second runs only after a stale lock was removed.
-        for _ in 0..2 {
-            match std::fs::OpenOptions::new()
-                .write(true)
-                .create_new(true)
-                .open(&lock_path)
-            {
-                Ok(mut file) => {
-                    use std::io::Write as _;
-                    file.write_all(std::process::id().to_string().as_bytes())
-                        .map_err(io_err)?;
-                    file.sync_all().map_err(io_err)?;
-                    return Ok(lock_path);
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => {
-                    let owner_pid = std::fs::read_to_string(&lock_path)
-                        .ok()
-                        .and_then(|text| text.trim().parse::<u32>().ok());
-                    match owner_pid {
-                        Some(pid) if pid_is_alive(pid) => {
-                            return Err(DurabilityError::Locked {
-                                path: lock_path,
-                                owner_pid: pid,
-                            });
-                        }
-                        // Dead owner (or an unreadable lock, which only a
-                        // crash mid-acquisition leaves behind): reclaim.
-                        _ => match std::fs::remove_file(&lock_path) {
-                            Ok(()) => {}
-                            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-                            Err(e) => return Err(io_err(e)),
-                        },
-                    }
-                }
-                Err(e) => return Err(io_err(e)),
-            }
-        }
-        // Both tries hit AlreadyExists: another opener reclaimed-and-locked
-        // between ours. That opener is alive by definition.
-        let owner_pid = std::fs::read_to_string(&lock_path)
-            .ok()
-            .and_then(|text| text.trim().parse::<u32>().ok())
-            .unwrap_or(0);
-        Err(DurabilityError::Locked {
-            path: lock_path,
-            owner_pid,
+            fs,
         })
     }
 
@@ -890,19 +819,21 @@ impl CheckpointStore {
         record: &SlotRecord,
     ) -> Result<u64, DurabilityError> {
         let dir = self.epoch_dir(seq);
-        std::fs::create_dir_all(&dir).map_err(|e| DurabilityError::Io {
-            path: dir.clone(),
-            detail: e.to_string(),
-        })?;
+        match self.fs.create_dir(&dir) {
+            Ok(()) => {}
+            Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => {}
+            Err(e) => return Err(DurabilityError::io(&dir, e)),
+        }
         let path = dir.join(format!("slot-{slot}.ckpt"));
         let bytes = frame_file(SLOT_MAGIC, &record.encode());
         let len = bytes.len() as u64;
-        write_atomic(&path, &bytes)?;
+        self.write_atomic(&path, &bytes)?;
         Ok(len)
     }
 
     /// Commits epoch `manifest.seq`: durably writes the manifest, whose
-    /// atomic rename makes the epoch visible, then advances the sequence
+    /// atomic rename makes the epoch visible, syncs the store root so the
+    /// epoch directory's own entry is durable, then advances the sequence
     /// counter and prunes epochs older than the previous one.
     ///
     /// `crash` injects the satellite fault: `Some(phase)` simulates a
@@ -916,10 +847,11 @@ impl CheckpointStore {
     ) -> Result<(), DurabilityError> {
         let seq = manifest.seq;
         let dir = self.epoch_dir(seq);
-        std::fs::create_dir_all(&dir).map_err(|e| DurabilityError::Io {
-            path: dir.clone(),
-            detail: e.to_string(),
-        })?;
+        match self.fs.create_dir(&dir) {
+            Ok(()) => {}
+            Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => {}
+            Err(e) => return Err(DurabilityError::io(&dir, e)),
+        }
         let path = dir.join("manifest.ckpt");
         let bytes = frame_file(MANIFEST_MAGIC, &manifest.encode());
         match crash {
@@ -928,7 +860,9 @@ impl CheckpointStore {
                 // leave only the temp file behind, exactly as a kill between
                 // the write and the rename would.
                 let tmp = path.with_extension("ckpt.tmp");
-                write_plain(&tmp, &bytes)?;
+                self.fs
+                    .write(&tmp, &bytes)
+                    .map_err(|e| DurabilityError::io(&tmp, e))?;
                 return Err(DurabilityError::SimulatedCrash {
                     seq,
                     phase: CrashPhase::BeforeRename,
@@ -938,14 +872,19 @@ impl CheckpointStore {
                 // A torn manifest at the final path — what a non-atomic
                 // filesystem would leave. Recovery must reject it by
                 // checksum and fall back.
-                write_plain(&path, &bytes[..bytes.len() / 2])?;
+                self.fs
+                    .write(&path, &bytes[..bytes.len() / 2])
+                    .map_err(|e| DurabilityError::io(&path, e))?;
                 return Err(DurabilityError::SimulatedCrash {
                     seq,
                     phase: CrashPhase::DuringRename,
                 });
             }
             Some(CrashPhase::AfterRename) | None => {
-                write_atomic(&path, &bytes)?;
+                self.write_atomic(&path, &bytes)?;
+                self.fs
+                    .sync_dir(&self.dir)
+                    .map_err(|e| DurabilityError::io(&self.dir, e))?;
             }
         }
         self.next_seq.store(seq + 1, Ordering::SeqCst);
@@ -959,15 +898,30 @@ impl CheckpointStore {
         Ok(())
     }
 
+    /// Crash-consistent file write: temp file in the same directory, fsync,
+    /// atomic rename, then a best-effort directory fsync so the rename
+    /// itself is durable.
+    fn write_atomic(&self, path: &Path, bytes: &[u8]) -> Result<(), DurabilityError> {
+        let tmp = path.with_extension("ckpt.tmp");
+        let io_err = |e| DurabilityError::io(path, e);
+        self.fs.write(&tmp, bytes).map_err(io_err)?;
+        self.fs.sync_file(&tmp).map_err(io_err)?;
+        self.fs.rename(&tmp, path).map_err(io_err)?;
+        if let Some(parent) = path.parent() {
+            let _ = self.fs.sync_dir(parent);
+        }
+        Ok(())
+    }
+
     /// Removes every epoch directory older than `committed_seq`'s
     /// predecessor. Best-effort: pruning failures never fail a commit.
     fn prune(&self, committed_seq: u64) {
-        let Ok(epochs) = list_epochs(&self.dir) else {
+        let Ok(epochs) = list_epochs(&*self.fs, &self.dir) else {
             return;
         };
         for seq in epochs {
             if seq + KEEP_EPOCHS <= committed_seq {
-                let _ = std::fs::remove_dir_all(self.epoch_dir(seq));
+                let _ = self.fs.remove_dir_all(&self.epoch_dir(seq));
             }
         }
     }
@@ -978,7 +932,7 @@ impl CheckpointStore {
     /// that fail are reported in [`Recovery::rejected`] (typed, never a
     /// panic) and the scan falls back to the next older epoch.
     pub fn recover(&self) -> Result<Recovery, DurabilityError> {
-        let mut epochs = list_epochs(&self.dir)?;
+        let mut epochs = list_epochs(&*self.fs, &self.dir)?;
         epochs.sort_unstable_by(|a, b| b.cmp(a));
         let mut recovery = Recovery::default();
         for seq in epochs {
@@ -996,7 +950,7 @@ impl CheckpointStore {
     fn load_epoch(&self, seq: u64) -> Result<RecoveredEpoch, DurabilityError> {
         let dir = self.epoch_dir(seq);
         let manifest_path = dir.join("manifest.ckpt");
-        let payload = read_verified(&manifest_path, MANIFEST_MAGIC)?;
+        let payload = self.read_verified(&manifest_path, MANIFEST_MAGIC)?;
         let manifest = EpochManifest::decode(&payload, &manifest_path)?;
         if manifest.seq != seq {
             return Err(DurabilityError::Corrupt {
@@ -1010,7 +964,7 @@ impl CheckpointStore {
         let mut slots = Vec::with_capacity(manifest.membership.slots());
         for slot in 0..manifest.membership.slots() {
             let path = dir.join(format!("slot-{slot}.ckpt"));
-            let payload = read_verified(&path, SLOT_MAGIC)?;
+            let payload = self.read_verified(&path, SLOT_MAGIC)?;
             let record = SlotRecord::decode(&payload, &path)?;
             if record.iteration != manifest.iteration {
                 return Err(DurabilityError::Corrupt {
@@ -1025,6 +979,15 @@ impl CheckpointStore {
         }
         Ok(RecoveredEpoch { manifest, slots })
     }
+
+    /// Reads a framed file and returns its verified payload.
+    fn read_verified(&self, path: &Path, magic: &[u8; 4]) -> Result<Vec<u8>, DurabilityError> {
+        let bytes = self
+            .fs
+            .read(path)
+            .map_err(|e| DurabilityError::io(path, e))?;
+        unframe(&bytes, path, magic).map(<[u8]>::to_vec)
+    }
 }
 
 impl Drop for CheckpointStore {
@@ -1032,8 +995,86 @@ impl Drop for CheckpointStore {
     /// lock that survives (say, the directory was already deleted) is at
     /// worst a stale lock, which the next opener detects and reclaims.
     fn drop(&mut self) {
-        let _ = std::fs::remove_file(&self.lock_path);
+        let _ = self.fs.remove_file(&self.lock_path);
     }
+}
+
+impl DurabilityError {
+    fn io(path: &Path, error: std::io::Error) -> Self {
+        DurabilityError::Io {
+            path: path.to_path_buf(),
+            detail: error.to_string(),
+        }
+    }
+}
+
+/// Creates `dir` and any missing ancestors, syncing the parent of each
+/// directory it creates so that the new entry survives a crash.
+fn create_dir_durably(fs: &dyn StoreFs, dir: &Path) -> std::io::Result<()> {
+    let parent = match dir.parent() {
+        Some(parent) if parent.as_os_str().is_empty() => Path::new("."),
+        Some(parent) => parent,
+        None => return Ok(()),
+    };
+    match fs.create_dir(dir) {
+        Ok(()) => {}
+        Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => return Ok(()),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
+            create_dir_durably(fs, parent)?;
+            match fs.create_dir(dir) {
+                Ok(()) => {}
+                Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => return Ok(()),
+                Err(e) => return Err(e),
+            }
+        }
+        Err(e) => return Err(e),
+    }
+    fs.sync_dir(parent)
+}
+
+/// Creates the store's lockfile exclusively, handling the stale-lock case:
+/// a recorded pid that no longer runs is a crash leftover and is reclaimed;
+/// a live one (including this process — a second store instance over the
+/// same root) is a real conflict.
+fn acquire_lock(fs: &dyn StoreFs, dir: &Path) -> Result<PathBuf, DurabilityError> {
+    let lock_path = dir.join(LOCK_FILE);
+    let owner_pid = || {
+        let text = String::from_utf8(fs.read(&lock_path).ok()?).ok()?;
+        text.trim().parse::<u32>().ok()
+    };
+    // Two tries: the second runs only after a stale lock was removed.
+    for _ in 0..2 {
+        let pid = std::process::id().to_string();
+        match fs.create_new(&lock_path, pid.as_bytes()) {
+            Ok(()) => {
+                fs.sync_file(&lock_path)
+                    .map_err(|e| DurabilityError::io(&lock_path, e))?;
+                return Ok(lock_path);
+            }
+            Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => match owner_pid() {
+                Some(pid) if fs.pid_is_alive(pid) => {
+                    return Err(DurabilityError::Locked {
+                        path: lock_path,
+                        owner_pid: pid,
+                    });
+                }
+                // Dead owner (or an unreadable lock, which only a crash
+                // mid-acquisition leaves behind): reclaim.
+                _ => match fs.remove_file(&lock_path) {
+                    Ok(()) => {}
+                    Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
+                    Err(e) => return Err(DurabilityError::io(&lock_path, e)),
+                },
+            },
+            Err(e) => return Err(DurabilityError::io(&lock_path, e)),
+        }
+    }
+    // Both tries hit AlreadyExists: another opener reclaimed-and-locked
+    // between ours. That opener is alive by definition.
+    Err(DurabilityError::Locked {
+        owner_pid: owner_pid().unwrap_or(0),
+        path: lock_path,
+    })
 }
 
 /// Frames a payload as a complete checkpoint file: magic, version, payload,
@@ -1048,91 +1089,140 @@ fn frame_file(magic: &[u8; 4], payload: &[u8]) -> Vec<u8> {
     bytes
 }
 
-/// Verifies a framed file and returns its payload.
-fn read_verified(path: &Path, magic: &[u8; 4]) -> Result<Vec<u8>, DurabilityError> {
-    let bytes = std::fs::read(path).map_err(|e| DurabilityError::Io {
+/// Verifies a framed file's magic, version and checksum; returns its
+/// payload. `path` labels the error.
+fn unframe<'a>(bytes: &'a [u8], path: &Path, magic: &[u8; 4]) -> Result<&'a [u8], DurabilityError> {
+    let corrupt = |detail: String| DurabilityError::Corrupt {
         path: path.to_path_buf(),
-        detail: e.to_string(),
-    })?;
+        detail,
+    };
     if bytes.len() < 16 {
-        return Err(DurabilityError::Corrupt {
-            path: path.to_path_buf(),
-            detail: "file shorter than its framing".to_string(),
-        });
+        return Err(corrupt("file shorter than its framing".to_string()));
     }
     if &bytes[0..4] != magic {
-        return Err(DurabilityError::Corrupt {
-            path: path.to_path_buf(),
-            detail: "bad magic".to_string(),
-        });
+        return Err(corrupt("bad magic".to_string()));
     }
     let version = u32::from_le_bytes(bytes[4..8].try_into().expect("4 bytes"));
     if version != FORMAT_VERSION {
-        return Err(DurabilityError::Corrupt {
-            path: path.to_path_buf(),
-            detail: format!("unsupported format version {version}"),
-        });
+        return Err(corrupt(format!("unsupported format version {version}")));
     }
     let body_end = bytes.len() - 8;
     let stored = u64::from_le_bytes(bytes[body_end..].try_into().expect("8 bytes"));
-    let computed = fnv1a64(&bytes[..body_end]);
-    if stored != computed {
-        return Err(DurabilityError::Corrupt {
-            path: path.to_path_buf(),
-            detail: "checksum mismatch (torn or corrupted write)".to_string(),
-        });
+    if stored != fnv1a64(&bytes[..body_end]) {
+        return Err(corrupt(
+            "checksum mismatch (torn or corrupted write)".to_string(),
+        ));
     }
-    Ok(bytes[8..body_end].to_vec())
-}
-
-/// Crash-consistent file write: temp file in the same directory, fsync,
-/// atomic rename, then a best-effort directory fsync so the rename itself
-/// is durable.
-fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), DurabilityError> {
-    let io_err = |e: std::io::Error| DurabilityError::Io {
-        path: path.to_path_buf(),
-        detail: e.to_string(),
-    };
-    let tmp = path.with_extension("ckpt.tmp");
-    {
-        let mut file = std::fs::File::create(&tmp).map_err(io_err)?;
-        file.write_all(bytes).map_err(io_err)?;
-        file.sync_all().map_err(io_err)?;
-    }
-    std::fs::rename(&tmp, path).map_err(io_err)?;
-    if let Some(parent) = path.parent() {
-        if let Ok(dir) = std::fs::File::open(parent) {
-            let _ = dir.sync_all();
-        }
-    }
-    Ok(())
-}
-
-/// A direct (non-atomic) write, used only to simulate torn crash states.
-fn write_plain(path: &Path, bytes: &[u8]) -> Result<(), DurabilityError> {
-    std::fs::write(path, bytes).map_err(|e| DurabilityError::Io {
-        path: path.to_path_buf(),
-        detail: e.to_string(),
-    })
+    Ok(&bytes[8..body_end])
 }
 
 /// Epoch sequence numbers present under `dir` (committed or not), unsorted.
-fn list_epochs(dir: &Path) -> Result<Vec<u64>, DurabilityError> {
-    let entries = std::fs::read_dir(dir).map_err(|e| DurabilityError::Io {
-        path: dir.to_path_buf(),
-        detail: e.to_string(),
-    })?;
-    let mut seqs = Vec::new();
-    for entry in entries.flatten() {
-        let name = entry.file_name();
-        let Some(name) = name.to_str() else { continue };
-        if let Some(seq) = name.strip_prefix("epoch-") {
-            if let Ok(seq) = seq.parse::<u64>() {
-                seqs.push(seq);
+fn list_epochs(fs: &dyn StoreFs, dir: &Path) -> Result<Vec<u64>, DurabilityError> {
+    let names = fs.list_dir(dir).map_err(|e| DurabilityError::io(dir, e))?;
+    Ok(names
+        .iter()
+        .filter_map(|name| name.strip_prefix("epoch-")?.parse::<u64>().ok())
+        .collect())
+}
+
+/// Every file operation the store performs. Production runs them on
+/// `std::fs` ([`StdFs`]); the tests run them on an in-memory file system
+/// that logs each one and enumerates the crash states the log allows.
+trait StoreFs: Send + Sync + std::fmt::Debug {
+    /// Creates one directory; its parent must exist.
+    fn create_dir(&self, path: &Path) -> std::io::Result<()>;
+    /// Creates a file that must not exist yet and writes `bytes` to it.
+    fn create_new(&self, path: &Path, bytes: &[u8]) -> std::io::Result<()>;
+    /// Creates or truncates a file and writes `bytes` to it.
+    fn write(&self, path: &Path, bytes: &[u8]) -> std::io::Result<()>;
+    /// Makes a file's data durable.
+    fn sync_file(&self, path: &Path) -> std::io::Result<()>;
+    /// Makes a directory's entries durable: the creates, renames and
+    /// removals in it.
+    fn sync_dir(&self, path: &Path) -> std::io::Result<()>;
+    /// Renames a file within its directory.
+    fn rename(&self, from: &Path, to: &Path) -> std::io::Result<()>;
+    /// Removes a file.
+    fn remove_file(&self, path: &Path) -> std::io::Result<()>;
+    /// Removes a directory and everything under it.
+    fn remove_dir_all(&self, path: &Path) -> std::io::Result<()>;
+    /// The names in a directory that are valid UTF-8.
+    fn list_dir(&self, path: &Path) -> std::io::Result<Vec<String>>;
+    /// A file's bytes.
+    fn read(&self, path: &Path) -> std::io::Result<Vec<u8>>;
+    /// Whether the process `pid`, which wrote a lockfile, still runs.
+    fn pid_is_alive(&self, pid: u32) -> bool;
+}
+
+/// The store's file operations on the real file system.
+#[derive(Debug)]
+struct StdFs;
+
+impl StoreFs for StdFs {
+    fn create_dir(&self, path: &Path) -> std::io::Result<()> {
+        std::fs::create_dir(path)
+    }
+
+    fn create_new(&self, path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+        std::fs::OpenOptions::new()
+            .write(true)
+            .create_new(true)
+            .open(path)?
+            .write_all(bytes)
+    }
+
+    fn write(&self, path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+        std::fs::write(path, bytes)
+    }
+
+    fn sync_file(&self, path: &Path) -> std::io::Result<()> {
+        std::fs::OpenOptions::new()
+            .write(true)
+            .open(path)?
+            .sync_all()
+    }
+
+    fn sync_dir(&self, path: &Path) -> std::io::Result<()> {
+        std::fs::File::open(path)?.sync_all()
+    }
+
+    fn rename(&self, from: &Path, to: &Path) -> std::io::Result<()> {
+        std::fs::rename(from, to)
+    }
+
+    fn remove_file(&self, path: &Path) -> std::io::Result<()> {
+        std::fs::remove_file(path)
+    }
+
+    fn remove_dir_all(&self, path: &Path) -> std::io::Result<()> {
+        std::fs::remove_dir_all(path)
+    }
+
+    fn list_dir(&self, path: &Path) -> std::io::Result<Vec<String>> {
+        let mut names = Vec::new();
+        for entry in std::fs::read_dir(path)? {
+            if let Ok(name) = entry?.file_name().into_string() {
+                names.push(name);
             }
         }
+        Ok(names)
     }
-    Ok(seqs)
+
+    fn read(&self, path: &Path) -> std::io::Result<Vec<u8>> {
+        std::fs::read(path)
+    }
+
+    /// On Linux this is a procfs probe — std-only, no new dependencies.
+    /// Elsewhere liveness cannot be checked cheaply, so every recorded pid
+    /// is conservatively treated as alive (a stale lock then needs manual
+    /// removal rather than risking two writers).
+    fn pid_is_alive(&self, pid: u32) -> bool {
+        if cfg!(target_os = "linux") {
+            Path::new(&format!("/proc/{pid}")).exists()
+        } else {
+            true
+        }
+    }
 }
 
 #[cfg(test)]
@@ -1365,9 +1455,9 @@ pub(crate) mod tests {
             let store = CheckpointStore::open(&dir).unwrap();
             commit_epoch(&store, 0, 1, 1);
             let path = dir.join("epoch-0000000000").join(name);
-            write_atomic(&path, &frame_file_at(1, magic, &payload)).unwrap();
+            std::fs::write(&path, frame_file_at(1, magic, &payload)).unwrap();
             assert_eq!(
-                read_verified(&path, magic),
+                unframe(&std::fs::read(&path).unwrap(), &path, magic),
                 Err(DurabilityError::Corrupt {
                     path: path.clone(),
                     detail: "unsupported format version 1".to_string(),
@@ -1483,7 +1573,7 @@ pub(crate) mod tests {
         for seq in 0..4 {
             commit_epoch(&store, seq, seq as usize + 1, 1);
         }
-        let mut remaining = list_epochs(&dir).unwrap();
+        let mut remaining = list_epochs(&StdFs, &dir).unwrap();
         remaining.sort_unstable();
         assert_eq!(remaining, vec![2, 3]);
         let _ = std::fs::remove_dir_all(&dir);
@@ -1558,7 +1648,7 @@ pub(crate) mod tests {
         let mut payload = sample_manifest(1, 2, 3, b"spec").encode();
         payload[ASSIGNMENT_1] ^= 1; // [0, 1, 2] becomes [0, 0, 2]
         let manifest = dir.join("epoch-0000000001").join("manifest.ckpt");
-        write_atomic(&manifest, &frame_file(MANIFEST_MAGIC, &payload)).unwrap();
+        std::fs::write(&manifest, frame_file(MANIFEST_MAGIC, &payload)).unwrap();
 
         let recovery = store.recover().unwrap();
         assert_eq!(recovery.rejected.len(), 1);
@@ -1844,5 +1934,727 @@ pub(crate) mod tests {
                 "at {len}"
             );
         }
+    }
+}
+
+/// The crash-state enumerator: an in-memory [`StoreFs`] that logs every
+/// operation, and a persistence model that lists every disk state a power
+/// loss after any prefix of that log can leave (after Pillai et al., "All
+/// File Systems Are Not Created Equal", OSDI 2014). The model:
+///
+/// - a file's data is durable once the file is synced; before that, a
+///   crash keeps none of it, a prefix of it, or all of it;
+/// - a create, rename or removal is durable once its directory is synced;
+///   before that, a crash may or may not have kept it;
+/// - unsynced effects reorder only within a sync interval (the operations
+///   between two syncs): a crash that keeps any part of an unsynced effect
+///   keeps every unsynced effect of every earlier interval whole, and none
+///   of any later interval.
+///
+/// A prefix is taken at none, one byte, half, all but one byte, or all of
+/// the data: recovery's verdict on a torn file rests on its framing, whose
+/// every truncation the framing tests refuse.
+#[cfg(test)]
+mod crash_states {
+    use super::*;
+    use crate::engine::{DurabilityHook, IterationProgress, JobContext, RecoveryPolicy};
+    use crate::gradient_decomp::solver::GradientDecompositionSolver;
+    use ptycho_cluster::{ClusterTopology, CommError, LockstepBackend, RankFailure};
+    use std::collections::{BTreeMap, BTreeSet, HashSet};
+    use std::io::{Error, ErrorKind};
+    use std::sync::{Arc, Mutex, MutexGuard};
+
+    /// The store root of every logged run.
+    const ROOT: &str = "/store";
+
+    /// One logged operation.
+    #[derive(Clone, Debug)]
+    enum Op {
+        CreateDir(PathBuf),
+        /// A file created together with its data.
+        Create {
+            path: PathBuf,
+            inode: u64,
+            bytes: Arc<[u8]>,
+        },
+        SyncFile {
+            path: PathBuf,
+            inode: u64,
+        },
+        SyncDir(PathBuf),
+        Rename {
+            from: PathBuf,
+            to: PathBuf,
+        },
+        Remove(PathBuf),
+        RemoveDir(PathBuf),
+        List(PathBuf),
+        Read(PathBuf),
+        /// Not a file operation: the run reported the epoch whose manifest
+        /// it wrote last as committed.
+        Acknowledged,
+    }
+
+    impl Op {
+        /// The directory whose sync makes this operation's entry durable.
+        fn entry_dir(&self) -> Option<&Path> {
+            match self {
+                Op::CreateDir(path)
+                | Op::Create { path, .. }
+                | Op::Rename { from: path, .. }
+                | Op::Remove(path)
+                | Op::RemoveDir(path) => path.parent(),
+                _ => None,
+            }
+        }
+
+        fn is_sync(&self) -> bool {
+            matches!(self, Op::SyncFile { .. } | Op::SyncDir(_))
+        }
+
+        /// The operation and the path it acts on.
+        fn label(&self) -> String {
+            let (name, path) = match self {
+                Op::CreateDir(path) => ("create dir", path),
+                Op::Create { path, .. } => ("create", path),
+                Op::SyncFile { path, .. } => ("sync file", path),
+                Op::SyncDir(path) => ("sync dir", path),
+                Op::Rename { to, .. } => ("rename to", to),
+                Op::Remove(path) => ("remove", path),
+                Op::RemoveDir(path) => ("remove dir", path),
+                Op::List(path) => ("list", path),
+                Op::Read(path) => ("read", path),
+                Op::Acknowledged => return "commit acknowledged".to_string(),
+            };
+            format!("{name} {}", path.display())
+        }
+
+        /// The epoch a manifest write belongs to.
+        fn manifest_epoch(&self) -> Option<u64> {
+            let path = match self {
+                Op::Create { path, .. } | Op::Rename { to: path, .. } => path,
+                _ => return None,
+            };
+            let name = path.file_name()?.to_str()?;
+            let epoch = path.parent()?.file_name()?.to_str()?;
+            name.starts_with("manifest").then_some(())?;
+            epoch.strip_prefix("epoch-")?.parse().ok()
+        }
+    }
+
+    /// A directory tree. A file holds a prefix, `len` bytes long, of the
+    /// bytes written to its inode.
+    #[derive(Clone, Debug, PartialEq, Eq, Hash)]
+    struct Tree {
+        dirs: BTreeSet<PathBuf>,
+        files: BTreeMap<PathBuf, (u64, usize)>,
+    }
+
+    impl Tree {
+        fn new() -> Self {
+            Tree {
+                dirs: [PathBuf::from("/")].into(),
+                files: BTreeMap::new(),
+            }
+        }
+
+        fn has_parent(&self, path: &Path) -> bool {
+            path.parent()
+                .is_some_and(|parent| self.dirs.contains(parent))
+        }
+
+        fn exists(&self, path: &Path) -> bool {
+            self.dirs.contains(path) || self.files.contains_key(path)
+        }
+    }
+
+    #[derive(Debug)]
+    struct State {
+        tree: Tree,
+        /// Every inode's bytes, by inode number.
+        data: Vec<Arc<[u8]>>,
+        log: Vec<Op>,
+        /// True for a disk a crash left: no process that locked it runs.
+        rebooted: bool,
+    }
+
+    /// An in-memory file system that logs every operation.
+    #[derive(Clone, Debug)]
+    struct MemFs(Arc<Mutex<State>>);
+
+    fn error(kind: ErrorKind, path: &Path) -> Error {
+        Error::new(kind, path.display().to_string())
+    }
+
+    impl MemFs {
+        fn new() -> Self {
+            Self::on(Tree::new(), Vec::new(), false)
+        }
+
+        fn on(tree: Tree, data: Vec<Arc<[u8]>>, rebooted: bool) -> Self {
+            MemFs(Arc::new(Mutex::new(State {
+                tree,
+                data,
+                log: Vec::new(),
+                rebooted,
+            })))
+        }
+
+        fn state(&self) -> MutexGuard<'_, State> {
+            self.0
+                .lock()
+                .expect("a test thread panicked holding the file system")
+        }
+
+        fn log(&self) -> Vec<Op> {
+            self.state().log.clone()
+        }
+
+        fn acknowledge(&self) {
+            self.state().log.push(Op::Acknowledged);
+        }
+    }
+
+    impl StoreFs for MemFs {
+        fn create_dir(&self, path: &Path) -> std::io::Result<()> {
+            let mut s = self.state();
+            if s.tree.exists(path) {
+                return Err(error(ErrorKind::AlreadyExists, path));
+            }
+            if !s.tree.has_parent(path) {
+                return Err(error(ErrorKind::NotFound, path));
+            }
+            s.tree.dirs.insert(path.to_path_buf());
+            s.log.push(Op::CreateDir(path.to_path_buf()));
+            Ok(())
+        }
+
+        fn create_new(&self, path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+            let mut s = self.state();
+            if s.tree.exists(path) {
+                return Err(error(ErrorKind::AlreadyExists, path));
+            }
+            if !s.tree.has_parent(path) {
+                return Err(error(ErrorKind::NotFound, path));
+            }
+            let inode = s.data.len() as u64;
+            let bytes: Arc<[u8]> = bytes.into();
+            s.data.push(bytes.clone());
+            s.tree
+                .files
+                .insert(path.to_path_buf(), (inode, bytes.len()));
+            s.log.push(Op::Create {
+                path: path.to_path_buf(),
+                inode,
+                bytes,
+            });
+            Ok(())
+        }
+
+        /// The store writes only files that do not exist yet, so the model
+        /// needs no rewrite in place.
+        fn write(&self, path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+            self.create_new(path, bytes)
+        }
+
+        fn sync_file(&self, path: &Path) -> std::io::Result<()> {
+            let mut s = self.state();
+            let (inode, _) = *s
+                .tree
+                .files
+                .get(path)
+                .ok_or_else(|| error(ErrorKind::NotFound, path))?;
+            s.log.push(Op::SyncFile {
+                path: path.to_path_buf(),
+                inode,
+            });
+            Ok(())
+        }
+
+        fn sync_dir(&self, path: &Path) -> std::io::Result<()> {
+            let mut s = self.state();
+            if !s.tree.dirs.contains(path) {
+                return Err(error(ErrorKind::NotFound, path));
+            }
+            s.log.push(Op::SyncDir(path.to_path_buf()));
+            Ok(())
+        }
+
+        fn rename(&self, from: &Path, to: &Path) -> std::io::Result<()> {
+            let mut s = self.state();
+            assert_eq!(
+                from.parent(),
+                to.parent(),
+                "the model renames within a directory"
+            );
+            let file = s
+                .tree
+                .files
+                .remove(from)
+                .ok_or_else(|| error(ErrorKind::NotFound, from))?;
+            s.tree.files.insert(to.to_path_buf(), file);
+            s.log.push(Op::Rename {
+                from: from.to_path_buf(),
+                to: to.to_path_buf(),
+            });
+            Ok(())
+        }
+
+        fn remove_file(&self, path: &Path) -> std::io::Result<()> {
+            let mut s = self.state();
+            s.tree
+                .files
+                .remove(path)
+                .ok_or_else(|| error(ErrorKind::NotFound, path))?;
+            s.log.push(Op::Remove(path.to_path_buf()));
+            Ok(())
+        }
+
+        /// Logged as what `std::fs::remove_dir_all` does: one removal per
+        /// file, then each directory, innermost first.
+        fn remove_dir_all(&self, path: &Path) -> std::io::Result<()> {
+            let mut s = self.state();
+            if !s.tree.dirs.contains(path) {
+                return Err(error(ErrorKind::NotFound, path));
+            }
+            let files: Vec<PathBuf> = s
+                .tree
+                .files
+                .keys()
+                .filter(|f| f.starts_with(path))
+                .cloned()
+                .collect();
+            for file in files {
+                s.tree.files.remove(&file);
+                s.log.push(Op::Remove(file));
+            }
+            let mut dirs: Vec<PathBuf> = s
+                .tree
+                .dirs
+                .iter()
+                .filter(|d| d.starts_with(path))
+                .cloned()
+                .collect();
+            dirs.sort_by_key(|dir| std::cmp::Reverse(dir.components().count()));
+            for dir in dirs {
+                s.tree.dirs.remove(&dir);
+                s.log.push(Op::RemoveDir(dir));
+            }
+            Ok(())
+        }
+
+        fn list_dir(&self, path: &Path) -> std::io::Result<Vec<String>> {
+            let mut s = self.state();
+            if !s.tree.dirs.contains(path) {
+                return Err(error(ErrorKind::NotFound, path));
+            }
+            let children = s.tree.dirs.iter().chain(s.tree.files.keys());
+            let names = children
+                .filter(|child| child.parent() == Some(path))
+                .filter_map(|child| Some(child.file_name()?.to_str()?.to_string()))
+                .collect();
+            s.log.push(Op::List(path.to_path_buf()));
+            Ok(names)
+        }
+
+        fn read(&self, path: &Path) -> std::io::Result<Vec<u8>> {
+            let mut s = self.state();
+            let (inode, len) = *s
+                .tree
+                .files
+                .get(path)
+                .ok_or_else(|| error(ErrorKind::NotFound, path))?;
+            let bytes = s.data[inode as usize][..len].to_vec();
+            s.log.push(Op::Read(path.to_path_buf()));
+            Ok(bytes)
+        }
+
+        fn pid_is_alive(&self, pid: u32) -> bool {
+            !self.state().rebooted && StdFs.pid_is_alive(pid)
+        }
+    }
+
+    /// How much of each operation of a log prefix a crash kept: its entry,
+    /// and for a create the length of the data prefix.
+    #[derive(Clone)]
+    struct Kept {
+        entry: Vec<bool>,
+        data: Vec<usize>,
+    }
+
+    /// The disk a crash leaves after `ops` with `kept` of each.
+    fn replay(ops: &[Op], kept: &Kept) -> Tree {
+        let mut tree = Tree::new();
+        for (i, op) in ops.iter().enumerate() {
+            if !kept.entry[i] {
+                continue;
+            }
+            match op {
+                Op::CreateDir(path) if tree.has_parent(path) => {
+                    tree.dirs.insert(path.clone());
+                }
+                Op::Create { path, inode, .. } if tree.has_parent(path) => {
+                    tree.files.insert(path.clone(), (*inode, kept.data[i]));
+                }
+                Op::Rename { from, to } => {
+                    if let Some(file) = tree.files.remove(from) {
+                        tree.files.insert(to.clone(), file);
+                    }
+                }
+                Op::Remove(path) => {
+                    tree.files.remove(path);
+                }
+                Op::RemoveDir(path) => {
+                    tree.dirs.retain(|dir| !dir.starts_with(path));
+                    tree.files.retain(|file, _| !file.starts_with(path));
+                }
+                _ => {}
+            }
+        }
+        tree
+    }
+
+    /// One unsynced effect a crash may keep or lose: an operation's entry,
+    /// or the data of the file it created, with the choices the model
+    /// allows (whole last).
+    struct Effect {
+        op: usize,
+        data: bool,
+        choices: Vec<usize>,
+    }
+
+    /// Calls `visit` on every disk a power loss after `ops` can leave, by
+    /// the model in this module's docs.
+    fn crash_states(ops: &[Op], mut visit: impl FnMut(&Tree)) {
+        let whole = Kept {
+            entry: vec![true; ops.len()],
+            data: ops
+                .iter()
+                .map(|op| match op {
+                    Op::Create { bytes, .. } => bytes.len(),
+                    _ => 0,
+                })
+                .collect(),
+        };
+        // Unsynced effects, grouped by sync interval.
+        let mut intervals: BTreeMap<usize, Vec<Effect>> = BTreeMap::new();
+        let mut interval = 0;
+        for (i, op) in ops.iter().enumerate() {
+            let later = &ops[i + 1..];
+            if let Some(dir) = op.entry_dir() {
+                if !later
+                    .iter()
+                    .any(|o| matches!(o, Op::SyncDir(d) if d == dir))
+                {
+                    intervals.entry(interval).or_default().push(Effect {
+                        op: i,
+                        data: false,
+                        choices: vec![0, 1],
+                    });
+                }
+            }
+            if let Op::Create { inode, bytes, .. } = op {
+                let synced = |o: &Op| matches!(o, Op::SyncFile { inode: n, .. } if n == inode);
+                if !later.iter().any(synced) {
+                    let len = bytes.len();
+                    let mut choices = vec![0, 1.min(len), len / 2, len.saturating_sub(1), len];
+                    choices.dedup();
+                    intervals.entry(interval).or_default().push(Effect {
+                        op: i,
+                        data: true,
+                        choices,
+                    });
+                }
+            }
+            interval += usize::from(op.is_sync());
+        }
+        let groups: Vec<&Vec<Effect>> = intervals.values().collect();
+        if groups.is_empty() {
+            visit(&replay(ops, &whole));
+            return;
+        }
+        let set = |kept: &mut Kept, effect: &Effect, choice: usize| {
+            if effect.data {
+                kept.data[effect.op] = choice;
+            } else {
+                kept.entry[effect.op] = choice == 1;
+            }
+        };
+        for (t, group) in groups.iter().enumerate() {
+            // Earlier intervals whole, later ones lost, this one any way.
+            let mut kept = whole.clone();
+            for effect in groups[t + 1..].iter().flat_map(|g| g.iter()) {
+                set(&mut kept, effect, effect.choices[0]);
+            }
+            let mut pick = vec![0usize; group.len()];
+            loop {
+                let all_whole = group
+                    .iter()
+                    .zip(&pick)
+                    .all(|(effect, &p)| p == effect.choices.len() - 1);
+                // Keeping all of this interval is the next one's "none".
+                if !all_whole || t + 1 == groups.len() {
+                    for (effect, &p) in group.iter().zip(&pick) {
+                        set(&mut kept, effect, effect.choices[p]);
+                    }
+                    visit(&replay(ops, &kept));
+                }
+                let Some(next) = (0..group.len()).find(|&k| pick[k] + 1 < group[k].choices.len())
+                else {
+                    break;
+                };
+                pick[next] += 1;
+                pick[..next].fill(0);
+            }
+        }
+    }
+
+    /// What the enumeration found.
+    #[derive(Debug, Default)]
+    struct Report {
+        /// Crash points: log prefixes a power loss can follow.
+        points: usize,
+        /// Crash states over all points.
+        states: usize,
+        /// Distinct (disk, expectation) pairs recovery was run on.
+        checked: usize,
+        failures: Vec<String>,
+    }
+
+    /// Enumerates every crash state of `log` and recovers each one: a store
+    /// opened on the crashed disk must recover the newest epoch whose
+    /// commit was reported, or the epoch whose commit was under way, with
+    /// every file it read exactly as written — never an older epoch, never
+    /// a torn one, never a panic.
+    fn check_every_crash_state(log: &[Op]) -> Report {
+        let mut report = Report::default();
+        let mut seen = HashSet::new();
+        let data: Vec<Arc<[u8]>> = {
+            let mut data = Vec::new();
+            for op in log {
+                if let Op::Create { inode, bytes, .. } = op {
+                    assert_eq!(*inode as usize, data.len(), "inodes number the creates");
+                    data.push(bytes.clone());
+                }
+            }
+            data
+        };
+        let (mut acked, mut written) = (None, None);
+        for at in 0..=log.len() {
+            if let Some(op) = at.checked_sub(1).map(|i| &log[i]) {
+                match op {
+                    Op::List(_) | Op::Read(_) => continue,
+                    Op::Acknowledged => acked = written,
+                    _ => written = op.manifest_epoch().or(written),
+                }
+            }
+            let in_flight = written.filter(|_| written != acked);
+            let logical = replay(&log[..at], &{
+                let mut kept = Kept {
+                    entry: vec![true; at],
+                    data: vec![0; at],
+                };
+                for (i, op) in log[..at].iter().enumerate() {
+                    if let Op::Create { bytes, .. } = op {
+                        kept.data[i] = bytes.len();
+                    }
+                }
+                kept
+            });
+            report.points += 1;
+            crash_states(&log[..at], |disk| {
+                report.states += 1;
+                if !seen.insert((disk.clone(), acked, in_flight)) {
+                    return;
+                }
+                report.checked += 1;
+                if let Err(why) = recovers(disk, &data, &logical, acked, in_flight) {
+                    report.failures.push(format!(
+                        "crash after op {at} ({}): {why}",
+                        log[at.max(1) - 1].label()
+                    ));
+                }
+            });
+        }
+        report
+    }
+
+    /// Opens a store on `disk` and checks what it recovers.
+    fn recovers(
+        disk: &Tree,
+        data: &[Arc<[u8]>],
+        logical: &Tree,
+        acked: Option<u64>,
+        in_flight: Option<u64>,
+    ) -> Result<(), String> {
+        let fs = MemFs::on(disk.clone(), data.to_vec(), true);
+        let recovery = std::panic::catch_unwind(|| {
+            let store = CheckpointStore::open_on(Box::new(fs), PathBuf::from(ROOT))?;
+            store.recover()
+        })
+        .map_err(|_| "open or recover panicked".to_string())?
+        .map_err(|e| format!("open or recover failed: {e}"))?;
+        let Some(epoch) = recovery.epoch else {
+            return match acked {
+                None => Ok(()),
+                Some(seq) => Err(format!("recovered nothing, but epoch {seq} was committed")),
+            };
+        };
+        let seq = epoch.manifest.seq;
+        if Some(seq) != acked && Some(seq) != in_flight {
+            return Err(format!(
+                "recovered epoch {seq}; committed {acked:?}, in flight {in_flight:?}"
+            ));
+        }
+        let dir = Path::new(ROOT).join(format!("epoch-{seq:010}"));
+        let read = (0..epoch.slots.len())
+            .map(|slot| dir.join(format!("slot-{slot}.ckpt")))
+            .chain([dir.join("manifest.ckpt")]);
+        for path in read {
+            if disk.files.get(&path) != logical.files.get(&path) {
+                return Err(format!(
+                    "recovered epoch {seq} from a torn {}",
+                    path.display()
+                ));
+            }
+        }
+        Ok(())
+    }
+
+    /// A 2×2 GD job small enough to enumerate: 48 px, one slice.
+    fn small_job(iterations: usize) -> (Dataset, SolverConfig) {
+        let dataset = Dataset::synthesize(SyntheticConfig {
+            object_px: 48,
+            slices: 1,
+            scan_grid: (3, 3),
+            window_px: 16,
+            ..SyntheticConfig::tiny()
+        });
+        let config = SolverConfig {
+            iterations,
+            halo_px: 4,
+            ..SolverConfig::default()
+        };
+        (dataset, config)
+    }
+
+    const POLICY: RecoveryPolicy = RecoveryPolicy::Recover {
+        spares: 0,
+        max_iteration_restarts: 2,
+    };
+
+    /// Runs a durable 2×2 job on `fs`, rank 0 acknowledging each commit
+    /// in the log; `resume` and `kill` as in [`DurabilityHook`].
+    fn run_durable(
+        fs: &MemFs,
+        iterations: usize,
+        resume: Option<&RecoveredEpoch>,
+        kill: Option<(u64, CrashPhase)>,
+    ) -> Result<(), RankFailure> {
+        let (dataset, config) = small_job(iterations);
+        let solver = GradientDecompositionSolver::new(&dataset, config, (2, 2));
+        let store = CheckpointStore::open_on(Box::new(fs.clone()), PathBuf::from(ROOT))
+            .expect("the store opens");
+        let acknowledge = |event: IterationProgress| {
+            if event.rank == 0 {
+                fs.acknowledge();
+            }
+        };
+        let job = JobContext {
+            progress: Some(&acknowledge),
+            durability: Some(DurabilityHook {
+                store: &store,
+                resume,
+                kill,
+                spec: b"spec",
+            }),
+            ..JobContext::default()
+        };
+        let backend = LockstepBackend::new(ClusterTopology::summit());
+        solver.run_job(&backend, POLICY, &job).map(|_| ())
+    }
+
+    /// The log of a durable 2×2 job of three iterations whose process is
+    /// killed committing epoch 1 (a torn manifest), then resumed by a new
+    /// store from the epoch that survived: epochs 0, 2 and 3 commit.
+    fn killed_and_resumed() -> Vec<Op> {
+        let fs = MemFs::new();
+        match run_durable(&fs, 3, None, Some((1, CrashPhase::DuringRename))) {
+            Err(RankFailure {
+                error: CommError::ProcessKilled { seq: 1, .. },
+                ..
+            }) => {}
+            other => panic!("the armed kill must strike epoch 1, got {other:?}"),
+        }
+        let store = CheckpointStore::open_on(Box::new(fs.clone()), PathBuf::from(ROOT))
+            .expect("the store reopens");
+        let epoch = store
+            .recover()
+            .expect("the scan succeeds")
+            .epoch
+            .expect("epoch 0 survives");
+        assert_eq!(epoch.manifest.seq, 0);
+        drop(store);
+        run_durable(&fs, 3, Some(&epoch), None).expect("the resumed run completes");
+        fs.log()
+    }
+
+    /// Syncs, renames and lockfile syncs in a stretch of log.
+    fn counts(ops: &[Op]) -> (usize, usize, usize) {
+        let count = |keep: fn(&Op) -> bool| ops.iter().filter(|op| keep(op)).count();
+        (
+            count(Op::is_sync),
+            count(|op| matches!(op, Op::Rename { .. })),
+            count(|op| matches!(op, Op::SyncFile { path, .. } if path.ends_with(LOCK_FILE))),
+        )
+    }
+
+    #[test]
+    fn syncs_and_renames_per_durable_barrier_and_per_resume() {
+        let fs = MemFs::new();
+        run_durable(&fs, 3, None, None).expect("the run completes");
+        let log = fs.log();
+        // Opening a fresh store ends with its scan of the root.
+        let opened = 1 + log
+            .iter()
+            .position(|op| matches!(op, Op::List(_)))
+            .expect("the open lists the root");
+        assert_eq!(counts(&log[..opened]), (2, 0, 1), "a fresh open");
+        let barriers: Vec<&[Op]> = log[opened..]
+            .split(|op| matches!(op, Op::Acknowledged))
+            .collect();
+        assert_eq!(barriers.len(), 4, "three barriers, then the lock's release");
+        for barrier in &barriers[..3] {
+            assert_eq!(counts(barrier), (11, 5, 0), "a 4-rank durable barrier");
+        }
+        assert_eq!(counts(barriers[3]), (0, 0, 0));
+
+        // A resume opens the store, recovers, and opens it again to run.
+        let before = fs.log().len();
+        for _ in 0..2 {
+            let store = CheckpointStore::open_on(Box::new(fs.clone()), PathBuf::from(ROOT))
+                .expect("the store reopens");
+            store.recover().expect("the scan succeeds");
+        }
+        assert_eq!(counts(&fs.log()[before..]), (2, 0, 2), "a resume");
+    }
+
+    #[test]
+    fn every_crash_state_of_a_killed_and_resumed_run_recovers() {
+        let log = killed_and_resumed();
+        let report = check_every_crash_state(&log);
+        assert!(
+            report.failures.is_empty(),
+            "{} of {} distinct crash states ({} in all) fail:\n{}",
+            report.failures.len(),
+            report.checked,
+            report.states,
+            report.failures[..report.failures.len().min(8)].join("\n")
+        );
+        assert_eq!(
+            (report.points, report.states, report.checked),
+            (111, 6957, 802),
+            "crash points, states, and distinct states checked"
+        );
     }
 }
