@@ -40,28 +40,32 @@ pub enum FaultAction {
     Kill,
 }
 
-/// Where, relative to the checkpoint manifest's atomic rename, a simulated
-/// whole-process kill strikes (see [`FaultPolicy::kill_process_at_barrier`]).
+/// Where, relative to the checkpoint commit point, a simulated whole-process
+/// kill strikes (see [`FaultPolicy::kill_process_at_barrier`]).
 ///
-/// The durability layer's commit protocol is write-temp → fsync → rename;
-/// each phase leaves a different on-disk state for recovery to handle:
+/// The durability layer commits an epoch by writing and syncing its
+/// manifest after every slot file is durable: the manifest's bytes, durable
+/// and checksum-valid, are the commit point. (The phase names date from a
+/// protocol that renamed the manifest into place; the states they leave are
+/// the same.) Each phase leaves a different on-disk state for recovery to
+/// handle:
 ///
 /// * `BeforeRename` — the per-rank checkpoint files are durable but the
 ///   manifest never appears, so the epoch is invisible and resume falls back
 ///   to the previous barrier.
-/// * `DuringRename` — the manifest appears torn (a partial write at the
-///   final path, as a non-atomic filesystem would leave it); recovery must
-///   reject it via its checksum and fall back, never trust it.
+/// * `DuringRename` — the manifest appears torn (the first part of its
+///   bytes, as a crash mid-write leaves it); recovery must reject it via its
+///   checksum and fall back, never trust it.
 /// * `AfterRename` — the commit completed before the death, so resume
 ///   continues from exactly this barrier.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CrashPhase {
     /// Die after the checkpoint files are durable but before the manifest
-    /// rename: the epoch never becomes visible.
+    /// is written: the epoch never becomes visible.
     BeforeRename,
-    /// Die mid-manifest-write, leaving a torn manifest at the final path.
+    /// Die mid-manifest-write, leaving a torn manifest.
     DuringRename,
-    /// Die immediately after the atomic rename: the epoch is committed.
+    /// Die immediately after the commit point: the epoch is committed.
     AfterRename,
 }
 
@@ -90,7 +94,7 @@ pub struct FaultPolicy {
     pub kill: Option<(usize, u64)>,
     /// When set, kills the *whole process* at the `barrier`-th durable
     /// checkpoint commit (the store's monotonic epoch sequence number), in
-    /// the given [`CrashPhase`] relative to the manifest's atomic rename.
+    /// the given [`CrashPhase`] relative to the commit point.
     /// Unlike [`FaultPolicy::kill`] this is not a per-node message fault:
     /// every rank of the job dies at once, exactly as a `kill -9` on the
     /// hosting process would. The fault layer only carries the knob; the
@@ -143,7 +147,7 @@ impl FaultPolicy {
 
     /// Kills the whole process at the `barrier`-th durable checkpoint commit
     /// (the checkpoint store's epoch sequence number), in the given
-    /// [`CrashPhase`] relative to the manifest's atomic rename. Used by the
+    /// [`CrashPhase`] relative to the commit point. Used by the
     /// resume tests and the `load_gen --kill-at-barrier` CI smoke; a run
     /// without a checkpoint store never reaches a commit, so the knob is
     /// inert there.

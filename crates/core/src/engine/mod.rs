@@ -223,8 +223,7 @@ pub struct JobContext<'a> {
     pub telemetry: Option<&'a Telemetry>,
     /// Durable checkpointing: when present, every consistency barrier also
     /// persists each rank's checkpoint to the [`CheckpointStore`] and
-    /// commits the epoch with an atomic manifest rename (see
-    /// [`DurabilityHook`]). Requires a recovering policy — the barrier the
+    /// commits the epoch with its manifest (see [`DurabilityHook`]). Requires a recovering policy — the barrier the
     /// store piggybacks on does not exist under
     /// [`RecoveryPolicy::FailFast`].
     pub durability: Option<DurabilityHook<'a>>,
@@ -235,7 +234,7 @@ pub struct JobContext<'a> {
 /// Persistence rides the existing consistency barrier: after every rank has
 /// passed iteration `i`'s barrier, each rank durably writes its slot file, a
 /// second barrier proves all slot files are on disk, rank 0 commits the
-/// epoch manifest (the atomic rename that makes the epoch visible), and a
+/// epoch manifest (whose durable bytes make the epoch visible), and a
 /// third barrier publishes the commit before any rank starts iteration
 /// `i + 1`. The extra barriers cost only simulated time — they change no
 /// message payloads, so the reconstruction stays bit-identical to a run
@@ -253,7 +252,7 @@ pub struct DurabilityHook<'a> {
     pub resume: Option<&'a RecoveredEpoch>,
     /// Fault injection: simulate a whole-process kill when committing the
     /// epoch with this store sequence number, at the given phase relative
-    /// to the manifest rename. The run surfaces
+    /// to the commit point. The run surfaces
     /// [`CommError::ProcessKilled`] on every rank.
     pub kill: Option<(u64, CrashPhase)>,
     /// The service-level job spec, already encoded; embedded opaquely in
@@ -561,6 +560,11 @@ fn run_recovering<K: SolverKernel, B: CommBackend>(
                 usize::from(u8::MAX) + 1
             )
         });
+        // A failed attempt may have written slot files it never committed;
+        // this attempt persists under fresh sequence numbers.
+        if let Some(hook) = &job.durability {
+            hook.store.skip_uncommitted();
+        }
         // The attempt's frozen membership: slot -> node.
         let assignment = membership.assignment().to_vec();
         // Nodes whose death was observed this attempt — the failure

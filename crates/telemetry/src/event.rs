@@ -187,7 +187,7 @@ telemetry_events! {
         iterations: u64 as "iterations",
     }
     /// A rank's consistency-barrier checkpoint was made durable on disk and
-    /// the epoch's manifest committed (atomic rename).
+    /// the epoch's manifest committed.
     CheckpointPersisted = "checkpoint_persisted" {
         /// Iteration the durable checkpoint covers (first not-yet-run).
         iteration: u64 as "iteration",
