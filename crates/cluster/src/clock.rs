@@ -40,24 +40,6 @@ impl TimeBreakdown {
     pub fn total(&self) -> f64 {
         self.compute + self.wait + self.communication
     }
-
-    /// Elementwise sum of two breakdowns.
-    pub fn merge(&self, other: &TimeBreakdown) -> TimeBreakdown {
-        TimeBreakdown {
-            compute: self.compute + other.compute,
-            wait: self.wait + other.wait,
-            communication: self.communication + other.communication,
-        }
-    }
-
-    /// The elementwise maximum — the critical-path view across ranks.
-    pub fn max_per_component(&self, other: &TimeBreakdown) -> TimeBreakdown {
-        TimeBreakdown {
-            compute: self.compute.max(other.compute),
-            wait: self.wait.max(other.wait),
-            communication: self.communication.max(other.communication),
-        }
-    }
 }
 
 /// One rank's simulated clock: the time it has spent computing,
@@ -170,26 +152,5 @@ mod tests {
         assert_eq!(b.wait, 0.0);
         assert_eq!(b.total(), 2.25);
         assert_eq!(clock.now(), 2_250_000_000);
-    }
-
-    #[test]
-    fn merge_and_max() {
-        let a = TimeBreakdown {
-            compute: 1.0,
-            wait: 2.0,
-            communication: 3.0,
-        };
-        let b = TimeBreakdown {
-            compute: 4.0,
-            wait: 1.0,
-            communication: 0.5,
-        };
-        let sum = a.merge(&b);
-        assert_eq!(sum.compute, 5.0);
-        assert_eq!(sum.total(), 11.5);
-        let max = a.max_per_component(&b);
-        assert_eq!(max.compute, 4.0);
-        assert_eq!(max.wait, 2.0);
-        assert_eq!(max.communication, 3.0);
     }
 }

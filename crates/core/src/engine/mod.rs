@@ -107,11 +107,19 @@ impl ReconstructionResult {
         ptycho_cluster::average_peak_bytes(&self.memory)
     }
 
-    /// Worst-case (critical-path) time breakdown across ranks.
+    /// The critical path: the time breakdown of the rank whose clock ends
+    /// last. Where several end together, as every rank does at a barrier,
+    /// it is the one that waited least, then the lowest rank — the rank the
+    /// trace analysis names as its `critical_rank`.
     pub fn critical_path(&self) -> TimeBreakdown {
+        // Each part is a whole number of nanoseconds: compare them exactly.
+        let ns = |seconds: f64| (seconds * 1e9).round() as u64;
+        let end = |t: &TimeBreakdown| ns(t.compute) + ns(t.wait) + ns(t.communication);
         self.time
             .iter()
-            .fold(TimeBreakdown::default(), |acc, t| acc.max_per_component(t))
+            .copied()
+            .min_by_key(|t| (std::cmp::Reverse(end(t)), ns(t.wait)))
+            .unwrap_or_default()
     }
 }
 

@@ -112,7 +112,7 @@ fn dropped_pass_message_is_a_detectable_error_on_lockstep() {
 }
 
 #[test]
-fn dropped_pass_message_times_out_on_threaded() {
+fn dropped_pass_message_is_a_detectable_error_on_threaded() {
     // The threaded backend keeps no receive timer: the tombstone ends the run
     // at once, with the same failure the lockstep scheduler reports.
     assert_dropped_pass_message_is_reported_lost(threaded());

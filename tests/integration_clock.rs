@@ -53,7 +53,11 @@ fn assert_one_clock(label: &str, runs: [ReconstructionResult; 4]) {
 /// locations leave the nine ranks unequal shares, under the recovering
 /// policy, so every iteration ends at a barrier the ranks reach at
 /// different simulated times.
-fn gd_3x3(backend: &impl CommBackend, pass_frequency: PassFrequency) -> ReconstructionResult {
+fn gd_3x3(
+    backend: &impl CommBackend,
+    pass_frequency: PassFrequency,
+    job: &JobContext<'_>,
+) -> ReconstructionResult {
     let config = SolverConfig {
         iterations: 2,
         halo_px: 20,
@@ -61,22 +65,60 @@ fn gd_3x3(backend: &impl CommBackend, pass_frequency: PassFrequency) -> Reconstr
         ..SolverConfig::default()
     };
     GradientDecompositionSolver::new(&golden_problem(), config, (3, 3))
-        .run_job(backend, restart_policy(), &JobContext::default())
+        .run_job(backend, restart_policy(), job)
         .expect("fault-free run completes")
 }
 
 #[test]
 fn gd_3x3_clocks_agree_across_backends_and_runs() {
     for frequency in [PassFrequency::EveryProbe, PassFrequency::PerIteration(1)] {
+        let job = JobContext::default();
         let runs = [
-            gd_3x3(&lockstep(), frequency),
-            gd_3x3(&threaded(), frequency),
-            gd_3x3(&lockstep(), frequency),
-            gd_3x3(&threaded(), frequency),
+            gd_3x3(&lockstep(), frequency, &job),
+            gd_3x3(&threaded(), frequency, &job),
+            gd_3x3(&lockstep(), frequency, &job),
+            gd_3x3(&threaded(), frequency, &job),
         ];
         // Unequal shares: a rank with fewer probes waits for its peers.
         assert!(runs[0].critical_path().wait > 0.0, "{frequency:?}");
         assert_one_clock(&format!("GD 3x3 {frequency:?}"), runs);
+    }
+}
+
+/// The critical path is one rank's time: the rank whose clock ends last,
+/// and of the ranks that end together at the last barrier, the one that
+/// waited least — the rank the trace analysis names. Its total is every
+/// rank's end time.
+#[test]
+fn the_critical_path_is_the_rank_the_trace_analysis_names() {
+    let ns = |seconds: f64| (seconds * 1e9).round() as u64;
+    let end = |t: &TimeBreakdown| ns(t.compute) + ns(t.wait) + ns(t.communication);
+    for frequency in [PassFrequency::EveryProbe, PassFrequency::PerIteration(1)] {
+        let telemetry = Telemetry::new();
+        let job = JobContext {
+            telemetry: Some(&telemetry),
+            ..JobContext::default()
+        };
+        let result = gd_3x3(&lockstep(), frequency, &job);
+        let records: Vec<_> = (0..result.time.len())
+            .flat_map(|rank| telemetry.records(rank))
+            .collect();
+        let analysis = ptycho_telemetry::critical_path(&records, records[0].job);
+        let path = result.critical_path();
+        let named = result.time[analysis.critical_rank as usize];
+        assert_eq!(bits(&path), bits(&named), "{frequency:?}");
+        assert_eq!(end(&path), analysis.end_to_end_ns, "{frequency:?}");
+        for t in &result.time {
+            assert_eq!(
+                end(t),
+                end(&path),
+                "{frequency:?}: every rank ends at the barrier"
+            );
+            assert!(
+                t.wait >= path.wait,
+                "{frequency:?}: the critical rank waits least"
+            );
+        }
     }
 }
 

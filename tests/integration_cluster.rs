@@ -2,9 +2,7 @@
 //! reconstruction workloads: message-passing patterns, time accounting,
 //! topology-aware costs and the analytic scaling model they feed.
 
-use ptycho_cluster::{
-    Cluster, ClusterTopology, CommBackend, HardwareModel, RankComm, TimeBreakdown,
-};
+use ptycho_cluster::{Cluster, ClusterTopology, CommBackend, HardwareModel, RankComm};
 use ptycho_core::memory_model::{decomposition_geometry, gd_memory_per_gpu, hve_memory_per_gpu};
 use ptycho_core::scaling::{Method, ScalingScenario, GD_HALO_PM, HVE_HALO_PM};
 use ptycho_sim::dataset::DatasetSpec;
@@ -61,21 +59,6 @@ fn communication_charges_follow_topology() {
     let inter = topology.transfer_time(0, 7, 500_000 * 8);
     assert!((sender.communication - (intra + inter)).abs() < 1e-9);
     assert!(inter > intra);
-}
-
-#[test]
-fn breakdown_totals_are_additive() {
-    let a = TimeBreakdown {
-        compute: 1.0,
-        wait: 2.0,
-        communication: 3.0,
-    };
-    let b = TimeBreakdown {
-        compute: 0.5,
-        wait: 0.5,
-        communication: 0.5,
-    };
-    assert_eq!(a.merge(&b).total(), 7.5);
 }
 
 #[test]
