@@ -2600,8 +2600,7 @@ mod crash_states {
                     return;
                 }
                 report.checked += 1;
-                let (disk, logical) = (Crashed(disk, &numbered), Crashed(&logical, &numbered));
-                if let Err(why) = recovers(disk, &data, logical, acked, in_flight) {
+                if let Err(why) = recovers(&numbered, &data, disk, &logical, (acked, in_flight)) {
                     report.failures.push(format!(
                         "crash after op {at} ({}): {why}",
                         log[at.max(1) - 1].label()
@@ -2612,20 +2611,17 @@ mod crash_states {
         report
     }
 
-    /// A disk with the numbering of its paths.
-    #[derive(Clone, Copy)]
-    struct Crashed<'a>(&'a Disk, &'a Numbered);
-
     /// Opens a store on `disk` and checks what it recovers against what the
-    /// run wrote, `logical`.
+    /// run wrote, `logical`, and the epochs it may return: the newest one
+    /// whose commit was acknowledged, or the one whose commit was under way.
     fn recovers(
-        disk: Crashed<'_>,
+        numbered: &Numbered,
         data: &[Arc<[u8]>],
-        logical: Crashed<'_>,
-        acked: Option<u64>,
-        in_flight: Option<u64>,
+        disk: &Disk,
+        logical: &Disk,
+        (acked, in_flight): (Option<u64>, Option<u64>),
     ) -> Result<(), String> {
-        let fs = MemFs::on(disk.0.tree(disk.1), data.to_vec(), true);
+        let fs = MemFs::on(disk.tree(numbered), data.to_vec(), true);
         let recovery = std::panic::catch_unwind(|| {
             let store = CheckpointStore::open_on(Box::new(fs), PathBuf::from(ROOT))?;
             store.recover()
@@ -2649,7 +2645,7 @@ mod crash_states {
             .map(|slot| dir.join(format!("slot-{slot}.ckpt")))
             .chain([dir.join("manifest.ckpt")]);
         for path in read {
-            if disk.0.file(disk.1, &path) != logical.0.file(logical.1, &path) {
+            if disk.file(numbered, &path) != logical.file(numbered, &path) {
                 return Err(format!(
                     "recovered epoch {seq} from a torn {}",
                     path.display()
