@@ -30,6 +30,11 @@ use super::{CommBackend, CommError, Payload, RankFailure, RankOutcome};
 use crate::topology::ClusterTopology;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
+/// Envelopes each rank's mailbox has room for before its first send, so the
+/// mailboxes of a run's steady state do not grow (a reallocation is an
+/// allocation in a steady-state iteration).
+const MAILBOX_CAPACITY: usize = 64;
+
 #[derive(Clone, Debug, PartialEq, Eq)]
 enum RankStatus {
     /// Eligible to run when the baton reaches it.
@@ -319,7 +324,9 @@ impl CommBackend for LockstepBackend {
             state: Mutex::new(SchedState {
                 current: 0,
                 status: vec![RankStatus::Runnable; num_ranks],
-                mailboxes: (0..num_ranks).map(|_| Vec::new()).collect(),
+                mailboxes: (0..num_ranks)
+                    .map(|_| Vec::with_capacity(MAILBOX_CAPACITY))
+                    .collect(),
                 deadlock: None,
                 barrier_epoch: 0,
                 barrier_latest: 0,

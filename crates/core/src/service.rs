@@ -55,7 +55,7 @@ use ptycho_telemetry::{Histogram, MetricsRegistry, Telemetry, TelemetryEvent};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 /// Which reconstruction method a job runs.
@@ -95,7 +95,29 @@ pub struct JobSpec {
     /// A recovered on-disk epoch to resume from (set only by
     /// [`JobEngine::resume`]; the engine prefills rank state, membership,
     /// and recovery counters from it).
-    pub(crate) resume_from: Option<Arc<RecoveredEpoch>>,
+    pub(crate) resume_from: Option<Arc<Resumption>>,
+}
+
+/// What [`JobEngine::resume`] hands the resumed job: the epoch it recovered,
+/// and the store it recovered it from, still open and holding the lock,
+/// which the job's runner takes to persist into. The store is opened once
+/// per resume, and no other process can take it between the scan and the
+/// run.
+#[derive(Debug)]
+pub(crate) struct Resumption {
+    pub(crate) epoch: RecoveredEpoch,
+    store: Mutex<Option<CheckpointStore>>,
+}
+
+impl Resumption {
+    /// The open store, to the first caller (the job's runner); `None` once
+    /// taken.
+    pub(crate) fn take_store(&self) -> Option<CheckpointStore> {
+        self.store
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .take()
+    }
 }
 
 impl JobSpec {
@@ -410,16 +432,18 @@ impl JobEngine {
         };
         let store = CheckpointStore::open(&dir).map_err(reject)?;
         let recovery = store.recover().map_err(reject)?;
-        // Release the store (and its lock) before submission: the runner
-        // thread re-opens the directory for the resumed run.
-        drop(store);
         let Some(epoch) = recovery.epoch else {
             let rejected = recovery.rejected;
             return Err(reject(DurabilityError::NoValidEpoch { rejected }));
         };
         let mut spec = decode_spec(&epoch.manifest.spec, &dir).map_err(reject)?();
         spec.checkpoint_dir = Some(dir);
-        spec.resume_from = Some(Arc::new(epoch));
+        // The store stays open, lock and all, until the runner takes it (or
+        // the job ends without running, dropping it with the spec).
+        spec.resume_from = Some(Arc::new(Resumption {
+            epoch,
+            store: Mutex::new(Some(store)),
+        }));
         spec.telemetry = telemetry;
         self.submit(spec)
     }
@@ -824,7 +848,7 @@ fn refusal_reason(spec: &JobSpec) -> Option<String> {
             }
         }
     };
-    if let Some(epoch) = &spec.resume_from {
+    if let Some(epoch) = spec.resume_from.as_ref().map(|resume| &resume.epoch) {
         // `CheckpointStore::commit` takes any manifest, so the slot count
         // and the embedded spec can disagree.
         let seq = epoch.manifest.seq;

@@ -44,15 +44,19 @@ pub(super) fn run_job_thread(
     // A panicking run fails the job instead of leaving it `Running` with its
     // nodes leased and every waiter blocked.
     let outcome = catch_unwind(AssertUnwindSafe(|| {
-        let store = spec
-            .checkpoint_dir
-            .as_ref()
-            .map(|dir| {
-                CheckpointStore::open(dir).map_err(|error| JobError::Rejected {
-                    reason: format!("checkpoint store at {}: {error}", dir.display()),
+        // A resumed job runs on the store its resume recovered from.
+        let store = match spec.resume_from.as_ref().and_then(|r| r.take_store()) {
+            Some(store) => Some(store),
+            None => spec
+                .checkpoint_dir
+                .as_ref()
+                .map(|dir| {
+                    CheckpointStore::open(dir).map_err(|error| JobError::Rejected {
+                        reason: format!("checkpoint store at {}: {error}", dir.display()),
+                    })
                 })
-            })
-            .transpose()?;
+                .transpose()?,
+        };
         let spec_bytes = encode_spec(&spec);
         let job = JobContext {
             cancel: Some(&cancel),
@@ -61,7 +65,7 @@ pub(super) fn run_job_thread(
             telemetry: spec.telemetry.as_deref(),
             durability: store.as_ref().map(|store| DurabilityHook {
                 store,
-                resume: spec.resume_from.as_deref(),
+                resume: spec.resume_from.as_ref().map(|resume| &resume.epoch),
                 kill: spec.fault_policy.as_ref().and_then(|p| p.process_kill),
                 spec: &spec_bytes,
             }),

@@ -61,7 +61,7 @@ pub trait Real:
 }
 
 macro_rules! real {
-    ($($t:ty),*) => {$(
+    ($($t:ty => $hypot:path),*) => {$(
         impl Real for $t {
             const ZERO: $t = 0.0;
             const ONE: $t = 1.0;
@@ -87,7 +87,7 @@ macro_rules! real {
             }
             #[inline]
             fn hypot(self, other: $t) -> $t {
-                <$t>::hypot(self, other)
+                $hypot(self, other)
             }
             #[inline]
             fn atan2(self, other: $t) -> $t {
@@ -113,7 +113,21 @@ macro_rules! real {
     )*};
 }
 
-real!(f32, f64);
+real!(f32 => hypot_f32, f64 => f64::hypot);
+
+/// `hypot` for `f32` without libm: the squares and their sum in `f64`, where
+/// the squares are exact and nothing overflows, then the root rounded to
+/// `f32`. An infinite part gives `+∞` even beside a NaN, as `hypot` does.
+/// glibc's `hypotf` computes the same way, and the two agree bit for bit on
+/// finite pairs; but an `f32` magnitude, and so every `f32` loss and
+/// gradient, no longer depends on which libm the host links.
+fn hypot_f32(x: f32, y: f32) -> f32 {
+    if x.is_infinite() || y.is_infinite() {
+        return f32::INFINITY;
+    }
+    let (x, y) = (f64::from(x), f64::from(y));
+    (x * x + y * y).sqrt() as f32
+}
 
 /// A complex number `re + i·im` over the real type `T`.
 ///
@@ -429,6 +443,41 @@ mod tests {
         let a = Complex64::new(1.5, -2.25);
         let b = Complex64::new(-0.5, 3.0);
         assert!(close((a * b) / b, a));
+    }
+
+    #[test]
+    fn f32_hypot_keeps_the_non_finite_cases_and_stays_within_an_ulp_of_libm() {
+        let h = <f32 as Real>::hypot;
+        for (x, y) in [(f32::INFINITY, f32::NAN), (f32::NAN, f32::NEG_INFINITY)] {
+            assert_eq!(h(x, y), f32::INFINITY);
+        }
+        assert_eq!(h(f32::NEG_INFINITY, 3.0), f32::INFINITY);
+        assert!(h(f32::NAN, 1.0).is_nan());
+        assert_eq!(h(3.0, -4.0), 5.0);
+        assert_eq!(h(0.0, -0.0).to_bits(), 0);
+        assert_eq!(h(f32::MAX, 1.0), f32::MAX);
+        assert_eq!(h(f32::MAX, f32::MAX), f32::INFINITY);
+        let tiny = f32::from_bits(1);
+        assert_eq!(h(tiny, 0.0), tiny);
+        // Pairs spread over 2⁻⁶⁰ … 2⁶⁰, both signs.
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        for _ in 0..20_000 {
+            let mut next = || {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                let mantissa = (state >> 40) as f32 / (1u64 << 24) as f32 + 0.5;
+                let exponent = (state % 121) as i32 - 60;
+                let sign = if state & (1 << 20) == 0 { 1.0 } else { -1.0 };
+                sign * mantissa * 2f32.powi(exponent)
+            };
+            let (x, y) = (next(), next());
+            let (ours, libm) = (h(x, y), x.hypot(y));
+            assert!(
+                ours.to_bits().abs_diff(libm.to_bits()) <= 1,
+                "hypot({x:e}, {y:e}): {ours:e} vs libm {libm:e}"
+            );
+        }
     }
 
     #[test]

@@ -382,11 +382,12 @@ mod tests {
     }
 
     fn plans_match_scalar<R: Real>() {
-        // 2⁰ … 2¹⁰ covers the degenerate plan, odd and even stage counts
-        // (the one-stage tail sweep) and the vector tiers' one-value tails
-        // at h = 1.
+        // 2⁰ … 2¹² covers the degenerate plan, odd and even stage counts
+        // (the one-stage tail sweep), a line shorter than a vector, the
+        // longest row a panel takes (a line is a one-row partial panel) and
+        // a line longer than that.
         for level in SimdLevel::available_levels() {
-            for n in (0..=10).map(|e| 1usize << e) {
+            for n in (0..=12).map(|e| 1usize << e) {
                 let scalar_plan = FftPlan::<R>::with_simd_level(n, SimdLevel::Scalar);
                 let tier_plan = FftPlan::<R>::with_simd_level(n, level);
                 let input: Vec<Complex<R>> = (0..n)

@@ -3,14 +3,16 @@
 //!
 //! The 2D transform is a row pass followed by a column pass, both in the
 //! field's own storage, each sweeping the field once (see the
-//! [`crate::simd`] module). The row pass takes the rows in pairs `(i,
-//! rev(i))` of the column transform's bit reversal and runs each through
-//! every stage of the 1-D plan while it sits in L1, writing it out at its
-//! bit-reversed row. The column pass then runs only its butterfly stages.
-//! It does not transpose: it pairs whole *rows* (row `k` with row `k + h`
-//! under one broadcast twiddle), so its inner loop also runs along
-//! contiguous memory. Each column goes through exactly the butterflies the
-//! 1-D plan would apply to it.
+//! [`crate::simd`] module). The row pass runs every row through every stage
+//! of the 1-D plan and writes it out at its bit-reversed row. At the vector
+//! tiers it does so a panel of rows at a time — as many rows as a vector
+//! has real lanes, each row with its partner `rev(i)` — transposed into
+//! split re / im planes on the stack, so every butterfly runs across the
+//! panel's rows under one broadcast twiddle. The column pass then runs only
+//! its butterfly stages. It does not transpose: it pairs whole *rows* (row
+//! `k` with row `k + h` under one broadcast twiddle), so its inner loop also
+//! runs along contiguous memory. Each row and each column goes through
+//! exactly the butterflies the 1-D plan would apply to it.
 //!
 //! # Fused products
 //!
@@ -27,7 +29,9 @@
 //! The hot path of the reconstruction (one FFT pair per slice per probe
 //! location) must not allocate. [`Fft2Plan::forward_mut`] /
 //! [`Fft2Plan::inverse_mut`] / [`Fft2Plan::inverse_unnormalized_mut`]
-//! transform a field in place with no workspace at all. The by-value methods
+//! transform a field in place with no workspace at all: a row panel's
+//! planes live on the stack (at most 128 KiB, for rows of up to 2048
+//! values; longer rows run at the scalar tier). The by-value methods
 //! ([`Fft2Plan::forward`] and friends) clone the input first — convenient
 //! for cold paths, tests and examples.
 //!
@@ -637,10 +641,11 @@ mod tests {
         // on load or a conjugated factor; the field in place — forward,
         // inverse and scaled inverse, at every tier, against the scalar
         // multiply followed by the plain scalar in-place transform. Sizes run
-        // 2⁰ … 2¹⁰ in each direction (1×N, N×1, N×2 leave every sweep its
-        // degenerate cases) plus square and oblong fields with odd and even
+        // 2⁰ … 2¹¹ in each direction (1×N, N×1, N×2 leave every sweep its
+        // degenerate cases and the row pass partial panels, up to the longest
+        // row a panel takes) plus square and oblong fields with odd and even
         // stage counts.
-        let mut shapes: Vec<(usize, usize)> = (0..=10)
+        let mut shapes: Vec<(usize, usize)> = (0..=11)
             .map(|e| 1usize << e)
             .flat_map(|n| [(1, n), (n, 1), (n, 2)])
             .collect();

@@ -6,22 +6,45 @@
 //! the tier fixed at plan construction (a 1-D plan's line is a one-row
 //! field):
 //!
-//! * **The row pass** (`row_pass`) takes each row pair `(i, rev(i))` of the
-//!   column transform's bit reversal and runs both rows through every stage
-//!   of the row transform while they sit in L1. When the input comes from
-//!   a distinct source field, each row's own bit reversal is a gather fused
-//!   into the first radix-2² sweep, and an optional pointwise factor
-//!   (`x·f` or `x·conj(f)`) is applied to each value as it is loaded; in
-//!   place, the row is permuted in place and no factor is taken. The
-//!   remaining stages follow, and the inverse's normalisation is applied as
-//!   each row is written out. The row lands at its bit-reversed position, so
-//!   the column pass does no permutation of its own. In place, the two rows
-//!   of a pair are transformed and then swapped while hot, with no scratch.
+//! * **The row pass** (`row_pass`) transforms every row and writes input row
+//!   `i` to row `rev(i)` of the column transform's bit reversal, so the
+//!   column pass does no permutation of its own. When the input comes from a
+//!   distinct source field, an optional pointwise factor (`x·f` or
+//!   `x·conj(f)`) is applied to each value as it is loaded, and the
+//!   inverse's normalisation is applied as each row is written out.
 //! * **The column pass** (`column_pass2` / `column_pass`) pairs whole
 //!   *rows*: all butterflies between two rows share one twiddle, which is
 //!   broadcast, and the inner loop runs along the contiguous columns. That
 //!   is what lets the 2-D plan transform its columns in place, without
 //!   transposing.
+//!
+//! The vector tiers give the row pass the column pass's shape. They take the
+//! rows in **panels** of as many rows as a vector has real lanes (`2N` for
+//! `N` complex values per vector: 8 rows at AVX2 `f32`, 4 at AVX2 `f64` and
+//! SSE2 `f32`, 2 at SSE2 `f64`), with each row `i` of a panel its partner
+//! `rev(i)`. A panel's rows are loaded with contiguous full-width loads, the
+//! factor is taken at full width, and each `2N × 2N` block of reals is
+//! transposed into **split** planes: for each position `k` of the rows, one
+//! vector of the real parts and one of the imaginary parts, lane `p` from
+//! row `p`, stored at `k`'s bit-reversed position. Every stage then runs as
+//! split butterflies under broadcast twiddles — `t.re = b.re·w.re −
+//! b.im·w.im`, `t.im = b.re·w.im + b.im·w.re`, then `a ± t` — the scalar
+//! `Mul` / `Add` / `Sub` operation for operation, with no shuffle. The
+//! scale is applied as the planes are transposed back, and each row is
+//! stored at `rev(i)`. A panel reads all its rows before it writes any, so
+//! in place it overwrites only rows it has already read. A field of fewer
+//! rows than a panel (a 1-D plan, an `N × 1` field, the last panel of a row
+//! count no panel height divides) runs as a partial panel: its spare lanes
+//! repeat a row and are never stored.
+//!
+//! The split planes of a panel live on the stack, so the transform
+//! allocates nothing and no workspace is charged for them. A stack frame is
+//! probed page by page on every call, so the planes come in two sizes: for
+//! rows of up to `SHORT_PANEL_LEN` (128) values, 8 KiB at AVX2 and 4 KiB at
+//! SSE2; for longer rows, up to `MAX_PANEL_LEN` (2048) values, 128 KiB and
+//! 64 KiB. (Planes of the longest size for every row cost `service-burst`'s
+//! 32-px jobs about 17 % of their latency.) Rows longer than
+//! `MAX_PANEL_LEN` run at the scalar tier.
 //!
 //! Both passes run **two radix-2 stages per sweep**: the four values
 //! `x[j], x[j+h], x[j+2h], x[j+3h]` of a `4h` block go through the stage of
@@ -30,12 +53,10 @@
 //! the same operands and the same twiddle-table entries as two separate
 //! one-stage sweeps, so the result is bit-identical to them; only half the
 //! loads and stores happen. An odd stage count leaves the last stage to a
-//! one-stage sweep. The row sweeps read each stage's twiddles pre-split
-//! (`Stage`: `w` and its swap `[w.im, w.re]`), so a product needs no
-//! twiddle permute. The factor, gather, twiddle split, row placement and
-//! scale change where values are read and written, never which operations
-//! produce them: a fused transform is bit-identical to a separate multiply
-//! followed by the plain transform.
+//! one-stage sweep. The factor, transposes, row placement and scale change
+//! where values are read and written, never which operations produce them:
+//! a fused transform is bit-identical to a separate multiply followed by the
+//! plain transform.
 //!
 //! # Dispatch tiers and precisions
 //!
@@ -45,41 +66,40 @@
 //! [`Real`], the vector ones over a lane type — and
 //! instantiated at both `f64` and `f32`:
 //!
-//! | tier                  | `f64` lanes              | `f32` lanes              |
-//! |-----------------------|--------------------------|--------------------------|
-//! | [`SimdLevel::Scalar`] | one value                | one value                |
-//! | [`SimdLevel::Sse2`]   | 1 complex per `__m128d`  | 2 complex per `__m128`   |
-//! | [`SimdLevel::Avx2`]   | 2 complex per `__m256d`  | 4 complex per `__m256`   |
+//! | tier                  | `f64` lanes              | `f32` lanes              | rows per panel (`f64` / `f32`) |
+//! |-----------------------|--------------------------|--------------------------|--------------------------------|
+//! | [`SimdLevel::Scalar`] | one value                | one value                | one row at a time              |
+//! | [`SimdLevel::Sse2`]   | 1 complex per `__m128d`  | 2 complex per `__m128`   | 2 / 4                          |
+//! | [`SimdLevel::Avx2`]   | 2 complex per `__m256d`  | 4 complex per `__m256`   | 4 / 8                          |
 //!
 //! * `Scalar` is the portable tier: the only one on non-x86_64 targets, and
 //!   on x86_64 the oracle the other two are pinned against
-//!   (`with_simd_level(Scalar)`).
+//!   (`with_simd_level(Scalar)`). It keeps its per-row loops.
 //! * `Sse2` is part of the x86_64 baseline, so it needs no runtime check.
 //! * `Avx2` is selected when `is_x86_feature_detected!("avx2")` holds.
 //!
-//! A run whose length the lane count does not divide (odd run lengths,
-//! single-column fields) is finished one complex value at a time by the
-//! tier's one-value lane: the SSE2 `f64` lane, or the low half of an
-//! `__m128` for `f32`. The first radix-2² sweep of a row holds the four
-//! values of a block as the lane pairs `[x0, x2]` / `[x1, x3]` (two
-//! `__m256d` for AVX2 `f64`, two `__m128` for `f32` at both vector tiers),
-//! so its first stage is one vector butterfly as well.
+//! A column run whose length the lane count does not divide (odd run
+//! lengths, single-column fields) is finished one complex value at a time by
+//! the tier's one-value lane: the SSE2 `f64` lane, or the low half of an
+//! `__m128` for `f32`. A row shorter than one vector is loaded and stored
+//! through a zero-padded copy.
 //!
 //! # One arithmetic
 //!
 //! Every tier computes every butterfly as the *same* IEEE 754 operations in
 //! the same order as the scalar `Mul` / `Add` / `Sub` impls, at the
 //! precision of the data: the product `b·w` is two multiplies and one
-//! add/subtract per component (`mul` ×2 + `addsub` on AVX2 — `_pd` or
-//! `_ps`; SSE2 has no `addsub` and adds the sign-flipped product, which IEEE
-//! defines as the same operation), then `a' = a + t`, `b' = a − t`. No
-//! accumulation is reordered and nothing is fused, so which tier, which lane
-//! and which partition of a run computed a value cannot be seen in its bits:
-//! at each precision all tiers are **bit-identical**, pinned by `to_bits`
-//! tests at every level of the stack (sweeps, 1-D / 2-D plans, the
-//! multi-slice gradient, whole solves). The dispatch tier is therefore not
-//! part of a result's identity — goldens, traces and checkpoints are the
-//! same on every host.
+//! add/subtract per component — in the row panels on split planes, in the
+//! column sweeps and the fused factor on interleaved values (`mul` ×2 +
+//! `addsub` on AVX2 — `_pd` or `_ps`; SSE2 has no `addsub` and adds the
+//! sign-flipped product, which IEEE defines as the same operation) — then
+//! `a' = a + t`, `b' = a − t`. No accumulation is reordered and nothing is
+//! fused, so which tier, which lane and which partition of a run computed a
+//! value cannot be seen in its bits: at each precision all tiers are
+//! **bit-identical**, pinned by `to_bits` tests at every level of the stack
+//! (sweeps, 1-D / 2-D plans, the multi-slice gradient, whole solves). The
+//! dispatch tier is therefore not part of a result's identity — goldens,
+//! traces and checkpoints are the same on every host.
 //!
 //! FMA is deliberately not used, at either precision. `vfmaddsub231pd` /
 //! `vfmaddsub231ps` would fuse the second multiply with the add/subtract and
@@ -87,33 +107,31 @@
 //! instead of equal — every golden then needs a column per tier and a
 //! checkpoint cannot resume bit-identically on a host of another tier. In
 //! `f32` a dropped rounding is 2²⁹ times coarser than in `f64`, so the gap
-//! between tiers would be plainly visible in every reconstruction. Measured
-//! at commit 9bce48f in `f64`, with one radix-2 stage per sweep and a
-//! transposed column pass, on one AVX2 box (pinned CPU, best of 2000, one
-//! dense 128² forward transform / `iter_s_p50` of `perf_bench`'s
-//! `gd-compute-1r` in calibrated seconds, alternating runs), and not
-//! re-measured over the sweeps above:
+//! between tiers would be plainly visible in every reconstruction.
 //!
-//! | tier               | 128² forward | `gd-compute-1r` iteration |
-//! |--------------------|-------------:|--------------------------:|
-//! | scalar             |       190 µs |                   0.300 s |
-//! | SSE2               |       155 µs |                           |
-//! | AVX2, FMA          |        92 µs |                   0.183 s |
-//! | AVX2, mul + addsub |        99 µs |                   0.184 s |
+//! Measured on a 2-vCPU Xeon (AVX2; AVX-512 present and unused), the process
+//! pinned to one CPU, one 128² transform — a fused forward of `x·f` from a
+//! source field, and an in-place normalised inverse — best of three runs of
+//! 2000, at each tier and precision:
 //!
-//! — 7 % on the bare transform and 0–3 % end to end (a second sizing an hour
-//! later read 0.185 vs 0.194 s, on a box whose own run-to-run spread is
-//! 2 %), against a second arithmetic to specify, test and carry through
-//! every format.
+//! | tier   | `f32` fused forward | `f32` inverse | `f64` fused forward | `f64` inverse |
+//! |--------|--------------------:|--------------:|--------------------:|--------------:|
+//! | scalar |              255 µs |        251 µs |              240 µs |        248 µs |
+//! | SSE2   |               84 µs |         77 µs |              156 µs |        143 µs |
+//! | AVX2   |               51 µs |         42 µs |               84 µs |         72 µs |
+//!
+//! Of the AVX2 `f32` fused forward, the column pass is about 17 µs and the
+//! split stages about 11 µs; the rest is the panels' loads, factor,
+//! transposes and stores.
 
 // The intrinsics in the x86 module below are the one sanctioned use of
 // `unsafe` in this crate (the crate root carries `deny(unsafe_code)` on
 // x86_64 and `forbid(unsafe_code)` on every other target). Safety rests on
 // two invariants, both enforced here: every kernel is only dispatched after
 // its CPU feature is statically (SSE2) or dynamically (AVX2) confirmed, and
-// every pointer stays inside the bounds of the slices passed in
-// (`Complex<T>` is `#[repr(C)]`, so a `&[Complex<T>]` is exactly a dense
-// `re, im` sequence of `T`).
+// every pointer stays inside the bounds of the slices passed in, or of a
+// panel's stack planes (`Complex<T>` is `#[repr(C)]`, so a `&[Complex<T>]`
+// is exactly a dense `re, im` sequence of `T`).
 #![cfg_attr(target_arch = "x86_64", allow(unsafe_code))]
 
 use crate::complex::{Complex, Real};
@@ -173,6 +191,15 @@ impl SimdLevel {
     }
 }
 
+/// The longest row the vector tiers' row pass takes: a panel's split planes
+/// hold `2 · MAX_PANEL_LEN` vectors on the stack. Longer rows run at the
+/// scalar tier.
+pub(crate) const MAX_PANEL_LEN: usize = 2048;
+
+/// The longest row whose panels run in the small planes, `2 ·
+/// SHORT_PANEL_LEN` vectors (see the module docs).
+const SHORT_PANEL_LEN: usize = 128;
+
 // The tables and entry points the sweeps are instantiated over. They are
 // nominally public inside a private module, so `Sweeps` can be a supertrait
 // of the public `Real` without any of it being nameable outside the crate.
@@ -181,14 +208,10 @@ mod kernel {
     use crate::complex::{Complex, Real};
     use crate::fft2d::Factor;
 
-    /// One butterfly stage's twiddles `w[k]`, and the same values with their
-    /// parts swapped, `[w.im, w.re]`. The vector tiers' products read both,
-    /// so they do no twiddle permute; the swap is exact, so the split moves
-    /// no bit.
+    /// One butterfly stage's twiddles `w[k]`.
     #[derive(Clone, Debug)]
     pub struct Stage<R: Real> {
         pub(crate) w: Vec<Complex<R>>,
-        pub(crate) swapped: Vec<Complex<R>>,
     }
 
     /// The tables a row pass runs with (see the module docs).
@@ -272,7 +295,18 @@ macro_rules! sweeps {
                 source: Option<Source<'_, $real>>,
                 pass: &RowPass<'_, $real>,
             ) {
-                dispatch!(level, $real, scalar_rows, sse2_rows, avx2_rows, (data, source, pass))
+                if pass.within.len() <= SHORT_PANEL_LEN {
+                    dispatch!(level, $real, scalar_rows, sse2_rows, avx2_rows, (data, source, pass))
+                } else {
+                    dispatch!(
+                        level,
+                        $real,
+                        scalar_rows,
+                        sse2_long_rows,
+                        avx2_long_rows,
+                        (data, source, pass)
+                    )
+                }
             }
 
             fn column(
@@ -313,8 +347,7 @@ sweeps!(f32, f64);
 
 impl<R: Real> Stage<R> {
     pub(crate) fn new(w: Vec<Complex<R>>) -> Self {
-        let swapped = w.iter().map(|w| Complex::new(w.im, w.re)).collect();
-        Self { w, swapped }
+        Self { w }
     }
 
     /// The conjugated table (exact), for the inverse direction.
@@ -333,8 +366,9 @@ impl<R: Real> Stage<R> {
 ///
 /// # Panics
 /// Panics if `data` is not `order.len()` rows of `within.len()` values, the
-/// source or its factor is not as long as `data`, a bit-reversal table holds
-/// an index outside its own length, or the stage tables do not fit the row.
+/// source or its factor is not as long as `data`, a bit-reversal table is
+/// not an involution of its own index range, or the stage tables do not fit
+/// the row.
 pub(crate) fn row_pass<R: Real>(
     level: SimdLevel,
     data: &mut [Complex<R>],
@@ -351,7 +385,9 @@ pub(crate) fn row_pass<R: Real>(
     }
     for table in [pass.within, pass.order] {
         assert!(
-            table.iter().all(|&r| (r as usize) < table.len()),
+            table.iter().enumerate().all(|(i, &r)| table
+                .get(r as usize)
+                .is_some_and(|&back| back as usize == i)),
             "bit-reversal table"
         );
     }
@@ -364,6 +400,11 @@ pub(crate) fn row_pass<R: Real>(
                 .all(|(s, t)| t.len() == 1 << s),
         "row stage tables"
     );
+    let level = if n > MAX_PANEL_LEN {
+        SimdLevel::Scalar
+    } else {
+        level
+    };
     R::rows(level, data, source, pass)
 }
 
@@ -562,10 +603,11 @@ fn butterfly2<R: Real>(
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::{RowPass, Source, Stage};
+    use super::{RowPass, Source, Stage, MAX_PANEL_LEN, SHORT_PANEL_LEN};
     use crate::complex::{Complex, Real};
     use crate::fft2d::Factor;
     use core::arch::x86_64::*;
+    use core::mem::MaybeUninit;
 
     /// A vector of `N` complex values of precision `R` and the butterfly
     /// arithmetic on it. The sweeps below are written once over this trait
@@ -580,44 +622,59 @@ mod x86 {
         /// Complex values per vector: 1, 2 or 4.
         const N: usize;
         type V: Copy;
-        /// The one-value lane that finishes, value by value, a run whose
-        /// length `N` does not divide.
+        /// The one-value lane that finishes, value by value, a column run
+        /// whose length `N` does not divide.
         type One: Lanes<R = Self::R>;
-        /// The first radix-2² sweep's twiddles, held in registers.
-        type Quad: Copy;
         unsafe fn load(p: *const Complex<Self::R>) -> Self::V;
         unsafe fn store(p: *mut Complex<Self::R>, v: Self::V);
         unsafe fn splat(w: Complex<Self::R>) -> Self::V;
-        /// `[w.im, w.re]` of every value (exact).
-        unsafe fn swap(w: Self::V) -> Self::V;
-        /// `conj(w)` of every value: the imaginary sign flipped (exact).
-        unsafe fn conj(w: Self::V) -> Self::V;
         /// The complex products `b·w`, lane by lane, given `w` and
-        /// `swap(w)`.
+        /// `[w.im, w.re]`.
         unsafe fn mul(b: Self::V, w: Self::V, w_swapped: Self::V) -> Self::V;
+        /// Lane-wise sum, of complex values or of reals alike.
         unsafe fn add(a: Self::V, b: Self::V) -> Self::V;
+        /// Lane-wise difference.
         unsafe fn sub(a: Self::V, b: Self::V) -> Self::V;
-        /// Every part times the real `s`, as `Complex::scale`.
-        unsafe fn scale(v: Self::V, s: Self::R) -> Self::V;
-        /// Loads the first two stages' twiddles (one, then two entries).
-        unsafe fn quad_twiddles(wa: &Stage<Self::R>, wb: &Stage<Self::R>) -> Self::Quad;
-        /// `super::butterfly2` on the values at `idx` of `src`, each times
-        /// its factor as kind `K` asks, under the first two stages'
-        /// twiddles; the block is stored at `out[0..4]`. Every value is
-        /// loaded before any is stored, so `out` may be the block read.
-        unsafe fn quad<const K: u8>(
-            src: *const Complex<Self::R>,
-            factor: *const Complex<Self::R>,
-            idx: [usize; 4],
-            tw: Self::Quad,
-            out: *mut Complex<Self::R>,
+    }
+
+    /// A tier's full vector seen as `2N` real lanes, one per row of a row
+    /// pass panel (see the module docs).
+    ///
+    /// # Safety
+    /// As [`Lanes`]; `load_split` / `store_split` require values `k..k + N`
+    /// of each of the `2N` rows to be valid.
+    pub(super) trait Panel: Lanes {
+        /// Every lane `x`.
+        unsafe fn broadcast(x: Self::R) -> Self::V;
+        /// Lane-wise product of reals.
+        unsafe fn times(a: Self::V, b: Self::V) -> Self::V;
+        /// Every lane's sign flipped, as the scalar `Neg` (exact).
+        unsafe fn neg(v: Self::V) -> Self::V;
+        /// Values `k..k + N` of the `2N` rows at `rows`, transposed into
+        /// split planes (exact): `b[2q]` holds the real parts of value
+        /// `k + q` of every row, lane `p` from row `p`, and `b[2q + 1]` the
+        /// imaginary parts.
+        unsafe fn load_split(rows: &[*const Complex<Self::R>; PANEL_MAX], k: usize)
+            -> Planes<Self>;
+        /// `load_split` undone: stores the split planes `b` back as values
+        /// `k..k + N` of the rows.
+        unsafe fn store_split(
+            b: &Planes<Self>,
+            rows: &[*mut Complex<Self::R>; PANEL_MAX],
+            k: usize,
         );
     }
 
+    /// The most rows a panel holds: `2N` at AVX2 `f32`.
+    const PANEL_MAX: usize = 8;
+
+    /// The `2N` vectors of a block of split planes, in the first `2N` slots.
+    type Planes<L> = [<L as Lanes>::V; PANEL_MAX];
+
     /// The lane types of each tier at one precision.
     pub(super) trait Tiers: Real {
-        type Sse2: Lanes<R = Self>;
-        type Avx2: Lanes<R = Self>;
+        type Sse2: Panel<R = Self>;
+        type Avx2: Panel<R = Self>;
     }
 
     impl Tiers for f64 {
@@ -647,7 +704,6 @@ mod x86 {
         const N: usize = 1;
         type V = __m128d;
         type One = Sse2F64;
-        type Quad = [(__m128d, __m128d); 3];
         #[inline(always)]
         unsafe fn load(p: *const Complex<f64>) -> __m128d {
             _mm_loadu_pd(p as *const f64)
@@ -659,14 +715,6 @@ mod x86 {
         #[inline(always)]
         unsafe fn splat(w: Complex<f64>) -> __m128d {
             _mm_set_pd(w.im, w.re)
-        }
-        #[inline(always)]
-        unsafe fn swap(w: __m128d) -> __m128d {
-            _mm_shuffle_pd(w, w, 0b01)
-        }
-        #[inline(always)]
-        unsafe fn conj(w: __m128d) -> __m128d {
-            _mm_xor_pd(w, _mm_set_pd(-0.0, 0.0))
         }
         /// Replicates the scalar complex multiply
         /// `(b.re·w.re − b.im·w.im, b.re·w.im + b.im·w.re)` with the same two
@@ -690,40 +738,34 @@ mod x86 {
         unsafe fn sub(a: __m128d, b: __m128d) -> __m128d {
             _mm_sub_pd(a, b)
         }
+    }
+
+    impl Panel for Sse2F64 {
         #[inline(always)]
-        unsafe fn scale(v: __m128d, s: f64) -> __m128d {
-            _mm_mul_pd(v, _mm_set1_pd(s))
+        unsafe fn broadcast(x: f64) -> __m128d {
+            _mm_set1_pd(x)
         }
         #[inline(always)]
-        unsafe fn quad_twiddles(wa: &Stage<f64>, wb: &Stage<f64>) -> Self::Quad {
-            [
-                (Self::splat(wa.w[0]), Self::splat(wa.swapped[0])),
-                (Self::splat(wb.w[0]), Self::splat(wb.swapped[0])),
-                (Self::splat(wb.w[1]), Self::splat(wb.swapped[1])),
-            ]
+        unsafe fn times(a: __m128d, b: __m128d) -> __m128d {
+            _mm_mul_pd(a, b)
         }
         #[inline(always)]
-        unsafe fn quad<const K: u8>(
-            src: *const Complex<f64>,
-            factor: *const Complex<f64>,
-            idx: [usize; 4],
-            [wa, wb0, wb1]: Self::Quad,
-            out: *mut Complex<f64>,
-        ) {
-            let x0 = load_times::<Self, K>(src, factor, idx[0]);
-            let x1 = load_times::<Self, K>(src, factor, idx[1]);
-            let x2 = load_times::<Self, K>(src, factor, idx[2]);
-            let x3 = load_times::<Self, K>(src, factor, idx[3]);
-            let t = Self::mul(x1, wa.0, wa.1);
-            let (y0, y1) = (Self::add(x0, t), Self::sub(x0, t));
-            let t = Self::mul(x3, wa.0, wa.1);
-            let (y2, y3) = (Self::add(x2, t), Self::sub(x2, t));
-            let t = Self::mul(y2, wb0.0, wb0.1);
-            Self::store(out, Self::add(y0, t));
-            Self::store(out.add(2), Self::sub(y0, t));
-            let t = Self::mul(y3, wb1.0, wb1.1);
-            Self::store(out.add(1), Self::add(y1, t));
-            Self::store(out.add(3), Self::sub(y1, t));
+        unsafe fn neg(v: __m128d) -> __m128d {
+            _mm_xor_pd(v, _mm_set1_pd(-0.0))
+        }
+        /// Two rows, one value each: one unpack per plane.
+        #[inline(always)]
+        unsafe fn load_split(rows: &[*const Complex<f64>; PANEL_MAX], k: usize) -> Planes<Self> {
+            let (r0, r1) = (Self::load(rows[0].add(k)), Self::load(rows[1].add(k)));
+            let mut b = [_mm_setzero_pd(); PANEL_MAX];
+            b[0] = _mm_unpacklo_pd(r0, r1);
+            b[1] = _mm_unpackhi_pd(r0, r1);
+            b
+        }
+        #[inline(always)]
+        unsafe fn store_split(b: &Planes<Self>, rows: &[*mut Complex<f64>; PANEL_MAX], k: usize) {
+            Self::store(rows[0].add(k), _mm_unpacklo_pd(b[0], b[1]));
+            Self::store(rows[1].add(k), _mm_unpackhi_pd(b[0], b[1]));
         }
     }
 
@@ -732,7 +774,6 @@ mod x86 {
         const N: usize = 2;
         type V = __m256d;
         type One = Sse2F64;
-        type Quad = [(__m256d, __m256d); 2];
         #[inline(always)]
         unsafe fn load(p: *const Complex<f64>) -> __m256d {
             _mm256_loadu_pd(p as *const f64)
@@ -744,14 +785,6 @@ mod x86 {
         #[inline(always)]
         unsafe fn splat(w: Complex<f64>) -> __m256d {
             _mm256_set_pd(w.im, w.re, w.im, w.re)
-        }
-        #[inline(always)]
-        unsafe fn swap(w: __m256d) -> __m256d {
-            _mm256_permute_pd(w, 0b0101)
-        }
-        #[inline(always)]
-        unsafe fn conj(w: __m256d) -> __m256d {
-            _mm256_xor_pd(w, _mm256_set_pd(-0.0, 0.0, -0.0, 0.0))
         }
         /// [`Sse2F64::mul`] on two values: both products rounded, then
         /// `addsub` — deliberately not `vfmaddsub`, which would drop a
@@ -772,42 +805,45 @@ mod x86 {
         unsafe fn sub(a: __m256d, b: __m256d) -> __m256d {
             _mm256_sub_pd(a, b)
         }
+    }
+
+    impl Panel for Avx2F64 {
         #[inline(always)]
-        unsafe fn scale(v: __m256d, s: f64) -> __m256d {
-            _mm256_mul_pd(v, _mm256_set1_pd(s))
+        unsafe fn broadcast(x: f64) -> __m256d {
+            _mm256_set1_pd(x)
         }
-        /// `[wa, wa]` and the stage-2 table `[wb0, wb1]`, each with its swap.
         #[inline(always)]
-        unsafe fn quad_twiddles(wa: &Stage<f64>, wb: &Stage<f64>) -> Self::Quad {
-            [
-                (Self::splat(wa.w[0]), Self::splat(wa.swapped[0])),
-                (Self::load(wb.w.as_ptr()), Self::load(wb.swapped.as_ptr())),
-            ]
+        unsafe fn times(a: __m256d, b: __m256d) -> __m256d {
+            _mm256_mul_pd(a, b)
         }
-        /// The block as the lane pairs `[x0, x2]` / `[x1, x3]`: the first
-        /// stage's two butterflies are one vector butterfly, and one
-        /// 128-bit-lane shuffle pairs its outputs as `[y0, y1]` / `[y2, y3]`
-        /// for the second stage's two.
         #[inline(always)]
-        unsafe fn quad<const K: u8>(
-            src: *const Complex<f64>,
-            factor: *const Complex<f64>,
-            idx: [usize; 4],
-            [wa, wb]: Self::Quad,
-            out: *mut Complex<f64>,
-        ) {
-            let (mut a, mut b) = (pair_f64(src, idx[0], idx[2]), pair_f64(src, idx[1], idx[3]));
-            if K != ONE {
-                a = times::<Self, K>(a, pair_f64(factor, idx[0], idx[2]));
-                b = times::<Self, K>(b, pair_f64(factor, idx[1], idx[3]));
+        unsafe fn neg(v: __m256d) -> __m256d {
+            _mm256_xor_pd(v, _mm256_set1_pd(-0.0))
+        }
+        /// Each value's 128 bits of rows `p` and `p + 2` loaded into the two
+        /// halves of one vector, so one in-lane unpack per plane finishes the
+        /// transpose.
+        #[inline(always)]
+        unsafe fn load_split(rows: &[*const Complex<f64>; PANEL_MAX], k: usize) -> Planes<Self> {
+            let mut b = [_mm256_setzero_pd(); PANEL_MAX];
+            for q in 0..2 {
+                let half = |p: usize| rows[p].add(k + q) as *const f64;
+                let x0 = _mm256_loadu2_m128d(half(2), half(0)); // [row 0 | row 2]
+                let x1 = _mm256_loadu2_m128d(half(3), half(1)); // [row 1 | row 3]
+                b[2 * q] = _mm256_unpacklo_pd(x0, x1);
+                b[2 * q + 1] = _mm256_unpackhi_pd(x0, x1);
             }
-            let t = Self::mul(b, wa.0, wa.1);
-            let (y02, y13) = (Self::add(a, t), Self::sub(a, t));
-            let lo = _mm256_permute2f128_pd(y02, y13, 0x20); // [y0, y1]
-            let hi = _mm256_permute2f128_pd(y02, y13, 0x31); // [y2, y3]
-            let t = Self::mul(hi, wb.0, wb.1);
-            Self::store(out, Self::add(lo, t));
-            Self::store(out.add(2), Self::sub(lo, t));
+            b
+        }
+        #[inline(always)]
+        unsafe fn store_split(b: &Planes<Self>, rows: &[*mut Complex<f64>; PANEL_MAX], k: usize) {
+            for q in 0..2 {
+                let half = |p: usize| rows[p].add(k + q) as *mut f64;
+                let x0 = _mm256_unpacklo_pd(b[2 * q], b[2 * q + 1]);
+                let x1 = _mm256_unpackhi_pd(b[2 * q], b[2 * q + 1]);
+                _mm256_storeu2_m128d(half(2), half(0), x0);
+                _mm256_storeu2_m128d(half(3), half(1), x1);
+            }
         }
     }
 
@@ -816,7 +852,6 @@ mod x86 {
         const N: usize = 2;
         type V = __m128;
         type One = OneF32;
-        type Quad = [(__m128, __m128); 2];
         #[inline(always)]
         unsafe fn load(p: *const Complex<f32>) -> __m128 {
             _mm_loadu_ps(p as *const f32)
@@ -828,14 +863,6 @@ mod x86 {
         #[inline(always)]
         unsafe fn splat(w: Complex<f32>) -> __m128 {
             _mm_set_ps(w.im, w.re, w.im, w.re)
-        }
-        #[inline(always)]
-        unsafe fn swap(w: __m128) -> __m128 {
-            _mm_shuffle_ps::<0b10_11_00_01>(w, w)
-        }
-        #[inline(always)]
-        unsafe fn conj(w: __m128) -> __m128 {
-            _mm_xor_ps(w, _mm_set_ps(-0.0, 0.0, -0.0, 0.0))
         }
         /// [`Sse2F64::mul`] on two `f32` values: the same two multiplies
         /// and one add of the sign-flipped product per lane.
@@ -854,41 +881,66 @@ mod x86 {
         unsafe fn sub(a: __m128, b: __m128) -> __m128 {
             _mm_sub_ps(a, b)
         }
+    }
+
+    /// The 4 × 4 transpose of `x` (exact): lane `p` of `x[e]` to lane `e`
+    /// of `x[p]`.
+    #[inline(always)]
+    unsafe fn transpose4(x: [__m128; 4]) -> [__m128; 4] {
+        let t0 = _mm_unpacklo_ps(x[0], x[1]); // [0₀ 0₁ 1₀ 1₁]
+        let t1 = _mm_unpackhi_ps(x[0], x[1]); // [2₀ 2₁ 3₀ 3₁]
+        let t2 = _mm_unpacklo_ps(x[2], x[3]);
+        let t3 = _mm_unpackhi_ps(x[2], x[3]);
+        [
+            _mm_movelh_ps(t0, t2),
+            _mm_movehl_ps(t2, t0),
+            _mm_movelh_ps(t1, t3),
+            _mm_movehl_ps(t3, t1),
+        ]
+    }
+
+    /// [`transpose4`] in each 128-bit half.
+    #[inline(always)]
+    unsafe fn transpose4x2(x: [__m256; 4]) -> [__m256; 4] {
+        let t0 = _mm256_unpacklo_ps(x[0], x[1]);
+        let t1 = _mm256_unpackhi_ps(x[0], x[1]);
+        let t2 = _mm256_unpacklo_ps(x[2], x[3]);
+        let t3 = _mm256_unpackhi_ps(x[2], x[3]);
+        [
+            _mm256_shuffle_ps::<0b01_00_01_00>(t0, t2),
+            _mm256_shuffle_ps::<0b11_10_11_10>(t0, t2),
+            _mm256_shuffle_ps::<0b01_00_01_00>(t1, t3),
+            _mm256_shuffle_ps::<0b11_10_11_10>(t1, t3),
+        ]
+    }
+
+    impl Panel for Sse2F32 {
         #[inline(always)]
-        unsafe fn scale(v: __m128, s: f32) -> __m128 {
-            _mm_mul_ps(v, _mm_set1_ps(s))
+        unsafe fn broadcast(x: f32) -> __m128 {
+            _mm_set1_ps(x)
         }
-        /// `[wa, wa]` and the stage-2 table `[wb0, wb1]`, each with its swap.
         #[inline(always)]
-        unsafe fn quad_twiddles(wa: &Stage<f32>, wb: &Stage<f32>) -> Self::Quad {
-            [
-                (Self::splat(wa.w[0]), Self::splat(wa.swapped[0])),
-                (Self::load(wb.w.as_ptr()), Self::load(wb.swapped.as_ptr())),
-            ]
+        unsafe fn times(a: __m128, b: __m128) -> __m128 {
+            _mm_mul_ps(a, b)
         }
-        /// [`Avx2F64::quad`] in an `__m128`: the lane pairs `[x0, x2]` /
-        /// `[x1, x3]`, one vector butterfly, then a half swap pairs the
-        /// outputs as `[y0, y1]` / `[y2, y3]`.
         #[inline(always)]
-        unsafe fn quad<const K: u8>(
-            src: *const Complex<f32>,
-            factor: *const Complex<f32>,
-            idx: [usize; 4],
-            [wa, wb]: Self::Quad,
-            out: *mut Complex<f32>,
-        ) {
-            let (mut a, mut b) = (pair_f32(src, idx[0], idx[2]), pair_f32(src, idx[1], idx[3]));
-            if K != ONE {
-                a = times::<Self, K>(a, pair_f32(factor, idx[0], idx[2]));
-                b = times::<Self, K>(b, pair_f32(factor, idx[1], idx[3]));
+        unsafe fn neg(v: __m128) -> __m128 {
+            _mm_xor_ps(v, _mm_set1_ps(-0.0))
+        }
+        #[inline(always)]
+        unsafe fn load_split(rows: &[*const Complex<f32>; PANEL_MAX], k: usize) -> Planes<Self> {
+            let load = |p: usize| Self::load(rows[p].add(k));
+            let x = transpose4([load(0), load(1), load(2), load(3)]);
+            let mut b = [_mm_setzero_ps(); PANEL_MAX];
+            b[..4].copy_from_slice(&x);
+            b
+        }
+        #[inline(always)]
+        unsafe fn store_split(b: &Planes<Self>, rows: &[*mut Complex<f32>; PANEL_MAX], k: usize) {
+            let x = transpose4([b[0], b[1], b[2], b[3]]);
+            for p in 0..4 {
+                Self::store(rows[p].add(k), x[p]);
             }
-            let t = Self::mul(b, wa.0, wa.1);
-            let (y02, y13) = (Self::add(a, t), Self::sub(a, t));
-            let lo = _mm_movelh_ps(y02, y13); // [y0, y1]
-            let hi = _mm_movehl_ps(y13, y02); // [y2, y3]
-            let t = Self::mul(hi, wb.0, wb.1);
-            Self::store(out, Self::add(lo, t));
-            Self::store(out.add(2), Self::sub(lo, t));
         }
     }
 
@@ -897,7 +949,6 @@ mod x86 {
         const N: usize = 4;
         type V = __m256;
         type One = OneF32;
-        type Quad = <Sse2F32 as Lanes>::Quad;
         #[inline(always)]
         unsafe fn load(p: *const Complex<f32>) -> __m256 {
             _mm256_loadu_ps(p as *const f32)
@@ -909,14 +960,6 @@ mod x86 {
         #[inline(always)]
         unsafe fn splat(w: Complex<f32>) -> __m256 {
             _mm256_set_ps(w.im, w.re, w.im, w.re, w.im, w.re, w.im, w.re)
-        }
-        #[inline(always)]
-        unsafe fn swap(w: __m256) -> __m256 {
-            _mm256_permute_ps::<0b10_11_00_01>(w)
-        }
-        #[inline(always)]
-        unsafe fn conj(w: __m256) -> __m256 {
-            _mm256_xor_ps(w, _mm256_set_ps(-0.0, 0.0, -0.0, 0.0, -0.0, 0.0, -0.0, 0.0))
         }
         /// [`Avx2F64::mul`] on four `f32` values: both products rounded,
         /// then `addsub`, never `vfmaddsub`.
@@ -934,25 +977,48 @@ mod x86 {
         unsafe fn sub(a: __m256, b: __m256) -> __m256 {
             _mm256_sub_ps(a, b)
         }
+    }
+
+    impl Panel for Avx2F32 {
         #[inline(always)]
-        unsafe fn scale(v: __m256, s: f32) -> __m256 {
-            _mm256_mul_ps(v, _mm256_set1_ps(s))
-        }
-        /// A block of four is one `__m256`'s worth: the first sweep runs
-        /// on the 128-bit lanes of [`Sse2F32::quad`].
-        #[inline(always)]
-        unsafe fn quad_twiddles(wa: &Stage<f32>, wb: &Stage<f32>) -> Self::Quad {
-            Sse2F32::quad_twiddles(wa, wb)
+        unsafe fn broadcast(x: f32) -> __m256 {
+            _mm256_set1_ps(x)
         }
         #[inline(always)]
-        unsafe fn quad<const K: u8>(
-            src: *const Complex<f32>,
-            factor: *const Complex<f32>,
-            idx: [usize; 4],
-            tw: Self::Quad,
-            out: *mut Complex<f32>,
-        ) {
-            Sse2F32::quad::<K>(src, factor, idx, tw, out)
+        unsafe fn times(a: __m256, b: __m256) -> __m256 {
+            _mm256_mul_ps(a, b)
+        }
+        #[inline(always)]
+        unsafe fn neg(v: __m256) -> __m256 {
+            _mm256_xor_ps(v, _mm256_set1_ps(-0.0))
+        }
+        /// Each pair of values of rows `p` and `p + 4` loaded into the two
+        /// halves of one vector, so a 4 × 4 transpose within each half
+        /// finishes the transpose, with no lane-crossing shuffle.
+        #[inline(always)]
+        unsafe fn load_split(rows: &[*const Complex<f32>; PANEL_MAX], k: usize) -> Planes<Self> {
+            let mut b = [_mm256_setzero_ps(); PANEL_MAX];
+            for q in 0..2 {
+                let half = |p: usize| rows[p].add(k + 2 * q) as *const f32;
+                let x = [
+                    _mm256_loadu2_m128(half(4), half(0)),
+                    _mm256_loadu2_m128(half(5), half(1)),
+                    _mm256_loadu2_m128(half(6), half(2)),
+                    _mm256_loadu2_m128(half(7), half(3)),
+                ];
+                b[4 * q..4 * q + 4].copy_from_slice(&transpose4x2(x));
+            }
+            b
+        }
+        #[inline(always)]
+        unsafe fn store_split(b: &Planes<Self>, rows: &[*mut Complex<f32>; PANEL_MAX], k: usize) {
+            for q in 0..2 {
+                let half = |p: usize| rows[p].add(k + 2 * q) as *mut f32;
+                let x = transpose4x2([b[4 * q], b[4 * q + 1], b[4 * q + 2], b[4 * q + 3]]);
+                for (p, x) in x.into_iter().enumerate() {
+                    _mm256_storeu2_m128(half(p + 4), half(p), x);
+                }
+            }
         }
     }
 
@@ -963,7 +1029,6 @@ mod x86 {
         const N: usize = 1;
         type V = __m128;
         type One = OneF32;
-        type Quad = <Sse2F32 as Lanes>::Quad;
         #[inline(always)]
         unsafe fn load(p: *const Complex<f32>) -> __m128 {
             _mm_castsi128_ps(_mm_cvtsi64_si128((p as *const i64).read_unaligned()))
@@ -977,14 +1042,6 @@ mod x86 {
             Sse2F32::splat(w)
         }
         #[inline(always)]
-        unsafe fn swap(w: __m128) -> __m128 {
-            Sse2F32::swap(w)
-        }
-        #[inline(always)]
-        unsafe fn conj(w: __m128) -> __m128 {
-            Sse2F32::conj(w)
-        }
-        #[inline(always)]
         unsafe fn mul(b: __m128, w: __m128, w_swapped: __m128) -> __m128 {
             Sse2F32::mul(b, w, w_swapped)
         }
@@ -996,121 +1053,12 @@ mod x86 {
         unsafe fn sub(a: __m128, b: __m128) -> __m128 {
             Sse2F32::sub(a, b)
         }
-        #[inline(always)]
-        unsafe fn scale(v: __m128, s: f32) -> __m128 {
-            Sse2F32::scale(v, s)
-        }
-        #[inline(always)]
-        unsafe fn quad_twiddles(wa: &Stage<f32>, wb: &Stage<f32>) -> Self::Quad {
-            Sse2F32::quad_twiddles(wa, wb)
-        }
-        #[inline(always)]
-        unsafe fn quad<const K: u8>(
-            src: *const Complex<f32>,
-            factor: *const Complex<f32>,
-            idx: [usize; 4],
-            tw: Self::Quad,
-            out: *mut Complex<f32>,
-        ) {
-            Sse2F32::quad::<K>(src, factor, idx, tw, out)
-        }
     }
 
-    /// The values at `lo` and `hi` of `p` as one `[p[lo], p[hi]]` vector.
-    ///
-    /// # Safety
-    /// `p + lo` and `p + hi` must each address a valid value; AVX.
+    /// `w` and `[w.im, w.re]`, broadcast: what a product under `w` reads.
     #[inline(always)]
-    unsafe fn pair_f64(p: *const Complex<f64>, lo: usize, hi: usize) -> __m256d {
-        _mm256_set_m128d(Sse2F64::load(p.add(hi)), Sse2F64::load(p.add(lo)))
-    }
-
-    /// [`pair_f64`] for two `f32` values in an `__m128`.
-    ///
-    /// # Safety
-    /// `p + lo` and `p + hi` must each address a valid value.
-    #[inline(always)]
-    unsafe fn pair_f32(p: *const Complex<f32>, lo: usize, hi: usize) -> __m128 {
-        _mm_movelh_ps(OneF32::load(p.add(lo)), OneF32::load(p.add(hi)))
-    }
-
-    // The factor kinds a row pass is instantiated for.
-    const ONE: u8 = 0;
-    const MUL: u8 = 1;
-    const CONJ: u8 = 2;
-
-    /// `x · f`, or `x · conj(f)` for `CONJ`, value by value.
-    ///
-    /// # Safety
-    /// The CPU must support `L`.
-    #[inline(always)]
-    unsafe fn times<L: Lanes, const K: u8>(x: L::V, f: L::V) -> L::V {
-        let f = if K == CONJ { L::conj(f) } else { f };
-        L::mul(x, f, L::swap(f))
-    }
-
-    /// The value(s) at `i` of `src`, times the factor at `i` unless `K` is
-    /// `ONE` (when `factor` is never read).
-    ///
-    /// # Safety
-    /// `src + i`, and unless `K` is `ONE` `factor + i`, must address `L::N`
-    /// valid values.
-    #[inline(always)]
-    unsafe fn load_times<L: Lanes, const K: u8>(
-        src: *const Complex<L::R>,
-        factor: *const Complex<L::R>,
-        i: usize,
-    ) -> L::V {
-        let x = L::load(src.add(i));
-        if K == ONE {
-            x
-        } else {
-            times::<L, K>(x, L::load(factor.add(i)))
-        }
-    }
-
-    /// Where a run's twiddles come from: a stage table (row sweeps) or one
-    /// value for the whole run (column sweeps).
-    trait Twiddle<R>: Copy {
-        /// `(w, swap(w))` for the butterflies at `k`.
-        unsafe fn get<L: Lanes<R = R>>(self, k: usize) -> (L::V, L::V);
-    }
-
-    /// A stage table, read from one entry on.
-    struct Table<R> {
-        w: *const Complex<R>,
-        swapped: *const Complex<R>,
-    }
-
-    impl<R> Clone for Table<R> {
-        fn clone(&self) -> Self {
-            *self
-        }
-    }
-
-    impl<R> Copy for Table<R> {}
-
-    impl<R: Real> Table<R> {
-        fn of(stage: &Stage<R>, from: usize) -> Self {
-            Self {
-                w: stage.w[from..].as_ptr(),
-                swapped: stage.swapped[from..].as_ptr(),
-            }
-        }
-    }
-
-    impl<R> Twiddle<R> for Table<R> {
-        #[inline(always)]
-        unsafe fn get<L: Lanes<R = R>>(self, k: usize) -> (L::V, L::V) {
-            (L::load(self.w.add(k)), L::load(self.swapped.add(k)))
-        }
-    }
-
-    impl<R: Real> Twiddle<R> for Complex<R> {
-        #[inline(always)]
-        unsafe fn get<L: Lanes<R = R>>(self, _k: usize) -> (L::V, L::V) {
-            (L::splat(self), L::splat(Complex::new(self.im, self.re)))
-        }
+    unsafe fn splat_pair<L: Lanes>(w: Complex<L::R>) -> (L::V, L::V) {
+        (L::splat(w), L::splat(Complex::new(w.im, w.re)))
     }
 
     /// # Safety
@@ -1156,228 +1104,376 @@ mod x86 {
         L::store(x3, L::sub(y1, t));
     }
 
-    /// `n` one-stage butterflies between the runs at `lo` and `hi`.
+    /// `n` one-stage butterflies between the runs at `lo` and `hi`, all
+    /// under `w`.
     ///
     /// # Safety
-    /// `lo` and `hi` must address `n` valid values each, and a table twiddle
-    /// `n` entries.
+    /// `lo` and `hi` must address `n` valid values each.
     #[inline(always)]
-    unsafe fn run1<L: Lanes, W: Twiddle<L::R>>(
+    unsafe fn run1<L: Lanes>(
         lo: *mut Complex<L::R>,
         hi: *mut Complex<L::R>,
-        w: W,
+        w: Complex<L::R>,
         n: usize,
     ) {
+        let (wide, one) = (splat_pair::<L>(w), splat_pair::<L::One>(w));
         let mut k = 0;
         while k + L::N <= n {
-            butterfly::<L>(lo, hi, k, w.get::<L>(k));
+            butterfly::<L>(lo, hi, k, wide);
             k += L::N;
         }
         while k < n {
-            butterfly::<L::One>(lo, hi, k, w.get::<L::One>(k));
+            butterfly::<L::One>(lo, hi, k, one);
             k += 1;
         }
     }
 
-    /// `n` two-stage butterflies between the four runs at `x`.
+    /// `n` two-stage butterflies between the four runs at `x`, all under the
+    /// same three twiddles.
     ///
     /// # Safety
-    /// Every `x[i]` must address `n` valid values, and every table twiddle
-    /// `n` entries.
+    /// Every `x[i]` must address `n` valid values.
     #[inline(always)]
-    unsafe fn run2<L: Lanes, W: Twiddle<L::R>>(
+    unsafe fn run2<L: Lanes>(
         x: [*mut Complex<L::R>; 4],
-        wa: W,
-        wb0: W,
-        wb1: W,
+        [wa, wb0, wb1]: [Complex<L::R>; 3],
         n: usize,
     ) {
+        let wide = (
+            splat_pair::<L>(wa),
+            splat_pair::<L>(wb0),
+            splat_pair::<L>(wb1),
+        );
+        let one = (
+            splat_pair::<L::One>(wa),
+            splat_pair::<L::One>(wb0),
+            splat_pair::<L::One>(wb1),
+        );
         let mut k = 0;
         while k + L::N <= n {
-            butterfly2::<L>(x, k, wa.get::<L>(k), wb0.get::<L>(k), wb1.get::<L>(k));
+            butterfly2::<L>(x, k, wide.0, wide.1, wide.2);
             k += L::N;
         }
         while k < n {
-            butterfly2::<L::One>(
-                x,
-                k,
-                wa.get::<L::One>(k),
-                wb0.get::<L::One>(k),
-                wb1.get::<L::One>(k),
-            );
+            butterfly2::<L::One>(x, k, one.0, one.1, one.2);
             k += 1;
         }
     }
 
     // The sweeps of the parent module, once over `Lanes`. Each relies on what
     // its dispatcher established: the CPU supports `L`; for the row pass the
-    // field, source and factor lengths, the bit-reversal tables' ranges and
-    // the stage table lengths; for the two-stage column sweep
+    // field, source and factor lengths, the bit-reversal tables being
+    // involutions of their index ranges, the stage table lengths and a row
+    // length of at most `SHORT_PANEL_LEN` (`rows`) or `MAX_PANEL_LEN`
+    // (`long_rows`); for the two-stage column sweep
     // `wb.len() == 2 * wa.len()`. All other indexing stays inside a
     // `chunks_exact_mut` block or a slice's own length.
 
+    // The factor kinds a row pass is instantiated for.
+    const ONE: u8 = 0;
+    const MUL: u8 = 1;
+    const CONJ: u8 = 2;
+
     #[inline(always)]
-    unsafe fn rows<L: Lanes>(
+    unsafe fn rows<L: Panel>(
         data: &mut [Complex<L::R>],
         source: Option<Source<'_, L::R>>,
         pass: &RowPass<'_, L::R>,
     ) {
-        let Some(Source { values, factor }) = source else {
-            return rows_in_place::<L>(data, pass);
-        };
-        match factor {
-            None => rows_from::<L, ONE>(data, values, core::ptr::null(), pass),
-            Some(Factor::Mul(f)) => rows_from::<L, MUL>(data, values, f.as_ptr(), pass),
-            Some(Factor::MulConj(f)) => rows_from::<L, CONJ>(data, values, f.as_ptr(), pass),
-        }
-    }
-
-    /// The row pairs `(i, order[i])` of a row pass, each visited once.
-    fn row_pairs(order: &[u32]) -> impl Iterator<Item = (usize, usize)> + '_ {
-        (0..order.len())
-            .map(|i| (i, order[i] as usize))
-            .filter(|&(i, j)| i <= j)
-    }
-
-    /// The first radix-2² sweep's twiddles, for rows long enough to have one.
-    #[inline(always)]
-    unsafe fn quad_twiddles<L: Lanes>(pass: &RowPass<'_, L::R>) -> Option<L::Quad> {
-        (pass.within.len() >= 4).then(|| L::quad_twiddles(&pass.stages[0], &pass.stages[1]))
+        rows_in::<L, SHORT_PANEL_LEN>(data, source, pass)
     }
 
     #[inline(always)]
-    unsafe fn rows_from<L: Lanes, const K: u8>(
+    unsafe fn long_rows<L: Panel>(
         data: &mut [Complex<L::R>],
-        source: &[Complex<L::R>],
-        factor: *const Complex<L::R>,
+        source: Option<Source<'_, L::R>>,
         pass: &RowPass<'_, L::R>,
     ) {
-        let n = pass.within.len();
-        let quad = quad_twiddles::<L>(pass);
-        let (row, src) = (data.as_mut_ptr(), source.as_ptr());
-        for (i, j) in row_pairs(pass.order) {
-            let (at_i, at_j) = (i * n, j * n);
-            row_from::<L, K>(
-                row.add(at_j),
-                src.add(at_i),
-                factor.wrapping_add(at_i),
-                quad,
-                pass,
-            );
-            if i != j {
-                row_from::<L, K>(
-                    row.add(at_i),
-                    src.add(at_j),
-                    factor.wrapping_add(at_j),
-                    quad,
-                    pass,
-                );
-            }
+        rows_in::<L, MAX_PANEL_LEN>(data, source, pass)
+    }
+
+    /// The row pass over planes for rows of up to `CAP` values.
+    #[inline(always)]
+    unsafe fn rows_in<L: Panel, const CAP: usize>(
+        data: &mut [Complex<L::R>],
+        source: Option<Source<'_, L::R>>,
+        pass: &RowPass<'_, L::R>,
+    ) {
+        let dst = data.as_mut_ptr();
+        let null = core::ptr::null();
+        let Some(Source { values, factor }) = source else {
+            return panels::<L, ONE, CAP>(dst, dst, null, pass);
+        };
+        let src = values.as_ptr();
+        match factor {
+            None => panels::<L, ONE, CAP>(dst, src, null, pass),
+            Some(Factor::Mul(f)) => panels::<L, MUL, CAP>(dst, src, f.as_ptr(), pass),
+            Some(Factor::MulConj(f)) => panels::<L, CONJ, CAP>(dst, src, f.as_ptr(), pass),
         }
     }
 
-    #[inline(always)]
-    unsafe fn rows_in_place<L: Lanes>(data: &mut [Complex<L::R>], pass: &RowPass<'_, L::R>) {
-        let n = pass.within.len();
-        let quad = quad_twiddles::<L>(pass);
-        let row = data.as_mut_ptr();
-        for (i, j) in row_pairs(pass.order) {
-            let (row_i, row_j) = (row.add(i * n), row.add(j * n));
-            row_in_place::<L>(row_i, quad, pass);
-            if i != j {
-                row_in_place::<L>(row_j, quad, pass);
-                core::ptr::swap_nonoverlapping(row_i, row_j, n);
-            }
-        }
+    /// Up to `PANEL_MAX` input rows a panel transforms together.
+    struct RowPanel {
+        rows: [usize; PANEL_MAX],
+        len: usize,
     }
 
-    /// One row from a distinct source: the gather, times the factor, fused
-    /// into the first radix-2² sweep, then the remaining stages and the
-    /// scale.
+    /// The panels of a row pass: its rows, `height` (even) at a time and
+    /// fewer in the last panel, each panel holding with row `i` its partner
+    /// `order[i]`, so that in place a panel writes only rows it has read.
+    /// The rows of the partnered pairs come first, two by two, so no panel
+    /// boundary splits a pair; the rows that are their own partner follow.
+    fn row_panels(order: &[u32], height: usize) -> impl Iterator<Item = RowPanel> + '_ {
+        let partner = move |i: usize| order[i] as usize;
+        let pairs = (0..order.len())
+            .filter(move |&i| i < partner(i))
+            .flat_map(move |i| [i, partner(i)]);
+        let alone = (0..order.len()).filter(move |&i| i == partner(i));
+        let mut rows = pairs.chain(alone);
+        core::iter::from_fn(move || {
+            let mut panel = RowPanel {
+                rows: [0; PANEL_MAX],
+                len: 0,
+            };
+            for (slot, i) in panel.rows[..height].iter_mut().zip(&mut rows) {
+                *slot = i;
+                panel.len += 1;
+            }
+            (panel.len > 0).then_some(panel)
+        })
+    }
+
+    /// The row pass, a panel of `2N` rows at a time (see the module docs),
+    /// for rows of up to `CAP` values. `src` may be `dst` itself.
     #[inline(always)]
-    unsafe fn row_from<L: Lanes, const K: u8>(
-        row: *mut Complex<L::R>,
+    unsafe fn panels<L: Panel, const K: u8, const CAP: usize>(
+        dst: *mut Complex<L::R>,
         src: *const Complex<L::R>,
         factor: *const Complex<L::R>,
-        quad: Option<L::Quad>,
-        pass: &RowPass<'_, L::R>,
-    ) {
-        let rev = pass.within;
-        match quad {
-            Some(tw) => {
-                for (b, r) in rev.chunks_exact(4).enumerate() {
-                    let idx = [r[0], r[1], r[2], r[3]].map(|r| r as usize);
-                    L::quad::<K>(src, factor, idx, tw, row.add(4 * b));
-                }
-                stages::<L>(row, &pass.stages[2..], pass);
-            }
-            None => {
-                for (k, &r) in rev.iter().enumerate() {
-                    let x = load_times::<L::One, K>(src, factor, r as usize);
-                    <L::One as Lanes>::store(row.add(k), x);
-                }
-                stages::<L>(row, pass.stages, pass);
-            }
-        }
-    }
-
-    /// One row in place: permuted in place, then every stage and the scale.
-    #[inline(always)]
-    unsafe fn row_in_place<L: Lanes>(
-        row: *mut Complex<L::R>,
-        quad: Option<L::Quad>,
-        pass: &RowPass<'_, L::R>,
-    ) {
-        for (k, &r) in pass.within.iter().enumerate() {
-            let r = r as usize;
-            if k < r {
-                core::ptr::swap_nonoverlapping(row.add(k), row.add(r), 1);
-            }
-        }
-        match quad {
-            Some(tw) => {
-                let null = core::ptr::null();
-                for k in (0..pass.within.len()).step_by(4) {
-                    L::quad::<ONE>(row, null, [k, k + 1, k + 2, k + 3], tw, row.add(k));
-                }
-                stages::<L>(row, &pass.stages[2..], pass);
-            }
-            None => stages::<L>(row, pass.stages, pass),
-        }
-    }
-
-    /// The given stages over a row in bit-reversed order, two per sweep and
-    /// an odd last one alone, then the scale.
-    #[inline(always)]
-    unsafe fn stages<L: Lanes>(
-        row: *mut Complex<L::R>,
-        stages: &[Stage<L::R>],
         pass: &RowPass<'_, L::R>,
     ) {
         let n = pass.within.len();
+        // Position `k`'s real and imaginary parts: the planes interleaved.
+        let mut planes = MaybeUninit::<[[L::V; 2]; CAP]>::uninit();
+        let planes = planes.as_mut_ptr().cast::<L::V>();
+        // A row shorter than a vector leaves the planes past it at zero.
+        for v in 0..2 * L::N {
+            planes.add(v).write(L::broadcast(<L::R as Real>::ZERO));
+        }
+        for panel in row_panels(pass.order, 2 * L::N) {
+            // A partial panel's spare lanes repeat its last row: they compute
+            // its values and store them to its row again.
+            let row = |p: usize| panel.rows[p.min(panel.len - 1)];
+            let x = core::array::from_fn(|p| src.add(n * row(p)));
+            let f = core::array::from_fn(|p| factor.wrapping_add(n * row(p)));
+            let to = core::array::from_fn(|p| dst.add(n * pass.order[row(p)] as usize));
+            if n < L::N {
+                padded_panel::<L, K>(planes, x, f, to, pass);
+            } else {
+                panel_of::<L, K>(planes, &x, &f, &to, pass);
+            }
+        }
+    }
+
+    /// One panel: its rows at `x` (times the factor rows at `f`) split into
+    /// `planes`, transformed, and stored at `to`.
+    ///
+    /// # Safety
+    /// As [`split`] and [`join`].
+    #[inline(always)]
+    unsafe fn panel_of<L: Panel, const K: u8>(
+        planes: *mut L::V,
+        x: &[*const Complex<L::R>; PANEL_MAX],
+        f: &[*const Complex<L::R>; PANEL_MAX],
+        to: &[*mut Complex<L::R>; PANEL_MAX],
+        pass: &RowPass<'_, L::R>,
+    ) {
+        let n = pass.within.len();
+        split::<L, K>(planes, x, f, pass.within);
+        split_stages::<L>(planes, n, pass.stages);
+        join::<L>(planes, to, n, pass.scale);
+    }
+
+    /// [`panel_of`] for rows shorter than a vector, through copies one
+    /// vector long whose padding is never stored.
+    ///
+    /// # Safety
+    /// As [`panel_of`], for rows of `within.len() < N` values.
+    #[inline(always)]
+    unsafe fn padded_panel<L: Panel, const K: u8>(
+        planes: *mut L::V,
+        x: [*const Complex<L::R>; PANEL_MAX],
+        f: [*const Complex<L::R>; PANEL_MAX],
+        to: [*mut Complex<L::R>; PANEL_MAX],
+        pass: &RowPass<'_, L::R>,
+    ) {
+        let n = pass.within.len();
+        let zero = Complex::new(<L::R as Real>::ZERO, <L::R as Real>::ZERO);
+        let [mut xs, mut fs, mut out] = [[[zero; 4]; PANEL_MAX]; 3];
+        for p in 0..2 * L::N {
+            core::ptr::copy_nonoverlapping(x[p], xs[p].as_mut_ptr(), n);
+            if K != ONE {
+                core::ptr::copy_nonoverlapping(f[p], fs[p].as_mut_ptr(), n);
+            }
+        }
+        let out_rows = out.each_mut().map(|row| row.as_mut_ptr());
+        panel_of::<L, K>(
+            planes,
+            &xs.each_ref().map(|row| row.as_ptr()),
+            &fs.each_ref().map(|row| row.as_ptr()),
+            &out_rows,
+            pass,
+        );
+        for p in 0..2 * L::N {
+            core::ptr::copy_nonoverlapping(out_rows[p], to[p], n);
+        }
+    }
+
+    /// Loads the panel rows at `x`, each value times the factor at `f` as
+    /// kind `K` asks, and stores them transposed into `planes`: value `k` of
+    /// every row at `2·within[k]` (the real parts) and `2·within[k] + 1`
+    /// (the imaginary parts).
+    ///
+    /// # Safety
+    /// Every `x[p]`, and unless `K` is `ONE` every `f[p]`, must address
+    /// `max(within.len(), N)` valid values; `planes` must hold
+    /// `2·within.len()` vectors.
+    #[inline(always)]
+    unsafe fn split<L: Panel, const K: u8>(
+        planes: *mut L::V,
+        x: &[*const Complex<L::R>; PANEL_MAX],
+        f: &[*const Complex<L::R>; PANEL_MAX],
+        within: &[u32],
+    ) {
+        for k in (0..within.len()).step_by(L::N) {
+            let b = L::load_split(x, k);
+            let fb = if K == ONE { b } else { L::load_split(f, k) };
+            for q in 0..L::N {
+                let mut v = (b[2 * q], b[2 * q + 1]);
+                if K != ONE {
+                    let im = fb[2 * q + 1];
+                    v = split_mul::<L>(v, (fb[2 * q], if K == CONJ { L::neg(im) } else { im }));
+                }
+                if let Some(&r) = within.get(k + q) {
+                    put::<L>(planes.add(2 * r as usize), v);
+                }
+            }
+        }
+    }
+
+    /// Transposes `planes` back into rows, each value times `scale`, and
+    /// stores panel row `p` at `to[p]`.
+    ///
+    /// # Safety
+    /// `planes` must hold `2·max(n, N)` initialised vectors and every
+    /// `to[p]` must address `max(n, N)` valid values.
+    #[inline(always)]
+    unsafe fn join<L: Panel>(
+        planes: *const L::V,
+        to: &[*mut Complex<L::R>; PANEL_MAX],
+        n: usize,
+        scale: L::R,
+    ) {
+        let scale = (scale != <L::R as Real>::ONE).then(|| L::broadcast(scale));
+        for k in (0..n).step_by(L::N) {
+            let mut b: Planes<L> = [L::broadcast(<L::R as Real>::ZERO); PANEL_MAX];
+            for (e, b) in b.iter_mut().enumerate().take(2 * L::N) {
+                *b = *planes.add(2 * k + e);
+                if let Some(s) = scale {
+                    *b = L::times(*b, s);
+                }
+            }
+            L::store_split(&b, to, k);
+        }
+    }
+
+    /// One value of a split plane per row: its real and imaginary parts.
+    type Split<V> = (V, V);
+
+    /// The split value at `p`.
+    ///
+    /// # Safety
+    /// `p` must address two initialised vectors.
+    #[inline(always)]
+    unsafe fn get<L: Lanes>(p: *const L::V) -> Split<L::V> {
+        (*p, *p.add(1))
+    }
+
+    /// Stores the split value `v` at `p`.
+    ///
+    /// # Safety
+    /// `p` must address two vectors.
+    #[inline(always)]
+    unsafe fn put<L: Lanes>(p: *mut L::V, (re, im): Split<L::V>) {
+        p.write(re);
+        p.add(1).write(im);
+    }
+
+    /// `b·w` for every row, as the scalar `Mul`: `(b.re·w.re − b.im·w.im,
+    /// b.re·w.im + b.im·w.re)`.
+    #[inline(always)]
+    unsafe fn split_mul<L: Panel>((re, im): Split<L::V>, (wre, wim): Split<L::V>) -> Split<L::V> {
+        (
+            L::sub(L::times(re, wre), L::times(im, wim)),
+            L::add(L::times(re, wim), L::times(im, wre)),
+        )
+    }
+
+    /// `(a + t, a − t)` for every row.
+    #[inline(always)]
+    unsafe fn split_add_sub<L: Lanes>(
+        a: Split<L::V>,
+        t: Split<L::V>,
+    ) -> (Split<L::V>, Split<L::V>) {
+        (
+            (L::add(a.0, t.0), L::add(a.1, t.1)),
+            (L::sub(a.0, t.0), L::sub(a.1, t.1)),
+        )
+    }
+
+    /// `w` broadcast to every row, split.
+    #[inline(always)]
+    unsafe fn split_twiddle<L: Panel>(w: Complex<L::R>) -> Split<L::V> {
+        (L::broadcast(w.re), L::broadcast(w.im))
+    }
+
+    /// Every stage of the row transform over `n` split positions, two stages
+    /// per sweep and an odd last one alone; each twiddle is broadcast to the
+    /// panel's rows.
+    ///
+    /// # Safety
+    /// `x` must hold `2n` initialised vectors.
+    #[inline(always)]
+    unsafe fn split_stages<L: Panel>(x: *mut L::V, n: usize, stages: &[Stage<L::R>]) {
+        let at = |k: usize| x.add(2 * k);
         let mut pairs = stages.chunks_exact(2);
         for pair in &mut pairs {
-            let (wa, wb) = (&pair[0], &pair[1]);
+            let (wa, wb) = (&pair[0].w, &pair[1].w);
             let h = wa.len();
-            for start in (0..n).step_by(4 * h) {
-                let x0 = row.add(start);
-                let x = [x0, x0.add(h), x0.add(2 * h), x0.add(3 * h)];
-                run2::<L, _>(x, Table::of(wa, 0), Table::of(wb, 0), Table::of(wb, h), h);
+            for j in 0..h {
+                let wa = split_twiddle::<L>(wa[j]);
+                let (wb0, wb1) = (split_twiddle::<L>(wb[j]), split_twiddle::<L>(wb[j + h]));
+                for k in (j..n).step_by(4 * h) {
+                    let t = split_mul::<L>(get::<L>(at(k + h)), wa);
+                    let (y0, y1) = split_add_sub::<L>(get::<L>(at(k)), t);
+                    let t = split_mul::<L>(get::<L>(at(k + 3 * h)), wa);
+                    let (y2, y3) = split_add_sub::<L>(get::<L>(at(k + 2 * h)), t);
+                    let (z0, z2) = split_add_sub::<L>(y0, split_mul::<L>(y2, wb0));
+                    put::<L>(at(k), z0);
+                    put::<L>(at(k + 2 * h), z2);
+                    let (z1, z3) = split_add_sub::<L>(y1, split_mul::<L>(y3, wb1));
+                    put::<L>(at(k + h), z1);
+                    put::<L>(at(k + 3 * h), z3);
+                }
             }
         }
         if let [last] = pairs.remainder() {
-            run1::<L, _>(row, row.add(n / 2), Table::of(last, 0), n / 2);
-        }
-        if pass.scale != <L::R as Real>::ONE {
-            let mut k = 0;
-            while k + L::N <= n {
-                L::store(row.add(k), L::scale(L::load(row.add(k)), pass.scale));
-                k += L::N;
-            }
-            while k < n {
-                let x = <L::One as Lanes>::load(row.add(k));
-                <L::One as Lanes>::store(row.add(k), <L::One as Lanes>::scale(x, pass.scale));
-                k += 1;
+            let h = n / 2;
+            for (j, &w) in last.w.iter().enumerate() {
+                let t = split_mul::<L>(get::<L>(at(j + h)), split_twiddle::<L>(w));
+                let (lo, hi) = split_add_sub::<L>(get::<L>(at(j)), t);
+                put::<L>(at(j), lo);
+                put::<L>(at(j + h), hi);
             }
         }
     }
@@ -1389,7 +1485,7 @@ mod x86 {
             let lo = block.as_mut_ptr();
             let hi = lo.add(h * cols);
             for (k, w) in stage.w.iter().enumerate() {
-                run1::<L, _>(lo.add(k * cols), hi.add(k * cols), *w, cols);
+                run1::<L>(lo.add(k * cols), hi.add(k * cols), *w, cols);
             }
         }
     }
@@ -1406,7 +1502,7 @@ mod x86 {
             let x0 = block.as_mut_ptr();
             for j in 0..h {
                 let x = [0, 1, 2, 3].map(|q| x0.add((q * h + j) * cols));
-                run2::<L, _>(x, wa.w[j], wb.w[j], wb.w[j + h], cols);
+                run2::<L>(x, [wa.w[j], wb.w[j], wb.w[j + h]], cols);
             }
         }
     }
@@ -1433,6 +1529,7 @@ mod x86 {
     }
 
     per_tier!(sse2_rows, avx2_rows, rows(data: &mut [Complex<R>], source: Option<Source<'_, R>>, pass: &RowPass<'_, R>));
+    per_tier!(sse2_long_rows, avx2_long_rows, long_rows(data: &mut [Complex<R>], source: Option<Source<'_, R>>, pass: &RowPass<'_, R>));
     per_tier!(sse2_column, avx2_column, column(data: &mut [Complex<R>], cols: usize, stage: &Stage<R>));
     per_tier!(sse2_column2, avx2_column2, column2(data: &mut [Complex<R>], cols: usize, wa: &Stage<R>, wb: &Stage<R>));
 }
@@ -1524,43 +1621,64 @@ mod tests {
         column_sweeps_match_scalar::<f32>();
     }
 
-    fn row_passes_match_scalar<R: Real>() {
-        // Every combination the row pass is instantiated for — in place, or
-        // from a source with no factor / `x·f` / `x·conj(f)`; scaled or not
-        // — on tables that are not twiddles, so a butterfly fed the wrong
-        // entry cannot cancel. Rows of 1 and 2 values never reach the
-        // radix-2² sweep; 4, 16 and 64 end on a two-stage sweep, 8 and 32 on
-        // a one-stage one.
-        for level in SimdLevel::available_levels() {
-            for n in [1usize, 2, 4, 8, 16, 32, 64] {
-                for rows in [1usize, 2, 4] {
-                    let stages: Vec<Stage<R>> = (0..n.trailing_zeros())
-                        .map(|s| Stage::new(test_data(3 << s).split_off(2 << s)))
-                        .collect();
-                    let (within, order) = (bit_reversal(n), bit_reversal(rows));
-                    let input = test_data::<R>(rows * n);
-                    let f = test_data::<R>(rows * n + 5).split_off(5);
-                    let from = |factor| {
-                        Some(Source {
-                            values: &input,
-                            factor,
-                        })
-                    };
-                    let sources = [
-                        None,
-                        from(None),
-                        from(Some(Factor::Mul(&f))),
-                        from(Some(Factor::MulConj(&f))),
-                    ];
-                    let scales = [R::ONE, R::from_f64(0.125)];
-                    for (source, scale) in sources
-                        .into_iter()
-                        .flat_map(|s| scales.map(|scale| (s, scale)))
-                    {
+    /// The column transform's bit reversal for a power-of-two row count;
+    /// for any other count an involution that pairs rows `3t + 1` and
+    /// `3t + 2` and leaves the multiples of three alone, so panels mix
+    /// partnered pairs and lone rows and the last one is partial.
+    fn row_order(rows: usize) -> Vec<u32> {
+        if rows.is_power_of_two() {
+            return bit_reversal(rows);
+        }
+        (0..rows)
+            .map(|i| match i % 3 {
+                1 if i + 1 < rows => i + 1,
+                2 => i - 1,
+                _ => i,
+            } as u32)
+            .collect()
+    }
+
+    /// Every combination the row pass is instantiated for — in place, or
+    /// from a source with no factor / `x·f` / `x·conj(f)` — forward, inverse
+    /// (the conjugated tables) and scaled inverse, at every tier against the
+    /// scalar loops, for each row length and row count given. The tables are
+    /// not twiddles, so a butterfly fed the wrong entry cannot cancel.
+    fn row_passes_match_scalar<R: Real>(lengths: &[usize], row_counts: &[usize]) {
+        let levels = SimdLevel::available_levels();
+        for &n in lengths {
+            let forward: Vec<Stage<R>> = (0..n.trailing_zeros())
+                .map(|s| Stage::new(test_data(3 << s).split_off(2 << s)))
+                .collect();
+            let inverse: Vec<Stage<R>> = forward.iter().map(Stage::conj).collect();
+            let within = bit_reversal(n);
+            for &rows in row_counts {
+                let order = row_order(rows);
+                let input = test_data::<R>(rows * n);
+                let f = test_data::<R>(rows * n + 5).split_off(5);
+                let from = |factor| {
+                    Some(Source {
+                        values: &input,
+                        factor,
+                    })
+                };
+                let sources = [
+                    None,
+                    from(None),
+                    from(Some(Factor::Mul(&f))),
+                    from(Some(Factor::MulConj(&f))),
+                ];
+                let inverse_scale = R::from_f64(1.0 / (rows * n) as f64);
+                let directions = [
+                    ("forward", &forward, R::ONE),
+                    ("inverse", &inverse, R::ONE),
+                    ("scaled inverse", &inverse, inverse_scale),
+                ];
+                for source in sources {
+                    for (direction, stages, scale) in directions {
                         let pass = RowPass {
                             within: &within,
                             order: &order,
-                            stages: &stages,
+                            stages,
                             scale,
                         };
                         let run = |level| {
@@ -1573,12 +1691,14 @@ mod tests {
                             row_pass(level, &mut data, source, &pass);
                             bits(&data)
                         };
-                        assert_eq!(
-                            run(SimdLevel::Scalar),
-                            run(level),
-                            "{rows}x{n} at {level:?}, source={:?}, scale={scale}",
-                            source.map(|s| s.factor)
-                        );
+                        let scalar = run(SimdLevel::Scalar);
+                        for &level in &levels[1..] {
+                            assert!(
+                                scalar == run(level),
+                                "{rows}x{n} at {level:?}, {direction}, source={:?}",
+                                source.map(|s| s.factor)
+                            );
+                        }
                     }
                 }
             }
@@ -1587,8 +1707,51 @@ mod tests {
 
     #[test]
     fn every_tier_row_pass_bit_identical_to_scalar() {
-        row_passes_match_scalar::<f64>();
-        row_passes_match_scalar::<f32>();
+        // Rows of 1 and 2 values are shorter than most vectors; 4, 16 and 64
+        // end on a two-stage sweep, 8 and 32 on a one-stage one.
+        let lengths = [1, 2, 4, 8, 16, 32, 64];
+        row_passes_match_scalar::<f64>(&lengths, &[1, 2, 4]);
+        row_passes_match_scalar::<f32>(&lengths, &[1, 2, 4]);
+    }
+
+    #[test]
+    fn panels_of_every_row_count_and_length_match_scalar() {
+        // Row counts no panel height (2, 4 or 8) divides, and whole panels;
+        // every power-of-two length up to the longest a panel takes.
+        let lengths: Vec<usize> = (0..=MAX_PANEL_LEN.trailing_zeros())
+            .map(|e| 1 << e)
+            .collect();
+        let row_counts = [1, 2, 3, 5, 7, 8, 9, 12, 16];
+        row_passes_match_scalar::<f64>(&lengths, &row_counts);
+        row_passes_match_scalar::<f32>(&lengths, &row_counts);
+    }
+
+    #[test]
+    fn panel_rows_longer_than_a_panel_takes_run_at_the_scalar_tier() {
+        row_passes_match_scalar::<f64>(&[2 * MAX_PANEL_LEN], &[1, 3]);
+        row_passes_match_scalar::<f32>(&[2 * MAX_PANEL_LEN], &[1, 3]);
+    }
+
+    #[test]
+    fn panel_tier_in_use() {
+        // The release identity step runs the panel tests with
+        // `--nocapture`, so its log names the vector tier they pinned.
+        println!("simd tier: {}", SimdLevel::detect().label());
+        assert!(SimdLevel::detect().is_available());
+    }
+
+    #[test]
+    #[should_panic(expected = "bit-reversal table")]
+    fn row_order_that_is_not_an_involution_panics() {
+        let within = bit_reversal(4);
+        let stages: Vec<Stage<f64>> = (0..2).map(|s| Stage::new(test_data(1 << s))).collect();
+        let pass = RowPass {
+            within: &within,
+            order: &[1, 2, 0],
+            stages: &stages,
+            scale: 1.0,
+        };
+        row_pass(SimdLevel::detect(), &mut test_data(12), None, &pass);
     }
 
     #[test]

@@ -484,6 +484,38 @@ fn resume_of_a_held_store_is_rejected() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A resume opens its store once: the store its scan recovered from stays
+/// open, lock and all, while the resumed job waits for admission, and the
+/// job runs on it; another opener is refused until the job ends.
+#[test]
+fn a_resumed_job_holds_its_store_from_the_scan_to_its_end() {
+    let dir = scratch("lock-held-through-resume");
+    let killed = JobEngine::new(8)
+        .submit(
+            spec_for(SolverMethod::GradientDecomposition)
+                .with_checkpoint_dir(&dir)
+                .with_fault_policy(
+                    FaultPolicy::reliable(7).kill_process_at_barrier(0, CrashPhase::AfterRename),
+                ),
+        )
+        .expect("fits the fleet")
+        .wait();
+    assert_process_killed(&killed, 0);
+    let engine = JobEngine::paused(8);
+    let resumed = engine.resume(&dir).expect("resumable");
+    match CheckpointStore::open(&dir) {
+        Err(error) => assert!(
+            error.to_string().contains("locked by live process"),
+            "got: {error}"
+        ),
+        Ok(_) => panic!("a queued resumed job must keep its store locked"),
+    }
+    engine.start_admitting();
+    assert_eq!(resumed.wait().state, JobState::Completed);
+    CheckpointStore::open(&dir).expect("the lock is released once the job ends");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// A direct caller can hand the engine an epoch no admission check has
 /// seen; a slot state of the wrong shape stops the run before any rank
 /// starts, naming the slot and both shapes.
