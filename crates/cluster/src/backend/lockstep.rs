@@ -24,10 +24,23 @@
 //! Ranks still run on scoped OS threads (stable Rust has no suspendable
 //! closures), but the baton guarantees the single-runnable invariant, so the
 //! execution is sequential and deterministic regardless of core count.
+//!
+//! Each rank waits for the baton on a **seat** of its own (a [`Condvar`]
+//! under the one scheduler mutex), and a hand-off notifies only the seat of
+//! the rank that now holds the baton, after the lock is released: a parked
+//! rank is woken only when the baton is its own, and it takes the lock at
+//! once. A barrier release wakes no one (the rank that completes it keeps
+//! the baton and runs on). Who runs next is still the round-robin choice
+//! made under the lock; the seats only change which threads the OS wakes,
+//! so every schedule, mailbox order and simulated clock is the same as
+//! with one shared condition variable that woke every rank on each
+//! hand-off.
 
 use super::context::{launch, take_match, Envelope, RankCtx, Transport};
 use super::{CommBackend, CommError, Payload, RankFailure, RankOutcome};
 use crate::topology::ClusterTopology;
+#[cfg(test)]
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 /// Envelopes each rank's mailbox has room for before its first send, so the
@@ -74,42 +87,50 @@ struct SchedState<M> {
 
 struct Shared<M> {
     state: Mutex<SchedState<M>>,
-    baton: Condvar,
+    /// One seat per rank: rank `r` waits for the baton on `seats[r]`.
+    seats: Vec<Condvar>,
+    /// Seat notifications so far, for the hand-off tests.
+    #[cfg(test)]
+    notifications: AtomicUsize,
 }
 
 impl<M> Shared<M> {
     /// Blocks the calling rank until it holds the baton and is runnable.
-    fn wait_for_turn(&self, rank: usize) -> std::sync::MutexGuard<'_, SchedState<M>> {
+    fn wait_for_turn(&self, rank: usize) -> MutexGuard<'_, SchedState<M>> {
         let mut state = self.state.lock().expect("lockstep state poisoned");
         while !(state.current == rank && state.status[rank] == RankStatus::Runnable) {
-            state = self.baton.wait(state).expect("lockstep state poisoned");
+            state = self.seats[rank]
+                .wait(state)
+                .expect("lockstep state poisoned");
         }
         state
     }
+}
 
+impl<M> SchedState<M> {
     /// Hands the baton to the next runnable rank (round-robin from `rank`),
-    /// or — if nobody can run — proves and records a deadlock, releasing
-    /// every blocked rank so its pending call can return an error.
-    fn yield_baton(&self, state: &mut SchedState<M>, rank: usize) {
-        let n = state.status.len();
+    /// or — if nobody can run — proves and records a deadlock, making every
+    /// blocked rank runnable so its pending call can return an error.
+    /// Returns the rank to wake: the new holder, unless the baton stayed
+    /// with `rank` (everyone has finished).
+    fn yield_baton(&mut self, rank: usize) -> Option<usize> {
+        let n = self.status.len();
         let next = (1..=n)
             .map(|offset| (rank + offset) % n)
-            .find(|&r| state.status[r] == RankStatus::Runnable);
+            .find(|&r| self.status[r] == RankStatus::Runnable);
         if let Some(next) = next {
-            state.current = next;
-            self.baton.notify_all();
-            return;
+            self.current = next;
+        } else if !self.status.iter().all(|s| *s == RankStatus::Finished) {
+            // Nobody is runnable and somebody is blocked: a proven deadlock.
+            self.prove_deadlock();
         }
-        if state
-            .status
-            .iter()
-            .all(|status| *status == RankStatus::Finished)
-        {
-            // Clean completion; nothing left to schedule.
-            return;
-        }
-        // Nobody is runnable and somebody is blocked: a proven deadlock.
-        let detail = state
+        (self.current != rank).then_some(self.current)
+    }
+
+    /// Records a deadlock proof listing every blocked rank's wait, makes the
+    /// blocked ranks runnable and gives the baton to the lowest of them.
+    fn prove_deadlock(&mut self) {
+        let detail = self
             .status
             .iter()
             .enumerate()
@@ -122,30 +143,22 @@ impl<M> Shared<M> {
             })
             .collect::<Vec<_>>()
             .join("; ");
-        state.deadlock = Some(detail);
-        let blocked: Vec<usize> = state
-            .status
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| {
-                matches!(
-                    s,
-                    RankStatus::BlockedRecv { .. } | RankStatus::BlockedBarrier
-                )
-            })
-            .map(|(r, _)| r)
-            .collect();
-        for r in &blocked {
-            state.status[*r] = RankStatus::Runnable;
+        self.deadlock = Some(detail);
+        let mut first = None;
+        for (r, status) in self.status.iter_mut().enumerate() {
+            if matches!(
+                status,
+                RankStatus::BlockedRecv { .. } | RankStatus::BlockedBarrier
+            ) {
+                *status = RankStatus::Runnable;
+                first.get_or_insert(r);
+            }
         }
-        if let Some(first) = blocked.first() {
-            state.current = *first;
+        if let Some(first) = first {
+            self.current = first;
         }
-        self.baton.notify_all();
     }
-}
 
-impl<M> SchedState<M> {
     /// Decides a take of `(from, tag)` by `rank` from its mailbox, if
     /// anything there decides it.
     fn take_matching(
@@ -194,6 +207,20 @@ impl<M> LockstepTransport<M> {
         self.shared.state.lock().unwrap_or_else(|e| e.into_inner())
     }
 
+    /// Hands the baton on and wakes its new holder, if another rank took
+    /// it: only that rank, so no parked rank wakes to find the baton is not
+    /// its own, and only once the lock is released, so the woken rank does
+    /// not wake just to block on it.
+    fn hand_on(&self, mut state: MutexGuard<'_, SchedState<M>>) {
+        let Some(holder) = state.yield_baton(self.rank) else {
+            return;
+        };
+        drop(state);
+        #[cfg(test)]
+        self.shared.notifications.fetch_add(1, Ordering::Relaxed);
+        self.shared.seats[holder].notify_one();
+    }
+
     /// Parks the calling rank under `status`, hands the baton on, and
     /// returns once the baton comes back.
     fn park<'a>(
@@ -202,8 +229,7 @@ impl<M> LockstepTransport<M> {
         status: RankStatus,
     ) -> MutexGuard<'a, SchedState<M>> {
         state.status[self.rank] = status;
-        self.shared.yield_baton(&mut state, self.rank);
-        drop(state);
+        self.hand_on(state);
         self.shared.wait_for_turn(self.rank)
     }
 }
@@ -254,7 +280,8 @@ impl<M: Payload> Transport for LockstepTransport<M> {
             }
             state.status[rank] = RankStatus::BlockedBarrier;
             if state.try_release_barrier() {
-                self.shared.baton.notify_all();
+                // This rank keeps the baton: the released ranks run when
+                // the round-robin reaches them, so none is woken here.
                 return Ok(state.released_at);
             }
             state = self.park(state, RankStatus::BlockedBarrier);
@@ -276,11 +303,11 @@ impl<M: Payload> Transport for LockstepTransport<M> {
         }
     }
 
-    /// Marks the rank finished, wakes every rank waiting at the barrier it
-    /// can now never reach, and schedules a successor. A body that panics
-    /// unwinds while *holding* the baton; releasing it here lets the other
-    /// ranks error out and the panic propagate through `join` instead of
-    /// hanging the scope forever.
+    /// Marks the rank finished, makes every rank waiting at the barrier it
+    /// can now never reach runnable (each fails when the baton reaches it),
+    /// and hands the baton on. A body that panics unwinds while *holding*
+    /// the baton; releasing it here lets the other ranks error out and the
+    /// panic propagate through `join` instead of hanging the scope forever.
     fn finish(&mut self) {
         let mut state = self.lock();
         state.status[self.rank] = RankStatus::Finished;
@@ -289,7 +316,7 @@ impl<M: Payload> Transport for LockstepTransport<M> {
                 *status = RankStatus::Runnable;
             }
         }
-        self.shared.yield_baton(&mut state, self.rank);
+        self.hand_on(state);
     }
 }
 
@@ -332,7 +359,9 @@ impl CommBackend for LockstepBackend {
                 barrier_latest: 0,
                 released_at: 0,
             }),
-            baton: Condvar::new(),
+            seats: (0..num_ranks).map(|_| Condvar::new()).collect(),
+            #[cfg(test)]
+            notifications: AtomicUsize::new(0),
         });
         let transports = (0..num_ranks)
             .map(|rank| LockstepTransport {
@@ -357,6 +386,93 @@ mod tests {
     use super::*;
 
     transport_conformance_tests!(LockstepBackend::default());
+
+    /// The scheduler a rank runs under, kept past the run to read its count.
+    fn scheduler<M: Payload>(ctx: &RankCtx<LockstepTransport<M>>) -> Arc<Shared<M>> {
+        Arc::clone(&ctx.transport.shared)
+    }
+
+    fn notifications<M>(shared: &Shared<M>) -> usize {
+        shared.notifications.load(Ordering::Relaxed)
+    }
+
+    #[test]
+    fn a_hand_off_notifies_only_the_new_baton_holder() {
+        // A chained exchange east and then west across 9 ranks, as a
+        // directional pass runs it, closed by a barrier. Each step a rank
+        // completes is logged; only the baton holder runs, so the log is the
+        // schedule.
+        const EAST: u64 = 1;
+        const WEST: u64 = 2;
+        const BARRIER: u64 = 0;
+        let observe = || {
+            let log = Mutex::new(Vec::new());
+            let step = |rank: usize, what: u64| log.lock().unwrap().push((rank, what));
+            let outcomes = LockstepBackend::default()
+                .run::<Vec<f64>, _, _>(9, |ctx| {
+                    let (rank, last) = (ctx.rank(), ctx.size() - 1);
+                    if rank > 0 {
+                        ctx.recv(rank - 1, EAST)?;
+                        step(rank, EAST);
+                    }
+                    if rank < last {
+                        ctx.isend(rank + 1, EAST, vec![rank as f64]);
+                        ctx.recv(rank + 1, WEST)?;
+                        step(rank, WEST);
+                    }
+                    if rank > 0 {
+                        ctx.isend(rank - 1, WEST, vec![rank as f64]);
+                    }
+                    ctx.barrier()?;
+                    step(rank, BARRIER);
+                    Ok(scheduler(ctx))
+                })
+                .unwrap();
+            let total = notifications(&outcomes[0].result);
+            (log.into_inner().unwrap(), total)
+        };
+        let (log, total) = observe();
+        // Rank 0 parks west-bound and hands on; ranks 1–7 take their east
+        // message and park the same way; rank 8 turns the chain round, and
+        // each rank down to 0 takes its west message in turn. Rank 0
+        // releases the barrier and keeps the baton; then the ranks finish
+        // in round-robin order.
+        let expected: Vec<(usize, u64)> = (1..=8)
+            .map(|r| (r, EAST))
+            .chain((0..=7).rev().map(|r| (r, WEST)))
+            .chain((0..=8).map(|r| (r, BARRIER)))
+            .collect();
+        assert_eq!(log, expected, "the schedule");
+        // Hand-offs: 0→1 … 7→8 parking west-bound (8), 8→7 … 1→0 parking at
+        // the barrier (8), and 0→1 … 7→8 as the ranks finish (8). Each
+        // notifies one seat. Rank 0's release of the barrier is no hand-off
+        // and notifies no one, nor does rank 8's finish, the last.
+        assert_eq!(total, 24, "one notification per hand-off");
+        assert_eq!(observe(), (log, total), "a second run");
+    }
+
+    #[test]
+    fn a_rank_finishing_breaks_the_barrier_for_each_waiting_rank_in_turn() {
+        // Ranks 0–2 wait at the barrier when rank 3 returns without
+        // reaching it: each waiting rank fails once the baton reaches it.
+        let log = Mutex::new(Vec::new());
+        let outcomes = LockstepBackend::default()
+            .run::<(), _, _>(4, |ctx| {
+                let mut arrived = Ok(());
+                if ctx.rank() < 3 {
+                    arrived = ctx.barrier();
+                    log.lock().unwrap().push(ctx.rank());
+                }
+                Ok((arrived, scheduler(ctx)))
+            })
+            .unwrap();
+        for o in &outcomes[..3] {
+            assert_eq!(o.result.0, Err(CommError::BarrierBroken { rank: o.rank }));
+        }
+        assert_eq!(log.into_inner().unwrap(), [0, 1, 2]);
+        // 0→1→2→3 parking at the barrier, then 3→0→1→2 as each finishes.
+        assert_eq!(notifications(&outcomes[0].result.1), 6);
+    }
 
     #[test]
     fn deadlock_is_detected_not_hung() {

@@ -15,7 +15,8 @@ use std::f64::consts::PI;
 /// with no per-butterfly direction branch, strided table walk or conjugation.
 /// All methods are in-place over `&mut [Complex<R>]` — this is the
 /// zero-allocation entry point. A line is a one-row field to the kernels:
-/// the 2-D plan's row pass runs the same code on every row.
+/// the 2-D plan's row pass runs the same code on every row (a lone row at
+/// the scalar tier, which every vector tier matches bit for bit).
 #[derive(Clone, Debug)]
 pub struct FftPlan<R: Real = f64> {
     len: usize,
@@ -384,8 +385,8 @@ mod tests {
     fn plans_match_scalar<R: Real>() {
         // 2⁰ … 2¹² covers the degenerate plan, odd and even stage counts
         // (the one-stage tail sweep), a line shorter than a vector, the
-        // longest row a panel takes (a line is a one-row partial panel) and
-        // a line longer than that.
+        // longest row a panel takes (a line, one row, runs at the scalar
+        // tier) and a line longer than that.
         for level in SimdLevel::available_levels() {
             for n in (0..=12).map(|e| 1usize << e) {
                 let scalar_plan = FftPlan::<R>::with_simd_level(n, SimdLevel::Scalar);

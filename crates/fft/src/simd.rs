@@ -33,9 +33,11 @@
 //! scale is applied as the planes are transposed back, and each row is
 //! stored at `rev(i)`. A panel reads all its rows before it writes any, so
 //! in place it overwrites only rows it has already read. A field of fewer
-//! rows than a panel (a 1-D plan, an `N × 1` field, the last panel of a row
-//! count no panel height divides) runs as a partial panel: its spare lanes
-//! repeat a row and are never stored.
+//! rows than a panel (a field of 3 rows, the last panel of a row count no
+//! panel height divides) runs as a partial panel: its spare lanes repeat a
+//! row and are never stored. A field of one row (a 1-D plan's line, a
+//! `1 × N` field) runs at the scalar tier instead: a panel would compute
+//! `2N` copies of it.
 //!
 //! The split planes of a panel live on the stack, so the transform
 //! allocates nothing and no workspace is charged for them. A stack frame is
@@ -44,7 +46,7 @@
 //! SSE2; for longer rows, up to `MAX_PANEL_LEN` (2048) values, 128 KiB and
 //! 64 KiB. (Planes of the longest size for every row cost `service-burst`'s
 //! 32-px jobs about 17 % of their latency.) Rows longer than
-//! `MAX_PANEL_LEN` run at the scalar tier.
+//! `MAX_PANEL_LEN` run at the scalar tier too.
 //!
 //! Both passes run **two radix-2 stages per sweep**: the four values
 //! `x[j], x[j+h], x[j+2h], x[j+3h]` of a `4h` block go through the stage of
@@ -400,7 +402,8 @@ pub(crate) fn row_pass<R: Real>(
                 .all(|(s, t)| t.len() == 1 << s),
         "row stage tables"
     );
-    let level = if n > MAX_PANEL_LEN {
+    // A lone row (a 1-D plan) would fill a panel with copies of itself.
+    let level = if n > MAX_PANEL_LEN || pass.order.len() == 1 {
         SimdLevel::Scalar
     } else {
         level
@@ -1717,7 +1720,9 @@ mod tests {
     #[test]
     fn panels_of_every_row_count_and_length_match_scalar() {
         // Row counts no panel height (2, 4 or 8) divides, and whole panels;
-        // every power-of-two length up to the longest a panel takes.
+        // every power-of-two length up to the longest a panel takes. One row
+        // runs at the scalar tier; the odd counts leave a partial panel at
+        // every vector tier (9 a one-row panel after a full one).
         let lengths: Vec<usize> = (0..=MAX_PANEL_LEN.trailing_zeros())
             .map(|e| 1 << e)
             .collect();
