@@ -518,8 +518,9 @@ mod tests {
     #[test]
     fn probe_step_equals_the_gradient_of_a_patch_copy_applied_by_add_region() {
         // Windows clipped at every tile edge and corner and one inside,
-        // with and without local updates over buffers holding cell sets
-        // that cut them, and HVE's local-only buffers. The reference
+        // windows flush with each edge and one pixel over it, with and
+        // without local updates over buffers holding cell sets that cut
+        // them, and HVE's local-only buffers. The reference
         // evaluates `probe_gradient_into` on an `extract_region_with_fill`
         // copy of the pre-step volume (vacuum outside the tile), then does
         // `V += g·(−α)` (local updates) over the whole window and `acc += g`,
@@ -549,9 +550,26 @@ mod tests {
             &[Rect::of_shape(rows as usize, cols as usize)],
         ];
         let corners = |extent: i64| [-(n / 3), extent / 2 - n / 2, extent - 2 * n / 3];
+        // Where a window stops fitting inside the tile: flush with each
+        // edge (and two corners), and one pixel over each edge.
+        let (mid_row, mid_col) = (rows / 2 - n / 2, cols / 2 - n / 2);
+        let edges = [
+            (0, mid_col),
+            (-1, mid_col),
+            (rows - n, mid_col),
+            (rows - n + 1, mid_col),
+            (mid_row, 0),
+            (mid_row, -1),
+            (mid_row, cols - n),
+            (mid_row, cols - n + 1),
+            (0, 0),
+            (rows - n, cols - n),
+        ];
         let windows = corners(rows)
             .into_iter()
-            .flat_map(|r| corners(cols).map(|c| Rect::new(r, c, n, n)));
+            .flat_map(|r| corners(cols).map(move |c| (r, c)))
+            .chain(edges)
+            .map(|(r, c)| Rect::new(r, c, n, n));
         let locations = dataset.scan().locations();
         for (k, window) in windows.enumerate() {
             let mut loc = locations[k % locations.len()];

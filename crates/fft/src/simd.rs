@@ -439,6 +439,53 @@ pub(crate) fn column_pass2<R: Real>(
     R::column2(level, data, cols, wa, wb)
 }
 
+/// The amplitude loss of a far field and the adjoint's seed from it. For
+/// every far-field value `d`, measured amplitude `y` and transfer value
+/// `h`: the amplitude `a = |d|`, the residual `r = a − y` (`y` rounded to
+/// `R` as it is read), and `seed = d·(r/a)·conj(h)`, or `0` where `a == 0`.
+/// Returns `Σ r²`, each residual widened to `f64` and the squares summed in
+/// index order.
+///
+/// # Panics
+/// Panics unless the four slices are equally long.
+pub fn amplitude_seed<R: Real>(
+    level: SimdLevel,
+    far_field: &[Complex<R>],
+    measured: &[f64],
+    transfer: &[Complex<R>],
+    seed: &mut [Complex<R>],
+) -> f64 {
+    let n = far_field.len();
+    assert!(
+        measured.len() == n && transfer.len() == n && seed.len() == n,
+        "amplitude seed lengths"
+    );
+    // Every tier runs the scalar loop.
+    let _ = level;
+    scalar_amplitude_seed(far_field, measured, transfer, seed)
+}
+
+fn scalar_amplitude_seed<R: Real>(
+    far_field: &[Complex<R>],
+    measured: &[f64],
+    transfer: &[Complex<R>],
+    seed: &mut [Complex<R>],
+) -> f64 {
+    let mut loss = 0.0;
+    for (((b, d), y), h) in seed.iter_mut().zip(far_field).zip(measured).zip(transfer) {
+        let a = d.abs();
+        let r = a - R::from_f64(*y);
+        let wide = r.to_f64();
+        loss += wide * wide;
+        *b = if a == R::ZERO {
+            Complex::ZERO
+        } else {
+            d.scale(r / a) * h.conj()
+        };
+    }
+    loss
+}
+
 // The portable sweeps. The butterfly is the exact operation sequence
 // `t = b·w; a' = a + t; b' = a − t`, and a loaded value is `x · f` or
 // `x · conj(f)` exactly as a separate multiply computes it — the bit-identity
@@ -1735,6 +1782,136 @@ mod tests {
     fn panel_rows_longer_than_a_panel_takes_run_at_the_scalar_tier() {
         row_passes_match_scalar::<f64>(&[2 * MAX_PANEL_LEN], &[1, 3]);
         row_passes_match_scalar::<f32>(&[2 * MAX_PANEL_LEN], &[1, 3]);
+    }
+
+    /// The amplitude step as the multi-slice adjoint ran it inline, one
+    /// value at a time: the reference every tier's `amplitude_seed` is held
+    /// to.
+    fn reference_amplitude_seed<R: Real>(
+        far_field: &[Complex<R>],
+        measured: &[f64],
+        transfer: &[Complex<R>],
+        seed: &mut [Complex<R>],
+    ) -> f64 {
+        let mut loss = 0.0;
+        for (((b, d), y), h) in seed.iter_mut().zip(far_field).zip(measured).zip(transfer) {
+            let a = d.abs();
+            let r = a - R::from_f64(*y);
+            let wide = r.to_f64();
+            loss += wide * wide;
+            *b = if a == R::ZERO {
+                Complex::ZERO
+            } else {
+                d.scale(r / a) * h.conj()
+            };
+        }
+        loss
+    }
+
+    /// Far-field values that reach every branch of the amplitude step:
+    /// zeros of each sign pattern (`a == 0`), subnormal parts, an infinite
+    /// part beside a NaN or a finite part, a NaN beside a finite part, and
+    /// ordinary values between them.
+    fn amplitude_far_field<R: Real>(len: usize) -> Vec<Complex<R>> {
+        let (zero, sub) = (R::from_f64(0.0), R::from_bit_pattern(1));
+        let (inf, nan) = (R::from_f64(f64::INFINITY), R::from_f64(f64::NAN));
+        let specials = [
+            Complex::new(zero, zero),
+            Complex::new(-zero, zero),
+            Complex::new(zero, -zero),
+            Complex::new(-zero, -zero),
+            Complex::new(sub, zero),
+            Complex::new(-sub, sub),
+            Complex::new(zero, -R::from_bit_pattern(0x7)),
+            Complex::new(inf, nan),
+            Complex::new(nan, -inf),
+            Complex::new(-inf, R::from_f64(0.5)),
+            Complex::new(nan, R::from_f64(2.0)),
+        ];
+        let ordinary = test_data::<R>(len);
+        (0..len)
+            .map(|i| match i % 3 {
+                0 => specials[(i / 3) % specials.len()],
+                _ => ordinary[i].scale(R::from_f64(1.0 + i as f64 * 0.25)),
+            })
+            .collect()
+    }
+
+    /// Measured amplitudes: values halfway between two neighbouring `f32`
+    /// (round-to-even ties, both ways), values just off those ties, zeros of
+    /// both signs, a NaN, one past `f32::MAX`, and ordinary ones.
+    fn amplitude_measured(len: usize) -> Vec<f64> {
+        let ulp = 2f64.powi(-23);
+        let specials = [
+            1.0 + ulp / 2.0,
+            1.0 + 1.5 * ulp,
+            0.75 + ulp / 4.0,
+            1.0 + ulp / 2.0 + 2f64.powi(-40),
+            3.0 - ulp,
+            0.0,
+            -0.0,
+            f64::NAN,
+            f64::from(f32::MAX) * 2.0,
+            -1.25,
+        ];
+        (0..len)
+            .map(|i| match i % 2 {
+                0 => specials[(i / 2) % specials.len()],
+                _ => (i as f64 * 0.73).sin().abs() * 3.0,
+            })
+            .collect()
+    }
+
+    fn amplitude_seeds_match_the_reference<R: Real>() {
+        // Lengths that no chunk of 4 or 8 values divides, whole chunks, and
+        // none.
+        let lengths = [0usize, 1, 3, 5, 7, 8, 11, 13, 16, 21, 29, 64, 67, 131];
+        for level in SimdLevel::available_levels() {
+            for len in lengths {
+                let far_field = amplitude_far_field::<R>(len);
+                let measured = amplitude_measured(len);
+                let mut transfer = test_data::<R>(len + 3).split_off(3);
+                if let Some(h) = transfer.get_mut(2) {
+                    *h = Complex::new(-R::ZERO, R::ZERO);
+                }
+                let nan = Complex::new(R::from_f64(f64::NAN), R::ONE);
+                let mut want = vec![nan; len];
+                let loss = reference_amplitude_seed(&far_field, &measured, &transfer, &mut want);
+                let mut got = vec![nan; len];
+                let tier_loss = amplitude_seed(level, &far_field, &measured, &transfer, &mut got);
+                let case = format!("{len} values at {level:?}");
+                assert_eq!(tier_loss.to_bits(), loss.to_bits(), "loss, {case}");
+                assert_eq!(bits(&got), bits(&want), "seed, {case}");
+                // Without the non-finite values, the loss is finite.
+                let finite: Vec<_> = far_field
+                    .iter()
+                    .map(|d| if d.is_finite() { *d } else { Complex::ONE })
+                    .collect();
+                let measured: Vec<_> = measured
+                    .iter()
+                    .map(|y| if y.abs() <= 4.0 { *y } else { 1.0 })
+                    .collect();
+                let loss = reference_amplitude_seed(&finite, &measured, &transfer, &mut want);
+                let tier_loss = amplitude_seed(level, &finite, &measured, &transfer, &mut got);
+                assert!(loss.is_finite(), "{case}");
+                assert_eq!(tier_loss.to_bits(), loss.to_bits(), "finite loss, {case}");
+                assert_eq!(bits(&got), bits(&want), "finite seed, {case}");
+            }
+        }
+    }
+
+    #[test]
+    fn amplitude_seed_is_bit_identical_to_the_reference_loop_at_every_tier() {
+        amplitude_seeds_match_the_reference::<f64>();
+        amplitude_seeds_match_the_reference::<f32>();
+    }
+
+    #[test]
+    #[should_panic(expected = "amplitude seed lengths")]
+    fn amplitude_seed_of_unequal_lengths_panics() {
+        let (d, h) = (test_data::<f32>(4), test_data::<f32>(4));
+        let mut seed = test_data::<f32>(3);
+        amplitude_seed(SimdLevel::detect(), &d, &[1.0; 4], &h, &mut seed);
     }
 
     #[test]

@@ -19,6 +19,7 @@
 use crate::multislice::{ForwardPass, MultisliceModel, SimWorkspace};
 use ptycho_array::{Array2, Array3};
 use ptycho_fft::fft2d::Factor;
+use ptycho_fft::simd::amplitude_seed;
 use ptycho_fft::{CArray3, Complex, Real};
 
 /// The result of evaluating one probe location: the scalar data-fidelity cost
@@ -198,24 +199,14 @@ pub fn probe_gradient_by_slice<R: Real>(
     // last slice's transmitted wave a, so the adjoint begins with that
     // multiply (and the `H · F⁻¹ F` pair the forward pass dropped has no
     // adjoint to run either).
-    let mut loss = 0.0;
-    for (((b, d), y), h) in back
-        .as_mut_slice()
-        .iter_mut()
-        .zip(far_field.as_slice())
-        .zip(measured_amplitude.as_slice())
-        .zip(model.plan().transfer().as_slice())
-    {
-        let a = d.abs();
-        let r = residual(a, *y);
-        let wide = r.to_f64();
-        loss += wide * wide;
-        *b = if a == R::ZERO {
-            Complex::ZERO
-        } else {
-            d.scale(r / a) * h.conj()
-        };
-    }
+    let fft = model.plan().fft();
+    let loss = amplitude_seed(
+        fft.simd_level(),
+        far_field.as_slice(),
+        measured_amplitude.as_slice(),
+        model.plan().transfer().as_slice(),
+        back.as_mut_slice(),
+    );
 
     // Back through the last slice's FFT: the adjoint of the unnormalised
     // forward transform is the unnormalised inverse transform, F^H = N · F⁻¹.
@@ -223,7 +214,6 @@ pub fn probe_gradient_by_slice<R: Real>(
     // ∂L/∂conj(a_s) where a_s = t_s ⊙ psi_s, and `back` holds each slice's
     // gradient until `take` has it, then serves as the spectrum scratch of
     // the propagation to the slice before.
-    let fft = model.plan().fft();
     fft.inverse_unnormalized_fused(far_field, back.as_slice(), None);
 
     // Back through the slices in reverse order.
