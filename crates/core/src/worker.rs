@@ -22,16 +22,17 @@ pub(crate) type TileVolume = Array3<Complex32>;
 /// evaluation allocation-free.
 ///
 /// Only the tile holds the object and no gradient volume is held: the model
-/// reads each slice of a probe window straight from the tile into a
-/// workspace field, and the adjoint hands each slice's gradient to
+/// reads each slice of a probe window in place from the tile (a window
+/// crossing the tile edge is copied into a workspace field, vacuum
+/// outside), and the adjoint hands each slice's gradient to
 /// [`Self::probe_step`]'s sink as soon as it is computed, in the model
 /// workspace, and the sink applies and accumulates it there.
 ///
 /// Everything a rank holds is complex `f32`: the tile volume, the
 /// accumulation buffers, and every per-probe evaluation
-/// ([`Dataset::model_f32`]). A slice the model reads is a same-type row copy
-/// of the volume, and the gradient is added to the volume or a buffer as it
-/// is. Only the flat initial guess (ones, exact in `f32`) and the stitched
+/// ([`Dataset::model_f32`]). A slice the model reads is the volume's own
+/// rows (or a same-type copy of them), and the gradient is added to the
+/// volume or a buffer as it is. Only the flat initial guess (ones, exact in `f32`) and the stitched
 /// result ([`Self::core_volume`], widened exactly) are complex `f64`.
 pub(crate) struct TileWorker<'a> {
     dataset: &'a Dataset,
@@ -45,7 +46,7 @@ pub(crate) struct TileWorker<'a> {
     /// integer nanoseconds: what [`Self::probe_step`] charges.
     probe_ns: u64,
     /// Reusable forward/adjoint model buffers, which also receive each
-    /// object slice and each slice's gradient.
+    /// slice's gradient and each object slice that is not read in place.
     workspace: SimWorkspace<f32>,
 }
 
@@ -112,8 +113,9 @@ impl<'a> TileWorker<'a> {
     /// vacuum (`1`) outside it) and hands it, slice by slice as the adjoint
     /// computes it, to a [`GradientSink`] over `buffers` and `cells`.
     /// Returns the probe loss, and charges the model's per-probe time to
-    /// `clock`. Allocation-free: each object slice, each slice's gradient
-    /// and every model intermediate live in the worker's pooled workspace.
+    /// `clock`. Allocation-free: a window inside the tile is read in place,
+    /// one crossing its edge is copied into the worker's pooled workspace,
+    /// where each slice's gradient and every model intermediate live too.
     ///
     /// GD passes the round's [`RankPasses::shared`] cells with local
     /// updates and its cover without them, which holds every cell of the
@@ -222,19 +224,27 @@ struct GradientSink<'s> {
 }
 
 impl ObjectSlices<f32> for GradientSink<'_> {
-    /// Reads slice `s` of the window, vacuum (`1`) outside the tile.
-    fn load(&self, s: usize, t: &mut [Complex32]) {
+    /// Reads slice `s` of the window: in place, rows a tile row apart, when
+    /// the tile holds the whole window; else copied into `t`, vacuum (`1`)
+    /// outside the tile.
+    fn read(&self, s: usize, t: &mut [Complex32]) -> Option<(&[Complex32], usize)> {
         let (plane, window) = (self.volume.plane_bounds(), self.window);
-        let inside = window.intersect(&plane);
-        if inside.area() != window.area() {
-            t.fill(Complex32::ONE);
+        let (volume, offset) = (self.volume.as_slice(), s * plane.area());
+        if plane.contains_rect(&window) {
+            let mut rows = plane.flat_rows(1, offset, window);
+            let first = rows.next().expect("a probe window has rows");
+            let end = rows.last().unwrap_or_else(|| first.clone()).end;
+            return Some((&volume[first.start..end], plane.cols()));
         }
+        let inside = window.intersect(&plane);
+        t.fill(Complex32::ONE);
         let rows = plane
-            .flat_rows(1, s * plane.area(), inside)
+            .flat_rows(1, offset, inside)
             .zip(window.flat_rows(1, 0, inside));
         for (src, dst) in rows {
-            t[dst].copy_from_slice(&self.volume.as_slice()[src]);
+            t[dst].copy_from_slice(&volume[src]);
         }
+        None
     }
 
     /// Takes slice `s` of the gradient, `g` (window-shaped, row-major).

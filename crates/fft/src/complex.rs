@@ -58,6 +58,8 @@ pub trait Real:
     fn exp(self) -> Self;
     /// Neither infinite nor NaN.
     fn is_finite(self) -> bool;
+    /// Not a number.
+    fn is_nan(self) -> bool;
 }
 
 macro_rules! real {
@@ -108,6 +110,10 @@ macro_rules! real {
             #[inline]
             fn is_finite(self) -> bool {
                 <$t>::is_finite(self)
+            }
+            #[inline]
+            fn is_nan(self) -> bool {
+                <$t>::is_nan(self)
             }
         }
     )*};

@@ -21,8 +21,11 @@
 //! [`Fft2Plan::inverse_unnormalized_fused`] read `x` from a source field
 //! distinct from the destination and fold that product into the row pass's
 //! load — `x·f` or `x·conj(f)` ([`Factor`]) — so a product and a transform
-//! together touch each value once. The result is bit-identical to the
-//! separate multiply followed by the plain transform.
+//! together touch each value once. The factor may be a window of a wider
+//! plane, read in place with its own row stride ([`Factor::with_stride`]):
+//! the model multiplies by an object slice straight out of the tile volume.
+//! The result is bit-identical to the separate multiply followed by the
+//! plain transform.
 //!
 //! # In-place transforms
 //!
@@ -44,31 +47,77 @@ use crate::complex::{Complex, Real};
 use crate::simd::{self, RowPass, SimdLevel, Source};
 use crate::{CArray2, FftPlan};
 use ptycho_array::Array2;
-use std::ops::Range;
 
 /// A pointwise factor a fused transform multiplies each input value by as
-/// its row pass loads it: one value per element of the field, row-major.
+/// its row pass loads it: `x·f` ([`Factor::mul`]) or `x·conj(f)`
+/// ([`Factor::mul_conj`]), one value per element of the field. Row `r` of
+/// the factor starts at value `r · stride`: the field's row length unless
+/// [`Factor::with_stride`] sets a longer one, so a factor can be read in
+/// place as a window of a wider plane.
 #[derive(Clone, Copy, Debug)]
-pub enum Factor<'a, R: Real = f64> {
-    /// `x · f`.
-    Mul(&'a [Complex<R>]),
-    /// `x · conj(f)`.
-    MulConj(&'a [Complex<R>]),
+pub struct Factor<'a, R: Real = f64> {
+    values: &'a [Complex<R>],
+    conj: bool,
+    stride: Option<usize>,
 }
 
 impl<'a, R: Real> Factor<'a, R> {
-    /// The factor values.
-    pub(crate) fn values(self) -> &'a [Complex<R>] {
-        match self {
-            Factor::Mul(f) | Factor::MulConj(f) => f,
+    /// `x · f`, `f` row-major with the field's row length.
+    pub fn mul(values: &'a [Complex<R>]) -> Self {
+        Self {
+            values,
+            conj: false,
+            stride: None,
         }
     }
 
-    /// The same kind of factor over `range` of the values.
-    pub(crate) fn sub(self, range: Range<usize>) -> Self {
-        match self {
-            Factor::Mul(f) => Factor::Mul(&f[range]),
-            Factor::MulConj(f) => Factor::MulConj(&f[range]),
+    /// `x · conj(f)`, `f` row-major with the field's row length.
+    pub fn mul_conj(values: &'a [Complex<R>]) -> Self {
+        Self {
+            conj: true,
+            ..Self::mul(values)
+        }
+    }
+
+    /// The same factor with row `r` starting at value `r · stride`.
+    pub fn with_stride(self, stride: usize) -> Self {
+        Self {
+            stride: Some(stride),
+            ..self
+        }
+    }
+
+    /// The factor values.
+    pub(crate) fn values(self) -> &'a [Complex<R>] {
+        self.values
+    }
+
+    /// Whether each value is conjugated (`x · conj(f)`).
+    pub(crate) fn is_conj(self) -> bool {
+        self.conj
+    }
+
+    /// The distance between the starts of two rows of `n`-value rows.
+    pub(crate) fn stride(self, n: usize) -> usize {
+        self.stride.unwrap_or(n)
+    }
+
+    /// Whether the values hold `rows` rows of `n` values: exactly that many
+    /// without a stride, else rows at least `n` apart, the last one whole.
+    pub(crate) fn fits(self, rows: usize, n: usize) -> bool {
+        match self.stride {
+            None => self.values.len() == rows * n,
+            Some(stride) => stride >= n && self.values.len() >= rows.saturating_sub(1) * stride + n,
+        }
+    }
+
+    /// Row `r` of `n` values, as a factor of one row.
+    pub(crate) fn row(self, r: usize, n: usize) -> Self {
+        let start = r * self.stride(n);
+        Self {
+            values: &self.values[start..start + n],
+            stride: None,
+            ..self
         }
     }
 }
@@ -218,8 +267,11 @@ impl<R: Real> Fft2Plan<R> {
     /// Zero heap allocations.
     ///
     /// # Panics
-    /// Panics if the field shape differs from the plan shape, or `source` or
-    /// the factor does not hold one value per element of the field.
+    /// Panics if the field shape differs from the plan shape, `source` does
+    /// not hold one value per element of the field, or the factor does not
+    /// hold one row per row of the field (exactly the field's values
+    /// without a stride; with one, rows at least a row apart, the last one
+    /// whole).
     pub fn forward_fused(
         &self,
         field: &mut Array2<Complex<R>>,
@@ -638,7 +690,8 @@ mod tests {
 
     fn fused_match_separate<R: Real>() {
         // Every row-pass input — a distinct source with no factor, a factor
-        // on load or a conjugated factor; the field in place — forward,
+        // on load or a conjugated factor, each also read in place from a
+        // wider plane; the field in place — forward,
         // inverse and scaled inverse, at every tier, against the scalar
         // multiply followed by the plain scalar in-place transform. Sizes run
         // 2⁰ … 2¹¹ in each direction (1×N, N×1, N×2 leave every sweep its
@@ -656,17 +709,32 @@ mod tests {
                 let plan = Fft2Plan::<R>::with_simd_level(rows, cols, level);
                 let input = test_field_in::<R>(rows, cols);
                 let f = test_field_in::<R>(rows + 1, cols).as_slice()[cols..].to_vec();
+                // The same factor as a window of a plane 3 values wider, read
+                // in place: rows `cols + 3` apart, NaN between them, the
+                // plane ending with the window's last row.
+                let stride = cols + 3;
+                let nan = Complex::narrow(Complex64::new(f64::NAN, 2.0));
+                let mut plane = vec![nan; (rows - 1) * stride + cols];
+                for (row, f) in plane.chunks_mut(stride).zip(f.chunks(cols)) {
+                    row[..cols].copy_from_slice(f);
+                }
                 let inverse_scale = R::from_f64(1.0 / (rows * cols) as f64);
                 let directions = [(true, R::ONE), (false, R::ONE), (false, inverse_scale)];
-                let factors = [None, Some(Factor::Mul(&f)), Some(Factor::MulConj(&f))];
+                let factors = [
+                    None,
+                    Some(Factor::mul(&f)),
+                    Some(Factor::mul_conj(&f)),
+                    Some(Factor::mul(&plane).with_stride(stride)),
+                    Some(Factor::mul_conj(&plane).with_stride(stride)),
+                ];
                 for (forward, scale) in directions {
                     for factor in factors {
                         let mut expected = input.clone();
                         for (x, &f) in expected.as_mut_slice().iter_mut().zip(&f) {
                             match factor {
                                 None => {}
-                                Some(Factor::Mul(_)) => *x *= f,
-                                Some(Factor::MulConj(_)) => *x *= f.conj(),
+                                Some(factor) if factor.is_conj() => *x *= f.conj(),
+                                Some(_) => *x *= f,
                             }
                         }
                         scalar.transform(&mut expected, None, forward, scale);
@@ -761,7 +829,7 @@ mod tests {
                 &plan,
                 &mut out,
                 field.as_slice(),
-                Some(Factor::MulConj(f.as_slice())),
+                Some(Factor::mul_conj(f.as_slice())),
             );
             assert_eq!(out, expected);
         }

@@ -91,11 +91,15 @@
 //! Every tier computes every butterfly as the *same* IEEE 754 operations in
 //! the same order as the scalar `Mul` / `Add` / `Sub` impls, at the
 //! precision of the data: the product `b·w` is two multiplies and one
-//! add/subtract per component — in the row panels on split planes, in the
-//! column sweeps and the fused factor on interleaved values (`mul` ×2 +
-//! `addsub` on AVX2 — `_pd` or `_ps`; SSE2 has no `addsub` and adds the
-//! sign-flipped product, which IEEE defines as the same operation) — then
-//! `a' = a + t`, `b' = a − t`. No accumulation is reordered and nothing is
+//! add/subtract per component — in the row panels (and their factor) on
+//! split planes, in the column sweeps on interleaved values: `b` and its
+//! pair-swapped copy `[b.im, b.re]` times the splats `[w.re, w.re]` and
+//! `[w.im, w.im]`, then `addsub` on AVX2 (`_pd` or `_ps`; SSE2 has no
+//! `addsub` and adds the sign-flipped product, which IEEE defines as the
+//! same operation). The imaginary lane sums `b.im·w.re + b.re·w.im`, the
+//! scalar's two products added the other way round, which IEEE addition
+//! does not see. Then `a' = a + t`, `b' = a − t`. No accumulation is
+//! reordered and nothing is
 //! fused, so which tier, which lane and which partition of a run computed a
 //! value cannot be seen in its bits: at each precision all tiers are
 //! **bit-identical**, pinned by `to_bits` tests at every level of the stack
@@ -111,20 +115,28 @@
 //! `f32` a dropped rounding is 2²⁹ times coarser than in `f64`, so the gap
 //! between tiers would be plainly visible in every reconstruction.
 //!
+//! The multi-slice model's amplitude step, [`amplitude_seed`], is under the
+//! same rule: its vector tiers compute chunks of values lane-parallel with
+//! the scalar loop's operations (the chunk body is the scalar code,
+//! compiled at the tier's target features) and add each chunk's `f64`
+//! squares to the loss one by one in index order, as the scalar loop does.
+//!
 //! Measured on a 2-vCPU Xeon (AVX2; AVX-512 present and unused), the process
 //! pinned to one CPU, one 128² transform — a fused forward of `x·f` from a
 //! source field, and an in-place normalised inverse — best of three runs of
-//! 2000, at each tier and precision:
+//! 2000, at each tier and precision (the fastest of four invocations; the
+//! others read up to 12 % slower on the shared host):
 //!
 //! | tier   | `f32` fused forward | `f32` inverse | `f64` fused forward | `f64` inverse |
 //! |--------|--------------------:|--------------:|--------------------:|--------------:|
-//! | scalar |              255 µs |        251 µs |              240 µs |        248 µs |
-//! | SSE2   |               84 µs |         77 µs |              156 µs |        143 µs |
-//! | AVX2   |               51 µs |         42 µs |               84 µs |         72 µs |
+//! | scalar |              206 µs |        186 µs |              164 µs |        169 µs |
+//! | SSE2   |               59 µs |         54 µs |              105 µs |         96 µs |
+//! | AVX2   |               31 µs |         28 µs |               59 µs |         53 µs |
 //!
-//! Of the AVX2 `f32` fused forward, the column pass is about 17 µs and the
-//! split stages about 11 µs; the rest is the panels' loads, factor,
-//! transposes and stores.
+//! Of an AVX2 `f32` transform, the column pass is about 15 µs; the rest is
+//! the row panels. On the same host the amplitude step of a 128² `f32`
+//! field reads 5.1 ns a value at the scalar tier, 4.6 at SSE2 and 2.6 at
+//! AVX2.
 
 // The intrinsics in the x86 module below are the one sanctioned use of
 // `unsafe` in this crate (the crate root carries `deny(unsafe_code)` on
@@ -368,7 +380,8 @@ impl<R: Real> Stage<R> {
 ///
 /// # Panics
 /// Panics if `data` is not `order.len()` rows of `within.len()` values, the
-/// source or its factor is not as long as `data`, a bit-reversal table is
+/// source is not as long as `data`, the factor does not hold as many rows
+/// (each at least a row long and at least a row apart), a bit-reversal table is
 /// not an involution of its own index range, or the stage tables do not fit
 /// the row.
 pub(crate) fn row_pass<R: Real>(
@@ -382,7 +395,7 @@ pub(crate) fn row_pass<R: Real>(
     if let Some(source) = source {
         assert_eq!(source.values.len(), data.len(), "row pass source length");
         if let Some(factor) = source.factor {
-            assert_eq!(factor.values().len(), data.len(), "row pass factor length");
+            assert!(factor.fits(pass.order.len(), n), "row pass factor length");
         }
     }
     for table in [pass.within, pass.order] {
@@ -446,6 +459,17 @@ pub(crate) fn column_pass2<R: Real>(
 /// Returns `Σ r²`, each residual widened to `f64` and the squares summed in
 /// index order.
 ///
+/// The vector tiers run it in chunks of [`AMPLITUDE_CHUNK`] values: every
+/// value's amplitude, residual, square and seed lane-parallel (the chunk
+/// body is compiled at the tier), then the chunk's squares added to the
+/// loss one by one in index order. Each value goes through the same IEEE
+/// operations as in the scalar loop, so where no NaN comes out the bits are
+/// the scalar loop's. Which NaN an operation on two NaNs returns depends on
+/// its operand order, which the compiler may swap, so a chunk that puts out
+/// a NaN is redone by the scalar loop itself. (`f32` amplitudes are `f64`
+/// squares and root, which vectorise; `f64` ones are libm's `hypot`, one
+/// call a value at every tier.)
+///
 /// # Panics
 /// Panics unless the four slices are equally long.
 pub fn amplitude_seed<R: Real>(
@@ -460,30 +484,97 @@ pub fn amplitude_seed<R: Real>(
         measured.len() == n && transfer.len() == n && seed.len() == n,
         "amplitude seed lengths"
     );
-    // Every tier runs the scalar loop.
-    let _ = level;
-    scalar_amplitude_seed(far_field, measured, transfer, seed)
+    match level {
+        SimdLevel::Scalar => scalar_amplitude_seed(0.0, far_field, measured, transfer, seed),
+        // SAFETY: a plan only holds `Avx2` after `is_available` confirmed
+        // `avx2` at runtime.
+        #[cfg(target_arch = "x86_64")]
+        SimdLevel::Avx2 => unsafe { x86::avx2_amplitude_seed(far_field, measured, transfer, seed) },
+        // SSE2 is the x86_64 baseline: the chunks compile at it as they are.
+        _ => amplitude_seed_chunks(far_field, measured, transfer, seed),
+    }
 }
 
+/// Values per chunk of the vector tiers' amplitude step: one AVX2 vector of
+/// `f32`.
+pub const AMPLITUDE_CHUNK: usize = 8;
+
+/// The amplitude step of one value: its seed and its residual.
+#[inline(always)]
+fn amplitude_value<R: Real>(d: Complex<R>, y: f64, h: Complex<R>) -> (Complex<R>, R) {
+    let a = d.abs();
+    let r = a - R::from_f64(y);
+    let seed = if a == R::ZERO {
+        Complex::ZERO
+    } else {
+        d.scale(r / a) * h.conj()
+    };
+    (seed, r)
+}
+
+/// The scalar loop, its loss starting from `loss`: one copy of its code,
+/// which every tier's NaN chunks and tails run.
+#[inline(never)]
 fn scalar_amplitude_seed<R: Real>(
+    mut loss: f64,
     far_field: &[Complex<R>],
     measured: &[f64],
     transfer: &[Complex<R>],
     seed: &mut [Complex<R>],
 ) -> f64 {
-    let mut loss = 0.0;
     for (((b, d), y), h) in seed.iter_mut().zip(far_field).zip(measured).zip(transfer) {
-        let a = d.abs();
-        let r = a - R::from_f64(*y);
+        let (value, r) = amplitude_value(*d, *y, *h);
         let wide = r.to_f64();
         loss += wide * wide;
-        *b = if a == R::ZERO {
-            Complex::ZERO
-        } else {
-            d.scale(r / a) * h.conj()
-        };
+        *b = value;
     }
     loss
+}
+
+/// Whole chunks lane-parallel, the rest by the scalar loop. Inlined into
+/// each tier's entry point, so the chunk body compiles at its features.
+#[inline(always)]
+fn amplitude_seed_chunks<R: Real>(
+    far_field: &[Complex<R>],
+    measured: &[f64],
+    transfer: &[Complex<R>],
+    seed: &mut [Complex<R>],
+) -> f64 {
+    const L: usize = AMPLITUDE_CHUNK;
+    let whole = far_field.len() / L * L;
+    let mut loss = 0.0;
+    let chunks = far_field[..whole]
+        .chunks_exact(L)
+        .zip(measured.chunks_exact(L))
+        .zip(transfer.chunks_exact(L))
+        .zip(seed.chunks_exact_mut(L));
+    for (((d, y), h), b) in chunks {
+        let (mut values, mut squares) = ([Complex::ZERO; L], [0.0; L]);
+        for i in 0..L {
+            let (value, r) = amplitude_value(d[i], y[i], h[i]);
+            let wide = r.to_f64();
+            (values[i], squares[i]) = (value, wide * wide);
+        }
+        let nan = values
+            .iter()
+            .fold(false, |n, v| n | v.re.is_nan() | v.im.is_nan());
+        let nan = squares.iter().fold(nan, |n, s| n | s.is_nan());
+        if nan {
+            loss = scalar_amplitude_seed(loss, d, y, h, b);
+            continue;
+        }
+        b.copy_from_slice(&values);
+        for square in squares {
+            loss += square;
+        }
+    }
+    let tail = whole..far_field.len();
+    let (d, y, h) = (
+        &far_field[tail.clone()],
+        &measured[tail.clone()],
+        &transfer[tail.clone()],
+    );
+    scalar_amplitude_seed(loss, d, y, h, &mut seed[tail])
 }
 
 // The portable sweeps. The butterfly is the exact operation sequence
@@ -505,7 +596,7 @@ fn scalar_rows<R: Real>(
         }
         match source {
             Some(Source { values, factor }) => {
-                let source_row = |r: usize| (&values[row(r)], factor.map(|f| f.sub(row(r))));
+                let source_row = |r: usize| (&values[row(r)], factor.map(|f| f.row(r, n)));
                 scalar_row_from(&mut data[row(j)], source_row(i), pass);
                 if i != j {
                     scalar_row_from(&mut data[row(i)], source_row(j), pass);
@@ -527,8 +618,8 @@ fn scalar_rows<R: Real>(
 fn load<R: Real>(values: &[Complex<R>], factor: Option<Factor<'_, R>>, i: usize) -> Complex<R> {
     match factor {
         None => values[i],
-        Some(Factor::Mul(f)) => values[i] * f[i],
-        Some(Factor::MulConj(f)) => values[i] * f[i].conj(),
+        Some(f) if f.is_conj() => values[i] * f.values()[i].conj(),
+        Some(f) => values[i] * f.values()[i],
     }
 }
 
@@ -655,7 +746,6 @@ fn butterfly2<R: Real>(
 mod x86 {
     use super::{RowPass, Source, Stage, MAX_PANEL_LEN, SHORT_PANEL_LEN};
     use crate::complex::{Complex, Real};
-    use crate::fft2d::Factor;
     use core::arch::x86_64::*;
     use core::mem::MaybeUninit;
 
@@ -678,9 +768,9 @@ mod x86 {
         unsafe fn load(p: *const Complex<Self::R>) -> Self::V;
         unsafe fn store(p: *mut Complex<Self::R>, v: Self::V);
         unsafe fn splat(w: Complex<Self::R>) -> Self::V;
-        /// The complex products `b·w`, lane by lane, given `w` and
-        /// `[w.im, w.re]`.
-        unsafe fn mul(b: Self::V, w: Self::V, w_swapped: Self::V) -> Self::V;
+        /// The complex products `b·w`, lane by lane, given `w.re` and
+        /// `w.im` in every lane (`splat(w.re + i·w.re)`, …).
+        unsafe fn mul(b: Self::V, w_re: Self::V, w_im: Self::V) -> Self::V;
         /// Lane-wise sum, of complex values or of reals alike.
         unsafe fn add(a: Self::V, b: Self::V) -> Self::V;
         /// Lane-wise difference.
@@ -768,17 +858,19 @@ mod x86 {
         }
         /// Replicates the scalar complex multiply
         /// `(b.re·w.re − b.im·w.im, b.re·w.im + b.im·w.re)` with the same two
-        /// multiplies and one add/subtract per lane — bit-identical.
+        /// multiplies and one add/subtract per lane — bit-identical. The
+        /// imaginary lane sums `b.im·w.re + b.re·w.im`: the same products,
+        /// added the other way round, which IEEE addition does not see.
+        /// One shuffle per product, of `b`; the splats are the caller's.
         #[inline(always)]
-        unsafe fn mul(b: __m128d, w: __m128d, w_swapped: __m128d) -> __m128d {
-            let bre = _mm_unpacklo_pd(b, b); // [b.re, b.re]
-            let bim = _mm_unpackhi_pd(b, b); // [b.im, b.im]
+        unsafe fn mul(b: __m128d, w_re: __m128d, w_im: __m128d) -> __m128d {
+            let b_swapped = _mm_shuffle_pd::<0b01>(b, b); // [b.im, b.re]
 
             // `[-0.0, 0.0]`: XORing flips the sign of lane 0 only, turning
             // the add into `[x0 − y0, x1 + y1]` (IEEE subtraction *is*
             // addition of the negation, so this matches the scalar subtract).
-            let prod_im = _mm_xor_pd(_mm_mul_pd(bim, w_swapped), _mm_set_pd(0.0, -0.0));
-            _mm_add_pd(_mm_mul_pd(bre, w), prod_im)
+            let prod_im = _mm_xor_pd(_mm_mul_pd(b_swapped, w_im), _mm_set_pd(0.0, -0.0));
+            _mm_add_pd(_mm_mul_pd(b, w_re), prod_im)
         }
         #[inline(always)]
         unsafe fn add(a: __m128d, b: __m128d) -> __m128d {
@@ -840,12 +932,11 @@ mod x86 {
         /// `addsub` — deliberately not `vfmaddsub`, which would drop a
         /// rounding (see the module docs).
         #[inline(always)]
-        unsafe fn mul(b: __m256d, w: __m256d, w_swapped: __m256d) -> __m256d {
-            let bre = _mm256_movedup_pd(b); // [b0.re, b0.re, b1.re, b1.re]
-            let bim = _mm256_permute_pd(b, 0b1111); // [b0.im, b0.im, b1.im, b1.im]
+        unsafe fn mul(b: __m256d, w_re: __m256d, w_im: __m256d) -> __m256d {
+            let b_swapped = _mm256_permute_pd(b, 0b0101); // [b0.im, b0.re, b1.im, b1.re]
 
-            // even lanes: b.re·w.re − b.im·w.im, odd lanes: b.re·w.im + b.im·w.re
-            _mm256_addsub_pd(_mm256_mul_pd(bre, w), _mm256_mul_pd(bim, w_swapped))
+            // even lanes: b.re·w.re − b.im·w.im, odd lanes: b.im·w.re + b.re·w.im
+            _mm256_addsub_pd(_mm256_mul_pd(b, w_re), _mm256_mul_pd(b_swapped, w_im))
         }
         #[inline(always)]
         unsafe fn add(a: __m256d, b: __m256d) -> __m256d {
@@ -917,11 +1008,13 @@ mod x86 {
         /// [`Sse2F64::mul`] on two `f32` values: the same two multiplies
         /// and one add of the sign-flipped product per lane.
         #[inline(always)]
-        unsafe fn mul(b: __m128, w: __m128, w_swapped: __m128) -> __m128 {
-            let bre = _mm_shuffle_ps::<0b10_10_00_00>(b, b); // [b0.re, b0.re, b1.re, b1.re]
-            let bim = _mm_shuffle_ps::<0b11_11_01_01>(b, b); // [b0.im, b0.im, b1.im, b1.im]
-            let prod_im = _mm_xor_ps(_mm_mul_ps(bim, w_swapped), _mm_set_ps(0.0, -0.0, 0.0, -0.0));
-            _mm_add_ps(_mm_mul_ps(bre, w), prod_im)
+        unsafe fn mul(b: __m128, w_re: __m128, w_im: __m128) -> __m128 {
+            let b_swapped = _mm_shuffle_ps::<0b10_11_00_01>(b, b); // [b0.im, b0.re, b1.im, b1.re]
+            let prod_im = _mm_xor_ps(
+                _mm_mul_ps(b_swapped, w_im),
+                _mm_set_ps(0.0, -0.0, 0.0, -0.0),
+            );
+            _mm_add_ps(_mm_mul_ps(b, w_re), prod_im)
         }
         #[inline(always)]
         unsafe fn add(a: __m128, b: __m128) -> __m128 {
@@ -1014,10 +1107,9 @@ mod x86 {
         /// [`Avx2F64::mul`] on four `f32` values: both products rounded,
         /// then `addsub`, never `vfmaddsub`.
         #[inline(always)]
-        unsafe fn mul(b: __m256, w: __m256, w_swapped: __m256) -> __m256 {
-            let bre = _mm256_moveldup_ps(b); // [b0.re, b0.re, b1.re, b1.re, …]
-            let bim = _mm256_movehdup_ps(b); // [b0.im, b0.im, b1.im, b1.im, …]
-            _mm256_addsub_ps(_mm256_mul_ps(bre, w), _mm256_mul_ps(bim, w_swapped))
+        unsafe fn mul(b: __m256, w_re: __m256, w_im: __m256) -> __m256 {
+            let b_swapped = _mm256_permute_ps::<0b10_11_00_01>(b); // [b0.im, b0.re, …]
+            _mm256_addsub_ps(_mm256_mul_ps(b, w_re), _mm256_mul_ps(b_swapped, w_im))
         }
         #[inline(always)]
         unsafe fn add(a: __m256, b: __m256) -> __m256 {
@@ -1092,8 +1184,8 @@ mod x86 {
             Sse2F32::splat(w)
         }
         #[inline(always)]
-        unsafe fn mul(b: __m128, w: __m128, w_swapped: __m128) -> __m128 {
-            Sse2F32::mul(b, w, w_swapped)
+        unsafe fn mul(b: __m128, w_re: __m128, w_im: __m128) -> __m128 {
+            Sse2F32::mul(b, w_re, w_im)
         }
         #[inline(always)]
         unsafe fn add(a: __m128, b: __m128) -> __m128 {
@@ -1105,10 +1197,14 @@ mod x86 {
         }
     }
 
-    /// `w` and `[w.im, w.re]`, broadcast: what a product under `w` reads.
+    /// `w.re` and `w.im`, each in every lane: what a product under `w`
+    /// reads.
     #[inline(always)]
     unsafe fn splat_pair<L: Lanes>(w: Complex<L::R>) -> (L::V, L::V) {
-        (L::splat(w), L::splat(Complex::new(w.im, w.re)))
+        (
+            L::splat(Complex::new(w.re, w.re)),
+            L::splat(Complex::new(w.im, w.im)),
+        )
     }
 
     /// # Safety
@@ -1118,9 +1214,9 @@ mod x86 {
         a: *mut Complex<L::R>,
         b: *mut Complex<L::R>,
         k: usize,
-        (w, ws): (L::V, L::V),
+        (w_re, w_im): (L::V, L::V),
     ) {
-        let t = L::mul(L::load(b.add(k)), w, ws);
+        let t = L::mul(L::load(b.add(k)), w_re, w_im);
         let u = L::load(a.add(k));
         L::store(a.add(k), L::add(u, t));
         L::store(b.add(k), L::sub(u, t));
@@ -1250,15 +1346,19 @@ mod x86 {
         pass: &RowPass<'_, L::R>,
     ) {
         let dst = data.as_mut_ptr();
-        let null = core::ptr::null();
+        let none = (core::ptr::null(), 0);
         let Some(Source { values, factor }) = source else {
-            return panels::<L, ONE, CAP>(dst, dst, null, pass);
+            return panels::<L, ONE, CAP>(dst, dst, none, pass);
         };
         let src = values.as_ptr();
-        match factor {
-            None => panels::<L, ONE, CAP>(dst, src, null, pass),
-            Some(Factor::Mul(f)) => panels::<L, MUL, CAP>(dst, src, f.as_ptr(), pass),
-            Some(Factor::MulConj(f)) => panels::<L, CONJ, CAP>(dst, src, f.as_ptr(), pass),
+        let Some(f) = factor else {
+            return panels::<L, ONE, CAP>(dst, src, none, pass);
+        };
+        let f_rows = (f.values().as_ptr(), f.stride(pass.within.len()));
+        if f.is_conj() {
+            panels::<L, CONJ, CAP>(dst, src, f_rows, pass)
+        } else {
+            panels::<L, MUL, CAP>(dst, src, f_rows, pass)
         }
     }
 
@@ -1294,12 +1394,13 @@ mod x86 {
     }
 
     /// The row pass, a panel of `2N` rows at a time (see the module docs),
-    /// for rows of up to `CAP` values. `src` may be `dst` itself.
+    /// for rows of up to `CAP` values. `src` may be `dst` itself; the factor
+    /// is its first value and the distance between its rows' starts.
     #[inline(always)]
     unsafe fn panels<L: Panel, const K: u8, const CAP: usize>(
         dst: *mut Complex<L::R>,
         src: *const Complex<L::R>,
-        factor: *const Complex<L::R>,
+        (factor, stride): (*const Complex<L::R>, usize),
         pass: &RowPass<'_, L::R>,
     ) {
         let n = pass.within.len();
@@ -1315,7 +1416,7 @@ mod x86 {
             // its values and store them to its row again.
             let row = |p: usize| panel.rows[p.min(panel.len - 1)];
             let x = core::array::from_fn(|p| src.add(n * row(p)));
-            let f = core::array::from_fn(|p| factor.wrapping_add(n * row(p)));
+            let f = core::array::from_fn(|p| factor.wrapping_add(stride * row(p)));
             let to = core::array::from_fn(|p| dst.add(n * pass.order[row(p)] as usize));
             if n < L::N {
                 padded_panel::<L, K>(planes, x, f, to, pass);
@@ -1581,6 +1682,20 @@ mod x86 {
     per_tier!(sse2_rows, avx2_rows, rows(data: &mut [Complex<R>], source: Option<Source<'_, R>>, pass: &RowPass<'_, R>));
     per_tier!(sse2_long_rows, avx2_long_rows, long_rows(data: &mut [Complex<R>], source: Option<Source<'_, R>>, pass: &RowPass<'_, R>));
     per_tier!(sse2_column, avx2_column, column(data: &mut [Complex<R>], cols: usize, stage: &Stage<R>));
+
+    /// `super::amplitude_seed`'s chunks, compiled at AVX2.
+    ///
+    /// # Safety
+    /// The caller must have confirmed `avx2` at runtime.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn avx2_amplitude_seed<R: Real>(
+        far_field: &[Complex<R>],
+        measured: &[f64],
+        transfer: &[Complex<R>],
+        seed: &mut [Complex<R>],
+    ) -> f64 {
+        super::amplitude_seed_chunks(far_field, measured, transfer, seed)
+    }
     per_tier!(sse2_column2, avx2_column2, column2(data: &mut [Complex<R>], cols: usize, wa: &Stage<R>, wb: &Stage<R>));
 }
 
@@ -1689,7 +1804,8 @@ mod tests {
     }
 
     /// Every combination the row pass is instantiated for — in place, or
-    /// from a source with no factor / `x·f` / `x·conj(f)` — forward, inverse
+    /// from a source with no factor / `x·f` / `x·conj(f)`, the last also
+    /// with its rows a value apart — forward, inverse
     /// (the conjugated tables) and scaled inverse, at every tier against the
     /// scalar loops, for each row length and row count given. The tables are
     /// not twiddles, so a butterfly fed the wrong entry cannot cancel.
@@ -1711,11 +1827,13 @@ mod tests {
                         factor,
                     })
                 };
+                let wide = test_data::<R>(rows * (n + 1));
                 let sources = [
                     None,
                     from(None),
-                    from(Some(Factor::Mul(&f))),
-                    from(Some(Factor::MulConj(&f))),
+                    from(Some(Factor::mul(&f))),
+                    from(Some(Factor::mul_conj(&f))),
+                    from(Some(Factor::mul_conj(&wide[1..]).with_stride(n + 1))),
                 ];
                 let inverse_scale = R::from_f64(1.0 / (rows * n) as f64);
                 let directions = [
@@ -1950,8 +2068,39 @@ mod tests {
         let (source, f) = (test_data(4), test_data(3));
         let source = Source {
             values: &source,
-            factor: Some(Factor::Mul(&f)),
+            factor: Some(Factor::mul(&f)),
         };
         row_pass(SimdLevel::detect(), &mut test_data(4), Some(source), &pass);
+    }
+
+    /// A strided factor whose last row is cut short, or whose rows overlap,
+    /// is refused before any kernel reads it.
+    #[test]
+    fn strided_factors_that_do_not_hold_the_rows_panic() {
+        let within = bit_reversal(4);
+        let stages: Vec<Stage<f64>> = (0..2).map(|s| Stage::new(test_data(1 << s))).collect();
+        let pass = RowPass {
+            within: &within,
+            order: &[1, 0],
+            stages: &stages,
+            scale: 1.0,
+        };
+        let (source, plane) = (test_data(8), test_data(10));
+        for (stride, len) in [(6, 9), (3, 10)] {
+            let source = Source {
+                values: &source,
+                factor: Some(Factor::mul(&plane[..len]).with_stride(stride)),
+            };
+            let refused = std::panic::catch_unwind(|| {
+                row_pass(SimdLevel::detect(), &mut test_data(8), Some(source), &pass)
+            });
+            assert!(refused.is_err(), "stride {stride}, {len} values");
+        }
+        // Rows 6 apart, the last one whole: accepted.
+        let source = Source {
+            values: &source,
+            factor: Some(Factor::mul(&plane).with_stride(6)),
+        };
+        row_pass(SimdLevel::detect(), &mut test_data(8), Some(source), &pass);
     }
 }

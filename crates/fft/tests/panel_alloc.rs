@@ -1,6 +1,7 @@
 //! The row pass's panels keep their split planes on the stack: a 2-D
-//! transform allocates nothing, fused or in place, at every tier and both
-//! precisions, and neither does a 1-D plan (a one-row partial panel).
+//! transform allocates nothing, fused (a factor read in place from a wider
+//! plane included) or in place, at every tier and both precisions, and
+//! neither does a 1-D plan (a one-row partial panel).
 
 use ptycho_alloc::CountingAllocator;
 use ptycho_array::Array2;
@@ -25,14 +26,15 @@ fn field<R: Real>(rows: usize, cols: usize) -> Array2<Complex<R>> {
 fn allocations<R: Real>(n: usize, level: SimdLevel) -> u64 {
     let plan = Fft2Plan::<R>::with_simd_level(n, n, level);
     let line = FftPlan::<R>::with_simd_level(2048, level);
-    let (source, factor) = (field::<R>(n, n), field::<R>(n, n));
+    let (source, factor, wide) = (field::<R>(n, n), field::<R>(n, n), field::<R>(n, n + 1));
     let mut out = field::<R>(n, n);
     let mut row = field::<R>(1, 2048);
     let before = ALLOC.allocations();
     for f in [
         None,
-        Some(Factor::Mul(factor.as_slice())),
-        Some(Factor::MulConj(factor.as_slice())),
+        Some(Factor::mul(factor.as_slice())),
+        Some(Factor::mul_conj(factor.as_slice())),
+        Some(Factor::mul(&wide.as_slice()[1..]).with_stride(n + 1)),
     ] {
         plan.forward_fused(&mut out, source.as_slice(), f);
         plan.inverse_unnormalized_fused(&mut out, source.as_slice(), f);

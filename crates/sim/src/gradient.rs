@@ -129,26 +129,30 @@ pub fn probe_gradient_into<R: Real>(
 /// One object does both because both usually borrow the same volume — a
 /// reconstruction's tile, which `take` may step (`t_s ← t_s − α·g_s`).
 pub trait ObjectSlices<R: Real> {
-    /// Writes the probe window's slice `s` of the object, `t_s` (row-major,
-    /// `window × window`), into `t`.
-    fn load(&self, s: usize, t: &mut [Complex<R>]);
+    /// The probe window's slice `s` of the object, `t_s`. Where the object
+    /// holds the whole window it is read in place: the returned values hold
+    /// `window` rows of `window` values, row `r` starting at value
+    /// `r · stride`, and the stride comes with them. Otherwise it is written
+    /// into `t` (row-major, `window × window`) and `None` is returned.
+    fn read(&self, s: usize, t: &mut [Complex<R>]) -> Option<(&[Complex<R>], usize)>;
 
     /// Takes slice `s`'s gradient `g_s = ∂f_i/∂conj(t_s)` (row-major,
-    /// `window × window`). Every `load` of slice `s` comes before it, so it
-    /// may change slice `s` of the object.
+    /// `window × window`). Every read of slice `s`, and every use of what
+    /// it returned, comes before it, so it may change slice `s` of the
+    /// object.
     fn take(&mut self, s: usize, g: &[Complex<R>]);
 }
 
-/// An object patch as an [`ObjectSlices`] whose gradient is copied into a
-/// volume.
+/// An object patch, read in place, as an [`ObjectSlices`] whose gradient is
+/// copied into a volume.
 struct PatchSlices<'a, R: Real> {
     patch: &'a Array3<Complex<R>>,
     gradient: &'a mut Array3<Complex<R>>,
 }
 
 impl<R: Real> ObjectSlices<R> for PatchSlices<'_, R> {
-    fn load(&self, s: usize, t: &mut [Complex<R>]) {
-        t.copy_from_slice(self.patch.slice_data(s));
+    fn read(&self, s: usize, _: &mut [Complex<R>]) -> Option<(&[Complex<R>], usize)> {
+        Some((self.patch.slice_data(s), self.patch.cols()))
     }
 
     fn take(&mut self, s: usize, g: &[Complex<R>]) {
@@ -164,11 +168,13 @@ impl<R: Real> ObjectSlices<R> for PatchSlices<'_, R> {
 /// neither an object patch nor a gradient volume is held. Returns the probe
 /// loss.
 ///
-/// The forward pass loads every slice once, in ascending order; the
-/// adjoint loads slice `s > 0` once more, after forming `g_s` and before
+/// The forward pass reads every slice once, in ascending order; the
+/// adjoint reads slice `s > 0` once more, after forming `g_s` and before
 /// handing it over. `g_s` lives in the workspace's back-propagation buffer,
 /// which holds nothing live at that point; it is overwritten after `take`
-/// returns.
+/// returns. A slice read in place is multiplied in as its transform loads
+/// it, before `take`; a slice written out (a window the object does not
+/// wholly hold) goes into the dead incident wave `psi_s`'s field.
 ///
 /// # Panics
 /// Panics if the workspace or the measurement does not match the model.
@@ -178,7 +184,8 @@ pub fn probe_gradient_by_slice<R: Real>(
     measured_amplitude: &Array2<f64>,
     ws: &mut SimWorkspace<R>,
 ) -> f64 {
-    model.forward_from(|s, t| object.load(s, t), ws);
+    let read = &*object;
+    model.forward_from(move |s, t| read.read(s, t), ws);
 
     let SimWorkspace {
         incident,
@@ -212,8 +219,7 @@ pub fn probe_gradient_by_slice<R: Real>(
     // forward transform is the unnormalised inverse transform, F^H = N · F⁻¹.
     // From here on the far-field buffer, which nothing reads any more, holds
     // ∂L/∂conj(a_s) where a_s = t_s ⊙ psi_s, and `back` holds each slice's
-    // gradient until `take` has it, then serves as the spectrum scratch of
-    // the propagation to the slice before.
+    // gradient until `take` has it.
     fft.inverse_unnormalized_fused(far_field, back.as_slice(), None);
 
     // Back through the slices in reverse order.
@@ -235,18 +241,28 @@ pub fn probe_gradient_by_slice<R: Real>(
             object.take(s, back.as_slice());
             break;
         }
-        // psi_s is dead: its field takes t_s, read before `take` may step
-        // slice s.
-        let t_s = &mut incident[s - 1];
-        object.load(s, t_s.as_mut_slice());
-        object.take(s, back.as_slice());
         // ∂L/∂conj(psi_s) = ∂L/∂conj(a_s) ⊙ conj(t_s), pulled through the
         // propagator between slices s − 1 and s; each product is taken as
-        // the transform after it loads its input.
-        let t_s = Some(Factor::MulConj(t_s.as_slice()));
-        fft.forward_fused(back, far_field.as_slice(), t_s);
+        // the transform after it loads its input. psi_s is dead: its field
+        // holds the spectrum, or t_s where the object cannot lend it, and
+        // t_s is multiplied in before `take` may step slice s.
+        let psi_s = &mut incident[s - 1];
+        let spectrum = match object.read(s, psi_s.as_mut_slice()) {
+            Some((t_s, stride)) => {
+                let t_s = Factor::mul_conj(t_s).with_stride(stride);
+                fft.forward_fused(psi_s, far_field.as_slice(), Some(t_s));
+                object.take(s, back.as_slice());
+                psi_s
+            }
+            None => {
+                object.take(s, back.as_slice());
+                let t_s = Factor::mul_conj(psi_s.as_slice());
+                fft.forward_fused(back, far_field.as_slice(), Some(t_s));
+                &mut *back
+            }
+        };
         let adjoint = Some(model.plan().adjoint_transfer_factor());
-        fft.inverse_unnormalized_fused(far_field, back.as_slice(), adjoint);
+        fft.inverse_unnormalized_fused(far_field, spectrum.as_slice(), adjoint);
     }
     loss
 }
@@ -569,7 +585,8 @@ mod tests {
 
     /// The sink form hands over each slice exactly once, last slice first,
     /// at every tier bit-identical to the same slice of
-    /// [`probe_gradient_into`]'s volume at the scalar tier.
+    /// [`probe_gradient_into`]'s volume at the scalar tier, whether the
+    /// slices are read in place or written out.
     fn sink_matches_gradient_into<R: Real>() {
         use ptycho_fft::SimdLevel;
         for slices in [1usize, 3] {
@@ -580,38 +597,58 @@ mod tests {
             let mut ws = SimWorkspace::for_model(&scalar);
             let mut volume = Array3::full(slices, 16, 16, Complex::ONE);
             let loss = probe_gradient_into(&scalar, &guess, &measured, &mut ws, &mut volume);
-            for level in SimdLevel::available_levels() {
+            for (level, in_place) in levels_and_reads() {
                 let model = small_model_in::<R>(slices).with_simd_level(level);
-                let mut source = SteppedObject::new(&guess);
+                let mut source = SteppedObject::new(&guess, in_place);
                 let sink_loss = probe_gradient_by_slice(&model, &mut source, &measured, &mut ws);
+                let case = format!("at {level:?}, in place {in_place}");
                 for s in 0..slices {
                     assert_eq!(
                         bits(source.gradient.slice_data(s)),
                         bits(volume.slice_data(s)),
-                        "slice {s} at {level:?}"
+                        "slice {s} {case}"
                     );
                 }
-                assert_eq!(sink_loss.to_bits(), loss.to_bits(), "loss at {level:?}");
+                assert_eq!(sink_loss.to_bits(), loss.to_bits(), "loss {case}");
                 let descending: Vec<usize> = (0..slices).rev().collect();
-                assert_eq!(source.taken, descending, "{slices} slices at {level:?}");
+                assert_eq!(source.taken, descending, "{slices} slices {case}");
             }
         }
     }
 
-    /// An object read one slice at a time whose slice `s` is overwritten as
-    /// soon as its gradient `g_s` is taken, the way a local update steps the
-    /// tile: a read of `t_s` after that moves bits. Collects the gradient.
+    /// Every available tier, each with the slices read in place and written
+    /// out.
+    fn levels_and_reads() -> Vec<(ptycho_fft::SimdLevel, bool)> {
+        let levels = ptycho_fft::SimdLevel::available_levels().into_iter();
+        levels
+            .flat_map(|level| [(level, false), (level, true)])
+            .collect()
+    }
+
+    /// An object read one slice at a time — in place, from the middle of a
+    /// plane two values wider on each side, or written out — whose slice
+    /// `s` is overwritten as soon as its gradient `g_s` is taken, the way a
+    /// local update steps the tile: a read of `t_s` after that moves bits.
+    /// Collects the gradient.
     struct SteppedObject<R: Real> {
-        object: Array3<Complex<R>>,
+        /// The object, each slice framed by two columns of NaN.
+        framed: Array3<Complex<R>>,
+        in_place: bool,
         gradient: Array3<Complex<R>>,
         taken: Vec<usize>,
     }
 
     impl<R: Real> SteppedObject<R> {
-        fn new(object: &Array3<Complex<R>>) -> Self {
+        fn new(object: &Array3<Complex<R>>, in_place: bool) -> Self {
             let (slices, rows, cols) = object.shape();
+            let nan = Complex::new(R::from_f64(f64::NAN), R::ONE);
+            let framed = Array3::from_fn(slices, rows, cols + 4, |s, r, c| match c {
+                2.. if c < cols + 2 => object[(s, r, c - 2)],
+                _ => nan,
+            });
             Self {
-                object: object.clone(),
+                framed,
+                in_place,
                 gradient: Array3::full(slices, rows, cols, Complex::ONE),
                 taken: Vec::new(),
             }
@@ -619,35 +656,44 @@ mod tests {
     }
 
     impl<R: Real> ObjectSlices<R> for SteppedObject<R> {
-        fn load(&self, s: usize, t: &mut [Complex<R>]) {
-            t.copy_from_slice(self.object.slice_data(s));
+        fn read(&self, s: usize, t: &mut [Complex<R>]) -> Option<(&[Complex<R>], usize)> {
+            let (stride, plane) = (self.framed.cols(), self.framed.slice_data(s));
+            let window = &plane[2..plane.len() - 2];
+            if self.in_place {
+                return Some((window, stride));
+            }
+            let rows = window.chunks(stride);
+            for (t, row) in t.chunks_exact_mut(stride - 4).zip(rows) {
+                t.copy_from_slice(&row[..stride - 4]);
+            }
+            None
         }
 
         fn take(&mut self, s: usize, g: &[Complex<R>]) {
             self.gradient.slice_data_mut(s).copy_from_slice(g);
             let stepped = Complex::new(R::from_f64(2.5), R::from_f64(-1.5));
-            self.object.slice_data_mut(s).fill(stepped);
+            self.framed.slice_data_mut(s).fill(stepped);
             self.taken.push(s);
         }
     }
 
     /// At every tier, the adjoint over an object whose slices are stepped
     /// as their gradients are taken equals [`probe_gradient_into`] on the
-    /// unstepped patch, bit for bit.
+    /// unstepped patch, bit for bit, whether the slices are read in place
+    /// or written out.
     fn slice_source_matches_gradient_into<R: Real>() {
-        use ptycho_fft::SimdLevel;
         for slices in [1usize, 2, 3] {
             let truth = phase_object(slices, 16, 0.3);
             let measured = small_model(slices).simulate_amplitude(&truth);
             let guess = phase_object(slices, 16, 0.1).map(|v| Complex::narrow(*v));
-            for level in SimdLevel::available_levels() {
+            for (level, in_place) in levels_and_reads() {
                 let model = small_model_in::<R>(slices).with_simd_level(level);
                 let mut ws = SimWorkspace::for_model(&model);
                 let mut reference = Array3::full(slices, 16, 16, Complex::ZERO);
                 let loss = probe_gradient_into(&model, &guess, &measured, &mut ws, &mut reference);
-                let mut source = SteppedObject::new(&guess);
+                let mut source = SteppedObject::new(&guess, in_place);
                 let source_loss = probe_gradient_by_slice(&model, &mut source, &measured, &mut ws);
-                let case = format!("{slices} slices at {level:?}");
+                let case = format!("{slices} slices at {level:?}, in place {in_place}");
                 assert_eq!(source_loss.to_bits(), loss.to_bits(), "loss, {case}");
                 assert_eq!(
                     bits(source.gradient.as_slice()),

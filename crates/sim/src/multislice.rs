@@ -106,13 +106,13 @@ impl<R: Real> PropagationPlan<R> {
     /// a spectrum buffer, then [`Fft2Plan::inverse_unnormalized_fused`] out of
     /// it with this factor.
     pub(crate) fn transfer_factor(&self) -> Factor<'_, R> {
-        Factor::Mul(self.transfer_scaled.as_slice())
+        Factor::mul(self.transfer_scaled.as_slice())
     }
 
     /// `· conj(H) / window²`, the load factor of an adjoint propagation's
     /// inverse transform (see [`Self::transfer_factor`]).
     pub(crate) fn adjoint_transfer_factor(&self) -> Factor<'_, R> {
-        Factor::MulConj(self.transfer_scaled.as_slice())
+        Factor::mul_conj(self.transfer_scaled.as_slice())
     }
 }
 
@@ -291,7 +291,8 @@ impl<R: Real> MultisliceModel<R> {
     /// Panics if the patch or workspace does not match the model.
     pub fn forward_with(&self, object_patch: &Array3<Complex<R>>, ws: &mut SimWorkspace<R>) {
         self.check_patch(object_patch);
-        self.forward_from(|s, t| t.copy_from_slice(object_patch.slice_data(s)), ws);
+        let n = self.window_px();
+        self.forward_from(|s, _| Some((object_patch.slice_data(s), n)), ws);
     }
 
     /// Panics unless `object_patch` has the model's shape
@@ -308,17 +309,19 @@ impl<R: Real> MultisliceModel<R> {
         );
     }
 
-    /// The forward model over an object read one slice at a time:
-    /// `load(s, t)` writes slice `s` (row-major, `window × window`) into `t`,
-    /// every slice once in ascending order. Each slice is loaded into the
-    /// back-propagation buffer, which the forward pass does not otherwise
-    /// use.
+    /// The forward model over an object read one slice at a time, every
+    /// slice once in ascending order, as
+    /// [`ObjectSlices::read`](crate::gradient::ObjectSlices::read) reads it:
+    /// `read(s, t)` returns slice `s` in place (its values and their row
+    /// stride), or writes it into `t` (row-major, `window × window`) and
+    /// returns `None`. `t` is the back-propagation buffer, which the forward
+    /// pass does not otherwise use.
     ///
     /// # Panics
     /// Panics if the workspace does not match the model.
-    pub(crate) fn forward_from(
+    pub(crate) fn forward_from<'o>(
         &self,
-        load: impl Fn(usize, &mut [Complex<R>]),
+        read: impl Fn(usize, &mut [Complex<R>]) -> Option<(&'o [Complex<R>], usize)>,
         ws: &mut SimWorkspace<R>,
     ) {
         let n = self.window_px();
@@ -343,10 +346,12 @@ impl<R: Real> MultisliceModel<R> {
             // The slice's spectrum FFT(psi_s ⊙ t_s), the product taken as the
             // transform loads psi_s; the far-field buffer holds it until the
             // last slice's spectrum becomes D.
-            load(s, back.as_mut_slice());
+            let t_s = match read(s, back.as_mut_slice()) {
+                Some((values, stride)) => Factor::mul(values).with_stride(stride),
+                None => Factor::mul(back.as_slice()),
+            };
             let (before, after) = incident.split_at_mut(s);
             let psi_s = before.last().unwrap_or(&self.probe_field);
-            let t_s = Factor::Mul(back.as_slice());
             fft.forward_fused(far_field, psi_s.as_slice(), Some(t_s));
             if s < last {
                 // psi_{s+1} = IFFT(H ⊙ spectrum), the product again on load.
