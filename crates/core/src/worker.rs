@@ -32,8 +32,9 @@ pub(crate) type TileVolume = Array3<Complex32>;
 /// accumulation buffers, and every per-probe evaluation
 /// ([`Dataset::model_f32`]). A slice the model reads is the volume's own
 /// rows (or a same-type copy of them), and the gradient is added to the
-/// volume or a buffer as it is. Only the flat initial guess (ones, exact in `f32`) and the stitched
-/// result ([`Self::core_volume`], widened exactly) are complex `f64`.
+/// volume or a buffer as it is. Only the flat initial guess (ones, exact in
+/// `f32`) and the stitched result ([`Self::core_volume`], widened exactly)
+/// are complex `f64`.
 pub(crate) struct TileWorker<'a> {
     dataset: &'a Dataset,
     tile: TileInfo,

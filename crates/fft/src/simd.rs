@@ -99,11 +99,11 @@
 //! same operation). The imaginary lane sums `b.im·w.re + b.re·w.im`, the
 //! scalar's two products added the other way round, which IEEE addition
 //! does not see. Then `a' = a + t`, `b' = a − t`. No accumulation is
-//! reordered and nothing is
-//! fused, so which tier, which lane and which partition of a run computed a
-//! value cannot be seen in its bits: at each precision all tiers are
-//! **bit-identical**, pinned by `to_bits` tests at every level of the stack
-//! (sweeps, 1-D / 2-D plans, the multi-slice gradient, whole solves). The
+//! reordered and nothing is fused, so which tier, which lane and which
+//! partition of a run computed a value cannot be seen in its bits: at each
+//! precision all tiers are **bit-identical**, pinned by `to_bits` tests at
+//! every level of the stack (sweeps, 1-D / 2-D plans, the multi-slice
+//! gradient, whole solves). The
 //! dispatch tier is therefore not part of a result's identity — goldens,
 //! traces and checkpoints are the same on every host.
 //!
@@ -459,7 +459,7 @@ pub(crate) fn column_pass2<R: Real>(
 /// Returns `Σ r²`, each residual widened to `f64` and the squares summed in
 /// index order.
 ///
-/// The vector tiers run it in chunks of [`AMPLITUDE_CHUNK`] values: every
+/// The vector tiers run it in chunks of 8 values: every
 /// value's amplitude, residual, square and seed lane-parallel (the chunk
 /// body is compiled at the tier), then the chunk's squares added to the
 /// loss one by one in index order. Each value goes through the same IEEE
@@ -497,7 +497,7 @@ pub fn amplitude_seed<R: Real>(
 
 /// Values per chunk of the vector tiers' amplitude step: one AVX2 vector of
 /// `f32`.
-pub const AMPLITUDE_CHUNK: usize = 8;
+const AMPLITUDE_CHUNK: usize = 8;
 
 /// The amplitude step of one value: its seed and its residual.
 #[inline(always)]
