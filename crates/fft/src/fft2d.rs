@@ -104,10 +104,16 @@ impl<'a, R: Real> Factor<'a, R> {
 
     /// Whether the values hold `rows` rows of `n` values: exactly that many
     /// without a stride, else rows at least `n` apart, the last one whole.
+    /// A length that overflows `usize` does not fit: the vector tiers index
+    /// the rows through raw pointers once this holds.
     pub(crate) fn fits(self, rows: usize, n: usize) -> bool {
         match self.stride {
-            None => self.values.len() == rows * n,
-            Some(stride) => stride >= n && self.values.len() >= rows.saturating_sub(1) * stride + n,
+            None => rows.checked_mul(n) == Some(self.values.len()),
+            Some(stride) => {
+                let need = rows.saturating_sub(1).checked_mul(stride);
+                let need = need.and_then(|offset| offset.checked_add(n));
+                stride >= n && need.is_some_and(|need| self.values.len() >= need)
+            }
         }
     }
 

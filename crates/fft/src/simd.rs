@@ -391,7 +391,11 @@ pub(crate) fn row_pass<R: Real>(
     pass: &RowPass<'_, R>,
 ) {
     let n = pass.within.len();
-    assert_eq!(data.len(), n * pass.order.len(), "row pass field length");
+    assert_eq!(
+        n.checked_mul(pass.order.len()),
+        Some(data.len()),
+        "row pass field length"
+    );
     if let Some(source) = source {
         assert_eq!(source.values.len(), data.len(), "row pass source length");
         if let Some(factor) = source.factor {
@@ -499,11 +503,20 @@ pub fn amplitude_seed<R: Real>(
 /// `f32`.
 const AMPLITUDE_CHUNK: usize = 8;
 
+/// The residual `a − y` of an amplitude `a = |D|` from its measured
+/// amplitude `y`, in the working precision: `y` is rounded to it as it is
+/// read. The one definition of the residual, so that the loss a forward
+/// pass alone reports is bit for bit the one [`amplitude_seed`] returns.
+#[inline(always)]
+pub fn residual<R: Real>(a: R, y: f64) -> R {
+    a - R::from_f64(y)
+}
+
 /// The amplitude step of one value: its seed and its residual.
 #[inline(always)]
 fn amplitude_value<R: Real>(d: Complex<R>, y: f64, h: Complex<R>) -> (Complex<R>, R) {
     let a = d.abs();
-    let r = a - R::from_f64(y);
+    let r = residual(a, y);
     let seed = if a == R::ZERO {
         Complex::ZERO
     } else {
@@ -2073,34 +2086,53 @@ mod tests {
         row_pass(SimdLevel::detect(), &mut test_data(4), Some(source), &pass);
     }
 
-    /// A strided factor whose last row is cut short, or whose rows overlap,
+    /// A strided factor whose last row is cut short, whose rows overlap, or
+    /// whose extent overflows `usize` (it would wrap to a length that fits)
     /// is refused before any kernel reads it.
     #[test]
     fn strided_factors_that_do_not_hold_the_rows_panic() {
         let within = bit_reversal(4);
         let stages: Vec<Stage<f64>> = (0..2).map(|s| Stage::new(test_data(1 << s))).collect();
-        let pass = RowPass {
+        let pass = |order| RowPass {
             within: &within,
-            order: &[1, 0],
+            order,
             stages: &stages,
             scale: 1.0,
         };
-        let (source, plane) = (test_data(8), test_data(10));
-        for (stride, len) in [(6, 9), (3, 10)] {
+        let (two, four): (&[u32], &[u32]) = (&[1, 0], &[0, 2, 1, 3]);
+        let plane = test_data(10);
+        let refused = [
+            (two, 6, 9),
+            (two, 3, 10),
+            // `stride + 4` wraps to 2 or 3.
+            (two, usize::MAX - 1, 4),
+            (two, usize::MAX, 10),
+            // `3 · stride` wraps to 2.
+            (four, usize::MAX / 3 + 1, 10),
+        ];
+        for (order, stride, len) in refused {
+            let source = test_data(4 * order.len());
             let source = Source {
                 values: &source,
                 factor: Some(Factor::mul(&plane[..len]).with_stride(stride)),
             };
-            let refused = std::panic::catch_unwind(|| {
-                row_pass(SimdLevel::detect(), &mut test_data(8), Some(source), &pass)
+            let mut data = test_data(4 * order.len());
+            let refused = std::panic::catch_unwind(move || {
+                row_pass(SimdLevel::detect(), &mut data, Some(source), &pass(order))
             });
             assert!(refused.is_err(), "stride {stride}, {len} values");
         }
         // Rows 6 apart, the last one whole: accepted.
+        let source = test_data(8);
         let source = Source {
             values: &source,
             factor: Some(Factor::mul(&plane).with_stride(6)),
         };
-        row_pass(SimdLevel::detect(), &mut test_data(8), Some(source), &pass);
+        row_pass(
+            SimdLevel::detect(),
+            &mut test_data(8),
+            Some(source),
+            &pass(two),
+        );
     }
 }

@@ -19,7 +19,7 @@
 use crate::multislice::{ForwardPass, MultisliceModel, SimWorkspace};
 use ptycho_array::{Array2, Array3};
 use ptycho_fft::fft2d::Factor;
-use ptycho_fft::simd::amplitude_seed;
+use ptycho_fft::simd::{amplitude_seed, residual};
 use ptycho_fft::{CArray3, Complex, Real};
 
 /// The result of evaluating one probe location: the scalar data-fidelity cost
@@ -41,13 +41,6 @@ pub fn probe_loss<R: Real>(
 ) -> f64 {
     let pass = model.forward(object_patch);
     loss_from_pass(&pass, measured_amplitude)
-}
-
-/// The residual `a − y` of the amplitude `a = |D|`, in the working
-/// precision: `y` is rounded to it as it is read.
-#[inline]
-fn residual<R: Real>(a: R, y: f64) -> R {
-    a - R::from_f64(y)
 }
 
 fn loss_from_pass<R: Real>(pass: &ForwardPass<R>, measured_amplitude: &Array2<f64>) -> f64 {
