@@ -40,32 +40,15 @@ pub enum FaultAction {
     Kill,
 }
 
-/// Where, relative to the checkpoint commit point, a simulated whole-process
-/// kill strikes (see [`FaultPolicy::kill_process_at_barrier`]).
-///
-/// The durability layer commits an epoch by writing and syncing its
-/// manifest after every slot file is durable: the manifest's bytes, durable
-/// and checksum-valid, are the commit point. (The phase names date from a
-/// protocol that renamed the manifest into place; the states they leave are
-/// the same.) Each phase leaves a different on-disk state for recovery to
-/// handle:
-///
-/// * `BeforeRename` — the per-rank checkpoint files are durable but the
-///   manifest never appears, so the epoch is invisible and resume falls back
-///   to the previous barrier.
-/// * `DuringRename` — the manifest appears torn (the first part of its
-///   bytes, as a crash mid-write leaves it); recovery must reject it via its
-///   checksum and fall back, never trust it.
-/// * `AfterRename` — the commit completed before the death, so resume
-///   continues from exactly this barrier.
+/// Where a simulated whole-process kill strikes (see
+/// [`FaultPolicy::kill_process_at_barrier`]). Every other crash state (a
+/// missing or torn manifest) is derived by the durability layer's tests
+/// from a run's logged file operations; the library simulates none.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CrashPhase {
-    /// Die after the checkpoint files are durable but before the manifest
-    /// is written: the epoch never becomes visible.
-    BeforeRename,
-    /// Die mid-manifest-write, leaving a torn manifest.
-    DuringRename,
-    /// Die immediately after the commit point: the epoch is committed.
+    /// Die right after the checkpoint commit point: the epoch is durable,
+    /// so resume continues from exactly that barrier. (The name dates from
+    /// a protocol that renamed the manifest into place.)
     AfterRename,
 }
 
@@ -92,9 +75,9 @@ pub struct FaultPolicy {
     /// stream the node sends on) come out as [`FaultAction::Kill`]. Keyed by
     /// node identity, not rank slot — see [`FaultHarness::set_node`].
     pub kill: Option<(usize, u64)>,
-    /// When set, kills the *whole process* at the `barrier`-th durable
-    /// checkpoint commit (the store's monotonic epoch sequence number), in
-    /// the given [`CrashPhase`] relative to the commit point.
+    /// When set, kills the *whole process* right after the `barrier`-th
+    /// durable checkpoint commit (the store's monotonic epoch sequence
+    /// number); [`CrashPhase`] names that one point.
     /// Unlike [`FaultPolicy::kill`] this is not a per-node message fault:
     /// every rank of the job dies at once, exactly as a `kill -9` on the
     /// hosting process would. The fault layer only carries the knob; the
@@ -145,12 +128,11 @@ impl FaultPolicy {
         self
     }
 
-    /// Kills the whole process at the `barrier`-th durable checkpoint commit
-    /// (the checkpoint store's epoch sequence number), in the given
-    /// [`CrashPhase`] relative to the commit point. Used by the
-    /// resume tests and the `load_gen --kill-at-barrier` CI smoke; a run
-    /// without a checkpoint store never reaches a commit, so the knob is
-    /// inert there.
+    /// Kills the whole process right after the `barrier`-th durable
+    /// checkpoint commit (the checkpoint store's epoch sequence number), at
+    /// the one [`CrashPhase`]. Used by the resume tests and the
+    /// `load_gen --kill-at-barrier` CI smoke; a run without a checkpoint
+    /// store never reaches a commit, so the knob is inert there.
     pub fn kill_process_at_barrier(mut self, barrier: u64, phase: CrashPhase) -> Self {
         self.process_kill = Some((barrier, phase));
         self

@@ -100,14 +100,13 @@ pub enum DurabilityError {
         /// `(epoch seq, reason)` for every epoch directory inspected.
         rejected: Vec<(u64, String)>,
     },
-    /// The fault policy's process-kill injection struck during this commit
-    /// (see `FaultPolicy::kill_process_at_barrier`): the simulated process
-    /// is dead and the engine must surface `CommError::ProcessKilled`.
+    /// The fault policy's process-kill injection struck right after this
+    /// commit (see `FaultPolicy::kill_process_at_barrier`): the epoch is
+    /// committed, the simulated process is dead, and the engine must
+    /// surface `CommError::ProcessKilled`.
     SimulatedCrash {
         /// The epoch sequence number the kill struck at.
         seq: u64,
-        /// Where relative to the commit point the kill struck.
-        phase: CrashPhase,
     },
     /// Another live process (or another store instance in this process)
     /// already owns the store's lockfile. Two writers interleaving epoch
@@ -147,10 +146,9 @@ impl std::fmt::Display for DurabilityError {
                     write!(f, "no valid checkpoint epoch ({})", epochs.join("; "))
                 }
             }
-            DurabilityError::SimulatedCrash { seq, phase } => write!(
-                f,
-                "simulated process kill at checkpoint commit {seq} ({phase:?})"
-            ),
+            DurabilityError::SimulatedCrash { seq } => {
+                write!(f, "simulated process kill after checkpoint commit {seq}")
+            }
             DurabilityError::Locked { path, owner_pid } => write!(
                 f,
                 "checkpoint store is locked by live process {owner_pid} ({})",
@@ -638,8 +636,6 @@ pub(crate) fn encode_spec(spec: &JobSpec) -> Vec<u8> {
         w.put_opt(policy.process_kill, |w, (seq, phase)| {
             w.put_u64(seq);
             w.put_u8(match phase {
-                CrashPhase::BeforeRename => 0,
-                CrashPhase::DuringRename => 1,
                 CrashPhase::AfterRename => 2,
             });
         });
@@ -718,8 +714,6 @@ pub(crate) fn decode_spec(
             process_kill: r.get_opt(|r| {
                 let seq = r.get_u64()?;
                 let phase = match r.get_u8()? {
-                    0 => CrashPhase::BeforeRename,
-                    1 => CrashPhase::DuringRename,
                     2 => CrashPhase::AfterRename,
                     tag => return Err(r.corrupt(format!("unknown crash-phase tag {tag}"))),
                 };
@@ -878,10 +872,11 @@ impl CheckpointStore {
     /// prunes epochs older than the previous one. Call it only once every
     /// slot file of the epoch is written.
     ///
-    /// `crash` injects the satellite fault: `Some(phase)` simulates a
-    /// whole-process kill relative to the commit point (see
-    /// [`CrashPhase`]) and returns [`DurabilityError::SimulatedCrash`]. The
-    /// on-disk state is left exactly as the phase dictates.
+    /// `crash` injects a whole-process kill right after all of that (see
+    /// [`CrashPhase`]): the disk holds exactly what a plain commit leaves,
+    /// and the call returns [`DurabilityError::SimulatedCrash`]. Every
+    /// other crash state is the tests' to make; the store never writes a
+    /// torn file.
     pub fn commit(
         &self,
         manifest: &EpochManifest,
@@ -889,36 +884,19 @@ impl CheckpointStore {
     ) -> Result<(), DurabilityError> {
         let seq = manifest.seq;
         let dir = self.epoch_dir(seq);
-        let path = dir.join("manifest.ckpt");
         let bytes = frame_file(MANIFEST_MAGIC, &manifest.encode());
-        match crash {
-            // The slot files are durable but the manifest never appears.
-            Some(phase @ CrashPhase::BeforeRename) => {
-                return Err(DurabilityError::SimulatedCrash { seq, phase });
-            }
-            // A torn manifest — the first half of its bytes, as a crash
-            // mid-write leaves it. Recovery rejects it by checksum.
-            Some(phase @ CrashPhase::DuringRename) => {
-                self.fs
-                    .create_new(&path, &bytes[..bytes.len() / 2])
-                    .map_err(|e| DurabilityError::io(&path, e))?;
-                return Err(DurabilityError::SimulatedCrash { seq, phase });
-            }
-            Some(CrashPhase::AfterRename) | None => {
-                self.write_durably(&path, &bytes)?;
-                for dir in [&dir, &self.dir] {
-                    self.fs
-                        .sync_dir(dir)
-                        .map_err(|e| DurabilityError::io(dir, e))?;
-                }
-            }
+        self.write_durably(&dir.join("manifest.ckpt"), &bytes)?;
+        for dir in [&dir, &self.dir] {
+            self.fs
+                .sync_dir(dir)
+                .map_err(|e| DurabilityError::io(dir, e))?;
         }
         self.next_seq.store(seq + 1, Ordering::SeqCst);
         self.prune(seq);
-        if let Some(phase) = crash {
-            return Err(DurabilityError::SimulatedCrash { seq, phase });
+        match crash {
+            Some(CrashPhase::AfterRename) => Err(DurabilityError::SimulatedCrash { seq }),
+            None => Ok(()),
         }
-        Ok(())
     }
 
     /// Creates `path`, which must not exist yet, writes `bytes` to it and
@@ -1232,6 +1210,7 @@ pub(crate) mod tests {
     use super::*;
     use crate::worker::TileVolume;
     use ptycho_fft::{CArray3, Complex32, Complex64};
+    use std::collections::BTreeMap;
 
     fn temp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
@@ -1617,33 +1596,60 @@ pub(crate) mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    #[test]
-    fn crash_phases_leave_the_documented_disk_states() {
-        for (phase, expect_seq) in [
-            (CrashPhase::BeforeRename, 0),
-            (CrashPhase::DuringRename, 0),
-            (CrashPhase::AfterRename, 1),
-        ] {
-            let dir = temp_dir(&format!("crash-{phase:?}"));
-            let store = CheckpointStore::open(&dir).unwrap();
-            commit_epoch(&store, 0, 1, 1);
-            store.write_slot(1, 0, &sample_record(0, 2)).unwrap();
-            let err = store
-                .commit(&sample_manifest(1, 2, 1, b"spec"), Some(phase))
-                .expect_err("simulated crash must surface");
-            assert_eq!(err, DurabilityError::SimulatedCrash { seq: 1, phase });
-
-            let recovery = store.recover().unwrap();
-            let epoch = recovery.epoch.expect("some epoch always survives");
-            assert_eq!(epoch.manifest.seq, expect_seq, "phase {phase:?}");
-            match phase {
-                // Both pre-commit phases reject epoch 1 with a typed error.
-                CrashPhase::BeforeRename | CrashPhase::DuringRename => {
-                    assert_eq!(recovery.rejected.len(), 1);
-                    assert_eq!(recovery.rejected[0].0, 1);
+    /// Every file under `dir` and its bytes, by path relative to `dir`.
+    fn files_under(dir: &Path) -> BTreeMap<PathBuf, Vec<u8>> {
+        let mut files = BTreeMap::new();
+        let mut pending = vec![dir.to_path_buf()];
+        while let Some(at) = pending.pop() {
+            for entry in std::fs::read_dir(&at).unwrap() {
+                let path = entry.unwrap().path();
+                if path.is_dir() {
+                    pending.push(path);
+                } else {
+                    let bytes = std::fs::read(&path).unwrap();
+                    files.insert(path.strip_prefix(dir).unwrap().to_path_buf(), bytes);
                 }
-                CrashPhase::AfterRename => assert!(recovery.rejected.is_empty()),
             }
+        }
+        files
+    }
+
+    /// A kill armed after the commit point changes nothing on disk: the
+    /// store holds the files, bytes and next sequence number a plain
+    /// commit leaves, and recovery returns the killed epoch.
+    #[test]
+    fn a_post_commit_kill_leaves_what_a_plain_commit_leaves() {
+        let run = |crash: Option<CrashPhase>| {
+            let dir = temp_dir(&format!("post-commit-kill-{}", crash.is_some()));
+            let store = CheckpointStore::open(&dir).unwrap();
+            commit_epoch(&store, 0, 1, 2);
+            for slot in 0..2 {
+                store
+                    .write_slot(1, slot, &sample_record(slot as u64, 2))
+                    .unwrap();
+            }
+            let outcome = store.commit(&sample_manifest(1, 2, 2, b"spec"), crash);
+            let files = files_under(&dir);
+            (dir, store, outcome, files)
+        };
+        let (plain_dir, plain, committed, plain_files) = run(None);
+        let (dir, killed, outcome, files) = run(Some(CrashPhase::AfterRename));
+        assert_eq!(committed, Ok(()));
+        assert_eq!(outcome, Err(DurabilityError::SimulatedCrash { seq: 1 }));
+        assert_eq!(files, plain_files);
+        assert_eq!(
+            files.len(),
+            1 + 2 * 3,
+            "the lock, and two slots and a manifest in each of two epochs"
+        );
+        assert_eq!(killed.next_seq(), plain.next_seq());
+        assert_eq!(killed.next_seq(), 2);
+
+        let recovery = killed.recover().unwrap();
+        assert!(recovery.rejected.is_empty(), "{:?}", recovery.rejected);
+        assert_eq!(recovery.epoch.expect("epoch 1").manifest.seq, 1);
+        drop((plain, killed));
+        for dir in [plain_dir, dir] {
             let _ = std::fs::remove_dir_all(&dir);
         }
     }
@@ -1840,20 +1846,16 @@ pub(crate) mod tests {
         JobSpec::new(dataset, config, (1, 2))
     }
 
-    fn full_fault_policy(phase: CrashPhase) -> FaultPolicy {
-        FaultPolicy {
-            only_tag: Some(7),
-            drop_exact: Some((0, 1, 7, 3)),
-            kill: Some((1, 5)),
-            process_kill: Some((2, phase)),
-            ..FaultPolicy::reliable(11).drop(0.125)
-        }
-    }
-
     fn full_spec() -> JobSpec {
         spec(Some(1e4))
             .with_priority(-3)
-            .with_fault_policy(full_fault_policy(CrashPhase::DuringRename))
+            .with_fault_policy(FaultPolicy {
+                only_tag: Some(7),
+                drop_exact: Some((0, 1, 7, 3)),
+                kill: Some((1, 5)),
+                process_kill: Some((2, CrashPhase::AfterRename)),
+                ..FaultPolicy::reliable(11).drop(0.125)
+            })
     }
 
     fn decode(bytes: &[u8]) -> Result<JobSpec, DurabilityError> {
@@ -1900,23 +1902,17 @@ pub(crate) mod tests {
             assert_round_trips(&base.clone().with_method(method));
         }
         assert_round_trips(&base.clone().with_fault_policy(FaultPolicy::reliable(3)));
-        for phase in [
-            CrashPhase::BeforeRename,
-            CrashPhase::DuringRename,
-            CrashPhase::AfterRename,
-        ] {
-            assert_round_trips(&base.clone().with_fault_policy(full_fault_policy(phase)));
-        }
     }
 
     /// The FNV-1a golden of the whole encoding of [`full_spec`]: every
-    /// value, not only the layout's length and tag offsets.
+    /// value, not only the layout's length and tag offsets. Recorded with
+    /// the process kill's phase byte 2; the encoder writes no other.
     #[test]
     fn the_full_spec_encodes_to_its_recorded_bytes() {
         let bytes = encode_spec(&full_spec());
         assert_eq!(bytes.len(), FULL_SPEC_LEN);
         let actual = crate::durability::fnv1a64(&bytes);
-        assert_eq!(actual, 0xaeea_d676_9315_b93e, "new hash {actual:#018x}");
+        assert_eq!(actual, 0xaeea_d576_9315_b78b, "new hash {actual:#018x}");
     }
 
     /// Only the current layout is read.
@@ -1983,6 +1979,15 @@ pub(crate) mod tests {
             damaged(133, &(i32::MIN as i64 - 1).to_le_bytes()),
             "priority word 0xffffffff7fffffff is not an i32"
         );
+        // The process kill's phase byte at 226, the last: 2 is the only
+        // phase.
+        assert_eq!(bytes[226], 2);
+        for tag in [0u8, 1, 3] {
+            assert_eq!(
+                damaged(226, &[tag]),
+                format!("unknown crash-phase tag {tag}")
+            );
+        }
     }
 
     /// Decoding meets every truncation and single-byte XOR of the full spec
@@ -2038,9 +2043,11 @@ pub(crate) mod tests {
 #[cfg(test)]
 mod crash_states {
     use super::*;
-    use crate::engine::{DurabilityHook, IterationProgress, JobContext, RecoveryPolicy};
+    use crate::engine::{
+        DurabilityHook, IterationProgress, JobContext, ReconstructionResult, RecoveryPolicy,
+    };
     use crate::gradient_decomp::solver::GradientDecompositionSolver;
-    use ptycho_cluster::{ClusterTopology, CommError, LockstepBackend, RankFailure};
+    use ptycho_cluster::{ClusterTopology, LockstepBackend, RankFailure};
     use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
     use std::io::{Error, ErrorKind};
     use std::sync::{Arc, Mutex, MutexGuard};
@@ -2194,6 +2201,17 @@ mod crash_states {
             self.0
                 .lock()
                 .expect("a test thread panicked holding the file system")
+        }
+
+        /// The disk a process that logged `log` and then died leaves, as
+        /// the page cache held it: every operation whole. No process holds
+        /// its lock; the log goes on from `log`.
+        fn left_by(log: Vec<Op>) -> Self {
+            let numbered = Numbered::new(&log);
+            let tree = replay(&log, &numbered, &Kept::all(&log)).tree(&numbered);
+            let fs = Self::on(tree, inodes(&log), true);
+            fs.state().log = log;
+            fs
         }
 
         fn log(&self) -> Vec<Op> {
@@ -2551,6 +2569,18 @@ mod crash_states {
         }
     }
 
+    /// Every inode's bytes, in the order the log creates them.
+    fn inodes(log: &[Op]) -> Vec<Arc<[u8]>> {
+        let mut data = Vec::new();
+        for op in log {
+            if let Op::Create { inode, bytes, .. } = op {
+                assert_eq!(*inode as usize, data.len(), "inodes number the creates");
+                data.push(bytes.clone());
+            }
+        }
+        data
+    }
+
     /// What the enumeration found.
     #[derive(Debug, Default)]
     struct Report {
@@ -2560,6 +2590,8 @@ mod crash_states {
         states: usize,
         /// Distinct (disk, expectation) pairs recovery was run on.
         checked: usize,
+        /// Per epoch recovery returned, the first disk it was returned on.
+        recovered: BTreeMap<u64, Tree>,
         failures: Vec<String>,
     }
 
@@ -2572,16 +2604,7 @@ mod crash_states {
         let numbered = Numbered::new(log);
         let mut report = Report::default();
         let mut seen = HashSet::new();
-        let data: Vec<Arc<[u8]>> = {
-            let mut data = Vec::new();
-            for op in log {
-                if let Op::Create { inode, bytes, .. } = op {
-                    assert_eq!(*inode as usize, data.len(), "inodes number the creates");
-                    data.push(bytes.clone());
-                }
-            }
-            data
-        };
+        let data = inodes(log);
         let (mut acked, mut written) = (None, None);
         for at in 0..=log.len() {
             if let Some(op) = at.checked_sub(1).map(|i| &log[i]) {
@@ -2600,11 +2623,16 @@ mod crash_states {
                     return;
                 }
                 report.checked += 1;
-                if let Err(why) = recovers(&numbered, &data, disk, &logical, (acked, in_flight)) {
-                    report.failures.push(format!(
+                match recovers(&numbered, &data, disk, &logical, (acked, in_flight)) {
+                    Ok(Some(seq)) => {
+                        let tree = || disk.tree(&numbered);
+                        report.recovered.entry(seq).or_insert_with(tree);
+                    }
+                    Ok(None) => {}
+                    Err(why) => report.failures.push(format!(
                         "crash after op {at} ({}): {why}",
                         log[at.max(1) - 1].label()
-                    ));
+                    )),
                 }
             });
         }
@@ -2614,13 +2642,14 @@ mod crash_states {
     /// Opens a store on `disk` and checks what it recovers against what the
     /// run wrote, `logical`, and the epochs it may return: the newest one
     /// whose commit was acknowledged, or the one whose commit was under way.
+    /// Returns the recovered epoch's sequence number.
     fn recovers(
         numbered: &Numbered,
         data: &[Arc<[u8]>],
         disk: &Disk,
         logical: &Disk,
         (acked, in_flight): (Option<u64>, Option<u64>),
-    ) -> Result<(), String> {
+    ) -> Result<Option<u64>, String> {
         let fs = MemFs::on(disk.tree(numbered), data.to_vec(), true);
         let recovery = std::panic::catch_unwind(|| {
             let store = CheckpointStore::open_on(Box::new(fs), PathBuf::from(ROOT))?;
@@ -2630,7 +2659,7 @@ mod crash_states {
         .map_err(|e| format!("open or recover failed: {e}"))?;
         let Some(epoch) = recovery.epoch else {
             return match acked {
-                None => Ok(()),
+                None => Ok(None),
                 Some(seq) => Err(format!("recovered nothing, but epoch {seq} was committed")),
             };
         };
@@ -2652,7 +2681,7 @@ mod crash_states {
                 ));
             }
         }
-        Ok(())
+        Ok(Some(seq))
     }
 
     /// A 2×2 GD job small enough to enumerate: 48 px, one slice.
@@ -2684,15 +2713,14 @@ mod crash_states {
     }
 
     /// Runs a durable 2×2 job on `store`, whose file system is `fs`, rank 0
-    /// acknowledging each commit in the log; `resume` and `kill` as in
+    /// acknowledging each commit in the log; `resume` as in
     /// [`DurabilityHook`].
     fn run_durable(
         fs: &MemFs,
         store: &CheckpointStore,
         iterations: usize,
         resume: Option<&RecoveredEpoch>,
-        kill: Option<(u64, CrashPhase)>,
-    ) -> Result<(), RankFailure> {
+    ) -> Result<ReconstructionResult, RankFailure> {
         let (dataset, config) = small_job(iterations);
         let solver = GradientDecompositionSolver::new(&dataset, config, (2, 2));
         let acknowledge = |event: IterationProgress| {
@@ -2705,34 +2733,35 @@ mod crash_states {
             durability: Some(DurabilityHook {
                 store,
                 resume,
-                kill,
+                kill: None,
                 spec: b"spec",
             }),
             ..JobContext::default()
         };
         let backend = LockstepBackend::new(ClusterTopology::summit());
-        solver.run_job(&backend, POLICY, &job).map(|_| ())
+        solver.run_job(&backend, POLICY, &job)
     }
 
-    /// The log of a durable 2×2 job of three iterations whose process is
-    /// killed committing epoch 1 (a torn manifest), then resumed, as
-    /// `JobEngine::resume` does, on one new store that recovers the epoch
-    /// that survived and runs on: epochs 0, 2 and 3 commit.
+    /// The log of a durable 2×2 job of three iterations whose process dies
+    /// writing epoch 1's manifest, having written its first half, then
+    /// resumed, as `JobEngine::resume` does, on one new store that
+    /// recovers the epoch that survived and runs on: epochs 0, 2 and 3
+    /// commit.
     fn killed_and_resumed() -> Vec<Op> {
         let fs = MemFs::new();
-        match run_durable(
-            &fs,
-            &open(&fs),
-            3,
-            None,
-            Some((1, CrashPhase::DuringRename)),
-        ) {
-            Err(RankFailure {
-                error: CommError::ProcessKilled { seq: 1, .. },
-                ..
-            }) => {}
-            other => panic!("the armed kill must strike epoch 1, got {other:?}"),
+        run_durable(&fs, &open(&fs), 3, None).expect("the run completes");
+        // The killed process's log: the run's, cut at epoch 1's manifest,
+        // of which it wrote the first half.
+        let mut log = fs.log();
+        let torn = log
+            .iter()
+            .position(|op| op.manifest_epoch() == Some(1))
+            .expect("epoch 1 commits");
+        log.truncate(torn + 1);
+        if let Op::Create { bytes, .. } = &mut log[torn] {
+            *bytes = bytes[..bytes.len() / 2].into();
         }
+        let fs = MemFs::left_by(log);
         let store = open(&fs);
         let epoch = store
             .recover()
@@ -2740,7 +2769,7 @@ mod crash_states {
             .epoch
             .expect("epoch 0 survives");
         assert_eq!(epoch.manifest.seq, 0);
-        run_durable(&fs, &store, 3, Some(&epoch), None).expect("the resumed run completes");
+        run_durable(&fs, &store, 3, Some(&epoch)).expect("the resumed run completes");
         drop(store);
         fs.log()
     }
@@ -2758,7 +2787,7 @@ mod crash_states {
     #[test]
     fn syncs_per_durable_barrier_and_per_resume() {
         let fs = MemFs::new();
-        run_durable(&fs, &open(&fs), 3, None, None).expect("the run completes");
+        run_durable(&fs, &open(&fs), 3, None).expect("the run completes");
         let log = fs.log();
         // Opening a fresh store ends with its scan of the root, and syncs
         // the directory the root was created in.
@@ -2789,6 +2818,17 @@ mod crash_states {
     #[test]
     fn every_create_goes_to_a_path_the_log_has_not_seen() {
         let log = killed_and_resumed();
+        let manifests_1: Vec<&Op> = log
+            .iter()
+            .filter(|op| op.manifest_epoch() == Some(1))
+            .collect();
+        match manifests_1[..] {
+            [Op::Create { path, bytes, .. }] => assert!(
+                unframe(bytes, path, MANIFEST_MAGIC).is_err(),
+                "epoch 1's one manifest is torn"
+            ),
+            _ => panic!("epoch 1's manifest is created once: {manifests_1:?}"),
+        }
         let mut seen: HashSet<&Path> = HashSet::new();
         let mut creates = 0;
         for (i, op) in log.iter().enumerate() {
@@ -2813,6 +2853,9 @@ mod crash_states {
         assert_eq!(creates, 2 + 16 + 4);
     }
 
+    /// Every crash state recovers, and resuming from each epoch recovery
+    /// returns, on the disk it was returned on, ends in the volume and cost
+    /// history of an uninterrupted run, bit for bit.
     #[test]
     fn every_crash_state_of_a_killed_and_resumed_run_recovers() {
         let log = killed_and_resumed();
@@ -2830,5 +2873,29 @@ mod crash_states {
         assert_eq!(report.points, 71, "crash points");
         assert!(report.states > 11_000, "{report:?}");
         assert!(report.checked > 1_000, "{report:?}");
+
+        let fs = MemFs::new();
+        let uninterrupted = run_durable(&fs, &open(&fs), 3, None).expect("the run completes");
+        let bits = |result: &ReconstructionResult| -> Vec<u64> {
+            let volume = result.volume.iter();
+            let volume = volume.flat_map(|v| [v.re.to_bits(), v.im.to_bits()]);
+            let costs = result.cost_history.costs().iter().map(|c| c.to_bits());
+            volume.chain(costs).collect()
+        };
+        let seqs: Vec<u64> = report.recovered.keys().copied().collect();
+        assert_eq!(seqs, [0, 2, 3], "the epochs recovery returns");
+        for (&seq, tree) in &report.recovered {
+            let fs = MemFs::on(tree.clone(), inodes(&log), true);
+            let store = open(&fs);
+            let epoch = store.recover().expect("the scan succeeds").epoch;
+            let epoch = epoch.expect("the epoch recovered before");
+            assert_eq!(epoch.manifest.seq, seq);
+            let resumed = run_durable(&fs, &store, 3, Some(&epoch))
+                .unwrap_or_else(|failure| panic!("resuming epoch {seq}: {failure}"));
+            assert!(
+                bits(&resumed) == bits(&uninterrupted),
+                "resuming epoch {seq} moves the result"
+            );
+        }
     }
 }

@@ -258,10 +258,10 @@ pub struct DurabilityHook<'a> {
     /// on an epoch whose slot count, or a slot's tile-volume shape, does
     /// not match the decomposition (`JobEngine::resume` refuses those).
     pub resume: Option<&'a RecoveredEpoch>,
-    /// Fault injection: simulate a whole-process kill when committing the
-    /// epoch with this store sequence number, at the given phase relative
-    /// to the commit point. The run surfaces
-    /// [`CommError::ProcessKilled`] on every rank.
+    /// Fault injection: simulate a whole-process kill right after
+    /// committing the epoch with this store sequence number (the phase is
+    /// always [`CrashPhase::AfterRename`]), so the epoch is durable. The
+    /// run surfaces [`CommError::ProcessKilled`] on every rank.
     pub kill: Option<(u64, CrashPhase)>,
     /// The service-level job spec, already encoded; embedded opaquely in
     /// every manifest so `JobEngine::resume(dir)` can rebuild the job from

@@ -15,8 +15,11 @@ use std::f64::consts::PI;
 /// with no per-butterfly direction branch, strided table walk or conjugation.
 /// All methods are in-place over `&mut [Complex<R>]` — this is the
 /// zero-allocation entry point. A line is a one-row field to the kernels:
-/// the 2-D plan's row pass runs the same code on every row (a lone row at
-/// the scalar tier, which every vector tier matches bit for bit).
+/// the 2-D plan's row pass runs the same code on every row. A lone row
+/// always runs at the scalar tier (which every vector tier matches bit for
+/// bit), so the plan's SIMD tier ([`FftPlan::simd_level`]) is the tier of
+/// the passes a 2-D plan runs through it — the column passes, and the row
+/// pass of a 2-D plan's row plan — never of its own 1-D transforms.
 #[derive(Clone, Debug)]
 pub struct FftPlan<R: Real = f64> {
     len: usize,
@@ -28,8 +31,9 @@ pub struct FftPlan<R: Real = f64> {
     forward_stages: Vec<Stage<R>>,
     /// The same tables conjugated (exact), for the inverse direction.
     inverse_stages: Vec<Stage<R>>,
-    /// The SIMD tier the butterfly loop dispatches to, fixed at construction
-    /// (see [`SimdLevel::detect`]).
+    /// The SIMD tier a 2-D plan's passes through this plan dispatch to,
+    /// fixed at construction (see [`SimdLevel::detect`]); 1-D transforms
+    /// run at the scalar tier.
     level: SimdLevel,
 }
 
@@ -43,10 +47,11 @@ pub(crate) fn bit_reversal(len: usize) -> Vec<u32> {
 }
 
 impl FftPlan {
-    /// Creates an `f64` plan for transforms of length `len`, dispatching the
-    /// butterfly loop at the best SIMD tier this machine supports. A plan of
-    /// another precision is `FftPlan::<R>::with_simd_level(len,
-    /// SimdLevel::detect())`.
+    /// Creates an `f64` plan for transforms of length `len`, set to the best
+    /// SIMD tier this machine supports. That tier is what a 2-D plan's
+    /// passes through this plan run at; the plan's own 1-D transforms run
+    /// at the scalar tier. A plan of another precision is
+    /// `FftPlan::<R>::with_simd_level(len, SimdLevel::detect())`.
     ///
     /// # Panics
     /// Panics if `len` is zero or not a power of two.
@@ -58,7 +63,10 @@ impl FftPlan {
 impl<R: Real> FftPlan<R> {
     /// Creates a plan pinned to a specific SIMD tier — the bench/test entry
     /// point for comparing tiers on one machine (`Scalar` is the portable
-    /// oracle every tier is bit-identical to). Prefer [`FftPlan::new`].
+    /// oracle every tier is bit-identical to). The tier applies to the
+    /// column passes (and, for a row plan, the row pass) a 2-D plan runs
+    /// through this plan; a 1-D transform runs at the scalar tier at every
+    /// `level`. Prefer [`FftPlan::new`].
     ///
     /// # Panics
     /// Panics if `len` is invalid or `level` is not available on this
@@ -107,7 +115,10 @@ impl<R: Real> FftPlan<R> {
         self.len
     }
 
-    /// The SIMD tier this plan's butterflies run at.
+    /// The SIMD tier of the passes a 2-D plan runs through this plan: the
+    /// column passes, and the row pass of a 2-D plan's row plan. A 1-D
+    /// transform through this plan runs at the scalar tier whatever this
+    /// returns.
     pub fn simd_level(&self) -> SimdLevel {
         self.level
     }
